@@ -3,14 +3,9 @@
 // tallies votes, ranks links, runs Algorithm 1 to pick out problematic
 // links, and issues a verdict for every failed flow.
 //
-// The per-epoch pipeline is parallel and deterministic: reports are fanned
-// out in fixed-size chunks to tally workers that build shard-local tallies
-// (and shard-local observed-path indexes), and the shards merge in chunk
-// order. Chunk boundaries depend only on the report count — never the
-// worker count — so the merged floating-point vote sums are identical at
-// every Parallelism setting (they are the fixed-chunk pipeline's sums, not
-// a flat sequential fold's). Verdict classification fans back out with
-// each chunk writing into its own slots of the verdict slice.
+// The per-epoch pipeline is vote.Localize: one sparse index over the links
+// the epoch's reports touch, which the tally, Algorithm 1 and the verdicts
+// all read. Its cost follows the reports' path entries, not the fabric.
 package analysis
 
 import (
@@ -19,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vigil/internal/par"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
@@ -27,8 +21,10 @@ import (
 // Options configures an analysis pass.
 type Options struct {
 	Detect vote.DetectOptions
-	// Parallelism caps the tally/classify worker count; 0 means
-	// runtime.GOMAXPROCS(0). Results are identical at every setting.
+	// Parallelism is accepted for the engines, collectors and benchmarks
+	// that pass it along, and fans nothing out: no stage of an epoch's
+	// analysis is large enough for a fan-out to pay, measured up to 16k
+	// reports (DESIGN.md, "Parallelism knobs").
 	Parallelism int
 }
 
@@ -44,12 +40,6 @@ type Result struct {
 	Verdicts []vote.Verdict
 }
 
-// reportChunk is the fan-out granularity: small enough to load-balance an
-// epoch across workers, large enough that shard bookkeeping is noise.
-// Chunk boundaries depend only on the report count (never the worker
-// count), which is what keeps the chunk-ordered merge deterministic.
-const reportChunk = 2048
-
 // Analyze runs the full per-epoch pipeline over the collected reports.
 //
 // Because this agent receives the flow reports themselves (it needs them
@@ -59,48 +49,7 @@ const reportChunk = 2048
 // deployments that ship only vote tallies to the center, and the two are
 // compared by the abl-adjust ablation benchmark.
 func Analyze(reports []vote.Report, opts Options) *Result {
-	needObserved := opts.Detect.Adjuster == nil
-	nchunks := par.Chunks(len(reports), reportChunk)
-
-	// Fan out: shard-local tallies (and observed-path indexes), one per
-	// chunk, merged below in chunk order.
-	tallies := make([]*vote.Tally, nchunks)
-	var adjusters []*vote.ObservedAdjuster
-	if needObserved {
-		adjusters = make([]*vote.ObservedAdjuster, nchunks)
-	}
-	par.ForEachChunk(len(reports), reportChunk, opts.Parallelism, func(c, lo, hi int) {
-		t := vote.NewTally()
-		t.AddAll(reports[lo:hi])
-		tallies[c] = t
-		if needObserved {
-			adjusters[c] = vote.NewObservedAdjusterShard(reports[lo:hi], lo)
-		}
-	})
-
-	t := vote.NewTally()
-	for _, partial := range tallies {
-		t.Merge(partial)
-	}
-	if needObserved {
-		merged := vote.NewObservedAdjusterShard(nil, 0)
-		for _, partial := range adjusters {
-			merged.Merge(partial)
-		}
-		opts.Detect.Adjuster = merged
-	}
-
-	// Algorithm 1 is inherently iterative (each blame adjusts the next
-	// pick) and runs on the merged tally.
-	detected := vote.FindProblemLinks(t, opts.Detect)
-
-	// Fan back out: verdicts are per-report independent reads of the
-	// merged tally, so each chunk writes its own slots.
-	verdicts := make([]vote.Verdict, len(reports))
-	par.ForEachChunk(len(reports), reportChunk, opts.Parallelism, func(_, lo, hi int) {
-		vote.ClassifyFlowsInto(verdicts[lo:hi], t, detected, reports[lo:hi])
-	})
-
+	t, detected, verdicts := vote.Localize(reports, opts.Detect)
 	return &Result{
 		Tally:    t,
 		Ranking:  t.Ranking(),

@@ -178,8 +178,8 @@ func New(cfg Config) (Engine, error) {
 	}
 }
 
-// flowEngine adapts netem.Sim: simulate the epoch, then run the parallel
-// analysis pipeline over its reports.
+// flowEngine adapts netem.Sim: simulate the epoch, then run the analysis
+// pipeline over its reports.
 type flowEngine struct {
 	sim *netem.Sim
 	an  analysis.Options

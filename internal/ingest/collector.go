@@ -1,7 +1,8 @@
 package ingest
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vigil/internal/analysis"
 	"vigil/internal/engine"
@@ -32,6 +33,12 @@ func (a *agentEpoch) mark(seq int32) (dup bool) {
 	return false
 }
 
+// malformed reports whether r's identity is one no agent can produce.
+// Sequences and epochs count up from zero, and mark indexes a bitset by
+// sequence, so a negative one is dropped (and counted Rejected) before it
+// reaches any per-epoch state.
+func malformed(r vote.Report) bool { return r.Seq < 0 || r.Epoch < 0 }
+
 func (a *agentEpoch) has(seq int32) bool {
 	w, b := int(seq)>>6, uint(seq)&63
 	return w < len(a.seen) && a.seen[w]&(1<<b) != 0
@@ -56,6 +63,7 @@ type collectorState struct {
 	open        map[int32]*epochState
 	tokens      int   // lanes heard from this cycle
 	lastSettled int32 // newest settled epoch; -1 initially
+	lastSize    int   // reports the newest settled epoch accepted: the next one's size hint
 	maxLive     int32 // newest cycle that was an engine epoch; -1 initially
 }
 
@@ -68,12 +76,15 @@ type collectorState struct {
 func (s *Service) collector() {
 	defer s.wg.Done()
 	st := collectorState{open: make(map[int32]*epochState), lastSettled: -1, maxLive: -1}
-	for it := range s.toCol {
-		if it.kind == itemToken {
-			s.onToken(&st, it)
-			continue
+	for burst := range s.toCol {
+		for _, it := range burst {
+			if it.kind == itemToken {
+				s.onToken(&st, it)
+				continue
+			}
+			s.onReport(&st, it)
 		}
-		s.onReport(&st, it)
+		s.recycle(burst)
 	}
 }
 
@@ -81,7 +92,7 @@ func (s *Service) collector() {
 func (st *collectorState) epochFor(e int32) *epochState {
 	eps := st.open[e]
 	if eps == nil {
-		eps = &epochState{epoch: e, agents: make(map[topology.HostID]*agentEpoch)}
+		eps = &epochState{epoch: e, agents: make(map[topology.HostID]*agentEpoch), accepted: make([]vote.Report, 0, st.lastSize)}
 		st.open[e] = eps
 	}
 	return eps
@@ -90,6 +101,10 @@ func (st *collectorState) epochFor(e int32) *epochState {
 // onReport admits one arriving transmission.
 func (s *Service) onReport(st *collectorState, it item) {
 	s.ctr.Received.Add(1)
+	if malformed(it.r) {
+		s.ctr.Rejected.Add(1)
+		return
+	}
 	e := it.r.Epoch
 	if e <= st.lastSettled {
 		// Its epoch settled before it arrived: past the grace window.
@@ -167,6 +182,8 @@ func (s *Service) endCycle(st *collectorState, cycle int32) {
 	}
 	s.ctr.OpenEpochs.Store(int64(len(st.open)))
 	s.ctr.WatermarkLag.Store(int64(cycle - st.lastSettled))
+	// Queued bursts. The lockstep has drained every queue by now, so this
+	// reads zero unless something upstream broke the handshake.
 	depth := len(s.toCol)
 	for _, ch := range s.laneIn {
 		depth += len(ch)
@@ -225,15 +242,9 @@ func collectRetriesFor(eps *epochState, cycle int32, maxRetries, backoff int, ct
 
 // sortRetries orders re-requests deterministically across map iteration.
 func sortRetries(retries []retryReq) {
-	sort.Slice(retries, func(i, j int) bool {
-		a, b := retries[i].id, retries[j].id
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		if a.Agent != b.Agent {
-			return a.Agent < b.Agent
-		}
-		return a.Seq < b.Seq
+	slices.SortFunc(retries, func(x, y retryReq) int {
+		a, b := x.id, y.id
+		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Agent, b.Agent), cmp.Compare(a.Seq, b.Seq))
 	})
 }
 
@@ -267,6 +278,7 @@ func (s *Service) settle(st *collectorState, e int32) {
 		}
 		s.ctr.Lost.Add(int64(len(eps.missing)))
 		accepted = eps.accepted
+		st.lastSize = len(accepted)
 	}
 	vote.SortCanonical(accepted)
 	an := analysis.Analyze(accepted, s.eng.Analysis())

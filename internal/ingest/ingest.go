@@ -12,7 +12,9 @@
 // After the epoch's reports it pushes one token per lane carrying the
 // epoch's per-agent expected report counts; tokens are reliable (the fault
 // layer never touches them), which is what turns "did everything arrive?"
-// into a local, per-agent comparison. Lanes apply the seeded fault layer
+// into a local, per-agent comparison. The channels carry bursts of items
+// rather than single items (burstSize); a cycle's token ends a burst, so
+// nothing ever waits for one to fill. Lanes apply the seeded fault layer
 // (faults.go) and hold delayed reports back until their release cycle. The
 // collector runs gap detection, duplicate suppression, the late-report
 // grace window, and bounded retry re-requests (fed back to the source
@@ -32,8 +34,10 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,8 +61,8 @@ type Config struct {
 	// lanes). 0 means the default of 4.
 	Lanes int
 	// LaneDepth and QueueDepth bound the source→lane and lane→collector
-	// channels; full channels exert backpressure all the way into the
-	// engine. 0 means 256 and 1024.
+	// channels, in items, rounded up to whole bursts; full channels exert
+	// backpressure all the way into the engine. 0 means 256 and 1024.
 	LaneDepth, QueueDepth int
 	// MaxRetries bounds gap re-requests per epoch; 0 disables retries
 	// (every injected drop becomes an observed loss — the configuration
@@ -72,12 +76,12 @@ type Config struct {
 	// cycles). 0 means 1.
 	RetryBackoff int
 	// ShedPathsOnPressure enables graceful degradation: when the
-	// collector queue is full, a lane strips the report's traceroute path
-	// (the expensive payload) and delivers the bare vote with a blocking
-	// send — traceroute budget is shed before votes, and votes are never
-	// shed at all (only injected faults lose votes). Off by default
-	// because shedding depends on scheduling, which would break the
-	// fault-free bit-identical contract.
+	// collector queue is full, a lane strips the traceroute paths (the
+	// expensive payload) of the burst it could not queue and delivers the
+	// bare votes with a blocking send — traceroute budget is shed before
+	// votes, and votes are never shed at all (only injected faults lose
+	// votes). Off by default because shedding depends on scheduling, which
+	// would break the fault-free bit-identical contract.
 	ShedPathsOnPressure bool
 	// Interval, when positive, paces the epoch loop on the wall clock —
 	// the live-service mode. Zero runs epochs back to back.
@@ -102,6 +106,16 @@ const (
 	// agents; a token with live=false is a drain cycle (no engine epoch).
 	itemToken
 )
+
+// burstSize is how many items ride one channel send. The pipeline's
+// channels carry bursts, not single items: a goroutine hand-off per report
+// cost more than everything else the lanes do, and on more than one CPU
+// its price swung by half with how the scheduler happened to place the
+// stages.
+const burstSize = 128
+
+// burstsFor turns a queue depth in items into a channel capacity in bursts.
+func burstsFor(depth int) int { return (depth + burstSize - 1) / burstSize }
 
 // item is one unit on a lane: a (possibly retried) report or a token.
 type item struct {
@@ -142,8 +156,10 @@ type Service struct {
 	grace    int
 	lanes    int
 	backoff  int
-	laneIn   []chan item
-	toCol    chan item
+	laneIn   []chan []item
+	toCol    chan []item
+	stage    [][]item    // the source's burst under construction, per lane
+	spent    chan []item // emptied bursts on their way back to the stages that fill them
 	cycleEnd chan cycleEnd
 	laneWG   sync.WaitGroup // the lane goroutines; gates closing toCol
 	wg       sync.WaitGroup // the collector
@@ -203,11 +219,15 @@ func New(cfg Config) (*Service, error) {
 	if queueDepth == 0 {
 		queueDepth = 1024
 	}
-	s.laneIn = make([]chan item, s.lanes)
+	s.laneIn = make([]chan []item, s.lanes)
 	for i := range s.laneIn {
-		s.laneIn[i] = make(chan item, laneDepth)
+		s.laneIn[i] = make(chan []item, burstsFor(laneDepth))
 	}
-	s.toCol = make(chan item, queueDepth)
+	s.toCol = make(chan []item, burstsFor(queueDepth))
+	s.stage = make([][]item, s.lanes)
+	// Room for every burst that can exist at once: queued, being staged by
+	// the source, and being filled by a lane.
+	s.spent = make(chan []item, s.lanes*cap(s.laneIn[0])+cap(s.toCol)+2*s.lanes)
 	s.cycleEnd = make(chan cycleEnd, 1)
 	s.ring = make([]*engine.EpochResult, s.grace+2)
 	return s, nil
@@ -270,13 +290,50 @@ func (s *Service) Run(ctx context.Context, epochs int) error {
 	return ctx.Err()
 }
 
+// newBurst returns an empty burst, a spent one when there is one.
+func (s *Service) newBurst() []item {
+	select {
+	case b := <-s.spent:
+		return b
+	default:
+		return make([]item, 0, burstSize)
+	}
+}
+
+// recycle takes back a burst whose items have all been handled. Bursts are
+// reused rather than left to the collector because they are most of what
+// the pipeline would allocate, and GC cycles are most of what makes one
+// cycle's duration differ from the next.
+func (s *Service) recycle(b []item) {
+	clear(b) // drop the path and count references
+	select {
+	case s.spent <- b[:0]:
+	default:
+	}
+}
+
 // laneOf maps an agent to its lane; stable, so per-agent order is FIFO.
 func (s *Service) laneOf(agent topology.HostID) int { return int(agent) % s.lanes }
 
 // route sends one transmission into its agent's lane. A full lane blocks —
 // backpressure propagates into the engine's emit callback.
 func (s *Service) route(r vote.Report, attempt uint8) {
-	s.laneIn[s.laneOf(r.Src)] <- item{kind: itemReport, r: r, attempt: attempt}
+	s.stageItem(s.laneOf(r.Src), item{kind: itemReport, r: r, attempt: attempt})
+}
+
+// stageItem appends one item to its lane's burst and sends the burst when
+// it is full or ends in a token, so a cycle's last burst never waits.
+func (s *Service) stageItem(lane int, it item) {
+	b := s.stage[lane]
+	if b == nil {
+		b = s.newBurst()
+	}
+	b = append(b, it)
+	if len(b) >= burstSize || it.kind == itemToken {
+		s.laneIn[lane] <- b
+		b = nil
+	}
+	s.stage[lane] = b
 }
 
 // emitRetries retransmits the re-requests the collector issued at the end
@@ -330,8 +387,8 @@ func (s *Service) pushTokens(cycle int32, reports []vote.Report, live bool) {
 		perLane[l] = append(perLane[l], agentCount{agent: reports[i].Src, n: int32(j - i)})
 		i = j
 	}
-	for l, ch := range s.laneIn {
-		ch <- item{kind: itemToken, cycle: cycle, live: live, counts: perLane[l]}
+	for l := range s.laneIn {
+		s.stageItem(l, item{kind: itemToken, cycle: cycle, live: live, counts: perLane[l]})
 	}
 }
 
@@ -345,45 +402,55 @@ type heldItem struct {
 // lane is the fault-and-holdback stage for one shard of agents. All fault
 // decisions are pure functions of report identity (faults.go), so lanes
 // need no RNG state and runs are reproducible whatever the scheduler does.
+// Each burst that comes in goes out as one burst, in the same order.
 func (s *Service) lane(idx int) {
 	defer s.laneWG.Done()
 	var held []heldItem
-	for it := range s.laneIn[idx] {
-		if it.kind == itemToken {
-			held = s.releaseDue(held, it.cycle)
-			s.forward(it)
-			continue
+	for in := range s.laneIn[idx] {
+		out := s.newBurst()
+		for _, it := range in {
+			if it.kind == itemToken {
+				out, held = releaseDue(out, held, it.cycle)
+				out = append(out, it)
+				continue
+			}
+			ft := s.cfg.Faults.reportFate(it.r, int(it.attempt))
+			switch {
+			case ft.crashed:
+				s.ctr.InjCrashDrops.Add(1)
+			case ft.burst:
+				s.ctr.InjBurstDrops.Add(1)
+			case ft.dropped:
+				s.ctr.InjDrops.Add(1)
+			case ft.delay > 0:
+				if ft.delay <= s.grace {
+					s.ctr.InjLateInGrace.Add(1)
+				} else {
+					s.ctr.InjLatePastGrace.Add(1)
+				}
+				it.delayed = true
+				held = append(held, heldItem{release: it.r.Epoch + int32(ft.delay), it: it})
+			default:
+				out = append(out, it)
+				if ft.duplicate {
+					s.ctr.InjDuplicates.Add(1)
+					out = append(out, it)
+				}
+			}
 		}
-		ft := s.cfg.Faults.reportFate(it.r, int(it.attempt))
-		switch {
-		case ft.crashed:
-			s.ctr.InjCrashDrops.Add(1)
-		case ft.burst:
-			s.ctr.InjBurstDrops.Add(1)
-		case ft.dropped:
-			s.ctr.InjDrops.Add(1)
-		case ft.delay > 0:
-			if ft.delay <= s.grace {
-				s.ctr.InjLateInGrace.Add(1)
-			} else {
-				s.ctr.InjLatePastGrace.Add(1)
-			}
-			it.delayed = true
-			held = append(held, heldItem{release: it.r.Epoch + int32(ft.delay), it: it})
-		default:
-			s.forward(it)
-			if ft.duplicate {
-				s.ctr.InjDuplicates.Add(1)
-				s.forward(it)
-			}
+		s.recycle(in)
+		if len(out) > 0 {
+			s.forward(out)
+		} else {
+			s.recycle(out)
 		}
 	}
 }
 
-// releaseDue forwards every holdback due by cycle c, in identity order so
-// the release sequence is deterministic, and returns the remaining held
-// items.
-func (s *Service) releaseDue(held []heldItem, c int32) []heldItem {
+// releaseDue appends every holdback due by cycle c to out, in identity
+// order so the release sequence is deterministic, and returns out and the
+// remaining held items.
+func releaseDue(out []item, held []heldItem, c int32) ([]item, []heldItem) {
 	due := held[:0:0]
 	keep := held[:0]
 	for _, h := range held {
@@ -393,33 +460,35 @@ func (s *Service) releaseDue(held []heldItem, c int32) []heldItem {
 			keep = append(keep, h)
 		}
 	}
-	sort.Slice(due, func(i, j int) bool {
-		a, b := due[i].it.r, due[j].it.r
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		return vote.CanonicalLess(a, b)
+	slices.SortFunc(due, func(x, y heldItem) int {
+		a, b := x.it.r, y.it.r
+		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
 	})
 	for _, h := range due {
-		s.forward(h.it)
+		out = append(out, h.it)
 	}
-	return keep
+	return out, keep
 }
 
-// forward hands an item to the collector. Under ShedPathsOnPressure a
-// full queue degrades gracefully: the traceroute path is stripped (and the
-// report marked partial) so the vote itself still goes through with a
-// blocking send — paths are shed before votes, votes never shed at all.
-func (s *Service) forward(it item) {
-	if it.kind == itemReport && s.cfg.ShedPathsOnPressure {
+// forward hands a burst to the collector. Under ShedPathsOnPressure a full
+// queue degrades gracefully: the burst's traceroute paths are stripped (and
+// its reports marked partial) so the votes themselves still go through
+// with a blocking send — paths are shed before votes, votes never shed at
+// all.
+func (s *Service) forward(burst []item) {
+	if s.cfg.ShedPathsOnPressure {
 		select {
-		case s.toCol <- it:
+		case s.toCol <- burst:
 			return
 		default:
-			s.ctr.ShedPaths.Add(1)
-			it.r.Path = nil
-			it.r.Partial = true
+			for i := range burst {
+				if it := &burst[i]; it.kind == itemReport {
+					s.ctr.ShedPaths.Add(1)
+					it.r.Path = nil
+					it.r.Partial = true
+				}
+			}
 		}
 	}
-	s.toCol <- it
+	s.toCol <- burst
 }

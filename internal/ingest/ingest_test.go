@@ -350,16 +350,16 @@ func TestShedPathsOnPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre-fill the queue so the next forward must degrade.
-	s.toCol <- item{kind: itemReport}
-	done := make(chan item, 2)
+	s.toCol <- []item{{kind: itemReport}}
+	done := make(chan []item, 2)
 	go func() {
 		done <- <-s.toCol
 		done <- <-s.toCol
 	}()
 	r := vote.Report{Src: 1, Path: []topology.LinkID{1, 2, 3}, Epoch: 0, Seq: 0}
-	s.forward(item{kind: itemReport, r: r})
+	s.forward([]item{{kind: itemReport, r: r}})
 	<-done
-	it := <-done
+	it := (<-done)[0]
 	if got := s.Counters().ShedPaths.Load(); got != 1 {
 		t.Fatalf("ShedPaths = %d, want 1", got)
 	}
@@ -413,5 +413,81 @@ func TestFaultFatePure(t *testing.T) {
 	}
 	if !differs {
 		t.Fatal("attempt number never changed any fate; it should be part of the identity")
+	}
+}
+
+// floodEngine emits perAgent synthetic reports for each of its agents every
+// epoch, agents interleaved, so every lane sees several full bursts and a
+// partial one per cycle — volumes the small test topologies never reach.
+type floodEngine struct {
+	engine.Engine
+	agents, perAgent int
+	next             int
+}
+
+func (f *floodEngine) EpochIndex() int { return f.next }
+
+func (f *floodEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	res := &engine.EpochResult{Epoch: f.next}
+	for a := 0; a < f.agents; a++ {
+		for q := 0; q < f.perAgent; q++ {
+			l := topology.LinkID((a*7 + q) % 40)
+			res.Reports = append(res.Reports, vote.Report{
+				FlowID: int64(a*f.perAgent + q), Src: topology.HostID(a), Dst: topology.HostID(a + 1),
+				Path: []topology.LinkID{l, l + 1, 50}, Retx: 1, Epoch: int32(f.next), Seq: int32(q),
+			})
+		}
+	}
+	f.next++
+	for q := 0; q < f.perAgent; q++ {
+		for a := 0; a < f.agents; a++ {
+			emit(res.Reports[a*f.perAgent+q])
+		}
+	}
+	return res
+}
+
+// Bursts are invisible: with more reports per lane than one burst holds, a
+// fault-free run settles every epoch's exact report list in canonical
+// order, and a seeded lossy run conserves reports and repeats itself.
+func TestBurstBoundaries(t *testing.T) {
+	const agents, perAgent, epochs = 6, 2*burstSize + 37, 6
+	flood := func() *floodEngine {
+		return &floodEngine{Engine: newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0), agents: agents, perAgent: perAgent}
+	}
+	settled, s := runService(t, Config{Engine: flood(), Lanes: 2}, epochs)
+	if len(settled) != epochs {
+		t.Fatalf("settled %d epochs, want %d", len(settled), epochs)
+	}
+	twin := flood()
+	for i, res := range settled {
+		if want := twin.Step(func(vote.Report) {}).Reports; !reflect.DeepEqual(res.Reports, want) {
+			t.Fatalf("epoch %d: settled reports differ from the emitted canonical list", i)
+		}
+	}
+	if c := s.Counters(); c.Accepted.Load() != agents*perAgent*epochs || c.Lost.Load() != 0 {
+		t.Fatalf("fault-free: accepted %d lost %d, want %d and 0", c.Accepted.Load(), c.Lost.Load(), agents*perAgent*epochs)
+	}
+
+	lossy := func() ([]*engine.EpochResult, *Service) {
+		return runService(t, Config{
+			Engine: flood(), Lanes: 2, Grace: 3, MaxRetries: 2,
+			Faults: FaultConfig{Seed: 9, Drop: 0.05, Duplicate: 0.05, Delay: 0.05, DelayMax: 2},
+		}, epochs)
+	}
+	a, sa := lossy()
+	b, sb := lossy()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("seeded lossy runs settled different results")
+	}
+	ca, cb := sa.Counters(), sb.Counters()
+	if ca.Accepted.Load()+ca.Lost.Load() != agents*perAgent*epochs {
+		t.Fatalf("conservation: accepted %d + lost %d != emitted %d", ca.Accepted.Load(), ca.Lost.Load(), agents*perAgent*epochs)
+	}
+	if ca.Duplicates.Load() == 0 || ca.Late.Load() == 0 || ca.Recovered.Load() == 0 {
+		t.Fatal("lossy mix failed to exercise duplicates, lateness and retries")
+	}
+	if ca.Received.Load() != cb.Received.Load() || ca.Recovered.Load() != cb.Recovered.Load() || ca.Lost.Load() != cb.Lost.Load() {
+		t.Fatal("seeded lossy runs disagree on their counters")
 	}
 }

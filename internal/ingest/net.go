@@ -478,6 +478,10 @@ func (c *NetCollector) epochFor(e int32) *epochState {
 // answer that crossed its own recovery.
 func (c *NetCollector) handleReport(sess uint64, r vote.Report, attempt uint8) {
 	c.ctr.Received.Add(1)
+	if malformed(r) {
+		c.ctr.Rejected.Add(1)
+		return
+	}
 	if r.Epoch <= c.lastSettled {
 		c.ctr.LateDropped.Add(1)
 		return

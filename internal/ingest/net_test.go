@@ -313,3 +313,68 @@ func TestNetworkedValidation(t *testing.T) {
 		t.Fatal("collector without a listener accepted")
 	}
 }
+
+// lyingEngine emits, ahead of every epoch's real reports, two that no agent
+// can produce: one with a negative sequence and one with a negative epoch.
+// The Step result (and so the cycle token) carries the real reports only.
+type lyingEngine struct{ engine.Engine }
+
+func (e lyingEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	epoch := int32(e.EpochIndex())
+	emit(vote.Report{FlowID: -1, Src: 1, Path: []topology.LinkID{0}, Epoch: epoch, Seq: -1})
+	emit(vote.Report{FlowID: -2, Src: 1, Path: []topology.LinkID{0}, Epoch: -1, Seq: 0})
+	return e.Engine.Step(emit)
+}
+
+// A report with a negative sequence or epoch is well-framed on the wire and
+// used to index the per-agent bitset out of range. Both collectors must
+// drop it, count it Rejected, and settle every epoch as if it never came.
+func TestMalformedIdentityRejected(t *testing.T) {
+	const epochs = 3
+	cfg := engine.Config{Seed: 7}
+	batch := newTestEngine(t, cfg, equivTopo, 0.02)
+	want := make([]*engine.EpochResult, epochs)
+	for i := range want {
+		want[i] = batch.RunEpoch()
+	}
+	check := func(t *testing.T, got []*engine.EpochResult, ctr *metrics.IngestCounters) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("settled %d epochs that differ from the batch run's %d", len(got), len(want))
+		}
+		if r := ctr.Rejected.Load(); r != 2*epochs {
+			t.Fatalf("Rejected = %d, want %d", r, 2*epochs)
+		}
+		if got, want := ctr.Received.Load(), ctr.Accepted.Load()+ctr.Rejected.Load(); got != want {
+			t.Fatalf("Received = %d, Accepted + Rejected = %d", got, want)
+		}
+	}
+	t.Run("service", func(t *testing.T) {
+		got, s := runService(t, Config{Engine: lyingEngine{newTestEngine(t, cfg, equivTopo, 0.02)}}, epochs)
+		check(t, got, s.Counters())
+	})
+	t.Run("networked", func(t *testing.T) {
+		var mu sync.Mutex
+		var got []*engine.EpochResult
+		col, err := ServeCollector(CollectorConfig{
+			Listener: listen(t),
+			Sink: func(res *engine.EpochResult) {
+				mu.Lock()
+				got = append(got, res)
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer col.Close()
+		if err := RunAgent(context.Background(), AgentConfig{
+			Engine: lyingEngine{newTestEngine(t, cfg, equivTopo, 0.02)}, Addr: col.Addr(), Epochs: epochs, Seed: 7,
+			Transport: fastTransport(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		waitCollector(t, col)
+		check(t, got, col.Counters())
+	})
+}

@@ -26,6 +26,7 @@ type IngestCounters struct {
 	Duplicates    atomic.Int64 // suppressed as already-seen (agent, epoch, seq)
 	Late          atomic.Int64 // accepted inside the grace window after their epoch closed
 	LateDropped   atomic.Int64 // arrived after their epoch settled; discarded
+	Rejected      atomic.Int64 // malformed identity (negative seq or epoch); discarded
 	Lost          atomic.Int64 // expected but missing when their epoch settled
 	Retries       atomic.Int64 // re-requests issued for detected sequence gaps
 	Recovered     atomic.Int64 // gap reports recovered by a retry before settle
@@ -61,6 +62,7 @@ var ingestMetrics = []ingestMetric{
 	{"vigil_ingest_duplicates_total", "Reports suppressed as duplicates of an already-seen identity.", false, func(c *IngestCounters) int64 { return c.Duplicates.Load() }},
 	{"vigil_ingest_late_total", "Reports accepted inside the grace window after their epoch closed.", false, func(c *IngestCounters) int64 { return c.Late.Load() }},
 	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.LateDropped.Load() }},
+	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative sequence or epoch).", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
 	{"vigil_ingest_lost_total", "Reports still missing when their epoch settled.", false, func(c *IngestCounters) int64 { return c.Lost.Load() }},
 	{"vigil_ingest_retries_total", "Gap re-requests issued to agents.", false, func(c *IngestCounters) int64 { return c.Retries.Load() }},
 	{"vigil_ingest_recovered_total", "Gap reports recovered by a retry before settle.", false, func(c *IngestCounters) int64 { return c.Recovered.Load() }},

@@ -12,6 +12,7 @@ func TestWritePrometheus(t *testing.T) {
 	var c IngestCounters
 	c.Received.Store(123)
 	c.Lost.Store(7)
+	c.Rejected.Store(3)
 	c.QueueDepth.Store(42)
 
 	var b strings.Builder
@@ -35,6 +36,7 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"vigil_ingest_received_total 123\n",
 		"vigil_ingest_lost_total 7\n",
+		"vigil_ingest_rejected_total 3\n",
 		"vigil_ingest_queue_depth 42\n",
 		"vigil_ingest_accepted_total 0\n",
 	} {

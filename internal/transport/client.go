@@ -252,7 +252,11 @@ dialing:
 				conn.Close()
 				continue dialing
 			}
-			c.ctr.FramesResent.Add(1)
+			if c.established {
+				// The first connection sends its first frame through this
+				// loop too; that is not a replay.
+				c.ctr.FramesResent.Add(1)
+			}
 		}
 		c.conn = conn
 		c.br = br

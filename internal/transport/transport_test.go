@@ -137,6 +137,11 @@ func TestSessionLockstep(t *testing.T) {
 	if len(reports) != 3 || len(tokens) != 1 {
 		t.Fatalf("handler saw %d reports, %d tokens; want 3, 1", len(reports), len(tokens))
 	}
+	// Nothing was cut, so nothing was replayed — not even the first frame,
+	// which goes out through Connect.
+	if got := cli.ctr.FramesResent.Load(); got != 0 {
+		t.Fatalf("FramesResent = %d on a fault-free session, want 0", got)
+	}
 	h.mu.Lock()
 	hello := h.hellos[0]
 	h.mu.Unlock()
@@ -277,6 +282,10 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 	}
 	if _, tokens := h2.snapshot(); len(tokens) != 0 {
 		t.Fatal("durably-acked token re-delivered after restart")
+	}
+	// The resume replayed the two post-checkpoint frames and counted those.
+	if got := cli.ctr.FramesResent.Load(); got != 2 {
+		t.Fatalf("FramesResent = %d, want the 2 frames replayed", got)
 	}
 }
 

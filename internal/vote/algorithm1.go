@@ -40,68 +40,64 @@ func (a *AnalyticAdjuster) Fraction(k topology.LinkID) float64 {
 // observed failed-flow paths. It is the ablation counterpart of
 // AnalyticAdjuster (DESIGN.md, abl-adjust).
 //
-// The index is mergeable: concurrent analysis workers each build a partial
-// adjuster over their report shard (with a base offset into the global
-// report order) and the shards combine with Merge. Because shards cover
-// disjoint, ascending index ranges and are merged in shard order, the
-// per-link index lists come out identical to a sequential build.
+// The fractions are pushed, not pulled: Begin walks the blamed link's
+// reports once and counts, per link those reports touch, the path entries
+// shared with the blamed link. FindProblemLinks then discounts exactly the
+// counted links, so a blame costs the blamed link's path entries rather
+// than one query per voted link.
 type ObservedAdjuster struct {
-	byLink map[topology.LinkID][]int32 // link -> indices of reports through it
-	nmax   int                         // reports through current lmax
-	onMax  map[int32]bool
+	ix   *index
+	nmax int // path entries on the current lmax
 }
 
-// NewObservedAdjuster indexes the epoch's reports.
+// NewObservedAdjuster indexes the epoch's reports, which must stay
+// unmodified while the adjuster is in use.
 func NewObservedAdjuster(reports []Report) *ObservedAdjuster {
-	return NewObservedAdjusterShard(reports, 0)
-}
-
-// NewObservedAdjusterShard indexes one shard of the epoch's reports, whose
-// first report sits at global index base. Shards merge with Merge.
-func NewObservedAdjusterShard(reports []Report, base int) *ObservedAdjuster {
-	o := &ObservedAdjuster{byLink: make(map[topology.LinkID][]int32)}
-	for i, r := range reports {
-		for _, l := range r.Path {
-			o.byLink[l] = append(o.byLink[l], int32(base+i))
-		}
-	}
-	return o
-}
-
-// Merge folds shard other into o. Call in ascending-base order to reproduce
-// the sequential index layout (Fraction itself is order-insensitive, so any
-// order gives the same ratios — ascending order just keeps lists sorted).
-func (o *ObservedAdjuster) Merge(other *ObservedAdjuster) {
-	if other == nil {
-		return
-	}
-	for l, idx := range other.byLink {
-		o.byLink[l] = append(o.byLink[l], idx...)
-	}
+	return &ObservedAdjuster{ix: newIndex(reports)}
 }
 
 // Begin implements Adjuster.
 func (o *ObservedAdjuster) Begin(lmax topology.LinkID) {
-	idx := o.byLink[lmax]
-	o.nmax = len(idx)
-	o.onMax = make(map[int32]bool, len(idx))
-	for _, i := range idx {
-		o.onMax[i] = true
+	ix := o.ix
+	for _, s := range ix.touched {
+		ix.shared[s] = 0
+	}
+	ix.touched, o.nmax = ix.touched[:0], 0
+	s := ix.slot(lmax)
+	if s < 0 {
+		return
+	}
+	on := ix.lrep[ix.lstart[s]:ix.lstart[s+1]]
+	o.nmax = len(on)
+	prev := int32(-1)
+	for _, r := range on {
+		if r == prev {
+			continue // lmax repeats within r's path; r's entries count once
+		}
+		prev = r
+		for _, k := range ix.eslot[ix.estart[r]:ix.estart[r+1]] {
+			if ix.shared[k] == 0 {
+				ix.touched = append(ix.touched, k)
+			}
+			ix.shared[k]++
+		}
 	}
 }
 
 // Fraction implements Adjuster.
 func (o *ObservedAdjuster) Fraction(k topology.LinkID) float64 {
+	if s := o.ix.slot(k); s >= 0 {
+		return o.fraction(int32(s))
+	}
+	return 0
+}
+
+// fraction is Fraction by slot; zero unless the slot is in ix.touched.
+func (o *ObservedAdjuster) fraction(s int32) float64 {
 	if o.nmax == 0 {
 		return 0
 	}
-	shared := 0
-	for _, i := range o.byLink[k] {
-		if o.onMax[i] {
-			shared++
-		}
-	}
-	return float64(shared) / float64(o.nmax)
+	return float64(o.ix.shared[s]) / float64(o.nmax)
 }
 
 // NoAdjuster disables the adjustment step (ablation baseline).
@@ -133,6 +129,15 @@ func DefaultDetectOptions(topo *topology.Topology) DetectOptions {
 	return DetectOptions{ThresholdFrac: 0.01, Topo: topo}
 }
 
+// detectScratch is FindProblemLinks' working set, all per tally slot.
+type detectScratch struct {
+	votes   []float64 // the tally's votes, discounted as links are blamed
+	inB     []bool
+	toTally []int32 // observed-adjuster slot → tally slot
+}
+
+var detectFree = newFreeList[detectScratch]()
+
 // FindProblemLinks is Algorithm 1: iteratively pick the most-voted link,
 // blame it, discount the votes its failed flows spilled onto other links,
 // and repeat while the top link holds at least ThresholdFrac of the
@@ -149,53 +154,84 @@ func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 			adj = NoAdjuster{}
 		}
 	}
-	votes := t.Snapshot()
+	sc := detectFree.get()
+	defer detectFree.put(sc)
+	sc.votes = append(sc.votes[:0], t.votes...)
+	sc.inB = resize(sc.inB, len(t.links))
+	clear(sc.inB)
+	votes, inB := sc.votes, sc.inB
 	// The 1% cutoff is anchored to the epoch's initial vote total. Anchoring
 	// to the running (adjusted) total instead lets the base collapse after
 	// each subtraction, so adjustment residuals cascade into false
 	// positives; the initial total is the stable reading of line 6 of
-	// Algorithm 1.
+	// Algorithm 1. It is summed in LinkID order.
 	var total float64
 	for _, v := range votes {
 		total += v
 	}
 	cutoff := opts.ThresholdFrac * total
-	inB := make([]bool, len(votes))
+	discount := func(s int, vmax, f float64) {
+		if votes[s] -= vmax * f; votes[s] < 0 {
+			votes[s] = 0
+		}
+	}
+	obs, _ := adj.(*ObservedAdjuster)
+	if obs != nil {
+		sc.toTally = obs.ix.slotsIn(t.links, sc.toTally)
+	}
 	var b []topology.LinkID
 	for {
 		if opts.MaxLinks > 0 && len(b) >= opts.MaxLinks {
 			return b
 		}
-		// Ascending index scan keeps the old tie-break: equal votes go to
-		// the lower link ID.
-		lmax := topology.NoLink
-		vmax := 0.0
-		for l, v := range votes {
-			if inB[l] || v <= 0 {
-				continue
-			}
-			if v > vmax {
-				lmax, vmax = topology.LinkID(l), v
+		// Ascending slot scan: equal votes go to the lower link ID.
+		lmax, vmax := -1, 0.0
+		for s, v := range votes {
+			if v > vmax && !inB[s] {
+				lmax, vmax = s, v
 			}
 		}
-		if lmax == topology.NoLink || total <= 0 || vmax < cutoff {
+		if lmax < 0 || vmax < cutoff {
 			return b
 		}
 		inB[lmax] = true
-		b = append(b, lmax)
-		adj.Begin(lmax)
-		for l := range votes {
-			if inB[l] || votes[l] == 0 {
+		b = append(b, t.links[lmax])
+		adj.Begin(t.links[lmax])
+		if obs != nil {
+			// Only the links sharing a report with lmax have a fraction.
+			for _, os := range obs.ix.touched {
+				if s := int(sc.toTally[os]); s >= 0 && !inB[s] {
+					discount(s, vmax, obs.fraction(os))
+				}
+			}
+			continue
+		}
+		for s, l := range t.links {
+			if inB[s] || votes[s] == 0 {
 				continue
 			}
-			if f := adj.Fraction(topology.LinkID(l)); f > 0 {
-				votes[l] -= vmax * f
-				if votes[l] < 0 {
-					votes[l] = 0
-				}
+			if f := adj.Fraction(l); f > 0 {
+				discount(s, vmax, f)
 			}
 		}
 	}
+}
+
+// Localize runs the whole settle-time pipeline over one index of the
+// epoch's reports: tally, Algorithm 1, and a verdict per report. Because
+// the reports themselves are at hand, a nil opts.Adjuster means the exact
+// observed-path adjustment here, not the topology-based estimate that
+// FindProblemLinks falls back to.
+func Localize(reports []Report, opts DetectOptions) (*Tally, []topology.LinkID, []Verdict) {
+	ix := newIndex(reports)
+	defer ix.release()
+	t := NewTally()
+	t.absorb(ix)
+	if opts.Adjuster == nil {
+		opts.Adjuster = &ObservedAdjuster{ix: ix}
+	}
+	detected := FindProblemLinks(t, opts)
+	return t, detected, ix.classify(t, detected)
 }
 
 // Verdict is 007's per-flow conclusion.
@@ -214,30 +250,7 @@ type Verdict struct {
 // marks flows whose path avoids every detected problem link — drops 007
 // attributes to background noise rather than a failure.
 func ClassifyFlows(t *Tally, detected []topology.LinkID, reports []Report) []Verdict {
-	out := make([]Verdict, len(reports))
-	ClassifyFlowsInto(out, t, detected, reports)
-	return out
-}
-
-// ClassifyFlowsInto writes reports' verdicts into dst (which must have
-// len(reports) slots) — the allocation-free form parallel classification
-// uses to let each chunk fill its own slice of a shared verdict vector.
-func ClassifyFlowsInto(dst []Verdict, t *Tally, detected []topology.LinkID, reports []Report) {
-	inB := make(map[topology.LinkID]bool, len(detected))
-	for _, l := range detected {
-		inB[l] = true
-	}
-	for i, r := range reports {
-		v := Verdict{FlowID: r.FlowID, Link: topology.NoLink, Noise: true}
-		if blame, ok := t.BlameOnPath(r.Path); ok {
-			v.Link = blame
-		}
-		for _, l := range r.Path {
-			if inB[l] {
-				v.Noise = false
-				break
-			}
-		}
-		dst[i] = v
-	}
+	ix := newIndex(reports)
+	defer ix.release()
+	return ix.classify(t, detected)
 }

@@ -1,0 +1,271 @@
+package vote
+
+import (
+	"runtime"
+	"slices"
+
+	"vigil/internal/topology"
+)
+
+// sumChunkShift sets the summation granularity of a link's votes: they are
+// summed per run of 2048 (1<<sumChunkShift) consecutive reports and the
+// chunk sums folded in report order. The grouping depends only on report
+// positions, so the floating-point sums are a function of the canonical
+// report order alone.
+const sumChunkShift = 11
+
+// index is one epoch's reports laid out for settle-time analysis. The links
+// the reports touch are compacted to slots, ascending by LinkID, and the
+// path entries — one per non-negative link of a report's path — are kept
+// both ways: slot → reports through it, and report → slots on its path.
+// Slot order being LinkID order is what lets every consumer scan slots
+// ascending and get the lower-LinkID tie-break and the LinkID-order vote
+// total for free.
+//
+// Every buffer is sized by the number of path entries or touched links and
+// is reused through indexFree; nothing is sized by the fabric or by the
+// magnitude of a link id.
+type index struct {
+	reports []Report // borrowed from the caller until release
+	voting  int      // reports with a non-empty path: the votes' total
+
+	// Per slot.
+	links  []topology.LinkID // the slot's link, ascending
+	votes  []float64         // the link's tally over these reports
+	lstart []int32           // slot s's reports are lrep[lstart[s]:lstart[s+1]]
+	lrep   []int32           // report indexes, ascending within a slot; a link
+	// repeated within one path lists its report once per occurrence
+
+	// Per report.
+	estart []int32 // report i's slots are eslot[estart[i]:estart[i+1]]
+	eslot  []int32 // ascending within a report, one per path entry
+
+	// Build scratch.
+	weight    []float64 // 1/len(Path) per report
+	cursor    []int32
+	keys, tmp []uint64 // link<<32 | report, the radix sort's two buffers
+
+	// Consumers' per-slot scratch: the observed adjuster's overlap counts
+	// for the current Begin; classify's view of a tally and of B.
+	shared  []int32
+	touched []int32 // slots with shared > 0
+	toTally []int32
+	tvotes  []float64
+	inB     []bool
+}
+
+// freeList keeps spent scratch for the next caller: one entry per CPU,
+// since no more callers than that run at once and the rest would only pin
+// memory.
+// It is not a sync.Pool because a pool's contents are per CPU and dropped
+// by the garbage collector: a settle loop whose goroutine moves between
+// CPUs, or that a few GC cycles pass over, would rebuild its scratch from
+// nothing every so often, and an epoch's cost would depend on when.
+type freeList[T any] chan *T
+
+func newFreeList[T any]() freeList[T] { return make(chan *T, runtime.NumCPU()) }
+
+func (f freeList[T]) get() *T {
+	select {
+	case x := <-f:
+		return x
+	default:
+		return new(T)
+	}
+}
+
+func (f freeList[T]) put(x *T) {
+	select {
+	case f <- x:
+	default:
+	}
+}
+
+var indexFree = newFreeList[index]()
+
+// newIndex indexes reports. The caller must not modify reports until it has
+// called release, or for as long as the index is reachable if it never does.
+func newIndex(reports []Report) *index {
+	ix := indexFree.get()
+	ix.build(reports)
+	return ix
+}
+
+// release returns the index's buffers for reuse; ix must not be used after.
+func (ix *index) release() {
+	ix.reports = nil
+	indexFree.put(ix)
+}
+
+// resize returns s with length n, reallocating only when it has to. The
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (ix *index) build(reports []Report) {
+	n := len(reports)
+	ix.reports, ix.voting = reports, 0
+	ix.estart = resize(ix.estart, n+1)
+	ix.weight = resize(ix.weight, n)
+	keys := ix.keys[:0]
+	for i := range reports {
+		ix.estart[i] = int32(len(keys))
+		path := reports[i].Path
+		if len(path) == 0 {
+			continue
+		}
+		ix.voting++
+		ix.weight[i] = 1.0 / float64(len(path))
+		for _, l := range path {
+			if l >= 0 { // NoLink placeholders vote nowhere
+				keys = append(keys, uint64(l)<<32|uint64(i))
+			}
+		}
+	}
+	ix.estart[n] = int32(len(keys))
+	keys, ix.tmp = sortByLink(keys, resize(ix.tmp, len(keys)))
+	ix.keys = keys
+
+	ix.eslot = resize(ix.eslot, len(keys))
+	ix.lrep = resize(ix.lrep, len(keys))
+	ix.cursor = resize(ix.cursor, n)
+	copy(ix.cursor, ix.estart)
+	links, votes, lstart := ix.links[:0], ix.votes[:0], ix.lstart[:0]
+	for k := 0; k < len(keys); {
+		link := topology.LinkID(keys[k] >> 32)
+		slot := int32(len(links))
+		links, lstart = append(links, link), append(lstart, int32(k))
+		// The slot's keys are in report order (the sort is stable), which is
+		// both the summation order and lrep's.
+		var sum, part float64
+		chunk := uint32(keys[k]) >> sumChunkShift
+		for ; k < len(keys) && topology.LinkID(keys[k]>>32) == link; k++ {
+			r := uint32(keys[k])
+			if c := r >> sumChunkShift; c != chunk {
+				sum, part, chunk = sum+part, 0, c
+			}
+			part += ix.weight[r]
+			ix.lrep[k] = int32(r)
+			ix.eslot[ix.cursor[r]] = slot
+			ix.cursor[r]++
+		}
+		votes = append(votes, sum+part)
+	}
+	ix.links, ix.votes, ix.lstart = links, votes, append(lstart, int32(len(keys)))
+
+	ix.shared = resize(ix.shared, len(links))
+	clear(ix.shared)
+	ix.touched = ix.touched[:0]
+}
+
+// sortByLink stably sorts keys by their high 32 bits — the link id, which
+// is non-negative — using tmp (of the same length) as the other buffer. It
+// returns the sorted slice and the spare one. The sort is an LSD radix sort
+// of up to three 11-bit passes; a pass whose digit is the same in every key
+// is skipped, so ids below 2^22 cost two passes.
+func sortByLink(keys, tmp []uint64) (sorted, spare []uint64) {
+	if len(keys) == 0 {
+		return keys, tmp
+	}
+	const (
+		digitBits = 11
+		buckets   = 1 << digitBits
+		mask      = buckets - 1
+	)
+	var hist [3][buckets]int32
+	for _, k := range keys {
+		l := k >> 32
+		hist[0][l&mask]++
+		hist[1][l>>digitBits&mask]++
+		hist[2][l>>(2*digitBits)]++
+	}
+	for d := range hist {
+		h, shift := &hist[d], 32+digitBits*uint(d)
+		if int(h[keys[0]>>shift&mask]) == len(keys) {
+			continue
+		}
+		var at int32
+		for b, c := range h {
+			h[b], at = at, at+c
+		}
+		for _, k := range keys {
+			b := k >> shift & mask
+			tmp[h[b]] = k
+			h[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys, tmp
+}
+
+// slot returns link l's slot, or -1 when no report touches l.
+func (ix *index) slot(l topology.LinkID) int {
+	if s, ok := slices.BinarySearch(ix.links, l); ok {
+		return s
+	}
+	return -1
+}
+
+// slotsIn maps each of ix's slots to the position of its link in links
+// (ascending), or -1 when absent, writing into buf.
+func (ix *index) slotsIn(links []topology.LinkID, buf []int32) []int32 {
+	buf = resize(buf, len(ix.links))
+	j := 0
+	for s, l := range ix.links {
+		for j < len(links) && links[j] < l {
+			j++
+		}
+		if j < len(links) && links[j] == l {
+			buf[s] = int32(j)
+		} else {
+			buf[s] = -1
+		}
+	}
+	return buf
+}
+
+// classify issues the reports' verdicts given tally t and Algorithm 1's set
+// B: each flow is blamed on the most-voted link of its path, and marked
+// noise when its path avoids B.
+func (ix *index) classify(t *Tally, detected []topology.LinkID) []Verdict {
+	// t's votes by the index's slots; zero where t has none.
+	ix.toTally = ix.slotsIn(t.links, ix.toTally)
+	votes := resize(ix.tvotes, len(ix.links))
+	for s, ts := range ix.toTally {
+		votes[s] = 0
+		if ts >= 0 {
+			votes[s] = t.votes[ts]
+		}
+	}
+	ix.tvotes = votes
+	// A detected link no report touches is on none of these paths.
+	inB := resize(ix.inB, len(ix.links))
+	clear(inB)
+	for _, l := range detected {
+		if s := ix.slot(l); s >= 0 {
+			inB[s] = true
+		}
+	}
+	ix.inB = inB
+	out := make([]Verdict, len(ix.reports))
+	for i := range ix.reports {
+		v := Verdict{FlowID: ix.reports[i].FlowID, Link: topology.NoLink, Noise: true}
+		// A report's slots ascend, so the first of equally voted links is
+		// the one with the lower LinkID.
+		bestV := 0.0
+		for _, s := range ix.eslot[ix.estart[i]:ix.estart[i+1]] {
+			if votes[s] > bestV {
+				v.Link, bestV = ix.links[s], votes[s]
+			}
+			if inB[s] {
+				v.Noise = false
+			}
+		}
+		out[i] = v
+	}
+	return out
+}

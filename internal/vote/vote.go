@@ -7,16 +7,16 @@
 // rate (Theorem 2), names the most likely cause of each individual flow's
 // drops, and — via Algorithm 1 — yields the set of problematic links.
 //
-// Tallies are slice-backed (dense by LinkID) and mergeable: shard-local
-// tallies built by concurrent workers combine with Merge without a global
-// lock. Merging partials in a fixed shard order makes the floating-point
-// sums worker-count-independent (identical for identical shard splits);
-// they are the fixed-chunk reduction's sums, which can differ from a flat
-// sequential AddAll by reassociation at the 1-ulp level.
+// Only failed flows vote, so everything here is sparse: an epoch's reports
+// are indexed once over the links they touch (index.go), and the tally,
+// Algorithm 1 and classification all work on that index's slots. Cost and
+// memory follow the epoch's path entries, never the fabric's link count or
+// the magnitude of a link id.
 package vote
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vigil/internal/topology"
 )
@@ -57,14 +57,10 @@ func (r Report) ID() ReportID { return ReportID{Agent: r.Src, Epoch: r.Epoch, Se
 // sequence. Within one epoch this is a total order (identities are unique),
 // independent of arrival interleaving — the order settled epochs are
 // analyzed in, and the order batch engines emit in.
-func CanonicalLess(a, b Report) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Epoch != b.Epoch {
-		return a.Epoch < b.Epoch
-	}
-	return a.Seq < b.Seq
+func CanonicalLess(a, b Report) bool { return compareCanonical(a, b) < 0 }
+
+func compareCanonical(a, b Report) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Seq, b.Seq))
 }
 
 // SortCanonical sorts reports into canonical identity order in place. It is
@@ -74,7 +70,7 @@ func CanonicalLess(a, b Report) bool {
 func SortCanonical(reports []Report) {
 	for i := 1; i < len(reports); i++ {
 		if CanonicalLess(reports[i], reports[i-1]) {
-			sort.SliceStable(reports, func(i, j int) bool { return CanonicalLess(reports[i], reports[j]) })
+			slices.SortStableFunc(reports, compareCanonical)
 			return
 		}
 	}
@@ -86,42 +82,18 @@ type LinkVotes struct {
 	Votes float64
 }
 
-// Tally accumulates votes over one epoch. It is backed by a dense slice
-// indexed by LinkID, grown on demand, so lookups are branch-plus-load and
-// two tallies merge with one elementwise pass. A Tally is not safe for
-// concurrent use; build one per shard and Merge them.
+// Tally accumulates votes over one epoch. It holds only the links that
+// were voted on, ascending by LinkID with their tallies alongside, so its
+// size follows the votes cast. A Tally is not safe for concurrent use.
 type Tally struct {
-	votes []float64 // dense by LinkID
-	voted int       // links with non-zero tallies
+	links []topology.LinkID // voted links, ascending
+	votes []float64         // votes[i] is links[i]'s tally, always > 0
 	flows int
 	total float64
 }
 
-// NewTally returns an empty tally that grows as links are voted on.
+// NewTally returns an empty tally.
 func NewTally() *Tally { return &Tally{} }
-
-// grow ensures the dense slice covers link l, doubling capacity so a
-// stream of ascending link IDs costs amortized O(1) per element instead of
-// a full copy per new maximum.
-func (t *Tally) grow(l topology.LinkID) {
-	need := int(l) + 1
-	if need <= len(t.votes) {
-		return
-	}
-	if need <= cap(t.votes) {
-		old := len(t.votes)
-		t.votes = t.votes[:need]
-		clear(t.votes[old:])
-		return
-	}
-	newcap := 2 * cap(t.votes)
-	if newcap < need {
-		newcap = need
-	}
-	votes := make([]float64, need, newcap)
-	copy(votes, t.votes)
-	t.votes = votes
-}
 
 // Add casts r's votes: 1/h per path link, h = len(Path). Reports with empty
 // paths (a traceroute that produced nothing) are counted but vote nowhere.
@@ -136,51 +108,60 @@ func (t *Tally) Add(r Report) {
 		if l < 0 {
 			continue // NoLink placeholders vote nowhere
 		}
-		t.grow(l)
-		if t.votes[l] == 0 {
-			t.voted++
+		i, ok := slices.BinarySearch(t.links, l)
+		if !ok {
+			t.links = slices.Insert(t.links, i, l)
+			t.votes = slices.Insert(t.votes, i, 0)
 		}
-		t.votes[l] += v
+		t.votes[i] += v
 	}
 	t.total += 1
 }
 
-// AddAll casts votes for each report.
+// AddAll casts votes for each report of a batch. A link's batch votes are
+// summed per 2048 reports (sumChunkShift) and the chunk sums folded in
+// report order, so a larger batch can differ from repeated Add by
+// reassociation at the 1-ulp level.
 func (t *Tally) AddAll(rs []Report) {
-	for _, r := range rs {
-		t.Add(r)
-	}
+	ix := newIndex(rs)
+	t.absorb(ix)
+	ix.release()
 }
 
-// Merge folds o's votes into t. Merging per-shard tallies in shard order
-// yields worker-count-independent sums: each link's total is the ordered
-// sum of its per-shard partials. o is left unmodified.
-func (t *Tally) Merge(o *Tally) {
-	if o == nil {
+// absorb folds an indexed batch into t.
+func (t *Tally) absorb(ix *index) {
+	t.flows += len(ix.reports)
+	t.total += float64(ix.voting)
+	if len(t.links) == 0 {
+		t.links, t.votes = slices.Clone(ix.links), slices.Clone(ix.votes)
 		return
 	}
-	if n := len(o.votes); n > 0 {
-		t.grow(topology.LinkID(n - 1))
-	}
-	for l, v := range o.votes {
-		if v == 0 {
-			continue
+	// Two-way merge of the ascending link lists.
+	a, av, b, bv := t.links, t.votes, ix.links, ix.votes
+	links := make([]topology.LinkID, 0, len(a)+len(b))
+	votes := make([]float64, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
+			links, votes = append(links, a[0]), append(votes, av[0])
+			a, av = a[1:], av[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			links, votes = append(links, b[0]), append(votes, bv[0])
+			b, bv = b[1:], bv[1:]
+		default:
+			links, votes = append(links, a[0]), append(votes, av[0]+bv[0])
+			a, av, b, bv = a[1:], av[1:], b[1:], bv[1:]
 		}
-		if t.votes[l] == 0 {
-			t.voted++
-		}
-		t.votes[l] += v
 	}
-	t.flows += o.flows
-	t.total += o.total
+	t.links, t.votes = links, votes
 }
 
 // Votes returns link l's tally.
 func (t *Tally) Votes(l topology.LinkID) float64 {
-	if l < 0 || int(l) >= len(t.votes) {
-		return 0
+	if i, ok := slices.BinarySearch(t.links, l); ok {
+		return t.votes[i]
 	}
-	return t.votes[l]
+	return 0
 }
 
 // Total returns the sum of all votes cast. Each fully traced failed flow
@@ -191,35 +172,23 @@ func (t *Tally) Total() float64 { return t.total }
 func (t *Tally) Flows() int { return t.flows }
 
 // Len returns the number of links with non-zero tallies.
-func (t *Tally) Len() int { return t.voted }
-
-// Snapshot copies the dense vote vector, for mutation by Algorithm 1.
-// Index i holds LinkID i's tally; links beyond the highest voted ID are
-// simply absent.
-func (t *Tally) Snapshot() []float64 {
-	m := make([]float64, len(t.votes))
-	copy(m, t.votes)
-	return m
-}
+func (t *Tally) Len() int { return len(t.links) }
 
 // Ranking returns links sorted by descending votes; ties break toward the
 // lower link ID so results are deterministic.
 func (t *Tally) Ranking() []LinkVotes {
-	return rankVotes(t.votes)
-}
-
-func rankVotes(votes []float64) []LinkVotes {
-	out := make([]LinkVotes, 0, len(votes))
-	for l, v := range votes {
-		if v > 0 {
-			out = append(out, LinkVotes{Link: topology.LinkID(l), Votes: v})
-		}
+	out := make([]LinkVotes, len(t.links))
+	for i, l := range t.links {
+		out[i] = LinkVotes{Link: l, Votes: t.votes[i]}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Votes != out[j].Votes {
-			return out[i].Votes > out[j].Votes
+	slices.SortFunc(out, func(a, b LinkVotes) int {
+		switch {
+		case a.Votes > b.Votes:
+			return -1
+		case a.Votes < b.Votes:
+			return 1
 		}
-		return out[i].Link < out[j].Link
+		return cmp.Compare(a.Link, b.Link)
 	})
 	return out
 }
@@ -228,18 +197,10 @@ func rankVotes(votes []float64) []LinkVotes {
 // that flow's drops (§5.2: links ranked higher have higher drop rates).
 // ok is false when no path link received any vote.
 func (t *Tally) BlameOnPath(path []topology.LinkID) (blame topology.LinkID, ok bool) {
-	return blameOnPath(t.votes, path)
-}
-
-func blameOnPath(votes []float64, path []topology.LinkID) (topology.LinkID, bool) {
 	best := topology.NoLink
 	bestV := 0.0
 	for _, l := range path {
-		var v float64
-		if l >= 0 && int(l) < len(votes) {
-			v = votes[l]
-		}
-		if v > bestV || (v == bestV && v > 0 && (best == topology.NoLink || l < best)) {
+		if v := t.Votes(l); v > bestV || (v == bestV && v > 0 && l < best) {
 			best, bestV = l, v
 		}
 	}

@@ -62,82 +62,10 @@ func TestTallyConservation(t *testing.T) {
 	}
 }
 
-// Shard-local tallies merged in shard order must reproduce a sequential
-// pass: same flows, same totals, and vote sums equal to within the
-// reassociation of per-shard partials (exact when links don't straddle
-// shards, 1-ulp-class otherwise).
-func TestTallyMergeMatchesSequential(t *testing.T) {
-	rng := stats.NewRNG(7)
-	var reports []Report
-	for i := 0; i < 200; i++ {
-		h := 1 + rng.Intn(6)
-		path := make([]topology.LinkID, h)
-		for j := range path {
-			path[j] = topology.LinkID(rng.Intn(50))
-		}
-		reports = append(reports, report(int64(i), 1, path...))
-	}
-	seq := NewTally()
-	seq.AddAll(reports)
-	for _, nshards := range []int{1, 2, 3, 7} {
-		merged := NewTally()
-		size := (len(reports) + nshards - 1) / nshards
-		for lo := 0; lo < len(reports); lo += size {
-			hi := min(lo+size, len(reports))
-			shard := NewTally()
-			shard.AddAll(reports[lo:hi])
-			merged.Merge(shard)
-		}
-		if merged.Flows() != seq.Flows() || merged.Len() != seq.Len() {
-			t.Fatalf("%d shards: flows/len %d/%d, want %d/%d",
-				nshards, merged.Flows(), merged.Len(), seq.Flows(), seq.Len())
-		}
-		if math.Abs(merged.Total()-seq.Total()) > 1e-9 {
-			t.Fatalf("%d shards: total %v, want %v", nshards, merged.Total(), seq.Total())
-		}
-		for l := topology.LinkID(0); l < 50; l++ {
-			if math.Abs(merged.Votes(l)-seq.Votes(l)) > 1e-9 {
-				t.Fatalf("%d shards: link %d votes %v, want %v", nshards, l, merged.Votes(l), seq.Votes(l))
-			}
-		}
-	}
-}
-
-// Merging identical shard splits must be bit-exact — the property the
-// fixed-chunk analysis pipeline relies on for cross-parallelism determinism.
-func TestTallyMergeBitExactForFixedChunks(t *testing.T) {
-	rng := stats.NewRNG(8)
-	var reports []Report
-	for i := 0; i < 300; i++ {
-		h := 1 + rng.Intn(6)
-		path := make([]topology.LinkID, h)
-		for j := range path {
-			path[j] = topology.LinkID(rng.Intn(40))
-		}
-		reports = append(reports, report(int64(i), 1, path...))
-	}
-	build := func() *Tally {
-		const chunk = 64
-		merged := NewTally()
-		for lo := 0; lo < len(reports); lo += chunk {
-			hi := min(lo+chunk, len(reports))
-			shard := NewTally()
-			shard.AddAll(reports[lo:hi])
-			merged.Merge(shard)
-		}
-		return merged
-	}
-	a, b := build(), build()
-	for l := topology.LinkID(0); l < 40; l++ {
-		if a.Votes(l) != b.Votes(l) {
-			t.Fatalf("link %d: fixed-chunk merge not bit-exact", l)
-		}
-	}
-}
-
-// A merged observed adjuster must hand Algorithm 1 the same overlap
-// fractions as one built sequentially.
-func TestObservedAdjusterShardMerge(t *testing.T) {
+// The observed adjuster's fractions, asked link by link, are the share of
+// lmax's path entries whose report also carries k — counted per entry of k,
+// so a link repeated within a path counts twice, as it votes twice.
+func TestObservedAdjusterFractions(t *testing.T) {
 	rng := stats.NewRNG(9)
 	var reports []Report
 	for i := 0; i < 120; i++ {
@@ -146,22 +74,75 @@ func TestObservedAdjusterShardMerge(t *testing.T) {
 			topology.LinkID(10 + rng.Intn(5)),
 			topology.LinkID(20 + rng.Intn(5)),
 		}
+		switch rng.Intn(6) {
+		case 0:
+			path = append(path, path[rng.Intn(3)]) // a repeated link
+		case 1:
+			path[rng.Intn(3)] = topology.NoLink
+		}
 		reports = append(reports, report(int64(i), 1, path...))
 	}
-	seq := NewObservedAdjuster(reports)
-	merged := NewObservedAdjusterShard(nil, 0)
-	const chunk = 32
-	for lo := 0; lo < len(reports); lo += chunk {
-		hi := min(lo+chunk, len(reports))
-		merged.Merge(NewObservedAdjusterShard(reports[lo:hi], lo))
+	count := func(path []topology.LinkID, l topology.LinkID) (n int) {
+		for _, p := range path {
+			if p == l {
+				n++
+			}
+		}
+		return n
 	}
-	for lmax := topology.LinkID(0); lmax < 25; lmax++ {
-		seq.Begin(lmax)
-		merged.Begin(lmax)
-		for k := topology.LinkID(0); k < 25; k++ {
-			if seq.Fraction(k) != merged.Fraction(k) {
-				t.Fatalf("Begin(%d).Fraction(%d): merged %v, sequential %v",
-					lmax, k, merged.Fraction(k), seq.Fraction(k))
+	adj := NewObservedAdjuster(reports)
+	for lmax := topology.LinkID(0); lmax < 26; lmax++ {
+		adj.Begin(lmax)
+		for k := topology.LinkID(0); k < 26; k++ {
+			nmax, shared := 0, 0
+			for _, r := range reports {
+				nmax += count(r.Path, lmax)
+				if count(r.Path, lmax) > 0 {
+					shared += count(r.Path, k)
+				}
+			}
+			want := 0.0
+			if nmax > 0 {
+				want = float64(shared) / float64(nmax)
+			}
+			if got := adj.Fraction(k); got != want {
+				t.Fatalf("Begin(%d).Fraction(%d) = %v, want %d/%d", lmax, k, got, shared, nmax)
+			}
+		}
+	}
+}
+
+// AddAll sums a link's votes per 2048-report chunk and folds the chunk sums
+// in order; across several calls it adds each batch's sums to what it holds.
+// Either way the tally must agree with one Add per report to within
+// reassociation, and exactly on flows, total and the set of voted links.
+func TestAddAllMatchesAdd(t *testing.T) {
+	rng := stats.NewRNG(7)
+	var reports []Report
+	for i := 0; i < 5000; i++ {
+		path := make([]topology.LinkID, rng.Intn(7))
+		for j := range path {
+			path[j] = topology.LinkID(rng.Intn(50)) - 1 // -1 is NoLink
+		}
+		reports = append(reports, report(int64(i), 1, path...))
+	}
+	seq := NewTally()
+	for _, r := range reports {
+		seq.Add(r)
+	}
+	whole, split := NewTally(), NewTally()
+	whole.AddAll(reports)
+	split.AddAll(reports[:1700])
+	split.AddAll(nil)
+	split.AddAll(reports[1700:])
+	for _, got := range []*Tally{whole, split} {
+		if got.Flows() != seq.Flows() || got.Len() != seq.Len() || got.Total() != seq.Total() {
+			t.Fatalf("flows/len/total %d/%d/%v, want %d/%d/%v",
+				got.Flows(), got.Len(), got.Total(), seq.Flows(), seq.Len(), seq.Total())
+		}
+		for l := topology.LinkID(-1); l < 51; l++ {
+			if math.Abs(got.Votes(l)-seq.Votes(l)) > 1e-9 {
+				t.Fatalf("link %d votes %v, want %v", l, got.Votes(l), seq.Votes(l))
 			}
 		}
 	}
