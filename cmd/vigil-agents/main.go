@@ -180,8 +180,8 @@ func runIngestAgent(addr, plane string, session uint64, epochs, failures, grace 
 	if err != nil && err != context.Canceled {
 		fail(err)
 	}
-	fmt.Printf("session done: %d frames sent (%d replayed), %d dials (%d failed), %d reconnects, %d resumes\n",
-		ctr.FramesSent.Load(), ctr.FramesResent.Load(), ctr.Dials.Load(),
+	fmt.Printf("session done: %d frames sent (%d replayed) in %d writes, %d dials (%d failed), %d reconnects, %d resumes\n",
+		ctr.FramesSent.Load(), ctr.FramesResent.Load(), ctr.Writes.Load(), ctr.Dials.Load(),
 		ctr.DialFailures.Load(), ctr.Reconnects.Load(), ctr.Resumes.Load())
 }
 

@@ -6,7 +6,7 @@
 //
 //	go test -run XXX -bench 'Epoch' -benchmem -count=3 . | vigil-bench > BENCH_N.json
 //
-// where N is the current PR number (CI emits BENCH_15.json today); the file
+// where N is the current PR number (CI emits BENCH_16.json today); the file
 // name is the only thing that changes from PR to PR.
 //
 // With `go test -count=N` the same benchmark name appears N times; those

@@ -33,11 +33,18 @@ func (a *agentEpoch) mark(seq int32) (dup bool) {
 	return false
 }
 
+// maxAgentSeq bounds one agent's report sequence within an epoch. mark
+// grows a bitset by sequence, so without a bound a single well-framed
+// report with Seq = MaxInt32 costs 256 MiB per (agent, epoch); at the bound
+// the bitset tops out at 128 KiB. A host's real count is its failed flows
+// in one epoch — hundreds at datacenter scale.
+const maxAgentSeq = 1 << 20
+
 // malformed reports whether r's identity is one no agent can produce.
-// Sequences and epochs count up from zero, and mark indexes a bitset by
-// sequence, so a negative one is dropped (and counted Rejected) before it
-// reaches any per-epoch state.
-func malformed(r vote.Report) bool { return r.Seq < 0 || r.Epoch < 0 }
+// Sequences and epochs count up from zero and mark indexes a bitset by
+// sequence, so a negative or absurdly large one is dropped (and counted
+// Rejected) before it reaches any per-epoch state.
+func malformed(r vote.Report) bool { return r.Seq < 0 || r.Seq >= maxAgentSeq || r.Epoch < 0 }
 
 func (a *agentEpoch) has(seq int32) bool {
 	w, b := int(seq)>>6, uint(seq)&63
@@ -88,14 +95,26 @@ func (s *Service) collector() {
 	}
 }
 
-// epochFor returns (creating if needed) the open state for epoch e.
-func (st *collectorState) epochFor(e int32) *epochState {
-	eps := st.open[e]
+// openEpoch returns (creating if needed) the open state for epoch e — shared
+// by the in-process and networked collectors. sizeHint, the number of
+// reports the newest settled epoch accepted, sizes the new epoch's list.
+func openEpoch(open map[int32]*epochState, e int32, sizeHint int) *epochState {
+	eps := open[e]
 	if eps == nil {
-		eps = &epochState{epoch: e, agents: make(map[topology.HostID]*agentEpoch), accepted: make([]vote.Report, 0, st.lastSize)}
-		st.open[e] = eps
+		eps = &epochState{epoch: e, agents: make(map[topology.HostID]*agentEpoch), accepted: make([]vote.Report, 0, sizeHint)}
+		open[e] = eps
 	}
 	return eps
+}
+
+// agent returns (creating if needed) the epoch's state for one agent.
+func (eps *epochState) agent(id topology.HostID) *agentEpoch {
+	ag := eps.agents[id]
+	if ag == nil {
+		ag = &agentEpoch{expected: -1}
+		eps.agents[id] = ag
+	}
+	return ag
 }
 
 // onReport admits one arriving transmission.
@@ -111,13 +130,8 @@ func (s *Service) onReport(st *collectorState, it item) {
 		s.ctr.LateDropped.Add(1)
 		return
 	}
-	eps := st.epochFor(e)
-	ag := eps.agents[it.r.Src]
-	if ag == nil {
-		ag = &agentEpoch{expected: -1}
-		eps.agents[it.r.Src] = ag
-	}
-	if ag.mark(it.r.Seq) {
+	eps := openEpoch(st.open, e, st.lastSize)
+	if eps.agent(it.r.Src).mark(it.r.Seq) {
 		s.ctr.Duplicates.Add(1)
 		return
 	}
@@ -141,14 +155,9 @@ func (s *Service) onReport(st *collectorState, it item) {
 // completes it and runs the end-of-cycle work.
 func (s *Service) onToken(st *collectorState, it item) {
 	if len(it.counts) > 0 {
-		eps := st.epochFor(it.cycle)
+		eps := openEpoch(st.open, it.cycle, st.lastSize)
 		for _, ac := range it.counts {
-			ag := eps.agents[ac.agent]
-			if ag == nil {
-				ag = &agentEpoch{expected: -1}
-				eps.agents[ac.agent] = ag
-			}
-			ag.expected = ac.n
+			eps.agent(ac.agent).expected = ac.n
 			eps.expected += int64(ac.n)
 		}
 	}

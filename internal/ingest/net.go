@@ -1,10 +1,12 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"vigil/internal/analysis"
@@ -63,6 +65,13 @@ type AgentConfig struct {
 func buildToken(cycle int32, res *engine.EpochResult) transport.Token {
 	t := transport.Token{Cycle: cycle, Live: true}
 	rs := res.Reports
+	agents := 0
+	for i := range rs {
+		if i == 0 || rs[i].Src != rs[i-1].Src {
+			agents++
+		}
+	}
+	t.Counts = make([]transport.AgentCount, 0, agents)
 	for i := 0; i < len(rs); {
 		j := i
 		for j < len(rs) && rs[j].Src == rs[i].Src {
@@ -83,16 +92,39 @@ func buildToken(cycle int32, res *engine.EpochResult) transport.Token {
 		sum.FailedLinks = append([]topology.LinkID{}, res.FailedLinks...)
 	}
 	if sum.HasTruth {
-		sum.Truth = make([]transport.TruthEntry, 0, len(res.Truth))
-		for id, ft := range res.Truth {
-			sum.Truth = append(sum.Truth, transport.TruthEntry{
-				FlowID: id, Culprit: ft.Culprit, CrossedFailure: ft.CrossedFailure,
-			})
-		}
-		sort.Slice(sum.Truth, func(i, j int) bool { return sum.Truth[i].FlowID < sum.Truth[j].FlowID })
+		sum.Truth = truthEntries(res)
 	}
 	t.Summary = sum
 	return t
+}
+
+// truthEntries flattens the epoch's ground truth into flow-id order. It
+// runs between Step returning and the token leaving, so it is part of every
+// verdict's latency, which is why it does not simply iterate the map and
+// sort. Both planes emit a report for every flow they hold truth for,
+// (nearly) in flow-id order: walking the reports yields the entries all but
+// sorted, and the sort is then one pass over them.
+func truthEntries(res *engine.EpochResult) []transport.TruthEntry {
+	byFlow := func(a, b transport.TruthEntry) int { return cmp.Compare(a.FlowID, b.FlowID) }
+	out := make([]transport.TruthEntry, 0, len(res.Truth))
+	for i := range res.Reports {
+		id := res.Reports[i].FlowID
+		if ft, ok := res.Truth[id]; ok {
+			out = append(out, transport.TruthEntry{FlowID: id, Culprit: ft.Culprit, CrossedFailure: ft.CrossedFailure})
+		}
+	}
+	slices.SortFunc(out, byFlow)
+	out = slices.CompactFunc(out, func(a, b transport.TruthEntry) bool { return a.FlowID == b.FlowID })
+	if len(out) == len(res.Truth) {
+		return out
+	}
+	// Some flow has truth but no report: take the map as it comes.
+	out = out[:0]
+	for id, ft := range res.Truth {
+		out = append(out, transport.TruthEntry{FlowID: id, Culprit: ft.Culprit, CrossedFailure: ft.CrossedFailure})
+	}
+	slices.SortFunc(out, byFlow)
+	return out
 }
 
 // RunAgent drives cfg.Epochs engine epochs over a resumable transport
@@ -222,8 +254,9 @@ type CollectorConfig struct {
 	Parallelism int
 	// CheckpointPath enables crash recovery; see transport.ServerConfig.
 	CheckpointPath string
-	// QueueDepth bounds the transport→collector event channel; a full
-	// channel backpressures into TCP. 0 means 1024.
+	// QueueDepth bounds, in reports, the transport→collector event channel
+	// (which carries them in bursts); a full channel backpressures into
+	// TCP. 0 means 1024.
 	QueueDepth int
 	// ReadTimeout/WriteTimeout tune the transport server deadlines.
 	ReadTimeout  time.Duration
@@ -243,19 +276,44 @@ type netEventKind uint8
 
 const (
 	evHello netEventKind = iota
-	evReport
+	evReports
 	evToken
 	evBye
 )
 
+// netReport is one report of a burst: what handleReport needs and no more.
+type netReport struct {
+	r       vote.Report
+	attempt uint8
+}
+
+// netEvent is what crosses from a session's transport reader to the
+// collector goroutine. Reports cross in bursts, as they do between the
+// stages of the in-process Service: a hand-off per frame costs more than
+// admitting the report does. The rare events carry their payload behind a
+// pointer so that the common one stays small.
 type netEvent struct {
 	kind    netEventKind
 	sess    uint64
-	seq     uint64
-	r       vote.Report
-	attempt uint8
-	hello   transport.Hello
-	tok     transport.Token
+	seq     uint64           // evToken: the token frame's session sequence
+	reports []netReport      // evReports: a recycled burst, in arrival order
+	hello   *transport.Hello // evHello
+	tok     *transport.Token // evToken
+}
+
+// sessStage is the burst one session's reader is filling.
+type sessStage struct{ burst []netReport }
+
+// admitRun is the (session, epoch, agent) the last admitted report belonged
+// to, with the state looked up for it. The wire delivers an epoch in
+// canonical order, so a run of one agent's reports pays handleReport's
+// three map operations once.
+type admitRun struct {
+	sess  uint64
+	epoch int32
+	src   topology.HostID
+	eps   *epochState
+	ag    *agentEpoch
 }
 
 // NetCollector is the networked settle stage: the in-process collector's
@@ -274,6 +332,13 @@ type NetCollector struct {
 	quit     chan struct{}
 	loopDone chan struct{}
 
+	// Each session's reader stages its reports here, a burst at a time. The
+	// mutex guards the map only: the transport serializes one session's
+	// calls, so a session's stage has one writer.
+	stageMu sync.Mutex
+	stage   map[uint64]*sessStage
+	spent   chan []netReport // handled bursts on their way back to the readers
+
 	// Collector goroutine state (single-threaded).
 	open        map[int32]*epochState
 	summaries   map[int32]*transport.EpochSummary
@@ -282,8 +347,10 @@ type NetCollector struct {
 	agentSess   map[topology.HostID]uint64  // agent → owning session
 	sessSeen    map[uint64]struct{}
 	lastSettled int32
+	lastSize    int // reports the newest settled epoch accepted: the next one's size hint
 	maxLive     int32
 	nextEnd     int32 // next cycle whose completion runs endCycle
+	run         admitRun
 	byes        int
 	an          analysis.Options
 	anSet       bool
@@ -320,7 +387,8 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 		sessions:  cfg.Sessions,
 		maxRet:    cfg.MaxRetries,
 		backoff:   cfg.RetryBackoff,
-		ev:        make(chan netEvent, cfg.QueueDepth),
+		ev:        make(chan netEvent, burstsFor(cfg.QueueDepth)),
+		stage:     make(map[uint64]*sessStage),
 		quit:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		open:      make(map[int32]*epochState),
@@ -333,6 +401,9 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 	if c.ctr == nil {
 		c.ctr = &metrics.IngestCounters{}
 	}
+	// Room for every burst that can exist at once: queued, being staged by
+	// a session's reader, and being handled by the collector.
+	c.spent = make(chan []netReport, cap(c.ev)+cfg.Sessions+1)
 	srv, err := transport.Serve(transport.ServerConfig{
 		Listener:       cfg.Listener,
 		Handler:        (*netHandler)(c),
@@ -376,19 +447,57 @@ func (h *netHandler) post(e netEvent) {
 	}
 }
 
-func (h *netHandler) OnHello(sess uint64, hello transport.Hello) {
-	h.post(netEvent{kind: evHello, sess: sess, hello: hello})
+func (h *netHandler) stageOf(sess uint64) *sessStage {
+	h.stageMu.Lock()
+	defer h.stageMu.Unlock()
+	st := h.stage[sess]
+	if st == nil {
+		st = &sessStage{}
+		h.stage[sess] = st
+	}
+	return st
 }
 
+// flush posts the session's staged burst, if any: when it is full, and
+// ahead of any other event of the session, which must not overtake it.
+func (h *netHandler) flush(sess uint64) *sessStage {
+	st := h.stageOf(sess)
+	if len(st.burst) > 0 {
+		h.post(netEvent{kind: evReports, sess: sess, reports: st.burst})
+		st.burst = nil
+	}
+	return st
+}
+
+func (h *netHandler) OnHello(sess uint64, hello transport.Hello) {
+	h.flush(sess)
+	h.post(netEvent{kind: evHello, sess: sess, hello: &hello})
+}
+
+// OnReport stages the report. Nothing can act on a report before its
+// cycle's token, and the token flushes, so a burst never waits on a timer.
 func (h *netHandler) OnReport(sess uint64, r vote.Report, attempt uint8) {
-	h.post(netEvent{kind: evReport, sess: sess, r: r, attempt: attempt})
+	st := h.stageOf(sess)
+	if st.burst == nil {
+		select {
+		case st.burst = <-h.spent:
+		default:
+			st.burst = make([]netReport, 0, burstSize)
+		}
+	}
+	st.burst = append(st.burst, netReport{r: r, attempt: attempt})
+	if len(st.burst) >= burstSize {
+		h.flush(sess)
+	}
 }
 
 func (h *netHandler) OnToken(sess uint64, seq uint64, t transport.Token) {
-	h.post(netEvent{kind: evToken, sess: sess, seq: seq, tok: t})
+	h.flush(sess)
+	h.post(netEvent{kind: evToken, sess: sess, seq: seq, tok: &t})
 }
 
 func (h *netHandler) OnBye(sess uint64) {
+	h.flush(sess)
 	h.post(netEvent{kind: evBye, sess: sess})
 }
 
@@ -452,23 +561,20 @@ func (c *NetCollector) handle(e netEvent) {
 			}
 			c.anSet = true
 		}
-	case evReport:
-		c.handleReport(e.sess, e.r, e.attempt)
+	case evReports:
+		for _, it := range e.reports {
+			c.handleReport(e.sess, it.r, it.attempt)
+		}
+		clear(e.reports) // drop the path references
+		select {
+		case c.spent <- e.reports[:0]:
+		default:
+		}
 	case evToken:
-		c.handleToken(e.sess, e.seq, e.tok)
+		c.handleToken(e.sess, e.seq, *e.tok)
 	case evBye:
 		c.byes++
 	}
-}
-
-// epochFor returns (creating if needed) the open state for epoch e.
-func (c *NetCollector) epochFor(e int32) *epochState {
-	eps := c.open[e]
-	if eps == nil {
-		eps = &epochState{epoch: e, agents: make(map[topology.HostID]*agentEpoch)}
-		c.open[e] = eps
-	}
-	return eps
 }
 
 // handleReport admits one report — the networked twin of
@@ -486,14 +592,14 @@ func (c *NetCollector) handleReport(sess uint64, r vote.Report, attempt uint8) {
 		c.ctr.LateDropped.Add(1)
 		return
 	}
-	c.agentSess[r.Src] = sess
-	eps := c.epochFor(r.Epoch)
-	ag := eps.agents[r.Src]
-	if ag == nil {
-		ag = &agentEpoch{expected: -1}
-		eps.agents[r.Src] = ag
+	if run := &c.run; run.ag == nil || run.src != r.Src || run.epoch != r.Epoch || run.sess != sess {
+		c.agentSess[r.Src] = sess
+		run.sess, run.epoch, run.src = sess, r.Epoch, r.Src
+		run.eps = openEpoch(c.open, r.Epoch, c.lastSize)
+		run.ag = run.eps.agent(r.Src)
 	}
-	if ag.mark(r.Seq) {
+	eps := c.run.eps
+	if c.run.ag.mark(r.Seq) {
 		c.ctr.Duplicates.Add(1)
 		return
 	}
@@ -518,15 +624,10 @@ func (c *NetCollector) handleToken(sess uint64, seq uint64, t transport.Token) {
 	c.sessSeen[sess] = struct{}{}
 	if t.Cycle > c.lastSettled {
 		if len(t.Counts) > 0 {
-			eps := c.epochFor(t.Cycle)
+			eps := openEpoch(c.open, t.Cycle, c.lastSize)
 			for _, ac := range t.Counts {
 				c.agentSess[ac.Agent] = sess
-				ag := eps.agents[ac.Agent]
-				if ag == nil {
-					ag = &agentEpoch{expected: -1}
-					eps.agents[ac.Agent] = ag
-				}
-				ag.expected = ac.N
+				eps.agent(ac.Agent).expected = ac.N
 				eps.expected += int64(ac.N)
 			}
 		}
@@ -604,6 +705,7 @@ func (c *NetCollector) settle(e int32) {
 	eps := c.open[e]
 	delete(c.open, e)
 	c.lastSettled = e
+	c.run = admitRun{} // it may point into the epoch that just closed
 	sum := c.summaries[e]
 	delete(c.summaries, e)
 	marks := c.tokenSeq[e]
@@ -624,6 +726,7 @@ func (c *NetCollector) settle(e int32) {
 		}
 		c.ctr.Lost.Add(int64(len(eps.missing)))
 		accepted = eps.accepted
+		c.lastSize = len(accepted)
 	}
 	vote.SortCanonical(accepted)
 	an := analysis.Analyze(accepted, c.an)

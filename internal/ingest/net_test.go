@@ -2,9 +2,12 @@ package ingest
 
 import (
 	"context"
+	"math"
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -377,4 +380,200 @@ func TestMalformedIdentityRejected(t *testing.T) {
 		waitCollector(t, col)
 		check(t, got, col.Counters())
 	})
+}
+
+// hugeSeqEngine emits, ahead of every epoch's real reports, a well-framed
+// report whose sequence would grow its agent's bitset to 256 MiB, and one
+// just past the bound.
+type hugeSeqEngine struct{ engine.Engine }
+
+func (e hugeSeqEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	epoch := int32(e.EpochIndex())
+	emit(vote.Report{FlowID: -1, Src: 1, Path: []topology.LinkID{0}, Epoch: epoch, Seq: math.MaxInt32})
+	emit(vote.Report{FlowID: -2, Src: 2, Path: []topology.LinkID{0}, Epoch: epoch, Seq: maxAgentSeq})
+	return e.Engine.Step(emit)
+}
+
+// A sequence number indexes a per-(agent, epoch) bitset, so one hostile
+// report used to cost 256 MiB. Both collectors reject it at the door, count
+// it, settle as if it never came, and what the run allocates stays small;
+// the largest sequence still admitted costs its bounded bitset and no more.
+func TestHostileSeqStaysSmall(t *testing.T) {
+	const epochs = 3
+	cfg := engine.Config{Seed: 7}
+	batch := newTestEngine(t, cfg, equivTopo, 0.02)
+	want := make([]*engine.EpochResult, epochs)
+	for i := range want {
+		want[i] = batch.RunEpoch()
+	}
+	spent := func(run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	check := func(t *testing.T, got []*engine.EpochResult, ctr *metrics.IngestCounters, bytes uint64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("settled %d epochs that differ from the batch run's %d", len(got), len(want))
+		}
+		if r := ctr.Rejected.Load(); r != 2*epochs {
+			t.Fatalf("Rejected = %d, want %d", r, 2*epochs)
+		}
+		if bytes > 32<<20 {
+			t.Fatalf("the run allocated %d MiB", bytes>>20)
+		}
+	}
+	t.Run("service", func(t *testing.T) {
+		var got []*engine.EpochResult
+		var s *Service
+		bytes := spent(func() {
+			got, s = runService(t, Config{Engine: hugeSeqEngine{newTestEngine(t, cfg, equivTopo, 0.02)}}, epochs)
+		})
+		check(t, got, s.Counters(), bytes)
+	})
+	t.Run("networked", func(t *testing.T) {
+		var got []*engine.EpochResult
+		col, err := ServeCollector(CollectorConfig{
+			Listener: listen(t),
+			Sink:     func(res *engine.EpochResult) { got = append(got, res) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer col.Close()
+		bytes := spent(func() {
+			if err := RunAgent(context.Background(), AgentConfig{
+				Engine: hugeSeqEngine{newTestEngine(t, cfg, equivTopo, 0.02)}, Addr: col.Addr(), Epochs: epochs, Seed: 7,
+				Transport: fastTransport(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			waitCollector(t, col) // also orders the sink's appends before the read below
+		})
+		check(t, got, col.Counters(), bytes)
+	})
+	t.Run("bound", func(t *testing.T) {
+		if malformed(vote.Report{Seq: maxAgentSeq - 1}) {
+			t.Fatal("the largest sequence inside the bound is rejected")
+		}
+		var ag agentEpoch
+		if bytes := spent(func() { ag.mark(maxAgentSeq - 1) }); bytes > 1<<20 {
+			t.Fatalf("marking the largest admitted sequence allocated %d KiB", bytes>>10)
+		}
+		if !ag.has(maxAgentSeq-1) || ag.has(0) {
+			t.Fatal("the bitset lost the mark")
+		}
+	})
+}
+
+// buildToken's truth entries are the epoch's Truth map in flow-id order,
+// whatever order the reports come in and whether or not every flow with
+// truth has a report.
+func TestBuildTokenTruth(t *testing.T) {
+	truth := map[int64]metrics.FlowTruth{}
+	var reports []vote.Report
+	for i := 0; i < 50; i++ {
+		id := int64(i * 3)
+		truth[id] = metrics.FlowTruth{Culprit: topology.LinkID(i % 5), CrossedFailure: i%2 == 0}
+		reports = append(reports, vote.Report{FlowID: id, Src: topology.HostID(i / 4), Seq: int32(i % 4)})
+	}
+	var want []transport.TruthEntry
+	for i := 0; i < 50; i++ {
+		ft := truth[int64(i*3)]
+		want = append(want, transport.TruthEntry{FlowID: int64(i * 3), Culprit: ft.Culprit, CrossedFailure: ft.CrossedFailure})
+	}
+	reversed := slices.Clone(reports)
+	slices.Reverse(reversed)
+	for name, rs := range map[string][]vote.Report{
+		"in flow order":          reports,
+		"reversed":               reversed,
+		"a flow reported twice":  append(slices.Clone(reports), reports[7]),
+		"a report without truth": append(slices.Clone(reports), vote.Report{FlowID: 1}),
+		"truth without a report": reports[:40],
+		"no reports":             nil,
+	} {
+		tok := buildToken(3, &engine.EpochResult{Epoch: 3, Reports: rs, Truth: truth})
+		if !reflect.DeepEqual(tok.Summary.Truth, want) {
+			t.Errorf("%s: truth entries %v", name, tok.Summary.Truth)
+		}
+	}
+	if tok := buildToken(0, &engine.EpochResult{}); tok.Summary.HasTruth || tok.Summary.Truth != nil || len(tok.Counts) != 0 {
+		t.Errorf("empty epoch: token %+v, summary %+v", tok, tok.Summary)
+	}
+}
+
+// shardEngine is one of `of` reporters sharing an epoch: it emits, and
+// counts in its Step result, only the reports of the agents in its shard.
+type shardEngine struct {
+	engine.Engine
+	shard, of topology.HostID
+}
+
+func (e shardEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	res := *e.Engine.Step(nil)
+	var mine []vote.Report
+	for _, r := range res.Reports {
+		if r.Src%e.of == e.shard {
+			mine = append(mine, r)
+			emit(r)
+		}
+	}
+	res.Reports = mine
+	return &res
+}
+
+// Two sessions with disjoint agents feed one collector at once: each
+// session's reports reach the collector in their own bursts, the runs of the
+// two interleave, and every epoch still settles bit-identical to the batch
+// engine's — under the race detector, this is the test of the per-session
+// staging.
+func TestTwoSessionsBitIdentical(t *testing.T) {
+	const epochs = 4
+	cfg := engine.Config{Seed: 7}
+	batch := newTestEngine(t, cfg, equivTopo, 0.05)
+	want := make([]*engine.EpochResult, epochs)
+	for i := range want {
+		want[i] = batch.RunEpoch()
+	}
+	var got []*engine.EpochResult
+	col, err := ServeCollector(CollectorConfig{
+		Listener: listen(t), Sessions: 2,
+		Sink: func(res *engine.EpochResult) { got = append(got, res) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	errs := make(chan error, 2)
+	for shard := topology.HostID(0); shard < 2; shard++ {
+		eng := shardEngine{newTestEngine(t, cfg, equivTopo, 0.05), shard, 2}
+		go func() {
+			errs <- RunAgent(context.Background(), AgentConfig{
+				Engine: eng, Addr: col.Addr(), Session: uint64(shard), Epochs: epochs, Seed: 7,
+				Transport: fastTransport(),
+			})
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCollector(t, col)
+	if len(got) != epochs {
+		t.Fatalf("settled %d epochs, want %d", len(got), epochs)
+	}
+	for i := range got {
+		if len(want[i].Reports) < 8 {
+			t.Fatalf("epoch %d has %d reports: too few to interleave", i, len(want[i].Reports))
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("epoch %d: two-session settle diverged from batch RunEpoch", i)
+		}
+	}
+	if ctr := col.Counters(); ctr.Lost.Load() != 0 || ctr.Rejected.Load() != 0 || ctr.Duplicates.Load() != 0 {
+		t.Fatalf("lost %d, rejected %d, duplicates %d on a fault-free wire", ctr.Lost.Load(), ctr.Rejected.Load(), ctr.Duplicates.Load())
+	}
 }

@@ -62,7 +62,7 @@ var ingestMetrics = []ingestMetric{
 	{"vigil_ingest_duplicates_total", "Reports suppressed as duplicates of an already-seen identity.", false, func(c *IngestCounters) int64 { return c.Duplicates.Load() }},
 	{"vigil_ingest_late_total", "Reports accepted inside the grace window after their epoch closed.", false, func(c *IngestCounters) int64 { return c.Late.Load() }},
 	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.LateDropped.Load() }},
-	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative sequence or epoch).", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
+	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch).", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
 	{"vigil_ingest_lost_total", "Reports still missing when their epoch settled.", false, func(c *IngestCounters) int64 { return c.Lost.Load() }},
 	{"vigil_ingest_retries_total", "Gap re-requests issued to agents.", false, func(c *IngestCounters) int64 { return c.Retries.Load() }},
 	{"vigil_ingest_recovered_total", "Gap reports recovered by a retry before settle.", false, func(c *IngestCounters) int64 { return c.Recovered.Load() }},

@@ -26,6 +26,7 @@ type TransportCounters struct {
 	Resumes      atomic.Int64 // completed resume handshakes after a session loss
 	FramesSent   atomic.Int64 // sequenced frames sent for the first time
 	FramesResent atomic.Int64 // sequenced frames replayed after a resume
+	Writes       atomic.Int64 // socket writes that carried sequenced frames: one per flushed burst or resume replay
 	TokenResends atomic.Int64 // cycle tokens re-sent while waiting on a lost cycle-end
 	Pings        atomic.Int64 // liveness probes sent while waiting on the collector
 
@@ -72,6 +73,7 @@ var transportMetrics = []transportMetric{
 	{"vigil_transport_resumes_total", "Resume handshakes completed after a session loss.", false, func(c *TransportCounters) int64 { return c.Resumes.Load() }},
 	{"vigil_transport_frames_sent_total", "Sequenced frames sent for the first time.", false, func(c *TransportCounters) int64 { return c.FramesSent.Load() }},
 	{"vigil_transport_frames_resent_total", "Sequenced frames replayed after a resume.", false, func(c *TransportCounters) int64 { return c.FramesResent.Load() }},
+	{"vigil_transport_writes_total", "Socket writes that carried sequenced frames (one per flushed burst or resume replay).", false, func(c *TransportCounters) int64 { return c.Writes.Load() }},
 	{"vigil_transport_token_resends_total", "Cycle tokens re-sent while waiting on a lost cycle-end.", false, func(c *TransportCounters) int64 { return c.TokenResends.Load() }},
 	{"vigil_transport_pings_total", "Liveness probes sent while waiting on the collector.", false, func(c *TransportCounters) int64 { return c.Pings.Load() }},
 	{"vigil_transport_frames_received_total", "Sequenced frames that reached the collector.", false, func(c *TransportCounters) int64 { return c.FramesReceived.Load() }},

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -60,10 +61,11 @@ type ClientConfig struct {
 	Counters *metrics.TransportCounters
 }
 
-type bufFrame struct {
-	seq    uint64
-	framed []byte
-}
+// flushBytes is how much unflushed arena triggers a write in the middle of
+// a cycle. It trades write(2) calls against how far the collector trails
+// the agent when the cycle's token goes out: see DESIGN.md, "wire cost
+// model", for the sizes measured.
+const flushBytes = 16 << 10
 
 // Client is one resumable agent session. It is synchronous and
 // single-goroutine by design: the ingest agent loop alternates
@@ -77,13 +79,22 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	nextSeq     uint64     // last assigned sequence number
-	buf         []bufFrame // sequenced frames not yet durably acked
-	durable     uint64     // collector's durable watermark
-	established bool       // a handshake has completed at least once
+	nextSeq     uint64 // last assigned sequence number
+	durable     uint64 // collector's durable watermark
+	established bool   // a handshake has completed at least once
 
-	lastToken      []byte // framed copy of the newest token, for re-sends
-	lastTokenCycle int32
+	// The replay buffer is one arena the client owns and reuses: every
+	// sequenced frame not yet durably acked, framed back to back in the
+	// order sent, encoded in place. Sequence numbers are consecutive and
+	// the live frames are exactly durable+1..nextSeq — the last
+	// nextSeq-durable entries of starts — so a frame's offset is a
+	// subtraction away (offsetAfter) and an ack trims by moving durable;
+	// the acked bytes in front stay until begin compacts.
+	arena  []byte
+	starts []int // arena offset of each frame since the last compaction
+	sent   int   // arena[:sent] has gone out on the live connection
+
+	lastToken []byte // copy of the newest token frame, for re-sends after its ack
 
 	jitterN uint64
 }
@@ -137,7 +148,17 @@ func (c *Client) Counters() *metrics.TransportCounters { return c.ctr }
 func (c *Client) Durable() uint64 { return c.durable }
 
 // Buffered returns the number of frames held for potential replay.
-func (c *Client) Buffered() int { return len(c.buf) }
+func (c *Client) Buffered() int { return int(c.nextSeq - c.durable) }
+
+// offsetAfter returns the arena offset of the first live frame whose
+// sequence number is above seq.
+func (c *Client) offsetAfter(seq uint64) int {
+	seq = max(seq, c.durable)
+	if seq >= c.nextSeq {
+		return len(c.arena)
+	}
+	return c.starts[len(c.starts)-int(c.nextSeq-seq)]
+}
 
 func (c *Client) dropConn() {
 	if c.conn != nil {
@@ -152,17 +173,16 @@ func (c *Client) dropConn() {
 // (say, the resume watermark) would lose frames if the collector crashed
 // between processing and checkpointing them.
 func (c *Client) onAck(durable uint64) {
+	durable = min(durable, c.nextSeq) // nothing past nextSeq exists to forget
 	if durable <= c.durable {
 		return
 	}
 	c.durable = durable
-	i := 0
-	for i < len(c.buf) && c.buf[i].seq <= durable {
-		i++
+	if durable == c.nextSeq {
+		c.arena, c.starts, c.sent = c.arena[:0], c.starts[:0], 0
+		return
 	}
-	if i > 0 {
-		c.buf = c.buf[:copy(c.buf, c.buf[i:])]
-	}
+	c.sent = max(c.sent, c.offsetAfter(durable))
 }
 
 func (c *Client) backoff(attempt int) time.Duration {
@@ -242,68 +262,127 @@ dialing:
 		if c.established {
 			c.ctr.Resumes.Add(1)
 		}
-		// Replay every buffered frame the collector has not processed.
-		for _, f := range c.buf {
-			if f.seq <= ack.Resume {
-				continue
-			}
+		// Replay every buffered frame the collector has not processed, in
+		// one write. The first connection sends its first frame through
+		// here too; that is not a replay.
+		c.onAck(ack.Durable)
+		if replay := c.arena[c.offsetAfter(ack.Resume):]; len(replay) > 0 {
 			conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
-			if _, err := conn.Write(f.framed); err != nil {
+			c.ctr.Writes.Add(1)
+			if _, err := conn.Write(replay); err != nil {
 				conn.Close()
 				continue dialing
 			}
 			if c.established {
-				// The first connection sends its first frame through this
-				// loop too; that is not a replay.
-				c.ctr.FramesResent.Add(1)
+				c.ctr.FramesResent.Add(int64(c.nextSeq - max(ack.Resume, c.durable)))
 			}
 		}
+		c.sent = len(c.arena)
 		c.conn = conn
 		c.br = br
 		c.established = true
-		c.onAck(ack.Durable)
 		return nil
 	}
 }
 
-// send buffers a sequenced frame and puts it on the wire, reconnecting
-// (which replays it) on any write failure.
-func (c *Client) send(ctx context.Context, framed []byte, seq uint64) error {
-	if len(c.buf) >= c.cfg.Window {
+// begin opens the next sequenced frame at the arena's tail: the window
+// check, compaction once the dead prefix outweighs the live frames (so each
+// byte moves at most once per byte acked), and the length prefix's four
+// bytes, which seal fills in.
+func (c *Client) begin() error {
+	if c.Buffered() >= c.cfg.Window {
 		return fmt.Errorf("transport: session %d send window full (%d unacked frames)",
-			c.cfg.Session, len(c.buf))
+			c.cfg.Session, c.Buffered())
 	}
-	c.buf = append(c.buf, bufFrame{seq: seq, framed: framed})
+	if dead := c.offsetAfter(c.durable); dead > 0 && dead >= len(c.arena)-dead {
+		c.arena = c.arena[:copy(c.arena, c.arena[dead:])]
+		live := c.starts[len(c.starts)-c.Buffered():]
+		for i, at := range live {
+			c.starts[i] = at - dead
+		}
+		c.starts, c.sent = c.starts[:len(live)], c.sent-dead
+	}
+	c.nextSeq++
+	c.starts = append(c.starts, len(c.arena))
+	c.arena = append(c.arena, 0, 0, 0, 0)
+	return nil
+}
+
+// seal closes the frame begin opened and returns its bytes.
+func (c *Client) seal() []byte {
+	at := c.starts[len(c.starts)-1]
+	binary.LittleEndian.PutUint32(c.arena[at:], uint32(len(c.arena)-at-4))
 	c.ctr.FramesSent.Add(1)
+	return c.arena[at:]
+}
+
+// ship sends a sealed frame on its way with the rest of the unflushed
+// arena: now if flush is set or flushBytes have piled up, at the next flush
+// point otherwise. Without a connection it connects, which replays the
+// arena, this frame included.
+func (c *Client) ship(ctx context.Context, flush bool) error {
 	if c.conn == nil {
 		return c.Connect(ctx)
 	}
+	if flush || len(c.arena)-c.sent >= flushBytes {
+		return c.flush(ctx)
+	}
+	return nil
+}
+
+// write puts the unflushed suffix of the arena on the wire: one write, one
+// deadline, however many frames.
+func (c *Client) write() error {
+	if c.sent == len(c.arena) {
+		return nil
+	}
 	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
-	if _, err := c.conn.Write(framed); err != nil {
+	c.ctr.Writes.Add(1)
+	if _, err := c.conn.Write(c.arena[c.sent:]); err != nil {
+		return err
+	}
+	c.sent = len(c.arena)
+	return nil
+}
+
+// flush is write with recovery: a failed write rebuilds the connection,
+// and the resume replays whatever the collector had not processed.
+func (c *Client) flush(ctx context.Context) error {
+	if c.conn == nil {
+		return nil // the next Connect replays everything unsent
+	}
+	if err := c.write(); err != nil {
 		c.dropConn()
 		return c.Connect(ctx)
 	}
 	return nil
 }
 
-// SendReport ships one vote report on the session's FIFO lane.
+// SendReport stages one vote report on the session's FIFO lane. It reaches
+// the wire with its burst; nothing downstream can act on a report before
+// its cycle's token, and SendToken always flushes.
 func (c *Client) SendReport(ctx context.Context, r vote.Report, attempt uint8) error {
-	c.nextSeq++
-	framed := Frame(AppendReport(nil, Report{Seq: c.nextSeq, Attempt: attempt, R: r}))
-	return c.send(ctx, framed, c.nextSeq)
+	if err := c.begin(); err != nil {
+		return err
+	}
+	c.arena = AppendReport(c.arena, Report{Seq: c.nextSeq, Attempt: attempt, R: r})
+	c.seal()
+	return c.ship(ctx, false)
 }
 
 // SendToken ships the cycle token that closes this agent's lane for the
-// cycle; a framed copy is kept so WaitCycleEnd can re-send it (same
-// sequence number — the collector treats the re-send as a stale frame and
-// answers with the newest cycle-end).
+// cycle, and with it everything staged before it. A copy of the frame is
+// kept so WaitCycleEnd can re-send it (same sequence number — the collector
+// treats the re-send as a stale frame and answers with the newest
+// cycle-end) even after its ack has trimmed it from the arena.
 func (c *Client) SendToken(ctx context.Context, t Token) error {
-	c.nextSeq++
+	if err := c.begin(); err != nil {
+		return err
+	}
 	t.Seq = c.nextSeq
-	framed := Frame(AppendToken(nil, t))
-	c.lastToken = framed
-	c.lastTokenCycle = t.Cycle
-	return c.send(ctx, framed, c.nextSeq)
+	c.arena = AppendToken(c.arena, t)
+	c.lastToken = append(c.lastToken[:0], c.seal()...)
+	return c.ship(ctx, true)
 }
 
 // WaitCycleEnd blocks until the collector ends cycle (processing acks and
@@ -311,6 +390,9 @@ func (c *Client) SendToken(ctx context.Context, t Token) error {
 // re-sending the cycle token; a silent connection is eventually presumed
 // dead and rebuilt.
 func (c *Client) WaitCycleEnd(ctx context.Context, cycle int32) (CycleEnd, error) {
+	if err := c.flush(ctx); err != nil {
+		return CycleEnd{}, err
+	}
 	// polls counts consecutive silent reads (reset by ANY inbound frame —
 	// it detects a dead connection); ticks counts every timeout since the
 	// wait began and drives the token-resend cadence. Keeping them separate
@@ -395,16 +477,17 @@ func (c *Client) WaitCycleEnd(ctx context.Context, cycle int32) (CycleEnd, error
 	}
 }
 
-// Close says goodbye (best effort) and drops the connection. The replay
-// buffer is discarded: Close is for a session whose every frame has been
-// durably acknowledged (or abandoned on purpose).
+// Close flushes what is staged and says goodbye (both best effort), then
+// drops the connection. The replay buffer is discarded: Close is for a
+// session whose every frame has been durably acknowledged (or abandoned on
+// purpose).
 func (c *Client) Close() error {
 	if c.conn != nil {
-		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
-		c.conn.Write(Frame(AppendControl(nil, TypeBye)))
-		c.conn.Close()
-		c.conn = nil
-		c.br = nil
+		if c.write() == nil {
+			c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+			c.conn.Write(Frame(AppendControl(nil, TypeBye)))
+		}
+		c.dropConn()
 	}
 	return nil
 }

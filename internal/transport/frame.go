@@ -33,10 +33,13 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"time"
 
 	"vigil/internal/topology"
 	"vigil/internal/vote"
@@ -281,7 +284,37 @@ func AppendReport(dst []byte, f Report) []byte {
 	return dst
 }
 
-func DecodeReport(payload []byte) (Report, error) {
+// DecodeReport decodes one report frame payload; the path is the report's
+// own allocation.
+func DecodeReport(payload []byte) (Report, error) { return decodeReport(payload, nil) }
+
+// linkChunk is how many path links one chunk of a linkArena holds: about an
+// epoch of paths at the shape the benchmark records (1.4k reports of five to
+// six links), so a settled epoch a Sink retains pins a chunk or two.
+const linkChunk = 8 << 10
+
+// linkArena hands out report paths from chunks instead of one allocation
+// per report. A full chunk is left to the garbage collector, never reused:
+// the paths cut from it belong to reports the collector's Sink may keep.
+type linkArena struct{ buf []topology.LinkID }
+
+// alloc returns a non-nil path of n links with no spare capacity, so an
+// append by whoever holds it cannot reach a neighbour's links. A nil arena
+// allocates the path on its own.
+func (a *linkArena) alloc(n int) []topology.LinkID {
+	if a == nil {
+		return make([]topology.LinkID, n)
+	}
+	if a.buf == nil || cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]topology.LinkID, 0, max(linkChunk, n))
+	}
+	at := len(a.buf)
+	a.buf = a.buf[:at+n]
+	return a.buf[at : at+n : at+n]
+}
+
+// decodeReport is DecodeReport with the path cut from paths.
+func decodeReport(payload []byte, paths *linkArena) (Report, error) {
 	r := reader{b: payload}
 	var f Report
 	f.Seq = r.u64()
@@ -295,12 +328,14 @@ func DecodeReport(payload []byte) (Report, error) {
 	f.R.Seq = r.i32()
 	hasPath := r.bool()
 	n := int(r.u16())
-	if hasPath {
-		f.R.Path = make([]topology.LinkID, n)
-		for i := 0; i < n; i++ {
+	if hasPath && !r.err && 4*n <= len(r.b) {
+		f.R.Path = paths.alloc(n)
+		for i := range f.R.Path {
 			f.R.Path[i] = topology.LinkID(r.i32())
 		}
 	} else if n > 0 {
+		// No path flag, or a count the payload cannot hold: refused before
+		// any path is allocated for it.
 		r.err = true
 	}
 	return f, r.done()
@@ -465,22 +500,90 @@ func Frame(body []byte) []byte {
 }
 
 // ReadFrame reads one frame from br, returning its type and payload (the
-// body after the type byte). maxFrame bounds the body length; 0 means
-// DefaultMaxFrame.
+// body after the type byte) as the caller's own copy. maxFrame bounds the
+// body length; 0 means DefaultMaxFrame.
 func ReadFrame(br *bufio.Reader, maxFrame int) (typ byte, payload []byte, err error) {
+	fr := frameReader{br: br, maxFrame: maxFrame}
+	typ, payload, err = fr.next()
+	if err != nil {
+		return 0, nil, err
+	}
+	payload = bytes.Clone(payload)
+	fr.release()
+	return typ, payload, nil
+}
+
+// frameReader reads a frame stream without a copy or an allocation per
+// frame: next returns a payload that aliases br's buffer (the reader's own
+// scratch for a frame larger than that buffer) and is valid until the next
+// call.
+type frameReader struct {
+	br       *bufio.Reader
+	maxFrame int // 0 means DefaultMaxFrame
+	// conn, when set, has its read deadline pushed timeout ahead before a
+	// read that may block, and only then: frames already buffered cost no
+	// deadline calls.
+	conn    net.Conn
+	timeout time.Duration
+
+	pending int    // bytes of the last returned frame still to discard from br
+	scratch []byte // body of a frame larger than br's buffer
+}
+
+// release gives the last returned payload's bytes back to br.
+func (fr *frameReader) release() {
+	fr.br.Discard(fr.pending) // cannot fail: the bytes were peeked
+	fr.pending = 0
+}
+
+func (fr *frameReader) arm() {
+	if fr.conn != nil {
+		fr.conn.SetReadDeadline(time.Now().Add(fr.timeout))
+	}
+}
+
+// peek is br.Peek behind the deadline; like io.ReadFull it reports a stream
+// that ends inside the n bytes as io.ErrUnexpectedEOF.
+func (fr *frameReader) peek(n int) ([]byte, error) {
+	if fr.br.Buffered() < n {
+		fr.arm()
+	}
+	b, err := fr.br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+func (fr *frameReader) next() (typ byte, payload []byte, err error) {
+	fr.release()
+	maxFrame := fr.maxFrame
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := fr.peek(4)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("transport: frame length %d outside [1, %d]", n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
+	if 4+n <= fr.br.Size() {
+		frame, err := fr.peek(4 + n)
+		if err != nil {
+			return 0, nil, err
+		}
+		fr.pending = 4 + n
+		return frame[4], frame[5:], nil
+	}
+	fr.br.Discard(4)
+	if cap(fr.scratch) < n {
+		fr.scratch = make([]byte, n)
+	}
+	body := fr.scratch[:n]
+	fr.arm()
+	if _, err := io.ReadFull(fr.br, body); err != nil {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil

@@ -47,11 +47,14 @@ type proxyPair struct {
 	once           sync.Once
 }
 
-func (p *proxyPair) kill() {
+// kill severs the pair and reports whether this call was the one that did.
+func (p *proxyPair) kill() (first bool) {
 	p.once.Do(func() {
+		first = true
 		p.client.Close()
 		p.server.Close()
 	})
+	return first
 }
 
 // Proxy is the running fault injector.
@@ -119,11 +122,17 @@ func (p *Proxy) CutAll() int {
 		pairs = append(pairs, pr)
 	}
 	p.mu.Unlock()
+	// A pair a cut fate has just killed stays registered until both of its
+	// pumps have unwound; counting it again would claim a cut no session
+	// will ever resume from.
+	cut := 0
 	for _, pr := range pairs {
-		pr.kill()
+		if pr.kill() {
+			cut++
+		}
 	}
-	p.InjCuts.Add(int64(len(pairs)))
-	return len(pairs)
+	p.InjCuts.Add(int64(cut))
+	return cut
 }
 
 // Live returns the number of live proxied connections.

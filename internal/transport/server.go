@@ -305,13 +305,21 @@ func (s *Server) writer(conn net.Conn, out chan []byte) {
 	}
 }
 
-// handle runs one connection: handshake, then the frame loop.
+// readBuffer sizes a connection's read buffer to hold a few client bursts
+// (client.go's flushBytes) and the token that ends a cycle whole, so one
+// read(2) brings in a burst and its frames are decoded where they land.
+const readBuffer = 64 << 10
+
+// handle runs one connection: handshake, then the frame loop. The loop
+// decodes every whole frame already buffered before it looks at the
+// connection again — the read deadline is pushed only when a read is about
+// to block — and decodes reports without an allocation per frame.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
-	br := bufio.NewReader(conn)
+	fr := frameReader{br: bufio.NewReaderSize(conn, readBuffer), maxFrame: s.cfg.MaxFrame,
+		conn: conn, timeout: s.cfg.ReadTimeout}
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	typ, payload, err := ReadFrame(br, s.cfg.MaxFrame)
+	typ, payload, err := fr.next()
 	if err != nil || typ != TypeHello {
 		conn.Close()
 		return
@@ -324,17 +332,21 @@ func (s *Server) handle(conn net.Conn) {
 	sess := s.sessionFor(hello.Session)
 	gen := s.attach(sess, conn)
 	defer s.detach(sess, gen)
+	// Under procMu like every other call for the session: the connection
+	// this one replaced may still be working through frames it had buffered.
+	sess.procMu.Lock()
 	s.cfg.Handler.OnHello(hello.Session, hello)
+	sess.procMu.Unlock()
 
+	var paths linkArena
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		typ, payload, err := ReadFrame(br, s.cfg.MaxFrame)
+		typ, payload, err := fr.next()
 		if err != nil {
 			return
 		}
 		switch typ {
 		case TypeReport:
-			f, err := DecodeReport(payload)
+			f, err := decodeReport(payload, &paths)
 			if err != nil {
 				return
 			}
@@ -392,7 +404,9 @@ func (s *Server) bye(sess *session) {
 	if !first {
 		return
 	}
+	sess.procMu.Lock()
 	s.cfg.Handler.OnBye(sess.id)
+	sess.procMu.Unlock()
 	s.mu.Lock()
 	s.byes++
 	fire := s.byes == s.cfg.Sessions && !s.closed

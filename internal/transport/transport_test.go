@@ -178,18 +178,18 @@ func TestResumeReplaysExactlyOnce(t *testing.T) {
 	if cli.Buffered() != 4 {
 		t.Fatalf("buffered %d, want 4", cli.Buffered())
 	}
-	// Sever the wire out from under the client. The next send hits the dead
-	// socket, reconnects, and replays everything past the server's resume
-	// watermark — the server drops what it already processed.
+	// Sever the wire out from under the client. The next flush — the token's
+	// — hits the dead socket, reconnects, and replays everything past the
+	// server's resume watermark; the server drops what it already processed.
 	cli.conn.Close()
 	if err := cli.SendReport(ctx, vote.Report{Src: 2, Seq: 4}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := cli.ctr.Resumes.Load(); got != 1 {
-		t.Fatalf("Resumes = %d, want 1", got)
-	}
 	if err := cli.SendToken(ctx, Token{Cycle: 0, Live: true}); err != nil {
 		t.Fatal(err)
+	}
+	if got := cli.ctr.Resumes.Load(); got != 1 {
+		t.Fatalf("Resumes = %d, want 1", got)
 	}
 	seq := <-tokenSeq
 	if err := srv.Commit(0, map[uint64]uint64{1: seq}); err != nil {
