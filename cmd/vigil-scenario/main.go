@@ -51,7 +51,7 @@ func main() {
 	parallel := flag.Int("par", 0, "epoch engine worker count on the flow plane (0 = all cores); results are identical at any setting")
 	packetWorkers := flag.Int("packet-workers", 0, "pod-sharded DES worker count on the packet plane (0 = single-threaded scheduler); results are identical at any setting")
 	timeline := flag.Bool("timeline", true, "print the per-epoch timeline table")
-	profiler = prof.Register()
+	profiler = prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if err := profiler.Start(); err != nil {

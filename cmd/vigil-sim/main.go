@@ -31,7 +31,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	top := flag.Int("top", 10, "ranking entries to print")
 	parallel := flag.Int("par", 0, "epoch pipeline workers (0 = all cores); results are identical at any setting")
-	profiler := prof.Register()
+	profiler := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if err := profiler.Start(); err != nil {

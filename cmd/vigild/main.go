@@ -36,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -63,99 +64,92 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// observeEpoch feeds one settled epoch into the exporter: the vote
-// ranking resolved to link names (with Algorithm 1's detected set
-// flagged), and the detection scored against the epoch's injected-failure
-// ground truth as the scenario's conformance point.
-func observeEpoch(exp *metrics.EpochExporter, topo *topology.Topology, res *engine.EpochResult, scenarioName string) {
-	detected := make(map[topology.LinkID]bool, len(res.Detected))
-	for _, l := range res.Detected {
-		detected[l] = true
-	}
-	ranked := make([]metrics.RankedLink, 0, len(res.Ranking))
-	for _, lv := range res.Ranking {
-		ranked = append(ranked, metrics.RankedLink{
-			Link:     topo.LinkName(lv.Link),
-			Votes:    lv.Votes,
-			Detected: detected[lv.Link],
-		})
-	}
-	exp.ObserveEpoch(int64(res.Epoch), ranked)
-	exp.ObserveConformance(scenarioName, metrics.ScoreDetection(res.Detected, res.FailedLinks))
-}
-
-// collectorMode bundles the networked-collector flags.
-type collectorMode struct {
-	addr, checkpoint, scenario, metricsAddr string
-	sessions, grace, retries, topK          int
-	quiet                                   bool
-	topo                                    *topology.Topology
-}
-
-// runCollector serves the networked ingest transport: remote agent
-// sessions drive the epochs; vigild settles, checkpoints, and exports.
-func runCollector(m collectorMode) {
-	ln, err := net.Listen("tcp", m.addr)
-	if err != nil {
-		fail(err)
-	}
-	exporter := metrics.NewEpochExporter(m.topK)
-	tctr := &metrics.TransportCounters{}
-	col, err := ingest.ServeCollector(ingest.CollectorConfig{
-		Listener:       ln,
-		Sessions:       m.sessions,
-		Grace:          m.grace,
-		MaxRetries:     m.retries,
-		CheckpointPath: m.checkpoint,
-		Transport:      tctr,
-		Sink: func(res *engine.EpochResult) {
-			observeEpoch(exporter, m.topo, res, m.scenario)
-			if m.quiet {
-				return
-			}
+// epochSink is the settle sink of both modes. It feeds each settled epoch
+// into the exporter — the vote ranking resolved to link names (with
+// Algorithm 1's detected set flagged), and the detection scored against the
+// epoch's injected-failure ground truth as the scenario's conformance point
+// — and, unless quiet, prints its line.
+func epochSink(exp *metrics.EpochExporter, topo *topology.Topology, scenarioName string, quiet bool) func(*engine.EpochResult) {
+	return func(res *engine.EpochResult) {
+		detected := make(map[topology.LinkID]bool, len(res.Detected))
+		for _, l := range res.Detected {
+			detected[l] = true
+		}
+		ranked := make([]metrics.RankedLink, 0, len(res.Ranking))
+		for _, lv := range res.Ranking {
+			ranked = append(ranked, metrics.RankedLink{
+				Link:     topo.LinkName(lv.Link),
+				Votes:    lv.Votes,
+				Detected: detected[lv.Link],
+			})
+		}
+		exp.ObserveEpoch(int64(res.Epoch), ranked)
+		exp.ObserveConformance(scenarioName, metrics.ScoreDetection(res.Detected, res.FailedLinks))
+		if !quiet {
 			fmt.Printf("epoch %4d settled: %4d reports, %d detected, %d verdicts\n",
 				res.Epoch, len(res.Reports), len(res.Detected), len(res.Verdicts))
-		},
-	})
+		}
+	}
+}
+
+// serveMetrics serves /metrics on addr, rendering each source in turn, and
+// returns a function that shuts the endpoint down. An empty addr serves
+// nothing.
+func serveMetrics(addr string, sources ...func(io.Writer) error) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("ingest collector on %s (%d sessions", col.Addr(), m.sessions)
-	if m.checkpoint != "" {
-		fmt.Printf(", checkpoint %s", m.checkpoint)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		for _, write := range sources {
+			write(w)
+		}
+	})
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(ln)
+	fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		srv.Shutdown(ctx)
+		cancel()
+	}
+}
+
+// runCollector serves the networked ingest transport on addr: remote agent
+// sessions drive the epochs; vigild settles, checkpoints, and exports. cfg
+// arrives with everything but the listener and the transport counters.
+func runCollector(addr, metricsAddr string, exporter *metrics.EpochExporter, cfg ingest.CollectorConfig) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fail(err)
+	}
+	tctr := &metrics.TransportCounters{}
+	cfg.Listener, cfg.Transport = ln, tctr
+	col, err := ingest.ServeCollector(cfg)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("ingest collector on %s (%d sessions", col.Addr(), cfg.Sessions)
+	if cfg.CheckpointPath != "" {
+		fmt.Printf(", checkpoint %s", cfg.CheckpointPath)
 	}
 	fmt.Println(")")
 
-	var metricsSrv *http.Server
-	if m.metricsAddr != "" {
-		mln, err := net.Listen("tcp", m.metricsAddr)
-		if err != nil {
-			fail(err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			col.Counters().WritePrometheus(w)
-			tctr.WritePrometheus(w)
-			exporter.WritePrometheus(w)
-		})
-		metricsSrv = &http.Server{Handler: mux}
-		go metricsSrv.Serve(mln)
-		fmt.Printf("metrics on http://%s/metrics\n", mln.Addr())
-	}
+	stopMetrics := serveMetrics(metricsAddr, col.Counters().WritePrometheus, tctr.WritePrometheus, exporter.WritePrometheus)
 
 	ctx, stopSignals := runutil.SignalContext(context.Background())
-	err = col.Wait(ctx)
+	waitErr := col.Wait(ctx)
 	stopSignals()
 	col.Close()
-	if err == context.Canceled {
+	if waitErr == context.Canceled {
 		fmt.Fprintln(os.Stderr, "vigild: interrupted; collector state is on the checkpoint")
 	}
-	if metricsSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		metricsSrv.Shutdown(shutCtx)
-		cancel()
-	}
+	stopMetrics()
 	c := col.Counters()
 	fmt.Printf("\nsettled %d epochs: received %d, accepted %d, duplicates %d, lost %d, retries %d, recovered %d\n",
 		c.SettledEpochs.Load(), c.Received.Load(), c.Accepted.Load(),
@@ -163,6 +157,9 @@ func runCollector(m collectorMode) {
 	fmt.Printf("transport: %d frames in, %d dropped stale, %d acks, %d checkpoints, %d accept retries\n",
 		tctr.FramesReceived.Load(), tctr.FramesDropped.Load(), tctr.AcksSent.Load(),
 		tctr.Checkpoints.Load(), tctr.AcceptRetries.Load())
+	if waitErr != nil && waitErr != context.Canceled {
+		fail(waitErr) // e.g. a checkpoint that could not be written
+	}
 	if err := profiler.Stop(); err != nil {
 		fail(err)
 	}
@@ -194,7 +191,7 @@ func main() {
 	burst := flag.Float64("burst", 0, "per-agent-epoch burst-loss probability")
 	crash := flag.Float64("crash", 0, "per-agent-epoch crash probability")
 
-	profiler = prof.Register()
+	profiler = prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if err := profiler.Start(); err != nil {
@@ -205,20 +202,16 @@ func main() {
 	if !pl.Valid() {
 		fail(fmt.Errorf("unknown plane %q (want flow or packet)", *plane))
 	}
-	topoCfg := scenario.QuickTopo
-	if pl == engine.Packet {
-		topoCfg = scenario.PacketQuickTopo
-	}
-	topo, err := topology.New(topoCfg)
+	topo, err := topology.New(scenario.QuickTopoFor(pl))
 	if err != nil {
 		fail(err)
 	}
 
+	exporter := metrics.NewEpochExporter(*topK)
+	sink := epochSink(exporter, topo, *scenarioLabel, *quiet)
 	if *collectorListen != "" {
-		runCollector(collectorMode{
-			addr: *collectorListen, checkpoint: *checkpoint, sessions: *sessions,
-			grace: *grace, retries: *retries, topK: *topK, quiet: *quiet,
-			scenario: *scenarioLabel, metricsAddr: *listen, topo: topo,
+		runCollector(*collectorListen, *listen, exporter, ingest.CollectorConfig{
+			Sessions: *sessions, Grace: *grace, MaxRetries: *retries, CheckpointPath: *checkpoint, Sink: sink,
 		})
 		return
 	}
@@ -237,8 +230,6 @@ func main() {
 		fmt.Printf("injected %.1f%% loss on %s\n", *rate*100, topo.LinkName(l))
 	}
 
-	exporter := metrics.NewEpochExporter(*topK)
-
 	svc, err := ingest.New(ingest.Config{
 		Engine:     eng,
 		Grace:      *grace,
@@ -253,35 +244,13 @@ func main() {
 			Burst:     *burst,
 			Crash:     *crash,
 		},
-		Sink: func(res *engine.EpochResult) {
-			observeEpoch(exporter, topo, res, *scenarioLabel)
-			if *quiet {
-				return
-			}
-			fmt.Printf("epoch %4d settled: %4d reports, %d detected, %d verdicts\n",
-				res.Epoch, len(res.Reports), len(res.Detected), len(res.Verdicts))
-		},
+		Sink: sink,
 	})
 	if err != nil {
 		fail(err)
 	}
 
-	var metricsSrv *http.Server
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fail(err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			svc.Counters().WritePrometheus(w)
-			exporter.WritePrometheus(w)
-		})
-		metricsSrv = &http.Server{Handler: mux}
-		go metricsSrv.Serve(ln)
-		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
-	}
+	stopMetrics := serveMetrics(*listen, svc.Counters().WritePrometheus, exporter.WritePrometheus)
 
 	ctx, stopSignals := runutil.SignalContext(context.Background())
 	err = svc.Run(ctx, *epochs)
@@ -291,11 +260,7 @@ func main() {
 	} else if err != nil {
 		fail(err)
 	}
-	if metricsSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		metricsSrv.Shutdown(shutCtx)
-		cancel()
-	}
+	stopMetrics()
 
 	c := svc.Counters()
 	fmt.Printf("\nsettled %d epochs: received %d, accepted %d, duplicates %d, late %d (+%d past grace), lost %d, retries %d, recovered %d\n",

@@ -5,8 +5,6 @@
 package analysis_test
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 
 	"vigil/internal/analysis"
@@ -173,144 +171,6 @@ func TestVotingOnParWithIntegerProgram(t *testing.T) {
 
 	if acc007 < accInt-0.1 {
 		t.Fatalf("007 accuracy %v far below integer program %v", acc007, accInt)
-	}
-}
-
-func TestAgentEpochLifecycle(t *testing.T) {
-	a := analysis.NewAgent(analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}})
-	if a.Epoch() != 0 {
-		t.Fatal("fresh agent not at epoch 0")
-	}
-	a.Submit(vote.Report{FlowID: 1, Path: []topology.LinkID{1, 2}, Retx: 1})
-	a.Submit(vote.Report{FlowID: 2, Path: []topology.LinkID{1, 3}, Retx: 2})
-	if a.Pending() != 2 {
-		t.Fatalf("pending = %d", a.Pending())
-	}
-	res := a.CloseEpoch()
-	if a.Epoch() != 1 || a.Pending() != 0 {
-		t.Fatal("epoch did not advance cleanly")
-	}
-	if res.Tally.Flows() != 2 {
-		t.Fatalf("tally flows = %d", res.Tally.Flows())
-	}
-	if len(res.Ranking) == 0 || res.Ranking[0].Link != 1 {
-		t.Fatalf("ranking = %+v", res.Ranking)
-	}
-	// Next epoch starts empty.
-	res2 := a.CloseEpoch()
-	if res2.Tally.Flows() != 0 || len(res2.Detected) != 0 {
-		t.Fatal("epoch state leaked")
-	}
-}
-
-// Analyze must produce identical results — including the floating-point
-// vote sums its chunk-ordered merge reconstructs — at every Parallelism.
-// The synthetic report set is large enough to span many tally chunks, the
-// regime where worker interleaving could show through.
-func TestAnalyzeDeterministicAcrossParallelism(t *testing.T) {
-	rng := stats.NewRNG(31)
-	reports := make([]vote.Report, 10000)
-	for i := range reports {
-		h := 4 + rng.Intn(3)
-		path := make([]topology.LinkID, h)
-		for j := range path {
-			path[j] = topology.LinkID(rng.Intn(400))
-		}
-		// A hot link shows up on a third of the paths so detection has
-		// something real to find.
-		if rng.Bool(0.33) {
-			path[rng.Intn(h)] = 7
-		}
-		reports[i] = vote.Report{FlowID: int64(i), Path: path, Retx: 1 + rng.Intn(3)}
-	}
-	want := analysis.Analyze(reports, analysis.Options{
-		Detect: vote.DetectOptions{ThresholdFrac: 0.01}, Parallelism: 1,
-	})
-	if len(want.Detected) == 0 || want.Detected[0] != 7 {
-		t.Fatalf("hot link not detected: %v", want.Detected)
-	}
-	for _, parallelism := range []int{2, 4, 8} {
-		got := analysis.Analyze(reports, analysis.Options{
-			Detect: vote.DetectOptions{ThresholdFrac: 0.01}, Parallelism: parallelism,
-		})
-		if !reflect.DeepEqual(want.Ranking, got.Ranking) {
-			t.Fatalf("Parallelism %d changed the ranking", parallelism)
-		}
-		if !reflect.DeepEqual(want.Detected, got.Detected) {
-			t.Fatalf("Parallelism %d changed detections", parallelism)
-		}
-		if !reflect.DeepEqual(want.Verdicts, got.Verdicts) {
-			t.Fatalf("Parallelism %d changed verdicts", parallelism)
-		}
-	}
-}
-
-// Hammer the sharded inbox from many goroutines across an epoch boundary;
-// run with -race. Every submitted report must land in exactly one epoch.
-func TestAgentConcurrentSubmitAndClose(t *testing.T) {
-	a := analysis.NewAgent(analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}})
-	const (
-		producers          = 16
-		reportsPerProducer = 500
-	)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < reportsPerProducer; i++ {
-				a.Submit(vote.Report{
-					FlowID: int64(p*reportsPerProducer + i),
-					Path:   []topology.LinkID{topology.LinkID(p), topology.LinkID(100 + i%7)},
-					Retx:   1,
-				})
-			}
-		}(p)
-	}
-	// Close epochs concurrently with the submitters.
-	results := make(chan *analysis.Result, 8)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 4; i++ {
-			results <- a.CloseEpoch()
-		}
-	}()
-	wg.Wait()
-	<-done
-	// Drain whatever the concurrent closes missed.
-	final := a.CloseEpoch()
-	total := final.Tally.Flows()
-	for i := 0; i < 4; i++ {
-		total += (<-results).Tally.Flows()
-	}
-	if want := producers * reportsPerProducer; total != want {
-		t.Fatalf("epochs saw %d reports in total, want %d (lost or duplicated submissions)", total, want)
-	}
-	if a.Epoch() != 5 {
-		t.Fatalf("epoch counter = %d, want 5", a.Epoch())
-	}
-	if a.Pending() != 0 {
-		t.Fatalf("%d reports stranded in the inbox", a.Pending())
-	}
-}
-
-// Sequential submit order must survive the sharded inbox: verdicts come
-// back in submission order, exactly like the single-inbox agent.
-func TestAgentPreservesSubmissionOrder(t *testing.T) {
-	a := analysis.NewAgent(analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}})
-	const n = 100
-	for i := 0; i < n; i++ {
-		a.Submit(vote.Report{FlowID: int64(i), Path: []topology.LinkID{topology.LinkID(i % 10)}, Retx: 1})
-	}
-	res := a.CloseEpoch()
-	if len(res.Verdicts) != n {
-		t.Fatalf("%d verdicts, want %d", len(res.Verdicts), n)
-	}
-	for i, v := range res.Verdicts {
-		if v.FlowID != int64(i) {
-			t.Fatalf("verdict %d is for flow %d; submission order lost", i, v.FlowID)
-		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // 007 agents (monitor → SLB query → traceroute → vote report) over the
 // packet-level fabric, and a central analysis agent tallies the epoch —
 // the same composition as the paper's test cluster (§7) and production
-// deployment (§8). Reports can be delivered in-process or over real
-// loopback TCP (see netreport.go), exercising the full wire path.
+// deployment (§8). Reports are delivered in-process through the Reporter
+// hook; the wire path is internal/transport, driven by internal/ingest.
 //
 // Epoch state is kept dense for the hot path: per-flow drop counts live in
 // a flow-indexed arena of small inline link/count sets (not nested maps),
@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"vigil/internal/analysis"
 	"vigil/internal/des"
@@ -87,7 +88,6 @@ type Cluster struct {
 	Router  *ecmp.Router
 	Net     *fabric.Net
 	SLB     *slb.SLB
-	Agent   *analysis.Agent
 	Hosts   []*Host
 
 	// shardStates partitions the run-time-mutable epoch state by execution
@@ -99,9 +99,10 @@ type Cluster struct {
 	hostShard   []int32
 
 	rng *stats.RNG
-	// Reporter delivers host reports to the collector; the default submits
-	// in-process. Replaced by the loopback-TCP reporter in net mode.
+	// Reporter delivers host reports to the collector; the default appends
+	// to reports, which RunEpoch analyzes in submission order.
 	Reporter func(vote.Report)
+	reports  []vote.Report
 
 	failures map[topology.LinkID]float64
 	// failedSorted caches FailedLinks' sorted snapshot; nil means dirty.
@@ -364,7 +365,6 @@ func New(cfg Config) (*Cluster, error) {
 		Router:    router,
 		Net:       net,
 		SLB:       slb.New(cfg.Topo, rng.Split()),
-		Agent:     analysis.NewAgent(analysis.Options{Detect: cfg.Detect}),
 		rng:       rng,
 		failures:  make(map[topology.LinkID]float64),
 		flowIDs:   make(map[ecmp.FiveTuple]int64),
@@ -397,7 +397,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	cl.Reporter = cl.Agent.Submit
+	cl.Reporter = func(r vote.Report) { cl.reports = append(cl.reports, r) }
 	net.AddDropTap(cl.groundTruthTap)
 	cl.Hosts = make([]*Host, len(cfg.Topo.Hosts))
 	for i := range cl.Hosts {
@@ -484,11 +484,7 @@ func (cl *Cluster) FailedLinks() []topology.LinkID {
 		for l := range cl.failures {
 			out = append(out, l)
 		}
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
+		slices.Sort(out)
 		cl.failedSorted = out
 	}
 	return cl.failedSorted
@@ -504,9 +500,9 @@ func (cl *Cluster) report(r vote.Report) {
 	r.Seq = cl.agentSeq[r.Src]
 	cl.agentSeq[r.Src]++
 	if cl.Sharded != nil {
-		// During a sharded window the Reporter (and the analysis agent
-		// behind it) must not be touched concurrently; buffer on the
-		// reporting host's shard and flush canonically at the settle.
+		// During a sharded window the Reporter must not be touched
+		// concurrently; buffer on the reporting host's shard and flush
+		// canonically at the settle.
 		// Seq stamping above stays safe: one host lives on one shard, so
 		// agentSeq[r.Src] is only ever touched by that shard's goroutine.
 		sh := cl.shardStates[cl.hostShard[r.Src]]
@@ -519,10 +515,8 @@ func (cl *Cluster) report(r vote.Report) {
 }
 
 // flushReports merges every shard's buffered reports and emits them through
-// the Reporter in canonical (Src, Seq, ...) order. The analysis agent sorts
-// drained reports by sequence anyway, so submission order does not affect
-// epoch results — canonical order just keeps any external Reporter (e.g.
-// the loopback-TCP path) deterministic too.
+// the Reporter in canonical (Src, Seq, ...) order, so what any Reporter sees
+// is deterministic at every worker count.
 func (cl *Cluster) flushReports() {
 	cl.reportBuf = cl.reportBuf[:0]
 	for _, s := range cl.shardStates {
@@ -648,7 +642,7 @@ func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 // RunEpoch drives one epoch of the emulation: settle scripted link rates,
 // run virtual time to the end of the epoch (plus a small grace period for
 // in-flight traceroutes), capture the epoch's ground-truth frame, roll the
-// host agents' epochs and close the analysis epoch.
+// host agents' epochs and analyze what the default Reporter collected.
 func (cl *Cluster) RunEpoch() *analysis.Result {
 	cl.applySchedules()
 	end := cl.epochStart + cl.cfg.EpochLength
@@ -664,7 +658,9 @@ func (cl *Cluster) RunEpoch() *analysis.Result {
 		h.Path.NewEpoch()
 	}
 	cl.captureEpochFrame()
-	return cl.Agent.CloseEpoch()
+	res := analysis.Analyze(cl.reports, analysis.Options{Detect: cl.cfg.Detect})
+	cl.reports = cl.reports[:0]
+	return res
 }
 
 // captureEpochFrame snapshots the closing epoch's ground truth — while

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net"
 	"testing"
 
 	"vigil/internal/des"
@@ -312,50 +311,6 @@ func TestHostTracerouteBudget(t *testing.T) {
 	// 2/s over ~32 seconds of epoch: traces well below flow count.
 	if h.Path.Traces > 2*34 {
 		t.Fatalf("traces = %d exceed the Ct budget envelope", h.Path.Traces)
-	}
-}
-
-// Reports delivered over real loopback TCP must land in the collector
-// identically to in-process delivery.
-func TestLoopbackTCPReporting(t *testing.T) {
-	cl := testCluster(t, 13)
-	topo := cl.Topo
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeCollector(cl.Agent, ln)
-	defer srv.Close()
-	rep, err := DialReporter(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	cl.Reporter = func(r vote.Report) {
-		if err := rep.Report(r); err != nil {
-			t.Errorf("report failed: %v", err)
-		}
-	}
-	bad := topo.LinksOfClass(topology.L1Down)[5]
-	cl.InjectFailure(bad, 0.05)
-	rng := stats.NewRNG(14)
-	w := traffic.Workload{
-		Pattern:        traffic.Uniform{},
-		ConnsPerHost:   traffic.IntRange{Lo: 3, Hi: 3},
-		PacketsPerFlow: traffic.IntRange{Lo: 40, Hi: 40},
-	}
-	for _, f := range w.Generate(rng, topo) {
-		cl.StartFlow(f, des.Time(rng.Intn(int(5*des.Second))))
-	}
-	res := cl.RunEpoch()
-	if srv.Received.Load() == 0 {
-		t.Fatal("collector received nothing over TCP")
-	}
-	if int64(res.Tally.Flows()) != srv.Received.Load() {
-		t.Fatalf("tally flows %d != received %d", res.Tally.Flows(), srv.Received.Load())
-	}
-	if len(res.Ranking) == 0 || res.Ranking[0].Link != bad {
-		t.Fatalf("TCP-delivered analysis wrong: top = %+v", res.Ranking[0])
 	}
 }
 

@@ -12,14 +12,14 @@ import (
 // windows are in flight. Identical traces to the unchurned single-scheduler
 // run prove the pool protocol is independent of how many OS threads the
 // runtime gives it.
-func runChurnTrace(t *testing.T, shards, workers int, gate gateKind, look, deadline Time, churn []int) [][]string {
+func runChurnTrace(t *testing.T, shards, workers int, look, deadline Time, churn []int) [][]string {
 	t.Helper()
 	const nodesPerShard = 3
 	sys := &traceSys{look: look}
 	if workers == 0 {
 		sys.single = &Scheduler{}
 	} else {
-		ss, err := newShardedGate(shards, look, workers, gate)
+		ss, err := NewSharded(shards, look, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,27 +65,25 @@ func runChurnTrace(t *testing.T, shards, workers int, gate gateKind, look, deadl
 // The pooled scheduler's per-node traces must be bit-identical while
 // runtime.GOMAXPROCS churns 1→8→2 mid-epoch: parked workers, half-woken
 // windows and barrier merges all keep executing correctly whatever thread
-// budget the runtime grants, on both parking gates.
+// budget the runtime grants.
 func TestShardedTraceIdentityUnderGOMAXPROCSChurn(t *testing.T) {
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 	churn := []int{1, 8, 2}
 	for _, shards := range []int{3, 8} {
-		ref := runChurnTrace(t, shards, 0, gateChan, 5, 100000, churn)
-		for _, gate := range []gateKind{gateChan, gateCond} {
-			for _, workers := range []int{2, 4, 8} {
-				runtime.GOMAXPROCS(orig)
-				got := runChurnTrace(t, shards, workers, gate, 5, 100000, churn)
-				for nd := range ref {
-					if len(got[nd]) != len(ref[nd]) {
-						t.Fatalf("shards=%d gate=%d workers=%d node=%d: %d events vs %d single",
-							shards, gate, workers, nd, len(got[nd]), len(ref[nd]))
-					}
-					for i := range ref[nd] {
-						if got[nd][i] != ref[nd][i] {
-							t.Fatalf("shards=%d gate=%d workers=%d node=%d: diverges at %d:\n  single:  %s\n  sharded: %s",
-								shards, gate, workers, nd, i, ref[nd][i], got[nd][i])
-						}
+		ref := runChurnTrace(t, shards, 0, 5, 100000, churn)
+		for _, workers := range []int{2, 4, 8} {
+			runtime.GOMAXPROCS(orig)
+			got := runChurnTrace(t, shards, workers, 5, 100000, churn)
+			for nd := range ref {
+				if len(got[nd]) != len(ref[nd]) {
+					t.Fatalf("shards=%d workers=%d node=%d: %d events vs %d single",
+						shards, workers, nd, len(got[nd]), len(ref[nd]))
+				}
+				for i := range ref[nd] {
+					if got[nd][i] != ref[nd][i] {
+						t.Fatalf("shards=%d workers=%d node=%d: diverges at %d:\n  single:  %s\n  sharded: %s",
+							shards, workers, nd, i, ref[nd][i], got[nd][i])
 					}
 				}
 			}
@@ -150,14 +148,14 @@ func (c *collideNode) HandleEvent(kind int32, arg int64, _ any) {
 	c.post(c, now+s.period, c.keyBase(), 0, arg+1)
 }
 
-func runCollideTrace(t *testing.T, shards, workers int, gate gateKind, rounds int) [][]string {
+func runCollideTrace(t *testing.T, shards, workers int, rounds int) [][]string {
 	t.Helper()
 	const look, period = 8, 16
 	s := &collideSys{look: look, period: period}
 	if workers == 0 {
 		s.single = &Scheduler{}
 	} else {
-		ss, err := newShardedGate(shards, look, workers, gate)
+		ss, err := NewSharded(shards, look, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,26 +187,24 @@ func runCollideTrace(t *testing.T, shards, workers int, gate gateKind, rounds in
 
 // Same-time, different-key cross events from many shards into one — the
 // worst case for the barrier's k-way merge — must land in exactly the
-// single scheduler's (time, key) order at every worker count and gate.
+// single scheduler's (time, key) order at every worker count.
 func TestShardedCollidingCrossOrder(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
-		ref := runCollideTrace(t, shards, 0, gateChan, 120)
+		ref := runCollideTrace(t, shards, 0, 120)
 		if len(ref[0]) < 2*120 {
 			t.Fatalf("shards=%d: receiver too quiet (%d events)", shards, len(ref[0]))
 		}
-		for _, gate := range []gateKind{gateChan, gateCond} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				got := runCollideTrace(t, shards, workers, gate, 120)
-				for nd := range ref {
-					if len(got[nd]) != len(ref[nd]) {
-						t.Fatalf("shards=%d gate=%d workers=%d node=%d: %d events vs %d single",
-							shards, gate, workers, nd, len(got[nd]), len(ref[nd]))
-					}
-					for i := range ref[nd] {
-						if got[nd][i] != ref[nd][i] {
-							t.Fatalf("shards=%d gate=%d workers=%d node=%d: diverges at %d:\n  single:  %s\n  sharded: %s",
-								shards, gate, workers, nd, i, ref[nd][i], got[nd][i])
-						}
+		for _, workers := range []int{1, 2, 4, 8} {
+			got := runCollideTrace(t, shards, workers, 120)
+			for nd := range ref {
+				if len(got[nd]) != len(ref[nd]) {
+					t.Fatalf("shards=%d workers=%d node=%d: %d events vs %d single",
+						shards, workers, nd, len(got[nd]), len(ref[nd]))
+				}
+				for i := range ref[nd] {
+					if got[nd][i] != ref[nd][i] {
+						t.Fatalf("shards=%d workers=%d node=%d: diverges at %d:\n  single:  %s\n  sharded: %s",
+							shards, workers, nd, i, ref[nd][i], got[nd][i])
 					}
 				}
 			}
@@ -218,44 +214,40 @@ func TestShardedCollidingCrossOrder(t *testing.T) {
 
 // TestShardedPoolChurnSoak is the -race CI job's pooled-scheduler soak:
 // window batching and barrier merges under GOMAXPROCS churn and colliding
-// cross traffic, on both gates, at full concurrency.
+// cross traffic, at full concurrency.
 func TestShardedPoolChurnSoak(t *testing.T) {
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
-	for _, gate := range []gateKind{gateChan, gateCond} {
-		runChurnTrace(t, 8, 8, gate, 5, 150000, []int{1, 8, 2, 8, 1, 4})
-		runtime.GOMAXPROCS(orig)
-		runCollideTrace(t, 8, 8, gate, 200)
-	}
+	runChurnTrace(t, 8, 8, 5, 150000, []int{1, 8, 2, 8, 1, 4})
+	runtime.GOMAXPROCS(orig)
+	runCollideTrace(t, 8, 8, 200)
 }
 
 // Close must release the pool, and the scheduler must keep working after
 // it (a fresh pool spins up on demand).
 func TestShardedClose(t *testing.T) {
-	for _, gate := range []gateKind{gateChan, gateCond} {
-		ss, err := newShardedGate(4, 5, 4, gate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relay := newRelayRing(ss)
-		ss.RunUntil(10000)
-		if ss.pool == nil {
-			t.Fatalf("gate=%d: pool never started", gate)
-		}
-		ss.Close()
-		if ss.pool != nil {
-			t.Fatalf("gate=%d: pool survives Close", gate)
-		}
-		ss.RunUntil(20000)
-		if ss.pool == nil {
-			t.Fatalf("gate=%d: pool not recreated after Close", gate)
-		}
-		if relay.total() == 0 {
-			t.Fatalf("gate=%d: relay ring never ran", gate)
-		}
-		ss.Close()
-		ss.Close() // idempotent
+	ss, err := NewSharded(4, 5, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	relay := newRelayRing(ss)
+	ss.RunUntil(10000)
+	if ss.pool == nil {
+		t.Fatal("pool never started")
+	}
+	ss.Close()
+	if ss.pool != nil {
+		t.Fatal("pool survives Close")
+	}
+	ss.RunUntil(20000)
+	if ss.pool == nil {
+		t.Fatal("pool not recreated after Close")
+	}
+	if relay.total() == 0 {
+		t.Fatal("relay ring never ran")
+	}
+	ss.Close()
+	ss.Close() // idempotent
 }
 
 // relayRing seeds every shard with a self-perpetuating cross-relay to its
@@ -326,30 +318,23 @@ func TestShardedWindowAllocs(t *testing.T) {
 	t.Logf("steady-state allocs per ~%d windows: %.1f", span/5, allocs)
 }
 
-// BenchmarkShardedGate compares the two pool parking primitives on the
-// relay ring: every op is ~200 windows, each waking workers, claiming
-// four shards, and merging four cross queues. The winner is the default
-// gate in NewSharded; DESIGN.md records the measured numbers.
+// BenchmarkShardedGate times the pool's parking gate on the relay ring:
+// every op is ~200 windows, each waking workers, claiming four shards, and
+// merging four cross queues. (The sync.Cond gate it used to be compared
+// with lost on both 2-CPU rows — BENCH_15/16 — and is gone.)
 func BenchmarkShardedGate(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		gate gateKind
-	}{{"chan", gateChan}, {"cond", gateCond}} {
-		b.Run(bc.name, func(b *testing.B) {
-			ss, err := newShardedGate(4, 5, 4, bc.gate)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ss.Close()
-			newRelayRing(ss)
-			ss.RunUntil(1000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			deadline := Time(1000)
-			for i := 0; i < b.N; i++ {
-				deadline += 1000
-				ss.RunUntil(deadline)
-			}
-		})
+	ss, err := NewSharded(4, 5, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ss.Close()
+	newRelayRing(ss)
+	ss.RunUntil(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	deadline := Time(1000)
+	for i := 0; i < b.N; i++ {
+		deadline += 1000
+		ss.RunUntil(deadline)
 	}
 }

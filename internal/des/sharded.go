@@ -58,7 +58,6 @@ type ShardedScheduler struct {
 	shards    []*Scheduler
 	lookahead Time
 	workers   int
-	gate      gateKind
 
 	// cross[src*n+dst] buffers shard src's posts into shard dst during a
 	// window; only src's goroutine appends, only the barrier drains.
@@ -97,12 +96,6 @@ type ShardedScheduler struct {
 // parallel execution is impossible — reject it loudly rather than produce
 // subtly reordered epochs. workers is clamped to [1, shards].
 func NewSharded(shards int, lookahead Time, workers int) (*ShardedScheduler, error) {
-	return newShardedGate(shards, lookahead, workers, gateChan)
-}
-
-// newShardedGate is NewSharded with an explicit pool parking primitive,
-// used by benchmarks to compare the channel and sync.Cond gates.
-func newShardedGate(shards int, lookahead Time, workers int, gate gateKind) (*ShardedScheduler, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("des: NewSharded needs at least 1 shard, got %d", shards)
 	}
@@ -119,7 +112,6 @@ func newShardedGate(shards int, lookahead Time, workers int, gate gateKind) (*Sh
 		shards:    make([]*Scheduler, shards),
 		lookahead: lookahead,
 		workers:   workers,
-		gate:      gate,
 		cross:     make([][]xevent, shards*shards),
 		touched:   make([][]int32, shards),
 		inbound:   make([][]int32, shards),

@@ -1,22 +1,6 @@
 package des
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// gateKind selects the parking primitive pool workers block on between
-// windows. Both gates implement the same protocol; they differ only in
-// wake cost. The channel gate wakes exactly the workers a window needs
-// with one buffered send each; the cond gate broadcasts to every worker
-// and lets the surplus fail to claim a task and park again. The channel
-// gate benchmarks faster (see BenchmarkShardedGate) and is the default.
-type gateKind int32
-
-const (
-	gateChan gateKind = iota
-	gateCond
-)
+import "sync/atomic"
 
 // Pool task phases. The driver publishes the phase before opening the
 // gate; workers read it inside the claim loop.
@@ -27,18 +11,19 @@ const (
 
 // shardPool is the persistent worker pool behind ShardedScheduler. It is
 // created once and reused for every window and barrier of every RunUntil:
-// workers park on the gate, wake when the driver opens a generation, claim
-// tasks from a shared atomic ticket until the window is drained, then park
-// again. The driver always participates in the claim loop itself, so a
+// workers park on the gate — a buffered wake-token channel each, so the
+// driver wakes exactly the workers a window needs with one send apiece —
+// claim tasks from a shared atomic ticket until the window is drained, then
+// park again. The driver always participates in the claim loop itself, so a
 // pool of w-1 goroutines yields w-way concurrency.
 //
 // Memory-model notes, load-bearing for the race-free claim loop:
 //
 //   - The driver writes phase/tasks/target and the window scratch
 //     (busy/horizons or flushDst/inbound) BEFORE opening the gate. The
-//     gate open (a buffered channel send per woken worker, or a mutex
-//     release before Broadcast) is the happens-before edge that publishes
-//     those plain writes to the workers it wakes.
+//     gate open (a buffered channel send per woken worker) is the
+//     happens-before edge that publishes those plain writes to the
+//     workers it wakes.
 //   - Workers that are not woken stay parked and touch nothing, so the
 //     driver's resets of next/exited never race: between dispatches every
 //     previously woken worker has incremented exited and gone back to the
@@ -48,8 +33,7 @@ const (
 //     shared atomic, and the final add's channel send publishes the whole
 //     window to the driver.
 type shardPool struct {
-	ss   *ShardedScheduler
-	kind gateKind
+	ss *ShardedScheduler
 
 	// next is the claim ticket; task k of the window is busy[k] or
 	// flushDst[k] depending on phase.
@@ -65,35 +49,16 @@ type shardPool struct {
 	tasks  int32
 	target int32
 
-	// Channel gate: one buffered wake token slot per worker.
+	// The gate: one buffered wake token slot per worker.
 	wake []chan struct{}
-
-	// Cond gate: generation counter under mu.
-	mu   sync.Mutex
-	cond *sync.Cond
-	gen  uint64
 }
 
-// newShardPool starts n daemon workers parked on the chosen gate.
-func newShardPool(ss *ShardedScheduler, n int, kind gateKind) *shardPool {
-	p := &shardPool{
-		ss:       ss,
-		kind:     kind,
-		finished: make(chan struct{}, 1),
-	}
-	switch kind {
-	case gateChan:
-		p.wake = make([]chan struct{}, n)
-		for i := range p.wake {
-			p.wake[i] = make(chan struct{}, 1)
-			go p.chanWorker(i)
-		}
-	case gateCond:
-		p.cond = sync.NewCond(&p.mu)
-		for i := 0; i < n; i++ {
-			go p.condWorker()
-		}
-		p.target = int32(n)
+// newShardPool starts n daemon workers parked on the gate.
+func newShardPool(ss *ShardedScheduler, n int) *shardPool {
+	p := &shardPool{ss: ss, finished: make(chan struct{}, 1), wake: make([]chan struct{}, n)}
+	for i := range p.wake {
+		p.wake[i] = make(chan struct{}, 1)
+		go p.worker(i)
 	}
 	return p
 }
@@ -101,7 +66,7 @@ func newShardPool(ss *ShardedScheduler, n int, kind gateKind) *shardPool {
 // ensurePool lazily creates the pool the first time a window can use it.
 func (ss *ShardedScheduler) ensurePool() {
 	if ss.pool == nil {
-		ss.pool = newShardPool(ss, ss.workers-1, ss.gate)
+		ss.pool = newShardPool(ss, ss.workers-1)
 	}
 }
 
@@ -113,25 +78,14 @@ func (p *shardPool) dispatch(phase int32, ntasks int) {
 	p.phase = phase
 	p.tasks = int32(ntasks)
 	p.next.Store(0)
-	switch p.kind {
-	case gateChan:
-		// Wake exactly the workers this window can use; the rest stay
-		// parked. The sends never block: a worker's token slot is always
-		// empty here, because the previous dispatch waited for it to
-		// consume the token and exit.
-		w := len(p.wake)
-		if w > ntasks-1 {
-			w = ntasks - 1
-		}
-		p.target = int32(w)
-		for i := 0; i < w; i++ {
-			p.wake[i] <- struct{}{}
-		}
-	case gateCond:
-		p.mu.Lock()
-		p.gen++
-		p.mu.Unlock()
-		p.cond.Broadcast()
+	// Wake exactly the workers this window can use; the rest stay parked.
+	// The sends never block: a worker's token slot is always empty here,
+	// because the previous dispatch waited for it to consume the token and
+	// exit.
+	w := min(len(p.wake), ntasks-1)
+	p.target = int32(w)
+	for i := 0; i < w; i++ {
+		p.wake[i] <- struct{}{}
 	}
 	p.run()
 	<-p.finished
@@ -174,9 +128,9 @@ func (p *shardPool) exit(target int32) {
 	}
 }
 
-// chanWorker parks on its own token slot and services one generation per
+// worker parks on its own token slot and services one generation per
 // token.
-func (p *shardPool) chanWorker(id int) {
+func (p *shardPool) worker(id int) {
 	for range p.wake[id] {
 		if p.stopped.Load() {
 			return
@@ -187,40 +141,12 @@ func (p *shardPool) chanWorker(id int) {
 	}
 }
 
-// condWorker parks on the shared cond and services every generation.
-func (p *shardPool) condWorker() {
-	var seen uint64
-	for {
-		p.mu.Lock()
-		for p.gen == seen && !p.stopped.Load() {
-			p.cond.Wait()
-		}
-		seen = p.gen
-		stop := p.stopped.Load()
-		target := p.target
-		p.mu.Unlock()
-		if stop {
-			return
-		}
-		p.run()
-		p.exit(target)
-	}
-}
-
 // close wakes every parked worker into termination. Must not run
 // concurrently with dispatch; between dispatches all workers are parked,
 // so every token slot is empty and the sends cannot block.
 func (p *shardPool) close() {
 	p.stopped.Store(true)
-	switch p.kind {
-	case gateChan:
-		for i := range p.wake {
-			p.wake[i] <- struct{}{}
-		}
-	case gateCond:
-		p.mu.Lock()
-		p.gen++
-		p.mu.Unlock()
-		p.cond.Broadcast()
+	for i := range p.wake {
+		p.wake[i] <- struct{}{}
 	}
 }

@@ -205,7 +205,7 @@ func newFlowEngine(cfg Config) (*flowEngine, error) {
 	}
 	return &flowEngine{
 		sim: sim,
-		an:  analysis.Options{Detect: cfg.Detect, Parallelism: cfg.Parallelism},
+		an:  analysis.Options{Detect: cfg.Detect},
 	}, nil
 }
 

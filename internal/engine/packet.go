@@ -40,7 +40,7 @@ type packetEngine struct {
 	// reports accumulates the epoch's reports via the cluster's Reporter
 	// hook; the engine analyzes them itself (in canonical order, through
 	// the same settle path as the flow plane and the streaming service)
-	// instead of using the cluster's embedded submission-order agent.
+	// instead of leaving them to the cluster's submission-order analysis.
 	reports []vote.Report
 	// emit, when set by Step, sees each report live as the DES produces it.
 	emit func(vote.Report)
@@ -66,14 +66,14 @@ func newPacketEngine(cfg Config) (*packetEngine, error) {
 	e := &packetEngine{
 		cl:       cl,
 		workload: cfg.Workload,
-		an:       analysis.Options{Detect: cfg.Detect, Parallelism: cfg.Parallelism},
+		an:       analysis.Options{Detect: cfg.Detect},
 	}
 	if e.workload.Pattern == nil {
 		e.workload = packetWorkloadDefault()
 	}
-	// Capture instead of forwarding to the cluster's embedded agent: the
-	// engine runs the analysis itself over the canonical report order, so
-	// the in-DES submission-order analysis would be dead work.
+	// Capture instead of leaving the reports to the cluster's default
+	// Reporter: the engine runs the analysis itself over the canonical
+	// report order, so a submission-order analysis would be dead work.
 	cl.Reporter = func(r vote.Report) {
 		e.reports = append(e.reports, r)
 		if e.emit != nil {
@@ -118,7 +118,7 @@ func (e *packetEngine) Step(emit func(vote.Report)) *EpochResult {
 	e.reports = e.reports[:0]
 	e.emit = emit
 	e.cl.StartWorkload(e.workload, workloadSpread)
-	e.cl.RunEpoch() // embedded-agent result unused; reports analyzed at settle
+	e.cl.RunEpoch() // its (empty) analysis is unused; the reports are analyzed at settle
 	e.emit = nil
 	fr := e.cl.LastEpoch()
 	reports := make([]vote.Report, len(e.reports))

@@ -9,10 +9,10 @@ import (
 	"fmt"
 
 	"vigil/internal/engine"
-	"vigil/internal/netem"
 	"vigil/internal/par"
 	"vigil/internal/report"
 	"vigil/internal/scenario"
+	"vigil/internal/schedule"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 )
@@ -34,7 +34,7 @@ func intermittentSpec(topo topology.Config, prob float64, epochs int) scenario.S
 			l := randomLinks(rng, t, 1)[0]
 			return []scenario.LinkSchedule{{
 				Link: l,
-				Schedule: netem.Intermittent{
+				Schedule: schedule.Intermittent{
 					Rate: rng.Uniform(0.002, 0.008),
 					Prob: prob,
 					Seed: rng.Uint64(),

@@ -189,7 +189,7 @@ func runOne(spec simSpec, seed uint64, parallelism int) (simOutcome, error) {
 	if spec.detect != nil {
 		detectOpts = spec.detect(topo)
 	}
-	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: detectOpts, Parallelism: parallelism})
+	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: detectOpts})
 
 	out := simOutcome{flows: ep.TotalFlows}
 	score := metrics.ScoreVerdicts(res.Verdicts, truth)

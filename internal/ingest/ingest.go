@@ -38,13 +38,14 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
+	"vigil/internal/analysis"
 	"vigil/internal/engine"
 	"vigil/internal/metrics"
 	"vigil/internal/topology"
+	"vigil/internal/transport"
 	"vigil/internal/vote"
 )
 
@@ -125,42 +126,23 @@ type item struct {
 	delayed bool
 	cycle   int32
 	live    bool
-	counts  []agentCount
-}
-
-// agentCount is one agent's expected report count for one epoch.
-type agentCount struct {
-	agent topology.HostID
-	n     int32
-}
-
-// retryReq asks the source to retransmit one report.
-type retryReq struct {
-	id      vote.ReportID
-	attempt uint8
-}
-
-// cycleEnd is the collector→source lockstep handshake: the collector has
-// processed every lane's token for the cycle, and these re-requests are
-// due for retransmission next cycle.
-type cycleEnd struct {
-	cycle   int32
-	retries []retryReq
+	counts  []transport.AgentCount
 }
 
 // Service is the running ingest pipeline. Build with New, drive with Run.
 type Service struct {
-	cfg      Config
-	eng      engine.Engine
-	ctr      *metrics.IngestCounters
-	grace    int
-	lanes    int
-	backoff  int
-	laneIn   []chan []item
-	toCol    chan []item
-	stage    [][]item    // the source's burst under construction, per lane
-	spent    chan []item // emptied bursts on their way back to the stages that fill them
-	cycleEnd chan cycleEnd
+	cfg    Config
+	ctr    *metrics.IngestCounters
+	grace  int
+	lanes  int
+	laneIn []chan []item
+	toCol  chan []item
+	stage  [][]item    // the source's burst under construction, per lane
+	spent  chan []item // emptied bursts on their way back to the stages that fill them
+	// cycleEnd is the collector→source lockstep handshake: the collector has
+	// processed every lane's token for the cycle, and these re-requests are
+	// due for retransmission next cycle.
+	cycleEnd chan []transport.RetryReq
 	laneWG   sync.WaitGroup // the lane goroutines; gates closing toCol
 	wg       sync.WaitGroup // the collector
 
@@ -171,7 +153,7 @@ type Service struct {
 	// within the watermark window.
 	ring []*engine.EpochResult
 
-	pendingRetries []retryReq
+	pendingRetries []transport.RetryReq
 	epochsRun      int
 }
 
@@ -195,40 +177,22 @@ func New(cfg Config) (*Service, error) {
 		// rather than reject.
 		cfg.MaxRetries = 255
 	}
-	s := &Service{cfg: cfg, eng: cfg.Engine, ctr: cfg.Counters}
+	s := &Service{cfg: cfg, ctr: cfg.Counters}
 	if s.ctr == nil {
 		s.ctr = &metrics.IngestCounters{}
 	}
-	s.grace = cfg.Grace
-	if s.grace == 0 {
-		s.grace = 2
-	}
-	s.lanes = cfg.Lanes
-	if s.lanes == 0 {
-		s.lanes = 4
-	}
-	s.backoff = cfg.RetryBackoff
-	if s.backoff == 0 {
-		s.backoff = 1
-	}
-	laneDepth := cfg.LaneDepth
-	if laneDepth == 0 {
-		laneDepth = 256
-	}
-	queueDepth := cfg.QueueDepth
-	if queueDepth == 0 {
-		queueDepth = 1024
-	}
+	s.grace = cmp.Or(cfg.Grace, 2)
+	s.lanes = cmp.Or(cfg.Lanes, 4)
 	s.laneIn = make([]chan []item, s.lanes)
 	for i := range s.laneIn {
-		s.laneIn[i] = make(chan []item, burstsFor(laneDepth))
+		s.laneIn[i] = make(chan []item, burstsFor(cmp.Or(cfg.LaneDepth, 256)))
 	}
-	s.toCol = make(chan []item, burstsFor(queueDepth))
+	s.toCol = make(chan []item, burstsFor(cmp.Or(cfg.QueueDepth, 1024)))
 	s.stage = make([][]item, s.lanes)
 	// Room for every burst that can exist at once: queued, being staged by
 	// the source, and being filled by a lane.
 	s.spent = make(chan []item, s.lanes*cap(s.laneIn[0])+cap(s.toCol)+2*s.lanes)
-	s.cycleEnd = make(chan cycleEnd, 1)
+	s.cycleEnd = make(chan []transport.RetryReq, 1)
 	s.ring = make([]*engine.EpochResult, s.grace+2)
 	return s, nil
 }
@@ -262,11 +226,9 @@ func (s *Service) Run(ctx context.Context, epochs int) error {
 			}
 		}
 		s.emitRetries()
-		res := s.eng.Step(func(r vote.Report) { s.route(r, 0) })
+		res := s.cfg.Engine.Step(func(r vote.Report) { s.route(r, 0) })
 		s.ring[int(cycle)%len(s.ring)] = res
-		s.pushTokens(cycle, res.Reports, true)
-		ce := <-s.cycleEnd
-		s.pendingRetries = ce.retries
+		s.closeCycle(cycle, res.Reports, true)
 		cycle++
 	}
 	s.epochsRun = int(cycle)
@@ -276,9 +238,7 @@ func (s *Service) Run(ctx context.Context, epochs int) error {
 	// flow, so a gap detected in the final epoch gets its re-requests.
 	for d := 0; d < s.grace+s.cfg.Faults.delayMax()+1; d++ {
 		s.emitRetries()
-		s.pushTokens(cycle, nil, false)
-		ce := <-s.cycleEnd
-		s.pendingRetries = ce.retries
+		s.closeCycle(cycle, nil, false)
 		cycle++
 	}
 	for _, ch := range s.laneIn {
@@ -340,56 +300,49 @@ func (s *Service) stageItem(lane int, it item) {
 // of the previous cycle, reading each report back from the ring.
 func (s *Service) emitRetries() {
 	for _, req := range s.pendingRetries {
-		if r, ok := s.lookup(req.id); ok {
-			s.route(r, req.attempt)
+		if r, ok := lookupReport(s.ring, req); ok {
+			s.route(r, req.Attempt)
 		}
 	}
 	s.pendingRetries = nil
 }
 
-// lookup finds a report by identity in the ring's canonical report list.
-func (s *Service) lookup(id vote.ReportID) (vote.Report, bool) {
-	return lookupReport(s.ring, id)
-}
-
-// lookupReport finds a report by identity in a ring of Step results —
-// shared by the in-process source and the networked agent for
+// lookupReport finds the report a re-request names in a ring of Step
+// results — shared by the in-process source and the networked agent for
 // retransmissions.
-func lookupReport(ring []*engine.EpochResult, id vote.ReportID) (vote.Report, bool) {
+func lookupReport(ring []*engine.EpochResult, id transport.RetryReq) (vote.Report, bool) {
 	res := ring[int(id.Epoch)%len(ring)]
 	if res == nil || res.Epoch != int(id.Epoch) {
 		return vote.Report{}, false
 	}
-	rs := res.Reports
-	i := sort.Search(len(rs), func(i int) bool {
-		if rs[i].Src != id.Agent {
-			return rs[i].Src > id.Agent
-		}
-		return rs[i].Seq >= id.Seq
+	i, ok := slices.BinarySearchFunc(res.Reports, id, func(r vote.Report, id transport.RetryReq) int {
+		return cmp.Or(cmp.Compare(r.Src, id.Agent), cmp.Compare(r.Seq, id.Seq))
 	})
-	if i < len(rs) && rs[i].Src == id.Agent && rs[i].Seq == id.Seq {
-		return rs[i], true
+	if !ok {
+		return vote.Report{}, false
 	}
-	return vote.Report{}, false
+	return res.Reports[i], true
 }
 
-// pushTokens ends cycle c on every lane: per-agent expected counts split
+// closeCycle ends cycle c on every lane — per-agent expected counts split
 // by lane, computed from the epoch's canonical report list (agents are
-// contiguous runs).
-func (s *Service) pushTokens(cycle int32, reports []vote.Report, live bool) {
-	perLane := make([][]agentCount, s.lanes)
+// contiguous runs) — then waits for the collector's end-of-cycle handshake
+// and keeps the re-requests it carries for the next cycle.
+func (s *Service) closeCycle(cycle int32, reports []vote.Report, live bool) {
+	perLane := make([][]transport.AgentCount, s.lanes)
 	for i := 0; i < len(reports); {
 		j := i
 		for j < len(reports) && reports[j].Src == reports[i].Src {
 			j++
 		}
 		l := s.laneOf(reports[i].Src)
-		perLane[l] = append(perLane[l], agentCount{agent: reports[i].Src, n: int32(j - i)})
+		perLane[l] = append(perLane[l], transport.AgentCount{Agent: reports[i].Src, N: int32(j - i)})
 		i = j
 	}
 	for l := range s.laneIn {
 		s.stageItem(l, item{kind: itemToken, cycle: cycle, live: live, counts: perLane[l]})
 	}
+	s.pendingRetries = <-s.cycleEnd
 }
 
 // heldItem is a delayed transmission parked in a lane until its release
@@ -491,4 +444,64 @@ func (s *Service) forward(burst []item) {
 		}
 	}
 	s.toCol <- burst
+}
+
+// collector is the settle stage: it drains the merged lane queue into the
+// settle core — one source per lane — and, as cycles complete, settles
+// against the ring's ground truth and hands the lockstep baton (with the
+// due re-requests) back to the source.
+func (s *Service) collector() {
+	defer s.wg.Done()
+	core := newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, cmp.Or(s.cfg.RetryBackoff, 1), s.ctr, -1)
+	for burst := range s.toCol {
+		for i := range burst {
+			it := &burst[i]
+			if it.kind == itemReport {
+				core.report(it.r, it.attempt, it.delayed)
+				continue
+			}
+			core.token(it.cycle, it.live, it.counts)
+			for done, ok := core.next(); ok; done, ok = core.next() {
+				s.endCycle(done)
+			}
+		}
+		s.recycle(burst)
+	}
+}
+
+// endCycle runs once all lanes' tokens for a cycle are in.
+func (s *Service) endCycle(done cycleDone) {
+	if done.live {
+		res := s.ring[int(done.epoch)%len(s.ring)]
+		if res == nil || res.Epoch != int(done.epoch) {
+			// Cannot happen while the ring covers the watermark window; guard
+			// against misconfiguration rather than emit wrong truth.
+			panic("ingest: settled epoch fell out of the ring window")
+		}
+		out := *res // the engine's Step result: the epoch's ground truth
+		deliver(&out, done.accepted, s.cfg.Engine.Analysis(), s.ctr, s.cfg.Sink)
+	}
+	// Queued bursts. The lockstep has drained every queue by now, so this
+	// reads zero unless something upstream broke the handshake.
+	depth := len(s.toCol)
+	for _, ch := range s.laneIn {
+		depth += len(ch)
+	}
+	s.ctr.QueueDepth.Store(int64(depth))
+	s.cycleEnd <- done.retries
+}
+
+// deliver completes a settled epoch — out arrives carrying its ground
+// truth, accepted is what the core let through, in canonical order — with
+// the analysis batch RunEpoch runs, and hands it to the sink. Both
+// collectors settle through here.
+func deliver(out *engine.EpochResult, accepted []vote.Report, opts analysis.Options, ctr *metrics.IngestCounters, sink func(*engine.EpochResult)) {
+	an := analysis.Analyze(accepted, opts)
+	out.Reports, out.Ranking, out.Detected, out.Verdicts = accepted, an.Ranking, an.Detected, an.Verdicts
+	ctr.SettledEpochs.Add(1)
+	ctr.DetectedLinks.Add(int64(len(out.Detected)))
+	ctr.Verdicts.Add(int64(len(out.Verdicts)))
+	if sink != nil {
+		sink(out)
+	}
 }

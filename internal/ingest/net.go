@@ -17,17 +17,16 @@ import (
 	"vigil/internal/vote"
 )
 
-// This file is the networked face of the ingest pipeline: the same
-// gap-detection, bounded-retry, grace-window settle machinery as the
-// in-process Service, but with the agent and the collector on opposite
-// ends of a transport session instead of opposite ends of a channel.
-// RunAgent is the reporter side (drives the engine, ships reports and
-// cycle tokens, answers re-requests); ServeCollector is the vigild side
-// (settles epochs, checkpoints durability, survives crashes). The
-// transport layer below deduplicates and resequences, so this layer sees
-// exactly the at-most-once in-order stream the in-process collector sees —
-// which is why a fault-free networked run settles bit-identical to both
-// the in-process Service and batch RunEpoch.
+// This file is the networked face of the ingest pipeline: the settle core
+// of core.go with the agent and the collector on opposite ends of a
+// transport session instead of opposite ends of a channel. RunAgent is the
+// reporter side (drives the engine, ships reports and cycle tokens, answers
+// re-requests); ServeCollector is the vigild side (settles epochs,
+// checkpoints durability, survives crashes). The transport layer below
+// deduplicates and resequences, so the core sees exactly the at-most-once
+// in-order stream it sees from the in-process lanes — which is why a
+// fault-free networked run settles bit-identical to both the in-process
+// Service and batch RunEpoch.
 
 // AgentConfig parametrizes a networked reporter session.
 type AgentConfig struct {
@@ -146,10 +145,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	if an.Detect.Topo != nil || an.Detect.Adjuster != nil {
 		return fmt.Errorf("ingest: networked agents require wire-expressible analysis options (Detect.Topo and Detect.Adjuster must be nil)")
 	}
-	grace := cfg.Grace
-	if grace == 0 {
-		grace = 2
-	}
+	grace := cmp.Or(cfg.Grace, 2)
 	tc := cfg.Transport
 	tc.Addr = cfg.Addr
 	tc.Session = cfg.Session
@@ -172,8 +168,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	var pending []transport.RetryReq
 	emitRetries := func() error {
 		for _, q := range pending {
-			id := vote.ReportID{Agent: q.Agent, Epoch: q.Epoch, Seq: q.Seq}
-			if r, ok := lookupReport(ring, id); ok {
+			if r, ok := lookupReport(ring, q); ok {
 				if err := cli.SendReport(ctx, r, q.Attempt); err != nil {
 					return err
 				}
@@ -183,9 +178,11 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		return nil
 	}
 
-	cycle := int32(0)
-	for int(cycle) < cfg.Epochs {
-		if cfg.Interval > 0 && cycle > 0 {
+	// Epochs live cycles, then Grace+1 drain cycles that push the watermark
+	// across every started epoch, still answering re-requests along the way.
+	for cycle := int32(0); int(cycle) < cfg.Epochs+grace+1; cycle++ {
+		live := int(cycle) < cfg.Epochs
+		if live && cfg.Interval > 0 && cycle > 0 {
 			t := time.NewTimer(cfg.Interval)
 			select {
 			case <-t.C:
@@ -197,17 +194,21 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		if err := emitRetries(); err != nil {
 			return err
 		}
-		var sendErr error
-		res := eng.Step(func(r vote.Report) {
-			if sendErr == nil {
-				sendErr = cli.SendReport(ctx, r, 0)
+		tok := transport.Token{Cycle: cycle}
+		if live {
+			var sendErr error
+			res := eng.Step(func(r vote.Report) {
+				if sendErr == nil {
+					sendErr = cli.SendReport(ctx, r, 0)
+				}
+			})
+			if sendErr != nil {
+				return sendErr
 			}
-		})
-		if sendErr != nil {
-			return sendErr
+			ring[int(cycle)%len(ring)] = res
+			tok = buildToken(cycle, res)
 		}
-		ring[int(cycle)%len(ring)] = res
-		if err := cli.SendToken(ctx, buildToken(cycle, res)); err != nil {
+		if err := cli.SendToken(ctx, tok); err != nil {
 			return err
 		}
 		ce, err := cli.WaitCycleEnd(ctx, cycle)
@@ -215,23 +216,6 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 			return err
 		}
 		pending = ce.Retries
-		cycle++
-	}
-	// Drain: push the watermark across every started epoch, still
-	// answering re-requests along the way.
-	for d := 0; d < grace+1; d++ {
-		if err := emitRetries(); err != nil {
-			return err
-		}
-		if err := cli.SendToken(ctx, transport.Token{Cycle: cycle, Live: false}); err != nil {
-			return err
-		}
-		ce, err := cli.WaitCycleEnd(ctx, cycle)
-		if err != nil {
-			return err
-		}
-		pending = ce.Retries
-		cycle++
 	}
 	return nil
 }
@@ -249,8 +233,9 @@ type CollectorConfig struct {
 	Grace        int
 	MaxRetries   int
 	RetryBackoff int
-	// Parallelism caps the settle-time analysis workers; results are
-	// identical at every setting.
+	// Parallelism is accepted and ignored: settle-time analysis fans
+	// nothing out. The field stays because bench/ sets it; the next
+	// benchmark PR can drop it from both.
 	Parallelism int
 	// CheckpointPath enables crash recovery; see transport.ServerConfig.
 	CheckpointPath string
@@ -281,7 +266,7 @@ const (
 	evBye
 )
 
-// netReport is one report of a burst: what handleReport needs and no more.
+// netReport is one report of a burst: what the settle core needs and no more.
 type netReport struct {
 	r       vote.Report
 	attempt uint8
@@ -304,33 +289,25 @@ type netEvent struct {
 // sessStage is the burst one session's reader is filling.
 type sessStage struct{ burst []netReport }
 
-// admitRun is the (session, epoch, agent) the last admitted report belonged
-// to, with the state looked up for it. The wire delivers an epoch in
-// canonical order, so a run of one agent's reports pays handleReport's
-// three map operations once.
-type admitRun struct {
+// tokenKey names one session's token for one cycle.
+type tokenKey struct {
+	cycle int32
 	sess  uint64
-	epoch int32
-	src   topology.HostID
-	eps   *epochState
-	ag    *agentEpoch
 }
 
-// NetCollector is the networked settle stage: the in-process collector's
-// per-(agent, epoch) machinery fed by transport sessions instead of lanes,
-// with per-session durable watermarks committed at every settle.
+// NetCollector is the networked settle stage: the settle core fed by
+// transport sessions instead of lanes — one source per session — with ground
+// truth taken from the token summaries and per-session durable watermarks
+// committed at every settle.
 type NetCollector struct {
-	cfg      CollectorConfig
-	ctr      *metrics.IngestCounters
-	grace    int
-	sessions int
-	maxRet   int
-	backoff  int
-	srv      *transport.Server
+	cfg CollectorConfig // Counters is never nil
+	srv *transport.Server
 
-	ev       chan netEvent
-	quit     chan struct{}
-	loopDone chan struct{}
+	ev        chan netEvent
+	quit      chan struct{}
+	closeOnce sync.Once
+	loopDone  chan struct{}
+	err       error // why the loop stopped early; read after loopDone closes
 
 	// Each session's reader stages its reports here, a burst at a time. The
 	// mutex guards the map only: the transport serializes one session's
@@ -340,20 +317,14 @@ type NetCollector struct {
 	spent   chan []netReport // handled bursts on their way back to the readers
 
 	// Collector goroutine state (single-threaded).
-	open        map[int32]*epochState
-	summaries   map[int32]*transport.EpochSummary
-	tokens      map[int32]int               // sessions heard, per cycle
-	tokenSeq    map[int32]map[uint64]uint64 // cycle → session → token frame seq
-	agentSess   map[topology.HostID]uint64  // agent → owning session
-	sessSeen    map[uint64]struct{}
-	lastSettled int32
-	lastSize    int // reports the newest settled epoch accepted: the next one's size hint
-	maxLive     int32
-	nextEnd     int32 // next cycle whose completion runs endCycle
-	run         admitRun
-	byes        int
-	an          analysis.Options
-	anSet       bool
+	core      *settleCore
+	summaries map[int32]*transport.EpochSummary
+	tokenSeq  map[tokenKey]uint64        // the token's frame seq: the mark its epoch's settle commits
+	marks     map[uint64]uint64          // Commit's argument, reused
+	agentSess map[topology.HostID]uint64 // agent → owning session
+	sessSeen  map[uint64]struct{}
+	byes      int
+	an        *analysis.Options // from the first session's handshake
 }
 
 // ServeCollector starts a networked collector. If a checkpoint exists at
@@ -365,41 +336,22 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("ingest: CollectorConfig.Listener is required")
 	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 1
-	}
-	if cfg.Grace == 0 {
-		cfg.Grace = 2
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 1
-	}
-	if cfg.MaxRetries > 255 {
-		cfg.MaxRetries = 255
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 1024
+	cfg.Sessions = max(cfg.Sessions, 1)
+	cfg.MaxRetries = min(cfg.MaxRetries, 255)
+	if cfg.Counters == nil {
+		cfg.Counters = &metrics.IngestCounters{}
 	}
 	c := &NetCollector{
 		cfg:       cfg,
-		ctr:       cfg.Counters,
-		grace:     cfg.Grace,
-		sessions:  cfg.Sessions,
-		maxRet:    cfg.MaxRetries,
-		backoff:   cfg.RetryBackoff,
-		ev:        make(chan netEvent, burstsFor(cfg.QueueDepth)),
+		ev:        make(chan netEvent, burstsFor(cmp.Or(cfg.QueueDepth, 1024))),
 		stage:     make(map[uint64]*sessStage),
 		quit:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
-		open:      make(map[int32]*epochState),
 		summaries: make(map[int32]*transport.EpochSummary),
-		tokens:    make(map[int32]int),
-		tokenSeq:  make(map[int32]map[uint64]uint64),
+		tokenSeq:  make(map[tokenKey]uint64),
+		marks:     make(map[uint64]uint64),
 		agentSess: make(map[topology.HostID]uint64),
 		sessSeen:  make(map[uint64]struct{}),
-	}
-	if c.ctr == nil {
-		c.ctr = &metrics.IngestCounters{}
 	}
 	// Room for every burst that can exist at once: queued, being staged by
 	// a session's reader, and being handled by the collector.
@@ -418,18 +370,17 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 		return nil, err
 	}
 	c.srv = srv
-	c.lastSettled = int32(srv.AppState())
-	c.maxLive = c.lastSettled
-	if c.lastSettled >= 0 {
-		c.nextEnd = c.lastSettled + int32(c.grace) + 1
+	restored := int32(srv.AppState())
+	c.core = newSettleCore(cfg.Sessions, cmp.Or(cfg.Grace, 2), cfg.MaxRetries, cmp.Or(cfg.RetryBackoff, 1), c.cfg.Counters, restored)
+	if restored >= 0 {
 		// The crash may have landed between checkpointing a settle and
 		// delivering its cycle-end; re-offer the newest completed cycle's
-		// end (with no retries — any pre-crash re-requests surface as
-		// Lost, which conservation accounts for) so no agent stays stuck.
+		// end (with no retries — the open epochs' gaps are re-requested
+		// once their tokens have been replayed) so no agent stays stuck.
 		// Agents that already saw it ignore the stale re-send.
 		for _, id := range srv.SessionIDs() {
 			c.sessSeen[id] = struct{}{}
-			srv.SendCycleEnd(id, transport.CycleEnd{Cycle: c.nextEnd - 1})
+			srv.SendCycleEnd(id, transport.CycleEnd{Cycle: c.core.nextEnd - 1})
 		}
 	}
 	go c.loop()
@@ -505,16 +456,17 @@ func (h *netHandler) OnBye(sess uint64) {
 func (c *NetCollector) Addr() string { return c.srv.Addr() }
 
 // Counters returns the live ingest counters.
-func (c *NetCollector) Counters() *metrics.IngestCounters { return c.ctr }
+func (c *NetCollector) Counters() *metrics.IngestCounters { return c.cfg.Counters }
 
 // TransportCounters returns the live wire-level counters.
 func (c *NetCollector) TransportCounters() *metrics.TransportCounters { return c.srv.Counters() }
 
-// Wait blocks until every session has closed cleanly (or ctx ends).
+// Wait blocks until every session has closed cleanly (nil), the collector
+// stopped on a failed checkpoint (that error), or ctx ends.
 func (c *NetCollector) Wait(ctx context.Context) error {
 	select {
 	case <-c.loopDone:
-		return nil
+		return c.err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -524,26 +476,25 @@ func (c *NetCollector) Wait(ctx context.Context) error {
 // beyond the last settle-time Commit is exactly what crash recovery
 // rebuilds, so Close mid-run IS the simulated crash.
 func (c *NetCollector) Close() error {
-	select {
-	case <-c.quit:
-	default:
-		close(c.quit)
-	}
+	c.closeOnce.Do(func() { close(c.quit) })
 	return c.srv.Close()
 }
 
 func (c *NetCollector) loop() {
 	defer close(c.loopDone)
-	for {
+	for c.byes < c.cfg.Sessions && c.err == nil {
 		select {
 		case e := <-c.ev:
 			c.handle(e)
-			if c.byes >= c.sessions {
-				return
-			}
 		case <-c.quit:
 			return
 		}
+	}
+	if c.err != nil {
+		// A checkpoint that cannot be written stops the collector the way a
+		// crash would: nothing past the last good Commit was acked, so a
+		// restart over a working disk resumes from there.
+		c.Close()
 	}
 }
 
@@ -551,19 +502,19 @@ func (c *NetCollector) handle(e netEvent) {
 	switch e.kind {
 	case evHello:
 		c.sessSeen[e.sess] = struct{}{}
-		if !c.anSet {
-			c.an = analysis.Options{
-				Detect: vote.DetectOptions{
-					ThresholdFrac: e.hello.ThresholdFrac,
-					MaxLinks:      int(e.hello.MaxLinks),
-				},
-				Parallelism: c.cfg.Parallelism,
-			}
-			c.anSet = true
+		if c.an == nil {
+			c.an = &analysis.Options{Detect: vote.DetectOptions{
+				ThresholdFrac: e.hello.ThresholdFrac,
+				MaxLinks:      int(e.hello.MaxLinks),
+			}}
 		}
 	case evReports:
-		for _, it := range e.reports {
-			c.handleReport(e.sess, it.r, it.attempt)
+		// The transport has already deduplicated the wire (replays,
+		// proxy-injected duplicates of the same frame), so duplicates the core
+		// sees here are ingest-level ones: the same identity re-sent as a retry
+		// answer that crossed its own recovery.
+		for i := range e.reports {
+			c.core.report(e.reports[i].r, e.reports[i].attempt, false)
 		}
 		clear(e.reports) // drop the path references
 		select {
@@ -571,192 +522,102 @@ func (c *NetCollector) handle(e netEvent) {
 		default:
 		}
 	case evToken:
-		c.handleToken(e.sess, e.seq, *e.tok)
+		c.handleToken(e.sess, e.seq, e.tok)
 	case evBye:
 		c.byes++
 	}
 }
 
-// handleReport admits one report — the networked twin of
-// Service.onReport. The transport has already deduplicated the wire
-// (replays, proxy-injected duplicates of the same frame), so duplicates
-// seen here are ingest-level ones: the same identity re-sent as a retry
-// answer that crossed its own recovery.
-func (c *NetCollector) handleReport(sess uint64, r vote.Report, attempt uint8) {
-	c.ctr.Received.Add(1)
-	if malformed(r) {
-		c.ctr.Rejected.Add(1)
-		return
-	}
-	if r.Epoch <= c.lastSettled {
-		c.ctr.LateDropped.Add(1)
-		return
-	}
-	if run := &c.run; run.ag == nil || run.src != r.Src || run.epoch != r.Epoch || run.sess != sess {
-		c.agentSess[r.Src] = sess
-		run.sess, run.epoch, run.src = sess, r.Epoch, r.Src
-		run.eps = openEpoch(c.open, r.Epoch, c.lastSize)
-		run.ag = run.eps.agent(r.Src)
-	}
-	eps := c.run.eps
-	if c.run.ag.mark(r.Seq) {
-		c.ctr.Duplicates.Add(1)
-		return
-	}
-	c.ctr.Accepted.Add(1)
-	if eps.missing != nil {
-		id := r.ID()
-		if _, was := eps.missing[id]; was {
-			delete(eps.missing, id)
-			if attempt > 0 {
-				c.ctr.Recovered.Add(1)
-			}
-		}
-	}
-	eps.accepted = append(eps.accepted, r)
-}
-
-// handleToken merges one session's cycle token. Tokens replayed after a
-// restart rebuild open epochs' expected counts and summaries without
-// re-firing already-completed cycles: only cycles at or past nextEnd count
-// toward completion, and completion fires strictly in cycle order.
-func (c *NetCollector) handleToken(sess uint64, seq uint64, t transport.Token) {
+// handleToken keeps what the core has no use for — which session owns an
+// agent, the epoch's summary, the token's frame sequence (the mark a settle
+// commits) — and feeds the core. Tokens replayed after a restart rebuild
+// the open epochs without re-firing already-completed cycles; that is the
+// core's nextEnd.
+func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) {
 	c.sessSeen[sess] = struct{}{}
-	if t.Cycle > c.lastSettled {
-		if len(t.Counts) > 0 {
-			eps := openEpoch(c.open, t.Cycle, c.lastSize)
-			for _, ac := range t.Counts {
-				c.agentSess[ac.Agent] = sess
-				eps.agent(ac.Agent).expected = ac.N
-				eps.expected += int64(ac.N)
-			}
+	if t.Cycle > c.core.lastSettled {
+		for _, ac := range t.Counts {
+			c.agentSess[ac.Agent] = sess
 		}
 		if t.Summary != nil && c.summaries[t.Cycle] == nil {
 			c.summaries[t.Cycle] = t.Summary
 		}
-		m := c.tokenSeq[t.Cycle]
-		if m == nil {
-			m = make(map[uint64]uint64, c.sessions)
-			c.tokenSeq[t.Cycle] = m
-		}
-		m[sess] = seq
+		c.tokenSeq[tokenKey{t.Cycle, sess}] = seq
 	}
-	if t.Live && t.Cycle > c.maxLive {
-		c.maxLive = t.Cycle
-	}
-	if t.Cycle < c.nextEnd {
-		return // replayed token for an already-completed cycle
-	}
-	c.tokens[t.Cycle]++
-	for c.tokens[c.nextEnd] >= c.sessions {
-		cycle := c.nextEnd
-		delete(c.tokens, cycle)
-		c.nextEnd++
-		c.endCycle(cycle)
+	c.core.token(t.Cycle, t.Live, t.Counts)
+	for done, ok := c.core.next(); ok && c.err == nil; done, ok = c.core.next() {
+		c.endCycle(done)
 	}
 }
 
-// endCycle mirrors Service.endCycle: seal the completed cycle's epoch,
-// collect due re-requests across open epochs, settle the epoch crossing
-// the watermark, then fan the cycle-end (with each session's retries) out
-// to every session.
-func (c *NetCollector) endCycle(cycle int32) {
-	if eps := c.open[cycle]; eps != nil {
-		sealEpochGaps(eps)
-	}
-	var retries []retryReq
-	for _, eps := range c.open {
-		retries = collectRetriesFor(eps, cycle, c.maxRet, c.backoff, c.ctr, retries)
-	}
-	sortRetries(retries)
-	if e := cycle - int32(c.grace); e >= 0 {
-		c.settle(e)
-	}
-	c.ctr.OpenEpochs.Store(int64(len(c.open)))
-	c.ctr.WatermarkLag.Store(int64(cycle - c.lastSettled))
-	c.ctr.QueueDepth.Store(int64(len(c.ev)))
-
-	perSess := make(map[uint64][]transport.RetryReq)
-	for _, q := range retries {
-		sess, ok := c.agentSess[q.id.Agent]
-		if !ok {
-			continue // unreachable: missing identities come from session tokens
+// endCycle settles the epoch that crossed the watermark, then fans the
+// cycle-end (with each session's share of the re-requests) out to every
+// session.
+func (c *NetCollector) endCycle(done cycleDone) {
+	if done.settled {
+		if c.err = c.settle(done); c.err != nil {
+			return
 		}
-		perSess[sess] = append(perSess[sess], transport.RetryReq{
-			Agent: q.id.Agent, Epoch: q.id.Epoch, Seq: q.id.Seq, Attempt: q.attempt,
-		})
+	}
+	c.cfg.Counters.QueueDepth.Store(int64(len(c.ev)))
+	var perSess map[uint64][]transport.RetryReq
+	for _, q := range done.retries {
+		// Missing identities come from session tokens, so the agent is known.
+		if perSess == nil {
+			perSess = make(map[uint64][]transport.RetryReq)
+		}
+		sess := c.agentSess[q.Agent]
+		perSess[sess] = append(perSess[sess], q)
 	}
 	for sess := range c.sessSeen {
-		c.srv.SendCycleEnd(sess, transport.CycleEnd{Cycle: cycle, Retries: perSess[sess]})
+		c.srv.SendCycleEnd(sess, transport.CycleEnd{Cycle: done.cycle, Retries: perSess[sess]})
 	}
 }
 
-// settle closes epoch e exactly once across collector incarnations: the
-// conservation invariant is asserted, the accepted reports are analyzed
-// with the handshake-derived options, the result goes to the sink, and
-// THEN the settle is committed — checkpoint plus durable acks up to each
-// session's token for e — so a crash at any point either re-settles e
-// from replay (sink sees it again, dedupable by epoch) or finds it
-// durably behind the watermark.
-func (c *NetCollector) settle(e int32) {
-	if e <= c.lastSettled {
-		return
-	}
-	eps := c.open[e]
-	delete(c.open, e)
-	c.lastSettled = e
-	c.run = admitRun{} // it may point into the epoch that just closed
+// settle delivers epoch done.epoch exactly once across collector
+// incarnations: the result, built on the summary its token carried, goes to
+// the sink, and THEN the settle is committed — checkpoint plus durable acks
+// up to each session's token for the epoch — so a crash at any point either
+// re-settles it from replay (sink sees it again, dedupable by epoch) or
+// finds it durably behind the watermark. A drain cycle's epoch commits too,
+// so the drain tokens are durably acked.
+func (c *NetCollector) settle(done cycleDone) error {
+	e := done.epoch
 	sum := c.summaries[e]
 	delete(c.summaries, e)
-	marks := c.tokenSeq[e]
-	delete(c.tokenSeq, e)
-	if e > c.maxLive {
-		// A drain cycle: nothing was expected; still commit so the drain
-		// tokens are durably acked.
-		c.srv.Commit(int64(e), marks)
-		return
-	}
-	if sum == nil {
-		panic("ingest: live epoch settled without a summary token")
-	}
-	var accepted []vote.Report
-	if eps != nil {
-		if int64(len(eps.accepted)+len(eps.missing)) != eps.expected {
-			panic("ingest: epoch conservation violated (accepted + lost != expected)")
-		}
-		c.ctr.Lost.Add(int64(len(eps.missing)))
-		accepted = eps.accepted
-		c.lastSize = len(accepted)
-	}
-	vote.SortCanonical(accepted)
-	an := analysis.Analyze(accepted, c.an)
-	out := &engine.EpochResult{
-		Epoch:       int(sum.Epoch),
-		Reports:     accepted,
-		Ranking:     an.Ranking,
-		Detected:    an.Detected,
-		Verdicts:    an.Verdicts,
-		TotalFlows:  int(sum.TotalFlows),
-		FailedFlows: int(sum.FailedFlows),
-		TotalDrops:  int(sum.TotalDrops),
-	}
-	if sum.HasFailed {
-		out.FailedLinks = sum.FailedLinks
-		if out.FailedLinks == nil {
-			out.FailedLinks = []topology.LinkID{}
+	clear(c.marks)
+	for sess := range c.sessSeen {
+		if seq, ok := c.tokenSeq[tokenKey{e, sess}]; ok {
+			c.marks[sess] = seq
+			delete(c.tokenSeq, tokenKey{e, sess})
 		}
 	}
-	if sum.HasTruth {
-		out.Truth = make(map[int64]metrics.FlowTruth, len(sum.Truth))
-		for _, te := range sum.Truth {
-			out.Truth[te.FlowID] = metrics.FlowTruth{Culprit: te.Culprit, CrossedFailure: te.CrossedFailure}
+	if done.live {
+		if sum == nil {
+			panic("ingest: live epoch settled without a summary token")
 		}
+		out := &engine.EpochResult{
+			Epoch:       int(sum.Epoch),
+			TotalFlows:  int(sum.TotalFlows),
+			FailedFlows: int(sum.FailedFlows),
+			TotalDrops:  int(sum.TotalDrops),
+		}
+		if sum.HasFailed {
+			out.FailedLinks = sum.FailedLinks
+			if out.FailedLinks == nil {
+				out.FailedLinks = []topology.LinkID{}
+			}
+		}
+		if sum.HasTruth {
+			out.Truth = make(map[int64]metrics.FlowTruth, len(sum.Truth))
+			for _, te := range sum.Truth {
+				out.Truth[te.FlowID] = metrics.FlowTruth{Culprit: te.Culprit, CrossedFailure: te.CrossedFailure}
+			}
+		}
+		deliver(out, done.accepted, *c.an, c.cfg.Counters, c.cfg.Sink)
 	}
-	c.ctr.SettledEpochs.Add(1)
-	c.ctr.DetectedLinks.Add(int64(len(out.Detected)))
-	c.ctr.Verdicts.Add(int64(len(out.Verdicts)))
-	if c.cfg.Sink != nil {
-		c.cfg.Sink(out)
+	if err := c.srv.Commit(int64(e), c.marks); err != nil {
+		return fmt.Errorf("ingest: checkpoint after epoch %d: %w", e, err)
 	}
-	c.srv.Commit(int64(e), marks)
+	return nil
 }

@@ -1,10 +1,9 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -91,46 +90,24 @@ func (e *EpochExporter) ObserveConformance(scenario string, d Detection) {
 // settle.
 func (e *EpochExporter) Snapshot() *EpochSnapshot { return e.snap.Load() }
 
-// escapeLabel escapes a Prometheus label value.
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
-
 // WritePrometheus renders the epoch and scenario series. Scenario order
 // is sorted so scrapes are stable.
 func (e *EpochExporter) WritePrometheus(w io.Writer) error {
+	p := promWriter{w: w}
 	if s := e.snap.Load(); s != nil {
-		if _, err := fmt.Fprintf(w,
-			"# HELP vigil_epoch_last_settled Newest epoch with a settled detection result.\n"+
-				"# TYPE vigil_epoch_last_settled gauge\nvigil_epoch_last_settled %d\n", s.Epoch); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w,
-			"# HELP vigil_epoch_top_link_votes Vote mass of the last settled epoch's top-ranked links.\n"+
-				"# TYPE vigil_epoch_top_link_votes gauge\n"); err != nil {
-			return err
-		}
+		p.family("vigil_epoch_last_settled", "Newest epoch with a settled detection result.", true)
+		p.sample(s.Epoch)
+		p.family("vigil_epoch_top_link_votes", "Vote mass of the last settled epoch's top-ranked links.", true)
 		for i, l := range s.TopLinks {
-			if _, err := fmt.Fprintf(w, "vigil_epoch_top_link_votes{rank=\"%d\",link=\"%s\"} %g\n",
-				i+1, escapeLabel(l.Link), l.Votes); err != nil {
-				return err
-			}
+			p.sample(l.Votes, "rank", strconv.Itoa(i+1), "link", l.Link)
 		}
-		if _, err := fmt.Fprintf(w,
-			"# HELP vigil_epoch_top_link_detected Whether the ranked link is in Algorithm 1's detected set.\n"+
-				"# TYPE vigil_epoch_top_link_detected gauge\n"); err != nil {
-			return err
-		}
+		p.family("vigil_epoch_top_link_detected", "Whether the ranked link is in Algorithm 1's detected set.", true)
 		for i, l := range s.TopLinks {
 			v := 0
 			if l.Detected {
 				v = 1
 			}
-			if _, err := fmt.Fprintf(w, "vigil_epoch_top_link_detected{rank=\"%d\",link=\"%s\"} %d\n",
-				i+1, escapeLabel(l.Link), v); err != nil {
-				return err
-			}
+			p.sample(v, "rank", strconv.Itoa(i+1), "link", l.Link)
 		}
 	}
 	type scenEntry struct {
@@ -144,36 +121,31 @@ func (e *EpochExporter) WritePrometheus(w io.Writer) error {
 	}
 	e.mu.Unlock()
 	if len(entries) == 0 {
-		return nil
+		return p.err
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	series := []struct {
-		name, help, kind string
-		load             func(sc *scenarioScore) string
+	for _, m := range []struct {
+		name, help string
+		gauge      bool
+		load       func(sc *scenarioScore) any
 	}{
-		{"vigil_scenario_precision", "Detection precision of the scenario's newest settled epoch.", "gauge",
-			func(sc *scenarioScore) string { return fmt.Sprintf("%g", sc.last.Precision) }},
-		{"vigil_scenario_recall", "Detection recall of the scenario's newest settled epoch.", "gauge",
-			func(sc *scenarioScore) string { return fmt.Sprintf("%g", sc.last.Recall) }},
-		{"vigil_scenario_epochs_total", "Epochs scored against this scenario.", "counter",
-			func(sc *scenarioScore) string { return fmt.Sprintf("%d", sc.epochs) }},
-		{"vigil_scenario_true_positives_total", "Cumulative correctly detected failed links.", "counter",
-			func(sc *scenarioScore) string { return fmt.Sprintf("%d", sc.truePos) }},
-		{"vigil_scenario_false_positives_total", "Cumulative links detected that had not failed.", "counter",
-			func(sc *scenarioScore) string { return fmt.Sprintf("%d", sc.falsePos) }},
-		{"vigil_scenario_false_negatives_total", "Cumulative failed links that went undetected.", "counter",
-			func(sc *scenarioScore) string { return fmt.Sprintf("%d", sc.falseNeg) }},
-	}
-	for _, m := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind); err != nil {
-			return err
-		}
+		{"vigil_scenario_precision", "Detection precision of the scenario's newest settled epoch.", true,
+			func(sc *scenarioScore) any { return sc.last.Precision }},
+		{"vigil_scenario_recall", "Detection recall of the scenario's newest settled epoch.", true,
+			func(sc *scenarioScore) any { return sc.last.Recall }},
+		{"vigil_scenario_epochs_total", "Epochs scored against this scenario.", false,
+			func(sc *scenarioScore) any { return sc.epochs }},
+		{"vigil_scenario_true_positives_total", "Cumulative correctly detected failed links.", false,
+			func(sc *scenarioScore) any { return sc.truePos }},
+		{"vigil_scenario_false_positives_total", "Cumulative links detected that had not failed.", false,
+			func(sc *scenarioScore) any { return sc.falsePos }},
+		{"vigil_scenario_false_negatives_total", "Cumulative failed links that went undetected.", false,
+			func(sc *scenarioScore) any { return sc.falseNeg }},
+	} {
+		p.family(m.name, m.help, m.gauge)
 		for i := range entries {
-			if _, err := fmt.Fprintf(w, "%s{scenario=\"%s\"} %s\n",
-				m.name, escapeLabel(entries[i].name), m.load(&entries[i].sc)); err != nil {
-				return err
-			}
+			p.sample(m.load(&entries[i].sc), "scenario", entries[i].name)
 		}
 	}
-	return nil
+	return p.err
 }

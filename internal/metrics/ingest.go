@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 )
@@ -41,22 +40,15 @@ type IngestCounters struct {
 	QueueDepth   atomic.Int64 // reports sitting in ingest queues right now
 
 	// Injected by the fault layer (ground truth for the observed side).
-	InjDrops        atomic.Int64 // reports dropped outright
-	InjDuplicates   atomic.Int64 // reports delivered twice
-	InjLateInGrace  atomic.Int64 // reports delayed but within the grace window
+	InjDrops         atomic.Int64 // reports dropped outright
+	InjDuplicates    atomic.Int64 // reports delivered twice
+	InjLateInGrace   atomic.Int64 // reports delayed but within the grace window
 	InjLatePastGrace atomic.Int64 // reports delayed past the grace window
-	InjBurstDrops   atomic.Int64 // reports lost to burst-loss windows
-	InjCrashDrops   atomic.Int64 // reports lost to agent crashes
+	InjBurstDrops    atomic.Int64 // reports lost to burst-loss windows
+	InjCrashDrops    atomic.Int64 // reports lost to agent crashes
 }
 
-// ingestMetric is one exported series: name, help, kind and a loader.
-type ingestMetric struct {
-	name, help string
-	gauge      bool
-	load       func(c *IngestCounters) int64
-}
-
-var ingestMetrics = []ingestMetric{
+var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_received_total", "Reports that reached the collector, duplicates included.", false, func(c *IngestCounters) int64 { return c.Received.Load() }},
 	{"vigil_ingest_accepted_total", "Reports admitted into a not-yet-settled epoch.", false, func(c *IngestCounters) int64 { return c.Accepted.Load() }},
 	{"vigil_ingest_duplicates_total", "Reports suppressed as duplicates of an already-seen identity.", false, func(c *IngestCounters) int64 { return c.Duplicates.Load() }},
@@ -82,18 +74,5 @@ var ingestMetrics = []ingestMetric{
 }
 
 // WritePrometheus renders the counters in the Prometheus text exposition
-// format (one HELP/TYPE pair per series). It reads each counter exactly
-// once, so a scrape is a consistent-enough snapshot for monotonic counters.
-func (c *IngestCounters) WritePrometheus(w io.Writer) error {
-	for _, m := range ingestMetrics {
-		kind := "counter"
-		if m.gauge {
-			kind = "gauge"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			m.name, m.help, m.name, kind, m.name, m.load(c)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// format.
+func (c *IngestCounters) WritePrometheus(w io.Writer) error { return writeSeries(w, c, ingestMetrics) }

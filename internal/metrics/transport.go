@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -60,13 +59,7 @@ func (c *TransportCounters) CheckpointAgeSeconds() int64 {
 	return age
 }
 
-type transportMetric struct {
-	name, help string
-	gauge      bool
-	load       func(c *TransportCounters) int64
-}
-
-var transportMetrics = []transportMetric{
+var transportMetrics = []series[TransportCounters]{
 	{"vigil_transport_dials_total", "TCP dial attempts by agent sessions.", false, func(c *TransportCounters) int64 { return c.Dials.Load() }},
 	{"vigil_transport_dial_failures_total", "Dial attempts that failed (connection refused, timeout, partition).", false, func(c *TransportCounters) int64 { return c.DialFailures.Load() }},
 	{"vigil_transport_reconnects_total", "TCP connections re-established after a session loss.", false, func(c *TransportCounters) int64 { return c.Reconnects.Load() }},
@@ -88,17 +81,7 @@ var transportMetrics = []transportMetric{
 }
 
 // WritePrometheus renders the counters in the Prometheus text exposition
-// format, one HELP/TYPE pair per series, reading each counter exactly once.
+// format.
 func (c *TransportCounters) WritePrometheus(w io.Writer) error {
-	for _, m := range transportMetrics {
-		kind := "counter"
-		if m.gauge {
-			kind = "gauge"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			m.name, m.help, m.name, kind, m.name, m.load(c)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeSeries(w, c, transportMetrics)
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vigil/internal/schedule"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
 )
@@ -45,7 +46,7 @@ func churn(s *Sim, epoch int) {
 	l2 := topo.LinksOfClass(topology.L2Down)[1]
 	switch epoch {
 	case 0:
-		s.Schedule(l2, Flap{Rate: 0.05, Period: 2, On: 1})
+		s.Schedule(l2, schedule.Flap{Rate: 0.05, Period: 2, On: 1})
 		s.InjectFailure(l1, 0.02)
 	case 2:
 		s.InjectFailure(l1, 0.06) // rate change on a failed link
@@ -178,7 +179,7 @@ func TestDatacenterEpochShort(t *testing.T) {
 	delta, full := mk(true), mk(true)
 	l := topo.LinksOfClass(topology.L2Down)[5]
 	for _, s := range []*Sim{delta, full} {
-		s.Schedule(l, Flap{Rate: 0.05, Period: 2, On: 1})
+		s.Schedule(l, schedule.Flap{Rate: 0.05, Period: 2, On: 1})
 	}
 	for e := 0; e < 3; e++ {
 		full.RescoreAll()

@@ -2,12 +2,11 @@
 // schedules, shared with the packet plane through internal/schedule.
 //
 // The shapes (ConstantRate, Window, Flap, Intermittent) live in package
-// schedule so both planes script dynamics from one vocabulary; the aliases
-// below keep netem's public surface unchanged. Schedules are applied
-// sequentially at the top of RunEpoch, before any parallel fan-out, so they
-// add nothing to the survival-gated hot path and cannot perturb the
-// cross-parallelism determinism contract: by the time workers start, the
-// per-link rate/logq/isFailed vectors are fixed for the epoch.
+// schedule so both planes script dynamics from one vocabulary. Schedules
+// are applied sequentially at the top of RunEpoch, before any parallel
+// fan-out, so they add nothing to the survival-gated hot path and cannot
+// perturb the cross-parallelism determinism contract: by the time workers
+// start, the per-link rate/logq/isFailed vectors are fixed for the epoch.
 package netem
 
 import (
@@ -17,25 +16,10 @@ import (
 	"vigil/internal/topology"
 )
 
-// Schedule shapes, re-exported from the shared plane-agnostic package so
-// existing netem call sites keep compiling unchanged.
-type (
-	// RateSchedule gives a link's drop rate for each epoch.
-	RateSchedule = schedule.RateSchedule
-	// ConstantRate fails the link at Rate in every epoch.
-	ConstantRate = schedule.ConstantRate
-	// Window fails the link at Rate during epochs [Start, End).
-	Window = schedule.Window
-	// Flap cycles the link through an on/off duty cycle.
-	Flap = schedule.Flap
-	// Intermittent fails the link in a random Prob fraction of epochs.
-	Intermittent = schedule.Intermittent
-)
-
 // linkSchedule pairs a scheduled link with its script.
 type linkSchedule struct {
 	link  topology.LinkID
-	sched RateSchedule
+	sched schedule.RateSchedule
 }
 
 // Schedule attaches sched to link l, to be applied at the start of every
@@ -43,7 +27,7 @@ type linkSchedule struct {
 // is re-injected (active) or restored to its noise rate (inactive),
 // overriding any manual InjectFailure/ClearFailure on the same link. If a
 // link is scheduled twice the later registration wins (it is applied last).
-func (s *Sim) Schedule(l topology.LinkID, sched RateSchedule) {
+func (s *Sim) Schedule(l topology.LinkID, sched schedule.RateSchedule) {
 	s.schedules = append(s.schedules, linkSchedule{link: l, sched: sched})
 }
 

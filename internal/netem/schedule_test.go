@@ -5,24 +5,25 @@ import (
 	"reflect"
 	"testing"
 
+	"vigil/internal/schedule"
 	"vigil/internal/topology"
 )
 
 func TestScheduleShapes(t *testing.T) {
 	cases := []struct {
 		name  string
-		sched RateSchedule
+		sched schedule.RateSchedule
 		// active[i] is the wanted activity flag for epoch i.
 		active []bool
 	}{
-		{"constant", ConstantRate{Rate: 0.1}, []bool{true, true, true, true}},
-		{"window", Window{Rate: 0.1, Start: 1, End: 3}, []bool{false, true, true, false, false}},
-		{"flap-50", Flap{Rate: 0.1, Period: 4, On: 2}, []bool{true, true, false, false, true, true, false, false}},
-		{"flap-phase", Flap{Rate: 0.1, Period: 4, On: 2, Phase: 3}, []bool{false, true, true, false, false, true}},
-		{"flap-degenerate-period", Flap{Rate: 0.1, Period: 0, On: 1}, []bool{false, false}},
-		{"flap-degenerate-on", Flap{Rate: 0.1, Period: 4, On: 0}, []bool{false, false}},
-		{"intermittent-always", Intermittent{Rate: 0.1, Prob: 1, Seed: 9}, []bool{true, true, true}},
-		{"intermittent-never", Intermittent{Rate: 0.1, Prob: 0, Seed: 9}, []bool{false, false, false}},
+		{"constant", schedule.ConstantRate{Rate: 0.1}, []bool{true, true, true, true}},
+		{"window", schedule.Window{Rate: 0.1, Start: 1, End: 3}, []bool{false, true, true, false, false}},
+		{"flap-50", schedule.Flap{Rate: 0.1, Period: 4, On: 2}, []bool{true, true, false, false, true, true, false, false}},
+		{"flap-phase", schedule.Flap{Rate: 0.1, Period: 4, On: 2, Phase: 3}, []bool{false, true, true, false, false, true}},
+		{"flap-degenerate-period", schedule.Flap{Rate: 0.1, Period: 0, On: 1}, []bool{false, false}},
+		{"flap-degenerate-on", schedule.Flap{Rate: 0.1, Period: 4, On: 0}, []bool{false, false}},
+		{"intermittent-always", schedule.Intermittent{Rate: 0.1, Prob: 1, Seed: 9}, []bool{true, true, true}},
+		{"intermittent-never", schedule.Intermittent{Rate: 0.1, Prob: 0, Seed: 9}, []bool{false, false, false}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,7 +44,7 @@ func TestScheduleShapes(t *testing.T) {
 // in any order yields the same membership, and the empirical on-fraction
 // tracks Prob.
 func TestIntermittentIsPureAndCalibrated(t *testing.T) {
-	s := Intermittent{Rate: 0.01, Prob: 0.3, Seed: 42}
+	s := schedule.Intermittent{Rate: 0.01, Prob: 0.3, Seed: 42}
 	const n = 10000
 	on := 0
 	for e := n - 1; e >= 0; e-- { // reverse order on purpose
@@ -67,7 +68,7 @@ func TestIntermittentIsPureAndCalibrated(t *testing.T) {
 func TestScheduledEpochsFollowScript(t *testing.T) {
 	s := smallSim(t, 11)
 	bad := s.Topology().LinksOfClass(topology.L1Up)[1]
-	s.Schedule(bad, Window{Rate: 0.2, Start: 1, End: 3})
+	s.Schedule(bad, schedule.Window{Rate: 0.2, Start: 1, End: 3})
 	for e := 0; e < 5; e++ {
 		if got := s.EpochIndex(); got != e {
 			t.Fatalf("EpochIndex = %d before epoch %d", got, e)
@@ -94,8 +95,8 @@ func TestScheduledEpochsFollowScript(t *testing.T) {
 func TestScheduleOwnsLink(t *testing.T) {
 	s := smallSim(t, 12)
 	bad := s.Topology().LinksOfClass(topology.L1Down)[0]
-	s.Schedule(bad, Window{Rate: 0.1, Start: 10, End: 11}) // inactive for epochs 0..9
-	s.InjectFailure(bad, 0.5)                              // manual injection, overridden
+	s.Schedule(bad, schedule.Window{Rate: 0.1, Start: 10, End: 11}) // inactive for epochs 0..9
+	s.InjectFailure(bad, 0.5)                                       // manual injection, overridden
 	ep := s.RunEpoch()
 	if len(ep.FailedLinks) != 0 {
 		t.Fatalf("inactive schedule kept manual injection: %v", ep.FailedLinks)
@@ -116,8 +117,8 @@ func TestScheduleOwnsLink(t *testing.T) {
 func TestScheduleLastRegistrationWins(t *testing.T) {
 	s := smallSim(t, 13)
 	bad := s.Topology().LinksOfClass(topology.L1Up)[3]
-	s.Schedule(bad, ConstantRate{Rate: 0.3})
-	s.Schedule(bad, Window{Rate: 0.3, Start: 5, End: 6}) // inactive now
+	s.Schedule(bad, schedule.ConstantRate{Rate: 0.3})
+	s.Schedule(bad, schedule.Window{Rate: 0.3, Start: 5, End: 6}) // inactive now
 	ep := s.RunEpoch()
 	if len(ep.FailedLinks) != 0 {
 		t.Fatalf("earlier schedule won: FailedLinks = %v", ep.FailedLinks)
@@ -151,7 +152,7 @@ func TestScheduleBadRatePanics(t *testing.T) {
 // failure snapshot: consecutive epochs share the same backing array.
 func TestSteadyScheduleKeepsSnapshotCache(t *testing.T) {
 	s := smallSim(t, 15)
-	s.Schedule(s.Topology().LinksOfClass(topology.L1Up)[0], ConstantRate{Rate: 0.05})
+	s.Schedule(s.Topology().LinksOfClass(topology.L1Up)[0], schedule.ConstantRate{Rate: 0.05})
 	ep1 := s.RunEpoch()
 	ep2 := s.RunEpoch()
 	if len(ep1.FailedLinks) != 1 || len(ep2.FailedLinks) != 1 {
@@ -175,8 +176,8 @@ func TestScheduledEpochSequenceBitIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Schedule(topo.LinksOfClass(topology.L1Up)[2], Flap{Rate: 0.02, Period: 3, On: 1})
-		s.Schedule(topo.LinksOfClass(topology.L2Down)[1], Intermittent{Rate: 0.01, Prob: 0.5, Seed: 5})
+		s.Schedule(topo.LinksOfClass(topology.L1Up)[2], schedule.Flap{Rate: 0.02, Period: 3, On: 1})
+		s.Schedule(topo.LinksOfClass(topology.L2Down)[1], schedule.Intermittent{Rate: 0.01, Prob: 0.5, Seed: 5})
 		var eps []*Epoch
 		for e := 0; e < 6; e++ {
 			eps = append(eps, s.RunEpoch())

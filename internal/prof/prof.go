@@ -62,12 +62,12 @@ type Profiler struct {
 	f        *os.File
 }
 
-// Register declares -cpuprofile and -memprofile on the default flag set;
-// call it before flag.Parse.
-func Register() *Profiler {
+// Register declares -cpuprofile and -memprofile on fs; call it before
+// fs.Parse.
+func Register(fs *flag.FlagSet) *Profiler {
 	p := &Profiler{}
-	flag.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.StringVar(&p.mem, "memprofile", "", "write a heap profile (at exit) to this file")
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write a heap profile (at exit) to this file")
 	return p
 }
 

@@ -80,6 +80,15 @@ var QuickTopo = topology.Config{Pods: 2, ToRsPerPod: 8, T1PerPod: 8, T2: 4, Host
 // in well under a second.
 var PacketQuickTopo = topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 3, T2: 2, HostsPerToR: 2}
 
+// QuickTopoFor returns the plane's default scenario topology — what vigild
+// serves and vigil-agents reports on, so the two ends agree by construction.
+func QuickTopoFor(plane engine.Plane) topology.Config {
+	if plane == engine.Packet {
+		return PacketQuickTopo
+	}
+	return QuickTopo
+}
+
 // Config parametrizes one scenario run.
 type Config struct {
 	// Seed drives every random choice of the run (workload, script, drops).
@@ -194,10 +203,7 @@ func Prepare(spec Spec, cfg Config) (*Prepared, error) {
 	}
 	topoCfg := spec.Topo
 	if topoCfg == (topology.Config{}) {
-		topoCfg = QuickTopo
-		if plane == engine.Packet {
-			topoCfg = PacketQuickTopo
-		}
+		topoCfg = QuickTopoFor(plane)
 	}
 	topo, err := topology.New(topoCfg)
 	if err != nil {

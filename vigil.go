@@ -14,8 +14,8 @@
 //     sweeps.
 //   - Emulation: the packet-level plane (§7, §8). Every host runs real 007
 //     agents over an emulated switching fabric: retransmissions come from
-//     a TCP-like stack, paths from real traceroute probes, and reports can
-//     travel over loopback TCP.
+//     a TCP-like stack, paths from real traceroute probes; cmd/vigil-agents
+//     ships its reports over loopback TCP (internal/transport).
 //   - Experiments: the per-figure/table runners behind cmd/vigil-lab.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
