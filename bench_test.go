@@ -259,6 +259,7 @@ func benchClusterEpochDatacenter(b *testing.B, workers int) {
 	// Warm the per-shard pools and the scheduler's worker pool.
 	em.StartWorkload(workload, 20*vigil.Second)
 	em.RunEpoch()
+	events0, fused0, counted := planeCounts(em)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,15 +269,49 @@ func benchClusterEpochDatacenter(b *testing.B, workers int) {
 			b.Fatal("no flows in datacenter cluster epoch")
 		}
 	}
+	if events, fused, _ := planeCounts(em); counted {
+		b.ReportMetric((events-events0)/float64(b.N), "events/op")
+		b.ReportMetric((fused-fused0)/float64(b.N), "fused-hops/op")
+	}
+}
+
+// planeCounts reads the packet plane's running totals: scheduler events
+// executed (over every shard) and switch hops folded into cut-through
+// flights. Both are counts of the emulation, not timings: they repeat
+// exactly from run to run. The accessors are looked up dynamically so that
+// this file also builds against a commit that predates them — a
+// BENCH_N_parent.json row is this same file run on the parent — where ok is
+// false and the metrics are left out.
+func planeCounts(em *vigil.Emulation) (events, fused float64, ok bool) {
+	executed := func(sched any) {
+		if s, has := sched.(interface{ Executed() uint64 }); has {
+			events += float64(s.Executed())
+			ok = true
+		}
+	}
+	if em.Sharded != nil {
+		for i := 0; i < em.Sharded.Shards(); i++ {
+			executed(em.Sharded.Shard(i))
+		}
+	} else {
+		executed(em.Sched)
+	}
+	if n, has := any(em.Net).(interface{ HopsFused() int64 }); has {
+		fused = float64(n.HopsFused())
+	}
+	return events, fused, ok
 }
 
 // BenchmarkClusterEpochDatacenter is the packet plane's raised scale
-// target (ROADMAP item 4): a full multi-cluster datacenter epoch at pod
-// parallelism. The parallel variant charts the worker curve; on the 1-CPU
-// CI runner it records parity (see BENCH_N.json's num_cpu/gomaxprocs
-// header), on multi-core hosts the speedup.
+// target: a full multi-cluster datacenter epoch on the default single
+// scheduler (workers=0, where clean hops ride cut-through flights) and at
+// pod parallelism (one worker per pod, every hop an event) — the pair
+// ROADMAP item 5 decides on. The parallel variant charts the worker curve;
+// on the 1-CPU CI runner it records parity (see BENCH_N.json's
+// num_cpu/gomaxprocs header), on multi-core hosts the speedup.
 func BenchmarkClusterEpochDatacenter(b *testing.B) {
-	benchClusterEpochDatacenter(b, vigil.DatacenterPacketTopology.Pods())
+	b.Run("workers=0", func(b *testing.B) { benchClusterEpochDatacenter(b, 0) })
+	b.Run("workers=32", func(b *testing.B) { benchClusterEpochDatacenter(b, vigil.DatacenterPacketTopology.Pods()) })
 }
 
 func BenchmarkClusterEpochDatacenterParallel(b *testing.B) {

@@ -1,6 +1,7 @@
 // vigil-bench converts `go test -bench -benchmem` output on stdin into the
 // repo's benchmark-trajectory JSON (BENCH_N.json): one record per benchmark
-// with ns/op, B/op and allocs/op, plus the host metadata Go prints. CI runs
+// with ns/op, B/op, allocs/op and whatever units the benchmark reported
+// itself (b.ReportMetric), plus the host metadata Go prints. CI runs
 // it after the epoch benchmarks so every PR leaves a machine-readable perf
 // point behind:
 //
@@ -34,6 +35,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the benchmark's own b.ReportMetric values by unit
+	// (events/op, fused-hops/op, reports, ...).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Samples counts the `-count` repetitions merged into this record
 	// (min-of-N); omitted when the benchmark ran once.
 	Samples int `json:"samples,omitempty"`
@@ -144,6 +148,13 @@ func parseBench(line string) (Result, bool) {
 			r.BytesPerOp, _ = strconv.ParseInt(v, 10, 64)
 		case "allocs/op":
 			r.AllocsPerOp, _ = strconv.ParseInt(v, 10, 64)
+		default:
+			if x, err := strconv.ParseFloat(v, 64); err == nil {
+				if r.Metrics == nil {
+					r.Metrics = make(map[string]float64)
+				}
+				r.Metrics[fields[i+1]] = x
+			}
 		}
 	}
 	if r.NsPerOp == 0 {

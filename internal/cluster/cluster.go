@@ -628,14 +628,19 @@ func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.
 }
 
 // StartWorkload schedules a whole epoch's traffic, spread uniformly over
-// the first spread microseconds. Generation reuses the cluster's flow
-// buffer, and the draw order matches traffic.Workload.Generate exactly.
+// the first spread microseconds; a spread of zero or less starts every flow
+// at the epoch's first instant. Generation reuses the cluster's flow buffer,
+// and the draw order matches traffic.Workload.Generate exactly.
 func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 	var rng stats.RNG
 	rng.Seed(cl.rng.Uint64()) // the same child stream rng.Split() would derive
 	cl.genFlows = w.GenerateInto(cl.genFlows[:0], &rng, cl.Topo)
 	for _, f := range cl.genFlows {
-		cl.StartFlow(f, cl.epochStart+des.Time(cl.rng.Intn(int(spread))))
+		at := cl.epochStart
+		if spread > 0 {
+			at += des.Time(cl.rng.Intn(int(spread)))
+		}
+		cl.StartFlow(f, at)
 	}
 }
 

@@ -11,16 +11,20 @@
 // paths and tests; it costs exactly the closure the caller builds, with no
 // further boxing inside the scheduler.
 //
-// Events fire in (time, key, submission order): simultaneous events with
-// the same key run FIFO, and keys impose a deterministic order between
-// simultaneous events from different origins. The key is an origin
-// identifier chosen by the poster (a link, a host, a connection — see
-// PostKeyed); because an origin's events are produced by exactly one
-// sequential execution context, the (time, key, seq) order is identical
-// whether the emulation runs on one scheduler or on a pod-sharded
-// ShardedScheduler — the invariant the parallel packet plane's
-// bit-identical-epochs contract rests on. Unkeyed events (key 0) keep the
-// historical (time, submission order) behaviour.
+// Events fire in (time, key, tie) order: keys impose a deterministic order
+// between simultaneous events from different origins, and simultaneous
+// events with the same key run in tie order — by default FIFO, the
+// scheduler's submission counter. The key is an origin identifier chosen by
+// the poster (a link, a host, a connection — see PostKeyed); because an
+// origin's events are produced by exactly one sequential execution context,
+// the (time, key, tie) order is identical whether the emulation runs on one
+// scheduler or on a pod-sharded ShardedScheduler — the invariant the
+// parallel packet plane's bit-identical-epochs contract rests on. A poster
+// whose same-key events have an order of their own supplies the tie itself
+// (PostKeyedTie): the fabric orders a link's simultaneous deliveries by the
+// packet's serial, so the order is a property of the packets and not of how
+// many scheduler events their upstream hops happened to take. Unkeyed
+// events (key 0) keep the historical (time, submission order) behaviour.
 package des
 
 // Time is virtual time in microseconds since the start of the run.
@@ -49,14 +53,14 @@ type Handler interface {
 type event struct {
 	at   Time
 	key  uint64 // origin key: orders simultaneous events across origins
-	seq  uint64 // tie-break: FIFO among simultaneous same-key events
+	seq  uint64 // tie-break among simultaneous same-key events: submission order unless the poster supplied one
 	arg  int64
 	h    Handler
 	p    any
 	kind int32
 }
 
-// less orders events by (time, origin key, submission sequence).
+// less orders events by (time, origin key, tie-break).
 func (e *event) less(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -85,6 +89,12 @@ type Scheduler struct {
 	heap     []event // 4-ary min-heap
 	fifo     []event // monotone fast lane; live region is fifo[fifoHead:]
 	fifoHead int
+
+	// horizon is the deadline of the RunUntil in progress (see Horizon).
+	horizon Time
+	// curKey/curSeq are the (key, tie) of the event being executed.
+	curKey, curSeq uint64
+	executed       uint64
 }
 
 // nearWindow bounds how far ahead of the clock an event may open an empty
@@ -100,7 +110,7 @@ func (s *Scheduler) Now() Time { return s.now }
 // At schedules fn at absolute time t. Events in the past run "now": the
 // clock never moves backward.
 func (s *Scheduler) At(t Time, fn func()) {
-	s.push(t, 0, nil, 0, 0, fn)
+	s.push(t, 0, s.nextSeq(), nil, 0, 0, fn)
 }
 
 // After schedules fn d microseconds from now.
@@ -112,7 +122,7 @@ func (s *Scheduler) Post(t Time, h Handler, kind int32, arg int64, p any) {
 	if h == nil {
 		panic("des: Post with nil Handler")
 	}
-	s.push(t, 0, h, kind, arg, p)
+	s.push(t, 0, s.nextSeq(), h, kind, arg, p)
 }
 
 // PostAfter schedules a typed event d microseconds from now.
@@ -132,7 +142,19 @@ func (s *Scheduler) PostKeyed(t Time, key uint64, h Handler, kind int32, arg int
 	if h == nil {
 		panic("des: PostKeyed with nil Handler")
 	}
-	s.push(t, key, h, kind, arg, p)
+	s.push(t, key, s.nextSeq(), h, kind, arg, p)
+}
+
+// PostKeyedTie is PostKeyed with the tie-break supplied by the poster in
+// place of the submission counter: simultaneous events under one key fire in
+// ascending tie order whatever order they were posted in. A key's events
+// must either all carry poster ties or none — the two numberings do not
+// compare.
+func (s *Scheduler) PostKeyedTie(t Time, key, tie uint64, h Handler, kind int32, arg int64, p any) {
+	if h == nil {
+		panic("des: PostKeyedTie with nil Handler")
+	}
+	s.push(t, key, tie, h, kind, arg, p)
 }
 
 // PostKeyedAfter schedules a keyed typed event d microseconds from now.
@@ -140,21 +162,26 @@ func (s *Scheduler) PostKeyedAfter(d Time, key uint64, h Handler, kind int32, ar
 	s.PostKeyed(s.now+d, key, h, kind, arg, p)
 }
 
-func (s *Scheduler) push(t Time, key uint64, h Handler, kind int32, arg int64, p any) {
+// nextSeq draws the default tie-break: the submission counter.
+func (s *Scheduler) nextSeq() uint64 {
+	s.nextID++
+	return s.nextID
+}
+
+func (s *Scheduler) push(t Time, key, seq uint64, h Handler, kind int32, arg int64, p any) {
 	if t < s.now {
 		t = s.now
 	}
-	s.nextID++
-	e := event{at: t, key: key, seq: s.nextID, arg: arg, h: h, p: p, kind: kind}
-	// Monotone fast lane: a near event no earlier — in (time, key) order —
-	// than the lane's tail is already in sorted position. Far events are
-	// excluded even when they would extend the tail — a 20ms timer at the
-	// tail would force every following 5µs delivery onto the heap until it
-	// fired.
+	e := event{at: t, key: key, seq: seq, arg: arg, h: h, p: p, kind: kind}
+	// Monotone fast lane: a near event no earlier — in (time, key, tie)
+	// order — than the lane's tail is already in sorted position. Far events
+	// are excluded even when they would extend the tail — a 20ms timer at
+	// the tail would force every following 5µs delivery onto the heap until
+	// it fired.
 	if t-s.now <= nearWindow {
 		if n := len(s.fifo); n > s.fifoHead {
 			tail := &s.fifo[n-1]
-			if t > tail.at || (t == tail.at && key >= tail.key) {
+			if t > tail.at || (t == tail.at && (key > tail.key || (key == tail.key && seq >= tail.seq))) {
 				s.fifo = append(s.fifo, e)
 				return
 			}
@@ -240,11 +267,7 @@ func (s *Scheduler) Step() bool {
 		} else {
 			e = s.fifo[h]
 			s.fifo[h] = event{}
-			s.fifoHead = h + 1
-			if s.fifoHead == len(s.fifo) {
-				s.fifo = s.fifo[:0]
-				s.fifoHead = 0
-			}
+			s.popLane()
 		}
 	} else if len(s.heap) > 0 {
 		e = s.heap[0]
@@ -252,7 +275,8 @@ func (s *Scheduler) Step() bool {
 	} else {
 		return false
 	}
-	s.now = e.at
+	s.now, s.curKey, s.curSeq = e.at, e.key, e.seq
+	s.executed++
 	if e.h != nil {
 		e.h.HandleEvent(e.kind, e.arg, e.p)
 	} else {
@@ -261,9 +285,55 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
+// popLane retires the FIFO lane's (already zeroed) head slot. An empty lane
+// rewinds; a lane that never idles — a delivery stream with always one more
+// event in flight — would otherwise grow by a slot per event for the whole
+// run, so once the dead prefix is long enough (laneSlack) and outweighs the
+// live part two to one, the live events slide down over it. A slide moves at
+// most half as many events as were popped since the last one, so the pop
+// stays amortized O(1), and the lane's order is untouched.
+func (s *Scheduler) popLane() {
+	s.fifoHead++
+	live := len(s.fifo) - s.fifoHead
+	switch {
+	case live == 0:
+		s.fifo = s.fifo[:0]
+		s.fifoHead = 0
+	case s.fifoHead >= laneSlack && s.fifoHead > 2*live:
+		copy(s.fifo, s.fifo[s.fifoHead:])
+		clear(s.fifo[s.fifoHead:]) // the moved events' old slots; the rest of the prefix is zero already
+		s.fifo = s.fifo[:live]
+		s.fifoHead = 0
+	}
+}
+
+// laneSlack is the dead prefix the FIFO lane tolerates before it compacts:
+// 72 KB of slots, so a lane holding a few dozen events slides once per
+// thousand pops, not once per few dozen.
+const laneSlack = 1024
+
+// Executed returns the number of events run so far.
+func (s *Scheduler) Executed() uint64 { return s.executed }
+
+// Executing returns the origin key and tie-break of the event being
+// executed (of the last one run, between events). With Now it is the
+// event's position in the total order: a handler that defers work an
+// unexecuted event would have done — the fabric's cut-through flights —
+// uses it to tell which of that work the order has already passed.
+func (s *Scheduler) Executing() (key, tie uint64) { return s.curKey, s.curSeq }
+
+// Horizon returns the time through which the scheduler is committed to run
+// without returning to its caller: the deadline of the RunUntil in progress,
+// or the clock when events are being stepped one at a time. An event posted
+// at or before the horizon is certain to fire before the driver regains
+// control — and with it the chance to read or change state between events.
+func (s *Scheduler) Horizon() Time { return max(s.horizon, s.now) }
+
 // RunUntil executes events until the queue empties or the next event lies
 // beyond deadline; the clock is then advanced to the deadline.
 func (s *Scheduler) RunUntil(deadline Time) {
+	outer := s.horizon
+	s.horizon = deadline
 	for {
 		next := s.peek()
 		if next == nil || next.at > deadline {
@@ -271,6 +341,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		}
 		s.Step()
 	}
+	s.horizon = outer
 	if s.now < deadline {
 		s.now = deadline
 	}

@@ -51,6 +51,8 @@ import (
 //     relation, preserving submission order on ties — is a total order
 //     independent of which goroutine finished first, and identical to
 //     the order a single scheduler's seq numbers would have produced.
+//     (An event posted with a tie of its own, PostCrossTie, carries it
+//     into the destination scheduler, which orders by it.)
 //
 // Worker count only bounds concurrency; it never affects the event order,
 // which is why epochs are bit-identical at any worker count.
@@ -126,14 +128,18 @@ func NewSharded(shards int, lookahead Time, workers int) (*ShardedScheduler, err
 	return ss, nil
 }
 
-// xevent is one buffered cross-shard post.
+// xevent is one buffered cross-shard post. tie is the poster's tie-break
+// (PostCrossTie); an untied event draws the destination's submission counter
+// as it is merged in.
 type xevent struct {
 	at   Time
 	key  uint64
+	tie  uint64
 	arg  int64
 	h    Handler
 	p    any
 	kind int32
+	tied bool
 }
 
 // Shards returns the shard count.
@@ -180,14 +186,24 @@ func (ss *ShardedScheduler) Now() Time {
 // lookahead after src's clock — the conservative contract. Same-shard
 // posts should go directly to Shard(src).
 func (ss *ShardedScheduler) PostCross(src, dst int, t Time, key uint64, h Handler, kind int32, arg int64, p any) {
-	if h == nil {
+	ss.postCross(src, dst, xevent{at: t, key: key, arg: arg, h: h, p: p, kind: kind})
+}
+
+// PostCrossTie is PostCross with a poster-supplied tie-break, the
+// cross-shard form of Scheduler.PostKeyedTie.
+func (ss *ShardedScheduler) PostCrossTie(src, dst int, t Time, key, tie uint64, h Handler, kind int32, arg int64, p any) {
+	ss.postCross(src, dst, xevent{at: t, key: key, tie: tie, arg: arg, h: h, p: p, kind: kind, tied: true})
+}
+
+func (ss *ShardedScheduler) postCross(src, dst int, e xevent) {
+	if e.h == nil {
 		panic("des: PostCross with nil Handler")
 	}
 	q := src*len(ss.shards) + dst
 	if len(ss.cross[q]) == 0 {
 		ss.touched[src] = append(ss.touched[src], int32(dst))
 	}
-	ss.cross[q] = append(ss.cross[q], xevent{at: t, key: key, arg: arg, h: h, p: p, kind: kind})
+	ss.cross[q] = append(ss.cross[q], e)
 }
 
 // tMax is an unreachable virtual time, used as the min-scan sentinel.
@@ -338,11 +354,7 @@ func (ss *ShardedScheduler) mergeInto(dst int) {
 		sortXQueue(ev)
 		for i := range ev {
 			e := &ev[i]
-			if e.at < d.now {
-				panic(fmt.Sprintf("des: flush into past: event at %d, dst clock %d", e.at, d.now))
-			}
-			d.push(e.at, e.key, e.h, e.kind, e.arg, e.p)
-			e.h, e.p = nil, nil
+			d.merge(e)
 		}
 		ss.cross[q] = ev[:0]
 		ss.inbound[dst] = srcs[:0]
@@ -376,12 +388,7 @@ func (ss *ShardedScheduler) mergeInto(dst int) {
 			break
 		}
 		q := ss.cross[int(srcs[best])*n+dst]
-		e := &q[heads[best]]
-		if e.at < d.now {
-			panic(fmt.Sprintf("des: flush into past: event at %d, dst clock %d", e.at, d.now))
-		}
-		d.push(e.at, e.key, e.h, e.kind, e.arg, e.p)
-		e.h, e.p = nil, nil
+		d.merge(&q[heads[best]])
 		heads[best]++
 	}
 	for _, src := range srcs {
@@ -390,6 +397,20 @@ func (ss *ShardedScheduler) mergeInto(dst int) {
 	}
 	ss.mhead[dst] = heads
 	ss.inbound[dst] = srcs[:0]
+}
+
+// merge pushes one drained cross event into the destination scheduler and
+// unpins its payload.
+func (d *Scheduler) merge(e *xevent) {
+	if e.at < d.now {
+		panic(fmt.Sprintf("des: flush into past: event at %d, dst clock %d", e.at, d.now))
+	}
+	tie := e.tie
+	if !e.tied {
+		tie = d.nextSeq()
+	}
+	d.push(e.at, e.key, tie, e.h, e.kind, e.arg, e.p)
+	e.h, e.p = nil, nil
 }
 
 // sortXQueue stable insertion-sorts a cross queue by (at, key). Queues are

@@ -15,6 +15,13 @@
 // (time, key, seq) ordering — epochs are bit-identical at any worker
 // count, including against the single-scheduler build.
 //
+// A hop costs a scheduler event only where its place in the event order can
+// matter. On a single-scheduler fabric with no mirror tap, send carries a
+// packet through every following switch whose forwarding is certain and
+// unobservable and schedules one delivery where that stops — see
+// cutthrough.go. A sharded or tapped fabric executes every hop as its own
+// event, and is the reference the cut-through is tested against.
+//
 // Packet memory is pooled: a packet lives in a wire.Buffer obtained from
 // the fabric's free list (NewPacket), is carried by reference through
 // send → hop → deliver, and returns to the pool the moment it dies — on a
@@ -63,7 +70,11 @@ const keyClassDeliver uint64 = 4 << 56
 // deliverKey is the origin key of link l's deliver events. One link's
 // sends always execute on the shard owning the link's From node, so the
 // key identifies a single sequential producer — the property the
-// (time, key, seq) determinism argument needs.
+// (time, key, tie) determinism argument needs. Simultaneous deliveries on
+// one link fire in the order of the packets' serials (see nextSerial), not
+// in the order their sends were executed: where a delivery falls in the
+// order is then a function of the packet alone, whichever of its upstream
+// hops were scheduler events.
 func deliverKey(l topology.LinkID) uint64 { return keyClassDeliver | uint64(l) }
 
 // Config assembles a fabric.
@@ -93,9 +104,9 @@ type Config struct {
 // TapEvent is one observation from a mirror tap (EverFlow-style) or a drop
 // notification used as ground truth by tests.
 type TapEvent struct {
-	Time    des.Time
-	Switch  topology.SwitchID // -1 when the event happened on a host link
-	Egress  topology.LinkID
+	Time   des.Time
+	Switch topology.SwitchID // -1 when the event happened on a host link
+	Egress topology.LinkID
 	// Shard is the execution shard the event fired on (always 0 on a
 	// single-scheduler fabric). Taps are invoked from that shard's
 	// goroutine; a tap shared across shards must partition any state it
@@ -143,6 +154,16 @@ type netShard struct {
 	icmpMax  int
 	icmpRing []int32
 	icmpPos  int
+
+	// Cut-through state (cutthrough.go): the packets in flight over folded
+	// hops, the flow→route cache their walks read, and the shard's slice of
+	// the hop counters.
+	flights        []*wire.Buffer
+	routes         []route
+	routeGen       uint64
+	hopsFused      int64
+	hopsStepped    int64
+	rematerialized int64
 }
 
 // Net is the running fabric.
@@ -180,8 +201,19 @@ type Net struct {
 	// single-scheduler runs bit-identical.
 	dropSeed uint64
 	dropCtr  []uint64
+	// pend counts, per link, the draws reserved by packets in cut-through
+	// flight; passUntil bounds the run of counters known to draw "forward"
+	// (see passes).
+	pend      []int32
+	passUntil []uint64
 
-	// Counters, indexed by link and switch respectively.
+	// serial numbers every packet by its origin: indexed by host, then by
+	// switch (ICMP replies), see nextSerial.
+	serial []uint64
+
+	// Counters, indexed by link and switch respectively. Forwarding counts
+	// are exact whenever RunUntil has returned; while it runs, a packet in
+	// cut-through flight is credited to the links it skipped when it lands.
 	LinkForwarded  []int64
 	LinkDropped    []int64
 	ICMPSent       []int64
@@ -216,6 +248,9 @@ func New(cfg Config) (*Net, error) {
 		buckets:        make([]tokenBucket, len(cfg.Topo.Switches)),
 		dropSeed:       cfg.RNG.Uint64(),
 		dropCtr:        make([]uint64, len(cfg.Topo.Links)),
+		pend:           make([]int32, len(cfg.Topo.Links)),
+		passUntil:      make([]uint64, len(cfg.Topo.Links)),
+		serial:         make([]uint64, len(cfg.Topo.Hosts)+len(cfg.Topo.Switches)),
 		LinkForwarded:  make([]int64, len(cfg.Topo.Links)),
 		LinkDropped:    make([]int64, len(cfg.Topo.Links)),
 		ICMPSent:       make([]int64, len(cfg.Topo.Switches)),
@@ -256,7 +291,26 @@ func New(cfg Config) (*Net, error) {
 	for i := range n.icmpCur {
 		n.icmpCur[i].sec = -1
 	}
+	for i := range n.serial {
+		n.serial[i] = uint64(i+1) << serialOriginShift
+	}
 	return n, nil
+}
+
+// serialOriginShift places a packet's origin above its origin's send count
+// in the serial. Nothing masks the count: an origin that sent 2^40 packets
+// would run into the next origin's numbers — its own packets still in send
+// order — long after any run this emulation can make.
+const serialOriginShift = 40
+
+// nextSerial numbers the next packet node i originates (hosts first, then
+// switches). The serial is the packet's tie-break among simultaneous
+// deliveries on a link: packets of one origin arrive in the order they were
+// sent, packets of different origins in origin order.
+func (n *Net) nextSerial(i int) uint64 {
+	s := n.serial[i]
+	n.serial[i] = s + 1
+	return s
 }
 
 // ShardOfHost returns the execution shard host h lives on.
@@ -308,8 +362,16 @@ func (n *Net) SetDropRate(l topology.LinkID, rate float64) error {
 	if !schedule.ValidRate(rate) {
 		return fmt.Errorf("fabric: drop rate %v outside [0, 1]", rate)
 	}
-	n.dropRate[l] = rate
+	n.rematerialize(l)
+	n.setRate(l, rate)
 	return nil
+}
+
+// setRate applies a link's drop rate. Callers have rematerialized: the
+// packets in cut-through flight over l were walked under the old rate.
+func (n *Net) setRate(l topology.LinkID, rate float64) {
+	n.dropRate[l] = rate
+	n.passUntil[l] = 0 // the known-forward run was drawn against the old rate
 }
 
 // SetBaseRate sets a link's baseline (noise) drop rate — the rate the link
@@ -329,7 +391,8 @@ func (n *Net) ResetDropRate(l topology.LinkID) error {
 	if err := n.checkLink(l); err != nil {
 		return err
 	}
-	n.dropRate[l] = n.baseRate[l]
+	n.rematerialize(l)
+	n.setRate(l, n.baseRate[l])
 	return nil
 }
 
@@ -370,8 +433,9 @@ func (n *Net) Schedules() []ScheduledLink { return n.schedules }
 // ClearSchedules detaches every schedule and restores the scheduled links
 // to their baseline rates.
 func (n *Net) ClearSchedules() {
+	n.rematerialize(topology.NoLink)
 	for _, ls := range n.schedules {
-		n.dropRate[ls.Link] = n.baseRate[ls.Link]
+		n.setRate(ls.Link, n.baseRate[ls.Link])
 	}
 	n.schedules = nil
 }
@@ -389,11 +453,12 @@ func (n *Net) ApplySchedules(epoch int) error {
 			return fmt.Errorf("fabric: schedule on link %d returned drop rate %v outside [0, 1] for epoch %d", ls.Link, rate, epoch)
 		}
 	}
+	n.rematerialize(topology.NoLink)
 	for _, ls := range n.schedules {
 		if rate, active := ls.Schedule.RateAt(epoch); active {
-			n.dropRate[ls.Link] = rate
+			n.setRate(ls.Link, rate)
 		} else {
-			n.dropRate[ls.Link] = n.baseRate[ls.Link]
+			n.setRate(ls.Link, n.baseRate[ls.Link])
 		}
 	}
 	return nil
@@ -416,6 +481,7 @@ func (n *Net) SetExtraDelay(l topology.LinkID, d des.Time) error {
 	if d < 0 {
 		return fmt.Errorf("fabric: negative extra delay %d on link %d", d, l)
 	}
+	n.rematerialize(l)
 	n.extraDelay[l] = d
 	return nil
 }
@@ -437,6 +503,7 @@ func (n *Net) SetLAG(l topology.LinkID, memberDrop []float64) error {
 			return fmt.Errorf("fabric: LAG member %d drop rate %v outside [0, 1]", i, r)
 		}
 	}
+	n.rematerialize(l)
 	if n.lag == nil {
 		n.lag = make(map[topology.LinkID][]float64)
 	}
@@ -476,8 +543,12 @@ func (n *Net) lagDropRate(l topology.LinkID, data []byte) float64 {
 func (n *Net) OnHostPacket(h topology.HostID, fn func(data []byte)) { n.hostRx[h] = fn }
 
 // AddTap installs a mirror tap observing every switch forwarding decision
-// and every link drop.
-func (n *Net) AddTap(t Tap) { n.taps = append(n.taps, t) }
+// and every link drop. A tapped fabric forwards hop by hop: every decision
+// the tap is owed is a scheduler event.
+func (n *Net) AddTap(t Tap) {
+	n.rematerialize(topology.NoLink)
+	n.taps = append(n.taps, t)
+}
 
 // AddDropTap installs a tap that only observes link drops. Drop-only
 // consumers (the cluster's ground-truth harvest) register here so the
@@ -501,6 +572,7 @@ func (n *Net) NewPacketFor(h topology.HostID) *wire.Buffer {
 // ownership of pkt: the fabric releases it back to a shard pool when the
 // packet dies. The buffer must have come from NewPacket/NewPacketFor.
 func (n *Net) Send(h topology.HostID, pkt *wire.Buffer) {
+	pkt.Flight.Serial = n.nextSerial(int(h))
 	n.send(n.shards[n.hostShard[h]], n.topo.Hosts[h].Uplink, pkt)
 }
 
@@ -511,6 +583,7 @@ func (n *Net) SendFromHost(h topology.HostID, data []byte) {
 	sh := n.shards[n.hostShard[h]]
 	pkt := sh.pool.Get(0)
 	pkt.Append(data)
+	pkt.Flight.Serial = n.nextSerial(int(h))
 	n.send(sh, n.topo.Hosts[h].Uplink, pkt)
 }
 
@@ -532,6 +605,13 @@ func (n *Net) send(sh *netShard, l topology.LinkID, pkt *wire.Buffer) {
 		}
 	}
 	if r > 0 {
+		if n.ss == nil && n.pend[l] > 0 && !n.passes(l) {
+			// Packets in cut-through flight hold draws on l that the counter
+			// does not show yet, and this packet's draw may drop whichever
+			// of them it gets: put those flights back on the hop-by-hop
+			// order first, so that the counter below is the exact one.
+			n.rematerialize(l)
+		}
 		ctr := n.dropCtr[l]
 		n.dropCtr[l] = ctr + 1
 		if stats.DeriveUniform(n.dropSeed, uint64(l)<<40|ctr) < r {
@@ -543,11 +623,14 @@ func (n *Net) send(sh *netShard, l topology.LinkID, pkt *wire.Buffer) {
 	}
 	n.LinkForwarded[l]++
 	at := n.scheds[sh.id].Now() + n.cfg.LinkDelay + n.extraDelay[l]
+	if n.ss == nil && len(n.taps) == 0 {
+		l, at = n.fly(sh, l, at, pkt)
+	}
 	to := n.linkTo[l]
 	if n.ss == nil || to == sh.id {
-		n.scheds[to].PostKeyed(at, deliverKey(l), n.shards[to], evDeliver, int64(l), pkt)
+		n.scheds[to].PostKeyedTie(at, deliverKey(l), pkt.Flight.Serial, n.shards[to], evDeliver, int64(l), pkt)
 	} else {
-		n.ss.PostCross(int(sh.id), int(to), at, deliverKey(l), n.shards[to], evDeliver, int64(l), pkt)
+		n.ss.PostCrossTie(int(sh.id), int(to), at, deliverKey(l), pkt.Flight.Serial, n.shards[to], evDeliver, int64(l), pkt)
 	}
 }
 
@@ -557,6 +640,13 @@ func (sh *netShard) HandleEvent(kind int32, arg int64, p any) {
 	_ = kind // evDeliver is the only kind the fabric schedules
 	n := sh.n
 	pkt := p.(*wire.Buffer)
+	if hops := pkt.Flight.Hops; hops != 0 {
+		if hops < 0 {
+			sh.release(pkt) // the packet was rematerialized into another buffer
+			return
+		}
+		sh.land(pkt)
+	}
 	to := n.topo.Links[arg].To
 	if to.Kind == topology.NodeHost {
 		if fn := n.hostRx[to.ID]; fn != nil {
@@ -571,6 +661,7 @@ func (sh *netShard) HandleEvent(kind int32, arg int64, p any) {
 // switchHandle is a switch's forwarding path. It owns pkt: every exit
 // either forwards it onward or releases it.
 func (n *Net) switchHandle(sh *netShard, sw topology.SwitchID, pkt *wire.Buffer) {
+	sh.hopsStepped++
 	data := pkt.Bytes()
 	var ip wire.IPv4
 	payload, err := wire.DecodeIPv4(data, &ip)
@@ -589,13 +680,8 @@ func (n *Net) switchHandle(sh *netShard, sw topology.SwitchID, pkt *wire.Buffer)
 		return
 	}
 	decrementTTL(data)
-	tuple := ecmp.FiveTuple{SrcIP: ip.Src, DstIP: ip.Dst, Proto: ip.Protocol}
-	var seq uint32
-	if ip.Protocol == wire.ProtoTCP && len(payload) >= 8 {
-		tuple.SrcPort = uint16(payload[0])<<8 | uint16(payload[1])
-		tuple.DstPort = uint16(payload[2])<<8 | uint16(payload[3])
-		seq = uint32(payload[4])<<24 | uint32(payload[5])<<16 | uint32(payload[6])<<8 | uint32(payload[7])
-	}
+	var tuple ecmp.FiveTuple
+	seq := flowOf(&ip, payload, &tuple)
 	egress, err := n.cfg.Router.NextHopLink(sw, tuple, topology.HostID(dstNode.ID))
 	if err != nil {
 		sh.release(pkt)
@@ -603,6 +689,20 @@ func (n *Net) switchHandle(sh *netShard, sw topology.SwitchID, pkt *wire.Buffer)
 	}
 	n.notifyForward(sh, sw, egress, ip, tuple, seq)
 	n.send(sh, egress, pkt)
+}
+
+// flowOf lifts the ECMP five-tuple out of a decoded packet into t, and
+// returns the TCP sequence number the mirror taps report. The tuple is the
+// same at every hop of the packet's path, so a cut-through walk reads it
+// once.
+func flowOf(ip *wire.IPv4, payload []byte, t *ecmp.FiveTuple) (seq uint32) {
+	*t = ecmp.FiveTuple{SrcIP: ip.Src, DstIP: ip.Dst, Proto: ip.Protocol}
+	if ip.Protocol == wire.ProtoTCP && len(payload) >= 8 {
+		t.SrcPort = uint16(payload[0])<<8 | uint16(payload[1])
+		t.DstPort = uint16(payload[2])<<8 | uint16(payload[3])
+		seq = uint32(payload[4])<<24 | uint32(payload[5])<<16 | uint32(payload[6])<<8 | uint32(payload[7])
+	}
+	return seq
 }
 
 // ttlExpired runs the switch control plane: generate an ICMP time-exceeded
@@ -632,6 +732,7 @@ func (n *Net) ttlExpired(sh *netShard, sw topology.SwitchID, data []byte, ip wir
 		k = len(data)
 	}
 	reply := sh.pool.Get(PacketHeadroom)
+	reply.Flight.Serial = n.nextSerial(len(n.topo.Hosts) + int(sw))
 	reply.Append(data[:k])
 	ic := wire.ICMP{Type: wire.ICMPTypeTimeExceeded, Code: wire.ICMPCodeTTLExpired}
 	ic.SerializeHeaderTo(reply)

@@ -88,6 +88,34 @@ type ICMP struct {
 type Buffer struct {
 	data  []byte
 	start int
+	// Flight is scratch for whoever carries the packet (the fabric); wire
+	// never reads it. Pool.Get hands every buffer out with it zeroed.
+	Flight Flight
+}
+
+// MaxFlightHops bounds the forwarding hops a carrier may fold into one
+// Flight: one more than the five switches of the longest Clos route.
+const MaxFlightHops = 6
+
+// Flight is the carrier's per-packet state: the packet's place in the
+// carrier's event order and, while the packet is being carried over several
+// links as one scheduled delivery, the hops that delivery stands for. Links
+// and times are the carrier's own identifiers, stored raw so that wire stays
+// a leaf package.
+type Flight struct {
+	// Serial orders the packet among simultaneous deliveries on one link.
+	Serial uint64
+	// Hops counts the folded hops: the packet entered link Via[0], reaches
+	// the switch at its far end at At[0], and for i < Hops that i-th switch
+	// forwards it onto Via[i+1], arriving at At[i+1] — the scheduled
+	// delivery when i+1 == Hops. A negative count marks a buffer whose
+	// packet was moved to another buffer: its pending delivery carries
+	// nothing.
+	Hops int32
+	// Slot is the flight's index in the carrier's in-flight list.
+	Slot int32
+	Via  [MaxFlightHops + 1]int32
+	At   [MaxFlightHops + 1]int64
 }
 
 // NewBuffer returns a Buffer with room to prepend headroom bytes.
@@ -123,6 +151,7 @@ func (p *Pool) Get(headroom int) *Buffer {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		b.Reset(headroom)
+		b.Flight = Flight{}
 		return b
 	}
 	return NewBuffer(headroom)
