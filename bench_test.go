@@ -340,6 +340,7 @@ func BenchmarkEpochDatacenterDelta(b *testing.B) {
 	}
 	bad := sim.Topology().LinksOfClass(vigil.L1Up)[7]
 	sim.RunEpoch() // warmup: full epoch, builds the delta cache
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Alternate the rate so every iteration dirties the link and runs a

@@ -7,8 +7,8 @@
 //
 //	go test -run XXX -bench 'Epoch' -benchmem -count=3 . | vigil-bench > BENCH_N.json
 //
-// where N is the current PR number (CI emits BENCH_16.json today); the file
-// name is the only thing that changes from PR to PR.
+// where N is the current PR number; the file name is the only thing that
+// changes from PR to PR.
 //
 // With `go test -count=N` the same benchmark name appears N times; those
 // samples merge into one record keeping the MINIMUM ns/op (and the B/op and

@@ -75,8 +75,11 @@ func epochSink(exp *metrics.EpochExporter, topo *topology.Topology, scenarioName
 		for _, l := range res.Detected {
 			detected[l] = true
 		}
-		ranked := make([]metrics.RankedLink, 0, len(res.Ranking))
-		for _, lv := range res.Ranking {
+		// Only the links the exporter keeps are worth a name: a datacenter
+		// epoch ranks thousands.
+		top := res.Ranking[:min(len(res.Ranking), exp.TopK())]
+		ranked := make([]metrics.RankedLink, 0, len(top))
+		for _, lv := range top {
 			ranked = append(ranked, metrics.RankedLink{
 				Link:     topo.LinkName(lv.Link),
 				Votes:    lv.Votes,

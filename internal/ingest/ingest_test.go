@@ -290,7 +290,7 @@ func TestChaosSoak(t *testing.T) {
 func TestChaosDeterministic(t *testing.T) {
 	type snapshot struct {
 		received, accepted, dups, late, lateDropped, lost, retries, recovered int64
-		detected                                                             []topology.LinkID
+		detected                                                              []topology.LinkID
 	}
 	run := func() snapshot {
 		eng := newTestEngine(t, engine.Config{Seed: 31}, soakTopo, 0.05)

@@ -58,6 +58,10 @@ func NewEpochExporter(k int) *EpochExporter {
 	return &EpochExporter{topK: k, scen: make(map[string]*scenarioScore)}
 }
 
+// TopK returns how many ranked links ObserveEpoch keeps, so a caller can
+// resolve that many and no more.
+func (e *EpochExporter) TopK() int { return e.topK }
+
 // ObserveEpoch records a settled epoch's ranking, highest votes first.
 // The slice is copied and truncated to the exporter's K; callers may
 // reuse their backing array.

@@ -3,12 +3,11 @@
 //
 // The first epoch runs the full fused pipeline once, freezing the epoch
 // seed and with it the flow set, and builds the delta cache: every flow,
-// its resolved path (flow→links CSR), the inverted link→flows index, the
-// sorted failed-outcome list and the dense ground-truth counters. Every
-// later epoch re-scores only the flows whose paths touch links whose rate
-// or failure flag changed since the previous epoch — setRate records dirty
-// links as schedules, injections and clears land — and carries every other
-// flow's cached outcome forward.
+// its resolved path (flow→links CSR), the inverted link→flows index and the
+// sorted failed-outcome list. Every later epoch re-scores only the flows
+// whose paths touch links whose rate or failure flag changed since the
+// previous epoch — setRate records dirty links as schedules, injections and
+// clears land — and carries every other flow's cached outcome forward.
 //
 // The skip is exact, not approximate: each flow draws its drops from its
 // private (epochSeed, flow index) stream, and with the seed frozen,
@@ -31,7 +30,7 @@ import (
 
 // incState is the delta cache of an incremental simulation. It freezes the
 // epoch's inputs (seed, flows, paths) and carries the previous epoch's
-// outputs (failed outcomes, counters) forward so a delta epoch touches only
+// outputs (failed outcomes, totals) forward so a delta epoch touches only
 // the flows crossing changed links.
 type incState struct {
 	seeded    bool   // epochSeed drawn: the workload is frozen
@@ -53,11 +52,11 @@ type incState struct {
 
 	// Previous epoch's outputs. failed is sorted by FlowID with Traced
 	// normalized to true — the traceroute budget is a per-epoch overlay
-	// applied to each epoch's own copy, never to the cache.
-	failed       []FlowOutcome
-	linkDrops    []int64
-	totalPackets int
-	totalDrops   int
+	// applied to each epoch's own copy, never to the cache. A delta epoch
+	// merges failed into spare and swaps the two.
+	failed, spare []FlowOutcome
+	totalPackets  int
+	totalDrops    int
 
 	// dirty accumulates the links whose rate or failure flag changed since
 	// the last epoch (recorded by setRate); linkStamp dedupes insertions and
@@ -167,11 +166,6 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	for i := range inc.failed {
 		inc.failed[i].Traced = true
 	}
-	if cap(inc.linkDrops) < nlinks {
-		inc.linkDrops = make([]int64, nlinks)
-	}
-	inc.linkDrops = inc.linkDrops[:nlinks]
-	copy(inc.linkDrops, ep.LinkDrops)
 	inc.totalPackets = ep.TotalPackets
 	inc.totalDrops = ep.TotalDrops
 
@@ -215,16 +209,12 @@ func (s *Sim) gatherAffected() []int32 {
 	return aff
 }
 
-// deltaScratch sizes the worker shards (drop-stream RNG and outcome arena;
-// the dense counters are unused on the delta path and left untouched) and
-// the per-chunk outcome table of the delta re-score.
+// deltaScratch sizes the worker shards (drop-stream RNG and outcome arena)
+// and the per-chunk outcome table of the delta re-score.
 func (s *Sim) deltaScratch(nchunks int) (shards []epochShard, newByChunk [][]FlowOutcome) {
 	nworkers := par.Workers(s.cfg.Parallelism)
 	if len(s.shards) != nworkers {
 		s.shards = make([]epochShard, nworkers)
-		for w := range s.shards {
-			s.shards[w].drops = make([]int64, len(s.topo.Links))
-		}
 	}
 	inc := &s.inc
 	if cap(inc.newByChunk) < nchunks {
@@ -239,8 +229,8 @@ func (s *Sim) deltaScratch(nchunks int) (shards []epochShard, newByChunk [][]Flo
 // dirty links, re-score just those in parallel from their stored paths and
 // frozen draw streams, and three-way-merge the new outcomes into the cached
 // epoch outputs — retire the affected flows' old outcomes (subtracting
-// their drops from the carried counters), keep every unaffected outcome,
-// add the new ones. The merged failed list stays in flow-index order, so a
+// their drops from the carried total), keep every unaffected outcome, add
+// the new ones. The merged failed list stays in flow-index order, so a
 // delta epoch is bit-identical to re-scoring every flow of the frozen
 // workload against the current rates (see TestIncrementalMatchesFullRescore).
 func (s *Sim) runEpochDelta() *Epoch {
@@ -272,14 +262,7 @@ func (s *Sim) runEpochDelta() *Epoch {
 	// (chunk order over the sorted affected list preserves it), and an
 	// affected flow's cached outcome — stamped with this round — always
 	// retires, whether or not a new outcome replaces it.
-	merged := inc.failed[:0]
-	if len(news) > 0 {
-		// The walk reads inc.failed while rewriting it in place, which is
-		// safe only when nothing shifts left past the read cursor; new
-		// outcomes can shift entries right, so merge into a fresh slice.
-		merged = make([]FlowOutcome, 0, len(inc.failed)+len(news))
-	}
-	old := inc.failed
+	old, merged := inc.failed, inc.spare[:0]
 	i, j := 0, 0
 	for i < len(old) || j < len(news) {
 		if i < len(old) && (j >= len(news) || old[i].FlowID <= news[j].FlowID) {
@@ -287,11 +270,6 @@ func (s *Sim) runEpochDelta() *Epoch {
 			i++
 			if inc.flowStamp[o.FlowID] == inc.round {
 				inc.totalDrops -= o.Drops
-				for k, l := range o.Path {
-					if d := o.DropsByLink[k]; d != 0 {
-						inc.linkDrops[l] -= int64(d)
-					}
-				}
 				continue
 			}
 			merged = append(merged, o)
@@ -299,25 +277,17 @@ func (s *Sim) runEpochDelta() *Epoch {
 			n := news[j]
 			j++
 			inc.totalDrops += n.Drops
-			for k, l := range n.Path {
-				if d := n.DropsByLink[k]; d != 0 {
-					inc.linkDrops[l] += int64(d)
-				}
-			}
 			merged = append(merged, n)
 		}
 	}
-	inc.failed = merged
+	inc.failed, inc.spare = merged, old
 
-	nlinks := len(s.topo.Links)
 	ep := &Epoch{
-		LinkDrops:    make([]int64, nlinks),
 		FailedLinks:  s.failedSnapshot(),
 		TotalFlows:   len(inc.flows),
 		TotalPackets: inc.totalPackets,
 		TotalDrops:   inc.totalDrops,
 	}
-	copy(ep.LinkDrops, inc.linkDrops)
 	if len(merged) > 0 {
 		ep.Failed = make([]FlowOutcome, len(merged))
 		copy(ep.Failed, merged)

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vigil/internal/schedule"
@@ -148,8 +149,7 @@ func TestIncrementalClearRestoresBaseline(t *testing.T) {
 // The short-mode datacenter epoch: a scaled-down multi-cluster fabric
 // through the same NewDatacenter constructor and the same fused + delta
 // code paths, small enough for `go test -race -short` to exercise the
-// parallel shard loop, the parallel dense-counter merge and the delta
-// re-score under the race detector.
+// parallel shard loop and the delta re-score under the race detector.
 func TestDatacenterEpochShort(t *testing.T) {
 	topo, err := topology.NewDatacenter(topology.DatacenterConfig{
 		Clusters: 3, PodsPerCluster: 2, ToRsPerPod: 6, T1PerPod: 4, T2: 6, HostsPerToR: 4,
@@ -201,5 +201,115 @@ func TestRescoreAllNonIncremental(t *testing.T) {
 	b := s.RunEpoch()
 	if a.TotalFlows != b.TotalFlows {
 		t.Fatalf("flow count changed across RescoreAll: %d -> %d", a.TotalFlows, b.TotalFlows)
+	}
+}
+
+// linkDropsTotal sums the derived per-link ground truth.
+func linkDropsTotal(ep *Epoch) int {
+	sum := 0
+	for _, d := range ep.LinkDrops() {
+		sum += int(d)
+	}
+	return sum
+}
+
+// Per-link ground truth is derived from the failed flows, so it must account
+// for every dropped packet and be the same vector however the epoch was
+// computed: delta or full re-score, at any worker count.
+func TestLinkDropsDerived(t *testing.T) {
+	var want []map[topology.LinkID]int64
+	for _, workers := range []int{1, 2, 8} {
+		delta := incrementalSim(t, 17, workers)
+		full := incrementalSim(t, 17, workers)
+		for e := 0; e < 5; e++ {
+			churn(delta, e)
+			churn(full, e)
+			full.RescoreAll()
+			de, fe := delta.RunEpoch(), full.RunEpoch()
+			got := de.LinkDrops()
+			if sum := linkDropsTotal(de); sum != de.TotalDrops || sum == 0 {
+				t.Fatalf("workers=%d epoch %d: derived link drops sum to %d, epoch total %d", workers, e, sum, de.TotalDrops)
+			}
+			if !reflect.DeepEqual(got, fe.LinkDrops()) {
+				t.Fatalf("workers=%d epoch %d: delta and full re-score derive different link drops", workers, e)
+			}
+			if workers == 1 {
+				want = append(want, got)
+			} else if !reflect.DeepEqual(got, want[e]) {
+				t.Fatalf("epoch %d: link drops at Parallelism=%d differ from Parallelism=1", e, workers)
+			}
+		}
+	}
+}
+
+// deltaEpochBytes warms an incremental simulation of the benchmark's shape
+// (five lossy L1Up links, one of them changing rate every epoch) and returns
+// what one delta epoch allocates.
+func deltaEpochBytes(t *testing.T, topo *topology.Topology, hosts []topology.HostID) uint64 {
+	t.Helper()
+	w := traffic.DefaultWorkload()
+	w.Hosts = hosts
+	s, err := New(Config{Topo: topo, Workload: w, TracerouteCap: 10, Seed: 1, Parallelism: 2, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := topo.LinksOfClass(topology.L1Up)
+	for i := 0; i < 5; i++ {
+		s.InjectFailure(up[i], 0.003)
+	}
+	var ep *Epoch
+	flip := func(e int) {
+		s.InjectFailure(up[0], 0.003+0.002*float64(e%2))
+		ep = s.RunEpoch()
+	}
+	for e := 0; e < 4; e++ {
+		flip(e) // the full epoch, then deltas that size the reusable buffers
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	flip(4)
+	runtime.ReadMemStats(&after)
+	if len(ep.Failed) == 0 || linkDropsTotal(ep) != ep.TotalDrops {
+		t.Fatalf("measured delta epoch: %d failed flows, derived drops %d of %d", len(ep.Failed), linkDropsTotal(ep), ep.TotalDrops)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A delta epoch's cost follows the delta: what it allocates is its own
+// failed-flow and report lists, nothing sized by the fabric.
+func TestDeltaEpochCostFollowsDelta(t *testing.T) {
+	build := func(cfg topology.DatacenterConfig) *topology.Topology {
+		topo, err := topology.NewDatacenter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	// The same sources and the same lossy links (all in pod 0) on a fabric
+	// and on one with four times the pods, and so four times the links.
+	small := topology.DatacenterConfig{Clusters: 2, PodsPerCluster: 2, ToRsPerPod: 24, T1PerPod: 8, T2: 24, HostsPerToR: 10}
+	large := small
+	large.Clusters *= 4
+	pod0 := make([]topology.HostID, small.ToRsPerPod*small.HostsPerToR)
+	for i := range pod0 {
+		pod0[i] = topology.HostID(i)
+	}
+	st, lt := build(small), build(large)
+	if len(lt.Links) < 4*len(st.Links) {
+		t.Fatalf("large fabric has %d links, small %d", len(lt.Links), len(st.Links))
+	}
+	sb, lb := deltaEpochBytes(t, st, pod0), deltaEpochBytes(t, lt, pod0)
+	t.Logf("delta epoch: %d B on %d links, %d B on %d links", sb, len(st.Links), lb, len(lt.Links))
+	if lb > sb+sb/2 {
+		t.Fatalf("a delta epoch allocated %d B on %d links but %d B on %d links: its cost follows the fabric", sb, len(st.Links), lb, len(lt.Links))
+	}
+	if testing.Short() {
+		return // the 2M-flow fabric below is too slow under the race detector
+	}
+	dc := build(topology.DatacenterSimConfig)
+	b := deltaEpochBytes(t, dc, nil)
+	t.Logf("datacenter delta epoch: %d B on %d links", b, len(dc.Links))
+	if b > 300<<10 {
+		t.Fatalf("a datacenter delta epoch allocated %d B, want at most 300 kB", b)
 	}
 }

@@ -26,13 +26,14 @@
 // from its own (epoch seed, source index) RNG stream and every flow draws
 // its drops from its own (epoch seed, flow index) stream, with global flow
 // indexes prefix-summed from per-source counts before the fan-out. Ground
-// truth accumulates into shard-local dense counters merged over disjoint
-// link ranges in parallel, per-chunk outcome and report lists concatenate
-// in chunk order, and the traceroute budget resolves inside the shard loop
-// (a host's flows are contiguous in flow order, so the budget is
-// per-source-local). Because no draw and no reduction depends on worker
-// interleaving, a seeded epoch is bit-identical at any parallelism — see
-// DESIGN.md ("Determinism contract", "Scaling the flow plane").
+// truth lives in the failed flows' outcomes alone (per-link totals are
+// derived from them on demand, Epoch.LinkDrops), per-chunk outcome and
+// report lists concatenate in chunk order, and the traceroute budget
+// resolves inside the shard loop (a host's flows are contiguous in flow
+// order, so the budget is per-source-local). Because no draw and no
+// reduction depends on worker interleaving, a seeded epoch is bit-identical
+// at any parallelism — see DESIGN.md ("Determinism contract", "Scaling the
+// flow plane").
 //
 // Config.Incremental adds the datacenter-scale delta mode: the flow set and
 // per-flow draw streams freeze after the first epoch, and later epochs
@@ -273,9 +274,6 @@ type Epoch struct {
 	// Reports carries what 007's analysis agent receives: one report per
 	// failed flow whose path was discovered.
 	Reports []vote.Report
-	// LinkDrops is the ground-truth number of packets each link dropped,
-	// dense and indexed by LinkID (merged from the per-shard counters).
-	LinkDrops []int64
 	// FailedLinks snapshots the injected failures during this epoch. It may
 	// share storage with other epochs of the same Sim; treat it as
 	// read-only.
@@ -294,17 +292,11 @@ type Epoch struct {
 //     floor keeps test-sized topologies from sharding into per-host
 //     confetti, the ceiling keeps a datacenter epoch from concentrating
 //     into too few chunks to load-balance.
-//   - Link chunks drive the parallel merge of the per-worker dense drop
-//     counters over disjoint LinkID ranges; the floor keeps small
-//     topologies on a single inline chunk where the merge is a memcpy-rate
-//     scan.
 //   - Flow chunks drive the incremental delta re-score fan-out
 //     (incremental.go), whose items are individual affected flows.
 const (
 	srcGrainLo  = 16
 	srcGrainHi  = 2048
-	linkGrainLo = 4096
-	linkGrainHi = 1 << 16
 	flowGrainLo = 64
 	flowGrainHi = 8192
 	grainTarget = 64 // aim for ~64 chunks: headroom over any realistic core count
@@ -374,15 +366,14 @@ func (a *outcomeArena) copyDrops(src []uint16) []uint16 {
 	return dst
 }
 
-// epochShard accumulates one worker's slice of the epoch ground truth plus
-// the worker's reusable scratch (path buffer, per-flow and generation RNGs,
+// epochShard accumulates one worker's slice of the epoch totals plus the
+// worker's reusable scratch (path buffer, per-flow and generation RNGs,
 // one-source flow buffer, outcome arena). The counters are order-free
-// integer sums, so one shard per *worker* suffices (O(workers × links)
-// memory, not O(chunks × links)); only the per-chunk FlowOutcome and Report
-// lists are order-sensitive and those are keyed by chunk. Padding keeps
-// adjacent workers' hot counters off a shared cache line.
+// integer sums, so one shard per *worker* suffices; only the per-chunk
+// FlowOutcome and Report lists are order-sensitive and those are keyed by
+// chunk. Padding keeps adjacent workers' hot counters off a shared cache
+// line.
 type epochShard struct {
-	drops   []int64 // dense by LinkID
 	packets int
 	dropped int
 	pathBuf ecmp.PathBuf
@@ -465,14 +456,8 @@ func (s *Sim) epochScratch(nchunks int) (shards []epochShard, failedByChunk [][]
 	if len(s.shards) != nworkers {
 		s.shards = make([]epochShard, nworkers)
 	}
-	nlinks := len(s.topo.Links)
 	for w := range s.shards {
 		sh := &s.shards[w]
-		if sh.drops == nil {
-			sh.drops = make([]int64, nlinks)
-		} else {
-			clear(sh.drops)
-		}
 		sh.packets, sh.dropped = 0, 0
 		sh.arena.reset()
 	}
@@ -521,12 +506,12 @@ func (s *Sim) RunEpoch() *Epoch {
 // per-source flow counts into global flow-index bases, fan source chunks
 // out to workers that generate each source's flows and simulate them in the
 // same pass (the full flow list is never materialized), then merge — shard
-// counters over disjoint link ranges in parallel, per-chunk outcome and
-// report lists concatenated in chunk order. The traceroute budget resolves
-// inside the shard loop: a host's flows are contiguous in flow order, so
-// the first-Cap-failed-flows rule is per-source-local whenever no host
-// appears twice in the source list (s.budgetLocal); the rare duplicate-host
-// workload falls back to the sequential post-pass.
+// totals summed, per-chunk outcome and report lists concatenated in chunk
+// order. The traceroute budget resolves inside the shard loop: a host's
+// flows are contiguous in flow order, so the first-Cap-failed-flows rule is
+// per-source-local whenever no host appears twice in the source list
+// (s.budgetLocal); the rare duplicate-host workload falls back to the
+// sequential post-pass.
 //
 // buildCache additionally records every flow and its resolved path into the
 // incremental-delta cache (incremental.go).
@@ -537,9 +522,7 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	total := s.flowBases(epochSeed, nsrc)
 	phaseCount.End()
 
-	nlinks := len(s.topo.Links)
 	ep := &Epoch{
-		LinkDrops:   make([]int64, nlinks),
 		FailedLinks: s.failedSnapshot(),
 		TotalFlows:  total,
 	}
@@ -626,24 +609,6 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 		sh := &shards[w]
 		ep.TotalPackets += sh.packets
 		ep.TotalDrops += sh.dropped
-	}
-	// Dense counter merge: integer sums over disjoint link ranges are
-	// order-free, so the ranges fan out to workers; a single-worker epoch is
-	// a straight copy. Skipping zero entries keeps the merge read-dominated
-	// in the common all-but-quiet epoch.
-	if len(shards) == 1 {
-		copy(ep.LinkDrops, shards[0].drops)
-	} else {
-		par.ForEachChunk(nlinks, par.Grain(nlinks, linkGrainLo, linkGrainHi, grainTarget), s.cfg.Parallelism, func(_, lo, hi int) {
-			for w := range shards {
-				drops := shards[w].drops
-				for l := lo; l < hi; l++ {
-					if d := drops[l]; d != 0 {
-						ep.LinkDrops[l] += d
-					}
-				}
-			}
-		})
 	}
 	// Per-chunk outcome and report lists concatenate in chunk order,
 	// restoring ascending flow-index order. Sizing happens up front so
@@ -743,11 +708,6 @@ func (s *Sim) simFlow(sh *epochShard, epochSeed uint64, fi int64, f traffic.Flow
 	drops := s.sampleFlowDrops(epochSeed, fi, &sh.rng, links, f.Packets, &perLink)
 	if drops == 0 {
 		return FlowOutcome{}, false
-	}
-	for li, l := range links {
-		if d := perLink[li]; d != 0 {
-			sh.drops[l] += int64(d)
-		}
 	}
 	sh.dropped += drops
 	out := FlowOutcome{
@@ -853,6 +813,19 @@ func (s *Sim) sampleFlowDrops(epochSeed uint64, fi int64, rng *stats.RNG, links 
 		drops += d
 	}
 	return drops
+}
+
+// LinkDrops derives the ground-truth number of packets each link dropped.
+// Every dropped packet belongs to a failed flow, so summing DropsByLink over
+// Failed is the whole vector; links no failed flow crossed are absent.
+func (ep *Epoch) LinkDrops() map[topology.LinkID]int64 {
+	m := make(map[topology.LinkID]int64)
+	for _, f := range ep.Failed {
+		for i, d := range f.DropsByLink {
+			m[f.Path[i]] += int64(d)
+		}
+	}
+	return m
 }
 
 // Truth builds the ground-truth map that package metrics scores against.

@@ -49,7 +49,7 @@ func TestDropConservation(t *testing.T) {
 	s.InjectFailure(bad, 0.01)
 	ep := s.RunEpoch()
 	var sumLinks int
-	for _, d := range ep.LinkDrops {
+	for _, d := range ep.LinkDrops() {
 		sumLinks += int(d)
 	}
 	if sumLinks != ep.TotalDrops {
@@ -83,7 +83,7 @@ func TestFailureInjectionRaisesDrops(t *testing.T) {
 	if failed.TotalDrops <= base.TotalDrops {
 		t.Fatalf("failure did not raise drops: %d vs %d", failed.TotalDrops, base.TotalDrops)
 	}
-	if failed.LinkDrops[bad] == 0 {
+	if failed.LinkDrops()[bad] == 0 {
 		t.Fatal("injected link dropped nothing at 5%")
 	}
 	if len(failed.FailedLinks) != 1 || failed.FailedLinks[0] != bad {
@@ -92,7 +92,7 @@ func TestFailureInjectionRaisesDrops(t *testing.T) {
 	// Clearing restores the noise floor.
 	s.ClearFailure(bad)
 	cleared := s.RunEpoch()
-	if int(cleared.LinkDrops[bad]) > cleared.TotalDrops/2 && cleared.TotalDrops > 10 {
+	if int(cleared.LinkDrops()[bad]) > cleared.TotalDrops/2 && cleared.TotalDrops > 10 {
 		t.Fatal("cleared link still dominates drops")
 	}
 	if len(cleared.FailedLinks) != 0 {
@@ -292,7 +292,7 @@ func TestDropRateMatchesInjection(t *testing.T) {
 	var dropped, offered int
 	for e := 0; e < 20; e++ {
 		ep := s.RunEpoch()
-		dropped += int(ep.LinkDrops[bad])
+		dropped += int(ep.LinkDrops()[bad])
 		for _, f := range ep.Failed {
 			_ = f
 		}
@@ -354,7 +354,7 @@ func TestSequentialSampling(t *testing.T) {
 	s.InjectFailure(up, 0.5)
 	ep := s.RunEpoch()
 	sent := 100 * 100 // host 0's share
-	got := ep.LinkDrops[up]
+	got := ep.LinkDrops()[up]
 	if math.Abs(float64(got)-float64(sent)/2) > 500 {
 		t.Fatalf("uplink dropped %d of %d, want ~half", got, sent)
 	}

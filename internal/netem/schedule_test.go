@@ -79,7 +79,7 @@ func TestScheduledEpochsFollowScript(t *testing.T) {
 			if len(ep.FailedLinks) != 1 || ep.FailedLinks[0] != bad {
 				t.Fatalf("epoch %d: FailedLinks = %v, want [%v]", e, ep.FailedLinks, bad)
 			}
-			if ep.LinkDrops[bad] == 0 {
+			if ep.LinkDrops()[bad] == 0 {
 				t.Fatalf("epoch %d: active scheduled link dropped nothing at 20%%", e)
 			}
 		} else {

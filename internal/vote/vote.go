@@ -16,6 +16,7 @@ package vote
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"vigil/internal/topology"
@@ -174,22 +175,69 @@ func (t *Tally) Flows() int { return t.flows }
 // Len returns the number of links with non-zero tallies.
 func (t *Tally) Len() int { return len(t.links) }
 
+// rankFree keeps Ranking's second buffer between calls.
+var rankFree = newFreeList[[]LinkVotes]()
+
 // Ranking returns links sorted by descending votes; ties break toward the
 // lower link ID so results are deterministic.
+//
+// It is a stable LSD radix sort of the slots, which are already in LinkID
+// order, on the complemented bits of their votes: a vote is positive, so
+// its IEEE-754 bit pattern orders as the number does, and a stable sort
+// leaves equal votes in LinkID order. A byte that is the same in every vote
+// costs no pass (DESIGN.md, "Analysis cost model", has the digit width).
 func (t *Tally) Ranking() []LinkVotes {
-	out := make([]LinkVotes, len(t.links))
-	for i, l := range t.links {
-		out[i] = LinkVotes{Link: l, Votes: t.votes[i]}
+	n := len(t.links)
+	out := make([]LinkVotes, n)
+	if n == 0 {
+		return out
 	}
-	slices.SortFunc(out, func(a, b LinkVotes) int {
-		switch {
-		case a.Votes > b.Votes:
-			return -1
-		case a.Votes < b.Votes:
-			return 1
+	var hist [8][256]int32
+	for _, v := range t.votes {
+		k := ^math.Float64bits(v)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	k0 := ^math.Float64bits(t.votes[0])
+	tmp := rankFree.get()
+	defer rankFree.put(tmp)
+	*tmp = resize(*tmp, n)
+	src, dst := out, *tmp
+	for i, l := range t.links {
+		src[i] = LinkVotes{Link: l, Votes: t.votes[i]}
+	}
+	for d := range hist {
+		h, shift := &hist[d], 8*d
+		if int(h[byte(k0>>shift)]) == n {
+			continue
 		}
-		return cmp.Compare(a.Link, b.Link)
-	})
+		var at int32
+		for b, c := range h {
+			h[b], at = at, at+c
+		}
+		// Most of an epoch's links tie (one failed flow's 1/h each), so the
+		// cursor of the bucket being filled stays in a register across a run
+		// of equal digits instead of going through h every time.
+		run, cur := byte(0), h[0]
+		for _, e := range src {
+			b := byte(^math.Float64bits(e.Votes) >> shift)
+			if b != run {
+				h[run], run, cur = cur, b, h[b]
+			}
+			dst[cur] = e
+			cur++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &out[0] {
+		copy(out, src) // an odd number of passes ends in the pooled buffer
+	}
 	return out
 }
 
