@@ -139,7 +139,7 @@ func runCollector(addr, metricsAddr string, exporter *metrics.EpochExporter, cfg
 	}
 	fmt.Printf("ingest collector on %s (%d sessions", col.Addr(), cfg.Sessions)
 	if cfg.CheckpointPath != "" {
-		fmt.Printf(", checkpoint %s", cfg.CheckpointPath)
+		fmt.Printf(", two-slot checkpoint file %s: one pwrite + fdatasync per settle", cfg.CheckpointPath)
 	}
 	fmt.Println(")")
 
@@ -183,7 +183,7 @@ func main() {
 	topK := flag.Int("top-links", 10, "ranked links exported per settled epoch")
 
 	collectorListen := flag.String("collector-listen", "", "serve the networked ingest transport on this address (empty = in-process engine)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file for collector crash recovery (collector mode)")
+	checkpoint := flag.String("checkpoint", "", "two-slot checkpoint file for collector crash recovery, created (8 KiB, preallocated) if missing; every settle is one pwrite + fdatasync into it (collector mode)")
 	sessions := flag.Int("sessions", 1, "agent sessions expected (collector mode)")
 
 	faultSeed := flag.Uint64("fault-seed", 1, "fault layer seed")

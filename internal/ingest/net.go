@@ -255,6 +255,26 @@ type CollectorConfig struct {
 	Counters *metrics.IngestCounters
 	// Transport receives wire-level state; allocated when nil.
 	Transport *metrics.TransportCounters
+
+	// probe, which only the crash-point sweep sets, runs on the collector
+	// goroutine between the effects of a cycle's end — where a crash can land.
+	probe func(at cycleStage, cycle int32)
+}
+
+// cycleStage names the gaps between endCycle's effects.
+type cycleStage uint8
+
+const (
+	beforeSink cycleStage = iota
+	beforeCycleEnd
+	beforeCommit
+	afterCommit // the checkpoint is durable and the acks are queued
+)
+
+func (c *NetCollector) at(stage cycleStage, cycle int32) {
+	if c.cfg.probe != nil {
+		c.cfg.probe(stage, cycle)
+	}
 }
 
 type netEventKind uint8
@@ -323,6 +343,7 @@ type NetCollector struct {
 	marks     map[uint64]uint64          // Commit's argument, reused
 	agentSess map[topology.HostID]uint64 // agent → owning session
 	sessSeen  map[uint64]struct{}
+	nextCycle map[uint64]int32 // the cycle whose token each session owes next
 	byes      int
 	an        *analysis.Options // from the first session's handshake
 }
@@ -352,6 +373,7 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 		marks:     make(map[uint64]uint64),
 		agentSess: make(map[topology.HostID]uint64),
 		sessSeen:  make(map[uint64]struct{}),
+		nextCycle: make(map[uint64]int32),
 	}
 	// Room for every burst that can exist at once: queued, being staged by
 	// a session's reader, and being handled by the collector.
@@ -380,6 +402,7 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 		// Agents that already saw it ignore the stale re-send.
 		for _, id := range srv.SessionIDs() {
 			c.sessSeen[id] = struct{}{}
+			c.nextCycle[id] = restored + 1 // its durable mark is its token for the restored epoch
 			srv.SendCycleEnd(id, transport.CycleEnd{Cycle: c.core.nextEnd - 1})
 		}
 	}
@@ -462,7 +485,7 @@ func (c *NetCollector) Counters() *metrics.IngestCounters { return c.cfg.Counter
 func (c *NetCollector) TransportCounters() *metrics.TransportCounters { return c.srv.Counters() }
 
 // Wait blocks until every session has closed cleanly (nil), the collector
-// stopped on a failed checkpoint (that error), or ctx ends.
+// stopped on a failed checkpoint or a lost token (that error), or ctx ends.
 func (c *NetCollector) Wait(ctx context.Context) error {
 	select {
 	case <-c.loopDone:
@@ -491,9 +514,9 @@ func (c *NetCollector) loop() {
 		}
 	}
 	if c.err != nil {
-		// A checkpoint that cannot be written stops the collector the way a
-		// crash would: nothing past the last good Commit was acked, so a
-		// restart over a working disk resumes from there.
+		// A checkpoint that cannot be written, or a token the wire lost for
+		// good, stops the collector the way a crash would: nothing past the
+		// last good Commit was acked, so a restart resumes from there.
 		c.Close()
 	}
 }
@@ -535,6 +558,18 @@ func (c *NetCollector) handle(e netEvent) {
 // core's nextEnd.
 func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) {
 	c.sessSeen[sess] = struct{}{}
+	// A session sends one token per cycle, in order, and re-sends only its
+	// newest. One that skips a cycle means a token was lost behind later
+	// frames of a replay — on a wire that loses frames inside a connection,
+	// which TCP does not — and its epoch could never be accounted for. Stop
+	// the way a crash would: the restart's replay carries the token again.
+	switch next := c.nextCycle[sess]; {
+	case t.Cycle > next:
+		c.err = fmt.Errorf("ingest: session %d sent its token for cycle %d before the one for cycle %d: a frame was lost where no re-send recovers it", sess, t.Cycle, next)
+		return
+	case t.Cycle == next:
+		c.nextCycle[sess] = next + 1
+	}
 	if t.Cycle > c.core.lastSettled {
 		for _, ac := range t.Counts {
 			c.agentSess[ac.Agent] = sess
@@ -550,15 +585,19 @@ func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) 
 	}
 }
 
-// endCycle settles the epoch that crossed the watermark, then fans the
-// cycle-end (with each session's share of the re-requests) out to every
-// session.
+// endCycle finishes a completed cycle in the order sink → cycle-end →
+// commit → ack. The cycle-end carries only the re-requests, which the core
+// worked out before the settle, and promises nothing durable — agents trim
+// their replay buffer on the ack alone — so it leaves before the commit and
+// the agents' next epoch overlaps the disk. The sink comes first, so that no
+// verdict waits behind either. DESIGN.md, "Checkpoint format and crash
+// recovery", argues the crash at each arrow.
 func (c *NetCollector) endCycle(done cycleDone) {
+	c.at(beforeSink, done.cycle)
 	if done.settled {
-		if c.err = c.settle(done); c.err != nil {
-			return
-		}
+		c.settle(done)
 	}
+	c.at(beforeCycleEnd, done.cycle)
 	c.cfg.Counters.QueueDepth.Store(int64(len(c.ev)))
 	var perSess map[uint64][]transport.RetryReq
 	for _, q := range done.retries {
@@ -572,49 +611,58 @@ func (c *NetCollector) endCycle(done cycleDone) {
 	for sess := range c.sessSeen {
 		c.srv.SendCycleEnd(sess, transport.CycleEnd{Cycle: done.cycle, Retries: perSess[sess]})
 	}
+	c.at(beforeCommit, done.cycle)
+	if done.settled {
+		c.err = c.commit(done.epoch)
+	}
+	c.at(afterCommit, done.cycle)
 }
 
-// settle delivers epoch done.epoch exactly once across collector
-// incarnations: the result, built on the summary its token carried, goes to
-// the sink, and THEN the settle is committed — checkpoint plus durable acks
-// up to each session's token for the epoch — so a crash at any point either
-// re-settles it from replay (sink sees it again, dedupable by epoch) or
-// finds it durably behind the watermark. A drain cycle's epoch commits too,
-// so the drain tokens are durably acked.
-func (c *NetCollector) settle(done cycleDone) error {
-	e := done.epoch
-	sum := c.summaries[e]
-	delete(c.summaries, e)
+// settle delivers epoch done.epoch, built on the summary its token carried,
+// to the sink. The settle is committed after this, so across collector
+// incarnations delivery is at-least-once: a crash before the commit
+// re-settles the epoch from replay and the sink sees it again, dedupable by
+// epoch; a crash after it finds the epoch durably behind the watermark.
+func (c *NetCollector) settle(done cycleDone) {
+	sum := c.summaries[done.epoch]
+	delete(c.summaries, done.epoch)
+	if !done.live {
+		return
+	}
+	if sum == nil {
+		panic("ingest: live epoch settled without a summary token")
+	}
+	out := &engine.EpochResult{
+		Epoch:       int(sum.Epoch),
+		TotalFlows:  int(sum.TotalFlows),
+		FailedFlows: int(sum.FailedFlows),
+		TotalDrops:  int(sum.TotalDrops),
+	}
+	if sum.HasFailed {
+		out.FailedLinks = sum.FailedLinks
+		if out.FailedLinks == nil {
+			out.FailedLinks = []topology.LinkID{}
+		}
+	}
+	if sum.HasTruth {
+		out.Truth = make(map[int64]metrics.FlowTruth, len(sum.Truth))
+		for _, te := range sum.Truth {
+			out.Truth[te.FlowID] = metrics.FlowTruth{Culprit: te.Culprit, CrossedFailure: te.CrossedFailure}
+		}
+	}
+	deliver(out, done.accepted, *c.an, c.cfg.Counters, c.cfg.Sink)
+}
+
+// commit makes epoch e's settle durable: checkpoint, then durable acks up to
+// each session's token for the epoch. A drain cycle's epoch commits too, so
+// the drain tokens are durably acked.
+func (c *NetCollector) commit(e int32) error {
 	clear(c.marks)
 	for sess := range c.sessSeen {
 		if seq, ok := c.tokenSeq[tokenKey{e, sess}]; ok {
 			c.marks[sess] = seq
 			delete(c.tokenSeq, tokenKey{e, sess})
 		}
-	}
-	if done.live {
-		if sum == nil {
-			panic("ingest: live epoch settled without a summary token")
-		}
-		out := &engine.EpochResult{
-			Epoch:       int(sum.Epoch),
-			TotalFlows:  int(sum.TotalFlows),
-			FailedFlows: int(sum.FailedFlows),
-			TotalDrops:  int(sum.TotalDrops),
-		}
-		if sum.HasFailed {
-			out.FailedLinks = sum.FailedLinks
-			if out.FailedLinks == nil {
-				out.FailedLinks = []topology.LinkID{}
-			}
-		}
-		if sum.HasTruth {
-			out.Truth = make(map[int64]metrics.FlowTruth, len(sum.Truth))
-			for _, te := range sum.Truth {
-				out.Truth[te.FlowID] = metrics.FlowTruth{Culprit: te.Culprit, CrossedFailure: te.CrossedFailure}
-			}
-		}
-		deliver(out, done.accepted, *c.an, c.cfg.Counters, c.cfg.Sink)
 	}
 	if err := c.srv.Commit(int64(e), c.marks); err != nil {
 		return fmt.Errorf("ingest: checkpoint after epoch %d: %w", e, err)

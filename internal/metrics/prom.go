@@ -51,11 +51,12 @@ func (p *promWriter) sample(v any, labels ...string) {
 }
 
 // series is one unlabelled series of a counter struct C: name, help, kind
-// and a loader.
+// and a loader — a func(*C) int64, or a func(*C) float64 for the rare series
+// that is not a count.
 type series[C any] struct {
 	name, help string
 	gauge      bool
-	load       func(c *C) int64
+	load       any
 }
 
 // writeSeries renders every series of c, one HELP/TYPE pair each, reading
@@ -65,7 +66,14 @@ func writeSeries[C any](w io.Writer, c *C, all []series[C]) error {
 	p := promWriter{w: w}
 	for _, m := range all {
 		p.family(m.name, m.help, m.gauge)
-		p.sample(m.load(c))
+		switch load := m.load.(type) {
+		case func(*C) int64:
+			p.sample(load(c))
+		case func(*C) float64:
+			p.sample(load(c))
+		default:
+			panic("metrics: series " + m.name + " has no loader")
+		}
 	}
 	return p.err
 }

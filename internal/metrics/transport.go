@@ -37,6 +37,9 @@ type TransportCounters struct {
 	SendWindowDrops atomic.Int64 // outbound frames shed because a connection's send window was full
 	AcceptRetries   atomic.Int64 // transient accept-loop errors survived with backoff
 	Checkpoints     atomic.Int64 // collector state checkpoints written
+	// CheckpointCommitNanos is the time spent in those commits — encode,
+	// pwrite, fdatasync — so its ratio to Checkpoints is the mean commit cost.
+	CheckpointCommitNanos atomic.Int64
 
 	// Gauges.
 	SessionsConnected atomic.Int64 // sessions with a live connection right now
@@ -76,6 +79,7 @@ var transportMetrics = []series[TransportCounters]{
 	{"vigil_transport_send_window_drops_total", "Outbound frames shed because a connection's bounded send window was full.", false, func(c *TransportCounters) int64 { return c.SendWindowDrops.Load() }},
 	{"vigil_transport_accept_retries_total", "Transient accept-loop errors survived with backoff.", false, func(c *TransportCounters) int64 { return c.AcceptRetries.Load() }},
 	{"vigil_transport_checkpoints_total", "Collector state checkpoints written.", false, func(c *TransportCounters) int64 { return c.Checkpoints.Load() }},
+	{"vigil_transport_checkpoint_commit_seconds_total", "Time spent writing those checkpoints and making them durable; over checkpoints_total, the mean commit cost.", false, func(c *TransportCounters) float64 { return time.Duration(c.CheckpointCommitNanos.Load()).Seconds() }},
 	{"vigil_transport_sessions_connected", "Sessions with a live connection.", true, func(c *TransportCounters) int64 { return c.SessionsConnected.Load() }},
 	{"vigil_transport_checkpoint_age_seconds", "Seconds since the newest checkpoint (-1 = never written).", true, func(c *TransportCounters) int64 { return c.CheckpointAgeSeconds() }},
 }

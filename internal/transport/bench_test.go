@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"net"
+	"path/filepath"
 	"testing"
 
 	"vigil/internal/topology"
@@ -25,13 +26,19 @@ func (h tokenHandler) OnToken(_, seq uint64, _ transport.Token) { h.tokens <- se
 // server → no-op handler, then the durable ack and the cycle-end come back.
 // It uses the public API only, so the same file measures any commit.
 func BenchmarkWireEpoch(b *testing.B) {
+	b.Run("memory", func(b *testing.B) { benchWireEpoch(b, "") })
+	// The same cycle with every Commit made durable, as vigild runs it.
+	b.Run("checkpoint", func(b *testing.B) { benchWireEpoch(b, filepath.Join(b.TempDir(), "checkpoint")) })
+}
+
+func benchWireEpoch(b *testing.B, checkpoint string) {
 	const reports, session = 1440, 1
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	h := tokenHandler{tokens: make(chan uint64, 1)}
-	srv, err := transport.Serve(transport.ServerConfig{Listener: ln, Handler: h})
+	srv, err := transport.Serve(transport.ServerConfig{Listener: ln, Handler: h, CheckpointPath: checkpoint})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,5 +85,40 @@ func BenchmarkWireEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle(int32(i + 1))
+	}
+}
+
+// BenchmarkCheckpointCommit is what making one settle durable costs: a
+// Commit of one session's mark into a checkpoint file, with no connection
+// to ack to. Public API only, so the same file measures any commit. Of the
+// allocations it reports, two are the ack frame Commit builds; the
+// checkpoint's own encode-and-write path has none.
+func BenchmarkCheckpointCommit(b *testing.B) {
+	const session = 1
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := transport.Serve(transport.ServerConfig{
+		Listener: ln, Handler: tokenHandler{}, AppFresh: -1,
+		CheckpointPath: filepath.Join(b.TempDir(), "checkpoint"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	marks := map[uint64]uint64{session: 0}
+	commit := func(i int) {
+		marks[session] = uint64(i + 1)
+		if err := srv.Commit(int64(i), marks); err != nil {
+			b.Fatal(err)
+		}
+	}
+	commit(0) // the session's record, the first write of either slot
+	commit(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit(i + 2)
 	}
 }

@@ -3,8 +3,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -254,56 +252,5 @@ func TestSeqOf(t *testing.T) {
 	}
 	if _, ok := SeqOf(TypeReport, []byte{1, 2}); ok {
 		t.Fatal("SeqOf accepted a truncated payload")
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt")
-
-	// Missing file: a fresh start with the caller's watermark, not an error.
-	cp, err := LoadCheckpoint(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.App != -1 || len(cp.Sessions) != 0 {
-		t.Fatalf("fresh checkpoint = %+v", cp)
-	}
-
-	in := Checkpoint{V: 1, App: 41, Sessions: map[uint64]uint64{3: 900, 9: 12}}
-	if err := in.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	out, err := LoadCheckpoint(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("round trip changed checkpoint: %+v -> %+v", in, out)
-	}
-
-	// Overwrites are atomic renames: the new state fully replaces the old.
-	in.App = 42
-	in.Sessions[3] = 1000
-	if err := in.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if out, _ = LoadCheckpoint(path, -1); out.App != 42 || out.Sessions[3] != 1000 {
-		t.Fatalf("overwrite not visible: %+v", out)
-	}
-
-	// Corrupt JSON and unknown versions are hard errors — resuming from
-	// garbage would silently break exactly-once settlement.
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, -1); err == nil {
-		t.Error("corrupt checkpoint loaded cleanly")
-	}
-	if err := os.WriteFile(path, []byte(`{"v":99,"app":0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, -1); err == nil {
-		t.Error("unknown-version checkpoint loaded cleanly")
 	}
 }

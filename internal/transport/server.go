@@ -39,11 +39,11 @@ type ServerConfig struct {
 	// Sessions is the number of agent sessions expected to Bye before Done
 	// fires. 0 means 1.
 	Sessions int
-	// CheckpointPath enables crash recovery: Commit writes the durable
-	// watermarks there (atomic rename), and Serve loads it so a restarted
-	// collector resumes sessions from their last durable state. Empty
-	// disables durability (acks then mean "settled", not "settled and on
-	// disk").
+	// CheckpointPath enables crash recovery: Serve opens (or creates) the
+	// two-slot checkpoint file there and loads it, so a restarted collector
+	// resumes sessions from their last durable state, and Commit writes the
+	// durable watermarks into it. Empty disables durability (acks then mean
+	// "settled", not "settled and on disk").
 	CheckpointPath string
 	// AppFresh is the application watermark of a fresh (no checkpoint
 	// file) start; the ingest collector uses -1 (nothing settled).
@@ -100,6 +100,11 @@ type Server struct {
 
 	done chan struct{}
 	wg   sync.WaitGroup
+
+	// ckptMu serializes checkpoint commits with each other and with Close.
+	ckptMu    sync.Mutex
+	ckpt      *checkpoint // nil without a CheckpointPath, and once closed
+	ckptMarks []sessMark  // the sessions' marks of the commit in progress, reused
 }
 
 // Serve builds a server on cfg.Listener, loading the checkpoint (if
@@ -133,13 +138,16 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		s.ctr = &metrics.TransportCounters{}
 	}
 	if cfg.CheckpointPath != "" {
-		cp, err := LoadCheckpoint(cfg.CheckpointPath, cfg.AppFresh)
+		ck, st, err := openCheckpoint(cfg.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
-		s.app = cp.App
-		for id, mark := range cp.Sessions {
-			s.sessions[id] = &session{id: id, recv: mark, durable: mark}
+		s.ckpt = ck
+		if st.gen > 0 {
+			s.app = st.app
+		}
+		for _, m := range st.marks {
+			s.sessions[m.sess] = &session{id: m.sess, recv: m.durable, durable: m.durable}
 		}
 	}
 	s.wg.Add(1)
@@ -432,34 +440,18 @@ func (s *Server) SendCycleEnd(sessID uint64, ce CycleEnd) {
 
 // Commit advances durability: app is the new application watermark (the
 // ingest collector's last settled epoch) and marks gives, per session, the
-// frame sequence now fully reflected in settled state. The checkpoint is
-// written (atomically) BEFORE watermarks advance or acks go out, so an
-// acked frame is always recoverable: either it is reflected in the
+// frame sequence now fully reflected in settled state. The checkpoint's
+// data sync has returned BEFORE any watermark advances or any ack goes out,
+// so an acked frame is always recoverable: either it is reflected in the
 // checkpoint the restarted collector loads, or the agent still holds it.
 func (s *Server) Commit(app int64, marks map[uint64]uint64) error {
 	s.mu.Lock()
 	s.app = app
-	snapshot := make(map[uint64]*session, len(s.sessions))
-	for id, sess := range s.sessions {
-		snapshot[id] = sess
-	}
 	s.mu.Unlock()
 	if s.cfg.CheckpointPath != "" {
-		cp := Checkpoint{V: 1, App: app, Sessions: make(map[uint64]uint64, len(snapshot))}
-		for id, sess := range snapshot {
-			sess.mu.Lock()
-			d := sess.durable
-			sess.mu.Unlock()
-			if mark, ok := marks[id]; ok && mark > d {
-				d = mark
-			}
-			cp.Sessions[id] = d
-		}
-		if err := cp.Save(s.cfg.CheckpointPath); err != nil {
+		if err := s.checkpoint(app, marks); err != nil {
 			return err
 		}
-		s.ctr.Checkpoints.Add(1)
-		s.ctr.CheckpointUnixNano.Store(time.Now().UnixNano())
 	}
 	for id, mark := range marks {
 		sess := s.sessionFor(id)
@@ -469,16 +461,49 @@ func (s *Server) Commit(app int64, marks map[uint64]uint64) error {
 		}
 		durable := sess.durable
 		sess.mu.Unlock()
-		s.enqueue(sess, -1, Frame(AppendAck(nil, Ack{Durable: durable})))
+		var body [9]byte // an ack's type and mark: Frame's copy is the one allocation
+		s.enqueue(sess, -1, Frame(AppendAck(body[:0], Ack{Durable: durable})))
 		s.ctr.AcksSent.Add(1)
 	}
 	return nil
 }
 
-// Close shuts the listener and every connection down and waits for the
-// server's goroutines. Session state is NOT checkpointed here — durability
-// is Commit's job — so closing a server without a final Commit is exactly
-// the crash the recovery path handles.
+// checkpoint writes the durable state a Commit is about to ack: every known
+// session at the higher of its durable mark and the mark being committed.
+func (s *Server) checkpoint(app int64, marks map[uint64]uint64) error {
+	start := time.Now()
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if s.ckpt == nil {
+		return fmt.Errorf("transport: checkpoint %s: server closed", s.cfg.CheckpointPath)
+	}
+	durable := s.ckptMarks[:0]
+	s.mu.Lock()
+	for id, sess := range s.sessions {
+		sess.mu.Lock()
+		d := sess.durable
+		sess.mu.Unlock()
+		if mark, ok := marks[id]; ok && mark > d {
+			d = mark
+		}
+		durable = append(durable, sessMark{id, d})
+	}
+	s.mu.Unlock()
+	s.ckptMarks = durable
+	if err := s.ckpt.commit(app, durable); err != nil {
+		return err
+	}
+	end := time.Now()
+	s.ctr.Checkpoints.Add(1)
+	s.ctr.CheckpointCommitNanos.Add(int64(end.Sub(start)))
+	s.ctr.CheckpointUnixNano.Store(end.UnixNano())
+	return nil
+}
+
+// Close shuts the listener and every connection down, waits for the
+// server's goroutines and closes the checkpoint file. Session state is NOT
+// checkpointed here — durability is Commit's job — so closing a server
+// without a final Commit is exactly the crash the recovery path handles.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -486,6 +511,15 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	defer func() {
+		s.ckptMu.Lock()
+		if s.ckpt != nil {
+			// Every commit ended in its own data sync; Close has nothing to flush.
+			s.ckpt.file.Close()
+			s.ckpt = nil
+		}
+		s.ckptMu.Unlock()
+	}()
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
