@@ -5,7 +5,9 @@ import (
 
 	"vigil/internal/engine"
 	"vigil/internal/metrics"
+	"vigil/internal/stats"
 	"vigil/internal/topology"
+	"vigil/internal/transport"
 	"vigil/internal/vote"
 )
 
@@ -41,5 +43,111 @@ func BenchmarkBuildToken(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := buildToken(int32(i), res)
 		tokenSink += len(t.Counts) + len(t.Summary.Truth)
+	}
+}
+
+// settleFeed drives a settle core straight through report/token/next, one
+// epoch per cycle, at the shape of bench/'s two service workloads: 360
+// agents sending four reports each. With one source it is wire-replay's
+// (arrivals canonical); with four it is lanes-lossy's: agent a on source
+// a mod 4, the sources' 128-report bursts interleaved, 0.5 % of first
+// transmissions lost and re-sent when re-requested, 2 % sent twice. It uses
+// only what the core has offered since PR 18, so the same file measures
+// the parent.
+type settleFeed struct {
+	core    *settleCore
+	sources int
+	lossy   bool
+	reports []vote.Report            // one epoch's, canonical; Epoch is set per cycle
+	counts  [][]transport.AgentCount // per source
+	retries []transport.RetryReq     // the last cycle's re-requests, answered in this one
+	cycle   int32
+	settled int
+}
+
+const feedAgents, feedPerAgent = 360, 4
+
+func newSettleFeed(sources int, lossy bool) *settleFeed {
+	f := &settleFeed{sources: sources, lossy: lossy, counts: make([][]transport.AgentCount, sources)}
+	grace, maxRetries := 2, 0
+	if lossy {
+		grace, maxRetries = 4, 3
+	}
+	f.core = newSettleCore(sources, grace, maxRetries, 1, &metrics.IngestCounters{}, -1)
+	path := []topology.LinkID{1, 2, 3, 4, 5}
+	for a := 0; a < feedAgents; a++ {
+		for q := 0; q < feedPerAgent; q++ {
+			f.reports = append(f.reports, vote.Report{
+				FlowID: int64(len(f.reports)) * 40, Src: topology.HostID(a), Dst: topology.HostID(a % 97), Seq: int32(q), Path: path,
+			})
+		}
+		f.counts[a%sources] = append(f.counts[a%sources], transport.AgentCount{Agent: topology.HostID(a), N: feedPerAgent})
+	}
+	return f
+}
+
+// send transmits report i of the epoch; a lossy feed loses or repeats some
+// first transmissions, as a pure function of the identity.
+func (f *settleFeed) send(e int32, i int, attempt uint8) {
+	r := f.reports[i]
+	r.Epoch = e
+	if f.lossy && attempt == 0 {
+		switch u := stats.DeriveUniform(uint64(e), uint64(i)); {
+		case u < 0.005:
+			return
+		case u >= 0.98:
+			f.core.report(r, 0, false)
+		}
+	}
+	f.core.report(r, attempt, false)
+}
+
+// step runs one cycle: the last cycle's re-requests answered, the epoch's
+// reports a burst per source in turn, then every source's token.
+func (f *settleFeed) step() {
+	e := f.cycle
+	f.cycle++
+	for _, q := range f.retries {
+		f.send(q.Epoch, int(q.Agent)*feedPerAgent+int(q.Seq), q.Attempt)
+	}
+	perSource := len(f.reports) / f.sources
+	for b := 0; b < perSource; b += burstSize {
+		for s := 0; s < f.sources; s++ {
+			for j := b; j < min(b+burstSize, perSource); j++ {
+				// The j-th report of source s: agent s + sources*(j/perAgent).
+				f.send(e, (s+f.sources*(j/feedPerAgent))*feedPerAgent+j%feedPerAgent, 0)
+			}
+		}
+	}
+	for s := 0; s < f.sources; s++ {
+		f.core.token(e, true, f.counts[s])
+		for done, ok := f.core.next(); ok; done, ok = f.core.next() {
+			f.retries = append(f.retries[:0], done.retries...)
+			if done.settled && done.live {
+				f.settled++
+			}
+		}
+	}
+}
+
+// BenchmarkSettle is the settle core's cost per epoch, one op a cycle that
+// settles one epoch, at the wire's arrival order and at the lanes'.
+func BenchmarkSettle(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		sources int
+		lossy   bool
+	}{{"inorder", 1, false}, {"interleaved", 4, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			f := newSettleFeed(c.sources, c.lossy)
+			for i := 0; i < 20; i++ { // fill the watermark window
+				f.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.step()
+			}
+		})
 	}
 }

@@ -2,10 +2,14 @@ package ingest
 
 import (
 	"cmp"
+	"context"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"vigil/internal/engine"
 	"vigil/internal/metrics"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
@@ -67,12 +71,18 @@ func (s *coreSim) feed(ev coreEvent) {
 }
 
 // emit generates one live epoch: every agent's dense sequence, each report
-// scheduled for 0–2 deliveries at cycle offsets 0…grace+2. It returns each
-// source's token counts.
+// scheduled for 0–2 deliveries at cycle offsets 0…grace+2. An agent sends
+// 0–5 reports, so it is absent from some epochs and present in others, or
+// now and then 150–209, whose first, last and word-boundary sequences
+// (63|64, 127|128) are never delivered first time: holes and ranks cross
+// bitset words. It returns each source's token counts.
 func (s *coreSim) emit(epoch int32, agents int) [][]transport.AgentCount {
 	counts := make([][]transport.AgentCount, s.sources)
 	for a := 0; a < agents; a++ {
-		n := s.rng.Intn(6)
+		n, big := s.rng.Intn(6), s.rng.Bool(0.03)
+		if big {
+			n = 150 + s.rng.Intn(60)
+		}
 		if n == 0 {
 			continue
 		}
@@ -86,7 +96,11 @@ func (s *coreSim) emit(epoch int32, agents int) [][]transport.AgentCount {
 			s.total++
 			s.emitted[epoch] = append(s.emitted[epoch], r)
 			s.byID[r.ID()] = r
-			for copies := s.rng.Intn(3); copies > 0; copies-- {
+			copies := s.rng.Intn(3)
+			if big && (seq == 0 || seq == 63 || seq == 64 || seq == 127 || seq == 128 || seq == n-1) {
+				copies = 0
+			}
+			for ; copies > 0; copies-- {
 				off := int32(s.rng.Intn(s.grace + 3))
 				s.due[epoch+off] = append(s.due[epoch+off], coreEvent{r: r, delayed: off > 0})
 			}
@@ -276,4 +290,166 @@ func TestSettleCoreMatchesReferenceModel(t *testing.T) {
 		t.Fatalf("the generator left a path idle: duplicates %d, late %d, late-dropped %d, lost %d, retries %d, recovered %d",
 			dups, late, lateDropped, lost, retries, recovered)
 	}
+}
+
+// has is the bitset read TestHostileSeqStaysSmall checks marks with.
+func (a *agentEpoch) has(seq int32) bool {
+	w, b := int(seq)>>6, uint(seq)&63
+	return w < len(a.seen) && a.seen[w]&(1<<b) != 0
+}
+
+// loopEngine replays the settle feed's epoch through Step without
+// allocating: its results are prebuilt in a ring longer than the service's
+// and re-stamped when reused.
+type loopEngine struct {
+	engine.Engine
+	ring []*engine.EpochResult
+	next int
+}
+
+func (e *loopEngine) EpochIndex() int { return e.next }
+
+func (e *loopEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	res := e.ring[e.next%len(e.ring)]
+	res.Epoch = e.next
+	for i := range res.Reports {
+		res.Reports[i].Epoch = int32(e.next)
+		emit(res.Reports[i])
+	}
+	e.next++
+	return res
+}
+
+// A settled epoch costs the core one allocation — the slice it hands over,
+// which the sink may keep — at both of bench/'s arrival shapes; one hostile
+// epoch leaves nothing resident behind it; a report past its agent's count
+// still meets the conservation check before anything positions it; and
+// the lanes adapter's own per-cycle garbage is gone.
+func TestSettleSteadyStateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		sources int
+		lossy   bool
+	}{{"inorder", 1, false}, {"interleaved", 4, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newSettleFeed(c.sources, c.lossy)
+			for i := 0; i < 20; i++ {
+				f.step()
+			}
+			settled := f.settled
+			allocs := testing.AllocsPerRun(200, f.step)
+			if f.settled-settled != 201 {
+				t.Fatalf("%d epochs settled in 201 cycles", f.settled-settled)
+			}
+			if allocs > 4 {
+				t.Fatalf("%.1f allocations per settled epoch, budget 4", allocs)
+			}
+			ctr := f.core.ctr
+			if ctr.Lost.Load() != 0 || (c.lossy && (ctr.Recovered.Load() == 0 || ctr.Duplicates.Load() == 0)) {
+				t.Fatalf("the feed is not the shape it claims: lost %d, recovered %d, duplicates %d",
+					ctr.Lost.Load(), ctr.Recovered.Load(), ctr.Duplicates.Load())
+			}
+		})
+	}
+
+	t.Run("hostile seq", func(t *testing.T) {
+		c := newSettleCore(1, 1, 0, 1, &metrics.IngestCounters{}, -1)
+		cycle := int32(0)
+		const agents = 8
+		counts := make([]transport.AgentCount, agents)
+		epoch := func(hostile bool) {
+			e := cycle
+			cycle++
+			for a := range counts {
+				counts[a] = transport.AgentCount{Agent: topology.HostID(a), N: 4}
+				if hostile {
+					// The largest admitted seq first: arrivals out of canonical
+					// order, so the settle ranks all 16,384 words of each bitset.
+					c.report(vote.Report{Src: topology.HostID(a), Epoch: e, Seq: maxAgentSeq - 1}, 0, false)
+					counts[a].N = maxAgentSeq
+				}
+				for q := int32(0); q < 4; q++ {
+					c.report(vote.Report{Src: topology.HostID(a), Epoch: e, Seq: q}, 0, false)
+				}
+			}
+			c.token(e, true, counts)
+			for _, ok := c.next(); ok; _, ok = c.next() {
+			}
+		}
+		heap := func() int64 {
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			return int64(m.HeapAlloc)
+		}
+		for i := 0; i < 10; i++ {
+			epoch(false)
+		}
+		before := heap()
+		epoch(true)
+		for i := 0; i < 10; i++ {
+			epoch(false)
+		}
+		// Kept, its bitsets would be 1 MiB and its rank table 512 KiB.
+		if grown := heap() - before; grown > 128<<10 {
+			t.Fatalf("one hostile epoch left %d KiB resident", grown>>10)
+		}
+		if lost := c.ctr.Lost.Load(); lost != agents*(maxAgentSeq-5) {
+			t.Fatalf("lost %d, want %d", lost, agents*(maxAgentSeq-5))
+		}
+		runtime.KeepAlive(c)
+	})
+
+	t.Run("beyond count", func(t *testing.T) {
+		for _, counts := range [][]transport.AgentCount{
+			{{Agent: 1, N: 1}, {Agent: 2, N: 1}}, // agent 1's seq 5 is past its count
+			{{Agent: 2, N: 1}},                   // agent 1 has no count at all
+		} {
+			func() {
+				c := newSettleCore(1, 0, 0, 1, &metrics.IngestCounters{}, -1)
+				c.report(vote.Report{Src: 2, Epoch: 0, Seq: 0}, 0, false)
+				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 5}, 0, false)
+				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
+				c.token(0, true, counts)
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "conservation") {
+						t.Fatalf("counts %v: settle did not stop at the conservation check", counts)
+					}
+				}()
+				c.next()
+			}()
+		}
+	})
+
+	t.Run("service", func(t *testing.T) {
+		const epochs = 300
+		f := newSettleFeed(1, false)
+		eng := &loopEngine{Engine: newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0)}
+		for range 7 { // Grace+3: no result is re-stamped while the service still reads it
+			eng.ring = append(eng.ring, &engine.EpochResult{Reports: slices.Clone(f.reports)})
+		}
+		s, err := New(Config{
+			Engine: eng, Grace: 4, MaxRetries: 3,
+			Faults: FaultConfig{Seed: 1, Drop: 0.005, Duplicate: 0.02, Delay: 0.03, DelayMax: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Run(context.Background(), epochs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perEpoch := float64(after.Mallocs-before.Mallocs) / epochs
+		// What remains: the core's settled slice, deliver's result, Analyze's
+		// own (TestAnalyzeSteadyStateAllocs), and the pipeline's start-up.
+		t.Logf("lanes-lossy shape: %.1f allocations per epoch through the whole service", perEpoch)
+		if perEpoch > 40 {
+			t.Fatalf("%.1f allocations per epoch through the service, budget 40", perEpoch)
+		}
+		if ctr := s.Counters(); ctr.SettledEpochs.Load() != epochs || ctr.Lost.Load() != 0 {
+			t.Fatalf("settled %d epochs, lost %d", ctr.SettledEpochs.Load(), ctr.Lost.Load())
+		}
+	})
 }

@@ -20,7 +20,7 @@
 // grace window, and bounded retry re-requests (fed back to the source
 // in-band with the lockstep cycle handshake), and settles epoch x when
 // every lane's token for cycle x+Grace has been processed — the watermark.
-// Settled epochs are analyzed over canonically sorted accepted reports
+// Settled epochs are analyzed over canonically ordered accepted reports
 // through the same engine.Analysis() options batch RunEpoch uses.
 //
 // Determinism: the source waits for the collector's end-of-cycle handshake
@@ -137,8 +137,9 @@ type Service struct {
 	lanes  int
 	laneIn []chan []item
 	toCol  chan []item
-	stage  [][]item    // the source's burst under construction, per lane
-	spent  chan []item // emptied bursts on their way back to the stages that fill them
+	stage  [][]item                 // the source's burst under construction, per lane
+	spent  chan []item              // emptied bursts on their way back to the stages that fill them
+	counts [][]transport.AgentCount // closeCycle's per-lane token counts, reused
 	// cycleEnd is the collector→source lockstep handshake: the collector has
 	// processed every lane's token for the cycle, and these re-requests are
 	// due for retransmission next cycle.
@@ -189,6 +190,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.toCol = make(chan []item, burstsFor(cmp.Or(cfg.QueueDepth, 1024)))
 	s.stage = make([][]item, s.lanes)
+	s.counts = make([][]transport.AgentCount, s.lanes)
 	// Room for every burst that can exist at once: queued, being staged by
 	// the source, and being filled by a lane.
 	s.spent = make(chan []item, s.lanes*cap(s.laneIn[0])+cap(s.toCol)+2*s.lanes)
@@ -329,7 +331,12 @@ func lookupReport(ring []*engine.EpochResult, id transport.RetryReq) (vote.Repor
 // contiguous runs) — then waits for the collector's end-of-cycle handshake
 // and keeps the re-requests it carries for the next cycle.
 func (s *Service) closeCycle(cycle int32, reports []vote.Report, live bool) {
-	perLane := make([][]transport.AgentCount, s.lanes)
+	// The collector has consumed the previous cycle's tokens before its
+	// cycle end let this call start, so their count slices are free again.
+	perLane := s.counts
+	for l := range perLane {
+		perLane[l] = perLane[l][:0]
+	}
 	for i := 0; i < len(reports); {
 		j := i
 		for j < len(reports) && reports[j].Src == reports[i].Src {
@@ -402,17 +409,19 @@ func (s *Service) lane(idx int) {
 
 // releaseDue appends every holdback due by cycle c to out, in identity
 // order so the release sequence is deterministic, and returns out and the
-// remaining held items.
+// remaining held items. The due ones are swapped to the back of held and
+// released from there, so a release allocates nothing.
 func releaseDue(out []item, held []heldItem, c int32) ([]item, []heldItem) {
-	due := held[:0:0]
-	keep := held[:0]
-	for _, h := range held {
-		if h.release <= c {
-			due = append(due, h)
+	n := len(held)
+	for i := 0; i < n; {
+		if held[i].release <= c {
+			n--
+			held[i], held[n] = held[n], held[i]
 		} else {
-			keep = append(keep, h)
+			i++
 		}
 	}
+	due := held[n:]
 	slices.SortFunc(due, func(x, y heldItem) int {
 		a, b := x.it.r, y.it.r
 		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
@@ -420,7 +429,8 @@ func releaseDue(out []item, held []heldItem, c int32) ([]item, []heldItem) {
 	for _, h := range due {
 		out = append(out, h.it)
 	}
-	return out, keep
+	clear(due) // drop the path references
+	return out, held[:n]
 }
 
 // forward hands a burst to the collector. Under ShedPathsOnPressure a full
