@@ -130,47 +130,6 @@ func BenchmarkClusterEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterEpochParallel charts the speedup curve of the
-// pod-sharded packet-plane DES: the same seeded epoch on an eight-pod Clos
-// at fixed worker counts, bit-identical results at every point (the
-// sharded-scheduler tests pin that), wall-clock the only variable. The
-// flow-plane mirror is BenchmarkEpochParallel above.
-func BenchmarkClusterEpochParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
-			topo, err := vigil.NewTopology(vigil.TopologyConfig{Pods: 8, ToRsPerPod: 4, T1PerPod: 4, T2: 4, HostsPerToR: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true, Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bad := topo.LinksOfClass(vigil.L1Down)[3]
-			if err := em.InjectFailure(bad, 0.01); err != nil {
-				b.Fatal(err)
-			}
-			workload := vigil.Workload{
-				Pattern:        vigil.UniformTraffic(),
-				ConnsPerHost:   vigil.IntRange{Lo: 10, Hi: 10},
-				PacketsPerFlow: vigil.IntRange{Lo: 75, Hi: 150},
-			}
-			// Warm the per-shard pools.
-			em.StartWorkload(workload, 20*vigil.Second)
-			em.RunEpoch()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				em.StartWorkload(workload, 20*vigil.Second)
-				res := em.RunEpoch()
-				if res == nil || em.LastEpoch().Flows == 0 {
-					b.Fatal("no flows in cluster epoch")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkClusterSteadyState is the packet plane's zero-allocation
 // contract: the same §7-scale epoch as BenchmarkClusterEpoch but with no
 // injected failure and ephemeral flow recycling — the always-on monitoring
@@ -232,18 +191,18 @@ func BenchmarkEpochDatacenter(b *testing.B) {
 	}
 }
 
-// benchClusterEpochDatacenter runs the packet plane's datacenter epoch: 32
-// pods of individually emulated packets on DatacenterPacketTopology, one
-// DES shard per pod. ConnsPerHost is trimmed to 4 so a full epoch stays a
+// BenchmarkClusterEpochDatacenter is the packet plane's raised scale
+// target: a full multi-cluster datacenter epoch, 32 pods of individually
+// emulated packets on DatacenterPacketTopology, clean hops riding
+// cut-through flights. ConnsPerHost is trimmed to 4 so a full epoch stays a
 // sub-second CI unit while still pushing ~1k flows and ~100k packets
-// through 32 conservative-window shards.
-func benchClusterEpochDatacenter(b *testing.B, workers int) {
-	b.Helper()
+// through the fabric.
+func BenchmarkClusterEpochDatacenter(b *testing.B) {
 	topo, err := vigil.NewDatacenterTopology(vigil.DatacenterPacketTopology)
 	if err != nil {
 		b.Fatal(err)
 	}
-	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true, Workers: workers})
+	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +215,7 @@ func benchClusterEpochDatacenter(b *testing.B, workers int) {
 		ConnsPerHost:   vigil.IntRange{Lo: 4, Hi: 4},
 		PacketsPerFlow: vigil.IntRange{Lo: 75, Hi: 150},
 	}
-	// Warm the per-shard pools and the scheduler's worker pool.
+	// Warm the pools.
 	em.StartWorkload(workload, 20*vigil.Second)
 	em.RunEpoch()
 	events0, fused0, counted := planeCounts(em)
@@ -276,50 +235,19 @@ func benchClusterEpochDatacenter(b *testing.B, workers int) {
 }
 
 // planeCounts reads the packet plane's running totals: scheduler events
-// executed (over every shard) and switch hops folded into cut-through
-// flights. Both are counts of the emulation, not timings: they repeat
-// exactly from run to run. The accessors are looked up dynamically so that
-// this file also builds against a commit that predates them — a
-// BENCH_N_parent.json row is this same file run on the parent — where ok is
-// false and the metrics are left out.
+// executed and switch hops folded into cut-through flights. Both are counts
+// of the emulation, not timings: they repeat exactly from run to run. The
+// accessors are looked up dynamically so that this file also builds against
+// a commit that predates them — a BENCH_N_parent.json row is this same file
+// run on the parent — where ok is false and the metrics are left out.
 func planeCounts(em *vigil.Emulation) (events, fused float64, ok bool) {
-	executed := func(sched any) {
-		if s, has := sched.(interface{ Executed() uint64 }); has {
-			events += float64(s.Executed())
-			ok = true
-		}
-	}
-	if em.Sharded != nil {
-		for i := 0; i < em.Sharded.Shards(); i++ {
-			executed(em.Sharded.Shard(i))
-		}
-	} else {
-		executed(em.Sched)
+	if s, has := any(em.Sched).(interface{ Executed() uint64 }); has {
+		events, ok = float64(s.Executed()), true
 	}
 	if n, has := any(em.Net).(interface{ HopsFused() int64 }); has {
 		fused = float64(n.HopsFused())
 	}
 	return events, fused, ok
-}
-
-// BenchmarkClusterEpochDatacenter is the packet plane's raised scale
-// target: a full multi-cluster datacenter epoch on the default single
-// scheduler (workers=0, where clean hops ride cut-through flights) and at
-// pod parallelism (one worker per pod, every hop an event) — the pair
-// ROADMAP item 5 decides on. The parallel variant charts the worker curve;
-// on the 1-CPU CI runner it records parity (see BENCH_N.json's
-// num_cpu/gomaxprocs header), on multi-core hosts the speedup.
-func BenchmarkClusterEpochDatacenter(b *testing.B) {
-	b.Run("workers=0", func(b *testing.B) { benchClusterEpochDatacenter(b, 0) })
-	b.Run("workers=32", func(b *testing.B) { benchClusterEpochDatacenter(b, vigil.DatacenterPacketTopology.Pods()) })
-}
-
-func BenchmarkClusterEpochDatacenterParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
-			benchClusterEpochDatacenter(b, workers)
-		})
-	}
 }
 
 // BenchmarkEpochDatacenterDelta is the same datacenter fabric in

@@ -49,7 +49,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "override the scenario's scripted epoch count (0 = spec default)")
 	plane := flag.String("plane", "flow", "evaluation plane: flow, packet, or both")
 	parallel := flag.Int("par", 0, "epoch engine worker count on the flow plane (0 = all cores); results are identical at any setting")
-	packetWorkers := flag.Int("packet-workers", 0, "pod-sharded DES worker count on the packet plane (0 = single-threaded scheduler); results are identical at any setting")
 	timeline := flag.Bool("timeline", true, "print the per-epoch timeline table")
 	profiler = prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -102,11 +101,10 @@ runs:
 				break runs
 			}
 			res, err := vigil.RunScenario(n, vigil.ScenarioConfig{
-				Seed:          *seed,
-				Epochs:        *epochs,
-				Plane:         pl,
-				Parallelism:   *parallel,
-				PacketWorkers: *packetWorkers,
+				Seed:        *seed,
+				Epochs:      *epochs,
+				Plane:       pl,
+				Parallelism: *parallel,
 			})
 			if err != nil {
 				fail(err)

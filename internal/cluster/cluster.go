@@ -56,14 +56,6 @@ type Config struct {
 	// flows whose smoothed RTT crosses the threshold — the §9.2 latency
 	// diagnosis extension.
 	RTTThresholdMicros int64
-	// Workers selects the packet plane's execution mode. Zero keeps the
-	// single-threaded scheduler (the golden reference). Any positive value
-	// shards the DES by pod on a des.ShardedScheduler — one shard per pod,
-	// link propagation delay as the conservative lookahead — with up to
-	// Workers goroutines driving the shards inside each delay-bounded
-	// window. EpochResults are bit-identical at every setting, including
-	// against Workers == 0.
-	Workers int
 	// EphemeralFlows recycles flow records, connections and tuple indexes
 	// at each epoch boundary, right after the epoch's ground-truth frame is
 	// captured. Steady-state epochs then allocate (near) nothing and memory
@@ -80,23 +72,12 @@ type Config struct {
 type Cluster struct {
 	cfg  Config
 	Topo *topology.Topology
-	// Sched is the single-threaded scheduler (Workers == 0); nil on a
-	// sharded cluster, where no single queue exists — use Now for the
-	// clock and Sharded for per-shard access.
-	Sched   *des.Scheduler
-	Sharded *des.ShardedScheduler
-	Router  *ecmp.Router
-	Net     *fabric.Net
-	SLB     *slb.SLB
-	Hosts   []*Host
-
-	// shardStates partitions the run-time-mutable epoch state by execution
-	// shard (exactly one entry when Workers == 0): drop arenas, report
-	// buffers, pending-start counts and connection pools are only ever
-	// touched by their shard's goroutine during a window, then merged
-	// deterministically at the epoch boundary.
-	shardStates []*clusterShard
-	hostShard   []int32
+	// Sched is the emulation's clock and event queue.
+	Sched  *des.Scheduler
+	Router *ecmp.Router
+	Net    *fabric.Net
+	SLB    *slb.SLB
+	Hosts  []*Host
 
 	rng *stats.RNG
 	// Reporter delivers host reports to the collector; the default appends
@@ -121,17 +102,27 @@ type Cluster struct {
 	// ACKs and stray packets never enter the drop bookkeeping.
 	wireFlows map[ecmp.FiveTuple]int32
 
-	// recPool is the flow-record free list (EphemeralFlows); it is only
-	// touched at setup and settle, so it stays on the cluster. Connection
-	// pools live per shard.
-	recPool []*flowRecord
+	// recPool and connPool are the flow-record and connection free lists
+	// (EphemeralFlows).
+	recPool  []*flowRecord
+	connPool []*Conn
+
+	// dropIdx/dropArena are the dense per-flow drop ground truth: dropIdx
+	// parallels flows (slot → arena index, -1 when the flow lost nothing),
+	// grown lazily on first drop; the arena holds small inline link/count
+	// sets — no nested maps on the tap path.
+	dropIdx   []int32
+	dropArena []flowDropSet
+	// epochDrops counts data-packet drops observed this epoch.
+	epochDrops int
+	// pendingStarts counts scheduled-but-unfired flow starts; recycling is
+	// skipped while any are outstanding.
+	pendingStarts int
 
 	// genFlows is StartWorkload's reusable generation buffer.
 	genFlows []traffic.Flow
 	// pathBuf is the flow-truth path scratch.
 	pathBuf ecmp.PathBuf
-	// reportBuf is the sharded settle flush's merge scratch.
-	reportBuf []vote.Report
 
 	epochStart des.Time
 	// Epoch rotation state: epochIdx feeds the fabric's rate schedules;
@@ -159,68 +150,34 @@ type flowDropSet struct {
 
 // Origin-key classes for the cluster's DES events (see
 // des.Scheduler.PostKeyed and the fabric's class 4 deliver keys): flow
-// starts and connection timers key on the owning host, so simultaneous
-// events order identically on one scheduler and across shards.
+// starts and connection timers key on the owning host.
 const (
 	keyClassStart uint64 = 1 << 56
 	keyClassConn  uint64 = 2 << 56
 	keyClassPath  uint64 = 3 << 56
 )
 
-// clusterShard is one execution shard's slice of the run-time-mutable
-// cluster state. During a window only the shard's goroutine touches it;
-// the epoch boundary merges shards deterministically (drop chains are
-// per-link and a link lives on one shard, so the merge is a disjoint
-// union). A Workers == 0 cluster has exactly one.
-type clusterShard struct {
-	cl    *Cluster
-	id    int32
-	sched *des.Scheduler
-
-	// dropIdx/dropArena are the shard's dense per-flow drop ground truth:
-	// dropIdx parallels flows (slot → arena index, -1 when the flow lost
-	// nothing on this shard's links), grown lazily on first drop; the
-	// arena holds small inline link/count sets — no nested maps on the tap
-	// path.
-	dropIdx   []int32
-	dropArena []flowDropSet
-	// epochDrops counts data-packet drops observed on this shard's links
-	// this epoch.
-	epochDrops int
-	// pendingStarts counts scheduled-but-unfired flow starts on this
-	// shard; recycling is skipped while any are outstanding.
-	pendingStarts int
-	// connPool recycles connections of this shard's hosts.
-	connPool []*Conn
-	// reports buffers this shard's stamped host reports during a sharded
-	// window; the settle flush merges and emits them in canonical order.
-	// Unused (nil) on a single-threaded cluster, which emits live.
-	reports []vote.Report
-}
-
-// HandleEvent opens a scheduled connection (the cluster's typed DES event,
-// posted to the flow's source-host shard).
-func (s *clusterShard) HandleEvent(kind int32, arg int64, _ any) {
+// HandleEvent opens a scheduled connection (the cluster's typed DES event).
+func (cl *Cluster) HandleEvent(kind int32, arg int64, _ any) {
 	_ = kind // evStartFlow is the only kind the cluster schedules
-	s.pendingStarts--
-	cl := s.cl
+	cl.pendingStarts--
 	rec := cl.flows[arg]
 	rec.conn = cl.Hosts[rec.src].openConn(rec.wireTuple, rec.appTuple, rec.packets, nil)
 }
 
 // countDrop records one dropped data packet against a flow slot in the
-// shard's dense arena, growing the slot index lazily.
-func (s *clusterShard) countDrop(slot int32, l topology.LinkID) {
-	for int(slot) >= len(s.dropIdx) {
-		s.dropIdx = append(s.dropIdx, -1)
+// dense arena, growing the slot index lazily.
+func (cl *Cluster) countDrop(slot int32, l topology.LinkID) {
+	for int(slot) >= len(cl.dropIdx) {
+		cl.dropIdx = append(cl.dropIdx, -1)
 	}
-	di := s.dropIdx[slot]
+	di := cl.dropIdx[slot]
 	if di < 0 {
-		di = s.newDropSet()
-		s.dropIdx[slot] = di
+		di = cl.newDropSet()
+		cl.dropIdx[slot] = di
 	}
 	for {
-		set := &s.dropArena[di]
+		set := &cl.dropArena[di]
 		for i := int32(0); i < set.n; i++ {
 			if set.links[i] == l {
 				set.cnts[i]++
@@ -234,9 +191,9 @@ func (s *clusterShard) countDrop(slot int32, l topology.LinkID) {
 			return
 		}
 		if set.next < 0 {
-			next := s.newDropSet()
+			next := cl.newDropSet()
 			// The append in newDropSet may have moved the arena.
-			s.dropArena[di].next = next
+			cl.dropArena[di].next = next
 			di = next
 		} else {
 			di = set.next
@@ -246,20 +203,20 @@ func (s *clusterShard) countDrop(slot int32, l topology.LinkID) {
 
 // newDropSet claims a fresh arena entry (the arena is truncated, not
 // freed, when epochs recycle, so steady state reuses capacity).
-func (s *clusterShard) newDropSet() int32 {
-	s.dropArena = append(s.dropArena, flowDropSet{next: -1})
-	return int32(len(s.dropArena) - 1)
+func (cl *Cluster) newDropSet() int32 {
+	cl.dropArena = append(cl.dropArena, flowDropSet{next: -1})
+	return int32(len(cl.dropArena) - 1)
 }
 
-// getConn produces a connection object from the shard pool. Pooled reuse
-// bumps the incarnation counter (so a previous life's timer events stay
-// dead) and keeps the sentAt ring and pending-timer capacity; everything
-// else resets.
-func (s *clusterShard) getConn() *Conn {
-	if n := len(s.connPool); n > 0 {
-		c := s.connPool[n-1]
-		s.connPool[n-1] = nil
-		s.connPool = s.connPool[:n-1]
+// getConn produces a connection object from the pool. Pooled reuse bumps
+// the incarnation counter (so a previous life's timer events stay dead)
+// and keeps the sentAt ring and pending-timer capacity; everything else
+// resets.
+func (cl *Cluster) getConn() *Conn {
+	if n := len(cl.connPool); n > 0 {
+		c := cl.connPool[n-1]
+		cl.connPool[n-1] = nil
+		cl.connPool = cl.connPool[:n-1]
 		inc, ring, pend := c.incarnation, c.sentAt, c.pending[:0]
 		*c = Conn{incarnation: inc + 1, sentAt: ring, pending: pend}
 		return c
@@ -267,7 +224,7 @@ func (s *clusterShard) getConn() *Conn {
 	return &Conn{}
 }
 
-func (s *clusterShard) putConn(c *Conn) { s.connPool = append(s.connPool, c) }
+func (cl *Cluster) putConn(c *Conn) { cl.connPool = append(cl.connPool, c) }
 
 // EpochFrame is the per-epoch ground-truth bookkeeping the plane-agnostic
 // engine scores against: the failure set that was live during the epoch and
@@ -330,27 +287,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	router := ecmp.NewRouter(cfg.Topo, ecmp.NewSeeds(cfg.Topo, rng.Split()))
-	// Workers == 0 runs the golden single-threaded scheduler; any positive
-	// count shards the DES one-shard-per-pod under the link-delay
-	// lookahead. The shard structure depends only on the topology — worker
-	// count just bounds window concurrency — so results are bit-identical
-	// at every positive setting, and the keyed event order plus the
-	// fabric's per-link drop draws make them match Workers == 0 too.
-	var sched *des.Scheduler
-	var sharded *des.ShardedScheduler
-	fcfg := fabric.Config{Topo: cfg.Topo, Router: router, RNG: rng.Split(), Tmax: cfg.Tmax}
-	if cfg.Workers > 0 {
-		var err error
-		sharded, err = des.NewSharded(cfg.Topo.Cfg.Pods, fabric.DefaultLinkDelay, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		fcfg.Sharded = sharded
-	} else {
-		sched = &des.Scheduler{}
-		fcfg.Sched = sched
-	}
-	net, err := fabric.New(fcfg)
+	sched := &des.Scheduler{}
+	net, err := fabric.New(fabric.Config{Topo: cfg.Topo, Router: router, Sched: sched, RNG: rng.Split(), Tmax: cfg.Tmax})
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +299,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		Topo:      cfg.Topo,
 		Sched:     sched,
-		Sharded:   sharded,
 		Router:    router,
 		Net:       net,
 		SLB:       slb.New(cfg.Topo, rng.Split()),
@@ -371,21 +308,6 @@ func New(cfg Config) (*Cluster, error) {
 		wireFlows: make(map[ecmp.FiveTuple]int32),
 		agentSeq:  make([]int32, len(cfg.Topo.Hosts)),
 	}
-	nShards := 1
-	if sharded != nil {
-		nShards = sharded.Shards()
-	}
-	cl.shardStates = make([]*clusterShard, nShards)
-	for i := range cl.shardStates {
-		s := &clusterShard{cl: cl, id: int32(i)}
-		if sharded != nil {
-			s.sched = sharded.Shard(i)
-		} else {
-			s.sched = sched
-		}
-		cl.shardStates[i] = s
-	}
-	cl.hostShard, _ = cfg.Topo.ShardMap(nShards)
 	if cfg.NoiseHi > 0 {
 		// Baseline noise rates come from a stream derived from the seed, not
 		// from cl.rng, so enabling noise does not shift any of the existing
@@ -499,44 +421,9 @@ func (cl *Cluster) report(r vote.Report) {
 	r.Epoch = int32(cl.epochIdx)
 	r.Seq = cl.agentSeq[r.Src]
 	cl.agentSeq[r.Src]++
-	if cl.Sharded != nil {
-		// During a sharded window the Reporter must not be touched
-		// concurrently; buffer on the reporting host's shard and flush
-		// canonically at the settle.
-		// Seq stamping above stays safe: one host lives on one shard, so
-		// agentSeq[r.Src] is only ever touched by that shard's goroutine.
-		sh := cl.shardStates[cl.hostShard[r.Src]]
-		sh.reports = append(sh.reports, r)
-		return
-	}
 	if cl.Reporter != nil {
 		cl.Reporter(r)
 	}
-}
-
-// flushReports merges every shard's buffered reports and emits them through
-// the Reporter in canonical (Src, Seq, ...) order, so what any Reporter sees
-// is deterministic at every worker count.
-func (cl *Cluster) flushReports() {
-	cl.reportBuf = cl.reportBuf[:0]
-	for _, s := range cl.shardStates {
-		cl.reportBuf = append(cl.reportBuf, s.reports...)
-		s.reports = s.reports[:0]
-	}
-	vote.SortCanonical(cl.reportBuf)
-	if cl.Reporter != nil {
-		for i := range cl.reportBuf {
-			cl.Reporter(cl.reportBuf[i])
-		}
-	}
-}
-
-// Now returns the cluster's virtual clock in either execution mode.
-func (cl *Cluster) Now() des.Time {
-	if cl.Sharded != nil {
-		return cl.Sharded.Now()
-	}
-	return cl.Sched.Now()
 }
 
 func (cl *Cluster) flowID(flow ecmp.FiveTuple) int64 {
@@ -563,12 +450,8 @@ func (cl *Cluster) groundTruthTap(ev fabric.TapEvent) {
 	if !ok {
 		return
 	}
-	// The tap fires on the shard that owns the dropping link; record the
-	// drop in that shard's arena. Disjoint per-link ownership is what makes
-	// the epoch merge a plain union.
-	s := cl.shardStates[ev.Shard]
-	s.countDrop(slot, ev.Egress)
-	s.epochDrops++
+	cl.countDrop(slot, ev.Egress)
+	cl.epochDrops++
 }
 
 // StartFlow opens a direct (DIP-addressed) connection at time at.
@@ -620,11 +503,8 @@ func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.
 	cl.flows = append(cl.flows, rec)
 	cl.flowIDs[appTuple] = rec.id
 	cl.wireFlows[wireTuple] = int32(slot)
-	// The start fires on the source host's shard; the host-keyed event
-	// order makes simultaneous starts sequence identically in both modes.
-	sh := cl.shardStates[cl.hostShard[src]]
-	sh.pendingStarts++
-	sh.sched.PostKeyed(at, keyClassStart|uint64(src), sh, evStartFlow, int64(slot), nil)
+	cl.pendingStarts++
+	cl.Sched.PostKeyed(at, keyClassStart|uint64(src), cl, evStartFlow, int64(slot), nil)
 }
 
 // StartWorkload schedules a whole epoch's traffic, spread uniformly over
@@ -651,13 +531,8 @@ func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 func (cl *Cluster) RunEpoch() *analysis.Result {
 	cl.applySchedules()
 	end := cl.epochStart + cl.cfg.EpochLength
-	if cl.Sharded != nil {
-		cl.Sharded.RunUntil(end + 2*des.Second)
-		cl.flushReports()
-	} else {
-		cl.Sched.RunUntil(end + 2*des.Second)
-	}
-	cl.epochStart = cl.Now()
+	cl.Sched.RunUntil(end + 2*des.Second)
+	cl.epochStart = cl.Sched.Now()
 	for _, h := range cl.Hosts {
 		h.Mon.NewEpoch()
 		h.Path.NewEpoch()
@@ -673,16 +548,11 @@ func (cl *Cluster) RunEpoch() *analysis.Result {
 // per-epoch flow bookkeeping (recycling it under EphemeralFlows).
 func (cl *Cluster) captureEpochFrame() {
 	epochFlows := cl.flows[cl.epochFirstFlow:]
-	drops, pending := 0, 0
-	for _, s := range cl.shardStates {
-		drops += s.epochDrops
-		pending += s.pendingStarts
-	}
 	fr := EpochFrame{
 		Index:       cl.epochIdx,
 		FailedLinks: cl.FailedLinks(),
 		Flows:       len(epochFlows),
-		Drops:       drops,
+		Drops:       cl.epochDrops,
 		Truth:       make(map[int64]metrics.FlowTruth, 8),
 	}
 	for i, rec := range epochFlows {
@@ -695,11 +565,9 @@ func (cl *Cluster) captureEpochFrame() {
 	}
 	cl.lastEpoch = fr
 	cl.epochIdx++
-	for _, s := range cl.shardStates {
-		s.epochDrops = 0
-	}
+	cl.epochDrops = 0
 	clear(cl.agentSeq)
-	if cl.cfg.EphemeralFlows && pending == 0 {
+	if cl.cfg.EphemeralFlows && cl.pendingStarts == 0 {
 		cl.recycleFlows()
 	} else {
 		cl.epochFirstFlow = len(cl.flows)
@@ -714,7 +582,7 @@ func (cl *Cluster) recycleFlows() {
 	for _, rec := range cl.flows {
 		if c := rec.conn; c != nil {
 			if c.Done || c.Failed {
-				cl.shardStates[cl.hostShard[rec.src]].putConn(c)
+				cl.putConn(c)
 			} else {
 				c.orphan = true
 			}
@@ -726,10 +594,8 @@ func (cl *Cluster) recycleFlows() {
 		cl.flows[i] = nil
 	}
 	cl.flows = cl.flows[:0]
-	for _, s := range cl.shardStates {
-		s.dropIdx = s.dropIdx[:0]
-		s.dropArena = s.dropArena[:0]
-	}
+	cl.dropIdx = cl.dropIdx[:0]
+	cl.dropArena = cl.dropArena[:0]
 	clear(cl.flowIDs)
 	clear(cl.wireFlows)
 	cl.epochFirstFlow = 0
@@ -743,18 +609,13 @@ func (cl *Cluster) LastEpoch() EpochFrame { return cl.lastEpoch }
 // counts and the current failure set; failed is false when the flow lost no
 // data packets.
 func (cl *Cluster) flowTruth(slot int, rec *flowRecord) (tr metrics.FlowTruth, failed bool) {
-	// Each shard holds the drop counts of its own links; a flow's ground
-	// truth is the max-count (min-link on ties) over the union of every
-	// shard's chain — order-independent, so shard iteration order is
-	// immaterial.
+	// A flow's ground truth is its max-count link, the lowest link id on
+	// ties.
 	best := topology.NoLink
 	bestN := int32(0)
-	for _, s := range cl.shardStates {
-		if slot >= len(s.dropIdx) {
-			continue
-		}
-		for i := s.dropIdx[slot]; i >= 0; i = s.dropArena[i].next {
-			set := &s.dropArena[i]
+	if slot < len(cl.dropIdx) {
+		for i := cl.dropIdx[slot]; i >= 0; i = cl.dropArena[i].next {
+			set := &cl.dropArena[i]
 			for j := int32(0); j < set.n; j++ {
 				l, n := set.links[j], set.cnts[j]
 				if n > bestN || (n == bestN && best != topology.NoLink && l < best) {

@@ -6,13 +6,20 @@ import (
 	"strings"
 	"testing"
 
-	"vigil/internal/analysis"
 	"vigil/internal/des"
 	"vigil/internal/fabric"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
 	"vigil/internal/vote"
 )
+
+// quadPodQuickTopo is a small multi-pod Clos with every link class present.
+var quadPodQuickTopo = topology.Config{Pods: 4, ToRsPerPod: 3, T1PerPod: 3, T2: 2, HostsPerToR: 2}
+
+// twoPodQuickTopo mirrors the scenario package's packet quick topology
+// (which cluster tests cannot import — the scenario package imports the
+// engine, which imports this package).
+var twoPodQuickTopo = topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 3, T2: 2, HostsPerToR: 2}
 
 // cutCase is one differential scenario: a seeded cluster, a workload with a
 // start spread (zero piles every flow onto one microsecond), failures set
@@ -30,16 +37,13 @@ type cutCase struct {
 	epochs  int
 	setup   func(t *testing.T, cl *Cluster)
 	script  []cutOp
-	// singleOnly marks scripts that are not legal on a sharded fabric (a tap
-	// is shared by every shard, so installing one mid-run is a data race).
-	singleOnly bool
 	// wantRemat asserts that the cut-through run pulled packets out of
 	// flight: the case exists to exercise rematerialization.
 	wantRemat bool
 }
 
-// cutOp is one scripted change: at epoch start + At, on the scheduler that
-// owns Link (the only legal place for a mid-run link change).
+// cutOp is one scripted change to a link, executed as a DES event at epoch
+// start + at.
 type cutOp struct {
 	epoch int
 	at    des.Time
@@ -59,7 +63,7 @@ func (o *cutOpEvent) HandleEvent(int32, int64, any) {
 	}
 }
 
-// cutRun is what one run of a case produced: the canonical log the modes are
+// cutRun is what one run of a case produced: the log the two modes are
 // compared on, and the fabric's hop counters (which differ by design).
 type cutRun struct {
 	log                   string
@@ -79,18 +83,18 @@ func hashInt64s(v []int64) uint64 {
 	return h.Sum64()
 }
 
-// runCutCase runs c on the single scheduler (workers 0) or sharded, with or
-// without the no-op mirror tap that turns cut-through off, and serializes
-// everything the epochs produced: every report field, the epoch frame, the
-// detections and the fabric's counters, as sums and as a hash of the whole
-// per-link and per-switch vectors.
-func runCutCase(t *testing.T, c cutCase, workers int, perHop bool) cutRun {
+// runCutCase runs c with or without the no-op mirror tap that turns
+// cut-through off, and serializes everything the epochs produced: every
+// report field in emission order, the epoch frame, RunEpoch's detections
+// and the fabric's counters, as sums and as a hash of the whole per-link
+// and per-switch vectors.
+func runCutCase(t *testing.T, c cutCase, perHop bool) cutRun {
 	t.Helper()
 	topo, err := topology.New(c.topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Topo: topo, Seed: c.seed, EphemeralFlows: true, Workers: workers}
+	cfg := Config{Topo: topo, Seed: c.seed, EphemeralFlows: true}
 	if c.cfg != nil {
 		c.cfg(&cfg)
 	}
@@ -98,17 +102,14 @@ func runCutCase(t *testing.T, c cutCase, workers int, perHop bool) cutRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Sharded != nil {
-		defer cl.Sharded.Close()
-	}
 	if perHop {
 		cl.Net.AddTap(func(fabric.TapEvent) {})
 	}
-	var epochReports []vote.Report
+	var log strings.Builder
 	base := cl.Reporter
 	cl.Reporter = func(r vote.Report) {
-		r.Path = append([]topology.LinkID(nil), r.Path...)
-		epochReports = append(epochReports, r)
+		fmt.Fprintf(&log, "r src=%d ep=%d seq=%d flow=%d path=%v retx=%d partial=%v\n",
+			r.Src, r.Epoch, r.Seq, r.FlowID, r.Path, r.Retx, r.Partial)
 		base(r)
 	}
 	if c.setup != nil {
@@ -124,34 +125,18 @@ func runCutCase(t *testing.T, c cutCase, workers int, perHop bool) cutRun {
 		PacketsPerFlow: traffic.IntRange{Lo: c.packets, Hi: c.packets},
 	}
 	var out cutRun
-	var log strings.Builder
 	for e := 0; e < c.epochs; e++ {
 		for _, op := range c.script {
 			if op.epoch != e {
 				continue
 			}
 			l := op.link(topo)
-			sched, err := cl.Net.SchedOfLink(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Key 0 sorts the change ahead of the tick's deliveries in every mode.
-			sched.PostKeyed(cl.Now()+op.at, 0, &cutOpEvent{cl: cl, l: l, do: op.do}, 0, 0, nil)
+			// Key 0 sorts the change ahead of the tick's deliveries in both modes.
+			cl.Sched.PostKeyed(cl.Sched.Now()+op.at, 0, &cutOpEvent{cl: cl, l: l, do: op.do}, 0, 0, nil)
 		}
 		cl.StartWorkload(w, c.spread)
-		cl.RunEpoch()
+		res := cl.RunEpoch()
 		fr := cl.LastEpoch()
-		// RunEpoch analyzes in submission order, which differs between the
-		// single scheduler (virtual-time order) and the sharded settle flush
-		// (canonical order) and can permute equal-vote detections; analyze
-		// the canonical order, as the engine does.
-		vote.SortCanonical(epochReports)
-		res := analysis.Analyze(epochReports, analysis.Options{Detect: cl.cfg.Detect})
-		for _, r := range epochReports {
-			fmt.Fprintf(&log, "r src=%d ep=%d seq=%d flow=%d path=%v retx=%d partial=%v\n",
-				r.Src, r.Epoch, r.Seq, r.FlowID, r.Path, r.Retx, r.Partial)
-		}
-		epochReports = epochReports[:0]
 		var fwd, drp, icmp, supp int64
 		for _, v := range cl.Net.LinkForwarded {
 			fwd += v
@@ -172,20 +157,17 @@ func runCutCase(t *testing.T, c cutCase, workers int, perHop bool) cutRun {
 	}
 	out.log = log.String()
 	out.fused, out.stepped, out.remat = cl.Net.HopsFused(), cl.Net.HopsStepped(), cl.Net.Rematerialized()
-	if cl.Sched != nil {
-		out.events = cl.Sched.Executed()
-	}
+	out.events = cl.Sched.Executed()
 	return out
 }
 
-// compareCutCase holds the cut-through run of c to its two references: the
-// same scheduler stepping every hop (a no-op tap is installed), and — where
-// the script allows — the pod-sharded fabric at the given worker counts. It
-// returns the cut-through run.
-func compareCutCase(t *testing.T, c cutCase, workers []int) cutRun {
+// compareCutCase holds the cut-through run of c to its reference, the same
+// run stepping every hop (a no-op tap is installed), and returns the
+// cut-through run.
+func compareCutCase(t *testing.T, c cutCase) cutRun {
 	t.Helper()
-	cut := runCutCase(t, c, 0, false)
-	ref := runCutCase(t, c, 0, true)
+	cut := runCutCase(t, c, false)
+	ref := runCutCase(t, c, true)
 	if len(ref.log) == 0 {
 		t.Fatal("empty reference log")
 	}
@@ -201,19 +183,10 @@ func compareCutCase(t *testing.T, c cutCase, workers []int) cutRun {
 	if cut.fused+cut.stepped != ref.stepped {
 		t.Fatalf("hops: cut-through fused %d + stepped %d, per-hop stepped %d", cut.fused, cut.stepped, ref.stepped)
 	}
-	if c.singleOnly {
-		return cut
-	}
-	for _, w := range workers {
-		if got := runCutCase(t, c, w, false); got.log != cut.log {
-			t.Fatalf("sharded workers=%d diverged from cut-through:\n%s",
-				w, firstDiff("cut-through", cut.log, "sharded", got.log))
-		}
-	}
 	return cut
 }
 
-// firstDiff renders the first line on which two canonical logs differ.
+// firstDiff renders the first line on which two logs differ.
 func firstDiff(aName, a, bName, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) || i < len(bl); i++ {
@@ -335,7 +308,7 @@ func cutCases() []cutCase {
 		},
 		cutCase{
 			name: "mid-epoch-tap", topo: quadPodQuickTopo, seed: 15, conns: 6, packets: 60, spread: 300, epochs: 2,
-			setup: inject(topology.L1Down, 1, 0.08), singleOnly: true, wantRemat: true,
+			setup: inject(topology.L1Down, 1, 0.08), wantRemat: true,
 			script: []cutOp{
 				{epoch: 0, at: 433, link: linkOf(topology.HostUp, 0), do: func(cl *Cluster, _ topology.LinkID) error {
 					cl.Net.AddTap(func(fabric.TapEvent) {})
@@ -352,11 +325,7 @@ func cutCases() []cutCase {
 func TestCutThroughMatchesPerHop(t *testing.T) {
 	for _, c := range cutCases() {
 		t.Run(c.name, func(t *testing.T) {
-			workers := []int{1, 2, 4, 8}
-			if testing.Short() {
-				workers = []int{4} // the race job's budget; tier-1 runs all four
-			}
-			cut := compareCutCase(t, c, workers)
+			cut := compareCutCase(t, c)
 			if cut.fused == 0 {
 				t.Fatalf("cut-through fused nothing (stepped %d)", cut.stepped)
 			}
@@ -364,6 +333,33 @@ func TestCutThroughMatchesPerHop(t *testing.T) {
 				t.Fatalf("no packet was rematerialized (fused %d, stepped %d)", cut.fused, cut.stepped)
 			}
 		})
+	}
+}
+
+// SetExtraDelay churned mid-epoch on an inter-pod hop (L2Up[1], T1 → T2),
+// on both multi-pod quick topologies: the hop grows to 400 µs three seconds
+// into epoch 0, shrinks to 20 µs in epoch 1 and is cleared in epoch 2. The
+// churn must rematerialize packets in flight, and the epochs must be
+// bit-identical between cut-through and per-hop, and across a repeat of the
+// same seed.
+func TestClusterBitIdenticalUnderExtraDelayChurn(t *testing.T) {
+	churn := func(epoch int, extra des.Time) cutOp {
+		return cutOp{epoch: epoch, at: 3 * des.Second, link: linkOf(topology.L2Up, 1), do: setDelay(extra)}
+	}
+	for _, topo := range []topology.Config{twoPodQuickTopo, quadPodQuickTopo} {
+		c := cutCase{
+			name: "extra-delay-churn", topo: topo, seed: 6, conns: 6, packets: 60, spread: 10 * des.Second, epochs: 3,
+			setup:  inject(topology.L1Down, 1, 0.08),
+			script: []cutOp{churn(0, 400*des.Microsecond), churn(1, 20*des.Microsecond), churn(2, 0)},
+		}
+		cut := compareCutCase(t, c)
+		if cut.remat == 0 {
+			t.Fatalf("pods=%d: the churn pulled no packet out of flight", topo.Pods)
+		}
+		if again := runCutCase(t, c, false); again.log != cut.log {
+			t.Fatalf("pods=%d: same seed diverged under extra-delay churn:\n%s",
+				topo.Pods, firstDiff("first", cut.log, "repeat", again.log))
+		}
 	}
 }
 
@@ -438,14 +434,14 @@ func fuzzCutCase(seed uint64, dims uint16, failures []byte, spread uint16, scrip
 
 // FuzzCutThroughMatchesPerHop is the differential test over generated
 // scenarios: whatever the fabric's shape, failure set, start spread and
-// mid-run link changes, cut-through, per-hop and sharded runs agree.
+// mid-run link changes, cut-through and per-hop runs agree.
 func FuzzCutThroughMatchesPerHop(f *testing.F) {
 	f.Add(uint64(1), uint16(0x0d6), []byte{3, 1, 17, 2}, uint16(0), []byte{10, 5, 0, 40, 9, 2})
 	f.Add(uint64(2), uint16(0x1ff), []byte{9, 3, 40, 4}, uint16(1), []byte{})
 	f.Add(uint64(3), uint16(0x2aa), []byte{0, 5, 21, 0}, uint16(50), []byte{30, 2, 6, 31, 2, 129, 90, 7, 3})
 	f.Add(uint64(4), uint16(0x3e5), []byte{}, uint16(2000), []byte{1, 1, 10, 2, 1, 1})
 	f.Fuzz(func(t *testing.T, seed uint64, dims uint16, failures []byte, spread uint16, script []byte) {
-		compareCutCase(t, fuzzCutCase(seed, dims, failures, spread, script), []int{2})
+		compareCutCase(t, fuzzCutCase(seed, dims, failures, spread, script))
 	})
 }
 

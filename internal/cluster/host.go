@@ -18,12 +18,6 @@ type Host struct {
 	cl *Cluster
 	id topology.HostID
 	ip uint32
-	// sched is the DES scheduler owning this host's pod shard (the single
-	// scheduler when Workers == 0); shard is the matching slice of cluster
-	// state. All of the host's own events — connection timers, flow starts,
-	// traceroute timeouts — post here, never across shards.
-	sched *des.Scheduler
-	shard *clusterShard
 
 	Bus  *etw.Bus
 	Mon  *monitor.Agent
@@ -98,8 +92,6 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 		cl:    cl,
 		id:    id,
 		ip:    cl.Topo.Hosts[id].IP,
-		sched: cl.Net.SchedOfHost(id),
-		shard: cl.shardStates[cl.hostShard[id]],
 		Bus:   &etw.Bus{},
 		conns: make(map[ecmp.FiveTuple]*Conn),
 		rx:    make(map[ecmp.FiveTuple]uint32),
@@ -108,9 +100,9 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 		Topo:         cl.Topo,
 		Host:         id,
 		SLB:          cl.SLB,
-		NewPacket:    func() *wire.Buffer { return cl.Net.NewPacketFor(id) },
+		NewPacket:    cl.Net.NewPacket,
 		SendPacket:   func(pkt *wire.Buffer) { cl.Net.Send(id, pkt) },
-		Sched:        h.sched,
+		Sched:        cl.Sched,
 		EventKey:     keyClassPath | uint64(id),
 		Ct:           cl.cfg.Ct,
 		ProbeTimeout: cl.cfg.ProbeTimeout,
@@ -181,7 +173,7 @@ func (h *Host) receiveData(tuple ecmp.FiveTuple, seq uint32) {
 // sendSegment serializes one TCP segment into a pooled packet buffer and
 // hands it to the fabric (which owns it from then on).
 func (h *Host) sendSegment(tuple ecmp.FiveTuple, tcp wire.TCP) {
-	pkt := h.cl.Net.NewPacketFor(h.id)
+	pkt := h.cl.Net.NewPacket()
 	ip := wire.IPv4{TTL: 64, Protocol: wire.ProtoTCP, Src: tuple.SrcIP, Dst: tuple.DstIP}
 	tcp.SrcPort, tcp.DstPort = tuple.SrcPort, tuple.DstPort
 	tcp.SerializeTo(pkt, &ip)
@@ -193,7 +185,7 @@ func (h *Host) sendSegment(tuple ecmp.FiveTuple, tcp wire.TCP) {
 // Connection objects come from the cluster's pool; each reuse is a new
 // incarnation, so stale timer events from a previous life can never fire.
 func (h *Host) openConn(wireTuple, appTuple ecmp.FiveTuple, total int, onClose func(*Conn)) *Conn {
-	c := h.shard.getConn()
+	c := h.cl.getConn()
 	c.host = h
 	c.wireTuple = wireTuple
 	c.appTuple = appTuple
@@ -233,7 +225,7 @@ func (c *Conn) sendData(seq uint32) {
 func (c *Conn) pump() {
 	win := uint32(c.host.cl.cfg.Window)
 	for c.nextSend < c.total && c.nextSend < c.acked+win {
-		c.sentAt[c.nextSend&c.sentMask] = c.host.sched.Now()
+		c.sentAt[c.nextSend&c.sentMask] = c.host.cl.Sched.Now()
 		c.sendData(c.nextSend)
 		c.nextSend++
 	}
@@ -288,7 +280,7 @@ func (c *Conn) sampleRTT(ackN uint32) {
 	if at == noSample {
 		return
 	}
-	sample := c.host.sched.Now() - at
+	sample := c.host.cl.Sched.Now() - at
 	if c.srtt == 0 {
 		c.srtt = sample
 	} else {
@@ -300,7 +292,7 @@ func (c *Conn) sampleRTT(ackN uint32) {
 }
 
 func (c *Conn) armRTO() {
-	c.rtoDeadline = c.host.sched.Now() + c.rto
+	c.rtoDeadline = c.host.cl.Sched.Now() + c.rto
 	if len(c.pending) == 0 || c.rtoDeadline < c.pending[0] {
 		c.postTimer(c.rtoDeadline)
 	}
@@ -313,7 +305,7 @@ func (c *Conn) postTimer(at des.Time) {
 	c.pending = append(c.pending, 0)
 	copy(c.pending[1:], c.pending)
 	c.pending[0] = at
-	c.host.sched.PostKeyed(at, keyClassConn|uint64(c.host.id), c, connEvRTO, int64(c.incarnation), nil)
+	c.host.cl.Sched.PostKeyed(at, keyClassConn|uint64(c.host.id), c, connEvRTO, int64(c.incarnation), nil)
 }
 
 // HandleEvent receives the connection's RTO timer events from the DES.
@@ -329,7 +321,7 @@ func (c *Conn) HandleEvent(kind int32, arg int64, _ any) {
 	if c.Done || c.Failed {
 		return
 	}
-	if now := c.host.sched.Now(); now < c.rtoDeadline {
+	if now := c.host.cl.Sched.Now(); now < c.rtoDeadline {
 		// Superseded by a later re-arm: make sure something still fires at
 		// the live deadline, then stand down.
 		if len(c.pending) == 0 || c.rtoDeadline < c.pending[0] {
@@ -361,6 +353,6 @@ func (c *Conn) close(failed bool) {
 		c.onClose(c)
 	}
 	if c.orphan {
-		c.host.shard.putConn(c)
+		c.host.cl.putConn(c)
 	}
 }

@@ -15,11 +15,9 @@
 // between simultaneous events from different origins, and simultaneous
 // events with the same key run in tie order — by default FIFO, the
 // scheduler's submission counter. The key is an origin identifier chosen by
-// the poster (a link, a host, a connection — see PostKeyed); because an
-// origin's events are produced by exactly one sequential execution context,
-// the (time, key, tie) order is identical whether the emulation runs on one
-// scheduler or on a pod-sharded ShardedScheduler — the invariant the
-// parallel packet plane's bit-identical-epochs contract rests on. A poster
+// the poster (a link, a host, a connection — see PostKeyed), so that
+// simultaneous events from different subsystems fire in one deterministic
+// order that does not hinge on which of them was posted first. A poster
 // whose same-key events have an order of their own supplies the tie itself
 // (PostKeyedTie): the fabric orders a link's simultaneous deliveries by the
 // packet's serial, so the order is a property of the packets and not of how
@@ -133,11 +131,9 @@ func (s *Scheduler) PostAfter(d Time, h Handler, kind int32, arg int64, p any) {
 // PostKeyed schedules a typed event carrying an origin key. Simultaneous
 // events order by key before submission sequence, so two posters that
 // never observe each other's order (a link's deliveries vs a timer on
-// another host) still fire in a deterministic total order that does not
-// depend on which scheduler instance — or shard — carried them. Posters
-// must choose keys so that one key is only ever used from one sequential
-// execution context; by convention the high byte is a per-subsystem class
-// and the low bits an origin id (a link, a host).
+// another host) still fire in a deterministic total order. By convention
+// the high byte is a per-subsystem class and the low bits an origin id (a
+// link, a host).
 func (s *Scheduler) PostKeyed(t Time, key uint64, h Handler, kind int32, arg int64, p any) {
 	if h == nil {
 		panic("des: PostKeyed with nil Handler")
@@ -344,31 +340,6 @@ func (s *Scheduler) RunUntil(deadline Time) {
 	s.horizon = outer
 	if s.now < deadline {
 		s.now = deadline
-	}
-}
-
-// NextEventAt reports the time of the next pending event; ok is false when
-// the queue is empty. The window driver uses it to size execution windows.
-func (s *Scheduler) NextEventAt() (t Time, ok bool) {
-	next := s.peek()
-	if next == nil {
-		return 0, false
-	}
-	return next.at, true
-}
-
-// RunBefore executes every event strictly before horizon. Unlike RunUntil
-// it leaves the clock at the last executed event: the caller (the sharded
-// window driver) may still inject events at exactly horizon — cross-shard
-// deliveries landing on the window edge — and those must not be clamped
-// forward.
-func (s *Scheduler) RunBefore(horizon Time) {
-	for {
-		next := s.peek()
-		if next == nil || next.at >= horizon {
-			return
-		}
-		s.Step()
 	}
 }
 

@@ -300,7 +300,7 @@ func BenchmarkScheduler(b *testing.B) {
 	var s Scheduler
 	n := 0
 	var h Handler
-	h = handlerFunc(func(kind int32, arg int64, p any) {
+	h = HandlerFunc(func(kind int32, arg int64, p any) {
 		if n <= 0 {
 			return
 		}
@@ -325,7 +325,7 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
-// handlerFunc adapts a function to Handler for tests.
-type handlerFunc func(kind int32, arg int64, p any)
+// HandlerFunc adapts a function to Handler for tests.
+type HandlerFunc func(kind int32, arg int64, p any)
 
-func (f handlerFunc) HandleEvent(kind int32, arg int64, p any) { f(kind, arg, p) }
+func (f HandlerFunc) HandleEvent(kind int32, arg int64, p any) { f(kind, arg, p) }

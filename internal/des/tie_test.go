@@ -137,72 +137,3 @@ func TestExecutingAndHorizon(t *testing.T) {
 func stringOf(now Time, key, tie uint64, horizon Time) string {
 	return fmt.Sprintf("t=%d key=%d tie=%d horizon=%d", now, key, tie, horizon)
 }
-
-// tieNode records the order its events arrive in.
-type tieNode struct{ trace []int64 }
-
-func (n *tieNode) HandleEvent(_ int32, arg int64, _ any) { n.trace = append(n.trace, arg) }
-
-// Tied events must come out of a barrier merge in tie order, interleaved
-// correctly with tied events posted inside the destination shard, exactly
-// as one scheduler orders them. Two kick-off handlers at t=0 do the posting
-// (a cross post is only legal from a running handler): one on shard 0 posts
-// across, one on shard 1 posts locally, each under keys of its own.
-func TestPostCrossTieMatchesSingle(t *testing.T) {
-	const key = 4 << 56
-	rng := stats.NewRNG(5)
-	type post struct {
-		at       Time
-		key, tie uint64
-		cross    bool
-	}
-	var posts []post
-	for _, tie := range rng.Perm(400) { // distinct ties, not in posting order
-		p := post{at: Time(10 + rng.Intn(6)), key: key | uint64(rng.Intn(3)), tie: uint64(tie), cross: rng.Bool(0.6)}
-		if p.cross {
-			p.key |= 1 << 20 // one key has one posting shard
-		}
-		posts = append(posts, p)
-	}
-	run := func(ss *ShardedScheduler) []int64 {
-		dst := &tieNode{}
-		single := &Scheduler{}
-		kick := func(cross bool) Handler {
-			return HandlerFunc(func(int32, int64, any) {
-				for i, p := range posts {
-					switch {
-					case p.cross != cross:
-					case ss == nil:
-						single.PostKeyedTie(p.at, p.key, p.tie, dst, 0, int64(i), nil)
-					case cross:
-						ss.PostCrossTie(0, 1, p.at, p.key, p.tie, dst, 0, int64(i), nil)
-					default:
-						ss.Shard(1).PostKeyedTie(p.at, p.key, p.tie, dst, 0, int64(i), nil)
-					}
-				}
-			})
-		}
-		if ss == nil {
-			single.Post(0, kick(true), 0, 0, nil)
-			single.Post(0, kick(false), 0, 0, nil)
-			single.RunUntil(100)
-		} else {
-			ss.Shard(0).Post(0, kick(true), 0, 0, nil)
-			ss.Shard(1).Post(0, kick(false), 0, 0, nil)
-			ss.RunUntil(100)
-		}
-		return dst.trace
-	}
-	want := run(nil)
-	if len(want) != len(posts) {
-		t.Fatalf("single scheduler ran %d of %d events", len(want), len(posts))
-	}
-	ss, err := NewSharded(2, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	if got := run(ss); !slices.Equal(got, want) {
-		t.Fatalf("sharded tie order differs from the single scheduler's:\n got  %v\n want %v", got, want)
-	}
-}

@@ -16,10 +16,9 @@
 // Determinism: a seeded engine is deterministic — same seed and same
 // schedules give bit-identical EpochResults across repeated runs. The flow
 // plane is additionally bit-identical at every Parallelism setting. The
-// packet plane's DES shards by pod under conservative windows
-// (Config.PacketWorkers, see des.ShardedScheduler) with EpochResults
-// bit-identical at every worker count; replica fan-out across seeds (one
-// engine per seed on the internal/par pool) composes with it.
+// packet plane runs one scheduler per replica; it uses more cores by
+// fanning replicas out across seeds (one engine per seed on the
+// internal/par pool).
 package engine
 
 import (
@@ -141,13 +140,8 @@ type Config struct {
 	Incremental bool
 	// Parallelism is the flow plane's epoch worker count (0 = all cores);
 	// results are bit-identical at every setting. The packet plane ignores
-	// it — its intra-replica concurrency is PacketWorkers.
+	// it.
 	Parallelism int
-	// PacketWorkers is the packet plane's DES worker count: 0 keeps the
-	// single-threaded scheduler, ≥1 shards the DES by pod under
-	// conservative windows (see des.ShardedScheduler). EpochResults are
-	// bit-identical at every setting. The flow plane ignores it.
-	PacketWorkers int
 	// Detect configures Algorithm 1; the zero value means the paper's 1%
 	// threshold.
 	Detect vote.DetectOptions

@@ -247,48 +247,6 @@ func TestPacketEngineBitIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// The tentpole acceptance criterion, at the engine layer: the packet
-// plane's EpochResults — every report field, truth set and aggregate —
-// must be bit-identical between the single-threaded DES (PacketWorkers=0)
-// and the pod-sharded conservative DES at workers 1/2/4/8, under scripted
-// time-varying failures, on both the multi-pod quick shape and the
-// §7-scale test cluster.
-func TestPacketEpochResultsBitIdenticalAcrossWorkers(t *testing.T) {
-	for _, topoCfg := range []topology.Config{packetTopo, topology.TestClusterConfig} {
-		run := func(workers int) []*EpochResult {
-			topo, err := topology.New(topoCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := New(Config{Plane: Packet, Topo: topo, Seed: 42, PacketWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Schedule(topo.LinksOfClass(topology.L1Up)[1], schedule.Flap{Rate: 0.03, Period: 2, On: 1}); err != nil {
-				t.Fatal(err)
-			}
-			var out []*EpochResult
-			for e := 0; e < 3; e++ {
-				out = append(out, eng.RunEpoch())
-			}
-			return out
-		}
-		want := run(0)
-		drops := 0
-		for _, er := range want {
-			drops += er.TotalDrops
-		}
-		if drops == 0 {
-			t.Fatalf("pods=%d: scheduled packet run produced no drops to compare", topoCfg.Pods)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			if got := run(workers); !reflect.DeepEqual(want, got) {
-				t.Fatalf("pods=%d: PacketWorkers=%d diverged from the single-threaded DES", topoCfg.Pods, workers)
-			}
-		}
-	}
-}
-
 // The flow engine must produce exactly what the pre-engine pipeline
 // produced: the facade and the scenario engine both ride on it, so a
 // changed workload default or draw order would silently shift every

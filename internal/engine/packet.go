@@ -58,7 +58,6 @@ func newPacketEngine(cfg Config) (*packetEngine, error) {
 		// at every boundary: scenario sweeps and conformance runs stay
 		// allocation-free and memory-bounded however many epochs they span.
 		EphemeralFlows: true,
-		Workers:        cfg.PacketWorkers,
 	})
 	if err != nil {
 		return nil, err

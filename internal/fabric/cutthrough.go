@@ -41,7 +41,7 @@ package fabric
 // executing event are applied as if they had run, and the packet is
 // rescheduled as a delivery at the first hop that is not (rematerialize).
 //
-// The reference is the fabric with cut-through off — sharded, or with any
+// The reference is the fabric with cut-through off — any fabric with a
 // mirror tap installed — and the tests hold the two bit-identical.
 
 import (
@@ -59,9 +59,9 @@ import (
 // — through every following switch whose forwarding is certain and
 // unobservable, and returns the link and time of the one delivery to
 // schedule. It reads what switchHandle reads, once for the whole path.
-func (n *Net) fly(sh *netShard, l topology.LinkID, at des.Time, pkt *wire.Buffer) (topology.LinkID, des.Time) {
+func (n *Net) fly(l topology.LinkID, at des.Time, pkt *wire.Buffer) (topology.LinkID, des.Time) {
 	first := n.topo.Links[l].To
-	horizon := n.scheds[sh.id].Horizon()
+	horizon := n.cfg.Sched.Horizon()
 	if first.Kind == topology.NodeHost || at+n.cfg.LinkDelay > horizon {
 		return l, at
 	}
@@ -76,7 +76,7 @@ func (n *Net) fly(sh *netShard, l topology.LinkID, at des.Time, pkt *wire.Buffer
 	}
 	var tuple ecmp.FiveTuple
 	flowOf(&ip, payload, &tuple)
-	rt := sh.route(topology.SwitchID(first.ID), tuple, topology.HostID(dst.ID))
+	rt := n.route(topology.SwitchID(first.ID), tuple, topology.HostID(dst.ID))
 	if rt == nil {
 		return l, at
 	}
@@ -106,8 +106,8 @@ func (n *Net) fly(sh *netShard, l topology.LinkID, at des.Time, pkt *wire.Buffer
 	}
 	if hops > 0 {
 		f.Hops = int32(hops)
-		f.Slot = int32(len(sh.flights))
-		sh.flights = append(sh.flights, pkt)
+		f.Slot = int32(len(n.flights))
+		n.flights = append(n.flights, pkt)
 	}
 	return l, at
 }
@@ -140,21 +140,21 @@ const passChunk = 64
 
 // land applies the hops a flight's delivery stands for, as the delivery
 // fires.
-func (sh *netShard) land(pkt *wire.Buffer) {
+func (n *Net) land(pkt *wire.Buffer) {
 	f := &pkt.Flight
-	last := len(sh.flights) - 1
-	moved := sh.flights[last]
-	sh.flights[f.Slot] = moved
+	last := len(n.flights) - 1
+	moved := n.flights[last]
+	n.flights[f.Slot] = moved
 	moved.Flight.Slot = f.Slot
-	sh.flights[last] = nil
-	sh.flights = sh.flights[:last]
-	sh.n.settle(sh, pkt, int(f.Hops))
+	n.flights[last] = nil
+	n.flights = n.flights[:last]
+	n.settle(pkt, int(f.Hops))
 	f.Hops = 0
 }
 
 // settle applies the first k folded hops of pkt's flight: what their
 // switchHandle and send would have done.
-func (n *Net) settle(sh *netShard, pkt *wire.Buffer, k int) {
+func (n *Net) settle(pkt *wire.Buffer, k int) {
 	if k == 0 {
 		return
 	}
@@ -166,7 +166,7 @@ func (n *Net) settle(sh *netShard, pkt *wire.Buffer, k int) {
 			n.pend[e]--
 		}
 	}
-	sh.hopsFused += int64(k)
+	n.hopsFused += int64(k)
 }
 
 // lowerTTL is k successive decrementTTLs as one patch. The one's-complement
@@ -193,20 +193,15 @@ func lowerTTL(data []byte, k int) {
 // the first such hop, which then forwards (and walks on) under whatever the
 // caller is about to change; the delivery scheduled for the old buffer finds
 // it marked and only frees it. Between runs nothing is in flight and this
-// is a no-op; a sharded fabric never has flights.
+// is a no-op.
 func (n *Net) rematerialize(only topology.LinkID) {
-	if n.ss != nil {
+	if len(n.flights) == 0 {
 		return
 	}
-	sh := n.shards[0]
-	if len(sh.flights) == 0 {
-		return
-	}
-	s := n.scheds[0]
-	now := int64(s.Now())
-	key, tie := s.Executing()
-	keep := sh.flights[:0]
-	for _, pkt := range sh.flights {
+	now := int64(n.cfg.Sched.Now())
+	key, tie := n.cfg.Sched.Executing()
+	keep := n.flights[:0]
+	for _, pkt := range n.flights {
 		f := &pkt.Flight
 		hops := int(f.Hops)
 		if only != topology.NoLink && !slices.Contains(f.Via[1:hops+1], int32(only)) {
@@ -222,7 +217,7 @@ func (n *Net) rematerialize(only topology.LinkID) {
 			}
 			reached++
 		}
-		n.settle(sh, pkt, reached)
+		n.settle(pkt, reached)
 		f.Hops = 0
 		if reached == hops {
 			continue // only the scheduled delivery is left, and it stands
@@ -232,16 +227,16 @@ func (n *Net) rematerialize(only topology.LinkID) {
 				n.pend[e]--
 			}
 		}
-		np := sh.pool.Get(PacketHeadroom)
+		np := n.pool.Get(PacketHeadroom)
 		np.Append(pkt.Bytes())
 		np.Flight.Serial = f.Serial
 		l := topology.LinkID(f.Via[reached])
-		s.PostKeyedTie(des.Time(f.At[reached]), deliverKey(l), f.Serial, sh, evDeliver, int64(l), np)
+		n.cfg.Sched.PostKeyedTie(des.Time(f.At[reached]), deliverKey(l), f.Serial, n, evDeliver, int64(l), np)
 		f.Hops = -1
-		sh.rematerialized++
+		n.rematerialized++
 	}
-	clear(sh.flights[len(keep):])
-	sh.flights = keep
+	clear(n.flights[len(keep):])
+	n.flights = keep
 }
 
 // route is one flow→route cache entry: the egress links from switch sw to
@@ -260,22 +255,21 @@ type route struct {
 const routeCacheBits = 11
 
 // route returns the egress links a packet of flow t takes from switch sw to
-// host dst, resolving them with the router on a miss. The cache belongs to
-// the shard's goroutine; an ECMP reboot empties it. nil means some switch on
-// the way has no route, which the hop-by-hop path reports where it happens.
-func (sh *netShard) route(sw topology.SwitchID, t ecmp.FiveTuple, dst topology.HostID) *route {
-	n := sh.n
-	if sh.routes == nil {
-		sh.routes = make([]route, 1<<routeCacheBits)
+// host dst, resolving them with the router on a miss. An ECMP reboot
+// empties the cache. nil means some switch on the way has no route, which
+// the hop-by-hop path reports where it happens.
+func (n *Net) route(sw topology.SwitchID, t ecmp.FiveTuple, dst topology.HostID) *route {
+	if n.routes == nil {
+		n.routes = make([]route, 1<<routeCacheBits)
 	}
-	if g := n.cfg.Router.Seeds.Generation(); g != sh.routeGen {
-		clear(sh.routes)
-		sh.routeGen = g
+	if g := n.cfg.Router.Seeds.Generation(); g != n.routeGen {
+		clear(n.routes)
+		n.routeGen = g
 	}
 	h := (uint64(t.SrcIP)<<32 | uint64(t.DstIP)) * 0x9e3779b97f4a7c15
 	h ^= (uint64(t.SrcPort)<<48 | uint64(t.DstPort)<<32 | uint64(t.Proto)<<24 ^ uint64(sw)) * 0xbf58476d1ce4e5b9
 	h ^= h >> 32
-	rt := &sh.routes[(h*0x94d049bb133111eb)>>(64-routeCacheBits)]
+	rt := &n.routes[(h*0x94d049bb133111eb)>>(64-routeCacheBits)]
 	if rt.n > 0 && rt.sw == sw && rt.tuple == t {
 		return rt
 	}
@@ -302,24 +296,7 @@ func (sh *netShard) route(sw topology.SwitchID, t ecmp.FiveTuple, dst topology.H
 // HopsFused counts the switch hops applied on landing instead of executed
 // as scheduler events; HopsStepped the switch hops that were events;
 // Rematerialized the packets pulled out of a cut-through flight by a mid-run
-// change. Only call between runs: they sum shard-local counts.
-func (n *Net) HopsFused() (v int64) {
-	for _, sh := range n.shards {
-		v += sh.hopsFused
-	}
-	return v
-}
-
-func (n *Net) HopsStepped() (v int64) {
-	for _, sh := range n.shards {
-		v += sh.hopsStepped
-	}
-	return v
-}
-
-func (n *Net) Rematerialized() (v int64) {
-	for _, sh := range n.shards {
-		v += sh.rematerialized
-	}
-	return v
-}
+// change.
+func (n *Net) HopsFused() int64      { return n.hopsFused }
+func (n *Net) HopsStepped() int64    { return n.hopsStepped }
+func (n *Net) Rematerialized() int64 { return n.rematerialized }

@@ -156,7 +156,7 @@ func TestCutThroughDeliversSameBytes(t *testing.T) {
 				if got, want := cut.net.HopsFused()+cut.net.HopsStepped(), ref.net.HopsStepped(); got != want {
 					t.Fatalf("seed %d: cut-through accounts for %d switch hops, per-hop stepped %d", seed, got, want)
 				}
-				if n := len(cut.net.shards[0].flights); n != 0 {
+				if n := len(cut.net.flights); n != 0 {
 					t.Fatalf("seed %d: %d packets still in flight after RunUntil", seed, n)
 				}
 				for l, p := range cut.net.pend {

@@ -6,21 +6,16 @@
 // with injectable probabilities, and mirror taps provide the
 // EverFlow-style observation points used for ground truth.
 //
-// The fabric runs on virtual time (package des), either on one scheduler
-// or sharded by pod across a des.ShardedScheduler (Config.Sharded): each
-// shard owns its pods' links, switches and hosts, drop decisions are
-// per-link counter-derived draws (order-independent across shards), and
-// cross-pod deliveries ride the sharded scheduler's boundary queues.
-// Determinism comes from the explicit seeding and the scheduler's
-// (time, key, seq) ordering — epochs are bit-identical at any worker
-// count, including against the single-scheduler build.
+// The fabric runs on virtual time (package des). Determinism comes from the
+// explicit seeding, the per-link counter-derived drop draws and the
+// scheduler's (time, key, tie) ordering.
 //
 // A hop costs a scheduler event only where its place in the event order can
-// matter. On a single-scheduler fabric with no mirror tap, send carries a
-// packet through every following switch whose forwarding is certain and
-// unobservable and schedules one delivery where that stops — see
-// cutthrough.go. A sharded or tapped fabric executes every hop as its own
-// event, and is the reference the cut-through is tested against.
+// matter. On a fabric with no mirror tap, send carries a packet through
+// every following switch whose forwarding is certain and unobservable and
+// schedules one delivery where that stops — see cutthrough.go. A tapped
+// fabric executes every hop as its own event, and is the reference the
+// cut-through is tested against.
 //
 // Packet memory is pooled: a packet lives in a wire.Buffer obtained from
 // the fabric's free list (NewPacket), is carried by reference through
@@ -28,10 +23,7 @@
 // link drop, a corrupt or unroutable header, a TTL expiry (after the ICMP
 // reply is built), or right after the destination host's receive callback
 // returns. Host callbacks therefore only borrow the packet bytes and must
-// not retain them. Pools are per shard; a buffer that crosses a pod
-// boundary is released into the pool of the shard where it dies, so no
-// pool is ever touched by two goroutines. Steady-state forwarding
-// allocates nothing.
+// not retain them. Steady-state forwarding allocates nothing.
 package fabric
 
 import (
@@ -52,8 +44,7 @@ import (
 const PacketHeadroom = 64
 
 // DefaultLinkDelay is the one-hop propagation+processing delay used when
-// Config.LinkDelay is zero — and the natural conservative lookahead for a
-// sharded scheduler driving this fabric.
+// Config.LinkDelay is zero.
 const DefaultLinkDelay = 5 * des.Microsecond
 
 // evDeliver is the fabric's one typed event: a packet arriving at the far
@@ -67,32 +58,20 @@ const evDeliver int32 = 1
 // discovery timeouts, 4 = fabric deliveries.
 const keyClassDeliver uint64 = 4 << 56
 
-// deliverKey is the origin key of link l's deliver events. One link's
-// sends always execute on the shard owning the link's From node, so the
-// key identifies a single sequential producer — the property the
-// (time, key, tie) determinism argument needs. Simultaneous deliveries on
-// one link fire in the order of the packets' serials (see nextSerial), not
-// in the order their sends were executed: where a delivery falls in the
-// order is then a function of the packet alone, whichever of its upstream
-// hops were scheduler events.
+// deliverKey is the origin key of link l's deliver events. Simultaneous
+// deliveries on one link fire in the order of the packets' serials (see
+// nextSerial), not in the order their sends were executed: where a delivery
+// falls in the order is then a function of the packet alone, whichever of
+// its upstream hops were scheduler events.
 func deliverKey(l topology.LinkID) uint64 { return keyClassDeliver | uint64(l) }
 
 // Config assembles a fabric.
 type Config struct {
 	Topo   *topology.Topology
 	Router *ecmp.Router
-	// Sched is the single-scheduler build's clock and queue. Exactly one
-	// of Sched and Sharded must be set.
+	// Sched is the fabric's clock and event queue.
 	Sched *des.Scheduler
-	// Sharded runs the fabric pod-sharded: nodes partition across the
-	// sharded scheduler's shards via Topo.ShardMap, intra-shard deliveries
-	// post to the owning shard's scheduler and cross-shard deliveries ride
-	// the boundary queues. The scheduler's lookahead must not exceed
-	// LinkDelay — every delivery is scheduled at least LinkDelay (plus the
-	// link's non-negative extra delay) in the future, which is exactly the
-	// conservative-window guarantee.
-	Sharded *des.ShardedScheduler
-	RNG     *stats.RNG
+	RNG   *stats.RNG
 	// Tmax caps each switch's ICMP generation rate (messages/second).
 	// The paper's operators set 100. Zero means the paper's default.
 	Tmax float64
@@ -104,14 +83,9 @@ type Config struct {
 // TapEvent is one observation from a mirror tap (EverFlow-style) or a drop
 // notification used as ground truth by tests.
 type TapEvent struct {
-	Time   des.Time
-	Switch topology.SwitchID // -1 when the event happened on a host link
-	Egress topology.LinkID
-	// Shard is the execution shard the event fired on (always 0 on a
-	// single-scheduler fabric). Taps are invoked from that shard's
-	// goroutine; a tap shared across shards must partition any state it
-	// writes by Shard.
-	Shard   int32
+	Time    des.Time
+	Switch  topology.SwitchID // -1 when the event happened on a host link
+	Egress  topology.LinkID
 	Dropped bool // true: the packet died on Egress
 	IP      wire.IPv4
 	SrcPort uint16
@@ -136,40 +110,12 @@ type icmpSecCount struct {
 // scenario timelines.
 const icmpRingCap = 4096
 
-// netShard is one shard's execution context: the des.Handler delivery
-// events target, the shard's private packet pool, and the shard-local
-// slice of the bounded ICMP accounting. Everything a shard's goroutine
-// writes during a window lives either here or at indices (links, switches,
-// hosts) the partition assigns to exactly one shard. A single-scheduler
-// fabric has one shard.
-type netShard struct {
-	n    *Net
-	id   int32
-	pool wire.Pool
-
-	// Shard-local slice of the bounded ICMP distribution; aggregated
-	// across shards by ICMPPerSecond / ICMPSecondStats.
-	icmpLow  int64 // finished switch-seconds with 1-3 messages
-	icmpHigh int64 // finished switch-seconds with >3 messages
-	icmpMax  int
-	icmpRing []int32
-	icmpPos  int
-
-	// Cut-through state (cutthrough.go): the packets in flight over folded
-	// hops, the flow→route cache their walks read, and the shard's slice of
-	// the hop counters.
-	flights        []*wire.Buffer
-	routes         []route
-	routeGen       uint64
-	hopsFused      int64
-	hopsStepped    int64
-	rematerialized int64
-}
-
-// Net is the running fabric.
+// Net is the running fabric, and the des.Handler its delivery events
+// target.
 type Net struct {
 	cfg        Config
 	topo       *topology.Topology
+	pool       wire.Pool
 	dropRate   []float64
 	baseRate   []float64 // per-link baseline (noise) rate a cleared link returns to
 	extraDelay []des.Time
@@ -180,25 +126,12 @@ type Net struct {
 	dropTaps   []Tap
 	schedules  []ScheduledLink
 
-	// Shard plumbing. scheds[i] is shard i's scheduler (all the same
-	// *des.Scheduler on a single-scheduler fabric, where ss is nil).
-	// hostShard/swShard place every node; linkTo is the shard owning each
-	// link's To node — the shard its deliver events execute on. A link's
-	// sends run on its From node's shard, which therefore owns dropCtr,
-	// LinkForwarded and LinkDropped at that index.
-	shards    []*netShard
-	scheds    []*des.Scheduler
-	ss        *des.ShardedScheduler
-	hostShard []int32
-	swShard   []int32
-	linkTo    []int32
-
 	// dropSeed/dropCtr drive the per-link counter-derived drop draws: the
 	// decision for link l's k-th packet is DeriveUniform(dropSeed, l◦k),
 	// a pure function of the link and its local send count. Unlike a
 	// shared RNG stream, the outcome cannot depend on how sends on
-	// different links interleave — which is what keeps sharded and
-	// single-scheduler runs bit-identical.
+	// different links interleave — which is what lets a cut-through walk
+	// verify a link's draws ahead of the hop that takes them.
 	dropSeed uint64
 	dropCtr  []uint64
 	// pend counts, per link, the draws reserved by packets in cut-through
@@ -206,6 +139,15 @@ type Net struct {
 	// (see passes).
 	pend      []int32
 	passUntil []uint64
+
+	// Cut-through state (cutthrough.go): the packets in flight over folded
+	// hops, the flow→route cache their walks read, and the hop counters.
+	flights        []*wire.Buffer
+	routes         []route
+	routeGen       uint64
+	hopsFused      int64
+	hopsStepped    int64
+	rematerialized int64
 
 	// serial numbers every packet by its origin: indexed by host, then by
 	// switch (ICMP replies), see nextSerial.
@@ -220,8 +162,13 @@ type Net struct {
 	ICMPSuppressed []int64
 
 	// icmpCur is the live per-switch ICMP counter for the current virtual
-	// second; finished seconds fold into the owning shard's aggregates.
-	icmpCur []icmpSecCount
+	// second; finished seconds fold into the bounded distribution below.
+	icmpCur  []icmpSecCount
+	icmpLow  int64 // finished switch-seconds with 1-3 messages
+	icmpHigh int64 // finished switch-seconds with >3 messages
+	icmpMax  int
+	icmpRing []int32
+	icmpPos  int
 }
 
 // New builds a fabric over the topology.
@@ -229,8 +176,8 @@ func New(cfg Config) (*Net, error) {
 	if cfg.Topo == nil || cfg.Router == nil || cfg.RNG == nil {
 		return nil, fmt.Errorf("fabric: Topo, Router and RNG are all required")
 	}
-	if (cfg.Sched == nil) == (cfg.Sharded == nil) {
-		return nil, fmt.Errorf("fabric: exactly one of Sched and Sharded is required")
+	if cfg.Sched == nil {
+		return nil, fmt.Errorf("fabric: Sched is required")
 	}
 	if cfg.Tmax <= 0 {
 		cfg.Tmax = 100
@@ -256,34 +203,6 @@ func New(cfg Config) (*Net, error) {
 		ICMPSent:       make([]int64, len(cfg.Topo.Switches)),
 		ICMPSuppressed: make([]int64, len(cfg.Topo.Switches)),
 		icmpCur:        make([]icmpSecCount, len(cfg.Topo.Switches)),
-	}
-	nShards := 1
-	if cfg.Sharded != nil {
-		if la := cfg.Sharded.Lookahead(); la > cfg.LinkDelay {
-			return nil, fmt.Errorf("fabric: sharded lookahead %d exceeds LinkDelay %d — deliveries would land inside open windows", la, cfg.LinkDelay)
-		}
-		n.ss = cfg.Sharded
-		nShards = cfg.Sharded.Shards()
-	}
-	n.shards = make([]*netShard, nShards)
-	n.scheds = make([]*des.Scheduler, nShards)
-	for i := range n.shards {
-		n.shards[i] = &netShard{n: n, id: int32(i)}
-		if n.ss != nil {
-			n.scheds[i] = n.ss.Shard(i)
-		} else {
-			n.scheds[i] = cfg.Sched
-		}
-	}
-	n.hostShard, n.swShard = cfg.Topo.ShardMap(nShards)
-	n.linkTo = make([]int32, len(cfg.Topo.Links))
-	for l := range cfg.Topo.Links {
-		to := cfg.Topo.Links[l].To
-		if to.Kind == topology.NodeHost {
-			n.linkTo[l] = n.hostShard[to.ID]
-		} else {
-			n.linkTo[l] = n.swShard[to.ID]
-		}
 	}
 	for i := range n.buckets {
 		n.buckets[i] = tokenBucket{tokens: cfg.Tmax, rate: cfg.Tmax, burst: cfg.Tmax}
@@ -311,41 +230,6 @@ func (n *Net) nextSerial(i int) uint64 {
 	s := n.serial[i]
 	n.serial[i] = s + 1
 	return s
-}
-
-// ShardOfHost returns the execution shard host h lives on.
-func (n *Net) ShardOfHost(h topology.HostID) int { return int(n.hostShard[h]) }
-
-// SchedOfHost returns the scheduler driving host h's shard — the clock a
-// host's stack and agents must read and the queue their timers must post
-// to (with origin keys) so sharded and single-scheduler runs stay
-// bit-identical.
-func (n *Net) SchedOfHost(h topology.HostID) *des.Scheduler { return n.scheds[n.hostShard[h]] }
-
-// ShardOfLink returns the execution shard that owns directed link l: the
-// shard of its From node, the only shard whose event handlers may read or
-// mutate the link's state (drop rate, extra delay, LAG) during a run.
-func (n *Net) ShardOfLink(l topology.LinkID) (int, error) {
-	if err := n.checkLink(l); err != nil {
-		return 0, err
-	}
-	from := n.topo.Links[l].From
-	if from.Kind == topology.NodeHost {
-		return int(n.hostShard[from.ID]), nil
-	}
-	return int(n.swShard[from.ID]), nil
-}
-
-// SchedOfLink returns the scheduler driving ShardOfLink(l) — the queue a
-// mid-run link mutation (e.g. a scripted SetExtraDelay) must be posted to
-// so it executes on the owning shard. On a single-scheduler fabric this is
-// simply the shared scheduler.
-func (n *Net) SchedOfLink(l topology.LinkID) (*des.Scheduler, error) {
-	sh, err := n.ShardOfLink(l)
-	if err != nil {
-		return nil, err
-	}
-	return n.scheds[sh], nil
 }
 
 // checkLink validates a link identifier against the topology.
@@ -469,11 +353,7 @@ func (n *Net) ApplySchedules(epoch int) error {
 // RTT-threshold extension diagnoses. Like every other link mutator the
 // link is validated (an out-of-range id used to panic on the slice index),
 // and the delay must be non-negative: a negative value would clamp
-// deliveries to "now", reordering the scheduler's FIFO lane — and, on a
-// sharded fabric, would break the conservative-window guarantee that every
-// delivery lands at least LinkDelay in the future. On a sharded fabric the
-// call is only safe between runs or from an event handler executing on the
-// shard that owns the link's From node.
+// deliveries to "now", reordering the scheduler's FIFO lane.
 func (n *Net) SetExtraDelay(l topology.LinkID, d des.Time) error {
 	if err := n.checkLink(l); err != nil {
 		return err
@@ -555,49 +435,32 @@ func (n *Net) AddTap(t Tap) {
 // per-hop forwarding path does not pay for building their events.
 func (n *Net) AddDropTap(t Tap) { n.dropTaps = append(n.dropTaps, t) }
 
-// NewPacket returns an empty pooled buffer with standard headroom, from
-// shard 0's pool. On a sharded fabric hot paths must use NewPacketFor so
-// the buffer comes from the calling host's shard pool.
-func (n *Net) NewPacket() *wire.Buffer { return n.shards[0].pool.Get(PacketHeadroom) }
-
-// NewPacketFor returns an empty pooled buffer from host h's shard pool —
-// the form host stacks and agents use, since their code runs on that
-// shard's goroutine. Fill it payload-first (wire's prepend discipline) and
-// hand it to Send, which takes ownership.
-func (n *Net) NewPacketFor(h topology.HostID) *wire.Buffer {
-	return n.shards[n.hostShard[h]].pool.Get(PacketHeadroom)
-}
+// NewPacket returns an empty pooled buffer with standard headroom. Fill it
+// payload-first (wire's prepend discipline) and hand it to Send, which
+// takes ownership.
+func (n *Net) NewPacket() *wire.Buffer { return n.pool.Get(PacketHeadroom) }
 
 // Send injects a serialized packet from host h onto its uplink, taking
-// ownership of pkt: the fabric releases it back to a shard pool when the
-// packet dies. The buffer must have come from NewPacket/NewPacketFor.
+// ownership of pkt: the fabric releases it back to the pool when the packet
+// dies. The buffer must have come from NewPacket.
 func (n *Net) Send(h topology.HostID, pkt *wire.Buffer) {
 	pkt.Flight.Serial = n.nextSerial(int(h))
-	n.send(n.shards[n.hostShard[h]], n.topo.Hosts[h].Uplink, pkt)
+	n.send(n.topo.Hosts[h].Uplink, pkt)
 }
 
 // SendFromHost injects a packet from host h onto its uplink. The bytes are
 // copied into a pooled buffer, so the caller keeps ownership of data; hot
-// paths should build into NewPacketFor and use Send instead.
+// paths should build into NewPacket and use Send instead.
 func (n *Net) SendFromHost(h topology.HostID, data []byte) {
-	sh := n.shards[n.hostShard[h]]
-	pkt := sh.pool.Get(0)
+	pkt := n.pool.Get(0)
 	pkt.Append(data)
 	pkt.Flight.Serial = n.nextSerial(int(h))
-	n.send(sh, n.topo.Hosts[h].Uplink, pkt)
+	n.send(n.topo.Hosts[h].Uplink, pkt)
 }
 
-// release returns a dead packet's buffer to the executing shard's pool.
-// Buffers migrate: one that crossed a pod boundary retires into the pool
-// of the shard where it died, never touching two pools at once.
-func (sh *netShard) release(pkt *wire.Buffer) { sh.pool.Put(pkt) }
-
 // send carries pkt across link l: maybe drop, else deliver to the far
-// end after the link delay. Ownership of pkt passes to the fabric. It
-// always executes on the shard owning l's From node — hosts inject on
-// their own shard, and a switch forwards on its own shard — so dropCtr,
-// LinkDropped and LinkForwarded at l are single-writer.
-func (n *Net) send(sh *netShard, l topology.LinkID, pkt *wire.Buffer) {
+// end after the link delay. Ownership of pkt passes to the fabric.
+func (n *Net) send(l topology.LinkID, pkt *wire.Buffer) {
 	r := n.dropRate[l]
 	if n.lag != nil {
 		if _, isLAG := n.lag[l]; isLAG {
@@ -605,7 +468,7 @@ func (n *Net) send(sh *netShard, l topology.LinkID, pkt *wire.Buffer) {
 		}
 	}
 	if r > 0 {
-		if n.ss == nil && n.pend[l] > 0 && !n.passes(l) {
+		if n.pend[l] > 0 && !n.passes(l) {
 			// Packets in cut-through flight hold draws on l that the counter
 			// does not show yet, and this packet's draw may drop whichever
 			// of them it gets: put those flights back on the hop-by-hop
@@ -616,67 +479,61 @@ func (n *Net) send(sh *netShard, l topology.LinkID, pkt *wire.Buffer) {
 		n.dropCtr[l] = ctr + 1
 		if stats.DeriveUniform(n.dropSeed, uint64(l)<<40|ctr) < r {
 			n.LinkDropped[l]++
-			n.notifyDrop(sh, l, pkt.Bytes())
-			sh.release(pkt)
+			n.notifyDrop(l, pkt.Bytes())
+			n.pool.Put(pkt)
 			return
 		}
 	}
 	n.LinkForwarded[l]++
-	at := n.scheds[sh.id].Now() + n.cfg.LinkDelay + n.extraDelay[l]
-	if n.ss == nil && len(n.taps) == 0 {
-		l, at = n.fly(sh, l, at, pkt)
+	at := n.cfg.Sched.Now() + n.cfg.LinkDelay + n.extraDelay[l]
+	if len(n.taps) == 0 {
+		l, at = n.fly(l, at, pkt)
 	}
-	to := n.linkTo[l]
-	if n.ss == nil || to == sh.id {
-		n.scheds[to].PostKeyedTie(at, deliverKey(l), pkt.Flight.Serial, n.shards[to], evDeliver, int64(l), pkt)
-	} else {
-		n.ss.PostCrossTie(int(sh.id), int(to), at, deliverKey(l), pkt.Flight.Serial, n.shards[to], evDeliver, int64(l), pkt)
-	}
+	n.cfg.Sched.PostKeyedTie(at, deliverKey(l), pkt.Flight.Serial, n, evDeliver, int64(l), pkt)
 }
 
 // HandleEvent delivers a packet at the far end of its link (the fabric's
-// one typed DES event, targeted at the To node's shard).
-func (sh *netShard) HandleEvent(kind int32, arg int64, p any) {
+// one typed DES event).
+func (n *Net) HandleEvent(kind int32, arg int64, p any) {
 	_ = kind // evDeliver is the only kind the fabric schedules
-	n := sh.n
 	pkt := p.(*wire.Buffer)
 	if hops := pkt.Flight.Hops; hops != 0 {
 		if hops < 0 {
-			sh.release(pkt) // the packet was rematerialized into another buffer
+			n.pool.Put(pkt) // the packet was rematerialized into another buffer
 			return
 		}
-		sh.land(pkt)
+		n.land(pkt)
 	}
 	to := n.topo.Links[arg].To
 	if to.Kind == topology.NodeHost {
 		if fn := n.hostRx[to.ID]; fn != nil {
 			fn(pkt.Bytes())
 		}
-		sh.release(pkt)
+		n.pool.Put(pkt)
 		return
 	}
-	n.switchHandle(sh, topology.SwitchID(to.ID), pkt)
+	n.switchHandle(topology.SwitchID(to.ID), pkt)
 }
 
 // switchHandle is a switch's forwarding path. It owns pkt: every exit
 // either forwards it onward or releases it.
-func (n *Net) switchHandle(sh *netShard, sw topology.SwitchID, pkt *wire.Buffer) {
-	sh.hopsStepped++
+func (n *Net) switchHandle(sw topology.SwitchID, pkt *wire.Buffer) {
+	n.hopsStepped++
 	data := pkt.Bytes()
 	var ip wire.IPv4
 	payload, err := wire.DecodeIPv4(data, &ip)
 	if err != nil {
-		sh.release(pkt) // corrupt header: silently dropped, as hardware would
+		n.pool.Put(pkt) // corrupt header: silently dropped, as hardware would
 		return
 	}
 	if ip.TTL <= 1 {
-		n.ttlExpired(sh, sw, data, ip)
-		sh.release(pkt)
+		n.ttlExpired(sw, data, ip)
+		n.pool.Put(pkt)
 		return
 	}
 	dstNode, ok := n.topo.LookupIP(ip.Dst)
 	if !ok || dstNode.Kind != topology.NodeHost {
-		sh.release(pkt) // not routable (switch loopbacks are never packet sinks)
+		n.pool.Put(pkt) // not routable (switch loopbacks are never packet sinks)
 		return
 	}
 	decrementTTL(data)
@@ -684,11 +541,11 @@ func (n *Net) switchHandle(sh *netShard, sw topology.SwitchID, pkt *wire.Buffer)
 	seq := flowOf(&ip, payload, &tuple)
 	egress, err := n.cfg.Router.NextHopLink(sw, tuple, topology.HostID(dstNode.ID))
 	if err != nil {
-		sh.release(pkt)
+		n.pool.Put(pkt)
 		return
 	}
-	n.notifyForward(sh, sw, egress, ip, tuple, seq)
-	n.send(sh, egress, pkt)
+	n.notifyForward(sw, egress, ip, tuple, seq)
+	n.send(egress, pkt)
 }
 
 // flowOf lifts the ECMP five-tuple out of a decoded packet into t, and
@@ -709,7 +566,7 @@ func flowOf(ip *wire.IPv4, payload []byte, t *ecmp.FiveTuple) (seq uint32) {
 // reply if the token bucket allows, else silently drop (the switch CPU is
 // protected; this is exactly the behaviour 007's Ct bound must respect).
 // It borrows data; the caller still owns (and releases) the expired packet.
-func (n *Net) ttlExpired(sh *netShard, sw topology.SwitchID, data []byte, ip wire.IPv4) {
+func (n *Net) ttlExpired(sw topology.SwitchID, data []byte, ip wire.IPv4) {
 	if ip.Protocol == wire.ProtoICMP {
 		return // never ICMP about ICMP (RFC 792 discipline)
 	}
@@ -717,13 +574,13 @@ func (n *Net) ttlExpired(sh *netShard, sw topology.SwitchID, data []byte, ip wir
 	if !ok || srcNode.Kind != topology.NodeHost {
 		return
 	}
-	now := n.scheds[sh.id].Now()
+	now := n.cfg.Sched.Now()
 	if !n.buckets[sw].allow(now) {
 		n.ICMPSuppressed[sw]++
 		return
 	}
 	n.ICMPSent[sw]++
-	n.countICMP(sh, sw, int64(now/des.Second))
+	n.countICMP(sw, int64(now/des.Second))
 
 	// RFC 792 body: the expired packet's IP header plus its first 8 payload
 	// bytes, copied straight into a pooled reply buffer.
@@ -731,7 +588,7 @@ func (n *Net) ttlExpired(sh *netShard, sw topology.SwitchID, data []byte, ip wir
 	if k > len(data) {
 		k = len(data)
 	}
-	reply := sh.pool.Get(PacketHeadroom)
+	reply := n.pool.Get(PacketHeadroom)
 	reply.Flight.Serial = n.nextSerial(len(n.topo.Hosts) + int(sw))
 	reply.Append(data[:k])
 	ic := wire.ICMP{Type: wire.ICMPTypeTimeExceeded, Code: wire.ICMPCodeTTLExpired}
@@ -745,10 +602,10 @@ func (n *Net) ttlExpired(sh *netShard, sw topology.SwitchID, data []byte, ip wir
 	tuple := ecmp.FiveTuple{SrcIP: replyIP.Src, DstIP: replyIP.Dst, Proto: wire.ProtoICMP}
 	egress, err := n.cfg.Router.NextHopLink(sw, tuple, topology.HostID(srcNode.ID))
 	if err != nil {
-		sh.release(reply)
+		n.pool.Put(reply)
 		return
 	}
-	n.send(sh, egress, reply)
+	n.send(egress, reply)
 }
 
 // decrementTTL patches the TTL and updates the header checksum
@@ -765,12 +622,12 @@ func decrementTTL(data []byte) {
 	binary.BigEndian.PutUint16(data[10:], ^uint16(sum))
 }
 
-func (n *Net) notifyForward(sh *netShard, sw topology.SwitchID, egress topology.LinkID, ip wire.IPv4, t ecmp.FiveTuple, seq uint32) {
+func (n *Net) notifyForward(sw topology.SwitchID, egress topology.LinkID, ip wire.IPv4, t ecmp.FiveTuple, seq uint32) {
 	if len(n.taps) == 0 {
 		return
 	}
 	ev := TapEvent{
-		Time: n.scheds[sh.id].Now(), Switch: sw, Egress: egress, Shard: sh.id,
+		Time: n.cfg.Sched.Now(), Switch: sw, Egress: egress,
 		IP: ip, SrcPort: t.SrcPort, DstPort: t.DstPort, Seq: seq,
 	}
 	for _, tap := range n.taps {
@@ -778,7 +635,7 @@ func (n *Net) notifyForward(sh *netShard, sw topology.SwitchID, egress topology.
 	}
 }
 
-func (n *Net) notifyDrop(sh *netShard, l topology.LinkID, data []byte) {
+func (n *Net) notifyDrop(l topology.LinkID, data []byte) {
 	if len(n.taps) == 0 && len(n.dropTaps) == 0 {
 		return
 	}
@@ -787,7 +644,7 @@ func (n *Net) notifyDrop(sh *netShard, l topology.LinkID, data []byte) {
 	if err != nil {
 		return
 	}
-	ev := TapEvent{Time: n.scheds[sh.id].Now(), Switch: -1, Egress: l, Shard: sh.id, Dropped: true, IP: ip}
+	ev := TapEvent{Time: n.cfg.Sched.Now(), Switch: -1, Egress: l, Dropped: true, IP: ip}
 	if from := n.topo.Links[l].From; from.Kind == topology.NodeSwitch {
 		ev.Switch = topology.SwitchID(from.ID)
 	}
@@ -805,15 +662,12 @@ func (n *Net) notifyDrop(sh *netShard, l topology.LinkID, data []byte) {
 }
 
 // countICMP advances a switch's live second counter, folding the finished
-// second into the executing shard's bounded distribution state. A switch's
-// ICMP generation always runs on its own shard, so the live counter is
-// single-writer; the folded aggregates live per shard and are summed at
-// query time.
-func (n *Net) countICMP(sh *netShard, sw topology.SwitchID, sec int64) {
+// second into the bounded distribution state.
+func (n *Net) countICMP(sw topology.SwitchID, sec int64) {
 	cur := &n.icmpCur[sw]
 	if cur.sec != sec {
 		if cur.n > 0 {
-			sh.foldICMPSecond(cur.n)
+			n.foldICMPSecond(cur.n)
 		}
 		cur.sec = sec
 		cur.n = 0
@@ -822,36 +676,33 @@ func (n *Net) countICMP(sh *netShard, sw topology.SwitchID, sec int64) {
 }
 
 // foldICMPSecond retires one finished (switch, second) count into the
-// shard's aggregates and its bounded recent-history ring.
-func (sh *netShard) foldICMPSecond(c int32) {
+// aggregates and the bounded recent-history ring.
+func (n *Net) foldICMPSecond(c int32) {
 	if c > 3 {
-		sh.icmpHigh++
+		n.icmpHigh++
 	} else {
-		sh.icmpLow++
+		n.icmpLow++
 	}
-	if int(c) > sh.icmpMax {
-		sh.icmpMax = int(c)
+	if int(c) > n.icmpMax {
+		n.icmpMax = int(c)
 	}
-	if len(sh.icmpRing) < icmpRingCap {
-		sh.icmpRing = append(sh.icmpRing, c)
+	if len(n.icmpRing) < icmpRingCap {
+		n.icmpRing = append(n.icmpRing, c)
 	} else {
-		sh.icmpRing[sh.icmpPos] = c
-		sh.icmpPos = (sh.icmpPos + 1) % icmpRingCap
+		n.icmpRing[n.icmpPos] = c
+		n.icmpPos = (n.icmpPos + 1) % icmpRingCap
 	}
 }
 
 // ICMPPerSecond returns the non-zero (switch, second) ICMP counts the
-// fabric still tracks: every live per-switch counter plus each shard's
-// bounded ring of the most recent icmpRingCap finished switch-seconds. The
-// distribution over the whole run is folded incrementally — see
-// ICMPSecondStats — so memory stays O(switches + shards·ring) however long
-// the run. Only call between runs: it reads shard-local state.
+// fabric still tracks: every live per-switch counter plus the bounded ring
+// of the most recent icmpRingCap finished switch-seconds. The distribution
+// over the whole run is folded incrementally — see ICMPSecondStats — so
+// memory stays O(switches + ring) however long the run.
 func (n *Net) ICMPPerSecond() []int {
 	out := make([]int, 0, len(n.topo.Switches))
-	for _, sh := range n.shards {
-		for _, c := range sh.icmpRing {
-			out = append(out, int(c))
-		}
+	for _, c := range n.icmpRing {
+		out = append(out, int(c))
 	}
 	for i := range n.icmpCur {
 		if n.icmpCur[i].n > 0 {
@@ -863,22 +714,13 @@ func (n *Net) ICMPPerSecond() []int {
 
 // ICMPSecondStats summarizes the per-switch per-second ICMP distribution
 // over an observation window, Table 1's format: the fraction of
-// switch-seconds with zero, 1-3, and >3 messages, plus the maximum. Only
-// call between runs: it aggregates shard-local state.
+// switch-seconds with zero, 1-3, and >3 messages, plus the maximum.
 func (n *Net) ICMPSecondStats(seconds int64) (zero, low, high float64, max int) {
 	total := seconds * int64(len(n.topo.Switches))
 	if total == 0 {
 		return 1, 0, 0, 0
 	}
-	var nLow, nHigh int64
-	maxC := 0
-	for _, sh := range n.shards {
-		nLow += sh.icmpLow
-		nHigh += sh.icmpHigh
-		if sh.icmpMax > maxC {
-			maxC = sh.icmpMax
-		}
-	}
+	nLow, nHigh, maxC := n.icmpLow, n.icmpHigh, n.icmpMax
 	for i := range n.icmpCur {
 		c := int(n.icmpCur[i].n)
 		if c == 0 {

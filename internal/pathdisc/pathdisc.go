@@ -51,8 +51,7 @@ type Config struct {
 	// into pooled wire buffers and SendPacket takes ownership of each.
 	NewPacket  func() *wire.Buffer
 	SendPacket func(pkt *wire.Buffer)
-	// Sched provides virtual time for probe timeouts and rate limiting. On
-	// a sharded emulation this must be the scheduler of the host's shard.
+	// Sched provides virtual time for probe timeouts and rate limiting.
 	Sched *des.Scheduler
 	// EventKey is the origin key the agent's timer events carry (see
 	// des.Scheduler.PostKeyed); the embedding layer derives it from the

@@ -12,8 +12,7 @@
 // hardest dynamic regimes on both substrates. A Spec is a deterministic
 // function of (seed, topology): running the same named scenario with the
 // same seed yields bit-identical results at every Parallelism setting on
-// the flow plane, at every PacketWorkers setting of the pod-sharded DES on
-// the packet plane, and across repeated runs and replica fan-out orderings
+// the flow plane, and across repeated runs and replica fan-out orderings
 // on either (DESIGN.md).
 package scenario
 
@@ -102,10 +101,6 @@ type Config struct {
 	// cores. Results are bit-identical at every setting. The packet plane
 	// ignores it (replicas parallelize across seeds, not within).
 	Parallelism int
-	// PacketWorkers is the packet plane's pod-sharded DES worker count
-	// (0 = single-threaded scheduler); results are bit-identical at every
-	// setting. The flow plane ignores it.
-	PacketWorkers int
 }
 
 // specDomain derives the scenario-construction stream from the run seed.
@@ -222,7 +217,6 @@ func Prepare(spec Spec, cfg Config) (*Prepared, error) {
 		TracerouteCap: spec.TracerouteCap,
 		Seed:          cfg.Seed,
 		Parallelism:   cfg.Parallelism,
-		PacketWorkers: cfg.PacketWorkers,
 		Detect:        spec.Detect,
 	})
 	if err != nil {

@@ -120,9 +120,17 @@ func TestScenarioBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// sevenScaleTopo is §7 scale (40 servers) spread over two pods, with a T2
+// spine so every named scenario's link picks resolve (TestClusterConfig
+// itself is one pod with no spine, so it cannot host the L2-picking
+// scenarios).
+var sevenScaleTopo = topology.Config{Pods: 2, ToRsPerPod: 5, T1PerPod: 4, T2: 2, HostsPerToR: 4}
+
 // Acceptance criterion of the plane-agnostic engine: every named scenario
 // runs unmodified on the packet plane through the same Run code path, with
-// active epochs and consistent aggregates.
+// active epochs and consistent aggregates — on the quick topology, and on
+// the §7-scale one, where a same-seed repeat must land a bit-identical
+// Result.
 func TestAllScenariosRunOnPacketPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-plane DES sweep; skipped in -short mode")
@@ -146,28 +154,42 @@ func TestAllScenariosRunOnPacketPlane(t *testing.T) {
 			if res.ActiveEpochs == 0 {
 				t.Fatal("no active epochs on the packet plane")
 			}
-			drops := 0
-			for _, es := range res.Epochs {
-				drops += es.TotalDrops
-			}
-			if drops == 0 {
+			if totalDrops(res) == 0 {
 				t.Fatal("packet plane produced no drops")
+			}
+
+			s := spec
+			s.Topo = sevenScaleTopo
+			run := func() *Result {
+				res, err := Run(s, Config{Seed: 4242, Epochs: 3, Plane: engine.Packet})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := run()
+			if totalDrops(want) == 0 {
+				t.Fatal("§7-scale run produced no drops to compare")
+			}
+			if got := run(); !reflect.DeepEqual(want, got) {
+				t.Fatal("same seed gave a different §7-scale result")
 			}
 		})
 	}
 }
 
-// sevenScaleTopo is §7 scale (40 servers) spread over two pods, with a T2
-// spine so every named scenario's link picks resolve — the sharded DES
-// path engages (TestClusterConfig itself is one pod with no spine, so it
-// cannot host the L2-picking scenarios).
-var sevenScaleTopo = topology.Config{Pods: 2, ToRsPerPod: 5, T1PerPod: 4, T2: 2, HostsPerToR: 4}
+func totalDrops(res *Result) int {
+	drops := 0
+	for _, es := range res.Epochs {
+		drops += es.TotalDrops
+	}
+	return drops
+}
 
-// The intra-replica mirror of the fan-out test below, and the tentpole's
-// golden-hash gate at the scenario layer: every named scenario, on both
-// the quick and §7-scale topologies, must land a bit-identical Result at
-// every PacketWorkers setting of the pod-sharded DES — the single-threaded
-// scheduler (workers 0) is the golden reference.
+// Every named scenario, on both the quick and §7-scale topologies, run by
+// two concurrent workers at once with the same seed, must land the Result
+// a solo run lands: packet-plane runs share no mutable state, so the worker
+// running a replica cannot change what it produces.
 func TestPacketScenariosBitIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-plane DES sweep; skipped in -short mode")
@@ -179,24 +201,26 @@ func TestPacketScenariosBitIdenticalAcrossWorkers(t *testing.T) {
 			for _, topoCfg := range []topology.Config{{}, sevenScaleTopo} {
 				s := spec
 				s.Topo = topoCfg // zero value defers to PacketQuickTopo
-				run := func(workers int) *Result {
-					res, err := Run(s, Config{Seed: 4242, Epochs: 3, Plane: engine.Packet, PacketWorkers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
+				cfg := Config{Seed: 4242, Epochs: 3, Plane: engine.Packet}
+				want, err := Run(s, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := run(0)
-				drops := 0
-				for _, es := range want.Epochs {
-					drops += es.TotalDrops
-				}
-				if drops == 0 {
+				if totalDrops(want) == 0 {
 					t.Fatalf("pods=%d: scenario produced no drops to compare", s.Topo.Pods)
 				}
-				for _, workers := range []int{1, 2, 4, 8} {
-					if got := run(workers); !reflect.DeepEqual(want, got) {
-						t.Fatalf("pods=%d PacketWorkers=%d changed the scenario result", s.Topo.Pods, workers)
+				const workers = 2
+				got := make([]*Result, workers)
+				if err := par.ForEachErr(workers, workers, func(i int) error {
+					var err error
+					got[i], err = Run(s, cfg)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range got {
+					if !reflect.DeepEqual(want, res) {
+						t.Fatalf("pods=%d: worker %d of %d changed the scenario result", s.Topo.Pods, i, workers)
 					}
 				}
 			}

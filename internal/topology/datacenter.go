@@ -41,13 +41,11 @@ var DatacenterSimConfig = DatacenterConfig{
 
 // DatacenterPacketConfig is the packet plane's scale target: the same
 // multi-cluster address plan as DatacenterSimConfig, resized for
-// packet-granularity emulation. 8 clusters × 4 pods = 32 pods (so the
-// sharded DES gets 32 shards and worker counts up to the core count have
-// real work), 256 hosts, 3,584 directed links. The flow plane scores
-// ~2M flows per epoch on DatacenterSimConfig by sampling per-flow
-// outcomes; the packet plane emulates every data packet and ACK, so its
-// datacenter fabric trades radix for pod count — the dimension the
-// conservative window protocol actually shards on.
+// packet-granularity emulation. 8 clusters × 4 pods = 32 pods, 256 hosts,
+// 3,584 directed links. The flow plane scores ~2M flows per epoch on
+// DatacenterSimConfig by sampling per-flow outcomes; the packet plane
+// emulates every data packet and ACK, so its datacenter fabric trades
+// radix for pod count.
 var DatacenterPacketConfig = DatacenterConfig{
 	Clusters:       8,
 	PodsPerCluster: 4,

@@ -454,28 +454,3 @@ func (t *Topology) SamePod(a, b HostID) bool { return t.Hosts[a].Pod == t.Hosts[
 
 // SameToR reports whether hosts a and b share a ToR.
 func (t *Topology) SameToR(a, b HostID) bool { return t.Hosts[a].ToR == t.Hosts[b].ToR }
-
-// ShardMap partitions every node onto one of shards execution shards for
-// the parallel packet-plane DES: hosts, ToRs and T1s go to their pod's
-// shard, and the podless tier-2 spine switches are spread round-robin by
-// index. Pod p maps to shard p%shards, so shards == Pods gives the natural
-// one-shard-per-pod partition and smaller counts fold pods together while
-// keeping every node's assignment deterministic.
-func (t *Topology) ShardMap(shards int) (host, sw []int32) {
-	if shards < 1 {
-		shards = 1
-	}
-	host = make([]int32, len(t.Hosts))
-	for i := range t.Hosts {
-		host[i] = int32(t.Hosts[i].Pod % shards)
-	}
-	sw = make([]int32, len(t.Switches))
-	for i := range t.Switches {
-		if s := &t.Switches[i]; s.Pod >= 0 {
-			sw[i] = int32(s.Pod % shards)
-		} else {
-			sw[i] = int32(s.Index % shards)
-		}
-	}
-	return host, sw
-}

@@ -159,8 +159,7 @@ var DatacenterSimTopology = topology.DatacenterSimConfig
 
 // DatacenterPacketTopology is the packet plane's datacenter fabric (8
 // clusters × 4 pods = 32 pods, 256 hosts, 3,584 directed links): every
-// packet is emulated individually, so it trades radix for pod count —
-// the axis the sharded DES parallelizes over.
+// packet is emulated individually, so it trades radix for pod count.
 var DatacenterPacketTopology = topology.DatacenterPacketConfig
 
 // NewTopology builds a Clos topology.
