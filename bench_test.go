@@ -197,12 +197,19 @@ func BenchmarkEpochDatacenter(b *testing.B) {
 // cut-through flights. ConnsPerHost is trimmed to 4 so a full epoch stays a
 // sub-second CI unit while still pushing ~1k flows and ~100k packets
 // through the fabric.
-func BenchmarkClusterEpochDatacenter(b *testing.B) {
+func BenchmarkClusterEpochDatacenter(b *testing.B) { benchClusterDatacenter(b, 0) }
+
+// BenchmarkClusterEpochDatacenterNoisy is the same epoch with the engine's
+// default 1e-6 good-link noise, as bench/'s packet-dc runs it: every link
+// has a positive rate, so every crossing pays its drop draw.
+func BenchmarkClusterEpochDatacenterNoisy(b *testing.B) { benchClusterDatacenter(b, 1e-6) }
+
+func benchClusterDatacenter(b *testing.B, noiseHi float64) {
 	topo, err := vigil.NewDatacenterTopology(vigil.DatacenterPacketTopology)
 	if err != nil {
 		b.Fatal(err)
 	}
-	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true})
+	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true, NoiseHi: noiseHi})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -106,6 +106,11 @@ type Cluster struct {
 	// (EphemeralFlows).
 	recPool  []*flowRecord
 	connPool []*Conn
+	// connTab holds every Conn object ever made, at its index: the table a
+	// packet's tag is resolved through. rxNext is the hosts' receiver state
+	// (see Host.rxSlot).
+	connTab []*Conn
+	rxNext  []uint32
 
 	// dropIdx/dropArena are the dense per-flow drop ground truth: dropIdx
 	// parallels flows (slot → arena index, -1 when the flow lost nothing),
@@ -162,7 +167,7 @@ func (cl *Cluster) HandleEvent(kind int32, arg int64, _ any) {
 	_ = kind // evStartFlow is the only kind the cluster schedules
 	cl.pendingStarts--
 	rec := cl.flows[arg]
-	rec.conn = cl.Hosts[rec.src].openConn(rec.wireTuple, rec.appTuple, rec.packets, nil)
+	rec.conn = cl.Hosts[rec.src].openConn(cl.Hosts[rec.dst], rec.wireTuple, rec.appTuple, rec.packets)
 }
 
 // countDrop records one dropped data packet against a flow slot in the
@@ -210,18 +215,20 @@ func (cl *Cluster) newDropSet() int32 {
 
 // getConn produces a connection object from the pool. Pooled reuse bumps
 // the incarnation counter (so a previous life's timer events stay dead)
-// and keeps the sentAt ring and pending-timer capacity; everything else
-// resets.
+// and keeps the table index, the sentAt ring and pending-timer capacity;
+// everything else resets.
 func (cl *Cluster) getConn() *Conn {
 	if n := len(cl.connPool); n > 0 {
 		c := cl.connPool[n-1]
 		cl.connPool[n-1] = nil
 		cl.connPool = cl.connPool[:n-1]
-		inc, ring, pend := c.incarnation, c.sentAt, c.pending[:0]
-		*c = Conn{incarnation: inc + 1, sentAt: ring, pending: pend}
+		idx, inc, ring, pend := c.index, c.incarnation, c.sentAt, c.pending[:0]
+		*c = Conn{index: idx, incarnation: inc + 1, sentAt: ring, pending: pend}
 		return c
 	}
-	return &Conn{}
+	c := &Conn{index: int32(len(cl.connTab))}
+	cl.connTab = append(cl.connTab, c)
+	return c
 }
 
 func (cl *Cluster) putConn(c *Conn) { cl.connPool = append(cl.connPool, c) }
@@ -671,9 +678,6 @@ func (cl *Cluster) FailedConns() int {
 
 // ID returns a flow record's identifier.
 func (f *flowRecord) ID() int64 { return f.id }
-
-// AppTuple returns the tuple as TCP sees it (VIP for load-balanced flows).
-func (f *flowRecord) AppTuple() ecmp.FiveTuple { return f.appTuple }
 
 // WireTuple returns the on-the-wire tuple (always DIP-addressed).
 func (f *flowRecord) WireTuple() ecmp.FiveTuple { return f.wireTuple }

@@ -23,8 +23,13 @@ type Host struct {
 	Mon  *monitor.Agent
 	Path *pathdisc.Agent
 
-	conns map[ecmp.FiveTuple]*Conn  // keyed by forward wire tuple
-	rx    map[ecmp.FiveTuple]uint32 // receiver: next expected seq per flow
+	conns map[ecmp.FiveTuple]*Conn // keyed by forward wire tuple
+	// rxSlot indexes the cluster's rxNext, the receiver's next expected seq
+	// per inbound wire tuple. A slot is opened when a Conn to this host
+	// opens (or a segment arrives on a tuple no Conn announced) and is never
+	// freed, so a tuple keeps its slot for the run: the Conn resolves it
+	// once, and its data segments find it through their tag.
+	rxSlot map[ecmp.FiveTuple]int32
 }
 
 // connEvRTO is the connection's one typed DES event: a retransmission
@@ -38,6 +43,22 @@ const connEvRTO int32 = 1
 // a storage connection that cannot make progress).
 type Conn struct {
 	host *Host
+	// index is the Conn's permanent place in the cluster's connTab. Its
+	// data segments carry index+1 as their Flight.Tag and the receiver's
+	// ACKs echo it, so either end finds its state without hashing the
+	// tuple — after checking that the tagged Conn still stands for the
+	// tuple, since a straggler may outlive the life it was sent in.
+	index int32
+	// indexed is set while host.conns[wireTuple] is this Conn: an ACK may
+	// use the tagged Conn instead of the lookup only then.
+	indexed bool
+	// peer is the destination host and rxSlot this direction's slot in its
+	// receiver state.
+	peer   *Host
+	rxSlot int32
+	// dataSeg and ackSeg are the prebuilt headers of the two directions:
+	// this Conn's data segments, and the peer's ACKs answering them.
+	dataSeg, ackSeg wire.Segment
 	// wireTuple addresses the physical DIP; appTuple is what TCP (and so
 	// ETW and 007) sees — the VIP for load-balanced connections.
 	wireTuple ecmp.FiveTuple
@@ -79,8 +100,7 @@ type Conn struct {
 	Failed      bool
 	// orphan marks a connection whose flow record was already recycled
 	// (EphemeralFlows): it returns itself to the pool when it closes.
-	orphan  bool
-	onClose func(c *Conn)
+	orphan bool
 }
 
 // noSample is the sentAt sentinel for Karn-suppressed slots (virtual time
@@ -89,12 +109,12 @@ const noSample des.Time = -1
 
 func newHost(cl *Cluster, id topology.HostID) *Host {
 	h := &Host{
-		cl:    cl,
-		id:    id,
-		ip:    cl.Topo.Hosts[id].IP,
-		Bus:   &etw.Bus{},
-		conns: make(map[ecmp.FiveTuple]*Conn),
-		rx:    make(map[ecmp.FiveTuple]uint32),
+		cl:     cl,
+		id:     id,
+		ip:     cl.Topo.Hosts[id].IP,
+		Bus:    &etw.Bus{},
+		conns:  make(map[ecmp.FiveTuple]*Conn),
+		rxSlot: make(map[ecmp.FiveTuple]int32),
 	}
 	h.Path = pathdisc.New(pathdisc.Config{
 		Topo:         cl.Topo,
@@ -120,8 +140,9 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 // receive is the host's packet entry point: ICMP goes to path discovery,
 // valid TCP to the stack, everything else (including 007's bad-checksum
 // probes) is dropped exactly as a real stack would drop it. data is
-// borrowed from the fabric's packet pool and must not be retained.
-func (h *Host) receive(data []byte) {
+// borrowed from the fabric's packet pool and must not be retained; tag is
+// the Flight.Tag the sender set.
+func (h *Host) receive(data []byte, tag uint64) {
 	var ip wire.IPv4
 	payload, err := wire.DecodeIPv4(data, &ip)
 	if err != nil {
@@ -145,10 +166,18 @@ func (h *Host) receive(data []byte) {
 			SrcIP: ip.Src, DstIP: ip.Dst,
 			SrcPort: tcp.SrcPort, DstPort: tcp.DstPort, Proto: ecmp.ProtoTCP,
 		}
+		var c *Conn
+		if tag-1 < uint64(len(h.cl.connTab)) {
+			c = h.cl.connTab[tag-1]
+		}
 		if tcp.Flags&wire.FlagPSH != 0 {
-			h.receiveData(tuple, tcp.Seq)
+			h.receiveData(tuple, tcp.Seq, c, tag)
 		} else if tcp.Flags&wire.FlagACK != 0 {
-			if c, ok := h.conns[tuple.Reverse()]; ok {
+			rev := tuple.Reverse()
+			if c == nil || !c.indexed || c.host != h || c.wireTuple != rev {
+				c = h.conns[rev]
+			}
+			if c != nil {
 				c.onAck(tcp.Ack)
 			}
 		}
@@ -157,43 +186,74 @@ func (h *Host) receive(data []byte) {
 
 // receiveData handles one data segment: advance the cumulative counter on
 // in-order arrival, and always acknowledge what is expected next (so gaps
-// produce duplicate ACKs at the sender).
-func (h *Host) receiveData(tuple ecmp.FiveTuple, seq uint32) {
-	next := h.rx[tuple]
+// produce duplicate ACKs at the sender). c is the Conn the segment's tag
+// names, if any; the ACK echoes the tag.
+func (h *Host) receiveData(tuple ecmp.FiveTuple, seq uint32, c *Conn, tag uint64) {
+	var slot int32
+	if c != nil && c.peer == h && c.wireTuple == tuple {
+		slot = c.rxSlot
+	} else {
+		c = nil
+		slot = h.rxSlotOf(tuple)
+	}
+	next := h.cl.rxNext[slot]
 	if seq == next {
 		next++
-		h.rx[tuple] = next
+		h.cl.rxNext[slot] = next
 	}
-	h.sendSegment(tuple.Reverse(), wire.TCP{
-		SrcPort: tuple.DstPort, DstPort: tuple.SrcPort,
-		Ack: next, Flags: wire.FlagACK, Window: 64,
-	})
-}
-
-// sendSegment serializes one TCP segment into a pooled packet buffer and
-// hands it to the fabric (which owns it from then on).
-func (h *Host) sendSegment(tuple ecmp.FiveTuple, tcp wire.TCP) {
 	pkt := h.cl.Net.NewPacket()
-	ip := wire.IPv4{TTL: 64, Protocol: wire.ProtoTCP, Src: tuple.SrcIP, Dst: tuple.DstIP}
-	tcp.SrcPort, tcp.DstPort = tuple.SrcPort, tuple.DstPort
-	tcp.SerializeTo(pkt, &ip)
-	ip.SerializeTo(pkt)
+	pkt.Flight.Tag = tag
+	if c != nil {
+		c.ackSeg.SerializeTo(pkt, 0, next)
+	} else {
+		var ack wire.Segment
+		newSegment(&ack, tuple.Reverse(), wire.FlagACK)
+		ack.SerializeTo(pkt, 0, next)
+	}
 	h.cl.Net.Send(h.id, pkt)
 }
 
-// openConn starts a connection sending total packets to the wire tuple.
-// Connection objects come from the cluster's pool; each reuse is a new
-// incarnation, so stale timer events from a previous life can never fire.
-func (h *Host) openConn(wireTuple, appTuple ecmp.FiveTuple, total int, onClose func(*Conn)) *Conn {
+// rxSlotOf returns the receiver slot of an inbound wire tuple, opening one
+// on first sight.
+func (h *Host) rxSlotOf(t ecmp.FiveTuple) int32 {
+	slot, ok := h.rxSlot[t]
+	if !ok {
+		slot = int32(len(h.cl.rxNext))
+		h.rxSlot[t] = slot
+		h.cl.rxNext = append(h.cl.rxNext, 0)
+	}
+	return slot
+}
+
+// newSegment prebuilds the header of the segments the stack sends on the
+// wire tuple's direction.
+func newSegment(s *wire.Segment, t ecmp.FiveTuple, flags uint8) {
+	wire.NewSegment(s,
+		wire.IPv4{TTL: 64, Protocol: wire.ProtoTCP, Src: t.SrcIP, Dst: t.DstIP},
+		wire.TCP{SrcPort: t.SrcPort, DstPort: t.DstPort, Flags: flags, Window: 64})
+}
+
+// openConn starts a connection sending total packets to the wire tuple on
+// the peer host. Connection objects come from the cluster's pool; each
+// reuse is a new incarnation, so stale timer events from a previous life
+// can never fire.
+func (h *Host) openConn(peer *Host, wireTuple, appTuple ecmp.FiveTuple, total int) *Conn {
 	c := h.cl.getConn()
 	c.host = h
+	c.peer = peer
+	c.rxSlot = peer.rxSlotOf(wireTuple)
 	c.wireTuple = wireTuple
 	c.appTuple = appTuple
 	c.total = uint32(total)
 	c.rto = h.cl.cfg.RTO
-	c.onClose = onClose
 	c.ensureRing(h.cl.cfg.Window)
+	newSegment(&c.dataSeg, wireTuple, wire.FlagPSH|wire.FlagACK)
+	newSegment(&c.ackSeg, wireTuple.Reverse(), wire.FlagACK)
+	if old := h.conns[wireTuple]; old != nil {
+		old.indexed = false // displaced: its ACKs now find c, as the lookup does
+	}
 	h.conns[wireTuple] = c
+	c.indexed = true
 	h.Bus.Publish(etw.Event{Kind: etw.ConnEstablished, Flow: appTuple})
 	c.pump()
 	c.armRTO()
@@ -215,10 +275,13 @@ func (c *Conn) ensureRing(window int) {
 	c.sentMask = uint32(size - 1)
 }
 
+// sendData hands one data segment, tagged with the Conn, to the fabric
+// (which owns the packet from then on).
 func (c *Conn) sendData(seq uint32) {
-	c.host.sendSegment(c.wireTuple, wire.TCP{
-		Seq: seq, Flags: wire.FlagPSH | wire.FlagACK, Window: 64,
-	})
+	pkt := c.host.cl.Net.NewPacket()
+	pkt.Flight.Tag = uint64(c.index) + 1
+	c.dataSeg.SerializeTo(pkt, seq, 0)
+	c.host.cl.Net.Send(c.host.id, pkt)
 }
 
 // pump sends new data while the window allows.
@@ -347,11 +410,13 @@ func (c *Conn) onRTO() {
 func (c *Conn) close(failed bool) {
 	c.Done = !failed
 	c.Failed = failed
+	// The tuple's current Conn goes, whichever it is: c, or a Conn that
+	// displaced it.
+	if cur := c.host.conns[c.wireTuple]; cur != nil {
+		cur.indexed = false
+	}
 	delete(c.host.conns, c.wireTuple)
 	c.host.Bus.Publish(etw.Event{Kind: etw.ConnClosed, Flow: c.appTuple, Timeout: failed})
-	if c.onClose != nil {
-		c.onClose(c)
-	}
 	if c.orphan {
 		c.host.cl.putConn(c)
 	}

@@ -229,7 +229,7 @@ func (n *Net) rematerialize(only topology.LinkID) {
 		}
 		np := n.pool.Get(PacketHeadroom)
 		np.Append(pkt.Bytes())
-		np.Flight.Serial = f.Serial
+		np.Flight.Tag, np.Flight.Serial = f.Tag, f.Serial
 		l := topology.LinkID(f.Via[reached])
 		n.cfg.Sched.PostKeyedTie(des.Time(f.At[reached]), deliverKey(l), f.Serial, n, evDeliver, int64(l), np)
 		f.Hops = -1

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -15,27 +16,44 @@ import (
 // cutTopo is a small three-tier Clos: every link class, six-link routes.
 var cutTopo = topology.Config{Pods: 3, ToRsPerPod: 2, T1PerPod: 2, T2: 2, HostsPerToR: 2}
 
-// rxLog records, per host, every packet delivered: when, and which bytes.
-// Two fabrics that agree on it delivered the same packets, with the same
-// TTLs and checksums, at the same instants, in the same order.
-type rxLog struct{ lines []string }
+// rxLog records, per host, every packet delivered: when, which bytes and
+// which tag. Two fabrics that agree on it delivered the same packets, with
+// the same TTLs, checksums and tags, at the same instants, in the same
+// order. badTags counts deliveries whose tag is not the one their sender
+// set (see tagOf).
+type rxLog struct {
+	lines   []string
+	badTags int
+}
 
 func (l *rxLog) attach(r *rig) {
 	for h := range r.topo.Hosts {
 		h := topology.HostID(h)
-		r.net.OnHostPacket(h, func(data []byte) {
+		r.net.OnHostPacket(h, func(data []byte, tag uint64) {
 			sum := fnv.New64a()
 			sum.Write(data)
-			l.lines = append(l.lines, fmt.Sprintf("t=%d host=%d ttl=%d %x", r.sched.Now(), h, data[8], sum.Sum64()))
+			l.lines = append(l.lines, fmt.Sprintf("t=%d host=%d ttl=%d tag=%x %x", r.sched.Now(), h, data[8], tag, sum.Sum64()))
+			if tag != tagOf(data) {
+				l.badTags++
+			}
 		})
 	}
 }
 
+// tagOf is the tag trafficScript sends a packet with: its ports and
+// sequence number for TCP, and zero for the fabric's own ICMP replies.
+func tagOf(data []byte) uint64 {
+	if data[9] != wire.ProtoTCP {
+		return 0
+	}
+	return binary.BigEndian.Uint64(data[wire.IPv4HeaderLen:])
+}
+
 // trafficScript schedules a seeded mix onto r, all inside the first
-// `span` microseconds: data packets between random hosts, traceroute-style
-// probes (TTL 1-7, so they expire at every tier or reach the host), bursts
-// on one microsecond, and — when churn is set — link changes in the middle
-// of it all. Everything is posted as closure events (key 0), which sort
+// `span` microseconds: tagged data packets between random hosts,
+// traceroute-style probes (TTL 1-7, so they expire at every tier or reach
+// the host), bursts on one microsecond, and — when churn is set — link
+// changes in the middle of it all. Everything is posted as closure events (key 0), which sort
 // ahead of the tick's deliveries.
 func trafficScript(r *rig, seed uint64, span int, churn bool) {
 	rng := stats.NewRNG(seed)
@@ -59,8 +77,13 @@ func trafficScript(r *rig, seed uint64, span int, churn bool) {
 		}
 		sport := uint16(rng.IntRange(32768, 65535))
 		for b := 0; b < burst; b++ {
-			pkt := tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, sport, 443, uint32(b), ttl, id)
-			r.sched.At(at, func() { r.net.SendFromHost(src, pkt) })
+			data := tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, sport, 443, uint32(b), ttl, id)
+			r.sched.At(at, func() {
+				pkt := r.net.NewPacket()
+				pkt.Append(data)
+				pkt.Flight.Tag = tagOf(data)
+				r.net.Send(src, pkt)
+			})
 		}
 	}
 	if !churn {
@@ -141,6 +164,9 @@ func TestCutThroughDeliversSameBytes(t *testing.T) {
 				ref, refLog := run(true)
 				if ref.net.HopsFused() != 0 {
 					t.Fatalf("seed %d: the tapped reference fused %d hops", seed, ref.net.HopsFused())
+				}
+				if cutLog.badTags != 0 || refLog.badTags != 0 {
+					t.Fatalf("seed %d: %d cut-through and %d per-hop deliveries lost their sender's tag", seed, cutLog.badTags, refLog.badTags)
 				}
 				if !slices.Equal(cutLog.lines, refLog.lines) {
 					for i := range refLog.lines {
@@ -255,7 +281,7 @@ func TestSerialOrdersBurst(t *testing.T) {
 			r.net.serial[src] += ctr
 			r.net.serial[other] += ctr
 			var got []string
-			r.net.OnHostPacket(dst, func(data []byte) {
+			r.net.OnHostPacket(dst, func(data []byte, _ uint64) {
 				var ip wire.IPv4
 				payload, err := wire.DecodeIPv4(data, &ip)
 				if err != nil {
@@ -378,7 +404,7 @@ func TestCutThroughAllocFree(t *testing.T) {
 	r := newRig(t, cutTopo, 12)
 	src, dst := r.topo.HostAt(0, 0, 0), r.topo.HostAt(2, 1, 1)
 	delivered := 0
-	r.net.OnHostPacket(dst, func([]byte) { delivered++ })
+	r.net.OnHostPacket(dst, func([]byte, uint64) { delivered++ })
 	pkt := tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, 40000, 443, 0, 64, 0)
 	send := func() {
 		for i := 0; i < 8; i++ {

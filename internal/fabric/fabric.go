@@ -120,7 +120,7 @@ type Net struct {
 	baseRate   []float64 // per-link baseline (noise) rate a cleared link returns to
 	extraDelay []des.Time
 	lag        map[topology.LinkID][]float64
-	hostRx     []func(data []byte)
+	hostRx     []func(data []byte, tag uint64)
 	buckets    []tokenBucket
 	taps       []Tap
 	dropTaps   []Tap
@@ -191,7 +191,7 @@ func New(cfg Config) (*Net, error) {
 		dropRate:       make([]float64, len(cfg.Topo.Links)),
 		baseRate:       make([]float64, len(cfg.Topo.Links)),
 		extraDelay:     make([]des.Time, len(cfg.Topo.Links)),
-		hostRx:         make([]func([]byte), len(cfg.Topo.Hosts)),
+		hostRx:         make([]func([]byte, uint64), len(cfg.Topo.Hosts)),
 		buckets:        make([]tokenBucket, len(cfg.Topo.Switches)),
 		dropSeed:       cfg.RNG.Uint64(),
 		dropCtr:        make([]uint64, len(cfg.Topo.Links)),
@@ -419,8 +419,9 @@ func (n *Net) lagDropRate(l topology.LinkID, data []byte) float64 {
 // OnHostPacket registers the receive handler for host h. The handler
 // borrows data only for the duration of the call: the backing buffer
 // returns to the packet pool as soon as it returns, so retaining callers
-// must copy.
-func (n *Net) OnHostPacket(h topology.HostID, fn func(data []byte)) { n.hostRx[h] = fn }
+// must copy. tag is the packet's Flight.Tag as its sender set it (zero for
+// packets the fabric built: ICMP replies and SendFromHost copies).
+func (n *Net) OnHostPacket(h topology.HostID, fn func(data []byte, tag uint64)) { n.hostRx[h] = fn }
 
 // AddTap installs a mirror tap observing every switch forwarding decision
 // and every link drop. A tapped fabric forwards hop by hop: every decision
@@ -507,7 +508,7 @@ func (n *Net) HandleEvent(kind int32, arg int64, p any) {
 	to := n.topo.Links[arg].To
 	if to.Kind == topology.NodeHost {
 		if fn := n.hostRx[to.ID]; fn != nil {
-			fn(pkt.Bytes())
+			fn(pkt.Bytes(), pkt.Flight.Tag)
 		}
 		n.pool.Put(pkt)
 		return

@@ -53,7 +53,7 @@ func TestDeliveryAcrossFabric(t *testing.T) {
 	dst := r.topo.HostAt(1, 2, 1)
 	var got []byte
 	// Host handlers borrow the pooled packet bytes; retaining needs a copy.
-	r.net.OnHostPacket(dst, func(data []byte) { got = append([]byte(nil), data...) })
+	r.net.OnHostPacket(dst, func(data []byte, _ uint64) { got = append([]byte(nil), data...) })
 	pkt := tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, 40000, 443, 7, 64, 0)
 	r.net.SendFromHost(src, pkt)
 	r.sched.Drain(1000)
@@ -114,7 +114,7 @@ func TestDropInjection(t *testing.T) {
 	src := r.topo.HostAt(0, 0, 0)
 	dst := r.topo.HostAt(0, 5, 1)
 	delivered := 0
-	r.net.OnHostPacket(dst, func([]byte) { delivered++ })
+	r.net.OnHostPacket(dst, func([]byte, uint64) { delivered++ })
 	r.net.SetDropRate(r.topo.Hosts[src].Uplink, 1.0)
 	for i := 0; i < 50; i++ {
 		r.net.SendFromHost(src, tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, 40002, 443, uint32(i), 64, 0))
@@ -133,7 +133,7 @@ func TestTTLExpiryGeneratesICMP(t *testing.T) {
 	src := r.topo.HostAt(0, 0, 0)
 	dst := r.topo.HostAt(0, 5, 1)
 	var replies [][]byte
-	r.net.OnHostPacket(src, func(data []byte) { replies = append(replies, append([]byte(nil), data...)) })
+	r.net.OnHostPacket(src, func(data []byte, _ uint64) { replies = append(replies, append([]byte(nil), data...)) })
 	// TTL=1 expires at the ToR; TTL=2 at the T1.
 	for ttl := uint8(1); ttl <= 2; ttl++ {
 		r.net.SendFromHost(src, tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, 40003, 443, 0, ttl, uint16(ttl)))
@@ -187,7 +187,7 @@ func TestICMPRateLimiting(t *testing.T) {
 	dst := r.topo.HostAt(0, 5, 1)
 	tor := r.topo.Hosts[src].ToR
 	received := 0
-	r.net.OnHostPacket(src, func([]byte) { received++ })
+	r.net.OnHostPacket(src, func([]byte, uint64) { received++ })
 	// Blast 500 TTL=1 probes in one virtual second at one switch.
 	for i := 0; i < 500; i++ {
 		r.net.SendFromHost(src, tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, uint16(40000+i), 443, 0, 1, 1))
@@ -246,7 +246,7 @@ func TestNoICMPAboutICMP(t *testing.T) {
 	ip := wire.IPv4{TTL: 1, Protocol: wire.ProtoICMP, Src: r.topo.Hosts[src].IP, Dst: r.topo.Hosts[r.topo.HostAt(0, 5, 0)].IP}
 	ip.SerializeTo(buf)
 	got := 0
-	r.net.OnHostPacket(src, func([]byte) { got++ })
+	r.net.OnHostPacket(src, func([]byte, uint64) { got++ })
 	r.net.SendFromHost(src, buf.Bytes())
 	r.sched.Drain(1000)
 	if got != 0 {
@@ -271,7 +271,7 @@ func TestLAGMemberFailure(t *testing.T) {
 	r.net.SetLAG(link, []float64{1.0, 0, 0, 0})
 
 	delivered, blocked := 0, 0
-	r.net.OnHostPacket(dst, func([]byte) { delivered++ })
+	r.net.OnHostPacket(dst, func([]byte, uint64) { delivered++ })
 	const flows = 200
 	for i := 0; i < flows; i++ {
 		// One packet per flow: distinct headers hash to distinct members.
@@ -524,7 +524,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 	src := r.topo.HostAt(0, 0, 0)
 	dst := r.topo.HostAt(0, 5, 1)
 	delivered := 0
-	r.net.OnHostPacket(dst, func([]byte) { delivered++ })
+	r.net.OnHostPacket(dst, func([]byte, uint64) { delivered++ })
 	send := func() {
 		pkt := r.net.NewPacket()
 		ip := wire.IPv4{TTL: 64, Protocol: wire.ProtoTCP, Src: r.topo.Hosts[src].IP, Dst: r.topo.Hosts[dst].IP}

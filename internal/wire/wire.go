@@ -88,8 +88,9 @@ type ICMP struct {
 type Buffer struct {
 	data  []byte
 	start int
-	// Flight is scratch for whoever carries the packet (the fabric); wire
-	// never reads it. Pool.Get hands every buffer out with it zeroed.
+	// Flight is scratch for the sender and whoever carries the packet (the
+	// fabric); wire never reads it. Pool.Get hands every buffer out with it
+	// zeroed.
 	Flight Flight
 }
 
@@ -97,12 +98,14 @@ type Buffer struct {
 // Flight: one more than the five switches of the longest Clos route.
 const MaxFlightHops = 6
 
-// Flight is the carrier's per-packet state: the packet's place in the
-// carrier's event order and, while the packet is being carried over several
-// links as one scheduled delivery, the hops that delivery stands for. Links
-// and times are the carrier's own identifiers, stored raw so that wire stays
-// a leaf package.
+// Flight is the per-packet state that travels beside the bytes: the
+// sender's tag, the packet's place in the carrier's event order and, while
+// the packet is being carried over several links as one scheduled delivery,
+// the hops that delivery stands for. Links and times are the carrier's own
+// identifiers, stored raw so that wire stays a leaf package.
 type Flight struct {
+	// Tag is the sender's word: the carrier copies it and never reads it.
+	Tag uint64
 	// Serial orders the packet among simultaneous deliveries on one link.
 	Serial uint64
 	// Hops counts the folded hops: the packet entered link Via[0], reaches
@@ -162,9 +165,6 @@ func (p *Pool) Get(headroom int) *Buffer {
 func (p *Pool) Put(b *Buffer) {
 	p.free = append(p.free, b)
 }
-
-// Free returns the number of idle buffers in the pool.
-func (p *Pool) Free() int { return len(p.free) }
 
 // Bytes returns the serialized packet so far.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
@@ -232,6 +232,43 @@ func (t *TCP) SerializeTo(b *Buffer, ip *IPv4) {
 	binary.BigEndian.PutUint16(h[16:], sum)
 }
 
+// Segment is a prebuilt header-only TCP/IPv4 packet: the 40 bytes
+// TCP.SerializeTo and IPv4.SerializeTo produce for an empty payload with
+// Seq and Ack zero, and the TCP checksum's unfolded sum over the
+// pseudo-header and that header minus its checksum word. The segments of
+// one connection direction differ only in Seq and Ack, so SerializeTo
+// patches those two words and finishes the checksum instead of rebuilding
+// the header.
+type Segment struct {
+	hdr [IPv4HeaderLen + TCPHeaderLen]byte
+	sum uint64
+}
+
+// NewSegment builds s in place from the headers ip and tcp serialize for an
+// empty payload. tcp's Seq, Ack, Checksum and BadChecksum are ignored: a
+// prebuilt segment always carries a valid checksum.
+func NewSegment(s *Segment, ip IPv4, tcp TCP) {
+	tcp.Seq, tcp.Ack, tcp.BadChecksum = 0, 0, false
+	b := Buffer{data: s.hdr[:], start: len(s.hdr)}
+	tcp.SerializeTo(&b, &ip)
+	ip.SerializeTo(&b)
+	t := s.hdr[IPv4HeaderLen:]
+	s.sum = sumWords(sumWords(pseudoSum(ip.Src, ip.Dst, TCPHeaderLen), t[:16]), t[18:])
+}
+
+// SerializeTo prepends the segment with the given Seq and Ack onto b, which
+// must be empty. The bytes are those of a full serialization: the unfolded
+// checksum sum is the same number, since sumWords reads Seq and Ack as the
+// 32-bit words they are added as here.
+func (s *Segment) SerializeTo(b *Buffer, seq, ack uint32) {
+	h := b.Prepend(len(s.hdr))
+	copy(h, s.hdr[:])
+	t := h[IPv4HeaderLen:]
+	binary.BigEndian.PutUint32(t[4:], seq)
+	binary.BigEndian.PutUint32(t[8:], ack)
+	binary.BigEndian.PutUint16(t[16:], ^fold(s.sum+uint64(seq)+uint64(ack)))
+}
+
 // SerializeTo prepends the ICMP header and body.
 func (ic *ICMP) SerializeTo(b *Buffer) {
 	b.Prepend(len(ic.Body))
@@ -292,10 +329,14 @@ func fold(acc uint64) uint16 {
 }
 
 func tcpChecksum(segment []byte, src, dst uint32) uint16 {
-	acc := uint64(src>>16) + uint64(src&0xffff) +
+	return ^fold(sumWords(pseudoSum(src, dst, len(segment)), segment))
+}
+
+// pseudoSum is the unfolded sum of the TCP pseudo-header.
+func pseudoSum(src, dst uint32, length int) uint64 {
+	return uint64(src>>16) + uint64(src&0xffff) +
 		uint64(dst>>16) + uint64(dst&0xffff) +
-		uint64(ProtoTCP) + uint64(len(segment))
-	return ^fold(sumWords(acc, segment))
+		uint64(ProtoTCP) + uint64(length)
 }
 
 // Decoding errors.
