@@ -41,10 +41,10 @@ type Result struct {
 // deployments that ship only vote tallies to the center, and the two are
 // compared by the abl-adjust ablation benchmark.
 func Analyze(reports []vote.Report, opts Options) *Result {
-	t, detected, verdicts := vote.Localize(reports, opts.Detect)
+	t, ranking, detected, verdicts := vote.Localize(reports, opts.Detect)
 	return &Result{
 		Tally:    t,
-		Ranking:  t.Ranking(),
+		Ranking:  ranking,
 		Detected: detected,
 		Verdicts: verdicts,
 	}

@@ -185,6 +185,12 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	inc.dirty = inc.dirty[:0]
 	inc.round = 1
 	inc.valid = true
+
+	// The per-chunk path records are in the CSRs now; holding them would pin
+	// a second copy of every path (≈50 MB at datacenter scale) for the run.
+	// Only a rebuild after RescoreAll writes them again.
+	clear(inc.lensByChunk)
+	clear(inc.linksByChunk)
 }
 
 // gatherAffected turns the dirty-link set into the sorted list of flow

@@ -631,8 +631,11 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 				// Duplicate-host workload without a budget cap: a host's
 				// reports span several source slots, so the per-slot
 				// counters collide. Restamp densely per agent in merged
-				// (flow) order, reusing the budget vector as the counter.
-				clear(s.budget)
+				// (flow) order, reusing the budget vector as the counter;
+				// only the reporting hosts' counters are zeroed.
+				for i := range ep.Reports {
+					s.budget[ep.Reports[i].Src] = 0
+				}
 				for i := range ep.Reports {
 					r := &ep.Reports[i]
 					r.Seq = s.budget[r.Src]
@@ -662,12 +665,14 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 // and emits the reports of traced flows — the sequential resolution used by
 // duplicate-host workloads and by delta epochs (whose failed set is small).
 // The budget vector doubles as the per-agent sequence counter: only emitted
-// reports increment it, so sequences come out dense per (agent, epoch).
+// reports increment it, so sequences come out dense per (agent, epoch). Only
+// the counters of hosts with a failed flow are zeroed and read, so the cost
+// follows the failed set, not the host count.
 func (s *Sim) resolveBudget(ep *Epoch) {
 	epoch := int32(s.epochIdx - 1)
 	tcap := s.cfg.TracerouteCap
-	if len(ep.Failed) > 0 {
-		clear(s.budget)
+	for i := range ep.Failed {
+		s.budget[ep.Failed[i].Flow.Src] = 0
 	}
 	for i := range ep.Failed {
 		out := &ep.Failed[i]

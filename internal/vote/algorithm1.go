@@ -143,6 +143,15 @@ var detectFree = newFreeList[detectScratch]()
 // and repeat while the top link holds at least ThresholdFrac of the
 // outstanding votes. Returns the blamed set B in blame order.
 func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
+	rs := rankFree.get()
+	defer rankFree.put(rs)
+	return findProblemLinks(t, rs.rank(t.votes), nil, opts)
+}
+
+// findProblemLinks is FindProblemLinks given t's slots in ranking order.
+// own is the index t was absorbed from, if any: an observed adjuster over
+// that index counts in t's own slots, so it needs no slot map.
+func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) []topology.LinkID {
 	if opts.ThresholdFrac <= 0 {
 		opts.ThresholdFrac = 0.01
 	}
@@ -176,19 +185,28 @@ func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 		}
 	}
 	obs, _ := adj.(*ObservedAdjuster)
-	if obs != nil {
+	var toTally []int32 // obs's slots → t's; nil while they are t's own
+	if obs != nil && obs.ix != own {
 		sc.toTally = obs.ix.slotsIn(t.links, sc.toTally)
+		toTally = sc.toTally
 	}
 	var b []topology.LinkID
 	for {
 		if opts.MaxLinks > 0 && len(b) >= opts.MaxLinks {
 			return b
 		}
-		// Ascending slot scan: equal votes go to the lower link ID.
+		// The argmax, equal votes going to the lower slot (LinkID). Votes
+		// only fall, so the walk down the original ranking ends at the first
+		// slot that can neither reach the cutoff nor beat or tie the best
+		// so far: its original vote is lower, or as high with a higher slot
+		// (a ranking group is in ascending slot order).
 		lmax, vmax := -1, 0.0
-		for s, v := range votes {
-			if v > vmax && !inB[s] {
-				lmax, vmax = s, v
+		for _, s := range order {
+			if o := t.votes[s]; o < cutoff || o < vmax || o == vmax && int(s) > lmax {
+				break
+			}
+			if v := votes[s]; !inB[s] && (v > vmax || v == vmax && v > 0 && int(s) < lmax) {
+				lmax, vmax = int(s), v
 			}
 		}
 		if lmax < 0 || vmax < cutoff {
@@ -200,8 +218,12 @@ func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 		if obs != nil {
 			// Only the links sharing a report with lmax have a fraction.
 			for _, os := range obs.ix.touched {
-				if s := int(sc.toTally[os]); s >= 0 && !inB[s] {
-					discount(s, vmax, obs.fraction(os))
+				s := os
+				if toTally != nil {
+					s = toTally[os]
+				}
+				if s >= 0 && !inB[s] {
+					discount(int(s), vmax, obs.fraction(os))
 				}
 			}
 			continue
@@ -218,20 +240,24 @@ func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 }
 
 // Localize runs the whole settle-time pipeline over one index of the
-// epoch's reports: tally, Algorithm 1, and a verdict per report. Because
-// the reports themselves are at hand, a nil opts.Adjuster means the exact
+// epoch's reports: tally, its ranking, Algorithm 1, and a verdict per
+// report. The ranking is computed once; Algorithm 1 walks it. Because the
+// reports themselves are at hand, a nil opts.Adjuster means the exact
 // observed-path adjustment here, not the topology-based estimate that
 // FindProblemLinks falls back to.
-func Localize(reports []Report, opts DetectOptions) (*Tally, []topology.LinkID, []Verdict) {
+func Localize(reports []Report, opts DetectOptions) (*Tally, []LinkVotes, []topology.LinkID, []Verdict) {
 	ix := newIndex(reports)
 	defer ix.release()
 	t := NewTally()
-	t.absorb(ix)
+	t.absorb(ix) // t's slots are ix's
 	if opts.Adjuster == nil {
 		opts.Adjuster = &ObservedAdjuster{ix: ix}
 	}
-	detected := FindProblemLinks(t, opts)
-	return t, detected, ix.classify(t, detected)
+	rs := rankFree.get()
+	defer rankFree.put(rs)
+	order := rs.rank(t.votes)
+	detected := findProblemLinks(t, order, ix, opts)
+	return t, t.linkVotes(order), detected, ix.classify(t.votes, detected)
 }
 
 // Verdict is 007's per-flow conclusion.
@@ -252,5 +278,5 @@ type Verdict struct {
 func ClassifyFlows(t *Tally, detected []topology.LinkID, reports []Report) []Verdict {
 	ix := newIndex(reports)
 	defer ix.release()
-	return ix.classify(t, detected)
+	return ix.classify(ix.votesOf(t), detected)
 }

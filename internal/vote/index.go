@@ -1,6 +1,7 @@
 package vote
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -112,6 +113,7 @@ func (ix *index) build(reports []Report) {
 	ix.estart = resize(ix.estart, n+1)
 	ix.weight = resize(ix.weight, n)
 	keys := ix.keys[:0]
+	var maxLink topology.LinkID
 	for i := range reports {
 		ix.estart[i] = int32(len(keys))
 		path := reports[i].Path
@@ -123,11 +125,12 @@ func (ix *index) build(reports []Report) {
 		for _, l := range path {
 			if l >= 0 { // NoLink placeholders vote nowhere
 				keys = append(keys, uint64(l)<<32|uint64(i))
+				maxLink = max(maxLink, l)
 			}
 		}
 	}
 	ix.estart[n] = int32(len(keys))
-	keys, ix.tmp = sortByLink(keys, resize(ix.tmp, len(keys)))
+	keys, ix.tmp = sortByLink(keys, resize(ix.tmp, len(keys)), maxLink)
 	ix.keys = keys
 
 	ix.eslot = resize(ix.eslot, len(keys))
@@ -162,31 +165,29 @@ func (ix *index) build(reports []Report) {
 	ix.touched = ix.touched[:0]
 }
 
-// sortByLink stably sorts keys by their high 32 bits — the link id, which
-// is non-negative — using tmp (of the same length) as the other buffer. It
-// returns the sorted slice and the spare one. The sort is an LSD radix sort
-// of up to three 11-bit passes; a pass whose digit is the same in every key
-// is skipped, so ids below 2^22 cost two passes.
-func sortByLink(keys, tmp []uint64) (sorted, spare []uint64) {
-	if len(keys) == 0 {
-		return keys, tmp
+// sortByLink stably sorts keys by their high 32 bits — the link id, at most
+// maxLink — using tmp (of the same length) as the other buffer. It returns
+// the sorted slice and the spare one. The sort is an LSD radix sort whose
+// passes split maxLink's bits evenly into digits of at most 13 bits: one
+// pass for ids below 2^13 (the §6 fabric), two below 2^26 (the datacenter
+// one), three above.
+func sortByLink(keys, tmp []uint64, maxLink topology.LinkID) (sorted, spare []uint64) {
+	const maxDigitBits = 13
+	width := bits.Len32(uint32(maxLink))
+	passes := (width + maxDigitBits - 1) / maxDigitBits
+	if passes == 0 {
+		return keys, tmp // every key names link 0
 	}
-	const (
-		digitBits = 11
-		buckets   = 1 << digitBits
-		mask      = buckets - 1
-	)
-	var hist [3][buckets]int32
-	for _, k := range keys {
-		l := k >> 32
-		hist[0][l&mask]++
-		hist[1][l>>digitBits&mask]++
-		hist[2][l>>(2*digitBits)]++
-	}
-	for d := range hist {
-		h, shift := &hist[d], 32+digitBits*uint(d)
-		if int(h[keys[0]>>shift&mask]) == len(keys) {
-			continue
+	width = (width + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	var hist [1 << maxDigitBits]int32
+	for d := range passes {
+		h, shift := hist[:1<<width], 32+uint(d*width)
+		if d > 0 {
+			clear(h)
+		}
+		for _, k := range keys {
+			h[k>>shift&mask]++
 		}
 		var at int32
 		for b, c := range h {
@@ -228,11 +229,8 @@ func (ix *index) slotsIn(links []topology.LinkID, buf []int32) []int32 {
 	return buf
 }
 
-// classify issues the reports' verdicts given tally t and Algorithm 1's set
-// B: each flow is blamed on the most-voted link of its path, and marked
-// noise when its path avoids B.
-func (ix *index) classify(t *Tally, detected []topology.LinkID) []Verdict {
-	// t's votes by the index's slots; zero where t has none.
+// votesOf returns t's votes by the index's slots, zero where t has none.
+func (ix *index) votesOf(t *Tally) []float64 {
 	ix.toTally = ix.slotsIn(t.links, ix.toTally)
 	votes := resize(ix.tvotes, len(ix.links))
 	for s, ts := range ix.toTally {
@@ -242,6 +240,13 @@ func (ix *index) classify(t *Tally, detected []topology.LinkID) []Verdict {
 		}
 	}
 	ix.tvotes = votes
+	return votes
+}
+
+// classify issues the reports' verdicts given a tally's votes by the
+// index's slots and Algorithm 1's set B: each flow is blamed on the
+// most-voted link of its path, and marked noise when its path avoids B.
+func (ix *index) classify(votes []float64, detected []topology.LinkID) []Verdict {
 	// A detected link no report touches is on none of these paths.
 	inB := resize(ix.inB, len(ix.links))
 	clear(inB)

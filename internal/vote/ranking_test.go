@@ -96,6 +96,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 		{"any-finite", func(int) float64 {
 			return math.Float64frombits(1 + rng.Uint64()%(math.Float64bits(math.Inf(1))-1))
 		}},
+		{"distinct", distinctVotes},
 	}
 	check := func(t *testing.T, tl *Tally) {
 		t.Helper()
@@ -120,6 +121,32 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			})
 		}
 	}
+	// Exactly g distinct votes, g on either side of each doubling of the
+	// group table (it holds 64 groups, then 128, ...), spread over 3g+7
+	// links.
+	for _, g := range []int{63, 64, 65, 128, 129, 4096} {
+		t.Run(fmt.Sprintf("groups=%d", g), func(t *testing.T) {
+			check(t, syntheticTally(rng, 3*g+7, func(i int) float64 { return float64(1+i*7919%g) / 8 }))
+		})
+	}
+	// The group table is presized from the previous call's group count: a
+	// small tally after a large one, and a large one after a small one, on
+	// the same scratch.
+	t.Run("presized", func(t *testing.T) {
+		rs := new(rankScratch)
+		for _, tl := range []*Tally{
+			syntheticTally(rng, 70000, distinctVotes),
+			syntheticTally(rng, 30, epochVotes(rng)),
+			syntheticTally(rng, 4000, distinctVotes),
+			syntheticTally(rng, 4000, epochVotes(rng)),
+			syntheticTally(rng, 200, distinctVotes),
+			syntheticTally(rng, 70000, epochVotes(rng)),
+		} {
+			if got, want := tl.linkVotes(rs.rank(tl.votes)), rankingOracle(tl); !slices.Equal(got, want) {
+				t.Fatalf("ranking of %d links differs from the comparison sort", tl.Len())
+			}
+		}
+	})
 	// Tallies built the two public ways, over the same reports.
 	for _, n := range []int{0, 1, 40, 3000} {
 		reports := make([]Report, n)
@@ -143,14 +170,24 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 	}
 }
 
+// distinctVotes gives every link a vote of its own: the ranking's worst
+// case, one group per link.
+func distinctVotes(i int) float64 { return 1 / float64(i+1) }
+
 func BenchmarkRanking(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		m    int
-	}{{"30", 30}, {"1k", 1000}, {"4k", 4220}, {"64k", 1 << 16}} {
+		name     string
+		m        int
+		distinct bool
+	}{{"30", 30, false}, {"1k", 1000, false}, {"4k", 4220, false}, {"64k", 1 << 16, false},
+		{"4k-distinct", 4220, true}, {"64k-distinct", 1 << 16, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := stats.NewRNG(uint64(bc.m))
-			t := syntheticTally(rng, bc.m, epochVotes(rng))
+			draw := epochVotes(rng)
+			if bc.distinct {
+				draw = distinctVotes
+			}
+			t := syntheticTally(rng, bc.m, draw)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -17,6 +17,7 @@ package vote
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"vigil/internal/topology"
@@ -175,26 +176,108 @@ func (t *Tally) Flows() int { return t.flows }
 // Len returns the number of links with non-zero tallies.
 func (t *Tally) Len() int { return len(t.links) }
 
-// rankFree keeps Ranking's second buffer between calls.
-var rankFree = newFreeList[[]LinkVotes]()
-
 // Ranking returns links sorted by descending votes; ties break toward the
 // lower link ID so results are deterministic.
-//
-// It is a stable LSD radix sort of the slots, which are already in LinkID
-// order, on the complemented bits of their votes: a vote is positive, so
-// its IEEE-754 bit pattern orders as the number does, and a stable sort
-// leaves equal votes in LinkID order. A byte that is the same in every vote
-// costs no pass (DESIGN.md, "Analysis cost model", has the digit width).
 func (t *Tally) Ranking() []LinkVotes {
-	n := len(t.links)
-	out := make([]LinkVotes, n)
-	if n == 0 {
-		return out
+	rs := rankFree.get()
+	defer rankFree.put(rs)
+	return t.linkVotes(rs.rank(t.votes))
+}
+
+// linkVotes lists t's slots in the given order.
+func (t *Tally) linkVotes(order []int32) []LinkVotes {
+	out := make([]LinkVotes, len(order))
+	for i, s := range order {
+		out[i] = LinkVotes{Link: t.links[s], Votes: t.votes[s]}
 	}
+	return out
+}
+
+// rankScratch is the ranking's working set, kept between calls.
+type rankScratch struct {
+	table       []int32  // open-addressed by key: group + 1, 0 when empty
+	keys        []uint64 // per group: ^Float64bits of its vote
+	count       []int32  // per group: its slot count, then its next position
+	group       []int32  // per slot: its vote's group
+	sorted, tmp []uint64 // the keys ascending, and the sort's other buffer
+	order       []int32  // slots in ranking order
+}
+
+var rankFree = newFreeList[rankScratch]()
+
+// minRankTable is the group table's smallest size; it holds up to half its
+// size in groups before it doubles.
+const minRankTable = 128
+
+// rank returns the slots of votes in ranking order — descending vote, equal
+// votes in ascending slot — in memory rs owns until its next call.
+//
+// An epoch's tally holds few distinct votes (DESIGN.md, "Analysis cost
+// model"), so the slots are grouped by vote in one pass over an
+// open-addressed table keyed by the complemented bits of the vote, the
+// distinct keys are radix-sorted — a vote is positive, so its IEEE-754 bit
+// pattern orders as the number does — and one stable scatter lays the slots
+// out group by group. Slots are visited in ascending order, so equal votes
+// stay in it.
+func (rs *rankScratch) rank(votes []float64) []int32 {
+	m := len(votes)
+	order := resize(rs.order, m)
+	rs.order = order
+	if m == 0 {
+		return order
+	}
+	// Presized for as many groups as the previous call found.
+	size := minRankTable
+	for size < 2*min(len(rs.keys), m) {
+		size <<= 1
+	}
+	table := resize(rs.table, size)
+	clear(table)
+	keys, count := rs.keys[:0], rs.count[:0]
+	group := resize(rs.group, m)
+	// Neighbouring slots often hold the same vote: the last group found is
+	// tried before the table.
+	lastK, lastG := uint64(0), int32(-1)
+	for s, v := range votes {
+		if k := ^math.Float64bits(v); lastG < 0 || k != lastK {
+			h := probe(table, keys, k)
+			if table[h] != 0 {
+				lastG = table[h] - 1
+			} else {
+				lastG = int32(len(keys))
+				table[h] = lastG + 1
+				keys, count = append(keys, k), append(count, 0)
+				if 2*len(keys) > len(table) {
+					table = regroup(table, keys)
+				}
+			}
+			lastK = k
+		}
+		group[s] = lastG
+		count[lastG]++
+	}
+	sorted, tmp := sortKeys(append(rs.sorted[:0], keys...), resize(rs.tmp, len(keys)))
+	rs.table, rs.keys, rs.group, rs.count, rs.sorted, rs.tmp = table, keys, group, count, sorted, tmp
+
+	// Each group's first position, then the slots scattered in slot order.
+	var at int32
+	for _, k := range sorted {
+		g := table[probe(table, keys, k)] - 1
+		count[g], at = at, at+count[g]
+	}
+	for s, g := range group {
+		order[count[g]] = int32(s)
+		count[g]++
+	}
+	return order
+}
+
+// sortKeys sorts keys ascending with an LSD radix sort on byte digits, using
+// tmp (of the same length) as the other buffer; a byte that is the same in
+// every key costs no pass. It returns the sorted slice and the spare one.
+func sortKeys(keys, tmp []uint64) (sorted, spare []uint64) {
 	var hist [8][256]int32
-	for _, v := range t.votes {
-		k := ^math.Float64bits(v)
+	for _, k := range keys {
 		hist[0][byte(k)]++
 		hist[1][byte(k>>8)]++
 		hist[2][byte(k>>16)]++
@@ -204,41 +287,44 @@ func (t *Tally) Ranking() []LinkVotes {
 		hist[6][byte(k>>48)]++
 		hist[7][byte(k>>56)]++
 	}
-	k0 := ^math.Float64bits(t.votes[0])
-	tmp := rankFree.get()
-	defer rankFree.put(tmp)
-	*tmp = resize(*tmp, n)
-	src, dst := out, *tmp
-	for i, l := range t.links {
-		src[i] = LinkVotes{Link: l, Votes: t.votes[i]}
-	}
 	for d := range hist {
 		h, shift := &hist[d], 8*d
-		if int(h[byte(k0>>shift)]) == n {
+		if int(h[byte(keys[0]>>shift)]) == len(keys) {
 			continue
 		}
 		var at int32
 		for b, c := range h {
 			h[b], at = at, at+c
 		}
-		// Most of an epoch's links tie (one failed flow's 1/h each), so the
-		// cursor of the bucket being filled stays in a register across a run
-		// of equal digits instead of going through h every time.
-		run, cur := byte(0), h[0]
-		for _, e := range src {
-			b := byte(^math.Float64bits(e.Votes) >> shift)
-			if b != run {
-				h[run], run, cur = cur, b, h[b]
-			}
-			dst[cur] = e
-			cur++
+		for _, k := range keys {
+			b := byte(k >> shift)
+			tmp[h[b]] = k
+			h[b]++
 		}
-		src, dst = dst, src
+		keys, tmp = tmp, keys
 	}
-	if &src[0] != &out[0] {
-		copy(out, src) // an odd number of passes ends in the pooled buffer
+	return keys, tmp
+}
+
+// probe returns key k's position in a power-of-two group table: where it
+// is, or the empty position where it belongs. The search starts at a
+// Fibonacci hash of k (the top bits of k times 2^64/φ).
+func probe(table []int32, keys []uint64, k uint64) uint64 {
+	mask := uint64(len(table) - 1)
+	h := k * 0x9E3779B97F4A7C15 >> (64 - bits.Len64(mask))
+	for table[h] != 0 && keys[table[h]-1] != k {
+		h = (h + 1) & mask
 	}
-	return out
+	return h
+}
+
+// regroup returns a group table twice the size of table holding every key.
+func regroup(table []int32, keys []uint64) []int32 {
+	table = make([]int32, 2*len(table))
+	for g, k := range keys {
+		table[probe(table, keys[:g], k)] = int32(g) + 1
+	}
+	return table
 }
 
 // BlameOnPath returns the most-voted link of path, the most likely cause of
