@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,20 +21,30 @@ import (
 )
 
 func main() {
-	runIDs := flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
-	quick := flag.Bool("quick", false, "reduced scale (smaller topology, fewer seeds)")
-	seeds := flag.Int("seeds", 0, "repetitions per data point (0 = scale default)")
-	seed := flag.Uint64("seed", 7, "base random seed")
-	csvDir := flag.String("csv", "", "directory to write per-table CSV files")
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	parallel := flag.Int("par", 0, "seed-sweep worker pool size (0 = all cores); results are identical at any setting")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vigil-lab:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vigil-lab", flag.ContinueOnError)
+	runIDs := fs.String("run", "all", "comma-separated experiment IDs, or 'all'")
+	quick := fs.Bool("quick", false, "reduced scale (smaller topology, fewer seeds)")
+	seeds := fs.Int("seeds", 0, "repetitions per data point (0 = scale default)")
+	seed := fs.Uint64("seed", 7, "base random seed")
+	csvDir := fs.String("csv", "", "directory to write per-table CSV files")
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	parallel := fs.Int("par", 0, "seed-sweep worker pool size (0 = all cores); results are identical at any setting")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range vigil.Experiments() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-14s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
 
 	opts := vigil.ExperimentOptions{Scale: vigil.FullScale, Seeds: *seeds, Seed: *seed, Parallelism: *parallel}
@@ -51,7 +63,7 @@ func main() {
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -59,33 +71,27 @@ func main() {
 		id = strings.TrimSpace(id)
 		res, err := vigil.RunExperiment(id, opts)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", id, err))
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Printf("== %s — %s ==\n\n", res.ID, res.Title)
+		fmt.Fprintf(stdout, "== %s — %s ==\n\n", res.ID, res.Title)
 		for i, tab := range res.Tables {
-			if err := tab.RenderASCII(os.Stdout); err != nil {
-				fatal(err)
+			if err := tab.RenderASCII(stdout); err != nil {
+				return err
 			}
 			if *csvDir != "" {
-				name := filepath.Join(*csvDir, fmt.Sprintf("%s_%d.csv", res.ID, i))
-				f, err := os.Create(name)
-				if err != nil {
-					fatal(err)
+				var csv bytes.Buffer
+				if err := tab.WriteCSV(&csv); err != nil {
+					return err
 				}
-				if err := tab.WriteCSV(f); err != nil {
-					fatal(err)
+				if err := os.WriteFile(filepath.Join(*csvDir, fmt.Sprintf("%s_%d.csv", res.ID, i)), csv.Bytes(), 0o644); err != nil {
+					return err
 				}
-				f.Close()
 			}
 		}
 		for _, n := range res.Notes {
-			fmt.Printf("  note: %s\n", n)
+			fmt.Fprintf(stdout, "  note: %s\n", n)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vigil-lab:", err)
-	os.Exit(1)
+	return nil
 }

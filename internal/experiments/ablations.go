@@ -7,35 +7,33 @@ import (
 	"vigil/internal/report"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
-	"vigil/internal/traffic"
 	"vigil/internal/vote"
 )
 
-// ablEpoch runs one standard 3-failure epoch and returns its reports and
-// ground truth, shared by the ablations.
-func ablEpoch(opts Options, seed uint64) (*netem.Epoch, *topology.Topology, error) {
-	topo, err := topology.New(opts.topoConfig())
-	if err != nil {
-		return nil, nil, err
+// ablDetect scores Algorithm 1 at the given threshold and adjuster over
+// Seeds standard 3-failure epochs, returning precision and recall as mean ±
+// CI cells.
+func ablDetect(opts Options, threshold float64, adjuster func(*netem.Epoch, *topology.Topology) vote.Adjuster) (prec, rec string, err error) {
+	var ps, rs []float64
+	for s := 0; s < opts.seeds(); s++ {
+		seed := opts.Seed + uint64(s)*31 + 7
+		sim, err := newSim(uniform(opts), seed, opts.parallelism())
+		if err != nil {
+			return "", "", err
+		}
+		rng := stats.NewRNG(seed + 5)
+		for _, l := range randomLinks(rng, sim.Topology(), 3) {
+			sim.InjectFailure(l, rng.Uniform(0.0005, 0.01))
+		}
+		ep := sim.RunEpoch()
+		res := analysis.Analyze(ep.Reports, analysis.Options{
+			Detect: vote.DetectOptions{ThresholdFrac: threshold, Adjuster: adjuster(ep, sim.Topology())},
+		})
+		d := metrics.ScoreDetection(res.Detected, ep.FailedLinks)
+		ps = append(ps, d.Precision)
+		rs = append(rs, d.Recall)
 	}
-	sim, err := netem.New(netem.Config{
-		Topo: topo,
-		Workload: traffic.Workload{
-			Pattern:        traffic.Uniform{},
-			ConnsPerHost:   traffic.IntRange{Lo: opts.conns(), Hi: opts.conns()},
-			PacketsPerFlow: traffic.IntRange{Lo: 100, Hi: 100},
-		},
-		NoiseLo: 0, NoiseHi: 1e-6,
-		Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := stats.NewRNG(seed + 5)
-	for _, l := range randomLinks(rng, topo, 3) {
-		sim.InjectFailure(l, rng.Uniform(0.0005, 0.01))
-	}
-	return sim.RunEpoch(), topo, nil
+	return fmtMeanCI(stats.Summarize(ps)), fmtMeanCI(stats.Summarize(rs)), nil
 }
 
 // runAblAdjust compares Algorithm 1's vote-adjustment strategies: the
@@ -46,37 +44,29 @@ func runAblAdjust(opts Options) (*Result, error) {
 		Title:   "Ablation: Algorithm 1 adjustment strategy (3 failures)",
 		Columns: []string{"adjuster", "precision", "recall"},
 	}
-	type strat struct {
+	strats := []struct {
 		name string
 		mk   func(ep *netem.Epoch, topo *topology.Topology) vote.Adjuster
-	}
-	strats := []strat{
-		{"observed paths", func(ep *netem.Epoch, _ *topology.Topology) vote.Adjuster {
-			return vote.NewObservedAdjuster(ep.Reports)
-		}},
+	}{
+		{"observed paths", observedAdjuster},
 		{"ECMP estimate (paper)", func(_ *netem.Epoch, topo *topology.Topology) vote.Adjuster {
 			return &vote.AnalyticAdjuster{Topo: topo}
 		}},
 		{"none", func(*netem.Epoch, *topology.Topology) vote.Adjuster { return vote.NoAdjuster{} }},
 	}
 	for _, st := range strats {
-		var ps, rs []float64
-		for s := 0; s < opts.seeds(); s++ {
-			ep, topo, err := ablEpoch(opts, opts.Seed+uint64(s)*31+7)
-			if err != nil {
-				return nil, err
-			}
-			res := analysis.Analyze(ep.Reports, analysis.Options{
-				Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: st.mk(ep, topo)},
-			})
-			d := metrics.ScoreDetection(res.Detected, ep.FailedLinks)
-			ps = append(ps, d.Precision)
-			rs = append(rs, d.Recall)
+		prec, rec, err := ablDetect(opts, 0.01, st.mk)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(st.name, fmtMeanCI(stats.Summarize(ps)), fmtMeanCI(stats.Summarize(rs)))
+		t.AddRow(st.name, prec, rec)
 	}
 	return &Result{ID: "abl-adjust", Title: "Adjustment ablation", Tables: []*report.Table{t},
 		Notes: []string{"The paper reports the adjustment cuts false positives by ~5%; exact overlap does strictly better than the estimate."}}, nil
+}
+
+func observedAdjuster(ep *netem.Epoch, _ *topology.Topology) vote.Adjuster {
+	return vote.NewObservedAdjuster(ep.Reports)
 }
 
 // runAblThreshold sweeps Algorithm 1's cutoff, the paper's stated
@@ -87,20 +77,11 @@ func runAblThreshold(opts Options) (*Result, error) {
 		Columns: []string{"threshold", "precision", "recall"},
 	}
 	for _, th := range []float64{0.001, 0.005, 0.01, 0.02, 0.05} {
-		var ps, rs []float64
-		for s := 0; s < opts.seeds(); s++ {
-			ep, _, err := ablEpoch(opts, opts.Seed+uint64(s)*31+7)
-			if err != nil {
-				return nil, err
-			}
-			res := analysis.Analyze(ep.Reports, analysis.Options{
-				Detect: vote.DetectOptions{ThresholdFrac: th, Adjuster: vote.NewObservedAdjuster(ep.Reports)},
-			})
-			d := metrics.ScoreDetection(res.Detected, ep.FailedLinks)
-			ps = append(ps, d.Precision)
-			rs = append(rs, d.Recall)
+		prec, rec, err := ablDetect(opts, th, observedAdjuster)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(th, fmtMeanCI(stats.Summarize(ps)), fmtMeanCI(stats.Summarize(rs)))
+		t.AddRow(th, prec, rec)
 	}
 	return &Result{ID: "abl-threshold", Title: "Threshold ablation", Tables: []*report.Table{t},
 		Notes: []string{"Higher thresholds trade recall for precision, exactly the paper's rationale for 1% (§5.1)."}}, nil
@@ -115,24 +96,11 @@ func runAblVoteValue(opts Options) (*Result, error) {
 	for _, unit := range []bool{false, true} {
 		hits, trials := 0, 0
 		for s := 0; s < opts.seeds()*3; s++ {
-			topo, err := topology.New(opts.topoConfig())
+			sim, err := newSim(uniform(opts), opts.Seed+uint64(s)*17+3, opts.parallelism())
 			if err != nil {
 				return nil, err
 			}
-			sim, err := netem.New(netem.Config{
-				Topo: topo,
-				Workload: traffic.Workload{
-					Pattern:        traffic.Uniform{},
-					ConnsPerHost:   traffic.IntRange{Lo: opts.conns(), Hi: opts.conns()},
-					PacketsPerFlow: traffic.IntRange{Lo: 100, Hi: 100},
-				},
-				NoiseLo: 0, NoiseHi: 1e-6,
-				Seed: opts.Seed + uint64(s)*17 + 3,
-			})
-			if err != nil {
-				return nil, err
-			}
-			bad := randomLinks(stats.NewRNG(uint64(s)+9), topo, 1)[0]
+			bad := randomLinks(stats.NewRNG(uint64(s)+9), sim.Topology(), 1)[0]
 			sim.InjectFailure(bad, 0.005)
 			ep := sim.RunEpoch()
 			tl := vote.NewTally()
@@ -148,7 +116,7 @@ func runAblVoteValue(opts Options) (*Result, error) {
 				tl.AddAll(ep.Reports)
 			}
 			trials++
-			if rk := tl.Ranking(); len(rk) > 0 && rk[0].Link == bad {
+			if rankOf(tl.Ranking(), bad) == 0 {
 				hits++
 			}
 		}
@@ -169,30 +137,17 @@ func runAblRateLimit(opts Options) (*Result, error) {
 		Title:   "Ablation: traceroute cap vs detection (3 failures at 1%)",
 		Columns: []string{"traces/host/epoch", "traced share", "007 recall", "007 accuracy"},
 	}
-	caps := []int{1, 3, 10, 0}
-	for _, cap := range caps {
+	for _, traceCap := range []int{1, 3, 10, 0} {
+		spec := uniform(opts)
+		spec.tracerouteCap = traceCap
 		var rec, acc, share []float64
 		for s := 0; s < opts.seeds(); s++ {
-			topo, err := topology.New(opts.topoConfig())
-			if err != nil {
-				return nil, err
-			}
-			sim, err := netem.New(netem.Config{
-				Topo: topo,
-				Workload: traffic.Workload{
-					Pattern:        traffic.Uniform{},
-					ConnsPerHost:   traffic.IntRange{Lo: opts.conns(), Hi: opts.conns()},
-					PacketsPerFlow: traffic.IntRange{Lo: 100, Hi: 100},
-				},
-				NoiseLo: 0, NoiseHi: 1e-6,
-				TracerouteCap: cap,
-				Seed:          opts.Seed + uint64(s)*13 + 1,
-			})
+			sim, err := newSim(spec, opts.Seed+uint64(s)*13+1, opts.parallelism())
 			if err != nil {
 				return nil, err
 			}
 			rng := stats.NewRNG(uint64(s) + 21)
-			for _, l := range randomLinks(rng, topo, 3) {
+			for _, l := range randomLinks(rng, sim.Topology(), 3) {
 				sim.InjectFailure(l, 0.01)
 			}
 			ep := sim.RunEpoch()
@@ -205,8 +160,8 @@ func runAblRateLimit(opts Options) (*Result, error) {
 			}
 		}
 		label := "unlimited"
-		if cap > 0 {
-			label = report.FormatFloat(float64(cap))
+		if traceCap > 0 {
+			label = report.FormatFloat(float64(traceCap))
 		}
 		t.AddRow(label, fmtMeanCI(stats.Summarize(share)), fmtMeanCI(stats.Summarize(rec)), fmtMeanCI(stats.Summarize(acc)))
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"vigil/internal/cluster"
 	"vigil/internal/des"
@@ -43,6 +45,17 @@ func newTestCluster(seed uint64) (*cluster.Cluster, error) {
 	return cluster.New(cluster.Config{Topo: topo, Seed: seed})
 }
 
+// rankOf is link's 0-based place in a ranking; a link without votes ranks
+// below every link in it.
+func rankOf(ranking []vote.LinkVotes, link topology.LinkID) int {
+	for i, lv := range ranking {
+		if lv.Link == link {
+			return i
+		}
+	}
+	return math.MaxInt
+}
+
 func runClusterWorkload(cl *cluster.Cluster, rng *stats.RNG, conns, packets int) {
 	w := traffic.Workload{
 		Pattern:        traffic.Uniform{},
@@ -69,14 +82,14 @@ func runTable1(opts Options) (*Result, error) {
 		cl.RunEpoch()
 	}
 	seconds := int64(cl.Sched.Now() / des.Second)
-	zero, low, high, max := cl.Net.ICMPSecondStats(seconds)
+	zero, low, high, peak := cl.Net.ICMPSecondStats(seconds)
 	t := &report.Table{
 		Title:   "Table 1: distribution of ICMP/s per switch (T)",
 		Columns: []string{"T = 0", "0 < T <= 3", "T > 3", "max(T)"},
 	}
 	t.AddRow(fmt.Sprintf("%.1f%%", zero*100), fmt.Sprintf("%.2f%%", low*100),
-		fmt.Sprintf("%.3f%%", high*100), max)
-	if float64(max) > 100 {
+		fmt.Sprintf("%.3f%%", high*100), peak)
+	if float64(peak) > 100 {
 		t.Title += "  [VIOLATION: max exceeded Tmax]"
 	}
 	return &Result{ID: "table1", Title: "Table 1", Tables: []*report.Table{t},
@@ -112,12 +125,6 @@ func runTheorem1(opts Options) (*Result, error) {
 	rng := stats.NewRNG(opts.Seed + 4)
 	runClusterWorkload(cl, rng, 6, 60)
 	cl.RunEpoch()
-	var worst int64
-	for sw := range cl.Topo.Switches {
-		if cl.Net.ICMPSent[sw] > worst {
-			worst = cl.Net.ICMPSent[sw]
-		}
-	}
 	_, _, _, maxPerSec := cl.Net.ICMPSecondStats(int64(cl.Sched.Now() / des.Second))
 	te := &report.Table{
 		Title:   "Empirical check under a traceroute storm",
@@ -161,13 +168,10 @@ func runFig13(opts Options) (*Result, error) {
 				}
 			}
 			gaps.Add(badV - bestGood)
-			if len(res.Ranking) > 0 && res.Ranking[0].Link == bad {
-				top1++
-			}
-			for i, lv := range res.Ranking {
-				if i < 2 && lv.Link == bad {
-					top2++
-					break
+			if r := rankOf(res.Ranking, bad); r < 2 {
+				top2++
+				if r == 0 {
+					top1++
 				}
 			}
 		}
@@ -234,17 +238,13 @@ func runCluster3(opts Options) (*Result, error) {
 	for e := 0; e < epochs; e++ {
 		runClusterWorkload(cl, rng, 15, 200)
 		res := cl.RunEpoch()
-		for i, lv := range res.Ranking {
-			if lv.Link == hi && i == 0 {
-				hiTop++
-			}
-			if lv.Link == lo {
-				if i < 2 {
-					loTop2++
-				}
-				if i < 5 {
-					loTop5++
-				}
+		if rankOf(res.Ranking, hi) == 0 {
+			hiTop++
+		}
+		if r := rankOf(res.Ranking, lo); r < 5 {
+			loTop5++
+			if r < 2 {
+				loTop2++
 			}
 		}
 	}
@@ -282,40 +282,40 @@ func runProdEverflow(opts Options) (*Result, error) {
 	base := cl.Reporter
 	cl.Reporter = func(r vote.Report) { reports = append(reports, r); base(r) }
 
-	inSample := make(map[topology.HostID]bool)
-	for _, h := range sampled {
-		inSample[h] = true
-	}
-	var res *vigilResult
-	for e := 0; e < clusterEpochs(opts); e++ {
-		runClusterWorkload(cl, rng, 15, 200)
-		r := cl.RunEpoch()
-		res = &vigilResult{tally: r.Tally, verdicts: r.Verdicts}
-	}
 	pathsChecked, pathsMatched := 0, 0
 	blameChecked, blameMatched := 0, 0
-	for _, r := range reports {
-		if r.Partial || !inSample[r.Src] {
-			continue
+	for e := 0; e < clusterEpochs(opts); e++ {
+		reports = reports[:0]
+		runClusterWorkload(cl, rng, 15, 200)
+		res := cl.RunEpoch()
+		tuples := make(map[int64]ecmp.FiveTuple, len(cl.Flows()))
+		for _, f := range cl.Flows() {
+			tuples[f.ID()] = f.WireTuple()
 		}
-		rec := findFlow(cl, r.FlowID)
-		if rec == nil {
-			continue
-		}
-		want, ok := ef.PathOf(rec.WireTuple())
-		if !ok {
-			continue
-		}
-		pathsChecked++
-		if pathsEqual(want, r.Path) {
-			pathsMatched++
-		}
-		// Blame check: EverFlow's drop site vs 007's verdict.
-		if culprit, ok := ef.Culprit(rec.WireTuple()); ok && res != nil {
-			if blame, ok := res.tally.BlameOnPath(r.Path); ok {
-				blameChecked++
-				if blame == culprit {
-					blameMatched++
+		for _, r := range reports {
+			if r.Partial || !slices.Contains(sampled, r.Src) {
+				continue
+			}
+			tuple, ok := tuples[r.FlowID]
+			if !ok {
+				continue
+			}
+			want, ok := ef.PathOf(tuple)
+			if !ok {
+				continue
+			}
+			pathsChecked++
+			if slices.Equal(want, r.Path) {
+				pathsMatched++
+			}
+			// Blame check: EverFlow's drop site vs 007's verdict in the
+			// report's own epoch.
+			if culprit, ok := ef.Culprit(tuple); ok {
+				if blame, ok := res.Tally.BlameOnPath(r.Path); ok {
+					blameChecked++
+					if blame == culprit {
+						blameMatched++
+					}
 				}
 			}
 		}
@@ -330,34 +330,6 @@ func runProdEverflow(opts Options) (*Result, error) {
 		notes = append(notes, "MISMATCH: some paths diverged — investigate re-routing during traces.")
 	}
 	return &Result{ID: "prod-everflow", Title: "Section 8.2", Tables: []*report.Table{t}, Notes: notes}, nil
-}
-
-type vigilResult struct {
-	tally    *vote.Tally
-	verdicts []vote.Verdict
-}
-
-func findFlow(cl *cluster.Cluster, id int64) interface {
-	WireTuple() ecmp.FiveTuple
-} {
-	for _, f := range cl.Flows() {
-		if f.ID() == id {
-			return f
-		}
-	}
-	return nil
-}
-
-func pathsEqual(a, b []topology.LinkID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runProdReboots reproduces the §8.3 / Figure 14 scenario: storage-service
@@ -501,7 +473,7 @@ func runExtLatency(opts Options) (*Result, error) {
 			runClusterWorkload(cl, rng, 8, 60)
 			res := cl.RunEpoch()
 			reports += res.Tally.Flows()
-			if len(res.Ranking) > 0 && res.Ranking[0].Link == slow {
+			if rankOf(res.Ranking, slow) == 0 {
 				top1++
 			}
 		}

@@ -44,6 +44,41 @@ func intermittentSpec(topo topology.Config, prob float64, epochs int) scenario.S
 	}
 }
 
+// pooledReplicas runs Seeds replicas of a scenario over the worker pool,
+// replica i at seed Seed+7919i+1, and returns a row's pooled cells: the
+// mean count of active epochs out of epochs, then precision, recall and
+// accuracy as mean ± CI.
+func pooledReplicas(opts Options, spec scenario.Spec, cfg scenario.Config, epochs int) ([]any, error) {
+	n := opts.seeds()
+	results := make([]*scenario.Result, n)
+	err := par.ForEachErr(n, opts.parallelism(), func(i int) error {
+		c := cfg
+		c.Seed = opts.Seed + uint64(i)*7919 + 1
+		var err error
+		results[i], err = scenario.Run(spec, c)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var active float64
+	prec := make([]float64, n)
+	rec := make([]float64, n)
+	acc := make([]float64, n)
+	for i, r := range results {
+		active += float64(r.ActiveEpochs)
+		prec[i] = r.Precision
+		rec[i] = r.Recall
+		acc[i] = r.Accuracy
+	}
+	return []any{
+		fmt.Sprintf("%.1f/%d", active/float64(n), epochs),
+		fmtMeanCI(stats.Summarize(prec)),
+		fmtMeanCI(stats.Summarize(rec)),
+		fmtMeanCI(stats.Summarize(acc)),
+	}, nil
+}
+
 // runDynCrossplane runs the shared dynamic scenarios on both evaluation
 // planes through the one plane-agnostic scenario path and tabulates the
 // pooled scores side by side — the extended paper's claim that 007's
@@ -63,45 +98,21 @@ func runDynCrossplane(opts Options) (*Result, error) {
 		Title:   "Dynamic scenarios, flow simulation vs packet emulation: pooled detection and attribution",
 		Columns: []string{"scenario", "plane", "active-epochs", "precision", "recall", "accuracy"},
 	}
-	n := opts.seeds()
 	for _, name := range scenarios {
 		spec, ok := scenario.Find(name)
 		if !ok {
 			return nil, fmt.Errorf("dyn-crossplane: unknown scenario %q", name)
 		}
 		for _, plane := range []engine.Plane{engine.Flow, engine.Packet} {
-			results := make([]*scenario.Result, n)
-			err := par.ForEachErr(n, opts.parallelism(), func(i int) error {
-				var err error
-				results[i], err = scenario.Run(spec, scenario.Config{
-					Seed:        opts.Seed + uint64(i)*7919 + 1,
-					Epochs:      epochs,
-					Plane:       plane,
-					Parallelism: 1, // the replica sweep already saturates the pool
-				})
-				return err
-			})
+			cells, err := pooledReplicas(opts, spec, scenario.Config{
+				Epochs:      epochs,
+				Plane:       plane,
+				Parallelism: 1, // the replica sweep already saturates the pool
+			}, epochs)
 			if err != nil {
 				return nil, err
 			}
-			var active float64
-			prec := make([]float64, n)
-			rec := make([]float64, n)
-			acc := make([]float64, n)
-			for i, r := range results {
-				active += float64(r.ActiveEpochs)
-				prec[i] = r.Precision
-				rec[i] = r.Recall
-				acc[i] = r.Accuracy
-			}
-			table.AddRow(
-				name,
-				string(plane),
-				fmt.Sprintf("%.1f/%d", active/float64(n), epochs),
-				fmtMeanCI(stats.Summarize(prec)),
-				fmtMeanCI(stats.Summarize(rec)),
-				fmtMeanCI(stats.Summarize(acc)),
-			)
+			table.AddRow(append([]any{name, string(plane)}, cells...)...)
 		}
 	}
 	return &Result{
@@ -125,39 +136,13 @@ func runDynIntermittent(opts Options) (*Result, error) {
 		Title:   "Intermittent single failure: pooled detection and attribution vs on-probability",
 		Columns: []string{"on-prob", "active-epochs", "precision", "recall", "accuracy"},
 	}
-	n := opts.seeds()
-	inner := opts.innerParallelism(n)
 	for _, prob := range probs {
 		spec := intermittentSpec(opts.topoConfig(), prob, epochs)
-		results := make([]*scenario.Result, n)
-		err := par.ForEachErr(n, opts.parallelism(), func(i int) error {
-			var err error
-			results[i], err = scenario.Run(spec, scenario.Config{
-				Seed:        opts.Seed + uint64(i)*7919 + 1,
-				Parallelism: inner,
-			})
-			return err
-		})
+		cells, err := pooledReplicas(opts, spec, scenario.Config{Parallelism: opts.innerParallelism(opts.seeds())}, epochs)
 		if err != nil {
 			return nil, err
 		}
-		var active float64
-		prec := make([]float64, n)
-		rec := make([]float64, n)
-		acc := make([]float64, n)
-		for i, r := range results {
-			active += float64(r.ActiveEpochs)
-			prec[i] = r.Precision
-			rec[i] = r.Recall
-			acc[i] = r.Accuracy
-		}
-		table.AddRow(
-			fmt.Sprintf("%.2f", prob),
-			fmt.Sprintf("%.1f/%d", active/float64(n), epochs),
-			fmtMeanCI(stats.Summarize(prec)),
-			fmtMeanCI(stats.Summarize(rec)),
-			fmtMeanCI(stats.Summarize(acc)),
-		)
+		table.AddRow(append([]any{fmt.Sprintf("%.2f", prob)}, cells...)...)
 	}
 	return &Result{
 		ID:     "dyn-intermittent",

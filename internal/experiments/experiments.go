@@ -1,7 +1,11 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§6 simulations, §7 test cluster, §8 production),
-// plus the ablations DESIGN.md calls out. cmd/vigil-lab renders them;
-// bench_test.go wraps each in a benchmark.
+// plus the ablations DESIGN.md calls out. cmd/vigil-lab renders them and
+// its golden transcript pins every quick-scale number; bench_test.go wraps
+// each in a benchmark.
+//
+// Most of §6 is declared as values that one runner renders (sim.go), and
+// every flow-plane simulator here comes from newSim.
 //
 // Runners are deterministic for a fixed Options.Seed and average over
 // Options.Seeds independent repetitions, reporting mean and 95% CI like
@@ -64,9 +68,7 @@ func (o Options) parallelism() int { return par.Workers(o.Parallelism) }
 // lone repetition gets the whole budget.
 func (o Options) innerParallelism(reps int) int {
 	p := o.parallelism()
-	if reps < 1 {
-		reps = 1
-	}
+	reps = max(reps, 1)
 	if reps > p {
 		return 1
 	}
@@ -124,16 +126,21 @@ func Find(id string) (Runner, bool) {
 
 // ---- shared simulation helpers ----
 
-// simSpec describes one simulated condition.
+// failurePick chooses one repetition's failed links and their drop rates.
+type failurePick func(rng *stats.RNG, topo *topology.Topology) map[topology.LinkID]float64
+
+// simSpec describes one simulated condition; newSim fills in what it
+// leaves unset.
 type simSpec struct {
 	topo     topology.Config
 	workload traffic.Workload
-	noiseLo  float64
-	noiseHi  float64
-	// failures picks the failed links and their rates for one repetition.
-	failures func(rng *stats.RNG, topo *topology.Topology) map[topology.LinkID]float64
-	// detect overrides default detection options (optional).
-	detect func(topo *topology.Topology) vote.DetectOptions
+	// pattern, when set, builds the workload's traffic pattern from the
+	// repetition's own topology (a hot set or sink named by switch).
+	pattern       func(*topology.Topology) traffic.Pattern
+	noiseLo       float64
+	noiseHi       float64
+	tracerouteCap int
+	failures      failurePick
 }
 
 // simOutcome aggregates one repetition's scores.
@@ -148,18 +155,23 @@ type simOutcome struct {
 	noiseErrs int
 }
 
-// runOne simulates one epoch under the spec and scores everything.
-// parallelism is the epoch engine's worker count — 1 when the caller is
-// already fanning seeds out over the pool.
-func runOne(spec simSpec, seed uint64, parallelism int) (simOutcome, error) {
+// newSim builds the flow-plane simulator for a spec, with the paper's
+// defaults for what the spec leaves unset: noise U(0, 1e-6), uniform
+// traffic, 60 connections per host, 100-packet flows. parallelism is the
+// epoch engine's worker count — 1 when the caller is already fanning seeds
+// out over the pool.
+func newSim(spec simSpec, seed uint64, parallelism int) (*netem.Sim, error) {
 	topo, err := topology.New(spec.topo)
 	if err != nil {
-		return simOutcome{}, err
+		return nil, err
 	}
 	if spec.noiseHi == 0 {
 		spec.noiseHi = 1e-6
 	}
 	w := spec.workload
+	if spec.pattern != nil {
+		w.Pattern = spec.pattern(topo)
+	}
 	if w.Pattern == nil {
 		w.Pattern = traffic.Uniform{}
 	}
@@ -169,27 +181,29 @@ func runOne(spec simSpec, seed uint64, parallelism int) (simOutcome, error) {
 	if w.PacketsPerFlow.Lo == 0 && w.PacketsPerFlow.Hi == 0 {
 		w.PacketsPerFlow = traffic.IntRange{Lo: 100, Hi: 100}
 	}
-	sim, err := netem.New(netem.Config{
+	return netem.New(netem.Config{
 		Topo: topo, Workload: w,
 		NoiseLo: spec.noiseLo, NoiseHi: spec.noiseHi,
-		Seed:        seed,
-		Parallelism: parallelism,
+		TracerouteCap: spec.tracerouteCap,
+		Seed:          seed,
+		Parallelism:   parallelism,
 	})
+}
+
+// runOne simulates one epoch under the spec and scores everything.
+func runOne(spec simSpec, seed uint64, parallelism int) (simOutcome, error) {
+	sim, err := newSim(spec, seed, parallelism)
 	if err != nil {
 		return simOutcome{}, err
 	}
 	rng := stats.NewRNG(seed ^ 0xfeedface)
-	for l, rate := range spec.failures(rng, topo) {
+	for l, rate := range spec.failures(rng, sim.Topology()) {
 		sim.InjectFailure(l, rate)
 	}
 	ep := sim.RunEpoch()
 	truth := ep.Truth()
 
-	detectOpts := vote.DetectOptions{ThresholdFrac: 0.01}
-	if spec.detect != nil {
-		detectOpts = spec.detect(topo)
-	}
-	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: detectOpts})
+	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}})
 
 	out := simOutcome{flows: ep.TotalFlows}
 	score := metrics.ScoreVerdicts(res.Verdicts, truth)
@@ -257,16 +271,13 @@ func randomLinks(rng *stats.RNG, topo *topology.Topology, n int) []topology.Link
 		pool = append(pool, topo.LinksOfClass(class)...)
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if n > len(pool) {
-		n = len(pool)
-	}
-	out := append([]topology.LinkID(nil), pool[:n]...)
+	out := append([]topology.LinkID(nil), pool[:min(n, len(pool))]...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // uniformFailures injects k failures with rates U(lo, hi).
-func uniformFailures(k int, lo, hi float64) func(*stats.RNG, *topology.Topology) map[topology.LinkID]float64 {
+func uniformFailures(k int, lo, hi float64) failurePick {
 	return func(rng *stats.RNG, topo *topology.Topology) map[topology.LinkID]float64 {
 		out := make(map[topology.LinkID]float64, k)
 		for _, l := range randomLinks(rng, topo, k) {
@@ -277,7 +288,7 @@ func uniformFailures(k int, lo, hi float64) func(*stats.RNG, *topology.Topology)
 }
 
 // singleFailure injects one failure at exactly the given rate.
-func singleFailure(rate float64) func(*stats.RNG, *topology.Topology) map[topology.LinkID]float64 {
+func singleFailure(rate float64) failurePick {
 	return func(rng *stats.RNG, topo *topology.Topology) map[topology.LinkID]float64 {
 		l := randomLinks(rng, topo, 1)[0]
 		return map[topology.LinkID]float64{l: rate}
