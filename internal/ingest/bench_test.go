@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"vigil/internal/engine"
@@ -149,5 +151,37 @@ func BenchmarkSettle(b *testing.B) {
 				f.step()
 			}
 		})
+	}
+}
+
+// BenchmarkServiceCycle is the whole lanes Service at bench/'s lanes-lossy
+// shape — the settle feed's epoch of 1,440 reports from 360 agents, four
+// lanes, that workload's faults, grace and retry budget — one op per
+// settled epoch: the source, the lanes, the settle core, the analysis and
+// the sink, with the lockstep handshake between cycles. The drain and the
+// goroutines' start are in the op count's denominator.
+func BenchmarkServiceCycle(b *testing.B) {
+	f := newSettleFeed(1, false)
+	eng := &loopEngine{Engine: newTestEngine(b, engine.Config{Seed: 1}, soakTopo, 0)}
+	for range 7 { // Grace+3, as in TestSettleSteadyStateAllocs/service
+		eng.ring = append(eng.ring, &engine.EpochResult{Reports: slices.Clone(f.reports)})
+	}
+	settled := 0
+	s, err := New(Config{
+		Engine: eng, Grace: 4, Lanes: 4, MaxRetries: 3,
+		Faults: FaultConfig{Seed: 1, Drop: 0.005, Duplicate: 0.02, Delay: 0.03, DelayMax: 2},
+		Sink:   func(*engine.EpochResult) { settled++ },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(context.Background(), b.N); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if settled != b.N || s.Counters().Lost.Load() != 0 {
+		b.Fatalf("settled %d of %d epochs, lost %d", settled, b.N, s.Counters().Lost.Load())
 	}
 }

@@ -108,6 +108,10 @@ type epochState struct {
 
 	order []uint64 // byID's result: (id, slab index) keys, ascending
 	ranks []int32  // place's per-word canonical positions
+
+	// placed holds the accepted reports of an epoch reported final (sealed,
+	// no holes), placed then; its settle hands them over.
+	placed []vote.Report
 }
 
 // agent returns the slab index of the epoch's state for one agent, creating
@@ -139,10 +143,10 @@ func (eps *epochState) byID() []uint64 {
 }
 
 // place returns the accepted reports in canonical order, in a slice the
-// epoch no longer owns. Arrivals that never left canonical order are that
-// slice. Otherwise every report is written straight to its position: its
-// agent's offset in id order plus the popcount of the agent's seen bits
-// below its seq — O(reports), no comparison.
+// epoch no longer owns, and empties the arrival buffer. Arrivals that never
+// left canonical order are that slice. Otherwise every report is written
+// straight to its position: its agent's offset in id order plus the popcount
+// of the agent's seen bits below its seq — O(reports), no comparison.
 func (eps *epochState) place() []vote.Report {
 	if !eps.disordered {
 		out := eps.arrivals
@@ -165,6 +169,8 @@ func (eps *epochState) place() []vote.Report {
 		w := int(r.Seq) >> 6
 		out[eps.ranks[int(ag.rankOff)+w]+int32(bits.OnesCount64(ag.seen[w]&below(int(r.Seq)&63)))] = *r
 	}
+	clear(eps.arrivals) // drop the path references
+	eps.arrivals, eps.owner = eps.arrivals[:0], eps.owner[:0]
 	return out
 }
 
@@ -179,6 +185,13 @@ type admitRun struct {
 	ag    int32
 }
 
+// finalEpoch is a live epoch whose accepted set can no longer change before
+// its settle, with that set in canonical order.
+type finalEpoch struct {
+	epoch    int32
+	accepted []vote.Report
+}
+
 // cycleDone is what a completed cycle hands its adapter.
 type cycleDone struct {
 	cycle int32
@@ -186,6 +199,12 @@ type cycleDone struct {
 	// (epoch, agent, seq) order. The core reuses the slice: it is valid
 	// until the next call to next.
 	retries []transport.RetryReq
+	// final are the live epochs whose accepted set this cycle fixed,
+	// ascending, each once: the settling epoch if it was never reported
+	// final, then the epochs that became final, each only after every live
+	// epoch before it — each with the reports its settle hands over (the same
+	// slice). The core reuses the slice like retries.
+	final []finalEpoch
 	// settled says an epoch — epoch, which is cycle minus the grace window —
 	// crossed the watermark and is closed for good. live is false when that
 	// epoch belongs to a drain cycle, where nothing was ever expected;
@@ -213,12 +232,14 @@ type settleCore struct {
 	free        []*epochState // settled states for reuse, at most grace+2
 	tokens      map[int32]int // sources heard, per cycle not yet complete
 	lastSettled int32         // newest settled epoch; -1 before the first
+	finalized   int32         // newest epoch reported final; -1 before the first
 	lastSize    int           // reports the newest settled epoch accepted: the next one's size hint
 	maxLive     int32         // newest cycle that ran an engine epoch
 	nextEnd     int32         // the cycle whose completion is next
 	run         admitRun
 	epochs      []int32              // next's scratch: the open epochs, ascending
 	retries     []transport.RetryReq // backs cycleDone.retries
+	final       []finalEpoch         // backs cycleDone.final
 }
 
 // newSettleCore builds a core. restored is the watermark a previous
@@ -229,7 +250,7 @@ func newSettleCore(sources, grace, maxRetries, backoff int, ctr *metrics.IngestC
 	c := &settleCore{
 		sources: sources, grace: int32(grace), maxRetries: maxRetries, backoff: backoff, ctr: ctr,
 		open: make(map[int32]*epochState), tokens: make(map[int32]int),
-		lastSettled: restored, maxLive: restored,
+		lastSettled: restored, finalized: restored, maxLive: restored,
 	}
 	if restored >= 0 {
 		c.nextEnd = restored + c.grace + 1
@@ -359,7 +380,8 @@ func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount
 // next completes the next cycle, strictly in cycle order, if every source's
 // token for it is in: the cycle's own epoch is sealed (its expected counts
 // are now complete, so its holes are gaps), due re-requests are collected
-// from every open epoch, and the epoch crossing the watermark settles.
+// from every open epoch, the epoch crossing the watermark settles, and the
+// epochs that have become final are reported.
 func (c *settleCore) next() (cycleDone, bool) {
 	cycle := c.nextEnd
 	if c.tokens[cycle] < c.sources {
@@ -383,9 +405,12 @@ func (c *settleCore) next() (cycleDone, bool) {
 		done.retries = c.dueRetries(c.open[e], cycle, done.retries)
 	}
 	c.retries = done.retries
+	done.final = c.final[:0]
 	if e := cycle - c.grace; e > c.lastSettled {
 		c.settle(e, &done)
 	}
+	done.final = c.finals(done.final)
+	c.final = done.final
 	c.ctr.OpenEpochs.Store(int64(len(c.open)))
 	c.ctr.WatermarkLag.Store(int64(cycle - c.lastSettled))
 	return done, true
@@ -419,33 +444,63 @@ func (c *settleCore) dueRetries(eps *epochState, cycle int32, out []transport.Re
 	return out
 }
 
+// finals appends the live epochs that are final now, ascending, and places
+// each one, once. An epoch is final when it is sealed with no holes: every
+// later arrival for it is a duplicate, or a report past its agent's count
+// that fails the conservation check at settle, so its accepted set is the
+// one its settle would place. A live epoch with no state at all expected
+// nothing. The walk stops at the first live epoch that is not final, so the
+// epochs are reported in epoch order.
+func (c *settleCore) finals(out []finalEpoch) []finalEpoch {
+	for e := max(c.finalized, c.lastSettled) + 1; e <= c.maxLive && e < c.nextEnd; e++ {
+		f := finalEpoch{epoch: e}
+		if eps := c.open[e]; eps != nil {
+			if !eps.sealed || eps.holes > 0 {
+				break
+			}
+			eps.placed = eps.place()
+			f.accepted = eps.placed
+		}
+		out = append(out, f)
+		c.finalized = e
+	}
+	return out
+}
+
 // settle closes epoch e, once: whatever is still missing is lost, and the
-// accepted reports leave in canonical order. Every live cycle settles,
-// reports or not, so quiet epochs flow downstream exactly as the batch
-// engine emits them.
+// accepted reports leave in canonical order — in done.final too, unless the
+// epoch was reported final before. Every live cycle settles, reports or
+// not, so quiet epochs flow downstream exactly as the batch engine emits
+// them.
 func (c *settleCore) settle(e int32, done *cycleDone) {
 	eps := c.open[e]
 	delete(c.open, e)
 	c.lastSettled = e
 	c.run = admitRun{} // it may point into the epoch that just closed
 	done.settled, done.epoch, done.live = true, e, e <= c.maxLive
-	if eps == nil {
-		return
-	}
-	if done.live {
+	if eps != nil && done.live {
 		// Conservation: every expected report is accounted for exactly once,
 		// as accepted or as lost. Holds under every fault mix because
 		// duplicates are suppressed, post-settle stragglers stay holes, and
 		// shedding strips paths, never votes. A report past its agent's
-		// count fails it; place, which positions by the seen bits alone,
-		// could not run out of range even if one got through.
-		if int64(len(eps.arrivals)+eps.holes) != eps.expected {
+		// count fails it, placed when its epoch became final or not; place,
+		// which positions by the seen bits alone, could not run out of range
+		// even if one got through.
+		if int64(len(eps.placed)+len(eps.arrivals)+eps.holes) != eps.expected {
 			panic("ingest: epoch conservation violated (accepted + lost != expected)")
 		}
 		done.lost = eps.holes
 		c.ctr.Lost.Add(int64(done.lost))
-		done.accepted = eps.place()
+		if e > c.finalized {
+			eps.placed = eps.place()
+		}
+		done.accepted = eps.placed
 		c.lastSize = len(done.accepted)
 	}
-	c.recycle(eps)
+	if eps != nil {
+		c.recycle(eps)
+	}
+	if done.live && e > c.finalized {
+		done.final = append(done.final, finalEpoch{e, done.accepted})
+	}
 }

@@ -23,6 +23,10 @@ import (
 //	settled(e) = the epoch's emitted reports, in canonical order, that first
 //	             reached the core no later than cycle e+grace
 //	lost(e)    = emitted(e) − settled(e)
+//	final(e)   = the first cycle c < e+grace by which cycle e has completed,
+//	             every report of e has reached the core, and every live
+//	             epoch before e has settled or is final — if there is one;
+//	             else e+grace, the cycle e settles
 //
 // A seeded generator produces honest event streams — per-agent dense
 // sequences, every report delivered zero to two times up to grace+2 cycles
@@ -57,6 +61,9 @@ type coreSim struct {
 	byID    map[vote.ReportID]vote.Report // for answering re-requests
 	rounds  map[int32]int                 // per epoch: re-request rounds seen
 	lastAt  map[int32]int32               // per epoch: cycle of the newest round
+	final   map[int32][]vote.Report       // per epoch reported final before its settle: the reports it came with
+	lastFin int32                         // the newest epoch reported final
+	finals  int64                         // epochs reported final before their settle, all incarnations
 	total   int64                         // reports emitted
 	next    int32                         // the cycle that must complete next
 	settled int32                         // the epoch that must settle next
@@ -67,7 +74,21 @@ func (s *coreSim) feed(ev coreEvent) {
 		s.core.token(ev.cycle, ev.live, ev.counts)
 		return
 	}
+	accepted := s.ctr.Accepted.Load()
 	s.core.report(ev.r, ev.attempt, ev.delayed)
+	if _, final := s.final[ev.r.Epoch]; final && s.ctr.Accepted.Load() != accepted {
+		s.t.Fatalf("report %v accepted after its epoch was reported final", ev.r.ID())
+	}
+}
+
+// arrived reports whether every report of epoch e reached the core by cycle c.
+func (s *coreSim) arrived(e, c int32) bool {
+	for _, r := range s.emitted[e] {
+		if at, ok := s.arrival[r.ID()]; !ok || at > c {
+			return false
+		}
+	}
+	return true
 }
 
 // emit generates one live epoch: every agent's dense sequence, each report
@@ -159,6 +180,7 @@ func (s *coreSim) check(done cycleDone) {
 		t.Fatalf("cycle %d completed, want %d: cycles complete once, in order", cycle, s.next)
 	}
 	s.next++
+	var final []int32 // the epochs this cycle must report final, ascending
 	if e := cycle - int32(s.grace); e >= s.settled {
 		if !done.settled || done.epoch != e || e != s.settled {
 			t.Fatalf("cycle %d: settled=%v epoch %d, want epoch %d settled: epochs settle once, in order", cycle, done.settled, done.epoch, s.settled)
@@ -179,8 +201,43 @@ func (s *coreSim) check(done cycleDone) {
 		if want := len(s.emitted[e]) - len(want); done.lost != want {
 			t.Fatalf("epoch %d: lost %d, the model %d", e, done.lost, want)
 		}
+		if early, ok := s.final[e]; ok {
+			if len(early) != len(done.accepted) || (len(early) > 0 && !reflect.DeepEqual(early, done.accepted)) {
+				t.Fatalf("epoch %d was reported final with %d reports and settled %d", e, len(early), len(done.accepted))
+			}
+			delete(s.final, e)
+		} else if done.live {
+			final = append(final, e) // never final before: it is now
+		}
 	} else if done.settled {
 		t.Fatalf("cycle %d settled epoch %d again", cycle, done.epoch)
+	}
+
+	// Finality: each live epoch once, ascending — at its settle with the
+	// reports it settles, unless earlier, at the cycle the model names, with
+	// every report it emitted.
+	for e := max(s.lastFin+1, s.settled); e < s.epochs && e <= cycle && s.arrived(e, cycle); e++ {
+		final = append(final, e)
+	}
+	if len(done.final) != len(final) {
+		t.Fatalf("cycle %d reported %d epochs final, the model %v", cycle, len(done.final), final)
+	}
+	for i, f := range done.final {
+		if f.epoch != final[i] {
+			t.Fatalf("cycle %d reported epoch %d final, the model %v", cycle, f.epoch, final)
+		}
+		s.lastFin = max(s.lastFin, f.epoch)
+		if f.epoch < s.settled {
+			if len(f.accepted) != len(done.accepted) || (len(f.accepted) > 0 && &f.accepted[0] != &done.accepted[0]) {
+				t.Fatalf("epoch %d reported final at its settle with %d reports, not the %d it settles", f.epoch, len(f.accepted), len(done.accepted))
+			}
+			continue
+		}
+		if want := s.emitted[f.epoch]; len(f.accepted) != len(want) || (len(want) > 0 && !reflect.DeepEqual(f.accepted, want)) {
+			t.Fatalf("epoch %d reported final with %d reports, the model %d", f.epoch, len(f.accepted), len(want))
+		}
+		s.final[f.epoch] = f.accepted
+		s.finals++
 	}
 
 	// Re-requests ⊆ missing, in (epoch, agent, seq) order, at most maxRetries
@@ -231,6 +288,8 @@ func (s *coreSim) restart(w int32) {
 	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.backoff, s.ctr, w)
 	clear(s.rounds) // the retry budget is per incarnation
 	clear(s.lastAt)
+	clear(s.final) // and so is finality: the new core reports its epochs again
+	s.lastFin = w
 	for cycle := w + 1; cycle < s.next; cycle++ {
 		for _, ev := range s.log[cycle] {
 			s.feed(ev)
@@ -241,7 +300,9 @@ func (s *coreSim) restart(w int32) {
 	}
 }
 
-func runCoreSim(t *testing.T, seed uint64, restart bool) *metrics.IngestCounters {
+// runCoreSim runs one seeded stream through the model and returns the last
+// incarnation's counters and how many epochs were reported final.
+func runCoreSim(t *testing.T, seed uint64, restart bool) (*metrics.IngestCounters, int64) {
 	rng := stats.NewRNG(seed)
 	s := &coreSim{
 		t: t, rng: rng,
@@ -249,7 +310,7 @@ func runCoreSim(t *testing.T, seed uint64, restart bool) *metrics.IngestCounters
 		epochs: int32(3 + rng.Intn(6)), ctr: &metrics.IngestCounters{},
 		emitted: map[int32][]vote.Report{}, arrival: map[vote.ReportID]int32{},
 		due: map[int32][]coreEvent{}, log: map[int32][]coreEvent{}, byID: map[vote.ReportID]vote.Report{},
-		rounds: map[int32]int{}, lastAt: map[int32]int32{},
+		rounds: map[int32]int{}, lastAt: map[int32]int32{}, final: map[int32][]vote.Report{}, lastFin: -1,
 	}
 	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.backoff, s.ctr, -1)
 	agents := s.sources * (1 + rng.Intn(3))
@@ -271,14 +332,15 @@ func runCoreSim(t *testing.T, seed uint64, restart bool) *metrics.IngestCounters
 	if got := s.ctr.Accepted.Load() + s.ctr.Lost.Load(); !restart && got != s.total {
 		t.Fatalf("conservation: Accepted + Lost = %d, emitted %d", got, s.total)
 	}
-	return s.ctr
+	return s.ctr, s.finals
 }
 
 func TestSettleCoreMatchesReferenceModel(t *testing.T) {
 	const seeds = 300 // ~0.1 s
-	var dups, late, lateDropped, lost, retries, recovered int64
+	var dups, late, lateDropped, lost, retries, recovered, finals int64
 	for seed := uint64(0); seed < seeds; seed++ {
-		c := runCoreSim(t, seed, seed%2 == 1)
+		c, f := runCoreSim(t, seed, seed%2 == 1)
+		finals += f
 		dups += c.Duplicates.Load()
 		late += c.Late.Load()
 		lateDropped += c.LateDropped.Load()
@@ -286,9 +348,9 @@ func TestSettleCoreMatchesReferenceModel(t *testing.T) {
 		retries += c.Retries.Load()
 		recovered += c.Recovered.Load()
 	}
-	if dups == 0 || late == 0 || lateDropped == 0 || lost == 0 || retries == 0 || recovered == 0 {
-		t.Fatalf("the generator left a path idle: duplicates %d, late %d, late-dropped %d, lost %d, retries %d, recovered %d",
-			dups, late, lateDropped, lost, retries, recovered)
+	if dups == 0 || late == 0 || lateDropped == 0 || lost == 0 || retries == 0 || recovered == 0 || finals == 0 {
+		t.Fatalf("the generator left a path idle: duplicates %d, late %d, late-dropped %d, lost %d, retries %d, recovered %d, final %d",
+			dups, late, lateDropped, lost, retries, recovered, finals)
 	}
 }
 
@@ -414,6 +476,33 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 				defer func() {
 					if msg, _ := recover().(string); !strings.Contains(msg, "conservation") {
 						t.Fatalf("counts %v: settle did not stop at the conservation check", counts)
+					}
+				}()
+				c.next()
+			}()
+		}
+		// An epoch reported final, its reports placed and handed to analysis,
+		// meets the same check at its settle: with the report past its
+		// count placed along (it came before the seal) or arriving after.
+		for _, before := range []bool{true, false} {
+			func() {
+				c := newSettleCore(1, 1, 0, 1, &metrics.IngestCounters{}, -1)
+				stray := vote.Report{Src: 1, Epoch: 0, Seq: 1}
+				if before {
+					c.report(stray, 0, false)
+				}
+				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
+				c.token(0, true, []transport.AgentCount{{Agent: 1, N: 1}})
+				if done, _ := c.next(); len(done.final) != 1 {
+					t.Fatalf("stray before the seal %v: epoch 0 not reported final: %+v", before, done.final)
+				}
+				if !before {
+					c.report(stray, 0, false)
+				}
+				c.token(1, true, nil)
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "conservation") {
+						t.Fatalf("stray before the seal %v: the settle did not stop at the conservation check", before)
 					}
 				}()
 				c.next()

@@ -20,8 +20,12 @@
 // grace window, and bounded retry re-requests (fed back to the source
 // in-band with the lockstep cycle handshake), and settles epoch x when
 // every lane's token for cycle x+Grace has been processed — the watermark.
-// Settled epochs are analyzed over canonically ordered accepted reports
-// through the same engine.Analysis() options batch RunEpoch uses.
+// Epochs are analyzed over canonically ordered accepted reports through the
+// same engine.Analysis() options batch RunEpoch uses, on the collector's
+// one analysis goroutine: as soon as an epoch is final (its tokens are in
+// and it has no gaps, so nothing can join it before settle), while the
+// next cycles run, or at settle if it never becomes final. The sink still
+// receives each result at settle, in epoch order, before the cycle ends.
 //
 // Determinism: the source waits for the collector's end-of-cycle handshake
 // before starting the next epoch, every fault decision is a pure function
@@ -145,7 +149,8 @@ type Service struct {
 	// due for retransmission next cycle.
 	cycleEnd chan []transport.RetryReq
 	laneWG   sync.WaitGroup // the lane goroutines; gates closing toCol
-	wg       sync.WaitGroup // the collector
+	wg       sync.WaitGroup // the collector, which stops the analyst before it exits
+	an       *analyst       // started by Run with the engine's analysis options
 
 	// ring holds the last Grace+2 epochs' Step results: the collector
 	// reads ground truth from it at settle, the source re-reads reports
@@ -213,6 +218,7 @@ func (s *Service) Run(ctx context.Context, epochs int) error {
 		s.laneWG.Add(1)
 		go s.lane(i)
 	}
+	s.an = startAnalyst(s.cfg.Engine.Analysis(), s.grace)
 	s.wg.Add(1)
 	go s.collector()
 
@@ -462,6 +468,7 @@ func (s *Service) forward(burst []item) {
 // due re-requests) back to the source.
 func (s *Service) collector() {
 	defer s.wg.Done()
+	defer s.an.stop()
 	core := newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, cmp.Or(s.cfg.RetryBackoff, 1), s.ctr, -1)
 	for burst := range s.toCol {
 		for i := range burst {
@@ -479,8 +486,10 @@ func (s *Service) collector() {
 	}
 }
 
-// endCycle runs once all lanes' tokens for a cycle are in.
+// endCycle runs once all lanes' tokens for a cycle are in: the epochs it
+// made ready go to the analyst, and the settling one, analyzed, to the sink.
 func (s *Service) endCycle(done cycleDone) {
+	s.an.feed(&done)
 	if done.live {
 		res := s.ring[int(done.epoch)%len(s.ring)]
 		if res == nil || res.Epoch != int(done.epoch) {
@@ -489,7 +498,8 @@ func (s *Service) endCycle(done cycleDone) {
 			panic("ingest: settled epoch fell out of the ring window")
 		}
 		out := *res // the engine's Step result: the epoch's ground truth
-		deliver(&out, done.accepted, s.cfg.Engine.Analysis(), s.ctr, s.cfg.Sink)
+		v, _ := s.an.result(nil)
+		deliver(&out, done.accepted, v, s.ctr, s.cfg.Sink)
 	}
 	// Queued bursts. The lockstep has drained every queue by now, so this
 	// reads zero unless something upstream broke the handshake.
@@ -501,13 +511,95 @@ func (s *Service) endCycle(done cycleDone) {
 	s.cycleEnd <- done.retries
 }
 
+// verdicts is the part of an epoch's analysis a settle delivers.
+type verdicts struct {
+	ranking  []vote.LinkVotes
+	detected []topology.LinkID
+	verdicts []vote.Verdict
+}
+
+// analyst is a collector's analysis stage: one goroutine that runs every
+// Analyze of the collector, in epoch order, so that an options Adjuster
+// with per-call state is never used by two goroutines at once. An epoch is
+// posted as soon as the core reports it final, and analyzed while later
+// cycles run; one that is not final by its settle is posted then. Each
+// result is picked up at its epoch's settle, where the sink runs, so
+// nothing downstream of the collector sees a different order. Posted and
+// unsettled epochs never number more than Grace+1, and both channels hold
+// Grace+2, so neither side ever blocks on a send.
+type analyst struct {
+	opts    analysis.Options
+	jobs    chan []vote.Report
+	results chan verdicts
+	quit    chan struct{}
+	done    chan struct{} // closed when the goroutine has returned
+}
+
+func startAnalyst(opts analysis.Options, grace int) *analyst {
+	a := &analyst{
+		opts: opts, jobs: make(chan []vote.Report, grace+2), results: make(chan verdicts, grace+2),
+		quit: make(chan struct{}), done: make(chan struct{}),
+	}
+	go a.run()
+	return a
+}
+
+func (a *analyst) run() {
+	defer close(a.done)
+	for {
+		select {
+		case <-a.quit:
+			return
+		case accepted := <-a.jobs:
+			an := analysis.Analyze(accepted, a.opts)
+			select {
+			case a.results <- verdicts{an.Ranking, an.Detected, an.Verdicts}:
+			case <-a.quit:
+				return
+			}
+		}
+	}
+}
+
+// feed posts, in epoch order, the epochs whose accepted set a completed
+// cycle fixed.
+func (a *analyst) feed(done *cycleDone) {
+	for _, f := range done.final {
+		select {
+		case a.jobs <- f.accepted:
+		default:
+			// A full queue means more epochs posted than can be unsettled: a
+			// core that reports what it must not. Blocking here would deadlock.
+			panic("ingest: more epochs posted for analysis than the watermark window holds")
+		}
+	}
+}
+
+// result waits for the oldest posted epoch's analysis, which at a settle is
+// the settling epoch's. It gives up, reporting false, when abandon closes
+// first (a nil abandon never does).
+func (a *analyst) result(abandon <-chan struct{}) (verdicts, bool) {
+	select {
+	case v := <-a.results:
+		return v, true
+	case <-abandon:
+		return verdicts{}, false
+	}
+}
+
+// stop ends the goroutine, dropping whatever is still posted, and returns
+// once it has exited.
+func (a *analyst) stop() {
+	close(a.quit)
+	<-a.done
+}
+
 // deliver completes a settled epoch — out arrives carrying its ground
-// truth, accepted is what the core let through, in canonical order — with
-// the analysis batch RunEpoch runs, and hands it to the sink. Both
-// collectors settle through here.
-func deliver(out *engine.EpochResult, accepted []vote.Report, opts analysis.Options, ctr *metrics.IngestCounters, sink func(*engine.EpochResult)) {
-	an := analysis.Analyze(accepted, opts)
-	out.Reports, out.Ranking, out.Detected, out.Verdicts = accepted, an.Ranking, an.Detected, an.Verdicts
+// truth, accepted is what the core let through, in canonical order, and v
+// is its analysis with the options batch RunEpoch uses — and hands it to
+// the sink. Both collectors settle through here.
+func deliver(out *engine.EpochResult, accepted []vote.Report, v verdicts, ctr *metrics.IngestCounters, sink func(*engine.EpochResult)) {
+	out.Reports, out.Ranking, out.Detected, out.Verdicts = accepted, v.ranking, v.detected, v.verdicts
 	ctr.SettledEpochs.Add(1)
 	ctr.DetectedLinks.Add(int64(len(out.Detected)))
 	ctr.Verdicts.Add(int64(len(out.Verdicts)))

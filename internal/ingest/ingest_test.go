@@ -320,7 +320,10 @@ func TestChaosDeterministic(t *testing.T) {
 // started epoch settles before Run returns.
 func TestContextCancelCleanShutdown(t *testing.T) {
 	eng := newTestEngine(t, engine.Config{Seed: 13}, soakTopo, 0.05)
-	s, err := New(Config{Engine: eng, Interval: time.Millisecond})
+	var settled []int // appended on the collector goroutine, read after Run
+	s, err := New(Config{Engine: eng, Interval: time.Millisecond, Sink: func(res *engine.EpochResult) {
+		settled = append(settled, res.Epoch)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +335,25 @@ func TestContextCancelCleanShutdown(t *testing.T) {
 	if err := s.Run(ctx, 0); err != context.Canceled {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
+	// Run returned, so the collector has; and the analysis goroutine, which
+	// ran epochs ahead of their settle, has exited too: nothing is left that
+	// could analyze, or call the sink, again.
+	select {
+	case <-s.an.done:
+	default:
+		t.Fatal("the analysis goroutine outlived Run")
+	}
 	c := s.Counters()
 	if c.SettledEpochs.Load() == 0 {
 		t.Fatal("no epochs settled before cancel")
 	}
 	if got, want := c.SettledEpochs.Load(), int64(s.epochsRun); got != want {
 		t.Fatalf("settled %d epochs, want every started epoch (%d)", got, want)
+	}
+	for i, e := range settled {
+		if e != i || len(settled) != s.epochsRun {
+			t.Fatalf("the sink saw epochs %v, want 0…%d once each, in order", settled, s.epochsRun-1)
+		}
 	}
 }
 

@@ -345,7 +345,7 @@ type NetCollector struct {
 	sessSeen  map[uint64]struct{}
 	nextCycle map[uint64]int32 // the cycle whose token each session owes next
 	byes      int
-	an        *analysis.Options // from the first session's handshake
+	an        *analyst // started at the first session's handshake, with its options
 }
 
 // ServeCollector starts a networked collector. If a checkpoint exists at
@@ -497,15 +497,39 @@ func (c *NetCollector) Wait(ctx context.Context) error {
 
 // Close tears the collector down without a final checkpoint — state
 // beyond the last settle-time Commit is exactly what crash recovery
-// rebuilds, so Close mid-run IS the simulated crash.
+// rebuilds, so Close mid-run IS the simulated crash: results analyzed ahead
+// of their settle are dropped, and a restart recomputes them from replay.
+// It returns once the collector and analysis goroutines have exited, so the
+// sink is never called after it; the sink must not call it.
 func (c *NetCollector) Close() error {
+	err := c.shutdown()
+	<-c.loopDone
+	return err
+}
+
+// shutdown stops the collector without waiting for it: the loop's own way
+// out.
+func (c *NetCollector) shutdown() error {
 	c.closeOnce.Do(func() { close(c.quit) })
 	return c.srv.Close()
 }
 
 func (c *NetCollector) loop() {
 	defer close(c.loopDone)
+	defer func() {
+		if c.an != nil {
+			c.an.stop()
+		}
+	}()
 	for c.byes < c.cfg.Sessions && c.err == nil {
+		// Once Close is in, no event is taken: a settle it cut short left
+		// its epoch's analysis queued, and the next settle would take that
+		// for its own.
+		select {
+		case <-c.quit:
+			return
+		default:
+		}
 		select {
 		case e := <-c.ev:
 			c.handle(e)
@@ -517,7 +541,7 @@ func (c *NetCollector) loop() {
 		// A checkpoint that cannot be written, or a token the wire lost for
 		// good, stops the collector the way a crash would: nothing past the
 		// last good Commit was acked, so a restart resumes from there.
-		c.Close()
+		c.shutdown()
 	}
 }
 
@@ -526,10 +550,10 @@ func (c *NetCollector) handle(e netEvent) {
 	case evHello:
 		c.sessSeen[e.sess] = struct{}{}
 		if c.an == nil {
-			c.an = &analysis.Options{Detect: vote.DetectOptions{
+			c.an = startAnalyst(analysis.Options{Detect: vote.DetectOptions{
 				ThresholdFrac: e.hello.ThresholdFrac,
 				MaxLinks:      int(e.hello.MaxLinks),
-			}}
+			}}, int(c.core.grace))
 		}
 	case evReports:
 		// The transport has already deduplicated the wire (replays,
@@ -581,21 +605,29 @@ func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) 
 	}
 	c.core.token(t.Cycle, t.Live, t.Counts)
 	for done, ok := c.core.next(); ok && c.err == nil; done, ok = c.core.next() {
-		c.endCycle(done)
+		if !c.endCycle(done) {
+			return
+		}
 	}
 }
 
 // endCycle finishes a completed cycle in the order sink → cycle-end →
-// commit → ack. The cycle-end carries only the re-requests, which the core
-// worked out before the settle, and promises nothing durable — agents trim
-// their replay buffer on the ack alone — so it leaves before the commit and
-// the agents' next epoch overlaps the disk. The sink comes first, so that no
-// verdict waits behind either. DESIGN.md, "Checkpoint format and crash
-// recovery", argues the crash at each arrow.
-func (c *NetCollector) endCycle(done cycleDone) {
+// commit → ack, after handing the analyst the epochs the cycle made ready.
+// The cycle-end carries only the re-requests, which the core worked out
+// before the settle, and promises nothing durable — agents trim their replay
+// buffer on the ack alone — so it leaves before the commit and the agents'
+// next epoch overlaps the disk, and with it the analysis of the epochs
+// already final. The sink comes first, so that no verdict waits behind the
+// cycle-end or the commit; the settling epoch's analysis is usually done by
+// then. DESIGN.md, "Checkpoint format and crash recovery", argues the crash
+// at each arrow. It reports false, having done nothing past the wait, when
+// Close lands while the settle waits for its analysis; the loop then stops
+// before its next event, so no later cycle settles on that analysis.
+func (c *NetCollector) endCycle(done cycleDone) bool {
+	c.an.feed(&done)
 	c.at(beforeSink, done.cycle)
-	if done.settled {
-		c.settle(done)
+	if done.settled && !c.settle(done) {
+		return false
 	}
 	c.at(beforeCycleEnd, done.cycle)
 	c.cfg.Counters.QueueDepth.Store(int64(len(c.ev)))
@@ -616,18 +648,20 @@ func (c *NetCollector) endCycle(done cycleDone) {
 		c.err = c.commit(done.epoch)
 	}
 	c.at(afterCommit, done.cycle)
+	return true
 }
 
 // settle delivers epoch done.epoch, built on the summary its token carried,
 // to the sink. The settle is committed after this, so across collector
 // incarnations delivery is at-least-once: a crash before the commit
 // re-settles the epoch from replay and the sink sees it again, dedupable by
-// epoch; a crash after it finds the epoch durably behind the watermark.
-func (c *NetCollector) settle(done cycleDone) {
+// epoch; a crash after it finds the epoch durably behind the watermark. It
+// reports false when Close ends the wait for the epoch's analysis.
+func (c *NetCollector) settle(done cycleDone) bool {
 	sum := c.summaries[done.epoch]
 	delete(c.summaries, done.epoch)
 	if !done.live {
-		return
+		return true
 	}
 	if sum == nil {
 		panic("ingest: live epoch settled without a summary token")
@@ -650,7 +684,12 @@ func (c *NetCollector) settle(done cycleDone) {
 			out.Truth[te.FlowID] = metrics.FlowTruth{Culprit: te.Culprit, CrossedFailure: te.CrossedFailure}
 		}
 	}
-	deliver(out, done.accepted, *c.an, c.cfg.Counters, c.cfg.Sink)
+	v, ok := c.an.result(c.quit)
+	if !ok {
+		return false
+	}
+	deliver(out, done.accepted, v, c.cfg.Counters, c.cfg.Sink)
+	return true
 }
 
 // commit makes epoch e's settle durable: checkpoint, then durable acks up to

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"path/filepath"
@@ -158,6 +159,20 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	col1.Close()
+	// Close returned, so the collector goroutine and the analysis goroutine
+	// have exited: whatever was analyzed ahead of its settle is dropped, and
+	// the first incarnation's sink is never called again (its record below
+	// must stay what it is now).
+	for name, done := range map[string]chan struct{}{"collector": col1.loopDone, "analysis": col1.an.done} {
+		select {
+		case <-done:
+		default:
+			t.Fatalf("the %s goroutine outlived Close", name)
+		}
+	}
+	mu.Lock()
+	atClose := slices.Clone(settled1)
+	mu.Unlock()
 
 	col2, err := ServeCollector(CollectorConfig{
 		Listener: listen(t), CheckpointPath: path, Sink: record(&settled2, &mu),
@@ -180,6 +195,9 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
+	if !reflect.DeepEqual(settled1, atClose) {
+		t.Fatalf("incarnation 1's sink ran after Close: %v, then %v", atClose, settled1)
+	}
 	if want := []int{0, 1}; !reflect.DeepEqual(settled1, want) {
 		t.Fatalf("incarnation 1 settled %v, want %v", settled1, want)
 	}
@@ -189,6 +207,108 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 	if tctr.Resumes.Load() < 1 {
 		t.Fatal("the agent never resumed across the collector restart")
 	}
+}
+
+// Close lands while the collector's queue already holds the next cycles'
+// tokens, as a replay after a restart queues them: it lands at the sink of
+// the cycle that settles epoch 2, where the settle either delivers epoch 2
+// or gives up waiting for its analysis. Either way the collector takes no
+// further event, so the sink never gets an epoch past 2, nor an epoch with
+// another epoch's verdicts, and the watermark a commit reaches never passes
+// the last epoch the sink got.
+func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
+	const epochs, grace, closeAt = 6, 2, 4
+	eng := newTestEngine(t, engine.Config{Seed: 5}, soakTopo, 0.05)
+	an := eng.Analysis()
+	hello := transport.Hello{ThresholdFrac: an.Detect.ThresholdFrac, MaxLinks: int32(an.Detect.MaxLinks)}
+	reports := make([][]vote.Report, epochs+grace+1)
+	tokens := make([]transport.Token, len(reports))
+	for cycle := range tokens {
+		tokens[cycle] = transport.Token{Cycle: int32(cycle)}
+		if cycle < epochs {
+			res := eng.Step(func(r vote.Report) {
+				r.Path = slices.Clone(r.Path)
+				reports[cycle] = append(reports[cycle], r)
+			})
+			tokens[cycle] = buildToken(int32(cycle), res)
+		}
+	}
+
+	type delivery struct {
+		epoch    int
+		analysis string
+	}
+	// run feeds every cycle's events to a fresh collector as its only
+	// session's transport would, then either waits for it to finish or, when
+	// shut, closes it from inside the closing cycle once all are queued.
+	run := func(shut bool) (got []delivery, watermark int64) {
+		queued := make(chan struct{})
+		var col *NetCollector
+		cfg := CollectorConfig{
+			Listener: listen(t), Grace: grace, QueueDepth: 1 << 16,
+			Sink: func(res *engine.EpochResult) {
+				got = append(got, delivery{res.Epoch, fmt.Sprint(res.Ranking, res.Detected, res.Verdicts)})
+			},
+		}
+		if shut {
+			cfg.probe = func(at cycleStage, cycle int32) {
+				if at == beforeSink && cycle == closeAt {
+					<-queued
+					col.shutdown()
+				}
+			}
+		}
+		col, err := ServeCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := (*netHandler)(col)
+		h.OnHello(1, hello)
+		seq := uint64(0)
+		for cycle, tok := range tokens {
+			for _, r := range reports[cycle] {
+				h.OnReport(1, r, 0)
+				seq++
+			}
+			seq++
+			h.OnToken(1, seq, tok)
+		}
+		close(queued)
+		if !shut {
+			h.OnBye(1)
+		}
+		select {
+		case <-col.loopDone:
+		case <-time.After(60 * time.Second):
+			t.Fatal("the collector never stopped")
+		}
+		col.Close()
+		return got, col.srv.AppState()
+	}
+
+	want, _ := run(false)
+	if len(want) != epochs {
+		t.Fatalf("the uninterrupted run settled %d epochs, want %d", len(want), epochs)
+	}
+	abandoned := 0
+	for i := 0; i < 40; i++ {
+		got, watermark := run(true)
+		for e, d := range got {
+			if e >= len(want) || d != want[e] {
+				t.Fatalf("run %d: the sink's delivery %d, epoch %d, is not the uninterrupted run's epoch %d", i, e, d.epoch, e)
+			}
+		}
+		if len(got) < closeAt-grace || len(got) > closeAt-grace+1 {
+			t.Fatalf("run %d: the sink got %d epochs around a Close at the settle of epoch %d", i, len(got), closeAt-grace)
+		}
+		if last := int64(got[len(got)-1].epoch); watermark > last {
+			t.Fatalf("run %d: the watermark reached epoch %d, the sink only %d", i, watermark, last)
+		}
+		if len(got) == closeAt-grace {
+			abandoned++
+		}
+	}
+	t.Logf("the settle of epoch %d gave up its wait in %d of 40 runs", closeAt-grace, abandoned)
 }
 
 // The networked chaos soak: seeded drops, duplicates, reorders and
