@@ -61,7 +61,7 @@ type Config struct {
 	// captured. Steady-state epochs then allocate (near) nothing and memory
 	// stays bounded over arbitrarily long runs — the mode the plane-agnostic
 	// engine uses for scenarios and conformance sweeps. The whole-run views
-	// (Flows, Truth, FailedConns) cover only the current epoch; LastEpoch
+	// (Flows, Truth) cover only the current epoch; LastEpoch
 	// frames are unaffected. Flow IDs stay globally unique either way.
 	EphemeralFlows bool
 	// Detect configures the analysis agent.
@@ -663,18 +663,6 @@ func (cl *Cluster) Truth() map[int64]metrics.FlowTruth {
 // Flows returns records of all started flows (the current epoch's under
 // EphemeralFlows).
 func (cl *Cluster) Flows() []*flowRecord { return cl.flows }
-
-// FailedConns counts connections that gave up (the "VM reboot" signal of
-// the paper's motivating scenario).
-func (cl *Cluster) FailedConns() int {
-	n := 0
-	for _, rec := range cl.flows {
-		if rec.conn != nil && rec.conn.Failed {
-			n++
-		}
-	}
-	return n
-}
 
 // ID returns a flow record's identifier.
 func (f *flowRecord) ID() int64 { return f.id }

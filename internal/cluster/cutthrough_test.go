@@ -255,14 +255,6 @@ func cutCases() []cutCase {
 			name: "blackhole", topo: quadPodQuickTopo, seed: 8, conns: 4, packets: 30, spread: 5 * des.Second, epochs: 2,
 			setup: inject(topology.L2Down, 3, 1),
 		},
-		cutCase{
-			name: "lag-bad-member", topo: twoPodQuickTopo, seed: 9, conns: 6, packets: 60, spread: 5 * des.Second, epochs: 2,
-			setup: func(t *testing.T, cl *Cluster) {
-				if err := cl.Net.SetLAG(cl.Topo.LinksOfClass(topology.L1Up)[2], []float64{0, 0.3, 0}); err != nil {
-					t.Fatal(err)
-				}
-			},
-		},
 		// With noise every link has a positive rate and every crossing takes
 		// a draw: walks cross on the verified-forward run of counters, and a
 		// hop-by-hop crossing near a dropping counter pulls them back.
@@ -396,12 +388,10 @@ func fuzzCutCase(seed uint64, dims uint16, failures []byte, spread uint16, scrip
 			l := topology.LinkID(int(failures[i]) % len(cl.Topo.Links))
 			var err error
 			switch kind := failures[i+1] % 6; kind {
-			case 4:
-				err = cl.Net.SetLAG(l, []float64{0, 0.4})
 			case 5:
 				err = cl.Net.SetExtraDelay(l, des.Time(failures[i+1]))
 			default:
-				err = cl.InjectFailure(l, []float64{0.01, 0.05, 0.3, 1}[kind])
+				err = cl.InjectFailure(l, []float64{0.01, 0.05, 0.3, 1, 0.4}[kind])
 			}
 			if err != nil {
 				t.Fatal(err)

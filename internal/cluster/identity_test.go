@@ -44,7 +44,7 @@ func TestPacketPlaneReportSequencesDense(t *testing.T) {
 	}
 	for e := 0; e < 3; e++ {
 		got = got[:0]
-		for _, f := range w.Generate(rng.Split(), topo) {
+		for _, f := range w.GenerateInto(nil, rng.Split(), topo) {
 			cl.StartFlow(f, cl.Sched.Now()+des.Time(rng.Intn(int(10*des.Second))))
 		}
 		cl.RunEpoch()

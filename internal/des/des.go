@@ -7,9 +7,9 @@
 // the hot path — scheduling a packet hop, a retransmission timeout or an
 // epoch tick — allocates nothing: components implement Handler once and
 // pass a kind tag, an integer argument and an optional pointer payload
-// through Post/PostAfter. The closure form (At/After) remains for cold
-// paths and tests; it costs exactly the closure the caller builds, with no
-// further boxing inside the scheduler.
+// through Post. The closure form (At) remains for cold paths and tests; it
+// costs exactly the closure the caller builds, with no further boxing
+// inside the scheduler.
 //
 // Events fire in (time, key, tie) order: keys impose a deterministic order
 // between simultaneous events from different origins, and simultaneous
@@ -111,9 +111,6 @@ func (s *Scheduler) At(t Time, fn func()) {
 	s.push(t, 0, s.nextSeq(), nil, 0, 0, fn)
 }
 
-// After schedules fn d microseconds from now.
-func (s *Scheduler) After(d Time, fn func()) { s.At(s.now+d, fn) }
-
 // Post schedules a typed event at absolute time t without allocating.
 // Past times are clamped to now, like At.
 func (s *Scheduler) Post(t Time, h Handler, kind int32, arg int64, p any) {
@@ -121,11 +118,6 @@ func (s *Scheduler) Post(t Time, h Handler, kind int32, arg int64, p any) {
 		panic("des: Post with nil Handler")
 	}
 	s.push(t, 0, s.nextSeq(), h, kind, arg, p)
-}
-
-// PostAfter schedules a typed event d microseconds from now.
-func (s *Scheduler) PostAfter(d Time, h Handler, kind int32, arg int64, p any) {
-	s.Post(s.now+d, h, kind, arg, p)
 }
 
 // PostKeyed schedules a typed event carrying an origin key. Simultaneous
@@ -308,7 +300,8 @@ func (s *Scheduler) popLane() {
 // thousand pops, not once per few dozen.
 const laneSlack = 1024
 
-// Executed returns the number of events run so far.
+// Test hook: Executed returns the number of events run so far, so a test
+// can see how many scheduler events a run cost.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Executing returns the origin key and tie-break of the event being

@@ -39,9 +39,9 @@ func TestFIFOAmongSimultaneous(t *testing.T) {
 func TestAfterAndNesting(t *testing.T) {
 	var s Scheduler
 	var fired []Time
-	s.After(10, func() {
+	s.At(s.Now()+10, func() {
 		fired = append(fired, s.Now())
-		s.After(5, func() { fired = append(fired, s.Now()) })
+		s.At(s.Now()+5, func() { fired = append(fired, s.Now()) })
 	})
 	s.Drain(100)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
@@ -90,9 +90,9 @@ func TestDrainCap(t *testing.T) {
 	n := 0
 	reschedule = func() {
 		n++
-		s.After(1, reschedule)
+		s.At(s.Now()+1, reschedule)
 	}
-	s.After(1, reschedule)
+	s.At(s.Now()+1, reschedule)
 	ran, complete := s.Drain(50)
 	if ran != 50 || complete {
 		t.Fatalf("Drain ran %d events, complete=%v", ran, complete)
@@ -101,7 +101,7 @@ func TestDrainCap(t *testing.T) {
 	// bounded drain must report the cap was hit, and a drain over a finite
 	// queue must report completion.
 	var fin Scheduler
-	fin.After(1, func() {})
+	fin.At(fin.Now()+1, func() {})
 	if ran, complete := fin.Drain(50); ran != 1 || !complete {
 		t.Fatalf("finite Drain ran %d events, complete=%v", ran, complete)
 	}
@@ -131,7 +131,7 @@ func TestTypedEventDelivery(t *testing.T) {
 	r := &recorder{s: &s}
 	s.Post(30, r, 1, 3, nil)
 	s.Post(10, r, 1, 1, nil)
-	s.PostAfter(20, r, 1, 2, nil)
+	s.Post(s.Now()+20, r, 1, 2, nil)
 	s.Drain(100)
 	if len(r.got) != 3 || r.got[0] != 1 || r.got[1] != 2 || r.got[2] != 3 {
 		t.Fatalf("typed order = %v", r.got)
@@ -278,8 +278,8 @@ func TestTypedPostAllocFree(t *testing.T) {
 	r.time = make([]Time, 0, 4096)
 	warm := func() {
 		for i := 0; i < 100; i++ {
-			s.PostAfter(Time(i%7), r, 1, int64(i), nil)
-			s.PostAfter(nearWindow+Time(i), r, 2, int64(i), nil)
+			s.Post(s.Now()+Time(i%7), r, 1, int64(i), nil)
+			s.Post(s.Now()+nearWindow+Time(i), r, 2, int64(i), nil)
 		}
 		s.Drain(1000)
 		r.got = r.got[:0]
@@ -308,9 +308,9 @@ func BenchmarkScheduler(b *testing.B) {
 		// Each event reschedules itself: mostly a 5µs hop, sometimes a
 		// 20ms timer — the emulation's two shapes.
 		if arg%16 == 0 {
-			s.PostAfter(20*Millisecond, h, 1, arg+1, nil)
+			s.Post(s.Now()+20*Millisecond, h, 1, arg+1, nil)
 		} else {
-			s.PostAfter(5*Microsecond, h, 1, arg+1, nil)
+			s.Post(s.Now()+5*Microsecond, h, 1, arg+1, nil)
 		}
 	})
 	b.ReportAllocs()
@@ -318,7 +318,7 @@ func BenchmarkScheduler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n = 10000
 		for j := int64(0); j < 64; j++ {
-			s.PostAfter(Time(j), h, 1, j, nil)
+			s.Post(s.Now()+Time(j), h, 1, j, nil)
 		}
 		for s.Step() {
 		}

@@ -186,16 +186,6 @@ func NewCondCalc(topo *topology.Topology, a topology.LinkID) *CondCalc {
 	return cc
 }
 
-// OnPathProb returns P(a on path) for a uniformly random flow.
-func (cc *CondCalc) OnPathProb() float64 {
-	n := len(cc.tors)
-	pairs := float64(n * (n - 1))
-	if pairs == 0 {
-		return 0
-	}
-	return cc.pa / pairs
-}
-
 // Cond returns P(b on path | a on path); 0 when a is never on a path.
 func (cc *CondCalc) Cond(b topology.LinkID) float64 {
 	if cc.pa == 0 {
@@ -221,10 +211,4 @@ func (cc *CondCalc) Cond(b topology.LinkID) float64 {
 		}
 	}
 	return joint / cc.pa
-}
-
-// SharesPath reports whether some flow path can contain both a and b, the
-// membership test on line 10 of Algorithm 1.
-func (cc *CondCalc) SharesPath(b topology.LinkID) bool {
-	return b == cc.a || cc.Cond(b) > 0
 }

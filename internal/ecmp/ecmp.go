@@ -24,11 +24,8 @@ type FiveTuple struct {
 	Proto            uint8
 }
 
-// Protocol numbers used by the emulation.
-const (
-	ProtoICMP uint8 = 1
-	ProtoTCP  uint8 = 6
-)
+// ProtoTCP is the protocol number of the emulation's flows.
+const ProtoTCP uint8 = 6
 
 // String renders the tuple in "ip:port>ip:port/proto" form.
 func (t FiveTuple) String() string {
@@ -68,7 +65,6 @@ func Hash(t FiveTuple, seed uint64) uint64 {
 // Seeds holds the per-switch ECMP hash seeds.
 type Seeds struct {
 	bySwitch []uint64
-	gen      uint64
 }
 
 // NewSeeds draws an independent seed for every switch.
@@ -82,17 +78,3 @@ func NewSeeds(topo *topology.Topology, rng *stats.RNG) *Seeds {
 
 // Seed returns the seed of switch sw.
 func (s *Seeds) Seed(sw topology.SwitchID) uint64 { return s.bySwitch[sw] }
-
-// Generation counts the reboots so far. A next hop is a function of the
-// seeds, so anything that remembers routes (the fabric's flow→route cache)
-// remembers the generation with them and starts over when it moves.
-func (s *Seeds) Generation() uint64 { return s.gen }
-
-// Reboot re-seeds switch sw, modelling the ECMP function change the paper
-// notes happens "with every reboot of the switch" (§9.1). Reboot between
-// runs of a fabric, not from inside one: a packet the fabric is carrying
-// over several hops as one delivery keeps the route it was sent on.
-func (s *Seeds) Reboot(sw topology.SwitchID, rng *stats.RNG) {
-	s.bySwitch[sw] = rng.Uint64()
-	s.gen++
-}

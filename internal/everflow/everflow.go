@@ -135,13 +135,6 @@ func (c *Collector) PathOf(tuple ecmp.FiveTuple) ([]topology.LinkID, bool) {
 	return path, true
 }
 
-// DropSite returns the link on which a specific packet died. ok is false
-// when the packet was delivered or never mirrored.
-func (c *Collector) DropSite(tuple ecmp.FiveTuple, seq uint32) (topology.LinkID, bool) {
-	l, ok := c.dropped[PacketKey{Tuple: tuple, Seq: seq}]
-	return l, ok
-}
-
 // DropsByLink aggregates mirror-confirmed drops per link for one flow —
 // the per-flow ground truth 007's verdicts are compared against in §8.2.
 func (c *Collector) DropsByLink(tuple ecmp.FiveTuple) map[topology.LinkID]int {

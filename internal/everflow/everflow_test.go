@@ -81,10 +81,10 @@ func TestDropSiteAndCulprit(t *testing.T) {
 	tap(ev(flow, 5, 400, true))
 	tap(ev(flow, 6, 400, true))
 	tap(ev(flow, 7, 410, true))
-	if l, ok := c.DropSite(flow, 5); !ok || l != 400 {
-		t.Fatalf("DropSite = %v/%v", l, ok)
+	if l, ok := c.dropped[PacketKey{Tuple: flow, Seq: 5}]; !ok || l != 400 {
+		t.Fatalf("drop site of seq 5 = %v/%v", l, ok)
 	}
-	if _, ok := c.DropSite(flow, 99); ok {
+	if _, ok := c.dropped[PacketKey{Tuple: flow, Seq: 99}]; ok {
 		t.Fatal("phantom drop found")
 	}
 	culprit, ok := c.Culprit(flow)

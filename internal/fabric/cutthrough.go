@@ -6,17 +6,17 @@ package fabric
 // reads and writes happens at its place in the (time, key, tie) order. Most
 // hops have nothing at stake there. Forwarding a well-formed packet with TTL
 // to spare onto a link that will not drop it reads state that only the
-// fabric's own mutators change (rates, delays, LAGs, taps, ECMP seeds) and
-// writes a commutative count (LinkForwarded), the packet's own TTL byte, and
-// one delivery whose (time, key, tie) is a function of the packet, not of
+// fabric's own mutators change (rates, delays, taps) and writes a
+// commutative count (LinkForwarded), the packet's own TTL byte, and one
+// delivery whose (time, key, tie) is a function of the packet, not of
 // when the hop ran. So send, once the packet has survived the link it is
 // entering, walks it on through the following switches inline (fly) for as
 // long as each hop is of that kind, and schedules ONE delivery at the first
 // node where it is not: the switch where the TTL runs out (ICMP and its token
-// bucket are order-dependent), a switch whose egress may drop the packet or
-// is a LAG, a header no switch would forward, the destination host — or the
-// node the packet reaches after the running RunUntil deadline, because once
-// RunUntil returns the driver may read counters and change links. The hops
+// bucket are order-dependent), a switch whose egress may drop the packet, a
+// header no switch would forward, the destination host — or the node the
+// packet reaches after the running RunUntil deadline, because once RunUntil
+// returns the driver may read counters and change links. The hops
 // walked over are applied when that delivery fires (land): one TTL patch and
 // one LinkForwarded credit each. Every flight therefore lands inside the
 // RunUntil that launched it, and between runs no packet is in flight.
@@ -34,7 +34,7 @@ package fabric
 // again. Each counter's draw is still the same pure function; none is
 // skipped.
 //
-// Rematerialization. A mutator (SetDropRate, SetExtraDelay, SetLAG, AddTap,
+// Rematerialization. A mutator (SetDropRate, SetExtraDelay, AddTap,
 // the schedule settle) called from inside a run invalidates what the walks
 // assumed about hops the order has not reached yet. It first puts the
 // flights it affects back on the hop-by-hop order: hops ordered before the
@@ -88,11 +88,6 @@ func (n *Net) fly(l topology.LinkID, at des.Time, pkt *wire.Buffer) (topology.Li
 		next := at + n.cfg.LinkDelay + n.extraDelay[e]
 		if next > horizon {
 			break
-		}
-		if n.lag != nil {
-			if _, isLAG := n.lag[e]; isLAG {
-				break
-			}
 		}
 		if n.dropRate[e] > 0 {
 			if !n.passes(e) {
@@ -255,16 +250,12 @@ type route struct {
 const routeCacheBits = 11
 
 // route returns the egress links a packet of flow t takes from switch sw to
-// host dst, resolving them with the router on a miss. An ECMP reboot
-// empties the cache. nil means some switch on the way has no route, which
-// the hop-by-hop path reports where it happens.
+// host dst, resolving them with the router on a miss. nil means some
+// switch on the way has no route, which the hop-by-hop path reports where
+// it happens.
 func (n *Net) route(sw topology.SwitchID, t ecmp.FiveTuple, dst topology.HostID) *route {
 	if n.routes == nil {
 		n.routes = make([]route, 1<<routeCacheBits)
-	}
-	if g := n.cfg.Router.Seeds.Generation(); g != n.routeGen {
-		clear(n.routes)
-		n.routeGen = g
 	}
 	h := (uint64(t.SrcIP)<<32 | uint64(t.DstIP)) * 0x9e3779b97f4a7c15
 	h ^= (uint64(t.SrcPort)<<48 | uint64(t.DstPort)<<32 | uint64(t.Proto)<<24 ^ uint64(sw)) * 0xbf58476d1ce4e5b9
@@ -293,10 +284,13 @@ func (n *Net) route(sw topology.SwitchID, t ecmp.FiveTuple, dst topology.HostID)
 	return rt
 }
 
-// HopsFused counts the switch hops applied on landing instead of executed
-// as scheduler events; HopsStepped the switch hops that were events;
-// Rematerialized the packets pulled out of a cut-through flight by a mid-run
-// change.
-func (n *Net) HopsFused() int64      { return n.hopsFused }
-func (n *Net) HopsStepped() int64    { return n.hopsStepped }
+// Test hook: HopsFused counts the switch hops applied on landing instead of
+// executed as scheduler events, so a test can see that cut-through ran.
+func (n *Net) HopsFused() int64 { return n.hopsFused }
+
+// Test hook: HopsStepped counts the switch hops that were scheduler events.
+func (n *Net) HopsStepped() int64 { return n.hopsStepped }
+
+// Test hook: Rematerialized counts the packets a mid-run change pulled out
+// of a cut-through flight, so a test can see that its change hit one.
 func (n *Net) Rematerialized() int64 { return n.rematerialized }

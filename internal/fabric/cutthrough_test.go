@@ -93,7 +93,7 @@ func trafficScript(r *rig, seed uint64, span int, churn bool) {
 	for i := 0; i < 12; i++ {
 		l := topology.LinkID(rng.Intn(links))
 		at := des.Time(rng.Intn(span))
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			d := des.Time(rng.Intn(40))
 			r.sched.At(at, func() { r.net.SetExtraDelay(l, d) })
@@ -101,8 +101,6 @@ func trafficScript(r *rig, seed uint64, span int, churn bool) {
 			rate := []float64{0, 0.2, 1}[rng.Intn(3)]
 			r.sched.At(at, func() { r.net.SetDropRate(l, rate) })
 		case 2:
-			r.sched.At(at, func() { r.net.SetLAG(l, []float64{0, 0.5}) })
-		case 3:
 			r.sched.At(at, func() { r.net.ResetDropRate(l) })
 		}
 	}
@@ -298,10 +296,10 @@ func TestSerialOrdersBurst(t *testing.T) {
 				for _, h := range []topology.HostID{other, src} {
 					ip := r.topo.Hosts[h].IP
 					for seq := uint32(0); seq < 8; seq++ {
-						r.net.SendFromHost(h, tcpPacket(ip, r.topo.Hosts[dst].IP, 40000, 443, seq, 64, 0))
+						sendCopy(r.net, h, tcpPacket(ip, r.topo.Hosts[dst].IP, 40000, 443, seq, 64, 0))
 					}
 					for ttl := uint8(1); ttl <= 30; ttl++ {
-						r.net.SendFromHost(h, tcpPacket(ip, r.topo.Hosts[dst].IP, 40000, 443, 0, ttl, uint16(ttl)))
+						sendCopy(r.net, h, tcpPacket(ip, r.topo.Hosts[dst].IP, 40000, 443, 0, ttl, uint16(ttl)))
 					}
 				}
 			})
@@ -367,37 +365,6 @@ func TestLowerTTLMatchesDecrements(t *testing.T) {
 	}
 }
 
-// A switch reboot changes its ECMP function; the route cache must not keep
-// steering a flow the old way.
-func TestRouteCacheFollowsReboot(t *testing.T) {
-	r := newRig(t, cutTopo, 21)
-	src, dst := r.topo.HostAt(0, 0, 0), r.topo.HostAt(2, 1, 0)
-	var ref *rig
-	send := func(at des.Time) {
-		for _, x := range []*rig{r, ref} {
-			for port := uint16(40000); port < 40032; port++ {
-				x.net.SendFromHost(src, tcpPacket(x.topo.Hosts[src].IP, x.topo.Hosts[dst].IP, port, 443, 0, 64, 0))
-			}
-			x.sched.RunUntil(at)
-		}
-	}
-	ref = newRig(t, cutTopo, 21)
-	ref.net.AddTap(func(TapEvent) {})
-	send(100)
-	rng, refRNG := stats.NewRNG(5), stats.NewRNG(5)
-	for sw := range r.topo.Switches {
-		r.router.Seeds.Reboot(topology.SwitchID(sw), rng)
-		ref.router.Seeds.Reboot(topology.SwitchID(sw), refRNG)
-	}
-	send(200)
-	if r.net.HopsFused() == 0 {
-		t.Fatal("nothing fused")
-	}
-	if a, b := counters(r.net), counters(ref.net); a != b {
-		t.Fatalf("after a reboot the cached routes diverge from the switches':\n per-hop     %s\n cut-through %s", b, a)
-	}
-}
-
 // A fused flight allocates nothing once the pools, the registry and the
 // route cache are warm.
 func TestCutThroughAllocFree(t *testing.T) {
@@ -408,7 +375,7 @@ func TestCutThroughAllocFree(t *testing.T) {
 	pkt := tcpPacket(r.topo.Hosts[src].IP, r.topo.Hosts[dst].IP, 40000, 443, 0, 64, 0)
 	send := func() {
 		for i := 0; i < 8; i++ {
-			r.net.SendFromHost(src, pkt)
+			sendCopy(r.net, src, pkt)
 		}
 		r.sched.RunUntil(r.sched.Now() + 100)
 	}

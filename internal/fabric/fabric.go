@@ -103,13 +103,6 @@ type icmpSecCount struct {
 	n   int32
 }
 
-// icmpRingCap bounds the retained per-(switch, second) history: the
-// distribution (ICMPSecondStats) is folded incrementally, so only a window
-// of recent raw counts is kept for inspection. The old map grew by one
-// entry per busy switch-second for the life of the run — a leak on long
-// scenario timelines.
-const icmpRingCap = 4096
-
 // Net is the running fabric, and the des.Handler its delivery events
 // target.
 type Net struct {
@@ -119,7 +112,6 @@ type Net struct {
 	dropRate   []float64
 	baseRate   []float64 // per-link baseline (noise) rate a cleared link returns to
 	extraDelay []des.Time
-	lag        map[topology.LinkID][]float64
 	hostRx     []func(data []byte, tag uint64)
 	buckets    []tokenBucket
 	taps       []Tap
@@ -144,7 +136,6 @@ type Net struct {
 	// hops, the flow→route cache their walks read, and the hop counters.
 	flights        []*wire.Buffer
 	routes         []route
-	routeGen       uint64
 	hopsFused      int64
 	hopsStepped    int64
 	rematerialized int64
@@ -167,8 +158,6 @@ type Net struct {
 	icmpLow  int64 // finished switch-seconds with 1-3 messages
 	icmpHigh int64 // finished switch-seconds with >3 messages
 	icmpMax  int
-	icmpRing []int32
-	icmpPos  int
 }
 
 // New builds a fabric over the topology.
@@ -280,7 +269,8 @@ func (n *Net) ResetDropRate(l topology.LinkID) error {
 	return nil
 }
 
-// DropRate returns a link's current drop probability.
+// Test hook: DropRate returns a link's current drop probability, so a test
+// can see what an injection, a reset or a schedule left on it.
 func (n *Net) DropRate(l topology.LinkID) float64 { return n.dropRate[l] }
 
 // ScheduledLink pairs a scheduled link with its script.
@@ -366,61 +356,11 @@ func (n *Net) SetExtraDelay(l topology.LinkID, d des.Time) error {
 	return nil
 }
 
-// SetLAG models link aggregation (§4.2): the directed link becomes a
-// bundle of members, each with its own drop rate, and every flow is
-// pinned to one member by its packet hash. A single bad member then hurts
-// only the flows hashed onto it, while the L3 path — and therefore 007's
-// traceroute and votes — still names the one logical link, exactly the
-// paper's observation that "unless all the links in the aggregation group
-// fail, the L3 path is not affected". Every member rate must be a
-// probability; an empty member list dissolves the bundle.
-func (n *Net) SetLAG(l topology.LinkID, memberDrop []float64) error {
-	if err := n.checkLink(l); err != nil {
-		return err
-	}
-	for i, r := range memberDrop {
-		if !schedule.ValidRate(r) {
-			return fmt.Errorf("fabric: LAG member %d drop rate %v outside [0, 1]", i, r)
-		}
-	}
-	n.rematerialize(l)
-	if n.lag == nil {
-		n.lag = make(map[topology.LinkID][]float64)
-	}
-	if len(memberDrop) == 0 {
-		delete(n.lag, l)
-		return nil
-	}
-	n.lag[l] = append([]float64(nil), memberDrop...)
-	return nil
-}
-
-// lagDropRate resolves the drop probability a specific packet sees on a
-// LAG bundle: the rate of the member its five-tuple hashes onto (the IP
-// header plus the transport ports, as LAG hashing does in practice).
-func (n *Net) lagDropRate(l topology.LinkID, data []byte) float64 {
-	members := n.lag[l]
-	end := wire.IPv4HeaderLen + 4 // header + src/dst ports
-	if end > len(data) {
-		end = len(data)
-	}
-	// Skip the mutable TTL (byte 8) and header checksum (bytes 10-11) so a
-	// flow's member choice is identical at every hop.
-	var h uint32 = 2166136261
-	for i, b := range data[:end] {
-		if i == 8 || i == 10 || i == 11 {
-			continue
-		}
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return members[int(h%uint32(len(members)))]
-}
-
 // OnHostPacket registers the receive handler for host h. The handler
 // borrows data only for the duration of the call: the backing buffer
 // returns to the packet pool as soon as it returns, so retaining callers
 // must copy. tag is the packet's Flight.Tag as its sender set it (zero for
-// packets the fabric built: ICMP replies and SendFromHost copies).
+// packets the fabric built: ICMP replies).
 func (n *Net) OnHostPacket(h topology.HostID, fn func(data []byte, tag uint64)) { n.hostRx[h] = fn }
 
 // AddTap installs a mirror tap observing every switch forwarding decision
@@ -449,25 +389,10 @@ func (n *Net) Send(h topology.HostID, pkt *wire.Buffer) {
 	n.send(n.topo.Hosts[h].Uplink, pkt)
 }
 
-// SendFromHost injects a packet from host h onto its uplink. The bytes are
-// copied into a pooled buffer, so the caller keeps ownership of data; hot
-// paths should build into NewPacket and use Send instead.
-func (n *Net) SendFromHost(h topology.HostID, data []byte) {
-	pkt := n.pool.Get(0)
-	pkt.Append(data)
-	pkt.Flight.Serial = n.nextSerial(int(h))
-	n.send(n.topo.Hosts[h].Uplink, pkt)
-}
-
 // send carries pkt across link l: maybe drop, else deliver to the far
 // end after the link delay. Ownership of pkt passes to the fabric.
 func (n *Net) send(l topology.LinkID, pkt *wire.Buffer) {
 	r := n.dropRate[l]
-	if n.lag != nil {
-		if _, isLAG := n.lag[l]; isLAG {
-			r = n.lagDropRate(l, pkt.Bytes())
-		}
-	}
 	if r > 0 {
 		if n.pend[l] > 0 && !n.passes(l) {
 			// Packets in cut-through flight hold draws on l that the counter
@@ -677,7 +602,7 @@ func (n *Net) countICMP(sw topology.SwitchID, sec int64) {
 }
 
 // foldICMPSecond retires one finished (switch, second) count into the
-// aggregates and the bounded recent-history ring.
+// aggregates.
 func (n *Net) foldICMPSecond(c int32) {
 	if c > 3 {
 		n.icmpHigh++
@@ -687,30 +612,6 @@ func (n *Net) foldICMPSecond(c int32) {
 	if int(c) > n.icmpMax {
 		n.icmpMax = int(c)
 	}
-	if len(n.icmpRing) < icmpRingCap {
-		n.icmpRing = append(n.icmpRing, c)
-	} else {
-		n.icmpRing[n.icmpPos] = c
-		n.icmpPos = (n.icmpPos + 1) % icmpRingCap
-	}
-}
-
-// ICMPPerSecond returns the non-zero (switch, second) ICMP counts the
-// fabric still tracks: every live per-switch counter plus the bounded ring
-// of the most recent icmpRingCap finished switch-seconds. The distribution
-// over the whole run is folded incrementally — see ICMPSecondStats — so
-// memory stays O(switches + ring) however long the run.
-func (n *Net) ICMPPerSecond() []int {
-	out := make([]int, 0, len(n.topo.Switches))
-	for _, c := range n.icmpRing {
-		out = append(out, int(c))
-	}
-	for i := range n.icmpCur {
-		if n.icmpCur[i].n > 0 {
-			out = append(out, int(n.icmpCur[i].n))
-		}
-	}
-	return out
 }
 
 // ICMPSecondStats summarizes the per-switch per-second ICMP distribution

@@ -58,10 +58,10 @@ func TestCheckpointFailureStopsCollector(t *testing.T) {
 	if len(settled) != 2 || settled[0] != 0 || settled[1] != 1 {
 		t.Fatalf("settled %v, want [0 1]", settled)
 	}
-	if got := col.TransportCounters().Checkpoints.Load(); got != 1 {
+	if got := col.srv.Counters().Checkpoints.Load(); got != 1 {
 		t.Fatalf("%d checkpoints written, want 1", got)
 	}
-	if got := col.TransportCounters().AcksSent.Load(); got != 1 {
+	if got := col.srv.Counters().AcksSent.Load(); got != 1 {
 		t.Fatalf("%d acks sent, want 1: a failed Commit must ack nothing", got)
 	}
 }

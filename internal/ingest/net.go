@@ -481,9 +481,6 @@ func (c *NetCollector) Addr() string { return c.srv.Addr() }
 // Counters returns the live ingest counters.
 func (c *NetCollector) Counters() *metrics.IngestCounters { return c.cfg.Counters }
 
-// TransportCounters returns the live wire-level counters.
-func (c *NetCollector) TransportCounters() *metrics.TransportCounters { return c.srv.Counters() }
-
 // Wait blocks until every session has closed cleanly (nil), the collector
 // stopped on a failed checkpoint or a lost token (that error), or ctx ends.
 func (c *NetCollector) Wait(ctx context.Context) error {

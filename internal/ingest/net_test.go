@@ -152,7 +152,7 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 	// checkpointed (epochs 0 and 1). The agent is paced by Interval, so the
 	// next settle is comfortably far away.
 	deadline := time.Now().Add(30 * time.Second)
-	for col1.TransportCounters().Checkpoints.Load() < 2 {
+	for col1.srv.Counters().Checkpoints.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("collector never checkpointed twice")
 		}
@@ -391,7 +391,7 @@ func TestNetChaosSoak(t *testing.T) {
 			proxy.InjDrops.Load(), proxy.InjDups.Load(), proxy.InjReorders.Load())
 	}
 	// Injected duplicates arrive as stale frames and die at the watermark.
-	if col.TransportCounters().FramesDropped.Load() == 0 {
+	if col.srv.Counters().FramesDropped.Load() == 0 {
 		t.Fatal("no stale frames dropped despite injected duplicates")
 	}
 	// Wire-level drops surface as ingest gaps and are recovered end to end.
@@ -424,7 +424,7 @@ func TestNetworkedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	withTopo, err := engine.New(engine.Config{
-		Topo: topo, Seed: 1, Detect: vote.DefaultDetectOptions(topo),
+		Topo: topo, Seed: 1, Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -90,10 +90,6 @@ func (e *EpochExporter) ObserveConformance(scenario string, d Detection) {
 	sc.falseNeg += int64(d.FalseNeg)
 }
 
-// Snapshot returns the last observed epoch state, or nil before the first
-// settle.
-func (e *EpochExporter) Snapshot() *EpochSnapshot { return e.snap.Load() }
-
 // WritePrometheus renders the epoch and scenario series. Scenario order
 // is sorted so scrapes are stable.
 func (e *EpochExporter) WritePrometheus(w io.Writer) error {

@@ -57,8 +57,8 @@ func TestEpochExporterWritesTopLinksAndConformance(t *testing.T) {
 		t.Fatalf("scenario series not sorted:\n%s", out)
 	}
 
-	if s := e.Snapshot(); s == nil || s.Epoch != 7 || len(s.TopLinks) != 2 {
-		t.Fatalf("snapshot: %+v", e.Snapshot())
+	if s := e.snap.Load(); s == nil || s.Epoch != 7 || len(s.TopLinks) != 2 {
+		t.Fatalf("snapshot: %+v", s)
 	}
 }
 

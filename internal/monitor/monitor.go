@@ -23,10 +23,8 @@ type Agent struct {
 	// The per-epoch maps are cleared — not reallocated — on epoch roll, so
 	// the agent's memory is bounded by its busiest epoch rather than
 	// growing with every flow the host ever carried.
-	epoch     int64
 	triggered map[ecmp.FiveTuple]bool // flows already traced this epoch
 	retx      map[ecmp.FiveTuple]int  // flow → retransmissions this epoch
-	slow      map[ecmp.FiveTuple]bool // flows over the RTT threshold
 }
 
 // New builds an agent; trigger is invoked (synchronously) the first time a
@@ -37,7 +35,6 @@ func New(trigger func(flow ecmp.FiveTuple)) *Agent {
 		trigger:   trigger,
 		triggered: make(map[ecmp.FiveTuple]bool),
 		retx:      make(map[ecmp.FiveTuple]int),
-		slow:      make(map[ecmp.FiveTuple]bool),
 	}
 }
 
@@ -57,7 +54,6 @@ func (a *Agent) OnEvent(e etw.Event) {
 		if a.RTTThresholdMicros <= 0 || e.SRTTMicros < a.RTTThresholdMicros {
 			return
 		}
-		a.slow[e.Flow] = true
 	default:
 		return
 	}
@@ -74,17 +70,9 @@ func (a *Agent) OnEvent(e etw.Event) {
 // current epoch.
 func (a *Agent) Retx(flow ecmp.FiveTuple) int { return a.retx[flow] }
 
-// FlowsWithRetx returns how many distinct flows retransmitted this epoch.
-func (a *Agent) FlowsWithRetx() int { return len(a.retx) }
-
-// SlowFlows returns how many flows crossed the RTT threshold this epoch.
-func (a *Agent) SlowFlows() int { return len(a.slow) }
-
 // NewEpoch rolls the epoch: retransmission counts reset and every flow may
 // trigger one more path discovery.
 func (a *Agent) NewEpoch() {
-	a.epoch++
 	clear(a.triggered)
 	clear(a.retx)
-	clear(a.slow)
 }

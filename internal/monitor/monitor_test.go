@@ -29,8 +29,8 @@ func TestTriggerOncePerFlowPerEpoch(t *testing.T) {
 	if len(triggered) != 2 {
 		t.Fatalf("second flow did not trigger")
 	}
-	if a.FlowsWithRetx() != 2 {
-		t.Fatalf("FlowsWithRetx = %d", a.FlowsWithRetx())
+	if len(a.retx) != 2 {
+		t.Fatalf("%d flows with retransmissions, want 2", len(a.retx))
 	}
 }
 
@@ -80,7 +80,7 @@ func TestRTTThresholdTriggering(t *testing.T) {
 	a.RTTThresholdMicros = 1000
 	f := flow(3000)
 	a.OnEvent(etw.Event{Kind: etw.RTTSample, Flow: f, SRTTMicros: 999})
-	if len(triggered) != 0 || a.SlowFlows() != 0 {
+	if len(triggered) != 0 {
 		t.Fatal("sub-threshold RTT triggered discovery")
 	}
 	a.OnEvent(etw.Event{Kind: etw.RTTSample, Flow: f, SRTTMicros: 1500})
@@ -88,13 +88,7 @@ func TestRTTThresholdTriggering(t *testing.T) {
 	if len(triggered) != 1 {
 		t.Fatalf("triggered %d times for one slow flow in one epoch", len(triggered))
 	}
-	if a.SlowFlows() != 1 {
-		t.Fatalf("SlowFlows = %d", a.SlowFlows())
-	}
 	a.NewEpoch()
-	if a.SlowFlows() != 0 {
-		t.Fatal("slow-flow set survived the epoch roll")
-	}
 	a.OnEvent(etw.Event{Kind: etw.RTTSample, Flow: f, SRTTMicros: 1500})
 	if len(triggered) != 2 {
 		t.Fatal("slow flow did not re-trigger after the epoch roll")
@@ -193,7 +187,7 @@ func TestAttachDetachDuringPublish(t *testing.T) {
 		detach()
 	}
 	<-done
-	if got := permanent.FlowsWithRetx(); got != events {
+	if got := len(permanent.retx); got != events {
 		t.Fatalf("permanent agent saw %d flows, want %d", got, events)
 	}
 }

@@ -341,10 +341,9 @@ func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
 	return out, true
 }
 
-// RescoreAll invalidates the delta cache: the next RunEpoch re-scores every
-// flow of the frozen workload through the full pipeline and rebuilds the
-// cache. Results are bit-identical either way — this is the equivalence
-// oracle delta epochs are tested against, and an escape hatch for long
-// experiments that want a periodic from-scratch epoch. It is a no-op on
-// non-incremental simulations.
+// Reference oracle: RescoreAll invalidates the delta cache, so the next
+// RunEpoch re-scores every flow of the frozen workload through the full
+// pipeline and rebuilds the cache. Results are bit-identical either way;
+// delta epochs are tested against it. It is a no-op on non-incremental
+// simulations.
 func (s *Sim) RescoreAll() { s.inc.valid = false }

@@ -820,7 +820,8 @@ func (s *Sim) sampleFlowDrops(epochSeed uint64, fi int64, rng *stats.RNG, links 
 	return drops
 }
 
-// LinkDrops derives the ground-truth number of packets each link dropped.
+// Reference oracle: LinkDrops derives the ground-truth number of packets
+// each link dropped, for tests to check the per-flow drops against.
 // Every dropped packet belongs to a failed flow, so summing DropsByLink over
 // Failed is the whole vector; links no failed flow crossed are absent.
 func (ep *Epoch) LinkDrops() map[topology.LinkID]int64 {

@@ -73,15 +73,6 @@ func (s IntegerSolution) BlameOnPath(path []topology.LinkID) (topology.LinkID, b
 	return best, best != topology.NoLink
 }
 
-// Total returns ||p||1.
-func (s IntegerSolution) Total() int {
-	t := 0
-	for _, d := range s.Drops {
-		t += d
-	}
-	return t
-}
-
 // SolveInteger approximates program (4): cover every flow's retransmission
 // count with per-link drop assignments, preferring few links (min ||p||0),
 // then prune and rebalance so the supply approaches ||c||1.
@@ -196,7 +187,8 @@ func (in *Instance) SolveInteger(rng *stats.RNG) IntegerSolution {
 	return sol
 }
 
-// Feasible reports whether assignment p satisfies Ap >= c.
+// Reference oracle: Feasible reports whether assignment p satisfies
+// Ap >= c, for tests to check the integer program's answers.
 func (in *Instance) Feasible(p map[topology.LinkID]int) bool {
 	for fi, path := range in.paths {
 		got := 0
@@ -210,8 +202,9 @@ func (in *Instance) Feasible(p map[topology.LinkID]int) bool {
 	return true
 }
 
-// Covers reports whether the link set covers every failed flow (the binary
-// program's constraint).
+// Reference oracle: Covers reports whether the link set covers every
+// failed flow (the binary program's constraint), for tests to check the
+// set-cover answers.
 func (in *Instance) Covers(links []topology.LinkID) bool {
 	set := make(map[topology.LinkID]bool, len(links))
 	for _, l := range links {

@@ -133,7 +133,7 @@ func TestAssemblyFromReplies(t *testing.T) {
 	reply := func(ttl uint8, from topology.SwitchID) {
 		// Build the expired probe the way the fabric would echo it back.
 		probe := buildProbe(flow, ttl)
-		ic := wire.TimeExceeded(probe)
+		ic := timeExceeded(probe)
 		buf := wire.NewBuffer(64)
 		ic.SerializeTo(buf)
 		var parsed wire.ICMP
@@ -187,7 +187,7 @@ func TestPartialOnMissingHop(t *testing.T) {
 	a.Discover(flow)
 	// Only the first hop answers (probes beyond died on a blackhole).
 	probe := buildProbe(flow, 1)
-	ic := wire.TimeExceeded(probe)
+	ic := timeExceeded(probe)
 	buf := wire.NewBuffer(64)
 	ic.SerializeTo(buf)
 	var parsed wire.ICMP
@@ -210,12 +210,19 @@ func TestPartialOnMissingHop(t *testing.T) {
 func TestForeignICMPIgnored(t *testing.T) {
 	topo := testTopo(t)
 	a := New(Config{Topo: topo, Host: 0, Sched: &des.Scheduler{}, Send: func([]byte) {}})
-	ic := wire.ICMP{Type: wire.ICMPTypeEchoReply}
+	ic := wire.ICMP{Type: 0} // echo reply
 	if a.HandleICMP(1234, &ic) {
 		t.Fatal("echo reply matched a traceroute")
 	}
-	te := wire.TimeExceeded([]byte{1, 2, 3})
+	te := timeExceeded([]byte{1, 2, 3})
 	if a.HandleICMP(1234, &te) {
 		t.Fatal("garbage time-exceeded matched")
 	}
+}
+
+// timeExceeded is the ICMP reply a switch sends for an expired packet: its
+// IP header and first 8 payload bytes come back as the body.
+func timeExceeded(expired []byte) wire.ICMP {
+	body := expired[:min(len(expired), wire.IPv4HeaderLen+8)]
+	return wire.ICMP{Type: wire.ICMPTypeTimeExceeded, Code: wire.ICMPCodeTTLExpired, Body: body}
 }

@@ -10,6 +10,8 @@
 // it. One unlucky seed cannot fail the suite; a real regression across
 // seeds cannot pass it. Tightening z widens the tolerance, adding seeds
 // narrows it — both without ever touching a golden file.
+//
+// It is test support: only tests import it.
 package conform
 
 import (

@@ -7,9 +7,9 @@
 // 007's path discovery cares about one thing here: before tracing a flow it
 // must learn the flow's DIP, and the paper argues the SLB (not the vSwitch)
 // is the reliable place to ask — a failure that kills the connection may
-// already have flushed the vSwitch entry. Both query paths are modelled,
-// along with injectable query failures ("path discovery is not triggered
-// when the query to the SLB fails, to avoid tracerouting the internet").
+// already have flushed the vSwitch entry. The SLB query is modelled, along
+// with injectable query failures ("path discovery is not triggered when the
+// query to the SLB fails, to avoid tracerouting the internet").
 package slb
 
 import (
@@ -29,7 +29,7 @@ type FlowKey struct {
 	VIPPort uint16
 }
 
-// SLB is the load balancer control plane plus the per-host vSwitch tables.
+// SLB is the load balancer control plane.
 type SLB struct {
 	topo *topology.Topology
 	rng  *stats.RNG
@@ -37,9 +37,6 @@ type SLB struct {
 	pools map[uint32][]topology.HostID // VIP → DIP pool (as hosts)
 	// assignments is the SLB's authoritative flow table.
 	assignments map[FlowKey]topology.HostID
-	// vswitch is each source host's local mapping table; entries vanish
-	// when a connection terminates (see RemoveConn).
-	vswitch map[topology.HostID]map[FlowKey]topology.HostID
 
 	// QueryFailRate injects SLB query failures.
 	QueryFailRate float64
@@ -54,7 +51,6 @@ func New(topo *topology.Topology, rng *stats.RNG) *SLB {
 		rng:         rng,
 		pools:       make(map[uint32][]topology.HostID),
 		assignments: make(map[FlowKey]topology.HostID),
-		vswitch:     make(map[topology.HostID]map[FlowKey]topology.HostID),
 	}
 }
 
@@ -74,9 +70,9 @@ func (s *SLB) RegisterVIP(vip uint32, backends []topology.HostID) error {
 // VIP returns a conventional VIP address for service index i.
 func VIP(i int) uint32 { return 10<<24 | 255<<16 | uint32(i>>8)<<8 | uint32(i&0xff) }
 
-// Connect handles a SYN to a VIP: pick a DIP for the flow, record the
-// assignment and program the source host's vSwitch. It returns the DIP
-// host. This is the paper's connection-establishment path.
+// Connect handles a SYN to a VIP: pick a DIP for the flow and record the
+// assignment. It returns the DIP host. This is the paper's
+// connection-establishment path.
 func (s *SLB) Connect(src topology.HostID, srcPort uint16, vip uint32, vipPort uint16) (topology.HostID, error) {
 	pool, ok := s.pools[vip]
 	if !ok {
@@ -87,22 +83,7 @@ func (s *SLB) Connect(src topology.HostID, srcPort uint16, vip uint32, vipPort u
 		SrcIP: key.SrcIP, DstIP: vip, SrcPort: srcPort, DstPort: vipPort, Proto: ecmp.ProtoTCP,
 	}, 0x5b5b5b5b)%uint64(len(pool)))]
 	s.assignments[key] = dip
-	vs := s.vswitch[src]
-	if vs == nil {
-		vs = make(map[FlowKey]topology.HostID)
-		s.vswitch[src] = vs
-	}
-	vs[key] = dip
 	return dip, nil
-}
-
-// RemoveConn tears down a connection's vSwitch state (connection
-// termination); the SLB's own table keeps the assignment for a while,
-// which is why querying the SLB is the reliable path.
-func (s *SLB) RemoveConn(src topology.HostID, key FlowKey) {
-	if vs := s.vswitch[src]; vs != nil {
-		delete(vs, key)
-	}
 }
 
 // QuerySLB asks the load balancer for a flow's DIP — 007's preferred
@@ -114,17 +95,6 @@ func (s *SLB) QuerySLB(key FlowKey) (topology.HostID, bool) {
 		return 0, false
 	}
 	dip, ok := s.assignments[key]
-	return dip, ok
-}
-
-// QueryVSwitch asks the source host's vSwitch instead — the less reliable
-// alternative the paper warns about.
-func (s *SLB) QueryVSwitch(src topology.HostID, key FlowKey) (topology.HostID, bool) {
-	vs := s.vswitch[src]
-	if vs == nil {
-		return 0, false
-	}
-	dip, ok := vs[key]
 	return dip, ok
 }
 

@@ -70,8 +70,8 @@ func (r *RNG) BinomialNonzero(n int, p float64) int {
 	return 1 + r.Binomial(n-j, p)
 }
 
-// BinomialExact draws Binomial(n, p) with n independent Bernoulli trials.
-// It exists as a reference implementation for tests of Binomial.
+// Reference oracle: BinomialExact draws Binomial(n, p) with n independent
+// Bernoulli trials, for tests of Binomial and the gated drop sampler.
 func (r *RNG) BinomialExact(n int, p float64) int {
 	count := 0
 	for i := 0; i < n; i++ {

@@ -65,24 +65,3 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.samples[i]
 }
-
-// Points returns n evenly spaced (x, P(X<=x)) pairs spanning the sample
-// range, suitable for plotting a CDF curve.
-func (e *ECDF) Points(n int) (xs, ps []float64) {
-	if len(e.samples) == 0 || n <= 0 {
-		return nil, nil
-	}
-	e.sort()
-	lo, hi := e.samples[0], e.samples[len(e.samples)-1]
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo
-		if n > 1 {
-			x = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		xs[i] = x
-		ps[i] = e.At(x)
-	}
-	return xs, ps
-}

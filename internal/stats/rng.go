@@ -6,8 +6,6 @@
 // that simulations, experiments and tests are reproducible bit-for-bit.
 package stats
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). It is not safe for concurrent use;
 // derive per-goroutine generators with Split.
@@ -163,22 +161,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, r.Intn(i+1))
 	}
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Pareto returns a bounded Pareto sample with shape alpha on [lo, hi],
-// used for heavy-tailed flow sizes in the replay-style traffic generator.
-func (r *RNG) Pareto(alpha, lo, hi float64) float64 {
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }

@@ -5,7 +5,7 @@
 //
 // These are used three ways: the path discovery agent derives its host-side
 // rate limit from CtBound; tests cross-check the emulated fabric against
-// the bounds; and cmd/vigil-theory prints them for a given topology.
+// the bounds; and vigil-lab's theorem1 and theorem2 experiments print them.
 package theory
 
 import (

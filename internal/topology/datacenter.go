@@ -13,10 +13,10 @@ import "fmt"
 // builder already supports arbitrarily many pods on a shared spine, so
 // Flatten produces the equivalent single-fabric Config and NewDatacenter
 // builds it through the ordinary constructor. What the type adds is the
-// datacenter vocabulary (cluster count, pods per cluster, cluster-of-pod
-// arithmetic) and a scale: DatacenterSimConfig crosses the 100k directed
-// link mark that the incremental flow plane (netem.Config.Incremental) and
-// the datacenter benchmarks target.
+// datacenter vocabulary (cluster count, pods per cluster) and a scale:
+// DatacenterSimConfig crosses the 100k directed link mark that the
+// incremental flow plane (netem.Config.Incremental) and the datacenter
+// benchmarks target.
 type DatacenterConfig struct {
 	Clusters       int // pod groups sharing the global spine
 	PodsPerCluster int
@@ -88,14 +88,6 @@ func (c DatacenterConfig) Hosts() int { return c.Flatten().Hosts() }
 
 // DirectedLinks returns the closed-form number of directed links.
 func (c DatacenterConfig) DirectedLinks() int { return c.Flatten().DirectedLinks() }
-
-// ClusterOfPod returns which cluster owns pod p.
-func (c DatacenterConfig) ClusterOfPod(p int) int { return p / c.PodsPerCluster }
-
-// PodRange returns the half-open pod index range [lo, hi) of cluster k.
-func (c DatacenterConfig) PodRange(k int) (lo, hi int) {
-	return k * c.PodsPerCluster, (k + 1) * c.PodsPerCluster
-}
 
 // NewDatacenter builds the multi-cluster fabric. The result is an ordinary
 // *Topology — every consumer (routing, traffic, both planes) works

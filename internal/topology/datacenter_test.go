@@ -78,24 +78,6 @@ func TestDatacenterValidate(t *testing.T) {
 	}
 }
 
-func TestDatacenterClusterArithmetic(t *testing.T) {
-	c := topology.DatacenterConfig{Clusters: 4, PodsPerCluster: 3, ToRsPerPod: 2, T1PerPod: 2, T2: 2, HostsPerToR: 2}
-	for k := 0; k < c.Clusters; k++ {
-		lo, hi := c.PodRange(k)
-		if hi-lo != c.PodsPerCluster {
-			t.Fatalf("cluster %d spans %d pods, want %d", k, hi-lo, c.PodsPerCluster)
-		}
-		for p := lo; p < hi; p++ {
-			if got := c.ClusterOfPod(p); got != k {
-				t.Fatalf("ClusterOfPod(%d) = %d, want %d", p, got, k)
-			}
-		}
-	}
-	if _, hi := c.PodRange(c.Clusters - 1); hi != c.Pods() {
-		t.Fatalf("last cluster ends at pod %d, want %d", hi, c.Pods())
-	}
-}
-
 // Build the full reference datacenter once and check the structural
 // invariants at scale: link count, per-tier radix, and the arithmetic
 // LookupIP inverse round-tripping every node's address.
@@ -157,9 +139,8 @@ func TestDatacenterCrossClusterRouting(t *testing.T) {
 	}
 	rng := stats.NewRNG(1)
 	router := ecmp.NewRouter(topo, ecmp.NewSeeds(topo, rng.Split()))
-	src := topo.HostAt(0, 0, 0) // cluster 0
-	lo, _ := c.PodRange(2)
-	dst := topo.HostAt(lo, 1, 2) // cluster 2
+	src := topo.HostAt(0, 0, 0)                  // cluster 0
+	dst := topo.HostAt(2*c.PodsPerCluster, 1, 2) // cluster 2
 	tuple := ecmp.FiveTuple{SrcIP: topo.Hosts[src].IP, DstIP: topo.Hosts[dst].IP, SrcPort: 40000, DstPort: 443, Proto: ecmp.ProtoTCP}
 	var buf ecmp.PathBuf
 	if err := router.PathInto(src, dst, tuple, &buf); err != nil {

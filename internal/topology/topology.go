@@ -206,9 +206,8 @@ type Topology struct {
 	t1s  [][]SwitchID // [pod][j]
 	t2s  []SwitchID   // [l]
 
-	ipToNode map[uint32]Node
-	byClass  [6][]LinkID
-	byPair   map[[2]Node]LinkID
+	byClass [6][]LinkID
+	byPair  map[[2]Node]LinkID
 }
 
 // New builds the topology for cfg.
@@ -217,10 +216,9 @@ func New(cfg Config) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{
-		Cfg:      cfg,
-		tors:     make([][]SwitchID, cfg.Pods),
-		t1s:      make([][]SwitchID, cfg.Pods),
-		ipToNode: make(map[uint32]Node),
+		Cfg:  cfg,
+		tors: make([][]SwitchID, cfg.Pods),
+		t1s:  make([][]SwitchID, cfg.Pods),
 	}
 
 	addSwitch := func(tier Tier, pod, index int, name string, ip uint32) SwitchID {
@@ -228,7 +226,6 @@ func New(cfg Config) (*Topology, error) {
 		t.Switches = append(t.Switches, Switch{
 			ID: id, Tier: tier, Pod: pod, Index: index, Name: name, IP: ip,
 		})
-		t.ipToNode[ip] = SwitchNode(id)
 		return id
 	}
 	for p := 0; p < cfg.Pods; p++ {
@@ -278,7 +275,6 @@ func New(cfg Config) (*Topology, error) {
 					IP:   ip, Uplink: up, Downlink: down,
 				})
 				t.Switches[tor].Downlinks[h] = down
-				t.ipToNode[ip] = HostNode(id)
 			}
 		}
 	}
@@ -336,7 +332,8 @@ func FormatIP(ip uint32) string {
 // ToR returns the i-th ToR switch of pod p.
 func (t *Topology) ToR(p, i int) SwitchID { return t.tors[p][i] }
 
-// T1 returns the j-th tier-1 switch of pod p.
+// Test hook: T1 returns the j-th tier-1 switch of pod p, so a test can
+// name one.
 func (t *Topology) T1(p, j int) SwitchID { return t.t1s[p][j] }
 
 // T2 returns the l-th tier-2 switch.
@@ -347,20 +344,6 @@ func (t *Topology) HostAt(p, i, h int) HostID {
 	return HostID((p*t.Cfg.ToRsPerPod+i)*t.Cfg.HostsPerToR + h)
 }
 
-// HostsUnderToR returns the IDs of all hosts below ToR sw.
-func (t *Topology) HostsUnderToR(sw SwitchID) []HostID {
-	s := t.Switches[sw]
-	if s.Tier != TierToR {
-		return nil
-	}
-	out := make([]HostID, t.Cfg.HostsPerToR)
-	base := t.HostAt(s.Pod, s.Index, 0)
-	for h := range out {
-		out[h] = base + HostID(h)
-	}
-	return out
-}
-
 // LinksOfClass returns all links of the given class, in construction order.
 func (t *Topology) LinksOfClass(c LinkClass) []LinkID { return t.byClass[c] }
 
@@ -368,8 +351,7 @@ func (t *Topology) LinksOfClass(c LinkClass) []LinkID { return t.byClass[c] }
 // is arithmetic (hosts at 10.pod.tor.(h+1), switch loopbacks in
 // 10.200-10.202), so the inverse is computed directly — this sits on the
 // packet fabric's per-hop path, where a map lookup per forwarded packet
-// is measurable. lookupIPSlow is the map-backed oracle the tests compare
-// against.
+// is measurable.
 func (t *Topology) LookupIP(ip uint32) (Node, bool) {
 	if ip>>24 != 10 {
 		return Node{}, false
@@ -400,21 +382,6 @@ func (t *Topology) LookupIP(ip uint32) (Node, bool) {
 		}
 	}
 	return Node{}, false
-}
-
-// lookupIPSlow is the address-plan map the topology was built with;
-// LookupIP must agree with it everywhere.
-func (t *Topology) lookupIPSlow(ip uint32) (Node, bool) {
-	n, ok := t.ipToNode[ip]
-	return n, ok
-}
-
-// NodeIP returns the address of a node.
-func (t *Topology) NodeIP(n Node) uint32 {
-	if n.Kind == NodeHost {
-		return t.Hosts[n.ID].IP
-	}
-	return t.Switches[n.ID].IP
 }
 
 // NodeName returns the human-readable name of a node.
@@ -448,9 +415,3 @@ func (t *Topology) LinkBetween(from, to Node) (LinkID, bool) {
 	id, ok := t.byPair[[2]Node{from, to}]
 	return id, ok
 }
-
-// SamePod reports whether hosts a and b live in the same pod.
-func (t *Topology) SamePod(a, b HostID) bool { return t.Hosts[a].Pod == t.Hosts[b].Pod }
-
-// SameToR reports whether hosts a and b share a ToR.
-func (t *Topology) SameToR(a, b HostID) bool { return t.Hosts[a].ToR == t.Hosts[b].ToR }

@@ -166,18 +166,6 @@ func TestHostIndexing(t *testing.T) {
 			}
 		}
 	}
-	under := topo.HostsUnderToR(topo.ToR(1, 2))
-	if len(under) != cfg.HostsPerToR {
-		t.Fatalf("HostsUnderToR: %d hosts", len(under))
-	}
-	for _, h := range under {
-		if topo.Hosts[h].ToR != topo.ToR(1, 2) {
-			t.Fatalf("host %d not under expected ToR", h)
-		}
-	}
-	if topo.HostsUnderToR(topo.T1(0, 0)) != nil {
-		t.Fatal("HostsUnderToR of a T1 should be nil")
-	}
 }
 
 func TestIPUniquenessAndLookup(t *testing.T) {
@@ -207,16 +195,18 @@ func TestIPUniquenessAndLookup(t *testing.T) {
 	}
 }
 
+// HostAt places hosts so that the pod and ToR relations hold: two hosts of
+// one ToR share it and its pod, another ToR of the pod shares only the pod.
 func TestSamePodSameToR(t *testing.T) {
 	topo, err := New(Config{Pods: 2, ToRsPerPod: 2, T1PerPod: 2, T2: 2, HostsPerToR: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := topo.HostAt(0, 0, 0)
-	b := topo.HostAt(0, 0, 1)
-	c := topo.HostAt(0, 1, 0)
-	d := topo.HostAt(1, 0, 0)
-	if !topo.SameToR(a, b) || !topo.SamePod(a, c) || topo.SameToR(a, c) || topo.SamePod(a, d) {
+	a := topo.Hosts[topo.HostAt(0, 0, 0)]
+	b := topo.Hosts[topo.HostAt(0, 0, 1)]
+	c := topo.Hosts[topo.HostAt(0, 1, 0)]
+	d := topo.Hosts[topo.HostAt(1, 0, 0)]
+	if a.ToR != b.ToR || a.Pod != c.Pod || a.ToR == c.ToR || a.Pod == d.Pod {
 		t.Fatal("pod/ToR relations wrong")
 	}
 }
@@ -293,9 +283,16 @@ func TestLookupIPMatchesAddressPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := map[uint32]Node{}
+		for _, h := range topo.Hosts {
+			plan[h.IP] = HostNode(h.ID)
+		}
+		for _, sw := range topo.Switches {
+			plan[sw.IP] = SwitchNode(sw.ID)
+		}
 		check := func(ip uint32) {
 			got, gok := topo.LookupIP(ip)
-			want, wok := topo.lookupIPSlow(ip)
+			want, wok := plan[ip]
 			if gok != wok || got != want {
 				t.Fatalf("cfg %+v ip %s: fast (%+v,%v) != map (%+v,%v)", cfg, FormatIP(ip), got, gok, want, wok)
 			}

@@ -1,14 +1,12 @@
 // Package traffic generates the workloads of the paper's evaluation:
 // uniform random traffic (the §6 default), ToR-skewed traffic (80% of flows
-// to 25% of ToRs, Fig. 8), hot-ToR sink traffic (Fig. 9) and a replay-style
-// heavy-tailed workload standing in for the production traces of §7.
+// to 25% of ToRs, Fig. 8) and hot-ToR sink traffic (Fig. 9).
 package traffic
 
 import (
 	"fmt"
 
 	"vigil/internal/ecmp"
-	"vigil/internal/par"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 )
@@ -70,9 +68,9 @@ func pickUnderOtherToR(rng *stats.RNG, topo *topology.Topology, src topology.Hos
 }
 
 // hostUnderToR picks a uniform host below ToR tor without materializing the
-// host list: hosts under a ToR are a contiguous ID range, so the draw —
-// identical to indexing topo.HostsUnderToR(tor) — reduces to arithmetic.
-// This keeps the per-flow generation path allocation-free.
+// host list: hosts under a ToR are a contiguous ID range, so the draw
+// reduces to arithmetic. This keeps the per-flow generation path
+// allocation-free.
 func hostUnderToR(rng *stats.RNG, topo *topology.Topology, tor topology.SwitchID) topology.HostID {
 	sw := &topo.Switches[tor]
 	if sw.Tier != topology.TierToR {
@@ -153,17 +151,11 @@ func DefaultWorkload() Workload {
 	}
 }
 
-// Generate produces the epoch's flows. Five-tuples use ephemeral source
-// ports and port 443, mirroring the storage-service traffic the paper
-// monitors.
-func (w Workload) Generate(rng *stats.RNG, topo *topology.Topology) []Flow {
-	return w.GenerateInto(nil, rng, topo)
-}
-
-// GenerateInto appends the epoch's flows to buf — the draw order, and so
-// the produced flow list, is exactly Generate's — reusing buf's capacity.
-// Callers that hand back the same buffer every epoch (the packet-plane
-// cluster) generate steady-state epochs without allocating.
+// GenerateInto appends the epoch's flows to buf, drawing every source from
+// the one stream rng, and reuses buf's capacity. Five-tuples use ephemeral
+// source ports and port 443, mirroring the storage-service traffic the
+// paper monitors. Callers that hand back the same buffer every epoch (the
+// packet-plane cluster) generate steady-state epochs without allocating.
 func (w Workload) GenerateInto(buf []Flow, rng *stats.RNG, topo *topology.Topology) []Flow {
 	if w.Hosts != nil {
 		for _, src := range w.Hosts {
@@ -179,7 +171,7 @@ func (w Workload) GenerateInto(buf []Flow, rng *stats.RNG, topo *topology.Topolo
 
 // appendSourceFlows draws one source's epoch flows from rng. It allocates
 // only when flows runs out of capacity, so callers that recycle buffers
-// (GenerateParallelInto) generate steady-state epochs allocation-free.
+// generate steady-state epochs allocation-free.
 func (w Workload) appendSourceFlows(flows []Flow, rng *stats.RNG, topo *topology.Topology, src topology.HostID) []Flow {
 	n := w.ConnsPerHost.Sample(rng)
 	for c := 0; c < n; c++ {
@@ -222,110 +214,12 @@ func (w Workload) FlowsOf(seed uint64, si int) int {
 }
 
 // AppendFlowsOf appends source index si's epoch flows to buf, drawing from
-// the same (seed, si) stream GenerateParallelInto derives, so a consumer
-// that generates source by source produces exactly the flow list the
-// materializing path would — grouped by source, in source order. rng is
+// the stream derived from (seed, si), so the flows of an epoch do not
+// depend on the order in which its sources are generated. rng is
 // caller-owned scratch, reseeded here; src is the originating host that
 // source index si resolves to. len(result)-len(buf) always equals
 // FlowsOf(seed, si).
 func (w Workload) AppendFlowsOf(buf []Flow, rng *stats.RNG, seed uint64, si int, topo *topology.Topology, src topology.HostID) []Flow {
 	rng.Derive(seed, uint64(si))
 	return w.appendSourceFlows(buf, rng, topo, src)
-}
-
-// srcChunk is the fan-out granularity of parallel generation: boundaries
-// depend only on the source count, so chunk-ordered concatenation yields
-// the same flow list at any worker count.
-const srcChunk = 64
-
-// GenScratch holds the reusable buffers of GenerateParallelInto: the
-// per-chunk generation buffers, the source list and the concatenated flow
-// slice. A simulator owns one GenScratch and hands it back every epoch, so
-// steady-state generation reuses capacity instead of reallocating ~100k
-// Flow structs per epoch. The zero value is ready to use.
-type GenScratch struct {
-	chunks [][]Flow
-	srcs   []topology.HostID
-	flows  []Flow
-}
-
-// sourcesInto resolves the originating host set like sources, reusing sc's
-// buffer when the workload does not restrict hosts.
-func (w Workload) sourcesInto(sc *GenScratch, topo *topology.Topology) []topology.HostID {
-	if w.Hosts != nil {
-		return w.Hosts
-	}
-	if cap(sc.srcs) < len(topo.Hosts) {
-		sc.srcs = make([]topology.HostID, len(topo.Hosts))
-		for i := range sc.srcs {
-			sc.srcs[i] = topology.HostID(i)
-		}
-	}
-	return sc.srcs[:len(topo.Hosts)]
-}
-
-// GenerateParallel produces an epoch like Generate, but fans sources out
-// over workers, each source drawing from its own RNG stream derived from
-// (seed, source index). The flow list — grouped by source in source order,
-// like Generate's — is bit-identical at every worker count, though it is a
-// different (equally distributed) draw than Generate's single-stream walk.
-func (w Workload) GenerateParallel(seed uint64, topo *topology.Topology, workers int) []Flow {
-	return w.GenerateParallelInto(new(GenScratch), seed, topo, workers)
-}
-
-// GenerateParallelInto is GenerateParallel resolving into sc's reusable
-// buffers: the draw discipline — and therefore the produced flow list — is
-// identical, but a scratch that has seen an epoch of similar size serves the
-// next one without allocating. The returned slice aliases sc and is valid
-// until the next call with the same scratch.
-func (w Workload) GenerateParallelInto(sc *GenScratch, seed uint64, topo *topology.Topology, workers int) []Flow {
-	srcs := w.sourcesInto(sc, topo)
-	nchunks := par.Chunks(len(srcs), srcChunk)
-	if cap(sc.chunks) < nchunks {
-		sc.chunks = append(sc.chunks[:cap(sc.chunks)], make([][]Flow, nchunks-cap(sc.chunks))...)
-	}
-	sc.chunks = sc.chunks[:nchunks]
-	par.ForEachChunk(len(srcs), srcChunk, workers, func(c, lo, hi int) {
-		buf := sc.chunks[c][:0]
-		var rng stats.RNG
-		for si := lo; si < hi; si++ {
-			rng.Derive(seed, uint64(si))
-			buf = w.appendSourceFlows(buf, &rng, topo, srcs[si])
-		}
-		sc.chunks[c] = buf
-	})
-	total := 0
-	for _, ch := range sc.chunks {
-		total += len(ch)
-	}
-	flows := sc.flows[:0]
-	if cap(flows) < total {
-		flows = make([]Flow, 0, total)
-	}
-	for _, ch := range sc.chunks {
-		flows = append(flows, ch...)
-	}
-	sc.flows = flows
-	return flows
-}
-
-// Replay approximates the 6-hour production replay of §7: heavy-tailed flow
-// sizes (bounded Pareto) and bursty per-host connection counts.
-type Replay struct {
-	MeanConns int // mean connections per host per epoch
-}
-
-// GenerateReplay produces a replay-style epoch.
-func (r Replay) GenerateReplay(rng *stats.RNG, topo *topology.Topology, hosts []topology.HostID) []Flow {
-	w := Workload{
-		Pattern:        Uniform{},
-		ConnsPerHost:   IntRange{1, 2*r.MeanConns - 1},
-		PacketsPerFlow: IntRange{1, 1}, // replaced below
-		Hosts:          hosts,
-	}
-	flows := w.Generate(rng, topo)
-	for i := range flows {
-		flows[i].Packets = int(rng.Pareto(1.2, 4, 2000))
-	}
-	return flows
 }

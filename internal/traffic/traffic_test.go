@@ -24,7 +24,7 @@ func TestUniformNeverSameToR(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		src := topology.HostID(rng.Intn(len(tp.Hosts)))
 		dst := Uniform{}.Pick(rng, tp, src)
-		if tp.SameToR(src, dst) {
+		if tp.Hosts[src].ToR == tp.Hosts[dst].ToR {
 			t.Fatal("uniform pattern picked a destination in the source rack")
 		}
 	}
@@ -62,7 +62,7 @@ func TestSkewedToRs(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		dst := p.Pick(rng, tp, src)
-		if tp.SameToR(src, dst) {
+		if tp.Hosts[src].ToR == tp.Hosts[dst].ToR {
 			t.Fatal("skewed pattern picked the source rack")
 		}
 		for _, h := range hot {
@@ -89,7 +89,7 @@ func TestHotToR(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src := topology.HostID(rng.Intn(len(tp.Hosts)))
 		dst := p.Pick(rng, tp, src)
-		if tp.SameToR(src, dst) {
+		if tp.Hosts[src].ToR == tp.Hosts[dst].ToR {
 			t.Fatal("hot-tor pattern picked the source rack")
 		}
 		if tp.Hosts[dst].ToR == sink {
@@ -134,7 +134,7 @@ func TestWorkloadGenerate(t *testing.T) {
 		ConnsPerHost:   IntRange{10, 60},
 		PacketsPerFlow: IntRange{100, 100},
 	}
-	flows := w.Generate(rng, tp)
+	flows := w.GenerateInto(nil, rng, tp)
 	perHost := map[topology.HostID]int{}
 	for _, f := range flows {
 		if f.Packets != 100 {
@@ -163,7 +163,7 @@ func TestWorkloadRestrictedHosts(t *testing.T) {
 	rng := stats.NewRNG(7)
 	only := []topology.HostID{0, 5}
 	w := Workload{Pattern: Uniform{}, ConnsPerHost: IntRange{3, 3}, PacketsPerFlow: IntRange{1, 1}, Hosts: only}
-	flows := w.Generate(rng, tp)
+	flows := w.GenerateInto(nil, rng, tp)
 	if len(flows) != 6 {
 		t.Fatalf("%d flows, want 6", len(flows))
 	}
@@ -187,30 +187,6 @@ func TestIntRange(t *testing.T) {
 	}
 }
 
-func TestReplayHeavyTail(t *testing.T) {
-	tp := topo(t)
-	rng := stats.NewRNG(9)
-	flows := Replay{MeanConns: 10}.GenerateReplay(rng, tp, nil)
-	if len(flows) == 0 {
-		t.Fatal("no flows")
-	}
-	small, large := 0, 0
-	for _, f := range flows {
-		if f.Packets < 4 || f.Packets > 2000 {
-			t.Fatalf("replay packets %d out of Pareto bounds", f.Packets)
-		}
-		if f.Packets < 20 {
-			small++
-		}
-		if f.Packets > 400 {
-			large++
-		}
-	}
-	if small == 0 || large == 0 {
-		t.Fatalf("replay tail not heavy: small=%d large=%d of %d", small, large, len(flows))
-	}
-}
-
 func TestPatternNames(t *testing.T) {
 	if (Uniform{}).Name() != "uniform" {
 		t.Fatal("uniform name")
@@ -223,43 +199,9 @@ func TestPatternNames(t *testing.T) {
 	}
 }
 
-// GenerateParallel must emit a bit-identical flow list at every worker
-// count: each source draws from its own (seed, source index) stream and
-// chunks concatenate in source order.
-func TestGenerateParallelWorkerCountIndependent(t *testing.T) {
-	tp := topo(t)
-	w := Workload{
-		Pattern:        Uniform{},
-		ConnsPerHost:   IntRange{Lo: 10, Hi: 30},
-		PacketsPerFlow: IntRange{Lo: 50, Hi: 100},
-	}
-	want := w.GenerateParallel(123, tp, 1)
-	if len(want) == 0 {
-		t.Fatal("no flows generated")
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got := w.GenerateParallel(123, tp, workers)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("flow list diverged at %d workers (%d vs %d flows)", workers, len(want), len(got))
-		}
-	}
-	// Flows stay grouped by source in source order, like Generate's output.
-	last := topology.HostID(-1)
-	seen := map[topology.HostID]bool{}
-	for _, f := range want {
-		if f.Src != last {
-			if seen[f.Src] {
-				t.Fatalf("source %d appears in two separate runs", f.Src)
-			}
-			seen[f.Src] = true
-			last = f.Src
-		}
-	}
-}
-
 // The per-source streams must respect the workload knobs exactly as the
-// sequential generator does.
-func TestGenerateParallelRespectsKnobs(t *testing.T) {
+// single-stream generator does.
+func TestAppendFlowsOfRespectsKnobs(t *testing.T) {
 	tp := topo(t)
 	w := Workload{
 		Pattern:        Uniform{},
@@ -267,14 +209,18 @@ func TestGenerateParallelRespectsKnobs(t *testing.T) {
 		PacketsPerFlow: IntRange{Lo: 10, Hi: 20},
 		Hosts:          []topology.HostID{0, 3, 9},
 	}
-	flows := w.GenerateParallel(9, tp, 4)
+	var flows []Flow
+	var rng stats.RNG
+	for si, src := range w.Hosts {
+		flows = w.AppendFlowsOf(flows, &rng, 9, si, tp, src)
+	}
 	perSrc := map[topology.HostID]int{}
 	for _, f := range flows {
 		perSrc[f.Src]++
 		if f.Packets < 10 || f.Packets > 20 {
 			t.Fatalf("flow packets %d out of range", f.Packets)
 		}
-		if tp.SameToR(f.Src, f.Dst) {
+		if tp.Hosts[f.Src].ToR == tp.Hosts[f.Dst].ToR {
 			t.Fatal("destination under the source rack")
 		}
 	}
@@ -289,17 +235,16 @@ func TestGenerateParallelRespectsKnobs(t *testing.T) {
 }
 
 // FlowsOf and AppendFlowsOf are the counting and generating halves of the
-// fused epoch pipeline: source by source they must reproduce exactly the
-// flow list GenerateParallel materializes, and FlowsOf must predict each
-// source's contribution without consuming any generation draw.
-func TestFlowsOfAppendFlowsOfMatchGenerateParallel(t *testing.T) {
+// fused epoch pipeline: FlowsOf must predict each source's contribution
+// without consuming any generation draw, and a source's flows must not
+// depend on which sources were generated before it.
+func TestFlowsOfPredictsAppendFlowsOf(t *testing.T) {
 	tp := topo(t)
 	for _, w := range []Workload{
 		{Pattern: Uniform{}, ConnsPerHost: IntRange{Lo: 10, Hi: 30}, PacketsPerFlow: IntRange{Lo: 50, Hi: 100}},
 		{Pattern: Uniform{}, ConnsPerHost: IntRange{Lo: 20, Hi: 20}, PacketsPerFlow: IntRange{Lo: 100, Hi: 100}},
 	} {
 		const seed = 321
-		want := w.GenerateParallel(seed, tp, 3)
 		var got []Flow
 		var rng stats.RNG
 		for si := 0; si < len(tp.Hosts); si++ {
@@ -309,12 +254,36 @@ func TestFlowsOfAppendFlowsOfMatchGenerateParallel(t *testing.T) {
 			if len(got)-before != n {
 				t.Fatalf("source %d: FlowsOf predicted %d flows, AppendFlowsOf produced %d", si, n, len(got)-before)
 			}
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("source-by-source generation diverged from GenerateParallel (%d vs %d flows)", len(want), len(got))
+			alone := w.AppendFlowsOf(nil, &rng, seed, si, tp, topology.HostID(si))
+			if !reflect.DeepEqual(alone, got[before:]) {
+				t.Fatalf("source %d: flows depend on the sources generated before it", si)
+			}
 		}
 		if w.ConstantConns() != (w.ConnsPerHost.Lo == w.ConnsPerHost.Hi) {
 			t.Fatalf("ConstantConns misreports %+v", w.ConnsPerHost)
 		}
+	}
+}
+
+// A warmed buffer must serve steady-state epochs without allocating: the
+// generation path is the epoch hot path of both planes.
+func TestAppendFlowsOfReusesBuffer(t *testing.T) {
+	tp := topo(t)
+	w := Workload{
+		Pattern:        Uniform{},
+		ConnsPerHost:   IntRange{Lo: 8, Hi: 8},
+		PacketsPerFlow: IntRange{Lo: 100, Hi: 100},
+	}
+	var rng stats.RNG
+	gen := func(buf []Flow, seed uint64) []Flow {
+		buf = buf[:0]
+		for si := range tp.Hosts {
+			buf = w.AppendFlowsOf(buf, &rng, seed, si, tp, topology.HostID(si))
+		}
+		return buf
+	}
+	buf := gen(nil, 1) // warm the buffer
+	if avg := testing.AllocsPerRun(10, func() { buf = gen(buf, 2) }); avg != 0 {
+		t.Fatalf("warmed generation allocates %.1f times per epoch, want 0", avg)
 	}
 }

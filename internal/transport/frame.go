@@ -480,18 +480,6 @@ func DecodeCycleEnd(payload []byte) (CycleEnd, error) {
 // AppendControl encodes a bodyless control frame (Ping, Pong, Bye).
 func AppendControl(dst []byte, typ byte) []byte { return appendU8(dst, typ) }
 
-// WriteFrame writes one frame — uint32 length prefix, then body (type byte
-// plus payload) — to w.
-func WriteFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // Frame encodes a complete frame (length prefix included) ready to write.
 func Frame(body []byte) []byte {
 	out := make([]byte, 0, 4+len(body))
@@ -589,9 +577,10 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 	return body[0], body[1:], nil
 }
 
-// SeqOf extracts the session sequence number from a sequenced frame's
-// payload (Report and Token lay it out first). ok is false for control
-// frames or truncated payloads.
+// Test hook: SeqOf extracts the session sequence number from a sequenced
+// frame's payload (Report and Token lay it out first), so a test's target
+// can check the order it received. ok is false for control frames or
+// truncated payloads.
 func SeqOf(typ byte, payload []byte) (seq uint64, ok bool) {
 	if (typ != TypeReport && typ != TypeToken) || len(payload) < 8 {
 		return 0, false

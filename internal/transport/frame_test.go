@@ -227,15 +227,6 @@ func TestReadFrameBounds(t *testing.T) {
 	if _, _, err := ReadFrame(br, 0); err == nil {
 		t.Error("torn frame accepted")
 	}
-	// WriteFrame and Frame must produce identical bytes.
-	var buf bytes.Buffer
-	body := AppendHelloAck(nil, HelloAck{Resume: 5})
-	if err := WriteFrame(&buf, body); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), Frame(body)) {
-		t.Error("WriteFrame and Frame disagree")
-	}
 }
 
 func TestSeqOf(t *testing.T) {

@@ -98,18 +98,19 @@ func NewProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 // Addr returns the proxy's listen address — what agents dial.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Retarget points subsequent connections at a new collector address (the
-// restarted collector in crash-recovery tests).
+// Test hook: Retarget points subsequent connections at a new collector
+// address, so a crash-recovery test can restart its collector.
 func (p *Proxy) Retarget(target string) { p.target.Store(target) }
 
-// Partition refuses new connections and severs live ones until Heal. It
-// returns the number of live pairs cut.
+// Test hook: Partition refuses new connections and severs live ones until
+// Heal, so a test can cut agents off. It returns the number of live pairs
+// cut.
 func (p *Proxy) Partition() int {
 	p.partitioned.Store(true)
 	return p.CutAll()
 }
 
-// Heal ends a partition.
+// Test hook: Heal ends a partition.
 func (p *Proxy) Heal() { p.partitioned.Store(false) }
 
 // CutAll severs every live pair (counting each as an injected cut) and

@@ -124,11 +124,6 @@ type DetectOptions struct {
 	MaxLinks int
 }
 
-// DefaultDetectOptions returns the paper's parameters.
-func DefaultDetectOptions(topo *topology.Topology) DetectOptions {
-	return DetectOptions{ThresholdFrac: 0.01, Topo: topo}
-}
-
 // detectScratch is FindProblemLinks' working set, all per tally slot.
 type detectScratch struct {
 	votes   []float64 // the tally's votes, discounted as links are blamed

@@ -28,7 +28,6 @@ const sumChunkShift = 11
 // magnitude of a link id.
 type index struct {
 	reports []Report // borrowed from the caller until release
-	voting  int      // reports with a non-empty path: the votes' total
 
 	// Per slot.
 	links  []topology.LinkID // the slot's link, ascending
@@ -109,7 +108,7 @@ func resize[T any](s []T, n int) []T {
 
 func (ix *index) build(reports []Report) {
 	n := len(reports)
-	ix.reports, ix.voting = reports, 0
+	ix.reports = reports
 	ix.estart = resize(ix.estart, n+1)
 	ix.weight = resize(ix.weight, n)
 	keys := ix.keys[:0]
@@ -120,7 +119,6 @@ func (ix *index) build(reports []Report) {
 		if len(path) == 0 {
 			continue
 		}
-		ix.voting++
 		ix.weight[i] = 1.0 / float64(len(path))
 		for _, l := range path {
 			if l >= 0 { // NoLink placeholders vote nowhere

@@ -91,7 +91,6 @@ type Tally struct {
 	links []topology.LinkID // voted links, ascending
 	votes []float64         // votes[i] is links[i]'s tally, always > 0
 	flows int
-	total float64
 }
 
 // NewTally returns an empty tally.
@@ -117,7 +116,6 @@ func (t *Tally) Add(r Report) {
 		}
 		t.votes[i] += v
 	}
-	t.total += 1
 }
 
 // AddAll casts votes for each report of a batch. A link's batch votes are
@@ -133,7 +131,6 @@ func (t *Tally) AddAll(rs []Report) {
 // absorb folds an indexed batch into t.
 func (t *Tally) absorb(ix *index) {
 	t.flows += len(ix.reports)
-	t.total += float64(ix.voting)
 	if len(t.links) == 0 {
 		t.links, t.votes = slices.Clone(ix.links), slices.Clone(ix.votes)
 		return
@@ -165,10 +162,6 @@ func (t *Tally) Votes(l topology.LinkID) float64 {
 	}
 	return 0
 }
-
-// Total returns the sum of all votes cast. Each fully traced failed flow
-// contributes exactly 1 (h links × 1/h each).
-func (t *Tally) Total() float64 { return t.total }
 
 // Flows returns the number of reports received.
 func (t *Tally) Flows() int { return t.flows }

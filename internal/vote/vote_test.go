@@ -54,8 +54,7 @@ func TestTallyConservation(t *testing.T) {
 		for _, lv := range tl.Ranking() {
 			sum += lv.Votes
 		}
-		return math.Abs(sum-float64(withPath)) < 1e-9 &&
-			math.Abs(tl.Total()-float64(withPath)) < 1e-9
+		return math.Abs(sum-float64(withPath)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -136,9 +135,8 @@ func TestAddAllMatchesAdd(t *testing.T) {
 	split.AddAll(nil)
 	split.AddAll(reports[1700:])
 	for _, got := range []*Tally{whole, split} {
-		if got.Flows() != seq.Flows() || got.Len() != seq.Len() || got.Total() != seq.Total() {
-			t.Fatalf("flows/len/total %d/%d/%v, want %d/%d/%v",
-				got.Flows(), got.Len(), got.Total(), seq.Flows(), seq.Len(), seq.Total())
+		if got.Flows() != seq.Flows() || got.Len() != seq.Len() {
+			t.Fatalf("flows/len %d/%d, want %d/%d", got.Flows(), got.Len(), seq.Flows(), seq.Len())
 		}
 		for l := topology.LinkID(-1); l < 51; l++ {
 			if math.Abs(got.Votes(l)-seq.Votes(l)) > 1e-9 {
@@ -184,8 +182,8 @@ func TestBlameOnPath(t *testing.T) {
 func TestEmptyPathReportVotesNowhere(t *testing.T) {
 	tl := NewTally()
 	tl.Add(Report{FlowID: 1, Retx: 3})
-	if tl.Total() != 0 || tl.Len() != 0 || tl.Flows() != 1 {
-		t.Fatalf("empty-path report changed tallies: total=%v len=%d", tl.Total(), tl.Len())
+	if tl.Len() != 0 || tl.Flows() != 1 {
+		t.Fatalf("empty-path report changed tallies: len=%d flows=%d", tl.Len(), tl.Flows())
 	}
 }
 

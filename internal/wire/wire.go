@@ -43,11 +43,8 @@ const (
 
 // ICMP types/codes used by the emulation.
 const (
-	ICMPTypeTimeExceeded  uint8 = 11
-	ICMPCodeTTLExpired    uint8 = 0
-	ICMPTypeEchoReply     uint8 = 0
-	ICMPTypeDestUnreach   uint8 = 3
-	ICMPCodePortUnreached uint8 = 3
+	ICMPTypeTimeExceeded uint8 = 11
+	ICMPCodeTTLExpired   uint8 = 0
 )
 
 // IPv4 is a 20-byte IPv4 header (no options).
@@ -417,19 +414,6 @@ func DecodeICMP(data []byte, ic *ICMP) error {
 	ic.Checksum = binary.BigEndian.Uint16(data[2:])
 	ic.Body = data[ICMPHeaderLen:]
 	return nil
-}
-
-// TimeExceeded builds the ICMP time-exceeded reply a switch sends when a
-// packet's TTL expires: the expired packet's IP header plus its first 8
-// payload bytes come back as the body.
-func TimeExceeded(expired []byte) ICMP {
-	n := IPv4HeaderLen + 8
-	if n > len(expired) {
-		n = len(expired)
-	}
-	body := make([]byte, n)
-	copy(body, expired[:n])
-	return ICMP{Type: ICMPTypeTimeExceeded, Code: ICMPCodeTTLExpired, Body: body}
 }
 
 // ExpiredProbe extracts the original probe's identity from a time-exceeded

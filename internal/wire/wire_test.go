@@ -131,8 +131,9 @@ func TestTimeExceededRoundTrip(t *testing.T) {
 	probe := TCP{SrcPort: 50000, DstPort: 443, BadChecksum: true}
 	pkt := buildTCPPacket(ip, probe, nil)
 
-	// Switch expires it and answers.
-	reply := TimeExceeded(pkt)
+	// Switch expires it and answers with the IP header and the first 8
+	// payload bytes.
+	reply := ICMP{Type: ICMPTypeTimeExceeded, Code: ICMPCodeTTLExpired, Body: pkt[:IPv4HeaderLen+8]}
 	buf := NewBuffer(64)
 	reply.SerializeTo(buf)
 	replyIP := IPv4{TTL: 64, Protocol: ProtoICMP, Src: 0x0ac80001, Dst: ip.Src}
@@ -167,11 +168,7 @@ func TestTimeExceededRoundTrip(t *testing.T) {
 }
 
 func TestTimeExceededTruncatedBody(t *testing.T) {
-	reply := TimeExceeded([]byte{0x45, 0x00})
-	if len(reply.Body) != 2 {
-		t.Fatalf("body length %d", len(reply.Body))
-	}
-	if _, _, _, _, err := ExpiredProbe(reply.Body); err != ErrTruncated {
+	if _, _, _, _, err := ExpiredProbe([]byte{0x45, 0x00}); err != ErrTruncated {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }

@@ -1,0 +1,378 @@
+package vigil_test
+
+import (
+	"cmp"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// surfaceAllow names the top-level declarations under internal/ and cmd/
+// that no non-test root reaches but that stay: test hooks and reference
+// oracles, each with its reason. A key is "<dir>.<Name>", or
+// "<dir>.<Type>.<Method>" for a method, or a bare "<dir>" for a package
+// that exists only to support tests. An entry whose declaration became
+// live or is gone fails the test, so the list cannot rot, and an
+// allow-listed declaration's doc comment must say which of the two it is.
+var surfaceAllow = map[string]string{
+	"internal/des.Scheduler.Executed":    "events per run, which the cut-through tests compare with the per-hop fabric's",
+	"internal/fabric.Net.DropRate":       "a link's current rate, read back after injections, resets and schedules",
+	"internal/fabric.Net.HopsFused":      "proves a cut-through test case fused hops at all",
+	"internal/fabric.Net.HopsStepped":    "the per-hop side of the same count",
+	"internal/fabric.Net.Rematerialized": "proves a mid-run change hit a flight",
+	"internal/netem.Epoch.LinkDrops":     "per-link ground truth derived from the failed flows, the oracle for drop accounting",
+	"internal/netem.Sim.RescoreAll":      "the full re-score incremental epochs are held bit-identical to",
+	"internal/opt.Instance.Covers":       "checks the set-cover baselines' answers",
+	"internal/opt.Instance.Feasible":     "checks the integer program's answers",
+	"internal/stats.RNG.BinomialExact":   "the n-trial reference for Binomial and the gated drop sampler",
+	"internal/topology.Topology.T1":      "names a tier-1 switch in tests, beside the live ToR and T2",
+	"internal/transport.Proxy.Heal":      "ends a partition in the chaos tests",
+	"internal/transport.Proxy.Partition": "cuts agents off in the chaos tests",
+	"internal/transport.Proxy.Retarget":  "points the proxy at a restarted collector in crash tests",
+	"internal/transport.SeqOf":           "lets a test's target check the session seqs it received",
+	"internal/scenario/conform":          "the statistical conformance suite: only tests import it",
+}
+
+// stdlibMethods are method names the standard library calls through its
+// own interfaces (fmt.Stringer, error, sort.Interface, heap.Interface,
+// io.Reader, net.Conn, net.Listener, http.Handler, …). The scan parses
+// only this module, so it cannot see those interfaces; a method of ours
+// that implements one is live by name.
+var stdlibMethods = []string{
+	"String", "Error", "Unwrap", "Is", "As", "Format", "GoString",
+	"Len", "Less", "Swap", "Push", "Pop",
+	"Read", "Write", "Close", "ReadFrom", "WriteTo", "Seek",
+	"ServeHTTP", "MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText",
+	"Deadline", "Done", "Err", "Value",
+	"LocalAddr", "RemoteAddr", "SetDeadline", "SetReadDeadline", "SetWriteDeadline",
+	"Accept", "Addr", "Timeout", "Temporary", "Network",
+}
+
+// TestSurfaceReachable fails on any top-level declaration under internal/
+// or cmd/ that only tests reach. It parses every non-test Go file with
+// go/parser alone (no type checking) and marks declarations live from the
+// roots: every main package's main and init, every declaration in bench/
+// (a module of its own that this repo does not edit), the root package's
+// exported API, every init function and package-level var, and every
+// method whose name appears in an interface. From a live declaration, an
+// identifier keeps the same-package declaration of that name, pkg.Name
+// keeps the imported package's declaration, and any other x.Name keeps
+// every method called Name. The scan errs toward keeping code: a name it
+// cannot resolve keeps whatever it might mean.
+func TestSurfaceReachable(t *testing.T) {
+	s := scanSurface(t, ".")
+	unreached := map[string]bool{} // keys and package dirs the roots miss
+	for _, d := range s.dead() {
+		unreached[d.key], unreached[d.pkg] = true, true
+	}
+	var problems []string
+	for key := range surfaceAllow {
+		if !unreached[key] {
+			problems = append(problems, "allow-list entry "+key+" names nothing only tests reach (it is live now, or gone): remove the entry")
+		}
+	}
+	// What an allow-listed declaration calls is as alive as it is: a
+	// reference oracle's helpers stay with the oracle.
+	for _, d := range s.all {
+		_, name := surfaceAllow[d.key]
+		_, pkg := surfaceAllow[d.pkg]
+		if name && !strings.HasPrefix(d.doc.Text(), "Test hook:") && !strings.HasPrefix(d.doc.Text(), "Reference oracle:") {
+			problems = append(problems, d.key+" ("+d.pos+") is allow-listed: its doc comment must start \"Test hook:\" or \"Reference oracle:\"")
+		}
+		if name || pkg {
+			s.mark(d)
+		}
+	}
+	s.propagate()
+	for _, d := range s.dead() {
+		problems = append(problems, d.key+" ("+d.pos+") is reached only by tests: delete it, or allow-list it with a reason")
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+type surfaceDecl struct {
+	key, pkg, pos string
+	node          ast.Node
+	doc           *ast.CommentGroup
+	file          *surfaceFile
+	root, live    bool
+	checked       bool // under internal/ or cmd/
+}
+
+type surfaceFile struct {
+	pkg     string            // directory relative to the module root
+	imports map[string]string // local name → directory relative to the module root, "" outside it
+}
+
+type surface struct {
+	fset    *token.FileSet
+	pkgs    map[string]map[string]*surfaceDecl // dir → package-level name → decl (methods are not here)
+	methods map[string][]*surfaceDecl          // method name → every method so named
+	all     []*surfaceDecl
+	queue   []*surfaceDecl
+	named   map[string]bool // method names a live selector or an interface mentions
+}
+
+// scanSurface parses the module under root and marks what its roots reach.
+func scanSurface(t testing.TB, root string) *surface {
+	s := &surface{
+		fset:    token.NewFileSet(),
+		pkgs:    map[string]map[string]*surfaceDecl{},
+		methods: map[string][]*surfaceDecl{},
+		named:   map[string]bool{},
+	}
+	var interfaces []*ast.InterfaceType
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != root && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(s.fset, p, src, parser.SkipObjectResolution|parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				interfaces = append(interfaces, it)
+			}
+			return true
+		})
+		s.add(dir, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, it := range interfaces {
+		for _, m := range it.Methods.List {
+			for _, n := range m.Names {
+				s.name(n.Name)
+			}
+		}
+	}
+	for _, n := range stdlibMethods {
+		s.name(n)
+	}
+	for _, d := range s.all {
+		if d.root {
+			s.mark(d)
+		}
+	}
+	s.propagate()
+	return s
+}
+
+// propagate marks everything the marked declarations refer to.
+func (s *surface) propagate() {
+	for len(s.queue) > 0 {
+		d := s.queue[len(s.queue)-1]
+		s.queue = s.queue[:len(s.queue)-1]
+		s.walk(d.file, d.node)
+	}
+}
+
+// add records a file's top-level declarations.
+func (s *surface) add(dir string, f *ast.File) {
+	file := &surfaceFile{pkg: dir, imports: map[string]string{}}
+	for _, imp := range f.Imports {
+		ip, _ := strconv.Unquote(imp.Path.Value)
+		rel := "" // a package outside the module
+		switch {
+		case ip == "vigil":
+			rel = "."
+		case strings.HasPrefix(ip, "vigil/"):
+			rel = strings.TrimPrefix(ip, "vigil/")
+		}
+		name := path.Base(ip)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		file.imports[name] = rel
+	}
+	pkg := s.pkgs[dir]
+	if pkg == nil {
+		pkg = map[string]*surfaceDecl{}
+		s.pkgs[dir] = pkg
+	}
+	main := f.Name.Name == "main"
+	newDecl := func(key string, pos token.Pos, node ast.Node, doc *ast.CommentGroup) *surfaceDecl {
+		d := &surfaceDecl{
+			key: dir + "." + key, pkg: dir, node: node, doc: doc, file: file,
+			pos:     s.fset.Position(pos).String(),
+			checked: strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/"),
+			// bench/ is a module of its own that this repo does not edit;
+			// the root package's exported names are the library API.
+			root: dir == "bench" || (dir == "." && ast.IsExported(key[strings.LastIndexByte(key, '.')+1:])),
+		}
+		s.all = append(s.all, d)
+		return d
+	}
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Recv != nil {
+				recv := decl.Recv.List[0].Type
+				for {
+					switch r := recv.(type) {
+					case *ast.StarExpr:
+						recv = r.X
+						continue
+					case *ast.IndexExpr:
+						recv = r.X
+						continue
+					case *ast.IndexListExpr:
+						recv = r.X
+						continue
+					}
+					break
+				}
+				typ := recv.(*ast.Ident).Name
+				d := newDecl(typ+"."+decl.Name.Name, decl.Pos(), decl, decl.Doc)
+				s.methods[decl.Name.Name] = append(s.methods[decl.Name.Name], d)
+				continue
+			}
+			d := newDecl(decl.Name.Name, decl.Pos(), decl, decl.Doc)
+			if decl.Name.Name == "init" || main && decl.Name.Name == "main" {
+				d.root = true
+			} else {
+				pkg[decl.Name.Name] = d
+			}
+		case *ast.GenDecl:
+			switch decl.Tok {
+			case token.IMPORT:
+			case token.CONST:
+				if constEnum(decl) {
+					// An iota enum is one declaration: its unused
+					// members stay while any member is used.
+					d := newDecl(decl.Specs[0].(*ast.ValueSpec).Names[0].Name, decl.Pos(), decl, decl.Doc)
+					for _, sp := range decl.Specs {
+						for _, n := range sp.(*ast.ValueSpec).Names {
+							pkg[n.Name] = d
+						}
+					}
+					continue
+				}
+				for _, sp := range decl.Specs {
+					vs := sp.(*ast.ValueSpec)
+					for _, n := range vs.Names {
+						pkg[n.Name] = newDecl(n.Name, n.Pos(), vs, cmp.Or(vs.Doc, decl.Doc))
+					}
+				}
+			case token.VAR:
+				d := newDecl(decl.Specs[0].(*ast.ValueSpec).Names[0].Name, decl.Pos(), decl, decl.Doc)
+				d.root = true
+				for _, sp := range decl.Specs {
+					for _, n := range sp.(*ast.ValueSpec).Names {
+						pkg[n.Name] = d
+					}
+				}
+			case token.TYPE:
+				for _, sp := range decl.Specs {
+					ts := sp.(*ast.TypeSpec)
+					pkg[ts.Name.Name] = newDecl(ts.Name.Name, ts.Pos(), ts, cmp.Or(ts.Doc, decl.Doc))
+				}
+			}
+		}
+	}
+}
+
+// constEnum reports whether a const block counts on iota or on repeating
+// an earlier spec's expression.
+func constEnum(decl *ast.GenDecl) bool {
+	for _, sp := range decl.Specs {
+		vs := sp.(*ast.ValueSpec)
+		if len(vs.Values) == 0 {
+			return true
+		}
+		enum := false
+		for _, v := range vs.Values {
+			ast.Inspect(v, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+					enum = true
+				}
+				return !enum
+			})
+		}
+		if enum {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *surface) mark(d *surfaceDecl) {
+	if d == nil || d.live {
+		return
+	}
+	d.live = true
+	s.queue = append(s.queue, d)
+}
+
+// name records that a method called n may be called, keeping every method
+// of that name.
+func (s *surface) name(n string) {
+	if s.named[n] {
+		return
+	}
+	s.named[n] = true
+	for _, m := range s.methods[n] {
+		s.mark(m)
+	}
+}
+
+// walk marks what the syntax under n refers to.
+func (s *surface) walk(f *surfaceFile, n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok {
+				if rel, ok := f.imports[x.Name]; ok {
+					if rel != "" {
+						s.mark(s.pkgs[rel][n.Sel.Name])
+					}
+					return false
+				}
+			}
+			s.name(n.Sel.Name)
+		case *ast.Ident:
+			s.mark(s.pkgs[f.pkg][n.Name])
+		}
+		return true
+	})
+}
+
+// dead lists the checked declarations the roots do not reach, in file order.
+func (s *surface) dead() []*surfaceDecl {
+	var out []*surfaceDecl
+	for _, d := range s.all {
+		if d.checked && !d.live {
+			out = append(out, d)
+		}
+	}
+	return out
+}
