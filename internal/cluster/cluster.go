@@ -40,16 +40,14 @@ type Config struct {
 	// baseline is drawn uniformly from [NoiseLo, NoiseHi). Both zero means
 	// no noise — the seed emulation's historical behaviour.
 	NoiseLo, NoiseHi float64
-	// Tmax is the switch ICMP cap (default 100/s); Ct the host traceroute
-	// budget (default: the Theorem 1 bound for this topology and Tmax).
-	Tmax float64
-	Ct   float64
-	// EpochLength is the tally interval (default 30 virtual seconds).
-	EpochLength des.Time
-	// ProbeTimeout bounds traceroute collection (default 20ms).
-	ProbeTimeout des.Time
-	// Window, RTO and MaxRetries parametrize the host stack.
-	Window     int
+	// Ct is the host traceroute budget (default: the Theorem 1 bound for
+	// this topology and the switches' fabric.Tmax).
+	Ct float64
+	// Window and MaxRetries parametrize the host stack (defaults 8 and 6).
+	Window int
+	// Test hook: RTO is the host stack's initial retransmission timeout
+	// (default 20ms), so that a test can time out segments still in
+	// flight.
 	RTO        des.Time
 	MaxRetries int
 	// RTTThresholdMicros, when positive, also triggers path discovery for
@@ -262,6 +260,9 @@ type flowRecord struct {
 	conn      *Conn
 }
 
+// epochLength is the tally interval: an epoch runs 30 virtual seconds.
+const epochLength = 30 * des.Second
+
 // evStartFlow is the cluster's typed DES event: a scheduled connection
 // opening (arg = the flow's slot in flows).
 const evStartFlow int32 = 1
@@ -271,14 +272,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("cluster: Config.Topo is required")
 	}
-	if cfg.Tmax <= 0 {
-		cfg.Tmax = 100
-	}
 	if cfg.Ct <= 0 {
-		cfg.Ct = theory.CtBound(cfg.Topo.Cfg, cfg.Tmax)
-	}
-	if cfg.EpochLength <= 0 {
-		cfg.EpochLength = 30 * des.Second
+		cfg.Ct = theory.CtBound(cfg.Topo.Cfg, fabric.Tmax)
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8
@@ -295,7 +290,7 @@ func New(cfg Config) (*Cluster, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	router := ecmp.NewRouter(cfg.Topo, ecmp.NewSeeds(cfg.Topo, rng.Split()))
 	sched := &des.Scheduler{}
-	net, err := fabric.New(fabric.Config{Topo: cfg.Topo, Router: router, Sched: sched, RNG: rng.Split(), Tmax: cfg.Tmax})
+	net, err := fabric.New(fabric.Config{Topo: cfg.Topo, Router: router, Sched: sched, RNG: rng.Split()})
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +532,7 @@ func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 // host agents' epochs and analyze what the default Reporter collected.
 func (cl *Cluster) RunEpoch() *analysis.Result {
 	cl.applySchedules()
-	end := cl.epochStart + cl.cfg.EpochLength
+	end := cl.epochStart + epochLength
 	cl.Sched.RunUntil(end + 2*des.Second)
 	cl.epochStart = cl.Sched.Now()
 	for _, h := range cl.Hosts {

@@ -117,18 +117,17 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 		rxSlot: make(map[ecmp.FiveTuple]int32),
 	}
 	h.Path = pathdisc.New(pathdisc.Config{
-		Topo:         cl.Topo,
-		Host:         id,
-		SLB:          cl.SLB,
-		NewPacket:    cl.Net.NewPacket,
-		SendPacket:   func(pkt *wire.Buffer) { cl.Net.Send(id, pkt) },
-		Sched:        cl.Sched,
-		EventKey:     keyClassPath | uint64(id),
-		Ct:           cl.cfg.Ct,
-		ProbeTimeout: cl.cfg.ProbeTimeout,
-		OnReport:     cl.report,
-		Retx:         func(flow ecmp.FiveTuple) int { return h.Mon.Retx(flow) },
-		FlowID:       cl.flowID,
+		Topo:       cl.Topo,
+		Host:       id,
+		SLB:        cl.SLB,
+		NewPacket:  cl.Net.NewPacket,
+		SendPacket: func(pkt *wire.Buffer) { cl.Net.Send(id, pkt) },
+		Sched:      cl.Sched,
+		EventKey:   keyClassPath | uint64(id),
+		Ct:         cl.cfg.Ct,
+		OnReport:   cl.report,
+		Retx:       func(flow ecmp.FiveTuple) int { return h.Mon.Retx(flow) },
+		FlowID:     cl.flowID,
 	})
 	h.Mon = monitor.New(h.Path.Discover)
 	h.Mon.RTTThresholdMicros = cl.cfg.RTTThresholdMicros

@@ -62,7 +62,7 @@ import (
 func (n *Net) fly(l topology.LinkID, at des.Time, pkt *wire.Buffer) (topology.LinkID, des.Time) {
 	first := n.topo.Links[l].To
 	horizon := n.cfg.Sched.Horizon()
-	if first.Kind == topology.NodeHost || at+n.cfg.LinkDelay > horizon {
+	if first.Kind == topology.NodeHost || at+linkDelay > horizon {
 		return l, at
 	}
 	var ip wire.IPv4
@@ -85,7 +85,7 @@ func (n *Net) fly(l topology.LinkID, at des.Time, pkt *wire.Buffer) (topology.Li
 	hops := 0
 	for hops < int(rt.n) && int(ip.TTL)-hops > 1 {
 		e := topology.LinkID(rt.links[hops])
-		next := at + n.cfg.LinkDelay + n.extraDelay[e]
+		next := at + linkDelay + n.extraDelay[e]
 		if next > horizon {
 			break
 		}

@@ -43,9 +43,14 @@ import (
 // IPv4 header + 8 payload bytes).
 const PacketHeadroom = 64
 
-// DefaultLinkDelay is the one-hop propagation+processing delay used when
-// Config.LinkDelay is zero.
-const DefaultLinkDelay = 5 * des.Microsecond
+// linkDelay is the one-hop propagation+processing delay (datacenter RTTs
+// are "less than 1 or 2 ms", §4.2).
+const linkDelay = 5 * des.Microsecond
+
+// Tmax caps each switch's ICMP generation rate (messages/second): the
+// paper's operators set 100, and Theorem 1 derives the hosts' traceroute
+// budget Ct from it.
+const Tmax = 100
 
 // evDeliver is the fabric's one typed event: a packet arriving at the far
 // end of a link (arg = link id, payload = the packet buffer).
@@ -72,12 +77,6 @@ type Config struct {
 	// Sched is the fabric's clock and event queue.
 	Sched *des.Scheduler
 	RNG   *stats.RNG
-	// Tmax caps each switch's ICMP generation rate (messages/second).
-	// The paper's operators set 100. Zero means the paper's default.
-	Tmax float64
-	// LinkDelay is the one-hop propagation+processing delay; zero means
-	// the 5µs default (datacenter RTTs are "less than 1 or 2 ms", §4.2).
-	LinkDelay des.Time
 }
 
 // TapEvent is one observation from a mirror tap (EverFlow-style) or a drop
@@ -168,12 +167,6 @@ func New(cfg Config) (*Net, error) {
 	if cfg.Sched == nil {
 		return nil, fmt.Errorf("fabric: Sched is required")
 	}
-	if cfg.Tmax <= 0 {
-		cfg.Tmax = 100
-	}
-	if cfg.LinkDelay <= 0 {
-		cfg.LinkDelay = DefaultLinkDelay
-	}
 	n := &Net{
 		cfg:            cfg,
 		topo:           cfg.Topo,
@@ -194,7 +187,7 @@ func New(cfg Config) (*Net, error) {
 		icmpCur:        make([]icmpSecCount, len(cfg.Topo.Switches)),
 	}
 	for i := range n.buckets {
-		n.buckets[i] = tokenBucket{tokens: cfg.Tmax, rate: cfg.Tmax, burst: cfg.Tmax}
+		n.buckets[i] = tokenBucket{tokens: Tmax}
 	}
 	for i := range n.icmpCur {
 		n.icmpCur[i].sec = -1
@@ -411,7 +404,7 @@ func (n *Net) send(l topology.LinkID, pkt *wire.Buffer) {
 		}
 	}
 	n.LinkForwarded[l]++
-	at := n.cfg.Sched.Now() + n.cfg.LinkDelay + n.extraDelay[l]
+	at := n.cfg.Sched.Now() + linkDelay + n.extraDelay[l]
 	if len(n.taps) == 0 {
 		l, at = n.fly(l, at, pkt)
 	}
@@ -643,20 +636,19 @@ func (n *Net) ICMPSecondStats(seconds int64) (zero, low, high float64, max int) 
 		float64(nHigh) / float64(total), max
 }
 
-// tokenBucket enforces the control-plane ICMP cap.
+// tokenBucket enforces the control-plane ICMP cap: Tmax tokens per
+// virtual second, at most Tmax banked.
 type tokenBucket struct {
 	tokens float64
-	rate   float64 // tokens per virtual second
-	burst  float64
 	last   des.Time
 }
 
 func (b *tokenBucket) allow(now des.Time) bool {
 	elapsed := float64(now-b.last) / float64(des.Second)
 	b.last = now
-	b.tokens += elapsed * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	b.tokens += elapsed * Tmax
+	if b.tokens > Tmax {
+		b.tokens = Tmax
 	}
 	if b.tokens < 1 {
 		return false

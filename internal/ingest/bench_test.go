@@ -75,7 +75,7 @@ func newSettleFeed(sources int, lossy bool) *settleFeed {
 	if lossy {
 		grace, maxRetries = 4, 3
 	}
-	f.core = newSettleCore(sources, grace, maxRetries, 1, &metrics.IngestCounters{}, -1)
+	f.core = newSettleCore(sources, grace, maxRetries, &metrics.IngestCounters{}, -1)
 	path := []topology.LinkID{1, 2, 3, 4, 5}
 	for a := 0; a < feedAgents; a++ {
 		for q := 0; q < feedPerAgent; q++ {

@@ -225,7 +225,6 @@ type settleCore struct {
 	sources    int   // tokens that complete a cycle: lanes, or sessions
 	grace      int32 // watermark lag, in cycles
 	maxRetries int
-	backoff    int
 	ctr        *metrics.IngestCounters
 
 	open        map[int32]*epochState
@@ -246,9 +245,9 @@ type settleCore struct {
 // incarnation made durable (-1 for none): epochs up to it stay settled, and
 // tokens replayed for the cycles that settled them rebuild the open epochs
 // without completing those cycles a second time.
-func newSettleCore(sources, grace, maxRetries, backoff int, ctr *metrics.IngestCounters, restored int32) *settleCore {
+func newSettleCore(sources, grace, maxRetries int, ctr *metrics.IngestCounters, restored int32) *settleCore {
 	c := &settleCore{
-		sources: sources, grace: int32(grace), maxRetries: maxRetries, backoff: backoff, ctr: ctr,
+		sources: sources, grace: int32(grace), maxRetries: maxRetries, ctr: ctr,
 		open: make(map[int32]*epochState), tokens: make(map[int32]int),
 		lastSettled: restored, finalized: restored, maxLive: restored,
 	}
@@ -417,14 +416,15 @@ func (c *settleCore) next() (cycleDone, bool) {
 }
 
 // dueRetries appends the epoch's due re-requests: one round per cycle at
-// most, maxRetries rounds in all, linear backoff between rounds, every
-// hole re-requested in the round — agents ascending, holes ascending.
+// most, maxRetries rounds in all, round k+1 at least k cycles after round
+// k, every hole re-requested in the round — agents ascending, holes
+// ascending.
 func (c *settleCore) dueRetries(eps *epochState, cycle int32, out []transport.RetryReq) []transport.RetryReq {
 	if !eps.sealed || eps.holes == 0 || eps.attempts >= c.maxRetries || cycle < eps.nextRetry {
 		return out
 	}
 	eps.attempts++
-	eps.nextRetry = cycle + 1 + int32((eps.attempts-1)*c.backoff)
+	eps.nextRetry = cycle + int32(eps.attempts)
 	c.ctr.Retries.Add(int64(eps.holes))
 	left := eps.holes
 	for _, k := range eps.byID() {

@@ -47,12 +47,12 @@ type coreEvent struct {
 }
 
 type coreSim struct {
-	t                                   *testing.T
-	rng                                 *stats.RNG
-	sources, grace, maxRetries, backoff int
-	epochs                              int32
-	core                                *settleCore
-	ctr                                 *metrics.IngestCounters
+	t                          *testing.T
+	rng                        *stats.RNG
+	sources, grace, maxRetries int
+	epochs                     int32
+	core                       *settleCore
+	ctr                        *metrics.IngestCounters
 
 	emitted map[int32][]vote.Report       // per epoch, canonical order
 	arrival map[vote.ReportID]int32       // the cycle a report first reached the core
@@ -241,7 +241,8 @@ func (s *coreSim) check(done cycleDone) {
 	}
 
 	// Re-requests ⊆ missing, in (epoch, agent, seq) order, at most maxRetries
-	// rounds an epoch, numbered from 1, spaced by the linear backoff.
+	// rounds an epoch, numbered from 1, round k+1 at least k cycles after
+	// round k.
 	byID := func(a, b transport.RetryReq) int {
 		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Agent, b.Agent), cmp.Compare(a.Seq, b.Seq))
 	}
@@ -265,8 +266,8 @@ func (s *coreSim) check(done cycleDone) {
 			if round > s.maxRetries {
 				t.Fatalf("epoch %d: re-request round %d, budget %d", q.Epoch, round, s.maxRetries)
 			}
-			if last, ok := s.lastAt[q.Epoch]; ok && cycle < last+1+int32((round-2)*s.backoff) {
-				t.Fatalf("epoch %d: round %d at cycle %d, round %d was at %d: backoff %d not kept", q.Epoch, round, cycle, round-1, last, s.backoff)
+			if last, ok := s.lastAt[q.Epoch]; ok && cycle < last+int32(round-1) {
+				t.Fatalf("epoch %d: round %d at cycle %d, round %d was at %d: the schedule wants %d cycles between them", q.Epoch, round, cycle, round-1, last, round-1)
 			}
 			s.lastAt[q.Epoch] = cycle
 		}
@@ -285,7 +286,7 @@ func (s *coreSim) check(done cycleDone) {
 // that already completed, so none of them may complete a cycle again.
 func (s *coreSim) restart(w int32) {
 	s.ctr = &metrics.IngestCounters{}
-	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.backoff, s.ctr, w)
+	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.ctr, w)
 	clear(s.rounds) // the retry budget is per incarnation
 	clear(s.lastAt)
 	clear(s.final) // and so is finality: the new core reports its epochs again
@@ -306,13 +307,13 @@ func runCoreSim(t *testing.T, seed uint64, restart bool) (*metrics.IngestCounter
 	rng := stats.NewRNG(seed)
 	s := &coreSim{
 		t: t, rng: rng,
-		sources: 1 + rng.Intn(3), grace: 1 + rng.Intn(3), maxRetries: rng.Intn(4), backoff: 1 + rng.Intn(2),
+		sources: 1 + rng.Intn(3), grace: 1 + rng.Intn(3), maxRetries: rng.Intn(4),
 		epochs: int32(3 + rng.Intn(6)), ctr: &metrics.IngestCounters{},
 		emitted: map[int32][]vote.Report{}, arrival: map[vote.ReportID]int32{},
 		due: map[int32][]coreEvent{}, log: map[int32][]coreEvent{}, byID: map[vote.ReportID]vote.Report{},
 		rounds: map[int32]int{}, lastAt: map[int32]int32{}, final: map[int32][]vote.Report{}, lastFin: -1,
 	}
-	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.backoff, s.ctr, -1)
+	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.ctr, -1)
 	agents := s.sources * (1 + rng.Intn(3))
 	// A restart lands right after some settle was made durable.
 	crashAfter := int32(-1)
@@ -415,7 +416,7 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 	}
 
 	t.Run("hostile seq", func(t *testing.T) {
-		c := newSettleCore(1, 1, 0, 1, &metrics.IngestCounters{}, -1)
+		c := newSettleCore(1, 1, 0, &metrics.IngestCounters{}, -1)
 		cycle := int32(0)
 		const agents = 8
 		counts := make([]transport.AgentCount, agents)
@@ -468,7 +469,7 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 			{{Agent: 2, N: 1}},                   // agent 1 has no count at all
 		} {
 			func() {
-				c := newSettleCore(1, 0, 0, 1, &metrics.IngestCounters{}, -1)
+				c := newSettleCore(1, 0, 0, &metrics.IngestCounters{}, -1)
 				c.report(vote.Report{Src: 2, Epoch: 0, Seq: 0}, 0, false)
 				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 5}, 0, false)
 				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
@@ -486,7 +487,7 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 		// count placed along (it came before the seal) or arriving after.
 		for _, before := range []bool{true, false} {
 			func() {
-				c := newSettleCore(1, 1, 0, 1, &metrics.IngestCounters{}, -1)
+				c := newSettleCore(1, 1, 0, &metrics.IngestCounters{}, -1)
 				stray := vote.Report{Src: 1, Epoch: 0, Seq: 1}
 				if before {
 					c.report(stray, 0, false)

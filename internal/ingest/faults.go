@@ -38,10 +38,8 @@ type FaultConfig struct {
 	// DelayMax bounds the holdback in epochs; 0 with Delay > 0 means 1.
 	DelayMax int
 	// Burst is the per-(agent, epoch) probability of a burst-loss window:
-	// BurstLen consecutive sequence numbers vanish.
+	// burstLen consecutive sequence numbers vanish.
 	Burst float64
-	// BurstLen is the burst window length; 0 with Burst > 0 means 8.
-	BurstLen int
 	// Crash is the per-(agent, epoch) probability the agent crashes
 	// mid-epoch: every report from a uniformly drawn sequence point to the
 	// end of the epoch is lost. The agent restarts at the next epoch.
@@ -71,6 +69,7 @@ const (
 	faultDomainAgent  = 0xc2b2ae3d27d4eb4f
 	crashSpan         = 64 // crash points draw uniformly over [0, crashSpan)
 	burstSpan         = 64 // burst windows start uniformly in [0, burstSpan)
+	burstLen          = 8  // sequence numbers a burst window covers
 )
 
 // reportStream indexes the per-transmission fault stream. Attempt is part
@@ -119,12 +118,8 @@ func (f FaultConfig) reportFate(r vote.Report, attempt int) fate {
 			arng.Intn(crashSpan) // keep the stream position fixed either way
 		}
 		if f.Burst > 0 && arng.Bool(f.Burst) {
-			blen := f.BurstLen
-			if blen <= 0 {
-				blen = 8
-			}
 			start := int32(arng.Intn(burstSpan))
-			if r.Seq >= start && r.Seq < start+int32(blen) {
+			if r.Seq >= start && r.Seq < start+burstLen {
 				ft.burst = true
 			}
 		}

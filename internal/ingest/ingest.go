@@ -65,29 +65,12 @@ type Config struct {
 	// Lanes is the number of per-agent FIFO lanes (agents hash onto
 	// lanes). 0 means the default of 4.
 	Lanes int
-	// LaneDepth and QueueDepth bound the source→lane and lane→collector
-	// channels, in items, rounded up to whole bursts; full channels exert
-	// backpressure all the way into the engine. 0 means 256 and 1024.
-	LaneDepth, QueueDepth int
 	// MaxRetries bounds gap re-requests per epoch; 0 disables retries
 	// (every injected drop becomes an observed loss — the configuration
-	// the fault-counter agreement tests use). Values above 255 are
-	// capped there: the attempt number travels as a uint8 through the
-	// retry path and the fault-identity hash, and a wrap at attempt 256
-	// would alias a retry back onto a first attempt.
+	// the fault-counter agreement tests use). An epoch's re-request round
+	// k+1 waits k cycles after round k. Values above 255 are capped there
+	// (see settleParams).
 	MaxRetries int
-	// RetryBackoff spaces successive re-requests of the same epoch, in
-	// epochs (linear backoff: attempt k waits 1 + (k-1)*RetryBackoff
-	// cycles). 0 means 1.
-	RetryBackoff int
-	// ShedPathsOnPressure enables graceful degradation: when the
-	// collector queue is full, a lane strips the traceroute paths (the
-	// expensive payload) of the burst it could not queue and delivers the
-	// bare votes with a blocking send — traceroute budget is shed before
-	// votes, and votes are never shed at all (only injected faults lose
-	// votes). Off by default because shedding depends on scheduling, which
-	// would break the fault-free bit-identical contract.
-	ShedPathsOnPressure bool
 	// Interval, when positive, paces the epoch loop on the wall clock —
 	// the live-service mode. Zero runs epochs back to back.
 	Interval time.Duration
@@ -121,6 +104,26 @@ const burstSize = 128
 
 // burstsFor turns a queue depth in items into a channel capacity in bursts.
 func burstsFor(depth int) int { return (depth + burstSize - 1) / burstSize }
+
+// laneDepth and queueDepth bound the source→lane and the lanes→collector
+// (or transport→collector) channels, in items, rounded up to whole bursts.
+// Full channels exert backpressure all the way into the engine, or into
+// TCP.
+const laneDepth, queueDepth = 256, 1024
+
+// settleParams validates and resolves the settle knobs that New,
+// ServeCollector and RunAgent all take, so the three agree on what is
+// valid: a negative Grace or MaxRetries is an error, Grace 0 means 2, and
+// MaxRetries is capped at 255 — the attempt number travels as a uint8
+// through the retry path and the fault-identity hash, and a wrap at
+// attempt 256 would alias a retry onto a first attempt. Nothing sane
+// retries an epoch 255 times, so it caps rather than rejects.
+func settleParams(grace, maxRetries int) (int, int, error) {
+	if grace < 0 || maxRetries < 0 {
+		return 0, 0, fmt.Errorf("ingest: negative Grace (%d) or MaxRetries (%d)", grace, maxRetries)
+	}
+	return cmp.Or(grace, 2), min(maxRetries, 255), nil
+}
 
 // item is one unit on a lane: a (possibly retried) report or a token.
 type item struct {
@@ -168,32 +171,30 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("ingest: Config.Engine is required")
 	}
-	if cfg.Grace < 0 || cfg.Lanes < 0 || cfg.MaxRetries < 0 || cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("ingest: negative Grace/Lanes/MaxRetries/RetryBackoff")
+	grace, maxRetries, err := settleParams(cfg.Grace, cfg.MaxRetries)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Lanes < 0 {
+		return nil, fmt.Errorf("ingest: negative Lanes (%d)", cfg.Lanes)
 	}
 	if cfg.Faults.Drop < 0 || cfg.Faults.Drop > 1 || cfg.Faults.Duplicate < 0 || cfg.Faults.Duplicate > 1 ||
 		cfg.Faults.Delay < 0 || cfg.Faults.Delay > 1 || cfg.Faults.Burst < 0 || cfg.Faults.Burst > 1 ||
 		cfg.Faults.Crash < 0 || cfg.Faults.Crash > 1 {
 		return nil, fmt.Errorf("ingest: fault probabilities must be in [0, 1]")
 	}
-	if cfg.MaxRetries > 255 {
-		// attempt is a uint8 end to end (retryReq, item, the fault
-		// identity); more than 255 rounds would wrap attempt numbers onto
-		// first attempts. Nothing sane retries an epoch 255 times, so cap
-		// rather than reject.
-		cfg.MaxRetries = 255
-	}
+	cfg.MaxRetries = maxRetries
 	s := &Service{cfg: cfg, ctr: cfg.Counters}
 	if s.ctr == nil {
 		s.ctr = &metrics.IngestCounters{}
 	}
-	s.grace = cmp.Or(cfg.Grace, 2)
+	s.grace = grace
 	s.lanes = cmp.Or(cfg.Lanes, 4)
 	s.laneIn = make([]chan []item, s.lanes)
 	for i := range s.laneIn {
-		s.laneIn[i] = make(chan []item, burstsFor(cmp.Or(cfg.LaneDepth, 256)))
+		s.laneIn[i] = make(chan []item, burstsFor(laneDepth))
 	}
-	s.toCol = make(chan []item, burstsFor(cmp.Or(cfg.QueueDepth, 1024)))
+	s.toCol = make(chan []item, burstsFor(queueDepth))
 	s.stage = make([][]item, s.lanes)
 	s.counts = make([][]transport.AgentCount, s.lanes)
 	// Room for every burst that can exist at once: queued, being staged by
@@ -406,7 +407,7 @@ func (s *Service) lane(idx int) {
 		}
 		s.recycle(in)
 		if len(out) > 0 {
-			s.forward(out)
+			s.toCol <- out
 		} else {
 			s.recycle(out)
 		}
@@ -439,29 +440,6 @@ func releaseDue(out []item, held []heldItem, c int32) ([]item, []heldItem) {
 	return out, held[:n]
 }
 
-// forward hands a burst to the collector. Under ShedPathsOnPressure a full
-// queue degrades gracefully: the burst's traceroute paths are stripped (and
-// its reports marked partial) so the votes themselves still go through
-// with a blocking send — paths are shed before votes, votes never shed at
-// all.
-func (s *Service) forward(burst []item) {
-	if s.cfg.ShedPathsOnPressure {
-		select {
-		case s.toCol <- burst:
-			return
-		default:
-			for i := range burst {
-				if it := &burst[i]; it.kind == itemReport {
-					s.ctr.ShedPaths.Add(1)
-					it.r.Path = nil
-					it.r.Partial = true
-				}
-			}
-		}
-	}
-	s.toCol <- burst
-}
-
 // collector is the settle stage: it drains the merged lane queue into the
 // settle core — one source per lane — and, as cycles complete, settles
 // against the ring's ground truth and hands the lockstep baton (with the
@@ -469,7 +447,7 @@ func (s *Service) forward(burst []item) {
 func (s *Service) collector() {
 	defer s.wg.Done()
 	defer s.an.stop()
-	core := newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, cmp.Or(s.cfg.RetryBackoff, 1), s.ctr, -1)
+	core := newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, s.ctr, -1)
 	for burst := range s.toCol {
 		for i := range burst {
 			it := &burst[i]

@@ -357,36 +357,6 @@ func TestContextCancelCleanShutdown(t *testing.T) {
 	}
 }
 
-// Graceful degradation sheds the traceroute payload — never the vote —
-// when the collector queue is full.
-func TestShedPathsOnPressure(t *testing.T) {
-	eng := newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0.05)
-	s, err := New(Config{Engine: eng, QueueDepth: 1, ShedPathsOnPressure: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-fill the queue so the next forward must degrade.
-	s.toCol <- []item{{kind: itemReport}}
-	done := make(chan []item, 2)
-	go func() {
-		done <- <-s.toCol
-		done <- <-s.toCol
-	}()
-	r := vote.Report{Src: 1, Path: []topology.LinkID{1, 2, 3}, Epoch: 0, Seq: 0}
-	s.forward([]item{{kind: itemReport, r: r}})
-	<-done
-	it := (<-done)[0]
-	if got := s.Counters().ShedPaths.Load(); got != 1 {
-		t.Fatalf("ShedPaths = %d, want 1", got)
-	}
-	if it.r.Path != nil || !it.r.Partial {
-		t.Fatal("shed report kept its path or was not marked partial")
-	}
-	if it.r.Src != r.Src || it.r.Seq != r.Seq {
-		t.Fatal("shedding corrupted the vote itself")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	eng := newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0.05)
 	cases := []struct {

@@ -145,7 +145,10 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	if an.Detect.Topo != nil || an.Detect.Adjuster != nil {
 		return fmt.Errorf("ingest: networked agents require wire-expressible analysis options (Detect.Topo and Detect.Adjuster must be nil)")
 	}
-	grace := cmp.Or(cfg.Grace, 2)
+	grace, _, err := settleParams(cfg.Grace, 0)
+	if err != nil {
+		return err
+	}
 	tc := cfg.Transport
 	tc.Addr = cfg.Addr
 	tc.Session = cfg.Session
@@ -228,24 +231,20 @@ type CollectorConfig struct {
 	// Sessions is the number of reporter sessions; a cycle completes when
 	// every session's token for it has been processed. 0 means 1.
 	Sessions int
-	// Grace, MaxRetries, RetryBackoff mirror the in-process Config fields
-	// (same defaults, same semantics).
-	Grace        int
-	MaxRetries   int
-	RetryBackoff int
+	// Grace and MaxRetries mirror the in-process Config fields (same
+	// defaults, same semantics).
+	Grace      int
+	MaxRetries int
 	// Parallelism is accepted and ignored: settle-time analysis fans
 	// nothing out. The field stays because bench/ sets it; the next
 	// benchmark PR can drop it from both.
 	Parallelism int
 	// CheckpointPath enables crash recovery; see transport.ServerConfig.
 	CheckpointPath string
-	// QueueDepth bounds, in reports, the transport→collector event channel
-	// (which carries them in bursts); a full channel backpressures into
-	// TCP. 0 means 1024.
+	// Test hook: QueueDepth bounds, in reports, the transport→collector
+	// event channel (which carries them in bursts), so that a test can
+	// queue a whole run without backpressure. 0 means queueDepth.
 	QueueDepth int
-	// ReadTimeout/WriteTimeout tune the transport server deadlines.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 	// Sink receives each settled epoch, in epoch order, on the collector
 	// goroutine — before the settle is checkpointed, so a crash inside
 	// the sink re-delivers on restart (at-least-once at the sink; the
@@ -357,14 +356,21 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("ingest: CollectorConfig.Listener is required")
 	}
+	grace, maxRetries, err := settleParams(cfg.Grace, cfg.MaxRetries)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Sessions < 0 || cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("ingest: negative Sessions (%d) or QueueDepth (%d)", cfg.Sessions, cfg.QueueDepth)
+	}
 	cfg.Sessions = max(cfg.Sessions, 1)
-	cfg.MaxRetries = min(cfg.MaxRetries, 255)
+	cfg.Grace, cfg.MaxRetries = grace, maxRetries
 	if cfg.Counters == nil {
 		cfg.Counters = &metrics.IngestCounters{}
 	}
 	c := &NetCollector{
 		cfg:       cfg,
-		ev:        make(chan netEvent, burstsFor(cmp.Or(cfg.QueueDepth, 1024))),
+		ev:        make(chan netEvent, burstsFor(cmp.Or(cfg.QueueDepth, queueDepth))),
 		stage:     make(map[uint64]*sessStage),
 		quit:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
@@ -384,8 +390,6 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 		Sessions:       cfg.Sessions,
 		CheckpointPath: cfg.CheckpointPath,
 		AppFresh:       -1,
-		ReadTimeout:    cfg.ReadTimeout,
-		WriteTimeout:   cfg.WriteTimeout,
 		Counters:       cfg.Transport,
 	})
 	if err != nil {
@@ -393,7 +397,7 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 	}
 	c.srv = srv
 	restored := int32(srv.AppState())
-	c.core = newSettleCore(cfg.Sessions, cmp.Or(cfg.Grace, 2), cfg.MaxRetries, cmp.Or(cfg.RetryBackoff, 1), c.cfg.Counters, restored)
+	c.core = newSettleCore(cfg.Sessions, cfg.Grace, cfg.MaxRetries, c.cfg.Counters, restored)
 	if restored >= 0 {
 		// The crash may have landed between checkpointing a settle and
 		// delivering its cycle-end; re-offer the newest completed cycle's

@@ -437,6 +437,79 @@ func TestNetworkedValidation(t *testing.T) {
 	}
 }
 
+// New, ServeCollector and RunAgent validate the settle knobs through one
+// check, so each refuses a negative Grace or MaxRetries (cmp.Or would pass
+// it through to the core) and resolves Grace 0 and MaxRetries above 255 the
+// same way. A RunAgent that passes validation meets the cancelled context
+// at its first connect.
+func TestConstructorsShareValidation(t *testing.T) {
+	eng := newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	type settled struct{ grace, maxRetries int }
+	newService := func(cfg Config) (settled, error) {
+		cfg.Engine = eng
+		s, err := New(cfg)
+		if err != nil {
+			return settled{}, err
+		}
+		return settled{s.grace, s.cfg.MaxRetries}, nil
+	}
+	serve := func(cfg CollectorConfig) (settled, error) {
+		cfg.Listener = listen(t)
+		c, err := ServeCollector(cfg)
+		if err != nil {
+			cfg.Listener.Close()
+			return settled{}, err
+		}
+		defer c.Close()
+		return settled{int(c.core.grace), c.core.maxRetries}, nil
+	}
+	runAgent := func(grace int) (settled, error) {
+		err := RunAgent(cancelled, AgentConfig{Engine: eng, Addr: "127.0.0.1:1", Epochs: 1, Grace: grace})
+		if err == context.Canceled {
+			return settled{}, nil
+		}
+		return settled{}, err
+	}
+	cases := []struct {
+		name    string
+		build   func() (settled, error)
+		wantErr bool
+		want    settled
+	}{
+		{"New/negative grace", func() (settled, error) { return newService(Config{Grace: -1}) }, true, settled{}},
+		{"New/negative retries", func() (settled, error) { return newService(Config{MaxRetries: -3}) }, true, settled{}},
+		{"New/negative lanes", func() (settled, error) { return newService(Config{Lanes: -1}) }, true, settled{}},
+		{"New/defaults and cap", func() (settled, error) { return newService(Config{MaxRetries: 1000}) }, false, settled{2, 255}},
+		{"ServeCollector/negative grace", func() (settled, error) { return serve(CollectorConfig{Grace: -1}) }, true, settled{}},
+		{"ServeCollector/negative grace and retries", func() (settled, error) { return serve(CollectorConfig{Grace: -1, MaxRetries: -3}) }, true, settled{}},
+		{"ServeCollector/negative retries", func() (settled, error) { return serve(CollectorConfig{MaxRetries: -3}) }, true, settled{}},
+		{"ServeCollector/negative sessions", func() (settled, error) { return serve(CollectorConfig{Sessions: -1}) }, true, settled{}},
+		{"ServeCollector/negative queue depth", func() (settled, error) { return serve(CollectorConfig{QueueDepth: -1}) }, true, settled{}},
+		{"ServeCollector/defaults and cap", func() (settled, error) { return serve(CollectorConfig{MaxRetries: 1000}) }, false, settled{2, 255}},
+		{"RunAgent/negative grace", func() (settled, error) { return runAgent(-1) }, true, settled{}},
+		{"RunAgent/default grace", func() (settled, error) { return runAgent(0) }, false, settled{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.build()
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("resolved to grace %d, MaxRetries %d; want %d, %d", got.grace, got.maxRetries, tc.want.grace, tc.want.maxRetries)
+			}
+		})
+	}
+}
+
 // lyingEngine emits, ahead of every epoch's real reports, two that no agent
 // can produce: one with a negative sequence and one with a negative epoch.
 // The Step result (and so the cycle token) carries the real reports only.

@@ -29,7 +29,6 @@ type IngestCounters struct {
 	Lost          atomic.Int64 // expected but missing when their epoch settled
 	Retries       atomic.Int64 // re-requests issued for detected sequence gaps
 	Recovered     atomic.Int64 // gap reports recovered by a retry before settle
-	ShedPaths     atomic.Int64 // reports stripped of traceroute paths under queue pressure
 	SettledEpochs atomic.Int64 // epochs settled and emitted
 	DetectedLinks atomic.Int64 // links named by Algorithm 1 across settled epochs
 	Verdicts      atomic.Int64 // per-flow verdicts issued across settled epochs
@@ -58,7 +57,6 @@ var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_lost_total", "Reports still missing when their epoch settled.", false, func(c *IngestCounters) int64 { return c.Lost.Load() }},
 	{"vigil_ingest_retries_total", "Gap re-requests issued to agents.", false, func(c *IngestCounters) int64 { return c.Retries.Load() }},
 	{"vigil_ingest_recovered_total", "Gap reports recovered by a retry before settle.", false, func(c *IngestCounters) int64 { return c.Recovered.Load() }},
-	{"vigil_ingest_shed_paths_total", "Reports stripped of their traceroute path under queue pressure.", false, func(c *IngestCounters) int64 { return c.ShedPaths.Load() }},
 	{"vigil_ingest_settled_epochs_total", "Epochs settled and emitted.", false, func(c *IngestCounters) int64 { return c.SettledEpochs.Load() }},
 	{"vigil_ingest_detected_links_total", "Links named by Algorithm 1 across settled epochs.", false, func(c *IngestCounters) int64 { return c.DetectedLinks.Load() }},
 	{"vigil_ingest_verdicts_total", "Per-flow verdicts issued across settled epochs.", false, func(c *IngestCounters) int64 { return c.Verdicts.Load() }},

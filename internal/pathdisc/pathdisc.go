@@ -32,6 +32,16 @@ import (
 // switches, the paper sends 15 probes to be safe.
 const MaxTTL = 15
 
+// probesPerTTL is how many probes go out per hop, like classical
+// traceroute's retries: the probe tracing a lossy link is itself exposed to
+// that link's drop rate, and a lost critical probe truncates the path.
+// Duplicate replies are idempotent.
+const probesPerTTL = 2
+
+// probeTimeout is how long a trace waits for ICMP replies before its path
+// is assembled (datacenter RTTs are well under 2ms).
+const probeTimeout = 20 * des.Millisecond
+
 // evFinish is the agent's typed DES event: a trace's probe timeout
 // expiring (payload = the trace).
 const evFinish int32 = 1
@@ -43,12 +53,9 @@ type Config struct {
 	// SLB resolves VIP flows to DIPs; may be nil when the workload
 	// addresses DIPs directly (infrastructure traffic).
 	SLB *slb.SLB
-	// Send injects a serialized probe onto the host's uplink. Each probe
-	// is built into a fresh byte slice; prefer the pooled pair below on
-	// hot paths.
-	Send func(data []byte)
-	// NewPacket and SendPacket, when both set, replace Send: probes build
-	// into pooled wire buffers and SendPacket takes ownership of each.
+	// NewPacket and SendPacket inject probes onto the host's uplink:
+	// probes build into pooled wire buffers and SendPacket takes ownership
+	// of each. Both are required.
 	NewPacket  func() *wire.Buffer
 	SendPacket func(pkt *wire.Buffer)
 	// Sched provides virtual time for probe timeouts and rate limiting.
@@ -61,14 +68,6 @@ type Config struct {
 	// Ct is the host traceroute budget in traceroutes/second (Theorem 1);
 	// zero disables the limit.
 	Ct float64
-	// ProbesPerTTL sends redundant probes per hop (default 2, like
-	// classical traceroute's retries): the probe tracing a lossy link is
-	// itself exposed to that link's drop rate, and a lost critical probe
-	// truncates the path. Duplicate replies are idempotent.
-	ProbesPerTTL int
-	// ProbeTimeout is how long to wait for ICMP replies before assembling
-	// the path; zero means 20ms (datacenter RTTs are well under 2ms).
-	ProbeTimeout des.Time
 	// OnReport receives the finished path report.
 	OnReport func(r vote.Report)
 	// Retx returns the flow's current retransmission count (wired to the
@@ -129,12 +128,6 @@ type trace struct {
 
 // New builds the agent.
 func New(cfg Config) *Agent {
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 20 * des.Millisecond
-	}
-	if cfg.ProbesPerTTL <= 0 {
-		cfg.ProbesPerTTL = 2
-	}
 	return &Agent{
 		cfg:     cfg,
 		cache:   make(map[ecmp.FiveTuple]bool),
@@ -182,19 +175,14 @@ func (a *Agent) Discover(flow ecmp.FiveTuple) {
 		tr.flowID = a.cfg.FlowID(flow)
 	}
 	a.pending[probeKey{dst: probed.DstIP, srcPort: probed.SrcPort, dstPort: probed.DstPort}] = tr
-	pooled := a.cfg.NewPacket != nil && a.cfg.SendPacket != nil
 	for ttl := 1; ttl <= MaxTTL; ttl++ {
-		for i := 0; i < a.cfg.ProbesPerTTL; i++ {
-			if pooled {
-				pkt := a.cfg.NewPacket()
-				buildProbeInto(pkt, probed, uint8(ttl))
-				a.cfg.SendPacket(pkt)
-			} else {
-				a.cfg.Send(buildProbe(probed, uint8(ttl)))
-			}
+		for range probesPerTTL {
+			pkt := a.cfg.NewPacket()
+			buildProbeInto(pkt, probed, uint8(ttl))
+			a.cfg.SendPacket(pkt)
 		}
 	}
-	a.cfg.Sched.PostKeyedAfter(a.cfg.ProbeTimeout, a.cfg.EventKey, a, evFinish, 0, tr)
+	a.cfg.Sched.PostKeyedAfter(probeTimeout, a.cfg.EventKey, a, evFinish, 0, tr)
 }
 
 // getTrace produces zeroed trace state, recycling finished traces.
@@ -228,15 +216,6 @@ func buildProbeInto(buf *wire.Buffer, flow ecmp.FiveTuple, ttl uint8) {
 	}
 	tcp.SerializeTo(buf, &ip)
 	ip.SerializeTo(buf)
-}
-
-// buildProbe crafts one probe into a fresh byte slice (the Send fallback).
-func buildProbe(flow ecmp.FiveTuple, ttl uint8) []byte {
-	buf := wire.NewBuffer(wire.IPv4HeaderLen + wire.TCPHeaderLen)
-	buildProbeInto(buf, flow, ttl)
-	out := make([]byte, len(buf.Bytes()))
-	copy(out, buf.Bytes())
-	return out
 }
 
 // HandleICMP feeds the agent an ICMP message received by the host. It

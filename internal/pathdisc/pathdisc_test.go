@@ -18,24 +18,39 @@ func testTopo(t *testing.T) *topology.Topology {
 	return topo
 }
 
+// newAgent builds an agent whose probes are appended to *sent (when sent is
+// not nil), each in a buffer of its own.
+func newAgent(cfg Config, sent *[][]byte) *Agent {
+	cfg.NewPacket = func() *wire.Buffer { return wire.NewBuffer(wire.IPv4HeaderLen + wire.TCPHeaderLen) }
+	cfg.SendPacket = func(pkt *wire.Buffer) {
+		if sent != nil {
+			*sent = append(*sent, pkt.Bytes())
+		}
+	}
+	return New(cfg)
+}
+
+// probe is the packet an agent sends to trace flow at ttl.
+func probe(flow ecmp.FiveTuple, ttl uint8) []byte {
+	buf := wire.NewBuffer(wire.IPv4HeaderLen + wire.TCPHeaderLen)
+	buildProbeInto(buf, flow, ttl)
+	return buf.Bytes()
+}
+
 // The probes must carry the flow's exact five-tuple, the TTL echoed in the
 // IP ID, and a bad TCP checksum — §4.2's three crafting requirements.
 func TestProbeCrafting(t *testing.T) {
 	topo := testTopo(t)
 	sched := &des.Scheduler{}
 	var sent [][]byte
-	a := New(Config{
-		Topo: topo, Host: 0, Sched: sched,
-		Send:         func(d []byte) { sent = append(sent, d) },
-		ProbesPerTTL: 1,
-	})
+	a := newAgent(Config{Topo: topo, Host: 0, Sched: sched}, &sent)
 	flow := ecmp.FiveTuple{
 		SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[20].IP,
 		SrcPort: 44444, DstPort: 443, Proto: ecmp.ProtoTCP,
 	}
 	a.Discover(flow)
-	if len(sent) != MaxTTL {
-		t.Fatalf("sent %d probes, want %d", len(sent), MaxTTL)
+	if len(sent) != probesPerTTL*MaxTTL {
+		t.Fatalf("sent %d probes, want %d", len(sent), probesPerTTL*MaxTTL)
 	}
 	for i, data := range sent {
 		var ip wire.IPv4
@@ -43,7 +58,7 @@ func TestProbeCrafting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(ip.TTL) != i+1 || int(ip.ID) != i+1 {
+		if ttl := i/probesPerTTL + 1; int(ip.TTL) != ttl || int(ip.ID) != ttl {
 			t.Fatalf("probe %d: TTL=%d ID=%d", i, ip.TTL, ip.ID)
 		}
 		if ip.Src != flow.SrcIP || ip.Dst != flow.DstIP {
@@ -65,37 +80,36 @@ func TestProbeCrafting(t *testing.T) {
 func TestProbesPerTTLDefault(t *testing.T) {
 	topo := testTopo(t)
 	sched := &des.Scheduler{}
-	n := 0
-	a := New(Config{Topo: topo, Host: 0, Sched: sched, Send: func([]byte) { n++ }})
+	var sent [][]byte
+	a := newAgent(Config{Topo: topo, Host: 0, Sched: sched}, &sent)
 	a.Discover(ecmp.FiveTuple{SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[10].IP, SrcPort: 1, DstPort: 2, Proto: 6})
-	if n != 2*MaxTTL {
-		t.Fatalf("default redundancy sent %d probes, want %d", n, 2*MaxTTL)
+	if len(sent) != 2*MaxTTL {
+		t.Fatalf("redundancy sent %d probes, want %d", len(sent), 2*MaxTTL)
 	}
 }
 
 func TestOncePerFlowPerEpoch(t *testing.T) {
 	topo := testTopo(t)
 	sched := &des.Scheduler{}
-	n := 0
-	a := New(Config{Topo: topo, Host: 0, Sched: sched, Send: func([]byte) { n++ }, ProbesPerTTL: 1})
+	var sent [][]byte
+	a := newAgent(Config{Topo: topo, Host: 0, Sched: sched}, &sent)
 	flow := ecmp.FiveTuple{SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[10].IP, SrcPort: 1, DstPort: 2, Proto: 6}
 	a.Discover(flow)
 	a.Discover(flow) // same epoch: suppressed
-	if n != MaxTTL {
-		t.Fatalf("re-discovery in the same epoch sent probes: %d", n)
+	if len(sent) != probesPerTTL*MaxTTL {
+		t.Fatalf("re-discovery in the same epoch sent probes: %d", len(sent))
 	}
 	a.NewEpoch()
 	a.Discover(flow)
-	if n != 2*MaxTTL {
-		t.Fatalf("discovery after epoch roll did not probe: %d", n)
+	if len(sent) != 2*probesPerTTL*MaxTTL {
+		t.Fatalf("discovery after epoch roll did not probe: %d", len(sent))
 	}
 }
 
 func TestCtRateLimit(t *testing.T) {
 	topo := testTopo(t)
 	sched := &des.Scheduler{}
-	n := 0
-	a := New(Config{Topo: topo, Host: 0, Sched: sched, Ct: 2, Send: func([]byte) { n++ }, ProbesPerTTL: 1})
+	a := newAgent(Config{Topo: topo, Host: 0, Sched: sched, Ct: 2}, nil)
 	for i := 0; i < 10; i++ {
 		a.Discover(ecmp.FiveTuple{
 			SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[10].IP,
@@ -121,19 +135,17 @@ func TestAssemblyFromReplies(t *testing.T) {
 	topo := testTopo(t)
 	sched := &des.Scheduler{}
 	var reports []vote.Report
-	a := New(Config{
-		Topo: topo, Host: 0, Sched: sched, ProbesPerTTL: 1,
-		Send:     func([]byte) {},
+	a := newAgent(Config{
+		Topo: topo, Host: 0, Sched: sched,
 		OnReport: func(r vote.Report) { reports = append(reports, r) },
-	})
+	}, nil)
 	dst := topology.HostID(10)
 	flow := ecmp.FiveTuple{SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[dst].IP, SrcPort: 7, DstPort: 443, Proto: 6}
 	a.Discover(flow)
 
 	reply := func(ttl uint8, from topology.SwitchID) {
 		// Build the expired probe the way the fabric would echo it back.
-		probe := buildProbe(flow, ttl)
-		ic := timeExceeded(probe)
+		ic := timeExceeded(probe(flow, ttl))
 		buf := wire.NewBuffer(64)
 		ic.SerializeTo(buf)
 		var parsed wire.ICMP
@@ -177,17 +189,15 @@ func TestPartialOnMissingHop(t *testing.T) {
 	topo := testTopo(t)
 	sched := &des.Scheduler{}
 	var reports []vote.Report
-	a := New(Config{
-		Topo: topo, Host: 0, Sched: sched, ProbesPerTTL: 1,
-		Send:     func([]byte) {},
+	a := newAgent(Config{
+		Topo: topo, Host: 0, Sched: sched,
 		OnReport: func(r vote.Report) { reports = append(reports, r) },
-	})
+	}, nil)
 	dst := topology.HostID(10)
 	flow := ecmp.FiveTuple{SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[dst].IP, SrcPort: 8, DstPort: 443, Proto: 6}
 	a.Discover(flow)
 	// Only the first hop answers (probes beyond died on a blackhole).
-	probe := buildProbe(flow, 1)
-	ic := timeExceeded(probe)
+	ic := timeExceeded(probe(flow, 1))
 	buf := wire.NewBuffer(64)
 	ic.SerializeTo(buf)
 	var parsed wire.ICMP
@@ -209,7 +219,7 @@ func TestPartialOnMissingHop(t *testing.T) {
 
 func TestForeignICMPIgnored(t *testing.T) {
 	topo := testTopo(t)
-	a := New(Config{Topo: topo, Host: 0, Sched: &des.Scheduler{}, Send: func([]byte) {}})
+	a := newAgent(Config{Topo: topo, Host: 0, Sched: &des.Scheduler{}}, nil)
 	ic := wire.ICMP{Type: 0} // echo reply
 	if a.HandleICMP(1234, &ic) {
 		t.Fatal("echo reply matched a traceroute")

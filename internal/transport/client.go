@@ -24,27 +24,28 @@ type ClientConfig struct {
 	// can validate engine-configuration agreement.
 	ThresholdFrac float64
 	MaxLinks      int32
-	// DialTimeout bounds each TCP dial. 0 means 5s.
+	// Test hook: DialTimeout bounds each TCP dial, so that a test can
+	// shorten it. 0 means 5s.
 	DialTimeout time.Duration
-	// IOTimeout bounds each frame write, the handshake read, and how long
-	// a frame may stay partially read before the connection is presumed
-	// dead. 0 means 10s.
-	IOTimeout time.Duration
-	// WaitPoll is the read-poll granularity while waiting for a
+	// Test hook: WaitPoll is the read-poll granularity while waiting for a
 	// cycle-end: each expiry sends a heartbeat and every few expiries
-	// re-sends the cycle token (recovering a lost cycle-end). 0 means
-	// 250ms.
+	// re-sends the cycle token (recovering a lost cycle-end). Chaos tests
+	// shorten it to recover fast. 0 means 250ms.
 	WaitPoll time.Duration
-	// TokenResendEvery is the number of WaitPoll expiries between token
-	// re-sends. 0 means 4.
+	// Test hook: TokenResendEvery is the number of WaitPoll expiries
+	// between token re-sends, so that a test can make every poll re-send.
+	// 0 means 4.
 	TokenResendEvery int
-	// DeadPolls is the number of consecutive silent polls after which the
-	// connection is presumed dead and rebuilt. 0 means 40.
+	// Test hook: DeadPolls is the number of consecutive silent polls after
+	// which the connection is presumed dead and rebuilt, so that a test
+	// with short polls can keep its connection. 0 means 40.
 	DeadPolls int
-	// BackoffBase/BackoffMax shape the reconnect backoff (exponential,
-	// seeded jitter). 0 means 20ms / 2s.
+	// Test hook: BackoffBase is the first reconnect backoff (exponential,
+	// seeded jitter), so that a test can reconnect sooner. 0 means 20ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// Test hook: BackoffMax caps the reconnect backoff, so that a test can
+	// bound its waits. 0 means 2s.
+	BackoffMax time.Duration
 	// Seed derives the jitter substream (stats.DeriveRNG), keeping chaos
 	// runs reproducible.
 	Seed uint64
@@ -52,14 +53,17 @@ type ClientConfig struct {
 	// to race further ahead of the collector's durable watermark. 0 means
 	// 1<<16 frames.
 	Window int
-	// MaxFrame bounds inbound frame payloads; 0 means DefaultMaxFrame.
-	MaxFrame int
-	// Dial overrides the dialer (tests route through in-process proxies).
+	// Test hook: Dial overrides the dialer, so that a test can wrap the
+	// connection it dials (one that tears a write in half, say).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// Counters receives the transport's observable state; one is
 	// allocated when nil.
 	Counters *metrics.TransportCounters
 }
+
+// ioTimeout bounds each frame write, the handshake read, and how long a
+// frame may stay partially read before the connection is presumed dead.
+const ioTimeout = 10 * time.Second
 
 // flushBytes is how much unflushed arena triggers a write in the middle of
 // a cycle. It trades write(2) calls against how far the collector trails
@@ -107,9 +111,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 10 * time.Second
 	}
 	if cfg.WaitPoll <= 0 {
 		cfg.WaitPoll = 250 * time.Millisecond
@@ -237,7 +238,7 @@ dialing:
 		if c.established {
 			c.ctr.Reconnects.Add(1)
 		}
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+		conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 		hello := Hello{Version: Version, Session: c.cfg.Session,
 			ThresholdFrac: c.cfg.ThresholdFrac, MaxLinks: c.cfg.MaxLinks}
 		if _, err := conn.Write(Frame(AppendHello(nil, hello))); err != nil {
@@ -246,8 +247,8 @@ dialing:
 			continue
 		}
 		br := bufio.NewReader(conn)
-		conn.SetReadDeadline(time.Now().Add(c.cfg.IOTimeout))
-		typ, payload, err := ReadFrame(br, c.cfg.MaxFrame)
+		conn.SetReadDeadline(time.Now().Add(ioTimeout))
+		typ, payload, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil || typ != TypeHelloAck {
 			conn.Close()
 			c.ctr.DialFailures.Add(1)
@@ -267,7 +268,7 @@ dialing:
 		// here too; that is not a replay.
 		c.onAck(ack.Durable)
 		if replay := c.arena[c.offsetAfter(ack.Resume):]; len(replay) > 0 {
-			conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+			conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 			c.ctr.Writes.Add(1)
 			if _, err := conn.Write(replay); err != nil {
 				conn.Close()
@@ -336,7 +337,7 @@ func (c *Client) write() error {
 	if c.sent == len(c.arena) {
 		return nil
 	}
-	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+	c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 	c.ctr.Writes.Add(1)
 	if _, err := c.conn.Write(c.arena[c.sent:]); err != nil {
 		return err
@@ -423,14 +424,14 @@ func (c *Client) WaitCycleEnd(ctx context.Context, cycle int32) (CycleEnd, error
 					continue
 				}
 				if ticks%c.cfg.TokenResendEvery == 0 && c.lastToken != nil {
-					c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+					c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 					if _, werr := c.conn.Write(c.lastToken); werr != nil {
 						c.dropConn()
 						continue
 					}
 					c.ctr.TokenResends.Add(1)
 				} else {
-					c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+					c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 					if _, werr := c.conn.Write(Frame(AppendControl(nil, TypePing))); werr != nil {
 						c.dropConn()
 						continue
@@ -444,8 +445,8 @@ func (c *Client) WaitCycleEnd(ctx context.Context, cycle int32) (CycleEnd, error
 		}
 		// Data is ready; read the whole frame under the IO deadline — a
 		// frame stuck half-delivered past it means a dead connection.
-		c.conn.SetReadDeadline(time.Now().Add(c.cfg.IOTimeout))
-		typ, payload, err := ReadFrame(c.br, c.cfg.MaxFrame)
+		c.conn.SetReadDeadline(time.Now().Add(ioTimeout))
+		typ, payload, err := ReadFrame(c.br, DefaultMaxFrame)
 		if err != nil {
 			c.dropConn()
 			continue
@@ -484,7 +485,7 @@ func (c *Client) WaitCycleEnd(ctx context.Context, cycle int32) (CycleEnd, error
 func (c *Client) Close() error {
 	if c.conn != nil {
 		if c.write() == nil {
-			c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
+			c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 			c.conn.Write(Frame(AppendControl(nil, TypeBye)))
 		}
 		c.dropConn()

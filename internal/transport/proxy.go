@@ -23,23 +23,24 @@ type ProxyConfig struct {
 	Target string
 	// Seed derives every fate.
 	Seed uint64
-	// Per-frame fate probabilities, applied (in this precedence) to
-	// agent-to-collector frames: Cut kills both directions mid-frame
-	// (half the frame is forwarded first); Drop swallows a sequenced
-	// frame whole; Reorder holds a sequenced frame back one slot (the
-	// following frame overtakes it); Dup forwards a sequenced frame
-	// twice. Cuts are never applied to a connection's first frames (so a
-	// cut always lands on an established session) nor to a Bye (nothing
+	// Drop is the probability that a sequenced agent-to-collector frame
+	// is swallowed whole. Drop, Reorder and Dup apply only to sequenced
+	// frames, so handshakes and heartbeats always flow.
+	Drop float64
+	// Test hook: Dup, Reorder and Cut are per-frame fate probabilities the
+	// chaos tests set. They apply in the precedence Cut, Drop, Reorder,
+	// Dup: Cut kills both directions mid-frame (half the frame is
+	// forwarded first); Reorder holds a sequenced frame back one slot (the
+	// following frame overtakes it); Dup forwards a sequenced frame twice.
+	// Cuts are never applied to a connection's first frames (so a cut
+	// always lands on an established session) nor to a Bye (nothing
 	// remains to resume after a goodbye), keeping the Resumes == InjCuts
-	// invariant exact; drop/reorder/dup apply only to sequenced frames so
-	// handshakes and heartbeats always flow.
-	Drop, Dup, Reorder, Cut float64
+	// invariant exact.
+	Dup, Reorder, Cut float64
 	// Delay, when positive, sleeps this long before forwarding roughly
 	// every 16th frame — enough to exercise timeout paths without
 	// stalling the soak.
 	Delay time.Duration
-	// MaxFrame bounds parsed frames; 0 means DefaultMaxFrame.
-	MaxFrame int
 }
 
 type proxyPair struct {
@@ -243,7 +244,7 @@ func (p *Proxy) pump(pr *proxyPair, idx uint64) {
 		return err == nil
 	}
 	for {
-		typ, payload, err := ReadFrame(br, p.cfg.MaxFrame)
+		typ, payload, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {
 			flushHeld()
 			pr.kill()

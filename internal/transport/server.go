@@ -48,23 +48,24 @@ type ServerConfig struct {
 	// AppFresh is the application watermark of a fresh (no checkpoint
 	// file) start; the ingest collector uses -1 (nothing settled).
 	AppFresh int64
-	// ReadTimeout bounds the silence tolerated on a connection before it
-	// is presumed dead and closed (the session survives; the agent
-	// reconnects). Agents heartbeat well inside it. 0 means 15s.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write. 0 means 10s.
-	WriteTimeout time.Duration
-	// Outbox bounds each connection's outbound send window: when it is
-	// full the frame is shed (acks are cumulative and cycle-ends are
-	// recovered by the token-resend path, so shedding is safe) instead of
-	// buffering without bound. 0 means 32.
-	Outbox int
-	// MaxFrame bounds frame payloads; 0 means DefaultMaxFrame.
-	MaxFrame int
 	// Counters receives the transport's observable state; one is
 	// allocated when nil.
 	Counters *metrics.TransportCounters
 }
+
+const (
+	// readTimeout bounds the silence tolerated on a connection before it is
+	// presumed dead and closed (the session survives; the agent
+	// reconnects). Agents heartbeat well inside it.
+	readTimeout = 15 * time.Second
+	// writeTimeout bounds each outbound frame write.
+	writeTimeout = 10 * time.Second
+	// outbox bounds each connection's outbound send window, in frames: when
+	// it is full the frame is shed (acks are cumulative and cycle-ends are
+	// recovered by the token-resend path, so shedding is safe) instead of
+	// buffering without bound.
+	outbox = 32
+)
 
 // session is one agent's durable state at the server. It outlives any
 // individual connection.
@@ -116,15 +117,6 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 1
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 15 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.Outbox <= 0 {
-		cfg.Outbox = 32
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -248,7 +240,7 @@ func (s *Server) attach(sess *session, conn net.Conn) (gen int) {
 	sess.gen++
 	gen = sess.gen
 	sess.conn = conn
-	sess.out = make(chan []byte, s.cfg.Outbox)
+	sess.out = make(chan []byte, outbox)
 	out := sess.out
 	lastCE := sess.lastCE
 	sess.mu.Unlock()
@@ -302,7 +294,7 @@ func (s *Server) enqueue(sess *session, gen int, framed []byte) {
 func (s *Server) writer(conn net.Conn, out chan []byte) {
 	defer s.wg.Done()
 	for framed := range out {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := conn.Write(framed); err != nil {
 			conn.Close() // unwinds the reader; the agent reconnects
 			// Keep draining so enqueuers never block on a dead conn.
@@ -324,8 +316,7 @@ const readBuffer = 64 << 10
 // to block — and decodes reports without an allocation per frame.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
-	fr := frameReader{br: bufio.NewReaderSize(conn, readBuffer), maxFrame: s.cfg.MaxFrame,
-		conn: conn, timeout: s.cfg.ReadTimeout}
+	fr := frameReader{br: bufio.NewReaderSize(conn, readBuffer), conn: conn, timeout: readTimeout}
 
 	typ, payload, err := fr.next()
 	if err != nil || typ != TypeHello {

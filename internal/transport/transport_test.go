@@ -3,10 +3,13 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -686,4 +689,41 @@ func TestHandshakeValidation(t *testing.T) {
 	if nHellos != 0 {
 		t.Fatal("rejected handshakes reached the handler")
 	}
+}
+
+// A peer whose length prefix promises DefaultMaxFrame+1 bytes loses its
+// connection before the server allocates a body for it, and the server
+// goes on serving other connections.
+func TestServerRejectsOversizeFrame(t *testing.T) {
+	srv := newTestServer(t, &recHandler{}, ServerConfig{})
+	handshake := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		conn.Write(Frame(AppendHello(nil, Hello{Version: Version, Session: 1})))
+		br := bufio.NewReader(conn)
+		if typ, _, err := ReadFrame(br, 0); err != nil || typ != TypeHelloAck {
+			t.Fatalf("handshake answered with type %d, %v", typ, err)
+		}
+		return conn, br
+	}
+	conn, br := handshake()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prefix := binary.LittleEndian.AppendUint32(nil, DefaultMaxFrame+1)
+	conn.Write(append(prefix, TypeReport))
+	_, err := io.Copy(io.Discard, br) // nil at EOF; a reset is a close too
+	runtime.ReadMemStats(&after)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the server kept a connection whose frame is over the limit")
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+		t.Fatalf("refusing an oversize frame allocated %d bytes", spent)
+	}
+
+	handshake() // the next connection is served as usual
 }

@@ -101,6 +101,103 @@ func TestSurfaceReachable(t *testing.T) {
 	}
 }
 
+// surfaceFieldAllow names the exported fields of the *Config and *Options
+// structs under internal/ that only tests set but that stay, each with its
+// reason. A key is "<dir>.<Type>.<Field>". As with surfaceAllow, an entry
+// whose field gains a non-test setter or is gone fails the test, and an
+// allow-listed field's doc comment must start "Test hook:".
+var surfaceFieldAllow = map[string]string{
+	"internal/cluster.Config.RTO":                      "an RTO below the round trip retransmits segments still in flight in the tag test",
+	"internal/ingest.CollectorConfig.QueueDepth":       "lets the close-mid-settle test queue every cycle before the collector runs one",
+	"internal/transport.ClientConfig.BackoffBase":      "fast reconnects in the chaos and crash tests, until the transport takes a clock",
+	"internal/transport.ClientConfig.BackoffMax":       "bounds the chaos tests' reconnect waits, until the transport takes a clock",
+	"internal/transport.ClientConfig.DeadPolls":        "keeps a silent connection alive through the lost cycle-end test's short polls",
+	"internal/transport.ClientConfig.Dial":             "hands the burst test a connection that tears a write in half, until the transport takes a network",
+	"internal/transport.ClientConfig.DialTimeout":      "bounds the dials to a closed listener in the cancelled-connect test",
+	"internal/transport.ClientConfig.TokenResendEvery": "re-sends tokens sooner in the lost cycle-end and chaos tests",
+	"internal/transport.ClientConfig.WaitPoll":         "short polls so the chaos tests recover in milliseconds, until the transport takes a clock",
+	"internal/transport.ProxyConfig.Cut":               "mid-frame cuts in the chaos soaks",
+	"internal/transport.ProxyConfig.Dup":               "duplicated frames in the chaos soaks",
+	"internal/transport.ProxyConfig.Reorder":           "reordered frames in the chaos soaks",
+}
+
+// TestConfigFieldsSet fails on any exported field of a *Config or *Options
+// struct under internal/ that no non-test code sets: a knob read only at
+// its default is a constant. A field counts as set by a composite-literal
+// key of its name anywhere outside tests, bench/ included, or by an
+// assignment, an increment or a &x.F outside the field's own package (a
+// package's own `cfg.F = default` line does not count). Fields are matched
+// by name alone, so the rule errs toward keeping a field. Under -v it logs
+// the number of config fields, which CI prints beside the non-test line
+// count.
+func TestConfigFieldsSet(t *testing.T) {
+	s := scanSurface(t, ".")
+	keyed := map[string]bool{}               // field names some composite literal sets
+	assigned := map[string]map[string]bool{} // field name → the dirs that assign it
+	for _, f := range s.files {
+		ast.Inspect(f.syntax, func(n ast.Node) bool {
+			var lhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok {
+					keyed[k.Name] = true
+				}
+			case *ast.AssignStmt:
+				lhs = n.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{n.X}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					lhs = []ast.Expr{n.X}
+				}
+			}
+			for _, e := range lhs {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				if x, ok := sel.X.(*ast.Ident); ok {
+					if _, imported := f.imports[x.Name]; imported {
+						continue // pkg.Var, not a field
+					}
+				}
+				if assigned[sel.Sel.Name] == nil {
+					assigned[sel.Sel.Name] = map[string]bool{}
+				}
+				assigned[sel.Sel.Name][f.pkg] = true
+			}
+			return true
+		})
+	}
+	t.Logf("config fields: %d", len(s.fields))
+	var problems []string
+	unset := map[string]bool{}
+	for _, fd := range s.fields {
+		set := keyed[fd.name]
+		for dir := range assigned[fd.name] {
+			set = set || dir != fd.pkg
+		}
+		if set {
+			continue
+		}
+		unset[fd.key] = true
+		if _, ok := surfaceFieldAllow[fd.key]; !ok {
+			problems = append(problems, fd.key+" ("+fd.pos+") is set by no non-test code: make it a constant, or allow-list it with a reason")
+		} else if !strings.HasPrefix(fd.doc.Text(), "Test hook:") {
+			problems = append(problems, fd.key+" ("+fd.pos+") is allow-listed: its doc comment must start \"Test hook:\"")
+		}
+	}
+	for key := range surfaceFieldAllow {
+		if !unset[key] {
+			problems = append(problems, "field allow-list entry "+key+" names no field that only tests set (non-test code sets it now, or it is gone): remove the entry")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
 type surfaceDecl struct {
 	key, pkg, pos string
 	node          ast.Node
@@ -113,6 +210,14 @@ type surfaceDecl struct {
 type surfaceFile struct {
 	pkg     string            // directory relative to the module root
 	imports map[string]string // local name → directory relative to the module root, "" outside it
+	syntax  *ast.File
+}
+
+// surfaceField is an exported field of a *Config or *Options struct under
+// internal/.
+type surfaceField struct {
+	key, pkg, name, pos string
+	doc                 *ast.CommentGroup
 }
 
 type surface struct {
@@ -122,6 +227,8 @@ type surface struct {
 	all     []*surfaceDecl
 	queue   []*surfaceDecl
 	named   map[string]bool // method names a live selector or an interface mentions
+	files   []*surfaceFile
+	fields  []surfaceField
 }
 
 // scanSurface parses the module under root and marks what its roots reach.
@@ -198,7 +305,8 @@ func (s *surface) propagate() {
 
 // add records a file's top-level declarations.
 func (s *surface) add(dir string, f *ast.File) {
-	file := &surfaceFile{pkg: dir, imports: map[string]string{}}
+	file := &surfaceFile{pkg: dir, imports: map[string]string{}, syntax: f}
+	s.files = append(s.files, file)
 	for _, imp := range f.Imports {
 		ip, _ := strconv.Unquote(imp.Path.Value)
 		rel := "" // a package outside the module
@@ -295,7 +403,28 @@ func (s *surface) add(dir string, f *ast.File) {
 				for _, sp := range decl.Specs {
 					ts := sp.(*ast.TypeSpec)
 					pkg[ts.Name.Name] = newDecl(ts.Name.Name, ts.Pos(), ts, cmp.Or(ts.Doc, decl.Doc))
+					s.addFields(dir, ts)
 				}
+			}
+		}
+	}
+}
+
+// addFields records the exported fields of a *Config or *Options struct
+// under internal/.
+func (s *surface) addFields(dir string, ts *ast.TypeSpec) {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok || !strings.HasPrefix(dir, "internal/") ||
+		!strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+		return
+	}
+	for _, fl := range st.Fields.List {
+		for _, n := range fl.Names {
+			if n.IsExported() {
+				s.fields = append(s.fields, surfaceField{
+					key: dir + "." + ts.Name.Name + "." + n.Name, pkg: dir, name: n.Name,
+					pos: s.fset.Position(n.Pos()).String(), doc: fl.Doc,
+				})
 			}
 		}
 	}

@@ -172,7 +172,7 @@ func NewDatacenterTopology(cfg DatacenterConfig) (*Topology, error) {
 }
 
 // NewEmulation builds the packet-level plane. See EmulationConfig for the
-// knobs (Tmax, Ct, epoch length, host stack parameters).
+// knobs (Ct, host stack parameters, noise, analysis options).
 func NewEmulation(cfg EmulationConfig) (*Emulation, error) { return cluster.New(cfg) }
 
 // UniformTraffic is the paper's default pattern: destination ToR uniform
