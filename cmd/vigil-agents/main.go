@@ -89,9 +89,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	rng := stats.NewRNG(*seed + 3)
 	pool := topo.LinksOfClass(topology.L1Down)
+	links, err := runutil.DistinctLinks(*failures, len(pool), func() topology.LinkID { return pool[rng.Intn(len(pool))] })
+	if err != nil {
+		return err
+	}
 	injected := make(map[topology.LinkID]bool)
-	for i := 0; i < *failures; i++ {
-		l := pool[rng.Intn(len(pool))]
+	for _, l := range links {
 		if err := eng.InjectFailure(l, *rate); err != nil {
 			return err
 		}

@@ -9,14 +9,29 @@ import (
 
 // The default mode end to end: the packet plane on the test-cluster
 // topology reporting over loopback to the collector run starts. Both epochs
-// settle, in order; the injected link is among the top-ranked links of each;
-// and nothing had to be replayed on a clean loopback.
+// settle, in order; an injected link is among the top-ranked links of each;
+// and nothing had to be replayed on a clean loopback. Seed 4 draws the same
+// link twice, so its second failed link is a redraw: two distinct links are
+// injected.
 func TestRunDefaultModeSmoke(t *testing.T) {
+	checkDefaultMode(t, 1, "-epochs", "2", "-failures", "1", "-rate", "0.05", "-seed", "1")
+	checkDefaultMode(t, 2, "-epochs", "2", "-failures", "2", "-seed", "4")
+}
+
+func checkDefaultMode(t *testing.T, failures int, args ...string) {
+	t.Helper()
 	var out bytes.Buffer
-	if err := run([]string{"-epochs", "2", "-failures", "1", "-rate", "0.05", "-seed", "1"}, &out); err != nil {
+	if err := run(args, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	got := out.String()
+	distinct := map[string]bool{}
+	for _, line := range regexp.MustCompile(`(?m)^injected .*$`).FindAllString(got, -1) {
+		distinct[line] = true
+	}
+	if len(distinct) != failures {
+		t.Fatalf("run %v injected %d distinct links, want %d\n%s", args, len(distinct), failures, got)
+	}
 	epochs := regexp.MustCompile(`(?m)^epoch (\d+): (\d+) reports over TCP$`).FindAllStringSubmatch(got, -1)
 	if len(epochs) != 2 || epochs[0][1] != "0" || epochs[1][1] != "1" {
 		t.Fatalf("settled epochs %v, want 0 then 1\n%s", epochs, got)

@@ -225,8 +225,11 @@ func main() {
 	}
 	rng := stats.NewRNG(*seed + 3)
 	pool := topo.LinksOfClass(topology.L1Down)
-	for i := 0; i < *failures; i++ {
-		l := pool[rng.Intn(len(pool))]
+	links, err := runutil.DistinctLinks(*failures, len(pool), func() topology.LinkID { return pool[rng.Intn(len(pool))] })
+	if err != nil {
+		fail(err)
+	}
+	for _, l := range links {
 		if err := eng.InjectFailure(l, *rate); err != nil {
 			fail(err)
 		}

@@ -49,7 +49,7 @@ func TestEndToEndSingleFailure(t *testing.T) {
 	s.InjectFailure(bad, 0.01) // 1%
 	ep := s.RunEpoch()
 	res := analysis.Analyze(ep.Reports, analysis.Options{
-		Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo},
+		Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}},
 	})
 	// The bad link must top the ranking.
 	if len(res.Ranking) == 0 || res.Ranking[0].Link != bad {
@@ -91,7 +91,7 @@ func TestEndToEndMultipleFailures(t *testing.T) {
 		s.InjectFailure(l, rng.Uniform(0.005, 0.01))
 	}
 	ep := s.RunEpoch()
-	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo}})
+	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}}})
 	det := metrics.ScoreDetection(res.Detected, ep.FailedLinks)
 	if det.Recall < 1 {
 		t.Fatalf("recall = %v (detected %v, want %v)", det.Recall, res.Detected, bads)
@@ -128,7 +128,7 @@ func TestNoiseRobustness(t *testing.T) {
 	bad := topo.LinksOfClass(topology.L1Up)[3]
 	s.InjectFailure(bad, 0.01)
 	ep := s.RunEpoch()
-	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo}})
+	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}}})
 	if res.Ranking[0].Link != bad {
 		t.Fatalf("noise displaced the bad link from rank 1: %+v", res.Ranking[0])
 	}
@@ -145,7 +145,7 @@ func TestNoiseClassificationNeverWrong(t *testing.T) {
 		topo := s.Topology()
 		s.InjectFailure(topo.LinksOfClass(topology.L1Up)[int(seed)%10], 0.005)
 		ep := s.RunEpoch()
-		res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo}})
+		res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}}})
 		score := metrics.ScoreVerdicts(res.Verdicts, ep.Truth())
 		if score.NoiseErrors != 0 {
 			t.Fatalf("seed %d: %d failure flows classified as noise", seed, score.NoiseErrors)
@@ -161,7 +161,7 @@ func TestVotingOnParWithIntegerProgram(t *testing.T) {
 	s.InjectFailure(topo.LinksOfClass(topology.L1Up)[2], 0.004)
 	s.InjectFailure(topo.LinksOfClass(topology.L2Down)[9], 0.008)
 	ep := s.RunEpoch()
-	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo}})
+	res := analysis.Analyze(ep.Reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}}})
 	truth := ep.Truth()
 	acc007 := metrics.ScoreVerdicts(res.Verdicts, truth).Accuracy()
 

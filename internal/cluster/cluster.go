@@ -40,15 +40,17 @@ type Config struct {
 	// baseline is drawn uniformly from [NoiseLo, NoiseHi). Both zero means
 	// no noise — the seed emulation's historical behaviour.
 	NoiseLo, NoiseHi float64
-	// Ct is the host traceroute budget (default: the Theorem 1 bound for
-	// this topology and the switches' fabric.Tmax).
+	// Test hook: Ct is the host traceroute budget (default: the Theorem 1
+	// bound for this topology and the switches' fabric.Tmax), so that a
+	// test can make the budget bind.
 	Ct float64
-	// Window and MaxRetries parametrize the host stack (defaults 8 and 6).
-	Window int
 	// Test hook: RTO is the host stack's initial retransmission timeout
 	// (default 20ms), so that a test can time out segments still in
 	// flight.
-	RTO        des.Time
+	RTO des.Time
+	// Test hook: MaxRetries is the number of consecutive RTOs that fail a
+	// connection (default 6), so that the tag test's connections live
+	// through many short RTOs and their stragglers reach recycled Conns.
 	MaxRetries int
 	// RTTThresholdMicros, when positive, also triggers path discovery for
 	// flows whose smoothed RTT crosses the threshold — the §9.2 latency
@@ -263,6 +265,9 @@ type flowRecord struct {
 // epochLength is the tally interval: an epoch runs 30 virtual seconds.
 const epochLength = 30 * des.Second
 
+// sendWindow is the host stack's send window in segments.
+const sendWindow = 8
+
 // evStartFlow is the cluster's typed DES event: a scheduled connection
 // opening (arg = the flow's slot in flows).
 const evStartFlow int32 = 1
@@ -274,9 +279,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Ct <= 0 {
 		cfg.Ct = theory.CtBound(cfg.Topo.Cfg, fabric.Tmax)
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8
 	}
 	if cfg.RTO <= 0 {
 		cfg.RTO = 20 * des.Millisecond

@@ -245,7 +245,7 @@ func (h *Host) openConn(peer *Host, wireTuple, appTuple ecmp.FiveTuple, total in
 	c.appTuple = appTuple
 	c.total = uint32(total)
 	c.rto = h.cl.cfg.RTO
-	c.ensureRing(h.cl.cfg.Window)
+	c.ensureRing(sendWindow)
 	newSegment(&c.dataSeg, wireTuple, wire.FlagPSH|wire.FlagACK)
 	newSegment(&c.ackSeg, wireTuple.Reverse(), wire.FlagACK)
 	if old := h.conns[wireTuple]; old != nil {
@@ -285,8 +285,7 @@ func (c *Conn) sendData(seq uint32) {
 
 // pump sends new data while the window allows.
 func (c *Conn) pump() {
-	win := uint32(c.host.cl.cfg.Window)
-	for c.nextSend < c.total && c.nextSend < c.acked+win {
+	for c.nextSend < c.total && c.nextSend < c.acked+sendWindow {
 		c.sentAt[c.nextSend&c.sentMask] = c.host.cl.Sched.Now()
 		c.sendData(c.nextSend)
 		c.nextSend++

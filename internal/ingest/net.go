@@ -7,7 +7,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"time"
 
 	"vigil/internal/analysis"
 	"vigil/internal/engine"
@@ -31,8 +30,8 @@ import (
 // AgentConfig parametrizes a networked reporter session.
 type AgentConfig struct {
 	// Engine is the epoch driver; required. Its analysis options must be
-	// wire-expressible: Detect.Topo and Detect.Adjuster must be nil (they
-	// cannot be serialized; the collector rebuilds its analyzer from the
+	// wire-expressible: Detect.Adjuster must be nil (it cannot be
+	// serialized; the collector rebuilds its analyzer from the
 	// ThresholdFrac/MaxLinks carried in the handshake).
 	Engine engine.Engine
 	// Addr is the collector (or chaos proxy) address; required.
@@ -46,8 +45,6 @@ type AgentConfig struct {
 	Grace int
 	// Epochs is the number of live epochs to run; must be positive.
 	Epochs int
-	// Interval, when positive, paces the epoch loop on the wall clock.
-	Interval time.Duration
 	// Seed derives reconnect jitter.
 	Seed uint64
 	// Transport tunes the session; Addr/Session/ThresholdFrac/MaxLinks/
@@ -142,8 +139,8 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		return fmt.Errorf("ingest: AgentConfig.Epochs must be positive")
 	}
 	an := cfg.Engine.Analysis()
-	if an.Detect.Topo != nil || an.Detect.Adjuster != nil {
-		return fmt.Errorf("ingest: networked agents require wire-expressible analysis options (Detect.Topo and Detect.Adjuster must be nil)")
+	if an.Detect.Adjuster != nil {
+		return fmt.Errorf("ingest: networked agents require wire-expressible analysis options (Detect.Adjuster must be nil)")
 	}
 	grace, _, err := settleParams(cfg.Grace, 0)
 	if err != nil {
@@ -185,15 +182,6 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	// across every started epoch, still answering re-requests along the way.
 	for cycle := int32(0); int(cycle) < cfg.Epochs+grace+1; cycle++ {
 		live := int(cycle) < cfg.Epochs
-		if live && cfg.Interval > 0 && cycle > 0 {
-			t := time.NewTimer(cfg.Interval)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-		}
 		if err := emitRetries(); err != nil {
 			return err
 		}

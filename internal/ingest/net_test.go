@@ -53,15 +53,20 @@ func waitCollector(t *testing.T, col *NetCollector) {
 
 // The networked extension of TestFaultFreeBitIdentical: with no faults on
 // the wire, epochs settled across a real TCP socket are bit-identical to
-// the batch engine's EpochResults — on both planes.
+// the batch engine's EpochResults — on both planes, and on the packet plane
+// also through a proxy that severs the session once it has settled epoch
+// 0: the agent resumes, and every epoch still settles once, in order, as
+// the batch run has it.
 func TestFaultFreeBitIdenticalNetworked(t *testing.T) {
 	for _, plane := range []engine.Plane{engine.Flow, engine.Packet} {
 		t.Run(string(plane), func(t *testing.T) {
 			topoCfg := equivTopo
 			epochs := 5
+			cuts := []bool{false}
 			if plane == engine.Packet {
 				topoCfg = topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 3, T2: 2, HostsPerToR: 2}
 				epochs = 3
+				cuts = append(cuts, true)
 			}
 			cfg := engine.Config{Plane: plane, Seed: 7, Parallelism: 4}
 			batch := newTestEngine(t, cfg, topoCfg, 0.02)
@@ -70,41 +75,69 @@ func TestFaultFreeBitIdenticalNetworked(t *testing.T) {
 				want[i] = batch.RunEpoch()
 			}
 
-			eng := newTestEngine(t, cfg, topoCfg, 0.02)
-			var mu sync.Mutex
-			var got []*engine.EpochResult
-			col, err := ServeCollector(CollectorConfig{
-				Listener:    listen(t),
-				Parallelism: 4,
-				Sink: func(res *engine.EpochResult) {
-					mu.Lock()
-					got = append(got, res)
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer col.Close()
+			for _, cut := range cuts {
+				eng := newTestEngine(t, cfg, topoCfg, 0.02)
+				var mu sync.Mutex
+				var got []*engine.EpochResult
+				var proxy *transport.Proxy
+				col, err := ServeCollector(CollectorConfig{
+					Listener:    listen(t),
+					Parallelism: 4,
+					Sink: func(res *engine.EpochResult) {
+						mu.Lock()
+						got = append(got, res)
+						mu.Unlock()
+						if proxy != nil && res.Epoch == 0 {
+							proxy.CutAll()
+						}
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer col.Close()
+				addr := col.Addr()
+				if cut {
+					if proxy, err = transport.NewProxy("127.0.0.1:0", transport.ProxyConfig{Target: addr, Seed: 3}); err != nil {
+						t.Fatal(err)
+					}
+					defer proxy.Close()
+					addr = proxy.Addr()
+				}
 
-			if err := RunAgent(context.Background(), AgentConfig{
-				Engine: eng, Addr: col.Addr(), Epochs: epochs, Seed: 7,
-				Transport: fastTransport(),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			waitCollector(t, col)
+				ctr := &metrics.TransportCounters{}
+				if err := RunAgent(context.Background(), AgentConfig{
+					Engine: eng, Addr: addr, Epochs: epochs, Seed: 7,
+					Counters: ctr, Transport: fastTransport(),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				waitCollector(t, col)
 
-			if len(got) != epochs {
-				t.Fatalf("settled %d epochs over the wire, want %d", len(got), epochs)
-			}
-			for i, res := range got {
-				if !reflect.DeepEqual(res, want[i]) {
-					t.Fatalf("epoch %d: networked settle diverged from batch RunEpoch", i)
+				if len(got) != epochs {
+					t.Fatalf("cut %v: settled %d epochs over the wire, want %d", cut, len(got), epochs)
+				}
+				for i, res := range got {
+					if !reflect.DeepEqual(res, want[i]) {
+						t.Fatalf("cut %v: epoch %d: networked settle diverged from batch RunEpoch", cut, i)
+					}
+				}
+				if cut {
+					if n := proxy.InjCuts.Load(); n < 1 || ctr.Resumes.Load() != n {
+						t.Fatalf("Resumes = %d, want InjCuts = %d (at least one)", ctr.Resumes.Load(), n)
+					}
 				}
 			}
 		})
 	}
+}
+
+// pacedEngine takes 50ms of wall clock per epoch.
+type pacedEngine struct{ engine.Engine }
+
+func (e pacedEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	time.Sleep(50 * time.Millisecond)
+	return e.Engine.Step(emit)
 }
 
 // A collector crash mid-run loses nothing: the restarted collector loads
@@ -113,7 +146,7 @@ func TestFaultFreeBitIdenticalNetworked(t *testing.T) {
 // incarnations.
 func TestNetCollectorCrashRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
-	eng := newTestEngine(t, engine.Config{Seed: 9}, soakTopo, 0.05)
+	eng := pacedEngine{newTestEngine(t, engine.Config{Seed: 9}, soakTopo, 0.05)}
 	const epochs = 6
 
 	record := func(dst *[]int, mu *sync.Mutex) func(*engine.EpochResult) {
@@ -143,14 +176,14 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 	go func() {
 		agentErr <- RunAgent(context.Background(), AgentConfig{
 			Engine: eng, Addr: proxy.Addr(), Epochs: epochs, Seed: 9,
-			Interval: 50 * time.Millisecond, Counters: tctr,
+			Counters:  tctr,
 			Transport: fastTransport(),
 		})
 	}()
 
 	// Crash the collector right after its second settle is durably
-	// checkpointed (epochs 0 and 1). The agent is paced by Interval, so the
-	// next settle is comfortably far away.
+	// checkpointed (epochs 0 and 1). The engine is paced, so the next settle
+	// is comfortably far away.
 	deadline := time.Now().Add(30 * time.Second)
 	for col1.srv.Counters().Checkpoints.Load() < 2 {
 		if time.Now().After(deadline) {
@@ -423,14 +456,14 @@ func TestNetworkedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withTopo, err := engine.New(engine.Config{
-		Topo: topo, Seed: 1, Detect: vote.DetectOptions{ThresholdFrac: 0.01, Topo: topo},
+	withAdjuster, err := engine.New(engine.Config{
+		Topo: topo, Seed: 1, Detect: vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAgent(context.Background(), AgentConfig{Engine: withTopo, Addr: "x", Epochs: 1}); err == nil {
-		t.Fatal("non-serializable Detect.Topo accepted")
+	if err := RunAgent(context.Background(), AgentConfig{Engine: withAdjuster, Addr: "x", Epochs: 1}); err == nil {
+		t.Fatal("non-serializable Detect.Adjuster accepted")
 	}
 	if _, err := ServeCollector(CollectorConfig{}); err == nil {
 		t.Fatal("collector without a listener accepted")

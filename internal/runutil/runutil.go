@@ -1,16 +1,38 @@
-// Package runutil holds the small process-lifecycle helpers the vigil
-// binaries share — today, signal-driven shutdown contexts, so every
-// command flushes profiles and settles in-flight epochs on Ctrl-C instead
-// of dying mid-write.
+// Package runutil holds the small helpers the vigil binaries share:
+// signal-driven shutdown contexts, so every command flushes profiles and
+// settles in-flight epochs on Ctrl-C instead of dying mid-write, and the
+// seeded draw of the links a -failures flag breaks.
 package runutil
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"os/signal"
 	"sync"
 	"syscall"
+
+	"vigil/internal/topology"
 )
+
+// DistinctLinks calls draw until it has returned n different links, and
+// returns them in the order they were first drawn. size is the number of
+// links draw can return; n above it is an error. A seed whose first n
+// draws differ gets exactly those draws.
+func DistinctLinks(n, size int, draw func() topology.LinkID) ([]topology.LinkID, error) {
+	if n > size {
+		return nil, fmt.Errorf("%d failed links asked for, but only %d links to choose from", n, size)
+	}
+	links := make([]topology.LinkID, 0, n)
+	seen := make(map[topology.LinkID]bool, n)
+	for len(links) < n {
+		if l := draw(); !seen[l] {
+			seen[l] = true
+			links = append(links, l)
+		}
+	}
+	return links, nil
+}
 
 // exit is swapped out by tests; the second-signal path must be observable
 // without killing the test process.

@@ -49,9 +49,9 @@ type ClientConfig struct {
 	// Seed derives the jitter substream (stats.DeriveRNG), keeping chaos
 	// runs reproducible.
 	Seed uint64
-	// Window bounds the unacknowledged-frame buffer: the client refuses
-	// to race further ahead of the collector's durable watermark. 0 means
-	// 1<<16 frames.
+	// Test hook: Window bounds the unacknowledged-frame buffer: the client
+	// refuses to race further ahead of the collector's durable watermark.
+	// 0 means 1<<16 frames; a test sets a small one to see the bound hold.
 	Window int
 	// Test hook: Dial overrides the dialer, so that a test can wrap the
 	// connection it dials (one that tears a write in half, say).

@@ -16,31 +16,27 @@ import (
 // frame stream, and assigns each frame a fate drawn from a counter-based
 // substream — stats.DeriveRNG(Seed, conn<<20|frame) — so a given seed
 // yields the same partitions, cuts, drops, duplicates and reorders on
-// every run, independent of scheduling.
+// every run, independent of scheduling. The proxy is test support: only
+// the transport and ingest tests run one.
 type ProxyConfig struct {
-	// Target is the real collector address; retargetable at runtime for
-	// crash/restart tests.
+	// Test hook: Target is the real collector address the tests put the
+	// proxy in front of; Retarget moves it at runtime for crash/restart
+	// tests.
 	Target string
 	// Seed derives every fate.
 	Seed uint64
-	// Drop is the probability that a sequenced agent-to-collector frame
-	// is swallowed whole. Drop, Reorder and Dup apply only to sequenced
-	// frames, so handshakes and heartbeats always flow.
-	Drop float64
-	// Test hook: Dup, Reorder and Cut are per-frame fate probabilities the
-	// chaos tests set. They apply in the precedence Cut, Drop, Reorder,
-	// Dup: Cut kills both directions mid-frame (half the frame is
-	// forwarded first); Reorder holds a sequenced frame back one slot (the
-	// following frame overtakes it); Dup forwards a sequenced frame twice.
-	// Cuts are never applied to a connection's first frames (so a cut
-	// always lands on an established session) nor to a Bye (nothing
-	// remains to resume after a goodbye), keeping the Resumes == InjCuts
-	// invariant exact.
-	Dup, Reorder, Cut float64
-	// Delay, when positive, sleeps this long before forwarding roughly
-	// every 16th frame — enough to exercise timeout paths without
-	// stalling the soak.
-	Delay time.Duration
+	// Test hook: Drop, Dup, Reorder and Cut are per-frame fate
+	// probabilities the chaos tests set. They apply in the precedence Cut,
+	// Drop, Reorder, Dup: Cut kills both directions mid-frame (half the
+	// frame is forwarded first); Drop swallows a sequenced frame whole;
+	// Reorder holds a sequenced frame back one slot (the following frame
+	// overtakes it); Dup forwards a sequenced frame twice. Drop, Reorder
+	// and Dup apply only to sequenced frames, so handshakes and heartbeats
+	// always flow. Cuts are never applied to a connection's first frames
+	// (so a cut always lands on an established session) nor to a Bye
+	// (nothing remains to resume after a goodbye), keeping the Resumes ==
+	// InjCuts invariant exact.
+	Drop, Dup, Reorder, Cut float64
 }
 
 type proxyPair struct {
@@ -82,8 +78,9 @@ type Proxy struct {
 	Forwarded   atomic.Int64
 }
 
-// NewProxy starts a fault proxy listening on addr ("127.0.0.1:0" for an
-// ephemeral test port).
+// Test hook: NewProxy starts a fault proxy listening on addr
+// ("127.0.0.1:0" for an ephemeral test port), so that the chaos and crash
+// tests can put seeded wire faults between an agent and its collector.
 func NewProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -257,9 +254,6 @@ func (p *Proxy) pump(pr *proxyPair, idx uint64) {
 		framed := Frame(body)
 		rng.Derive(p.cfg.Seed, idx<<20|frameIdx)
 
-		if p.cfg.Delay > 0 && frameIdx%16 == 5 {
-			time.Sleep(p.cfg.Delay)
-		}
 		if p.cfg.Cut > 0 && frameIdx >= 2 && typ != TypeBye && rng.Bool(p.cfg.Cut) {
 			// Mid-frame cut: half the frame escapes, then the wire dies
 			// in both directions. The collector's framer must discard the

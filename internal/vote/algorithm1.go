@@ -115,11 +115,8 @@ type DetectOptions struct {
 	// this fraction of the total outstanding votes. The paper uses 1%,
 	// chosen by a precision/recall sweep (§5.1).
 	ThresholdFrac float64
-	// Adjuster estimates vote spill-over; nil means the paper's analytic
-	// adjustment when Topo is set, and no adjustment otherwise.
+	// Adjuster estimates vote spill-over; nil means no adjustment.
 	Adjuster Adjuster
-	// Topo enables the default AnalyticAdjuster.
-	Topo *topology.Topology
 	// MaxLinks caps |B| as a safety valve; 0 means no cap.
 	MaxLinks int
 }
@@ -152,11 +149,7 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 	}
 	adj := opts.Adjuster
 	if adj == nil {
-		if opts.Topo != nil {
-			adj = &AnalyticAdjuster{Topo: opts.Topo}
-		} else {
-			adj = NoAdjuster{}
-		}
+		adj = NoAdjuster{}
 	}
 	sc := detectFree.get()
 	defer detectFree.put(sc)

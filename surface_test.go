@@ -34,6 +34,7 @@ var surfaceAllow = map[string]string{
 	"internal/opt.Instance.Feasible":     "checks the integer program's answers",
 	"internal/stats.RNG.BinomialExact":   "the n-trial reference for Binomial and the gated drop sampler",
 	"internal/topology.Topology.T1":      "names a tier-1 switch in tests, beside the live ToR and T2",
+	"internal/transport.NewProxy":        "puts seeded wire faults between agent and collector in the chaos and crash tests; a package of its own would cycle with transport's in-package tests",
 	"internal/transport.Proxy.Heal":      "ends a partition in the chaos tests",
 	"internal/transport.Proxy.Partition": "cuts agents off in the chaos tests",
 	"internal/transport.Proxy.Retarget":  "points the proxy at a restarted collector in crash tests",
@@ -107,6 +108,8 @@ func TestSurfaceReachable(t *testing.T) {
 // whose field gains a non-test setter or is gone fails the test, and an
 // allow-listed field's doc comment must start "Test hook:".
 var surfaceFieldAllow = map[string]string{
+	"internal/cluster.Config.Ct":                       "a budget of 2/s makes the rate limit bind in the traceroute-budget test",
+	"internal/cluster.Config.MaxRetries":               "16 retries keep the tag test's connections alive through its 40µs RTOs, so stragglers reach recycled Conns",
 	"internal/cluster.Config.RTO":                      "an RTO below the round trip retransmits segments still in flight in the tag test",
 	"internal/ingest.CollectorConfig.QueueDepth":       "lets the close-mid-settle test queue every cycle before the collector runs one",
 	"internal/transport.ClientConfig.BackoffBase":      "fast reconnects in the chaos and crash tests, until the transport takes a clock",
@@ -116,31 +119,55 @@ var surfaceFieldAllow = map[string]string{
 	"internal/transport.ClientConfig.DialTimeout":      "bounds the dials to a closed listener in the cancelled-connect test",
 	"internal/transport.ClientConfig.TokenResendEvery": "re-sends tokens sooner in the lost cycle-end and chaos tests",
 	"internal/transport.ClientConfig.WaitPoll":         "short polls so the chaos tests recover in milliseconds, until the transport takes a clock",
+	"internal/transport.ClientConfig.Window":           "a small unacknowledged-frame bound in the send-window test",
 	"internal/transport.ProxyConfig.Cut":               "mid-frame cuts in the chaos soaks",
+	"internal/transport.ProxyConfig.Drop":              "swallowed frames in the chaos soaks",
 	"internal/transport.ProxyConfig.Dup":               "duplicated frames in the chaos soaks",
 	"internal/transport.ProxyConfig.Reorder":           "reordered frames in the chaos soaks",
+	"internal/transport.ProxyConfig.Target":            "the collector a test puts the proxy in front of",
 }
 
 // TestConfigFieldsSet fails on any exported field of a *Config or *Options
 // struct under internal/ that no non-test code sets: a knob read only at
 // its default is a constant. A field counts as set by a composite-literal
-// key of its name anywhere outside tests, bench/ included, or by an
-// assignment, an increment or a &x.F outside the field's own package (a
-// package's own `cfg.F = default` line does not count). Fields are matched
-// by name alone, so the rule errs toward keeping a field. Under -v it logs
-// the number of config fields, which CI prints beside the non-test line
-// count.
+// key anywhere outside tests, bench/ included, or by an assignment, an
+// increment or a &x.F in a package that imports the field's own (a
+// package's own `cfg.F = default` line does not count). A key in a T{…} or
+// pkg.T{…} literal sets only T's field, through type aliases; a key in a
+// literal whose type is elided sets every field of that name, and so does
+// an assignment in every package the assigning one imports, so the rule
+// errs toward keeping a field. Under -v it logs the number of config
+// fields, which CI prints beside the non-test line count.
 func TestConfigFieldsSet(t *testing.T) {
 	s := scanSurface(t, ".")
-	keyed := map[string]bool{}               // field names some composite literal sets
+	keyed := map[string]bool{}               // "<dir>.<Type>.<Field>" some typed literal sets, or a bare field name an elided one sets
 	assigned := map[string]map[string]bool{} // field name → the dirs that assign it
+	imports := map[string]map[string]bool{}  // dir → the module dirs it imports
 	for _, f := range s.files {
+		if imports[f.pkg] == nil {
+			imports[f.pkg] = map[string]bool{}
+		}
+		for _, rel := range f.imports {
+			imports[f.pkg][rel] = true
+		}
 		ast.Inspect(f.syntax, func(n ast.Node) bool {
 			var lhs []ast.Expr
 			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if k, ok := n.Key.(*ast.Ident); ok {
-					keyed[k.Name] = true
+			case *ast.CompositeLit:
+				prefix := "" // the type is elided: keys match fields by name
+				if n.Type != nil {
+					typ, ok := s.typeName(f, n.Type)
+					if !ok {
+						return true // a foreign type's, a slice's or a map's keys
+					}
+					prefix = typ + "."
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							keyed[prefix+k.Name] = true
+						}
+					}
 				}
 			case *ast.AssignStmt:
 				lhs = n.Lhs
@@ -173,9 +200,9 @@ func TestConfigFieldsSet(t *testing.T) {
 	var problems []string
 	unset := map[string]bool{}
 	for _, fd := range s.fields {
-		set := keyed[fd.name]
+		set := keyed[fd.name] || keyed[fd.key]
 		for dir := range assigned[fd.name] {
-			set = set || dir != fd.pkg
+			set = set || imports[dir][fd.pkg]
 		}
 		if set {
 			continue
@@ -229,6 +256,7 @@ type surface struct {
 	named   map[string]bool // method names a live selector or an interface mentions
 	files   []*surfaceFile
 	fields  []surfaceField
+	aliases map[string]string // "<dir>.<Name>" of a type alias → "<dir>.<Name>" of its target
 }
 
 // scanSurface parses the module under root and marks what its roots reach.
@@ -238,6 +266,7 @@ func scanSurface(t testing.TB, root string) *surface {
 		pkgs:    map[string]map[string]*surfaceDecl{},
 		methods: map[string][]*surfaceDecl{},
 		named:   map[string]bool{},
+		aliases: map[string]string{},
 	}
 	var interfaces []*ast.InterfaceType
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -403,6 +432,11 @@ func (s *surface) add(dir string, f *ast.File) {
 				for _, sp := range decl.Specs {
 					ts := sp.(*ast.TypeSpec)
 					pkg[ts.Name.Name] = newDecl(ts.Name.Name, ts.Pos(), ts, cmp.Or(ts.Doc, decl.Doc))
+					if ts.Assign.IsValid() {
+						if target, ok := s.typeName(file, ts.Type); ok {
+							s.aliases[dir+"."+ts.Name.Name] = target
+						}
+					}
 					s.addFields(dir, ts)
 				}
 			}
@@ -428,6 +462,29 @@ func (s *surface) addFields(dir string, ts *ast.TypeSpec) {
 			}
 		}
 	}
+}
+
+// typeName resolves a type expression in f to "<dir>.<Name>", following
+// aliases. It fails for a type outside the module or one that is not a
+// plain name.
+func (s *surface) typeName(f *surfaceFile, e ast.Expr) (string, bool) {
+	var key string
+	switch e := e.(type) {
+	case *ast.Ident:
+		key = f.pkg + "." + e.Name
+	case *ast.SelectorExpr:
+		x, ok := e.X.(*ast.Ident)
+		if !ok || f.imports[x.Name] == "" {
+			return "", false
+		}
+		key = f.imports[x.Name] + "." + e.Sel.Name
+	default:
+		return "", false
+	}
+	for s.aliases[key] != "" {
+		key = s.aliases[key]
+	}
+	return key, true
 }
 
 // constEnum reports whether a const block counts on iota or on repeating

@@ -8,36 +8,6 @@ import (
 	"vigil"
 )
 
-// The facade must support the full quickstart flow.
-func TestSimulationFacade(t *testing.T) {
-	sim, err := vigil.NewSimulation(vigil.SimConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := sim.Topology()
-	bad := topo.LinksOfClass(vigil.L1Up)[5]
-	sim.InjectFailure(bad, 0.01)
-	rep := sim.RunEpoch()
-	if len(rep.Ranking) == 0 || rep.Ranking[0].Link != bad {
-		t.Fatalf("facade pipeline failed to rank the bad link first: %+v", rep.Ranking[:min(3, len(rep.Ranking))])
-	}
-	if rep.Detection.Recall != 1 {
-		t.Fatalf("recall = %v", rep.Detection.Recall)
-	}
-	if rep.Accuracy < 0.9 {
-		t.Fatalf("accuracy = %v", rep.Accuracy)
-	}
-	if vigil.LinkName(topo, bad) == "" {
-		t.Fatal("LinkName empty")
-	}
-	sim.ClearFailure(bad)
-	sim.ClearAllFailures()
-	rep2 := sim.RunEpoch()
-	if len(rep2.FailedLinks) != 0 {
-		t.Fatal("failures not cleared")
-	}
-}
-
 // The determinism contract of the parallel epoch engine, end to end: a
 // seeded epoch's full 007 output — ranking, detections, verdicts and ground
 // truth — must be bit-identical at every Parallelism setting.
@@ -208,7 +178,17 @@ func TestPublicAPIErrorPaths(t *testing.T) {
 				}
 			})
 		}
+		// Clearing one link leaves the others failed; clearing all, none.
+		other := sim.Topology().LinksOfClass(vigil.L1Down)[0]
+		sim.InjectFailure(other, 0.05)
+		sim.ClearFailure(good)
+		if rep := sim.RunEpoch(); !reflect.DeepEqual(rep.FailedLinks, []vigil.LinkID{other}) {
+			t.Fatalf("after ClearFailure, FailedLinks = %v, want [%v]", rep.FailedLinks, other)
+		}
 		sim.ClearAllFailures()
+		if rep := sim.RunEpoch(); len(rep.FailedLinks) != 0 {
+			t.Fatalf("after ClearAllFailures, FailedLinks = %v", rep.FailedLinks)
+		}
 	})
 
 	t.Run("ScheduleFailure", func(t *testing.T) {
