@@ -52,24 +52,19 @@ import (
 	"vigil/internal/topology"
 )
 
-// profiler is shared with fail so error exits still flush a running CPU
-// profile.
-var profiler *prof.Profiler
-
-func fail(err error) {
-	if profiler != nil {
-		profiler.Stop()
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vigild:", err)
+		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "vigild:", err)
-	os.Exit(1)
 }
 
 // epochSink is the settle sink of both modes. It feeds each settled epoch
 // into the exporter — the vote ranking resolved to link names (with
 // Algorithm 1's detected set flagged), and the detection scored against the
 // epoch's injected-failure ground truth as the scenario's conformance point
-// — and, unless quiet, prints its line.
-func epochSink(exp *metrics.EpochExporter, topo *topology.Topology, scenarioName string, quiet bool) func(*engine.EpochResult) {
+// — and, unless quiet, prints its line to stdout.
+func epochSink(stdout io.Writer, exp *metrics.EpochExporter, topo *topology.Topology, scenarioName string, quiet bool) func(*engine.EpochResult) {
 	return func(res *engine.EpochResult) {
 		detected := make(map[topology.LinkID]bool, len(res.Detected))
 		for _, l := range res.Detected {
@@ -89,7 +84,7 @@ func epochSink(exp *metrics.EpochExporter, topo *topology.Topology, scenarioName
 		exp.ObserveEpoch(int64(res.Epoch), ranked)
 		exp.ObserveConformance(scenarioName, metrics.ScoreDetection(res.Detected, res.FailedLinks))
 		if !quiet {
-			fmt.Printf("epoch %4d settled: %4d reports, %d detected, %d verdicts\n",
+			fmt.Fprintf(stdout, "epoch %4d settled: %4d reports, %d detected, %d verdicts\n",
 				res.Epoch, len(res.Reports), len(res.Detected), len(res.Verdicts))
 		}
 	}
@@ -98,13 +93,13 @@ func epochSink(exp *metrics.EpochExporter, topo *topology.Topology, scenarioName
 // serveMetrics serves /metrics on addr, rendering each source in turn, and
 // returns a function that shuts the endpoint down. An empty addr serves
 // nothing.
-func serveMetrics(addr string, sources ...func(io.Writer) error) (stop func()) {
+func serveMetrics(stdout io.Writer, addr string, sources ...func(io.Writer) error) (stop func(), err error) {
 	if addr == "" {
-		return func() {}
+		return func() {}, nil
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -115,35 +110,39 @@ func serveMetrics(addr string, sources ...func(io.Writer) error) (stop func()) {
 	})
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
+	fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", ln.Addr())
 	return func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		srv.Shutdown(ctx)
 		cancel()
-	}
+	}, nil
 }
 
 // runCollector serves the networked ingest transport on addr: remote agent
 // sessions drive the epochs; vigild settles, checkpoints, and exports. cfg
 // arrives with everything but the listener and the transport counters.
-func runCollector(addr, metricsAddr string, exporter *metrics.EpochExporter, cfg ingest.CollectorConfig) {
+func runCollector(stdout io.Writer, addr, metricsAddr string, exporter *metrics.EpochExporter, cfg ingest.CollectorConfig) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	tctr := &metrics.TransportCounters{}
 	cfg.Listener, cfg.Transport = ln, tctr
 	col, err := ingest.ServeCollector(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("ingest collector on %s (%d sessions", col.Addr(), cfg.Sessions)
+	fmt.Fprintf(stdout, "ingest collector on %s (%d sessions", col.Addr(), cfg.Sessions)
 	if cfg.CheckpointPath != "" {
-		fmt.Printf(", two-slot checkpoint file %s: one pwrite + fdatasync per settle", cfg.CheckpointPath)
+		fmt.Fprintf(stdout, ", two-slot checkpoint file %s: one pwrite + fdatasync per settle", cfg.CheckpointPath)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 
-	stopMetrics := serveMetrics(metricsAddr, col.Counters().WritePrometheus, tctr.WritePrometheus, exporter.WritePrometheus)
+	stopMetrics, err := serveMetrics(stdout, metricsAddr, col.Counters().WritePrometheus, tctr.WritePrometheus, exporter.WritePrometheus)
+	if err != nil {
+		col.Close()
+		return err
+	}
 
 	ctx, stopSignals := runutil.SignalContext(context.Background())
 	waitErr := col.Wait(ctx)
@@ -154,86 +153,90 @@ func runCollector(addr, metricsAddr string, exporter *metrics.EpochExporter, cfg
 	}
 	stopMetrics()
 	c := col.Counters()
-	fmt.Printf("\nsettled %d epochs: received %d, accepted %d, duplicates %d, lost %d, retries %d, recovered %d\n",
+	fmt.Fprintf(stdout, "\nsettled %d epochs: received %d, accepted %d, duplicates %d, lost %d, retries %d, recovered %d\n",
 		c.SettledEpochs.Load(), c.Received.Load(), c.Accepted.Load(),
 		c.Duplicates.Load(), c.Lost.Load(), c.Retries.Load(), c.Recovered.Load())
-	fmt.Printf("transport: %d frames in, %d dropped stale, %d acks, %d checkpoints, %d accept retries\n",
+	fmt.Fprintf(stdout, "transport: %d frames in, %d dropped stale, %d acks, %d checkpoints, %d accept retries\n",
 		tctr.FramesReceived.Load(), tctr.FramesDropped.Load(), tctr.AcksSent.Load(),
 		tctr.Checkpoints.Load(), tctr.AcceptRetries.Load())
-	if waitErr != nil && waitErr != context.Canceled {
-		fail(waitErr) // e.g. a checkpoint that could not be written
+	if waitErr != context.Canceled {
+		return waitErr // e.g. a checkpoint that could not be written
 	}
-	if err := profiler.Stop(); err != nil {
-		fail(err)
-	}
+	return nil
 }
 
-func main() {
-	plane := flag.String("plane", "flow", "evaluation plane: flow or packet")
-	epochs := flag.Int("epochs", 50, "epochs to run (0 = until SIGINT)")
-	seed := flag.Uint64("seed", 7, "engine seed")
-	failures := flag.Int("failures", 2, "failed links to inject")
-	rate := flag.Float64("rate", 0.05, "failed-link drop rate")
-	interval := flag.Duration("interval", 0, "wall-clock pacing between epochs (0 = back to back)")
-	grace := flag.Int("grace", 0, "watermark grace window in epochs (0 = default 2)")
-	retries := flag.Int("retries", 0, "max gap re-request rounds per epoch")
-	listen := flag.String("listen", "", "address for the /metrics endpoint (empty = off)")
-	quiet := flag.Bool("quiet", false, "suppress per-epoch lines")
-	scenarioLabel := flag.String("scenario", "static", "scenario label on the conformance gauges")
-	topK := flag.Int("top-links", 10, "ranked links exported per settled epoch")
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("vigild", flag.ContinueOnError)
+	plane := fs.String("plane", "flow", "evaluation plane: flow or packet")
+	epochs := fs.Int("epochs", 50, "epochs to run (0 = until SIGINT)")
+	seed := fs.Uint64("seed", 7, "engine seed")
+	failures := fs.Int("failures", 2, "failed links to inject")
+	rate := fs.Float64("rate", 0.05, "failed-link drop rate")
+	interval := fs.Duration("interval", 0, "wall-clock pacing between epochs (0 = back to back)")
+	grace := fs.Int("grace", 0, "watermark grace window in epochs (0 = default 2)")
+	retries := fs.Int("retries", 0, "max gap re-request rounds per epoch")
+	listen := fs.String("listen", "", "address for the /metrics endpoint (empty = off)")
+	quiet := fs.Bool("quiet", false, "suppress per-epoch lines")
+	scenarioLabel := fs.String("scenario", "static", "scenario label on the conformance gauges")
+	topK := fs.Int("top-links", 10, "ranked links exported per settled epoch")
 
-	collectorListen := flag.String("collector-listen", "", "serve the networked ingest transport on this address (empty = in-process engine)")
-	checkpoint := flag.String("checkpoint", "", "two-slot checkpoint file for collector crash recovery, created (8 KiB, preallocated) if missing; every settle is one pwrite + fdatasync into it (collector mode)")
-	sessions := flag.Int("sessions", 1, "agent sessions expected (collector mode)")
+	collectorListen := fs.String("collector-listen", "", "serve the networked ingest transport on this address (empty = in-process engine)")
+	checkpoint := fs.String("checkpoint", "", "two-slot checkpoint file for collector crash recovery, created (8 KiB, preallocated) if missing; every settle is one pwrite + fdatasync into it (collector mode)")
+	sessions := fs.Int("sessions", 1, "agent sessions expected (collector mode)")
 
-	faultSeed := flag.Uint64("fault-seed", 1, "fault layer seed")
-	drop := flag.Float64("drop", 0, "report drop probability")
-	duplicate := flag.Float64("duplicate", 0, "report duplicate probability")
-	delay := flag.Float64("delay", 0, "report delay probability")
-	delayMax := flag.Int("delay-max", 2, "max delay in epochs")
-	burst := flag.Float64("burst", 0, "per-agent-epoch burst-loss probability")
-	crash := flag.Float64("crash", 0, "per-agent-epoch crash probability")
+	faultSeed := fs.Uint64("fault-seed", 1, "fault layer seed")
+	drop := fs.Float64("drop", 0, "report drop probability")
+	duplicate := fs.Float64("duplicate", 0, "report duplicate probability")
+	delay := fs.Float64("delay", 0, "report delay probability")
+	delayMax := fs.Int("delay-max", 2, "max delay in epochs")
+	burst := fs.Float64("burst", 0, "per-agent-epoch burst-loss probability")
+	crash := fs.Float64("crash", 0, "per-agent-epoch crash probability")
 
-	profiler = prof.Register(flag.CommandLine)
-	flag.Parse()
-
-	if err := profiler.Start(); err != nil {
-		fail(err)
+	profiler := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	if err := profiler.Start(); err != nil {
+		return err
+	}
+	defer func() { // error exits still flush a running CPU profile
+		if perr := profiler.Stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	pl := engine.Plane(*plane)
 	if !pl.Valid() {
-		fail(fmt.Errorf("unknown plane %q (want flow or packet)", *plane))
+		return fmt.Errorf("unknown plane %q (want flow or packet)", *plane)
 	}
 	topo, err := topology.New(scenario.QuickTopoFor(pl))
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	exporter := metrics.NewEpochExporter(*topK)
-	sink := epochSink(exporter, topo, *scenarioLabel, *quiet)
+	sink := epochSink(stdout, exporter, topo, *scenarioLabel, *quiet)
 	if *collectorListen != "" {
-		runCollector(*collectorListen, *listen, exporter, ingest.CollectorConfig{
+		return runCollector(stdout, *collectorListen, *listen, exporter, ingest.CollectorConfig{
 			Sessions: *sessions, Grace: *grace, MaxRetries: *retries, CheckpointPath: *checkpoint, Sink: sink,
 		})
-		return
 	}
 
 	eng, err := engine.New(engine.Config{Plane: pl, Topo: topo, Seed: *seed})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	rng := stats.NewRNG(*seed + 3)
 	pool := topo.LinksOfClass(topology.L1Down)
 	links, err := runutil.DistinctLinks(*failures, len(pool), func() topology.LinkID { return pool[rng.Intn(len(pool))] })
 	if err != nil {
-		fail(err)
+		return err
 	}
 	for _, l := range links {
 		if err := eng.InjectFailure(l, *rate); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("injected %.1f%% loss on %s\n", *rate*100, topo.LinkName(l))
+		fmt.Fprintf(stdout, "injected %.1f%% loss on %s\n", *rate*100, topo.LinkName(l))
 	}
 
 	svc, err := ingest.New(ingest.Config{
@@ -253,27 +256,28 @@ func main() {
 		Sink: sink,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	stopMetrics := serveMetrics(*listen, svc.Counters().WritePrometheus, exporter.WritePrometheus)
+	stopMetrics, err := serveMetrics(stdout, *listen, svc.Counters().WritePrometheus, exporter.WritePrometheus)
+	if err != nil {
+		return err
+	}
 
 	ctx, stopSignals := runutil.SignalContext(context.Background())
 	err = svc.Run(ctx, *epochs)
 	stopSignals()
+	stopMetrics()
 	if err == context.Canceled {
 		fmt.Fprintln(os.Stderr, "vigild: interrupted; pipeline drained")
 	} else if err != nil {
-		fail(err)
+		return err
 	}
-	stopMetrics()
 
 	c := svc.Counters()
-	fmt.Printf("\nsettled %d epochs: received %d, accepted %d, duplicates %d, late %d (+%d past grace), lost %d, retries %d, recovered %d\n",
+	fmt.Fprintf(stdout, "\nsettled %d epochs: received %d, accepted %d, duplicates %d, late %d (+%d past grace), lost %d, retries %d, recovered %d\n",
 		c.SettledEpochs.Load(), c.Received.Load(), c.Accepted.Load(),
 		c.Duplicates.Load(), c.Late.Load(), c.LateDropped.Load(),
 		c.Lost.Load(), c.Retries.Load(), c.Recovered.Load())
-	if err := profiler.Stop(); err != nil {
-		fail(err)
-	}
+	return nil
 }

@@ -154,12 +154,12 @@ func BenchmarkSettle(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceCycle is the whole lanes Service at bench/'s lanes-lossy
-// shape — the settle feed's epoch of 1,440 reports from 360 agents, four
-// lanes, that workload's faults, grace and retry budget — one op per
-// settled epoch: the source, the lanes, the settle core, the analysis and
-// the sink, with the lockstep handshake between cycles. The drain and the
-// goroutines' start are in the op count's denominator.
+// BenchmarkServiceCycle is the whole in-process Service at bench/'s
+// lanes-lossy shape — the settle feed's epoch of 1,440 reports from 360
+// agents, four lanes, that workload's faults, grace and retry budget — one
+// op per settled epoch: the source, the fault layer, the settle core, the
+// analysis and the sink. The drain and the analyst's start are in the op
+// count's denominator.
 func BenchmarkServiceCycle(b *testing.B) {
 	f := newSettleFeed(1, false)
 	eng := &loopEngine{Engine: newTestEngine(b, engine.Config{Seed: 1}, soakTopo, 0)}

@@ -387,7 +387,7 @@ func (e *loopEngine) Step(emit func(vote.Report)) *engine.EpochResult {
 // which the sink may keep — at both of bench/'s arrival shapes; one hostile
 // epoch leaves nothing resident behind it; a report past its agent's count
 // still meets the conservation check before anything positions it; and
-// the lanes adapter's own per-cycle garbage is gone.
+// the in-process Service adds little per-cycle garbage of its own.
 func TestSettleSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string

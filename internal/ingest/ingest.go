@@ -1,40 +1,46 @@
 // Package ingest is vigild's streaming boundary: a long-running service
-// that wraps an engine.Engine behind per-agent sequenced channels, settles
-// epochs on a watermark, and survives lossy, late, and lying agents.
+// that wraps an engine.Engine behind per-agent sequenced report streams,
+// settles epochs on a watermark, and survives lossy, late, and lying agents.
 //
-// The pipeline has three stages connected by bounded channels:
+// The in-process Service is one loop on Run's goroutine, plus the
+// analyst's:
 //
-//	source ──► lanes (fault layer, holdback) ──► collector ──► sink
+//	source ──► fate (fault layer, holdback) ──► settle core ──► sink
+//	                                                 └──► analyst (Analyze)
 //
 // The source drives the engine one epoch (one "cycle") at a time through
-// the Step seam, routing each report to its agent's lane — an agent always
-// maps to the same lane, so per-agent FIFO order is a channel property.
-// After the epoch's reports it pushes one token per lane carrying the
-// epoch's per-agent expected report counts; tokens are reliable (the fault
-// layer never touches them), which is what turns "did everything arrive?"
-// into a local, per-agent comparison. The channels carry bursts of items
-// rather than single items (burstSize); a cycle's token ends a burst, so
-// nothing ever waits for one to fill. Lanes apply the seeded fault layer
-// (faults.go) and hold delayed reports back until their release cycle. The
-// collector runs gap detection, duplicate suppression, the late-report
-// grace window, and bounded retry re-requests (fed back to the source
-// in-band with the lockstep cycle handshake), and settles epoch x when
-// every lane's token for cycle x+Grace has been processed — the watermark.
-// Epochs are analyzed over canonically ordered accepted reports through the
-// same engine.Analysis() options batch RunEpoch uses, on the collector's
-// one analysis goroutine: as soon as an epoch is final (its tokens are in
-// and it has no gaps, so nothing can join it before settle), while the
-// next cycles run, or at settle if it never becomes final. The sink still
-// receives each result at settle, in epoch order, before the cycle ends.
+// the Step seam. Each report the engine emits has its fate decided on the
+// spot by the seeded fault layer (faults.go) and, unless it is lost or
+// held back, goes straight into the settle core (core.go); a duplicated
+// one goes in twice. A delayed report waits in its lane's holdback until
+// its release cycle. After the epoch's reports the cycle closes one lane
+// at a time — an agent always maps to the same lane — with the lane's due
+// holdbacks released in identity order and then the lane's token, which
+// carries the epoch's expected report counts for the lane's agents. Tokens
+// are reliable (the fault layer never touches them), which is what turns
+// "did everything arrive?" into a local, per-agent comparison. The core
+// runs gap detection, duplicate suppression, the late-report grace window
+// and bounded retry re-requests, which the loop retransmits at the start
+// of the next cycle, and settles epoch x once every lane's token for cycle
+// x+Grace is in — the watermark. Epochs are analyzed over canonically
+// ordered accepted reports through the same engine.Analysis() options
+// batch RunEpoch uses, on the service's one analysis goroutine: as soon as
+// an epoch is final (its tokens are in and it has no gaps, so nothing can
+// join it before settle), while the next cycles run, or at settle if it
+// never becomes final. The sink receives each result at settle, in epoch
+// order, on Run's goroutine.
 //
-// Determinism: the source waits for the collector's end-of-cycle handshake
-// before starting the next epoch, every fault decision is a pure function
-// of report identity, and all collector state is per-(agent, epoch) — so
-// cross-agent arrival interleaving cannot change which reports settle into
-// which epoch, and a seeded chaos run's settled results and fault counters
-// are reproducible. With faults disabled the accepted set of each epoch is
-// exactly the engine's report set, making settled epochs bit-identical to
-// batch RunEpoch at any parallelism — the service's core contract.
+// Determinism: every fault decision is a pure function of report identity,
+// and all settle state is per-(agent, epoch) — so neither the lane count
+// nor the order in which agents' reports interleave can change which
+// reports settle into which epoch, and a seeded chaos run's settled results
+// and fault counters are reproducible. With faults disabled the accepted
+// set of each epoch is exactly the engine's report set, making settled
+// epochs bit-identical to batch RunEpoch at any parallelism — the service's
+// core contract.
+//
+// The networked NetCollector (net.go) drives the same settle core from
+// transport sessions instead of lanes.
 package ingest
 
 import (
@@ -42,7 +48,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"vigil/internal/analysis"
@@ -59,11 +64,13 @@ type Config struct {
 	// loop from Run on — inject failures and schedules before running.
 	Engine engine.Engine
 	// Grace is the watermark lag in epochs: epoch x settles once every
-	// lane's token for cycle x+Grace has been processed, so reports up to
-	// Grace epochs late still count. 0 means the default of 2.
+	// lane's token for cycle x+Grace is in, so reports up to Grace epochs
+	// late still count. 0 means the default of 2.
 	Grace int
-	// Lanes is the number of per-agent FIFO lanes (agents hash onto
-	// lanes). 0 means the default of 4.
+	// Lanes is the number of token sources and holdback queues agents hash
+	// onto; no goroutine runs per lane. It changes nothing observable: the
+	// settled results and every counter are the same at any lane count.
+	// 0 means the default of 4.
 	Lanes int
 	// MaxRetries bounds gap re-requests per epoch; 0 disables retries
 	// (every injected drop becomes an observed loss — the configuration
@@ -76,40 +83,28 @@ type Config struct {
 	Interval time.Duration
 	// Faults configures the chaos layer; the zero value injects nothing.
 	Faults FaultConfig
-	// Sink receives each settled epoch, in epoch order, on the collector
-	// goroutine. Optional.
+	// Sink receives each settled epoch, in epoch order, on Run's
+	// goroutine: the next epoch's Step waits for it. Optional.
 	Sink func(*engine.EpochResult)
 	// Counters receives the service's observable state; one is allocated
-	// when nil. Read it live via Service.Counters.
+	// when nil. Read it live via Service.Counters. The service queues
+	// nothing between a report's emission and the settle core, so its
+	// QueueDepth stays 0.
 	Counters *metrics.IngestCounters
 }
 
-// itemKind tags pipeline items.
-type itemKind uint8
-
-const (
-	itemReport itemKind = iota
-	// itemToken marks the end of a cycle on a lane. Tokens are reliable
-	// and carry the cycle's per-agent expected counts for the lane's
-	// agents; a token with live=false is a drain cycle (no engine epoch).
-	itemToken
-)
-
-// burstSize is how many items ride one channel send. The pipeline's
-// channels carry bursts, not single items: a goroutine hand-off per report
-// cost more than everything else the lanes do, and on more than one CPU
-// its price swung by half with how the scheduler happened to place the
-// stages.
+// burstSize is how many reports ride one channel send between a transport
+// session's reader and the networked collector: a goroutine hand-off per
+// report costs more than admitting the report does.
 const burstSize = 128
 
-// burstsFor turns a queue depth in items into a channel capacity in bursts.
+// burstsFor turns a queue depth in reports into a channel capacity in
+// bursts.
 func burstsFor(depth int) int { return (depth + burstSize - 1) / burstSize }
 
-// laneDepth and queueDepth bound the source→lane and the lanes→collector
-// (or transport→collector) channels, in items, rounded up to whole bursts.
-// Full channels exert backpressure all the way into the engine, or into
-// TCP.
-const laneDepth, queueDepth = 256, 1024
+// queueDepth bounds the transport→collector channel, in reports, rounded up
+// to whole bursts. A full channel exerts backpressure into TCP.
+const queueDepth = 1024
 
 // settleParams validates and resolves the settle knobs that New,
 // ServeCollector and RunAgent all take, so the three agree on what is
@@ -125,15 +120,12 @@ func settleParams(grace, maxRetries int) (int, int, error) {
 	return cmp.Or(grace, 2), min(maxRetries, 255), nil
 }
 
-// item is one unit on a lane: a (possibly retried) report or a token.
-type item struct {
-	kind    itemKind
+// heldReport is a delayed transmission parked in its lane's holdback until
+// its release cycle.
+type heldReport struct {
+	release int32
 	r       vote.Report
 	attempt uint8
-	delayed bool
-	cycle   int32
-	live    bool
-	counts  []transport.AgentCount
 }
 
 // Service is the running ingest pipeline. Build with New, drive with Run.
@@ -142,24 +134,15 @@ type Service struct {
 	ctr    *metrics.IngestCounters
 	grace  int
 	lanes  int
-	laneIn []chan []item
-	toCol  chan []item
-	stage  [][]item                 // the source's burst under construction, per lane
-	spent  chan []item              // emptied bursts on their way back to the stages that fill them
+	core   *settleCore              // one source per lane
+	held   [][]heldReport           // per lane: delayed reports not yet released
 	counts [][]transport.AgentCount // closeCycle's per-lane token counts, reused
-	// cycleEnd is the collector→source lockstep handshake: the collector has
-	// processed every lane's token for the cycle, and these re-requests are
-	// due for retransmission next cycle.
-	cycleEnd chan []transport.RetryReq
-	laneWG   sync.WaitGroup // the lane goroutines; gates closing toCol
-	wg       sync.WaitGroup // the collector, which stops the analyst before it exits
-	an       *analyst       // started by Run with the engine's analysis options
+	an     *analyst                 // started by Run with the engine's analysis options
 
-	// ring holds the last Grace+2 epochs' Step results: the collector
-	// reads ground truth from it at settle, the source re-reads reports
-	// from it for retransmissions. Synchronized by the token chain: entry
-	// e is written before cycle e's tokens and read only while e is
-	// within the watermark window.
+	// ring holds the last Grace+2 epochs' Step results: settle reads ground
+	// truth from it, the source re-reads reports from it for
+	// retransmissions. Entry e is written before cycle e's tokens and read
+	// only while e is within the watermark window.
 	ring []*engine.EpochResult
 
 	pendingRetries []transport.RetryReq
@@ -190,17 +173,9 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.grace = grace
 	s.lanes = cmp.Or(cfg.Lanes, 4)
-	s.laneIn = make([]chan []item, s.lanes)
-	for i := range s.laneIn {
-		s.laneIn[i] = make(chan []item, burstsFor(laneDepth))
-	}
-	s.toCol = make(chan []item, burstsFor(queueDepth))
-	s.stage = make([][]item, s.lanes)
+	s.core = newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, s.ctr, -1)
+	s.held = make([][]heldReport, s.lanes)
 	s.counts = make([][]transport.AgentCount, s.lanes)
-	// Room for every burst that can exist at once: queued, being staged by
-	// the source, and being filled by a lane.
-	s.spent = make(chan []item, s.lanes*cap(s.laneIn[0])+cap(s.toCol)+2*s.lanes)
-	s.cycleEnd = make(chan []transport.RetryReq, 1)
 	s.ring = make([]*engine.EpochResult, s.grace+2)
 	return s, nil
 }
@@ -211,17 +186,13 @@ func (s *Service) Counters() *metrics.IngestCounters { return s.ctr }
 // Run drives the service: epochs engine epochs (<= 0 means until ctx is
 // canceled), then a drain of Grace+DelayMax+1 empty cycles so every
 // holdback releases and every epoch settles through the normal watermark
-// machinery, then a clean stop. It blocks until the pipeline has fully
-// shut down; every started epoch is settled and delivered to the sink
-// before it returns. Returns ctx.Err when canceled early, nil otherwise.
+// machinery, then a clean stop. Everything but Analyze runs on the
+// caller's goroutine; every started epoch is settled and delivered to the
+// sink, and the analysis goroutine has exited, before it returns. Returns
+// ctx.Err when canceled early, nil otherwise.
 func (s *Service) Run(ctx context.Context, epochs int) error {
-	for i := range s.laneIn {
-		s.laneWG.Add(1)
-		go s.lane(i)
-	}
 	s.an = startAnalyst(s.cfg.Engine.Analysis(), s.grace)
-	s.wg.Add(1)
-	go s.collector()
+	defer s.an.stop()
 
 	cycle := int32(0)
 	for (epochs <= 0 || int(cycle) < epochs) && ctx.Err() == nil {
@@ -250,63 +221,44 @@ func (s *Service) Run(ctx context.Context, epochs int) error {
 		s.closeCycle(cycle, nil, false)
 		cycle++
 	}
-	for _, ch := range s.laneIn {
-		close(ch)
-	}
-	s.laneWG.Wait()
-	close(s.toCol)
-	s.wg.Wait()
 	return ctx.Err()
 }
 
-// newBurst returns an empty burst, a spent one when there is one.
-func (s *Service) newBurst() []item {
-	select {
-	case b := <-s.spent:
-		return b
-	default:
-		return make([]item, 0, burstSize)
-	}
-}
-
-// recycle takes back a burst whose items have all been handled. Bursts are
-// reused rather than left to the collector because they are most of what
-// the pipeline would allocate, and GC cycles are most of what makes one
-// cycle's duration differ from the next.
-func (s *Service) recycle(b []item) {
-	clear(b) // drop the path and count references
-	select {
-	case s.spent <- b[:0]:
-	default:
-	}
-}
-
-// laneOf maps an agent to its lane; stable, so per-agent order is FIFO.
+// laneOf maps an agent to its lane; stable, so an agent's holdbacks and
+// counts always share a lane.
 func (s *Service) laneOf(agent topology.HostID) int { return int(agent) % s.lanes }
 
-// route sends one transmission into its agent's lane. A full lane blocks —
-// backpressure propagates into the engine's emit callback.
+// route decides one transmission's fate (faults.go) and acts on it: a lost
+// one is counted, a delayed one is parked in its lane's holdback, and the
+// rest go straight into the settle core — a duplicated one twice.
 func (s *Service) route(r vote.Report, attempt uint8) {
-	s.stageItem(s.laneOf(r.Src), item{kind: itemReport, r: r, attempt: attempt})
+	ft := s.cfg.Faults.reportFate(r, int(attempt))
+	switch {
+	case ft.crashed:
+		s.ctr.InjCrashDrops.Add(1)
+	case ft.burst:
+		s.ctr.InjBurstDrops.Add(1)
+	case ft.dropped:
+		s.ctr.InjDrops.Add(1)
+	case ft.delay > 0:
+		if ft.delay <= s.grace {
+			s.ctr.InjLateInGrace.Add(1)
+		} else {
+			s.ctr.InjLatePastGrace.Add(1)
+		}
+		l := s.laneOf(r.Src)
+		s.held[l] = append(s.held[l], heldReport{release: r.Epoch + int32(ft.delay), r: r, attempt: attempt})
+	default:
+		s.core.report(r, attempt, false)
+		if ft.duplicate {
+			s.ctr.InjDuplicates.Add(1)
+			s.core.report(r, attempt, false)
+		}
+	}
 }
 
-// stageItem appends one item to its lane's burst and sends the burst when
-// it is full or ends in a token, so a cycle's last burst never waits.
-func (s *Service) stageItem(lane int, it item) {
-	b := s.stage[lane]
-	if b == nil {
-		b = s.newBurst()
-	}
-	b = append(b, it)
-	if len(b) >= burstSize || it.kind == itemToken {
-		s.laneIn[lane] <- b
-		b = nil
-	}
-	s.stage[lane] = b
-}
-
-// emitRetries retransmits the re-requests the collector issued at the end
-// of the previous cycle, reading each report back from the ring.
+// emitRetries retransmits the re-requests the previous cycle's end issued,
+// reading each report back from the ring.
 func (s *Service) emitRetries() {
 	for _, req := range s.pendingRetries {
 		if r, ok := lookupReport(s.ring, req); ok {
@@ -333,13 +285,12 @@ func lookupReport(ring []*engine.EpochResult, id transport.RetryReq) (vote.Repor
 	return res.Reports[i], true
 }
 
-// closeCycle ends cycle c on every lane — per-agent expected counts split
-// by lane, computed from the epoch's canonical report list (agents are
-// contiguous runs) — then waits for the collector's end-of-cycle handshake
-// and keeps the re-requests it carries for the next cycle.
+// closeCycle ends cycle c on every lane in turn — the lane's due holdbacks,
+// then its token with the lane's per-agent expected counts, computed from
+// the epoch's canonical report list (agents are contiguous runs) — and
+// runs the cycle's end once the last token completes it, keeping the
+// re-requests for the next cycle.
 func (s *Service) closeCycle(cycle int32, reports []vote.Report, live bool) {
-	// The collector has consumed the previous cycle's tokens before its
-	// cycle end let this call start, so their count slices are free again.
 	perLane := s.counts
 	for l := range perLane {
 		perLane[l] = perLane[l][:0]
@@ -353,72 +304,20 @@ func (s *Service) closeCycle(cycle int32, reports []vote.Report, live bool) {
 		perLane[l] = append(perLane[l], transport.AgentCount{Agent: reports[i].Src, N: int32(j - i)})
 		i = j
 	}
-	for l := range s.laneIn {
-		s.stageItem(l, item{kind: itemToken, cycle: cycle, live: live, counts: perLane[l]})
+	for l := range perLane {
+		s.held[l] = s.releaseDue(s.held[l], cycle)
+		s.core.token(cycle, live, perLane[l])
 	}
-	s.pendingRetries = <-s.cycleEnd
-}
-
-// heldItem is a delayed transmission parked in a lane until its release
-// cycle.
-type heldItem struct {
-	release int32
-	it      item
-}
-
-// lane is the fault-and-holdback stage for one shard of agents. All fault
-// decisions are pure functions of report identity (faults.go), so lanes
-// need no RNG state and runs are reproducible whatever the scheduler does.
-// Each burst that comes in goes out as one burst, in the same order.
-func (s *Service) lane(idx int) {
-	defer s.laneWG.Done()
-	var held []heldItem
-	for in := range s.laneIn[idx] {
-		out := s.newBurst()
-		for _, it := range in {
-			if it.kind == itemToken {
-				out, held = releaseDue(out, held, it.cycle)
-				out = append(out, it)
-				continue
-			}
-			ft := s.cfg.Faults.reportFate(it.r, int(it.attempt))
-			switch {
-			case ft.crashed:
-				s.ctr.InjCrashDrops.Add(1)
-			case ft.burst:
-				s.ctr.InjBurstDrops.Add(1)
-			case ft.dropped:
-				s.ctr.InjDrops.Add(1)
-			case ft.delay > 0:
-				if ft.delay <= s.grace {
-					s.ctr.InjLateInGrace.Add(1)
-				} else {
-					s.ctr.InjLatePastGrace.Add(1)
-				}
-				it.delayed = true
-				held = append(held, heldItem{release: it.r.Epoch + int32(ft.delay), it: it})
-			default:
-				out = append(out, it)
-				if ft.duplicate {
-					s.ctr.InjDuplicates.Add(1)
-					out = append(out, it)
-				}
-			}
-		}
-		s.recycle(in)
-		if len(out) > 0 {
-			s.toCol <- out
-		} else {
-			s.recycle(out)
-		}
+	for done, ok := s.core.next(); ok; done, ok = s.core.next() {
+		s.pendingRetries = s.endCycle(done)
 	}
 }
 
-// releaseDue appends every holdback due by cycle c to out, in identity
-// order so the release sequence is deterministic, and returns out and the
-// remaining held items. The due ones are swapped to the back of held and
-// released from there, so a release allocates nothing.
-func releaseDue(out []item, held []heldItem, c int32) ([]item, []heldItem) {
+// releaseDue hands the settle core every holdback in held due by cycle c,
+// in identity order so the release sequence is deterministic, and returns
+// the rest. The due ones are swapped to the back of held and released from
+// there, so a release allocates nothing.
+func (s *Service) releaseDue(held []heldReport, c int32) []heldReport {
 	n := len(held)
 	for i := 0; i < n; {
 		if held[i].release <= c {
@@ -429,44 +328,21 @@ func releaseDue(out []item, held []heldItem, c int32) ([]item, []heldItem) {
 		}
 	}
 	due := held[n:]
-	slices.SortFunc(due, func(x, y heldItem) int {
-		a, b := x.it.r, y.it.r
+	slices.SortFunc(due, func(x, y heldReport) int {
+		a, b := x.r, y.r
 		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
 	})
 	for _, h := range due {
-		out = append(out, h.it)
+		s.core.report(h.r, h.attempt, true)
 	}
 	clear(due) // drop the path references
-	return out, held[:n]
+	return held[:n]
 }
 
-// collector is the settle stage: it drains the merged lane queue into the
-// settle core — one source per lane — and, as cycles complete, settles
-// against the ring's ground truth and hands the lockstep baton (with the
-// due re-requests) back to the source.
-func (s *Service) collector() {
-	defer s.wg.Done()
-	defer s.an.stop()
-	core := newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, s.ctr, -1)
-	for burst := range s.toCol {
-		for i := range burst {
-			it := &burst[i]
-			if it.kind == itemReport {
-				core.report(it.r, it.attempt, it.delayed)
-				continue
-			}
-			core.token(it.cycle, it.live, it.counts)
-			for done, ok := core.next(); ok; done, ok = core.next() {
-				s.endCycle(done)
-			}
-		}
-		s.recycle(burst)
-	}
-}
-
-// endCycle runs once all lanes' tokens for a cycle are in: the epochs it
-// made ready go to the analyst, and the settling one, analyzed, to the sink.
-func (s *Service) endCycle(done cycleDone) {
+// endCycle runs once every lane's token for a cycle is in: the epochs it
+// made ready go to the analyst, and the settling one, analyzed, to the
+// sink. It returns the re-requests due next cycle, in the core's slice.
+func (s *Service) endCycle(done cycleDone) []transport.RetryReq {
 	s.an.feed(&done)
 	if done.live {
 		res := s.ring[int(done.epoch)%len(s.ring)]
@@ -479,14 +355,7 @@ func (s *Service) endCycle(done cycleDone) {
 		v, _ := s.an.result(nil)
 		deliver(&out, done.accepted, v, s.ctr, s.cfg.Sink)
 	}
-	// Queued bursts. The lockstep has drained every queue by now, so this
-	// reads zero unless something upstream broke the handshake.
-	depth := len(s.toCol)
-	for _, ch := range s.laneIn {
-		depth += len(ch)
-	}
-	s.ctr.QueueDepth.Store(int64(depth))
-	s.cycleEnd <- done.retries
+	return done.retries
 }
 
 // verdicts is the part of an epoch's analysis a settle delivers.

@@ -3,6 +3,8 @@ package ingest
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -320,7 +322,7 @@ func TestChaosDeterministic(t *testing.T) {
 // started epoch settles before Run returns.
 func TestContextCancelCleanShutdown(t *testing.T) {
 	eng := newTestEngine(t, engine.Config{Seed: 13}, soakTopo, 0.05)
-	var settled []int // appended on the collector goroutine, read after Run
+	var settled []int // appended on Run's goroutine, read after Run
 	s, err := New(Config{Engine: eng, Interval: time.Millisecond, Sink: func(res *engine.EpochResult) {
 		settled = append(settled, res.Epoch)
 	}})
@@ -335,9 +337,9 @@ func TestContextCancelCleanShutdown(t *testing.T) {
 	if err := s.Run(ctx, 0); err != context.Canceled {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
-	// Run returned, so the collector has; and the analysis goroutine, which
-	// ran epochs ahead of their settle, has exited too: nothing is left that
-	// could analyze, or call the sink, again.
+	// Run returned, and the analysis goroutine, which ran epochs ahead of
+	// their settle, has exited too: nothing is left that could analyze, or
+	// call the sink, again.
 	select {
 	case <-s.an.done:
 	default:
@@ -354,6 +356,87 @@ func TestContextCancelCleanShutdown(t *testing.T) {
 		if e != i || len(settled) != s.epochsRun {
 			t.Fatalf("the sink saw epochs %v, want 0…%d once each, in order", settled, s.epochsRun-1)
 		}
+	}
+}
+
+// Lanes is a sharding of agents onto token sources and holdback queues,
+// nothing more: under every fault at once, with retries and without (a
+// retry answers a gap before a delayed report's release, so only a run
+// without them accepts late reports), one, two and four lanes settle the
+// same epochs and count the same everything.
+func TestLanesChangeNothing(t *testing.T) {
+	run := func(lanes, maxRetries int) ([]*engine.EpochResult, *Service) {
+		eng := newTestEngine(t, engine.Config{Seed: 19}, equivTopo, 0.05)
+		return runService(t, Config{
+			Engine: eng, Lanes: lanes, MaxRetries: maxRetries,
+			Faults: FaultConfig{Seed: 3, Drop: 0.05, Duplicate: 0.05, Delay: 0.08, DelayMax: 4, Burst: 0.05, Crash: 0.05},
+		}, 30)
+	}
+	for _, maxRetries := range []int{0, 2} {
+		want, ws := run(1, maxRetries)
+		wc := ws.Counters()
+		exercised := wc.Late.Load() > 0
+		if maxRetries > 0 {
+			exercised = wc.Recovered.Load() > 0
+		}
+		if !exercised || wc.Duplicates.Load() == 0 || wc.LateDropped.Load() == 0 || wc.InjBurstDrops.Load() == 0 {
+			t.Fatalf("MaxRetries %d: the fault mix failed to exercise duplicates, lateness, retries and bursts: %+v", maxRetries, wc)
+		}
+		for _, lanes := range []int{2, 4} {
+			got, gs := run(lanes, maxRetries)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("MaxRetries %d: Lanes %d settled different results than Lanes 1", maxRetries, lanes)
+			}
+			if !reflect.DeepEqual(gs.Counters(), wc) {
+				t.Errorf("MaxRetries %d: Lanes %d counted differently than Lanes 1:\n%+v\n%+v", maxRetries, lanes, gs.Counters(), wc)
+			}
+		}
+	}
+}
+
+// The service is one loop on Run's goroutine: at every settle the sink is
+// called from Run itself, no other goroutine is inside the service, the
+// analyst is the one goroutine it started, and there is no queue for the
+// depth gauge to count. Stacks, not a goroutine count, so that what other
+// tests leave winding down cannot interfere.
+func TestServiceRunsOnCallersGoroutine(t *testing.T) {
+	eng := newTestEngine(t, engine.Config{Seed: 13}, soakTopo, 0.05)
+	sinks := 0
+	buf := make([]byte, 1<<20)
+	var s *Service
+	s, err := New(Config{
+		Engine: eng, MaxRetries: 1,
+		Faults: FaultConfig{Seed: 2, Drop: 0.1, Duplicate: 0.05, Delay: 0.1, DelayMax: 2},
+		Sink: func(*engine.EpochResult) {
+			sinks++
+			var inService, analysts int
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				switch {
+				case strings.Contains(g, "ingest.(*Service)"):
+					inService++
+					if !strings.Contains(g, "ingest.(*Service).Run") {
+						t.Errorf("a service goroutine outside Run:\n%s", g)
+					}
+				case strings.Contains(g, "ingest.(*analyst).run"):
+					analysts++
+				}
+			}
+			if inService != 1 || analysts != 1 {
+				t.Errorf("%d goroutines in the service and %d analysts at a settle, want 1 and 1", inService, analysts)
+			}
+			if d := s.Counters().QueueDepth.Load(); d != 0 {
+				t.Errorf("queue depth %d at a settle, want 0: the service queues nothing", d)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if sinks != 10 {
+		t.Fatalf("the sink ran %d times, want 10", sinks)
 	}
 }
 
@@ -403,8 +486,9 @@ func TestFaultFatePure(t *testing.T) {
 }
 
 // floodEngine emits perAgent synthetic reports for each of its agents every
-// epoch, agents interleaved, so every lane sees several full bursts and a
-// partial one per cycle — volumes the small test topologies never reach.
+// epoch, agents interleaved, so each agent's bitset spans several words and
+// a session's reports several full bursts and a partial one per cycle —
+// volumes the small test topologies never reach.
 type floodEngine struct {
 	engine.Engine
 	agents, perAgent int
@@ -433,9 +517,10 @@ func (f *floodEngine) Step(emit func(vote.Report)) *engine.EpochResult {
 	return res
 }
 
-// Bursts are invisible: with more reports per lane than one burst holds, a
-// fault-free run settles every epoch's exact report list in canonical
-// order, and a seeded lossy run conserves reports and repeats itself.
+// Volume is invisible: with more reports per agent than one networked
+// burst holds, emitted with agents interleaved, a fault-free run settles
+// every epoch's exact report list in canonical order, and a seeded lossy
+// run conserves reports and repeats itself.
 func TestBurstBoundaries(t *testing.T) {
 	const agents, perAgent, epochs = 6, 2*burstSize + 37, 6
 	flood := func() *floodEngine {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vigil/internal/analysis"
 	"vigil/internal/engine"
@@ -23,7 +24,7 @@ import (
 // re-requests); ServeCollector is the vigild side (settles epochs,
 // checkpoints durability, survives crashes). The transport layer below
 // deduplicates and resequences, so the core sees exactly the at-most-once
-// in-order stream it sees from the in-process lanes — which is why a
+// in-order stream it sees from the in-process Service — which is why a
 // fault-free networked run settles bit-identical to both the in-process
 // Service and batch RunEpoch.
 
@@ -322,6 +323,7 @@ type NetCollector struct {
 	stageMu sync.Mutex
 	stage   map[uint64]*sessStage
 	spent   chan []netReport // handled bursts on their way back to the readers
+	queued  atomic.Int64     // reports posted to ev and not yet taken off it
 
 	// Collector goroutine state (single-threaded).
 	core      *settleCore
@@ -429,6 +431,7 @@ func (h *netHandler) stageOf(sess uint64) *sessStage {
 func (h *netHandler) flush(sess uint64) *sessStage {
 	st := h.stageOf(sess)
 	if len(st.burst) > 0 {
+		h.queued.Add(int64(len(st.burst)))
 		h.post(netEvent{kind: evReports, sess: sess, reports: st.burst})
 		st.burst = nil
 	}
@@ -549,6 +552,7 @@ func (c *NetCollector) handle(e netEvent) {
 		// proxy-injected duplicates of the same frame), so duplicates the core
 		// sees here are ingest-level ones: the same identity re-sent as a retry
 		// answer that crossed its own recovery.
+		c.queued.Add(-int64(len(e.reports)))
 		for i := range e.reports {
 			c.core.report(e.reports[i].r, e.reports[i].attempt, false)
 		}
@@ -619,7 +623,7 @@ func (c *NetCollector) endCycle(done cycleDone) bool {
 		return false
 	}
 	c.at(beforeCycleEnd, done.cycle)
-	c.cfg.Counters.QueueDepth.Store(int64(len(c.ev)))
+	c.cfg.Counters.QueueDepth.Store(c.queued.Load())
 	var perSess map[uint64][]transport.RetryReq
 	for _, q := range done.retries {
 		// Missing identities come from session tokens, so the agent is known.

@@ -344,6 +344,55 @@ func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
 	t.Logf("the settle of epoch %d gave up its wait in %d of 40 runs", closeAt-grace, abandoned)
 }
 
+// The queue-depth gauge counts reports, not the bursts and tokens they
+// travel in: with the collector held at cycle 0's commit until every later
+// cycle is queued, cycle 1's end reads exactly the reports of the cycles
+// after it, and the gauge reads 0 once the queue has drained.
+func TestNetQueueDepthCountsReports(t *testing.T) {
+	const cycles, agents, perAgent = 4, 3, 2*burstSize + 5
+	flood := &floodEngine{Engine: newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0), agents: agents, perAgent: perAgent}
+	queued := make(chan struct{})
+	var atCycle1 int64
+	var col *NetCollector
+	col, err := ServeCollector(CollectorConfig{
+		Listener: listen(t), QueueDepth: 1 << 16,
+		probe: func(at cycleStage, cycle int32) {
+			if at == beforeCommit && cycle == 0 {
+				<-queued
+			}
+			if at == beforeCommit && cycle == 1 {
+				atCycle1 = col.Counters().QueueDepth.Load()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	h := (*netHandler)(col)
+	h.OnHello(1, transport.Hello{})
+	seq := uint64(0)
+	for cycle := range cycles {
+		res := flood.Step(func(r vote.Report) {
+			seq++
+			h.OnReport(1, r, 0)
+		})
+		seq++
+		h.OnToken(1, seq, buildToken(int32(cycle), res))
+	}
+	close(queued)
+	h.OnBye(1)
+	waitCollector(t, col)
+	// Cycle 0's end read the gauge while the cycles were still being
+	// queued; cycle 1's end, after all were, sees cycles 2 and 3.
+	if want := int64((cycles - 2) * agents * perAgent); atCycle1 != want {
+		t.Fatalf("queue depth %d at cycle 1's end, want the %d reports of cycles 2–3", atCycle1, want)
+	}
+	if got := col.Counters().QueueDepth.Load(); got != 0 {
+		t.Fatalf("queue depth %d once drained, want 0", got)
+	}
+}
+
 // The networked chaos soak: seeded drops, duplicates, reorders and
 // mid-frame cuts on the wire, plus a full partition healed mid-run. Every
 // epoch still settles exactly once, in order; conservation holds; and the

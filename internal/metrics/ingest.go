@@ -36,7 +36,10 @@ type IngestCounters struct {
 	// Gauges.
 	WatermarkLag atomic.Int64 // current epoch minus newest settled epoch
 	OpenEpochs   atomic.Int64 // epochs accepted but not yet settled
-	QueueDepth   atomic.Int64 // reports sitting in ingest queues right now
+	// QueueDepth is the reports sitting in ingest queues at the latest
+	// cycle end: the networked collector's transport→collector channel.
+	// The in-process service has no queue, so it reads 0 there.
+	QueueDepth atomic.Int64
 
 	// Injected by the fault layer (ground truth for the observed side).
 	InjDrops         atomic.Int64 // reports dropped outright
