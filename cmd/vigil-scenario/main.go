@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,31 +31,25 @@ import (
 	"vigil/internal/runutil"
 )
 
-// profiler is shared with fail so error exits still flush a running CPU
-// profile.
-var profiler *prof.Profiler
-
-func fail(err error) {
-	if profiler != nil {
-		profiler.Stop()
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vigil-scenario:", err)
+		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "vigil-scenario:", err)
-	os.Exit(1)
 }
 
-func main() {
-	name := flag.String("name", "all", "scenario name, or 'all'")
-	list := flag.Bool("list", false, "list scenario names and exit")
-	seed := flag.Uint64("seed", 7, "base random seed")
-	epochs := flag.Int("epochs", 0, "override the scenario's scripted epoch count (0 = spec default)")
-	plane := flag.String("plane", "flow", "evaluation plane: flow, packet, or both")
-	parallel := flag.Int("par", 0, "epoch engine worker count on the flow plane (0 = all cores); results are identical at any setting")
-	timeline := flag.Bool("timeline", true, "print the per-epoch timeline table")
-	profiler = prof.Register(flag.CommandLine)
-	flag.Parse()
-
-	if err := profiler.Start(); err != nil {
-		fail(err)
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("vigil-scenario", flag.ContinueOnError)
+	name := fs.String("name", "all", "scenario name, or 'all'")
+	list := fs.Bool("list", false, "list scenario names and exit")
+	seed := fs.Uint64("seed", 7, "base random seed")
+	epochs := fs.Int("epochs", 0, "override the scenario's scripted epoch count (0 = spec default)")
+	plane := fs.String("plane", "flow", "evaluation plane: flow, packet, or both")
+	parallel := fs.Int("par", 0, "epoch engine worker count on the flow plane (0 = all cores); results are identical at any setting")
+	timeline := fs.Bool("timeline", true, "print the per-epoch timeline table")
+	profiler := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	var planes []vigil.Plane
@@ -66,17 +61,14 @@ func main() {
 	case "both":
 		planes = []vigil.Plane{vigil.OnFlowPlane, vigil.OnPacketPlane}
 	default:
-		profiler.Stop()
-		fmt.Fprintf(os.Stderr, "vigil-scenario: unknown plane %q (want flow, packet or both)\n", *plane)
-		os.Exit(2)
+		return fmt.Errorf("unknown plane %q (want flow, packet or both)", *plane)
 	}
 
 	if *list {
 		for _, info := range vigil.Scenarios() {
-			fmt.Printf("%-22s %s\n", info.Name, info.Title)
+			fmt.Fprintf(stdout, "%-22s %s\n", info.Name, info.Title)
 		}
-		profiler.Stop()
-		return
+		return nil
 	}
 
 	var names []string
@@ -88,17 +80,25 @@ func main() {
 		names = strings.Split(*name, ",")
 	}
 
+	if err := profiler.Start(); err != nil {
+		return err
+	}
+	defer func() { // error exits still flush a running CPU profile
+		if perr := profiler.Stop(); err == nil {
+			err = perr
+		}
+	}()
+
 	// First Ctrl-C finishes the current scenario, then exits cleanly with
 	// profiles flushed; a second one force-kills.
 	ctx, stopSignals := runutil.SignalContext(context.Background())
-	interrupted := false
-runs:
+	defer stopSignals()
 	for _, n := range names {
 		n = strings.TrimSpace(n)
 		for _, pl := range planes {
 			if ctx.Err() != nil {
-				interrupted = true
-				break runs
+				fmt.Fprintln(os.Stderr, "vigil-scenario: interrupted; remaining runs skipped")
+				return nil
 			}
 			res, err := vigil.RunScenario(n, vigil.ScenarioConfig{
 				Seed:        *seed,
@@ -107,23 +107,18 @@ runs:
 				Parallelism: *parallel,
 			})
 			if err != nil {
-				fail(err)
+				return err
 			}
-			render(n, res, *timeline)
+			if err := render(stdout, n, res, *timeline); err != nil {
+				return err
+			}
 		}
 	}
-	stopSignals()
-	if interrupted {
-		fmt.Fprintln(os.Stderr, "vigil-scenario: interrupted; remaining runs skipped")
-	}
-	if err := profiler.Stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "vigil-scenario:", err)
-		os.Exit(1)
-	}
+	return nil
 }
 
-func render(name string, res *vigil.ScenarioResult, timeline bool) {
-	fmt.Printf("== scenario %s (%s plane) ==\n\n", name, res.Plane)
+func render(w io.Writer, name string, res *vigil.ScenarioResult, timeline bool) error {
+	fmt.Fprintf(w, "== scenario %s (%s plane) ==\n\n", name, res.Plane)
 	if timeline {
 		tab := vigil.Table{
 			Title:   "per-epoch timeline",
@@ -141,14 +136,15 @@ func render(name string, res *vigil.ScenarioResult, timeline bool) {
 				es.TotalDrops,
 			)
 		}
-		if err := tab.RenderASCII(os.Stdout); err != nil {
-			fail(err)
+		if err := tab.RenderASCII(w); err != nil {
+			return err
 		}
 	}
-	fmt.Printf("epochs: %d total, %d active, %d quiet (%d clean)\n",
+	fmt.Fprintf(w, "epochs: %d total, %d active, %d quiet (%d clean)\n",
 		len(res.Epochs), res.ActiveEpochs, res.QuietEpochs, res.QuietClean)
-	fmt.Printf("pooled detection over active epochs: precision %.3f (tp %d, fp %d), recall %.3f (fn %d)\n",
+	fmt.Fprintf(w, "pooled detection over active epochs: precision %.3f (tp %d, fp %d), recall %.3f (fn %d)\n",
 		res.Precision, res.TruePos, res.FalsePos, res.Recall, res.FalseNeg)
-	fmt.Printf("pooled attribution accuracy: %.3f over %d failure-crossing flows\n\n",
+	fmt.Fprintf(w, "pooled attribution accuracy: %.3f over %d failure-crossing flows\n\n",
 		res.Accuracy, res.Considered)
+	return nil
 }

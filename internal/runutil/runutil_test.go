@@ -2,9 +2,13 @@ package runutil
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"vigil/internal/topology"
 )
 
 func TestSignalContextCancelsOnSIGINT(t *testing.T) {
@@ -59,5 +63,73 @@ func TestStopReleasesRegistration(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(time.Second):
 		t.Fatal("stop did not cancel the context")
+	}
+}
+
+// seq returns a draw that yields links in order, and how many it drew.
+func seq(links ...topology.LinkID) (func() topology.LinkID, *int) {
+	n := 0
+	return func() topology.LinkID {
+		l := links[n]
+		n++
+		return l
+	}, &n
+}
+
+// A repeated draw is redrawn, not returned twice, and the links keep the
+// order they were first drawn in.
+func TestDistinctLinksRedrawsRepeats(t *testing.T) {
+	draw, drawn := seq(4, 4, 2, 4, 2, 9)
+	got, err := DistinctLinks(3, 10, draw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []topology.LinkID{4, 2, 9}; !slices.Equal(got, want) {
+		t.Fatalf("links = %v, want %v", got, want)
+	}
+	if *drawn != 6 {
+		t.Fatalf("drew %d times, want 6", *drawn)
+	}
+}
+
+// Asking for every link ends once each has been drawn.
+func TestDistinctLinksAll(t *testing.T) {
+	draw, _ := seq(1, 0, 1, 2, 0, 1, 3)
+	got, err := DistinctLinks(4, 4, draw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []topology.LinkID{1, 0, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("links = %v, want %v", got, want)
+	}
+}
+
+// More links than there are is an error, and nothing is drawn.
+func TestDistinctLinksTooMany(t *testing.T) {
+	draw, drawn := seq()
+	if _, err := DistinctLinks(5, 4, draw); err == nil || !strings.Contains(err.Error(), "only 4 links") {
+		t.Fatalf("err = %v, want one naming the 4 links", err)
+	}
+	if *drawn != 0 {
+		t.Fatalf("drew %d times, want 0", *drawn)
+	}
+}
+
+// The result is a function of the draw sequence alone: the same sequence
+// gives the same links, whatever size allows.
+func TestDistinctLinksDependsOnlyOnDraws(t *testing.T) {
+	draws := []topology.LinkID{7, 3, 7, 7, 5, 3, 1}
+	var first []topology.LinkID
+	for _, size := range []int{4, 8, 1000} {
+		draw, _ := seq(draws...)
+		got, err := DistinctLinks(4, size, draw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("size %d: links = %v, want %v", size, got, first)
+		}
 	}
 }

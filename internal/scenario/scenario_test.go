@@ -127,10 +127,10 @@ func TestScenarioBitIdenticalAcrossParallelism(t *testing.T) {
 var sevenScaleTopo = topology.Config{Pods: 2, ToRsPerPod: 5, T1PerPod: 4, T2: 2, HostsPerToR: 4}
 
 // Acceptance criterion of the plane-agnostic engine: every named scenario
-// runs unmodified on the packet plane through the same Run code path, with
-// active epochs and consistent aggregates — on the quick topology, and on
-// the §7-scale one, where a same-seed repeat must land a bit-identical
-// Result.
+// runs unmodified on the packet plane through the same Run code path. On
+// the quick topology cmd/vigil-scenario's packet golden pins each one's
+// seed-7 timeline; here, on the §7-scale topology, a same-seed repeat must
+// land a bit-identical Result.
 func TestAllScenariosRunOnPacketPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-plane DES sweep; skipped in -short mode")
@@ -138,26 +138,6 @@ func TestAllScenariosRunOnPacketPlane(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := Run(spec, Config{Seed: 7, Epochs: 4, Plane: engine.Packet})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Plane != engine.Packet {
-				t.Fatalf("result plane = %q", res.Plane)
-			}
-			if len(res.Epochs) != 4 {
-				t.Fatalf("got %d epoch scores, want 4", len(res.Epochs))
-			}
-			if res.ActiveEpochs+res.QuietEpochs != 4 {
-				t.Fatalf("epoch counts inconsistent: %+v", res)
-			}
-			if res.ActiveEpochs == 0 {
-				t.Fatal("no active epochs on the packet plane")
-			}
-			if totalDrops(res) == 0 {
-				t.Fatal("packet plane produced no drops")
-			}
-
 			s := spec
 			s.Topo = sevenScaleTopo
 			run := func() *Result {
@@ -168,6 +148,9 @@ func TestAllScenariosRunOnPacketPlane(t *testing.T) {
 				return res
 			}
 			want := run()
+			if want.Plane != engine.Packet || len(want.Epochs) != 3 {
+				t.Fatalf("result plane %q with %d epochs, want packet with 3", want.Plane, len(want.Epochs))
+			}
 			if totalDrops(want) == 0 {
 				t.Fatal("§7-scale run produced no drops to compare")
 			}
