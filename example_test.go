@@ -314,8 +314,8 @@ func ExampleEmulation_traceroute() {
 	fmt.Printf("\ntraceroute matches data path: %v\n", match)
 	var traces, limited int64
 	for _, h := range em.Hosts {
-		traces += h.Path.Traces
-		limited += h.Path.RateLimited
+		traces += h.Agent.Traces
+		limited += h.Agent.RateLimited
 	}
 	fmt.Printf("traceroutes sent: %d (rate-limited: %d); switch ICMP budget Tmax=100/s, host budget Ct=%.2f/s\n",
 		traces, limited, vigil.TracerouteBudget(topo.Cfg, 100))

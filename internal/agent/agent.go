@@ -1,13 +1,18 @@
-// Package pathdisc implements 007's path discovery agent (§4): when the
-// monitoring agent reports a retransmitting flow, it resolves the flow's
-// DIP through the SLB, then emits 15 crafted TCP probes with TTLs 1-15 that
-// carry the flow's exact five-tuple (so ECMP hashes them onto the data
-// path), the TTL echoed in the IP ID field (so concurrent traceroutes
-// disambiguate), and a deliberately bad TCP checksum (so the destination
-// stack ignores them). ICMP time-exceeded replies are matched back to
-// probes and assembled into a link-level path; partial traceroutes — the
-// probe itself died on the faulty link — are reported as such and still
-// vote on their prefix.
+// Package agent is 007's host agent (§3–§4). Its TCP monitoring half
+// counts each flow's retransmissions in the current epoch — the host
+// stack calls OnRetransmit, as ETW or an eBPF program on the
+// tcp_retransmit_skb tracepoint would notify it — and triggers path
+// discovery at most once per flow per epoch, the first line of defence
+// for the traceroute budget.
+//
+// Its path discovery half resolves the flow's DIP through the SLB, then
+// emits 15 crafted TCP probes with TTLs 1-15 that carry the flow's exact
+// five-tuple (so ECMP hashes them onto the data path), the TTL echoed in
+// the IP ID field (so concurrent traceroutes disambiguate), and a
+// deliberately bad TCP checksum (so the destination stack ignores them).
+// ICMP time-exceeded replies are matched back to probes and assembled
+// into a link-level path; partial traceroutes — the probe itself died on
+// the faulty link — are reported as such and still vote on their prefix.
 //
 // Two rate limits protect the switch control planes (§4.1): the per-host
 // Ct bound from Theorem 1 enforced here, and the per-switch Tmax token
@@ -17,7 +22,7 @@
 // emits: probes serialize into pooled packet buffers (Config.NewPacket /
 // SendPacket), trace state is recycled through a free list, and the probe
 // timeout is a typed DES event.
-package pathdisc
+package agent
 
 import (
 	"vigil/internal/des"
@@ -28,9 +33,9 @@ import (
 	"vigil/internal/wire"
 )
 
-// MaxTTL is the deepest hop probed; a Clos host path has at most 5
+// maxTTL is the deepest hop probed; a Clos host path has at most 5
 // switches, the paper sends 15 probes to be safe.
-const MaxTTL = 15
+const maxTTL = 15
 
 // probesPerTTL is how many probes go out per hop, like classical
 // traceroute's retries: the probe tracing a lossy link is itself exposed to
@@ -50,12 +55,12 @@ const evFinish int32 = 1
 type Config struct {
 	Topo *topology.Topology
 	Host topology.HostID
-	// SLB resolves VIP flows to DIPs; may be nil when the workload
-	// addresses DIPs directly (infrastructure traffic).
+	// SLB resolves VIP flows to DIPs; flows addressed to a DIP directly
+	// (infrastructure traffic) pass through unresolved.
 	SLB *slb.SLB
 	// NewPacket and SendPacket inject probes onto the host's uplink:
 	// probes build into pooled wire buffers and SendPacket takes ownership
-	// of each. Both are required.
+	// of each.
 	NewPacket  func() *wire.Buffer
 	SendPacket func(pkt *wire.Buffer)
 	// Sched provides virtual time for probe timeouts and rate limiting.
@@ -63,38 +68,37 @@ type Config struct {
 	// EventKey is the origin key the agent's timer events carry (see
 	// des.Scheduler.PostKeyed); the embedding layer derives it from the
 	// host identity so simultaneous timeouts on different hosts order
-	// deterministically. Zero keeps unkeyed posting.
+	// deterministically.
 	EventKey uint64
-	// Ct is the host traceroute budget in traceroutes/second (Theorem 1);
-	// zero disables the limit.
+	// Ct is the host traceroute budget in traceroutes/second (Theorem 1),
+	// also the token bucket's depth; it must be positive.
 	Ct float64
+	// RTTThresholdMicros, when positive, extends 007 to latency diagnosis
+	// (§9.2): a flow whose smoothed RTT crosses the threshold is treated
+	// as failed and triggers path discovery, so the voting scheme ranks
+	// the links responsible for the delay.
+	RTTThresholdMicros int64
 	// OnReport receives the finished path report.
 	OnReport func(r vote.Report)
-	// Retx returns the flow's current retransmission count (wired to the
-	// monitoring agent) at report-assembly time.
-	Retx func(flow ecmp.FiveTuple) int
-	// FlowID optionally supplies stable flow identifiers (for scoring
-	// against ground truth); when nil the agent numbers traces itself.
+	// FlowID supplies the stable flow identifier a report carries (for
+	// scoring against ground truth).
 	FlowID func(flow ecmp.FiveTuple) int64
 }
 
-// Agent is one host's path discovery agent.
+// Agent is one host's agent.
 type Agent struct {
 	cfg Config
 
-	nextFlowID int64
-	epoch      int64
-	// cache remembers flows already traced this epoch ("the agent triggers
-	// path discovery for a given connection no more than once every
-	// epoch", §4.1). Cleared — not reallocated — on epoch roll, so its
-	// memory is bounded by the busiest epoch.
-	cache map[ecmp.FiveTuple]bool
+	// flows is the per-flow state of the current epoch. Cleared — not
+	// reallocated — on epoch roll, so its memory is bounded by the busiest
+	// epoch rather than growing with every flow the host ever carried.
+	flows map[ecmp.FiveTuple]flowState
 
 	pending map[probeKey]*trace
 	// freeTraces recycles trace state across discoveries.
 	freeTraces []*trace
 	// pathScratch is reused to assemble the answering-switch prefix.
-	pathScratch [MaxTTL + 1]topology.SwitchID
+	pathScratch [maxTTL + 1]topology.SwitchID
 
 	tokens     float64
 	lastRefill des.Time
@@ -104,6 +108,16 @@ type Agent struct {
 	RateLimited  int64 // discoveries skipped by the Ct budget
 	SLBFailures  int64 // discoveries skipped because the DIP query failed
 	PartialPaths int64
+}
+
+// flowState is what the agent knows of one flow (as seen by TCP) this
+// epoch.
+type flowState struct {
+	retx int // retransmissions
+	// traced is set once the flow has triggered path discovery: "the agent
+	// triggers path discovery for a given connection no more than once
+	// every epoch" (§4.1), whether or not the budget let a trace out.
+	traced bool
 }
 
 // probeKey matches an ICMP reply's embedded probe back to its traceroute:
@@ -118,11 +132,11 @@ type probeKey struct {
 type trace struct {
 	flow ecmp.FiveTuple // DIP-rewritten tuple actually probed
 	orig ecmp.FiveTuple // as seen by TCP (may carry the VIP)
-	// flowID is resolved at Discover time, while the triggering flow is
+	// flowID is resolved at discovery time, while the triggering flow is
 	// certainly still registered — by the probe timeout the epoch may have
 	// rolled and recycled the registry.
 	flowID int64
-	hops   [MaxTTL + 1]uint32
+	hops   [maxTTL + 1]uint32
 	maxID  int
 }
 
@@ -130,32 +144,57 @@ type trace struct {
 func New(cfg Config) *Agent {
 	return &Agent{
 		cfg:     cfg,
-		cache:   make(map[ecmp.FiveTuple]bool),
+		flows:   make(map[ecmp.FiveTuple]flowState),
 		pending: make(map[probeKey]*trace),
 		tokens:  cfg.Ct, // start with one second of budget
 	}
 }
 
-// NewEpoch resets the per-epoch trace cache.
+// NewEpoch rolls the epoch: retransmission counts reset and every flow may
+// trigger one more path discovery.
 func (a *Agent) NewEpoch() {
-	a.epoch++
-	clear(a.cache)
+	clear(a.flows)
 }
 
-// Discover traces the path of flow (as seen by TCP, possibly VIP-bound).
-// It silently skips when the flow was already traced this epoch, the Ct
-// budget is exhausted, or the SLB query fails.
-func (a *Agent) Discover(flow ecmp.FiveTuple) {
-	if a.cache[flow] {
+// OnRetransmit counts one retransmission of flow (as seen by TCP, possibly
+// VIP-bound) and traces its path if the flow has not been traced this
+// epoch.
+func (a *Agent) OnRetransmit(flow ecmp.FiveTuple) {
+	st := a.flows[flow]
+	st.retx++
+	traced := st.traced
+	st.traced = true
+	a.flows[flow] = st
+	if !traced {
+		a.discover(flow)
+	}
+}
+
+// OnRTT takes a smoothed RTT sample of flow: one at or over
+// RTTThresholdMicros traces the flow's path if it has not been traced this
+// epoch, sharing the trigger with OnRetransmit.
+func (a *Agent) OnRTT(flow ecmp.FiveTuple, srttMicros int64) {
+	if a.cfg.RTTThresholdMicros <= 0 || srttMicros < a.cfg.RTTThresholdMicros {
 		return
 	}
-	a.cache[flow] = true
+	st := a.flows[flow]
+	if st.traced {
+		return
+	}
+	st.traced = true
+	a.flows[flow] = st
+	a.discover(flow)
+}
+
+// discover traces the path of flow. It silently skips when the Ct budget
+// is exhausted or the SLB query fails.
+func (a *Agent) discover(flow ecmp.FiveTuple) {
 	if !a.allow() {
 		a.RateLimited++
 		return
 	}
 	probed := flow
-	if a.cfg.SLB != nil && a.cfg.SLB.IsVIP(flow.DstIP) {
+	if a.cfg.SLB.IsVIP(flow.DstIP) {
 		dip, ok := a.cfg.SLB.QuerySLB(slb.FlowKey{
 			SrcIP: flow.SrcIP, SrcPort: flow.SrcPort,
 			VIP: flow.DstIP, VIPPort: flow.DstPort,
@@ -170,12 +209,9 @@ func (a *Agent) Discover(flow ecmp.FiveTuple) {
 	tr := a.getTrace()
 	tr.flow = probed
 	tr.orig = flow
-	tr.flowID = -1
-	if a.cfg.FlowID != nil {
-		tr.flowID = a.cfg.FlowID(flow)
-	}
+	tr.flowID = a.cfg.FlowID(flow)
 	a.pending[probeKey{dst: probed.DstIP, srcPort: probed.SrcPort, dstPort: probed.DstPort}] = tr
-	for ttl := 1; ttl <= MaxTTL; ttl++ {
+	for ttl := 1; ttl <= maxTTL; ttl++ {
 		for range probesPerTTL {
 			pkt := a.cfg.NewPacket()
 			buildProbeInto(pkt, probed, uint8(ttl))
@@ -233,7 +269,7 @@ func (a *Agent) HandleICMP(from uint32, ic *wire.ICMP) bool {
 		return false
 	}
 	ttl := int(emb.ID) // the encoded probe TTL
-	if ttl < 1 || ttl > MaxTTL {
+	if ttl < 1 || ttl > maxTTL {
 		return false
 	}
 	tr.hops[ttl] = from
@@ -244,23 +280,15 @@ func (a *Agent) HandleICMP(from uint32, ic *wire.ICMP) bool {
 }
 
 // finish assembles the trace into a vote.Report and recycles the trace.
+// The report carries the flow's retransmissions so far this epoch — at
+// least one.
 func (a *Agent) finish(tr *trace) {
 	delete(a.pending, probeKey{dst: tr.flow.DstIP, srcPort: tr.flow.SrcPort, dstPort: tr.flow.DstPort})
 	topo := a.cfg.Topo
-	a.nextFlowID++
-
 	r := vote.Report{
-		FlowID: int64(a.cfg.Host)<<32 | a.nextFlowID,
+		FlowID: tr.flowID,
 		Src:    a.cfg.Host,
-		Retx:   1,
-	}
-	if a.cfg.FlowID != nil {
-		r.FlowID = tr.flowID
-	}
-	if a.cfg.Retx != nil {
-		if n := a.cfg.Retx(tr.orig); n > 0 {
-			r.Retx = n
-		}
+		Retx:   max(a.flows[tr.orig].retx, 1),
 	}
 
 	// Contiguous prefix of answering hops.
@@ -304,16 +332,11 @@ func (a *Agent) finish(tr *trace) {
 		a.PartialPaths++
 	}
 	a.freeTraces = append(a.freeTraces, tr)
-	if a.cfg.OnReport != nil {
-		a.cfg.OnReport(r)
-	}
+	a.cfg.OnReport(r)
 }
 
 // allow enforces the Ct traceroute budget.
 func (a *Agent) allow() bool {
-	if a.cfg.Ct <= 0 {
-		return true
-	}
 	now := a.cfg.Sched.Now()
 	a.tokens += float64(now-a.lastRefill) / float64(des.Second) * a.cfg.Ct
 	a.lastRefill = now

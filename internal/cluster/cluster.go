@@ -1,9 +1,10 @@
 // Package cluster is the multi-node emulation: every host runs the real
-// 007 agents (monitor → SLB query → traceroute → vote report) over the
-// packet-level fabric, and a central analysis agent tallies the epoch —
-// the same composition as the paper's test cluster (§7) and production
-// deployment (§8). Reports are delivered in-process through the Reporter
-// hook; the wire path is internal/transport, driven by internal/ingest.
+// 007 host agent (retransmission → SLB query → traceroute → vote report)
+// over the packet-level fabric, and a central analysis agent tallies the
+// epoch — the same composition as the paper's test cluster (§7) and
+// production deployment (§8). Reports are delivered in-process through
+// the Reporter hook; the wire path is internal/transport, driven by
+// internal/ingest.
 //
 // Epoch state is kept dense for the hot path: per-flow drop counts live in
 // a flow-indexed arena of small inline link/count sets (not nested maps),
@@ -538,8 +539,7 @@ func (cl *Cluster) RunEpoch() *analysis.Result {
 	cl.Sched.RunUntil(end + 2*des.Second)
 	cl.epochStart = cl.Sched.Now()
 	for _, h := range cl.Hosts {
-		h.Mon.NewEpoch()
-		h.Path.NewEpoch()
+		h.Agent.NewEpoch()
 	}
 	cl.captureEpochFrame()
 	res := analysis.Analyze(cl.reports, analysis.Options{Detect: cl.cfg.Detect})

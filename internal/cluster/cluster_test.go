@@ -268,7 +268,7 @@ func TestSLBFailureSuppressesTraceroute(t *testing.T) {
 	}
 	var skipped int64
 	for _, h := range cl.Hosts {
-		skipped += h.Path.SLBFailures
+		skipped += h.Agent.SLBFailures
 	}
 	if skipped == 0 {
 		t.Fatal("no SLB failures recorded")
@@ -305,12 +305,12 @@ func TestHostTracerouteBudget(t *testing.T) {
 	}
 	cl.RunEpoch()
 	h := cl.Hosts[src]
-	if h.Path.RateLimited == 0 {
+	if h.Agent.RateLimited == 0 {
 		t.Fatal("budget never engaged")
 	}
 	// 2/s over ~32 seconds of epoch: traces well below flow count.
-	if h.Path.Traces > 2*34 {
-		t.Fatalf("traces = %d exceed the Ct budget envelope", h.Path.Traces)
+	if h.Agent.Traces > 2*34 {
+		t.Fatalf("traces = %d exceed the Ct budget envelope", h.Agent.Traces)
 	}
 }
 

@@ -1,27 +1,22 @@
 package cluster
 
 import (
+	"vigil/internal/agent"
 	"vigil/internal/des"
 	"vigil/internal/ecmp"
-	"vigil/internal/etw"
-	"vigil/internal/monitor"
-	"vigil/internal/pathdisc"
 	"vigil/internal/topology"
 	"vigil/internal/wire"
 )
 
 // Host is one emulated end host: a minimal reliable-delivery TCP-style
-// stack (enough to produce genuine retransmissions under loss), the ETW
-// bus, and 007's monitoring and path discovery agents — the composition of
-// Figure 2.
+// stack (enough to produce genuine retransmissions under loss) that calls
+// 007's host agent directly — the composition of Figure 2.
 type Host struct {
 	cl *Cluster
 	id topology.HostID
 	ip uint32
 
-	Bus  *etw.Bus
-	Mon  *monitor.Agent
-	Path *pathdisc.Agent
+	Agent *agent.Agent
 
 	conns map[ecmp.FiveTuple]*Conn // keyed by forward wire tuple
 	// rxSlot indexes the cluster's rxNext, the receiver's next expected seq
@@ -60,7 +55,7 @@ type Conn struct {
 	// this Conn's data segments, and the peer's ACKs answering them.
 	dataSeg, ackSeg wire.Segment
 	// wireTuple addresses the physical DIP; appTuple is what TCP (and so
-	// ETW and 007) sees — the VIP for load-balanced connections.
+	// 007's agent) sees — the VIP for load-balanced connections.
 	wireTuple ecmp.FiveTuple
 	appTuple  ecmp.FiveTuple
 
@@ -112,31 +107,27 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 		cl:     cl,
 		id:     id,
 		ip:     cl.Topo.Hosts[id].IP,
-		Bus:    &etw.Bus{},
 		conns:  make(map[ecmp.FiveTuple]*Conn),
 		rxSlot: make(map[ecmp.FiveTuple]int32),
+		Agent: agent.New(agent.Config{
+			Topo:               cl.Topo,
+			Host:               id,
+			SLB:                cl.SLB,
+			NewPacket:          cl.Net.NewPacket,
+			SendPacket:         func(pkt *wire.Buffer) { cl.Net.Send(id, pkt) },
+			Sched:              cl.Sched,
+			EventKey:           keyClassPath | uint64(id),
+			Ct:                 cl.cfg.Ct,
+			RTTThresholdMicros: cl.cfg.RTTThresholdMicros,
+			OnReport:           cl.report,
+			FlowID:             cl.flowID,
+		}),
 	}
-	h.Path = pathdisc.New(pathdisc.Config{
-		Topo:       cl.Topo,
-		Host:       id,
-		SLB:        cl.SLB,
-		NewPacket:  cl.Net.NewPacket,
-		SendPacket: func(pkt *wire.Buffer) { cl.Net.Send(id, pkt) },
-		Sched:      cl.Sched,
-		EventKey:   keyClassPath | uint64(id),
-		Ct:         cl.cfg.Ct,
-		OnReport:   cl.report,
-		Retx:       func(flow ecmp.FiveTuple) int { return h.Mon.Retx(flow) },
-		FlowID:     cl.flowID,
-	})
-	h.Mon = monitor.New(h.Path.Discover)
-	h.Mon.RTTThresholdMicros = cl.cfg.RTTThresholdMicros
-	h.Mon.Attach(h.Bus)
 	cl.Net.OnHostPacket(id, h.receive)
 	return h
 }
 
-// receive is the host's packet entry point: ICMP goes to path discovery,
+// receive is the host's packet entry point: ICMP goes to the agent,
 // valid TCP to the stack, everything else (including 007's bad-checksum
 // probes) is dropped exactly as a real stack would drop it. data is
 // borrowed from the fabric's packet pool and must not be retained; tag is
@@ -151,7 +142,7 @@ func (h *Host) receive(data []byte, tag uint64) {
 	case wire.ProtoICMP:
 		var ic wire.ICMP
 		if wire.DecodeICMP(payload, &ic) == nil {
-			h.Path.HandleICMP(ip.Src, &ic)
+			h.Agent.HandleICMP(ip.Src, &ic)
 		}
 	case wire.ProtoTCP:
 		if !wire.VerifyTCPChecksum(payload, ip.Src, ip.Dst) {
@@ -253,7 +244,6 @@ func (h *Host) openConn(peer *Host, wireTuple, appTuple ecmp.FiveTuple, total in
 	}
 	h.conns[wireTuple] = c
 	c.indexed = true
-	h.Bus.Publish(etw.Event{Kind: etw.ConnEstablished, Flow: appTuple})
 	c.pump()
 	c.armRTO()
 	return c
@@ -313,26 +303,24 @@ func (c *Conn) onAck(ackN uint32) {
 		c.dupAcks++
 		if c.dupAcks >= 3 {
 			c.dupAcks = 0
-			c.retransmit(false)
+			c.retransmit()
 		}
 	}
 }
 
-// retransmit resends the lowest unacknowledged segment and publishes the
-// ETW retransmission event that wakes 007.
-func (c *Conn) retransmit(timeout bool) {
+// retransmit resends the lowest unacknowledged segment and tells the
+// agent, which is what wakes 007.
+func (c *Conn) retransmit() {
 	c.Retransmits++
 	c.sentAt[c.acked&c.sentMask] = noSample // Karn: never RTT-sample a retransmission
-	c.host.Bus.Publish(etw.Event{
-		Kind: etw.Retransmit, Flow: c.appTuple, Seq: c.acked, Timeout: timeout,
-	})
+	c.host.Agent.OnRetransmit(c.appTuple)
 	c.sendData(c.acked)
 	c.armRTO()
 }
 
 // sampleRTT folds the newly acknowledged segment's round trip into the
-// smoothed estimate (RFC 6298's 7/8-1/8 EWMA) and publishes it — the
-// per-ACK SRTT stream that §9.2's latency diagnosis thresholds. The
+// smoothed estimate (RFC 6298's 7/8-1/8 EWMA) and, when §9.2's latency
+// diagnosis is on, hands it to the agent to threshold. The
 // cumulative ACK only ever covers sent segments, so the ring slot for
 // ackN-1 is either that segment's first-transmission time or the Karn
 // sentinel.
@@ -347,9 +335,9 @@ func (c *Conn) sampleRTT(ackN uint32) {
 	} else {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
-	c.host.Bus.Publish(etw.Event{
-		Kind: etw.RTTSample, Flow: c.appTuple, SRTTMicros: int64(c.srtt),
-	})
+	if c.host.cl.cfg.RTTThresholdMicros > 0 {
+		c.host.Agent.OnRTT(c.appTuple, int64(c.srtt))
+	}
 }
 
 func (c *Conn) armRTO() {
@@ -402,7 +390,7 @@ func (c *Conn) onRTO() {
 	if c.rto < 4*des.Second {
 		c.rto *= 2
 	}
-	c.retransmit(true)
+	c.retransmit()
 }
 
 func (c *Conn) close(failed bool) {
@@ -414,7 +402,6 @@ func (c *Conn) close(failed bool) {
 		cur.indexed = false
 	}
 	delete(c.host.conns, c.wireTuple)
-	c.host.Bus.Publish(etw.Event{Kind: etw.ConnClosed, Flow: c.appTuple, Timeout: failed})
 	if c.orphan {
 		c.host.cl.putConn(c)
 	}

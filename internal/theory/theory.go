@@ -3,7 +3,7 @@
 // Theorem 2 / Theorem 3 (α, the signal-to-noise condition on drop rates,
 // and the large-deviation error bound ε).
 //
-// These are used three ways: the path discovery agent derives its host-side
+// These are used three ways: the host agent derives its host-side
 // rate limit from CtBound; tests cross-check the emulated fabric against
 // the bounds; and vigil-lab's theorem1 and theorem2 experiments print them.
 package theory
