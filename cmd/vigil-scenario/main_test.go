@@ -48,6 +48,9 @@ func checkGolden(t *testing.T, name string, args ...string) string {
 // pins every data packet, ACK, probe and ICMP reply behind the numbers.
 // Each scenario must also have an active epoch that dropped packets.
 func TestPacketTranscript(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet-plane DES sweep; skipped in -short mode")
+	}
 	out := checkGolden(t, "packet-seed7.golden", "-name", "all", "-plane", "packet", "-seed", "7", "-epochs", "4")
 	sections := strings.Split(out, "== scenario ")[1:]
 	if len(sections) != 5 {

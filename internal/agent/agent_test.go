@@ -177,6 +177,9 @@ func TestRTTThresholdTriggering(t *testing.T) {
 		t.Fatal("sub-threshold RTT triggered discovery")
 	}
 	r.agent.OnRTT(f, 1000)
+	if r.agent.Traces != 1 {
+		t.Fatal("an RTT at the threshold did not trigger discovery")
+	}
 	r.agent.OnRTT(f, 2000)
 	if r.agent.Traces != 1 {
 		t.Fatalf("triggered %d times for one slow flow in one epoch", r.agent.Traces)

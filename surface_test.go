@@ -137,7 +137,8 @@ var surfaceFieldAllow = map[string]string{
 // literal whose type is elided sets every field of that name, and so does
 // an assignment in every package the assigning one imports, so the rule
 // errs toward keeping a field. Under -v it logs the number of config
-// fields, which CI prints beside the non-test line count.
+// fields and of exported names (see exportedNames), which CI prints beside
+// the non-test line count.
 func TestConfigFieldsSet(t *testing.T) {
 	s := scanSurface(t, ".")
 	keyed := map[string]bool{}               // "<dir>.<Type>.<Field>" some typed literal sets, or a bare field name an elided one sets
@@ -197,6 +198,7 @@ func TestConfigFieldsSet(t *testing.T) {
 		})
 	}
 	t.Logf("config fields: %d", len(s.fields))
+	t.Logf("exported names: %d", exportedNames(s))
 	var problems []string
 	unset := map[string]bool{}
 	for _, fd := range s.fields {
@@ -222,6 +224,92 @@ func TestConfigFieldsSet(t *testing.T) {
 	sort.Strings(problems)
 	for _, p := range problems {
 		t.Error(p)
+	}
+}
+
+// exportedNames counts the exported identifiers that non-test files under
+// internal/ declare: package-level constants, variables, types and
+// functions, methods, and the fields and interface methods of
+// package-level types.
+func exportedNames(s *surface) int {
+	n := 0
+	count := func(ids ...*ast.Ident) {
+		for _, id := range ids {
+			if id.IsExported() {
+				n++
+			}
+		}
+	}
+	for _, f := range s.files {
+		if !strings.HasPrefix(f.pkg, "internal/") {
+			continue
+		}
+		for _, decl := range f.syntax.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				count(decl.Name)
+			case *ast.GenDecl:
+				for _, sp := range decl.Specs {
+					switch sp := sp.(type) {
+					case *ast.ValueSpec:
+						count(sp.Names...)
+					case *ast.TypeSpec:
+						count(sp.Name)
+						var members *ast.FieldList
+						switch typ := sp.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields
+						case *ast.InterfaceType:
+							members = typ.Methods
+						}
+						if members != nil {
+							for _, m := range members.List {
+								count(m.Names...)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestDesignInventoryMatchesPackages fails unless the tables of DESIGN.md's
+// "Package inventory" section name exactly the packages under internal/:
+// each table row's first cell is one backquoted package path.
+func TestDesignInventoryMatchesPackages(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Package inventory\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## Package inventory" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		row, ok := strings.CutPrefix(line, "| `")
+		cell, _, cut := strings.Cut(row, "` |")
+		if ok && cut && strings.HasPrefix(cell, "internal/") {
+			if listed[cell] {
+				t.Errorf("DESIGN.md's package inventory lists %s twice", cell)
+			}
+			listed[cell] = true
+		}
+	}
+	s := scanSurface(t, ".")
+	for _, f := range s.files {
+		if strings.HasPrefix(f.pkg, "internal/") && !listed[f.pkg] {
+			t.Errorf("package %s is missing from DESIGN.md's package inventory", f.pkg)
+			listed[f.pkg] = true // report it once
+		}
+	}
+	for pkg := range listed {
+		if _, ok := s.pkgs[pkg]; !ok {
+			t.Errorf("DESIGN.md's package inventory lists %s, which is not a package", pkg)
+		}
 	}
 }
 
