@@ -82,14 +82,13 @@ func (r *rig) reply(t *testing.T, flow ecmp.FiveTuple, ttl uint8, from topology.
 }
 
 // The probes must carry the flow's exact five-tuple, the TTL echoed in the
-// IP ID, and a bad TCP checksum — §4.2's three crafting requirements — two
-// to a hop.
+// IP ID, and a bad TCP checksum — §4.2's three crafting requirements.
 func TestProbeCrafting(t *testing.T) {
 	r := newRig(t, nil)
 	flow := r.flow(20, 44444)
 	r.agent.OnRetransmit(flow)
-	if len(r.sent) != 2*maxTTL {
-		t.Fatalf("sent %d probes, want %d", len(r.sent), 2*maxTTL)
+	if len(r.sent) != probesPerTTL*maxTTL {
+		t.Fatalf("sent %d probes, want %d", len(r.sent), probesPerTTL*maxTTL)
 	}
 	for i, data := range r.sent {
 		var ip wire.IPv4
@@ -116,17 +115,26 @@ func TestProbeCrafting(t *testing.T) {
 	}
 }
 
+// Every hop gets two probes, the redundancy that rides out a lost reply.
+func TestProbesPerTTLDefault(t *testing.T) {
+	r := newRig(t, nil)
+	r.agent.OnRetransmit(r.flow(10, 1))
+	if len(r.sent) != 2*maxTTL {
+		t.Fatalf("redundancy sent %d probes, want %d", len(r.sent), 2*maxTTL)
+	}
+}
+
 // A flow is traced once per epoch however often it retransmits, other
 // flows trigger on their own, and the report counts every retransmission
 // of the epoch.
-func TestOncePerFlowPerEpoch(t *testing.T) {
+func TestTriggerOncePerFlowPerEpoch(t *testing.T) {
 	r := newRig(t, nil)
 	f1, f2 := r.flow(10, 1000), r.flow(10, 1001)
 	for range 5 {
 		r.agent.OnRetransmit(f1)
 	}
-	if len(r.sent) != probesPerTTL*maxTTL {
-		t.Fatalf("re-discovery in the same epoch sent probes: %d", len(r.sent))
+	if r.agent.Traces != 1 {
+		t.Fatalf("traced %d times for one flow in one epoch", r.agent.Traces)
 	}
 	r.agent.OnRetransmit(f2)
 	if r.agent.Traces != 2 {
@@ -143,6 +151,23 @@ func TestOncePerFlowPerEpoch(t *testing.T) {
 		if got := r.reports[i]; got.FlowID != want.id || got.Retx != want.retx || got.Src != 0 || got.Dst != 10 {
 			t.Fatalf("report %d = %+v, want flow %d with %d retransmissions from host 0 to 10", i, got, want.id, want.retx)
 		}
+	}
+}
+
+// A second trigger in the same epoch sends no probes; after the epoch
+// roll the flow is probed again.
+func TestOncePerFlowPerEpoch(t *testing.T) {
+	r := newRig(t, nil)
+	f := r.flow(10, 1)
+	r.agent.OnRetransmit(f)
+	r.agent.OnRetransmit(f) // same epoch: suppressed
+	if len(r.sent) != probesPerTTL*maxTTL {
+		t.Fatalf("re-discovery in the same epoch sent probes: %d", len(r.sent))
+	}
+	r.agent.NewEpoch()
+	r.agent.OnRetransmit(f)
+	if len(r.sent) != 2*probesPerTTL*maxTTL {
+		t.Fatalf("discovery after epoch roll did not probe: %d", len(r.sent))
 	}
 }
 
@@ -166,9 +191,7 @@ func TestNewEpochReopensTrigger(t *testing.T) {
 }
 
 // The §9.2 latency extension: RTT samples at or over the threshold trigger
-// path discovery (once per flow per epoch), samples under it do nothing,
-// and a zero threshold disables the path entirely. A flow traced for its
-// RTT alone reports one retransmission.
+// path discovery (once per flow per epoch) and samples under it do nothing.
 func TestRTTThresholdTriggering(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.RTTThresholdMicros = 1000 })
 	f := r.flow(10, 3000)
@@ -184,20 +207,31 @@ func TestRTTThresholdTriggering(t *testing.T) {
 	if r.agent.Traces != 1 {
 		t.Fatalf("triggered %d times for one slow flow in one epoch", r.agent.Traces)
 	}
-	r.sched.Drain(10)
-	if len(r.reports) != 1 || r.reports[0].Retx != 1 {
-		t.Fatalf("reports = %+v, want one with Retx 1", r.reports)
-	}
 	r.agent.NewEpoch()
 	r.agent.OnRTT(f, 1500)
 	if r.agent.Traces != 2 {
 		t.Fatal("slow flow did not re-trigger after the epoch roll")
 	}
+}
 
-	off := newRig(t, nil)
-	off.agent.OnRTT(f, 1<<40)
-	if off.agent.Traces != 0 {
-		t.Fatal("RTT triggered discovery with no threshold set")
+// With no RTT threshold set, only retransmissions trigger: an RTT sample,
+// however slow, neither traces nor probes.
+func TestIgnoresNonRetransmitEvents(t *testing.T) {
+	r := newRig(t, nil)
+	r.agent.OnRTT(r.flow(10, 1), 1<<40)
+	if r.agent.Traces != 0 || len(r.sent) != 0 {
+		t.Fatalf("RTT with no threshold set traced %d times and sent %d probes", r.agent.Traces, len(r.sent))
+	}
+}
+
+// A flow traced for its RTT alone has no retransmission count of its own;
+// its report still carries one retransmission, the least a vote may weigh.
+func TestRetxUnknownFlow(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.RTTThresholdMicros = 1000 })
+	r.agent.OnRTT(r.flow(10, 9999), 1500)
+	r.sched.Drain(10)
+	if len(r.reports) != 1 || r.reports[0].Retx != 1 || r.reports[0].FlowID != 9999 {
+		t.Fatalf("reports = %+v, want one for flow 9999 with Retx 1", r.reports)
 	}
 }
 
