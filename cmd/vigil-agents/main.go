@@ -31,13 +31,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "vigil-agents:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) (err error) {
+// run writes what the seed fixes to stdout — the injected links, every
+// settled epoch, the frames sent — and what the machine decides to stderr:
+// the listen address and the connection counts.
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("vigil-agents", flag.ContinueOnError)
 	epochs := fs.Int("epochs", 3, "epochs to run")
 	failures := fs.Int("failures", 2, "failed links to inject")
@@ -122,11 +125,12 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		defer col.Close()
 		addr = col.Addr()
-		fmt.Fprintf(stdout, "analysis collector listening on %s\n", addr)
+		fmt.Fprintf(stderr, "analysis collector listening on %s\n", addr)
 	}
 
 	ctr := &metrics.TransportCounters{}
-	fmt.Fprintf(stdout, "streaming %d epochs to %s (session %d)\n", *epochs, addr, *session)
+	fmt.Fprintf(stderr, "reporting to %s\n", addr)
+	fmt.Fprintf(stdout, "streaming %d epochs (session %d)\n", *epochs, *session)
 	err = ingest.RunAgent(ctx, ingest.AgentConfig{
 		Engine:   eng,
 		Addr:     addr,
@@ -142,9 +146,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil && err != context.Canceled {
 		return err
 	}
-	fmt.Fprintf(stdout, "session done: %d frames sent (%d replayed) in %d writes, %d dials (%d failed), %d reconnects, %d resumes\n",
-		ctr.FramesSent.Load(), ctr.FramesResent.Load(), ctr.Writes.Load(), ctr.Dials.Load(),
-		ctr.DialFailures.Load(), ctr.Reconnects.Load(), ctr.Resumes.Load())
+	fmt.Fprintf(stdout, "session done: %d frames sent (%d replayed)\n", ctr.FramesSent.Load(), ctr.FramesResent.Load())
+	fmt.Fprintf(stderr, "%d writes, %d dials (%d failed), %d reconnects, %d resumes\n",
+		ctr.Writes.Load(), ctr.Dials.Load(), ctr.DialFailures.Load(), ctr.Reconnects.Load(), ctr.Resumes.Load())
 	return nil
 }
 

@@ -52,7 +52,7 @@ func BenchmarkBuildToken(b *testing.B) {
 // epoch per cycle, at the shape of bench/'s two service workloads: 360
 // agents sending four reports each. With one source it is wire-replay's
 // (arrivals canonical); with four it is lanes-lossy's: agent a on source
-// a mod 4, the sources' 128-report bursts interleaved, 0.5 % of first
+// a mod 4, the sources' 128-report runs interleaved, 0.5 % of first
 // transmissions lost and re-sent when re-requested, 2 % sent twice. It uses
 // only what the core has offered since PR 18, so the same file measures
 // the parent.
@@ -68,6 +68,10 @@ type settleFeed struct {
 }
 
 const feedAgents, feedPerAgent = 360, 4
+
+// feedRun is how many of one source's reports arrive in a row before the
+// next source's, in the interleaved arrival order.
+const feedRun = 128
 
 func newSettleFeed(sources int, lossy bool) *settleFeed {
 	f := &settleFeed{sources: sources, lossy: lossy, counts: make([][]transport.AgentCount, sources)}
@@ -105,7 +109,7 @@ func (f *settleFeed) send(e int32, i int, attempt uint8) {
 }
 
 // step runs one cycle: the last cycle's re-requests answered, the epoch's
-// reports a burst per source in turn, then every source's token.
+// reports a run per source in turn, then every source's token.
 func (f *settleFeed) step() {
 	e := f.cycle
 	f.cycle++
@@ -113,9 +117,9 @@ func (f *settleFeed) step() {
 		f.send(q.Epoch, int(q.Agent)*feedPerAgent+int(q.Seq), q.Attempt)
 	}
 	perSource := len(f.reports) / f.sources
-	for b := 0; b < perSource; b += burstSize {
+	for b := 0; b < perSource; b += feedRun {
 		for s := 0; s < f.sources; s++ {
-			for j := b; j < min(b+burstSize, perSource); j++ {
+			for j := b; j < min(b+feedRun, perSource); j++ {
 				// The j-th report of source s: agent s + sources*(j/perAgent).
 				f.send(e, (s+f.sources*(j/feedPerAgent))*feedPerAgent+j%feedPerAgent, 0)
 			}

@@ -118,7 +118,7 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 	tctr := &metrics.TransportCounters{}
 
 	type delivery struct{ incarnation, epoch, accepted, lost int }
-	var deliveries []delivery // appended on collector goroutines, one alive at a time
+	var deliveries []delivery // appended on the settling readers, one incarnation alive at a time
 	crashed := make(map[int32]bool)
 	var proxy *transport.Proxy
 
@@ -135,7 +135,7 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 				deliveries = append(deliveries, delivery{n, res.Epoch, len(res.Reports), int(now - lost)})
 				lost = now
 			},
-			probe: func(at cycleStage, cycle int32) {
+			probe: func(col *NetCollector, at cycleStage, cycle int32) {
 				if crashed[cycle] {
 					return
 				}
@@ -153,8 +153,9 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 					time.Sleep(100 * time.Microsecond)
 				}
 				proxy.Partition()
+				col.stop(nil) // nothing else this incarnation holds runs on
 				close(died)
-				runtime.Goexit() // the collector goroutine dies here, mid-cycle
+				runtime.Goexit() // the settling reader dies here, mid-cycle
 			},
 		})
 		if err != nil {
@@ -185,9 +186,9 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 	var acked uint64      // the highest mark any incarnation so far put on the wire
 	stops := 0            // incarnations that stopped themselves over a token lost in a replay
 	for finished := false; !finished; {
-		own := false // the collector goroutine ended by itself: killed, stopped, or every session said goodbye
+		own := false // the collector ended by itself: killed, stopped, or every session said goodbye
 		select {
-		case <-col.loopDone:
+		case <-col.quit:
 			own = true
 		case err := <-agentErr:
 			// The agent can be through while a restarted collector still waits
@@ -200,7 +201,6 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 			t.Fatalf("stuck after %d restarts", len(restored)-1)
 		}
 		col.Close()
-		<-col.loopDone
 		killed := false
 		select {
 		case <-died:

@@ -40,7 +40,11 @@
 // core contract.
 //
 // The networked NetCollector (net.go) drives the same settle core from
-// transport sessions instead of lanes.
+// transport sessions instead of lanes, in the same shape: each session's
+// reader hands its reports and tokens to the core itself, one reader at a
+// time, and the one whose token completes a cycle runs the cycle's end.
+// Neither collector hands a report to another goroutine on its way to the
+// core, and the analyst is the only goroutine either starts.
 package ingest
 
 import (
@@ -87,24 +91,9 @@ type Config struct {
 	// goroutine: the next epoch's Step waits for it. Optional.
 	Sink func(*engine.EpochResult)
 	// Counters receives the service's observable state; one is allocated
-	// when nil. Read it live via Service.Counters. The service queues
-	// nothing between a report's emission and the settle core, so its
-	// QueueDepth stays 0.
+	// when nil. Read it live via Service.Counters.
 	Counters *metrics.IngestCounters
 }
-
-// burstSize is how many reports ride one channel send between a transport
-// session's reader and the networked collector: a goroutine hand-off per
-// report costs more than admitting the report does.
-const burstSize = 128
-
-// burstsFor turns a queue depth in reports into a channel capacity in
-// bursts.
-func burstsFor(depth int) int { return (depth + burstSize - 1) / burstSize }
-
-// queueDepth bounds the transport→collector channel, in reports, rounded up
-// to whole bursts. A full channel exerts backpressure into TCP.
-const queueDepth = 1024
 
 // settleParams validates and resolves the settle knobs that New,
 // ServeCollector and RunAgent all take, so the three agree on what is
@@ -435,9 +424,13 @@ func (a *analyst) result(abandon <-chan struct{}) (verdicts, bool) {
 }
 
 // stop ends the goroutine, dropping whatever is still posted, and returns
-// once it has exited.
+// once it has exited. A second stop returns at once; stops must not race.
 func (a *analyst) stop() {
-	close(a.quit)
+	select {
+	case <-a.quit:
+	default:
+		close(a.quit)
+	}
 	<-a.done
 }
 

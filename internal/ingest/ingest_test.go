@@ -274,13 +274,10 @@ func TestChaosSoak(t *testing.T) {
 	if got := c.SettledEpochs.Load(); got != 300 {
 		t.Fatalf("settled %d epochs, want 300", got)
 	}
-	// Bounded state: open epochs never exceed the watermark window, and the
-	// queues are empty once Run returns — no unbounded growth anywhere.
+	// Bounded state: open epochs never exceed the watermark window — no
+	// unbounded growth anywhere.
 	if bound := int64(s.grace + 2); maxOpen > bound {
 		t.Fatalf("open epochs peaked at %d, want <= %d", maxOpen, bound)
-	}
-	if got := c.QueueDepth.Load(); got != 0 {
-		t.Fatalf("queue depth %d after shutdown, want 0", got)
 	}
 	if c.Duplicates.Load() == 0 || c.Lost.Load() == 0 || c.Late.Load() == 0 {
 		t.Fatal("soak fault mix failed to exercise duplicates, loss and lateness")
@@ -396,9 +393,8 @@ func TestLanesChangeNothing(t *testing.T) {
 
 // The service is one loop on Run's goroutine: at every settle the sink is
 // called from Run itself, no other goroutine is inside the service, the
-// analyst is the one goroutine it started, and there is no queue for the
-// depth gauge to count. Stacks, not a goroutine count, so that what other
-// tests leave winding down cannot interfere.
+// analyst is the one goroutine it started. Stacks, not a goroutine count,
+// so that what other tests leave winding down cannot interfere.
 func TestServiceRunsOnCallersGoroutine(t *testing.T) {
 	eng := newTestEngine(t, engine.Config{Seed: 13}, soakTopo, 0.05)
 	sinks := 0
@@ -423,9 +419,6 @@ func TestServiceRunsOnCallersGoroutine(t *testing.T) {
 			}
 			if inService != 1 || analysts != 1 {
 				t.Errorf("%d goroutines in the service and %d analysts at a settle, want 1 and 1", inService, analysts)
-			}
-			if d := s.Counters().QueueDepth.Load(); d != 0 {
-				t.Errorf("queue depth %d at a settle, want 0: the service queues nothing", d)
 			}
 		},
 	})
@@ -486,8 +479,7 @@ func TestFaultFatePure(t *testing.T) {
 }
 
 // floodEngine emits perAgent synthetic reports for each of its agents every
-// epoch, agents interleaved, so each agent's bitset spans several words and
-// a session's reports several full bursts and a partial one per cycle —
+// epoch, agents interleaved, so each agent's bitset spans several words —
 // volumes the small test topologies never reach.
 type floodEngine struct {
 	engine.Engine
@@ -517,12 +509,12 @@ func (f *floodEngine) Step(emit func(vote.Report)) *engine.EpochResult {
 	return res
 }
 
-// Volume is invisible: with more reports per agent than one networked
-// burst holds, emitted with agents interleaved, a fault-free run settles
-// every epoch's exact report list in canonical order, and a seeded lossy
-// run conserves reports and repeats itself.
+// Volume is invisible: with 293 reports per agent, five bitset words'
+// worth, emitted with agents interleaved, a fault-free run settles every
+// epoch's exact report list in canonical order, and a seeded lossy run
+// conserves reports and repeats itself.
 func TestBurstBoundaries(t *testing.T) {
-	const agents, perAgent, epochs = 6, 2*burstSize + 37, 6
+	const agents, perAgent, epochs = 6, 293, 6
 	flood := func() *floodEngine {
 		return &floodEngine{Engine: newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0), agents: agents, perAgent: perAgent}
 	}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"vigil/internal/analysis"
 	"vigil/internal/engine"
@@ -19,7 +18,7 @@ import (
 
 // This file is the networked face of the ingest pipeline: the settle core
 // of core.go with the agent and the collector on opposite ends of a
-// transport session instead of opposite ends of a channel. RunAgent is the
+// transport session instead of in one loop. RunAgent is the
 // reporter side (drives the engine, ships reports and cycle tokens, answers
 // re-requests); ServeCollector is the vigild side (settles epochs,
 // checkpoints durability, survives crashes). The transport layer below
@@ -230,23 +229,20 @@ type CollectorConfig struct {
 	Parallelism int
 	// CheckpointPath enables crash recovery; see transport.ServerConfig.
 	CheckpointPath string
-	// Test hook: QueueDepth bounds, in reports, the transport→collector
-	// event channel (which carries them in bursts), so that a test can
-	// queue a whole run without backpressure. 0 means queueDepth.
-	QueueDepth int
-	// Sink receives each settled epoch, in epoch order, on the collector
-	// goroutine — before the settle is checkpointed, so a crash inside
-	// the sink re-delivers on restart (at-least-once at the sink; the
-	// epoch number makes downstream dedupe trivial).
+	// Sink receives each settled epoch, in epoch order, on the reader of
+	// the session whose token completed the settling cycle — before the
+	// settle is checkpointed, so a crash inside the sink re-delivers on
+	// restart (at-least-once at the sink; the epoch number makes downstream
+	// dedupe trivial).
 	Sink func(*engine.EpochResult)
 	// Counters receives ingest-level state; allocated when nil.
 	Counters *metrics.IngestCounters
 	// Transport receives wire-level state; allocated when nil.
 	Transport *metrics.TransportCounters
 
-	// probe, which only the crash-point sweep sets, runs on the collector
-	// goroutine between the effects of a cycle's end — where a crash can land.
-	probe func(at cycleStage, cycle int32)
+	// probe, which only tests set, runs on the settling reader between the
+	// effects of a cycle's end — where a crash can land.
+	probe func(c *NetCollector, at cycleStage, cycle int32)
 }
 
 // cycleStage names the gaps between endCycle's effects.
@@ -261,41 +257,9 @@ const (
 
 func (c *NetCollector) at(stage cycleStage, cycle int32) {
 	if c.cfg.probe != nil {
-		c.cfg.probe(stage, cycle)
+		c.cfg.probe(c, stage, cycle)
 	}
 }
-
-type netEventKind uint8
-
-const (
-	evHello netEventKind = iota
-	evReports
-	evToken
-	evBye
-)
-
-// netReport is one report of a burst: what the settle core needs and no more.
-type netReport struct {
-	r       vote.Report
-	attempt uint8
-}
-
-// netEvent is what crosses from a session's transport reader to the
-// collector goroutine. Reports cross in bursts, as they do between the
-// stages of the in-process Service: a hand-off per frame costs more than
-// admitting the report does. The rare events carry their payload behind a
-// pointer so that the common one stays small.
-type netEvent struct {
-	kind    netEventKind
-	sess    uint64
-	seq     uint64           // evToken: the token frame's session sequence
-	reports []netReport      // evReports: a recycled burst, in arrival order
-	hello   *transport.Hello // evHello
-	tok     *transport.Token // evToken
-}
-
-// sessStage is the burst one session's reader is filling.
-type sessStage struct{ burst []netReport }
 
 // tokenKey names one session's token for one cycle.
 type tokenKey struct {
@@ -306,26 +270,25 @@ type tokenKey struct {
 // NetCollector is the networked settle stage: the settle core fed by
 // transport sessions instead of lanes — one source per session — with ground
 // truth taken from the token summaries and per-session durable watermarks
-// committed at every settle.
+// committed at every settle. Each session's reader calls into the core
+// itself, under one lock; the reader whose token completes a cycle runs the
+// cycle's end.
 type NetCollector struct {
 	cfg CollectorConfig // Counters is never nil
 	srv *transport.Server
 
-	ev        chan netEvent
-	quit      chan struct{}
-	closeOnce sync.Once
-	loopDone  chan struct{}
-	err       error // why the loop stopped early; read after loopDone closes
+	// quit closes, once, when the collector stops: every session said
+	// goodbye, it stopped itself (err says why), or Close. From then on the
+	// readers hand it nothing.
+	quit     chan struct{}
+	stopOnce sync.Once
+	err      error // written before quit closes
 
-	// Each session's reader stages its reports here, a burst at a time. The
-	// mutex guards the map only: the transport serializes one session's
-	// calls, so a session's stage has one writer.
-	stageMu sync.Mutex
-	stage   map[uint64]*sessStage
-	spent   chan []netReport // handled bursts on their way back to the readers
-	queued  atomic.Int64     // reports posted to ev and not yet taken off it
-
-	// Collector goroutine state (single-threaded).
+	// mu serializes the sessions' readers, and guards everything below.
+	// ServeCollector holds it until the core exists. A settling reader
+	// holds it across the sink and the wait for the epoch's analysis;
+	// Close ends that wait through quit, which needs no lock.
+	mu        sync.Mutex
 	core      *settleCore
 	summaries map[int32]*transport.EpochSummary
 	tokenSeq  map[tokenKey]uint64        // the token's frame seq: the mark its epoch's settle commits
@@ -350,8 +313,8 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Sessions < 0 || cfg.QueueDepth < 0 {
-		return nil, fmt.Errorf("ingest: negative Sessions (%d) or QueueDepth (%d)", cfg.Sessions, cfg.QueueDepth)
+	if cfg.Sessions < 0 {
+		return nil, fmt.Errorf("ingest: negative Sessions (%d)", cfg.Sessions)
 	}
 	cfg.Sessions = max(cfg.Sessions, 1)
 	cfg.Grace, cfg.MaxRetries = grace, maxRetries
@@ -360,10 +323,7 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 	}
 	c := &NetCollector{
 		cfg:       cfg,
-		ev:        make(chan netEvent, burstsFor(cmp.Or(cfg.QueueDepth, queueDepth))),
-		stage:     make(map[uint64]*sessStage),
 		quit:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
 		summaries: make(map[int32]*transport.EpochSummary),
 		tokenSeq:  make(map[tokenKey]uint64),
 		marks:     make(map[uint64]uint64),
@@ -371,13 +331,12 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 		sessSeen:  make(map[uint64]struct{}),
 		nextCycle: make(map[uint64]int32),
 	}
-	// Room for every burst that can exist at once: queued, being staged by
-	// a session's reader, and being handled by the collector.
-	c.spent = make(chan []netReport, cap(c.ev)+cfg.Sessions+1)
+	// The server accepts before the core exists: its readers wait here.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	srv, err := transport.Serve(transport.ServerConfig{
 		Listener:       cfg.Listener,
 		Handler:        (*netHandler)(c),
-		Sessions:       cfg.Sessions,
 		CheckpointPath: cfg.CheckpointPath,
 		AppFresh:       -1,
 		Counters:       cfg.Transport,
@@ -400,74 +359,70 @@ func ServeCollector(cfg CollectorConfig) (*NetCollector, error) {
 			srv.SendCycleEnd(id, transport.CycleEnd{Cycle: c.core.nextEnd - 1})
 		}
 	}
-	go c.loop()
 	return c, nil
 }
 
-// netHandler adapts transport callbacks onto the collector's event
-// channel without exporting the Handler methods on NetCollector itself.
+// netHandler is the collector as the transport sees it, which keeps the
+// Handler methods off NetCollector itself. Each call runs on a session's
+// reader, holds the collector's lock throughout, and does nothing once the
+// collector has stopped.
 type netHandler NetCollector
 
-func (h *netHandler) post(e netEvent) {
+// running reports whether the collector still takes frames; the caller
+// holds mu.
+func (c *NetCollector) running() bool {
 	select {
-	case h.ev <- e:
-	case <-h.quit:
+	case <-c.quit:
+		return false
+	default:
+		return true
 	}
-}
-
-func (h *netHandler) stageOf(sess uint64) *sessStage {
-	h.stageMu.Lock()
-	defer h.stageMu.Unlock()
-	st := h.stage[sess]
-	if st == nil {
-		st = &sessStage{}
-		h.stage[sess] = st
-	}
-	return st
-}
-
-// flush posts the session's staged burst, if any: when it is full, and
-// ahead of any other event of the session, which must not overtake it.
-func (h *netHandler) flush(sess uint64) *sessStage {
-	st := h.stageOf(sess)
-	if len(st.burst) > 0 {
-		h.queued.Add(int64(len(st.burst)))
-		h.post(netEvent{kind: evReports, sess: sess, reports: st.burst})
-		st.burst = nil
-	}
-	return st
 }
 
 func (h *netHandler) OnHello(sess uint64, hello transport.Hello) {
-	h.flush(sess)
-	h.post(netEvent{kind: evHello, sess: sess, hello: &hello})
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c := (*NetCollector)(h)
+	if !c.running() {
+		return
+	}
+	c.sessSeen[sess] = struct{}{}
+	if c.an == nil {
+		c.an = startAnalyst(analysis.Options{Detect: vote.DetectOptions{
+			ThresholdFrac: hello.ThresholdFrac,
+			MaxLinks:      int(hello.MaxLinks),
+		}}, int(c.core.grace))
+	}
 }
 
-// OnReport stages the report. Nothing can act on a report before its
-// cycle's token, and the token flushes, so a burst never waits on a timer.
+// OnReport admits the report into the core. The transport has already
+// deduplicated the wire (replays, proxy-injected duplicates of the same
+// frame), so duplicates the core sees here are ingest-level ones: the same
+// identity re-sent as a retry answer that crossed its own recovery.
 func (h *netHandler) OnReport(sess uint64, r vote.Report, attempt uint8) {
-	st := h.stageOf(sess)
-	if st.burst == nil {
-		select {
-		case st.burst = <-h.spent:
-		default:
-			st.burst = make([]netReport, 0, burstSize)
-		}
-	}
-	st.burst = append(st.burst, netReport{r: r, attempt: attempt})
-	if len(st.burst) >= burstSize {
-		h.flush(sess)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if c := (*NetCollector)(h); c.running() {
+		c.core.report(r, attempt, false)
 	}
 }
 
 func (h *netHandler) OnToken(sess uint64, seq uint64, t transport.Token) {
-	h.flush(sess)
-	h.post(netEvent{kind: evToken, sess: sess, seq: seq, tok: &t})
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if c := (*NetCollector)(h); c.running() {
+		c.token(sess, seq, &t)
+	}
 }
 
 func (h *netHandler) OnBye(sess uint64) {
-	h.flush(sess)
-	h.post(netEvent{kind: evBye, sess: sess})
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if c := (*NetCollector)(h); c.running() {
+		if c.byes++; c.byes == c.cfg.Sessions {
+			c.stop(nil)
+		}
+	}
 }
 
 // Addr returns the listen address.
@@ -480,100 +435,48 @@ func (c *NetCollector) Counters() *metrics.IngestCounters { return c.cfg.Counter
 // stopped on a failed checkpoint or a lost token (that error), or ctx ends.
 func (c *NetCollector) Wait(ctx context.Context) error {
 	select {
-	case <-c.loopDone:
+	case <-c.quit:
 		return c.err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
+// stop makes the collector take no further frame; the first call's err is
+// what Wait reports. A checkpoint that cannot be written, or a token the
+// wire lost for good, stops it the way a crash would: nothing past the last
+// good Commit was acked, so a restart resumes from there.
+func (c *NetCollector) stop(err error) {
+	c.stopOnce.Do(func() {
+		c.err = err
+		close(c.quit)
+	})
+}
+
 // Close tears the collector down without a final checkpoint — state
 // beyond the last settle-time Commit is exactly what crash recovery
 // rebuilds, so Close mid-run IS the simulated crash: results analyzed ahead
 // of their settle are dropped, and a restart recomputes them from replay.
-// It returns once the collector and analysis goroutines have exited, so the
-// sink is never called after it; the sink must not call it.
+// A settle waiting for its analysis gives up. Close returns once every
+// session reader and the analysis goroutine have exited, so the sink is
+// never called after it; the sink must not call it.
 func (c *NetCollector) Close() error {
-	err := c.shutdown()
-	<-c.loopDone
+	c.stop(nil)
+	err := c.srv.Close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.an != nil {
+		c.an.stop()
+	}
 	return err
 }
 
-// shutdown stops the collector without waiting for it: the loop's own way
-// out.
-func (c *NetCollector) shutdown() error {
-	c.closeOnce.Do(func() { close(c.quit) })
-	return c.srv.Close()
-}
-
-func (c *NetCollector) loop() {
-	defer close(c.loopDone)
-	defer func() {
-		if c.an != nil {
-			c.an.stop()
-		}
-	}()
-	for c.byes < c.cfg.Sessions && c.err == nil {
-		// Once Close is in, no event is taken: a settle it cut short left
-		// its epoch's analysis queued, and the next settle would take that
-		// for its own.
-		select {
-		case <-c.quit:
-			return
-		default:
-		}
-		select {
-		case e := <-c.ev:
-			c.handle(e)
-		case <-c.quit:
-			return
-		}
-	}
-	if c.err != nil {
-		// A checkpoint that cannot be written, or a token the wire lost for
-		// good, stops the collector the way a crash would: nothing past the
-		// last good Commit was acked, so a restart resumes from there.
-		c.shutdown()
-	}
-}
-
-func (c *NetCollector) handle(e netEvent) {
-	switch e.kind {
-	case evHello:
-		c.sessSeen[e.sess] = struct{}{}
-		if c.an == nil {
-			c.an = startAnalyst(analysis.Options{Detect: vote.DetectOptions{
-				ThresholdFrac: e.hello.ThresholdFrac,
-				MaxLinks:      int(e.hello.MaxLinks),
-			}}, int(c.core.grace))
-		}
-	case evReports:
-		// The transport has already deduplicated the wire (replays,
-		// proxy-injected duplicates of the same frame), so duplicates the core
-		// sees here are ingest-level ones: the same identity re-sent as a retry
-		// answer that crossed its own recovery.
-		c.queued.Add(-int64(len(e.reports)))
-		for i := range e.reports {
-			c.core.report(e.reports[i].r, e.reports[i].attempt, false)
-		}
-		clear(e.reports) // drop the path references
-		select {
-		case c.spent <- e.reports[:0]:
-		default:
-		}
-	case evToken:
-		c.handleToken(e.sess, e.seq, e.tok)
-	case evBye:
-		c.byes++
-	}
-}
-
-// handleToken keeps what the core has no use for — which session owns an
+// token keeps what the core has no use for — which session owns an
 // agent, the epoch's summary, the token's frame sequence (the mark a settle
 // commits) — and feeds the core. Tokens replayed after a restart rebuild
 // the open epochs without re-firing already-completed cycles; that is the
 // core's nextEnd.
-func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) {
+func (c *NetCollector) token(sess uint64, seq uint64, t *transport.Token) {
 	c.sessSeen[sess] = struct{}{}
 	// A session sends one token per cycle, in order, and re-sends only its
 	// newest. One that skips a cycle means a token was lost behind later
@@ -582,7 +485,7 @@ func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) 
 	// the way a crash would: the restart's replay carries the token again.
 	switch next := c.nextCycle[sess]; {
 	case t.Cycle > next:
-		c.err = fmt.Errorf("ingest: session %d sent its token for cycle %d before the one for cycle %d: a frame was lost where no re-send recovers it", sess, t.Cycle, next)
+		c.stop(fmt.Errorf("ingest: session %d sent its token for cycle %d before the one for cycle %d: a frame was lost where no re-send recovers it", sess, t.Cycle, next))
 		return
 	case t.Cycle == next:
 		c.nextCycle[sess] = next + 1
@@ -597,10 +500,8 @@ func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) 
 		c.tokenSeq[tokenKey{t.Cycle, sess}] = seq
 	}
 	c.core.token(t.Cycle, t.Live, t.Counts)
-	for done, ok := c.core.next(); ok && c.err == nil; done, ok = c.core.next() {
-		if !c.endCycle(done) {
-			return
-		}
+	for done, ok := c.core.next(); ok && c.running(); done, ok = c.core.next() {
+		c.endCycle(done)
 	}
 }
 
@@ -613,17 +514,16 @@ func (c *NetCollector) handleToken(sess uint64, seq uint64, t *transport.Token) 
 // already final. The sink comes first, so that no verdict waits behind the
 // cycle-end or the commit; the settling epoch's analysis is usually done by
 // then. DESIGN.md, "Checkpoint format and crash recovery", argues the crash
-// at each arrow. It reports false, having done nothing past the wait, when
-// Close lands while the settle waits for its analysis; the loop then stops
-// before its next event, so no later cycle settles on that analysis.
-func (c *NetCollector) endCycle(done cycleDone) bool {
+// at each arrow. When Close lands while the settle waits for its analysis,
+// it does nothing past the wait, and since the collector has stopped, no
+// later cycle settles on that analysis.
+func (c *NetCollector) endCycle(done cycleDone) {
 	c.an.feed(&done)
 	c.at(beforeSink, done.cycle)
 	if done.settled && !c.settle(done) {
-		return false
+		return
 	}
 	c.at(beforeCycleEnd, done.cycle)
-	c.cfg.Counters.QueueDepth.Store(c.queued.Load())
 	var perSess map[uint64][]transport.RetryReq
 	for _, q := range done.retries {
 		// Missing identities come from session tokens, so the agent is known.
@@ -638,10 +538,12 @@ func (c *NetCollector) endCycle(done cycleDone) bool {
 	}
 	c.at(beforeCommit, done.cycle)
 	if done.settled {
-		c.err = c.commit(done.epoch)
+		if err := c.commit(done.epoch); err != nil {
+			c.stop(err)
+			return
+		}
 	}
 	c.at(afterCommit, done.cycle)
-	return true
 }
 
 // settle delivers epoch done.epoch, built on the summary its token carried,

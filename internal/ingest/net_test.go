@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,16 +193,18 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	col1.Close()
-	// Close returned, so the collector goroutine and the analysis goroutine
-	// have exited: whatever was analyzed ahead of its settle is dropped, and
-	// the first incarnation's sink is never called again (its record below
-	// must stay what it is now).
-	for name, done := range map[string]chan struct{}{"collector": col1.loopDone, "analysis": col1.an.done} {
-		select {
-		case <-done:
-		default:
-			t.Fatalf("the %s goroutine outlived Close", name)
-		}
+	// Close returned, so the session readers and the analysis goroutine have
+	// exited: whatever was analyzed ahead of its settle is dropped, and the
+	// first incarnation's sink is never called again (its record below must
+	// stay what it is now). No other server runs in this process now.
+	select {
+	case <-col1.an.done:
+	default:
+		t.Fatal("the analysis goroutine outlived Close")
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "transport.(*Server).handle") {
+		t.Fatalf("a session reader outlived Close:\n%s", stacks)
 	}
 	mu.Lock()
 	atClose := slices.Clone(settled1)
@@ -242,11 +245,11 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 	}
 }
 
-// Close lands while the collector's queue already holds the next cycles'
-// tokens, as a replay after a restart queues them: it lands at the sink of
-// the cycle that settles epoch 2, where the settle either delivers epoch 2
-// or gives up waiting for its analysis. Either way the collector takes no
-// further event, so the sink never gets an epoch past 2, nor an epoch with
+// Close lands while the session's reader still has the next cycles' frames
+// to hand over, as a replay after a restart has them: it lands at the sink
+// of the cycle that settles epoch 2, where the settle either delivers epoch
+// 2 or gives up waiting for its analysis. Either way the collector takes no
+// further frame, so the sink never gets an epoch past 2, nor an epoch with
 // another epoch's verdicts, and the watermark a commit reaches never passes
 // the last epoch the sink got.
 func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
@@ -271,23 +274,23 @@ func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
 		epoch    int
 		analysis string
 	}
-	// run feeds every cycle's events to a fresh collector as its only
-	// session's transport would, then either waits for it to finish or, when
-	// shut, closes it from inside the closing cycle once all are queued.
+	// run hands every cycle's frames to a fresh collector, on a goroutine of
+	// its own, as its only session's reader would, and waits for it to
+	// finish; when shut, Close comes in from this goroutine while the reader
+	// is inside the closing cycle's settle.
 	run := func(shut bool) (got []delivery, watermark int64) {
-		queued := make(chan struct{})
-		var col *NetCollector
+		closing := make(chan struct{})
 		cfg := CollectorConfig{
-			Listener: listen(t), Grace: grace, QueueDepth: 1 << 16,
+			Listener: listen(t), Grace: grace,
 			Sink: func(res *engine.EpochResult) {
 				got = append(got, delivery{res.Epoch, fmt.Sprint(res.Ranking, res.Detected, res.Verdicts)})
 			},
 		}
 		if shut {
-			cfg.probe = func(at cycleStage, cycle int32) {
+			cfg.probe = func(col *NetCollector, at cycleStage, cycle int32) {
 				if at == beforeSink && cycle == closeAt {
-					<-queued
-					col.shutdown()
+					close(closing)
+					<-col.quit // Close is in before the settle waits for its analysis
 				}
 			}
 		}
@@ -295,25 +298,35 @@ func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := (*netHandler)(col)
-		h.OnHello(1, hello)
-		seq := uint64(0)
-		for cycle, tok := range tokens {
-			for _, r := range reports[cycle] {
-				h.OnReport(1, r, 0)
+		fed := make(chan struct{})
+		go func() {
+			defer close(fed)
+			h := (*netHandler)(col)
+			h.OnHello(1, hello)
+			seq := uint64(0)
+			for cycle, tok := range tokens {
+				for _, r := range reports[cycle] {
+					h.OnReport(1, r, 0)
+					seq++
+				}
 				seq++
+				h.OnToken(1, seq, tok)
 			}
-			seq++
-			h.OnToken(1, seq, tok)
-		}
-		close(queued)
-		if !shut {
-			h.OnBye(1)
+			if !shut {
+				h.OnBye(1)
+			}
+		}()
+		if shut {
+			<-closing
+			col.Close()
 		}
 		select {
-		case <-col.loopDone:
+		case <-fed:
 		case <-time.After(60 * time.Second):
-			t.Fatal("the collector never stopped")
+			t.Fatal("the reader never got through its frames")
+		}
+		if !shut {
+			waitCollector(t, col)
 		}
 		col.Close()
 		return got, col.srv.AppState()
@@ -344,24 +357,32 @@ func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
 	t.Logf("the settle of epoch %d gave up its wait in %d of 40 runs", closeAt-grace, abandoned)
 }
 
-// The queue-depth gauge counts reports, not the bursts and tokens they
-// travel in: with the collector held at cycle 0's commit until every later
-// cycle is queued, cycle 1's end reads exactly the reports of the cycles
-// after it, and the gauge reads 0 once the queue has drained.
-func TestNetQueueDepthCountsReports(t *testing.T) {
-	const cycles, agents, perAgent = 4, 3, 2*burstSize + 5
-	flood := &floodEngine{Engine: newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0), agents: agents, perAgent: perAgent}
-	queued := make(chan struct{})
-	var atCycle1 int64
-	var col *NetCollector
+// The networked twin of TestServiceRunsOnCallersGoroutine: a session's
+// reader settles the cycle its token completes. At every settle the sink
+// runs on a transport.(*Server).handle goroutine, no other goroutine is in
+// the collector's code, and there is exactly one analyst.
+func TestNetCollectorSettlesOnReaders(t *testing.T) {
+	const epochs = 5
+	sinks := 0
+	buf := make([]byte, 1<<20)
 	col, err := ServeCollector(CollectorConfig{
-		Listener: listen(t), QueueDepth: 1 << 16,
-		probe: func(at cycleStage, cycle int32) {
-			if at == beforeCommit && cycle == 0 {
-				<-queued
+		Listener: listen(t), MaxRetries: 1,
+		Sink: func(*engine.EpochResult) {
+			sinks++
+			inCollector, analysts := 0, 0
+			for i, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				if i == 0 && !strings.Contains(g, "transport.(*Server).handle") {
+					t.Errorf("the sink runs outside a session reader:\n%s", g)
+				}
+				switch {
+				case strings.Contains(g, "ingest.(*NetCollector)") || strings.Contains(g, "ingest.(*netHandler)"):
+					inCollector++
+				case strings.Contains(g, "ingest.(*analyst).run"):
+					analysts++
+				}
 			}
-			if at == beforeCommit && cycle == 1 {
-				atCycle1 = col.Counters().QueueDepth.Load()
+			if inCollector != 1 || analysts != 1 {
+				t.Errorf("%d goroutines in the collector and %d analysts at a settle, want 1 and 1", inCollector, analysts)
 			}
 		},
 	})
@@ -369,28 +390,37 @@ func TestNetQueueDepthCountsReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	h := (*netHandler)(col)
-	h.OnHello(1, transport.Hello{})
-	seq := uint64(0)
-	for cycle := range cycles {
-		res := flood.Step(func(r vote.Report) {
-			seq++
-			h.OnReport(1, r, 0)
-		})
-		seq++
-		h.OnToken(1, seq, buildToken(int32(cycle), res))
+	if err := RunAgent(context.Background(), AgentConfig{
+		Engine: newTestEngine(t, engine.Config{Seed: 13}, soakTopo, 0.05), Addr: col.Addr(), Epochs: epochs, Seed: 13,
+		Transport: fastTransport(),
+	}); err != nil {
+		t.Fatal(err)
 	}
-	close(queued)
+	waitCollector(t, col)
+	if sinks != epochs {
+		t.Fatalf("the sink ran %d times, want %d", sinks, epochs)
+	}
+}
+
+// The collector finishes at the last session's goodbye, not the first: a
+// session that is through leaves the collector serving the others.
+func TestNetCollectorWaitsForEveryBye(t *testing.T) {
+	col, err := ServeCollector(CollectorConfig{Listener: listen(t), Sessions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	h := (*netHandler)(col)
+	h.OnHello(0, transport.Hello{})
+	h.OnHello(1, transport.Hello{})
+	h.OnBye(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := col.Wait(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Wait after one of two goodbyes returned %v, want it still waiting", err)
+	}
 	h.OnBye(1)
 	waitCollector(t, col)
-	// Cycle 0's end read the gauge while the cycles were still being
-	// queued; cycle 1's end, after all were, sees cycles 2 and 3.
-	if want := int64((cycles - 2) * agents * perAgent); atCycle1 != want {
-		t.Fatalf("queue depth %d at cycle 1's end, want the %d reports of cycles 2–3", atCycle1, want)
-	}
-	if got := col.Counters().QueueDepth.Load(); got != 0 {
-		t.Fatalf("queue depth %d once drained, want 0", got)
-	}
 }
 
 // The networked chaos soak: seeded drops, duplicates, reorders and
@@ -568,7 +598,6 @@ func TestConstructorsShareValidation(t *testing.T) {
 		{"ServeCollector/negative grace and retries", func() (settled, error) { return serve(CollectorConfig{Grace: -1, MaxRetries: -3}) }, true, settled{}},
 		{"ServeCollector/negative retries", func() (settled, error) { return serve(CollectorConfig{MaxRetries: -3}) }, true, settled{}},
 		{"ServeCollector/negative sessions", func() (settled, error) { return serve(CollectorConfig{Sessions: -1}) }, true, settled{}},
-		{"ServeCollector/negative queue depth", func() (settled, error) { return serve(CollectorConfig{QueueDepth: -1}) }, true, settled{}},
 		{"ServeCollector/defaults and cap", func() (settled, error) { return serve(CollectorConfig{MaxRetries: 1000}) }, false, settled{2, 255}},
 		{"RunAgent/negative grace", func() (settled, error) { return runAgent(-1) }, true, settled{}},
 		{"RunAgent/default grace", func() (settled, error) { return runAgent(0) }, false, settled{}},
@@ -799,11 +828,10 @@ func (e shardEngine) Step(emit func(vote.Report)) *engine.EpochResult {
 	return &res
 }
 
-// Two sessions with disjoint agents feed one collector at once: each
-// session's reports reach the collector in their own bursts, the runs of the
-// two interleave, and every epoch still settles bit-identical to the batch
-// engine's — under the race detector, this is the test of the per-session
-// staging.
+// Two sessions with disjoint agents feed one collector at once: their
+// readers take turns at the collector's lock, the reports of the two
+// interleave, and every epoch still settles bit-identical to the batch
+// engine's — under the race detector, this is the test of that lock.
 func TestTwoSessionsBitIdentical(t *testing.T) {
 	const epochs = 4
 	cfg := engine.Config{Seed: 7}

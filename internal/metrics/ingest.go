@@ -36,10 +36,6 @@ type IngestCounters struct {
 	// Gauges.
 	WatermarkLag atomic.Int64 // current epoch minus newest settled epoch
 	OpenEpochs   atomic.Int64 // epochs accepted but not yet settled
-	// QueueDepth is the reports sitting in ingest queues at the latest
-	// cycle end: the networked collector's transport→collector channel.
-	// The in-process service has no queue, so it reads 0 there.
-	QueueDepth atomic.Int64
 
 	// Injected by the fault layer (ground truth for the observed side).
 	InjDrops         atomic.Int64 // reports dropped outright
@@ -65,7 +61,6 @@ var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_verdicts_total", "Per-flow verdicts issued across settled epochs.", false, func(c *IngestCounters) int64 { return c.Verdicts.Load() }},
 	{"vigil_ingest_watermark_lag_epochs", "Current epoch minus newest settled epoch.", true, func(c *IngestCounters) int64 { return c.WatermarkLag.Load() }},
 	{"vigil_ingest_open_epochs", "Epochs accepted but not yet settled.", true, func(c *IngestCounters) int64 { return c.OpenEpochs.Load() }},
-	{"vigil_ingest_queue_depth", "Reports sitting in ingest queues.", true, func(c *IngestCounters) int64 { return c.QueueDepth.Load() }},
 	{"vigil_ingest_fault_drops_total", "Reports the fault injector dropped outright.", false, func(c *IngestCounters) int64 { return c.InjDrops.Load() }},
 	{"vigil_ingest_fault_duplicates_total", "Reports the fault injector delivered twice.", false, func(c *IngestCounters) int64 { return c.InjDuplicates.Load() }},
 	{"vigil_ingest_fault_late_in_grace_total", "Reports the fault injector delayed within the grace window.", false, func(c *IngestCounters) int64 { return c.InjLateInGrace.Load() }},

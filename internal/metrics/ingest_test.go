@@ -13,7 +13,6 @@ func TestWritePrometheus(t *testing.T) {
 	c.Received.Store(123)
 	c.Lost.Store(7)
 	c.Rejected.Store(3)
-	c.QueueDepth.Store(42)
 
 	var b strings.Builder
 	if err := c.WritePrometheus(&b); err != nil {
@@ -37,7 +36,6 @@ func TestWritePrometheus(t *testing.T) {
 		"vigil_ingest_received_total 123\n",
 		"vigil_ingest_lost_total 7\n",
 		"vigil_ingest_rejected_total 3\n",
-		"vigil_ingest_queue_depth 42\n",
 		"vigil_ingest_accepted_total 0\n",
 	} {
 		if !strings.Contains(out, want) {

@@ -12,11 +12,14 @@ import (
 	"vigil/internal/vote"
 )
 
-// Handler receives the decoded, deduplicated frame stream. Calls for one
+// Handler receives the decoded, deduplicated frame stream, on the reader
+// goroutine of the connection that brought each frame. Calls for one
 // session are serialized (the per-session processing lock covers the brief
 // overlap of an old and a new connection during a resume); calls for
-// different sessions are concurrent, so handlers that need a total order
-// funnel into a channel.
+// different sessions are concurrent, so a handler that needs a total order
+// takes a lock of its own. A call may block — that session's reader, and
+// TCP behind it, waits — and may end its goroutine (runtime.Goexit): the
+// processing lock is released on every way out.
 type Handler interface {
 	// OnHello runs once per (re)connection, after the session watermark
 	// check but before any of the connection's frames.
@@ -36,9 +39,6 @@ type ServerConfig struct {
 	Listener net.Listener
 	// Handler receives the frame stream; required.
 	Handler Handler
-	// Sessions is the number of agent sessions expected to Bye before Done
-	// fires. 0 means 1.
-	Sessions int
 	// CheckpointPath enables crash recovery: Serve opens (or creates) the
 	// two-slot checkpoint file there and loads it, so a restarted collector
 	// resumes sessions from their last durable state, and Commit writes the
@@ -97,10 +97,8 @@ type Server struct {
 	sessions map[uint64]*session
 	app      int64
 	closed   bool
-	byes     int
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 
 	// ckptMu serializes checkpoint commits with each other and with Close.
 	ckptMu    sync.Mutex
@@ -115,16 +113,12 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	if cfg.Listener == nil || cfg.Handler == nil {
 		return nil, fmt.Errorf("transport: ServerConfig.Listener and Handler are required")
 	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 1
-	}
 	s := &Server{
 		cfg:      cfg,
 		ctr:      cfg.Counters,
 		ln:       cfg.Listener,
 		sessions: make(map[uint64]*session),
 		app:      cfg.AppFresh,
-		done:     make(chan struct{}),
 	}
 	if s.ctr == nil {
 		s.ctr = &metrics.TransportCounters{}
@@ -170,9 +164,6 @@ func (s *Server) SessionIDs() []uint64 {
 	}
 	return ids
 }
-
-// Done is closed once every expected session has said Bye.
-func (s *Server) Done() <-chan struct{} { return s.done }
 
 // Counters returns the live transport counters.
 func (s *Server) Counters() *metrics.TransportCounters { return s.ctr }
@@ -333,9 +324,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.detach(sess, gen)
 	// Under procMu like every other call for the session: the connection
 	// this one replaced may still be working through frames it had buffered.
-	sess.procMu.Lock()
-	s.cfg.Handler.OnHello(hello.Session, hello)
-	sess.procMu.Unlock()
+	sess.locked(func() { s.cfg.Handler.OnHello(hello.Session, hello) })
 
 	var paths linkArena
 	for {
@@ -349,25 +338,21 @@ func (s *Server) handle(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			sess.procMu.Lock()
-			if f.Seq <= sess.recv {
-				sess.procMu.Unlock()
-				s.ctr.FramesDropped.Add(1)
-				continue
-			}
-			sess.recv = f.Seq
-			s.ctr.FramesReceived.Add(1)
-			s.cfg.Handler.OnReport(sess.id, f.R, f.Attempt)
-			sess.procMu.Unlock()
+			sess.locked(func() {
+				if s.fresh(sess, f.Seq) {
+					s.cfg.Handler.OnReport(sess.id, f.R, f.Attempt)
+				}
+			})
 		case TypeToken:
 			t, err := DecodeToken(payload)
 			if err != nil {
 				return
 			}
-			sess.procMu.Lock()
-			if t.Seq <= sess.recv {
-				sess.procMu.Unlock()
-				s.ctr.FramesDropped.Add(1)
+			sess.locked(func() {
+				if s.fresh(sess, t.Seq) {
+					s.cfg.Handler.OnToken(sess.id, t.Seq, t)
+					return
+				}
 				// A re-sent token means the agent never saw the cycle-end;
 				// re-send the newest one.
 				sess.mu.Lock()
@@ -377,12 +362,7 @@ func (s *Server) handle(conn net.Conn) {
 					s.enqueue(sess, gen, lastCE)
 					s.ctr.CycleEndsSent.Add(1)
 				}
-				continue
-			}
-			sess.recv = t.Seq
-			s.ctr.FramesReceived.Add(1)
-			s.cfg.Handler.OnToken(sess.id, t.Seq, t)
-			sess.procMu.Unlock()
+			})
 		case TypePing:
 			s.enqueue(sess, gen, Frame(AppendControl(nil, TypePong)))
 		case TypeBye:
@@ -395,23 +375,36 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// locked runs fn under the session's processing lock, which it releases on
+// every way out of fn — a handler that ends its goroutine included.
+func (sess *session) locked(fn func()) {
+	sess.procMu.Lock()
+	defer sess.procMu.Unlock()
+	fn()
+}
+
+// fresh advances the session's processed watermark to seq and reports
+// true, or counts the frame stale and reports false. The caller holds
+// procMu.
+func (s *Server) fresh(sess *session, seq uint64) bool {
+	if seq <= sess.recv {
+		s.ctr.FramesDropped.Add(1)
+		return false
+	}
+	sess.recv = seq
+	s.ctr.FramesReceived.Add(1)
+	return true
+}
+
+// bye hands the handler the session's goodbye, once however many
+// connections bring one.
 func (s *Server) bye(sess *session) {
 	sess.mu.Lock()
 	first := !sess.bye
 	sess.bye = true
 	sess.mu.Unlock()
-	if !first {
-		return
-	}
-	sess.procMu.Lock()
-	s.cfg.Handler.OnBye(sess.id)
-	sess.procMu.Unlock()
-	s.mu.Lock()
-	s.byes++
-	fire := s.byes == s.cfg.Sessions && !s.closed
-	s.mu.Unlock()
-	if fire {
-		close(s.done)
+	if first {
+		sess.locked(func() { s.cfg.Handler.OnBye(sess.id) })
 	}
 }
 

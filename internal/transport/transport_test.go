@@ -152,12 +152,76 @@ func TestSessionLockstep(t *testing.T) {
 		t.Fatalf("hello = %+v", hello)
 	}
 
-	// A clean Bye fires Done.
+	// A clean Bye reaches the handler once, however many connections of the
+	// session bring one: here the client's, then a second one's, which the
+	// server has handled once it hangs up.
 	cli.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write(append(Frame(AppendHello(nil, Hello{Version: Version, Session: 7})), Frame(AppendControl(nil, TypeBye))...))
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the server kept the second connection open after its Bye: %v", err)
+	}
+	byes := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.byes
+	}
+	for deadline := time.Now().Add(2 * time.Second); byes() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close() // every reader has returned
+	if n := byes(); n != 1 {
+		t.Fatalf("the handler saw %d byes, want 1", n)
+	}
+}
+
+// A handler call that ends its goroutine (runtime.Goexit, as the ingest
+// crash sweep kills a collector) takes its connection down, not its
+// session: the processing lock is released on the way out, so the agent's
+// reconnect resumes past the frame being handled and the next token
+// reaches the handler.
+func TestHandlerGoexitReleasesSession(t *testing.T) {
+	h := &recHandler{}
+	cycles := make(chan int32, 4)
+	h.onToken = func(sess, seq uint64, tok Token) {
+		if tok.Cycle == 0 {
+			runtime.Goexit()
+		}
+		cycles <- tok.Cycle
+	}
+	srv := newTestServer(t, h, ServerConfig{})
+	cli := newTestClient(t, srv.Addr(), ClientConfig{Session: 7})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for cycle := int32(0); cycle < 2; cycle++ {
+		if err := cli.SendToken(ctx, Token{Cycle: cycle}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := cli.WaitCycleEnd(ctx, 1)
+		waited <- err
+	}()
 	select {
-	case <-srv.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("Done never fired after Bye")
+	case c := <-cycles:
+		if c != 1 {
+			t.Fatalf("the handler got cycle %d's token, want 1's", c)
+		}
+	case <-ctx.Done():
+		t.Fatal("the token after the killed call never reached the handler: the session stayed locked")
+	}
+	srv.SendCycleEnd(7, CycleEnd{Cycle: 1})
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	if got := cli.ctr.Resumes.Load(); got != 1 {
+		t.Fatalf("Resumes = %d, want 1", got)
 	}
 }
 

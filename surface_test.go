@@ -111,7 +111,6 @@ var surfaceFieldAllow = map[string]string{
 	"internal/cluster.Config.Ct":                       "a budget of 2/s makes the rate limit bind in the traceroute-budget test",
 	"internal/cluster.Config.MaxRetries":               "16 retries keep the tag test's connections alive through its 40µs RTOs, so stragglers reach recycled Conns",
 	"internal/cluster.Config.RTO":                      "an RTO below the round trip retransmits segments still in flight in the tag test",
-	"internal/ingest.CollectorConfig.QueueDepth":       "lets the close-mid-settle test queue every cycle before the collector runs one",
 	"internal/transport.ClientConfig.BackoffBase":      "fast reconnects in the chaos and crash tests, until the transport takes a clock",
 	"internal/transport.ClientConfig.BackoffMax":       "bounds the chaos tests' reconnect waits, until the transport takes a clock",
 	"internal/transport.ClientConfig.DeadPolls":        "keeps a silent connection alive through the lost cycle-end test's short polls",
