@@ -169,11 +169,19 @@ func BenchmarkClusterSteadyState(b *testing.B) {
 // 142,848 directed links, ~2.07M flows per epoch — fanned out over all
 // cores. This is the fused pipeline with nothing cached: every epoch
 // generates, routes and scores every flow.
-func BenchmarkEpochDatacenter(b *testing.B) {
+func BenchmarkEpochDatacenter(b *testing.B) { benchEpochDatacenter(b, 0) }
+
+// BenchmarkEpochDatacenterSerial is the same epoch on one worker: against
+// BenchmarkEpochDatacenter it is what the fused pipeline's fan-out buys
+// (DESIGN.md "Parallelism knobs").
+func BenchmarkEpochDatacenterSerial(b *testing.B) { benchEpochDatacenter(b, 1) }
+
+func benchEpochDatacenter(b *testing.B, parallelism int) {
 	sim, err := vigil.NewSimulation(vigil.SimConfig{
 		Topology:      vigil.DatacenterSimTopology.Flatten(),
 		Seed:          1,
 		TracerouteCap: 10,
+		Parallelism:   parallelism,
 	})
 	if err != nil {
 		b.Fatal(err)

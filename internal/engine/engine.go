@@ -138,9 +138,9 @@ type Config struct {
 	// changed, with results bit-identical to full re-scoring of the frozen
 	// workload (see netem.Config.Incremental). The packet plane ignores it.
 	Incremental bool
-	// Parallelism is the flow plane's epoch worker count (0 = all cores);
-	// results are bit-identical at every setting. The packet plane ignores
-	// it.
+	// Parallelism is the worker count of the flow plane's fused full epoch
+	// (0 = all cores); delta epochs and analysis run inline. Results are
+	// bit-identical at every setting. The packet plane ignores it.
 	Parallelism int
 	// Detect configures Algorithm 1; the zero value means the paper's 1%
 	// threshold.

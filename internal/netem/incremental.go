@@ -22,7 +22,6 @@ import (
 	"slices"
 
 	"vigil/internal/ecmp"
-	"vigil/internal/par"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
 	"vigil/internal/vote"
@@ -69,11 +68,14 @@ type incState struct {
 	affected  []int32
 	round     int32
 
-	// Shard-loop scratch of the cache build and the delta re-score.
+	// Shard-loop scratch of the cache build.
 	lensByChunk  [][]uint8
 	linksByChunk [][]topology.LinkID
-	newByChunk   [][]FlowOutcome
-	newFlat      []FlowOutcome
+
+	// The delta re-score's own drop-stream RNG and outcome arena, and the
+	// re-scored flows' failed outcomes in flow-index order.
+	shard   epochShard
+	newFlat []FlowOutcome
 }
 
 // prepareBuild sizes the cache-build scratch that the shard loop writes
@@ -215,59 +217,36 @@ func (s *Sim) gatherAffected() []int32 {
 	return aff
 }
 
-// deltaScratch sizes the worker shards (drop-stream RNG and outcome arena)
-// and the per-chunk outcome table of the delta re-score.
-func (s *Sim) deltaScratch(nchunks int) (shards []epochShard, newByChunk [][]FlowOutcome) {
-	nworkers := par.Workers(s.cfg.Parallelism)
-	if len(s.shards) != nworkers {
-		s.shards = make([]epochShard, nworkers)
-	}
-	inc := &s.inc
-	if cap(inc.newByChunk) < nchunks {
-		inc.newByChunk = make([][]FlowOutcome, nchunks)
-	}
-	clear(inc.newByChunk[:cap(inc.newByChunk)])
-	inc.newByChunk = inc.newByChunk[:nchunks]
-	return s.shards, inc.newByChunk
-}
-
 // runEpochDelta is the incremental epoch: gather the flows affected by
-// dirty links, re-score just those in parallel from their stored paths and
-// frozen draw streams, and three-way-merge the new outcomes into the cached
-// epoch outputs — retire the affected flows' old outcomes (subtracting
-// their drops from the carried total), keep every unaffected outcome, add
-// the new ones. The merged failed list stays in flow-index order, so a
-// delta epoch is bit-identical to re-scoring every flow of the frozen
-// workload against the current rates (see TestIncrementalMatchesFullRescore).
+// dirty links, re-score just those on the caller's goroutine from their
+// stored paths and frozen draw streams, and three-way-merge the new
+// outcomes into the cached epoch outputs — retire the affected flows' old
+// outcomes (subtracting their drops from the carried total), keep every
+// unaffected outcome, add the new ones. The merged failed list stays in
+// flow-index order, so a delta epoch is bit-identical to re-scoring every
+// flow of the frozen workload against the current rates (see
+// TestIncrementalMatchesFullRescore).
 func (s *Sim) runEpochDelta() *Epoch {
 	inc := &s.inc
 	phaseDelta.Begin()
 	defer phaseDelta.End()
 	aff := s.gatherAffected()
 
-	grain := par.Grain(len(aff), flowGrainLo, flowGrainHi, grainTarget)
-	nchunks := par.Chunks(len(aff), grain)
-	shards, newByChunk := s.deltaScratch(nchunks)
-	par.ForEachChunkWorker(len(aff), grain, s.cfg.Parallelism, func(w, c, lo, hi int) {
-		sh := &shards[w]
-		var outs []FlowOutcome
-		for i := lo; i < hi; i++ {
-			if out, failedFlow := s.rescoreFlow(sh, int64(aff[i])); failedFlow {
-				outs = append(outs, out)
-			}
-		}
-		newByChunk[c] = outs
-	})
+	// Inline, not fanned out: the few hundred flows crossing the changed
+	// links are too little work to pay for worker goroutines (DESIGN.md
+	// "Parallelism knobs").
 	news := inc.newFlat[:0]
-	for _, outs := range newByChunk {
-		news = append(news, outs...)
+	for _, fi := range aff {
+		if out, failedFlow := s.rescoreFlow(&inc.shard, int64(fi)); failedFlow {
+			news = append(news, out)
+		}
 	}
 	inc.newFlat = news[:0]
 
 	// Merge: cached outcomes and new outcomes are both sorted by FlowID
-	// (chunk order over the sorted affected list preserves it), and an
-	// affected flow's cached outcome — stamped with this round — always
-	// retires, whether or not a new outcome replaces it.
+	// (the affected list is sorted), and an affected flow's cached outcome
+	// — stamped with this round — always retires, whether or not a new
+	// outcome replaces it.
 	old, merged := inc.failed, inc.spare[:0]
 	i, j := 0, 0
 	for i < len(old) || j < len(news) {

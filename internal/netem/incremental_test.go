@@ -75,9 +75,9 @@ func TestIncrementalMatchesFullRescore(t *testing.T) {
 	}
 }
 
-// Delta epochs keep the parallelism determinism contract: bit-identical
-// results at every worker count, including the parallel re-score fan-out
-// and the merge.
+// Incremental runs keep the parallelism determinism contract: bit-identical
+// results at every worker count, through the fanned-out full epoch that
+// builds the cache and the delta epochs re-scored and merged after it.
 func TestIncrementalBitIdenticalAcrossParallelism(t *testing.T) {
 	base := incrementalSim(t, 11, 1)
 	var want []*Epoch
@@ -93,6 +93,49 @@ func TestIncrementalBitIdenticalAcrossParallelism(t *testing.T) {
 				t.Fatalf("epoch %d diverged at Parallelism=%d", e, workers)
 			}
 		}
+	}
+}
+
+// A delta epoch re-scores its flows on the caller's goroutine whatever
+// Parallelism says: it allocates the same at 1 and 4 workers (a worker
+// fan-out adds its closure, WaitGroup and panic channel) and returns the
+// same epochs, those a full re-score returns. Two flapping uplinks put 153
+// flows into every delta, enough for a fan-out of 64-flow chunks to start
+// three workers, and their link→flows rows interleave, so the affected
+// list must be sorted before the merge. ≈0.05 s.
+func TestDeltaEpochIndependentOfParallelism(t *testing.T) {
+	run := func(workers int, rescore bool) (float64, []*Epoch) {
+		s := incrementalSim(t, 23, workers)
+		up := s.Topology().LinksOfClass(topology.L1Up)[:2]
+		eps := make([]*Epoch, 0, 32)
+		epoch := func() {
+			for _, l := range up {
+				s.InjectFailure(l, 0.02+0.01*float64(len(eps)%2))
+			}
+			if rescore {
+				s.RescoreAll()
+			}
+			eps = append(eps, s.RunEpoch())
+		}
+		for e := 0; e < 3; e++ {
+			epoch() // the full epoch, then deltas that size the reusable buffers
+		}
+		return testing.AllocsPerRun(20, epoch), eps
+	}
+	inline, want := run(1, false)
+	fanned, got := run(4, false)
+	if inline != fanned {
+		t.Fatalf("a delta epoch allocates %.0f times at Parallelism 1 but %.0f at 4", inline, fanned)
+	}
+	t.Logf("a delta epoch allocates %.0f times at Parallelism 1 and 4", inline)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("delta epochs differ between Parallelism 1 and 4")
+	}
+	if _, full := run(1, true); !reflect.DeepEqual(want, full) {
+		t.Fatal("delta epochs differ from a full re-score of the same epochs")
+	}
+	if n := len(want[len(want)-1].Failed); n == 0 {
+		t.Fatal("the measured delta epochs lost no packets")
 	}
 }
 

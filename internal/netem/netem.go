@@ -71,7 +71,9 @@ type Config struct {
 	TracerouteCap int
 	// Seed fixes the noise-rate draw and all epoch randomness derivation.
 	Seed uint64
-	// Parallelism is the epoch worker count; 0 means runtime.GOMAXPROCS(0).
+	// Parallelism is the worker count of the fused full epoch (runEpochFull),
+	// the one fan-out an epoch has; 0 means runtime.GOMAXPROCS(0). A delta
+	// epoch re-scores its flows on the caller's goroutine at every setting.
 	// Epoch results are bit-identical at every setting — the knob trades
 	// cores for wall-clock only.
 	Parallelism int
@@ -284,21 +286,16 @@ type Epoch struct {
 	TotalDrops   int
 }
 
-// Fan-out granularities of the epoch pipeline, all chosen by par.Grain from
-// item counts alone (never the worker count) so chunk boundaries — and with
-// them the chunk-ordered merges — are identical at any parallelism.
-//
-//   - Source chunks drive the fused generate-and-simulate shard loop: the
-//     floor keeps test-sized topologies from sharding into per-host
-//     confetti, the ceiling keeps a datacenter epoch from concentrating
-//     into too few chunks to load-balance.
-//   - Flow chunks drive the incremental delta re-score fan-out
-//     (incremental.go), whose items are individual affected flows.
+// Source-chunk granularity of the fused generate-and-simulate shard loop,
+// the epoch pipeline's one fan-out, chosen by par.Grain from the source
+// count alone (never the worker count) so chunk boundaries — and with them
+// the chunk-ordered merges — are identical at any parallelism. The floor
+// keeps test-sized topologies from sharding into per-host confetti, the
+// ceiling keeps a datacenter epoch from concentrating into too few chunks
+// to load-balance.
 const (
 	srcGrainLo  = 16
 	srcGrainHi  = 2048
-	flowGrainLo = 64
-	flowGrainHi = 8192
 	grainTarget = 64 // aim for ~64 chunks: headroom over any realistic core count
 )
 
@@ -404,9 +401,11 @@ func (s *Sim) sources() []topology.HostID {
 // [flowBase[si], flowBase[si+1]), which is what lets workers generate and
 // simulate sources independently while drawing every flow's drops from the
 // same (epoch seed, flow index) stream the materializing pipeline would.
-// Constant-connection workloads — the benchmark and paper defaults — skip
-// the per-source count draws entirely; the bases are pure arithmetic.
-// Returns the epoch's total flow count.
+// Each source's count is the head draw of its private generation stream,
+// so counting consumes nothing the generators need; constant-connection
+// workloads — the benchmark and paper defaults — draw nothing at all. The
+// pass runs inline: a worker fan-out made it slower at the §6 scale
+// (DESIGN.md "Parallelism knobs"). Returns the epoch's total flow count.
 func (s *Sim) flowBases(epochSeed uint64, nsrc int) int {
 	if cap(s.flowBase) < nsrc+1 {
 		s.flowBase = make([]int32, nsrc+1)
@@ -415,35 +414,13 @@ func (s *Sim) flowBases(epochSeed uint64, nsrc int) int {
 	fb := s.flowBase
 	fb[0] = 0
 	w := s.cfg.Workload
-	if w.ConstantConns() {
-		c := w.ConnsPerHost.Lo
-		if c < 0 {
-			c = 0
-		}
-		for i := 1; i <= nsrc; i++ {
-			fb[i] = fb[i-1] + int32(c)
-		}
-		return int(fb[nsrc])
-	}
-	// Count in parallel (each source's count is the head draw of its private
-	// generation stream, so counting consumes nothing the generators need),
-	// then prefix-sum sequentially — a trivial scan even at datacenter scale.
-	par.ForEachChunk(nsrc, par.Grain(nsrc, srcGrainLo, srcGrainHi, grainTarget), s.cfg.Parallelism, func(_, lo, hi int) {
-		for si := lo; si < hi; si++ {
-			n := w.FlowsOf(epochSeed, si)
-			if n < 0 {
-				n = 0
-			}
-			fb[si+1] = int32(n)
-		}
-	})
 	total := int64(0)
-	for i := 1; i <= nsrc; i++ {
-		total += int64(fb[i])
+	for si := 0; si < nsrc; si++ {
+		total += int64(max(w.FlowsOf(epochSeed, si), 0))
 		if total > math.MaxInt32 {
 			panic("netem: epoch flow count overflows int32 flow-index bases")
 		}
-		fb[i] = int32(total)
+		fb[si+1] = int32(total)
 	}
 	return int(total)
 }

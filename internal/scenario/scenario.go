@@ -97,9 +97,10 @@ type Config struct {
 	// Plane overrides the spec's substrate: engine.Flow or engine.Packet.
 	// Empty defers to Spec.Plane (and ultimately the flow plane).
 	Plane engine.Plane
-	// Parallelism is the flow plane's epoch worker count; 0 means all
-	// cores. Results are bit-identical at every setting. The packet plane
-	// ignores it (replicas parallelize across seeds, not within).
+	// Parallelism is the worker count of the flow plane's fused full
+	// epoch; 0 means all cores. Delta epochs and analysis run inline.
+	// Results are bit-identical at every setting. The packet plane ignores
+	// it (replicas parallelize across seeds, not within).
 	Parallelism int
 }
 

@@ -211,10 +211,11 @@ type SimConfig struct {
 	Detect DetectOptions
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Parallelism is the worker count of the epoch pipeline (simulation,
-	// vote tallying and verdict classification); 0 means
-	// runtime.GOMAXPROCS(0). Epoch results are bit-identical at every
-	// setting — the knob only trades cores for wall-clock.
+	// Parallelism is the worker count of the fused full epoch, the flow
+	// simulation's one fan-out; 0 means runtime.GOMAXPROCS(0). Incremental
+	// delta epochs and analysis run on the caller's goroutine at every
+	// setting. Epoch results are bit-identical at every setting — the knob
+	// only trades cores for wall-clock.
 	Parallelism int
 	// Incremental enables datacenter-scale delta epochs: the epoch seed and
 	// flow set freeze after the first epoch, and every later epoch
@@ -321,9 +322,10 @@ type EpochReport struct {
 	TotalDrops  int
 }
 
-// RunEpoch simulates one 30-second epoch and analyzes it. The whole cycle
-// — simulate, tally, detect, classify — fans out over SimConfig.Parallelism
-// workers with deterministic (worker-count-independent) results.
+// RunEpoch simulates one 30-second epoch and analyzes it — simulate,
+// tally, detect, classify. Only a full epoch's simulation fans out, over
+// SimConfig.Parallelism workers; a delta epoch and the analysis run on the
+// caller's goroutine. Results are the same at every worker count.
 func (s *Simulation) RunEpoch() *EpochReport {
 	er := s.eng.RunEpoch()
 	score := metrics.ScoreVerdicts(er.Verdicts, er.Truth)
