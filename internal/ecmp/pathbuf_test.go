@@ -1,66 +1,91 @@
 package ecmp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 )
 
-// PathInto must resolve the exact route Path does — it is the same
-// algorithm writing into caller-owned storage — and a single PathBuf must
-// be safely reusable across flows, as each simulator worker reuses one.
-func TestPathIntoMatchesPath(t *testing.T) {
-	r := buildRouter(t, topology.Config{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4}, 7)
+// hopWalk is PathInto's reference: NextHopLink at every switch, following
+// each chosen link's far end in topo.Links until the walk reaches a host.
+func hopWalk(r *Router, src, dst topology.HostID, t FiveTuple) ([]topology.LinkID, []topology.SwitchID, error) {
 	topo := r.Topo
-	rng := stats.NewRNG(11)
-	var buf PathBuf
-	for i := 0; i < 2000; i++ {
-		src := topology.HostID(rng.Intn(len(topo.Hosts)))
-		dst := topology.HostID(rng.Intn(len(topo.Hosts)))
-		if src == dst {
-			continue
-		}
-		tuple := FiveTuple{
-			SrcIP: topo.Hosts[src].IP, DstIP: topo.Hosts[dst].IP,
-			SrcPort: uint16(rng.IntRange(1024, 65535)), DstPort: 443,
-			Proto: ProtoTCP,
-		}
-		want, err := r.Path(src, dst, tuple)
+	links := []topology.LinkID{topo.Hosts[src].Uplink}
+	var switches []topology.SwitchID
+	for cur := topo.Hosts[src].ToR; len(switches) < MaxPathLinks; {
+		switches = append(switches, cur)
+		l, err := r.NextHopLink(cur, t, dst)
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
-		if err := r.PathInto(src, dst, tuple, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() != want.Len() {
-			t.Fatalf("flow %d: PathInto %d links, Path %d", i, buf.Len(), want.Len())
-		}
-		for j, l := range buf.Links() {
-			if l != want.Links[j] {
-				t.Fatalf("flow %d: link %d differs: %d vs %d", i, j, l, want.Links[j])
+		links = append(links, l)
+		to := topo.Links[l].To
+		if to.Kind == topology.NodeHost {
+			if topology.HostID(to.ID) != dst {
+				return nil, nil, fmt.Errorf("delivered to host %d, want %d", to.ID, dst)
 			}
+			return links, switches, nil
 		}
-		gotSw := buf.Switches()
-		if len(gotSw) != len(want.Switches) {
-			t.Fatalf("flow %d: PathInto %d switches, Path %d", i, len(gotSw), len(want.Switches))
-		}
-		for j, sw := range gotSw {
-			if sw != want.Switches[j] {
-				t.Fatalf("flow %d: switch %d differs", i, j)
-			}
-		}
+		cur = topology.SwitchID(to.ID)
 	}
+	return nil, nil, fmt.Errorf("no host within %d switches", MaxPathLinks)
 }
 
-func TestPathIntoErrors(t *testing.T) {
-	r := buildRouter(t, topology.TestClusterConfig, 3)
-	var buf PathBuf
-	if err := r.PathInto(1, 1, FiveTuple{}, &buf); err == nil {
-		t.Fatal("same-host path did not error")
-	}
-	if buf.Len() != 0 || len(buf.Switches()) != 0 {
-		t.Fatal("failed resolution left stale contents in the buffer")
+// PathInto walks the Clos by tier and never reads topo.Links, so it must
+// resolve exactly the route the hop-by-hop walk does, on every shape the
+// planes run: same ToR, same pod and cross pod, with one PathBuf reused
+// across flows as each simulator worker reuses one. A same-host request
+// must fail and leave the buffer empty, even after a resolved path.
+func TestPathIntoMatchesHopWalk(t *testing.T) {
+	for _, cfg := range []topology.Config{
+		topology.DefaultSimConfig,
+		topology.DatacenterSimConfig.Flatten(),
+		topology.DatacenterPacketConfig.Flatten(),
+		{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4},
+		topology.TestClusterConfig, // one pod, no tier 2
+	} {
+		r := buildRouter(t, cfg, 7)
+		topo := r.Topo
+		rng := stats.NewRNG(11)
+		perToR := cfg.HostsPerToR
+		perPod := cfg.ToRsPerPod * perToR
+		var buf PathBuf
+		for i := 0; i < 50_000; i++ {
+			src := rng.Intn(len(topo.Hosts))
+			dst := rng.Intn(len(topo.Hosts)) // cross pod, mostly
+			switch i % 3 {
+			case 0: // under src's ToR
+				dst = src - src%perToR + rng.Intn(perToR)
+			case 1: // in src's pod
+				dst = src - src%perPod + rng.Intn(perPod)
+			}
+			tuple := randomTuple(rng, topo, topology.HostID(src), topology.HostID(dst))
+			err := r.PathInto(topology.HostID(src), topology.HostID(dst), tuple, &buf)
+			if src == dst {
+				if err == nil || buf.Len() != 0 || len(buf.Switches()) != 0 {
+					t.Fatalf("%+v: PathInto(%d, %d) = %v with %d links left, want an error and an empty buffer",
+						cfg, src, dst, err, buf.Len())
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%+v: PathInto(%d, %d): %v", cfg, src, dst, err)
+			}
+			links, switches, err := hopWalk(r, topology.HostID(src), topology.HostID(dst), tuple)
+			if err != nil {
+				t.Fatalf("%+v: hop walk %d→%d: %v", cfg, src, dst, err)
+			}
+			if !slices.Equal(buf.Links(), links) || !slices.Equal(buf.Switches(), switches) {
+				t.Fatalf("%+v: %d→%d %v: PathInto links %v switches %v, hop walk %v %v",
+					cfg, src, dst, tuple, buf.Links(), buf.Switches(), links, switches)
+			}
+		}
+		if err := r.PathInto(0, 0, FiveTuple{}, &buf); err == nil || buf.Len() != 0 || len(buf.Switches()) != 0 {
+			t.Fatalf("%+v: PathInto(0, 0) = %v with %d links left, want an error and an empty buffer", cfg, err, buf.Len())
+		}
 	}
 }
 

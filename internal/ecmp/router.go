@@ -33,12 +33,13 @@ var ErrNoRoute = errors.New("ecmp: no route to destination")
 // NextHopLink picks the egress link at switch sw for a packet with tuple t
 // destined to host dst, using the switch's seeded hash for upward choices.
 // Downward forwarding is deterministic (a Clos has exactly one down path
-// from any switch to a host in its subtree).
+// from any switch to a host in its subtree), so only the choosing branches
+// hash. It is the packet plane's per-hop primitive; PathInto walks the same
+// choices by tier.
 func (r *Router) NextHopLink(sw topology.SwitchID, t FiveTuple, dst topology.HostID) (topology.LinkID, error) {
 	topo := r.Topo
 	s := &topo.Switches[sw]
 	d := &topo.Hosts[dst]
-	h := Hash(t, r.Seeds.Seed(sw))
 	switch s.Tier {
 	case topology.TierToR:
 		if d.ToR == sw {
@@ -47,33 +48,33 @@ func (r *Router) NextHopLink(sw topology.SwitchID, t FiveTuple, dst topology.Hos
 		if len(s.Uplinks) == 0 {
 			return topology.NoLink, ErrNoRoute
 		}
-		return s.Uplinks[int(h%uint64(len(s.Uplinks)))], nil
+		return s.Uplinks[r.choose(sw, t, len(s.Uplinks))], nil
 	case topology.TierT1:
 		if d.Pod == s.Pod {
-			dstToR := topo.Switches[d.ToR]
-			return s.Downlinks[dstToR.Index], nil
+			return s.Downlinks[topo.Switches[d.ToR].Index], nil
 		}
 		if len(s.Uplinks) == 0 {
 			return topology.NoLink, ErrNoRoute
 		}
-		return s.Uplinks[int(h%uint64(len(s.Uplinks)))], nil
+		return s.Uplinks[r.choose(sw, t, len(s.Uplinks))], nil
 	case topology.TierT2:
 		n1 := topo.Cfg.T1PerPod
-		j := int(h % uint64(n1))
-		return s.Downlinks[d.Pod*n1+j], nil
+		return s.Downlinks[d.Pod*n1+r.choose(sw, t, n1)], nil
 	}
 	return topology.NoLink, fmt.Errorf("ecmp: unknown tier %v", s.Tier)
 }
 
-// maxHops bounds path resolution; a Clos host-to-host path has at most 6
-// links, so hitting the bound means the forwarding state is inconsistent.
-const maxHops = 8
+// choose is switch sw's ECMP pick among n equal-cost ports for tuple t. It
+// is the one choice both NextHopLink and PathInto route by.
+func (r *Router) choose(sw topology.SwitchID, t FiveTuple, n int) int {
+	return int(Hash(t, r.Seeds.Seed(sw)) % uint64(n))
+}
 
 // MaxPathLinks bounds the link count of any resolved path: a Clos
-// host-to-host route has at most 6 links (host→ToR→T1→T2→T1→ToR→host), and
-// resolution aborts past maxHops switch hops regardless. Fixed-size per-flow
-// scratch (PathBuf, per-link drop vectors) is sized by this constant.
-const MaxPathLinks = maxHops + 1
+// host-to-host route has at most 6 links (host→ToR→T1→T2→T1→ToR→host).
+// Fixed-size per-flow scratch (PathBuf, per-link drop vectors) is sized by
+// this constant.
+const MaxPathLinks = 6
 
 // PathBuf is a caller-owned, reusable buffer that PathInto resolves into.
 // It exists so the epoch hot path can route millions of flows without a
@@ -100,39 +101,60 @@ func (b *PathBuf) Len() int { return b.nl }
 
 // PathInto resolves the full route from src to dst for tuple t into buf,
 // overwriting its previous contents. It performs no heap allocation on the
-// success path and resolves the exact same route as Path.
+// success path and resolves the route NextHopLink's hop-by-hop walk would.
 // Same-host src/dst is an error; the paper's traffic model never produces it.
+//
+// The walk goes straight down the tiers, never reading topo.Links: the Clos
+// port order (topology.Switch) fixes every next switch. ToR.Uplinks[j]
+// reaches T1(pod, j), T1.Uplinks[l] reaches T2(l), and
+// T2.Downlinks[pod·n1+k] reaches T1(pod, k); the T1 and ToR down hops are
+// the destination host's. Only the source ToR, the source T1 and the T2
+// choose, so only they hash.
 func (r *Router) PathInto(src, dst topology.HostID, t FiveTuple, buf *PathBuf) error {
+	buf.nl, buf.ns = 0, 0
 	if src == dst {
-		buf.nl, buf.ns = 0, 0
 		return fmt.Errorf("ecmp: src and dst are both host %d", src)
 	}
 	topo := r.Topo
-	buf.links[0] = topo.Hosts[src].Uplink
-	buf.nl, buf.ns = 1, 0
-	cur := topo.Hosts[src].ToR
-	for hop := 0; hop < maxHops; hop++ {
-		buf.switches[buf.ns] = cur
-		buf.ns++
-		link, err := r.NextHopLink(cur, t, dst)
-		if err != nil {
-			buf.nl, buf.ns = 0, 0
-			return err
-		}
-		buf.links[buf.nl] = link
-		buf.nl++
-		to := topo.Links[link].To
-		if to.Kind == topology.NodeHost {
-			if topology.HostID(to.ID) != dst {
-				buf.nl, buf.ns = 0, 0
-				return fmt.Errorf("ecmp: delivered to host %d, want %d", to.ID, dst)
-			}
-			return nil
-		}
-		cur = topology.SwitchID(to.ID)
+	s, d := &topo.Hosts[src], &topo.Hosts[dst]
+	tor := &topo.Switches[s.ToR]
+	buf.links[0] = s.Uplink
+	buf.switches[0] = s.ToR
+	if d.ToR == s.ToR {
+		buf.links[1] = tor.Downlinks[d.Index]
+		buf.nl, buf.ns = 2, 1
+		return nil
 	}
-	buf.nl, buf.ns = 0, 0
-	return fmt.Errorf("ecmp: path from %d to %d exceeded %d hops", src, dst, maxHops)
+	if len(tor.Uplinks) == 0 {
+		return ErrNoRoute
+	}
+	j := r.choose(s.ToR, t, len(tor.Uplinks))
+	t1 := topo.T1(s.Pod, j)
+	buf.links[1] = tor.Uplinks[j]
+	buf.switches[1] = t1
+	nl, ns := 2, 2
+	if d.Pod != s.Pod {
+		up := &topo.Switches[t1]
+		if len(up.Uplinks) == 0 {
+			return ErrNoRoute
+		}
+		l := r.choose(t1, t, len(up.Uplinks))
+		t2 := topo.T2(l)
+		n1 := topo.Cfg.T1PerPod
+		k := r.choose(t2, t, n1)
+		buf.links[2] = up.Uplinks[l]
+		buf.switches[2] = t2
+		buf.links[3] = topo.Switches[t2].Downlinks[d.Pod*n1+k]
+		t1 = topo.T1(d.Pod, k)
+		buf.switches[3] = t1
+		nl, ns = 4, 4
+	}
+	dstToR := &topo.Switches[d.ToR]
+	buf.links[nl] = topo.Switches[t1].Downlinks[dstToR.Index]
+	buf.links[nl+1] = dstToR.Downlinks[d.Index]
+	buf.switches[ns] = d.ToR
+	buf.nl, buf.ns = nl+2, ns+1
+	return nil
 }
 
 // Path resolves the full route from src to dst for tuple t. It is the

@@ -332,8 +332,7 @@ func FormatIP(ip uint32) string {
 // ToR returns the i-th ToR switch of pod p.
 func (t *Topology) ToR(p, i int) SwitchID { return t.tors[p][i] }
 
-// Test hook: T1 returns the j-th tier-1 switch of pod p, so a test can
-// name one.
+// T1 returns the j-th tier-1 switch of pod p.
 func (t *Topology) T1(p, j int) SwitchID { return t.t1s[p][j] }
 
 // T2 returns the l-th tier-2 switch.

@@ -104,47 +104,70 @@ func TestLinkClassCounts(t *testing.T) {
 	}
 }
 
-func TestAdjacencyConsistency(t *testing.T) {
-	topo, err := New(Config{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 5, HostsPerToR: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sw := range topo.Switches {
-		for j, id := range sw.Uplinks {
-			l := topo.Links[id]
-			if l.From != SwitchNode(sw.ID) {
-				t.Fatalf("%s uplink %d does not originate at the switch", sw.Name, j)
+// TestClosPortOrder makes the port order topology.Switch documents a
+// checked contract: ecmp's PathInto names every next switch from it without
+// reading Links. Each port must leave its switch and reach the peer its
+// index names, and each named switch must carry its own tier, pod and index.
+func TestClosPortOrder(t *testing.T) {
+	for _, cfg := range []Config{
+		{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 5, HostsPerToR: 2},
+		DefaultSimConfig,
+		DatacenterSimConfig.Flatten(),
+	} {
+		topo, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := func(id SwitchID, tier Tier, pod, index int) *Switch {
+			sw := &topo.Switches[id]
+			if sw.ID != id || sw.Tier != tier || sw.Pod != pod || sw.Index != index {
+				t.Fatalf("%+v: %s is %v pod %d index %d, want %v pod %d index %d",
+					cfg, sw.Name, sw.Tier, sw.Pod, sw.Index, tier, pod, index)
 			}
-			peer := topo.Switches[l.To.ID]
-			if peer.Index != j {
-				t.Fatalf("%s uplink %d reaches index %d", sw.Name, j, peer.Index)
+			return sw
+		}
+		ports := func(sw *Switch, dir string, got []LinkID, want []Node) {
+			if len(got) != len(want) {
+				t.Fatalf("%+v: %s has %d %s, want %d", cfg, sw.Name, len(got), dir, len(want))
 			}
-			if peer.Tier != sw.Tier+1 {
-				t.Fatalf("%s uplink reaches tier %v", sw.Name, peer.Tier)
+			for k, id := range got {
+				if l := topo.Links[id]; l.From != SwitchNode(sw.ID) || l.To != want[k] {
+					t.Fatalf("%+v: %s %s[%d] is %s, want %s→%s", cfg, sw.Name, dir, k,
+						topo.LinkName(id), sw.Name, topo.NodeName(want[k]))
+				}
 			}
 		}
-		for i, id := range sw.Downlinks {
-			l := topo.Links[id]
-			if l.From != SwitchNode(sw.ID) {
-				t.Fatalf("%s downlink %d does not originate at the switch", sw.Name, i)
+		n1 := cfg.T1PerPod
+		t2s := make([]Node, cfg.T2)
+		for l := range t2s {
+			t2s[l] = SwitchNode(topo.T2(l))
+		}
+		t1s := make([]Node, cfg.Pods*n1) // t1s[s*n1+j] = T1(s, j)
+		for p := 0; p < cfg.Pods; p++ {
+			tors := make([]Node, cfg.ToRsPerPod)
+			for i := range tors {
+				tors[i] = SwitchNode(topo.ToR(p, i))
 			}
-			switch sw.Tier {
-			case TierToR:
-				if l.To.Kind != NodeHost {
-					t.Fatalf("%s downlink %d is not a host link", sw.Name, i)
-				}
-			case TierT1:
-				peer := topo.Switches[l.To.ID]
-				if peer.Tier != TierToR || peer.Pod != sw.Pod || peer.Index != i {
-					t.Fatalf("%s downlink %d reaches %s", sw.Name, i, peer.Name)
-				}
-			case TierT2:
-				peer := topo.Switches[l.To.ID]
-				pod, j := i/topo.Cfg.T1PerPod, i%topo.Cfg.T1PerPod
-				if peer.Tier != TierT1 || peer.Pod != pod || peer.Index != j {
-					t.Fatalf("%s downlink %d reaches %s, want t1-p%d-%d", sw.Name, i, peer.Name, pod, j)
-				}
+			for j := 0; j < n1; j++ {
+				t1s[p*n1+j] = SwitchNode(topo.T1(p, j))
+				sw := named(topo.T1(p, j), TierT1, p, j)
+				ports(sw, "Uplinks", sw.Uplinks, t2s)
+				ports(sw, "Downlinks", sw.Downlinks, tors)
 			}
+			for i := range tors {
+				hosts := make([]Node, cfg.HostsPerToR)
+				for h := range hosts {
+					hosts[h] = HostNode(topo.HostAt(p, i, h))
+				}
+				sw := named(topo.ToR(p, i), TierToR, p, i)
+				ports(sw, "Uplinks", sw.Uplinks, t1s[p*n1:(p+1)*n1])
+				ports(sw, "Downlinks", sw.Downlinks, hosts)
+			}
+		}
+		for l := range t2s {
+			sw := named(topo.T2(l), TierT2, -1, l)
+			ports(sw, "Uplinks", sw.Uplinks, nil)
+			ports(sw, "Downlinks", sw.Downlinks, t1s)
 		}
 	}
 }

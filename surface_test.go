@@ -33,7 +33,6 @@ var surfaceAllow = map[string]string{
 	"internal/opt.Instance.Covers":       "checks the set-cover baselines' answers",
 	"internal/opt.Instance.Feasible":     "checks the integer program's answers",
 	"internal/stats.RNG.BinomialExact":   "the n-trial reference for Binomial and the gated drop sampler",
-	"internal/topology.Topology.T1":      "names a tier-1 switch in tests, beside the live ToR and T2",
 	"internal/transport.NewProxy":        "puts seeded wire faults between agent and collector in the chaos and crash tests; a package of its own would cycle with transport's in-package tests",
 	"internal/transport.Proxy.Heal":      "ends a partition in the chaos tests",
 	"internal/transport.Proxy.Partition": "cuts agents off in the chaos tests",
