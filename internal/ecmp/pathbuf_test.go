@@ -89,6 +89,63 @@ func TestPathIntoMatchesHopWalk(t *testing.T) {
 	}
 }
 
+// Path resolves into a fresh PathBuf and copies it out, so PathInto on one
+// PathBuf reused across flows, as each simulator worker reuses one, must
+// give the same route as Path: no stale link or switch survives a reuse.
+func TestPathIntoMatchesPath(t *testing.T) {
+	r := buildRouter(t, topology.Config{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4}, 7)
+	topo := r.Topo
+	rng := stats.NewRNG(11)
+	var buf PathBuf
+	for i := 0; i < 2000; i++ {
+		src := topology.HostID(rng.Intn(len(topo.Hosts)))
+		dst := topology.HostID(rng.Intn(len(topo.Hosts)))
+		if src == dst {
+			continue
+		}
+		tuple := FiveTuple{
+			SrcIP: topo.Hosts[src].IP, DstIP: topo.Hosts[dst].IP,
+			SrcPort: uint16(rng.IntRange(1024, 65535)), DstPort: 443,
+			Proto: ProtoTCP,
+		}
+		want, err := r.Path(src, dst, tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.PathInto(src, dst, tuple, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != want.Len() {
+			t.Fatalf("flow %d: PathInto %d links, Path %d", i, buf.Len(), want.Len())
+		}
+		for j, l := range buf.Links() {
+			if l != want.Links[j] {
+				t.Fatalf("flow %d: link %d differs: %d vs %d", i, j, l, want.Links[j])
+			}
+		}
+		gotSw := buf.Switches()
+		if len(gotSw) != len(want.Switches) {
+			t.Fatalf("flow %d: PathInto %d switches, Path %d", i, len(gotSw), len(want.Switches))
+		}
+		for j, sw := range gotSw {
+			if sw != want.Switches[j] {
+				t.Fatalf("flow %d: switch %d differs", i, j)
+			}
+		}
+	}
+}
+
+func TestPathIntoErrors(t *testing.T) {
+	r := buildRouter(t, topology.TestClusterConfig, 3)
+	var buf PathBuf
+	if err := r.PathInto(1, 1, FiveTuple{}, &buf); err == nil {
+		t.Fatal("same-host path did not error")
+	}
+	if buf.Len() != 0 || len(buf.Switches()) != 0 {
+		t.Fatal("failed resolution left stale contents in the buffer")
+	}
+}
+
 // The hot path budget: resolving into a PathBuf must not allocate.
 func TestPathIntoDoesNotAllocate(t *testing.T) {
 	r := buildRouter(t, topology.DefaultSimConfig, 5)
