@@ -34,6 +34,16 @@ func newEngine(t testing.TB, plane Plane, seed uint64) Engine {
 	return eng
 }
 
+// hosts is a light workload sourced from the given hosts.
+func hosts(ids ...topology.HostID) traffic.Workload {
+	return traffic.Workload{
+		Pattern:        traffic.Uniform{},
+		ConnsPerHost:   traffic.IntRange{Lo: 2, Hi: 2},
+		PacketsPerFlow: traffic.IntRange{Lo: 10, Hi: 10},
+		Hosts:          ids,
+	}
+}
+
 func TestNewErrors(t *testing.T) {
 	topo, err := topology.New(flowTopo)
 	if err != nil {
@@ -47,6 +57,11 @@ func TestNewErrors(t *testing.T) {
 		{"unknown plane", Config{Plane: "quantum", Topo: topo}},
 		{"bad noise range flow", Config{Plane: Flow, Topo: topo, NoiseLo: 0.5, NoiseHi: 0.1}},
 		{"bad noise range packet", Config{Plane: Packet, Topo: topo, NoiseLo: 0.5, NoiseHi: 0.1}},
+		// A source host the topology does not have used to panic in the
+		// first epoch, indexing topo.Hosts out of range.
+		{"source host outside topology flow", Config{Plane: Flow, Topo: topo, Workload: hosts(topology.HostID(len(topo.Hosts)))}},
+		{"source host outside topology packet", Config{Plane: Packet, Topo: topo, Workload: hosts(topology.HostID(len(topo.Hosts)))}},
+		{"negative source host packet", Config{Plane: Packet, Topo: topo, Workload: hosts(2, -1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"vigil/internal/analysis"
 	"vigil/internal/cluster"
 	"vigil/internal/des"
@@ -47,6 +49,15 @@ type packetEngine struct {
 }
 
 func newPacketEngine(cfg Config) (*packetEngine, error) {
+	w := cfg.Workload
+	if w.Pattern == nil {
+		w = packetWorkloadDefault()
+	}
+	for _, h := range w.Hosts {
+		if h < 0 || int(h) >= len(cfg.Topo.Hosts) {
+			return nil, fmt.Errorf("engine: Workload.Hosts names host %d, not in topology (%d hosts)", h, len(cfg.Topo.Hosts))
+		}
+	}
 	cl, err := cluster.New(cluster.Config{
 		Topo:    cfg.Topo,
 		Seed:    cfg.Seed,
@@ -64,11 +75,8 @@ func newPacketEngine(cfg Config) (*packetEngine, error) {
 	}
 	e := &packetEngine{
 		cl:       cl,
-		workload: cfg.Workload,
+		workload: w,
 		an:       analysis.Options{Detect: cfg.Detect},
-	}
-	if e.workload.Pattern == nil {
-		e.workload = packetWorkloadDefault()
 	}
 	// Capture instead of leaving the reports to the cluster's default
 	// Reporter: the engine runs the analysis itself over the canonical

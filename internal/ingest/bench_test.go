@@ -51,11 +51,11 @@ func BenchmarkBuildToken(b *testing.B) {
 // settleFeed drives a settle core straight through report/token/next, one
 // epoch per cycle, at the shape of bench/'s two service workloads: 360
 // agents sending four reports each. With one source it is wire-replay's
-// (arrivals canonical); with four it is lanes-lossy's: agent a on source
-// a mod 4, the sources' 128-report runs interleaved, 0.5 % of first
-// transmissions lost and re-sent when re-requested, 2 % sent twice. It uses
-// only what the core has offered since PR 18, so the same file measures
-// the parent.
+// (arrivals canonical); with four, agent a is on source a mod 4, the
+// sources' 128-report runs interleaved, as four sessions would send them,
+// with 0.5 % of first transmissions lost and re-sent when re-requested and
+// 2 % sent twice. It calls only the core's report, token and next, so the
+// same file measures older commits.
 type settleFeed struct {
 	core    *settleCore
 	sources int
@@ -137,7 +137,7 @@ func (f *settleFeed) step() {
 }
 
 // BenchmarkSettle is the settle core's cost per epoch, one op a cycle that
-// settles one epoch, at the wire's arrival order and at the lanes'.
+// settles one epoch, in order and interleaved.
 func BenchmarkSettle(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -160,7 +160,7 @@ func BenchmarkSettle(b *testing.B) {
 
 // BenchmarkServiceCycle is the whole in-process Service at bench/'s
 // lanes-lossy shape — the settle feed's epoch of 1,440 reports from 360
-// agents, four lanes, that workload's faults, grace and retry budget — one
+// agents, that workload's faults, grace and retry budget — one
 // op per settled epoch: the source, the fault layer, the settle core, the
 // analysis and the sink. The drain and the analyst's start are in the op
 // count's denominator.
@@ -172,7 +172,7 @@ func BenchmarkServiceCycle(b *testing.B) {
 	}
 	settled := 0
 	s, err := New(Config{
-		Engine: eng, Grace: 4, Lanes: 4, MaxRetries: 3,
+		Engine: eng, Grace: 4, MaxRetries: 3,
 		Faults: FaultConfig{Seed: 1, Drop: 0.005, Duplicate: 0.02, Delay: 0.03, DelayMax: 2},
 		Sink:   func(*engine.EpochResult) { settled++ },
 	})

@@ -175,7 +175,7 @@ func (eps *epochState) place() []vote.Report {
 }
 
 // admitRun is the (epoch, agent) the last admitted report belonged to, with
-// the state looked up for it. Both the wire and the lanes deliver one
+// the state looked up for it. Both the wire and the Service deliver one
 // agent's reports of an epoch in runs, so a run pays report's map
 // operations once. ag is a slab index: the slab can grow mid-run.
 type admitRun struct {
@@ -222,7 +222,7 @@ type cycleDone struct {
 // x+grace is in. All of its state is keyed by (agent, epoch), so how the
 // sources' events interleave cannot change any outcome.
 type settleCore struct {
-	sources    int   // tokens that complete a cycle: lanes, or sessions
+	sources    int   // tokens that complete a cycle: 1, or one per session
 	grace      int32 // watermark lag, in cycles
 	maxRetries int
 	ctr        *metrics.IngestCounters

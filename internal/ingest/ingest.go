@@ -8,43 +8,44 @@
 //	source ──► fate (fault layer, holdback) ──► settle core ──► sink
 //	                                                 └──► analyst (Analyze)
 //
-// The source drives the engine one epoch (one "cycle") at a time through
-// the Step seam. Each report the engine emits has its fate decided on the
-// spot by the seeded fault layer (faults.go) and, unless it is lost or
-// held back, goes straight into the settle core (core.go); a duplicated
-// one goes in twice. A delayed report waits in its lane's holdback until
-// its release cycle. After the epoch's reports the cycle closes one lane
-// at a time — an agent always maps to the same lane — with the lane's due
-// holdbacks released in identity order and then the lane's token, which
-// carries the epoch's expected report counts for the lane's agents. Tokens
-// are reliable (the fault layer never touches them), which is what turns
-// "did everything arrive?" into a local, per-agent comparison. The core
-// runs gap detection, duplicate suppression, the late-report grace window
-// and bounded retry re-requests, which the loop retransmits at the start
-// of the next cycle, and settles epoch x once every lane's token for cycle
-// x+Grace is in — the watermark. Epochs are analyzed over canonically
-// ordered accepted reports through the same engine.Analysis() options
-// batch RunEpoch uses, on the service's one analysis goroutine: as soon as
-// an epoch is final (its tokens are in and it has no gaps, so nothing can
-// join it before settle), while the next cycles run, or at settle if it
-// never becomes final. The sink receives each result at settle, in epoch
-// order, on Run's goroutine.
+// The source is the agent side of the lockstep cycle, runCycles, which
+// RunAgent runs too: it drives the engine one epoch (one "cycle") at a
+// time through the Step seam, sends each report the engine emits to its
+// link, closes the cycle, and answers the cycle end's re-requests at the
+// start of the next. The Service is its own link. Each report it is sent
+// has its fate decided on the spot by the seeded fault layer (faults.go)
+// and, unless it is lost or held back, goes straight into the settle core
+// (core.go); a duplicated one goes in twice. A delayed report waits in the
+// holdback until its release cycle. Closing a cycle releases the due
+// holdbacks in the order they were sent and then hands the core the
+// cycle's token, which carries the epoch's expected report count of every
+// agent. Tokens are reliable (the fault layer never touches them), which
+// is what turns "did everything arrive?" into a local, per-agent
+// comparison. The core runs gap detection, duplicate suppression, the
+// late-report grace window and bounded retry re-requests, and settles
+// epoch x once the token for cycle x+Grace is in — the watermark. Epochs
+// are analyzed over canonically ordered accepted reports through the same
+// engine.Analysis() options batch RunEpoch uses, on the service's one
+// analysis goroutine: as soon as an epoch is final (its token is in and it
+// has no gaps, so nothing can join it before settle), while the next
+// cycles run, or at settle if it never becomes final. The sink receives
+// each result at settle, in epoch order, on Run's goroutine.
 //
 // Determinism: every fault decision is a pure function of report identity,
-// and all settle state is per-(agent, epoch) — so neither the lane count
-// nor the order in which agents' reports interleave can change which
-// reports settle into which epoch, and a seeded chaos run's settled results
-// and fault counters are reproducible. With faults disabled the accepted
-// set of each epoch is exactly the engine's report set, making settled
-// epochs bit-identical to batch RunEpoch at any parallelism — the service's
-// core contract.
+// and all settle state is per-(agent, epoch) — so the order in which
+// agents' reports interleave cannot change which reports settle into which
+// epoch, and a seeded chaos run's settled results and fault counters are
+// reproducible. With faults disabled the accepted set of each epoch is
+// exactly the engine's report set, making settled epochs bit-identical to
+// batch RunEpoch at any parallelism — the service's core contract.
 //
 // The networked NetCollector (net.go) drives the same settle core from
-// transport sessions instead of lanes, in the same shape: each session's
-// reader hands its reports and tokens to the core itself, one reader at a
-// time, and the one whose token completes a cycle runs the cycle's end.
-// Neither collector hands a report to another goroutine on its way to the
-// core, and the analyst is the only goroutine either starts.
+// transport sessions, one token source per session, in the same shape:
+// each session's reader hands its reports and tokens to the core itself,
+// one reader at a time, and the one whose token completes a cycle runs the
+// cycle's end. Neither collector hands a report to another goroutine on
+// its way to the core, and the analyst is the only goroutine either
+// starts.
 package ingest
 
 import (
@@ -67,14 +68,13 @@ type Config struct {
 	// Engine is the epoch driver; required. The service owns its epoch
 	// loop from Run on — inject failures and schedules before running.
 	Engine engine.Engine
-	// Grace is the watermark lag in epochs: epoch x settles once every
-	// lane's token for cycle x+Grace is in, so reports up to Grace epochs
-	// late still count. 0 means the default of 2.
+	// Grace is the watermark lag in epochs: epoch x settles once the token
+	// for cycle x+Grace is in, so reports up to Grace epochs late still
+	// count. 0 means the default of 2.
 	Grace int
-	// Lanes is the number of token sources and holdback queues agents hash
-	// onto; no goroutine runs per lane. It changes nothing observable: the
-	// settled results and every counter are the same at any lane count.
-	// 0 means the default of 4.
+	// Lanes is accepted and ignored: the service has one token source and
+	// one holdback. The field stays because bench/ sets it; the next
+	// change to bench/ can drop it with CollectorConfig.Parallelism.
 	Lanes int
 	// MaxRetries bounds gap re-requests per epoch; 0 disables retries
 	// (every injected drop becomes an observed loss — the configuration
@@ -109,8 +109,123 @@ func settleParams(grace, maxRetries int) (int, int, error) {
 	return cmp.Or(grace, 2), min(maxRetries, 255), nil
 }
 
-// heldReport is a delayed transmission parked in its lane's holdback until
-// its release cycle.
+// cycleLink is the collector as the agent side of the lockstep cycle sees
+// it: RunAgent's is the transport client, and the in-process Service is
+// its own.
+type cycleLink interface {
+	// send transmits one report; attempt is the re-request round it
+	// answers (0 for a first transmission).
+	send(r vote.Report, attempt uint8) error
+	// closeCycle ends the cycle — res is its engine epoch, nil for a drain
+	// cycle — and returns the re-requests the cycle's end issued, which the
+	// next cycle answers first.
+	closeCycle(cycle int32, res *engine.EpochResult) ([]transport.RetryReq, error)
+}
+
+// runCycles is the agent side of the lockstep cycle, the one loop both
+// RunAgent and the Service run. Each cycle answers the re-requests the
+// previous cycle's end returned, reading the reports back from ring; a
+// live cycle then steps the engine, sending each report as it is emitted,
+// and records the result in ring; every cycle then closes. Live cycles run
+// until epochs of them have run (epochs <= 0: until ctx ends) or ctx ends,
+// interval apart when interval is positive; drain empty cycles follow
+// whatever ctx says, so every started epoch crosses the watermark and a
+// gap in the last ones still gets its re-requests. A link error ends the
+// loop at once and is returned. Otherwise runCycles returns the number of
+// live cycles and ctx.Err().
+func runCycles(ctx context.Context, eng engine.Engine, l cycleLink, ring []*engine.EpochResult, epochs, drain int, interval time.Duration) (int, error) {
+	var retries []transport.RetryReq
+	var sendErr error
+	emit := func(r vote.Report) {
+		if sendErr == nil {
+			sendErr = l.send(r, 0)
+		}
+	}
+	run := func(cycle int32, live bool) error {
+		for _, q := range retries {
+			if r, ok := lookupReport(ring, q); ok {
+				if err := l.send(r, q.Attempt); err != nil {
+					return err
+				}
+			}
+		}
+		var res *engine.EpochResult
+		if live {
+			res = eng.Step(emit)
+			if sendErr != nil {
+				return sendErr
+			}
+			ring[int(cycle)%len(ring)] = res
+		}
+		var err error
+		retries, err = l.closeCycle(cycle, res)
+		return err
+	}
+
+	cycle := int32(0)
+	for (epochs <= 0 || int(cycle) < epochs) && ctx.Err() == nil {
+		if interval > 0 && cycle > 0 {
+			select {
+			case <-time.After(interval):
+			case <-ctx.Done():
+			}
+			if ctx.Err() != nil {
+				break
+			}
+		}
+		if err := run(cycle, true); err != nil {
+			return int(cycle), err
+		}
+		cycle++
+	}
+	live := int(cycle)
+	for d := 0; d < drain; d++ {
+		if err := run(cycle, false); err != nil {
+			return live, err
+		}
+		cycle++
+	}
+	return live, ctx.Err()
+}
+
+// lookupReport finds the report a re-request names in a ring of Step
+// results — how runCycles reads back what it re-sends. A re-request for
+// an epoch the ring does not hold, a negative one included, finds nothing.
+func lookupReport(ring []*engine.EpochResult, id transport.RetryReq) (vote.Report, bool) {
+	if id.Epoch < 0 {
+		return vote.Report{}, false
+	}
+	res := ring[int(id.Epoch)%len(ring)]
+	if res == nil || res.Epoch != int(id.Epoch) {
+		return vote.Report{}, false
+	}
+	i, ok := slices.BinarySearchFunc(res.Reports, id, func(r vote.Report, id transport.RetryReq) int {
+		return cmp.Or(cmp.Compare(r.Src, id.Agent), cmp.Compare(r.Seq, id.Seq))
+	})
+	if !ok {
+		return vote.Report{}, false
+	}
+	return res.Reports[i], true
+}
+
+// agentCounts appends the per-agent report counts of a canonically ordered
+// report list, where each agent's reports are one contiguous run, to dst
+// in one pass: the reports are read once on the verdict path, so a caller
+// that must not grow dst sizes it beforehand.
+func agentCounts(dst []transport.AgentCount, reports []vote.Report) []transport.AgentCount {
+	for i := 0; i < len(reports); {
+		j := i + 1
+		for j < len(reports) && reports[j].Src == reports[i].Src {
+			j++
+		}
+		dst = append(dst, transport.AgentCount{Agent: reports[i].Src, N: int32(j - i)})
+		i = j
+	}
+	return dst
+}
+
+// heldReport is a delayed transmission parked in the holdback until its
+// release cycle.
 type heldReport struct {
 	release int32
 	r       vote.Report
@@ -122,20 +237,18 @@ type Service struct {
 	cfg    Config
 	ctr    *metrics.IngestCounters
 	grace  int
-	lanes  int
-	core   *settleCore              // one source per lane
-	held   [][]heldReport           // per lane: delayed reports not yet released
-	counts [][]transport.AgentCount // closeCycle's per-lane token counts, reused
-	an     *analyst                 // started by Run with the engine's analysis options
+	core   *settleCore            // one token source
+	held   []heldReport           // delayed reports not yet released
+	counts []transport.AgentCount // closeCycle's token counts, reused
+	an     *analyst               // started by Run with the engine's analysis options
 
 	// ring holds the last Grace+2 epochs' Step results: settle reads ground
-	// truth from it, the source re-reads reports from it for
-	// retransmissions. Entry e is written before cycle e's tokens and read
+	// truth from it, runCycles re-reads reports from it for
+	// retransmissions. Entry e is written before cycle e's token and read
 	// only while e is within the watermark window.
 	ring []*engine.EpochResult
 
-	pendingRetries []transport.RetryReq
-	epochsRun      int
+	epochsRun int
 }
 
 // New validates the configuration and builds a service.
@@ -146,9 +259,6 @@ func New(cfg Config) (*Service, error) {
 	grace, maxRetries, err := settleParams(cfg.Grace, cfg.MaxRetries)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Lanes < 0 {
-		return nil, fmt.Errorf("ingest: negative Lanes (%d)", cfg.Lanes)
 	}
 	if cfg.Faults.Drop < 0 || cfg.Faults.Drop > 1 || cfg.Faults.Duplicate < 0 || cfg.Faults.Duplicate > 1 ||
 		cfg.Faults.Delay < 0 || cfg.Faults.Delay > 1 || cfg.Faults.Burst < 0 || cfg.Faults.Burst > 1 ||
@@ -161,10 +271,7 @@ func New(cfg Config) (*Service, error) {
 		s.ctr = &metrics.IngestCounters{}
 	}
 	s.grace = grace
-	s.lanes = cmp.Or(cfg.Lanes, 4)
-	s.core = newSettleCore(s.lanes, s.grace, s.cfg.MaxRetries, s.ctr, -1)
-	s.held = make([][]heldReport, s.lanes)
-	s.counts = make([][]transport.AgentCount, s.lanes)
+	s.core = newSettleCore(1, s.grace, s.cfg.MaxRetries, s.ctr, -1)
 	s.ring = make([]*engine.EpochResult, s.grace+2)
 	return s, nil
 }
@@ -182,45 +289,15 @@ func (s *Service) Counters() *metrics.IngestCounters { return s.ctr }
 func (s *Service) Run(ctx context.Context, epochs int) error {
 	s.an = startAnalyst(s.cfg.Engine.Analysis(), s.grace)
 	defer s.an.stop()
-
-	cycle := int32(0)
-	for (epochs <= 0 || int(cycle) < epochs) && ctx.Err() == nil {
-		if s.cfg.Interval > 0 && cycle > 0 {
-			select {
-			case <-time.After(s.cfg.Interval):
-			case <-ctx.Done():
-			}
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		s.emitRetries()
-		res := s.cfg.Engine.Step(func(r vote.Report) { s.route(r, 0) })
-		s.ring[int(cycle)%len(s.ring)] = res
-		s.closeCycle(cycle, res.Reports, true)
-		cycle++
-	}
-	s.epochsRun = int(cycle)
-
-	// Drain: enough empty cycles that every holdback's release cycle
-	// passes and the watermark crosses every started epoch. Retries still
-	// flow, so a gap detected in the final epoch gets its re-requests.
-	for d := 0; d < s.grace+s.cfg.Faults.delayMax()+1; d++ {
-		s.emitRetries()
-		s.closeCycle(cycle, nil, false)
-		cycle++
-	}
-	return ctx.Err()
+	var err error
+	s.epochsRun, err = runCycles(ctx, s.cfg.Engine, s, s.ring, epochs, s.grace+s.cfg.Faults.delayMax()+1, s.cfg.Interval)
+	return err
 }
 
-// laneOf maps an agent to its lane; stable, so an agent's holdbacks and
-// counts always share a lane.
-func (s *Service) laneOf(agent topology.HostID) int { return int(agent) % s.lanes }
-
-// route decides one transmission's fate (faults.go) and acts on it: a lost
-// one is counted, a delayed one is parked in its lane's holdback, and the
-// rest go straight into the settle core — a duplicated one twice.
-func (s *Service) route(r vote.Report, attempt uint8) {
+// send decides one transmission's fate (faults.go) and acts on it: a lost
+// one is counted, a delayed one is parked in the holdback, and the rest go
+// straight into the settle core — a duplicated one twice. It never fails.
+func (s *Service) send(r vote.Report, attempt uint8) error {
 	ft := s.cfg.Faults.reportFate(r, int(attempt))
 	switch {
 	case ft.crashed:
@@ -235,8 +312,7 @@ func (s *Service) route(r vote.Report, attempt uint8) {
 		} else {
 			s.ctr.InjLatePastGrace.Add(1)
 		}
-		l := s.laneOf(r.Src)
-		s.held[l] = append(s.held[l], heldReport{release: r.Epoch + int32(ft.delay), r: r, attempt: attempt})
+		s.held = append(s.held, heldReport{release: r.Epoch + int32(ft.delay), r: r, attempt: attempt})
 	default:
 		s.core.report(r, attempt, false)
 		if ft.duplicate {
@@ -244,91 +320,46 @@ func (s *Service) route(r vote.Report, attempt uint8) {
 			s.core.report(r, attempt, false)
 		}
 	}
+	return nil
 }
 
-// emitRetries retransmits the re-requests the previous cycle's end issued,
-// reading each report back from the ring.
-func (s *Service) emitRetries() {
-	for _, req := range s.pendingRetries {
-		if r, ok := lookupReport(s.ring, req); ok {
-			s.route(r, req.Attempt)
-		}
+// closeCycle ends cycle c: the due holdbacks, then the cycle's token with
+// every agent's expected count for the epoch (none on a drain cycle), then
+// the cycle's end once the token completes it. It returns the re-requests,
+// in the core's slice, and never fails.
+func (s *Service) closeCycle(cycle int32, res *engine.EpochResult) ([]transport.RetryReq, error) {
+	s.releaseDue(cycle)
+	s.counts = s.counts[:0]
+	if res != nil {
+		s.counts = agentCounts(s.counts, res.Reports)
 	}
-	s.pendingRetries = nil
-}
-
-// lookupReport finds the report a re-request names in a ring of Step
-// results — shared by the in-process source and the networked agent for
-// retransmissions.
-func lookupReport(ring []*engine.EpochResult, id transport.RetryReq) (vote.Report, bool) {
-	res := ring[int(id.Epoch)%len(ring)]
-	if res == nil || res.Epoch != int(id.Epoch) {
-		return vote.Report{}, false
-	}
-	i, ok := slices.BinarySearchFunc(res.Reports, id, func(r vote.Report, id transport.RetryReq) int {
-		return cmp.Or(cmp.Compare(r.Src, id.Agent), cmp.Compare(r.Seq, id.Seq))
-	})
-	if !ok {
-		return vote.Report{}, false
-	}
-	return res.Reports[i], true
-}
-
-// closeCycle ends cycle c on every lane in turn — the lane's due holdbacks,
-// then its token with the lane's per-agent expected counts, computed from
-// the epoch's canonical report list (agents are contiguous runs) — and
-// runs the cycle's end once the last token completes it, keeping the
-// re-requests for the next cycle.
-func (s *Service) closeCycle(cycle int32, reports []vote.Report, live bool) {
-	perLane := s.counts
-	for l := range perLane {
-		perLane[l] = perLane[l][:0]
-	}
-	for i := 0; i < len(reports); {
-		j := i
-		for j < len(reports) && reports[j].Src == reports[i].Src {
-			j++
-		}
-		l := s.laneOf(reports[i].Src)
-		perLane[l] = append(perLane[l], transport.AgentCount{Agent: reports[i].Src, N: int32(j - i)})
-		i = j
-	}
-	for l := range perLane {
-		s.held[l] = s.releaseDue(s.held[l], cycle)
-		s.core.token(cycle, live, perLane[l])
-	}
+	s.core.token(cycle, res != nil, s.counts)
+	var retries []transport.RetryReq
 	for done, ok := s.core.next(); ok; done, ok = s.core.next() {
-		s.pendingRetries = s.endCycle(done)
+		retries = s.endCycle(done)
 	}
+	return retries, nil
 }
 
-// releaseDue hands the settle core every holdback in held due by cycle c,
-// in identity order so the release sequence is deterministic, and returns
-// the rest. The due ones are swapped to the back of held and released from
-// there, so a release allocates nothing.
-func (s *Service) releaseDue(held []heldReport, c int32) []heldReport {
-	n := len(held)
-	for i := 0; i < n; {
-		if held[i].release <= c {
-			n--
-			held[i], held[n] = held[n], held[i]
+// releaseDue hands the settle core every holdback due by cycle c, in the
+// order they were sent, and keeps the rest; it allocates nothing. That
+// order is deterministic, and it puts a report's transmissions in attempt
+// order, which is the only order that can change an outcome: a retry
+// accepted ahead of its first attempt counts as Recovered.
+func (s *Service) releaseDue(c int32) {
+	kept := s.held[:0]
+	for _, h := range s.held {
+		if h.release > c {
+			kept = append(kept, h)
 		} else {
-			i++
+			s.core.report(h.r, h.attempt, true)
 		}
 	}
-	due := held[n:]
-	slices.SortFunc(due, func(x, y heldReport) int {
-		a, b := x.r, y.r
-		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
-	})
-	for _, h := range due {
-		s.core.report(h.r, h.attempt, true)
-	}
-	clear(due) // drop the path references
-	return held[:n]
+	clear(s.held[len(kept):]) // drop the path references
+	s.held = kept
 }
 
-// endCycle runs once every lane's token for a cycle is in: the epochs it
+// endCycle runs once a cycle's token is in: the epochs it
 // made ready go to the analyst, and the settling one, analyzed, to the
 // sink. It returns the re-requests due next cycle, in the core's slice.
 func (s *Service) endCycle(done cycleDone) []transport.RetryReq {

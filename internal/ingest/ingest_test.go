@@ -2,8 +2,11 @@ package ingest
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,7 @@ import (
 
 	"vigil/internal/engine"
 	"vigil/internal/topology"
+	"vigil/internal/transport"
 	"vigil/internal/vote"
 )
 
@@ -356,38 +360,150 @@ func TestContextCancelCleanShutdown(t *testing.T) {
 	}
 }
 
-// Lanes is a sharding of agents onto token sources and holdback queues,
-// nothing more: under every fault at once, with retries and without (a
-// retry answers a gap before a delayed report's release, so only a run
-// without them accepts late reports), one, two and four lanes settle the
-// same epochs and count the same everything.
-func TestLanesChangeNothing(t *testing.T) {
-	run := func(lanes, maxRetries int) ([]*engine.EpochResult, *Service) {
-		eng := newTestEngine(t, engine.Config{Seed: 19}, equivTopo, 0.05)
-		return runService(t, Config{
-			Engine: eng, Lanes: lanes, MaxRetries: maxRetries,
-			Faults: FaultConfig{Seed: 3, Drop: 0.05, Duplicate: 0.05, Delay: 0.08, DelayMax: 4, Burst: 0.05, Crash: 0.05},
-		}, 30)
+// stepEngine emits two reports from agent 1 per epoch, in canonical order.
+type stepEngine struct {
+	engine.Engine
+	next int
+}
+
+func (e *stepEngine) Step(emit func(vote.Report)) *engine.EpochResult {
+	res := &engine.EpochResult{Epoch: e.next}
+	for q := int32(0); q < 2; q++ {
+		r := vote.Report{FlowID: int64(e.next)*10 + int64(q), Src: 1, Epoch: int32(e.next), Seq: q}
+		res.Reports = append(res.Reports, r)
+		emit(r)
 	}
-	for _, maxRetries := range []int{0, 2} {
-		want, ws := run(1, maxRetries)
-		wc := ws.Counters()
-		exercised := wc.Late.Load() > 0
-		if maxRetries > 0 {
-			exercised = wc.Recovered.Load() > 0
+	e.next++
+	return res
+}
+
+// recLink is a cycleLink that records every call. Each live cycle's end
+// re-requests seq 0 of its epoch, plus whatever extra names; onClose, when
+// set, runs inside every closeCycle; the send numbered failSend and the
+// close numbered failClose (both counted from 1) fail.
+type recLink struct {
+	calls               []string
+	extra               []transport.RetryReq
+	onClose             func(cycle int32)
+	failSend, failClose int
+	sends, closes       int
+}
+
+var errLink = errors.New("link down")
+
+func (l *recLink) send(r vote.Report, attempt uint8) error {
+	l.calls = append(l.calls, fmt.Sprintf("send %d/%d#%d", r.Epoch, r.Seq, attempt))
+	if l.sends++; l.sends == l.failSend {
+		return errLink
+	}
+	return nil
+}
+
+func (l *recLink) closeCycle(cycle int32, res *engine.EpochResult) ([]transport.RetryReq, error) {
+	if res == nil {
+		l.calls = append(l.calls, fmt.Sprintf("drain %d", cycle))
+	} else {
+		l.calls = append(l.calls, fmt.Sprintf("close %d (epoch %d, %d reports)", cycle, res.Epoch, len(res.Reports)))
+	}
+	if l.onClose != nil {
+		l.onClose(cycle)
+	}
+	if l.closes++; l.closes == l.failClose {
+		return nil, errLink
+	}
+	retries := slices.Clone(l.extra)
+	if res != nil {
+		retries = append(retries, transport.RetryReq{Agent: 1, Epoch: cycle, Seq: 0, Attempt: 1})
+	}
+	return retries, nil
+}
+
+// runCycles is the one agent loop of both adapters. Through a link that
+// records its calls: every cycle re-sends the last cycle-end's re-requests
+// before the epoch's reports and closes after them; exactly drain empty
+// cycles follow the live ones; a cancelled ctx stops the live cycles and
+// still drains (the Service's contract); a link error ends the loop at
+// once and is returned (RunAgent's).
+func TestRunCyclesOrder(t *testing.T) {
+	run := func(l *recLink, ctx context.Context, epochs, drain int) (int, error) {
+		eng := &stepEngine{}
+		return runCycles(ctx, eng, l, make([]*engine.EpochResult, 4), epochs, drain, 0)
+	}
+	check := func(name string, l *recLink, want ...string) {
+		t.Helper()
+		if !slices.Equal(l.calls, want) {
+			t.Fatalf("%s: calls\n%s\nwant\n%s", name, strings.Join(l.calls, "\n"), strings.Join(want, "\n"))
 		}
-		if !exercised || wc.Duplicates.Load() == 0 || wc.LateDropped.Load() == 0 || wc.InjBurstDrops.Load() == 0 {
-			t.Fatalf("MaxRetries %d: the fault mix failed to exercise duplicates, lateness, retries and bursts: %+v", maxRetries, wc)
+	}
+
+	l := &recLink{}
+	if live, err := run(l, context.Background(), 2, 2); live != 2 || err != nil {
+		t.Fatalf("plain: %d live cycles, %v; want 2, nil", live, err)
+	}
+	check("plain", l,
+		"send 0/0#0", "send 0/1#0", "close 0 (epoch 0, 2 reports)",
+		"send 0/0#1", "send 1/0#0", "send 1/1#0", "close 1 (epoch 1, 2 reports)",
+		"send 1/0#1", "drain 2",
+		"drain 3")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	l = &recLink{onClose: func(c int32) {
+		if c == 1 {
+			cancel()
 		}
-		for _, lanes := range []int{2, 4} {
-			got, gs := run(lanes, maxRetries)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("MaxRetries %d: Lanes %d settled different results than Lanes 1", maxRetries, lanes)
-			}
-			if !reflect.DeepEqual(gs.Counters(), wc) {
-				t.Errorf("MaxRetries %d: Lanes %d counted differently than Lanes 1:\n%+v\n%+v", maxRetries, lanes, gs.Counters(), wc)
-			}
+	}}
+	if live, err := run(l, ctx, 0, 2); live != 2 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: %d live cycles, %v; want 2, context.Canceled", live, err)
+	}
+	check("cancelled", l,
+		"send 0/0#0", "send 0/1#0", "close 0 (epoch 0, 2 reports)",
+		"send 0/0#1", "send 1/0#0", "send 1/1#0", "close 1 (epoch 1, 2 reports)",
+		"send 1/0#1", "drain 2",
+		"drain 3")
+
+	// A send that fails while the engine steps is the last: the epoch's
+	// other reports are not sent, and the cycle does not close.
+	l = &recLink{failSend: 4}
+	if _, err := run(l, context.Background(), 3, 2); !errors.Is(err, errLink) {
+		t.Fatalf("failed send: %v, want %v", err, errLink)
+	}
+	check("failed send", l,
+		"send 0/0#0", "send 0/1#0", "close 0 (epoch 0, 2 reports)",
+		"send 0/0#1", "send 1/0#0")
+
+	l = &recLink{failClose: 4}
+	if _, err := run(l, context.Background(), 2, 3); !errors.Is(err, errLink) {
+		t.Fatalf("failed close: %v, want %v", err, errLink)
+	}
+	check("failed close", l,
+		"send 0/0#0", "send 0/1#0", "close 0 (epoch 0, 2 reports)",
+		"send 0/0#1", "send 1/0#0", "send 1/1#0", "close 1 (epoch 1, 2 reports)",
+		"send 1/0#1", "drain 2",
+		"drain 3")
+}
+
+// A re-request is wire input: one naming a negative epoch used to index
+// the ring out of range and crash the agent. It finds nothing, in
+// lookupReport and so through runCycles.
+func TestNegativeEpochReRequestFindsNothing(t *testing.T) {
+	res := (&stepEngine{next: 1}).Step(func(vote.Report) {})
+	ring := []*engine.EpochResult{nil, res, nil, nil}
+	for _, e := range []int32{-3, -1, -4, 0, 5} {
+		if r, ok := lookupReport(ring, transport.RetryReq{Agent: 1, Epoch: e, Seq: 0}); ok {
+			t.Fatalf("epoch %d: found %+v", e, r)
 		}
+	}
+	if r, ok := lookupReport(ring, transport.RetryReq{Agent: 1, Epoch: 1, Seq: 1}); !ok || r.FlowID != res.Reports[1].FlowID {
+		t.Fatalf("epoch 1 seq 1: found %+v, %v; want %+v", r, ok, res.Reports[1])
+	}
+
+	l := &recLink{extra: []transport.RetryReq{{Agent: 1, Epoch: -3, Seq: 0, Attempt: 1}}}
+	if _, err := runCycles(context.Background(), &stepEngine{}, l, make([]*engine.EpochResult, 4), 1, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"send 0/0#0", "send 0/1#0", "close 0 (epoch 0, 2 reports)", "send 0/0#1", "drain 1"}; !slices.Equal(l.calls, want) {
+		t.Fatalf("calls %q, want %q", l.calls, want)
 	}
 }
 
@@ -518,7 +634,7 @@ func TestBurstBoundaries(t *testing.T) {
 	flood := func() *floodEngine {
 		return &floodEngine{Engine: newTestEngine(t, engine.Config{Seed: 1}, soakTopo, 0), agents: agents, perAgent: perAgent}
 	}
-	settled, s := runService(t, Config{Engine: flood(), Lanes: 2}, epochs)
+	settled, s := runService(t, Config{Engine: flood()}, epochs)
 	if len(settled) != epochs {
 		t.Fatalf("settled %d epochs, want %d", len(settled), epochs)
 	}
@@ -534,7 +650,7 @@ func TestBurstBoundaries(t *testing.T) {
 
 	lossy := func() ([]*engine.EpochResult, *Service) {
 		return runService(t, Config{
-			Engine: flood(), Lanes: 2, Grace: 3, MaxRetries: 2,
+			Engine: flood(), Grace: 3, MaxRetries: 2,
 			Faults: FaultConfig{Seed: 9, Drop: 0.05, Duplicate: 0.05, Delay: 0.05, DelayMax: 2},
 		}, epochs)
 	}

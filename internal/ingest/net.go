@@ -56,26 +56,11 @@ type AgentConfig struct {
 }
 
 // buildToken assembles the cycle token for a live epoch: per-agent
-// expected counts (contiguous runs over the canonical report order) plus
-// the epoch summary the collector settles against.
+// expected counts — at most one per report, which sizes the slice without a
+// counting pass — plus the epoch summary the collector settles against.
 func buildToken(cycle int32, res *engine.EpochResult) transport.Token {
-	t := transport.Token{Cycle: cycle, Live: true}
-	rs := res.Reports
-	agents := 0
-	for i := range rs {
-		if i == 0 || rs[i].Src != rs[i-1].Src {
-			agents++
-		}
-	}
-	t.Counts = make([]transport.AgentCount, 0, agents)
-	for i := 0; i < len(rs); {
-		j := i
-		for j < len(rs) && rs[j].Src == rs[i].Src {
-			j++
-		}
-		t.Counts = append(t.Counts, transport.AgentCount{Agent: rs[i].Src, N: int32(j - i)})
-		i = j
-	}
+	counts := agentCounts(make([]transport.AgentCount, 0, len(res.Reports)), res.Reports)
+	t := transport.Token{Cycle: cycle, Live: true, Counts: counts}
 	sum := &transport.EpochSummary{
 		Epoch:       int32(res.Epoch),
 		TotalFlows:  int32(res.TotalFlows),
@@ -162,53 +147,33 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		return err
 	}
 	defer cli.Close()
-
-	eng := cfg.Engine
 	ring := make([]*engine.EpochResult, grace+2)
-	var pending []transport.RetryReq
-	emitRetries := func() error {
-		for _, q := range pending {
-			if r, ok := lookupReport(ring, q); ok {
-				if err := cli.SendReport(ctx, r, q.Attempt); err != nil {
-					return err
-				}
-			}
-		}
-		pending = nil
-		return nil
-	}
+	_, err = runCycles(ctx, cfg.Engine, &agentLink{ctx, cli}, ring, cfg.Epochs, grace+1, 0)
+	return err
+}
 
-	// Epochs live cycles, then Grace+1 drain cycles that push the watermark
-	// across every started epoch, still answering re-requests along the way.
-	for cycle := int32(0); int(cycle) < cfg.Epochs+grace+1; cycle++ {
-		live := int(cycle) < cfg.Epochs
-		if err := emitRetries(); err != nil {
-			return err
-		}
-		tok := transport.Token{Cycle: cycle}
-		if live {
-			var sendErr error
-			res := eng.Step(func(r vote.Report) {
-				if sendErr == nil {
-					sendErr = cli.SendReport(ctx, r, 0)
-				}
-			})
-			if sendErr != nil {
-				return sendErr
-			}
-			ring[int(cycle)%len(ring)] = res
-			tok = buildToken(cycle, res)
-		}
-		if err := cli.SendToken(ctx, tok); err != nil {
-			return err
-		}
-		ce, err := cli.WaitCycleEnd(ctx, cycle)
-		if err != nil {
-			return err
-		}
-		pending = ce.Retries
+// agentLink is RunAgent's collector: the transport client.
+type agentLink struct {
+	ctx context.Context
+	cli *transport.Client
+}
+
+func (a *agentLink) send(r vote.Report, attempt uint8) error {
+	return a.cli.SendReport(a.ctx, r, attempt)
+}
+
+// closeCycle ships the cycle token, a live one with the epoch's counts and
+// summary, and waits for the cycle's end.
+func (a *agentLink) closeCycle(cycle int32, res *engine.EpochResult) ([]transport.RetryReq, error) {
+	tok := transport.Token{Cycle: cycle}
+	if res != nil {
+		tok = buildToken(cycle, res)
 	}
-	return nil
+	if err := a.cli.SendToken(a.ctx, tok); err != nil {
+		return nil, err
+	}
+	ce, err := a.cli.WaitCycleEnd(a.ctx, cycle)
+	return ce.Retries, err
 }
 
 // CollectorConfig parametrizes the networked collector.
@@ -268,7 +233,7 @@ type tokenKey struct {
 }
 
 // NetCollector is the networked settle stage: the settle core fed by
-// transport sessions instead of lanes — one source per session — with ground
+// transport sessions — one token source per session — with ground
 // truth taken from the token summaries and per-session durable watermarks
 // committed at every settle. Each session's reader calls into the core
 // itself, under one lock; the reader whose token completes a cycle runs the

@@ -592,7 +592,6 @@ func TestConstructorsShareValidation(t *testing.T) {
 	}{
 		{"New/negative grace", func() (settled, error) { return newService(Config{Grace: -1}) }, true, settled{}},
 		{"New/negative retries", func() (settled, error) { return newService(Config{MaxRetries: -3}) }, true, settled{}},
-		{"New/negative lanes", func() (settled, error) { return newService(Config{Lanes: -1}) }, true, settled{}},
 		{"New/defaults and cap", func() (settled, error) { return newService(Config{MaxRetries: 1000}) }, false, settled{2, 255}},
 		{"ServeCollector/negative grace", func() (settled, error) { return serve(CollectorConfig{Grace: -1}) }, true, settled{}},
 		{"ServeCollector/negative grace and retries", func() (settled, error) { return serve(CollectorConfig{Grace: -1, MaxRetries: -3}) }, true, settled{}},

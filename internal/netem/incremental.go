@@ -24,7 +24,6 @@ import (
 	"vigil/internal/ecmp"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
-	"vigil/internal/vote"
 )
 
 // incState is the delta cache of an incremental simulation. It freezes the
@@ -49,13 +48,12 @@ type incState struct {
 	linkOff   []int32
 	linkFlows []int32
 
-	// Previous epoch's outputs. failed is sorted by FlowID with Traced
-	// normalized to true — the traceroute budget is a per-epoch overlay
-	// applied to each epoch's own copy, never to the cache. A delta epoch
-	// merges failed into spare and swaps the two.
+	// Previous epoch's outputs. failed is sorted by FlowID; its Traced flags
+	// are stale — the traceroute budget is a per-epoch overlay that
+	// resolveBudget rewrites on each epoch's own copy. A delta epoch merges
+	// failed into spare and swaps the two.
 	failed, spare []FlowOutcome
 	totalPackets  int
-	totalDrops    int
 
 	// dirty accumulates the links whose rate or failure flag changed since
 	// the last epoch (recorded by setRate); linkStamp dedupes insertions and
@@ -162,14 +160,9 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	inc.linkOff[0] = 0
 
 	// Snapshot the epoch's outputs. The cached outcomes share Path and
-	// DropsByLink storage with ep.Failed (read-only from here on); Traced is
-	// per-copy state and is normalized in the cache.
+	// DropsByLink storage with ep.Failed (read-only from here on).
 	inc.failed = append(inc.failed[:0], ep.Failed...)
-	for i := range inc.failed {
-		inc.failed[i].Traced = true
-	}
 	inc.totalPackets = ep.TotalPackets
-	inc.totalDrops = ep.TotalDrops
 
 	// Fresh stamps: a rebuild after RescoreAll may find stale stamps at or
 	// past any restarted round counter, so both arrays reset to zero and the
@@ -220,10 +213,10 @@ func (s *Sim) gatherAffected() []int32 {
 // runEpochDelta is the incremental epoch: gather the flows affected by
 // dirty links, re-score just those on the caller's goroutine from their
 // stored paths and frozen draw streams, and three-way-merge the new
-// outcomes into the cached epoch outputs — retire the affected flows' old
-// outcomes (subtracting their drops from the carried total), keep every
-// unaffected outcome, add the new ones. The merged failed list stays in
-// flow-index order, so a delta epoch is bit-identical to re-scoring every
+// outcomes into the cached failed list — retire the affected flows' old
+// outcomes, keep every unaffected outcome, add the new ones. The merged
+// list stays in flow-index order, so once resolveBudget has run over the
+// epoch's copy of it, a delta epoch is bit-identical to re-scoring every
 // flow of the frozen workload against the current rates (see
 // TestIncrementalMatchesFullRescore).
 func (s *Sim) runEpochDelta() *Epoch {
@@ -254,15 +247,12 @@ func (s *Sim) runEpochDelta() *Epoch {
 			o := old[i]
 			i++
 			if inc.flowStamp[o.FlowID] == inc.round {
-				inc.totalDrops -= o.Drops
 				continue
 			}
 			merged = append(merged, o)
 		} else {
-			n := news[j]
+			merged = append(merged, news[j])
 			j++
-			inc.totalDrops += n.Drops
-			merged = append(merged, n)
 		}
 	}
 	inc.failed, inc.spare = merged, old
@@ -271,16 +261,11 @@ func (s *Sim) runEpochDelta() *Epoch {
 		FailedLinks:  s.failedSnapshot(),
 		TotalFlows:   len(inc.flows),
 		TotalPackets: inc.totalPackets,
-		TotalDrops:   inc.totalDrops,
 	}
 	if len(merged) > 0 {
 		ep.Failed = make([]FlowOutcome, len(merged))
 		copy(ep.Failed, merged)
-		ep.Reports = make([]vote.Report, 0, len(merged))
 	}
-	// Budget and reports are per-epoch overlays on the epoch's own copy;
-	// the failed set is tiny relative to the flow count, so the sequential
-	// resolution is cheap here.
 	s.resolveBudget(ep)
 	inc.round++
 	return ep
@@ -309,7 +294,6 @@ func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
 		Drops:       drops,
 		DropsByLink: sh.arena.copyDrops(perLink[:len(links)]),
 		Culprit:     culprit(links, perLink[:len(links)]),
-		Traced:      true,
 	}
 	for _, l := range links {
 		if s.isFailed[l] {

@@ -27,13 +27,13 @@
 // its drops from its own (epoch seed, flow index) stream, with global flow
 // indexes prefix-summed from per-source counts before the fan-out. Ground
 // truth lives in the failed flows' outcomes alone (per-link totals are
-// derived from them on demand, Epoch.LinkDrops), per-chunk outcome and
-// report lists concatenate in chunk order, and the traceroute budget
-// resolves inside the shard loop (a host's flows are contiguous in flow
-// order, so the budget is per-source-local). Because no draw and no
-// reduction depends on worker interleaving, a seeded epoch is bit-identical
-// at any parallelism — see DESIGN.md ("Determinism contract", "Scaling the
-// flow plane").
+// derived from them on demand, Epoch.LinkDrops), and the per-chunk failed
+// outcomes concatenate in chunk order. One sequential pass over that
+// flow-ordered list (resolveBudget) then applies the traceroute budget,
+// stamps each agent's report sequences and emits the reports, for full and
+// delta epochs alike. Because no draw and no reduction depends on worker
+// interleaving, a seeded epoch is bit-identical at any parallelism — see
+// DESIGN.md ("Determinism contract", "Scaling the flow plane").
 //
 // Config.Incremental adds the datacenter-scale delta mode: the flow set and
 // per-flow draw streams freeze after the first epoch, and later epochs
@@ -115,23 +115,14 @@ type Sim struct {
 	epochIdx  int
 
 	// Per-epoch scratch, reused across RunEpoch calls (a Sim is not safe for
-	// concurrent RunEpoch anyway): worker shards, the per-chunk outcome and
-	// report tables, the per-source flow-index bases, the dense traceroute
-	// budget and the cached dense source list.
-	shards         []epochShard
-	failedByChunk  [][]FlowOutcome
-	reportsByChunk [][]vote.Report
-	flowBase       []int32 // per-source global flow-index prefix sums
-	budget         []int32 // per-host traced-flow counts, dense by HostID
-	srcs           []topology.HostID
-
-	// budgetLocal marks that the traceroute budget can be resolved inside
-	// the shard loop: every source host appears exactly once, so a host's
-	// flows are contiguous in flow order and the first-Cap-failed-flows rule
-	// is per-source-local. It is false only for workloads that list the same
-	// host twice in Workload.Hosts, which fall back to the sequential
-	// post-pass.
-	budgetLocal bool
+	// concurrent RunEpoch anyway): worker shards, the per-chunk outcome
+	// table, the per-source flow-index bases, the dense traceroute budget and
+	// the cached dense source list.
+	shards        []epochShard
+	failedByChunk [][]FlowOutcome
+	flowBase      []int32 // per-source global flow-index prefix sums
+	budget        []int32 // per-host traced-flow counts, dense by HostID
+	srcs          []topology.HostID
 
 	// inc is the incremental-delta state (Config.Incremental; incremental.go).
 	inc incState
@@ -148,6 +139,11 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Workload.Pattern == nil {
 		cfg.Workload = traffic.DefaultWorkload()
 	}
+	for _, h := range cfg.Workload.Hosts {
+		if h < 0 || int(h) >= len(cfg.Topo.Hosts) {
+			return nil, fmt.Errorf("netem: Workload.Hosts names host %d, not in topology (%d hosts)", h, len(cfg.Topo.Hosts))
+		}
+	}
 	rng := stats.NewRNG(cfg.Seed)
 	nlinks := len(cfg.Topo.Links)
 	s := &Sim{
@@ -162,29 +158,12 @@ func New(cfg Config) (*Sim, error) {
 		failures: make(map[topology.LinkID]float64),
 		budget:   make([]int32, len(cfg.Topo.Hosts)),
 	}
-	s.budgetLocal = uniqueHosts(cfg.Workload.Hosts)
 	for i := range s.noise {
 		s.noise[i] = rng.Uniform(cfg.NoiseLo, cfg.NoiseHi)
 		s.rate[i] = s.noise[i]
 		s.logq[i] = math.Log1p(-s.noise[i])
 	}
 	return s, nil
-}
-
-// uniqueHosts reports whether no host appears twice in the source list; a
-// nil list means "every host once" and is trivially unique.
-func uniqueHosts(hosts []topology.HostID) bool {
-	if len(hosts) < 2 {
-		return true
-	}
-	seen := make(map[topology.HostID]struct{}, len(hosts))
-	for _, h := range hosts {
-		if _, dup := seen[h]; dup {
-			return false
-		}
-		seen[h] = struct{}{}
-	}
-	return true
 }
 
 // Topology returns the simulated topology.
@@ -363,16 +342,14 @@ func (a *outcomeArena) copyDrops(src []uint16) []uint16 {
 	return dst
 }
 
-// epochShard accumulates one worker's slice of the epoch totals plus the
-// worker's reusable scratch (path buffer, per-flow and generation RNGs,
-// one-source flow buffer, outcome arena). The counters are order-free
-// integer sums, so one shard per *worker* suffices; only the per-chunk
-// FlowOutcome and Report lists are order-sensitive and those are keyed by
-// chunk. Padding keeps adjacent workers' hot counters off a shared cache
-// line.
+// epochShard accumulates one worker's packet count plus the worker's
+// reusable scratch (path buffer, per-flow and generation RNGs, one-source
+// flow buffer, outcome arena). The count is an order-free integer sum, so
+// one shard per *worker* suffices; only the per-chunk FlowOutcome lists are
+// order-sensitive and those are keyed by chunk. Padding keeps adjacent
+// workers' hot counters off a shared cache line.
 type epochShard struct {
 	packets int
-	dropped int
 	pathBuf ecmp.PathBuf
 	rng     stats.RNG // drop-stream generator, reseeded per dropping flow
 	genRNG  stats.RNG // generation-stream generator, reseeded per source
@@ -426,30 +403,27 @@ func (s *Sim) flowBases(epochSeed uint64, nsrc int) int {
 }
 
 // epochScratch (re)sizes the Sim-owned shard and chunk scratch for an epoch
-// of nchunks source chunks, zeroing the counters carried over from the last
+// of nchunks source chunks, zeroing the counts carried over from the last
 // epoch.
-func (s *Sim) epochScratch(nchunks int) (shards []epochShard, failedByChunk [][]FlowOutcome, reportsByChunk [][]vote.Report) {
+func (s *Sim) epochScratch(nchunks int) (shards []epochShard, failedByChunk [][]FlowOutcome) {
 	nworkers := par.Workers(s.cfg.Parallelism)
 	if len(s.shards) != nworkers {
 		s.shards = make([]epochShard, nworkers)
 	}
 	for w := range s.shards {
 		sh := &s.shards[w]
-		sh.packets, sh.dropped = 0, 0
+		sh.packets = 0
 		sh.arena.reset()
 	}
 	if cap(s.failedByChunk) < nchunks {
 		s.failedByChunk = make([][]FlowOutcome, nchunks)
-		s.reportsByChunk = make([][]vote.Report, nchunks)
 	}
 	// Clear through cap, not just nchunks: a shorter epoch must not leave
 	// stale tail entries pinning the previous epoch's outcomes and arena
 	// blocks.
 	clear(s.failedByChunk[:cap(s.failedByChunk)])
-	clear(s.reportsByChunk[:cap(s.reportsByChunk)])
 	s.failedByChunk = s.failedByChunk[:nchunks]
-	s.reportsByChunk = s.reportsByChunk[:nchunks]
-	return s.shards, s.failedByChunk, s.reportsByChunk
+	return s.shards, s.failedByChunk
 }
 
 // RunEpoch simulates one epoch through the fused pipeline (runEpochFull) —
@@ -483,12 +457,8 @@ func (s *Sim) RunEpoch() *Epoch {
 // per-source flow counts into global flow-index bases, fan source chunks
 // out to workers that generate each source's flows and simulate them in the
 // same pass (the full flow list is never materialized), then merge — shard
-// totals summed, per-chunk outcome and report lists concatenated in chunk
-// order. The traceroute budget resolves inside the shard loop: a host's
-// flows are contiguous in flow order, so the first-Cap-failed-flows rule is
-// per-source-local whenever no host appears twice in the source list
-// (s.budgetLocal); the rare duplicate-host workload falls back to the
-// sequential post-pass.
+// packet counts summed, per-chunk failed outcomes concatenated in chunk
+// order, which is flow order — and hand the merged list to resolveBudget.
 //
 // buildCache additionally records every flow and its resolved path into the
 // incremental-delta cache (incremental.go).
@@ -505,11 +475,7 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	}
 	grain := par.Grain(nsrc, srcGrainLo, srcGrainHi, grainTarget)
 	nchunks := par.Chunks(nsrc, grain)
-	shards, failedByChunk, reportsByChunk := s.epochScratch(nchunks)
-	tcap := s.cfg.TracerouteCap
-	budgetInShard := tcap > 0 && s.budgetLocal
-	emitReports := tcap == 0 || s.budgetLocal
-	epoch := int32(s.epochIdx - 1)
+	shards, failedByChunk := s.epochScratch(nchunks)
 	if buildCache {
 		s.inc.prepareBuild(nchunks, total)
 	}
@@ -518,7 +484,6 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	par.ForEachChunkWorker(nsrc, grain, s.cfg.Parallelism, func(w, c, lo, hi int) {
 		sh := &shards[w]
 		var failed []FlowOutcome
-		var reports []vote.Report
 		var lens []uint8
 		var clinks []topology.LinkID
 		if buildCache {
@@ -529,12 +494,6 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 			buf := s.cfg.Workload.AppendFlowsOf(sh.flowBuf[:0], &sh.genRNG, epochSeed, si, s.topo, srcs[si])
 			sh.flowBuf = buf
 			base := int64(s.flowBase[si])
-			traced := 0
-			// Per-agent report sequence: one source's flows are contiguous,
-			// so counting emissions per source slot yields dense per-agent
-			// sequences whenever hosts are unique (the duplicate-host
-			// fallback restamps after the merge).
-			seq := int32(0)
 			for j := range buf {
 				fi := base + int64(j)
 				out, failedFlow := s.simFlow(sh, epochSeed, fi, buf[j])
@@ -544,32 +503,12 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 					lens = append(lens, uint8(len(links)))
 					clinks = append(clinks, links...)
 				}
-				if !failedFlow {
-					continue
+				if failedFlow {
+					failed = append(failed, out)
 				}
-				if budgetInShard {
-					if traced >= tcap {
-						out.Traced = false
-					} else {
-						traced++
-					}
-				}
-				if emitReports && out.Traced {
-					reports = append(reports, vote.Report{
-						FlowID: out.FlowID,
-						Src:    out.Flow.Src, Dst: out.Flow.Dst,
-						Path:  out.Path,
-						Retx:  out.Drops,
-						Epoch: epoch,
-						Seq:   seq,
-					})
-					seq++
-				}
-				failed = append(failed, out)
 			}
 		}
 		failedByChunk[c] = failed
-		reportsByChunk[c] = reports
 		if buildCache {
 			s.inc.lensByChunk[c] = lens
 			s.inc.linksByChunk[c] = clinks
@@ -583,53 +522,16 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 		totalFailed += len(failed)
 	}
 	for w := range shards {
-		sh := &shards[w]
-		ep.TotalPackets += sh.packets
-		ep.TotalDrops += sh.dropped
+		ep.TotalPackets += shards[w].packets
 	}
-	// Per-chunk outcome and report lists concatenate in chunk order,
-	// restoring ascending flow-index order. Sizing happens up front so
-	// Failed and Reports never regrow.
+	// Sized up front so Failed never regrows.
 	if totalFailed > 0 {
 		ep.Failed = make([]FlowOutcome, 0, totalFailed)
 		for _, failed := range failedByChunk {
 			ep.Failed = append(ep.Failed, failed...)
 		}
-		if emitReports {
-			nrep := 0
-			for _, reports := range reportsByChunk {
-				nrep += len(reports)
-			}
-			ep.Reports = make([]vote.Report, 0, nrep)
-			for _, reports := range reportsByChunk {
-				ep.Reports = append(ep.Reports, reports...)
-			}
-			if !s.budgetLocal {
-				// Duplicate-host workload without a budget cap: a host's
-				// reports span several source slots, so the per-slot
-				// counters collide. Restamp densely per agent in merged
-				// (flow) order, reusing the budget vector as the counter;
-				// only the reporting hosts' counters are zeroed.
-				for i := range ep.Reports {
-					s.budget[ep.Reports[i].Src] = 0
-				}
-				for i := range ep.Reports {
-					r := &ep.Reports[i]
-					r.Seq = s.budget[r.Src]
-					s.budget[r.Src]++
-				}
-			}
-		} else {
-			ep.Reports = make([]vote.Report, 0, totalFailed)
-		}
 	}
-	if !emitReports {
-		// Duplicate-host fallback: the budget is order-sensitive across the
-		// host's scattered flow blocks, so it runs as a sequential post-pass
-		// over the merged outcomes, counting per host in the dense reusable
-		// budget vector.
-		s.resolveBudget(ep)
-	}
+	s.resolveBudget(ep)
 	phaseMerge.End()
 
 	if buildCache {
@@ -638,26 +540,31 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	return ep
 }
 
-// resolveBudget applies the traceroute budget to ep.Failed in flow order
-// and emits the reports of traced flows — the sequential resolution used by
-// duplicate-host workloads and by delta epochs (whose failed set is small).
-// The budget vector doubles as the per-agent sequence counter: only emitted
-// reports increment it, so sequences come out dense per (agent, epoch). Only
-// the counters of hosts with a failed flow are zeroed and read, so the cost
-// follows the failed set, not the host count.
+// resolveBudget is the flow plane's one report path, for full and delta
+// epochs alike: one pass over ep.Failed, every failed flow of the epoch in
+// flow order. A host's first TracerouteCap failed flows (all of them when
+// the cap is 0) are traced and reported under the agent's sequences
+// 0..k-1, the rest are marked untraced, and TotalDrops sums every failed
+// flow's drops. The budget vector doubles as the per-agent sequence
+// counter; only the counters of hosts with a failed flow are zeroed and
+// read, so the cost follows the failed set, not the host count.
 func (s *Sim) resolveBudget(ep *Epoch) {
 	epoch := int32(s.epochIdx - 1)
 	tcap := s.cfg.TracerouteCap
 	for i := range ep.Failed {
 		s.budget[ep.Failed[i].Flow.Src] = 0
 	}
+	if len(ep.Failed) > 0 {
+		ep.Reports = make([]vote.Report, 0, len(ep.Failed))
+	}
 	for i := range ep.Failed {
 		out := &ep.Failed[i]
-		if tcap > 0 && int(s.budget[out.Flow.Src]) >= tcap {
-			out.Traced = false
+		ep.TotalDrops += out.Drops
+		seq := s.budget[out.Flow.Src]
+		out.Traced = tcap <= 0 || int(seq) < tcap
+		if !out.Traced {
 			continue
 		}
-		seq := s.budget[out.Flow.Src]
 		s.budget[out.Flow.Src]++
 		ep.Reports = append(ep.Reports, vote.Report{
 			FlowID: out.FlowID,
@@ -672,10 +579,11 @@ func (s *Sim) resolveBudget(ep *Epoch) {
 
 // simFlow routes one flow and samples its drops into sh, drawing from the
 // flow's private RNG stream so the result is independent of which worker
-// runs it and in what order. It returns the flow's outcome and whether the
-// flow lost packets; surviving flows — the overwhelming majority — return
-// a zero outcome and perform no heap allocation. On return sh.pathBuf still
-// holds the flow's resolved path (the cache build reads it).
+// runs it and in what order. It returns the flow's outcome (untraced until
+// resolveBudget says otherwise) and whether the flow lost packets;
+// surviving flows — the overwhelming majority — return a zero outcome and
+// perform no heap allocation. On return sh.pathBuf still holds the flow's
+// resolved path (the cache build reads it).
 func (s *Sim) simFlow(sh *epochShard, epochSeed uint64, fi int64, f traffic.Flow) (FlowOutcome, bool) {
 	if err := s.router.PathInto(f.Src, f.Dst, f.Tuple, &sh.pathBuf); err != nil {
 		// Unreachable by construction; surface loudly if it happens.
@@ -691,7 +599,6 @@ func (s *Sim) simFlow(sh *epochShard, epochSeed uint64, fi int64, f traffic.Flow
 	if drops == 0 {
 		return FlowOutcome{}, false
 	}
-	sh.dropped += drops
 	out := FlowOutcome{
 		FlowID:      fi,
 		Flow:        f,
@@ -699,7 +606,6 @@ func (s *Sim) simFlow(sh *epochShard, epochSeed uint64, fi int64, f traffic.Flow
 		Drops:       drops,
 		DropsByLink: sh.arena.copyDrops(perLink[:len(links)]),
 		Culprit:     culprit(links, perLink[:len(links)]),
-		Traced:      true,
 	}
 	for _, l := range links {
 		if s.isFailed[l] {

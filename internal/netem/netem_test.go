@@ -39,6 +39,25 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Topo: topo, NoiseLo: 1e-3, NoiseHi: 1e-6}); err == nil {
 		t.Fatal("inverted noise range accepted")
 	}
+	// A source host the topology does not have used to pass here and panic
+	// in the first RunEpoch, indexing topo.Hosts out of range.
+	w := traffic.Workload{
+		Pattern:        traffic.Uniform{},
+		ConnsPerHost:   traffic.IntRange{Lo: 2, Hi: 2},
+		PacketsPerFlow: traffic.IntRange{Lo: 10, Hi: 10},
+	}
+	for _, h := range []topology.HostID{topology.HostID(len(topo.Hosts)), -1} {
+		w.Hosts = []topology.HostID{0, h}
+		if _, err := New(Config{Topo: topo, Workload: w}); err == nil {
+			t.Fatalf("source host %d accepted on a topology of %d hosts", h, len(topo.Hosts))
+		}
+	}
+	w.Hosts = []topology.HostID{0, topology.HostID(len(topo.Hosts) - 1)}
+	s, err := New(Config{Topo: topo, Workload: w})
+	if err != nil {
+		t.Fatalf("valid source hosts rejected: %v", err)
+	}
+	s.RunEpoch()
 }
 
 // Conservation: ground-truth per-link drops must sum to the epoch total,

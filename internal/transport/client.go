@@ -371,7 +371,7 @@ func (c *Client) SendReport(ctx context.Context, r vote.Report, attempt uint8) e
 	return c.ship(ctx, false)
 }
 
-// SendToken ships the cycle token that closes this agent's lane for the
+// SendToken ships the cycle token that closes this agent's side of the
 // cycle, and with it everything staged before it. A copy of the frame is
 // kept so WaitCycleEnd can re-send it (same sequence number — the collector
 // treats the re-send as a stale frame and answers with the newest
