@@ -10,7 +10,11 @@
 // where N is the current PR number; the file name is the only thing that
 // changes from PR to PR.
 //
-// With `go test -count=N` the same benchmark name appears N times; those
+// Each record carries the package its benchmark ran in (the `pkg:` line
+// above it), and records are keyed by package and name: two benchmarks of
+// one name in different packages stay two records.
+//
+// With `go test -count=N` the same benchmark appears N times; those
 // samples merge into one record keeping the MINIMUM ns/op (and the B/op and
 // allocs/op of that fastest sample), with Samples recording how many runs
 // backed it. Min-of-N is the standard noise filter for shared CI runners:
@@ -22,15 +26,18 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark record: the fastest of its name's samples.
+// Result is one benchmark record: the fastest of its samples.
 type Result struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Package is the Go package the benchmark ran in.
+	Package     string  `json:"pkg,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op,omitempty"`
@@ -47,7 +54,8 @@ type Result struct {
 // machine vigil-bench ran on — CI runs it on the same runner as the
 // benchmarks — so a flat parallel curve in the benchmark records is
 // self-explaining: num_cpu 1 means the workers were serialized by the
-// host, not by the scheduler.
+// host, not by the scheduler. Package is read from files written before
+// each record carried its own, which hold the run's last package there.
 type Output struct {
 	GOOS       string   `json:"goos,omitempty"`
 	GOARCH     string   `json:"goarch,omitempty"`
@@ -59,9 +67,20 @@ type Output struct {
 }
 
 func main() {
+	if err := run(os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vigil-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run reads `go test -bench` output from stdin and writes the JSON
+// document to stdout.
+func run(stdin io.Reader, stdout io.Writer) error {
 	out := Output{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	index := make(map[string]int) // name -> position in out.Benchmarks
-	sc := bufio.NewScanner(os.Stdin)
+	type key struct{ pkg, name string }
+	index := make(map[key]int) // position in out.Benchmarks
+	pkg := ""
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -73,15 +92,17 @@ func main() {
 		case strings.HasPrefix(line, "cpu:"):
 			out.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "pkg:"):
-			out.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			r, ok := parseBench(line)
 			if !ok {
 				continue
 			}
-			i, seen := index[r.Name]
+			r.Package = pkg
+			k := key{pkg, r.Name}
+			i, seen := index[k]
 			if !seen {
-				index[r.Name] = len(out.Benchmarks)
+				index[k] = len(out.Benchmarks)
 				out.Benchmarks = append(out.Benchmarks, r)
 				continue
 			}
@@ -89,19 +110,14 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "vigil-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	if len(out.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "vigil-bench: no benchmark lines on stdin")
-		os.Exit(1)
+		return fmt.Errorf("no benchmark lines on stdin")
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "vigil-bench:", err)
-		os.Exit(1)
-	}
+	return enc.Encode(out)
 }
 
 // merge folds a repeated sample into the kept record, retaining the fastest

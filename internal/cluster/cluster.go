@@ -8,10 +8,10 @@
 //
 // Epoch state is kept dense for the hot path: per-flow drop counts live in
 // a flow-indexed arena of small inline link/count sets (not nested maps),
-// the settled failure set is cached sorted, and — with EphemeralFlows —
-// flow records, connections and tuple indexes are recycled at each epoch
-// boundary so steady-state epochs run allocation-free and long scenario
-// timelines stay bounded in memory.
+// the failure set (a schedule.Failures) caches its sorted snapshot, and —
+// with EphemeralFlows — flow records, connections and tuple indexes are
+// recycled at each epoch boundary so steady-state epochs run
+// allocation-free and long scenario timelines stay bounded in memory.
 package cluster
 
 import (
@@ -65,8 +65,6 @@ type Config struct {
 	// (Flows, Truth) cover only the current epoch; LastEpoch
 	// frames are unaffected. Flow IDs stay globally unique either way.
 	EphemeralFlows bool
-	// Detect configures the analysis agent.
-	Detect vote.DetectOptions
 }
 
 // Cluster is a running emulation.
@@ -86,11 +84,9 @@ type Cluster struct {
 	Reporter func(vote.Report)
 	reports  []vote.Report
 
-	failures map[topology.LinkID]float64
-	// failedSorted caches FailedLinks' sorted snapshot; nil means dirty.
-	// Rebuilds allocate a fresh slice, so a returned snapshot is never
-	// mutated under a caller.
-	failedSorted []topology.LinkID
+	// fails is the failure set — injected links, their sorted snapshot and
+	// the rate schedules — over the fabric's SetDropRate/ResetDropRate.
+	fails *schedule.Failures
 
 	flowIDs map[ecmp.FiveTuple]int64
 	flows   []*flowRecord
@@ -131,7 +127,7 @@ type Cluster struct {
 	pathBuf ecmp.PathBuf
 
 	epochStart des.Time
-	// Epoch rotation state: epochIdx feeds the fabric's rate schedules;
+	// Epoch rotation state: epochIdx is the epoch fails applies schedules for;
 	// epochFirstFlow marks where the current epoch's flows begin in flows;
 	// lastEpoch is the frame RunEpoch captured before rolling.
 	epochIdx       int
@@ -287,9 +283,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 6
 	}
-	if cfg.Detect.ThresholdFrac <= 0 {
-		cfg.Detect.ThresholdFrac = 0.01
-	}
 	rng := stats.NewRNG(cfg.Seed)
 	router := ecmp.NewRouter(cfg.Topo, ecmp.NewSeeds(cfg.Topo, rng.Split()))
 	sched := &des.Scheduler{}
@@ -308,7 +301,6 @@ func New(cfg Config) (*Cluster, error) {
 		Net:       net,
 		SLB:       slb.New(cfg.Topo, rng.Split()),
 		rng:       rng,
-		failures:  make(map[topology.LinkID]float64),
 		flowIDs:   make(map[ecmp.FiveTuple]int64),
 		wireFlows: make(map[ecmp.FiveTuple]int32),
 		agentSeq:  make([]int32, len(cfg.Topo.Hosts)),
@@ -324,6 +316,10 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
+	// The failure set validates before it calls either: they cannot fail.
+	cl.fails = schedule.NewFailures(cfg.Topo,
+		func(l topology.LinkID, rate float64) { _ = net.SetDropRate(l, rate) },
+		func(l topology.LinkID) { _ = net.ResetDropRate(l) })
 	cl.Reporter = func(r vote.Report) { cl.reports = append(cl.reports, r) }
 	net.AddDropTap(cl.groundTruthTap)
 	cl.Hosts = make([]*Host, len(cfg.Topo.Hosts))
@@ -339,83 +335,30 @@ const noiseDomain = 0x7c5a31e49f0b8d27
 // InjectFailure sets a directed link's drop rate. The rate must be a
 // probability in [0, 1]; the link must exist in the emulated topology.
 func (cl *Cluster) InjectFailure(l topology.LinkID, rate float64) error {
-	if err := cl.Net.SetDropRate(l, rate); err != nil {
-		return err
-	}
-	cl.failures[l] = rate
-	cl.failedSorted = nil
-	return nil
+	return cl.fails.Inject(l, rate)
 }
 
 // ClearFailure removes an injected failure, restoring the link to its
 // baseline (noise) rate.
-func (cl *Cluster) ClearFailure(l topology.LinkID) error {
-	if err := cl.Net.ResetDropRate(l); err != nil {
-		return err
-	}
-	delete(cl.failures, l)
-	cl.failedSorted = nil
-	return nil
-}
+func (cl *Cluster) ClearFailure(l topology.LinkID) error { return cl.fails.Clear(l) }
 
-// ScheduleFailure attaches an epoch-indexed rate schedule to a link: from
-// the next epoch on, the link follows the schedule — re-injected at the
-// scripted rate when active, restored to its baseline rate when not —
-// overriding manual injections on the same link, exactly as on the flow
-// plane (netem.Sim.Schedule). Built-in shapes' rates are validated here; a
-// custom RateSchedule is validated epoch by epoch as it is applied.
+// ScheduleFailure attaches an epoch-indexed rate schedule to a link from the
+// next epoch on, exactly as on the flow plane (schedule.Failures.Schedule).
 func (cl *Cluster) ScheduleFailure(l topology.LinkID, s schedule.RateSchedule) error {
-	return cl.Net.Schedule(l, s)
+	return cl.fails.Schedule(l, s)
 }
 
 // ClearSchedules detaches every rate schedule and restores the scheduled
 // links to their baseline rates, dropping them from the failure set.
-func (cl *Cluster) ClearSchedules() {
-	for _, ls := range cl.Net.Schedules() {
-		delete(cl.failures, ls.Link)
-	}
-	cl.failedSorted = nil
-	cl.Net.ClearSchedules()
-}
+func (cl *Cluster) ClearSchedules() { cl.fails.ClearSchedules() }
 
 // EpochIndex returns the index the next RunEpoch call will emulate (the
 // number of epochs run so far).
 func (cl *Cluster) EpochIndex() int { return cl.epochIdx }
 
-// applySchedules settles every scheduled link for the current epoch: the
-// fabric applies the scripted rates, and the failure map — detection ground
-// truth — mirrors the scripted active set. It runs at the top of RunEpoch,
-// before any of the epoch's queued packets fly (StartWorkload and StartFlow
-// only enqueue virtual-time events; nothing transmits until RunUntil). A
-// schedule emitting a rate outside [0, 1] is a broken script and panics
-// loudly, matching the flow plane's contract.
-func (cl *Cluster) applySchedules() {
-	if err := cl.Net.ApplySchedules(cl.epochIdx); err != nil {
-		panic(fmt.Sprintf("cluster: %v", err))
-	}
-	for _, ls := range cl.Net.Schedules() {
-		if rate, active := ls.Schedule.RateAt(cl.epochIdx); active {
-			cl.failures[ls.Link] = rate
-		} else {
-			delete(cl.failures, ls.Link)
-		}
-		cl.failedSorted = nil
-	}
-}
-
 // FailedLinks returns the injected failure set, sorted. The snapshot is
 // cached between failure-set changes; callers must not mutate it.
-func (cl *Cluster) FailedLinks() []topology.LinkID {
-	if cl.failedSorted == nil {
-		out := make([]topology.LinkID, 0, len(cl.failures))
-		for l := range cl.failures {
-			out = append(out, l)
-		}
-		slices.Sort(out)
-		cl.failedSorted = out
-	}
-	return cl.failedSorted
-}
+func (cl *Cluster) FailedLinks() []topology.LinkID { return cl.fails.Sorted() }
 
 // report stamps a host agent's report with its stable identity — the
 // reporting agent (Src), the current epoch, and the agent's next dense
@@ -534,7 +477,13 @@ func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 // in-flight traceroutes), capture the epoch's ground-truth frame, roll the
 // host agents' epochs and analyze what the default Reporter collected.
 func (cl *Cluster) RunEpoch() *analysis.Result {
-	cl.applySchedules()
+	// Settle scripted link rates before any of the epoch's queued packets
+	// fly (StartWorkload and StartFlow only enqueue virtual-time events;
+	// nothing transmits until RunUntil). A schedule emitting a rate outside
+	// [0, 1] is a broken script and panics loudly, as on the flow plane.
+	if err := cl.fails.Apply(cl.epochIdx); err != nil {
+		panic(fmt.Sprintf("cluster: %v", err))
+	}
 	end := cl.epochStart + epochLength
 	cl.Sched.RunUntil(end + 2*des.Second)
 	cl.epochStart = cl.Sched.Now()
@@ -542,13 +491,14 @@ func (cl *Cluster) RunEpoch() *analysis.Result {
 		h.Agent.NewEpoch()
 	}
 	cl.captureEpochFrame()
-	res := analysis.Analyze(cl.reports, analysis.Options{Detect: cl.cfg.Detect})
+	// Algorithm 1 at the paper's threshold: 1 % of the epoch's votes.
+	res := analysis.Analyze(cl.reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}})
 	cl.reports = cl.reports[:0]
 	return res
 }
 
 // captureEpochFrame snapshots the closing epoch's ground truth — while
-// cl.failures still holds the epoch's settled failure set — and rolls the
+// the failure set is still the epoch's settled one — and rolls the
 // per-epoch flow bookkeeping (recycling it under EphemeralFlows).
 func (cl *Cluster) captureEpochFrame() {
 	epochFlows := cl.flows[cl.epochFirstFlow:]
@@ -633,8 +583,9 @@ func (cl *Cluster) flowTruth(slot int, rec *flowRecord) (tr metrics.FlowTruth, f
 	}
 	tr = metrics.FlowTruth{Culprit: best}
 	if err := cl.Router.PathInto(rec.src, rec.dst, rec.wireTuple, &cl.pathBuf); err == nil {
+		failed := cl.fails.Sorted()
 		for _, l := range cl.pathBuf.Links() {
-			if _, bad := cl.failures[l]; bad {
+			if _, bad := slices.BinarySearch(failed, l); bad {
 				tr.CrossedFailure = true
 				break
 			}

@@ -555,6 +555,60 @@ func TestScheduleFailureValidation(t *testing.T) {
 	}
 }
 
+// badRate is a custom schedule that turns out-of-range at epoch 1.
+type badRate struct{}
+
+func (badRate) RateAt(epoch int) (float64, bool) { return 0.1 + 2*float64(epoch), true }
+
+// The failure set drives the fabric's rates: each RunEpoch settles active
+// scheduled links at their scripted rate and inactive ones at their noise
+// baseline before traffic flies; a custom schedule gone out of range
+// panics before any rate moves; ClearSchedules restores the baselines.
+func TestScheduleSettlesFabricRates(t *testing.T) {
+	topo, err := topology.New(topology.TestClusterConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(Config{Topo: topo, Seed: 25, NoiseLo: 1e-7, NoiseHi: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := topo.LinksOfClass(topology.L1Up)[0], topo.LinksOfClass(topology.L1Up)[1]
+	baseA, baseB := cl.Net.DropRate(a), cl.Net.DropRate(b)
+	if err := cl.ScheduleFailure(a, schedule.Window{Rate: 0.2, Start: 0, End: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ScheduleFailure(b, schedule.Flap{Rate: 0.3, Period: 2, On: 1, Phase: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for e, want := range [][2]float64{{0.2, baseB}, {baseA, 0.3}} {
+		cl.RunEpoch()
+		if got := [2]float64{cl.Net.DropRate(a), cl.Net.DropRate(b)}; got != want {
+			t.Fatalf("epoch %d: rates %v, want %v", e, got, want)
+		}
+	}
+	c := topo.LinksOfClass(topology.L1Up)[2]
+	baseC := cl.Net.DropRate(c)
+	if err := cl.ScheduleFailure(c, badRate{}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an out-of-range custom rate settled without a panic")
+			}
+		}()
+		cl.RunEpoch() // epoch 2: b would be restored, c is out of range
+	}()
+	if cl.Net.DropRate(b) != 0.3 || cl.Net.DropRate(c) != baseC {
+		t.Fatal("the failed settle moved rates")
+	}
+	cl.ClearSchedules()
+	if cl.Net.DropRate(a) != baseA || cl.Net.DropRate(b) != baseB || len(cl.FailedLinks()) != 0 {
+		t.Fatalf("ClearSchedules left rates %v/%v, failed %v", cl.Net.DropRate(a), cl.Net.DropRate(b), cl.FailedLinks())
+	}
+}
+
 // Configured noise must surface as a baseline: failures cleared on a noisy
 // link return to the drawn noise rate, not to zero, and bad ranges error.
 func TestClusterNoiseBaseline(t *testing.T) {

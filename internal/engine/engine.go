@@ -206,41 +206,14 @@ func newFlowEngine(cfg Config) (*flowEngine, error) {
 func (e *flowEngine) Plane() Plane                 { return Flow }
 func (e *flowEngine) Topology() *topology.Topology { return e.sim.Topology() }
 
-func (e *flowEngine) checkLink(l topology.LinkID) error {
-	return e.sim.Topology().CheckLink(l)
-}
-
 func (e *flowEngine) InjectFailure(l topology.LinkID, rate float64) error {
-	if err := e.checkLink(l); err != nil {
-		return err
-	}
-	if !schedule.ValidRate(rate) {
-		return fmt.Errorf("engine: drop rate %v outside [0, 1]", rate)
-	}
-	e.sim.InjectFailure(l, rate)
-	return nil
+	return e.sim.InjectFailure(l, rate)
 }
 
-func (e *flowEngine) ClearFailure(l topology.LinkID) error {
-	if err := e.checkLink(l); err != nil {
-		return err
-	}
-	e.sim.ClearFailure(l)
-	return nil
-}
+func (e *flowEngine) ClearFailure(l topology.LinkID) error { return e.sim.ClearFailure(l) }
 
 func (e *flowEngine) Schedule(l topology.LinkID, s schedule.RateSchedule) error {
-	if err := e.checkLink(l); err != nil {
-		return err
-	}
-	if s == nil {
-		return fmt.Errorf("engine: nil RateSchedule")
-	}
-	if err := schedule.CheckRate(s); err != nil {
-		return err
-	}
-	e.sim.Schedule(l, s)
-	return nil
+	return e.sim.Schedule(l, s)
 }
 
 func (e *flowEngine) ClearAllFailures() { e.sim.ClearAllFailures() }

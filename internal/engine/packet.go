@@ -63,7 +63,6 @@ func newPacketEngine(cfg Config) (*packetEngine, error) {
 		Seed:    cfg.Seed,
 		NoiseLo: cfg.NoiseLo,
 		NoiseHi: cfg.NoiseHi,
-		Detect:  cfg.Detect,
 		// The engine scores each epoch off its captured frame, never off
 		// whole-run flow history, so the cluster can recycle per-flow state
 		// at every boundary: scenario sweeps and conformance runs stay

@@ -34,8 +34,8 @@ package fabric
 // again. Each counter's draw is still the same pure function; none is
 // skipped.
 //
-// Rematerialization. A mutator (SetDropRate, SetExtraDelay, AddTap,
-// the schedule settle) called from inside a run invalidates what the walks
+// Rematerialization. A mutator (SetDropRate, ResetDropRate, SetExtraDelay,
+// AddTap) called from inside a run invalidates what the walks
 // assumed about hops the order has not reached yet. It first puts the
 // flights it affects back on the hop-by-hop order: hops ordered before the
 // executing event are applied as if they had run, and the packet is

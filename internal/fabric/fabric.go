@@ -115,7 +115,6 @@ type Net struct {
 	buckets    []tokenBucket
 	taps       []Tap
 	dropTaps   []Tap
-	schedules  []ScheduledLink
 
 	// dropSeed/dropCtr drive the per-link counter-derived drop draws: the
 	// decision for link l's k-th packet is DeriveUniform(dropSeed, l◦k),
@@ -214,15 +213,10 @@ func (n *Net) nextSerial(i int) uint64 {
 	return s
 }
 
-// checkLink validates a link identifier against the topology.
-func (n *Net) checkLink(l topology.LinkID) error {
-	return n.topo.CheckLink(l)
-}
-
 // SetDropRate injects a drop probability on a directed link. The rate must
 // be a probability in [0, 1] and the link must exist in the topology.
 func (n *Net) SetDropRate(l topology.LinkID, rate float64) error {
-	if err := n.checkLink(l); err != nil {
+	if err := n.topo.CheckLink(l); err != nil {
 		return err
 	}
 	if !schedule.ValidRate(rate) {
@@ -240,10 +234,9 @@ func (n *Net) setRate(l topology.LinkID, rate float64) {
 	n.passUntil[l] = 0 // the known-forward run was drawn against the old rate
 }
 
-// SetBaseRate sets a link's baseline (noise) drop rate — the rate the link
-// returns to when a failure is cleared or a schedule goes inactive — and
-// applies it immediately. Injected failures overwrite the applied rate but
-// never the baseline.
+// SetBaseRate sets a link's baseline (noise) drop rate — the rate
+// ResetDropRate returns the link to — and applies it immediately. Injected
+// failures overwrite the applied rate but never the baseline.
 func (n *Net) SetBaseRate(l topology.LinkID, rate float64) error {
 	if err := n.SetDropRate(l, rate); err != nil {
 		return err
@@ -254,7 +247,7 @@ func (n *Net) SetBaseRate(l topology.LinkID, rate float64) error {
 
 // ResetDropRate restores a link to its baseline (noise) rate.
 func (n *Net) ResetDropRate(l topology.LinkID) error {
-	if err := n.checkLink(l); err != nil {
+	if err := n.topo.CheckLink(l); err != nil {
 		return err
 	}
 	n.rematerialize(l)
@@ -263,73 +256,8 @@ func (n *Net) ResetDropRate(l topology.LinkID) error {
 }
 
 // Test hook: DropRate returns a link's current drop probability, so a test
-// can see what an injection, a reset or a schedule left on it.
+// can see what an injection or a reset left on it.
 func (n *Net) DropRate(l topology.LinkID) float64 { return n.dropRate[l] }
-
-// ScheduledLink pairs a scheduled link with its script.
-type ScheduledLink struct {
-	Link     topology.LinkID
-	Schedule schedule.RateSchedule
-}
-
-// Schedule attaches an epoch-indexed rate schedule to a link: each call to
-// ApplySchedules re-injects the link at its scripted rate (active) or
-// restores its baseline rate (inactive). The known schedule shapes'
-// rates are validated here; custom shapes are validated as each epoch
-// applies them. If a link is scheduled twice the later registration wins
-// (it is applied last).
-func (n *Net) Schedule(l topology.LinkID, s schedule.RateSchedule) error {
-	if err := n.checkLink(l); err != nil {
-		return err
-	}
-	if s == nil {
-		return fmt.Errorf("fabric: nil RateSchedule")
-	}
-	if err := schedule.CheckRate(s); err != nil {
-		return err
-	}
-	n.schedules = append(n.schedules, ScheduledLink{Link: l, Schedule: s})
-	return nil
-}
-
-// Schedules returns the schedule registry in registration order. The caller
-// must not mutate it; the epoch-aware layer above (internal/cluster) reads
-// it to mirror scripted failures into detection ground truth.
-func (n *Net) Schedules() []ScheduledLink { return n.schedules }
-
-// ClearSchedules detaches every schedule and restores the scheduled links
-// to their baseline rates.
-func (n *Net) ClearSchedules() {
-	n.rematerialize(topology.NoLink)
-	for _, ls := range n.schedules {
-		n.setRate(ls.Link, n.baseRate[ls.Link])
-	}
-	n.schedules = nil
-}
-
-// ApplySchedules settles every scheduled link's drop rate for the given
-// epoch. It must run before the epoch's traffic flies — the fabric has no
-// epoch clock of its own, so the layer above (internal/cluster) calls this
-// at the top of each epoch, mirroring netem's sequential settle-then-run
-// discipline. A schedule emitting a rate outside [0, 1] is a broken script
-// and is reported as an error before any rate is half-applied.
-func (n *Net) ApplySchedules(epoch int) error {
-	for _, ls := range n.schedules {
-		rate, active := ls.Schedule.RateAt(epoch)
-		if active && !schedule.ValidRate(rate) {
-			return fmt.Errorf("fabric: schedule on link %d returned drop rate %v outside [0, 1] for epoch %d", ls.Link, rate, epoch)
-		}
-	}
-	n.rematerialize(topology.NoLink)
-	for _, ls := range n.schedules {
-		if rate, active := ls.Schedule.RateAt(epoch); active {
-			n.setRate(ls.Link, rate)
-		} else {
-			n.setRate(ls.Link, n.baseRate[ls.Link])
-		}
-	}
-	return nil
-}
 
 // SetExtraDelay injects additional one-way latency on a directed link —
 // the "large queue buildups" and latency failures of §9.2 that 007's
@@ -338,7 +266,7 @@ func (n *Net) ApplySchedules(epoch int) error {
 // and the delay must be non-negative: a negative value would clamp
 // deliveries to "now", reordering the scheduler's FIFO lane.
 func (n *Net) SetExtraDelay(l topology.LinkID, d des.Time) error {
-	if err := n.checkLink(l); err != nil {
+	if err := n.topo.CheckLink(l); err != nil {
 		return err
 	}
 	if d < 0 {

@@ -7,7 +7,6 @@ import (
 
 	"vigil/internal/des"
 	"vigil/internal/ecmp"
-	"vigil/internal/schedule"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 	"vigil/internal/wire"
@@ -283,9 +282,6 @@ func TestRateValidation(t *testing.T) {
 		if err := r.net.ResetDropRate(l); err == nil {
 			t.Fatalf("ResetDropRate accepted link %d", l)
 		}
-		if err := r.net.Schedule(l, schedule.ConstantRate{Rate: 0.1}); err == nil {
-			t.Fatalf("Schedule accepted link %d", l)
-		}
 	}
 	good := topology.LinkID(0)
 	for _, rate := range []float64{-0.1, 1.0000001, math.NaN()} {
@@ -295,12 +291,6 @@ func TestRateValidation(t *testing.T) {
 		if err := r.net.SetBaseRate(good, rate); err == nil {
 			t.Fatalf("SetBaseRate accepted rate %v", rate)
 		}
-		if err := r.net.Schedule(good, schedule.ConstantRate{Rate: rate}); err == nil {
-			t.Fatalf("Schedule accepted shape rate %v", rate)
-		}
-	}
-	if err := r.net.Schedule(good, nil); err == nil {
-		t.Fatal("Schedule accepted a nil schedule")
 	}
 	if err := r.net.SetDropRate(good, 1); err != nil {
 		t.Fatalf("boundary rate 1 rejected: %v", err)
@@ -311,8 +301,7 @@ func TestRateValidation(t *testing.T) {
 }
 
 // Base (noise) rates are what a link returns to: SetDropRate overrides
-// them, ResetDropRate restores them, and ClearSchedules restores every
-// scheduled link.
+// them and ResetDropRate restores them.
 func TestBaseRateRestore(t *testing.T) {
 	r := newRig(t, topology.Config{Pods: 1, ToRsPerPod: 2, T1PerPod: 2, HostsPerToR: 2}, 6)
 	l := topology.LinkID(3)
@@ -330,67 +319,6 @@ func TestBaseRateRestore(t *testing.T) {
 	}
 	if got := r.net.DropRate(l); got != 1e-6 {
 		t.Fatalf("DropRate = %v after reset, want the 1e-6 baseline", got)
-	}
-}
-
-// epochSchedule flips between two custom rates to exercise the non-shape
-// validation path.
-type epochSchedule struct{ rates []float64 }
-
-func (s epochSchedule) RateAt(epoch int) (float64, bool) {
-	if epoch >= len(s.rates) {
-		return 0, false
-	}
-	return s.rates[epoch], true
-}
-
-// ApplySchedules settles scheduled links per epoch: active epochs apply the
-// scripted rate, inactive epochs restore the baseline, and a custom
-// schedule emitting an out-of-range rate errors before any rate changes.
-func TestApplySchedules(t *testing.T) {
-	r := newRig(t, topology.Config{Pods: 1, ToRsPerPod: 2, T1PerPod: 2, HostsPerToR: 2}, 7)
-	a, b := topology.LinkID(1), topology.LinkID(2)
-	if err := r.net.SetBaseRate(a, 1e-6); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.net.Schedule(a, schedule.Window{Rate: 0.2, Start: 0, End: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.net.Schedule(b, schedule.Flap{Rate: 0.3, Period: 2, On: 1, Phase: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r.net.Schedules()); got != 2 {
-		t.Fatalf("Schedules() returned %d entries", got)
-	}
-	if err := r.net.ApplySchedules(0); err != nil {
-		t.Fatal(err)
-	}
-	if r.net.DropRate(a) != 0.2 || r.net.DropRate(b) != 0 {
-		t.Fatalf("epoch 0 rates: %v/%v", r.net.DropRate(a), r.net.DropRate(b))
-	}
-	if err := r.net.ApplySchedules(1); err != nil {
-		t.Fatal(err)
-	}
-	if r.net.DropRate(a) != 1e-6 || r.net.DropRate(b) != 0.3 {
-		t.Fatalf("epoch 1 rates: %v/%v", r.net.DropRate(a), r.net.DropRate(b))
-	}
-	// A broken custom schedule must error with no rates half-applied.
-	if err := r.net.Schedule(b, epochSchedule{rates: []float64{0.1, 1.7}}); err != nil {
-		t.Fatal(err)
-	}
-	before := r.net.DropRate(a)
-	if err := r.net.ApplySchedules(1); err == nil {
-		t.Fatal("out-of-range custom rate accepted")
-	}
-	if r.net.DropRate(a) != before {
-		t.Fatal("failed ApplySchedules mutated rates")
-	}
-	r.net.ClearSchedules()
-	if got := len(r.net.Schedules()); got != 0 {
-		t.Fatalf("ClearSchedules left %d entries", got)
-	}
-	if r.net.DropRate(a) != 1e-6 || r.net.DropRate(b) != 0 {
-		t.Fatalf("ClearSchedules did not restore baselines: %v/%v", r.net.DropRate(a), r.net.DropRate(b))
 	}
 }
 

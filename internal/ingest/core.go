@@ -20,10 +20,11 @@ import (
 // agentEpoch tracks one (agent, epoch) pair at the collector: which
 // sequence numbers have been seen and how many the agent's token said to
 // expect. The bitset is the pair's whole state: duplicates, gaps and — at
-// settle — every report's rank among its agent's are read off it.
+// settle — every report's rank among its agent's are read off it. Once the
+// count is known no bit at or past it is set: such a report is excess.
 type agentEpoch struct {
 	id       topology.HostID
-	expected int32    // -1 until the epoch's token arrives
+	expected int32    // -1 until the agent's count is known: its token's, or 0 at the seal
 	seen     []uint64 // bitset by seq
 	rankOff  int32    // at settle: where the agent's words start in epochState.ranks
 }
@@ -58,12 +59,18 @@ func (a *agentEpoch) holes() int {
 	return h
 }
 
-// expect sets the agent's expected count and returns what that does to its
-// number of holes.
-func (a *agentEpoch) expect(n int32) int {
+// expect sets the agent's expected count and clears its marks at or past
+// it, reports admitted before the count was known. It returns what that
+// does to the agent's number of holes, and how many marks it cleared.
+func (a *agentEpoch) expect(n int32) (holes, excess int) {
 	before := a.holes()
 	a.expected = n
-	return a.holes() - before
+	for w := int(n) >> 6; w < len(a.seen); w++ {
+		past := a.seen[w] &^ below(max(int(n)-w<<6, 0))
+		excess += bits.OnesCount64(past)
+		a.seen[w] &^= past
+	}
+	return a.holes() - before, excess
 }
 
 // maxAgentSeq bounds one agent's report sequence within an epoch. mark
@@ -105,6 +112,7 @@ type epochState struct {
 	attempts  int
 	nextRetry int32
 	expected  int64 // total expected reports (sum of token counts)
+	counted   int   // agents whose count stood
 
 	order []uint64 // byID's result: (id, slab index) keys, ascending
 	ranks []int32  // place's per-word canonical positions
@@ -115,7 +123,8 @@ type epochState struct {
 }
 
 // agent returns the slab index of the epoch's state for one agent, creating
-// it (over a recycled slot's bitset when there is one) if needed.
+// it (over a recycled slot's bitset when there is one) if needed. An agent
+// first heard of after the seal has no count coming: it expects 0.
 func (eps *epochState) agent(id topology.HostID) int32 {
 	if k, ok := eps.index[id]; ok {
 		return k
@@ -124,8 +133,47 @@ func (eps *epochState) agent(id topology.HostID) int32 {
 	eps.agents = slices.Grow(eps.agents, 1)[:k+1]
 	ag := &eps.agents[k]
 	ag.id, ag.expected, ag.seen = id, -1, ag.seen[:0]
+	if eps.sealed {
+		ag.expected = 0
+	}
 	eps.index[id] = k
 	return k
+}
+
+// excess moves n reports that their agents' counts, arriving after them,
+// made excess out of the arrivals and from Accepted to Excess.
+func (c *settleCore) excess(eps *epochState, n int) {
+	keep := 0
+	for i, r := range eps.arrivals {
+		if e := eps.agents[eps.owner[i]].expected; e < 0 || r.Seq < e {
+			eps.arrivals[keep], eps.owner[keep] = r, eps.owner[i]
+			keep++
+		}
+	}
+	clear(eps.arrivals[keep:]) // drop the path references
+	eps.arrivals, eps.owner = eps.arrivals[:keep], eps.owner[:keep]
+	c.ctr.Accepted.Add(-int64(n))
+	c.ctr.Excess.Add(int64(n))
+}
+
+// seal closes the epoch's counts: every token of its cycle is in, and an
+// agent with no count expects 0. The holes are now gaps: a re-request round
+// is due at once.
+func (c *settleCore) seal(eps *epochState) {
+	eps.sealed, eps.nextRetry = true, eps.epoch
+	if eps.counted == len(eps.agents) {
+		return
+	}
+	n := 0
+	for k := range eps.agents {
+		if eps.agents[k].expected < 0 {
+			_, x := eps.agents[k].expect(0)
+			n += x
+		}
+	}
+	if n > 0 {
+		c.excess(eps, n)
+	}
 }
 
 // byID returns the agents in ascending id order, as keys whose low 32 bits
@@ -324,6 +372,12 @@ func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 	}
 	eps := run.eps
 	ag := &eps.agents[run.ag]
+	if ag.expected >= 0 && r.Seq >= ag.expected {
+		// Past its agent's count: no honest agent sends it, and admitting it
+		// would break the epoch's conservation.
+		c.ctr.Excess.Add(1)
+		return
+	}
 	if ag.mark(r.Seq) {
 		c.ctr.Duplicates.Add(1)
 		return
@@ -347,7 +401,9 @@ func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 
 // token merges one source's token for a cycle: the expected counts of the
 // source's agents for the cycle's epoch, and whether the cycle ran an
-// engine epoch at all. Call next afterwards until it reports false.
+// engine epoch at all. An agent's first count stands; a later one, and one
+// no agent can have (below 0, above maxAgentSeq), is dropped and counted.
+// Call next afterwards until it reports false.
 func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount) {
 	if cycle <= c.lastSettled {
 		return
@@ -355,9 +411,18 @@ func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount
 	if len(counts) > 0 {
 		eps := c.openEpoch(cycle)
 		for _, ac := range counts {
-			k := eps.agent(ac.Agent)
-			eps.holes += eps.agents[k].expect(ac.N)
+			ag := &eps.agents[eps.agent(ac.Agent)]
+			if ac.N < 0 || ac.N > maxAgentSeq || ag.expected >= 0 {
+				c.ctr.DroppedCounts.Add(1)
+				continue
+			}
+			holes, n := ag.expect(ac.N)
+			eps.holes += holes
 			eps.expected += int64(ac.N)
+			eps.counted++
+			if n > 0 {
+				c.excess(eps, n)
+			}
 		}
 	}
 	if live && cycle > c.maxLive {
@@ -371,7 +436,7 @@ func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount
 		// and the next cycle to complete re-requests them.
 		delete(c.tokens, cycle)
 		if eps := c.open[cycle]; eps != nil {
-			eps.sealed, eps.nextRetry = true, eps.epoch
+			c.seal(eps)
 		}
 	}
 }
@@ -390,7 +455,7 @@ func (c *settleCore) next() (cycleDone, bool) {
 	c.nextEnd++
 	done := cycleDone{cycle: cycle}
 	if eps := c.open[cycle]; eps != nil {
-		eps.sealed, eps.nextRetry = true, eps.epoch // a round is due at once
+		c.seal(eps)
 	}
 	// Epochs ascending, each one's holes by agent and seq: the re-requests
 	// come out in (epoch, agent, seq) order by construction.
@@ -446,8 +511,7 @@ func (c *settleCore) dueRetries(eps *epochState, cycle int32, out []transport.Re
 
 // finals appends the live epochs that are final now, ascending, and places
 // each one, once. An epoch is final when it is sealed with no holes: every
-// later arrival for it is a duplicate, or a report past its agent's count
-// that fails the conservation check at settle, so its accepted set is the
+// later arrival for it is a duplicate or excess, so its accepted set is the
 // one its settle would place. A live epoch with no state at all expected
 // nothing. The walk stops at the first live epoch that is not final, so the
 // epochs are reported in epoch order.
@@ -478,14 +542,18 @@ func (c *settleCore) settle(e int32, done *cycleDone) {
 	c.lastSettled = e
 	c.run = admitRun{} // it may point into the epoch that just closed
 	done.settled, done.epoch, done.live = true, e, e <= c.maxLive
+	if eps != nil && !eps.sealed {
+		// Opened after its cycle completed, or rebuilt by replayed tokens
+		// that never became whole: its counts are closed all the same.
+		c.seal(eps)
+	}
 	if eps != nil && done.live {
 		// Conservation: every expected report is accounted for exactly once,
 		// as accepted or as lost. Holds under every fault mix because
-		// duplicates are suppressed, post-settle stragglers stay holes, and
-		// shedding strips paths, never votes. A report past its agent's
-		// count fails it, placed when its epoch became final or not; place,
-		// which positions by the seen bits alone, could not run out of range
-		// even if one got through.
+		// duplicates are suppressed, post-settle stragglers stay holes,
+		// reports past their agent's count are excess, and shedding strips
+		// paths, never votes. place positions by the seen bits alone, so a
+		// report that got past all of that would make it run out of range.
 		if int64(len(eps.placed)+len(eps.arrivals)+eps.holes) != eps.expected {
 			panic("ingest: epoch conservation violated (accepted + lost != expected)")
 		}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"vigil/internal/engine"
@@ -386,7 +385,7 @@ func (e *loopEngine) Step(emit func(vote.Report)) *engine.EpochResult {
 // A settled epoch costs the core one allocation — the slice it hands over,
 // which the sink may keep — at both of bench/'s arrival shapes; one hostile
 // epoch leaves nothing resident behind it; a report past its agent's count
-// still meets the conservation check before anything positions it; and
+// is excess, before its epoch is final or after; and
 // the in-process Service adds little per-cycle garbage of its own.
 func TestSettleSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
@@ -464,50 +463,48 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 	})
 
 	t.Run("beyond count", func(t *testing.T) {
-		for _, counts := range [][]transport.AgentCount{
-			{{Agent: 1, N: 1}, {Agent: 2, N: 1}}, // agent 1's seq 5 is past its count
-			{{Agent: 2, N: 1}},                   // agent 1 has no count at all
+		for _, tc := range []struct {
+			counts []transport.AgentCount
+			excess int64
+		}{
+			{[]transport.AgentCount{{Agent: 1, N: 1}, {Agent: 2, N: 1}}, 1}, // agent 1's seq 5 is past its count
+			{[]transport.AgentCount{{Agent: 2, N: 1}}, 2},                   // agent 1 has no count at all
 		} {
-			func() {
-				c := newSettleCore(1, 0, 0, &metrics.IngestCounters{}, -1)
-				c.report(vote.Report{Src: 2, Epoch: 0, Seq: 0}, 0, false)
-				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 5}, 0, false)
-				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
-				c.token(0, true, counts)
-				defer func() {
-					if msg, _ := recover().(string); !strings.Contains(msg, "conservation") {
-						t.Fatalf("counts %v: settle did not stop at the conservation check", counts)
-					}
-				}()
-				c.next()
-			}()
+			c := newSettleCore(1, 0, 0, &metrics.IngestCounters{}, -1)
+			c.report(vote.Report{Src: 2, Epoch: 0, Seq: 0}, 0, false)
+			c.report(vote.Report{Src: 1, Epoch: 0, Seq: 5}, 0, false)
+			c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
+			c.token(0, true, tc.counts)
+			done, _ := c.next()
+			want := int(3 - tc.excess)
+			if !done.settled || len(done.accepted) != want || c.ctr.Excess.Load() != tc.excess || c.ctr.Lost.Load() != 0 {
+				t.Fatalf("counts %v: settled %v with %d reports, excess %d; want %d reports, excess %d",
+					tc.counts, done.settled, len(done.accepted), c.ctr.Excess.Load(), want, tc.excess)
+			}
+			checkConservation(t, c.ctr)
 		}
 		// An epoch reported final, its reports placed and handed to analysis,
-		// meets the same check at its settle: with the report past its
-		// count placed along (it came before the seal) or arriving after.
+		// settles the same set: the report past its count is excess whether
+		// it came before the seal or after.
 		for _, before := range []bool{true, false} {
-			func() {
-				c := newSettleCore(1, 1, 0, &metrics.IngestCounters{}, -1)
-				stray := vote.Report{Src: 1, Epoch: 0, Seq: 1}
-				if before {
-					c.report(stray, 0, false)
-				}
-				c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
-				c.token(0, true, []transport.AgentCount{{Agent: 1, N: 1}})
-				if done, _ := c.next(); len(done.final) != 1 {
-					t.Fatalf("stray before the seal %v: epoch 0 not reported final: %+v", before, done.final)
-				}
-				if !before {
-					c.report(stray, 0, false)
-				}
-				c.token(1, true, nil)
-				defer func() {
-					if msg, _ := recover().(string); !strings.Contains(msg, "conservation") {
-						t.Fatalf("stray before the seal %v: the settle did not stop at the conservation check", before)
-					}
-				}()
-				c.next()
-			}()
+			c := newSettleCore(1, 1, 0, &metrics.IngestCounters{}, -1)
+			stray := vote.Report{Src: 1, Epoch: 0, Seq: 1}
+			if before {
+				c.report(stray, 0, false)
+			}
+			c.report(vote.Report{Src: 1, Epoch: 0, Seq: 0}, 0, false)
+			c.token(0, true, []transport.AgentCount{{Agent: 1, N: 1}})
+			if done, _ := c.next(); len(done.final) != 1 || len(done.final[0].accepted) != 1 {
+				t.Fatalf("stray before the seal %v: epoch 0 not reported final with one report: %+v", before, done.final)
+			}
+			if !before {
+				c.report(stray, 0, false)
+			}
+			c.token(1, true, nil)
+			if done, _ := c.next(); !done.settled || len(done.accepted) != 1 || c.ctr.Excess.Load() != 1 {
+				t.Fatalf("stray before the seal %v: settled %d reports, excess %d", before, len(done.accepted), c.ctr.Excess.Load())
+			}
+			checkConservation(t, c.ctr)
 		}
 	})
 

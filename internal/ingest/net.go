@@ -464,7 +464,10 @@ func (c *NetCollector) token(sess uint64, seq uint64, t *transport.Token) {
 		}
 		c.tokenSeq[tokenKey{t.Cycle, sess}] = seq
 	}
-	c.core.token(t.Cycle, t.Live, t.Counts)
+	// Every live token an agent sends carries its epoch's summary, the
+	// ground truth a settle is built on; one that claims a live epoch
+	// without it counts as a drain token.
+	c.core.token(t.Cycle, t.Live && t.Summary != nil, t.Counts)
 	for done, ok := c.core.next(); ok && c.running(); done, ok = c.core.next() {
 		c.endCycle(done)
 	}

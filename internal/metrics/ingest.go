@@ -26,6 +26,8 @@ type IngestCounters struct {
 	Late          atomic.Int64 // accepted inside the grace window after their epoch closed
 	LateDropped   atomic.Int64 // arrived after their epoch settled; discarded
 	Rejected      atomic.Int64 // malformed identity (negative seq or epoch); discarded
+	Excess        atomic.Int64 // at or past their agent's expected count; discarded
+	DroppedCounts atomic.Int64 // token counts dropped: out of range, or an agent's second
 	Lost          atomic.Int64 // expected but missing when their epoch settled
 	Retries       atomic.Int64 // re-requests issued for detected sequence gaps
 	Recovered     atomic.Int64 // gap reports recovered by a retry before settle
@@ -53,6 +55,8 @@ var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_late_total", "Reports accepted inside the grace window after their epoch closed.", false, func(c *IngestCounters) int64 { return c.Late.Load() }},
 	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.LateDropped.Load() }},
 	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch).", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
+	{"vigil_ingest_excess_total", "Reports discarded because their sequence was at or past their agent's expected count.", false, func(c *IngestCounters) int64 { return c.Excess.Load() }},
+	{"vigil_ingest_dropped_counts_total", "Token counts dropped: out of range, or a second count for the same agent and epoch.", false, func(c *IngestCounters) int64 { return c.DroppedCounts.Load() }},
 	{"vigil_ingest_lost_total", "Reports still missing when their epoch settled.", false, func(c *IngestCounters) int64 { return c.Lost.Load() }},
 	{"vigil_ingest_retries_total", "Gap re-requests issued to agents.", false, func(c *IngestCounters) int64 { return c.Retries.Load() }},
 	{"vigil_ingest_recovered_total", "Gap reports recovered by a retry before settle.", false, func(c *IngestCounters) int64 { return c.Recovered.Load() }},

@@ -12,7 +12,7 @@
 // The skip is exact, not approximate: each flow draws its drops from its
 // private (epochSeed, flow index) stream, and with the seed frozen,
 // re-scoring a flow none of whose links changed would reproduce its cached
-// outcome bit for bit. RescoreAll invalidates the cache (the seed stays
+// outcome bit for bit. rescoreAll invalidates the cache (the seed stays
 // frozen) so the next epoch recomputes everything through the full
 // pipeline — the equivalence oracle the tests compare delta epochs
 // against.
@@ -164,7 +164,7 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	inc.failed = append(inc.failed[:0], ep.Failed...)
 	inc.totalPackets = ep.TotalPackets
 
-	// Fresh stamps: a rebuild after RescoreAll may find stale stamps at or
+	// Fresh stamps: a rebuild after rescoreAll may find stale stamps at or
 	// past any restarted round counter, so both arrays reset to zero and the
 	// round restarts above them.
 	if cap(inc.linkStamp) < nlinks {
@@ -183,7 +183,7 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 
 	// The per-chunk path records are in the CSRs now; holding them would pin
 	// a second copy of every path (≈50 MB at datacenter scale) for the run.
-	// Only a rebuild after RescoreAll writes them again.
+	// Only a rebuild after rescoreAll writes them again.
 	clear(inc.lensByChunk)
 	clear(inc.linksByChunk)
 }
@@ -258,7 +258,7 @@ func (s *Sim) runEpochDelta() *Epoch {
 	inc.failed, inc.spare = merged, old
 
 	ep := &Epoch{
-		FailedLinks:  s.failedSnapshot(),
+		FailedLinks:  s.fails.Sorted(),
 		TotalFlows:   len(inc.flows),
 		TotalPackets: inc.totalPackets,
 	}
@@ -304,9 +304,9 @@ func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
 	return out, true
 }
 
-// Reference oracle: RescoreAll invalidates the delta cache, so the next
+// Reference oracle: rescoreAll invalidates the delta cache, so the next
 // RunEpoch re-scores every flow of the frozen workload through the full
 // pipeline and rebuilds the cache. Results are bit-identical either way;
 // delta epochs are tested against it. It is a no-op on non-incremental
 // simulations.
-func (s *Sim) RescoreAll() { s.inc.valid = false }
+func (s *Sim) rescoreAll() { s.inc.valid = false }

@@ -58,7 +58,7 @@ func churn(s *Sim, epoch int) {
 
 // The exact-equivalence contract of incremental mode: every delta epoch is
 // bit-identical to re-scoring the whole frozen workload from scratch
-// (RescoreAll before each epoch forces the full pipeline on the same frozen
+// (rescoreAll before each epoch forces the full pipeline on the same frozen
 // seed).
 func TestIncrementalMatchesFullRescore(t *testing.T) {
 	delta := incrementalSim(t, 7, 3)
@@ -66,7 +66,7 @@ func TestIncrementalMatchesFullRescore(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		churn(delta, e)
 		churn(full, e)
-		full.RescoreAll()
+		full.rescoreAll()
 		de, fe := delta.RunEpoch(), full.RunEpoch()
 		if !reflect.DeepEqual(de, fe) {
 			t.Fatalf("epoch %d: delta diverged from full rescore: drops %d/%d, failed %d/%d, reports %d/%d",
@@ -113,7 +113,7 @@ func TestDeltaEpochIndependentOfParallelism(t *testing.T) {
 				s.InjectFailure(l, 0.02+0.01*float64(len(eps)%2))
 			}
 			if rescore {
-				s.RescoreAll()
+				s.rescoreAll()
 			}
 			eps = append(eps, s.RunEpoch())
 		}
@@ -225,7 +225,7 @@ func TestDatacenterEpochShort(t *testing.T) {
 		s.Schedule(l, schedule.Flap{Rate: 0.05, Period: 2, On: 1})
 	}
 	for e := 0; e < 3; e++ {
-		full.RescoreAll()
+		full.rescoreAll()
 		de, fe := delta.RunEpoch(), full.RunEpoch()
 		if !reflect.DeepEqual(de, fe) {
 			t.Fatalf("datacenter epoch %d: delta diverged from full rescore", e)
@@ -236,21 +236,21 @@ func TestDatacenterEpochShort(t *testing.T) {
 	}
 }
 
-// RescoreAll on a non-incremental sim is a harmless no-op.
+// rescoreAll on a non-incremental sim is a harmless no-op.
 func TestRescoreAllNonIncremental(t *testing.T) {
 	s := parallelSim(t, 13, 2)
 	a := s.RunEpoch()
-	s.RescoreAll()
+	s.rescoreAll()
 	b := s.RunEpoch()
 	if a.TotalFlows != b.TotalFlows {
-		t.Fatalf("flow count changed across RescoreAll: %d -> %d", a.TotalFlows, b.TotalFlows)
+		t.Fatalf("flow count changed across rescoreAll: %d -> %d", a.TotalFlows, b.TotalFlows)
 	}
 }
 
 // linkDropsTotal sums the derived per-link ground truth.
 func linkDropsTotal(ep *Epoch) int {
 	sum := 0
-	for _, d := range ep.LinkDrops() {
+	for _, d := range ep.linkDrops() {
 		sum += int(d)
 	}
 	return sum
@@ -267,13 +267,13 @@ func TestLinkDropsDerived(t *testing.T) {
 		for e := 0; e < 5; e++ {
 			churn(delta, e)
 			churn(full, e)
-			full.RescoreAll()
+			full.rescoreAll()
 			de, fe := delta.RunEpoch(), full.RunEpoch()
-			got := de.LinkDrops()
+			got := de.linkDrops()
 			if sum := linkDropsTotal(de); sum != de.TotalDrops || sum == 0 {
 				t.Fatalf("workers=%d epoch %d: derived link drops sum to %d, epoch total %d", workers, e, sum, de.TotalDrops)
 			}
-			if !reflect.DeepEqual(got, fe.LinkDrops()) {
+			if !reflect.DeepEqual(got, fe.linkDrops()) {
 				t.Fatalf("workers=%d epoch %d: delta and full re-score derive different link drops", workers, e)
 			}
 			if workers == 1 {

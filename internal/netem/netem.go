@@ -27,13 +27,16 @@
 // its drops from its own (epoch seed, flow index) stream, with global flow
 // indexes prefix-summed from per-source counts before the fan-out. Ground
 // truth lives in the failed flows' outcomes alone (per-link totals are
-// derived from them on demand, Epoch.LinkDrops), and the per-chunk failed
+// derived from them on demand, Epoch.linkDrops), and the per-chunk failed
 // outcomes concatenate in chunk order. One sequential pass over that
 // flow-ordered list (resolveBudget) then applies the traceroute budget,
 // stamps each agent's report sequences and emits the reports, for full and
 // delta epochs alike. Because no draw and no reduction depends on worker
 // interleaving, a seeded epoch is bit-identical at any parallelism — see
 // DESIGN.md ("Determinism contract", "Scaling the flow plane").
+//
+// Injected failures and rate schedules live in a schedule.Failures, as on
+// the packet plane, applied at the top of each epoch.
 //
 // Config.Incremental adds the datacenter-scale delta mode: the flow set and
 // per-flow draw streams freeze after the first epoch, and later epochs
@@ -44,12 +47,12 @@ package netem
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vigil/internal/ecmp"
 	"vigil/internal/metrics"
 	"vigil/internal/par"
 	"vigil/internal/prof"
+	"vigil/internal/schedule"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
@@ -83,7 +86,7 @@ type Config struct {
 	// changed since the previous epoch (schedules, injections and clears all
 	// count), carrying the cached outcome of every untouched flow forward.
 	// Results are bit-identical to re-scoring all flows against the frozen
-	// draws (see RescoreAll and DESIGN.md "Scaling the flow plane"); the
+	// draws (see rescoreAll and DESIGN.md "Scaling the flow plane"); the
 	// trade is O(flows + Σ path length) cache memory and epoch-to-epoch
 	// statistical independence, which a frozen workload no longer has.
 	Incremental bool
@@ -100,19 +103,12 @@ type Sim struct {
 	rate     []float64 // per-link effective rate (noise or failure)
 	logq     []float64 // per-link log1p(-rate), the survival-gate summands
 	isFailed []bool    // dense failure flags, indexed by LinkID
-	failures map[topology.LinkID]float64
 
-	// failedSorted caches the sorted failure snapshot; failedDirty marks it
-	// stale after Inject/Clear. The cached slice is never mutated in place —
-	// invalidation rebuilds a fresh slice — so epochs may hold it by
-	// reference.
-	failedSorted []topology.LinkID
-	failedDirty  bool
-
-	// schedules scripts time-varying link rates (see schedule.go); epochIdx
-	// is the index of the next epoch, fed to RateSchedule.RateAt.
-	schedules []linkSchedule
-	epochIdx  int
+	// fails is the failure set: injected links, their sorted snapshot (which
+	// epochs hold by reference) and the rate schedules. epochIdx is the
+	// index of the next epoch, the one its schedules are applied for.
+	fails    *schedule.Failures
+	epochIdx int
 
 	// Per-epoch scratch, reused across RunEpoch calls (a Sim is not safe for
 	// concurrent RunEpoch anyway): worker shards, the per-chunk outcome
@@ -155,9 +151,11 @@ func New(cfg Config) (*Sim, error) {
 		rate:     make([]float64, nlinks),
 		logq:     make([]float64, nlinks),
 		isFailed: make([]bool, nlinks),
-		failures: make(map[topology.LinkID]float64),
 		budget:   make([]int32, len(cfg.Topo.Hosts)),
 	}
+	s.fails = schedule.NewFailures(cfg.Topo,
+		func(l topology.LinkID, rate float64) { s.setRate(l, rate, true) },
+		func(l topology.LinkID) { s.setRate(l, s.noise[l], false) })
 	for i := range s.noise {
 		s.noise[i] = rng.Uniform(cfg.NoiseLo, cfg.NoiseHi)
 		s.rate[i] = s.noise[i]
@@ -185,53 +183,31 @@ func (s *Sim) setRate(l topology.LinkID, rate float64, failed bool) {
 	s.rate[l] = rate
 	s.logq[l] = math.Log1p(-rate)
 	s.isFailed[l] = failed
-	s.failedDirty = true
 }
 
-// InjectFailure sets link l's drop rate, replacing its noise rate.
-func (s *Sim) InjectFailure(l topology.LinkID, rate float64) {
-	s.failures[l] = rate
-	s.setRate(l, rate, true)
-}
+// InjectFailure sets link l's drop rate, replacing its noise rate. The
+// link must exist and the rate must be a probability.
+func (s *Sim) InjectFailure(l topology.LinkID, rate float64) error { return s.fails.Inject(l, rate) }
 
 // ClearFailure restores link l to its noise rate.
-func (s *Sim) ClearFailure(l topology.LinkID) {
-	delete(s.failures, l)
-	s.setRate(l, s.noise[l], false)
-}
+func (s *Sim) ClearFailure(l topology.LinkID) error { return s.fails.Clear(l) }
 
 // ClearAllFailures restores every link to its noise rate.
-func (s *Sim) ClearAllFailures() {
-	for l := range s.failures {
-		s.setRate(l, s.noise[l], false)
-		delete(s.failures, l)
-	}
+func (s *Sim) ClearAllFailures() { s.fails.ClearAll() }
+
+// Schedule attaches sched to link l from the next epoch on; the link then
+// follows it, overriding manual injections (schedule.Failures.Schedule).
+func (s *Sim) Schedule(l topology.LinkID, sched schedule.RateSchedule) error {
+	return s.fails.Schedule(l, sched)
 }
 
-// failedSnapshot returns the cached sorted failure set, rebuilding it only
-// after an Inject/Clear. The returned slice must not be mutated: it is
-// shared with every Epoch simulated until the next invalidation.
-func (s *Sim) failedSnapshot() []topology.LinkID {
-	if s.failedDirty || s.failedSorted == nil {
-		out := make([]topology.LinkID, 0, len(s.failures))
-		for l := range s.failures {
-			out = append(out, l)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		s.failedSorted = out
-		s.failedDirty = false
-	}
-	return s.failedSorted
-}
+// ClearSchedules detaches every schedule and restores the scheduled links to
+// their noise rates (schedule.Failures.ClearSchedules).
+func (s *Sim) ClearSchedules() { s.fails.ClearSchedules() }
 
-// FailedLinks returns the injected failures, sorted by link for stability.
-// The caller owns the returned slice.
-func (s *Sim) FailedLinks() []topology.LinkID {
-	snap := s.failedSnapshot()
-	out := make([]topology.LinkID, len(snap))
-	copy(out, snap)
-	return out
-}
+// EpochIndex returns the index the next RunEpoch call will simulate (the
+// number of epochs run so far).
+func (s *Sim) EpochIndex() int { return s.epochIdx }
 
 // FlowOutcome is the ground truth for one flow that lost packets.
 type FlowOutcome struct {
@@ -433,8 +409,13 @@ func (s *Sim) epochScratch(nchunks int) (shards []epochShard, failedByChunk [][]
 // flow count.
 func (s *Sim) RunEpoch() *Epoch {
 	// Settle scripted link rates for this epoch before any randomness is
-	// drawn or any worker starts (see schedule.go).
-	s.applySchedules()
+	// drawn or any worker starts, so the hot path sees a fixed rate vector.
+	// A schedule returning a rate outside [0, 1] is a broken script — there
+	// is no epoch result to attach an error to, and feeding it to log1p
+	// would silently corrupt every later draw — so it panics, loudly, here.
+	if err := s.fails.Apply(s.epochIdx); err != nil {
+		panic(fmt.Sprintf("netem: %v", err))
+	}
 	s.epochIdx++
 	if s.cfg.Incremental {
 		if s.inc.valid {
@@ -470,7 +451,7 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	phaseCount.End()
 
 	ep := &Epoch{
-		FailedLinks: s.failedSnapshot(),
+		FailedLinks: s.fails.Sorted(),
 		TotalFlows:  total,
 	}
 	grain := par.Grain(nsrc, srcGrainLo, srcGrainHi, grainTarget)
@@ -703,11 +684,11 @@ func (s *Sim) sampleFlowDrops(epochSeed uint64, fi int64, rng *stats.RNG, links 
 	return drops
 }
 
-// Reference oracle: LinkDrops derives the ground-truth number of packets
+// Reference oracle: linkDrops derives the ground-truth number of packets
 // each link dropped, for tests to check the per-flow drops against.
 // Every dropped packet belongs to a failed flow, so summing DropsByLink over
 // Failed is the whole vector; links no failed flow crossed are absent.
-func (ep *Epoch) LinkDrops() map[topology.LinkID]int64 {
+func (ep *Epoch) linkDrops() map[topology.LinkID]int64 {
 	m := make(map[topology.LinkID]int64)
 	for _, f := range ep.Failed {
 		for i, d := range f.DropsByLink {

@@ -79,7 +79,7 @@ func TestScheduledEpochsFollowScript(t *testing.T) {
 			if len(ep.FailedLinks) != 1 || ep.FailedLinks[0] != bad {
 				t.Fatalf("epoch %d: FailedLinks = %v, want [%v]", e, ep.FailedLinks, bad)
 			}
-			if ep.LinkDrops()[bad] == 0 {
+			if ep.linkDrops()[bad] == 0 {
 				t.Fatalf("epoch %d: active scheduled link dropped nothing at 20%%", e)
 			}
 		} else {
@@ -102,7 +102,7 @@ func TestScheduleOwnsLink(t *testing.T) {
 		t.Fatalf("inactive schedule kept manual injection: %v", ep.FailedLinks)
 	}
 	s.ClearSchedules()
-	if got := s.FailedLinks(); len(got) != 0 {
+	if got := s.fails.Sorted(); len(got) != 0 {
 		t.Fatalf("ClearSchedules left failures: %v", got)
 	}
 	// After clearing, manual control works again.

@@ -12,6 +12,9 @@
 // planes rely on this — they settle every scheduled link's rate at the top
 // of an epoch, before any randomness is drawn, so dynamics never perturb
 // the planes' determinism contracts (DESIGN.md).
+//
+// Failures is the failure set both planes keep: injected links, their
+// sorted snapshot and the schedules, over two plane callbacks.
 package schedule
 
 import (
@@ -96,10 +99,10 @@ func ValidRate(rate float64) bool {
 	return !math.IsNaN(rate) && rate >= 0 && rate <= 1
 }
 
-// CheckRate validates the rate of the built-in schedule shapes up front.
-// Custom RateSchedule implementations are opaque here and pass; the planes
-// validate their rates epoch by epoch as each schedule is applied.
-func CheckRate(sched RateSchedule) error {
+// checkRate validates the rate of the built-in schedule shapes up front.
+// Custom RateSchedule implementations are opaque here and pass; Apply
+// validates their rates epoch by epoch.
+func checkRate(sched RateSchedule) error {
 	var rate float64
 	switch sc := sched.(type) {
 	case ConstantRate:

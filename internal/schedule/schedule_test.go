@@ -83,7 +83,7 @@ func TestValidRate(t *testing.T) {
 	}
 }
 
-// customSched stands in for a user-defined shape CheckRate cannot see into.
+// customSched stands in for a user-defined shape checkRate cannot see into.
 type customSched struct{ rate float64 }
 
 func (c customSched) RateAt(int) (float64, bool) { return c.rate, true }
@@ -96,8 +96,8 @@ func TestCheckRate(t *testing.T) {
 		Intermittent{Rate: 0.5},
 		customSched{rate: 99}, // opaque: validated per-epoch, not here
 	} {
-		if err := CheckRate(sched); err != nil {
-			t.Fatalf("CheckRate(%T) = %v", sched, err)
+		if err := checkRate(sched); err != nil {
+			t.Fatalf("checkRate(%T) = %v", sched, err)
 		}
 	}
 	for _, sched := range []RateSchedule{
@@ -106,8 +106,8 @@ func TestCheckRate(t *testing.T) {
 		Flap{Rate: math.NaN()},
 		Intermittent{Rate: 2},
 	} {
-		if err := CheckRate(sched); err == nil {
-			t.Fatalf("CheckRate(%T) accepted an out-of-range rate", sched)
+		if err := checkRate(sched); err == nil {
+			t.Fatalf("checkRate(%T) accepted an out-of-range rate", sched)
 		}
 	}
 }

@@ -28,8 +28,8 @@ var surfaceAllow = map[string]string{
 	"internal/fabric.Net.HopsFused":      "proves a cut-through test case fused hops at all",
 	"internal/fabric.Net.HopsStepped":    "the per-hop side of the same count",
 	"internal/fabric.Net.Rematerialized": "proves a mid-run change hit a flight",
-	"internal/netem.Epoch.LinkDrops":     "per-link ground truth derived from the failed flows, the oracle for drop accounting",
-	"internal/netem.Sim.RescoreAll":      "the full re-score incremental epochs are held bit-identical to",
+	"internal/netem.Epoch.linkDrops":     "per-link ground truth derived from the failed flows, the oracle for drop accounting",
+	"internal/netem.Sim.rescoreAll":      "the full re-score incremental epochs are held bit-identical to",
 	"internal/opt.Instance.Covers":       "checks the set-cover baselines' answers",
 	"internal/opt.Instance.Feasible":     "checks the integer program's answers",
 	"internal/stats.RNG.BinomialExact":   "the n-trial reference for Binomial and the gated drop sampler",
