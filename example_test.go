@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"vigil"
+	"vigil/internal/ecmp"
 	"vigil/internal/everflow"
 	"vigil/internal/stats"
 	"vigil/internal/traffic"
@@ -284,11 +285,11 @@ func ExampleEmulation_traceroute() {
 		SrcIP: topo.Hosts[src].IP, DstIP: topo.Hosts[dst].IP,
 		SrcPort: uint16(rng.IntRange(32768, 65535)), DstPort: 443, Proto: 6,
 	}
-	path, err := em.Router.Path(src, dst, tuple)
-	if err != nil {
+	var path ecmp.PathBuf
+	if err := em.Router.PathInto(src, dst, tuple, &path); err != nil {
 		panic(err)
 	}
-	bad := path.Links[2] // the flow's T1→ToR link
+	bad := path.Links()[2] // the flow's T1→ToR link
 	if err := em.InjectFailure(bad, rate); err != nil {
 		panic(err)
 	}

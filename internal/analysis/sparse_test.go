@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vigil/internal/analysis"
@@ -36,9 +37,9 @@ func requireMatchesOracle(t testing.TB, reports []vote.Report, opts analysis.Opt
 		t.Fatalf("verdicts differ in shape: %d vs %d", len(got.Verdicts), len(want.verdicts))
 	}
 	tl := got.Tally
-	if tl.Flows() != want.tally.flows || tl.Len() != want.tally.voted {
+	if tl.Flows() != want.tally.flows || len(tl.Ranking()) != want.tally.voted {
 		t.Fatalf("tally flows/len = %d/%d, dense oracle %d/%d",
-			tl.Flows(), tl.Len(), want.tally.flows, want.tally.voted)
+			tl.Flows(), len(tl.Ranking()), want.tally.flows, want.tally.voted)
 	}
 	for l := range want.tally.votes {
 		if g, w := tl.Votes(topology.LinkID(l)), want.tally.votes[l]; g != w {
@@ -74,13 +75,13 @@ func routedReports(t testing.TB, topo *topology.Topology, rng *stats.RNG, n int)
 			continue
 		}
 		i := len(reports)
-		p, err := router.Path(topology.HostID(src), topology.HostID(dst), ecmp.FiveTuple{
+		var p ecmp.PathBuf
+		if err := router.PathInto(topology.HostID(src), topology.HostID(dst), ecmp.FiveTuple{
 			SrcIP: uint32(src), DstIP: uint32(dst), SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 443, Proto: 6,
-		})
-		if err != nil {
+		}, &p); err != nil {
 			t.Fatal(err)
 		}
-		r := vote.Report{FlowID: int64(i), Src: topology.HostID(src), Dst: topology.HostID(dst), Path: p.Links, Retx: 1 + rng.Intn(3), Seq: int32(i)}
+		r := vote.Report{FlowID: int64(i), Src: topology.HostID(src), Dst: topology.HostID(dst), Path: slices.Clone(p.Links()), Retx: 1 + rng.Intn(3), Seq: int32(i)}
 		switch rng.Intn(32) {
 		case 0:
 			r.Path = nil
@@ -227,7 +228,7 @@ func TestAnalyzeHostileLinkIDStaysSmall(t *testing.T) {
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
 		t.Fatalf("analyzing three reports allocated %d bytes", spent)
 	}
-	if res.Tally.Votes(1<<30) != 1.0/3 || res.Tally.Votes(math.MaxInt32) != 1 || res.Tally.Len() != 5 {
+	if res.Tally.Votes(1<<30) != 1.0/3 || res.Tally.Votes(math.MaxInt32) != 1 || len(res.Ranking) != 5 {
 		t.Fatalf("hostile ids mis-tallied: %v", res.Ranking)
 	}
 	if res.Ranking[0].Link != math.MaxInt32 || res.Verdicts[1].Link != math.MaxInt32 {

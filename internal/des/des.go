@@ -7,9 +7,9 @@
 // the hot path — scheduling a packet hop, a retransmission timeout or an
 // epoch tick — allocates nothing: components implement Handler once and
 // pass a kind tag, an integer argument and an optional pointer payload
-// through Post. The closure form (At) remains for cold paths and tests; it
-// costs exactly the closure the caller builds, with no further boxing
-// inside the scheduler.
+// through Post. The closure form (At) remains for tests; it costs exactly
+// the closure the caller builds, with no further boxing inside the
+// scheduler.
 //
 // Events fire in (time, key, tie) order: keys impose a deterministic order
 // between simultaneous events from different origins, and simultaneous
@@ -105,7 +105,8 @@ const nearWindow = 10 * Millisecond
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// At schedules fn at absolute time t. Events in the past run "now": the
+// Test hook: At schedules fn at absolute time t, so a test can script
+// events around the components under it. Events in the past run "now": the
 // clock never moves backward.
 func (s *Scheduler) At(t Time, fn func()) {
 	s.push(t, 0, s.nextSeq(), nil, 0, 0, fn)

@@ -2,6 +2,7 @@ package ecmp
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,13 @@ func buildRouter(t testing.TB, cfg topology.Config, seed uint64) *Router {
 		t.Fatal(err)
 	}
 	return NewRouter(topo, NewSeeds(topo, stats.NewRNG(seed)))
+}
+
+// route resolves src→dst into a fresh PathBuf and copies its links out.
+func route(r *Router, src, dst topology.HostID, t FiveTuple) ([]topology.LinkID, error) {
+	var buf PathBuf
+	err := r.PathInto(src, dst, t, &buf)
+	return slices.Clone(buf.Links()), err
 }
 
 func randomTuple(rng *stats.RNG, topo *topology.Topology, src, dst topology.HostID) FiveTuple {
@@ -38,21 +46,16 @@ func TestPathDeterminism(t *testing.T) {
 			continue
 		}
 		tuple := randomTuple(rng, r.Topo, src, dst)
-		p1, err := r.Path(src, dst, tuple)
+		p1, err := route(r, src, dst, tuple)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := r.Path(src, dst, tuple)
+		p2, err := route(r, src, dst, tuple)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p1.Links) != len(p2.Links) {
-			t.Fatal("same tuple resolved to different path lengths")
-		}
-		for k := range p1.Links {
-			if p1.Links[k] != p2.Links[k] {
-				t.Fatal("same tuple resolved to different paths")
-			}
+		if !slices.Equal(p1, p2) {
+			t.Fatal("same tuple resolved to different paths")
 		}
 	}
 }
@@ -67,37 +70,37 @@ func TestPathStructure(t *testing.T) {
 		if topo.Hosts[src].ToR == topo.Hosts[dst].ToR {
 			continue
 		}
-		p, err := r.Path(src, dst, randomTuple(rng, topo, src, dst))
+		p, err := route(r, src, dst, randomTuple(rng, topo, src, dst))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Same pod: host,L1up,L1down,host = 4 links / 3 switches.
 		// Cross pod: 6 links / 5 switches (the paper's "hop count of 5").
-		wantLinks, wantSwitches := 6, 5
+		wantLinks := 6
 		if topo.Hosts[src].Pod == topo.Hosts[dst].Pod {
-			wantLinks, wantSwitches = 4, 3
+			wantLinks = 4
 		}
-		if len(p.Links) != wantLinks || len(p.Switches) != wantSwitches {
-			t.Fatalf("path %d→%d: %d links / %d switches, want %d/%d",
-				src, dst, len(p.Links), len(p.Switches), wantLinks, wantSwitches)
+		if len(p) != wantLinks {
+			t.Fatalf("path %d→%d: %d links, want %d", src, dst, len(p), wantLinks)
 		}
 		// Contiguity: each link starts where the previous ended.
-		if topo.Links[p.Links[0]].From != topology.HostNode(src) {
+		if topo.Links[p[0]].From != topology.HostNode(src) {
 			t.Fatal("path does not start at src")
 		}
-		for k := 1; k < len(p.Links); k++ {
-			if topo.Links[p.Links[k]].From != topo.Links[p.Links[k-1]].To {
+		for k := 1; k < len(p); k++ {
+			if topo.Links[p[k]].From != topo.Links[p[k-1]].To {
 				t.Fatal("path links not contiguous")
 			}
 		}
-		if topo.Links[p.Links[len(p.Links)-1]].To != topology.HostNode(dst) {
+		if topo.Links[p[len(p)-1]].To != topology.HostNode(dst) {
 			t.Fatal("path does not end at dst")
 		}
-		// Loop-free switches.
-		seen := map[topology.SwitchID]bool{}
-		for _, sw := range p.Switches {
-			if seen[sw] {
-				t.Fatal("path visits a switch twice")
+		// Every link but the last ends at a switch, and at no switch twice.
+		seen := map[topology.Node]bool{}
+		for _, l := range p[:len(p)-1] {
+			sw := topo.Links[l].To
+			if sw.Kind != topology.NodeSwitch || seen[sw] {
+				t.Fatalf("path %d→%d visits %+v twice or not as a switch", src, dst, sw)
 			}
 			seen[sw] = true
 		}
@@ -106,8 +109,8 @@ func TestPathStructure(t *testing.T) {
 
 func TestPathSameHostRejected(t *testing.T) {
 	r := buildRouter(t, topology.TestClusterConfig, 5)
-	if _, err := r.Path(0, 0, FiveTuple{}); err == nil {
-		t.Fatal("Path(src=dst) should fail")
+	if _, err := route(r, 0, 0, FiveTuple{}); err == nil {
+		t.Fatal("PathInto(src=dst) should fail")
 	}
 }
 
@@ -167,11 +170,11 @@ func TestECMPChoiceUniformity(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		tuple := randomTuple(rng, topo, src, dst)
-		p, err := r.Path(src, dst, tuple)
+		p, err := route(r, src, dst, tuple)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[p.Links[1]]++
+		counts[p[1]]++
 	}
 	if len(counts) != n1 {
 		t.Fatalf("used %d uplinks, want %d", len(counts), n1)
@@ -226,12 +229,12 @@ func TestCondProbMatchesMonteCarlo(t *testing.T) {
 		if topo.Hosts[src].ToR == topo.Hosts[dst].ToR {
 			continue
 		}
-		p, err := r.Path(src, dst, randomTuple(rng, topo, src, dst))
+		p, err := route(r, src, dst, randomTuple(rng, topo, src, dst))
 		if err != nil {
 			t.Fatal(err)
 		}
 		on := map[topology.LinkID]bool{}
-		for _, l := range p.Links {
+		for _, l := range p {
 			on[l] = true
 		}
 		for i, a := range probes {
@@ -313,22 +316,6 @@ func TestOnPathProbSumsToPathLength(t *testing.T) {
 	want := 4*pSame + 6*(1-pSame)
 	if math.Abs(sum-want) > 1e-9 {
 		t.Fatalf("sum of on-path probs = %v, want %v", sum, want)
-	}
-}
-
-func BenchmarkPath(b *testing.B) {
-	topo, _ := topology.New(topology.DefaultSimConfig)
-	r := NewRouter(topo, NewSeeds(topo, stats.NewRNG(1)))
-	rng := stats.NewRNG(2)
-	src := topo.HostAt(0, 0, 0)
-	dst := topo.HostAt(1, 5, 3)
-	tuple := randomTuple(rng, topo, src, dst)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tuple.SrcPort++
-		if _, err := r.Path(src, dst, tuple); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

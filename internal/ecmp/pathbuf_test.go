@@ -11,27 +11,25 @@ import (
 
 // hopWalk is PathInto's reference: NextHopLink at every switch, following
 // each chosen link's far end in topo.Links until the walk reaches a host.
-func hopWalk(r *Router, src, dst topology.HostID, t FiveTuple) ([]topology.LinkID, []topology.SwitchID, error) {
+func hopWalk(r *Router, src, dst topology.HostID, t FiveTuple) ([]topology.LinkID, error) {
 	topo := r.Topo
 	links := []topology.LinkID{topo.Hosts[src].Uplink}
-	var switches []topology.SwitchID
-	for cur := topo.Hosts[src].ToR; len(switches) < MaxPathLinks; {
-		switches = append(switches, cur)
+	for cur := topo.Hosts[src].ToR; len(links) <= MaxPathLinks; {
 		l, err := r.NextHopLink(cur, t, dst)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		links = append(links, l)
 		to := topo.Links[l].To
 		if to.Kind == topology.NodeHost {
 			if topology.HostID(to.ID) != dst {
-				return nil, nil, fmt.Errorf("delivered to host %d, want %d", to.ID, dst)
+				return nil, fmt.Errorf("delivered to host %d, want %d", to.ID, dst)
 			}
-			return links, switches, nil
+			return links, nil
 		}
 		cur = topology.SwitchID(to.ID)
 	}
-	return nil, nil, fmt.Errorf("no host within %d switches", MaxPathLinks)
+	return nil, fmt.Errorf("no host within %d switches", MaxPathLinks)
 }
 
 // PathInto walks the Clos by tier and never reads topo.Links, so it must
@@ -65,33 +63,33 @@ func TestPathIntoMatchesHopWalk(t *testing.T) {
 			tuple := randomTuple(rng, topo, topology.HostID(src), topology.HostID(dst))
 			err := r.PathInto(topology.HostID(src), topology.HostID(dst), tuple, &buf)
 			if src == dst {
-				if err == nil || buf.Len() != 0 || len(buf.Switches()) != 0 {
+				if err == nil || len(buf.Links()) != 0 {
 					t.Fatalf("%+v: PathInto(%d, %d) = %v with %d links left, want an error and an empty buffer",
-						cfg, src, dst, err, buf.Len())
+						cfg, src, dst, err, len(buf.Links()))
 				}
 				continue
 			}
 			if err != nil {
 				t.Fatalf("%+v: PathInto(%d, %d): %v", cfg, src, dst, err)
 			}
-			links, switches, err := hopWalk(r, topology.HostID(src), topology.HostID(dst), tuple)
+			links, err := hopWalk(r, topology.HostID(src), topology.HostID(dst), tuple)
 			if err != nil {
 				t.Fatalf("%+v: hop walk %d→%d: %v", cfg, src, dst, err)
 			}
-			if !slices.Equal(buf.Links(), links) || !slices.Equal(buf.Switches(), switches) {
-				t.Fatalf("%+v: %d→%d %v: PathInto links %v switches %v, hop walk %v %v",
-					cfg, src, dst, tuple, buf.Links(), buf.Switches(), links, switches)
+			if !slices.Equal(buf.Links(), links) {
+				t.Fatalf("%+v: %d→%d %v: PathInto links %v, hop walk %v",
+					cfg, src, dst, tuple, buf.Links(), links)
 			}
 		}
-		if err := r.PathInto(0, 0, FiveTuple{}, &buf); err == nil || buf.Len() != 0 || len(buf.Switches()) != 0 {
-			t.Fatalf("%+v: PathInto(0, 0) = %v with %d links left, want an error and an empty buffer", cfg, err, buf.Len())
+		if err := r.PathInto(0, 0, FiveTuple{}, &buf); err == nil || len(buf.Links()) != 0 {
+			t.Fatalf("%+v: PathInto(0, 0) = %v with %d links left, want an error and an empty buffer", cfg, err, len(buf.Links()))
 		}
 	}
 }
 
-// Path resolves into a fresh PathBuf and copies it out, so PathInto on one
-// PathBuf reused across flows, as each simulator worker reuses one, must
-// give the same route as Path: no stale link or switch survives a reuse.
+// PathInto on one PathBuf reused across flows, as each simulator worker
+// reuses one, must give the route a fresh PathBuf gets: no stale link
+// survives a reuse.
 func TestPathIntoMatchesPath(t *testing.T) {
 	r := buildRouter(t, topology.Config{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4}, 7)
 	topo := r.Topo
@@ -108,29 +106,15 @@ func TestPathIntoMatchesPath(t *testing.T) {
 			SrcPort: uint16(rng.IntRange(1024, 65535)), DstPort: 443,
 			Proto: ProtoTCP,
 		}
-		want, err := r.Path(src, dst, tuple)
+		want, err := route(r, src, dst, tuple)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := r.PathInto(src, dst, tuple, &buf); err != nil {
 			t.Fatal(err)
 		}
-		if buf.Len() != want.Len() {
-			t.Fatalf("flow %d: PathInto %d links, Path %d", i, buf.Len(), want.Len())
-		}
-		for j, l := range buf.Links() {
-			if l != want.Links[j] {
-				t.Fatalf("flow %d: link %d differs: %d vs %d", i, j, l, want.Links[j])
-			}
-		}
-		gotSw := buf.Switches()
-		if len(gotSw) != len(want.Switches) {
-			t.Fatalf("flow %d: PathInto %d switches, Path %d", i, len(gotSw), len(want.Switches))
-		}
-		for j, sw := range gotSw {
-			if sw != want.Switches[j] {
-				t.Fatalf("flow %d: switch %d differs", i, j)
-			}
+		if !slices.Equal(buf.Links(), want) {
+			t.Fatalf("flow %d: reused buffer %v, fresh one %v", i, buf.Links(), want)
 		}
 	}
 }
@@ -141,7 +125,7 @@ func TestPathIntoErrors(t *testing.T) {
 	if err := r.PathInto(1, 1, FiveTuple{}, &buf); err == nil {
 		t.Fatal("same-host path did not error")
 	}
-	if buf.Len() != 0 || len(buf.Switches()) != 0 {
+	if len(buf.Links()) != 0 {
 		t.Fatal("failed resolution left stale contents in the buffer")
 	}
 }

@@ -7,15 +7,6 @@ import (
 	"vigil/internal/topology"
 )
 
-// Path is a resolved route between two hosts.
-type Path struct {
-	Links    []topology.LinkID   // in traversal order, host uplink first
-	Switches []topology.SwitchID // switches visited, in order
-}
-
-// Len returns the number of links, the h of the paper's 1/h vote value.
-func (p Path) Len() int { return len(p.Links) }
-
 // Router resolves paths over a topology using per-switch ECMP hashing.
 type Router struct {
 	Topo  *topology.Topology
@@ -79,25 +70,17 @@ const MaxPathLinks = 6
 // PathBuf is a caller-owned, reusable buffer that PathInto resolves into.
 // It exists so the epoch hot path can route millions of flows without a
 // single heap allocation: each simulator worker keeps one PathBuf and
-// overwrites it per flow. The Links/Switches accessors return views into the
-// buffer — valid only until the next PathInto call on the same buffer;
-// callers that keep a path must copy it out (see netem's outcome arenas).
+// overwrites it per flow. Links returns a view into the buffer — valid only
+// until the next PathInto call on the same buffer; callers that keep a path
+// must copy it out (see netem's outcome arenas).
 type PathBuf struct {
-	links    [MaxPathLinks]topology.LinkID
-	switches [MaxPathLinks]topology.SwitchID
-	nl, ns   int
+	links [MaxPathLinks]topology.LinkID
+	nl    int
 }
 
 // Links returns the resolved links in traversal order, host uplink first.
 // The slice aliases the buffer.
 func (b *PathBuf) Links() []topology.LinkID { return b.links[:b.nl] }
-
-// Switches returns the switches visited in order. The slice aliases the
-// buffer.
-func (b *PathBuf) Switches() []topology.SwitchID { return b.switches[:b.ns] }
-
-// Len returns the number of links, the h of the paper's 1/h vote value.
-func (b *PathBuf) Len() int { return b.nl }
 
 // PathInto resolves the full route from src to dst for tuple t into buf,
 // overwriting its previous contents. It performs no heap allocation on the
@@ -111,7 +94,7 @@ func (b *PathBuf) Len() int { return b.nl }
 // the destination host's. Only the source ToR, the source T1 and the T2
 // choose, so only they hash.
 func (r *Router) PathInto(src, dst topology.HostID, t FiveTuple, buf *PathBuf) error {
-	buf.nl, buf.ns = 0, 0
+	buf.nl = 0
 	if src == dst {
 		return fmt.Errorf("ecmp: src and dst are both host %d", src)
 	}
@@ -119,10 +102,9 @@ func (r *Router) PathInto(src, dst topology.HostID, t FiveTuple, buf *PathBuf) e
 	s, d := &topo.Hosts[src], &topo.Hosts[dst]
 	tor := &topo.Switches[s.ToR]
 	buf.links[0] = s.Uplink
-	buf.switches[0] = s.ToR
 	if d.ToR == s.ToR {
 		buf.links[1] = tor.Downlinks[d.Index]
-		buf.nl, buf.ns = 2, 1
+		buf.nl = 2
 		return nil
 	}
 	if len(tor.Uplinks) == 0 {
@@ -131,8 +113,7 @@ func (r *Router) PathInto(src, dst topology.HostID, t FiveTuple, buf *PathBuf) e
 	j := r.choose(s.ToR, t, len(tor.Uplinks))
 	t1 := topo.T1(s.Pod, j)
 	buf.links[1] = tor.Uplinks[j]
-	buf.switches[1] = t1
-	nl, ns := 2, 2
+	nl := 2
 	if d.Pod != s.Pod {
 		up := &topo.Switches[t1]
 		if len(up.Uplinks) == 0 {
@@ -143,33 +124,13 @@ func (r *Router) PathInto(src, dst topology.HostID, t FiveTuple, buf *PathBuf) e
 		n1 := topo.Cfg.T1PerPod
 		k := r.choose(t2, t, n1)
 		buf.links[2] = up.Uplinks[l]
-		buf.switches[2] = t2
 		buf.links[3] = topo.Switches[t2].Downlinks[d.Pod*n1+k]
 		t1 = topo.T1(d.Pod, k)
-		buf.switches[3] = t1
-		nl, ns = 4, 4
+		nl = 4
 	}
 	dstToR := &topo.Switches[d.ToR]
 	buf.links[nl] = topo.Switches[t1].Downlinks[dstToR.Index]
 	buf.links[nl+1] = dstToR.Downlinks[d.Index]
-	buf.switches[ns] = d.ToR
-	buf.nl, buf.ns = nl+2, ns+1
+	buf.nl = nl + 2
 	return nil
-}
-
-// Path resolves the full route from src to dst for tuple t. It is the
-// allocating convenience form of PathInto — cold paths (traceroute CLIs, the
-// packet plane) keep using it; the simulator hot path uses PathInto.
-func (r *Router) Path(src, dst topology.HostID, t FiveTuple) (Path, error) {
-	var buf PathBuf
-	if err := r.PathInto(src, dst, t, &buf); err != nil {
-		return Path{}, err
-	}
-	p := Path{
-		Links:    make([]topology.LinkID, buf.nl),
-		Switches: make([]topology.SwitchID, buf.ns),
-	}
-	copy(p.Links, buf.links[:buf.nl])
-	copy(p.Switches, buf.switches[:buf.ns])
-	return p, nil
 }

@@ -79,8 +79,6 @@ type EpochResult struct {
 // rates at the top of each epoch, before any of the epoch's randomness is
 // drawn, and score the epoch against the settled failure set.
 type Engine interface {
-	// Plane identifies the substrate.
-	Plane() Plane
 	// Topology returns the emulated or simulated network.
 	Topology() *topology.Topology
 	// InjectFailure sets a directed link's drop rate (a probability).
@@ -203,7 +201,6 @@ func newFlowEngine(cfg Config) (*flowEngine, error) {
 	}, nil
 }
 
-func (e *flowEngine) Plane() Plane                 { return Flow }
 func (e *flowEngine) Topology() *topology.Topology { return e.sim.Topology() }
 
 func (e *flowEngine) InjectFailure(l topology.LinkID, rate float64) error {

@@ -133,8 +133,8 @@ func TestEpochCycleOnBothPlanes(t *testing.T) {
 	for _, plane := range []Plane{Flow, Packet} {
 		t.Run(string(plane), func(t *testing.T) {
 			eng := newEngine(t, plane, 2)
-			if eng.Plane() != plane {
-				t.Fatalf("Plane() = %v", eng.Plane())
+			if _, flow := eng.(*flowEngine); flow != (plane == Flow) {
+				t.Fatalf("New(%q) built a %T", plane, eng)
 			}
 			bad := eng.Topology().LinksOfClass(topology.L1Down)[1]
 			if err := eng.InjectFailure(bad, 0.05); err != nil {

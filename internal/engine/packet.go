@@ -89,7 +89,6 @@ func newPacketEngine(cfg Config) (*packetEngine, error) {
 	return e, nil
 }
 
-func (e *packetEngine) Plane() Plane                 { return Packet }
 func (e *packetEngine) Topology() *topology.Topology { return e.cl.Topo }
 
 func (e *packetEngine) InjectFailure(l topology.LinkID, rate float64) error {

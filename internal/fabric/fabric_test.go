@@ -92,8 +92,8 @@ func TestPacketFollowsECMPPath(t *testing.T) {
 		SrcIP: r.topo.Hosts[src].IP, DstIP: r.topo.Hosts[dst].IP,
 		SrcPort: 40001, DstPort: 443, Proto: ecmp.ProtoTCP,
 	}
-	want, err := r.router.Path(src, dst, tuple)
-	if err != nil {
+	var want ecmp.PathBuf
+	if err := r.router.PathInto(src, dst, tuple, &want); err != nil {
 		t.Fatal(err)
 	}
 	var got []topology.LinkID
@@ -104,13 +104,13 @@ func TestPacketFollowsECMPPath(t *testing.T) {
 	})
 	sendCopy(r.net, src, tcpPacket(tuple.SrcIP, tuple.DstIP, tuple.SrcPort, tuple.DstPort, 0, 64, 0))
 	r.sched.Drain(1000)
-	// Tap sees egress decisions at switches: want.Links minus the host uplink.
-	if len(got) != len(want.Links)-1 {
-		t.Fatalf("observed %d hops, want %d", len(got), len(want.Links)-1)
+	// Tap sees egress decisions at switches: want's links minus the host uplink.
+	if len(got) != len(want.Links())-1 {
+		t.Fatalf("observed %d hops, want %d", len(got), len(want.Links())-1)
 	}
 	for i, l := range got {
-		if l != want.Links[i+1] {
-			t.Fatalf("hop %d: fabric took %s, ECMP says %s", i, r.topo.LinkName(l), r.topo.LinkName(want.Links[i+1]))
+		if l != want.Links()[i+1] {
+			t.Fatalf("hop %d: fabric took %s, ECMP says %s", i, r.topo.LinkName(l), r.topo.LinkName(want.Links()[i+1]))
 		}
 	}
 }
@@ -248,7 +248,8 @@ func TestNoICMPAboutICMP(t *testing.T) {
 	// Hand-craft an ICMP packet with TTL=1: it must die silently.
 	buf := wire.NewBuffer(64)
 	ic := wire.ICMP{Type: 0, Body: []byte{1, 2, 3, 4}} // echo reply
-	ic.SerializeTo(buf)
+	copy(buf.Prepend(len(ic.Body)), ic.Body)
+	ic.SerializeHeaderTo(buf)
 	ip := wire.IPv4{TTL: 1, Protocol: wire.ProtoICMP, Src: r.topo.Hosts[src].IP, Dst: r.topo.Hosts[r.topo.HostAt(0, 5, 0)].IP}
 	ip.SerializeTo(buf)
 	got := 0

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vigil/internal/engine"
+	"vigil/internal/metrics"
 )
 
 // A checkpoint that cannot be written must not be silent: nothing past the
@@ -22,8 +23,9 @@ func TestCheckpointFailureStopsCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	var settled []int
+	tctr := &metrics.TransportCounters{}
 	col, err := ServeCollector(CollectorConfig{
-		Listener: listen(t), CheckpointPath: filepath.Join(dir, "checkpoint"),
+		Listener: listen(t), CheckpointPath: filepath.Join(dir, "checkpoint"), Transport: tctr,
 		Sink: func(res *engine.EpochResult) {
 			settled = append(settled, res.Epoch)
 			if res.Epoch == 1 { // epoch 0's settle is on disk; this one's will not be
@@ -58,10 +60,10 @@ func TestCheckpointFailureStopsCollector(t *testing.T) {
 	if len(settled) != 2 || settled[0] != 0 || settled[1] != 1 {
 		t.Fatalf("settled %v, want [0 1]", settled)
 	}
-	if got := col.srv.Counters().Checkpoints.Load(); got != 1 {
+	if got := tctr.Checkpoints.Load(); got != 1 {
 		t.Fatalf("%d checkpoints written, want 1", got)
 	}
-	if got := col.srv.Counters().AcksSent.Load(); got != 1 {
+	if got := tctr.AcksSent.Load(); got != 1 {
 		t.Fatalf("%d acks sent, want 1: a failed Commit must ack nothing", got)
 	}
 }

@@ -354,7 +354,11 @@ func (c *settleCore) recycle(eps *epochState) {
 // its own cycle.
 func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 	c.ctr.Received.Add(1)
-	if malformed(r) {
+	if malformed(r) || r.Epoch > c.nextEnd+1 {
+		// Past nextEnd+1 is an epoch no source in lockstep has reached (the
+		// +1 is a restarted core's replay: one source's reports for cycle
+		// K+1 can arrive before another's token completes cycle K). Each
+		// would open an epoch state of its own.
 		c.ctr.Rejected.Add(1)
 		return
 	}
@@ -403,9 +407,10 @@ func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 // source's agents for the cycle's epoch, and whether the cycle ran an
 // engine epoch at all. An agent's first count stands; a later one, and one
 // no agent can have (below 0, above maxAgentSeq), is dropped and counted.
-// Call next afterwards until it reports false.
+// A token for a cycle past nextEnd+1 is dropped, as report drops its
+// epoch's reports. Call next afterwards until it reports false.
 func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount) {
-	if cycle <= c.lastSettled {
+	if cycle <= c.lastSettled || cycle > c.nextEnd+1 {
 		return
 	}
 	if len(counts) > 0 {

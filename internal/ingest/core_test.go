@@ -35,6 +35,15 @@ import (
 // watermark and replay what a restarted collector's sessions would.
 
 // coreEvent is one thing a source sends: a report transmission or a token.
+// reportID is a report's identity on the agent→collector path: its agent
+// (the source host), epoch and sequence.
+type reportID struct {
+	Agent      topology.HostID
+	Epoch, Seq int32
+}
+
+func idOf(r vote.Report) reportID { return reportID{Agent: r.Src, Epoch: r.Epoch, Seq: r.Seq} }
+
 type coreEvent struct {
 	token   bool
 	r       vote.Report
@@ -53,19 +62,19 @@ type coreSim struct {
 	core                       *settleCore
 	ctr                        *metrics.IngestCounters
 
-	emitted map[int32][]vote.Report       // per epoch, canonical order
-	arrival map[vote.ReportID]int32       // the cycle a report first reached the core
-	due     map[int32][]coreEvent         // transmissions scheduled per cycle
-	log     map[int32][]coreEvent         // what was fed, per cycle: the replay source
-	byID    map[vote.ReportID]vote.Report // for answering re-requests
-	rounds  map[int32]int                 // per epoch: re-request rounds seen
-	lastAt  map[int32]int32               // per epoch: cycle of the newest round
-	final   map[int32][]vote.Report       // per epoch reported final before its settle: the reports it came with
-	lastFin int32                         // the newest epoch reported final
-	finals  int64                         // epochs reported final before their settle, all incarnations
-	total   int64                         // reports emitted
-	next    int32                         // the cycle that must complete next
-	settled int32                         // the epoch that must settle next
+	emitted map[int32][]vote.Report  // per epoch, canonical order
+	arrival map[reportID]int32       // the cycle a report first reached the core
+	due     map[int32][]coreEvent    // transmissions scheduled per cycle
+	log     map[int32][]coreEvent    // what was fed, per cycle: the replay source
+	byID    map[reportID]vote.Report // for answering re-requests
+	rounds  map[int32]int            // per epoch: re-request rounds seen
+	lastAt  map[int32]int32          // per epoch: cycle of the newest round
+	final   map[int32][]vote.Report  // per epoch reported final before its settle: the reports it came with
+	lastFin int32                    // the newest epoch reported final
+	finals  int64                    // epochs reported final before their settle, all incarnations
+	total   int64                    // reports emitted
+	next    int32                    // the cycle that must complete next
+	settled int32                    // the epoch that must settle next
 }
 
 func (s *coreSim) feed(ev coreEvent) {
@@ -76,14 +85,14 @@ func (s *coreSim) feed(ev coreEvent) {
 	accepted := s.ctr.Accepted.Load()
 	s.core.report(ev.r, ev.attempt, ev.delayed)
 	if _, final := s.final[ev.r.Epoch]; final && s.ctr.Accepted.Load() != accepted {
-		s.t.Fatalf("report %v accepted after its epoch was reported final", ev.r.ID())
+		s.t.Fatalf("report %v accepted after its epoch was reported final", idOf(ev.r))
 	}
 }
 
 // arrived reports whether every report of epoch e reached the core by cycle c.
 func (s *coreSim) arrived(e, c int32) bool {
 	for _, r := range s.emitted[e] {
-		if at, ok := s.arrival[r.ID()]; !ok || at > c {
+		if at, ok := s.arrival[idOf(r)]; !ok || at > c {
 			return false
 		}
 	}
@@ -115,7 +124,7 @@ func (s *coreSim) emit(epoch int32, agents int) [][]transport.AgentCount {
 			}
 			s.total++
 			s.emitted[epoch] = append(s.emitted[epoch], r)
-			s.byID[r.ID()] = r
+			s.byID[idOf(r)] = r
 			copies := s.rng.Intn(3)
 			if big && (seq == 0 || seq == 63 || seq == 64 || seq == 127 || seq == 128 || seq == n-1) {
 				copies = 0
@@ -157,8 +166,8 @@ func (s *coreSim) runCycle(cycle int32, agents int) {
 			left--
 		}
 		if !ev.token {
-			if _, seen := s.arrival[ev.r.ID()]; !seen {
-				s.arrival[ev.r.ID()] = cycle
+			if _, seen := s.arrival[idOf(ev.r)]; !seen {
+				s.arrival[idOf(ev.r)] = cycle
 			}
 		}
 		s.log[cycle] = append(s.log[cycle], ev)
@@ -190,7 +199,7 @@ func (s *coreSim) check(done cycleDone) {
 		}
 		var want []vote.Report
 		for _, r := range s.emitted[e] {
-			if at, ok := s.arrival[r.ID()]; ok && at <= cycle {
+			if at, ok := s.arrival[idOf(r)]; ok && at <= cycle {
 				want = append(want, r)
 			}
 		}
@@ -249,7 +258,7 @@ func (s *coreSim) check(done cycleDone) {
 		t.Fatalf("cycle %d: re-requests out of order: %v", cycle, done.retries)
 	}
 	for i, q := range done.retries {
-		id := vote.ReportID{Agent: q.Agent, Epoch: q.Epoch, Seq: q.Seq}
+		id := reportID{Agent: q.Agent, Epoch: q.Epoch, Seq: q.Seq}
 		if _, emitted := s.byID[id]; !emitted {
 			t.Fatalf("cycle %d: re-request for %v, which no agent emitted", cycle, id)
 		}
@@ -308,8 +317,8 @@ func runCoreSim(t *testing.T, seed uint64, restart bool) (*metrics.IngestCounter
 		t: t, rng: rng,
 		sources: 1 + rng.Intn(3), grace: 1 + rng.Intn(3), maxRetries: rng.Intn(4),
 		epochs: int32(3 + rng.Intn(6)), ctr: &metrics.IngestCounters{},
-		emitted: map[int32][]vote.Report{}, arrival: map[vote.ReportID]int32{},
-		due: map[int32][]coreEvent{}, log: map[int32][]coreEvent{}, byID: map[vote.ReportID]vote.Report{},
+		emitted: map[int32][]vote.Report{}, arrival: map[reportID]int32{},
+		due: map[int32][]coreEvent{}, log: map[int32][]coreEvent{}, byID: map[reportID]vote.Report{},
 		rounds: map[int32]int{}, lastAt: map[int32]int32{}, final: map[int32][]vote.Report{}, lastFin: -1,
 	}
 	s.core = newSettleCore(s.sources, s.grace, s.maxRetries, s.ctr, -1)

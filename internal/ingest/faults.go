@@ -94,9 +94,6 @@ type fate struct {
 	delay     int  // epochs of holdback; 0 = on time
 }
 
-// lost reports whether the transmission never reaches the collector.
-func (ft fate) lost() bool { return ft.dropped || ft.crashed || ft.burst }
-
 // reportFate draws one transmission's fate. The draw order within each
 // stream is fixed (drop, delay, duplicate), so fates are stable functions
 // of identity. Crash and burst apply only to first transmissions: a

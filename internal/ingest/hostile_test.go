@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -103,6 +104,117 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 	})
 }
 
+// Well-framed reports that each name a distinct far-future epoch used to
+// open an epoch state apiece, each with an arrivals buffer presized to the
+// last settled epoch: 20,000 reports of about 40 wire bytes held 1.7 GiB,
+// all counted Accepted, and every cycle sorted every open epoch. A report
+// for an epoch past nextEnd+1 is now Rejected before it reaches any state,
+// and a token for such a cycle is dropped.
+func TestSettleCoreFarEpochsStaySmall(t *testing.T) {
+	const grace, agents, perAgent = 2, 14, 100 // 1,400 reports an epoch
+	ctr := &metrics.IngestCounters{}
+	c := newSettleCore(1, grace, 1, ctr, -1)
+	counts := make([]transport.AgentCount, agents)
+	for e := int32(0); e < 4; e++ {
+		for a := range agents {
+			for s := range int32(perAgent) {
+				c.report(vote.Report{Src: topology.HostID(a), Epoch: e, Seq: s}, 0, false)
+			}
+			counts[a] = transport.AgentCount{Agent: topology.HostID(a), N: perAgent}
+		}
+		c.token(e, true, counts)
+		for _, ok := c.next(); ok; _, ok = c.next() {
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const far = 20_000
+	for i := range int32(far) {
+		c.report(vote.Report{Src: topology.HostID(i % agents), Epoch: 1000 + i, Seq: 0}, 0, false)
+		if len(c.open) > grace+2 {
+			t.Fatalf("report %d for epoch %d left %d epochs open, want at most %d", i, 1000+i, len(c.open), grace+2)
+		}
+	}
+	// A token for a far cycle opens nothing either.
+	c.token(1_000_000, true, counts)
+	if len(c.open) > grace+2 || c.tokens[1_000_000] != 0 {
+		t.Fatalf("a far token left %d epochs open and %d tokens", len(c.open), c.tokens[1_000_000])
+	}
+	runtime.ReadMemStats(&after)
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+		t.Fatalf("%d far-epoch reports allocated %d KiB", far, spent>>10)
+	}
+	if got := ctr.Rejected.Load(); got != far {
+		t.Fatalf("Rejected = %d, want %d", got, far)
+	}
+	// Two drain cycles settle the last honest epochs, whole.
+	for e := int32(4); e < 4+grace; e++ {
+		c.token(e, false, nil)
+		for _, ok := c.next(); ok; _, ok = c.next() {
+		}
+	}
+	if c.lastSettled != 3 || ctr.Accepted.Load() != 4*agents*perAgent || ctr.Lost.Load() != 0 {
+		t.Fatalf("settled through %d, accepted %d, lost %d; want 3, %d, 0", c.lastSettled, ctr.Accepted.Load(), ctr.Lost.Load(), 4*agents*perAgent)
+	}
+	checkConservation(t, ctr)
+}
+
+// A restarted core's window is one cycle past nextEnd: with two sources,
+// session A's replay can deliver its reports for cycle K+1 before session
+// B's replayed token completes cycle K, and they must still settle.
+func TestSettleCoreRestoredAdmitsNextCycle(t *testing.T) {
+	const restored = 3 // epochs through 3 settled; cycles through 4 completed
+	ctr := &metrics.IngestCounters{}
+	c := newSettleCore(2, 1, 0, ctr, restored)
+	k := c.nextEnd
+	rep := func(agent topology.HostID, e int32) { c.report(vote.Report{Src: agent, Epoch: e, Seq: 0}, 0, false) }
+	tok := func(agent topology.HostID, cycle int32) {
+		c.token(cycle, true, []transport.AgentCount{{Agent: agent, N: 1}})
+	}
+	var settled []cycleDone
+	drain := func() {
+		for done, ok := c.next(); ok; done, ok = c.next() {
+			if done.settled {
+				done.accepted = slices.Clone(done.accepted)
+				settled = append(settled, done)
+			}
+		}
+	}
+	// The replay: epoch K-1 is open, cycle K-1 completed before the crash.
+	rep(1, k-1)
+	tok(1, k-1)
+	rep(2, k-1)
+	tok(2, k-1)
+	drain()
+	// Session A's replay runs a cycle ahead of session B's.
+	rep(1, k)
+	tok(1, k)
+	rep(1, k+1)
+	rep(2, k)
+	tok(2, k)
+	drain()
+	tok(1, k+1)
+	rep(2, k+1)
+	tok(2, k+1)
+	drain()
+	c.token(k+2, false, nil)
+	c.token(k+2, false, nil)
+	drain()
+	if len(settled) != 3 {
+		t.Fatalf("settled %d epochs, want %d through %d", len(settled), k-1, k+1)
+	}
+	for i, done := range settled {
+		if done.epoch != k-1+int32(i) || len(done.accepted) != 2 || done.lost != 0 {
+			t.Fatalf("epoch %d settled with %d reports, %d lost; want epoch %d with 2, none lost",
+				done.epoch, len(done.accepted), done.lost, k-1+int32(i))
+		}
+	}
+	if ctr.Rejected.Load() != 0 {
+		t.Fatalf("Rejected = %d, want 0", ctr.Rejected.Load())
+	}
+	checkConservation(t, ctr)
+}
+
 // hostileOp decodes one byte into a value from a small space with the
 // edges mixed in: most bytes give v % mod, the top few the specials.
 func hostileOp(b byte, mod int32, specials ...int32) int32 {
@@ -115,15 +227,18 @@ func hostileOp(b byte, mod int32, specials ...int32) int32 {
 // FuzzSettleCoreHostile drives the settle core with any stream of reports,
 // tokens and cycle completions over four agents and six epochs, so
 // identities collide all the time, with sequences and counts at and past
-// every bound. Nothing may panic, every report must be accounted for once,
-// epochs must settle in ascending order, epochs must be reported final once
-// each, in order, and never more than the analyst's queue holds ahead of
-// their settle, and the stream may allocate no more than a fixed budget.
+// every bound, and now and then an epoch far in the future. Nothing may
+// panic, every report must be accounted for once, no more epochs may be
+// open than the six cycles reach, epochs must settle in ascending order,
+// epochs must be reported final once each, in order, and never more than
+// the analyst's queue holds ahead of their settle, and the stream may
+// allocate no more than a fixed budget.
 func FuzzSettleCoreHostile(f *testing.F) {
 	// The first byte is the core's shape; then each op is a kind byte and
 	// its operands: report (agent, epoch, seq), token (cycle, count pairs),
-	// next. testdata/fuzz/FuzzSettleCoreHostile holds the four probes of
-	// TestSettleCoreHostileProbes in this encoding.
+	// next. An epoch byte of 0xfc takes one more byte, b, for epoch 1000+b.
+	// testdata/fuzz/FuzzSettleCoreHostile holds the four probes of
+	// TestSettleCoreHostileProbes in this encoding, and the far-epoch one.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			return
@@ -169,9 +284,12 @@ func FuzzSettleCoreHostile(f *testing.F) {
 			case 0:
 				r := vote.Report{
 					Src:   topology.HostID(take() % 4),
-					Epoch: hostileOp(take(), 6, -1, math.MinInt32, math.MaxInt32),
-					Seq:   hostileOp(take(), 70, -1, maxAgentSeq-1, maxAgentSeq, math.MaxInt32),
+					Epoch: hostileOp(take(), 6, 1000, -1, math.MinInt32, math.MaxInt32),
 				}
+				if r.Epoch == 1000 {
+					r.Epoch += int32(take())
+				}
+				r.Seq = hostileOp(take(), 70, -1, maxAgentSeq-1, maxAgentSeq, math.MaxInt32)
 				c.report(r, op>>2&1, op>>3&1 == 1)
 			case 1:
 				cycle := int32(take() % 6)
@@ -187,6 +305,10 @@ func FuzzSettleCoreHostile(f *testing.F) {
 				drain()
 			}
 			checkConservation(t, ctr)
+			// Tokens name cycles 0 to 5, so no epoch past 7 is reachable.
+			if len(c.open) > 8 {
+				t.Fatalf("%d epochs open", len(c.open))
+			}
 		}
 		drain()
 		runtime.ReadMemStats(&after)
@@ -217,44 +339,17 @@ func TestNetCollectorExcessReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	conn, err := net.Dial("tcp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	send := func(body []byte) {
-		if _, err := conn.Write(transport.Frame(body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(transport.AppendHello(nil, transport.Hello{Version: transport.Version, Session: 1, ThresholdFrac: 0.01}))
-	if typ, _, err := transport.ReadFrame(bufio.NewReader(conn), 0); err != nil || typ != transport.TypeHelloAck {
-		t.Fatalf("hello answered with frame type %d: %v", typ, err)
-	}
-	var seq uint64
-	report := func(epoch, s int32) {
-		seq++
-		send(transport.AppendReport(nil, transport.Report{Seq: seq, R: vote.Report{
-			FlowID: int64(epoch), Src: 1, Epoch: epoch, Seq: s, Path: []topology.LinkID{0},
-		}}))
-	}
-	token := func(cycle int32, live bool, counts ...transport.AgentCount) {
-		seq++
-		tok := transport.Token{Seq: seq, Cycle: cycle, Live: live, Counts: counts}
-		if live {
-			tok.Summary = &transport.EpochSummary{Epoch: cycle}
-		}
-		send(transport.AppendToken(nil, tok))
-	}
-	report(0, 5)
-	token(0, true, transport.AgentCount{Agent: 1, N: 1})
-	report(1, 0)
-	token(1, true, transport.AgentCount{Agent: 1, N: 1})
+	s := dialRaw(t, col.Addr())
+	defer s.conn.Close()
+	s.report(0, 5)
+	s.token(0, true, transport.AgentCount{Agent: 1, N: 1})
+	s.report(1, 0)
+	s.token(1, true, transport.AgentCount{Agent: 1, N: 1})
 	// A live token with no summary, then the drain cycle that settles it.
-	seq++
-	send(transport.AppendToken(nil, transport.Token{Seq: seq, Cycle: 2, Live: true}))
-	token(3, false)
-	send(transport.AppendControl(nil, transport.TypeBye))
+	s.seq++
+	s.send(transport.AppendToken(nil, transport.Token{Seq: s.seq, Cycle: 2, Live: true}))
+	s.token(3, false)
+	s.send(transport.AppendControl(nil, transport.TypeBye))
 	waitCollector(t, col)
 
 	mu.Lock()
@@ -267,4 +362,98 @@ func TestNetCollectorExcessReport(t *testing.T) {
 		t.Fatalf("excess %d, lost %d, accepted %d; want 1, 1, 1", ctr.Excess.Load(), ctr.Lost.Load(), ctr.Accepted.Load())
 	}
 	checkConservation(t, ctr)
+}
+
+// The far-epoch probe over a raw TCP session: the collector rejects every
+// report for an epoch no source has reached, holds no state for them, and
+// settles the honest epochs around them whole.
+func TestNetCollectorRejectsFarEpochs(t *testing.T) {
+	const grace, far = 1, 2000
+	var mu sync.Mutex
+	var got []*engine.EpochResult
+	col, err := ServeCollector(CollectorConfig{
+		Listener: listen(t), Grace: grace, MaxRetries: 1,
+		Sink: func(res *engine.EpochResult) {
+			mu.Lock()
+			got = append(got, res)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	s := dialRaw(t, col.Addr())
+	defer s.conn.Close()
+	s.report(0, 0)
+	for i := range int32(far) {
+		s.report(1000+i, 0)
+	}
+	s.token(0, true, transport.AgentCount{Agent: 1, N: 1})
+	s.report(1, 0)
+	s.token(1, true, transport.AgentCount{Agent: 1, N: 1})
+	s.token(2, false)
+	s.send(transport.AppendControl(nil, transport.TypeBye))
+	waitCollector(t, col)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || got[0].Epoch != 0 || len(got[0].Reports) != 1 || got[1].Epoch != 1 || len(got[1].Reports) != 1 {
+		t.Fatalf("settled %d epochs, want epochs 0 and 1 with one report each", len(got))
+	}
+	ctr := col.Counters()
+	if ctr.Rejected.Load() != far || ctr.Accepted.Load() != 2 || ctr.Lost.Load() != 0 {
+		t.Fatalf("rejected %d, accepted %d, lost %d; want %d, 2, 0", ctr.Rejected.Load(), ctr.Accepted.Load(), ctr.Lost.Load(), far)
+	}
+	if open := ctr.OpenEpochs.Load(); open > grace+2 {
+		t.Fatalf("%d epochs open after the drain, want at most %d", open, grace+2)
+	}
+	checkConservation(t, ctr)
+}
+
+// rawSession is a transport session written by hand, frame by frame, for
+// agent 1.
+type rawSession struct {
+	t    *testing.T
+	conn net.Conn
+	seq  uint64
+}
+
+// dialRaw opens a session to the collector at addr and completes its
+// hello.
+func dialRaw(t *testing.T, addr string) *rawSession {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &rawSession{t: t, conn: conn}
+	s.send(transport.AppendHello(nil, transport.Hello{Version: transport.Version, Session: 1, ThresholdFrac: 0.01}))
+	if typ, _, err := transport.ReadFrame(bufio.NewReader(conn), 0); err != nil || typ != transport.TypeHelloAck {
+		t.Fatalf("hello answered with frame type %d: %v", typ, err)
+	}
+	return s
+}
+
+func (s *rawSession) send(body []byte) {
+	if _, err := s.conn.Write(transport.Frame(body)); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// report sends agent 1's report seq of epoch.
+func (s *rawSession) report(epoch, seq int32) {
+	s.seq++
+	s.send(transport.AppendReport(nil, transport.Report{Seq: s.seq, R: vote.Report{
+		FlowID: int64(epoch), Src: 1, Epoch: epoch, Seq: seq, Path: []topology.LinkID{0},
+	}}))
+}
+
+// token sends the cycle's token, with a summary when it is live.
+func (s *rawSession) token(cycle int32, live bool, counts ...transport.AgentCount) {
+	s.seq++
+	tok := transport.Token{Seq: s.seq, Cycle: cycle, Live: live, Counts: counts}
+	if live {
+		tok.Summary = &transport.EpochSummary{Epoch: cycle}
+	}
+	s.send(transport.AppendToken(nil, tok))
 }

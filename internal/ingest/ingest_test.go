@@ -579,7 +579,7 @@ func TestFaultFatePure(t *testing.T) {
 			r := vote.Report{Src: agent, Epoch: 4, Seq: seq}
 			a, b := f.reportFate(r, 0), f.reportFate(r, 0)
 			if a != b {
-				t.Fatalf("fate of %v not reproducible: %+v vs %+v", r.ID(), a, b)
+				t.Fatalf("fate of %+v not reproducible: %+v vs %+v", r, a, b)
 			}
 			if a != f.reportFate(r, 1) {
 				differs = true

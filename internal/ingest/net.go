@@ -47,8 +47,9 @@ type AgentConfig struct {
 	Epochs int
 	// Seed derives reconnect jitter.
 	Seed uint64
-	// Transport tunes the session; Addr/Session/ThresholdFrac/MaxLinks/
-	// Seed are filled in from this config and the engine.
+	// Test hook: Transport tunes the session (the tests' fast reconnects
+	// and polls); Addr/Session/ThresholdFrac/MaxLinks/Seed are filled in
+	// from this config and the engine.
 	Transport transport.ClientConfig
 	// Counters receives the session's transport counters; one is
 	// allocated when nil.

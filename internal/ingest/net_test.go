@@ -160,8 +160,9 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 	var mu sync.Mutex
 	var settled1, settled2 []int
 
+	srvCtr := &metrics.TransportCounters{}
 	col1, err := ServeCollector(CollectorConfig{
-		Listener: listen(t), CheckpointPath: path, Sink: record(&settled1, &mu),
+		Listener: listen(t), CheckpointPath: path, Sink: record(&settled1, &mu), Transport: srvCtr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestNetCollectorCrashRestart(t *testing.T) {
 	// checkpointed (epochs 0 and 1). The engine is paced, so the next settle
 	// is comfortably far away.
 	deadline := time.Now().Add(30 * time.Second)
-	for col1.srv.Counters().Checkpoints.Load() < 2 {
+	for srvCtr.Checkpoints.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("collector never checkpointed twice")
 		}
@@ -435,11 +436,12 @@ func TestNetChaosSoak(t *testing.T) {
 	var settled []int
 	var proxy *transport.Proxy
 	var partitionOnce sync.Once
-	ictr := &metrics.IngestCounters{}
+	ictr, srvCtr := &metrics.IngestCounters{}, &metrics.TransportCounters{}
 	col, err := ServeCollector(CollectorConfig{
 		Listener:   listen(t),
 		MaxRetries: 2,
 		Counters:   ictr,
+		Transport:  srvCtr,
 		Sink: func(res *engine.EpochResult) {
 			mu.Lock()
 			settled = append(settled, res.Epoch)
@@ -503,7 +505,7 @@ func TestNetChaosSoak(t *testing.T) {
 			proxy.InjDrops.Load(), proxy.InjDups.Load(), proxy.InjReorders.Load())
 	}
 	// Injected duplicates arrive as stale frames and die at the watermark.
-	if col.srv.Counters().FramesDropped.Load() == 0 {
+	if srvCtr.FramesDropped.Load() == 0 {
 		t.Fatal("no stale frames dropped despite injected duplicates")
 	}
 	// Wire-level drops surface as ingest gaps and are recovered end to end.

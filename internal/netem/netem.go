@@ -167,9 +167,6 @@ func New(cfg Config) (*Sim, error) {
 // Topology returns the simulated topology.
 func (s *Sim) Topology() *topology.Topology { return s.topo }
 
-// Router returns the simulator's ECMP router.
-func (s *Sim) Router() *ecmp.Router { return s.router }
-
 // setRate updates every per-link view of link l's drop rate: the effective
 // rate, the survival-gate log term and the dense failure flag. When a live
 // delta cache exists, a change to either the rate (new draws) or the

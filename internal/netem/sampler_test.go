@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vigil/internal/ecmp"
@@ -35,17 +36,17 @@ func singleFailureSim(t testing.TB, p float64) (*Sim, []topology.LinkID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := s.router.Path(0, 1, ecmp.FiveTuple{
+	var path ecmp.PathBuf
+	if err := s.router.PathInto(0, 1, ecmp.FiveTuple{
 		SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[1].IP,
 		SrcPort: 33333, DstPort: 443, Proto: ecmp.ProtoTCP,
-	})
-	if err != nil {
+	}, &path); err != nil {
 		t.Fatal(err)
 	}
 	// Put the failure mid-path so links before and after it exercise the
 	// conditional walk's clean-link branches.
-	s.InjectFailure(path.Links[1], p)
-	return s, path.Links
+	s.InjectFailure(path.Links()[1], p)
+	return s, slices.Clone(path.Links())
 }
 
 // gatedSamples draws n total-drop samples through the production sampler —

@@ -1,11 +1,8 @@
 package opt
 
 import (
-	"sort"
-
 	"vigil/internal/stats"
 	"vigil/internal/topology"
-	"vigil/internal/vote"
 )
 
 // IntegerSolution assigns a drop count to each blamed link — the solution
@@ -13,18 +10,6 @@ import (
 // magnitudes give the ranking.
 type IntegerSolution struct {
 	Drops map[topology.LinkID]int
-}
-
-// Links returns the support of p (predicted failed links), sorted.
-func (s IntegerSolution) Links() []topology.LinkID {
-	out := make([]topology.LinkID, 0, len(s.Drops))
-	for l, d := range s.Drops {
-		if d > 0 {
-			out = append(out, l)
-		}
-	}
-	sortLinks(out)
-	return out
 }
 
 // FailedLinks applies the integer program's extra information — assigned
@@ -40,23 +25,6 @@ func (s IntegerSolution) FailedLinks(minDrops int) []topology.LinkID {
 		}
 	}
 	sortLinks(out)
-	return out
-}
-
-// Ranking orders links by descending assigned drops.
-func (s IntegerSolution) Ranking() []vote.LinkVotes {
-	out := make([]vote.LinkVotes, 0, len(s.Drops))
-	for l, d := range s.Drops {
-		if d > 0 {
-			out = append(out, vote.LinkVotes{Link: l, Votes: float64(d)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Votes != out[j].Votes {
-			return out[i].Votes > out[j].Votes
-		}
-		return out[i].Link < out[j].Link
-	})
 	return out
 }
 

@@ -132,9 +132,11 @@ func TestIntegerFeasibleAndRanked(t *testing.T) {
 	if !in.Feasible(sol.Drops) {
 		t.Fatalf("integer solution infeasible: %v", sol.Drops)
 	}
-	ranking := sol.Ranking()
-	if len(ranking) == 0 || ranking[0].Link != 9 {
-		t.Fatalf("ranking = %+v, want link 9 first", ranking)
+	// Link 9 ranks first: the most drops, ties going to the lower link.
+	for l, d := range sol.Drops {
+		if top := sol.Drops[9]; top == 0 || l != 9 && (d > top || d == top && l < 9) {
+			t.Fatalf("drops = %v, want link 9 first", sol.Drops)
+		}
 	}
 	blame, ok := sol.BlameOnPath([]topology.LinkID{9, 1, 2})
 	if !ok || blame != 9 {
@@ -161,7 +163,7 @@ func TestIntegerFeasibilityProperty(t *testing.T) {
 		}
 		in := BuildInstance(reports)
 		sol := in.SolveInteger(rng)
-		return in.Feasible(sol.Drops) && in.Covers(sol.Links())
+		return in.Feasible(sol.Drops) && in.Covers(sol.FailedLinks(1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -185,8 +187,8 @@ func TestIntegerSupplyApproachesDemand(t *testing.T) {
 	if got != 5 {
 		t.Fatalf("||p||1 = %d, want 5", got)
 	}
-	if len(sol.Links()) != 1 || sol.Links()[0] != 7 {
-		t.Fatalf("support = %v, want [7]", sol.Links())
+	if support := sol.FailedLinks(1); len(support) != 1 || support[0] != 7 {
+		t.Fatalf("support = %v, want [7]", support)
 	}
 }
 

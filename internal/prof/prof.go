@@ -24,7 +24,7 @@ import (
 // contexts are built once at construction, so Begin/End stay off the
 // allocation budget of zero-alloc epochs — the reason the steady-state
 // paths use a Phase instead of runtime/pprof.Do, which builds a fresh
-// label context per call. Do remains the right form for cold paths.
+// label context per call.
 type Phase struct {
 	ctx, base context.Context
 }
@@ -43,18 +43,6 @@ func (p *Phase) Begin() { pprof.SetGoroutineLabels(p.ctx) }
 
 // End removes the phase label from the calling goroutine.
 func (p *Phase) End() { pprof.SetGoroutineLabels(p.base) }
-
-// Do runs fn under the phase label — the convenient scoped form. It is
-// Begin with a deferred End, so like them it restores the empty label set
-// on return (phases do not nest). Note runtime/pprof.Do would be the wrong
-// primitive here: it restores the labels of the context it was *given*, so
-// handing it the phase context would leave the label stuck on the
-// goroutine after the call.
-func (p *Phase) Do(fn func()) {
-	p.Begin()
-	defer p.End()
-	fn()
-}
 
 // Profiler owns the profiling flags and the running CPU profile.
 type Profiler struct {

@@ -30,19 +30,6 @@ func TestPhaseBeginEnd(t *testing.T) {
 	}
 }
 
-func TestPhaseDo(t *testing.T) {
-	const name = "phase-do-9b2e4"
-	p := NewPhase(name)
-	var inside string
-	p.Do(func() { inside = goroutineLabels() })
-	if !strings.Contains(inside, name) {
-		t.Fatal("Do did not run fn under the phase label")
-	}
-	if strings.Contains(goroutineLabels(), name) {
-		t.Fatal("label leaked past Do")
-	}
-}
-
 // Goroutines spawned inside a phase inherit its label — the property the
 // epoch pipeline relies on to attribute worker-pool samples to the phase
 // that spawned the pool. The parent Ends before the child looks, so the

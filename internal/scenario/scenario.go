@@ -25,7 +25,6 @@ import (
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
-	"vigil/internal/vote"
 )
 
 // LinkSchedule scripts one link's time-varying drop rate.
@@ -42,9 +41,6 @@ type LinkSchedule struct {
 type Spec struct {
 	Name  string
 	Title string
-	// Plane is the default substrate the scenario runs on when Config does
-	// not choose one; empty means the flow plane.
-	Plane engine.Plane
 	// Epochs is the scripted duration; Config.Epochs can override it.
 	Epochs int
 	// Topo sizes the Clos; the zero value means the plane's quick-scale
@@ -52,19 +48,11 @@ type Spec struct {
 	// the packet plane — both fast enough for the conformance suite to
 	// sweep seeds inside go test).
 	Topo topology.Config
-	// NoiseLo/NoiseHi bound good-link noise rates; both zero means the
-	// paper's (0, 1e-6).
-	NoiseLo, NoiseHi float64
-	// TracerouteCap limits traced flows per host per epoch (0 = unlimited).
-	TracerouteCap int
 	// Workload builds the epoch workload; nil means the paper default
 	// (uniform pattern, 60 conns/host, 100 packets/flow).
 	Workload func(rng *stats.RNG, topo *topology.Topology) traffic.Workload
 	// Script builds the scenario's link schedules.
 	Script func(rng *stats.RNG, topo *topology.Topology) []LinkSchedule
-	// Detect overrides Algorithm 1 options; the zero value means the
-	// paper's 1% threshold.
-	Detect vote.DetectOptions
 }
 
 // QuickTopo is the default flow-plane scenario topology: the quick-scale
@@ -94,8 +82,8 @@ type Config struct {
 	Seed uint64
 	// Epochs overrides Spec.Epochs when positive.
 	Epochs int
-	// Plane overrides the spec's substrate: engine.Flow or engine.Packet.
-	// Empty defers to Spec.Plane (and ultimately the flow plane).
+	// Plane is the substrate the run executes on: engine.Flow or
+	// engine.Packet. Empty means the flow plane.
 	Plane engine.Plane
 	// Parallelism is the worker count of the flow plane's fused full
 	// epoch; 0 means all cores. Delta epochs and analysis run inline.
@@ -182,9 +170,6 @@ type Prepared struct {
 func Prepare(spec Spec, cfg Config) (*Prepared, error) {
 	plane := cfg.Plane
 	if plane == "" {
-		plane = spec.Plane
-	}
-	if plane == "" {
 		plane = engine.Flow
 	}
 	if !plane.Valid() {
@@ -210,15 +195,11 @@ func Prepare(spec Spec, cfg Config) (*Prepared, error) {
 		w = spec.Workload(stats.DeriveRNG(cfg.Seed, specDomain), topo)
 	}
 	eng, err := engine.New(engine.Config{
-		Plane:         plane,
-		Topo:          topo,
-		Workload:      w,
-		NoiseLo:       spec.NoiseLo,
-		NoiseHi:       spec.NoiseHi,
-		TracerouteCap: spec.TracerouteCap,
-		Seed:          cfg.Seed,
-		Parallelism:   cfg.Parallelism,
-		Detect:        spec.Detect,
+		Plane:       plane,
+		Topo:        topo,
+		Workload:    w,
+		Seed:        cfg.Seed,
+		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
@@ -231,12 +212,10 @@ func Prepare(spec Spec, cfg Config) (*Prepared, error) {
 		return nil, fmt.Errorf("scenario %q: empty script", spec.Name)
 	}
 	// Validate the whole script up front: every scheduled rate over the
-	// scripted horizon must be a probability, and every link must exist.
+	// scripted horizon must be a probability, a custom schedule's included
+	// (eng.Schedule checks the link and a built-in shape's rates).
 	// RateSchedules are pure, so probing costs nothing but arithmetic.
 	for _, ls := range script {
-		if ls.Link < 0 || int(ls.Link) >= len(topo.Links) {
-			return nil, fmt.Errorf("scenario %q: schedule on unknown link %d", spec.Name, ls.Link)
-		}
 		if err := schedule.Probe(ls.Schedule, epochs); err != nil {
 			return nil, fmt.Errorf("scenario %q: link %d: %w", spec.Name, ls.Link, err)
 		}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"vigil/internal/engine"
@@ -10,6 +9,7 @@ import (
 	"vigil/internal/schedule"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
+	"vigil/internal/traffic"
 )
 
 func TestRegistryHasTheNamedScenarios(t *testing.T) {
@@ -287,8 +287,7 @@ func TestCongestionBurstTargetsTheHotSink(t *testing.T) {
 	}
 	const seed = 99
 	w := spec.Workload(stats.DeriveRNG(seed, specDomain), topo)
-	hot, ok := w.Pattern.(interface{ Name() string })
-	if !ok || !strings.HasPrefix(hot.Name(), "hot-tor") {
+	if _, ok := w.Pattern.(traffic.HotToR); !ok {
 		t.Fatalf("workload pattern is %T, want HotToR", w.Pattern)
 	}
 	script := spec.Script(stats.DeriveRNG(seed, specDomain), topo)

@@ -38,6 +38,7 @@ type RateSchedule interface {
 // ConstantRate fails the link at Rate in every epoch — the static injection
 // of InjectFailure in schedule form.
 type ConstantRate struct {
+	// Public API: Rate is set through vigil.ConstantRate.
 	Rate float64
 }
 

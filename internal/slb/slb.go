@@ -38,7 +38,8 @@ type SLB struct {
 	// assignments is the SLB's authoritative flow table.
 	assignments map[FlowKey]topology.HostID
 
-	// QueryFailRate injects SLB query failures.
+	// Test hook: QueryFailRate injects SLB query failures, which the
+	// lookup-failure test needs.
 	QueryFailRate float64
 	// Queries counts DIP lookups served (for overhead accounting).
 	Queries int64

@@ -15,35 +15,11 @@ func (e *ECDF) Add(v float64) {
 	e.sorted = false
 }
 
-// AddAll appends all samples.
-func (e *ECDF) AddAll(vs []float64) {
-	e.samples = append(e.samples, vs...)
-	e.sorted = false
-}
-
-// N reports the number of samples.
-func (e *ECDF) N() int { return len(e.samples) }
-
 func (e *ECDF) sort() {
 	if !e.sorted {
 		sort.Float64s(e.samples)
 		e.sorted = true
 	}
-}
-
-// At returns P(X <= x), the fraction of samples at or below x.
-// It returns 0 for an empty ECDF.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.samples) == 0 {
-		return 0
-	}
-	e.sort()
-	i := sort.SearchFloat64s(e.samples, x)
-	// Advance over samples equal to x (SearchFloat64s returns the first).
-	for i < len(e.samples) && e.samples[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(e.samples))
 }
 
 // Quantile returns the q-th sample quantile, q in [0, 1].

@@ -80,15 +80,6 @@ func (c DatacenterConfig) Flatten() Config {
 	}
 }
 
-// Pods returns the total pod count.
-func (c DatacenterConfig) Pods() int { return c.Clusters * c.PodsPerCluster }
-
-// Hosts returns the total host count.
-func (c DatacenterConfig) Hosts() int { return c.Flatten().Hosts() }
-
-// DirectedLinks returns the closed-form number of directed links.
-func (c DatacenterConfig) DirectedLinks() int { return c.Flatten().DirectedLinks() }
-
 // NewDatacenter builds the multi-cluster fabric. The result is an ordinary
 // *Topology — every consumer (routing, traffic, both planes) works
 // unchanged; Cfg holds the flattened pod view.

@@ -9,10 +9,10 @@ import (
 )
 
 // The reference datacenter fabric must actually be datacenter-scale: past
-// the 100k directed-link mark the scaling work targets, with the closed
-// forms agreeing with the flattened view.
+// the 100k directed-link mark the scaling work targets, by the closed forms
+// of its flattened view.
 func TestDatacenterSimConfigScale(t *testing.T) {
-	c := topology.DatacenterSimConfig
+	c := topology.DatacenterSimConfig.Flatten()
 	if got := c.DirectedLinks(); got != 142848 {
 		t.Fatalf("DatacenterSimConfig.DirectedLinks() = %d, want 142848", got)
 	}
@@ -22,11 +22,8 @@ func TestDatacenterSimConfigScale(t *testing.T) {
 	if got, want := c.Hosts(), 34560; got != want {
 		t.Fatalf("Hosts() = %d, want %d", got, want)
 	}
-	if got, want := c.Pods(), 24; got != want {
-		t.Fatalf("Pods() = %d, want %d", got, want)
-	}
-	if got, want := c.DirectedLinks(), c.Flatten().DirectedLinks(); got != want {
-		t.Fatalf("DirectedLinks disagrees with flattened view: %d vs %d", got, want)
+	if got, want := c.Pods, 24; got != want {
+		t.Fatalf("Pods = %d, want %d", got, want)
 	}
 }
 
@@ -38,20 +35,21 @@ func TestDatacenterPacketConfigScale(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("packet config rejected: %v", err)
 	}
-	if got := c.Pods(); got < 32 {
-		t.Fatalf("Pods() = %d, want >= 32 (the packet plane's scale target)", got)
+	flat := c.Flatten()
+	if got := flat.Pods; got < 32 {
+		t.Fatalf("Pods = %d, want >= 32 (the packet plane's scale target)", got)
 	}
-	if got, want := c.Hosts(), 256; got != want {
+	if got, want := flat.Hosts(), 256; got != want {
 		t.Fatalf("Hosts() = %d, want %d", got, want)
 	}
-	if got, want := c.DirectedLinks(), 3584; got != want {
+	if got, want := flat.DirectedLinks(), 3584; got != want {
 		t.Fatalf("DirectedLinks() = %d, want %d", got, want)
 	}
 	topo, err := topology.NewDatacenter(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := topo.Cfg.Pods, c.Pods(); got != want {
+	if got, want := topo.Cfg.Pods, flat.Pods; got != want {
 		t.Fatalf("flattened pods = %d, want %d", got, want)
 	}
 }
@@ -82,11 +80,11 @@ func TestDatacenterValidate(t *testing.T) {
 // invariants at scale: link count, per-tier radix, and the arithmetic
 // LookupIP inverse round-tripping every node's address.
 func TestDatacenterBuildInvariants(t *testing.T) {
-	c := topology.DatacenterSimConfig
-	topo, err := topology.NewDatacenter(c)
+	topo, err := topology.NewDatacenter(topology.DatacenterSimConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := topology.DatacenterSimConfig.Flatten()
 	if got := len(topo.Links); got != c.DirectedLinks() {
 		t.Fatalf("built %d directed links, want closed-form %d", got, c.DirectedLinks())
 	}
@@ -105,7 +103,7 @@ func TestDatacenterBuildInvariants(t *testing.T) {
 		case topology.TierT1:
 			wantUp, wantDown = c.T2, c.ToRsPerPod
 		case topology.TierT2:
-			wantUp, wantDown = 0, c.Pods()*c.T1PerPod
+			wantUp, wantDown = 0, c.Pods*c.T1PerPod
 		}
 		if len(sw.Uplinks) != wantUp || len(sw.Downlinks) != wantDown {
 			t.Fatalf("%s radix %d up / %d down, want %d/%d",

@@ -4,8 +4,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"vigil/internal/ecmp"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
@@ -35,15 +33,11 @@ func (r IntRange) Sample(rng *stats.RNG) int {
 // model: hosts talk to hosts "under a different ToR").
 type Pattern interface {
 	Pick(rng *stats.RNG, topo *topology.Topology, src topology.HostID) topology.HostID
-	Name() string
 }
 
 // Uniform is the paper's default model: destination ToR uniform among all
 // other ToRs, destination host uniform under it.
 type Uniform struct{}
-
-// Name implements Pattern.
-func (Uniform) Name() string { return "uniform" }
 
 // Pick implements Pattern.
 func (Uniform) Pick(rng *stats.RNG, topo *topology.Topology, src topology.HostID) topology.HostID {
@@ -86,9 +80,6 @@ type SkewedToRs struct {
 	Frac float64
 }
 
-// Name implements Pattern.
-func (s SkewedToRs) Name() string { return fmt.Sprintf("skewed-%d-tors", len(s.Hot)) }
-
 // Pick implements Pattern.
 func (s SkewedToRs) Pick(rng *stats.RNG, topo *topology.Topology, src topology.HostID) topology.HostID {
 	if len(s.Hot) > 0 && rng.Bool(s.Frac) {
@@ -121,9 +112,6 @@ type HotToR struct {
 	Frac float64
 }
 
-// Name implements Pattern.
-func (h HotToR) Name() string { return fmt.Sprintf("hot-tor-%.0f%%", h.Frac*100) }
-
 // Pick implements Pattern.
 func (h HotToR) Pick(rng *stats.RNG, topo *topology.Topology, src topology.HostID) topology.HostID {
 	if rng.Bool(h.Frac) && topo.Hosts[src].ToR != h.Sink {
@@ -137,8 +125,8 @@ type Workload struct {
 	Pattern        Pattern
 	ConnsPerHost   IntRange // paper default: 60 per 30 s epoch (2/s)
 	PacketsPerFlow IntRange // paper default: "up to 100 packets per flow"
-	// Hosts restricts sources to a subset (the §7 cluster controls 40 of
-	// the hosts); nil means every host originates traffic.
+	// Public API: Hosts restricts sources to a subset (the §7 cluster
+	// controls 40 of the hosts); nil means every host originates traffic.
 	Hosts []topology.HostID
 }
 

@@ -187,18 +187,6 @@ func TestIntRange(t *testing.T) {
 	}
 }
 
-func TestPatternNames(t *testing.T) {
-	if (Uniform{}).Name() != "uniform" {
-		t.Fatal("uniform name")
-	}
-	if (HotToR{Frac: 0.5}).Name() != "hot-tor-50%" {
-		t.Fatalf("hot name = %q", HotToR{Frac: 0.5}.Name())
-	}
-	if (SkewedToRs{Hot: make([]topology.SwitchID, 10)}).Name() != "skewed-10-tors" {
-		t.Fatal("skewed name")
-	}
-}
-
 // The per-source streams must respect the workload knobs exactly as the
 // single-stream generator does.
 func TestAppendFlowsOfRespectsKnobs(t *testing.T) {

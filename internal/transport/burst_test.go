@@ -141,7 +141,7 @@ func burstCycles(t *testing.T) (frames, writes int64) {
 	if got := h.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("handler saw %d frames, want %d, or out of order", len(got), len(want))
 	}
-	ctr := cli.Counters()
+	ctr := cli.ctr
 	if got := ctr.Writes.Load(); got != wantWrites {
 		t.Fatalf("Writes = %d, want %d", got, wantWrites)
 	}
@@ -149,7 +149,7 @@ func burstCycles(t *testing.T) (frames, writes int64) {
 		t.Fatalf("sent %d of %d frames, resent %d, resumes %d on a fault-free wire",
 			ctr.FramesSent.Load(), len(want), ctr.FramesResent.Load(), ctr.Resumes.Load())
 	}
-	if srv.Counters().FramesDropped.Load() != 0 {
+	if srv.ctr.FramesDropped.Load() != 0 {
 		t.Fatal("the server dropped frames on a fault-free wire")
 	}
 	return ctr.FramesSent.Load(), ctr.Writes.Load()
@@ -206,7 +206,7 @@ func TestCutInsideCoalescedWrite(t *testing.T) {
 				// Resume only once the server has worked through what landed,
 				// so the handshake's watermark is the one asserted below.
 				deadline := time.Now().Add(10 * time.Second)
-				for srv.Counters().FramesReceived.Load() < landed && time.Now().Before(deadline) {
+				for srv.ctr.FramesReceived.Load() < landed && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
 			}
@@ -237,14 +237,14 @@ func TestCutInsideCoalescedWrite(t *testing.T) {
 	if got := h.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("handler saw %d frames, want %d, or out of order", len(got), len(want))
 	}
-	ctr := cli.Counters()
+	ctr := cli.ctr
 	if got := ctr.Resumes.Load(); got != 1 {
 		t.Fatalf("Resumes = %d, want 1 for the one cut", got)
 	}
 	if got, want := ctr.FramesResent.Load(), int64(total)-landed; got != want {
 		t.Fatalf("FramesResent = %d, want the %d frames past the watermark", got, want)
 	}
-	if got := srv.Counters().FramesDropped.Load(); got != 0 {
+	if got := srv.ctr.FramesDropped.Load(); got != 0 {
 		t.Fatalf("the replay overlapped the watermark: %d stale frames", got)
 	}
 	// Hello aside: the full burst, the torn write, the replay.
@@ -302,10 +302,10 @@ func TestProxyCutsCoalescedWrites(t *testing.T) {
 	if cuts < 2 {
 		t.Fatalf("the seed cut %d times; pick one that cuts inside the bursts", cuts)
 	}
-	if got := cli.Counters().Resumes.Load(); got != cuts {
+	if got := cli.ctr.Resumes.Load(); got != cuts {
 		t.Fatalf("Resumes = %d, want InjCuts = %d", got, cuts)
 	}
-	if cli.Counters().FramesResent.Load() == 0 {
+	if cli.ctr.FramesResent.Load() == 0 {
 		t.Fatal("cuts inside bursts replayed nothing")
 	}
 }

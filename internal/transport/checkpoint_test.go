@@ -413,7 +413,7 @@ func TestCommitFailureAcksNothing(t *testing.T) {
 		srv.sessionFor(5).mu.Lock()
 		durable := srv.sessionFor(5).durable
 		srv.sessionFor(5).mu.Unlock()
-		if acks := srv.Counters().AcksSent.Load(); acks != 0 || durable != 0 || srv.Counters().Checkpoints.Load() != 0 {
+		if acks := srv.ctr.AcksSent.Load(); acks != 0 || durable != 0 || srv.ctr.Checkpoints.Load() != 0 {
 			t.Fatalf("%s: a failed commit sent %d acks and left the durable mark at %d", step, acks, durable)
 		}
 		if step != "unlinked" { // nothing brings a removed file back; the collector stops
@@ -425,10 +425,10 @@ func TestCommitFailureAcksNothing(t *testing.T) {
 			if _, err := cli.WaitCycleEnd(ctx, 0); err != nil {
 				t.Fatal(err)
 			}
-			if cli.Durable() != seq {
-				t.Fatalf("%s: the client's durable mark is %d after the good commit, want %d", step, cli.Durable(), seq)
+			if cli.durable != seq {
+				t.Fatalf("%s: the client's durable mark is %d after the good commit, want %d", step, cli.durable, seq)
 			}
-			if spent := srv.Counters().CheckpointCommitNanos.Load(); spent <= 0 {
+			if spent := srv.ctr.CheckpointCommitNanos.Load(); spent <= 0 {
 				t.Fatalf("%s: a commit took %d ns by the counter", step, spent)
 			}
 		}

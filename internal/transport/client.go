@@ -142,12 +142,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Counters returns the live transport counters.
-func (c *Client) Counters() *metrics.TransportCounters { return c.ctr }
-
-// Durable returns the collector's durable watermark as last acknowledged.
-func (c *Client) Durable() uint64 { return c.durable }
-
 // Buffered returns the number of frames held for potential replay.
 func (c *Client) Buffered() int { return int(c.nextSeq - c.durable) }
 

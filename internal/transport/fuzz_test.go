@@ -176,7 +176,7 @@ reference:
 	if len(tokens) > 0 && !reflect.DeepEqual(tokens, wantTokens) {
 		t.Fatal("a delivered token differs from the reference's decode")
 	}
-	if got := srv.Counters().FramesReceived.Load(); got != int64(len(reports)+len(tokens)) {
+	if got := srv.ctr.FramesReceived.Load(); got != int64(len(reports)+len(tokens)) {
 		t.Fatalf("FramesReceived = %d for %d deliveries", got, len(reports)+len(tokens))
 	}
 }

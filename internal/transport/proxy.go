@@ -23,7 +23,7 @@ type ProxyConfig struct {
 	// proxy in front of; Retarget moves it at runtime for crash/restart
 	// tests.
 	Target string
-	// Seed derives every fate.
+	// Test hook: Seed derives every fate, so a chaos test replays.
 	Seed uint64
 	// Test hook: Drop, Dup, Reorder and Cut are per-frame fate
 	// probabilities the chaos tests set. They apply in the precedence Cut,
@@ -93,7 +93,8 @@ func NewProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	return p, nil
 }
 
-// Addr returns the proxy's listen address — what agents dial.
+// Test hook: Addr returns the proxy's listen address, which a test's
+// agents dial.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
 // Test hook: Retarget points subsequent connections at a new collector
@@ -134,7 +135,8 @@ func (p *Proxy) CutAll() int {
 	return cut
 }
 
-// Live returns the number of live proxied connections.
+// Test hook: Live returns the number of live proxied connections, which a
+// test waits on before it cuts or partitions them.
 func (p *Proxy) Live() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

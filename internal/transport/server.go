@@ -165,9 +165,6 @@ func (s *Server) SessionIDs() []uint64 {
 	return ids
 }
 
-// Counters returns the live transport counters.
-func (s *Server) Counters() *metrics.TransportCounters { return s.ctr }
-
 func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -133,8 +133,8 @@ func TestSessionLockstep(t *testing.T) {
 	}
 	// The Ack preceded the CycleEnd on the same connection, so by now the
 	// replay buffer is empty and the durable watermark covers the token.
-	if cli.Buffered() != 0 || cli.Durable() != seq {
-		t.Fatalf("buffered %d, durable %d, want 0 and %d", cli.Buffered(), cli.Durable(), seq)
+	if cli.Buffered() != 0 || cli.durable != seq {
+		t.Fatalf("buffered %d, durable %d, want 0 and %d", cli.Buffered(), cli.durable, seq)
 	}
 	reports, tokens := h.snapshot()
 	if len(reports) != 3 || len(tokens) != 1 {
@@ -391,7 +391,7 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 	if err := cli.Connect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Counters().AcceptRetries.Load(); got != 3 {
+	if got := srv.ctr.AcceptRetries.Load(); got != 3 {
 		t.Fatalf("AcceptRetries = %d, want 3", got)
 	}
 }
@@ -441,7 +441,7 @@ func TestLostCycleEndRecovered(t *testing.T) {
 	// triggers the server-side re-send.
 	go func() {
 		deadline := time.Now().Add(2 * time.Second)
-		for srv.Counters().FramesDropped.Load() == 0 && time.Now().Before(deadline) {
+		for srv.ctr.FramesDropped.Load() == 0 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		srv.SendCycleEnd(4, CycleEnd{Cycle: 0})
@@ -452,7 +452,7 @@ func TestLostCycleEndRecovered(t *testing.T) {
 	if cli.ctr.TokenResends.Load() == 0 {
 		t.Fatal("cycle-end arrived without any token re-send")
 	}
-	if srv.Counters().FramesDropped.Load() == 0 {
+	if srv.ctr.FramesDropped.Load() == 0 {
 		t.Fatal("server never saw the stale token re-send")
 	}
 }

@@ -171,7 +171,7 @@ func TestClassifyFlowsForeignTally(t *testing.T) {
 		tl.AddAll(quarterReports(rng, rng.Intn(80), 40))
 		tl.AddAll(reports[:rng.Intn(len(reports))])
 		var detected []topology.LinkID
-		for _, lv := range tl.Ranking()[:min(3, tl.Len())] {
+		for _, lv := range tl.Ranking()[:min(3, len(tl.links))] {
 			detected = append(detected, lv.Link)
 		}
 		got := ClassifyFlows(tl, detected, reports)

@@ -7,14 +7,6 @@ import (
 	"vigil/internal/topology"
 )
 
-func TestReportID(t *testing.T) {
-	r := Report{FlowID: 99, Src: 7, Dst: 3, Epoch: 4, Seq: 12}
-	want := ReportID{Agent: 7, Epoch: 4, Seq: 12}
-	if got := r.ID(); got != want {
-		t.Fatalf("ID() = %+v, want %+v", got, want)
-	}
-}
-
 func TestCanonicalLess(t *testing.T) {
 	mk := func(a topology.HostID, e, s int32) Report { return Report{Src: a, Epoch: e, Seq: s} }
 	cases := []struct {
@@ -29,7 +21,7 @@ func TestCanonicalLess(t *testing.T) {
 	}
 	for i, c := range cases {
 		if got := CanonicalLess(c.a, c.b); got != c.want {
-			t.Errorf("case %d: CanonicalLess(%v, %v) = %v, want %v", i, c.a.ID(), c.b.ID(), got, c.want)
+			t.Errorf("case %d: CanonicalLess(%+v, %+v) = %v, want %v", i, c.a, c.b, got, c.want)
 		}
 	}
 }

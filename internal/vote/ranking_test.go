@@ -103,7 +103,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 		want := rankingOracle(tl)
 		got := tl.Ranking()
 		if !slices.Equal(got, want) {
-			t.Fatalf("ranking of %d links differs from the comparison sort", tl.Len())
+			t.Fatalf("ranking of %d links differs from the comparison sort", len(tl.links))
 		}
 		// The result is the caller's: scribbling over it must not reach the
 		// next ranking through pooled scratch.
@@ -111,7 +111,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			got[i] = LinkVotes{Link: -1, Votes: math.NaN()}
 		}
 		if again := tl.Ranking(); !slices.Equal(again, want) {
-			t.Fatalf("ranking of %d links changed after the caller wrote to an earlier result", tl.Len())
+			t.Fatalf("ranking of %d links changed after the caller wrote to an earlier result", len(tl.links))
 		}
 	}
 	for _, m := range []int{0, 1, 2, 30, 4000, 70000} {
@@ -143,7 +143,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			syntheticTally(rng, 70000, epochVotes(rng)),
 		} {
 			if got, want := tl.linkVotes(rs.rank(tl.votes)), rankingOracle(tl); !slices.Equal(got, want) {
-				t.Fatalf("ranking of %d links differs from the comparison sort", tl.Len())
+				t.Fatalf("ranking of %d links differs from the comparison sort", len(tl.links))
 			}
 		}
 	})

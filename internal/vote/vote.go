@@ -44,17 +44,6 @@ type Report struct {
 	Seq   int32
 }
 
-// ReportID is a report's stable identity on the agent→collector path.
-type ReportID struct {
-	Agent topology.HostID
-	Epoch int32
-	Seq   int32
-}
-
-// ID returns the report's identity. The reporting agent is the source host:
-// 007 agents report the flows of their own host.
-func (r Report) ID() ReportID { return ReportID{Agent: r.Src, Epoch: r.Epoch, Seq: r.Seq} }
-
 // CanonicalLess orders reports by identity: agent, then epoch, then
 // sequence. Within one epoch this is a total order (identities are unique),
 // independent of arrival interleaving — the order settled epochs are
@@ -165,9 +154,6 @@ func (t *Tally) Votes(l topology.LinkID) float64 {
 
 // Flows returns the number of reports received.
 func (t *Tally) Flows() int { return t.flows }
-
-// Len returns the number of links with non-zero tallies.
-func (t *Tally) Len() int { return len(t.links) }
 
 // Ranking returns links sorted by descending votes; ties break toward the
 // lower link ID so results are deterministic.

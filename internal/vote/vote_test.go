@@ -135,8 +135,8 @@ func TestAddAllMatchesAdd(t *testing.T) {
 	split.AddAll(nil)
 	split.AddAll(reports[1700:])
 	for _, got := range []*Tally{whole, split} {
-		if got.Flows() != seq.Flows() || got.Len() != seq.Len() {
-			t.Fatalf("flows/len %d/%d, want %d/%d", got.Flows(), got.Len(), seq.Flows(), seq.Len())
+		if got.Flows() != seq.Flows() || len(got.links) != len(seq.links) {
+			t.Fatalf("flows/len %d/%d, want %d/%d", got.Flows(), len(got.links), seq.Flows(), len(seq.links))
 		}
 		for l := topology.LinkID(-1); l < 51; l++ {
 			if math.Abs(got.Votes(l)-seq.Votes(l)) > 1e-9 {
@@ -182,8 +182,8 @@ func TestBlameOnPath(t *testing.T) {
 func TestEmptyPathReportVotesNowhere(t *testing.T) {
 	tl := NewTally()
 	tl.Add(Report{FlowID: 1, Retx: 3})
-	if tl.Len() != 0 || tl.Flows() != 1 {
-		t.Fatalf("empty-path report changed tallies: len=%d flows=%d", tl.Len(), tl.Flows())
+	if len(tl.links) != 0 || tl.Flows() != 1 {
+		t.Fatalf("empty-path report changed tallies: len=%d flows=%d", len(tl.links), tl.Flows())
 	}
 }
 

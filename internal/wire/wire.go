@@ -266,13 +266,6 @@ func (s *Segment) SerializeTo(b *Buffer, seq, ack uint32) {
 	binary.BigEndian.PutUint16(t[16:], ^fold(s.sum+uint64(seq)+uint64(ack)))
 }
 
-// SerializeTo prepends the ICMP header and body.
-func (ic *ICMP) SerializeTo(b *Buffer) {
-	b.Prepend(len(ic.Body))
-	copy(b.Bytes(), ic.Body)
-	ic.SerializeHeaderTo(b)
-}
-
 // SerializeHeaderTo prepends just the 8-byte ICMP header over a body the
 // caller already placed in b, checksumming header plus body. It is the
 // allocation-free path for replies whose body is copied straight from the

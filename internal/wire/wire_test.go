@@ -135,7 +135,8 @@ func TestTimeExceededRoundTrip(t *testing.T) {
 	// payload bytes.
 	reply := ICMP{Type: ICMPTypeTimeExceeded, Code: ICMPCodeTTLExpired, Body: pkt[:IPv4HeaderLen+8]}
 	buf := NewBuffer(64)
-	reply.SerializeTo(buf)
+	copy(buf.Prepend(len(reply.Body)), reply.Body)
+	reply.SerializeHeaderTo(buf)
 	replyIP := IPv4{TTL: 64, Protocol: ProtoICMP, Src: 0x0ac80001, Dst: ip.Src}
 	replyIP.SerializeTo(buf)
 
@@ -190,7 +191,8 @@ func TestICMPChecksumOddEvenBodies(t *testing.T) {
 		}
 		ic := ICMP{Type: ICMPTypeTimeExceeded, Code: 0, Body: body}
 		buf := NewBuffer(16)
-		ic.SerializeTo(buf)
+		copy(buf.Prepend(len(ic.Body)), ic.Body)
+		ic.SerializeHeaderTo(buf)
 		var out ICMP
 		if err := DecodeICMP(buf.Bytes(), &out); err != nil {
 			return false

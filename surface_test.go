@@ -1,28 +1,38 @@
 package vigil_test
 
 import (
+	"bytes"
 	"cmp"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
-	"path"
+	"os/exec"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// surfaceAllow names the top-level declarations under internal/ and cmd/
-// that no non-test root reaches but that stay: test hooks and reference
-// oracles, each with its reason. A key is "<dir>.<Name>", or
-// "<dir>.<Type>.<Method>" for a method, or a bare "<dir>" for a package
+// surfaceAllow names the declarations under internal/ and cmd/ that no
+// non-test root reaches but that stay: test hooks and reference oracles,
+// each with its reason. A key is "<dir>.<Name>", or "<dir>.<Type>.<Method>"
+// for a method (an interface's included), or a bare "<dir>" for a package
 // that exists only to support tests. An entry whose declaration became
 // live or is gone fails the test, so the list cannot rot, and an
 // allow-listed declaration's doc comment must say which of the two it is.
 var surfaceAllow = map[string]string{
+	"internal/des.Scheduler.At":          "scripts closure events around the component under test",
 	"internal/des.Scheduler.Executed":    "events per run, which the cut-through tests compare with the per-hop fabric's",
 	"internal/fabric.Net.DropRate":       "a link's current rate, read back after injections, resets and schedules",
 	"internal/fabric.Net.HopsFused":      "proves a cut-through test case fused hops at all",
@@ -33,45 +43,44 @@ var surfaceAllow = map[string]string{
 	"internal/opt.Instance.Covers":       "checks the set-cover baselines' answers",
 	"internal/opt.Instance.Feasible":     "checks the integer program's answers",
 	"internal/stats.RNG.BinomialExact":   "the n-trial reference for Binomial and the gated drop sampler",
+	"internal/transport.Proxy.Addr":      "the address a test's agents dial",
 	"internal/transport.NewProxy":        "puts seeded wire faults between agent and collector in the chaos and crash tests; a package of its own would cycle with transport's in-package tests",
 	"internal/transport.Proxy.Heal":      "ends a partition in the chaos tests",
+	"internal/transport.Proxy.Live":      "lets the proxy tests wait for a connection before they cut it",
 	"internal/transport.Proxy.Partition": "cuts agents off in the chaos tests",
 	"internal/transport.Proxy.Retarget":  "points the proxy at a restarted collector in crash tests",
 	"internal/transport.SeqOf":           "lets a test's target check the session seqs it received",
 	"internal/scenario/conform":          "the statistical conformance suite: only tests import it",
 }
 
-// stdlibMethods are method names the standard library calls through its
-// own interfaces (fmt.Stringer, error, sort.Interface, heap.Interface,
-// io.Reader, net.Conn, net.Listener, http.Handler, …). The scan parses
-// only this module, so it cannot see those interfaces; a method of ours
-// that implements one is live by name.
-var stdlibMethods = []string{
-	"String", "Error", "Unwrap", "Is", "As", "Format", "GoString",
-	"Len", "Less", "Swap", "Push", "Pop",
-	"Read", "Write", "Close", "ReadFrom", "WriteTo", "Seek",
-	"ServeHTTP", "MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText",
-	"Deadline", "Done", "Err", "Value",
-	"LocalAddr", "RemoteAddr", "SetDeadline", "SetReadDeadline", "SetWriteDeadline",
-	"Accept", "Addr", "Timeout", "Temporary", "Network",
-}
+// stdlibMethods are the method names the standard library calls on our
+// values through its own interfaces, where no code of ours can be seen
+// calling them: today only fmt.Stringer's. A method so named is live while
+// its receiver type is. Add a name when a type of ours is handed to the
+// standard library for it to call (an error type's Error, a
+// sort.Interface's Len, Less and Swap), and only then: a name here keeps
+// every live type's method of that name.
+var stdlibMethods = []string{"String"}
 
-// TestSurfaceReachable fails on any top-level declaration under internal/
-// or cmd/ that only tests reach. It parses every non-test Go file with
-// go/parser alone (no type checking) and marks declarations live from the
-// roots: every main package's main and init, every declaration in bench/
-// (a module of its own that this repo does not edit), the root package's
-// exported API, every init function and package-level var, and every
-// method whose name appears in an interface. From a live declaration, an
-// identifier keeps the same-package declaration of that name, pkg.Name
-// keeps the imported package's declaration, and any other x.Name keeps
-// every method called Name. The scan errs toward keeping code: a name it
-// cannot resolve keeps whatever it might mean.
+// TestSurfaceReachable fails on any declaration under internal/ or cmd/
+// that only tests reach. It type-checks every non-test Go file of the
+// module and of bench/ with go/types (the standard library from the
+// compiler's export data) and marks declarations live from the roots:
+// every main package's main and init, every declaration in bench/ (a
+// module of its own that this repo does not edit), the root package's
+// exported API, every init function and package-level var, and the
+// allow-list. From a live declaration, every identifier and selector keeps
+// the declaration it resolves to, so a method is live when live code
+// selects it, and an interface's method when live code calls it through
+// the interface. A method also lives when its receiver type is live and it
+// implements an interface method live code calls, or when its name is in
+// stdlibMethods.
 func TestSurfaceReachable(t *testing.T) {
-	s := scanSurface(t, ".")
+	s := loadSurface(t)
+	l := s.reach(false)
 	unreached := map[string]bool{} // keys and package dirs the roots miss
-	for _, d := range s.dead() {
-		unreached[d.key], unreached[d.pkg] = true, true
+	for _, d := range l.dead() {
+		unreached[d.key], unreached[d.pkg.dir] = true, true
 	}
 	var problems []string
 	for key := range surfaceAllow {
@@ -79,20 +88,15 @@ func TestSurfaceReachable(t *testing.T) {
 			problems = append(problems, "allow-list entry "+key+" names nothing only tests reach (it is live now, or gone): remove the entry")
 		}
 	}
-	// What an allow-listed declaration calls is as alive as it is: a
-	// reference oracle's helpers stay with the oracle.
-	for _, d := range s.all {
-		_, name := surfaceAllow[d.key]
-		_, pkg := surfaceAllow[d.pkg]
-		if name && !strings.HasPrefix(d.doc.Text(), "Test hook:") && !strings.HasPrefix(d.doc.Text(), "Reference oracle:") {
+	for _, d := range s.decls {
+		if _, ok := surfaceAllow[d.key]; ok && !strings.HasPrefix(d.doc.Text(), "Test hook:") && !strings.HasPrefix(d.doc.Text(), "Reference oracle:") {
 			problems = append(problems, d.key+" ("+d.pos+") is allow-listed: its doc comment must start \"Test hook:\" or \"Reference oracle:\"")
 		}
-		if name || pkg {
-			s.mark(d)
-		}
 	}
-	s.propagate()
-	for _, d := range s.dead() {
+	// What an allow-listed declaration calls is as alive as it is: a
+	// reference oracle's helpers stay with the oracle.
+	l = s.reach(true)
+	for _, d := range l.dead() {
 		problems = append(problems, d.key+" ("+d.pos+") is reached only by tests: delete it, or allow-list it with a reason")
 	}
 	sort.Strings(problems)
@@ -101,15 +105,20 @@ func TestSurfaceReachable(t *testing.T) {
 	}
 }
 
-// surfaceFieldAllow names the exported fields of the *Config and *Options
-// structs under internal/ that only tests set but that stay, each with its
-// reason. A key is "<dir>.<Type>.<Field>". As with surfaceAllow, an entry
-// whose field gains a non-test setter or is gone fails the test, and an
-// allow-listed field's doc comment must start "Test hook:".
+// surfaceFieldAllow names the exported struct fields under internal/ that
+// no non-test code writes but that stay, each with its reason. A key is
+// "<dir>.<Type>.<Field>". As with surfaceAllow, an entry whose field gains
+// a non-test write or is gone fails the test, and an allow-listed field's
+// doc comment must start "Test hook:", or "Public API:" for a field a
+// library user sets through one of the root package's type aliases.
 var surfaceFieldAllow = map[string]string{
 	"internal/cluster.Config.Ct":                       "a budget of 2/s makes the rate limit bind in the traceroute-budget test",
 	"internal/cluster.Config.MaxRetries":               "16 retries keep the tag test's connections alive through its 40µs RTOs, so stragglers reach recycled Conns",
 	"internal/cluster.Config.RTO":                      "an RTO below the round trip retransmits segments still in flight in the tag test",
+	"internal/ingest.AgentConfig.Transport":            "fast reconnects and polls for the networked ingest tests' agents",
+	"internal/schedule.ConstantRate.Rate":              "public through vigil.ConstantRate",
+	"internal/slb.SLB.QueryFailRate":                   "failed lookups in the SLB's query-failure test",
+	"internal/traffic.Workload.Hosts":                  "public through vigil.Workload",
 	"internal/transport.ClientConfig.BackoffBase":      "fast reconnects in the chaos and crash tests, until the transport takes a clock",
 	"internal/transport.ClientConfig.BackoffMax":       "bounds the chaos tests' reconnect waits, until the transport takes a clock",
 	"internal/transport.ClientConfig.DeadPolls":        "keeps a silent connection alive through the lost cycle-end test's short polls",
@@ -122,101 +131,50 @@ var surfaceFieldAllow = map[string]string{
 	"internal/transport.ProxyConfig.Drop":              "swallowed frames in the chaos soaks",
 	"internal/transport.ProxyConfig.Dup":               "duplicated frames in the chaos soaks",
 	"internal/transport.ProxyConfig.Reorder":           "reordered frames in the chaos soaks",
+	"internal/transport.ProxyConfig.Seed":              "replays a chaos test's fates",
 	"internal/transport.ProxyConfig.Target":            "the collector a test puts the proxy in front of",
 }
 
-// TestConfigFieldsSet fails on any exported field of a *Config or *Options
-// struct under internal/ that no non-test code sets: a knob read only at
-// its default is a constant. A field counts as set by a composite-literal
-// key anywhere outside tests, bench/ included, or by an assignment, an
-// increment or a &x.F in a package that imports the field's own (a
-// package's own `cfg.F = default` line does not count). A key in a T{…} or
-// pkg.T{…} literal sets only T's field, through type aliases; a key in a
-// literal whose type is elided sets every field of that name, and so does
-// an assignment in every package the assigning one imports, so the rule
-// errs toward keeping a field. Under -v it logs the number of config
-// fields and of exported names (see exportedNames), which CI prints beside
-// the non-test line count.
+// TestConfigFieldsSet fails on any exported struct field under internal/
+// (a test-support package's aside) that no non-test code writes: a knob
+// read only at its zero value or its default is a constant. A write is a keyed or positional composite
+// literal, an assignment, an increment, a &x.F, or a pointer-method call
+// on x.F, anywhere outside tests, bench/ included; writing a field of a
+// struct-valued field writes both. A *Config or *Options struct's field
+// counts as written only outside its own package, so that package's `cfg.F
+// = default` line does not count. Under -v it logs the number of config
+// fields (those of *Config/*Options structs), of struct fields the rule
+// checks, and of exported names (see exportedNames), which CI prints
+// beside the non-test line count.
 func TestConfigFieldsSet(t *testing.T) {
-	s := scanSurface(t, ".")
-	keyed := map[string]bool{}               // "<dir>.<Type>.<Field>" some typed literal sets, or a bare field name an elided one sets
-	assigned := map[string]map[string]bool{} // field name → the dirs that assign it
-	imports := map[string]map[string]bool{}  // dir → the module dirs it imports
-	for _, f := range s.files {
-		if imports[f.pkg] == nil {
-			imports[f.pkg] = map[string]bool{}
+	s := loadSurface(t)
+	config := 0
+	for _, fd := range s.fields {
+		if fd.config {
+			config++
 		}
-		for _, rel := range f.imports {
-			imports[f.pkg][rel] = true
-		}
-		ast.Inspect(f.syntax, func(n ast.Node) bool {
-			var lhs []ast.Expr
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				prefix := "" // the type is elided: keys match fields by name
-				if n.Type != nil {
-					typ, ok := s.typeName(f, n.Type)
-					if !ok {
-						return true // a foreign type's, a slice's or a map's keys
-					}
-					prefix = typ + "."
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok {
-							keyed[prefix+k.Name] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				lhs = n.Lhs
-			case *ast.IncDecStmt:
-				lhs = []ast.Expr{n.X}
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					lhs = []ast.Expr{n.X}
-				}
-			}
-			for _, e := range lhs {
-				sel, ok := e.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if x, ok := sel.X.(*ast.Ident); ok {
-					if _, imported := f.imports[x.Name]; imported {
-						continue // pkg.Var, not a field
-					}
-				}
-				if assigned[sel.Sel.Name] == nil {
-					assigned[sel.Sel.Name] = map[string]bool{}
-				}
-				assigned[sel.Sel.Name][f.pkg] = true
-			}
-			return true
-		})
 	}
-	t.Logf("config fields: %d", len(s.fields))
+	t.Logf("config fields: %d", config)
+	t.Logf("struct fields: %d", len(s.fields))
 	t.Logf("exported names: %d", exportedNames(s))
+	written := s.writes()
 	var problems []string
 	unset := map[string]bool{}
 	for _, fd := range s.fields {
-		set := keyed[fd.name] || keyed[fd.key]
-		for dir := range assigned[fd.name] {
-			set = set || imports[dir][fd.pkg]
-		}
-		if set {
+		if written[fd.obj] {
 			continue
 		}
 		unset[fd.key] = true
+		doc := fd.doc.Text()
 		if _, ok := surfaceFieldAllow[fd.key]; !ok {
-			problems = append(problems, fd.key+" ("+fd.pos+") is set by no non-test code: make it a constant, or allow-list it with a reason")
-		} else if !strings.HasPrefix(fd.doc.Text(), "Test hook:") {
-			problems = append(problems, fd.key+" ("+fd.pos+") is allow-listed: its doc comment must start \"Test hook:\"")
+			problems = append(problems, fd.key+" ("+fd.pos+") is written by no non-test code: make it a constant, or allow-list it with a reason")
+		} else if !strings.HasPrefix(doc, "Test hook:") && !strings.HasPrefix(doc, "Public API:") {
+			problems = append(problems, fd.key+" ("+fd.pos+") is allow-listed: its doc comment must start \"Test hook:\" or \"Public API:\"")
 		}
 	}
 	for key := range surfaceFieldAllow {
 		if !unset[key] {
-			problems = append(problems, "field allow-list entry "+key+" names no field that only tests set (non-test code sets it now, or it is gone): remove the entry")
+			problems = append(problems, "field allow-list entry "+key+" names no field that only tests write (non-test code writes it now, or it is gone): remove the entry")
 		}
 	}
 	sort.Strings(problems)
@@ -238,31 +196,33 @@ func exportedNames(s *surface) int {
 			}
 		}
 	}
-	for _, f := range s.files {
-		if !strings.HasPrefix(f.pkg, "internal/") {
+	for _, p := range s.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		for _, decl := range f.syntax.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				count(decl.Name)
-			case *ast.GenDecl:
-				for _, sp := range decl.Specs {
-					switch sp := sp.(type) {
-					case *ast.ValueSpec:
-						count(sp.Names...)
-					case *ast.TypeSpec:
-						count(sp.Name)
-						var members *ast.FieldList
-						switch typ := sp.Type.(type) {
-						case *ast.StructType:
-							members = typ.Fields
-						case *ast.InterfaceType:
-							members = typ.Methods
-						}
-						if members != nil {
-							for _, m := range members.List {
-								count(m.Names...)
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					count(decl.Name)
+				case *ast.GenDecl:
+					for _, sp := range decl.Specs {
+						switch sp := sp.(type) {
+						case *ast.ValueSpec:
+							count(sp.Names...)
+						case *ast.TypeSpec:
+							count(sp.Name)
+							var members *ast.FieldList
+							switch typ := sp.Type.(type) {
+							case *ast.StructType:
+								members = typ.Fields
+							case *ast.InterfaceType:
+								members = typ.Methods
+							}
+							if members != nil {
+								for _, m := range members.List {
+									count(m.Names...)
+								}
 							}
 						}
 					}
@@ -297,64 +257,74 @@ func TestDesignInventoryMatchesPackages(t *testing.T) {
 			listed[cell] = true
 		}
 	}
-	s := scanSurface(t, ".")
-	for _, f := range s.files {
-		if strings.HasPrefix(f.pkg, "internal/") && !listed[f.pkg] {
-			t.Errorf("package %s is missing from DESIGN.md's package inventory", f.pkg)
-			listed[f.pkg] = true // report it once
+	s := loadSurface(t)
+	for dir := range s.pkgs {
+		if strings.HasPrefix(dir, "internal/") && !listed[dir] {
+			t.Errorf("package %s is missing from DESIGN.md's package inventory", dir)
 		}
 	}
-	for pkg := range listed {
-		if _, ok := s.pkgs[pkg]; !ok {
-			t.Errorf("DESIGN.md's package inventory lists %s, which is not a package", pkg)
+	for dir := range listed {
+		if _, ok := s.pkgs[dir]; !ok {
+			t.Errorf("DESIGN.md's package inventory lists %s, which is not a package", dir)
 		}
 	}
 }
 
+// surfacePkg is one type-checked package of the module or of bench/.
+type surfacePkg struct {
+	dir   string // relative to the module root: ".", "internal/vote", "bench", …
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// surfaceDecl is a declaration the liveness scan tracks: a package-level
+// const, var, type or func, a method, or an interface's method.
 type surfaceDecl struct {
-	key, pkg, pos string
-	node          ast.Node
-	doc           *ast.CommentGroup
-	file          *surfaceFile
-	root, live    bool
-	checked       bool // under internal/ or cmd/
+	key, pos string
+	pkg      *surfacePkg
+	node     ast.Node        // what a live declaration's walk visits
+	typ      *types.TypeName // the type a type declaration declares
+	doc      *ast.CommentGroup
+	root     bool
+	checked  bool // under internal/ or cmd/
 }
 
-type surfaceFile struct {
-	pkg     string            // directory relative to the module root
-	imports map[string]string // local name → directory relative to the module root, "" outside it
-	syntax  *ast.File
-}
-
-// surfaceField is an exported field of a *Config or *Options struct under
-// internal/.
+// surfaceField is an exported struct field under internal/ that the field
+// rule checks.
 type surfaceField struct {
-	key, pkg, name, pos string
-	doc                 *ast.CommentGroup
+	key, pos string
+	pkg      *surfacePkg
+	obj      *types.Var
+	doc      *ast.CommentGroup
+	config   bool // a field of a *Config or *Options struct
 }
 
 type surface struct {
-	fset    *token.FileSet
-	pkgs    map[string]map[string]*surfaceDecl // dir → package-level name → decl (methods are not here)
-	methods map[string][]*surfaceDecl          // method name → every method so named
-	all     []*surfaceDecl
-	queue   []*surfaceDecl
-	named   map[string]bool // method names a live selector or an interface mentions
-	files   []*surfaceFile
-	fields  []surfaceField
-	aliases map[string]string // "<dir>.<Name>" of a type alias → "<dir>.<Name>" of its target
+	fset   *token.FileSet
+	pkgs   map[string]*surfacePkg
+	decls  []*surfaceDecl // in file order
+	byObj  map[types.Object]*surfaceDecl
+	fields []surfaceField
 }
 
-// scanSurface parses the module under root and marks what its roots reach.
-func scanSurface(t testing.TB, root string) *surface {
-	s := &surface{
-		fset:    token.NewFileSet(),
-		pkgs:    map[string]map[string]*surfaceDecl{},
-		methods: map[string][]*surfaceDecl{},
-		named:   map[string]bool{},
-		aliases: map[string]string{},
+var loadedSurface = sync.OnceValues(func() (*surface, error) { return newSurface(".") })
+
+// loadSurface type-checks the module once per test binary.
+func loadSurface(t testing.TB) *surface {
+	s, err := loadedSurface()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var interfaces []*ast.InterfaceType
+	return s
+}
+
+// newSurface parses every non-test Go file under root, bench/ included,
+// and type-checks each package from source against the standard library's
+// export data.
+func newSurface(root string) (*surface, error) {
+	s := &surface{fset: token.NewFileSet(), pkgs: map[string]*surfacePkg{}, byObj: map[types.Object]*surfaceDecl{}}
+	std := map[string]bool{} // import paths outside the module
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -365,212 +335,249 @@ func scanSurface(t testing.TB, root string) *surface {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		dir, name := filepath.Split(p)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		src, err := os.ReadFile(p)
+		if ok, err := build.Default.MatchFile(cmp.Or(dir, "."), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(s.fset, p, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(s.fset, p, src, parser.SkipObjectResolution|parser.ParseComments)
-		if err != nil {
-			return err
+		rel := filepath.ToSlash(filepath.Clean(cmp.Or(dir, ".")))
+		pkg := s.pkgs[rel]
+		if pkg == nil {
+			pkg = &surfacePkg{dir: rel}
+			s.pkgs[rel] = pkg
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		ast.Inspect(f, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				interfaces = append(interfaces, it)
+		pkg.files = append(pkg.files, f)
+		for _, imp := range f.Imports {
+			if ip, _ := strconv.Unquote(imp.Path.Value); moduleDir(ip) == "" {
+				std[ip] = true
 			}
-			return true
-		})
-		s.add(dir, f)
+		}
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	exports, err := stdExports(std)
+	if err != nil {
+		return nil, err
+	}
+	imp := &surfaceImporter{s: s,
+		std: importer.ForCompiler(s.fset, "gc", func(path string) (io.ReadCloser, error) {
+			if exports[path] == "" {
+				return nil, fmt.Errorf("no export data for %s", path)
+			}
+			return os.Open(exports[path])
+		})}
+	dirs := make([]string, 0, len(s.pkgs))
+	for dir := range s.pkgs {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if _, err := imp.check(s.pkgs[dir]); err != nil {
+			return nil, err
+		}
+	}
+	for _, dir := range dirs {
+		for _, f := range s.pkgs[dir].files {
+			s.addDecls(s.pkgs[dir], f)
+		}
+	}
+	return s, nil
+}
 
-	for _, it := range interfaces {
-		for _, m := range it.Methods.List {
-			for _, n := range m.Names {
-				s.name(n.Name)
+// moduleDir maps an import path inside the module (bench/ included) to its
+// directory, and any other path to "".
+func moduleDir(path string) string {
+	if path == "vigil" {
+		return "."
+	}
+	if rel, ok := strings.CutPrefix(path, "vigil/"); ok {
+		return rel
+	}
+	return ""
+}
+
+// stdExports asks the go command for the export data of the standard
+// library packages the module imports and of their dependencies. A test
+// binary built with -race asks for the race build's, which the test run
+// has already compiled.
+func stdExports(paths map[string]bool) (map[string]string, error) {
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "-race" && kv.Value == "true" {
+				args = append(args, "-race")
 			}
 		}
 	}
-	for _, n := range stdlibMethods {
-		s.name(n)
+	for p := range paths {
+		args = append(args, p)
 	}
-	for _, d := range s.all {
-		if d.root {
-			s.mark(d)
-		}
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v: %s", err, stderr.Bytes())
 	}
-	s.propagate()
-	return s
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		exports[path] = file
+	}
+	return exports, nil
 }
 
-// propagate marks everything the marked declarations refer to.
-func (s *surface) propagate() {
-	for len(s.queue) > 0 {
-		d := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
-		s.walk(d.file, d.node)
-	}
+// surfaceImporter type-checks the module's packages from source, each
+// once, and imports everything else from export data.
+type surfaceImporter struct {
+	s   *surface
+	std types.Importer
 }
 
-// add records a file's top-level declarations.
-func (s *surface) add(dir string, f *ast.File) {
-	file := &surfaceFile{pkg: dir, imports: map[string]string{}, syntax: f}
-	s.files = append(s.files, file)
-	for _, imp := range f.Imports {
-		ip, _ := strconv.Unquote(imp.Path.Value)
-		rel := "" // a package outside the module
-		switch {
-		case ip == "vigil":
-			rel = "."
-		case strings.HasPrefix(ip, "vigil/"):
-			rel = strings.TrimPrefix(ip, "vigil/")
-		}
-		name := path.Base(ip)
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		file.imports[name] = rel
+func (im *surfaceImporter) Import(path string) (*types.Package, error) {
+	dir := moduleDir(path)
+	if dir == "" {
+		return im.std.Import(path)
 	}
-	pkg := s.pkgs[dir]
-	if pkg == nil {
-		pkg = map[string]*surfaceDecl{}
-		s.pkgs[dir] = pkg
+	p := im.s.pkgs[dir]
+	if p == nil {
+		return nil, fmt.Errorf("no package %s in the module", path)
 	}
-	main := f.Name.Name == "main"
-	newDecl := func(key string, pos token.Pos, node ast.Node, doc *ast.CommentGroup) *surfaceDecl {
+	return im.check(p)
+}
+
+func (im *surfaceImporter) check(p *surfacePkg) (*types.Package, error) {
+	if p.types != nil {
+		return p.types, nil
+	}
+	p.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	path := "vigil"
+	if p.dir != "." {
+		path += "/" + p.dir
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(path, im.s.fset, p.files, p.info)
+	if err != nil {
+		return nil, err
+	}
+	p.types = pkg
+	return pkg, nil
+}
+
+// addDecls records a file's declarations and its exported struct fields.
+func (s *surface) addDecls(p *surfacePkg, f *ast.File) {
+	checked := strings.HasPrefix(p.dir, "cmd/") || strings.HasPrefix(p.dir, "internal/")
+	add := func(key string, pos token.Pos, node ast.Node, doc *ast.CommentGroup, ids ...*ast.Ident) *surfaceDecl {
 		d := &surfaceDecl{
-			key: dir + "." + key, pkg: dir, node: node, doc: doc, file: file,
-			pos:     s.fset.Position(pos).String(),
-			checked: strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/"),
+			key: p.dir + "." + key, pos: s.fset.Position(pos).String(), pkg: p,
+			node: node, doc: doc, checked: checked,
 			// bench/ is a module of its own that this repo does not edit;
 			// the root package's exported names are the library API.
-			root: dir == "bench" || (dir == "." && ast.IsExported(key[strings.LastIndexByte(key, '.')+1:])),
+			root: p.dir == "bench" || p.dir == "." && ast.IsExported(key[strings.LastIndexByte(key, '.')+1:]),
 		}
-		s.all = append(s.all, d)
+		s.decls = append(s.decls, d)
+		for _, id := range ids {
+			if obj := p.info.Defs[id]; obj != nil {
+				s.byObj[obj] = d
+			}
+		}
 		return d
 	}
 	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
 		case *ast.FuncDecl:
+			name := decl.Name.Name
 			if decl.Recv != nil {
 				recv := decl.Recv.List[0].Type
-				for {
-					switch r := recv.(type) {
-					case *ast.StarExpr:
-						recv = r.X
-						continue
-					case *ast.IndexExpr:
-						recv = r.X
-						continue
-					case *ast.IndexListExpr:
-						recv = r.X
-						continue
-					}
-					break
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
 				}
-				typ := recv.(*ast.Ident).Name
-				d := newDecl(typ+"."+decl.Name.Name, decl.Pos(), decl, decl.Doc)
-				s.methods[decl.Name.Name] = append(s.methods[decl.Name.Name], d)
-				continue
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
 			}
-			d := newDecl(decl.Name.Name, decl.Pos(), decl, decl.Doc)
-			if decl.Name.Name == "init" || main && decl.Name.Name == "main" {
-				d.root = true
-			} else {
-				pkg[decl.Name.Name] = d
-			}
+			d := add(name, decl.Pos(), decl, decl.Doc, decl.Name)
+			d.root = d.root || decl.Recv == nil && (name == "init" || name == "main" && f.Name.Name == "main")
 		case *ast.GenDecl:
 			switch decl.Tok {
-			case token.IMPORT:
 			case token.CONST:
 				if constEnum(decl) {
 					// An iota enum is one declaration: its unused
 					// members stay while any member is used.
-					d := newDecl(decl.Specs[0].(*ast.ValueSpec).Names[0].Name, decl.Pos(), decl, decl.Doc)
+					var ids []*ast.Ident
 					for _, sp := range decl.Specs {
-						for _, n := range sp.(*ast.ValueSpec).Names {
-							pkg[n.Name] = d
-						}
+						ids = append(ids, sp.(*ast.ValueSpec).Names...)
 					}
+					add(ids[0].Name, decl.Pos(), decl, decl.Doc, ids...)
 					continue
 				}
 				for _, sp := range decl.Specs {
 					vs := sp.(*ast.ValueSpec)
 					for _, n := range vs.Names {
-						pkg[n.Name] = newDecl(n.Name, n.Pos(), vs, cmp.Or(vs.Doc, decl.Doc))
+						add(n.Name, n.Pos(), vs, cmp.Or(vs.Doc, decl.Doc), n)
 					}
 				}
 			case token.VAR:
-				d := newDecl(decl.Specs[0].(*ast.ValueSpec).Names[0].Name, decl.Pos(), decl, decl.Doc)
-				d.root = true
+				var ids []*ast.Ident
 				for _, sp := range decl.Specs {
-					for _, n := range sp.(*ast.ValueSpec).Names {
-						pkg[n.Name] = d
-					}
+					ids = append(ids, sp.(*ast.ValueSpec).Names...)
 				}
+				add(ids[0].Name, decl.Pos(), decl, decl.Doc, ids...).root = true
 			case token.TYPE:
 				for _, sp := range decl.Specs {
 					ts := sp.(*ast.TypeSpec)
-					pkg[ts.Name.Name] = newDecl(ts.Name.Name, ts.Pos(), ts, cmp.Or(ts.Doc, decl.Doc))
-					if ts.Assign.IsValid() {
-						if target, ok := s.typeName(file, ts.Type); ok {
-							s.aliases[dir+"."+ts.Name.Name] = target
+					d := add(ts.Name.Name, ts.Pos(), ts, cmp.Or(ts.Doc, decl.Doc), ts.Name)
+					d.typ, _ = p.info.Defs[ts.Name].(*types.TypeName)
+					switch typ := ts.Type.(type) {
+					case *ast.InterfaceType:
+						for _, m := range typ.Methods.List {
+							for _, n := range m.Names {
+								add(ts.Name.Name+"."+n.Name, n.Pos(), m, m.Doc, n)
+							}
 						}
+					case *ast.StructType:
+						s.addFields(p, ts.Name.Name, typ)
 					}
-					s.addFields(dir, ts)
 				}
 			}
 		}
 	}
 }
 
-// addFields records the exported fields of a *Config or *Options struct
-// under internal/.
-func (s *surface) addFields(dir string, ts *ast.TypeSpec) {
-	st, ok := ts.Type.(*ast.StructType)
-	if !ok || !strings.HasPrefix(dir, "internal/") ||
-		!strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+// addFields records the exported named fields of a struct type under
+// internal/, outside the packages that exist only to support tests.
+func (s *surface) addFields(p *surfacePkg, typ string, st *ast.StructType) {
+	if _, testSupport := surfaceAllow[p.dir]; testSupport || !strings.HasPrefix(p.dir, "internal/") {
 		return
 	}
 	for _, fl := range st.Fields.List {
 		for _, n := range fl.Names {
 			if n.IsExported() {
 				s.fields = append(s.fields, surfaceField{
-					key: dir + "." + ts.Name.Name + "." + n.Name, pkg: dir, name: n.Name,
-					pos: s.fset.Position(n.Pos()).String(), doc: fl.Doc,
+					key: p.dir + "." + typ + "." + n.Name, pos: s.fset.Position(n.Pos()).String(), pkg: p,
+					obj: p.info.Defs[n].(*types.Var), doc: fl.Doc,
+					config: strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Options"),
 				})
 			}
 		}
 	}
-}
-
-// typeName resolves a type expression in f to "<dir>.<Name>", following
-// aliases. It fails for a type outside the module or one that is not a
-// plain name.
-func (s *surface) typeName(f *surfaceFile, e ast.Expr) (string, bool) {
-	var key string
-	switch e := e.(type) {
-	case *ast.Ident:
-		key = f.pkg + "." + e.Name
-	case *ast.SelectorExpr:
-		x, ok := e.X.(*ast.Ident)
-		if !ok || f.imports[x.Name] == "" {
-			return "", false
-		}
-		key = f.imports[x.Name] + "." + e.Sel.Name
-	default:
-		return "", false
-	}
-	for s.aliases[key] != "" {
-		key = s.aliases[key]
-	}
-	return key, true
 }
 
 // constEnum reports whether a const block counts on iota or on repeating
@@ -597,54 +604,215 @@ func constEnum(decl *ast.GenDecl) bool {
 	return false
 }
 
-func (s *surface) mark(d *surfaceDecl) {
-	if d == nil || d.live {
-		return
-	}
-	d.live = true
-	s.queue = append(s.queue, d)
+// liveness is one marking of the declarations from the roots.
+type liveness struct {
+	s      *surface
+	live   map[*surfaceDecl]bool
+	queue  []*surfaceDecl
+	called []*types.Func     // interface methods live code selects
+	types  []*types.TypeName // live types that may implement them
+	seen   map[types.Object]bool
 }
 
-// name records that a method called n may be called, keeping every method
-// of that name.
-func (s *surface) name(n string) {
-	if s.named[n] {
-		return
+// reach marks what the roots reach; with allowed, the allow-listed
+// declarations and packages are roots too.
+func (s *surface) reach(allowed bool) *liveness {
+	l := &liveness{s: s, live: map[*surfaceDecl]bool{}, seen: map[types.Object]bool{}}
+	for _, d := range s.decls {
+		_, name := surfaceAllow[d.key]
+		_, pkg := surfaceAllow[d.pkg.dir]
+		if d.root || allowed && (name || pkg) {
+			l.mark(d)
+		}
 	}
-	s.named[n] = true
-	for _, m := range s.methods[n] {
-		s.mark(m)
-	}
-}
-
-// walk marks what the syntax under n refers to.
-func (s *surface) walk(f *surfaceFile, n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if rel, ok := f.imports[x.Name]; ok {
-					if rel != "" {
-						s.mark(s.pkgs[rel][n.Sel.Name])
-					}
-					return false
+	for len(l.queue) > 0 {
+		d := l.queue[len(l.queue)-1]
+		l.queue = l.queue[:len(l.queue)-1]
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := d.pkg.info.Uses[id]; obj != nil {
+					l.use(obj)
 				}
 			}
-			s.name(n.Sel.Name)
-		case *ast.Ident:
-			s.mark(s.pkgs[f.pkg][n.Name])
+			return true
+		})
+		if d.typ != nil {
+			l.liveType(d.typ)
 		}
-		return true
-	})
+	}
+	return l
+}
+
+func (l *liveness) mark(d *surfaceDecl) {
+	if d == nil || l.live[d] {
+		return
+	}
+	l.live[d] = true
+	l.queue = append(l.queue, d)
+}
+
+// use marks the declaration an identifier resolves to. An interface's
+// method, once used, also keeps every live type's method that implements
+// it.
+func (l *liveness) use(obj types.Object) {
+	if fn, ok := obj.(*types.Func); ok {
+		obj = fn.Origin()
+	}
+	if l.seen[obj] {
+		return
+	}
+	l.seen[obj] = true
+	l.mark(l.s.byObj[obj])
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Signature().Recv() == nil || !types.IsInterface(fn.Signature().Recv().Type()) {
+		return
+	}
+	l.called = append(l.called, fn)
+	for _, tn := range l.types {
+		l.implements(tn, fn)
+	}
+}
+
+// liveType records a live type: its stdlib-called methods live, and so do
+// the ones that implement an interface method live code calls.
+func (l *liveness) liveType(tn *types.TypeName) {
+	named, ok := tn.Type().(*types.Named)
+	if !ok || types.IsInterface(named) {
+		return
+	}
+	l.types = append(l.types, tn)
+	for i := range named.NumMethods() {
+		if m := named.Method(i); slices.Contains(stdlibMethods, m.Name()) {
+			l.use(m)
+		}
+	}
+	for _, fn := range l.called {
+		l.implements(tn, fn)
+	}
+}
+
+// implements marks the method that makes tn or *tn satisfy the interface
+// declaring fn.
+func (l *liveness) implements(tn *types.TypeName, fn *types.Func) {
+	iface := fn.Signature().Recv().Type().Underlying().(*types.Interface)
+	var t types.Type = tn.Type()
+	if named := t.(*types.Named); named.TypeParams().Len() > 0 {
+		// A generic type implements an interface only once instantiated;
+		// match the method by name instead.
+		iface = nil
+	}
+	for _, v := range []types.Type{t, types.NewPointer(t)} {
+		if iface != nil && !types.Implements(v, iface) {
+			continue
+		}
+		if m, _, _ := types.LookupFieldOrMethod(v, true, fn.Pkg(), fn.Name()); m != nil {
+			if m, ok := m.(*types.Func); ok {
+				l.use(m)
+				return
+			}
+		}
+	}
 }
 
 // dead lists the checked declarations the roots do not reach, in file order.
-func (s *surface) dead() []*surfaceDecl {
+func (l *liveness) dead() []*surfaceDecl {
 	var out []*surfaceDecl
-	for _, d := range s.all {
-		if d.checked && !d.live {
+	for _, d := range l.s.decls {
+		if d.checked && !l.live[d] {
 			out = append(out, d)
 		}
 	}
 	return out
+}
+
+// writes returns the struct fields non-test code writes.
+func (s *surface) writes() map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	own := map[*types.Var]*types.Package{} // a config field's package
+	for _, fd := range s.fields {
+		if fd.config {
+			own[fd.obj] = fd.pkg.types
+		}
+	}
+	for _, p := range s.pkgs {
+		info := p.info
+		write := func(v *types.Var, literal bool) {
+			v = v.Origin()
+			if literal || own[v] != p.types {
+				written[v] = true
+			}
+		}
+		// target marks the field an assignment's left side writes, and
+		// the struct-valued fields that hold it.
+		var target func(e ast.Expr)
+		target = func(e ast.Expr) {
+			switch e := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				sel := info.Selections[e]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				write(sel.Obj().(*types.Var), false)
+				if !sel.Indirect() {
+					target(e.X)
+				}
+			case *ast.IndexExpr:
+				if _, ok := info.Types[e.X].Type.Underlying().(*types.Array); ok {
+					target(e.X)
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					t := info.Types[n].Type
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							write(info.Uses[kv.Key.(*ast.Ident)].(*types.Var), true)
+						} else {
+							write(st.Field(i), true)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						target(n.Key)
+						if n.Value != nil {
+							target(n.Value)
+						}
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				case *ast.SelectorExpr:
+					// A pointer-method call on an addressable field value.
+					sel := info.Selections[n]
+					if sel == nil || sel.Kind() != types.MethodVal {
+						return true
+					}
+					_, ptrRecv := sel.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer)
+					_, ptrX := info.Types[n.X].Type.Underlying().(*types.Pointer)
+					if ptrRecv && !ptrX {
+						target(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
 }
