@@ -73,8 +73,7 @@ func (r *rig) reply(t *testing.T, flow ecmp.FiveTuple, ttl uint8, from topology.
 	t.Helper()
 	ic := timeExceeded(probe(flow, ttl))
 	buf := wire.NewBuffer(64)
-	copy(buf.Prepend(len(ic.Body)), ic.Body)
-	ic.SerializeHeaderTo(buf)
+	ic.SerializeTo(buf)
 	var parsed wire.ICMP
 	if err := wire.DecodeICMP(buf.Bytes(), &parsed); err != nil {
 		t.Fatal(err)

@@ -76,17 +76,24 @@ var claimsLedger = []claimRow{
 		holds: func(r reading) bool { return r.v > 0 }, agrees: true,
 	},
 	{
+		// The smaller share of the two rates at or above 0.1%: 0.5% and 1%.
+		// The bad link is first in every epoch at 1%, in three of four at
+		// 0.5%.
 		figure: "fig13", claim: "at 0.1%+ it is always first",
 		read: func(t *testing.T, tabs []*report.Table) reading {
-			return share(cell(t, tabs, 0, 2, 4)/100, int(cell(t, tabs, 0, 2, 1)))
+			a, b := fig13First(t, tabs, 1), fig13First(t, tabs, 2)
+			if b.v < a.v {
+				return b
+			}
+			return a
 		},
-		ours:  1,
-		holds: func(r reading) bool { return r.v == 1 }, agrees: true,
+		ours:  0.75,
+		holds: func(r reading) bool { return r.v == 1 },
 	},
 	{
 		figure: "fig13", claim: "at 0.05% the bad link tops the tally 88.89% of epochs",
 		read: func(t *testing.T, tabs []*report.Table) reading {
-			return share(cell(t, tabs, 0, 0, 4)/100, int(cell(t, tabs, 0, 0, 1)))
+			return fig13First(t, tabs, 0)
 		},
 		ours:  0,
 		holds: func(r reading) bool { return r.lo <= 0.8889 && 0.8889 <= r.hi },
@@ -132,6 +139,12 @@ var claimsLedger = []claimRow{
 		ours:  -0.013,
 		holds: func(r reading) bool { return r.v >= 0 },
 	},
+}
+
+// fig13First reads the share of epochs in fig13's row whose bad link tops
+// the tally.
+func fig13First(t *testing.T, tabs []*report.Table, row int) reading {
+	return share(cell(t, tabs, 0, row, 4)/100, int(cell(t, tabs, 0, row, 1)))
 }
 
 // fig3Accuracy reads 007's accuracy in fig3's row as a share of the row's

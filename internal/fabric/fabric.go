@@ -439,7 +439,7 @@ func (n *Net) ttlExpired(sw topology.SwitchID, data []byte, ip wire.IPv4) {
 	reply.Flight.Serial = n.nextSerial(len(n.topo.Hosts) + int(sw))
 	reply.Append(data[:k])
 	ic := wire.ICMP{Type: wire.ICMPTypeTimeExceeded, Code: wire.ICMPCodeTTLExpired}
-	ic.SerializeHeaderTo(reply)
+	ic.SerializeTo(reply)
 	replyIP := wire.IPv4{
 		TTL: 64, Protocol: wire.ProtoICMP,
 		Src: n.topo.Switches[sw].IP, Dst: ip.Src,

@@ -248,8 +248,7 @@ func TestNoICMPAboutICMP(t *testing.T) {
 	// Hand-craft an ICMP packet with TTL=1: it must die silently.
 	buf := wire.NewBuffer(64)
 	ic := wire.ICMP{Type: 0, Body: []byte{1, 2, 3, 4}} // echo reply
-	copy(buf.Prepend(len(ic.Body)), ic.Body)
-	ic.SerializeHeaderTo(buf)
+	ic.SerializeTo(buf)
 	ip := wire.IPv4{TTL: 1, Protocol: wire.ProtoICMP, Src: r.topo.Hosts[src].IP, Dst: r.topo.Hosts[r.topo.HostAt(0, 5, 0)].IP}
 	ip.SerializeTo(buf)
 	got := 0

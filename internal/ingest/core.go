@@ -349,16 +349,25 @@ func (c *settleCore) recycle(eps *epochState) {
 	c.free = append(c.free, eps)
 }
 
+// far says no source in lockstep can have reached epoch (or cycle) e yet:
+// it lies past lastSettled+grace+2. In steady state and on a restored core
+// that is one past nextEnd — a restarted core's replay can deliver one
+// source's reports for cycle K+1 before another's token completes cycle K.
+// Before the first settle it is grace+1, however few cycles this
+// incarnation has completed: a collector that restarts with no checkpoint
+// may have sent cycle grace's end, and agents may have reached epoch
+// grace+1, before the crash that lost the commit.
+func (c *settleCore) far(e int32) bool {
+	return int64(e) > int64(c.lastSettled)+int64(c.grace)+2
+}
+
 // report admits one arriving transmission. attempt is the re-request round
 // it answers (0 for a first transmission); delayed marks one held back past
 // its own cycle.
 func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 	c.ctr.Received.Add(1)
-	if malformed(r) || r.Epoch > c.nextEnd+1 {
-		// Past nextEnd+1 is an epoch no source in lockstep has reached (the
-		// +1 is a restarted core's replay: one source's reports for cycle
-		// K+1 can arrive before another's token completes cycle K). Each
-		// would open an epoch state of its own.
+	if malformed(r) || c.far(r.Epoch) {
+		// Each would open an epoch state of its own.
 		c.ctr.Rejected.Add(1)
 		return
 	}
@@ -407,10 +416,10 @@ func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 // source's agents for the cycle's epoch, and whether the cycle ran an
 // engine epoch at all. An agent's first count stands; a later one, and one
 // no agent can have (below 0, above maxAgentSeq), is dropped and counted.
-// A token for a cycle past nextEnd+1 is dropped, as report drops its
-// epoch's reports. Call next afterwards until it reports false.
+// A token for a far cycle is dropped, as report drops its epoch's reports.
+// Call next afterwards until it reports false.
 func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount) {
-	if cycle <= c.lastSettled || cycle > c.nextEnd+1 {
+	if cycle <= c.lastSettled || c.far(cycle) {
 		return
 	}
 	if len(counts) > 0 {

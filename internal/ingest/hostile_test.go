@@ -108,8 +108,8 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 // open an epoch state apiece, each with an arrivals buffer presized to the
 // last settled epoch: 20,000 reports of about 40 wire bytes held 1.7 GiB,
 // all counted Accepted, and every cycle sorted every open epoch. A report
-// for an epoch past nextEnd+1 is now Rejected before it reaches any state,
-// and a token for such a cycle is dropped.
+// for an epoch past lastSettled+grace+2 is now Rejected before it reaches
+// any state, and a token for such a cycle is dropped.
 func TestSettleCoreFarEpochsStaySmall(t *testing.T) {
 	const grace, agents, perAgent = 2, 14, 100 // 1,400 reports an epoch
 	ctr := &metrics.IngestCounters{}
@@ -207,6 +207,65 @@ func TestSettleCoreRestoredAdmitsNextCycle(t *testing.T) {
 		if done.epoch != k-1+int32(i) || len(done.accepted) != 2 || done.lost != 0 {
 			t.Fatalf("epoch %d settled with %d reports, %d lost; want epoch %d with 2, none lost",
 				done.epoch, len(done.accepted), done.lost, k-1+int32(i))
+		}
+	}
+	if ctr.Rejected.Load() != 0 {
+		t.Fatalf("Rejected = %d, want 0", ctr.Rejected.Load())
+	}
+	checkConservation(t, ctr)
+}
+
+// A core restarted with no checkpoint has settled nothing, yet its agents
+// may be at epoch grace+1: the crash came between cycle grace's end and the
+// commit of epoch 0. Session A's replay of epochs 0 to grace+1 can then
+// arrive before session B's replayed token 0, and all of it must settle.
+func TestSettleCoreUnrestoredAdmitsGraceWindow(t *testing.T) {
+	const grace = 2
+	ctr := &metrics.IngestCounters{}
+	c := newSettleCore(2, grace, 0, ctr, -1)
+	rep := func(agent topology.HostID, e int32) { c.report(vote.Report{Src: agent, Epoch: e, Seq: 0}, 0, false) }
+	tok := func(agent topology.HostID, cycle int32) {
+		c.token(cycle, true, []transport.AgentCount{{Agent: agent, N: 1}})
+	}
+	var settled []cycleDone
+	drain := func() {
+		for done, ok := c.next(); ok; done, ok = c.next() {
+			if done.settled {
+				done.accepted = slices.Clone(done.accepted)
+				settled = append(settled, done)
+			}
+		}
+	}
+	// Session A's whole replay lands first.
+	for e := int32(0); e <= grace; e++ {
+		rep(1, e)
+		tok(1, e)
+	}
+	rep(1, grace+1)
+	drain()
+	if got := ctr.Rejected.Load(); got != 0 {
+		t.Fatalf("Rejected = %d after session A's replay, want 0", got)
+	}
+	// Then session B's, and both run on past it.
+	for e := int32(0); e <= grace+1; e++ {
+		rep(2, e)
+		tok(2, e)
+		drain()
+	}
+	tok(1, grace+1)
+	drain()
+	for cycle := int32(grace + 2); cycle <= 2*grace+1; cycle++ {
+		c.token(cycle, false, nil)
+		c.token(cycle, false, nil)
+		drain()
+	}
+	if len(settled) != grace+2 {
+		t.Fatalf("settled %d epochs, want 0 through %d", len(settled), grace+1)
+	}
+	for i, done := range settled {
+		if done.epoch != int32(i) || len(done.accepted) != 2 || done.lost != 0 {
+			t.Fatalf("epoch %d settled with %d reports, %d lost; want epoch %d with 2, none lost",
+				done.epoch, len(done.accepted), done.lost, i)
 		}
 	}
 	if ctr.Rejected.Load() != 0 {

@@ -54,7 +54,7 @@ var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_duplicates_total", "Reports suppressed as duplicates of an already-seen identity.", false, func(c *IngestCounters) int64 { return c.Duplicates.Load() }},
 	{"vigil_ingest_late_total", "Reports accepted inside the grace window after their epoch closed.", false, func(c *IngestCounters) int64 { return c.Late.Load() }},
 	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.LateDropped.Load() }},
-	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch) or for an epoch more than one past the next cycle to complete.", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
+	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch) or for an epoch no source can have reached: more than grace+2 past the newest settled one.", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
 	{"vigil_ingest_excess_total", "Reports discarded because their sequence was at or past their agent's expected count.", false, func(c *IngestCounters) int64 { return c.Excess.Load() }},
 	{"vigil_ingest_dropped_counts_total", "Token counts dropped: out of range, or a second count for the same agent and epoch.", false, func(c *IngestCounters) int64 { return c.DroppedCounts.Load() }},
 	{"vigil_ingest_lost_total", "Reports still missing when their epoch settled.", false, func(c *IngestCounters) int64 { return c.Lost.Load() }},

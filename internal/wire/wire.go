@@ -266,12 +266,13 @@ func (s *Segment) SerializeTo(b *Buffer, seq, ack uint32) {
 	binary.BigEndian.PutUint16(t[16:], ^fold(s.sum+uint64(seq)+uint64(ack)))
 }
 
-// SerializeHeaderTo prepends just the 8-byte ICMP header over a body the
-// caller already placed in b, checksumming header plus body. It is the
-// allocation-free path for replies whose body is copied straight from the
-// packet being answered (see fabric's time-exceeded generation); Body is
-// ignored.
-func (ic *ICMP) SerializeHeaderTo(b *Buffer) {
+// SerializeTo prepends Body and the 8-byte ICMP header, checksumming the
+// header and everything after it in b. A reply whose body the caller
+// already placed in b leaves Body empty: that is the allocation-free path
+// for replies copied straight from the packet being answered (see fabric's
+// time-exceeded generation).
+func (ic *ICMP) SerializeTo(b *Buffer) {
+	copy(b.Prepend(len(ic.Body)), ic.Body)
 	h := b.Prepend(ICMPHeaderLen)
 	h[0] = ic.Type
 	h[1] = ic.Code

@@ -135,8 +135,7 @@ func TestTimeExceededRoundTrip(t *testing.T) {
 	// payload bytes.
 	reply := ICMP{Type: ICMPTypeTimeExceeded, Code: ICMPCodeTTLExpired, Body: pkt[:IPv4HeaderLen+8]}
 	buf := NewBuffer(64)
-	copy(buf.Prepend(len(reply.Body)), reply.Body)
-	reply.SerializeHeaderTo(buf)
+	reply.SerializeTo(buf)
 	replyIP := IPv4{TTL: 64, Protocol: ProtoICMP, Src: 0x0ac80001, Dst: ip.Src}
 	replyIP.SerializeTo(buf)
 
@@ -191,8 +190,7 @@ func TestICMPChecksumOddEvenBodies(t *testing.T) {
 		}
 		ic := ICMP{Type: ICMPTypeTimeExceeded, Code: 0, Body: body}
 		buf := NewBuffer(16)
-		copy(buf.Prepend(len(ic.Body)), ic.Body)
-		ic.SerializeHeaderTo(buf)
+		ic.SerializeTo(buf)
 		var out ICMP
 		if err := DecodeICMP(buf.Bytes(), &out); err != nil {
 			return false
