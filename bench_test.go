@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"vigil"
+	"vigil/internal/engine"
+	"vigil/internal/topology"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -295,6 +297,42 @@ func BenchmarkEpochDatacenterDelta(b *testing.B) {
 		rep := sim.RunEpoch()
 		if rep.TotalFlows < 2_000_000 {
 			b.Fatalf("datacenter delta epoch ran only %d flows", rep.TotalFlows)
+		}
+	}
+}
+
+// BenchmarkDatacenterSetup is what a datacenter incremental simulation
+// costs before its first delta epoch: build the reference fabric, build
+// the flow engine on it, and Step the first epoch — the fused full epoch
+// that fills the delta cache and transposes it into the link→flows index.
+// It is bench/run.sh's flow-dc-delta set-up without the harness.
+func BenchmarkDatacenterSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		topo, err := topology.New(topology.DatacenterSimConfig.Flatten())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := engine.New(engine.Config{Topo: topo, Seed: 1, TracerouteCap: 10, Incremental: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.InjectFailure(topo.LinksOfClass(topology.L1Up)[7], 0.003); err != nil {
+			b.Fatal(err)
+		}
+		if res := eng.Step(nil); res.TotalFlows < 2_000_000 {
+			b.Fatalf("datacenter set-up epoch ran only %d flows", res.TotalFlows)
+		}
+	}
+}
+
+// BenchmarkTopologyNewDatacenter builds the 142,848-link reference fabric:
+// switches, hosts, links and the per-switch port tables, nothing else.
+func BenchmarkTopologyNewDatacenter(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := topology.New(topology.DatacenterSimConfig.Flatten()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -139,6 +139,33 @@ var claimsLedger = []claimRow{
 		ours:  -0.013,
 		holds: func(r reading) bool { return r.v >= 0 },
 	},
+	{
+		// fig4 reads Algorithm 1's detected set against the injected one.
+		// "High" is read as 90%, the bar fig12's note sets for precision.
+		figure: "fig4", claim: "007 keeps high recall and precision across k",
+		read:  fig4Score(0, 1),
+		ours:  1,
+		holds: func(r reading) bool { return r.hi >= 0.9 }, agrees: true,
+	},
+	{
+		figure: "fig4", claim: "007 keeps high recall and precision across k",
+		read:  fig4Score(0, 2),
+		ours:  1,
+		holds: func(r reading) bool { return r.hi >= 0.9 }, agrees: true,
+	},
+	{
+		figure: "fig4", claim: "007 keeps high recall and precision across k",
+		read:  fig4Score(1, 1),
+		ours:  1,
+		holds: func(r reading) bool { return r.hi >= 0.9 }, agrees: true,
+	},
+	{
+		// Recall at 6 failures: one bad link in six is missed on average.
+		figure: "fig4", claim: "007 keeps high recall and precision across k",
+		read:  fig4Score(1, 2),
+		ours:  0.833,
+		holds: func(r reading) bool { return r.hi >= 0.9 }, agrees: true,
+	},
 }
 
 // fig13First reads the share of epochs in fig13's row whose bad link tops
@@ -159,6 +186,21 @@ func fig3Accuracy(row int) func(*testing.T, []*report.Table) reading {
 func fig3Margin(row int) func(*testing.T, []*report.Table) reading {
 	return func(t *testing.T, tabs []*report.Table) reading {
 		return plain(math.Round((cell(t, tabs, 0, row, 1)-cell(t, tabs, 0, row, 2))*1000) / 1000)
+	}
+}
+
+// fig4Score reads 007's precision (col 1) or recall (col 2) in fig4's row:
+// a mean over the quick run's seeds, bounded by the 95% interval the cell
+// prints after it.
+func fig4Score(row, col int) func(*testing.T, []*report.Table) reading {
+	return func(t *testing.T, tabs []*report.Table) reading {
+		v := cell(t, tabs, 0, row, col)
+		_, ci, _ := strings.Cut(tabs[0].Rows[row][col], "±")
+		hw, err := strconv.ParseFloat(ci, 64)
+		if err != nil {
+			t.Fatalf("%q, row %d: no interval: %v", tabs[0].Title, row, err)
+		}
+		return reading{v: v, lo: v - hw, hi: v + hw}
 	}
 }
 

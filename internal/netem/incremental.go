@@ -3,8 +3,9 @@
 //
 // The first epoch runs the full fused pipeline once, freezing the epoch
 // seed and with it the flow set, and builds the delta cache: every flow,
-// its resolved path (flow→links CSR), the inverted link→flows index and the
-// sorted failed-outcome list. Every later epoch re-scores only the flows
+// its resolved path (a fixed-stride flow→path table the shard workers fill
+// in the same pass), the inverted link→flows index and the sorted
+// failed-outcome list. Every later epoch re-scores only the flows
 // whose paths touch links whose rate or failure flag changed since the
 // previous epoch — setRate records dirty links as schedules, injections and
 // clears land — and carries every other flow's cached outcome forward.
@@ -22,6 +23,7 @@ import (
 	"slices"
 
 	"vigil/internal/ecmp"
+	"vigil/internal/par"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
 )
@@ -37,10 +39,12 @@ type incState struct {
 
 	flows []traffic.Flow // frozen flow set, dense by flow index
 
-	// Flow → path, CSR: flow fi crosses pathLinks[pathOff[fi]:pathOff[fi+1]].
-	// pathLinks is stable for the cache's lifetime, so delta outcomes alias
-	// it as their Path instead of copying.
-	pathOff   []int32
+	// Flow → path, fixed stride: flow fi crosses
+	// pathLinks[fi*MaxPathLinks:][:pathLen[fi]]. The full epoch's shard
+	// workers write each flow's slots directly, and pathLinks is stable for
+	// the cache's lifetime, so delta outcomes alias it as their Path
+	// instead of copying.
+	pathLen   []uint8
 	pathLinks []topology.LinkID
 
 	// Link → flows, CSR: link l is crossed by the ascending flow indexes
@@ -66,98 +70,88 @@ type incState struct {
 	affected  []int32
 	round     int32
 
-	// Shard-loop scratch of the cache build.
-	lensByChunk  [][]uint8
-	linksByChunk [][]topology.LinkID
-
 	// The delta re-score's own drop-stream RNG and outcome arena, and the
 	// re-scored flows' failed outcomes in flow-index order.
 	shard   epochShard
 	newFlat []FlowOutcome
 }
 
-// prepareBuild sizes the cache-build scratch that the shard loop writes
-// into: the dense flow table (workers fill disjoint [flowBase[si],
-// flowBase[si+1]) ranges) and the per-chunk path-length and link buffers.
-func (inc *incState) prepareBuild(nchunks, nflows int) {
-	if cap(inc.flows) < nflows {
-		inc.flows = make([]traffic.Flow, nflows)
-	}
-	inc.flows = inc.flows[:nflows]
-	if cap(inc.lensByChunk) < nchunks {
-		inc.lensByChunk = make([][]uint8, nchunks)
-		inc.linksByChunk = make([][]topology.LinkID, nchunks)
-	}
-	inc.lensByChunk = inc.lensByChunk[:nchunks]
-	inc.linksByChunk = inc.linksByChunk[:nchunks]
+// prepareBuild sizes the tables the full epoch's shard workers fill: the
+// dense flow table and the fixed-stride flow→path table, each written over
+// the disjoint flow ranges [flowBase[si], flowBase[si+1]) of a worker's
+// sources.
+func (inc *incState) prepareBuild(nflows int) {
+	inc.flows = resize(inc.flows, nflows)
+	inc.pathLen = resize(inc.pathLen, nflows)
+	inc.pathLinks = resize(inc.pathLinks, nflows*ecmp.MaxPathLinks)
 }
 
-// buildIncCache finalizes the delta cache from a just-completed full epoch:
-// concatenate the per-chunk path records into the flow→links CSR, invert it
-// into the link→flows CSR, and snapshot the epoch's outputs. The build is a
-// one-time sequential cost per (re)validation — a few linear scans over
-// O(flows + Σ path length) — amortized over every delta epoch that follows.
+// resize returns s with length n, reusing its storage when it is large
+// enough. Contents are unspecified: every caller overwrites or clears them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// path returns flow fi's cached path, capped so no append can reach the
+// next flow's slots.
+func (inc *incState) path(fi int64) []topology.LinkID {
+	lo := int(fi) * ecmp.MaxPathLinks
+	hi := lo + int(inc.pathLen[fi])
+	return inc.pathLinks[lo:hi:hi]
+}
+
+// buildIncCache finalizes the delta cache from a just-completed full epoch
+// whose shard workers filled the flow→path table: transpose it into the
+// link→flows CSR and snapshot the epoch's outputs. The transpose is a
+// counting sort split over static flow ranges, one per Parallelism worker:
+// each worker counts the links of its range, one prefix pass over (link,
+// worker) places every worker's share of each row after the shares of the
+// workers before it, and each worker scatters its range. Rows therefore
+// hold their flow indexes in ascending order, exactly as a sequential
+// counting sort leaves them — gatherAffected's merge order relies on it.
 func (s *Sim) buildIncCache(ep *Epoch) {
 	inc := &s.inc
 	nflows := len(inc.flows)
 	nlinks := len(s.topo.Links)
+	nw := max(min(par.Workers(s.cfg.Parallelism), nflows), 1)
+	span := func(w int) (int, int) { return w * nflows / nw, (w + 1) * nflows / nw }
 
-	// Flow → path CSR, concatenating per-chunk buffers in chunk order (=
-	// flow order).
-	totalLinks := 0
-	for _, clinks := range inc.linksByChunk {
-		totalLinks += len(clinks)
-	}
-	if cap(inc.pathOff) < nflows+1 {
-		inc.pathOff = make([]int32, nflows+1)
-	}
-	inc.pathOff = inc.pathOff[:nflows+1]
-	if cap(inc.pathLinks) < totalLinks {
-		inc.pathLinks = make([]topology.LinkID, totalLinks)
-	}
-	inc.pathLinks = inc.pathLinks[:totalLinks]
-	inc.pathOff[0] = 0
+	// cursor[w*nlinks+l] counts worker w's crossings of link l, then holds
+	// where the worker writes its next flow into row l.
+	cursor := make([]int32, nw*nlinks)
+	par.ForEach(nw, nw, func(w int) {
+		cnt := cursor[w*nlinks : (w+1)*nlinks]
+		lo, hi := span(w)
+		for f := lo; f < hi; f++ {
+			for _, l := range inc.path(int64(f)) {
+				cnt[l]++
+			}
+		}
+	})
+	inc.linkOff = resize(inc.linkOff, nlinks+1)
 	off := int32(0)
-	fi := 0
-	pos := 0
-	for c, lens := range inc.lensByChunk {
-		pos += copy(inc.pathLinks[pos:], inc.linksByChunk[c])
-		for _, n := range lens {
-			off += int32(n)
-			fi++
-			inc.pathOff[fi] = off
-		}
-	}
-
-	// Link → flows CSR by counting sort: count, prefix, fill (the fill
-	// advances linkOff in place, then one shift restores the offsets).
-	// Filling in flow order keeps every row's flow indexes ascending, which
-	// gatherAffected's merge order relies on.
-	if cap(inc.linkOff) < nlinks+1 {
-		inc.linkOff = make([]int32, nlinks+1)
-	}
-	inc.linkOff = inc.linkOff[:nlinks+1]
-	clear(inc.linkOff)
-	for _, l := range inc.pathLinks {
-		inc.linkOff[l+1]++
-	}
 	for l := 0; l < nlinks; l++ {
-		inc.linkOff[l+1] += inc.linkOff[l]
-	}
-	if cap(inc.linkFlows) < totalLinks {
-		inc.linkFlows = make([]int32, totalLinks)
-	}
-	inc.linkFlows = inc.linkFlows[:totalLinks]
-	for f := 0; f < nflows; f++ {
-		for _, l := range inc.pathLinks[inc.pathOff[f]:inc.pathOff[f+1]] {
-			inc.linkFlows[inc.linkOff[l]] = int32(f)
-			inc.linkOff[l]++
+		inc.linkOff[l] = off
+		for w := 0; w < nw; w++ {
+			c := &cursor[w*nlinks+l]
+			*c, off = off, off+*c
 		}
 	}
-	for l := nlinks; l > 0; l-- {
-		inc.linkOff[l] = inc.linkOff[l-1]
-	}
-	inc.linkOff[0] = 0
+	inc.linkOff[nlinks] = off
+	inc.linkFlows = resize(inc.linkFlows, int(off))
+	par.ForEach(nw, nw, func(w int) {
+		next := cursor[w*nlinks : (w+1)*nlinks]
+		lo, hi := span(w)
+		for f := lo; f < hi; f++ {
+			for _, l := range inc.path(int64(f)) {
+				inc.linkFlows[next[l]] = int32(f)
+				next[l]++
+			}
+		}
+	})
 
 	// Snapshot the epoch's outputs. The cached outcomes share Path and
 	// DropsByLink storage with ep.Failed (read-only from here on).
@@ -167,25 +161,13 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	// Fresh stamps: a rebuild after rescoreAll may find stale stamps at or
 	// past any restarted round counter, so both arrays reset to zero and the
 	// round restarts above them.
-	if cap(inc.linkStamp) < nlinks {
-		inc.linkStamp = make([]int32, nlinks)
-	}
-	inc.linkStamp = inc.linkStamp[:nlinks]
+	inc.linkStamp = resize(inc.linkStamp, nlinks)
 	clear(inc.linkStamp)
-	if cap(inc.flowStamp) < nflows {
-		inc.flowStamp = make([]int32, nflows)
-	}
-	inc.flowStamp = inc.flowStamp[:nflows]
+	inc.flowStamp = resize(inc.flowStamp, nflows)
 	clear(inc.flowStamp)
 	inc.dirty = inc.dirty[:0]
 	inc.round = 1
 	inc.valid = true
-
-	// The per-chunk path records are in the CSRs now; holding them would pin
-	// a second copy of every path (≈50 MB at datacenter scale) for the run.
-	// Only a rebuild after rescoreAll writes them again.
-	clear(inc.lensByChunk)
-	clear(inc.linksByChunk)
 }
 
 // gatherAffected turns the dirty-link set into the sorted list of flow
@@ -274,14 +256,14 @@ func (s *Sim) runEpochDelta() *Epoch {
 // rescoreFlow re-scores one frozen flow from its stored path against the
 // current link rates, drawing from the same private stream the full
 // pipeline would, and returns its outcome and whether it lost packets. The
-// outcome's Path aliases the stable flow→links CSR — no copy.
+// outcome's Path aliases the stable flow→path table — no copy.
 func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
 	inc := &s.inc
 	f := inc.flows[fi]
 	if f.Packets <= 0 {
 		return FlowOutcome{}, false
 	}
-	links := inc.pathLinks[inc.pathOff[fi]:inc.pathOff[fi+1]]
+	links := inc.path(fi)
 	var perLink [ecmp.MaxPathLinks]uint16
 	drops := s.sampleFlowDrops(inc.epochSeed, fi, &sh.rng, links, f.Packets, &perLink)
 	if drops == 0 {

@@ -3,6 +3,7 @@ package netem
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vigil/internal/schedule"
@@ -13,13 +14,13 @@ import (
 // incrementalSim builds an incremental simulator on the parallel-test
 // topology with a traceroute cap, so delta epochs exercise the budget
 // overlay too.
-func incrementalSim(t testing.TB, seed uint64, workers int) *Sim {
+func incrementalSim(t testing.TB, seed uint64, workers int, shape ...func(*Config)) *Sim {
 	t.Helper()
 	topo, err := topology.New(topology.Config{Pods: 2, ToRsPerPod: 6, T1PerPod: 4, T2: 4, HostsPerToR: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	cfg := Config{
 		Topo:    topo,
 		NoiseLo: 0, NoiseHi: 1e-6,
 		Workload: traffic.Workload{
@@ -31,7 +32,11 @@ func incrementalSim(t testing.TB, seed uint64, workers int) *Sim {
 		Seed:          seed,
 		Parallelism:   workers,
 		Incremental:   true,
-	})
+	}
+	for _, f := range shape {
+		f(&cfg)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +90,77 @@ func TestIncrementalBitIdenticalAcrossParallelism(t *testing.T) {
 		churn(base, e)
 		want = append(want, base.RunEpoch())
 	}
-	for _, workers := range []int{2, 4, 16} {
+	for _, workers := range []int{2, 3, 4, 16} {
 		s := incrementalSim(t, 11, workers)
 		for e := 0; e < 5; e++ {
 			churn(s, e)
 			if got := s.RunEpoch(); !reflect.DeepEqual(want[e], got) {
 				t.Fatalf("epoch %d diverged at Parallelism=%d", e, workers)
+			}
+		}
+	}
+}
+
+// The cache build's parallel transpose leaves the link→flows CSR a
+// sequential counting sort over the flow→path table would: the same
+// offsets, the same rows, each row ascending. Three workloads at 1, 2, 3
+// and 7 workers: the full one, a few sources whose flows leave most links
+// uncrossed (empty rows between full ones), and fewer flows than workers
+// (empty worker ranges). <0.01 s.
+func TestLinkFlowsTransposeMatchesSequential(t *testing.T) {
+	few := func(hosts ...topology.HostID) func(*Config) {
+		return func(cfg *Config) {
+			cfg.Workload.Hosts = hosts
+			cfg.Workload.ConnsPerHost = traffic.IntRange{Lo: 2, Hi: 2}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		shape func(*Config)
+	}{
+		{"full", func(*Config) {}},
+		{"sparse", few(0, 9, 50, 77)},
+		{"fewer-flows-than-workers", few(3)},
+	} {
+		for _, workers := range []int{1, 2, 3, 7} {
+			s := incrementalSim(t, 5, workers, tc.shape)
+			s.RunEpoch()
+			inc := &s.inc
+			nflows, nlinks := len(inc.flows), len(s.topo.Links)
+			off := make([]int32, nlinks+1)
+			for f := range nflows {
+				for _, l := range inc.path(int64(f)) {
+					off[l+1]++
+				}
+			}
+			empty := 0
+			for l := range nlinks {
+				if off[l+1] == 0 {
+					empty++
+				}
+				off[l+1] += off[l]
+			}
+			rows := make([]int32, off[nlinks])
+			next := slices.Clone(off)
+			for f := range nflows {
+				for _, l := range inc.path(int64(f)) {
+					rows[next[l]] = int32(f)
+					next[l]++
+				}
+			}
+			if !slices.Equal(inc.linkOff, off) || !slices.Equal(inc.linkFlows, rows) {
+				t.Fatalf("%s at %d workers: link→flows CSR differs from the sequential counting sort", tc.name, workers)
+			}
+			for l := range nlinks {
+				if row := inc.linkFlows[off[l]:off[l+1]]; !slices.IsSorted(row) {
+					t.Fatalf("%s at %d workers: link %d row %v not ascending", tc.name, workers, l, row)
+				}
+			}
+			switch {
+			case tc.name == "sparse" && (empty == 0 || nflows < workers):
+				t.Fatalf("sparse: %d flows, %d uncrossed links", nflows, empty)
+			case tc.name == "fewer-flows-than-workers" && workers == 7 && nflows >= workers:
+				t.Fatalf("fewer-flows-than-workers: %d flows", nflows)
 			}
 		}
 	}

@@ -75,8 +75,9 @@ type Config struct {
 	// Seed fixes the noise-rate draw and all epoch randomness derivation.
 	Seed uint64
 	// Parallelism is the worker count of the fused full epoch (runEpochFull),
-	// the one fan-out an epoch has; 0 means runtime.GOMAXPROCS(0). A delta
-	// epoch re-scores its flows on the caller's goroutine at every setting.
+	// the one fan-out an epoch has, and of the delta cache's transpose that
+	// ends it; 0 means runtime.GOMAXPROCS(0). A delta epoch re-scores its
+	// flows on the caller's goroutine at every setting.
 	// Epoch results are bit-identical at every setting — the knob trades
 	// cores for wall-clock only.
 	Parallelism int
@@ -87,8 +88,11 @@ type Config struct {
 	// count), carrying the cached outcome of every untouched flow forward.
 	// Results are bit-identical to re-scoring all flows against the frozen
 	// draws (see rescoreAll and DESIGN.md "Scaling the flow plane"); the
-	// trade is O(flows + Σ path length) cache memory and epoch-to-epoch
-	// statistical independence, which a frozen workload no longer has.
+	// trade is cache memory — per flow, the flow itself, ecmp.MaxPathLinks
+	// path slots and a length byte, plus a link→flows index of Σ path
+	// length entries (≈175 MB for the 2.07M flows of the datacenter
+	// reference fabric) — and epoch-to-epoch statistical independence,
+	// which a frozen workload no longer has.
 	Incremental bool
 }
 
@@ -439,7 +443,8 @@ func (s *Sim) RunEpoch() *Epoch {
 // order, which is flow order — and hand the merged list to resolveBudget.
 //
 // buildCache additionally records every flow and its resolved path into the
-// incremental-delta cache (incremental.go).
+// incremental-delta cache's flow and flow→path tables, which buildIncCache
+// then inverts (incremental.go).
 func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	phaseCount.Begin()
 	srcs := s.sources()
@@ -455,19 +460,13 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	nchunks := par.Chunks(nsrc, grain)
 	shards, failedByChunk := s.epochScratch(nchunks)
 	if buildCache {
-		s.inc.prepareBuild(nchunks, total)
+		s.inc.prepareBuild(total)
 	}
 
 	phaseShard.Begin()
 	par.ForEachChunkWorker(nsrc, grain, s.cfg.Parallelism, func(w, c, lo, hi int) {
 		sh := &shards[w]
 		var failed []FlowOutcome
-		var lens []uint8
-		var clinks []topology.LinkID
-		if buildCache {
-			lens = s.inc.lensByChunk[c][:0]
-			clinks = s.inc.linksByChunk[c][:0]
-		}
 		for si := lo; si < hi; si++ {
 			buf := s.cfg.Workload.AppendFlowsOf(sh.flowBuf[:0], &sh.genRNG, epochSeed, si, s.topo, srcs[si])
 			sh.flowBuf = buf
@@ -476,10 +475,8 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 				fi := base + int64(j)
 				out, failedFlow := s.simFlow(sh, epochSeed, fi, buf[j])
 				if buildCache {
-					links := sh.pathBuf.Links()
 					s.inc.flows[fi] = buf[j]
-					lens = append(lens, uint8(len(links)))
-					clinks = append(clinks, links...)
+					s.inc.pathLen[fi] = uint8(copy(s.inc.pathLinks[fi*ecmp.MaxPathLinks:], sh.pathBuf.Links()))
 				}
 				if failedFlow {
 					failed = append(failed, out)
@@ -487,10 +484,6 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 			}
 		}
 		failedByChunk[c] = failed
-		if buildCache {
-			s.inc.lensByChunk[c] = lens
-			s.inc.linksByChunk[c] = clinks
-		}
 	})
 	phaseShard.End()
 

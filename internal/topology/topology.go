@@ -207,7 +207,6 @@ type Topology struct {
 	t2s  []SwitchID   // [l]
 
 	byClass [6][]LinkID
-	byPair  map[[2]Node]LinkID
 }
 
 // New builds the topology for cfg.
@@ -216,9 +215,12 @@ func New(cfg Config) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{
-		Cfg:  cfg,
-		tors: make([][]SwitchID, cfg.Pods),
-		t1s:  make([][]SwitchID, cfg.Pods),
+		Cfg:      cfg,
+		Switches: make([]Switch, 0, cfg.Pods*(cfg.ToRsPerPod+cfg.T1PerPod)+cfg.T2),
+		Hosts:    make([]Host, 0, cfg.Hosts()),
+		Links:    make([]Link, 0, cfg.DirectedLinks()),
+		tors:     make([][]SwitchID, cfg.Pods),
+		t1s:      make([][]SwitchID, cfg.Pods),
 	}
 
 	addSwitch := func(tier Tier, pod, index int, name string, ip uint32) SwitchID {
@@ -245,7 +247,6 @@ func New(cfg Config) (*Topology, error) {
 		t.t2s[l] = addSwitch(TierT2, -1, l, fmt.Sprintf("t2-%d", l), ipT2(l))
 	}
 
-	t.byPair = make(map[[2]Node]LinkID)
 	addPair := func(up, down LinkClass, lo, hi Node) (LinkID, LinkID) {
 		u := LinkID(len(t.Links))
 		d := u + 1
@@ -255,8 +256,6 @@ func New(cfg Config) (*Topology, error) {
 		)
 		t.byClass[up] = append(t.byClass[up], u)
 		t.byClass[down] = append(t.byClass[down], d)
-		t.byPair[[2]Node{lo, hi}] = u
-		t.byPair[[2]Node{hi, lo}] = d
 		return u, d
 	}
 
@@ -409,8 +408,33 @@ func (t *Topology) CheckLink(id LinkID) error {
 // LinkBetween returns the directed link from one node to another, if the
 // two are adjacent. Path discovery uses it to turn a traceroute's switch
 // sequence back into link IDs (router aliasing is a non-problem in a
-// datacenter whose topology and addressing are known, §4.2).
+// datacenter whose topology and addressing are known, §4.2). Adjacency is
+// arithmetic on the Clos port order (TestClosPortOrder): a host reaches
+// only its ToR, and a switch reaches the tier above through Uplinks and the
+// tier below through Downlinks, both indexed by the peer's position.
 func (t *Topology) LinkBetween(from, to Node) (LinkID, bool) {
-	id, ok := t.byPair[[2]Node{from, to}]
-	return id, ok
+	switch {
+	case from.Kind == NodeHost && to.Kind == NodeSwitch && t.hasHost(from.ID):
+		if h := &t.Hosts[from.ID]; int32(h.ToR) == to.ID {
+			return h.Uplink, true
+		}
+	case from.Kind == NodeSwitch && to.Kind == NodeHost && t.hasHost(to.ID):
+		if h := &t.Hosts[to.ID]; int32(h.ToR) == from.ID {
+			return h.Downlink, true
+		}
+	case from.Kind == NodeSwitch && to.Kind == NodeSwitch && t.hasSwitch(from.ID) && t.hasSwitch(to.ID):
+		a, b := &t.Switches[from.ID], &t.Switches[to.ID]
+		switch {
+		case b.Tier == a.Tier+1 && (b.Tier == TierT2 || a.Pod == b.Pod):
+			return a.Uplinks[b.Index], true
+		case a.Tier == TierT2 && b.Tier == TierT1:
+			return a.Downlinks[b.Pod*t.Cfg.T1PerPod+b.Index], true
+		case a.Tier == TierT1 && b.Tier == TierToR && a.Pod == b.Pod:
+			return a.Downlinks[b.Index], true
+		}
+	}
+	return NoLink, false
 }
+
+func (t *Topology) hasHost(id int32) bool   { return id >= 0 && int(id) < len(t.Hosts) }
+func (t *Topology) hasSwitch(id int32) bool { return id >= 0 && int(id) < len(t.Switches) }

@@ -104,6 +104,66 @@ func TestLinkClassCounts(t *testing.T) {
 	}
 }
 
+// LinkBetween is arithmetic on the port order: over every ordered node
+// pair of a three-tier and a T2-free fabric it agrees with adjacency read
+// from Links, and a pair that is not adjacent — including ids outside the
+// topology, a ToR and a T1 of different pods, and a host and a ToR other
+// than its own — is (NoLink, false), never a panic.
+func TestLinkBetweenMatchesLinks(t *testing.T) {
+	for _, cfg := range []Config{
+		{Pods: 3, ToRsPerPod: 3, T1PerPod: 2, T2: 3, HostsPerToR: 2},
+		{Pods: 1, ToRsPerPod: 3, T1PerPod: 2, T2: 0, HostsPerToR: 2},
+	} {
+		topo, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := make(map[[2]Node]LinkID, len(topo.Links))
+		for _, l := range topo.Links {
+			adj[[2]Node{l.From, l.To}] = l.ID
+		}
+		nodes := []Node{
+			HostNode(-1), HostNode(HostID(len(topo.Hosts))),
+			SwitchNode(-1), SwitchNode(SwitchID(len(topo.Switches))),
+		}
+		for h := range topo.Hosts {
+			nodes = append(nodes, HostNode(HostID(h)))
+		}
+		for s := range topo.Switches {
+			nodes = append(nodes, SwitchNode(SwitchID(s)))
+		}
+		for _, from := range nodes {
+			for _, to := range nodes {
+				want, wantOK := adj[[2]Node{from, to}]
+				if !wantOK {
+					want = NoLink
+				}
+				if got, ok := topo.LinkBetween(from, to); got != want || ok != wantOK {
+					t.Fatalf("%+v: LinkBetween(%v, %v) = (%d, %v), want (%d, %v)",
+						cfg, from, to, got, ok, want, wantOK)
+				}
+			}
+		}
+		tor := SwitchNode(topo.ToR(0, 0))
+		for _, pair := range [][2]Node{
+			{HostNode(-1), tor},
+			{tor, HostNode(HostID(len(topo.Hosts)))},
+			{SwitchNode(SwitchID(len(topo.Switches))), SwitchNode(topo.T1(0, 0))},
+			{HostNode(topo.HostAt(0, 1, 0)), tor},
+			{tor, HostNode(topo.HostAt(0, 1, 0))},
+		} {
+			if got, ok := topo.LinkBetween(pair[0], pair[1]); got != NoLink || ok {
+				t.Fatalf("%+v: LinkBetween(%v, %v) = (%d, %v)", cfg, pair[0], pair[1], got, ok)
+			}
+		}
+		if cfg.Pods > 1 {
+			if got, ok := topo.LinkBetween(tor, SwitchNode(topo.T1(1, 0))); got != NoLink || ok {
+				t.Fatalf("%+v: ToR→T1 across pods = (%d, %v)", cfg, got, ok)
+			}
+		}
+	}
+}
+
 // TestClosPortOrder makes the port order topology.Switch documents a
 // checked contract: ecmp's PathInto names every next switch from it without
 // reading Links. Each port must leave its switch and reach the peer its
