@@ -100,9 +100,11 @@ func BenchmarkEpochSteadyState(b *testing.B) {
 // BenchmarkClusterEpoch measures one packet-plane epoch at the §7 test
 // cluster scale (40 hosts, 80 physical links): every data packet, ACK,
 // traceroute probe and ICMP reply is emulated individually through the DES
-// fabric while the host agents run the real 007 cycle. This is the other
-// plane of BENCH_N.json's trajectory — the flow-plane epochs above are the
-// throughput story, this is the fidelity story.
+// fabric while the host agents run the real 007 cycle, and the closed
+// epoch's flow records and connections recycle at the next epoch's first
+// flow start. This is the other plane of BENCH_N.json's trajectory — the
+// flow-plane epochs above are the throughput story, this is the fidelity
+// story.
 func BenchmarkClusterEpoch(b *testing.B) {
 	topo, err := vigil.NewTopology(vigil.TestClusterTopology)
 	if err != nil {
@@ -134,16 +136,16 @@ func BenchmarkClusterEpoch(b *testing.B) {
 
 // BenchmarkClusterSteadyState is the packet plane's zero-allocation
 // contract: the same §7-scale epoch as BenchmarkClusterEpoch but with no
-// injected failure and ephemeral flow recycling — the always-on monitoring
-// regime. After warmup every pool (packet buffers, scheduler lanes,
-// connections, flow records, tuple maps) is hot, so a whole epoch of
-// per-packet emulation settles at a few dozen allocations.
+// injected failure — the always-on monitoring regime. After warmup every
+// pool (packet buffers, scheduler lanes, connections, flow records, tuple
+// maps) is hot, so a whole epoch of per-packet emulation settles at a few
+// dozen allocations.
 func BenchmarkClusterSteadyState(b *testing.B) {
 	topo, err := vigil.NewTopology(vigil.TestClusterTopology)
 	if err != nil {
 		b.Fatal(err)
 	}
-	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true})
+	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func benchClusterDatacenter(b *testing.B, noiseHi float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, EphemeralFlows: true, NoiseHi: noiseHi})
+	em, err := vigil.NewEmulation(vigil.EmulationConfig{Topo: topo, Seed: 1, NoiseHi: noiseHi})
 	if err != nil {
 		b.Fatal(err)
 	}

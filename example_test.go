@@ -9,7 +9,6 @@ import (
 	"vigil/internal/everflow"
 	"vigil/internal/stats"
 	"vigil/internal/traffic"
-	"vigil/internal/vote"
 )
 
 // Build the paper's simulated datacenter, break one link, run one
@@ -295,12 +294,8 @@ func ExampleEmulation_traceroute() {
 	}
 	fmt.Printf("flow %v\ninjected %.1f%% loss on %s\n\n", tuple, rate*100, topo.LinkName(bad))
 
-	var reports []vote.Report
-	em.Reporter = func(r vote.Report) { reports = append(reports, r) }
 	em.StartFlow(traffic.Flow{Src: src, Dst: dst, Tuple: tuple, Packets: 120}, 0)
-	em.RunEpoch()
-
-	r := reports[0]
+	r := em.Step(nil).Reports[0]
 	fmt.Printf("007 traceroute (partial=%v, %d retransmissions):\n", r.Partial, r.Retx)
 	for i, l := range r.Path {
 		fmt.Printf("  hop %d: %s\n", i, topo.LinkName(l))

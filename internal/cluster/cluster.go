@@ -2,16 +2,16 @@
 // 007 host agent (retransmission → SLB query → traceroute → vote report)
 // over the packet-level fabric, and a central analysis agent tallies the
 // epoch — the same composition as the paper's test cluster (§7) and
-// production deployment (§8). Reports are delivered in-process through
-// the Reporter hook; the wire path is internal/transport, driven by
+// production deployment (§8). Step hands each epoch's reports over
+// in-process; the wire path is internal/transport, driven by
 // internal/ingest.
 //
 // Epoch state is kept dense for the hot path: per-flow drop counts live in
 // a flow-indexed arena of small inline link/count sets (not nested maps),
-// the failure set (a schedule.Failures) caches its sorted snapshot, and —
-// with EphemeralFlows — flow records, connections and tuple indexes are
-// recycled at each epoch boundary so steady-state epochs run
-// allocation-free and long scenario timelines stay bounded in memory.
+// the failure set (a schedule.Failures) caches its sorted snapshot, and
+// flow records, connections and tuple indexes are recycled once an epoch
+// closes, so steady-state epochs run allocation-free and long scenario
+// timelines stay bounded in memory.
 package cluster
 
 import (
@@ -57,14 +57,6 @@ type Config struct {
 	// flows whose smoothed RTT crosses the threshold — the §9.2 latency
 	// diagnosis extension.
 	RTTThresholdMicros int64
-	// EphemeralFlows recycles flow records, connections and tuple indexes
-	// at each epoch boundary, right after the epoch's ground-truth frame is
-	// captured. Steady-state epochs then allocate (near) nothing and memory
-	// stays bounded over arbitrarily long runs — the mode the plane-agnostic
-	// engine uses for scenarios and conformance sweeps. The whole-run views
-	// (Flows, Truth) cover only the current epoch; LastEpoch
-	// frames are unaffected. Flow IDs stay globally unique either way.
-	EphemeralFlows bool
 }
 
 // Cluster is a running emulation.
@@ -79,10 +71,10 @@ type Cluster struct {
 	Hosts  []*Host
 
 	rng *stats.RNG
-	// Reporter delivers host reports to the collector; the default appends
-	// to reports, which RunEpoch analyzes in submission order.
-	Reporter func(vote.Report)
-	reports  []vote.Report
+	// reports collects the running epoch's reports in emission order, and
+	// emit, set for the length of a Step, sees each one as it is made.
+	reports []vote.Report
+	emit    func(vote.Report)
 
 	// fails is the failure set — injected links, their sorted snapshot and
 	// the rate schedules — over the fabric's SetDropRate/ResetDropRate.
@@ -90,6 +82,9 @@ type Cluster struct {
 
 	flowIDs map[ecmp.FiveTuple]int64
 	flows   []*flowRecord
+	// closed is set when an epoch closes: its flow state recycles before
+	// the next epoch touches any (see recycle).
+	closed bool
 	// nextFlowID numbers flows across the whole run; it never resets, so
 	// recycled epochs still emit globally unique, deterministic IDs.
 	nextFlowID int64
@@ -99,8 +94,7 @@ type Cluster struct {
 	// ACKs and stray packets never enter the drop bookkeeping.
 	wireFlows map[ecmp.FiveTuple]int32
 
-	// recPool and connPool are the flow-record and connection free lists
-	// (EphemeralFlows).
+	// recPool and connPool are the flow-record and connection free lists.
 	recPool  []*flowRecord
 	connPool []*Conn
 	// connTab holds every Conn object ever made, at its index: the table a
@@ -117,9 +111,6 @@ type Cluster struct {
 	dropArena []flowDropSet
 	// epochDrops counts data-packet drops observed this epoch.
 	epochDrops int
-	// pendingStarts counts scheduled-but-unfired flow starts; recycling is
-	// skipped while any are outstanding.
-	pendingStarts int
 
 	// genFlows is StartWorkload's reusable generation buffer.
 	genFlows []traffic.Flow
@@ -129,7 +120,7 @@ type Cluster struct {
 	epochStart des.Time
 	// Epoch rotation state: epochIdx is the epoch fails applies schedules for;
 	// epochFirstFlow marks where the current epoch's flows begin in flows;
-	// lastEpoch is the frame RunEpoch captured before rolling.
+	// lastEpoch is the frame Step captured before rolling.
 	epochIdx       int
 	epochFirstFlow int
 	lastEpoch      EpochFrame
@@ -140,14 +131,14 @@ type Cluster struct {
 	agentSeq []int32
 }
 
-// flowDropSet is one flow's per-link drop counts: an inline set sized for
-// the longest Clos path (6 links), chained through next in the (never
-// observed) case a flow's drops spread over more links.
+// flowDropSet is one flow's per-link drop counts, an inline set sized for
+// the longest Clos path. It never overflows: the tap counts only forward
+// data drops of one wire tuple, and a tuple's data packets all take its one
+// ECMP path of at most ecmp.MaxPathLinks links.
 type flowDropSet struct {
-	links [8]topology.LinkID
-	cnts  [8]int32
+	links [ecmp.MaxPathLinks]topology.LinkID
+	cnts  [ecmp.MaxPathLinks]int32
 	n     int32
-	next  int32 // arena index of the overflow set, -1 if none
 }
 
 // Origin-key classes for the cluster's DES events (see
@@ -159,55 +150,37 @@ const (
 	keyClassPath  uint64 = 3 << 56
 )
 
-// HandleEvent opens a scheduled connection (the cluster's typed DES event).
-func (cl *Cluster) HandleEvent(kind int32, arg int64, _ any) {
+// HandleEvent opens a scheduled connection (the cluster's typed DES event;
+// its payload is the flow's record).
+func (cl *Cluster) HandleEvent(kind int32, _ int64, p any) {
 	_ = kind // evStartFlow is the only kind the cluster schedules
-	cl.pendingStarts--
-	rec := cl.flows[arg]
+	rec := p.(*flowRecord)
 	rec.conn = cl.Hosts[rec.src].openConn(cl.Hosts[rec.dst], rec.wireTuple, rec.appTuple, rec.packets)
 }
 
 // countDrop records one dropped data packet against a flow slot in the
-// dense arena, growing the slot index lazily.
+// dense arena, growing the slot index lazily. The arena is truncated, not
+// freed, when flows recycle, so steady state reuses its capacity.
 func (cl *Cluster) countDrop(slot int32, l topology.LinkID) {
 	for int(slot) >= len(cl.dropIdx) {
 		cl.dropIdx = append(cl.dropIdx, -1)
 	}
 	di := cl.dropIdx[slot]
 	if di < 0 {
-		di = cl.newDropSet()
+		di = int32(len(cl.dropArena))
+		cl.dropArena = append(cl.dropArena, flowDropSet{})
 		cl.dropIdx[slot] = di
 	}
-	for {
-		set := &cl.dropArena[di]
-		for i := int32(0); i < set.n; i++ {
-			if set.links[i] == l {
-				set.cnts[i]++
-				return
-			}
-		}
-		if set.n < int32(len(set.links)) {
-			set.links[set.n] = l
-			set.cnts[set.n] = 1
-			set.n++
+	set := &cl.dropArena[di]
+	for i := int32(0); i < set.n; i++ {
+		if set.links[i] == l {
+			set.cnts[i]++
 			return
 		}
-		if set.next < 0 {
-			next := cl.newDropSet()
-			// The append in newDropSet may have moved the arena.
-			cl.dropArena[di].next = next
-			di = next
-		} else {
-			di = set.next
-		}
 	}
-}
-
-// newDropSet claims a fresh arena entry (the arena is truncated, not
-// freed, when epochs recycle, so steady state reuses capacity).
-func (cl *Cluster) newDropSet() int32 {
-	cl.dropArena = append(cl.dropArena, flowDropSet{next: -1})
-	return int32(len(cl.dropArena) - 1)
+	set.links[set.n] = l
+	set.cnts[set.n] = 1
+	set.n++
 }
 
 // getConn produces a connection object from the pool. Pooled reuse bumps
@@ -230,9 +203,10 @@ func (cl *Cluster) getConn() *Conn {
 
 func (cl *Cluster) putConn(c *Conn) { cl.connPool = append(cl.connPool, c) }
 
-// EpochFrame is the per-epoch ground-truth bookkeeping the plane-agnostic
-// engine scores against: the failure set that was live during the epoch and
-// the outcome of the flows started in it.
+// EpochFrame is one epoch as Step closes it: the reports the host agents
+// sent, and the ground truth the plane-agnostic engine scores them against —
+// the failure set that was live during the epoch and the outcome of the
+// flows started in it.
 type EpochFrame struct {
 	// Index is the epoch's index (the value fed to RateSchedule.RateAt).
 	Index int
@@ -247,6 +221,9 @@ type EpochFrame struct {
 	Drops       int
 	// Truth maps this epoch's failed flows to their ground truth.
 	Truth map[int64]metrics.FlowTruth
+	// Reports holds the epoch's reports in canonical (agent, epoch, seq)
+	// order, in a slice of the caller's own.
+	Reports []vote.Report
 }
 
 // flowRecord tracks one started connection for ground-truth scoring.
@@ -266,7 +243,7 @@ const epochLength = 30 * des.Second
 const sendWindow = 8
 
 // evStartFlow is the cluster's typed DES event: a scheduled connection
-// opening (arg = the flow's slot in flows).
+// opening.
 const evStartFlow int32 = 1
 
 // New builds a cluster over the topology.
@@ -320,7 +297,6 @@ func New(cfg Config) (*Cluster, error) {
 	cl.fails = schedule.NewFailures(cfg.Topo,
 		func(l topology.LinkID, rate float64) { _ = net.SetDropRate(l, rate) },
 		func(l topology.LinkID) { _ = net.ResetDropRate(l) })
-	cl.Reporter = func(r vote.Report) { cl.reports = append(cl.reports, r) }
 	net.AddDropTap(cl.groundTruthTap)
 	cl.Hosts = make([]*Host, len(cfg.Topo.Hosts))
 	for i := range cl.Hosts {
@@ -342,6 +318,10 @@ func (cl *Cluster) InjectFailure(l topology.LinkID, rate float64) error {
 // baseline (noise) rate.
 func (cl *Cluster) ClearFailure(l topology.LinkID) error { return cl.fails.Clear(l) }
 
+// ClearAllFailures restores every failed link to its baseline rate; a
+// scheduled link fails again at the next epoch that finds it active.
+func (cl *Cluster) ClearAllFailures() { cl.fails.ClearAll() }
+
 // ScheduleFailure attaches an epoch-indexed rate schedule to a link from the
 // next epoch on, exactly as on the flow plane (schedule.Failures.Schedule).
 func (cl *Cluster) ScheduleFailure(l topology.LinkID, s schedule.RateSchedule) error {
@@ -352,8 +332,8 @@ func (cl *Cluster) ScheduleFailure(l topology.LinkID, s schedule.RateSchedule) e
 // links to their baseline rates, dropping them from the failure set.
 func (cl *Cluster) ClearSchedules() { cl.fails.ClearSchedules() }
 
-// EpochIndex returns the index the next RunEpoch call will emulate (the
-// number of epochs run so far).
+// EpochIndex returns the index the next Step will emulate (the number of
+// epochs run so far).
 func (cl *Cluster) EpochIndex() int { return cl.epochIdx }
 
 // FailedLinks returns the injected failure set, sorted. The snapshot is
@@ -362,15 +342,16 @@ func (cl *Cluster) FailedLinks() []topology.LinkID { return cl.fails.Sorted() }
 
 // report stamps a host agent's report with its stable identity — the
 // reporting agent (Src), the current epoch, and the agent's next dense
-// sequence number — and hands it to the Reporter. Stamping here, at the
-// single choke point every report passes through, is what guarantees the
-// gap-free-per-(agent, epoch) invariant ingest relies on.
+// sequence number — collects it and streams it to Step's emit. Stamping
+// here, at the single choke point every report passes through, is what
+// guarantees the gap-free-per-(agent, epoch) invariant ingest relies on.
 func (cl *Cluster) report(r vote.Report) {
 	r.Epoch = int32(cl.epochIdx)
 	r.Seq = cl.agentSeq[r.Src]
 	cl.agentSeq[r.Src]++
-	if cl.Reporter != nil {
-		cl.Reporter(r)
+	cl.reports = append(cl.reports, r)
+	if cl.emit != nil {
+		cl.emit(r)
 	}
 }
 
@@ -439,6 +420,7 @@ func (cl *Cluster) getRecord() *flowRecord {
 }
 
 func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.FiveTuple, packets int, at des.Time) {
+	cl.recycle()
 	rec := cl.getRecord()
 	rec.id = cl.nextFlowID
 	rec.appTuple = appTuple
@@ -447,12 +429,16 @@ func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.
 	rec.dst = dst
 	rec.packets = packets
 	cl.nextFlowID++
-	slot := len(cl.flows)
+	cl.index(rec)
+	cl.Sched.PostKeyed(at, keyClassStart|uint64(src), cl, evStartFlow, 0, rec)
+}
+
+// index appends a flow record to flows and its tuples to the indexes the
+// agents and the ground-truth tap resolve them through.
+func (cl *Cluster) index(rec *flowRecord) {
+	cl.flowIDs[rec.appTuple] = rec.id
+	cl.wireFlows[rec.wireTuple] = int32(len(cl.flows))
 	cl.flows = append(cl.flows, rec)
-	cl.flowIDs[appTuple] = rec.id
-	cl.wireFlows[wireTuple] = int32(slot)
-	cl.pendingStarts++
-	cl.Sched.PostKeyed(at, keyClassStart|uint64(src), cl, evStartFlow, int64(slot), nil)
 }
 
 // StartWorkload schedules a whole epoch's traffic, spread uniformly over
@@ -472,11 +458,15 @@ func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 	}
 }
 
-// RunEpoch drives one epoch of the emulation: settle scripted link rates,
-// run virtual time to the end of the epoch (plus a small grace period for
-// in-flight traceroutes), capture the epoch's ground-truth frame, roll the
-// host agents' epochs and analyze what the default Reporter collected.
-func (cl *Cluster) RunEpoch() *analysis.Result {
+// Step drives one epoch of the emulation: settle scripted link rates, run
+// virtual time to the end of the epoch (plus a small grace period for
+// in-flight traceroutes), roll the host agents' epochs and close the epoch
+// into its frame. emit, if non-nil, sees each report as a host agent makes
+// it, in the deterministic order of virtual time; the frame carries the
+// same reports in canonical order. Flows() and each flow's Conn() describe
+// the epoch just run until the next epoch's first flow start.
+func (cl *Cluster) Step(emit func(vote.Report)) EpochFrame {
+	cl.recycle()
 	// Settle scripted link rates before any of the epoch's queued packets
 	// fly (StartWorkload and StartFlow only enqueue virtual-time events;
 	// nothing transmits until RunUntil). A schedule emitting a rate outside
@@ -484,23 +474,31 @@ func (cl *Cluster) RunEpoch() *analysis.Result {
 	if err := cl.fails.Apply(cl.epochIdx); err != nil {
 		panic(fmt.Sprintf("cluster: %v", err))
 	}
-	end := cl.epochStart + epochLength
-	cl.Sched.RunUntil(end + 2*des.Second)
+	cl.emit = emit
+	cl.Sched.RunUntil(cl.epochStart + epochLength + 2*des.Second)
+	cl.emit = nil
 	cl.epochStart = cl.Sched.Now()
 	for _, h := range cl.Hosts {
 		h.Agent.NewEpoch()
 	}
-	cl.captureEpochFrame()
-	// Algorithm 1 at the paper's threshold: 1 % of the epoch's votes.
-	res := analysis.Analyze(cl.reports, analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}})
-	cl.reports = cl.reports[:0]
-	return res
+	cl.lastEpoch = cl.closeEpoch()
+	return cl.lastEpoch
 }
 
-// captureEpochFrame snapshots the closing epoch's ground truth — while
-// the failure set is still the epoch's settled one — and rolls the
-// per-epoch flow bookkeeping (recycling it under EphemeralFlows).
-func (cl *Cluster) captureEpochFrame() {
+// RunEpoch is Step followed by 007's analysis of the epoch's reports.
+func (cl *Cluster) RunEpoch() *analysis.Result {
+	return analysis.Analyze(cl.Step(nil).Reports, paperAnalysis)
+}
+
+// paperAnalysis runs Algorithm 1 at the paper's threshold: 1 % of the
+// epoch's votes.
+var paperAnalysis = analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}}
+
+// closeEpoch frames the closing epoch — its ground truth, while the failure
+// set is still the epoch's settled one, and its reports — and rolls the
+// per-epoch bookkeeping. The flow records stay in flows, readable, until
+// recycle.
+func (cl *Cluster) closeEpoch() EpochFrame {
 	epochFlows := cl.flows[cl.epochFirstFlow:]
 	fr := EpochFrame{
 		Index:       cl.epochIdx,
@@ -508,6 +506,7 @@ func (cl *Cluster) captureEpochFrame() {
 		Flows:       len(epochFlows),
 		Drops:       cl.epochDrops,
 		Truth:       make(map[int64]metrics.FlowTruth, 8),
+		Reports:     make([]vote.Report, len(cl.reports)),
 	}
 	for i, rec := range epochFlows {
 		tr, failed := cl.flowTruth(cl.epochFirstFlow+i, rec)
@@ -517,46 +516,55 @@ func (cl *Cluster) captureEpochFrame() {
 		fr.FailedFlows++
 		fr.Truth[rec.id] = tr
 	}
-	cl.lastEpoch = fr
+	copy(fr.Reports, cl.reports)
+	vote.SortCanonical(fr.Reports)
+	cl.reports = cl.reports[:0]
 	cl.epochIdx++
 	cl.epochDrops = 0
 	clear(cl.agentSeq)
-	if cl.cfg.EphemeralFlows && cl.pendingStarts == 0 {
-		cl.recycleFlows()
-	} else {
-		cl.epochFirstFlow = len(cl.flows)
-	}
+	cl.closed = true
+	return fr
 }
 
-// recycleFlows returns the epoch's flow records (and their finished
-// connections) to the free lists and resets the tuple indexes and drop
-// arena, keeping capacity. Connections still in flight across the boundary
-// are marked orphan: they recycle themselves when they close.
-func (cl *Cluster) recycleFlows() {
-	for _, rec := range cl.flows {
-		if c := rec.conn; c != nil {
-			if c.Done || c.Failed {
-				cl.putConn(c)
-			} else {
-				c.orphan = true
-			}
+// recycle returns a closed epoch's flow state to the free lists, once,
+// before the next epoch touches any: at its first flow start or, if it
+// starts none, at its Step. Records whose start is still scheduled stay,
+// re-indexed at the head of flows (the epoch that started them has framed
+// them already). The tuple indexes and the drop arena reset, keeping
+// capacity; finished connections go to the pool, and those still in
+// flight are marked orphan and recycle themselves when they close, so from
+// here on their drops and flow IDs count for nothing.
+func (cl *Cluster) recycle() {
+	if !cl.closed {
+		return
+	}
+	cl.closed = false
+	old := cl.flows
+	cl.flows = cl.flows[:0]
+	clear(cl.flowIDs)
+	clear(cl.wireFlows)
+	for _, rec := range old {
+		c := rec.conn
+		switch {
+		case c == nil: // its start is still scheduled
+			cl.index(rec)
+			continue
+		case c.Done || c.Failed:
+			cl.putConn(c)
+		default:
+			c.orphan = true
 		}
 		rec.conn = nil
 		cl.recPool = append(cl.recPool, rec)
 	}
-	for i := range cl.flows {
-		cl.flows[i] = nil
-	}
-	cl.flows = cl.flows[:0]
+	clear(old[len(cl.flows):])
 	cl.dropIdx = cl.dropIdx[:0]
 	cl.dropArena = cl.dropArena[:0]
-	clear(cl.flowIDs)
-	clear(cl.wireFlows)
-	cl.epochFirstFlow = 0
+	cl.epochFirstFlow = len(cl.flows)
 }
 
-// LastEpoch returns the ground-truth frame of the most recently completed
-// epoch. The plane-agnostic engine (internal/engine) scores against it.
+// LastEpoch returns the frame of the most recently completed epoch: what
+// Step returned, for a caller that ran the epoch through RunEpoch.
 func (cl *Cluster) LastEpoch() EpochFrame { return cl.lastEpoch }
 
 // flowTruth derives one flow's ground truth from the tap-harvested drop
@@ -567,14 +575,12 @@ func (cl *Cluster) flowTruth(slot int, rec *flowRecord) (tr metrics.FlowTruth, f
 	// ties.
 	best := topology.NoLink
 	bestN := int32(0)
-	if slot < len(cl.dropIdx) {
-		for i := cl.dropIdx[slot]; i >= 0; i = cl.dropArena[i].next {
-			set := &cl.dropArena[i]
-			for j := int32(0); j < set.n; j++ {
-				l, n := set.links[j], set.cnts[j]
-				if n > bestN || (n == bestN && best != topology.NoLink && l < best) {
-					best, bestN = l, n
-				}
+	if slot < len(cl.dropIdx) && cl.dropIdx[slot] >= 0 {
+		set := &cl.dropArena[cl.dropIdx[slot]]
+		for j := int32(0); j < set.n; j++ {
+			l, n := set.links[j], set.cnts[j]
+			if n > bestN || (n == bestN && best != topology.NoLink && l < best) {
+				best, bestN = l, n
 			}
 		}
 	}
@@ -594,22 +600,9 @@ func (cl *Cluster) flowTruth(slot int, rec *flowRecord) (tr metrics.FlowTruth, f
 	return tr, true
 }
 
-// Truth builds the ground-truth map for scoring, from the fabric's drop
-// taps and the injected failure set, over every flow started so far (the
-// current epoch's flows under EphemeralFlows). Only forward-direction
-// data-packet drops count, matching the paper's attribution semantics.
-func (cl *Cluster) Truth() map[int64]metrics.FlowTruth {
-	out := make(map[int64]metrics.FlowTruth)
-	for slot, rec := range cl.flows {
-		if tr, failed := cl.flowTruth(slot, rec); failed {
-			out[rec.id] = tr
-		}
-	}
-	return out
-}
-
-// Flows returns records of all started flows (the current epoch's under
-// EphemeralFlows).
+// Flows returns the records of the flows started in the epoch just run,
+// after any from the epoch before whose start was still scheduled when it
+// closed. They stay readable until the next epoch's first flow start.
 func (cl *Cluster) Flows() []*flowRecord { return cl.flows }
 
 // ID returns a flow record's identifier.

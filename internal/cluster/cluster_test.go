@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"vigil/internal/des"
@@ -89,7 +90,7 @@ func TestLossyLinkLocalizedEndToEnd(t *testing.T) {
 		t.Fatalf("Algorithm 1 missed the bad link: %v", res.Detected)
 	}
 	// Per-flow verdicts score well against tap-harvested ground truth.
-	score := metrics.ScoreVerdicts(res.Verdicts, cl.Truth())
+	score := metrics.ScoreVerdicts(res.Verdicts, cl.LastEpoch().Truth)
 	if score.Considered == 0 {
 		t.Fatal("no scored flows")
 	}
@@ -109,10 +110,6 @@ func TestTraceroutePathMatchesEverFlow(t *testing.T) {
 	bad := topo.LinksOfClass(topology.L1Up)[3]
 	cl.InjectFailure(bad, 0.05)
 
-	var reports []vote.Report
-	base := cl.Reporter
-	cl.Reporter = func(r vote.Report) { reports = append(reports, r); base(r) }
-
 	rng := stats.NewRNG(5)
 	w := traffic.Workload{
 		Pattern:        traffic.Uniform{},
@@ -122,7 +119,7 @@ func TestTraceroutePathMatchesEverFlow(t *testing.T) {
 	for _, f := range w.GenerateInto(nil, rng, topo) {
 		cl.StartFlow(f, des.Time(rng.Intn(int(5*des.Second))))
 	}
-	cl.RunEpoch()
+	reports := cl.Step(nil).Reports
 	if len(reports) == 0 {
 		t.Fatal("no traceroute reports")
 	}
@@ -174,8 +171,6 @@ func TestPartialTraceroute(t *testing.T) {
 	for _, up := range topo.Switches[tor].Uplinks {
 		cl.InjectFailure(up, 1.0)
 	}
-	var reports []vote.Report
-	cl.Reporter = func(r vote.Report) { reports = append(reports, r) }
 	cl.StartFlow(traffic.Flow{
 		Src: src, Dst: dst,
 		Tuple: ecmp.FiveTuple{
@@ -184,7 +179,7 @@ func TestPartialTraceroute(t *testing.T) {
 		},
 		Packets: 20,
 	}, 0)
-	cl.RunEpoch()
+	reports := cl.Step(nil).Reports
 	if len(reports) == 0 {
 		t.Fatal("no report for a blackholed flow")
 	}
@@ -216,8 +211,6 @@ func TestVIPFlowTracedViaSLB(t *testing.T) {
 	}
 	cl.InjectFailure(bad, 0.08)
 
-	var reports []vote.Report
-	cl.Reporter = func(r vote.Report) { reports = append(reports, r) }
 	rng := stats.NewRNG(8)
 	for i := 0; i < 120; i++ {
 		src := topology.HostID(rng.Intn(len(topo.Hosts)))
@@ -225,7 +218,7 @@ func TestVIPFlowTracedViaSLB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl.RunEpoch()
+	reports := cl.Step(nil).Reports
 	if len(reports) == 0 {
 		t.Fatal("no reports for VIP traffic")
 	}
@@ -253,8 +246,6 @@ func TestSLBFailureSuppressesTraceroute(t *testing.T) {
 	}
 	cl.SLB.QueryFailRate = 1.0
 	cl.InjectFailure(topo.LinksOfClass(topology.L1Up)[0], 0.3)
-	var reports []vote.Report
-	cl.Reporter = func(r vote.Report) { reports = append(reports, r) }
 	rng := stats.NewRNG(10)
 	for i := 0; i < 60; i++ {
 		src := topology.HostID(rng.Intn(len(topo.Hosts)))
@@ -262,8 +253,7 @@ func TestSLBFailureSuppressesTraceroute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl.RunEpoch()
-	if len(reports) != 0 {
+	if reports := cl.Step(nil).Reports; len(reports) != 0 {
 		t.Fatalf("%d traceroutes sent despite SLB failures", len(reports))
 	}
 	var skipped int64
@@ -639,68 +629,103 @@ func TestClusterNoiseBaseline(t *testing.T) {
 	}
 }
 
-// Ephemeral flow recycling must be invisible to the epoch pipeline: the
-// same seed and workload produce identical tallies, rankings and
-// ground-truth frames whether per-flow state is retained or recycled.
-func TestEphemeralFlowsMatchRetained(t *testing.T) {
-	run := func(ephemeral bool) (flows []int, totals []float64, frames []EpochFrame) {
-		topo, err := topology.New(topology.TestClusterConfig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := New(Config{Topo: topo, Seed: 51, EphemeralFlows: ephemeral})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := topo.LinksOfClass(topology.L1Down)[4]
-		if err := cl.InjectFailure(bad, 0.02); err != nil {
-			t.Fatal(err)
-		}
-		w := traffic.Workload{
-			Pattern:        traffic.Uniform{},
-			ConnsPerHost:   traffic.IntRange{Lo: 4, Hi: 4},
-			PacketsPerFlow: traffic.IntRange{Lo: 40, Hi: 80},
-		}
-		for e := 0; e < 3; e++ {
-			cl.StartWorkload(w, 10*des.Second)
-			res := cl.RunEpoch()
-			flows = append(flows, res.Tally.Flows())
-			totals = append(totals, voteMass(res.Tally))
-			frames = append(frames, cl.LastEpoch())
-		}
-		return
+// Flows recycle once an epoch has closed, before the next one touches flow
+// state. Until then Flows() and each record's Conn() describe the epoch
+// just run; the next epoch's first flow start recycles those records; an
+// epoch that starts nothing frames nothing; a flow scheduled past its
+// epoch's end is framed once, by the epoch that started it, and carried
+// into the next; and flow state never outgrows one epoch's flows plus
+// those carried in.
+func TestFlowsRecycleOnceAnEpochCloses(t *testing.T) {
+	cl := testCluster(t, 51)
+	topo := cl.Topo
+	if err := cl.InjectFailure(topo.LinksOfClass(topology.L1Down)[4], 0.05); err != nil {
+		t.Fatal(err)
 	}
-	f1, t1, fr1 := run(false)
-	f2, t2, fr2 := run(true)
-	for e := range f1 {
-		if f1[e] != f2[e] || t1[e] != t2[e] {
-			t.Fatalf("epoch %d diverged: %d/%v vs %d/%v", e, f1[e], t1[e], f2[e], t2[e])
+	w := traffic.Workload{
+		Pattern:        traffic.Uniform{},
+		ConnsPerHost:   traffic.IntRange{Lo: 1, Hi: 1},
+		PacketsPerFlow: traffic.IntRange{Lo: 20, Hi: 40},
+	}
+	src, dst := topo.HostAt(0, 0, 0), topo.HostAt(0, 9, 3)
+	late := traffic.Flow{Src: src, Dst: dst, Packets: 20, Tuple: ecmp.FiveTuple{
+		SrcIP: topo.Hosts[src].IP, DstIP: topo.Hosts[dst].IP, SrcPort: 45000, DstPort: 443, Proto: ecmp.ProtoTCP,
+	}}
+	var carried []*flowRecord
+	failed, lates := 0, 0
+	for e := 0; e < 50; e++ {
+		if e%10 == 9 {
+			// No flow starts: the closed epoch recycles at Step.
+			fr := cl.Step(nil)
+			if fr.Flows != 0 || fr.FailedFlows != 0 || len(fr.Truth) != 0 {
+				t.Fatalf("epoch %d started no flow but framed %d flows, %d failed, truth %v", e, fr.Flows, fr.FailedFlows, fr.Truth)
+			}
+			if got := cl.Flows(); !slices.Equal(got, carried) {
+				t.Fatalf("epoch %d: %d flow records after an epoch that started none, want the %d carried in", e, len(got), len(carried))
+			}
+			carried = nil
+			continue
 		}
-		a, b := fr1[e], fr2[e]
-		if a.Flows != b.Flows || a.FailedFlows != b.FailedFlows || a.Drops != b.Drops {
-			t.Fatalf("epoch %d frames diverged: %+v vs %+v", e, a, b)
+		prev := slices.Clone(cl.Flows())
+		cl.StartWorkload(w, 10*des.Second)
+		flows := cl.Flows()
+		if !slices.Equal(flows[:len(carried)], carried) {
+			t.Fatalf("epoch %d: the flows carried in are not at the head of Flows()", e)
 		}
-		if len(a.Truth) != len(b.Truth) {
-			t.Fatalf("epoch %d truth sizes diverged: %d vs %d", e, len(a.Truth), len(b.Truth))
-		}
-		for id, tr := range a.Truth {
-			if b.Truth[id] != tr {
-				t.Fatalf("epoch %d flow %d truth diverged: %+v vs %+v", e, id, tr, b.Truth[id])
+		for _, rec := range flows[len(carried):] {
+			if e%10 != 0 && !slices.Contains(prev, rec) {
+				t.Fatalf("epoch %d: flow %d has a fresh record, not a recycled one", e, rec.ID())
+			}
+			if rec.Conn() != nil {
+				t.Fatalf("epoch %d: recycled record of flow %d kept a connection", e, rec.ID())
 			}
 		}
+		var lateRec *flowRecord
+		if e%7 == 3 {
+			cl.StartFlow(late, cl.epochStart+epochLength+5*des.Second)
+			lateRec = cl.Flows()[len(cl.Flows())-1]
+			lates++
+		}
+		fr := cl.Step(nil)
+		flows = cl.Flows()
+		if len(flows) != fr.Flows+len(carried) {
+			t.Fatalf("epoch %d: %d flow records, want the %d framed plus %d carried in", e, len(flows), fr.Flows, len(carried))
+		}
+		for _, rec := range flows {
+			if c := rec.Conn(); (c == nil) != (rec == lateRec) {
+				t.Fatalf("epoch %d: flow %d connection %v after the epoch closed", e, rec.ID(), c)
+			}
+		}
+		framed := map[int64]bool{}
+		for _, rec := range flows[len(carried):] {
+			framed[rec.ID()] = true
+		}
+		for id := range fr.Truth {
+			if !framed[id] {
+				t.Fatalf("epoch %d: truth for flow %d, which another epoch framed", e, id)
+			}
+		}
+		failed += fr.FailedFlows
+		carried = nil
+		if lateRec != nil {
+			carried = []*flowRecord{lateRec}
+		}
+	}
+	if failed == 0 || lates == 0 {
+		t.Fatalf("%d failed flows, %d late starts: the case exercises nothing", failed, lates)
 	}
 }
 
-// The steady-state packet-plane epoch must be (near) allocation-free: with
-// ephemeral flows, a warmed cluster runs whole no-failure epochs — every
-// data packet, ACK and epoch roll — reusing pooled state. This mirrors the
+// The steady-state packet-plane epoch must be (near) allocation-free: a
+// warmed cluster runs whole no-failure epochs — every data packet, ACK and
+// epoch roll — reusing pooled state and recycled flows. This mirrors the
 // flow plane's TestSteadyStateEpochAllocs budget.
 func TestClusterEpochAllocs(t *testing.T) {
 	topo, err := topology.New(topology.TestClusterConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(Config{Topo: topo, Seed: 3, EphemeralFlows: true})
+	cl, err := New(Config{Topo: topo, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,8 +755,8 @@ func TestClusterEpochAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(5, epoch)
 	// ~400 connections and ~90k emulated packets per epoch settle around
-	// 34 allocations — the fixed per-epoch cost (frame, empty analysis
-	// close, map growth remnants). The budget leaves slack for runtime
+	// 28 allocations — the fixed per-epoch cost (frame, analysis, map
+	// growth remnants). The budget leaves slack for runtime
 	// variation but pins per-flow cost to zero.
 	if avg > 120 {
 		t.Fatalf("steady-state cluster epoch allocates %.0f times for %d flows", avg, flows)

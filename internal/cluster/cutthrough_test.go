@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vigil/internal/analysis"
 	"vigil/internal/des"
 	"vigil/internal/fabric"
 	"vigil/internal/topology"
@@ -94,7 +95,7 @@ func runCutCase(t *testing.T, c cutCase, perHop bool) cutRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Topo: topo, Seed: c.seed, EphemeralFlows: true}
+	cfg := Config{Topo: topo, Seed: c.seed}
 	if c.cfg != nil {
 		c.cfg(&cfg)
 	}
@@ -106,11 +107,9 @@ func runCutCase(t *testing.T, c cutCase, perHop bool) cutRun {
 		cl.Net.AddTap(func(fabric.TapEvent) {})
 	}
 	var log strings.Builder
-	base := cl.Reporter
-	cl.Reporter = func(r vote.Report) {
+	emit := func(r vote.Report) {
 		fmt.Fprintf(&log, "r src=%d ep=%d seq=%d flow=%d path=%v retx=%d partial=%v\n",
 			r.Src, r.Epoch, r.Seq, r.FlowID, r.Path, r.Retx, r.Partial)
-		base(r)
 	}
 	if c.setup != nil {
 		c.setup(t, cl)
@@ -135,8 +134,8 @@ func runCutCase(t *testing.T, c cutCase, perHop bool) cutRun {
 			cl.Sched.PostKeyed(cl.Sched.Now()+op.at, 0, &cutOpEvent{cl: cl, l: l, do: op.do}, 0, 0, nil)
 		}
 		cl.StartWorkload(w, c.spread)
-		res := cl.RunEpoch()
-		fr := cl.LastEpoch()
+		fr := cl.Step(emit)
+		res := analysis.Analyze(fr.Reports, paperAnalysis)
 		var fwd, drp, icmp, supp int64
 		for _, v := range cl.Net.LinkForwarded {
 			fwd += v

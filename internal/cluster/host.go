@@ -94,7 +94,8 @@ type Conn struct {
 	Done        bool
 	Failed      bool
 	// orphan marks a connection whose flow record was already recycled
-	// (EphemeralFlows): it returns itself to the pool when it closes.
+	// while it was still in flight: it returns itself to the pool when it
+	// closes.
 	orphan bool
 }
 

@@ -19,16 +19,12 @@ func TestPacketPlaneReportSequencesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(Config{Topo: topo, Seed: 6, EphemeralFlows: true})
+	cl, err := New(Config{Topo: topo, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []vote.Report
-	base := cl.Reporter
-	cl.Reporter = func(r vote.Report) {
-		got = append(got, r)
-		base(r)
-	}
+	emit := func(r vote.Report) { got = append(got, r) }
 	// A rate high enough that every epoch reliably drops registered data
 	// on the failed link: marginal epochs (few forward flows hashed onto
 	// it) must still produce reports, or the density assertions below
@@ -47,7 +43,7 @@ func TestPacketPlaneReportSequencesDense(t *testing.T) {
 		for _, f := range w.GenerateInto(nil, rng.Split(), topo) {
 			cl.StartFlow(f, cl.Sched.Now()+des.Time(rng.Intn(int(10*des.Second))))
 		}
-		cl.RunEpoch()
+		cl.Step(emit)
 		if len(got) == 0 {
 			t.Fatalf("epoch %d: no reports — the fixture is not exercising anything", e)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vigil/internal/analysis"
 	"vigil/internal/des"
 	"vigil/internal/ecmp"
 	"vigil/internal/topology"
@@ -58,7 +59,7 @@ func runTagCase(t *testing.T, mapOnly bool) (string, tagMisses) {
 	// for longer than an epoch's grace period: Conns close and are recycled,
 	// across epoch boundaries and within an epoch, with their segments still
 	// arriving.
-	cl, err := New(Config{Topo: topo, Seed: 19, EphemeralFlows: true, RTO: 40 * des.Microsecond, MaxRetries: 16})
+	cl, err := New(Config{Topo: topo, Seed: 19, RTO: 40 * des.Microsecond, MaxRetries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,7 @@ func runTagCase(t *testing.T, mapOnly bool) (string, tagMisses) {
 		})
 	}
 	var log strings.Builder
-	base := cl.Reporter
-	cl.Reporter = func(r vote.Report) {
-		fmt.Fprintf(&log, "r %+v\n", r)
-		base(r)
-	}
+	emit := func(r vote.Report) { fmt.Fprintf(&log, "r %+v\n", r) }
 	// Two flows on one wire tuple, the second opened while the first still
 	// sends: it displaces the first from conns.
 	src, dst := topo.HostAt(0, 0, 0), topo.HostAt(2, 1, 1)
@@ -100,8 +97,9 @@ func runTagCase(t *testing.T, mapOnly bool) (string, tagMisses) {
 	}
 	for e := 0; e < 4; e++ {
 		cl.StartWorkload(w, 3*des.Second)
-		res := cl.RunEpoch()
-		fr := cl.LastEpoch()
+		fr := cl.Step(emit)
+		res := analysis.Analyze(fr.Reports, paperAnalysis)
+		fr.Reports = nil // logged above, in emission order
 		fmt.Fprintf(&log, "epoch %+v detected=%v fwd=%x drp=%x events=%d\n", fr, res.Detected,
 			hashInt64s(cl.Net.LinkForwarded), hashInt64s(cl.Net.LinkDropped), cl.Sched.Executed())
 	}

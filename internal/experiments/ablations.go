@@ -103,18 +103,20 @@ func runAblVoteValue(opts Options) (*Result, error) {
 			bad := randomLinks(stats.NewRNG(uint64(s)+9), sim.Topology(), 1)[0]
 			sim.InjectFailure(bad, 0.005)
 			ep := sim.RunEpoch()
-			tl := vote.NewTally()
+			reports := ep.Reports
 			if unit {
 				// Unit votes: each path link gets a full vote (a
-				// single-link "path" makes 1/h = 1).
+				// single-link "path" makes 1/h = 1). Whole votes sum
+				// exactly in any order.
+				reports = nil
 				for _, r := range ep.Reports {
-					for _, l := range r.Path {
-						tl.Add(vote.Report{FlowID: r.FlowID, Path: []topology.LinkID{l}})
+					for i := range r.Path {
+						reports = append(reports, vote.Report{FlowID: r.FlowID, Path: r.Path[i : i+1 : i+1]})
 					}
 				}
-			} else {
-				tl.AddAll(ep.Reports)
 			}
+			tl := vote.NewTally()
+			tl.AddAll(reports)
 			trials++
 			if rankOf(tl.Ranking(), bad) == 0 {
 				hits++

@@ -202,8 +202,7 @@ func runCluster2(opts Options) (*Result, error) {
 	for e := 0; e < clusterEpochs(opts)*2; e++ {
 		runClusterWorkload(cl, rng, 15, 200)
 		res := cl.RunEpoch()
-		truth := cl.Truth()
-		s := metrics.ScoreVerdicts(res.Verdicts, truth)
+		s := metrics.ScoreVerdicts(res.Verdicts, cl.LastEpoch().Truth)
 		correct += s.Correct
 		considered += s.Considered
 	}
@@ -278,21 +277,16 @@ func runProdEverflow(opts Options) (*Result, error) {
 	bad := topo.LinksOfClass(topology.L1Down)[12]
 	cl.InjectFailure(bad, 0.02)
 
-	var reports []vote.Report
-	base := cl.Reporter
-	cl.Reporter = func(r vote.Report) { reports = append(reports, r); base(r) }
-
 	pathsChecked, pathsMatched := 0, 0
 	blameChecked, blameMatched := 0, 0
 	for e := 0; e < clusterEpochs(opts); e++ {
-		reports = reports[:0]
 		runClusterWorkload(cl, rng, 15, 200)
 		res := cl.RunEpoch()
 		tuples := make(map[int64]ecmp.FiveTuple, len(cl.Flows()))
 		for _, f := range cl.Flows() {
 			tuples[f.ID()] = f.WireTuple()
 		}
-		for _, r := range reports {
+		for _, r := range cl.LastEpoch().Reports {
 			if r.Partial || !slices.Contains(sampled, r.Src) {
 				continue
 			}

@@ -2,6 +2,9 @@ package prof
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -61,5 +64,72 @@ func TestPhaseBeginEndAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Begin/End allocate %.1f times per cycle, want 0", allocs)
+	}
+}
+
+// parse registers the profiling flags on a fresh flag set and parses args.
+func parse(t *testing.T, args ...string) *Profiler {
+	t.Helper()
+	fs := flag.NewFlagSet("prof", flag.ContinueOnError)
+	p := Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// -cpuprofile and -memprofile each write a non-empty profile, and a second
+// Stop neither fails nor disturbs the CPU profile already written.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	p := parse(t, "-cpuprofile", cpu, "-memprofile", mem)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{cpu, mem} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: %v, want a written profile", name, err)
+		}
+	}
+	before, _ := os.ReadFile(cpu)
+	if err := p.Stop(); err != nil {
+		t.Fatalf("second Stop: %v", err)
+	}
+	if after, _ := os.ReadFile(cpu); !bytes.Equal(before, after) {
+		t.Fatal("second Stop rewrote the CPU profile")
+	}
+}
+
+// With neither flag, Start and Stop do nothing.
+func TestNoFlagsNoProfiles(t *testing.T) {
+	p := parse(t)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if p.f != nil {
+		t.Fatal("Start opened a file with no -cpuprofile")
+	}
+}
+
+// A profile path that cannot be created is an error, from Start for the
+// CPU profile and from Stop for the heap profile.
+func TestUncreatablePathErrors(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "x.pprof")
+	if err := parse(t, "-cpuprofile", bad).Start(); err == nil {
+		t.Fatal("Start created a CPU profile in a missing directory")
+	}
+	p := parse(t, "-memprofile", bad)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Stop(); err == nil {
+		t.Fatal("Stop created a heap profile in a missing directory")
 	}
 }

@@ -147,7 +147,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			}
 		}
 	})
-	// Tallies built the two public ways, over the same reports.
+	// Tallies built from one batch and from two, over the same reports.
 	for _, n := range []int{0, 1, 40, 3000} {
 		reports := make([]Report, n)
 		for i := range reports {
@@ -158,14 +158,21 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			reports[i] = Report{FlowID: int64(i), Path: path}
 		}
 		t.Run(fmt.Sprintf("reports=%d", n), func(t *testing.T) {
-			byAdd, byAddAll := NewTally(), NewTally()
-			for _, r := range reports {
-				byAdd.Add(r)
+			whole, split := NewTally(), NewTally()
+			whole.AddAll(reports)
+			split.AddAll(reports[:n/2])
+			split.AddAll(reports[n/2:])
+			check(t, whole)
+			check(t, split)
+			// Splitting moves a vote by reassociation at most.
+			if whole.Flows() != split.Flows() || !slices.Equal(whole.links, split.links) {
+				t.Fatalf("split tally holds %d flows on %d links, whole %d on %d", split.Flows(), len(split.links), whole.Flows(), len(whole.links))
 			}
-			byAddAll.AddAll(reports[:n/2])
-			byAddAll.AddAll(reports[n/2:])
-			check(t, byAdd)
-			check(t, byAddAll)
+			for i, v := range whole.votes {
+				if math.Abs(v-split.votes[i]) > 1e-9 {
+					t.Fatalf("link %d: split votes %v, whole %v", whole.links[i], split.votes[i], v)
+				}
+			}
 		})
 	}
 }

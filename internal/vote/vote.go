@@ -85,31 +85,11 @@ type Tally struct {
 // NewTally returns an empty tally.
 func NewTally() *Tally { return &Tally{} }
 
-// Add casts r's votes: 1/h per path link, h = len(Path). Reports with empty
-// paths (a traceroute that produced nothing) are counted but vote nowhere.
-func (t *Tally) Add(r Report) {
-	t.flows++
-	h := len(r.Path)
-	if h == 0 {
-		return
-	}
-	v := 1.0 / float64(h)
-	for _, l := range r.Path {
-		if l < 0 {
-			continue // NoLink placeholders vote nowhere
-		}
-		i, ok := slices.BinarySearch(t.links, l)
-		if !ok {
-			t.links = slices.Insert(t.links, i, l)
-			t.votes = slices.Insert(t.votes, i, 0)
-		}
-		t.votes[i] += v
-	}
-}
-
-// AddAll casts votes for each report of a batch. A link's batch votes are
-// summed per 2048 reports (sumChunkShift) and the chunk sums folded in
-// report order, so a larger batch can differ from repeated Add by
+// AddAll casts each report's votes: 1/h per path link, h = len(Path).
+// Reports with empty paths (a traceroute that produced nothing) are counted
+// but vote nowhere, and NoLink placeholders vote nowhere. A link's batch
+// votes are summed per 2048 reports (sumChunkShift) and the chunk sums
+// folded in report order, so splitting a batch can move a tally by
 // reassociation at the 1-ulp level.
 func (t *Tally) AddAll(rs []Report) {
 	ix := newIndex(rs)

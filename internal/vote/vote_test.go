@@ -15,8 +15,10 @@ func report(id int64, retx int, path ...topology.LinkID) Report {
 
 func TestTallyVoteValues(t *testing.T) {
 	tl := NewTally()
-	tl.Add(report(1, 2, 10, 11, 12, 13)) // h=4 → 1/4 each
-	tl.Add(report(2, 1, 10, 20, 21, 22, 23, 24))
+	tl.AddAll([]Report{
+		report(1, 2, 10, 11, 12, 13), // h=4 → 1/4 each
+		report(2, 1, 10, 20, 21, 22, 23, 24),
+	})
 	if got := tl.Votes(10); math.Abs(got-(0.25+1.0/6)) > 1e-12 {
 		t.Fatalf("Votes(10) = %v", got)
 	}
@@ -37,7 +39,7 @@ func TestTallyVoteValues(t *testing.T) {
 func TestTallyConservation(t *testing.T) {
 	rng := stats.NewRNG(1)
 	f := func(nFlows uint8) bool {
-		tl := NewTally()
+		var reports []Report
 		withPath := 0
 		for i := 0; i < int(nFlows%50); i++ {
 			h := rng.Intn(7)
@@ -45,11 +47,13 @@ func TestTallyConservation(t *testing.T) {
 			for j := range path {
 				path[j] = topology.LinkID(rng.Intn(100))
 			}
-			tl.Add(report(int64(i), 1, path...))
+			reports = append(reports, report(int64(i), 1, path...))
 			if h > 0 {
 				withPath++
 			}
 		}
+		tl := NewTally()
+		tl.AddAll(reports)
 		var sum float64
 		for _, lv := range tl.Ranking() {
 			sum += lv.Votes
@@ -111,45 +115,12 @@ func TestObservedAdjusterFractions(t *testing.T) {
 	}
 }
 
-// AddAll sums a link's votes per 2048-report chunk and folds the chunk sums
-// in order; across several calls it adds each batch's sums to what it holds.
-// Either way the tally must agree with one Add per report to within
-// reassociation, and exactly on flows, total and the set of voted links.
-func TestAddAllMatchesAdd(t *testing.T) {
-	rng := stats.NewRNG(7)
-	var reports []Report
-	for i := 0; i < 5000; i++ {
-		path := make([]topology.LinkID, rng.Intn(7))
-		for j := range path {
-			path[j] = topology.LinkID(rng.Intn(50)) - 1 // -1 is NoLink
-		}
-		reports = append(reports, report(int64(i), 1, path...))
-	}
-	seq := NewTally()
-	for _, r := range reports {
-		seq.Add(r)
-	}
-	whole, split := NewTally(), NewTally()
-	whole.AddAll(reports)
-	split.AddAll(reports[:1700])
-	split.AddAll(nil)
-	split.AddAll(reports[1700:])
-	for _, got := range []*Tally{whole, split} {
-		if got.Flows() != seq.Flows() || len(got.links) != len(seq.links) {
-			t.Fatalf("flows/len %d/%d, want %d/%d", got.Flows(), len(got.links), seq.Flows(), len(seq.links))
-		}
-		for l := topology.LinkID(-1); l < 51; l++ {
-			if math.Abs(got.Votes(l)-seq.Votes(l)) > 1e-9 {
-				t.Fatalf("link %d votes %v, want %v", l, got.Votes(l), seq.Votes(l))
-			}
-		}
-	}
-}
-
 func TestRankingOrderAndTies(t *testing.T) {
 	tl := NewTally()
-	tl.Add(report(1, 1, 5, 6))       // 0.5 each
-	tl.Add(report(2, 1, 5, 7, 8, 9)) // 0.25 each
+	tl.AddAll([]Report{
+		report(1, 1, 5, 6),       // 0.5 each
+		report(2, 1, 5, 7, 8, 9), // 0.25 each
+	})
 	r := tl.Ranking()
 	if r[0].Link != 5 || math.Abs(r[0].Votes-0.75) > 1e-12 {
 		t.Fatalf("top of ranking = %+v", r[0])
@@ -165,8 +136,7 @@ func TestRankingOrderAndTies(t *testing.T) {
 
 func TestBlameOnPath(t *testing.T) {
 	tl := NewTally()
-	tl.Add(report(1, 1, 1, 2, 3))
-	tl.Add(report(2, 1, 2, 4, 5))
+	tl.AddAll([]Report{report(1, 1, 1, 2, 3), report(2, 1, 2, 4, 5)})
 	blame, ok := tl.BlameOnPath([]topology.LinkID{1, 2, 3})
 	if !ok || blame != 2 {
 		t.Fatalf("blame = %d, %v; want 2", blame, ok)
@@ -181,7 +151,7 @@ func TestBlameOnPath(t *testing.T) {
 
 func TestEmptyPathReportVotesNowhere(t *testing.T) {
 	tl := NewTally()
-	tl.Add(Report{FlowID: 1, Retx: 3})
+	tl.AddAll([]Report{{FlowID: 1, Retx: 3}})
 	if len(tl.links) != 0 || tl.Flows() != 1 {
 		t.Fatalf("empty-path report changed tallies: len=%d flows=%d", len(tl.links), tl.Flows())
 	}
@@ -191,18 +161,15 @@ func TestFindProblemLinksSingleFailure(t *testing.T) {
 	// 20 flows through bad link 100 on otherwise distinct paths, plus one
 	// lone noise flow. The bad link must rank first, and with the observed
 	// adjuster none of the co-path links may be blamed.
-	tl := NewTally()
 	var reports []Report
 	id := int64(0)
 	for i := 0; i < 20; i++ {
 		id++
-		r := report(id, 1, 100, topology.LinkID(200+i), topology.LinkID(300+i), topology.LinkID(400+i))
-		reports = append(reports, r)
-		tl.Add(r)
+		reports = append(reports, report(id, 1, 100, topology.LinkID(200+i), topology.LinkID(300+i), topology.LinkID(400+i)))
 	}
-	noise := report(id+1, 1, 500, 501, 502, 503)
-	reports = append(reports, noise)
-	tl.Add(noise)
+	reports = append(reports, report(id+1, 1, 500, 501, 502, 503))
+	tl := NewTally()
+	tl.AddAll(reports)
 
 	raw := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.01, Adjuster: NoAdjuster{}})
 	if len(raw) == 0 || raw[0] != 100 {
@@ -223,13 +190,12 @@ func TestObservedAdjusterSuppressesSpill(t *testing.T) {
 	// All failed flows share both links A and B (A truly bad). Without
 	// adjustment, B ties A and gets blamed too; the observed adjuster
 	// removes B's spill-over votes after blaming A.
-	tl := NewTally()
 	var reports []Report
 	for i := 0; i < 30; i++ {
-		r := report(int64(i), 1, 1, 2, topology.LinkID(100+i), topology.LinkID(200+i))
-		reports = append(reports, r)
-		tl.Add(r)
+		reports = append(reports, report(int64(i), 1, 1, 2, topology.LinkID(100+i), topology.LinkID(200+i)))
 	}
+	tl := NewTally()
+	tl.AddAll(reports)
 	noAdj := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.01, Adjuster: NoAdjuster{}})
 	adj := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.01, Adjuster: NewObservedAdjuster(reports)})
 	if len(adj) != 1 || adj[0] != 1 {
@@ -241,10 +207,12 @@ func TestObservedAdjusterSuppressesSpill(t *testing.T) {
 }
 
 func TestFindProblemLinksThreshold(t *testing.T) {
-	tl := NewTally()
+	var reports []Report
 	for i := 0; i < 100; i++ {
-		tl.Add(report(int64(i), 1, topology.LinkID(i), topology.LinkID(1000+i)))
+		reports = append(reports, report(int64(i), 1, topology.LinkID(i), topology.LinkID(1000+i)))
 	}
+	tl := NewTally()
+	tl.AddAll(reports)
 	// Perfectly flat tally at 1% each: threshold 5% detects nothing.
 	b := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.05, Adjuster: NoAdjuster{}})
 	if len(b) != 0 {
@@ -253,10 +221,12 @@ func TestFindProblemLinksThreshold(t *testing.T) {
 }
 
 func TestFindProblemLinksMaxLinks(t *testing.T) {
-	tl := NewTally()
+	var reports []Report
 	for i := 0; i < 10; i++ {
-		tl.Add(report(int64(i), 1, topology.LinkID(i)))
+		reports = append(reports, report(int64(i), 1, topology.LinkID(i)))
 	}
+	tl := NewTally()
+	tl.AddAll(reports)
 	b := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.01, Adjuster: NoAdjuster{}, MaxLinks: 3})
 	if len(b) != 3 {
 		t.Fatalf("MaxLinks ignored: %v", b)
@@ -271,13 +241,12 @@ func TestFindProblemLinksEmpty(t *testing.T) {
 
 // Votes must never go negative under adjustment.
 func TestAdjustmentClampsAtZero(t *testing.T) {
-	tl := NewTally()
 	var reports []Report
 	for i := 0; i < 10; i++ {
-		r := report(int64(i), 1, 1, 2)
-		reports = append(reports, r)
-		tl.Add(r)
+		reports = append(reports, report(int64(i), 1, 1, 2))
 	}
+	tl := NewTally()
+	tl.AddAll(reports)
 	adj := NewObservedAdjuster(reports)
 	b := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.01, Adjuster: adj})
 	if len(b) != 1 {
@@ -324,15 +293,5 @@ func TestClassifyPicksHighestVotedDetected(t *testing.T) {
 	verdicts := ClassifyFlows(tl, []topology.LinkID{10, 11}, rs)
 	if verdicts[3].Link != 10 {
 		t.Fatalf("flow 4 blamed %d, want the higher-voted 10", verdicts[3].Link)
-	}
-}
-
-func BenchmarkTallyAdd(b *testing.B) {
-	path := []topology.LinkID{1, 2, 3, 4, 5, 6}
-	tl := NewTally()
-	r := Report{FlowID: 1, Path: path, Retx: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Add(r)
 	}
 }
