@@ -8,6 +8,7 @@ package vigil_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"vigil"
@@ -307,15 +308,19 @@ func BenchmarkEpochDatacenterDelta(b *testing.B) {
 // costs before its first delta epoch: build the reference fabric, build
 // the flow engine on it, and Step the first epoch — the fused full epoch
 // that fills the delta cache and transposes it into the link→flows index.
-// It is bench/run.sh's flow-dc-delta set-up without the harness.
+// It is bench/run.sh's flow-dc-delta set-up without the harness. live-MiB
+// is the heap the last engine keeps (HeapAlloc after a collection, the
+// engine still reachable); the process's peak RSS runs at about twice it,
+// as GOGC=100 lets the heap grow to twice its live size.
 func BenchmarkDatacenterSetup(b *testing.B) {
 	b.ReportAllocs()
+	var eng engine.Engine
 	for i := 0; i < b.N; i++ {
 		topo, err := topology.New(topology.DatacenterSimConfig.Flatten())
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := engine.New(engine.Config{Topo: topo, Seed: 1, TracerouteCap: 10, Incremental: true})
+		eng, err = engine.New(engine.Config{Topo: topo, Seed: 1, TracerouteCap: 10, Incremental: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,6 +331,12 @@ func BenchmarkDatacenterSetup(b *testing.B) {
 			b.Fatalf("datacenter set-up epoch ran only %d flows", res.TotalFlows)
 		}
 	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MiB")
+	runtime.KeepAlive(eng)
 }
 
 // BenchmarkTopologyNewDatacenter builds the 142,848-link reference fabric:

@@ -38,13 +38,13 @@ func checkBudget(t *testing.T, ep *Epoch, tcap int) {
 	for i := range ep.Failed {
 		f := &ep.Failed[i]
 		drops += f.Drops
-		in := tcap == 0 || traced[f.Flow.Src] < tcap
+		in := tcap == 0 || traced[f.Src] < tcap
 		if f.Traced != in {
 			t.Fatalf("flow %d of host %d: Traced %v, want %v (%d of its failed flows before it traced, cap %d)",
-				f.FlowID, f.Flow.Src, f.Traced, in, traced[f.Flow.Src], tcap)
+				f.FlowID, f.Src, f.Traced, in, traced[f.Src], tcap)
 		}
 		if in {
-			traced[f.Flow.Src]++
+			traced[f.Src]++
 			want = append(want, f)
 		}
 	}
@@ -56,8 +56,8 @@ func checkBudget(t *testing.T, ep *Epoch, tcap int) {
 	}
 	for i, r := range ep.Reports {
 		f := want[i]
-		if r.FlowID != f.FlowID || r.Src != f.Flow.Src || r.Dst != f.Flow.Dst || r.Retx != f.Drops || &r.Path[0] != &f.Path[0] {
-			t.Fatalf("report %d is flow %d (host %d), want the traced flow %d (host %d)", i, r.FlowID, r.Src, f.FlowID, f.Flow.Src)
+		if r.FlowID != f.FlowID || r.Src != f.Src || r.Dst != f.Dst || r.Retx != f.Drops || &r.Path[0] != &f.Path[0] {
+			t.Fatalf("report %d is flow %d (host %d), want the traced flow %d (host %d)", i, r.FlowID, r.Src, f.FlowID, f.Src)
 		}
 	}
 }

@@ -2,13 +2,15 @@
 // (Config.Incremental).
 //
 // The first epoch runs the full fused pipeline once, freezing the epoch
-// seed and with it the flow set, and builds the delta cache: every flow,
-// its resolved path (a fixed-stride flow→path table the shard workers fill
-// in the same pass), the inverted link→flows index and the sorted
-// failed-outcome list. Every later epoch re-scores only the flows
-// whose paths touch links whose rate or failure flag changed since the
-// previous epoch — setRate records dirty links as schedules, injections and
-// clears land — and carries every other flow's cached outcome forward.
+// seed and with it the flow set, and builds the delta cache: every flow's
+// packet count and resolved path (a fixed-stride flow→path table the shard
+// workers fill in the same pass), the inverted link→flows index and the
+// sorted failed-outcome list. That is all a re-score reads: a path's first
+// link leaves the flow's source and its last link enters its destination.
+// Every later epoch re-scores only the flows whose paths touch links whose
+// rate or failure flag changed since the previous epoch — setRate records
+// dirty links as schedules, injections and clears land — and carries every
+// other flow's cached outcome forward.
 //
 // The skip is exact, not approximate: each flow draws its drops from its
 // private (epochSeed, flow index) stream, and with the seed frozen,
@@ -25,7 +27,6 @@ import (
 	"vigil/internal/ecmp"
 	"vigil/internal/par"
 	"vigil/internal/topology"
-	"vigil/internal/traffic"
 )
 
 // incState is the delta cache of an incremental simulation. It freezes the
@@ -37,7 +38,7 @@ type incState struct {
 	valid     bool   // cache live: the next epoch may run the delta path
 	epochSeed uint64 // frozen seed shared by every incremental epoch
 
-	flows []traffic.Flow // frozen flow set, dense by flow index
+	packets []uint16 // frozen per-flow packet counts, dense by flow index
 
 	// Flow → path, fixed stride: flow fi crosses
 	// pathLinks[fi*MaxPathLinks:][:pathLen[fi]]. The full epoch's shard
@@ -60,15 +61,15 @@ type incState struct {
 	totalPackets  int
 
 	// dirty accumulates the links whose rate or failure flag changed since
-	// the last epoch (recorded by setRate); linkStamp dedupes insertions and
-	// flowStamp marks the current round's affected flows, so membership
-	// tests are O(1) and neither array is ever cleared — round advances
-	// past all stamps after every delta epoch.
-	dirty     []topology.LinkID
-	linkStamp []int32
-	flowStamp []int32
-	affected  []int32
-	round     int32
+	// the last epoch (recorded by setRate), with dirtyLink as its
+	// membership set; affected is the epoch's sorted affected-flow list,
+	// with affectedFlow as its membership set. A delta epoch drains both
+	// and clears their bits as it goes, so the sets are empty between
+	// epochs.
+	dirty        []topology.LinkID
+	dirtyLink    bitset
+	affected     []int32
+	affectedFlow bitset
 
 	// The delta re-score's own drop-stream RNG and outcome arena, and the
 	// re-scored flows' failed outcomes in flow-index order.
@@ -77,11 +78,11 @@ type incState struct {
 }
 
 // prepareBuild sizes the tables the full epoch's shard workers fill: the
-// dense flow table and the fixed-stride flow→path table, each written over
+// packet counts and the fixed-stride flow→path table, each written over
 // the disjoint flow ranges [flowBase[si], flowBase[si+1]) of a worker's
 // sources.
 func (inc *incState) prepareBuild(nflows int) {
-	inc.flows = resize(inc.flows, nflows)
+	inc.packets = resize(inc.packets, nflows)
 	inc.pathLen = resize(inc.pathLen, nflows)
 	inc.pathLinks = resize(inc.pathLinks, nflows*ecmp.MaxPathLinks)
 }
@@ -94,6 +95,30 @@ func resize[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
+
+// bitset is a dense set of small non-negative integers.
+type bitset []uint64
+
+// newBitset returns b resized to hold 0..n-1, empty.
+func newBitset(b bitset, n int) bitset {
+	b = resize(b, (n+63)/64)
+	clear(b)
+	return b
+}
+
+// has reports whether i is present.
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+
+// testAndSet adds i and reports whether it was already present.
+func (b bitset) testAndSet(i int) bool {
+	w, m := &b[i/64], uint64(1)<<(i%64)
+	had := *w&m != 0
+	*w |= m
+	return had
+}
+
+// unset removes i.
+func (b bitset) unset(i int) { b[i/64] &^= 1 << (i % 64) }
 
 // path returns flow fi's cached path, capped so no append can reach the
 // next flow's slots.
@@ -114,7 +139,7 @@ func (inc *incState) path(fi int64) []topology.LinkID {
 // counting sort leaves them — gatherAffected's merge order relies on it.
 func (s *Sim) buildIncCache(ep *Epoch) {
 	inc := &s.inc
-	nflows := len(inc.flows)
+	nflows := len(inc.packets)
 	nlinks := len(s.topo.Links)
 	nw := max(min(par.Workers(s.cfg.Parallelism), nflows), 1)
 	span := func(w int) (int, int) { return w * nflows / nw, (w + 1) * nflows / nw }
@@ -158,30 +183,25 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	inc.failed = append(inc.failed[:0], ep.Failed...)
 	inc.totalPackets = ep.TotalPackets
 
-	// Fresh stamps: a rebuild after rescoreAll may find stale stamps at or
-	// past any restarted round counter, so both arrays reset to zero and the
-	// round restarts above them.
-	inc.linkStamp = resize(inc.linkStamp, nlinks)
-	clear(inc.linkStamp)
-	inc.flowStamp = resize(inc.flowStamp, nflows)
-	clear(inc.flowStamp)
+	// Empty sets: a rebuild after rescoreAll may find links that setRate
+	// marked dirty before the cache went invalid.
+	inc.dirtyLink = newBitset(inc.dirtyLink, nlinks)
+	inc.affectedFlow = newBitset(inc.affectedFlow, nflows)
 	inc.dirty = inc.dirty[:0]
-	inc.round = 1
 	inc.valid = true
 }
 
-// gatherAffected turns the dirty-link set into the sorted list of flow
+// gatherAffected drains the dirty-link set into the sorted list of flow
 // indexes to re-score: the union of the dirty links' link→flows rows,
-// deduplicated by stamping each flow with the current round. The stamps
-// stay set through the epoch — the merge uses them as the retirement
-// membership test for cached outcomes.
+// deduplicated through affectedFlow. Those bits stay set until the merge
+// has used them as the retirement membership test for cached outcomes.
 func (s *Sim) gatherAffected() []int32 {
 	inc := &s.inc
 	aff := inc.affected[:0]
 	for _, l := range inc.dirty {
+		inc.dirtyLink.unset(int(l))
 		for _, fi := range inc.linkFlows[inc.linkOff[l]:inc.linkOff[l+1]] {
-			if inc.flowStamp[fi] != inc.round {
-				inc.flowStamp[fi] = inc.round
+			if !inc.affectedFlow.testAndSet(int(fi)) {
 				aff = append(aff, fi)
 			}
 		}
@@ -220,15 +240,14 @@ func (s *Sim) runEpochDelta() *Epoch {
 
 	// Merge: cached outcomes and new outcomes are both sorted by FlowID
 	// (the affected list is sorted), and an affected flow's cached outcome
-	// — stamped with this round — always retires, whether or not a new
-	// outcome replaces it.
+	// always retires, whether or not a new outcome replaces it.
 	old, merged := inc.failed, inc.spare[:0]
 	i, j := 0, 0
 	for i < len(old) || j < len(news) {
 		if i < len(old) && (j >= len(news) || old[i].FlowID <= news[j].FlowID) {
 			o := old[i]
 			i++
-			if inc.flowStamp[o.FlowID] == inc.round {
+			if inc.affectedFlow.has(int(o.FlowID)) {
 				continue
 			}
 			merged = append(merged, o)
@@ -238,10 +257,13 @@ func (s *Sim) runEpochDelta() *Epoch {
 		}
 	}
 	inc.failed, inc.spare = merged, old
+	for _, fi := range aff {
+		inc.affectedFlow.unset(int(fi))
+	}
 
 	ep := &Epoch{
 		FailedLinks:  s.fails.Sorted(),
-		TotalFlows:   len(inc.flows),
+		TotalFlows:   len(inc.packets),
 		TotalPackets: inc.totalPackets,
 	}
 	if len(merged) > 0 {
@@ -249,29 +271,30 @@ func (s *Sim) runEpochDelta() *Epoch {
 		copy(ep.Failed, merged)
 	}
 	s.resolveBudget(ep)
-	inc.round++
 	return ep
 }
 
 // rescoreFlow re-scores one frozen flow from its stored path against the
 // current link rates, drawing from the same private stream the full
 // pipeline would, and returns its outcome and whether it lost packets. The
-// outcome's Path aliases the stable flow→path table — no copy.
+// outcome's Path aliases the stable flow→path table — no copy — and its
+// hosts are the path's ends, as ecmp.Router.PathInto lays a path out.
 func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
 	inc := &s.inc
-	f := inc.flows[fi]
-	if f.Packets <= 0 {
+	packets := int(inc.packets[fi])
+	if packets == 0 {
 		return FlowOutcome{}, false
 	}
 	links := inc.path(fi)
 	var perLink [ecmp.MaxPathLinks]uint16
-	drops := s.sampleFlowDrops(inc.epochSeed, fi, &sh.rng, links, f.Packets, &perLink)
+	drops := s.sampleFlowDrops(inc.epochSeed, fi, &sh.rng, links, packets, &perLink)
 	if drops == 0 {
 		return FlowOutcome{}, false
 	}
 	out := FlowOutcome{
 		FlowID:      fi,
-		Flow:        f,
+		Src:         topology.HostID(s.topo.Links[links[0]].From.ID),
+		Dst:         topology.HostID(s.topo.Links[links[len(links)-1]].To.ID),
 		Path:        links,
 		Drops:       drops,
 		DropsByLink: sh.arena.copyDrops(perLink[:len(links)]),

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"vigil/internal/ecmp"
 	"vigil/internal/schedule"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
@@ -126,7 +127,7 @@ func TestLinkFlowsTransposeMatchesSequential(t *testing.T) {
 			s := incrementalSim(t, 5, workers, tc.shape)
 			s.RunEpoch()
 			inc := &s.inc
-			nflows, nlinks := len(inc.flows), len(s.topo.Links)
+			nflows, nlinks := len(inc.packets), len(s.topo.Links)
 			off := make([]int32, nlinks+1)
 			for f := range nflows {
 				for _, l := range inc.path(int64(f)) {
@@ -303,6 +304,41 @@ func TestDatacenterEpochShort(t *testing.T) {
 		if de.TotalFlows != topo.Cfg.Hosts()*10 {
 			t.Fatalf("epoch %d: %d flows, want %d", e, de.TotalFlows, topo.Cfg.Hosts()*10)
 		}
+	}
+}
+
+// The delta cache keeps only what a re-score reads: per flow, a 2-byte
+// packet count, ecmp.MaxPathLinks path slots and a length byte, and the
+// flow's entries in the link→flows index. Every slice field of incState
+// counts, at its capacity, after a full epoch and a delta epoch on the §6
+// fabric. The bound is 2·MaxPathLinks·4+4 = 52 B per flow; a 32 B
+// traffic.Flow kept per flow breaks it. <0.1 s.
+func TestDeltaCacheBytesPerFlow(t *testing.T) {
+	topo, err := topology.New(topology.DefaultSimConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Topo: topo, NoiseHi: 1e-6, TracerouteCap: 10, Seed: 1, Parallelism: 2, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunEpoch()
+	s.InjectFailure(topo.LinksOfClass(topology.L1Up)[7], 0.01)
+	if ep := s.RunEpoch(); len(ep.Failed) == 0 {
+		t.Fatal("the delta epoch lost no packets")
+	}
+	bytes := 0
+	v := reflect.ValueOf(s.inc)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			bytes += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	nflows := len(s.inc.packets)
+	perFlow := float64(bytes) / float64(nflows)
+	t.Logf("delta cache: %d B over %d flows, %.1f B per flow", bytes, nflows, perFlow)
+	if limit := 2*ecmp.MaxPathLinks*4 + 4; perFlow > float64(limit) {
+		t.Fatalf("the delta cache keeps %.1f B per flow, want at most %d", perFlow, limit)
 	}
 }
 

@@ -61,7 +61,9 @@ import (
 
 // Config parametrizes a simulation.
 type Config struct {
-	Topo     *topology.Topology
+	Topo *topology.Topology
+	// Workload's PacketsPerFlow must stay within 0..65,535: per-link drop
+	// counts are uint16.
 	Workload traffic.Workload
 	// NoiseLo/NoiseHi bound the per-link noise drop rate of good links;
 	// each good link's rate is drawn uniformly from [NoiseLo, NoiseHi).
@@ -88,11 +90,11 @@ type Config struct {
 	// count), carrying the cached outcome of every untouched flow forward.
 	// Results are bit-identical to re-scoring all flows against the frozen
 	// draws (see rescoreAll and DESIGN.md "Scaling the flow plane"); the
-	// trade is cache memory — per flow, the flow itself, ecmp.MaxPathLinks
-	// path slots and a length byte, plus a link→flows index of Σ path
-	// length entries (≈175 MB for the 2.07M flows of the datacenter
-	// reference fabric) — and epoch-to-epoch statistical independence,
-	// which a frozen workload no longer has.
+	// trade is cache memory — per flow, a 2-byte packet count,
+	// ecmp.MaxPathLinks path slots and a length byte, plus a link→flows
+	// index of Σ path length entries (≈100 MiB for the 2.07M flows of the
+	// datacenter reference fabric) — and epoch-to-epoch statistical
+	// independence, which a frozen workload no longer has.
 	Incremental bool
 }
 
@@ -139,6 +141,11 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Workload.Pattern == nil {
 		cfg.Workload = traffic.DefaultWorkload()
 	}
+	// Per-link drop counts (DropsByLink) and the delta cache's packet
+	// counts are uint16, so no flow may send more than 65,535 packets.
+	if p := cfg.Workload.PacketsPerFlow; p.Lo < 0 || max(p.Lo, p.Hi) > math.MaxUint16 {
+		return nil, fmt.Errorf("netem: Workload.PacketsPerFlow [%d,%d] can yield a count outside 0..%d", p.Lo, p.Hi, math.MaxUint16)
+	}
 	for _, h := range cfg.Workload.Hosts {
 		if h < 0 || int(h) >= len(cfg.Topo.Hosts) {
 			return nil, fmt.Errorf("netem: Workload.Hosts names host %d, not in topology (%d hosts)", h, len(cfg.Topo.Hosts))
@@ -177,8 +184,7 @@ func (s *Sim) Topology() *topology.Topology { return s.topo }
 // failure flag (new CrossedFailure truth) marks the link dirty, scheduling
 // every flow whose path touches it for re-scoring next epoch.
 func (s *Sim) setRate(l topology.LinkID, rate float64, failed bool) {
-	if s.inc.valid && (s.rate[l] != rate || s.isFailed[l] != failed) && s.inc.linkStamp[l] != s.inc.round {
-		s.inc.linkStamp[l] = s.inc.round
+	if s.inc.valid && (s.rate[l] != rate || s.isFailed[l] != failed) && !s.inc.dirtyLink.testAndSet(int(l)) {
 		s.inc.dirty = append(s.inc.dirty, l)
 	}
 	s.rate[l] = rate
@@ -213,7 +219,7 @@ func (s *Sim) EpochIndex() int { return s.epochIdx }
 // FlowOutcome is the ground truth for one flow that lost packets.
 type FlowOutcome struct {
 	FlowID      int64 // matches the Report's FlowID
-	Flow        traffic.Flow
+	Src, Dst    topology.HostID
 	Path        []topology.LinkID
 	Drops       int      // total packets lost = retransmissions seen by TCP
 	DropsByLink []uint16 // aligned with Path
@@ -442,8 +448,8 @@ func (s *Sim) RunEpoch() *Epoch {
 // packet counts summed, per-chunk failed outcomes concatenated in chunk
 // order, which is flow order — and hand the merged list to resolveBudget.
 //
-// buildCache additionally records every flow and its resolved path into the
-// incremental-delta cache's flow and flow→path tables, which buildIncCache
+// buildCache additionally records every flow's packet count and resolved
+// path into the incremental-delta cache's flow tables, which buildIncCache
 // then inverts (incremental.go).
 func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	phaseCount.Begin()
@@ -475,7 +481,7 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 				fi := base + int64(j)
 				out, failedFlow := s.simFlow(sh, epochSeed, fi, buf[j])
 				if buildCache {
-					s.inc.flows[fi] = buf[j]
+					s.inc.packets[fi] = uint16(buf[j].Packets)
 					s.inc.pathLen[fi] = uint8(copy(s.inc.pathLinks[fi*ecmp.MaxPathLinks:], sh.pathBuf.Links()))
 				}
 				if failedFlow {
@@ -523,7 +529,7 @@ func (s *Sim) resolveBudget(ep *Epoch) {
 	epoch := int32(s.epochIdx - 1)
 	tcap := s.cfg.TracerouteCap
 	for i := range ep.Failed {
-		s.budget[ep.Failed[i].Flow.Src] = 0
+		s.budget[ep.Failed[i].Src] = 0
 	}
 	if len(ep.Failed) > 0 {
 		ep.Reports = make([]vote.Report, 0, len(ep.Failed))
@@ -531,15 +537,15 @@ func (s *Sim) resolveBudget(ep *Epoch) {
 	for i := range ep.Failed {
 		out := &ep.Failed[i]
 		ep.TotalDrops += out.Drops
-		seq := s.budget[out.Flow.Src]
+		seq := s.budget[out.Src]
 		out.Traced = tcap <= 0 || int(seq) < tcap
 		if !out.Traced {
 			continue
 		}
-		s.budget[out.Flow.Src]++
+		s.budget[out.Src]++
 		ep.Reports = append(ep.Reports, vote.Report{
 			FlowID: out.FlowID,
-			Src:    out.Flow.Src, Dst: out.Flow.Dst,
+			Src:    out.Src, Dst: out.Dst,
 			Path:  out.Path,
 			Retx:  out.Drops,
 			Epoch: epoch,
@@ -572,7 +578,8 @@ func (s *Sim) simFlow(sh *epochShard, epochSeed uint64, fi int64, f traffic.Flow
 	}
 	out := FlowOutcome{
 		FlowID:      fi,
-		Flow:        f,
+		Src:         f.Src,
+		Dst:         f.Dst,
 		Path:        sh.arena.copyPath(links),
 		Drops:       drops,
 		DropsByLink: sh.arena.copyDrops(perLink[:len(links)]),

@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vigil/internal/topology"
@@ -84,12 +85,61 @@ func TestDropConservation(t *testing.T) {
 		if per != f.Drops {
 			t.Fatalf("flow %d per-link drops %d != %d", f.FlowID, per, f.Drops)
 		}
-		if f.Drops > f.Flow.Packets {
-			t.Fatalf("flow %d dropped more packets than it sent", f.FlowID)
+		if f.Drops > s.cfg.Workload.PacketsPerFlow.Hi {
+			t.Fatalf("flow %d dropped %d packets, more than any flow sends", f.FlowID, f.Drops)
 		}
 	}
 	if sumFlows != ep.TotalDrops {
 		t.Fatalf("flow drops sum %d != total %d", sumFlows, ep.TotalDrops)
+	}
+}
+
+// Per-link drop counts are uint16, so New rejects any PacketsPerFlow range
+// that can exceed 65,535. Past it the counts wrap: on the §6 fabric,
+// 100,000-packet flows crossing four L1Up links at rate 0.9 read Drops
+// 90,108 against a DropsByLink sum of 24,572, and a wrapped count can name
+// the wrong Culprit. At the bound, a flow that loses nearly every packet
+// still accounts for each one on the link that dropped it.
+func TestPacketsPerFlowBounded(t *testing.T) {
+	topo, err := topology.New(topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := traffic.Workload{Pattern: traffic.Uniform{}, ConnsPerHost: traffic.IntRange{Lo: 2, Hi: 2}}
+	for _, r := range []traffic.IntRange{{Lo: 100_000, Hi: 100_000}, {Lo: 10, Hi: 65_536}, {Lo: 70_000, Hi: 0}, {Lo: -1, Hi: 5}} {
+		w.PacketsPerFlow = r
+		if _, err := New(Config{Topo: topo, Workload: w}); err == nil {
+			t.Fatalf("PacketsPerFlow %v accepted", r)
+		}
+	}
+	w.PacketsPerFlow = traffic.IntRange{Lo: 65_535, Hi: 65_535}
+	s, err := New(Config{Topo: topo, Workload: w, Seed: 3, NoiseHi: 1e-6})
+	if err != nil {
+		t.Fatalf("PacketsPerFlow at the bound rejected: %v", err)
+	}
+	for _, l := range topo.LinksOfClass(topology.L1Up)[:4] {
+		s.InjectFailure(l, 0.9)
+	}
+	ep := s.RunEpoch()
+	heavy := 0
+	for _, f := range ep.Failed {
+		sum, most := 0, uint16(0)
+		for _, d := range f.DropsByLink {
+			sum += int(d)
+			most = max(most, d)
+		}
+		if sum != f.Drops || f.Drops > 65_535 {
+			t.Fatalf("flow %d: DropsByLink sums to %d, Drops %d", f.FlowID, sum, f.Drops)
+		}
+		if i := slices.Index(f.Path, f.Culprit); i < 0 || f.DropsByLink[i] != most {
+			t.Fatalf("flow %d: culprit %d is not its heaviest link", f.FlowID, f.Culprit)
+		}
+		if f.Drops > 50_000 {
+			heavy++
+		}
+	}
+	if heavy == 0 {
+		t.Fatal("no flow lost more than 50,000 packets")
 	}
 }
 

@@ -200,7 +200,8 @@ type SimConfig struct {
 	// Topology defaults to DefaultSimTopology.
 	Topology TopologyConfig
 	// Workload defaults to the paper's: uniform pattern, 60 connections
-	// per host per epoch, 100 packets per flow.
+	// per host per epoch, 100 packets per flow. No flow may send more than
+	// 65,535 packets.
 	Workload Workload
 	// NoiseLo, NoiseHi bound good-link drop rates; default (0, 1e-6).
 	NoiseLo, NoiseHi float64
@@ -223,10 +224,10 @@ type SimConfig struct {
 	// changed (schedules, injections and clears all count), carrying every
 	// untouched flow's outcome forward. Results are bit-identical to
 	// re-scoring the whole frozen workload each epoch; the trade is cache
-	// memory (every flow and its path) and epoch-to-epoch statistical
-	// independence, which a frozen workload no longer has. Meant for
-	// topologies like DatacenterSimTopology where full epochs are
-	// millions of flows.
+	// memory (every flow's packet count and path) and epoch-to-epoch
+	// statistical independence, which a frozen workload no longer has.
+	// Meant for topologies like DatacenterSimTopology where full epochs
+	// are millions of flows.
 	Incremental bool
 }
 
