@@ -178,10 +178,7 @@ type flowEngine struct {
 }
 
 func newFlowEngine(cfg Config) (*flowEngine, error) {
-	w := cfg.Workload
-	if w.Pattern == nil {
-		w = traffic.DefaultWorkload()
-	}
+	w := cfg.Workload.WithDefaults(traffic.DefaultWorkload())
 	sim, err := netem.New(netem.Config{
 		Topo:          cfg.Topo,
 		Workload:      w,

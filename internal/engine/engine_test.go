@@ -276,6 +276,35 @@ func TestFlowEngineDefaultWorkloadMatchesPaper(t *testing.T) {
 	}
 }
 
+// A workload that leaves Pattern nil keeps the fields it does set; only the
+// zero ones take the plane's default. Replacing it wholesale ran the
+// plane's default connections on every host: 384 flows on this flow
+// fabric for the probe's 2.
+func TestPartialWorkloadKeepsItsFields(t *testing.T) {
+	for _, plane := range []Plane{Flow, Packet} {
+		t.Run(string(plane), func(t *testing.T) {
+			topoCfg := flowTopo
+			if plane == Packet {
+				topoCfg = packetTopo
+			}
+			topo, err := topology.New(topoCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(Config{Plane: plane, Topo: topo, Seed: 6, Workload: traffic.Workload{
+				ConnsPerHost: traffic.IntRange{Lo: 2, Hi: 2},
+				Hosts:        []topology.HostID{0},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if er := eng.RunEpoch(); er.TotalFlows != 2 {
+				t.Fatalf("ConnsPerHost {2,2} from host 0 ran %d flows, want 2", er.TotalFlows)
+			}
+		})
+	}
+}
+
 // A custom workload must reach the plane.
 func TestCustomWorkload(t *testing.T) {
 	for _, plane := range []Plane{Flow, Packet} {

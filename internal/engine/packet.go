@@ -40,10 +40,7 @@ type packetEngine struct {
 }
 
 func newPacketEngine(cfg Config) (*packetEngine, error) {
-	w := cfg.Workload
-	if w.Pattern == nil {
-		w = packetWorkloadDefault()
-	}
+	w := cfg.Workload.WithDefaults(packetWorkloadDefault())
 	for _, h := range w.Hosts {
 		if h < 0 || int(h) >= len(cfg.Topo.Hosts) {
 			return nil, fmt.Errorf("engine: Workload.Hosts names host %d, not in topology (%d hosts)", h, len(cfg.Topo.Hosts))

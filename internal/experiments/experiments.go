@@ -172,15 +172,7 @@ func newSim(spec simSpec, seed uint64, parallelism int) (*netem.Sim, error) {
 	if spec.pattern != nil {
 		w.Pattern = spec.pattern(topo)
 	}
-	if w.Pattern == nil {
-		w.Pattern = traffic.Uniform{}
-	}
-	if w.ConnsPerHost.Lo == 0 && w.ConnsPerHost.Hi == 0 {
-		w.ConnsPerHost = traffic.IntRange{Lo: 60, Hi: 60}
-	}
-	if w.PacketsPerFlow.Lo == 0 && w.PacketsPerFlow.Hi == 0 {
-		w.PacketsPerFlow = traffic.IntRange{Lo: 100, Hi: 100}
-	}
+	w = w.WithDefaults(traffic.DefaultWorkload())
 	return netem.New(netem.Config{
 		Topo: topo, Workload: w,
 		NoiseLo: spec.noiseLo, NoiseHi: spec.noiseHi,

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -101,14 +102,81 @@ func (c tappedConn) Write(p []byte) (int, error) {
 // is what the agent emitted; every injected cut is one resume; and no ack
 // ever carried a mark beyond what the next incarnation loaded.
 func TestCollectorCrashPointSweep(t *testing.T) {
-	for name, window := range map[string]cycleStage{
-		"before sink":         beforeSink,
-		"sink to cycle-end":   beforeCycleEnd,
-		"cycle-end to commit": beforeCommit,
-		"commit to ack":       afterCommit,
-	} {
-		t.Run(name, func(t *testing.T) { sweepCrashWindow(t, window) })
+	for _, w := range crashWindows {
+		t.Run(w.name, func(t *testing.T) { sweepCrashWindow(t, w.stage) })
 	}
+}
+
+// crashWindows names the gaps a collector is killed in.
+var crashWindows = []struct {
+	name  string
+	stage cycleStage
+}{
+	{"before sink", beforeSink},
+	{"sink to cycle-end", beforeCycleEnd},
+	{"cycle-end to commit", beforeCommit},
+	{"commit to ack", afterCommit},
+}
+
+// cutLog records every cut the proxy injects, with where the collector
+// stood: its incarnation, and the cycle and gap its last probe reported.
+type cutLog struct {
+	mu          sync.Mutex
+	incarnation int
+	cycle       int32
+	stage       cycleStage
+	killing     bool // a kill is partitioning the proxy
+	cuts        []injectedCut
+}
+
+type injectedCut struct {
+	conn, resumes int64 // the proxied connection; the agent's resumes before the cut
+	incarnation   int
+	cycle         int32
+	stage         cycleStage
+	kill          bool
+}
+
+func (l *cutLog) at(incarnation int, cycle int32, stage cycleStage) {
+	l.mu.Lock()
+	l.incarnation, l.cycle, l.stage = incarnation, cycle, stage
+	l.mu.Unlock()
+}
+
+func (l *cutLog) add(conn uint64, resumes int64) {
+	l.mu.Lock()
+	l.cuts = append(l.cuts, injectedCut{int64(conn), resumes, l.incarnation, l.cycle, l.stage, l.killing})
+	l.mu.Unlock()
+}
+
+// unresumed names each cut the agent did not resume from before the next
+// cut came — or, for the last, by the end of the run, when it had resumed
+// final times.
+func (l *cutLog) unresumed(final int64) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for i, c := range l.cuts {
+		next := final
+		if i+1 < len(l.cuts) {
+			next = l.cuts[i+1].resumes
+		}
+		if next > c.resumes {
+			continue
+		}
+		by := "a cut fate"
+		if c.kill {
+			by = "the kill"
+		}
+		window := "?"
+		for _, w := range crashWindows {
+			if w.stage == c.stage {
+				window = w.name
+			}
+		}
+		out = append(out, fmt.Sprintf("connection %d of incarnation %d, cut by %s in cycle %d after its %q probe", c.conn, c.incarnation, by, c.cycle, window))
+	}
+	return out
 }
 
 func sweepCrashWindow(t *testing.T, window cycleStage) {
@@ -121,6 +189,7 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 	var deliveries []delivery // appended on the settling readers, one incarnation alive at a time
 	crashed := make(map[int32]bool)
 	var proxy *transport.Proxy
+	cuts := &cutLog{}
 
 	// serve starts incarnation n. died is closed when it has been killed.
 	serve := func(n int) (col *NetCollector, tap *wireTap, died chan struct{}) {
@@ -136,6 +205,7 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 				lost = now
 			},
 			probe: func(col *NetCollector, at cycleStage, cycle int32) {
+				cuts.at(n, cycle, at)
 				if crashed[cycle] {
 					return
 				}
@@ -152,7 +222,13 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 				for wait := 0; tctr.Dials.Load() != tctr.DialFailures.Load()+tctr.Resumes.Load()+1 && wait < 5000; wait++ {
 					time.Sleep(100 * time.Microsecond)
 				}
+				cuts.mu.Lock()
+				cuts.killing = true
+				cuts.mu.Unlock()
 				proxy.Partition()
+				cuts.mu.Lock()
+				cuts.killing = false
+				cuts.mu.Unlock()
 				col.stop(nil) // nothing else this incarnation holds runs on
 				close(died)
 				runtime.Goexit() // the settling reader dies here, mid-cycle
@@ -167,6 +243,7 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 	col, tap, died := serve(0)
 	proxy, err := transport.NewProxy("127.0.0.1:0", transport.ProxyConfig{
 		Target: col.Addr(), Seed: 77, Drop: 0.04, Dup: 0.04, Reorder: 0.04, Cut: 0.01,
+		OnCut: func(conn uint64) { cuts.add(conn, tctr.Resumes.Load()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +344,9 @@ func sweepCrashWindow(t *testing.T, window cycleStage) {
 	if window >= beforeCommit {
 		spare = 1
 	}
-	if got, cuts := tctr.Resumes.Load(), proxy.InjCuts.Load(); got < cuts-spare || got > cuts+int64(stops) {
-		t.Fatalf("Resumes = %d, InjCuts = %d, self-stops = %d", got, cuts, stops)
+	if got, injected := tctr.Resumes.Load(), proxy.InjCuts.Load(); got < injected-spare || got > injected+int64(stops) {
+		t.Fatalf("Resumes = %d, InjCuts = %d, self-stops = %d; the cuts no resume followed: %s",
+			got, injected, stops, strings.Join(cuts.unresumed(got), "; "))
 	}
 	t.Logf("%d kills and %d self-stops, %d deliveries of %d epochs, %d cuts, %d drops, highest mark acked %d",
 		len(crashed), stops, len(deliveries), epochs, proxy.InjCuts.Load(), proxy.InjDrops.Load(), acked)

@@ -138,9 +138,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.NoiseHi < cfg.NoiseLo || cfg.NoiseLo < 0 {
 		return nil, fmt.Errorf("netem: bad noise range [%g,%g)", cfg.NoiseLo, cfg.NoiseHi)
 	}
-	if cfg.Workload.Pattern == nil {
-		cfg.Workload = traffic.DefaultWorkload()
-	}
+	cfg.Workload = cfg.Workload.WithDefaults(traffic.DefaultWorkload())
 	// Per-link drop counts (DropsByLink) and the delta cache's packet
 	// counts are uint16, so no flow may send more than 65,535 packets.
 	if p := cfg.Workload.PacketsPerFlow; p.Lo < 0 || max(p.Lo, p.Hi) > math.MaxUint16 {

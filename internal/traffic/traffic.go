@@ -130,6 +130,25 @@ type Workload struct {
 	Hosts []topology.HostID
 }
 
+// WithDefaults returns w with each zero field taken from def: a nil
+// Pattern or Hosts, a {0, 0} ConnsPerHost or PacketsPerFlow. A workload
+// that sets some fields keeps them.
+func (w Workload) WithDefaults(def Workload) Workload {
+	if w.Pattern == nil {
+		w.Pattern = def.Pattern
+	}
+	if w.ConnsPerHost == (IntRange{}) {
+		w.ConnsPerHost = def.ConnsPerHost
+	}
+	if w.PacketsPerFlow == (IntRange{}) {
+		w.PacketsPerFlow = def.PacketsPerFlow
+	}
+	if w.Hosts == nil {
+		w.Hosts = def.Hosts
+	}
+	return w
+}
+
 // DefaultWorkload is the §6 simulation default.
 func DefaultWorkload() Workload {
 	return Workload{

@@ -37,10 +37,17 @@ type ProxyConfig struct {
 	// (nothing remains to resume after a goodbye), keeping the Resumes ==
 	// InjCuts invariant exact.
 	Drop, Dup, Reorder, Cut float64
+	// Test hook: OnCut, when set, is told of each injected cut, with the
+	// index of the connection (counted from 1 in accept order) it severs: a
+	// Cut fate's before the connection dies, so a test can snapshot what
+	// the cut found; a CutAll's after it, when only a partition can be
+	// keeping the agent from resuming.
+	OnCut func(conn uint64)
 }
 
 type proxyPair struct {
 	client, server net.Conn
+	idx            uint64 // accept order, from 1
 	once           sync.Once
 }
 
@@ -129,6 +136,9 @@ func (p *Proxy) CutAll() int {
 	for _, pr := range pairs {
 		if pr.kill() {
 			cut++
+			if p.cfg.OnCut != nil {
+				p.cfg.OnCut(pr.idx)
+			}
 		}
 	}
 	p.InjCuts.Add(int64(cut))
@@ -189,7 +199,7 @@ func (p *Proxy) serve(clientConn net.Conn, idx uint64) {
 		clientConn.Close()
 		return
 	}
-	pr := &proxyPair{client: clientConn, server: serverConn}
+	pr := &proxyPair{client: clientConn, server: serverConn, idx: idx}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -262,6 +272,9 @@ func (p *Proxy) pump(pr *proxyPair, idx uint64) {
 			// torn prefix; the agent must resume and replay.
 			pr.server.Write(framed[:len(framed)/2])
 			p.InjCuts.Add(1)
+			if p.cfg.OnCut != nil {
+				p.cfg.OnCut(idx)
+			}
 			pr.kill()
 			return
 		}

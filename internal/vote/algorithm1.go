@@ -233,19 +233,57 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 // reports themselves are at hand, a nil opts.Adjuster means the exact
 // observed-path adjustment here, not the topology-based estimate that
 // FindProblemLinks falls back to.
+//
+// The index and ranking are carried to the next call, which patches them
+// where its reports differ (carry.go); a call that finds the carry in use
+// by another goroutine builds its own. Either way the outputs are the same.
 func Localize(reports []Report, opts DetectOptions) (*Tally, []LinkVotes, []topology.LinkID, []Verdict) {
-	ix := newIndex(reports)
-	defer ix.release()
+	var c *carry
+	var ix *index
+	var order []int32
+	select {
+	case c = <-carried:
+		defer c.release()
+		c.load(reports)
+		ix, order = c.ix, c.order
+	default:
+		phaseIndex.Begin()
+		ix = newIndex(reports)
+		phaseIndex.End()
+		defer ix.release()
+		phaseRank.Begin()
+		rs := rankFree.get()
+		defer rankFree.put(rs)
+		order = rs.rank(ix.votes)
+		phaseRank.End()
+	}
+	phaseIndex.Begin()
 	t := NewTally()
 	t.absorb(ix) // t's slots are ix's
+	phaseIndex.End()
+	phaseRank.Begin()
+	var ranking []LinkVotes
+	if c != nil {
+		ranking = c.ranking(t)
+	} else {
+		ranking = t.linkVotes(order)
+	}
+	phaseRank.End()
 	if opts.Adjuster == nil {
 		opts.Adjuster = &ObservedAdjuster{ix: ix}
 	}
-	rs := rankFree.get()
-	defer rankFree.put(rs)
-	order := rs.rank(t.votes)
+	phaseDetect.Begin()
 	detected := findProblemLinks(t, order, ix, opts)
-	return t, t.linkVotes(order), detected, ix.classify(t.votes, detected)
+	phaseDetect.End()
+	phaseClassify.Begin()
+	var verdicts []Verdict
+	if c != nil {
+		verdicts = c.classify(detected)
+	} else {
+		verdicts = ix.classify(t.votes, detected)
+	}
+	phaseClassify.End()
+	return t, ranking, detected, verdicts
 }
 
 // Verdict is 007's per-flow conclusion.

@@ -118,7 +118,6 @@ var surfaceFieldAllow = map[string]string{
 	"internal/ingest.AgentConfig.Transport":            "fast reconnects and polls for the networked ingest tests' agents",
 	"internal/schedule.ConstantRate.Rate":              "public through vigil.ConstantRate",
 	"internal/slb.SLB.QueryFailRate":                   "failed lookups in the SLB's query-failure test",
-	"internal/traffic.Workload.Hosts":                  "public through vigil.Workload",
 	"internal/transport.ClientConfig.BackoffBase":      "fast reconnects in the chaos and crash tests, until the transport takes a clock",
 	"internal/transport.ClientConfig.BackoffMax":       "bounds the chaos tests' reconnect waits, until the transport takes a clock",
 	"internal/transport.ClientConfig.DeadPolls":        "keeps a silent connection alive through the lost cycle-end test's short polls",
@@ -129,6 +128,7 @@ var surfaceFieldAllow = map[string]string{
 	"internal/transport.ClientConfig.Window":           "a small unacknowledged-frame bound in the send-window test",
 	"internal/transport.ProxyConfig.Cut":               "mid-frame cuts in the chaos soaks",
 	"internal/transport.ProxyConfig.Drop":              "swallowed frames in the chaos soaks",
+	"internal/transport.ProxyConfig.OnCut":             "names the cuts that saw no resume when the crash sweep fails",
 	"internal/transport.ProxyConfig.Dup":               "duplicated frames in the chaos soaks",
 	"internal/transport.ProxyConfig.Reorder":           "reordered frames in the chaos soaks",
 	"internal/transport.ProxyConfig.Seed":              "replays a chaos test's fates",
