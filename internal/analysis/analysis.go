@@ -4,7 +4,7 @@
 // links, and issues a verdict for every failed flow.
 //
 // The per-epoch pipeline is vote.Localize: one sparse index over the links
-// the epoch's reports touch, which the tally, Algorithm 1 and the verdicts
+// the epoch's reports touch, which the ranking, Algorithm 1 and the verdicts
 // all read. Its cost follows the reports' path entries, not the fabric.
 package analysis
 
@@ -22,9 +22,8 @@ type Options struct {
 
 // Result is the outcome of analyzing one epoch.
 type Result struct {
-	// Tally is the raw vote tally (before Algorithm 1's adjustments).
-	Tally *vote.Tally
-	// Ranking is the link heat-map: descending vote order.
+	// Ranking is the link heat-map: every voted link with its raw tally
+	// (before Algorithm 1's adjustments), in descending vote order.
 	Ranking []vote.LinkVotes
 	// Detected is Algorithm 1's problematic-link set B, in blame order.
 	Detected []topology.LinkID
@@ -41,11 +40,6 @@ type Result struct {
 // deployments that ship only vote tallies to the center, and the two are
 // compared by the abl-adjust ablation benchmark.
 func Analyze(reports []vote.Report, opts Options) *Result {
-	t, ranking, detected, verdicts := vote.Localize(reports, opts.Detect)
-	return &Result{
-		Tally:    t,
-		Ranking:  ranking,
-		Detected: detected,
-		Verdicts: verdicts,
-	}
+	ranking, detected, verdicts := vote.Localize(reports, opts.Detect)
+	return &Result{Ranking: ranking, Detected: detected, Verdicts: verdicts}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // requireMatchesOracle holds one Analyze call to the dense reference: the
-// outputs DeepEqual, and the tally agrees on every link either side knows.
+// outputs DeepEqual, and the ranking holds the dense tally's every link.
 func requireMatchesOracle(t testing.TB, reports []vote.Report, opts analysis.Options) {
 	t.Helper()
 	want := denseAnalyze(reports, opts)
@@ -36,18 +36,15 @@ func requireMatchesOracle(t testing.TB, reports []vote.Report, opts analysis.Opt
 		}
 		t.Fatalf("verdicts differ in shape: %d vs %d", len(got.Verdicts), len(want.verdicts))
 	}
-	tl := got.Tally
-	if tl.Flows() != want.tally.flows || len(tl.Ranking()) != want.tally.voted {
-		t.Fatalf("tally flows/len = %d/%d, dense oracle %d/%d",
-			tl.Flows(), len(tl.Ranking()), want.tally.flows, want.tally.voted)
+	// The ranking is the tally: every voted link once, with its votes.
+	if len(got.Verdicts) != want.tally.flows || len(got.Ranking) != want.tally.voted {
+		t.Fatalf("%d verdicts on %d ranked links, dense oracle %d flows on %d",
+			len(got.Verdicts), len(got.Ranking), want.tally.flows, want.tally.voted)
 	}
-	for l := range want.tally.votes {
-		if g, w := tl.Votes(topology.LinkID(l)), want.tally.votes[l]; g != w {
-			t.Fatalf("Votes(%d) = %v, dense oracle %v", l, g, w)
+	for _, lv := range got.Ranking {
+		if w := want.tally.at(lv.Link); lv.Votes != w {
+			t.Fatalf("link %d ranked with %v votes, dense oracle %v", lv.Link, lv.Votes, w)
 		}
-	}
-	if tl.Votes(topology.LinkID(len(want.tally.votes))) != 0 || tl.Votes(topology.NoLink) != 0 {
-		t.Fatal("votes on a link nobody voted for")
 	}
 }
 
@@ -228,7 +225,11 @@ func TestAnalyzeHostileLinkIDStaysSmall(t *testing.T) {
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
 		t.Fatalf("analyzing three reports allocated %d bytes", spent)
 	}
-	if res.Tally.Votes(1<<30) != 1.0/3 || res.Tally.Votes(math.MaxInt32) != 1 || len(res.Ranking) != 5 {
+	votes := make(map[topology.LinkID]float64, len(res.Ranking))
+	for _, lv := range res.Ranking {
+		votes[lv.Link] = lv.Votes
+	}
+	if votes[1<<30] != 1.0/3 || votes[math.MaxInt32] != 1 || len(res.Ranking) != 5 {
 		t.Fatalf("hostile ids mis-tallied: %v", res.Ranking)
 	}
 	if res.Ranking[0].Link != math.MaxInt32 || res.Verdicts[1].Link != math.MaxInt32 {
@@ -240,6 +241,13 @@ func TestAnalyzeHostileLinkIDStaysSmall(t *testing.T) {
 // what it allocates follows the reports, not the ids in them: the same
 // reports cost the same bytes whether their links are numbered as on the
 // §6 fabric or spread over the 142,848 links of the datacenter one.
+//
+// Analyze carries its index from call to call, so each regime is measured
+// from a state of that carry the warm-up pins, whatever earlier tests left
+// behind: fresh builds (two epochs with no flow in common, alternating) and
+// patches (one epoch repeated). The warm-up outlasts the carry's longest
+// back-off (64 calls that record nothing), so the repeated epoch is patched
+// on every measured call.
 func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 	paper, opts := paperEpoch(t)
 	// Spread the ids order-preservingly over the datacenter fabric's range.
@@ -259,24 +267,48 @@ func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 			spread[i].Path[j] = l * stride
 		}
 	}
-	measure := func(reports []vote.Report) (allocs, bytes float64) {
-		analysis.Analyze(reports, opts) // build the reused scratch
+	// other is reports with every FlowID moved past the epoch's own.
+	other := func(reports []vote.Report) []vote.Report {
+		out := slices.Clone(reports)
+		for i := range out {
+			out[i].FlowID += 1 << 40
+		}
+		return out
+	}
+	measure := func(epochs ...[]vote.Report) (allocs, bytes float64) {
+		for i := range 100 {
+			analysis.Analyze(epochs[i%len(epochs)], opts)
+		}
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			analysis.Analyze(reports, opts)
+		for i := range runs {
+			analysis.Analyze(epochs[i%len(epochs)], opts)
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	pa, pb := measure(paper)
-	da, db := measure(spread)
-	t.Logf("paper ids: %.0f allocs, %.0f B per call; datacenter ids: %.0f allocs, %.0f B per call", pa, pb, da, db)
-	if pa > 32 || da > 32 {
-		t.Fatalf("Analyze allocates %.0f / %.0f times per call in steady state, want <= 32", pa, da)
-	}
-	if math.Abs(pb-db) > 0.1*pb {
-		t.Fatalf("bytes per call depend on the ids: %.0f on paper ids, %.0f on datacenter ids", pb, db)
+	// Pinned at the measured counts: the Result, its ranking, B (grown by
+	// append) and verdicts, and the observed adjuster. A per-call copy of
+	// the tally (three allocations) or of any other array fails this; half
+	// an allocation per call is left for the runtime's own, which now and
+	// then lands inside the measured runs.
+	for _, regime := range []struct {
+		name          string
+		paper, spread [][]vote.Report
+		allocs        float64
+	}{
+		{"fresh", [][]vote.Report{paper, other(paper)}, [][]vote.Report{spread, other(spread)}, 8},
+		{"patched", [][]vote.Report{paper}, [][]vote.Report{spread}, 8},
+	} {
+		pa, pb := measure(regime.paper...)
+		da, db := measure(regime.spread...)
+		t.Logf("%s: paper ids %.0f allocs, %.0f B per call; datacenter ids %.0f allocs, %.0f B per call", regime.name, pa, pb, da, db)
+		if max(pa, da) >= regime.allocs+0.5 {
+			t.Errorf("%s: Analyze allocates %.1f / %.1f times per call in steady state, want <= %.0f", regime.name, pa, da, regime.allocs)
+		}
+		if math.Abs(pb-db) > 0.1*pb {
+			t.Errorf("%s: bytes per call depend on the ids: %.0f on paper ids, %.0f on datacenter ids", regime.name, pb, db)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestLossyLinkLocalizedEndToEnd(t *testing.T) {
 		cl.StartFlow(f, des.Time(rng.Intn(int(10*des.Second))))
 	}
 	res := cl.RunEpoch()
-	if res.Tally.Flows() == 0 {
+	if len(res.Verdicts) == 0 {
 		t.Fatal("no reports reached the analysis agent")
 	}
 	if len(res.Ranking) == 0 || res.Ranking[0].Link != bad {
@@ -356,7 +356,7 @@ func TestDeterminism(t *testing.T) {
 			cl.StartFlow(f, des.Time(rng.Intn(int(3*des.Second))))
 		}
 		res := cl.RunEpoch()
-		return res.Tally.Flows(), voteMass(res.Tally)
+		return len(res.Verdicts), voteMass(res.Ranking)
 	}
 	f1, t1 := run()
 	f2, t2 := run()
@@ -392,7 +392,7 @@ func TestLatencyDiagnosis(t *testing.T) {
 		cl.StartFlow(f, des.Time(rng.Intn(int(10*des.Second))))
 	}
 	res := cl.RunEpoch()
-	if res.Tally.Flows() == 0 {
+	if len(res.Verdicts) == 0 {
 		t.Fatal("no latency-triggered reports")
 	}
 	if len(res.Ranking) == 0 || res.Ranking[0].Link != slow {
@@ -424,8 +424,8 @@ func TestLatencyDisabledByDefault(t *testing.T) {
 		cl.StartFlow(f, des.Time(rng.Intn(int(5*des.Second))))
 	}
 	res := cl.RunEpoch()
-	if res.Tally.Flows() != 0 {
-		t.Fatalf("delay-only fault produced %d reports with latency diagnosis off", res.Tally.Flows())
+	if len(res.Verdicts) != 0 {
+		t.Fatalf("delay-only fault produced %d reports with latency diagnosis off", len(res.Verdicts))
 	}
 }
 
@@ -763,10 +763,10 @@ func TestClusterEpochAllocs(t *testing.T) {
 	}
 }
 
-// voteMass is the sum of a tally's votes: one per report with a path.
-func voteMass(tl *vote.Tally) float64 {
+// voteMass is the sum of a ranking's votes: one per report with a path.
+func voteMass(ranking []vote.LinkVotes) float64 {
 	var sum float64
-	for _, lv := range tl.Ranking() {
+	for _, lv := range ranking {
 		sum += lv.Votes
 	}
 	return sum

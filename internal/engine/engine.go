@@ -51,8 +51,9 @@ const (
 func (p Plane) Valid() bool { return p == Flow || p == Packet }
 
 // EpochResult is the plane-agnostic outcome of one epoch: 007's outputs
-// (reports, ranking, detections, verdicts) next to the epoch's ground
-// truth (settled failure set, per-flow culprits, drop totals).
+// (reports, and their analysis: ranking, detections, verdicts) next to the
+// epoch's ground truth (settled failure set, per-flow culprits, drop
+// totals).
 type EpochResult struct {
 	// Epoch is the epoch's index (the value schedules saw in RateAt).
 	Epoch int
@@ -61,12 +62,8 @@ type EpochResult struct {
 	FailedLinks []topology.LinkID
 	// Reports carries what 007's analysis agent received this epoch.
 	Reports []vote.Report
-	// Ranking is the vote heat-map, highest first.
-	Ranking []vote.LinkVotes
-	// Detected is Algorithm 1's problematic link set, in blame order.
-	Detected []topology.LinkID
-	// Verdicts are 007's per-flow conclusions for every reported flow.
-	Verdicts []vote.Verdict
+	// Result is the analysis of Reports: Ranking, Detected and Verdicts.
+	analysis.Result
 	// Truth maps failed flows (>= 1 packet lost) to their ground truth.
 	Truth map[int64]metrics.FlowTruth
 	// TotalFlows, FailedFlows and TotalDrops summarize the epoch.
@@ -250,9 +247,6 @@ func (e *flowEngine) RunEpoch() *EpochResult {
 // makes "vigild's fault-free settled epochs are bit-identical to batch
 // RunEpoch" a structural property rather than a test-enforced one.
 func analyzeStep(e Engine, res *EpochResult) *EpochResult {
-	an := analysis.Analyze(res.Reports, e.Analysis())
-	res.Ranking = an.Ranking
-	res.Detected = an.Detected
-	res.Verdicts = an.Verdicts
+	res.Result = *analysis.Analyze(res.Reports, e.Analysis())
 	return res
 }

@@ -286,7 +286,7 @@ func runProdEverflow(opts Options) (*Result, error) {
 		for _, f := range cl.Flows() {
 			tuples[f.ID()] = f.WireTuple()
 		}
-		for _, r := range cl.LastEpoch().Reports {
+		for i, r := range cl.LastEpoch().Reports {
 			if r.Partial || !slices.Contains(sampled, r.Src) {
 				continue
 			}
@@ -305,7 +305,7 @@ func runProdEverflow(opts Options) (*Result, error) {
 			// Blame check: EverFlow's drop site vs 007's verdict in the
 			// report's own epoch.
 			if culprit, ok := ef.Culprit(tuple); ok {
-				if blame, ok := res.Tally.BlameOnPath(r.Path); ok {
+				if blame := res.Verdicts[i].Link; blame != topology.NoLink {
 					blameChecked++
 					if blame == culprit {
 						blameMatched++
@@ -466,7 +466,7 @@ func runExtLatency(opts Options) (*Result, error) {
 		for e := 0; e < epochs; e++ {
 			runClusterWorkload(cl, rng, 8, 60)
 			res := cl.RunEpoch()
-			reports += res.Tally.Flows()
+			reports += len(res.Verdicts)
 			if rankOf(res.Ranking, slow) == 0 {
 				top1++
 			}

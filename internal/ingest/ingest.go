@@ -58,7 +58,6 @@ import (
 	"vigil/internal/analysis"
 	"vigil/internal/engine"
 	"vigil/internal/metrics"
-	"vigil/internal/topology"
 	"vigil/internal/transport"
 	"vigil/internal/vote"
 )
@@ -372,17 +371,10 @@ func (s *Service) endCycle(done cycleDone) []transport.RetryReq {
 			panic("ingest: settled epoch fell out of the ring window")
 		}
 		out := *res // the engine's Step result: the epoch's ground truth
-		v, _ := s.an.result(nil)
-		deliver(&out, done.accepted, v, s.ctr, s.cfg.Sink)
+		an, _ := s.an.result(nil)
+		deliver(&out, done.accepted, an, s.ctr, s.cfg.Sink)
 	}
 	return done.retries
-}
-
-// verdicts is the part of an epoch's analysis a settle delivers.
-type verdicts struct {
-	ranking  []vote.LinkVotes
-	detected []topology.LinkID
-	verdicts []vote.Verdict
 }
 
 // analyst is a collector's analysis stage: one goroutine that runs every
@@ -397,14 +389,14 @@ type verdicts struct {
 type analyst struct {
 	opts    analysis.Options
 	jobs    chan []vote.Report
-	results chan verdicts
+	results chan *analysis.Result
 	quit    chan struct{}
 	done    chan struct{} // closed when the goroutine has returned
 }
 
 func startAnalyst(opts analysis.Options, grace int) *analyst {
 	a := &analyst{
-		opts: opts, jobs: make(chan []vote.Report, grace+2), results: make(chan verdicts, grace+2),
+		opts: opts, jobs: make(chan []vote.Report, grace+2), results: make(chan *analysis.Result, grace+2),
 		quit: make(chan struct{}), done: make(chan struct{}),
 	}
 	go a.run()
@@ -418,9 +410,8 @@ func (a *analyst) run() {
 		case <-a.quit:
 			return
 		case accepted := <-a.jobs:
-			an := analysis.Analyze(accepted, a.opts)
 			select {
-			case a.results <- verdicts{an.Ranking, an.Detected, an.Verdicts}:
+			case a.results <- analysis.Analyze(accepted, a.opts):
 			case <-a.quit:
 				return
 			}
@@ -445,12 +436,12 @@ func (a *analyst) feed(done *cycleDone) {
 // result waits for the oldest posted epoch's analysis, which at a settle is
 // the settling epoch's. It gives up, reporting false, when abandon closes
 // first (a nil abandon never does).
-func (a *analyst) result(abandon <-chan struct{}) (verdicts, bool) {
+func (a *analyst) result(abandon <-chan struct{}) (*analysis.Result, bool) {
 	select {
-	case v := <-a.results:
-		return v, true
+	case an := <-a.results:
+		return an, true
 	case <-abandon:
-		return verdicts{}, false
+		return nil, false
 	}
 }
 
@@ -466,11 +457,11 @@ func (a *analyst) stop() {
 }
 
 // deliver completes a settled epoch — out arrives carrying its ground
-// truth, accepted is what the core let through, in canonical order, and v
+// truth, accepted is what the core let through, in canonical order, and an
 // is its analysis with the options batch RunEpoch uses — and hands it to
 // the sink. Both collectors settle through here.
-func deliver(out *engine.EpochResult, accepted []vote.Report, v verdicts, ctr *metrics.IngestCounters, sink func(*engine.EpochResult)) {
-	out.Reports, out.Ranking, out.Detected, out.Verdicts = accepted, v.ranking, v.detected, v.verdicts
+func deliver(out *engine.EpochResult, accepted []vote.Report, an *analysis.Result, ctr *metrics.IngestCounters, sink func(*engine.EpochResult)) {
+	out.Reports, out.Result = accepted, *an
 	ctr.SettledEpochs.Add(1)
 	ctr.DetectedLinks.Add(int64(len(out.Detected)))
 	ctr.Verdicts.Add(int64(len(out.Verdicts)))

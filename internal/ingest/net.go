@@ -548,11 +548,11 @@ func (c *NetCollector) settle(done cycleDone) bool {
 			out.Truth[te.FlowID] = metrics.FlowTruth{Culprit: te.Culprit, CrossedFailure: te.CrossedFailure}
 		}
 	}
-	v, ok := c.an.result(c.quit)
+	an, ok := c.an.result(c.quit)
 	if !ok {
 		return false
 	}
-	deliver(out, done.accepted, v, c.cfg.Counters, c.cfg.Sink)
+	deliver(out, done.accepted, an, c.cfg.Counters, c.cfg.Sink)
 	return true
 }
 

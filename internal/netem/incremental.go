@@ -281,32 +281,14 @@ func (s *Sim) runEpochDelta() *Epoch {
 // hosts are the path's ends, as ecmp.Router.PathInto lays a path out.
 func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
 	inc := &s.inc
-	packets := int(inc.packets[fi])
-	if packets == 0 {
-		return FlowOutcome{}, false
-	}
 	links := inc.path(fi)
-	var perLink [ecmp.MaxPathLinks]uint16
-	drops := s.sampleFlowDrops(inc.epochSeed, fi, &sh.rng, links, packets, &perLink)
-	if drops == 0 {
-		return FlowOutcome{}, false
+	out, dropped := s.scoreFlow(sh, inc.epochSeed, fi, links, int(inc.packets[fi]))
+	if dropped {
+		out.Src = topology.HostID(s.topo.Links[links[0]].From.ID)
+		out.Dst = topology.HostID(s.topo.Links[links[len(links)-1]].To.ID)
+		out.Path = links
 	}
-	out := FlowOutcome{
-		FlowID:      fi,
-		Src:         topology.HostID(s.topo.Links[links[0]].From.ID),
-		Dst:         topology.HostID(s.topo.Links[links[len(links)-1]].To.ID),
-		Path:        links,
-		Drops:       drops,
-		DropsByLink: sh.arena.copyDrops(perLink[:len(links)]),
-		Culprit:     culprit(links, perLink[:len(links)]),
-	}
-	for _, l := range links {
-		if s.isFailed[l] {
-			out.CrossedFailure = true
-			break
-		}
-	}
-	return out, true
+	return out, dropped
 }
 
 // Reference oracle: rescoreAll invalidates the delta cache, so the next

@@ -566,19 +566,28 @@ func (s *Sim) simFlow(sh *epochShard, epochSeed uint64, fi int64, f traffic.Flow
 	}
 	links := sh.pathBuf.Links()
 	sh.packets += f.Packets
-	if f.Packets <= 0 {
+	out, dropped := s.scoreFlow(sh, epochSeed, fi, links, f.Packets)
+	if dropped {
+		out.Src, out.Dst, out.Path = f.Src, f.Dst, sh.arena.copyPath(links)
+	}
+	return out, dropped
+}
+
+// scoreFlow samples the drops of flow fi, packets packets on path links,
+// and returns its outcome — all but its hosts and Path — and whether it
+// lost packets. Both the full pipeline and a delta epoch's re-score score a
+// flow here; a flow that loses nothing costs no heap allocation.
+func (s *Sim) scoreFlow(sh *epochShard, epochSeed uint64, fi int64, links []topology.LinkID, packets int) (FlowOutcome, bool) {
+	if packets <= 0 {
 		return FlowOutcome{}, false
 	}
 	var perLink [ecmp.MaxPathLinks]uint16
-	drops := s.sampleFlowDrops(epochSeed, fi, &sh.rng, links, f.Packets, &perLink)
+	drops := s.sampleFlowDrops(epochSeed, fi, &sh.rng, links, packets, &perLink)
 	if drops == 0 {
 		return FlowOutcome{}, false
 	}
 	out := FlowOutcome{
 		FlowID:      fi,
-		Src:         f.Src,
-		Dst:         f.Dst,
-		Path:        sh.arena.copyPath(links),
 		Drops:       drops,
 		DropsByLink: sh.arena.copyDrops(perLink[:len(links)]),
 		Culprit:     culprit(links, perLink[:len(links)]),

@@ -125,7 +125,7 @@ type DetectOptions struct {
 type detectScratch struct {
 	votes   []float64 // the tally's votes, discounted as links are blamed
 	inB     []bool
-	toTally []int32 // observed-adjuster slot → tally slot
+	toTally []int32 // observed-adjuster slot → ranked slot
 }
 
 var detectFree = newFreeList[detectScratch]()
@@ -137,13 +137,14 @@ var detectFree = newFreeList[detectScratch]()
 func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 	rs := rankFree.get()
 	defer rankFree.put(rs)
-	return findProblemLinks(t, rs.rank(t.votes), nil, opts)
+	return findProblemLinks(t.links, t.votes, rs.rank(t.votes), nil, opts)
 }
 
-// findProblemLinks is FindProblemLinks given t's slots in ranking order.
-// own is the index t was absorbed from, if any: an observed adjuster over
-// that index counts in t's own slots, so it needs no slot map.
-func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) []topology.LinkID {
+// findProblemLinks is Algorithm 1 over slot arrays: links ascending with
+// their votes, and the slots in ranking order. own is the index the slots
+// are, if any: an observed adjuster over it counts in these very slots, so
+// it needs no slot map.
+func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, own *index, opts DetectOptions) []topology.LinkID {
 	if opts.ThresholdFrac <= 0 {
 		opts.ThresholdFrac = 0.01
 	}
@@ -153,8 +154,8 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 	}
 	sc := detectFree.get()
 	defer detectFree.put(sc)
-	sc.votes = append(sc.votes[:0], t.votes...)
-	sc.inB = resize(sc.inB, len(t.links))
+	sc.votes = append(sc.votes[:0], tally...)
+	sc.inB = resize(sc.inB, len(links))
 	clear(sc.inB)
 	votes, inB := sc.votes, sc.inB
 	// The 1% cutoff is anchored to the epoch's initial vote total. Anchoring
@@ -173,9 +174,9 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 		}
 	}
 	obs, _ := adj.(*ObservedAdjuster)
-	var toTally []int32 // obs's slots → t's; nil while they are t's own
+	var toTally []int32 // obs's slots → these; nil while they are the same
 	if obs != nil && obs.ix != own {
-		sc.toTally = obs.ix.slotsIn(t.links, sc.toTally)
+		sc.toTally = obs.ix.slotsIn(links, sc.toTally)
 		toTally = sc.toTally
 	}
 	var b []topology.LinkID
@@ -190,7 +191,7 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 		// (a ranking group is in ascending slot order).
 		lmax, vmax := -1, 0.0
 		for _, s := range order {
-			if o := t.votes[s]; o < cutoff || o < vmax || o == vmax && int(s) > lmax {
+			if o := tally[s]; o < cutoff || o < vmax || o == vmax && int(s) > lmax {
 				break
 			}
 			if v := votes[s]; !inB[s] && (v > vmax || v == vmax && v > 0 && int(s) < lmax) {
@@ -201,8 +202,8 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 			return b
 		}
 		inB[lmax] = true
-		b = append(b, t.links[lmax])
-		adj.Begin(t.links[lmax])
+		b = append(b, links[lmax])
+		adj.Begin(links[lmax])
 		if obs != nil {
 			// Only the links sharing a report with lmax have a fraction.
 			for _, os := range obs.ix.touched {
@@ -216,7 +217,7 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 			}
 			continue
 		}
-		for s, l := range t.links {
+		for s, l := range links {
 			if inB[s] || votes[s] == 0 {
 				continue
 			}
@@ -228,62 +229,34 @@ func findProblemLinks(t *Tally, order []int32, own *index, opts DetectOptions) [
 }
 
 // Localize runs the whole settle-time pipeline over one index of the
-// epoch's reports: tally, its ranking, Algorithm 1, and a verdict per
-// report. The ranking is computed once; Algorithm 1 walks it. Because the
-// reports themselves are at hand, a nil opts.Adjuster means the exact
-// observed-path adjustment here, not the topology-based estimate that
+// epoch's reports: the ranking of the tally, Algorithm 1's set B, and a
+// verdict per report. The ranking is computed once; Algorithm 1 walks it.
+// Because the reports themselves are at hand, a nil opts.Adjuster means the
+// exact observed-path adjustment here, not the topology-based estimate that
 // FindProblemLinks falls back to.
 //
 // The index and ranking are carried to the next call, which patches them
 // where its reports differ (carry.go); a call that finds the carry in use
-// by another goroutine builds its own. Either way the outputs are the same.
-func Localize(reports []Report, opts DetectOptions) (*Tally, []LinkVotes, []topology.LinkID, []Verdict) {
-	var c *carry
-	var ix *index
-	var order []int32
-	select {
-	case c = <-carried:
-		defer c.release()
-		c.load(reports)
-		ix, order = c.ix, c.order
-	default:
-		phaseIndex.Begin()
-		ix = newIndex(reports)
-		phaseIndex.End()
-		defer ix.release()
-		phaseRank.Begin()
-		rs := rankFree.get()
-		defer rankFree.put(rs)
-		order = rs.rank(ix.votes)
-		phaseRank.End()
-	}
-	phaseIndex.Begin()
-	t := NewTally()
-	t.absorb(ix) // t's slots are ix's
-	phaseIndex.End()
+// by another goroutine runs on one of its own that records nothing. Either
+// way the outputs are the same.
+func Localize(reports []Report, opts DetectOptions) ([]LinkVotes, []topology.LinkID, []Verdict) {
+	c := takeCarry()
+	defer c.release()
+	c.load(reports)
 	phaseRank.Begin()
-	var ranking []LinkVotes
-	if c != nil {
-		ranking = c.ranking(t)
-	} else {
-		ranking = t.linkVotes(order)
-	}
+	ranking := c.ranking()
 	phaseRank.End()
+	ix := c.ix
 	if opts.Adjuster == nil {
 		opts.Adjuster = &ObservedAdjuster{ix: ix}
 	}
 	phaseDetect.Begin()
-	detected := findProblemLinks(t, order, ix, opts)
+	detected := findProblemLinks(ix.links, ix.votes, c.order, ix, opts)
 	phaseDetect.End()
 	phaseClassify.Begin()
-	var verdicts []Verdict
-	if c != nil {
-		verdicts = c.classify(detected)
-	} else {
-		verdicts = ix.classify(t.votes, detected)
-	}
+	verdicts := c.classify(detected)
 	phaseClassify.End()
-	return t, ranking, detected, verdicts
+	return ranking, detected, verdicts
 }
 
 // Verdict is 007's per-flow conclusion.

@@ -114,7 +114,7 @@ func TestFindProblemLinksMatchesArgmaxScan(t *testing.T) {
 		}
 		public := func(o DetectOptions) []topology.LinkID { return FindProblemLinks(tl, o) }
 		localize := func(o DetectOptions) []topology.LinkID {
-			_, _, detected, _ := Localize(reports, o)
+			_, detected, _ := Localize(reports, o)
 			return detected
 		}
 		check("none", func() Adjuster { return NoAdjuster{} }, public)

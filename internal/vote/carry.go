@@ -76,9 +76,10 @@ type carry struct {
 	// patched. keep: the call records its reports, ranking and verdicts
 	// for the next. valid: the carry describes the last call whole, so the
 	// next may align against it. skip and backoff: fresh calls left that
-	// record nothing, and how many the next failed alignment sets.
-	keepSums, patched, keep, valid bool
-	skip, backoff                  int
+	// record nothing, and how many the next failed alignment sets. local:
+	// a caller's own carry, which never records.
+	keepSums, patched, keep, valid, local bool
+	skip, backoff                         int
 }
 
 // maxBackoff caps the fresh calls that record nothing after a failed
@@ -88,20 +89,42 @@ const maxBackoff = 64
 // run is n unchanged reports: old positions old.., new positions new...
 type run struct{ old, new, n int32 }
 
-// release hands the carry back for the next call, holding no reference to
-// this call's reports.
-func (c *carry) release() {
-	c.ix.reports = nil
-	carried <- c
-}
-
-// carried holds the one carry. A caller that finds it taken builds a fresh
-// index of its own, so concurrent callers never wait on each other.
+// carried holds the one carry that records. A caller that finds it taken
+// runs on a local carry, so concurrent callers never wait on each other.
 var carried = func() chan *carry {
 	ch := make(chan *carry, 1)
 	ch <- &carry{ix: new(index), spare: new(index)}
 	return ch
 }()
+
+// localFree keeps spent local carries.
+var localFree = newFreeList[carry]()
+
+// takeCarry returns the carried carry, or a local one when another caller
+// has it.
+func takeCarry() *carry {
+	select {
+	case c := <-carried:
+		return c
+	default:
+		c := localFree.get()
+		if c.ix == nil {
+			c.ix, c.local = new(index), true
+		}
+		return c
+	}
+}
+
+// release hands the carry back for the next call, holding no reference to
+// this call's reports.
+func (c *carry) release() {
+	c.ix.reports = nil
+	if c.local {
+		localFree.put(c)
+	} else {
+		carried <- c
+	}
+}
 
 // load indexes and ranks reports into c.ix and c.order, patching the
 // carried index when few reports changed, and reports whether it patched.
@@ -117,6 +140,8 @@ func (c *carry) load(reports []Report) (patched bool) {
 	phaseAlign.Begin()
 	patched = c.align(reports)
 	switch {
+	case c.local:
+		c.keep = false
 	case patched:
 		c.keep, c.backoff = true, 0
 	case c.valid:
@@ -496,10 +521,10 @@ func (c *carry) rerank() {
 }
 
 // ranking hands out the loaded ranking, and carries a copy of it.
-func (c *carry) ranking(t *Tally) []LinkVotes {
+func (c *carry) ranking() []LinkVotes {
 	out := c.out
 	if !c.patched {
-		out = t.linkVotes(c.order)
+		out = linkVotes(c.ix.links, c.ix.votes, c.order)
 	}
 	c.out = nil
 	if c.keep {
@@ -527,16 +552,8 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 	n := len(ix.reports)
 	inB := resize(c.inB, len(ix.links))
 	clear(inB)
-	for _, l := range detected {
-		if s := ix.slot(l); s >= 0 {
-			inB[s] |= 1
-		}
-	}
-	for _, l := range c.detected {
-		if s := ix.slot(l); s >= 0 {
-			inB[s] |= 2
-		}
-	}
+	ix.markB(inB, detected, 1)
+	ix.markB(inB, c.detected, 2)
 	stale, redo := resize(c.stale, n), c.redo[:0]
 	clear(stale)
 	mark := func(s int32) {
@@ -567,17 +584,7 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 		copy(out[rn.new:rn.new+rn.n], c.verdicts[rn.old:rn.old+rn.n])
 	}
 	for _, i := range redo {
-		v := Verdict{FlowID: ix.reports[i].FlowID, Link: topology.NoLink, Noise: true}
-		bestV := 0.0
-		for _, s := range ix.eslot[ix.estart[i]:ix.estart[i+1]] {
-			if ix.votes[s] > bestV {
-				v.Link, bestV = ix.links[s], ix.votes[s]
-			}
-			if inB[s]&1 != 0 {
-				v.Noise = false
-			}
-		}
-		out[i] = v
+		out[i] = ix.verdict(i, ix.votes, inB)
 	}
 	c.inB, c.stale, c.redo = inB, stale, redo
 	c.verdicts, c.detected = append(c.verdicts[:0], out...), append(c.detected[:0], detected...)

@@ -45,13 +45,11 @@ func requireCarryMatchesFresh(t *testing.T, c *carry, reports []Report, flip boo
 		t.Fatal("the adjuster's scratch is not clean")
 	}
 
-	tally := NewTally()
-	tally.absorb(fresh)
-	detected := findProblemLinks(tally, order, fresh, DetectOptions{ThresholdFrac: 0.01, Adjuster: &ObservedAdjuster{ix: fresh}})
+	detected := findProblemLinks(fresh.links, fresh.votes, order, fresh, DetectOptions{ThresholdFrac: 0.01, Adjuster: &ObservedAdjuster{ix: fresh}})
 	if flip && len(fresh.links) > 0 {
 		detected = append(detected, fresh.links[len(reports)%len(fresh.links)])
 	}
-	if got, want := c.ranking(tally), tally.linkVotes(order); !slices.Equal(got, want) {
+	if got, want := c.ranking(), linkVotes(fresh.links, fresh.votes, order); !slices.Equal(got, want) {
 		t.Fatalf("ranking differs from a fresh build's:\n got %v\nwant %v", got[:min(len(got), 8)], want[:min(len(want), 8)])
 	}
 	want := fresh.classify(fresh.votes, detected)
@@ -224,12 +222,35 @@ func TestCarryBacksOffOnUnrelatedEpochs(t *testing.T) {
 	}
 }
 
+// A call that finds the carry taken runs the same sequence on a local
+// carry: its outputs are the shared carry's, fresh or patched, and the
+// local carry records nothing and keeps none of the call's reports.
+func TestLocalizeOnTakenCarry(t *testing.T) {
+	g := &carrySeq{rng: stats.NewRNG(43)}
+	cur := g.epoch(600)
+	opts := DetectOptions{ThresholdFrac: 0.01}
+	for call := range 4 {
+		ranking, detected, verdicts := Localize(cur, opts)
+		shared := <-carried
+		lranking, ldetected, lverdicts := Localize(cur, opts)
+		carried <- shared
+		if !slices.Equal(lranking, ranking) || !slices.Equal(ldetected, detected) || !slices.Equal(lverdicts, verdicts) {
+			t.Fatalf("call %d: a local carry's outputs differ from the shared carry's", call)
+		}
+		local := localFree.get()
+		if !local.local || local.keep || local.valid || len(local.flow) != 0 || local.ix.reports != nil {
+			t.Fatalf("call %d: the local carry recorded the call (local %v, keep %v, valid %v, %d flows) or kept its reports",
+				call, local.local, local.keep, local.valid, len(local.flow))
+		}
+		localFree.put(local)
+		cur = g.edit(cur, 0.004, 0.004, 0.004)
+	}
+}
+
 // finishCall hands out a loaded call's ranking and verdicts, as Localize
 // does, so the carry records them.
 func finishCall(c *carry) {
-	t := NewTally()
-	t.absorb(c.ix)
-	c.ranking(t)
+	c.ranking()
 	c.classify(nil)
 	c.ix.reports = nil
 }

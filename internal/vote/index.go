@@ -51,7 +51,7 @@ type index struct {
 	touched []int32 // slots with shared > 0
 	toTally []int32
 	tvotes  []float64
-	inB     []bool
+	inB     []uint8
 }
 
 // freeList keeps spent scratch for the next caller: one entry per CPU,
@@ -242,33 +242,44 @@ func (ix *index) votesOf(t *Tally) []float64 {
 }
 
 // classify issues the reports' verdicts given a tally's votes by the
-// index's slots and Algorithm 1's set B: each flow is blamed on the
-// most-voted link of its path, and marked noise when its path avoids B.
+// index's slots and Algorithm 1's set B.
 func (ix *index) classify(votes []float64, detected []topology.LinkID) []Verdict {
-	// A detected link no report touches is on none of these paths.
 	inB := resize(ix.inB, len(ix.links))
 	clear(inB)
-	for _, l := range detected {
-		if s := ix.slot(l); s >= 0 {
-			inB[s] = true
-		}
-	}
+	ix.markB(inB, detected, 1)
 	ix.inB = inB
 	out := make([]Verdict, len(ix.reports))
-	for i := range ix.reports {
-		v := Verdict{FlowID: ix.reports[i].FlowID, Link: topology.NoLink, Noise: true}
-		// A report's slots ascend, so the first of equally voted links is
-		// the one with the lower LinkID.
-		bestV := 0.0
-		for _, s := range ix.eslot[ix.estart[i]:ix.estart[i+1]] {
-			if votes[s] > bestV {
-				v.Link, bestV = ix.links[s], votes[s]
-			}
-			if inB[s] {
-				v.Noise = false
-			}
-		}
-		out[i] = v
+	for i := range out {
+		out[i] = ix.verdict(int32(i), votes, inB)
 	}
 	return out
+}
+
+// markB sets bit in inB at the slot of each link of b; a link no report
+// touches is on none of these paths.
+func (ix *index) markB(inB []uint8, b []topology.LinkID, bit uint8) {
+	for _, l := range b {
+		if s := ix.slot(l); s >= 0 {
+			inB[s] |= bit
+		}
+	}
+}
+
+// verdict is report i's verdict given votes by slot and B as bit 1 of inB:
+// the flow is blamed on the most-voted link of its path, and marked noise
+// when its path avoids B.
+func (ix *index) verdict(i int32, votes []float64, inB []uint8) Verdict {
+	v := Verdict{FlowID: ix.reports[i].FlowID, Link: topology.NoLink, Noise: true}
+	// A report's slots ascend, so the first of equally voted links is the
+	// one with the lower LinkID.
+	bestV := 0.0
+	for _, s := range ix.eslot[ix.estart[i]:ix.estart[i+1]] {
+		if votes[s] > bestV {
+			v.Link, bestV = ix.links[s], votes[s]
+		}
+		if inB[s]&1 != 0 {
+			v.Noise = false
+		}
+	}
+	return v
 }

@@ -8,7 +8,7 @@
 // drops, and — via Algorithm 1 — yields the set of problematic links.
 //
 // Only failed flows vote, so everything here is sparse: an epoch's reports
-// are indexed once over the links they touch (index.go), and the tally,
+// are indexed once over the links they touch (index.go), and the ranking,
 // Algorithm 1 and classification all work on that index's slots. Cost and
 // memory follow the epoch's path entries, never the fabric's link count or
 // the magnitude of a link id.
@@ -79,27 +79,20 @@ type LinkVotes struct {
 type Tally struct {
 	links []topology.LinkID // voted links, ascending
 	votes []float64         // votes[i] is links[i]'s tally, always > 0
-	flows int
 }
 
 // NewTally returns an empty tally.
 func NewTally() *Tally { return &Tally{} }
 
 // AddAll casts each report's votes: 1/h per path link, h = len(Path).
-// Reports with empty paths (a traceroute that produced nothing) are counted
-// but vote nowhere, and NoLink placeholders vote nowhere. A link's batch
-// votes are summed per 2048 reports (sumChunkShift) and the chunk sums
-// folded in report order, so splitting a batch can move a tally by
-// reassociation at the 1-ulp level.
+// Reports with empty paths (a traceroute that produced nothing) vote
+// nowhere, and neither do NoLink placeholders. A link's batch votes are
+// summed per 2048 reports (sumChunkShift) and the chunk sums folded in
+// report order, so splitting a batch can move a tally by reassociation at
+// the 1-ulp level.
 func (t *Tally) AddAll(rs []Report) {
 	ix := newIndex(rs)
-	t.absorb(ix)
-	ix.release()
-}
-
-// absorb folds an indexed batch into t.
-func (t *Tally) absorb(ix *index) {
-	t.flows += len(ix.reports)
+	defer ix.release()
 	if len(t.links) == 0 {
 		t.links, t.votes = slices.Clone(ix.links), slices.Clone(ix.votes)
 		return
@@ -132,22 +125,19 @@ func (t *Tally) Votes(l topology.LinkID) float64 {
 	return 0
 }
 
-// Flows returns the number of reports received.
-func (t *Tally) Flows() int { return t.flows }
-
 // Ranking returns links sorted by descending votes; ties break toward the
 // lower link ID so results are deterministic.
 func (t *Tally) Ranking() []LinkVotes {
 	rs := rankFree.get()
 	defer rankFree.put(rs)
-	return t.linkVotes(rs.rank(t.votes))
+	return linkVotes(t.links, t.votes, rs.rank(t.votes))
 }
 
-// linkVotes lists t's slots in the given order.
-func (t *Tally) linkVotes(order []int32) []LinkVotes {
+// linkVotes lists the slots of links and their votes in the given order.
+func linkVotes(links []topology.LinkID, votes []float64, order []int32) []LinkVotes {
 	out := make([]LinkVotes, len(order))
 	for i, s := range order {
-		out[i] = LinkVotes{Link: t.links[s], Votes: t.votes[s]}
+		out[i] = LinkVotes{Link: links[s], Votes: votes[s]}
 	}
 	return out
 }

@@ -28,9 +28,6 @@ func TestTallyVoteValues(t *testing.T) {
 	if got := tl.Votes(99); got != 0 {
 		t.Fatalf("Votes(99) = %v", got)
 	}
-	if tl.Flows() != 2 {
-		t.Fatalf("Flows = %d", tl.Flows())
-	}
 }
 
 // Conservation: each fully traced failed flow contributes exactly 1 vote in
@@ -152,8 +149,8 @@ func TestBlameOnPath(t *testing.T) {
 func TestEmptyPathReportVotesNowhere(t *testing.T) {
 	tl := NewTally()
 	tl.AddAll([]Report{{FlowID: 1, Retx: 3}})
-	if len(tl.links) != 0 || tl.Flows() != 1 {
-		t.Fatalf("empty-path report changed tallies: len=%d flows=%d", len(tl.links), tl.Flows())
+	if len(tl.links) != 0 {
+		t.Fatalf("empty-path report voted on %d links", len(tl.links))
 	}
 }
 

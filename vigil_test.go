@@ -83,7 +83,7 @@ func TestEmulationFacade(t *testing.T) {
 		PacketsPerFlow: vigil.IntRange{Lo: 80, Hi: 80},
 	}, 20*vigil.Second)
 	res := em.RunEpoch()
-	if res.Tally.Flows() == 0 {
+	if len(res.Verdicts) == 0 {
 		t.Fatal("no reports in emulation")
 	}
 	if res.Ranking[0].Link != bad {
