@@ -157,7 +157,7 @@ func runCollector(stdout io.Writer, addr, metricsAddr string, exporter *metrics.
 		c.SettledEpochs.Load(), c.Received.Load(), c.Accepted.Load(),
 		c.Duplicates.Load(), c.Lost.Load(), c.Retries.Load(), c.Recovered.Load())
 	fmt.Fprintf(stdout, "transport: %d frames in, %d dropped stale, %d acks, %d checkpoints, %d accept retries\n",
-		tctr.FramesReceived.Load(), tctr.FramesDropped.Load(), tctr.AcksSent.Load(),
+		tctr.FramesReceived.Load(), tctr.Discards[metrics.FrameStale].Load(), tctr.AcksSent.Load(),
 		tctr.Checkpoints.Load(), tctr.AcceptRetries.Load())
 	if waitErr != context.Canceled {
 		return waitErr // e.g. a checkpoint that could not be written
@@ -277,7 +277,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	c := svc.Counters()
 	fmt.Fprintf(stdout, "\nsettled %d epochs: received %d, accepted %d, duplicates %d, late %d (+%d past grace), lost %d, retries %d, recovered %d\n",
 		c.SettledEpochs.Load(), c.Received.Load(), c.Accepted.Load(),
-		c.Duplicates.Load(), c.Late.Load(), c.LateDropped.Load(),
+		c.Duplicates.Load(), c.Late.Load(), c.Discards[metrics.ReportSettled].Load(),
 		c.Lost.Load(), c.Retries.Load(), c.Recovered.Load())
 	return nil
 }

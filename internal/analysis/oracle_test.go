@@ -156,9 +156,6 @@ func denseFindProblemLinks(t *denseTally, opts vote.DetectOptions) []topology.Li
 	inB := make([]bool, len(votes))
 	var b []topology.LinkID
 	for {
-		if opts.MaxLinks > 0 && len(b) >= opts.MaxLinks {
-			return b
-		}
 		lmax := topology.NoLink
 		vmax := 0.0
 		for l, v := range votes {

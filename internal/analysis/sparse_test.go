@@ -96,8 +96,8 @@ func routedReports(t testing.TB, topo *topology.Topology, rng *stats.RNG, n int)
 
 // The sparse pipeline must reproduce the dense one bit for bit: at the
 // report counts around the 2048-report summation chunk, on ids that span a
-// small and a datacenter fabric, under every adjuster kind and a MaxLinks
-// cap.
+// small and a datacenter fabric, under every adjuster kind and a threshold
+// low enough that B grows long.
 func TestAnalyzeMatchesDenseOracle(t *testing.T) {
 	fabrics := []struct {
 		name string
@@ -120,7 +120,7 @@ func TestAnalyzeMatchesDenseOracle(t *testing.T) {
 		}
 		adjusters := []adjuster{
 			{"observed", vote.DetectOptions{ThresholdFrac: 0.01}},
-			{"observed-maxlinks", vote.DetectOptions{ThresholdFrac: 0.001, MaxLinks: 3}},
+			{"observed-maxlinks", vote.DetectOptions{ThresholdFrac: 0.001}}, // named for the cap B once had
 			{"none", vote.DetectOptions{ThresholdFrac: 0.02, Adjuster: vote.NoAdjuster{}}},
 		}
 		if fabric.name == "small" {
@@ -155,7 +155,6 @@ func TestAnalyzeTiesMatchDenseOracle(t *testing.T) {
 	for _, opts := range []vote.DetectOptions{
 		{ThresholdFrac: 0.01},
 		{ThresholdFrac: 0.01, Adjuster: vote.NoAdjuster{}},
-		{ThresholdFrac: 0.01, Adjuster: vote.NoAdjuster{}, MaxLinks: 5},
 	} {
 		requireMatchesOracle(t, reports, analysis.Options{Detect: opts})
 	}
@@ -165,8 +164,8 @@ func TestAnalyzeTiesMatchDenseOracle(t *testing.T) {
 	}
 }
 
-// fuzzReports decodes bytes into reports: a header byte picks the adjuster
-// and the MaxLinks cap, then each report is a length byte followed by one
+// fuzzReports decodes bytes into reports: a header byte's low bit picks the
+// adjuster, then each report is a length byte followed by one
 // u16 per path entry. Link ids fold into a small range so paths collide;
 // 0xffff is a NoLink placeholder.
 func fuzzReports(data []byte) ([]vote.Report, vote.DetectOptions) {
@@ -175,7 +174,6 @@ func fuzzReports(data []byte) ([]vote.Report, vote.DetectOptions) {
 		if data[0]&1 != 0 {
 			opts.Adjuster = vote.NoAdjuster{}
 		}
-		opts.MaxLinks = int(data[0] >> 1 & 7)
 		data = data[1:]
 	}
 	var reports []vote.Report

@@ -87,8 +87,8 @@ const keptWords = 16
 
 // malformed reports whether r's identity is one no agent can produce.
 // Sequences and epochs count up from zero and mark indexes a bitset by
-// sequence, so a negative or absurdly large one is dropped (and counted
-// Rejected) before it reaches any per-epoch state.
+// sequence, so a negative or absurdly large one is dropped (and counted)
+// before it reaches any per-epoch state.
 func malformed(r vote.Report) bool { return r.Seq < 0 || r.Seq >= maxAgentSeq || r.Epoch < 0 }
 
 // epochState is one open (not yet settled) epoch. Its agents live in a
@@ -141,7 +141,7 @@ func (eps *epochState) agent(id topology.HostID) int32 {
 }
 
 // excess moves n reports that their agents' counts, arriving after them,
-// made excess out of the arrivals and from Accepted to Excess.
+// made excess out of the arrivals and from Accepted to the excess discards.
 func (c *settleCore) excess(eps *epochState, n int) {
 	keep := 0
 	for i, r := range eps.arrivals {
@@ -153,7 +153,7 @@ func (c *settleCore) excess(eps *epochState, n int) {
 	clear(eps.arrivals[keep:]) // drop the path references
 	eps.arrivals, eps.owner = eps.arrivals[:keep], eps.owner[:keep]
 	c.ctr.Accepted.Add(-int64(n))
-	c.ctr.Excess.Add(int64(n))
+	c.ctr.Discards[metrics.ReportExcess].Add(int64(n))
 }
 
 // seal closes the epoch's counts: every token of its cycle is in, and an
@@ -366,14 +366,17 @@ func (c *settleCore) far(e int32) bool {
 // its own cycle.
 func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 	c.ctr.Received.Add(1)
-	if malformed(r) || c.far(r.Epoch) {
-		// Each would open an epoch state of its own.
-		c.ctr.Rejected.Add(1)
+	// Malformed and far reports would each open an epoch state of their own.
+	switch {
+	case malformed(r):
+		c.ctr.Discards[metrics.ReportMalformed].Add(1)
 		return
-	}
-	if r.Epoch <= c.lastSettled {
+	case c.far(r.Epoch):
+		c.ctr.Discards[metrics.ReportFarEpoch].Add(1)
+		return
+	case r.Epoch <= c.lastSettled:
 		// Its epoch settled before it arrived: past the grace window.
-		c.ctr.LateDropped.Add(1)
+		c.ctr.Discards[metrics.ReportSettled].Add(1)
 		return
 	}
 	run := &c.run
@@ -388,7 +391,7 @@ func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 	if ag.expected >= 0 && r.Seq >= ag.expected {
 		// Past its agent's count: no honest agent sends it, and admitting it
 		// would break the epoch's conservation.
-		c.ctr.Excess.Add(1)
+		c.ctr.Discards[metrics.ReportExcess].Add(1)
 		return
 	}
 	if ag.mark(r.Seq) {
@@ -416,18 +419,27 @@ func (c *settleCore) report(r vote.Report, attempt uint8, delayed bool) {
 // source's agents for the cycle's epoch, and whether the cycle ran an
 // engine epoch at all. An agent's first count stands; a later one, and one
 // no agent can have (below 0, above maxAgentSeq), is dropped and counted.
-// A token for a far cycle is dropped, as report drops its epoch's reports.
-// Call next afterwards until it reports false.
+// A token for a settled or a far cycle is dropped and counted, as report
+// drops its epoch's reports. Call next afterwards until it reports false.
 func (c *settleCore) token(cycle int32, live bool, counts []transport.AgentCount) {
-	if cycle <= c.lastSettled || c.far(cycle) {
+	switch {
+	case cycle <= c.lastSettled:
+		c.ctr.Discards[metrics.TokenSettled].Add(1)
+		return
+	case c.far(cycle):
+		c.ctr.Discards[metrics.TokenFarEpoch].Add(1)
 		return
 	}
 	if len(counts) > 0 {
 		eps := c.openEpoch(cycle)
 		for _, ac := range counts {
 			ag := &eps.agents[eps.agent(ac.Agent)]
-			if ac.N < 0 || ac.N > maxAgentSeq || ag.expected >= 0 {
-				c.ctr.DroppedCounts.Add(1)
+			switch {
+			case ac.N < 0 || ac.N > maxAgentSeq:
+				c.ctr.Discards[metrics.CountOutOfRange].Add(1)
+				continue
+			case ag.expected >= 0:
+				c.ctr.Discards[metrics.CountRepeat].Add(1)
 				continue
 			}
 			holes, n := ag.expect(ac.N)

@@ -352,7 +352,7 @@ func TestSettleCoreMatchesReferenceModel(t *testing.T) {
 		finals += f
 		dups += c.Duplicates.Load()
 		late += c.Late.Load()
-		lateDropped += c.LateDropped.Load()
+		lateDropped += c.Discards[metrics.ReportSettled].Load()
 		lost += c.Lost.Load()
 		retries += c.Retries.Load()
 		recovered += c.Recovered.Load()
@@ -486,9 +486,9 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 			c.token(0, true, tc.counts)
 			done, _ := c.next()
 			want := int(3 - tc.excess)
-			if !done.settled || len(done.accepted) != want || c.ctr.Excess.Load() != tc.excess || c.ctr.Lost.Load() != 0 {
+			if !done.settled || len(done.accepted) != want || c.ctr.Discards[metrics.ReportExcess].Load() != tc.excess || c.ctr.Lost.Load() != 0 {
 				t.Fatalf("counts %v: settled %v with %d reports, excess %d; want %d reports, excess %d",
-					tc.counts, done.settled, len(done.accepted), c.ctr.Excess.Load(), want, tc.excess)
+					tc.counts, done.settled, len(done.accepted), c.ctr.Discards[metrics.ReportExcess].Load(), want, tc.excess)
 			}
 			checkConservation(t, c.ctr)
 		}
@@ -510,8 +510,8 @@ func TestSettleSteadyStateAllocs(t *testing.T) {
 				c.report(stray, 0, false)
 			}
 			c.token(1, true, nil)
-			if done, _ := c.next(); !done.settled || len(done.accepted) != 1 || c.ctr.Excess.Load() != 1 {
-				t.Fatalf("stray before the seal %v: settled %d reports, excess %d", before, len(done.accepted), c.ctr.Excess.Load())
+			if done, _ := c.next(); !done.settled || len(done.accepted) != 1 || c.ctr.Discards[metrics.ReportExcess].Load() != 1 {
+				t.Fatalf("stray before the seal %v: settled %d reports, excess %d", before, len(done.accepted), c.ctr.Discards[metrics.ReportExcess].Load())
 			}
 			checkConservation(t, c.ctr)
 		}

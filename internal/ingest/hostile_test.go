@@ -20,15 +20,32 @@ import (
 // accounted for exactly once.
 func checkConservation(t testing.TB, ctr *metrics.IngestCounters) {
 	t.Helper()
-	got := ctr.Accepted.Load() + ctr.Duplicates.Load() + ctr.LateDropped.Load() + ctr.Rejected.Load() + ctr.Excess.Load()
+	got := ctr.Accepted.Load() + ctr.Duplicates.Load() + discarded(ctr, "report")
 	if r := ctr.Received.Load(); r != got {
-		t.Fatalf("Received = %d, Accepted + Duplicates + LateDropped + Rejected + Excess = %d", r, got)
+		t.Fatalf("Received = %d, Accepted + Duplicates + report discards = %d", r, got)
 	}
+}
+
+// discarded sums ctr's discards of one kind: report, count or token.
+func discarded(ctr *metrics.IngestCounters, kind string) int64 {
+	var n int64
+	for r := range ctr.Discards {
+		if k, _ := metrics.Discard(r).Labels(); k == kind {
+			n += ctr.Discards[r].Load()
+		}
+	}
+	return n
+}
+
+// rejected sums the two reasons vigil_ingest_rejected_total renders:
+// report malformed and far_epoch.
+func rejected(ctr *metrics.IngestCounters) int64 {
+	return ctr.Discards[metrics.ReportMalformed].Load() + ctr.Discards[metrics.ReportFarEpoch].Load()
 }
 
 // Four well-framed streams that used to stop the settle core at its
 // conservation panic. Each now settles its epoch, with the stray report
-// counted Excess or the stray count counted dropped.
+// discarded as excess or the stray count discarded.
 func TestSettleCoreHostileProbes(t *testing.T) {
 	rep := func(src topology.HostID, seq int32) vote.Report {
 		return vote.Report{Src: src, Epoch: 0, Seq: seq}
@@ -56,9 +73,9 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 			if !ok || !done.settled || done.epoch != 0 || int64(len(done.accepted)) != tc.accepted {
 				t.Fatalf("cycle 0: settled %v epoch %d with %d reports, want epoch 0 with %d", done.settled, done.epoch, len(done.accepted), tc.accepted)
 			}
-			if ctr.Lost.Load() != tc.lost || ctr.Excess.Load() != tc.excess || ctr.DroppedCounts.Load() != tc.dropped {
+			if ctr.Lost.Load() != tc.lost || ctr.Discards[metrics.ReportExcess].Load() != tc.excess || discarded(ctr, "count") != tc.dropped {
 				t.Fatalf("lost %d, excess %d, dropped counts %d; want %d, %d, %d",
-					ctr.Lost.Load(), ctr.Excess.Load(), ctr.DroppedCounts.Load(), tc.lost, tc.excess, tc.dropped)
+					ctr.Lost.Load(), ctr.Discards[metrics.ReportExcess].Load(), discarded(ctr, "count"), tc.lost, tc.excess, tc.dropped)
 			}
 			checkConservation(t, ctr)
 		})
@@ -72,8 +89,8 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 		c.next()
 		c.report(rep(1, 0), 0, false)
 		c.token(1, true, nil)
-		if done, _ := c.next(); !done.settled || done.epoch != 0 || len(done.accepted) != 0 || ctr.Excess.Load() != 1 {
-			t.Fatalf("settled %v epoch %d with %d reports, excess %d", done.settled, done.epoch, len(done.accepted), ctr.Excess.Load())
+		if done, _ := c.next(); !done.settled || done.epoch != 0 || len(done.accepted) != 0 || ctr.Discards[metrics.ReportExcess].Load() != 1 {
+			t.Fatalf("settled %v epoch %d with %d reports, excess %d", done.settled, done.epoch, len(done.accepted), ctr.Discards[metrics.ReportExcess].Load())
 		}
 		checkConservation(t, ctr)
 	})
@@ -89,8 +106,8 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 		}
 		c.report(rep(7, 0), 0, false)
 		c.token(1, true, nil)
-		if done, _ := c.next(); !done.settled || len(done.accepted) != 1 || ctr.Excess.Load() != 1 {
-			t.Fatalf("settled %v with %d reports, excess %d", done.settled, len(done.accepted), ctr.Excess.Load())
+		if done, _ := c.next(); !done.settled || len(done.accepted) != 1 || ctr.Discards[metrics.ReportExcess].Load() != 1 {
+			t.Fatalf("settled %v with %d reports, excess %d", done.settled, len(done.accepted), ctr.Discards[metrics.ReportExcess].Load())
 		}
 		checkConservation(t, ctr)
 	})
@@ -98,8 +115,8 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 		ctr := &metrics.IngestCounters{}
 		c := newSettleCore(1, 0, 0, ctr, -1)
 		c.token(0, true, []transport.AgentCount{{Agent: 1, N: maxAgentSeq + 1}, {Agent: 2, N: maxAgentSeq}})
-		if done, _ := c.next(); !done.settled || ctr.DroppedCounts.Load() != 1 || ctr.Lost.Load() != maxAgentSeq {
-			t.Fatalf("settled %v, dropped counts %d, lost %d", done.settled, ctr.DroppedCounts.Load(), ctr.Lost.Load())
+		if done, _ := c.next(); !done.settled || ctr.Discards[metrics.CountOutOfRange].Load() != 1 || ctr.Lost.Load() != maxAgentSeq {
+			t.Fatalf("settled %v, out-of-range counts %d, lost %d", done.settled, ctr.Discards[metrics.CountOutOfRange].Load(), ctr.Lost.Load())
 		}
 	})
 }
@@ -108,7 +125,7 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 // open an epoch state apiece, each with an arrivals buffer presized to the
 // last settled epoch: 20,000 reports of about 40 wire bytes held 1.7 GiB,
 // all counted Accepted, and every cycle sorted every open epoch. A report
-// for an epoch past lastSettled+grace+2 is now Rejected before it reaches
+// for an epoch past lastSettled+grace+2 is now discarded before it reaches
 // any state, and a token for such a cycle is dropped.
 func TestSettleCoreFarEpochsStaySmall(t *testing.T) {
 	const grace, agents, perAgent = 2, 14, 100 // 1,400 reports an epoch
@@ -144,8 +161,8 @@ func TestSettleCoreFarEpochsStaySmall(t *testing.T) {
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
 		t.Fatalf("%d far-epoch reports allocated %d KiB", far, spent>>10)
 	}
-	if got := ctr.Rejected.Load(); got != far {
-		t.Fatalf("Rejected = %d, want %d", got, far)
+	if got := ctr.Discards[metrics.ReportFarEpoch].Load(); got != far || rejected(ctr) != far {
+		t.Fatalf("far-epoch report discards = %d, with malformed %d; want %d, with malformed %d", got, rejected(ctr), far, far)
 	}
 	// Two drain cycles settle the last honest epochs, whole.
 	for e := int32(4); e < 4+grace; e++ {
@@ -209,10 +226,34 @@ func TestSettleCoreRestoredAdmitsNextCycle(t *testing.T) {
 				done.epoch, len(done.accepted), done.lost, k-1+int32(i))
 		}
 	}
-	if ctr.Rejected.Load() != 0 {
-		t.Fatalf("Rejected = %d, want 0", ctr.Rejected.Load())
+	if got := rejected(ctr); got != 0 {
+		t.Fatalf("malformed + far-epoch report discards = %d, want 0", got)
 	}
 	checkConservation(t, ctr)
+}
+
+// A token for a cycle whose epoch has settled, and one for a cycle no
+// source can have reached, is dropped whole: each counts one discard of its
+// own reason, and none of its counts.
+func TestSettleCoreTokenDiscards(t *testing.T) {
+	ctr := &metrics.IngestCounters{}
+	c := newSettleCore(1, 0, 0, ctr, -1)
+	c.token(0, true, nil)
+	if done, _ := c.next(); !done.settled || done.epoch != 0 {
+		t.Fatalf("cycle 0 did not settle epoch 0: %+v", done)
+	}
+	counts := []transport.AgentCount{{Agent: 1, N: 1}}
+	c.token(0, true, counts)
+	c.token(3, true, counts) // past lastSettled+grace+2 = 2
+	if got := ctr.Discards[metrics.TokenSettled].Load(); got != 1 {
+		t.Fatalf("settled-cycle token discards = %d, want 1", got)
+	}
+	if got := ctr.Discards[metrics.TokenFarEpoch].Load(); got != 1 {
+		t.Fatalf("far-cycle token discards = %d, want 1", got)
+	}
+	if n := discarded(ctr, "count"); n != 0 || len(c.open) != 0 || len(c.tokens) != 0 {
+		t.Fatalf("the dropped tokens left %d count discards, %d open epochs, %d tokens", n, len(c.open), len(c.tokens))
+	}
 }
 
 // A core restarted with no checkpoint has settled nothing, yet its agents
@@ -243,8 +284,8 @@ func TestSettleCoreUnrestoredAdmitsGraceWindow(t *testing.T) {
 	}
 	rep(1, grace+1)
 	drain()
-	if got := ctr.Rejected.Load(); got != 0 {
-		t.Fatalf("Rejected = %d after session A's replay, want 0", got)
+	if got := rejected(ctr); got != 0 {
+		t.Fatalf("malformed + far-epoch report discards = %d after session A's replay, want 0", got)
 	}
 	// Then session B's, and both run on past it.
 	for e := int32(0); e <= grace+1; e++ {
@@ -268,8 +309,8 @@ func TestSettleCoreUnrestoredAdmitsGraceWindow(t *testing.T) {
 				done.epoch, len(done.accepted), done.lost, i)
 		}
 	}
-	if ctr.Rejected.Load() != 0 {
-		t.Fatalf("Rejected = %d, want 0", ctr.Rejected.Load())
+	if got := rejected(ctr); got != 0 {
+		t.Fatalf("malformed + far-epoch report discards = %d, want 0", got)
 	}
 	checkConservation(t, ctr)
 }
@@ -380,7 +421,7 @@ func FuzzSettleCoreHostile(f *testing.F) {
 }
 
 // Probe (a) sent over a raw TCP session: the collector counts the report
-// Excess, settles its epoch without it, and keeps settling the next. A
+// as excess, settles its epoch without it, and keeps settling the next. A
 // token that claims a live epoch without the summary to settle it on
 // counts as a drain token.
 func TestNetCollectorExcessReport(t *testing.T) {
@@ -417,8 +458,8 @@ func TestNetCollectorExcessReport(t *testing.T) {
 		t.Fatalf("settled %d epochs, want epoch 0 with no report and epoch 1 with one", len(got))
 	}
 	ctr := col.Counters()
-	if ctr.Excess.Load() != 1 || ctr.Lost.Load() != 1 || ctr.Accepted.Load() != 1 {
-		t.Fatalf("excess %d, lost %d, accepted %d; want 1, 1, 1", ctr.Excess.Load(), ctr.Lost.Load(), ctr.Accepted.Load())
+	if ctr.Discards[metrics.ReportExcess].Load() != 1 || ctr.Lost.Load() != 1 || ctr.Accepted.Load() != 1 {
+		t.Fatalf("excess %d, lost %d, accepted %d; want 1, 1, 1", ctr.Discards[metrics.ReportExcess].Load(), ctr.Lost.Load(), ctr.Accepted.Load())
 	}
 	checkConservation(t, ctr)
 }
@@ -461,8 +502,9 @@ func TestNetCollectorRejectsFarEpochs(t *testing.T) {
 		t.Fatalf("settled %d epochs, want epochs 0 and 1 with one report each", len(got))
 	}
 	ctr := col.Counters()
-	if ctr.Rejected.Load() != far || ctr.Accepted.Load() != 2 || ctr.Lost.Load() != 0 {
-		t.Fatalf("rejected %d, accepted %d, lost %d; want %d, 2, 0", ctr.Rejected.Load(), ctr.Accepted.Load(), ctr.Lost.Load(), far)
+	if ctr.Discards[metrics.ReportFarEpoch].Load() != far || rejected(ctr) != far || ctr.Accepted.Load() != 2 || ctr.Lost.Load() != 0 {
+		t.Fatalf("far-epoch discards %d (with malformed %d), accepted %d, lost %d; want %d (%d), 2, 0",
+			ctr.Discards[metrics.ReportFarEpoch].Load(), rejected(ctr), ctr.Accepted.Load(), ctr.Lost.Load(), far, far)
 	}
 	if open := ctr.OpenEpochs.Load(); open > grace+2 {
 		t.Fatalf("%d epochs open after the drain, want at most %d", open, grace+2)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vigil/internal/engine"
+	"vigil/internal/metrics"
 	"vigil/internal/topology"
 	"vigil/internal/transport"
 	"vigil/internal/vote"
@@ -188,11 +189,11 @@ func TestFaultCounterAgreement(t *testing.T) {
 	if got, want := c.Late.Load(), c.InjLateInGrace.Load(); got != want {
 		t.Errorf("Late = %d, want InjLateInGrace = %d", got, want)
 	}
-	if got, want := c.LateDropped.Load(), c.InjLatePastGrace.Load(); got != want {
-		t.Errorf("LateDropped = %d, want InjLatePastGrace = %d", got, want)
+	if got, want := c.Discards[metrics.ReportSettled].Load(), c.InjLatePastGrace.Load(); got != want {
+		t.Errorf("settled-epoch report discards = %d, want InjLatePastGrace = %d", got, want)
 	}
 	// A past-grace report is lost to its epoch even though it physically
-	// arrived (and was counted LateDropped on arrival).
+	// arrived (and was discarded on arrival, its epoch settled).
 	wantLost := c.InjDrops.Load() + c.InjBurstDrops.Load() + c.InjCrashDrops.Load() + c.InjLatePastGrace.Load()
 	if got := c.Lost.Load(); got != wantLost {
 		t.Errorf("Lost = %d, want InjDrops+InjBurstDrops+InjCrashDrops+InjLatePastGrace = %d", got, wantLost)
@@ -309,7 +310,7 @@ func TestChaosDeterministic(t *testing.T) {
 		c := s.Counters()
 		return snapshot{
 			c.Received.Load(), c.Accepted.Load(), c.Duplicates.Load(), c.Late.Load(),
-			c.LateDropped.Load(), c.Lost.Load(), c.Retries.Load(), c.Recovered.Load(),
+			c.Discards[metrics.ReportSettled].Load(), c.Lost.Load(), c.Retries.Load(), c.Recovered.Load(),
 			detected,
 		}
 	}

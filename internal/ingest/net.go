@@ -32,7 +32,7 @@ type AgentConfig struct {
 	// Engine is the epoch driver; required. Its analysis options must be
 	// wire-expressible: Detect.Adjuster must be nil (it cannot be
 	// serialized; the collector rebuilds its analyzer from the
-	// ThresholdFrac/MaxLinks carried in the handshake).
+	// ThresholdFrac carried in the handshake).
 	Engine engine.Engine
 	// Addr is the collector (or chaos proxy) address; required.
 	Addr string
@@ -48,7 +48,7 @@ type AgentConfig struct {
 	// Seed derives reconnect jitter.
 	Seed uint64
 	// Test hook: Transport tunes the session (the tests' fast reconnects
-	// and polls); Addr/Session/ThresholdFrac/MaxLinks/Seed are filled in
+	// and polls); Addr/Session/ThresholdFrac/Seed are filled in
 	// from this config and the engine.
 	Transport transport.ClientConfig
 	// Counters receives the session's transport counters; one is
@@ -136,7 +136,6 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	tc.Addr = cfg.Addr
 	tc.Session = cfg.Session
 	tc.ThresholdFrac = an.Detect.ThresholdFrac
-	tc.MaxLinks = int32(an.Detect.MaxLinks)
 	if tc.Seed == 0 {
 		tc.Seed = cfg.Seed
 	}
@@ -354,10 +353,7 @@ func (h *netHandler) OnHello(sess uint64, hello transport.Hello) {
 	}
 	c.sessSeen[sess] = struct{}{}
 	if c.an == nil {
-		c.an = startAnalyst(analysis.Options{Detect: vote.DetectOptions{
-			ThresholdFrac: hello.ThresholdFrac,
-			MaxLinks:      int(hello.MaxLinks),
-		}}, int(c.core.grace))
+		c.an = startAnalyst(analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: hello.ThresholdFrac}}, int(c.core.grace))
 	}
 }
 

@@ -257,7 +257,7 @@ func TestNetCollectorCloseWithQueuedCycles(t *testing.T) {
 	const epochs, grace, closeAt = 6, 2, 4
 	eng := newTestEngine(t, engine.Config{Seed: 5}, soakTopo, 0.05)
 	an := eng.Analysis()
-	hello := transport.Hello{ThresholdFrac: an.Detect.ThresholdFrac, MaxLinks: int32(an.Detect.MaxLinks)}
+	hello := transport.Hello{ThresholdFrac: an.Detect.ThresholdFrac}
 	reports := make([][]vote.Report, epochs+grace+1)
 	tokens := make([]transport.Token, len(reports))
 	for cycle := range tokens {
@@ -505,7 +505,7 @@ func TestNetChaosSoak(t *testing.T) {
 			proxy.InjDrops.Load(), proxy.InjDups.Load(), proxy.InjReorders.Load())
 	}
 	// Injected duplicates arrive as stale frames and die at the watermark.
-	if srvCtr.FramesDropped.Load() == 0 {
+	if srvCtr.Discards[metrics.FrameStale].Load() == 0 {
 		t.Fatal("no stale frames dropped despite injected duplicates")
 	}
 	// Wire-level drops surface as ingest gaps and are recovered end to end.
@@ -636,7 +636,7 @@ func (e lyingEngine) Step(emit func(vote.Report)) *engine.EpochResult {
 
 // A report with a negative sequence or epoch is well-framed on the wire and
 // used to index the per-agent bitset out of range. Both collectors must
-// drop it, count it Rejected, and settle every epoch as if it never came.
+// drop it, count it malformed, and settle every epoch as if it never came.
 func TestMalformedIdentityRejected(t *testing.T) {
 	const epochs = 3
 	cfg := engine.Config{Seed: 7}
@@ -650,12 +650,13 @@ func TestMalformedIdentityRejected(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("settled %d epochs that differ from the batch run's %d", len(got), len(want))
 		}
-		if r := ctr.Rejected.Load(); r != 2*epochs {
-			t.Fatalf("Rejected = %d, want %d", r, 2*epochs)
+		if r := ctr.Discards[metrics.ReportMalformed].Load(); r != 2*epochs || rejected(ctr) != 2*epochs {
+			t.Fatalf("malformed report discards = %d, with far-epoch %d; want %d, with far-epoch %d", r, rejected(ctr), 2*epochs, 2*epochs)
 		}
-		if got, want := ctr.Received.Load(), ctr.Accepted.Load()+ctr.Rejected.Load(); got != want {
-			t.Fatalf("Received = %d, Accepted + Rejected = %d", got, want)
+		if got, want := ctr.Received.Load(), ctr.Accepted.Load()+rejected(ctr); got != want {
+			t.Fatalf("Received = %d, Accepted + malformed + far-epoch report discards = %d", got, want)
 		}
+		checkConservation(t, ctr)
 	}
 	t.Run("service", func(t *testing.T) {
 		got, s := runService(t, Config{Engine: lyingEngine{newTestEngine(t, cfg, equivTopo, 0.02)}}, epochs)
@@ -723,8 +724,8 @@ func TestHostileSeqStaysSmall(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("settled %d epochs that differ from the batch run's %d", len(got), len(want))
 		}
-		if r := ctr.Rejected.Load(); r != 2*epochs {
-			t.Fatalf("Rejected = %d, want %d", r, 2*epochs)
+		if r := ctr.Discards[metrics.ReportMalformed].Load(); r != 2*epochs || rejected(ctr) != 2*epochs {
+			t.Fatalf("malformed report discards = %d, with far-epoch %d; want %d, with far-epoch %d", r, rejected(ctr), 2*epochs, 2*epochs)
 		}
 		if bytes > 32<<20 {
 			t.Fatalf("the run allocated %d MiB", bytes>>20)
@@ -877,7 +878,7 @@ func TestTwoSessionsBitIdentical(t *testing.T) {
 			t.Fatalf("epoch %d: two-session settle diverged from batch RunEpoch", i)
 		}
 	}
-	if ctr := col.Counters(); ctr.Lost.Load() != 0 || ctr.Rejected.Load() != 0 || ctr.Duplicates.Load() != 0 {
-		t.Fatalf("lost %d, rejected %d, duplicates %d on a fault-free wire", ctr.Lost.Load(), ctr.Rejected.Load(), ctr.Duplicates.Load())
+	if ctr := col.Counters(); ctr.Lost.Load() != 0 || discarded(ctr, "report") != 0 || ctr.Duplicates.Load() != 0 {
+		t.Fatalf("lost %d, report discards %d, duplicates %d on a fault-free wire", ctr.Lost.Load(), discarded(ctr, "report"), ctr.Duplicates.Load())
 	}
 }

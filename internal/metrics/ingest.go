@@ -11,23 +11,27 @@ import (
 // the ingest pipeline's goroutines update them without locks and a metrics
 // endpoint can render them mid-run.
 //
+// What the settle core throws away is counted in one ledger, Discards, by
+// reason (see Discard), rendered as vigil_ingest_discards_total{kind,reason};
+// each older series is the sum of its reasons (rejected = report malformed +
+// far_epoch). A report is accepted, a duplicate or discarded: Received ==
+// Accepted + Duplicates + the report-kind discards. Duplicates stays a
+// field: dedup working is no discard rule, and the benchmark reads it.
+//
 // The paired design — observed counters next to injected counters — is the
 // service's self-check: with retries disabled, every injected fault is
 // observable (`Duplicates == InjDuplicates`, `Late == InjLateInGrace`,
-// `LateDropped == InjLatePastGrace`, `Lost == InjDrops + InjBurstDrops +
-// InjCrashDrops + InjLatePastGrace` — a report past the grace window is
-// lost to its epoch even though it physically arrived), and the chaos
-// tests assert exactly that.
+// report settled discards `== InjLatePastGrace`, `Lost == InjDrops +
+// InjBurstDrops + InjCrashDrops + InjLatePastGrace` — a report past the
+// grace window is lost to its epoch even though it physically arrived),
+// and the chaos tests assert exactly that.
 type IngestCounters struct {
 	// Observed at the collector.
 	Received      atomic.Int64 // reports that reached the collector (incl. duplicates)
 	Accepted      atomic.Int64 // reports admitted into a not-yet-settled epoch
 	Duplicates    atomic.Int64 // suppressed as already-seen (agent, epoch, seq)
 	Late          atomic.Int64 // accepted inside the grace window after their epoch closed
-	LateDropped   atomic.Int64 // arrived after their epoch settled; discarded
-	Rejected      atomic.Int64 // malformed identity (negative seq or epoch) or an epoch no source has reached; discarded
-	Excess        atomic.Int64 // at or past their agent's expected count; discarded
-	DroppedCounts atomic.Int64 // token counts dropped: out of range, or an agent's second
+	Discards      Discards     // what the settle core threw away, by reason
 	Lost          atomic.Int64 // expected but missing when their epoch settled
 	Retries       atomic.Int64 // re-requests issued for detected sequence gaps
 	Recovered     atomic.Int64 // gap reports recovered by a retry before settle
@@ -53,10 +57,15 @@ var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_accepted_total", "Reports admitted into a not-yet-settled epoch.", false, func(c *IngestCounters) int64 { return c.Accepted.Load() }},
 	{"vigil_ingest_duplicates_total", "Reports suppressed as duplicates of an already-seen identity.", false, func(c *IngestCounters) int64 { return c.Duplicates.Load() }},
 	{"vigil_ingest_late_total", "Reports accepted inside the grace window after their epoch closed.", false, func(c *IngestCounters) int64 { return c.Late.Load() }},
-	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.LateDropped.Load() }},
-	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch) or for an epoch no source can have reached: more than grace+2 past the newest settled one.", false, func(c *IngestCounters) int64 { return c.Rejected.Load() }},
-	{"vigil_ingest_excess_total", "Reports discarded because their sequence was at or past their agent's expected count.", false, func(c *IngestCounters) int64 { return c.Excess.Load() }},
-	{"vigil_ingest_dropped_counts_total", "Token counts dropped: out of range, or a second count for the same agent and epoch.", false, func(c *IngestCounters) int64 { return c.DroppedCounts.Load() }},
+	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.Discards[ReportSettled].Load() }},
+	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch) or for an epoch no source can have reached: more than grace+2 past the newest settled one.", false, func(c *IngestCounters) int64 {
+		return c.Discards[ReportMalformed].Load() + c.Discards[ReportFarEpoch].Load()
+	}},
+	{"vigil_ingest_excess_total", "Reports discarded because their sequence was at or past their agent's expected count.", false, func(c *IngestCounters) int64 { return c.Discards[ReportExcess].Load() }},
+	{"vigil_ingest_dropped_counts_total", "Token counts dropped: out of range, or a second count for the same agent and epoch.", false, func(c *IngestCounters) int64 {
+		return c.Discards[CountOutOfRange].Load() + c.Discards[CountRepeat].Load()
+	}},
+	{"vigil_ingest_discards_total", "Reports, token counts and tokens the settle core discarded, by kind and reason.", false, func(c *IngestCounters) (*Discards, bool) { return &c.Discards, false }},
 	{"vigil_ingest_lost_total", "Reports still missing when their epoch settled.", false, func(c *IngestCounters) int64 { return c.Lost.Load() }},
 	{"vigil_ingest_retries_total", "Gap re-requests issued to agents.", false, func(c *IngestCounters) int64 { return c.Retries.Load() }},
 	{"vigil_ingest_recovered_total", "Gap reports recovered by a retry before settle.", false, func(c *IngestCounters) int64 { return c.Recovered.Load() }},

@@ -12,7 +12,8 @@ func TestWritePrometheus(t *testing.T) {
 	var c IngestCounters
 	c.Received.Store(123)
 	c.Lost.Store(7)
-	c.Rejected.Store(3)
+	c.Discards[ReportMalformed].Store(1)
+	c.Discards[ReportFarEpoch].Store(2)
 
 	var b strings.Builder
 	if err := c.WritePrometheus(&b); err != nil {
@@ -36,6 +37,7 @@ func TestWritePrometheus(t *testing.T) {
 		"vigil_ingest_received_total 123\n",
 		"vigil_ingest_lost_total 7\n",
 		"vigil_ingest_rejected_total 3\n",
+		`vigil_ingest_discards_total{kind="report",reason="far_epoch"} 2` + "\n",
 		"vigil_ingest_accepted_total 0\n",
 	} {
 		if !strings.Contains(out, want) {

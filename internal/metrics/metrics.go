@@ -4,6 +4,7 @@
 package metrics
 
 import (
+	"vigil/internal/opt"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
@@ -14,12 +15,6 @@ type FlowTruth struct {
 	// CrossedFailure is true when the flow's path contained an injected
 	// failure — the flows on which attribution accuracy is defined (§7.2).
 	CrossedFailure bool
-}
-
-// Blamer abstracts a per-flow verdict source so 007 and the integer
-// program score through the same code.
-type Blamer interface {
-	BlameOnPath(path []topology.LinkID) (topology.LinkID, bool)
 }
 
 // FlowScore is the per-flow accuracy result.
@@ -64,8 +59,8 @@ func ScoreVerdicts(verdicts []vote.Verdict, truth map[int64]FlowTruth) FlowScore
 	return s
 }
 
-// ScoreBlamer scores a baseline's per-flow blame over the same flows.
-func ScoreBlamer(b Blamer, reports []vote.Report, truth map[int64]FlowTruth) FlowScore {
+// ScoreBlamer scores the integer program's per-flow blame over the same flows.
+func ScoreBlamer(b opt.IntegerSolution, reports []vote.Report, truth map[int64]FlowTruth) FlowScore {
 	var s FlowScore
 	for _, r := range reports {
 		tr, ok := truth[r.FlowID]

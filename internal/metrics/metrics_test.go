@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 
+	"vigil/internal/opt"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
@@ -42,20 +43,6 @@ func TestAccuracyEmptyIsOne(t *testing.T) {
 	}
 }
 
-type fixedBlamer struct{ link topology.LinkID }
-
-func (f fixedBlamer) BlameOnPath(path []topology.LinkID) (topology.LinkID, bool) {
-	for _, l := range path {
-		if l == f.link {
-			return l, true
-		}
-	}
-	if len(path) == 0 {
-		return topology.NoLink, false
-	}
-	return path[0], true
-}
-
 func TestScoreBlamer(t *testing.T) {
 	truth := map[int64]FlowTruth{
 		1: {Culprit: 7, CrossedFailure: true},
@@ -63,9 +50,10 @@ func TestScoreBlamer(t *testing.T) {
 	}
 	reports := []vote.Report{
 		{FlowID: 1, Path: []topology.LinkID{5, 7, 9}},
-		{FlowID: 2, Path: []topology.LinkID{4, 6, 8}}, // blamer falls back to 4
+		{FlowID: 2, Path: []topology.LinkID{4, 6, 8}},
 	}
-	s := ScoreBlamer(fixedBlamer{link: 7}, reports, truth)
+	// Flow 2's path holds no 7: its blame is 4.
+	s := ScoreBlamer(opt.IntegerSolution{Drops: map[topology.LinkID]int{7: 3, 4: 1}}, reports, truth)
 	if s.Considered != 2 || s.Correct != 1 {
 		t.Fatalf("score = %+v", s)
 	}
@@ -73,7 +61,7 @@ func TestScoreBlamer(t *testing.T) {
 
 func TestScoreBlamerEmptyPath(t *testing.T) {
 	truth := map[int64]FlowTruth{1: {Culprit: 7, CrossedFailure: true}}
-	s := ScoreBlamer(fixedBlamer{}, []vote.Report{{FlowID: 1}}, truth)
+	s := ScoreBlamer(opt.IntegerSolution{Drops: map[topology.LinkID]int{7: 3}}, []vote.Report{{FlowID: 1}}, truth)
 	if s.NoiseErrors != 1 || s.Correct != 0 {
 		t.Fatalf("score = %+v", s)
 	}

@@ -50,9 +50,10 @@ func (p *promWriter) sample(v any, labels ...string) {
 	p.printf("%s%s %v\n", p.name, set.String(), v)
 }
 
-// series is one unlabelled series of a counter struct C: name, help, kind
-// and a loader — a func(*C) int64, or a func(*C) float64 for the rare series
-// that is not a count.
+// series is one family of a counter struct C: name, help, kind and a
+// loader — a func(*C) int64, a func(*C) float64 for the rare series that is
+// not a count, or a func returning a discard table and whether the family
+// renders its frame reasons or every other one.
 type series[C any] struct {
 	name, help string
 	gauge      bool
@@ -71,6 +72,13 @@ func writeSeries[C any](w io.Writer, c *C, all []series[C]) error {
 			p.sample(load(c))
 		case func(*C) float64:
 			p.sample(load(c))
+		case func(*C) (*Discards, bool):
+			d, frames := load(c)
+			for r := range numDiscards {
+				if kind, reason := r.Labels(); (kind == "frame") == frames {
+					p.sample(d[r].Load(), "kind", kind, "reason", reason)
+				}
+			}
 		default:
 			panic("metrics: series " + m.name + " has no loader")
 		}

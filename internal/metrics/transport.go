@@ -30,13 +30,12 @@ type TransportCounters struct {
 	Pings        atomic.Int64 // liveness probes sent while waiting on the collector
 
 	// Server side (collector).
-	FramesReceived  atomic.Int64 // sequenced frames that reached the collector
-	FramesDropped   atomic.Int64 // stale/duplicate frames dropped by the session watermark
-	AcksSent        atomic.Int64 // durable acknowledgement frames sent
-	CycleEndsSent   atomic.Int64 // cycle-end frames sent (including re-sends)
-	SendWindowDrops atomic.Int64 // outbound frames shed because a connection's send window was full
-	AcceptRetries   atomic.Int64 // transient accept-loop errors survived with backoff
-	Checkpoints     atomic.Int64 // collector state checkpoints written
+	FramesReceived atomic.Int64 // sequenced frames that reached the collector
+	AcksSent       atomic.Int64 // durable acknowledgement frames sent
+	CycleEndsSent  atomic.Int64 // cycle-end frames sent (including re-sends)
+	AcceptRetries  atomic.Int64 // transient accept-loop errors survived with backoff
+	Discards       Discards     // frames thrown away, by reason (the frame kind): stale and duplicate ones are one, as the watermark cannot tell them apart
+	Checkpoints    atomic.Int64 // collector state checkpoints written
 	// CheckpointCommitNanos is the time spent in those commits — encode,
 	// pwrite, fdatasync — so its ratio to Checkpoints is the mean commit cost.
 	CheckpointCommitNanos atomic.Int64
@@ -73,10 +72,11 @@ var transportMetrics = []series[TransportCounters]{
 	{"vigil_transport_token_resends_total", "Cycle tokens re-sent while waiting on a lost cycle-end.", false, func(c *TransportCounters) int64 { return c.TokenResends.Load() }},
 	{"vigil_transport_pings_total", "Liveness probes sent while waiting on the collector.", false, func(c *TransportCounters) int64 { return c.Pings.Load() }},
 	{"vigil_transport_frames_received_total", "Sequenced frames that reached the collector.", false, func(c *TransportCounters) int64 { return c.FramesReceived.Load() }},
-	{"vigil_transport_frames_dropped_total", "Stale or duplicate frames dropped by the session watermark.", false, func(c *TransportCounters) int64 { return c.FramesDropped.Load() }},
+	{"vigil_transport_frames_dropped_total", "Stale or duplicate frames dropped by the session watermark.", false, func(c *TransportCounters) int64 { return c.Discards[FrameStale].Load() }},
 	{"vigil_transport_acks_total", "Durable acknowledgement frames sent to agents.", false, func(c *TransportCounters) int64 { return c.AcksSent.Load() }},
 	{"vigil_transport_cycle_ends_total", "Cycle-end frames sent to agents, re-sends included.", false, func(c *TransportCounters) int64 { return c.CycleEndsSent.Load() }},
-	{"vigil_transport_send_window_drops_total", "Outbound frames shed because a connection's bounded send window was full.", false, func(c *TransportCounters) int64 { return c.SendWindowDrops.Load() }},
+	{"vigil_transport_send_window_drops_total", "Outbound frames shed because a connection's bounded send window was full.", false, func(c *TransportCounters) int64 { return c.Discards[FrameSendWindow].Load() }},
+	{"vigil_transport_discards_total", "Frames the collector discarded, by kind and reason: stale or duplicate, shed by a full send window, or unusable (the connection is closed on it).", false, func(c *TransportCounters) (*Discards, bool) { return &c.Discards, true }},
 	{"vigil_transport_accept_retries_total", "Transient accept-loop errors survived with backoff.", false, func(c *TransportCounters) int64 { return c.AcceptRetries.Load() }},
 	{"vigil_transport_checkpoints_total", "Collector state checkpoints written.", false, func(c *TransportCounters) int64 { return c.Checkpoints.Load() }},
 	{"vigil_transport_checkpoint_commit_seconds_total", "Time spent writing those checkpoints and making them durable; over checkpoints_total, the mean commit cost.", false, func(c *TransportCounters) float64 { return time.Duration(c.CheckpointCommitNanos.Load()).Seconds() }},

@@ -42,7 +42,8 @@ type ConstantRate struct {
 	Rate float64
 }
 
-// RateAt implements RateSchedule.
+// Public API: RateAt implements RateSchedule for a library user's
+// vigil.ConstantRate.
 func (c ConstantRate) RateAt(int) (float64, bool) { return c.Rate, true }
 
 // Window fails the link at Rate during epochs [Start, End) and leaves it

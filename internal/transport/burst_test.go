@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vigil/internal/metrics"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
@@ -149,7 +150,7 @@ func burstCycles(t *testing.T) (frames, writes int64) {
 		t.Fatalf("sent %d of %d frames, resent %d, resumes %d on a fault-free wire",
 			ctr.FramesSent.Load(), len(want), ctr.FramesResent.Load(), ctr.Resumes.Load())
 	}
-	if srv.ctr.FramesDropped.Load() != 0 {
+	if srv.ctr.Discards[metrics.FrameStale].Load() != 0 {
 		t.Fatal("the server dropped frames on a fault-free wire")
 	}
 	return ctr.FramesSent.Load(), ctr.Writes.Load()
@@ -244,7 +245,7 @@ func TestCutInsideCoalescedWrite(t *testing.T) {
 	if got, want := ctr.FramesResent.Load(), int64(total)-landed; got != want {
 		t.Fatalf("FramesResent = %d, want the %d frames past the watermark", got, want)
 	}
-	if got := srv.ctr.FramesDropped.Load(); got != 0 {
+	if got := srv.ctr.Discards[metrics.FrameStale].Load(); got != 0 {
 		t.Fatalf("the replay overlapped the watermark: %d stale frames", got)
 	}
 	// Hello aside: the full burst, the torn write, the replay.

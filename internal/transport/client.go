@@ -20,10 +20,9 @@ type ClientConfig struct {
 	// Session identifies this agent session across reconnects; required
 	// to be stable for the life of the ingest run.
 	Session uint64
-	// ThresholdFrac and MaxLinks ride the Hello frame so the collector
-	// can validate engine-configuration agreement.
+	// ThresholdFrac rides the Hello frame so the collector analyzes with
+	// the engine's Algorithm 1 threshold.
 	ThresholdFrac float64
-	MaxLinks      int32
 	// Test hook: DialTimeout bounds each TCP dial, so that a test can
 	// shorten it. 0 means 5s.
 	DialTimeout time.Duration
@@ -233,8 +232,7 @@ dialing:
 			c.ctr.Reconnects.Add(1)
 		}
 		conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-		hello := Hello{Version: Version, Session: c.cfg.Session,
-			ThresholdFrac: c.cfg.ThresholdFrac, MaxLinks: c.cfg.MaxLinks}
+		hello := Hello{Version: Version, Session: c.cfg.Session, ThresholdFrac: c.cfg.ThresholdFrac}
 		if _, err := conn.Write(Frame(AppendHello(nil, hello))); err != nil {
 			conn.Close()
 			c.ctr.DialFailures.Add(1)

@@ -35,6 +35,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -46,7 +47,7 @@ import (
 )
 
 // Version is the protocol version carried in every Hello.
-const Version = 1
+const Version = 2
 
 // Frame types. Report and Token are "sequenced": they carry a
 // session-scoped sequence number, are buffered by the sender until durably
@@ -68,14 +69,13 @@ const (
 // protocol violation (or line noise) and kills the connection.
 const DefaultMaxFrame = 1 << 22
 
-// Hello opens (or resumes) a session. ThresholdFrac and MaxLinks carry the
-// engine's Algorithm 1 parameters so the collector's analysis of settled
-// epochs is bit-identical to the agent-side batch engine's.
+// Hello opens (or resumes) a session. ThresholdFrac carries the engine's
+// Algorithm 1 threshold so the collector's analysis of settled epochs is
+// bit-identical to the agent-side batch engine's.
 type Hello struct {
 	Version       uint8
 	Session       uint64
 	ThresholdFrac float64
-	MaxLinks      int32
 }
 
 // HelloAck answers a Hello: the server has processed every sequenced frame
@@ -237,7 +237,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendU8(dst, h.Version)
 	dst = appendU64(dst, h.Session)
 	dst = appendU64(dst, math.Float64bits(h.ThresholdFrac))
-	dst = appendI32(dst, h.MaxLinks)
 	return dst
 }
 
@@ -247,7 +246,6 @@ func DecodeHello(payload []byte) (Hello, error) {
 		Version:       r.u8(),
 		Session:       r.u64(),
 		ThresholdFrac: math.Float64frombits(r.u64()),
-		MaxLinks:      r.i32(),
 	}
 	return h, r.done()
 }
@@ -480,6 +478,9 @@ func DecodeCycleEnd(payload []byte) (CycleEnd, error) {
 // AppendControl encodes a bodyless control frame (Ping, Pong, Bye).
 func AppendControl(dst []byte, typ byte) []byte { return appendU8(dst, typ) }
 
+// errFrameLength is a length prefix outside [1, maxFrame]: a malformed frame.
+var errFrameLength = errors.New("transport: frame length")
+
 // Frame encodes a complete frame (length prefix included) ready to write.
 func Frame(body []byte) []byte {
 	out := make([]byte, 0, 4+len(body))
@@ -555,7 +556,7 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 	}
 	n := int(binary.LittleEndian.Uint32(hdr))
 	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("transport: frame length %d outside [1, %d]", n, maxFrame)
+		return 0, nil, fmt.Errorf("%w: %d outside [1, %d]", errFrameLength, n, maxFrame)
 	}
 	if 4+n <= fr.br.Size() {
 		frame, err := fr.peek(4 + n)

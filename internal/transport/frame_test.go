@@ -23,7 +23,7 @@ func reframe(t *testing.T, body []byte) (byte, []byte) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := Hello{Version: Version, Session: 1<<40 + 7, ThresholdFrac: 0.8125, MaxLinks: 5}
+	in := Hello{Version: Version, Session: 1<<40 + 7, ThresholdFrac: 0.8125}
 	typ, payload := reframe(t, AppendHello(nil, in))
 	if typ != TypeHello {
 		t.Fatalf("type = %d, want TypeHello", typ)

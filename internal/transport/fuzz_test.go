@@ -3,11 +3,13 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"reflect"
 	"testing"
 
+	"vigil/internal/metrics"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
@@ -72,8 +74,9 @@ func checkCodec(t *testing.T, typ byte, payload []byte) {
 // reader built from the public one-frame-at-a-time helpers: the loop never
 // panics, delivers exactly the frames the session watermark admits — none
 // twice — in order and with the reference's contents (so no payload or
-// path was read from a recycled buffer), and every frame in the stream that
-// decodes at all meets checkCodec.
+// path was read from a recycled buffer), counts every frame the watermark
+// turns away stale and the unusable frame the stream may end on malformed,
+// and every frame in the stream that decodes at all meets checkCodec.
 func FuzzFrameStream(f *testing.F) {
 	f.Fuzz(checkFrameStream)
 }
@@ -108,9 +111,12 @@ func TestFrameStreamLongBurst(t *testing.T) {
 }
 
 func checkFrameStream(t *testing.T, stream []byte) {
-	// The reference: ReadFrame, Decode*, and the watermark rule.
+	// The reference: ReadFrame, Decode*, and the watermark rule. A stream
+	// ends on its end or a Bye, or on an unusable frame: a length out of
+	// bounds, an undecodable report or token, or an unknown type.
 	var wantReports []Report
 	var wantTokens []Token
+	var wantStale, wantMalformed int64
 	wantByes := 0
 	br := bufio.NewReader(bytes.NewReader(stream))
 	var recv uint64
@@ -118,6 +124,9 @@ reference:
 	for {
 		typ, payload, err := ReadFrame(br, 0)
 		if err != nil {
+			if errors.Is(err, errFrameLength) {
+				wantMalformed = 1
+			}
 			break
 		}
 		checkCodec(t, typ, payload)
@@ -125,26 +134,33 @@ reference:
 		case TypeReport:
 			r, err := DecodeReport(payload)
 			if err != nil {
+				wantMalformed = 1
 				break reference
 			}
-			if r.Seq > recv {
-				recv = r.Seq
-				wantReports = append(wantReports, Report{Attempt: r.Attempt, R: r.R})
+			if r.Seq <= recv {
+				wantStale++
+				continue
 			}
+			recv = r.Seq
+			wantReports = append(wantReports, Report{Attempt: r.Attempt, R: r.R})
 		case TypeToken:
 			tok, err := DecodeToken(payload)
 			if err != nil {
+				wantMalformed = 1
 				break reference
 			}
-			if tok.Seq > recv {
-				recv = tok.Seq
-				wantTokens = append(wantTokens, tok)
+			if tok.Seq <= recv {
+				wantStale++
+				continue
 			}
+			recv = tok.Seq
+			wantTokens = append(wantTokens, tok)
 		case TypePing:
 		case TypeBye:
 			wantByes = 1
 			break reference
 		default:
+			wantMalformed = 1
 			break reference
 		}
 	}
@@ -178,5 +194,11 @@ reference:
 	}
 	if got := srv.ctr.FramesReceived.Load(); got != int64(len(reports)+len(tokens)) {
 		t.Fatalf("FramesReceived = %d for %d deliveries", got, len(reports)+len(tokens))
+	}
+	if got := srv.ctr.Discards[metrics.FrameStale].Load(); got != wantStale {
+		t.Fatalf("%d stale frames counted, the reference %d", got, wantStale)
+	}
+	if got := srv.ctr.Discards[metrics.FrameMalformed].Load(); got != wantMalformed {
+		t.Fatalf("%d malformed frames counted, the reference %d", got, wantMalformed)
 	}
 }

@@ -153,8 +153,8 @@ func (p *Proxy) Live() int {
 	return len(p.pairs)
 }
 
-// Close shuts the proxy down, severing everything (without counting the
-// severs as injected cuts).
+// Test hook: Close shuts the proxy down, severing everything (without
+// counting the severs as injected cuts).
 func (p *Proxy) Close() error {
 	p.mu.Lock()
 	if p.closed {

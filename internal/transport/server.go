@@ -274,7 +274,7 @@ func (s *Server) enqueue(sess *session, gen int, framed []byte) {
 	select {
 	case sess.out <- framed:
 	default:
-		s.ctr.SendWindowDrops.Add(1)
+		s.ctr.Discards[metrics.FrameSendWindow].Add(1)
 	}
 }
 
@@ -298,23 +298,31 @@ func (s *Server) writer(conn net.Conn, out chan []byte) {
 // read(2) brings in a burst and its frames are decoded where they land.
 const readBuffer = 64 << 10
 
-// handle runs one connection: handshake, then the frame loop. The loop
-// decodes every whole frame already buffered before it looks at the
-// connection again — the read deadline is pushed only when a read is about
-// to block — and decodes reports without an allocation per frame.
+// handle runs one connection, counting the unusable frame it may end on.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
+	if s.serve(conn) {
+		s.ctr.Discards[metrics.FrameMalformed].Add(1)
+	}
+}
+
+// serve runs one connection: handshake, then the frame loop. The loop
+// decodes every whole frame already buffered before it looks at the
+// connection again — the read deadline is pushed only when a read is about
+// to block — and decodes reports without an allocation per frame. It
+// reports whether it ended on an unusable frame (see metrics.FrameMalformed).
+func (s *Server) serve(conn net.Conn) (unusable bool) {
 	fr := frameReader{br: bufio.NewReaderSize(conn, readBuffer), conn: conn, timeout: readTimeout}
 
 	typ, payload, err := fr.next()
 	if err != nil || typ != TypeHello {
 		conn.Close()
-		return
+		return err == nil || errors.Is(err, errFrameLength)
 	}
 	hello, err := DecodeHello(payload)
 	if err != nil || hello.Version != Version {
 		conn.Close()
-		return
+		return true
 	}
 	sess := s.sessionFor(hello.Session)
 	gen := s.attach(sess, conn)
@@ -327,13 +335,13 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		typ, payload, err := fr.next()
 		if err != nil {
-			return
+			return errors.Is(err, errFrameLength)
 		}
 		switch typ {
 		case TypeReport:
 			f, err := decodeReport(payload, &paths)
 			if err != nil {
-				return
+				return true
 			}
 			sess.locked(func() {
 				if s.fresh(sess, f.Seq) {
@@ -343,7 +351,7 @@ func (s *Server) handle(conn net.Conn) {
 		case TypeToken:
 			t, err := DecodeToken(payload)
 			if err != nil {
-				return
+				return true
 			}
 			sess.locked(func() {
 				if s.fresh(sess, t.Seq) {
@@ -364,10 +372,10 @@ func (s *Server) handle(conn net.Conn) {
 			s.enqueue(sess, gen, Frame(AppendControl(nil, TypePong)))
 		case TypeBye:
 			s.bye(sess)
-			return
+			return false
 		default:
 			// Unknown frame from a same-version client: protocol error.
-			return
+			return true
 		}
 	}
 }
@@ -381,11 +389,11 @@ func (sess *session) locked(fn func()) {
 }
 
 // fresh advances the session's processed watermark to seq and reports
-// true, or counts the frame stale and reports false. The caller holds
-// procMu.
+// true, or counts the frame stale (a duplicate too: the watermark cannot
+// tell them apart) and reports false. The caller holds procMu.
 func (s *Server) fresh(sess *session, seq uint64) bool {
 	if seq <= sess.recv {
-		s.ctr.FramesDropped.Add(1)
+		s.ctr.Discards[metrics.FrameStale].Add(1)
 		return false
 	}
 	sess.recv = seq

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vigil/internal/metrics"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
@@ -106,7 +107,7 @@ func TestSessionLockstep(t *testing.T) {
 	tokenSeq := make(chan uint64, 1)
 	h.onToken = func(sess, seq uint64, tok Token) { tokenSeq <- seq }
 	srv := newTestServer(t, h, ServerConfig{})
-	cli := newTestClient(t, srv.Addr(), ClientConfig{Session: 7, ThresholdFrac: 0.75, MaxLinks: 3})
+	cli := newTestClient(t, srv.Addr(), ClientConfig{Session: 7, ThresholdFrac: 0.75})
 
 	ctx := context.Background()
 	for i := int32(0); i < 3; i++ {
@@ -148,7 +149,7 @@ func TestSessionLockstep(t *testing.T) {
 	h.mu.Lock()
 	hello := h.hellos[0]
 	h.mu.Unlock()
-	if hello.ThresholdFrac != 0.75 || hello.MaxLinks != 3 {
+	if hello.ThresholdFrac != 0.75 {
 		t.Fatalf("hello = %+v", hello)
 	}
 
@@ -441,7 +442,7 @@ func TestLostCycleEndRecovered(t *testing.T) {
 	// triggers the server-side re-send.
 	go func() {
 		deadline := time.Now().Add(2 * time.Second)
-		for srv.ctr.FramesDropped.Load() == 0 && time.Now().Before(deadline) {
+		for srv.ctr.Discards[metrics.FrameStale].Load() == 0 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		srv.SendCycleEnd(4, CycleEnd{Cycle: 0})
@@ -452,7 +453,7 @@ func TestLostCycleEndRecovered(t *testing.T) {
 	if cli.ctr.TokenResends.Load() == 0 {
 		t.Fatal("cycle-end arrived without any token re-send")
 	}
-	if srv.ctr.FramesDropped.Load() == 0 {
+	if srv.ctr.Discards[metrics.FrameStale].Load() == 0 {
 		t.Fatal("server never saw the stale token re-send")
 	}
 }
@@ -752,6 +753,10 @@ func TestHandshakeValidation(t *testing.T) {
 	h.mu.Unlock()
 	if nHellos != 0 {
 		t.Fatal("rejected handshakes reached the handler")
+	}
+	srv.Close() // waits for both connections' goroutines
+	if got := srv.ctr.Discards[metrics.FrameMalformed].Load(); got != 2 {
+		t.Fatalf("%d malformed frames counted for the two bad handshakes, want 2", got)
 	}
 }
 

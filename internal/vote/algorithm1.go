@@ -117,8 +117,6 @@ type DetectOptions struct {
 	ThresholdFrac float64
 	// Adjuster estimates vote spill-over; nil means no adjustment.
 	Adjuster Adjuster
-	// MaxLinks caps |B| as a safety valve; 0 means no cap.
-	MaxLinks int
 }
 
 // detectScratch is FindProblemLinks' working set, all per tally slot.
@@ -181,9 +179,6 @@ func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, o
 	}
 	var b []topology.LinkID
 	for {
-		if opts.MaxLinks > 0 && len(b) >= opts.MaxLinks {
-			return b
-		}
 		// The argmax, equal votes going to the lower slot (LinkID). Votes
 		// only fall, so the walk down the original ranking ends at the first
 		// slot that can neither reach the cutoff nor beat or tie the best

@@ -23,9 +23,6 @@ func findProblemLinksOracle(t *Tally, opts DetectOptions) []topology.LinkID {
 	cutoff := opts.ThresholdFrac * total
 	var b []topology.LinkID
 	for {
-		if opts.MaxLinks > 0 && len(b) >= opts.MaxLinks {
-			return b
-		}
 		lmax, vmax := -1, 0.0
 		for s, v := range votes {
 			if v > vmax && !inB[s] {
@@ -80,8 +77,7 @@ func quarterReports(rng *stats.RNG, n, links int) []Report {
 // Algorithm 1 walking the ranking must blame exactly what the ascending
 // argmax scan blames, in the same order — under every adjuster, with an
 // observed adjuster over Localize's own index and over a foreign one, with
-// exact ties between discounted and undiscounted votes, zeroed votes and a
-// MaxLinks cap.
+// exact ties between discounted and undiscounted votes, and zeroed votes.
 func TestFindProblemLinksMatchesArgmaxScan(t *testing.T) {
 	rng := stats.NewRNG(29)
 	topo, err := topology.New(topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 4, T2: 2, HostsPerToR: 4})
@@ -95,10 +91,7 @@ func TestFindProblemLinksMatchesArgmaxScan(t *testing.T) {
 		// The foreign adjuster sees other reports too, so its slots are not
 		// the tally's.
 		foreign := append(quarterReports(rng, rng.Intn(40), links+7), reports[:rng.Intn(len(reports))]...)
-		opts := DetectOptions{
-			ThresholdFrac: []float64{0.001, 0.01, 0.05}[rng.Intn(3)],
-			MaxLinks:      []int{0, 0, 1, 3}[rng.Intn(4)],
-		}
+		opts := DetectOptions{ThresholdFrac: []float64{0.001, 0.01, 0.05}[rng.Intn(3)]}
 		tl := NewTally()
 		tl.AddAll(reports)
 		check := func(name string, adj func() Adjuster, got func(DetectOptions) []topology.LinkID) {
@@ -175,10 +168,13 @@ func TestClassifyFlowsForeignTally(t *testing.T) {
 			detected = append(detected, lv.Link)
 		}
 		got := ClassifyFlows(tl, detected, reports)
+		ranking := tl.Ranking()
 		for i, r := range reports {
 			want := Verdict{FlowID: r.FlowID, Link: topology.NoLink, Noise: true}
-			if blame, ok := tl.BlameOnPath(r.Path); ok {
-				want.Link = blame
+			// The blame is the path's first link in the ranking: the most
+			// voted, ties to the lower ID.
+			if k := slices.IndexFunc(ranking, func(lv LinkVotes) bool { return slices.Contains(r.Path, lv.Link) }); k >= 0 {
+				want.Link = ranking[k].Link
 			}
 			for _, l := range r.Path {
 				if slices.Contains(detected, l) {

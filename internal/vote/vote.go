@@ -117,14 +117,6 @@ func (t *Tally) AddAll(rs []Report) {
 	t.links, t.votes = links, votes
 }
 
-// Votes returns link l's tally.
-func (t *Tally) Votes(l topology.LinkID) float64 {
-	if i, ok := slices.BinarySearch(t.links, l); ok {
-		return t.votes[i]
-	}
-	return 0
-}
-
 // Ranking returns links sorted by descending votes; ties break toward the
 // lower link ID so results are deterministic.
 func (t *Tally) Ranking() []LinkVotes {
@@ -274,18 +266,4 @@ func regroup(table []int32, keys []uint64) []int32 {
 		table[probe(table, keys[:g], k)] = int32(g) + 1
 	}
 	return table
-}
-
-// BlameOnPath returns the most-voted link of path, the most likely cause of
-// that flow's drops (§5.2: links ranked higher have higher drop rates).
-// ok is false when no path link received any vote.
-func (t *Tally) BlameOnPath(path []topology.LinkID) (blame topology.LinkID, ok bool) {
-	best := topology.NoLink
-	bestV := 0.0
-	for _, l := range path {
-		if v := t.Votes(l); v > bestV || (v == bestV && v > 0 && l < best) {
-			best, bestV = l, v
-		}
-	}
-	return best, best != topology.NoLink
 }

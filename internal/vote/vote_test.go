@@ -19,14 +19,18 @@ func TestTallyVoteValues(t *testing.T) {
 		report(1, 2, 10, 11, 12, 13), // h=4 → 1/4 each
 		report(2, 1, 10, 20, 21, 22, 23, 24),
 	})
-	if got := tl.Votes(10); math.Abs(got-(0.25+1.0/6)) > 1e-12 {
-		t.Fatalf("Votes(10) = %v", got)
+	votes := map[topology.LinkID]float64{}
+	for _, lv := range tl.Ranking() {
+		votes[lv.Link] = lv.Votes
 	}
-	if got := tl.Votes(11); got != 0.25 {
-		t.Fatalf("Votes(11) = %v", got)
+	if got := votes[10]; math.Abs(got-(0.25+1.0/6)) > 1e-12 {
+		t.Fatalf("votes of link 10 = %v", got)
 	}
-	if got := tl.Votes(99); got != 0 {
-		t.Fatalf("Votes(99) = %v", got)
+	if got := votes[11]; got != 0.25 {
+		t.Fatalf("votes of link 11 = %v", got)
+	}
+	if _, ok := votes[99]; ok || len(votes) != 9 {
+		t.Fatalf("ranking %v: want the 9 path links and no other", tl.Ranking())
 	}
 }
 
@@ -131,21 +135,6 @@ func TestRankingOrderAndTies(t *testing.T) {
 	}
 }
 
-func TestBlameOnPath(t *testing.T) {
-	tl := NewTally()
-	tl.AddAll([]Report{report(1, 1, 1, 2, 3), report(2, 1, 2, 4, 5)})
-	blame, ok := tl.BlameOnPath([]topology.LinkID{1, 2, 3})
-	if !ok || blame != 2 {
-		t.Fatalf("blame = %d, %v; want 2", blame, ok)
-	}
-	if _, ok := tl.BlameOnPath([]topology.LinkID{77, 78}); ok {
-		t.Fatal("blame on unvoted path should fail")
-	}
-	if _, ok := tl.BlameOnPath(nil); ok {
-		t.Fatal("blame on empty path should fail")
-	}
-}
-
 func TestEmptyPathReportVotesNowhere(t *testing.T) {
 	tl := NewTally()
 	tl.AddAll([]Report{{FlowID: 1, Retx: 3}})
@@ -214,19 +203,6 @@ func TestFindProblemLinksThreshold(t *testing.T) {
 	b := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.05, Adjuster: NoAdjuster{}})
 	if len(b) != 0 {
 		t.Fatalf("flat tally detected %v", b)
-	}
-}
-
-func TestFindProblemLinksMaxLinks(t *testing.T) {
-	var reports []Report
-	for i := 0; i < 10; i++ {
-		reports = append(reports, report(int64(i), 1, topology.LinkID(i)))
-	}
-	tl := NewTally()
-	tl.AddAll(reports)
-	b := FindProblemLinks(tl, DetectOptions{ThresholdFrac: 0.01, Adjuster: NoAdjuster{}, MaxLinks: 3})
-	if len(b) != 3 {
-		t.Fatalf("MaxLinks ignored: %v", b)
 	}
 }
 

@@ -25,32 +25,35 @@ import (
 )
 
 // surfaceAllow names the declarations under internal/ and cmd/ that no
-// non-test root reaches but that stay: test hooks and reference oracles,
-// each with its reason. A key is "<dir>.<Name>", or "<dir>.<Type>.<Method>"
-// for a method (an interface's included), or a bare "<dir>" for a package
-// that exists only to support tests. An entry whose declaration became
-// live or is gone fails the test, so the list cannot rot, and an
-// allow-listed declaration's doc comment must say which of the two it is.
+// non-test root reaches but that stay: test hooks, reference oracles and
+// the methods a library user calls through an interface, each with its
+// reason. A key is "<dir>.<Name>", or "<dir>.<Type>.<Method>" for a method
+// (an interface's included), or a bare "<dir>" for a package that exists
+// only to support tests. An entry whose declaration became live or is gone
+// fails the test, so the list cannot rot, and an allow-listed
+// declaration's doc comment must say which of the three it is.
 var surfaceAllow = map[string]string{
-	"internal/des.Scheduler.At":          "scripts closure events around the component under test",
-	"internal/des.Scheduler.Executed":    "events per run, which the cut-through tests compare with the per-hop fabric's",
-	"internal/fabric.Net.DropRate":       "a link's current rate, read back after injections, resets and schedules",
-	"internal/fabric.Net.HopsFused":      "proves a cut-through test case fused hops at all",
-	"internal/fabric.Net.HopsStepped":    "the per-hop side of the same count",
-	"internal/fabric.Net.Rematerialized": "proves a mid-run change hit a flight",
-	"internal/netem.Epoch.linkDrops":     "per-link ground truth derived from the failed flows, the oracle for drop accounting",
-	"internal/netem.Sim.rescoreAll":      "the full re-score incremental epochs are held bit-identical to",
-	"internal/opt.Instance.Covers":       "checks the set-cover baselines' answers",
-	"internal/opt.Instance.Feasible":     "checks the integer program's answers",
-	"internal/stats.RNG.BinomialExact":   "the n-trial reference for Binomial and the gated drop sampler",
-	"internal/transport.Proxy.Addr":      "the address a test's agents dial",
-	"internal/transport.NewProxy":        "puts seeded wire faults between agent and collector in the chaos and crash tests; a package of its own would cycle with transport's in-package tests",
-	"internal/transport.Proxy.Heal":      "ends a partition in the chaos tests",
-	"internal/transport.Proxy.Live":      "lets the proxy tests wait for a connection before they cut it",
-	"internal/transport.Proxy.Partition": "cuts agents off in the chaos tests",
-	"internal/transport.Proxy.Retarget":  "points the proxy at a restarted collector in crash tests",
-	"internal/transport.SeqOf":           "lets a test's target check the session seqs it received",
-	"internal/scenario/conform":          "the statistical conformance suite: only tests import it",
+	"internal/des.Scheduler.At":             "scripts closure events around the component under test",
+	"internal/des.Scheduler.Executed":       "events per run, which the cut-through tests compare with the per-hop fabric's",
+	"internal/fabric.Net.DropRate":          "a link's current rate, read back after injections, resets and schedules",
+	"internal/fabric.Net.HopsFused":         "proves a cut-through test case fused hops at all",
+	"internal/fabric.Net.HopsStepped":       "the per-hop side of the same count",
+	"internal/fabric.Net.Rematerialized":    "proves a mid-run change hit a flight",
+	"internal/netem.Epoch.linkDrops":        "per-link ground truth derived from the failed flows, the oracle for drop accounting",
+	"internal/netem.Sim.rescoreAll":         "the full re-score incremental epochs are held bit-identical to",
+	"internal/opt.Instance.Covers":          "checks the set-cover baselines' answers",
+	"internal/opt.Instance.Feasible":        "checks the integer program's answers",
+	"internal/schedule.ConstantRate.RateAt": "a library user hands a vigil.ConstantRate to Simulation.ScheduleFailure as a RateSchedule",
+	"internal/stats.RNG.BinomialExact":      "the n-trial reference for Binomial and the gated drop sampler",
+	"internal/transport.Proxy.Addr":         "the address a test's agents dial",
+	"internal/transport.Proxy.Close":        "shuts a test's proxy down",
+	"internal/transport.NewProxy":           "puts seeded wire faults between agent and collector in the chaos and crash tests; a package of its own would cycle with transport's in-package tests",
+	"internal/transport.Proxy.Heal":         "ends a partition in the chaos tests",
+	"internal/transport.Proxy.Live":         "lets the proxy tests wait for a connection before they cut it",
+	"internal/transport.Proxy.Partition":    "cuts agents off in the chaos tests",
+	"internal/transport.Proxy.Retarget":     "points the proxy at a restarted collector in crash tests",
+	"internal/transport.SeqOf":              "lets a test's target check the session seqs it received",
+	"internal/scenario/conform":             "the statistical conformance suite: only tests import it",
 }
 
 // stdlibMethods are the method names the standard library calls on our
@@ -72,9 +75,11 @@ var stdlibMethods = []string{"String"}
 // allow-list. From a live declaration, every identifier and selector keeps
 // the declaration it resolves to, so a method is live when live code
 // selects it, and an interface's method when live code calls it through
-// the interface. A method also lives when its receiver type is live and it
-// implements an interface method live code calls, or when its name is in
-// stdlibMethods.
+// the interface. A method also lives when it implements an interface method
+// live code calls and live code converts a value of its receiver type, or a
+// pointer to one, to that interface — by an assignment, a call argument, a
+// return, a composite-literal element or an explicit conversion — or when
+// its name is in stdlibMethods and its receiver type is live.
 func TestSurfaceReachable(t *testing.T) {
 	s := loadSurface(t)
 	l := s.reach(false)
@@ -89,8 +94,9 @@ func TestSurfaceReachable(t *testing.T) {
 		}
 	}
 	for _, d := range s.decls {
-		if _, ok := surfaceAllow[d.key]; ok && !strings.HasPrefix(d.doc.Text(), "Test hook:") && !strings.HasPrefix(d.doc.Text(), "Reference oracle:") {
-			problems = append(problems, d.key+" ("+d.pos+") is allow-listed: its doc comment must start \"Test hook:\" or \"Reference oracle:\"")
+		doc := d.doc.Text()
+		if _, ok := surfaceAllow[d.key]; ok && !strings.HasPrefix(doc, "Test hook:") && !strings.HasPrefix(doc, "Reference oracle:") && !strings.HasPrefix(doc, "Public API:") {
+			problems = append(problems, d.key+" ("+d.pos+") is allow-listed: its doc comment must start \"Test hook:\", \"Reference oracle:\" or \"Public API:\"")
 		}
 	}
 	// What an allow-listed declaration calls is as alive as it is: a
@@ -606,12 +612,19 @@ func constEnum(decl *ast.GenDecl) bool {
 
 // liveness is one marking of the declarations from the roots.
 type liveness struct {
-	s      *surface
-	live   map[*surfaceDecl]bool
-	queue  []*surfaceDecl
-	called []*types.Func     // interface methods live code selects
-	types  []*types.TypeName // live types that may implement them
-	seen   map[types.Object]bool
+	s         *surface
+	live      map[*surfaceDecl]bool
+	queue     []*surfaceDecl
+	called    []*types.Func // interface methods live code selects
+	converted []conversion  // the interfaces live code converts our types to
+	seen      map[types.Object]bool
+}
+
+// conversion is a named type whose values, or pointers to them, live code
+// converts to an interface.
+type conversion struct {
+	from *types.TypeName
+	to   *types.Interface
 }
 
 // reach marks what the roots reach; with allowed, the allow-listed
@@ -636,6 +649,7 @@ func (s *surface) reach(allowed bool) *liveness {
 			}
 			return true
 		})
+		l.conversions(d.pkg.info, d.node, nil)
 		if d.typ != nil {
 			l.liveType(d.typ)
 		}
@@ -652,8 +666,8 @@ func (l *liveness) mark(d *surfaceDecl) {
 }
 
 // use marks the declaration an identifier resolves to. An interface's
-// method, once used, also keeps every live type's method that implements
-// it.
+// method, once used, also keeps the method that implements it of every type
+// converted to an interface that has it.
 func (l *liveness) use(obj types.Object) {
 	if fn, ok := obj.(*types.Func); ok {
 		obj = fn.Origin()
@@ -668,43 +682,66 @@ func (l *liveness) use(obj types.Object) {
 		return
 	}
 	l.called = append(l.called, fn)
-	for _, tn := range l.types {
-		l.implements(tn, fn)
+	for _, c := range l.converted {
+		l.implements(c, fn)
 	}
 }
 
-// liveType records a live type: its stdlib-called methods live, and so do
-// the ones that implement an interface method live code calls.
+// liveType records a live type: its stdlib-called methods live.
 func (l *liveness) liveType(tn *types.TypeName) {
 	named, ok := tn.Type().(*types.Named)
 	if !ok || types.IsInterface(named) {
 		return
 	}
-	l.types = append(l.types, tn)
 	for i := range named.NumMethods() {
 		if m := named.Method(i); slices.Contains(stdlibMethods, m.Name()) {
 			l.use(m)
 		}
 	}
+}
+
+// convert records that live code converts a value of type from to the
+// interface type to, and keeps the methods that implement the interface's
+// methods live code calls.
+func (l *liveness) convert(to, from types.Type) {
+	if to == nil || from == nil { // a blank identifier's type, or none
+		return
+	}
+	iface, ok := to.Underlying().(*types.Interface)
+	if !ok || types.IsInterface(from) {
+		return
+	}
+	if ptr, ok := from.(*types.Pointer); ok {
+		from = ptr.Elem()
+	}
+	named, ok := from.(*types.Named)
+	if !ok {
+		return
+	}
+	c := conversion{named.Origin().Obj(), iface}
+	for _, old := range l.converted {
+		if old.from == c.from && types.Identical(old.to, c.to) {
+			return
+		}
+	}
+	l.converted = append(l.converted, c)
 	for _, fn := range l.called {
-		l.implements(tn, fn)
+		l.implements(c, fn)
 	}
 }
 
-// implements marks the method that makes tn or *tn satisfy the interface
-// declaring fn.
-func (l *liveness) implements(tn *types.TypeName, fn *types.Func) {
-	iface := fn.Signature().Recv().Type().Underlying().(*types.Interface)
-	var t types.Type = tn.Type()
-	if named := t.(*types.Named); named.TypeParams().Len() > 0 {
-		// A generic type implements an interface only once instantiated;
-		// match the method by name instead.
-		iface = nil
+// implements marks the method of c's type, or of a pointer to it, that
+// implements fn, when fn is a method of the interface c converts to.
+func (l *liveness) implements(c conversion, fn *types.Func) {
+	has := false
+	for i := range c.to.NumMethods() {
+		has = has || c.to.Method(i).Origin() == fn
 	}
+	if !has {
+		return
+	}
+	t := c.from.Type()
 	for _, v := range []types.Type{t, types.NewPointer(t)} {
-		if iface != nil && !types.Implements(v, iface) {
-			continue
-		}
 		if m, _, _ := types.LookupFieldOrMethod(v, true, fn.Pkg(), fn.Name()); m != nil {
 			if m, ok := m.(*types.Func); ok {
 				l.use(m)
@@ -712,6 +749,98 @@ func (l *liveness) implements(tn *types.TypeName, fn *types.Func) {
 			}
 		}
 	}
+}
+
+// conversions records every conversion of a value to an interface type
+// under node: an assignment, a call argument, a return, a composite-literal
+// element or an explicit conversion. results are the result types of the
+// function node's returns belong to.
+func (l *liveness) conversions(info *types.Info, node ast.Node, results *types.Tuple) {
+	// values are the types of exprs, a call's results spread out.
+	values := func(exprs []ast.Expr) []types.Type {
+		var out []types.Type
+		for _, e := range exprs {
+			if tuple, ok := info.TypeOf(e).(*types.Tuple); ok {
+				for i := range tuple.Len() {
+					out = append(out, tuple.At(i).Type())
+				}
+			} else {
+				out = append(out, info.TypeOf(e))
+			}
+		}
+		return out
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				l.conversions(info, n.Body, info.Defs[n.Name].Type().(*types.Signature).Results())
+			}
+			return false
+		case *ast.FuncLit:
+			l.conversions(info, n.Body, info.TypeOf(n).(*types.Signature).Results())
+			return false
+		case *ast.AssignStmt:
+			for i, v := range values(n.Rhs) {
+				l.convert(info.TypeOf(n.Lhs[i]), v)
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				for _, v := range n.Values {
+					l.convert(info.TypeOf(n.Type), info.TypeOf(v))
+				}
+			}
+		case *ast.ReturnStmt:
+			for i, v := range values(n.Results) {
+				l.convert(results.At(i).Type(), v) // a bare return converts nothing
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; tv.IsType() {
+				if len(n.Args) == 1 {
+					l.convert(tv.Type, info.TypeOf(n.Args[0]))
+				}
+				return true
+			}
+			sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature)
+			if !ok {
+				return true
+			}
+			params := sig.Params()
+			for i, v := range values(n.Args) {
+				switch last := params.Len() - 1; {
+				case sig.Variadic() && i >= last && !n.Ellipsis.IsValid():
+					l.convert(params.At(last).Type().(*types.Slice).Elem(), v)
+				case i <= last:
+					l.convert(params.At(i).Type(), v)
+				}
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			for i, e := range n.Elts {
+				kv, keyed := e.(*ast.KeyValueExpr)
+				switch u := t.Underlying().(type) {
+				case *types.Struct:
+					if keyed {
+						l.convert(info.Uses[kv.Key.(*ast.Ident)].Type(), info.TypeOf(kv.Value))
+					} else {
+						l.convert(u.Field(i).Type(), info.TypeOf(e))
+					}
+				case *types.Slice, *types.Array:
+					if keyed {
+						e = kv.Value
+					}
+					l.convert(u.(interface{ Elem() types.Type }).Elem(), info.TypeOf(e))
+				case *types.Map:
+					l.convert(u.Key(), info.TypeOf(kv.Key))
+					l.convert(u.Elem(), info.TypeOf(kv.Value))
+				}
+			}
+		}
+		return true
+	})
 }
 
 // dead lists the checked declarations the roots do not reach, in file order.
