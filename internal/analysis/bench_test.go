@@ -64,8 +64,8 @@ var deltaRates = [2]float64{0.003, 0.005}
 // datacenterDeltaEpochs is n consecutive flow-dc-delta epochs of one
 // incremental engine: the datacenter shape, one failed link's rate flipped
 // per epoch, rotating over the links, as the benchmark's workload does.
-func datacenterDeltaEpochs(tb testing.TB, n int) ([][]vote.Report, analysis.Options) {
-	eng, links := benchEngine(tb, topology.DatacenterSimConfig.Flatten(), true, 5, deltaRates[0], 1)
+func datacenterDeltaEpochs(tb testing.TB, n int, seed uint64) ([][]vote.Report, analysis.Options) {
+	eng, links := benchEngine(tb, topology.DatacenterSimConfig.Flatten(), true, 5, deltaRates[0], seed)
 	epochs := make([][]vote.Report, n)
 	for i := range epochs {
 		if i > 0 {
@@ -104,16 +104,19 @@ func requireDisjoint(tb testing.TB, a, b []vote.Report) {
 // scale, at datacenter scale and on a 16k-report epoch (eight summation
 // chunks; the size at which a classify fan-out would have to pay), each
 // alternating between two seeds' epochs that share no report, so every
-// call builds afresh; and over consecutive flow-dc-delta epochs, where
-// each call patches the index the call before left.
+// call builds afresh; over consecutive flow-dc-delta epochs, where each
+// call patches the index the call before left; and over two incremental
+// engines' consecutive epochs, alternating, each call with its own
+// engine's options, so that each patches from its own engine's last epoch.
 func BenchmarkAnalyze(b *testing.B) {
-	run := func(name string, epochs [][]vote.Report, opts analysis.Options) {
+	// Call i analyzes epochs[i%len(epochs)] with opts[i%len(opts)].
+	run := func(name string, epochs [][]vote.Report, opts ...analysis.Options) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ReportMetric(float64(len(epochs[0])), "reports")
 			for i := 0; i < b.N; i++ {
 				reports := epochs[i%len(epochs)]
-				if res := analysis.Analyze(reports, opts); len(res.Verdicts) != len(reports) {
+				if res := analysis.Analyze(reports, opts[i%len(opts)]); len(res.Verdicts) != len(reports) {
 					b.Fatal("verdict count")
 				}
 			}
@@ -132,10 +135,20 @@ func BenchmarkAnalyze(b *testing.B) {
 	run("reports=16k", [][]vote.Report{repeatTo(paper, 16384), repeatTo(paper2, 16384)}, popts)
 	if !testing.Short() {
 		// Forth and back, so that every call follows a neighbouring epoch.
-		epochs, opts := datacenterDeltaEpochs(b, 16)
-		for i := len(epochs) - 2; i > 0; i-- {
-			epochs = append(epochs, epochs[i])
+		forthAndBack := func(seed uint64) ([][]vote.Report, analysis.Options) {
+			epochs, opts := datacenterDeltaEpochs(b, 16, seed)
+			for i := len(epochs) - 2; i > 0; i-- {
+				epochs = append(epochs, epochs[i])
+			}
+			return epochs, opts
 		}
-		run("datacenter-delta", epochs, opts)
+		one, oneOpts := forthAndBack(1)
+		run("datacenter-delta", one, oneOpts)
+		two, twoOpts := forthAndBack(2)
+		both := make([][]vote.Report, 0, 2*len(one))
+		for i := range one {
+			both = append(both, one[i], two[i])
+		}
+		run("datacenter-delta-two-engines", both, oneOpts, twoOpts)
 	}
 }

@@ -11,13 +11,14 @@ import (
 	"vigil/internal/vote"
 )
 
-// Analyze carries its index from one call to the next and patches it where
-// an epoch's reports differ from the last (vote.Localize). Every Analyze of
-// 50 consecutive flow-dc-delta-shaped epochs of an incremental engine on
-// the §6 fabric must still match the dense oracle. Twenty links fail at
-// the delta rates, one flipped per epoch, so that consecutive epochs share
-// ≈97 % of their reports and all but the first call patch; they must share
-// nearly all, or the carry goes untested.
+// An incremental engine's analysis options carry the index from one call to
+// the next, which patches it where an epoch's reports differ from the last
+// (vote.Streaming). Every Analyze of 50 consecutive flow-dc-delta-shaped
+// epochs of an incremental engine on the §6 fabric must still match the
+// dense oracle. Twenty links fail at the delta rates, one flipped per
+// epoch, so that consecutive epochs share ≈97 % of their reports and all
+// but the first call patch; they must share nearly all, or the carry goes
+// untested.
 func TestAnalyzeDeltaEpochsMatchDenseOracle(t *testing.T) {
 	eng, links := benchEngine(t, topology.DefaultSimConfig, true, 20, deltaRates[0], 3)
 	opts := eng.Analysis()
@@ -88,18 +89,21 @@ func editSequence(t testing.TB, topo *topology.Topology, seed uint64, size, n in
 	return out
 }
 
-// Analyze's outputs do not depend on which goroutine's epoch the carried
-// index last saw: goroutines analyzing sequences of their own, and so
-// taking the carry from one another, each match the dense oracle on every
-// call. Run under -race, this is also the carry's data-race check.
+// Analyze's outputs do not depend on what a stream carries: goroutines
+// analyzing sequences of their own, each on a stream of its own, match the
+// dense oracle on every call, and so do two goroutines sharing one stream,
+// the one that finds its carry taken building fresh. Run under -race, this
+// is also the carry's data-race check.
 func TestAnalyzeConcurrentSequencesMatchDenseOracle(t *testing.T) {
 	topo, err := topology.New(topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 4, T2: 2, HostsPerToR: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0.01}}
-	for g, size := range []int{200, 300, 500, 2100} { // the last spans two summation chunks
-		seq := editSequence(t, topo, uint64(g+1), size, 24)
+	stream := func() analysis.Options {
+		return analysis.Options{Detect: vote.Streaming(vote.DetectOptions{ThresholdFrac: 0.01})}
+	}
+	for g, size := range []int{200, 300, 500, 2100} { // the last outgrows one summation chunk
+		seq, opts := editSequence(t, topo, uint64(g+1), size, 24), stream()
 		t.Run(fmt.Sprintf("goroutine=%d", g), func(t *testing.T) {
 			t.Parallel()
 			for _, reports := range seq {
@@ -107,14 +111,24 @@ func TestAnalyzeConcurrentSequencesMatchDenseOracle(t *testing.T) {
 			}
 		})
 	}
+	shared := stream()
+	for g := range 2 {
+		seq := editSequence(t, topo, uint64(g+10), 400, 24)
+		t.Run(fmt.Sprintf("shared=%d", g), func(t *testing.T) {
+			t.Parallel()
+			for _, reports := range seq {
+				requireMatchesOracle(t, reports, shared)
+			}
+		})
+	}
 }
 
-// FuzzAnalyzeSequenceMatchesOracle holds Analyze to the dense oracle along
-// a sequence of epochs decoded from raw bytes: fuzzReports' reports,
-// repeated to at least 64 with FlowIDs ascending and spaced, then one edit
-// per following byte — a report removed, given another report's path, or
-// added between two others. One edit in 64 reports is small enough for
-// the carried index to be patched, not rebuilt.
+// FuzzAnalyzeSequenceMatchesOracle holds a stream's Analyze to the dense
+// oracle along a sequence of epochs decoded from raw bytes: fuzzReports'
+// reports, repeated to at least 64 with FlowIDs ascending and spaced, then
+// one edit per following byte — a report removed, given another report's
+// path, or added between two others. One edit in 64 reports is small
+// enough for the carried index to be patched, not rebuilt.
 func FuzzAnalyzeSequenceMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 0, 2, 0, 2, 1, 0, 3, 0, 1, 1, 0})
 	f.Add([]byte{1, 3, 5, 0, 5, 0, 0xff, 0xff, 0, 7, 8, 9})
@@ -124,7 +138,7 @@ func FuzzAnalyzeSequenceMatchesOracle(f *testing.F) {
 		if len(pool) == 0 {
 			return
 		}
-		opts := analysis.Options{Detect: dopts}
+		opts := analysis.Options{Detect: vote.Streaming(dopts)}
 		var cur []vote.Report
 		for len(cur) < 64 {
 			for _, r := range pool {

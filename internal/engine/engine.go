@@ -103,7 +103,9 @@ type Engine interface {
 	Step(emit func(vote.Report)) *EpochResult
 	// Analysis returns the options an external analyzer must use for its
 	// output on an epoch's canonical reports to be bit-identical with
-	// RunEpoch's.
+	// RunEpoch's. An incremental flow engine's options carry the analysis
+	// from one of its epochs to the next (vote.Streaming) and are meant for
+	// its epochs alone; other engines' carry nothing.
 	Analysis() analysis.Options
 }
 
@@ -131,7 +133,8 @@ type Config struct {
 	// the epoch seed and flow set freeze after the first epoch and later
 	// epochs re-score only the flows whose paths touch links whose rates
 	// changed, with results bit-identical to full re-scoring of the frozen
-	// workload (see netem.Config.Incremental). The packet plane ignores it.
+	// workload (see netem.Config.Incremental), and the engine's analysis
+	// options a carry (Engine.Analysis). The packet plane ignores it.
 	Incremental bool
 	// Parallelism is the worker count of the flow plane's fused full epoch
 	// (0 = all cores); delta epochs and analysis run inline. Results are
@@ -189,10 +192,11 @@ func newFlowEngine(cfg Config) (*flowEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &flowEngine{
-		sim: sim,
-		an:  analysis.Options{Detect: cfg.Detect},
-	}, nil
+	an := analysis.Options{Detect: cfg.Detect}
+	if cfg.Incremental {
+		an.Detect = vote.Streaming(an.Detect)
+	}
+	return &flowEngine{sim: sim, an: an}, nil
 }
 
 func (e *flowEngine) Topology() *topology.Topology { return e.sim.Topology() }

@@ -115,10 +115,9 @@ func runAblVoteValue(opts Options) (*Result, error) {
 					}
 				}
 			}
-			tl := vote.NewTally()
-			tl.AddAll(reports)
+			ranking, _, _ := vote.Localize(reports, vote.DetectOptions{})
 			trials++
-			if rankOf(tl.Ranking(), bad) == 0 {
+			if rankOf(ranking, bad) == 0 {
 				hits++
 			}
 		}

@@ -455,9 +455,8 @@ func runTheorem2(opts Options) (*Result, error) {
 			}
 			bad := randomLinks(stats.NewRNG(uint64(s)+3), sim.Topology(), 1)[0]
 			sim.InjectFailure(bad, 0.005)
-			tl := vote.NewTally()
-			tl.AddAll(sim.RunEpoch().Reports)
-			missed[s] = rankOf(tl.Ranking(), bad) != 0
+			ranking, _, _ := vote.Localize(sim.RunEpoch().Reports, vote.DetectOptions{})
+			missed[s] = rankOf(ranking, bad) != 0
 			return nil
 		})
 		if err != nil {

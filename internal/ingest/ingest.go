@@ -379,8 +379,11 @@ func (s *Service) endCycle(done cycleDone) []transport.RetryReq {
 
 // analyst is a collector's analysis stage: one goroutine that runs every
 // Analyze of the collector, in epoch order, so that an options Adjuster
-// with per-call state is never used by two goroutines at once. An epoch is
-// posted as soon as the core reports it final, and analyzed while later
+// with per-call state is never used by two goroutines at once. Its options
+// are the Service's engine's, so on an incremental flow engine each epoch
+// patches the analysis of the one before (vote.Streaming); the
+// NetCollector's are built from the handshake and carry nothing. An epoch
+// is posted as soon as the core reports it final, and analyzed while later
 // cycles run; one that is not final by its settle is posted then. Each
 // result is picked up at its epoch's settle, where the sink runs, so
 // nothing downstream of the collector sees a different order. Posted and

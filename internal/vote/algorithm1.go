@@ -109,7 +109,9 @@ func (NoAdjuster) Begin(topology.LinkID) {}
 // Fraction implements Adjuster.
 func (NoAdjuster) Fraction(topology.LinkID) float64 { return 0 }
 
-// DetectOptions configures Algorithm 1.
+// DetectOptions configures Algorithm 1, and Localize's carry: options that
+// Streaming returned carry one epoch's analysis to the next call that is
+// passed them (or a copy of them); others carry nothing.
 type DetectOptions struct {
 	// ThresholdFrac stops the loop once the top remaining tally falls below
 	// this fraction of the total outstanding votes. The paper uses 1%,
@@ -117,6 +119,20 @@ type DetectOptions struct {
 	ThresholdFrac float64
 	// Adjuster estimates vote spill-over; nil means no adjustment.
 	Adjuster Adjuster
+
+	stream chan *carry // the stream's carry slot, holding the carry when no call has it
+}
+
+// Streaming returns opts with a carry of its own, for one producer whose
+// consecutive epochs share most of their reports: each Localize call passed
+// the result patches the analysis the last one left where its reports
+// differ, instead of building it afresh. The outputs are a fresh build's
+// either way. A call that finds the carry in use by another goroutine
+// builds fresh and records nothing.
+func Streaming(opts DetectOptions) DetectOptions {
+	opts.stream = make(chan *carry, 1)
+	opts.stream <- &carry{ix: new(index), spare: new(index)}
+	return opts
 }
 
 // detectScratch is FindProblemLinks' working set, all per tally slot.
@@ -230,13 +246,14 @@ func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, o
 // exact observed-path adjustment here, not the topology-based estimate that
 // FindProblemLinks falls back to.
 //
-// The index and ranking are carried to the next call, which patches them
-// where its reports differ (carry.go); a call that finds the carry in use
-// by another goroutine runs on one of its own that records nothing. Either
-// way the outputs are the same.
+// With options from Streaming, the index and ranking are carried to the
+// stream's next call, which patches them where its reports differ
+// (carry.go). Any other call, and one that finds its stream's carry in use
+// by another goroutine, builds fresh on a pooled carry that records
+// nothing. Either way the outputs are the same.
 func Localize(reports []Report, opts DetectOptions) ([]LinkVotes, []topology.LinkID, []Verdict) {
-	c := takeCarry()
-	defer c.release()
+	c := takeCarry(opts.stream)
+	defer c.release(opts.stream)
 	c.load(reports)
 	phaseRank.Begin()
 	ranking := c.ranking()

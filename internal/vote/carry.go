@@ -24,13 +24,13 @@ var (
 	phaseClassify = prof.NewPhase("classify")
 )
 
-// carry is the analysis Localize keeps from one call to the next: the index
-// and ranking it built last, and the inputs of that index some output reads
-// — per report, its position, FlowID and path. A settle loop's consecutive
-// epochs mostly repeat each other's reports, so a call aligns its reports
-// against these and patches the index and ranking where they changed, in
-// place of a rebuild. The patch reproduces the fresh build's arrays exactly
-// (DESIGN.md, "Analysis cost model").
+// carry is the analysis a stream (Streaming) keeps from one call to the
+// next: the index and ranking it built last, and the inputs of that index
+// some output reads — per report, its position, FlowID and path. One
+// producer's consecutive epochs mostly repeat each other's reports, so a
+// call aligns its reports against these and patches the index and ranking
+// where they changed, in place of a rebuild. The patch reproduces the fresh
+// build's arrays exactly (DESIGN.md, "Analysis cost model").
 type carry struct {
 	ix, spare       *index  // the carried index; the next patch's output buffers
 	order, spareOrd []int32 // ix's slots in ranking order; the next patch's
@@ -60,8 +60,8 @@ type carry struct {
 	rebuilt, rebuiltOld []int32  // new slots whose rows were rebuilt; their old slots or -1
 	moved               []int32  // new slots whose vote is not the carried one
 
-	// The last call's ranking, and the one rerank built for this call.
-	rank, out []LinkVotes
+	// The ranking rerank built for this call.
+	out []LinkVotes
 
 	// The last call's verdicts and B, and the classify scratch: per new
 	// slot, bit 1 for B and bit 2 for the carried B; per report, whether
@@ -72,39 +72,29 @@ type carry struct {
 	stale    []bool
 	redo     []int32
 
-	// keepSums: both sides fit one summation chunk. patched: the last load
-	// patched. keep: the call records its reports, ranking and verdicts
-	// for the next. valid: the carry describes the last call whole, so the
-	// next may align against it. skip and backoff: fresh calls left that
-	// record nothing, and how many the next failed alignment sets. local:
-	// a caller's own carry, which never records.
-	keepSums, patched, keep, valid, local bool
-	skip, backoff                         int
+	// patched: the last load patched. valid: the carry describes the last
+	// call whole, so the next may align against it. local: a pooled carry
+	// of a call with no stream of its own, which never records.
+	patched, valid, local bool
 }
-
-// maxBackoff caps the fresh calls that record nothing after a failed
-// alignment.
-const maxBackoff = 64
 
 // run is n unchanged reports: old positions old.., new positions new...
 type run struct{ old, new, n int32 }
 
-// carried holds the one carry that records. A caller that finds it taken
-// runs on a local carry, so concurrent callers never wait on each other.
-var carried = func() chan *carry {
-	ch := make(chan *carry, 1)
-	ch <- &carry{ix: new(index), spare: new(index)}
-	return ch
-}()
+// maxCarried bounds the reports a carry records: within one summation
+// chunk a row's vote is the plain sum of its reports' weights in report
+// order, which a patch keeps by re-summing touched rows alone, whatever the
+// positions shift by. A stream whose epochs outgrow one chunk builds fresh.
+const maxCarried = 1 << sumChunkShift
 
 // localFree keeps spent local carries.
 var localFree = newFreeList[carry]()
 
-// takeCarry returns the carried carry, or a local one when another caller
-// has it.
-func takeCarry() *carry {
+// takeCarry returns stream's carry, or a local one that records nothing
+// when there is no stream or another goroutine has its carry.
+func takeCarry(stream chan *carry) *carry {
 	select {
-	case c := <-carried:
+	case c := <-stream:
 		return c
 	default:
 		c := localFree.get()
@@ -115,43 +105,29 @@ func takeCarry() *carry {
 	}
 }
 
-// release hands the carry back for the next call, holding no reference to
-// this call's reports.
-func (c *carry) release() {
+// release hands the carry back to its stream, or a local one to the free
+// list, holding no reference to this call's reports.
+func (c *carry) release(stream chan *carry) {
 	c.ix.reports = nil
 	if c.local {
 		localFree.put(c)
 	} else {
-		carried <- c
+		stream <- c
 	}
+}
+
+// records reports whether the loaded call is recorded for the next: only a
+// stream's carry records, and only reports within one summation chunk.
+func (c *carry) records() bool {
+	return !c.local && len(c.ix.reports) <= maxCarried
 }
 
 // load indexes and ranks reports into c.ix and c.order, patching the
 // carried index when few reports changed, and reports whether it patched.
 // The reports must stay unmodified until c.ix.reports is cleared.
-//
-// A call that found the carried reports too different builds fresh, and
-// so do the next few, recording nothing; then one records again. Each
-// failed alignment in a row doubles how many skip (up to maxBackoff), so
-// a caller whose epochs are unrelated seldom pays for recording what no
-// call patches, while a stream of related epochs that met one odd epoch
-// patches again from the third call after it.
 func (c *carry) load(reports []Report) (patched bool) {
 	phaseAlign.Begin()
 	patched = c.align(reports)
-	switch {
-	case c.local:
-		c.keep = false
-	case patched:
-		c.keep, c.backoff = true, 0
-	case c.valid:
-		c.backoff = min(max(1, 2*c.backoff), maxBackoff)
-		c.keep, c.skip = false, c.backoff
-	case c.skip > 0:
-		c.keep, c.skip = false, c.skip-1
-	default:
-		c.keep = true
-	}
 	c.patched, c.valid = patched, false
 	phaseAlign.End()
 	phaseIndex.Begin()
@@ -159,7 +135,7 @@ func (c *carry) load(reports []Report) (patched bool) {
 		c.patch(reports)
 	} else {
 		c.ix.build(reports)
-		if c.keep {
+		if c.records() {
 			c.remember(reports)
 		}
 	}
@@ -181,14 +157,16 @@ func (c *carry) load(reports []Report) (patched bool) {
 // reports come in, the unchanged ones keep their relative order on both
 // sides, which is all the patch needs; reports out of FlowID order only
 // match less. It reports false, and the call builds fresh, when nothing is
-// carried or more than the fallback share changed.
+// carried, the reports outgrow one summation chunk, or more than the
+// fallback share changed.
 func (c *carry) align(reports []Report) bool {
 	n0, n1 := len(c.flow), len(reports)
-	if !c.valid || n0 == 0 || n1 == 0 {
+	if !c.valid || n0 == 0 || n1 == 0 || n1 > maxCarried {
 		return false
 	}
 	limit := (n0 + n1) / carryMaxChanged
 	posmap := resize(c.posmap, n0)
+	c.posmap = posmap // kept when the alignment fails too, so it is sized once
 	runs, removed, added := c.runs[:0], c.removed[:0], c.added[:0]
 	i, j := 0, 0
 	for i < n0 && j < n1 && len(removed)+len(added) <= limit {
@@ -223,8 +201,7 @@ func (c *carry) align(reports []Report) bool {
 	for ; j < n1; j++ {
 		added = append(added, int32(j))
 	}
-	c.posmap, c.removed, c.added = posmap, removed, added
-	c.keepSums = max(n0, n1) <= 1<<sumChunkShift
+	c.removed, c.added = removed, added
 	return true
 }
 
@@ -244,9 +221,7 @@ func (c *carry) remember(reports []Report) {
 // their relative order, so a run of them, and a run of untouched slots,
 // is copied with its positions and slots remapped; only the rows of
 // touched links — links on the path of a removed or an added report — are
-// rebuilt, and only their votes re-summed (every row's, once either side
-// spans more than one summation chunk, since shifting positions move chunk
-// membership).
+// rebuilt, and only their votes re-summed.
 func (c *carry) patch(reports []Report) {
 	old, nx := c.ix, c.spare
 	m0 := len(old.links)
@@ -422,31 +397,19 @@ reports:
 	}
 	estart[n], pstart[n] = int32(w), int32(pw)
 
-	// The votes of rebuilt rows (of every row past one summation chunk),
-	// and the slots whose vote moved.
+	// The votes of rebuilt rows, summed in report order as the fresh build
+	// sums one chunk, and the slots whose vote moved.
 	moved := c.moved[:0]
-	if c.keepSums {
-		for q, ns := range rebuilt {
-			votes[ns] = sumRow(lrep[lstart[ns]:lstart[ns+1]], weight)
-			if so := rebuiltOld[q]; so < 0 || votes[ns] != old.votes[so] {
-				moved = append(moved, ns)
-				if so >= 0 {
-					slotmap[so] = -1
-				}
-			}
+	for q, ns := range rebuilt {
+		var v float64
+		for _, r := range lrep[lstart[ns]:lstart[ns+1]] {
+			v += weight[r]
 		}
-	} else {
-		for ns := range links {
-			votes[ns] = sumRow(lrep[lstart[ns]:lstart[ns+1]], weight)
-		}
-		for so, ns := range slotmap {
-			if ns >= 0 && votes[ns] != old.votes[so] {
-				moved, slotmap[so] = append(moved, ns), -1
-			}
-		}
-		for q, ns := range rebuilt {
-			if rebuiltOld[q] < 0 {
-				moved = append(moved, ns)
+		votes[ns] = v
+		if so := rebuiltOld[q]; so < 0 || v != old.votes[so] {
+			moved = append(moved, ns)
+			if so >= 0 {
+				slotmap[so] = -1
 			}
 		}
 	}
@@ -469,49 +432,32 @@ reports:
 	c.entering, c.addKeys, c.rebuilt, c.rebuiltOld, c.moved = entering, keys, rebuilt, rebuiltOld, moved
 }
 
-// sumRow is a slot's vote: its reports' weights summed per summation chunk,
-// the chunk sums folded in report order — the fresh build's arithmetic.
-func sumRow(row []int32, weight []float64) float64 {
-	if len(row) == 0 {
-		return 0
-	}
-	var sum, part float64
-	chunk := uint32(row[0]) >> sumChunkShift
-	for _, r := range row {
-		if ch := uint32(r) >> sumChunkShift; ch != chunk {
-			sum, part, chunk = sum+part, 0, ch
-		}
-		part += weight[r]
-	}
-	return sum + part
-}
-
 // rerank is the ranking of a patched index: the carried order with slots
 // remapped and those whose vote moved taken out, merged with the moved
 // slots in ranking order. The kept slots' votes and relative LinkID order
-// are unchanged, so they are still in ranking order among themselves, and
-// their LinkVotes are the carried ranking's; the carried ranking is sorted,
-// so each moved slot's place in it is a binary search. The ranking is
-// built alongside the order, for ranking to hand out.
+// are unchanged, so they are still in ranking order among themselves; the
+// carried order, read through the carried index (c.spare once patched), is
+// sorted, so each moved slot's place in it is a binary search. The ranking
+// is built alongside the order, for ranking to hand out.
 func (c *carry) rerank() {
 	links, votes, moved, slotmap := c.ix.links, c.ix.votes, c.moved, c.slotmap
 	slices.SortFunc(moved, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(votes[b], votes[a]), cmp.Compare(a, b))
 	})
-	prev, prevRank := c.order, c.rank
+	prev, old := c.order, c.spare
 	order, out := resize(c.spareOrd, len(votes)), make([]LinkVotes, len(votes))
 	w, i := 0, 0
 	copyKept := func(to int) {
 		for ; i < to; i++ {
 			if ns := slotmap[prev[i]]; ns >= 0 {
-				order[w], out[w], w = ns, prevRank[i], w+1
+				order[w], out[w], w = ns, LinkVotes{Link: links[ns], Votes: votes[ns]}, w+1
 			}
 		}
 	}
 	for _, ms := range moved {
 		lv := LinkVotes{Link: links[ms], Votes: votes[ms]}
-		at, _ := slices.BinarySearchFunc(prevRank[i:], lv, func(r, x LinkVotes) int {
-			return cmp.Or(cmp.Compare(x.Votes, r.Votes), cmp.Compare(r.Link, x.Link))
+		at, _ := slices.BinarySearchFunc(prev[i:], lv, func(s int32, x LinkVotes) int {
+			return cmp.Or(cmp.Compare(x.Votes, old.votes[s]), cmp.Compare(old.links[s], x.Link))
 		})
 		copyKept(i + at)
 		order[w], out[w], w = ms, lv, w+1
@@ -520,16 +466,13 @@ func (c *carry) rerank() {
 	c.order, c.spareOrd, c.out = order[:w], prev, out[:w]
 }
 
-// ranking hands out the loaded ranking, and carries a copy of it.
+// ranking hands out the loaded ranking.
 func (c *carry) ranking() []LinkVotes {
 	out := c.out
 	if !c.patched {
 		out = linkVotes(c.ix.links, c.ix.votes, c.order)
 	}
 	c.out = nil
-	if c.keep {
-		c.rank = append(c.rank[:0], out...)
-	}
 	return out
 }
 
@@ -543,7 +486,7 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 	ix := c.ix
 	if !c.patched {
 		out := ix.classify(ix.votes, detected)
-		if c.keep {
+		if c.records() {
 			c.verdicts, c.detected = append(c.verdicts[:0], out...), append(c.detected[:0], detected...)
 			c.valid = true
 		}

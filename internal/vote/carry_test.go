@@ -130,19 +130,23 @@ func (g *carrySeq) edit(prev []Report, remove, change, add float64) []Report {
 // every call of every sequence: small edits (removed, added and edited
 // reports), the same reports twice, disjoint epochs, epochs out of FlowID
 // order, and report counts on both sides of the 2,048-report summation
-// chunk. Small edits take the patch, disjoint epochs the fresh build.
+// chunk. Small edits within one chunk take the patch; disjoint epochs, and
+// any call with more than one chunk's reports on either side, take the
+// fresh build.
 func TestCarryMatchesFreshBuild(t *testing.T) {
 	for _, n := range []int{1, 40, 700, 2040, 2100} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			g := &carrySeq{rng: stats.NewRNG(uint64(n))}
 			c := &carry{ix: new(index), spare: new(index)}
+			last := 0 // the reports of the call before
 			load := func(reports []Report, wantPatched bool, what string) {
 				t.Helper()
+				wantPatched = wantPatched && max(last, len(reports)) <= maxCarried
 				if got := c.load(reports); got != wantPatched && n >= 700 {
-					t.Fatalf("%s: patched = %v, want %v", what, got, wantPatched)
+					t.Fatalf("%s (%d reports after %d): patched = %v, want %v", what, len(reports), last, got, wantPatched)
 				}
 				requireCarryMatchesFresh(t, c, reports, len(reports)%3 == 0)
-				c.ix.reports = nil
+				c.ix.reports, last = nil, len(reports)
 			}
 			cur := g.epoch(n)
 			load(cur, false, "first call")
@@ -153,8 +157,8 @@ func TestCarryMatchesFreshBuild(t *testing.T) {
 			}
 			if n >= 2040 {
 				// Grow across the chunk boundary and back, a few reports a
-				// call, so the patch carries rows whose positions change
-				// chunk.
+				// call: past it every call builds fresh, and the first
+				// within it again too.
 				for step := 0; step < 6; step++ {
 					cur = g.edit(cur, 0, 0, 0.02)
 					load(cur, true, fmt.Sprintf("growth %d", step))
@@ -168,6 +172,7 @@ func TestCarryMatchesFreshBuild(t *testing.T) {
 				cur = g.edit(cur, 0.2, 0.2, 0.2)
 				c.load(cur) // either path; the arrays must match
 				requireCarryMatchesFresh(t, c, cur, step%2 == 0)
+				c.ix.reports, last = nil, len(cur)
 			}
 			cur = g.epoch(n)
 			load(cur, false, "disjoint epoch")
@@ -176,10 +181,9 @@ func TestCarryMatchesFreshBuild(t *testing.T) {
 				j := g.rng.Intn(i + 1)
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			}
-			for c.load(shuffled); !c.keep; c.load(shuffled) { // failed alignments back off
-				requireCarryMatchesFresh(t, c, shuffled, false)
-			}
+			c.load(shuffled) // out of FlowID order: either path
 			requireCarryMatchesFresh(t, c, shuffled, false)
+			c.ix.reports = nil
 			load(shuffled, n > 0, "shuffled again")
 			load(cur[:n/2], false, "the first half")
 			load(nil, false, "an empty epoch")
@@ -188,69 +192,95 @@ func TestCarryMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// Epochs that share nothing make the carry back off: after each failed
-// alignment in a row, twice as many fresh calls record nothing, up to
-// maxBackoff. A stream of related epochs then patches again within
-// maxBackoff + 2 calls.
-func TestCarryBacksOffOnUnrelatedEpochs(t *testing.T) {
-	g := &carrySeq{rng: stats.NewRNG(7)}
-	a, b := g.epoch(500), g.epoch(500)
-	c := &carry{ix: new(index), spare: new(index)}
-	recorded := 0
-	for i := range 400 {
-		if c.load([][]Report{a, b}[i%2]) {
-			t.Fatalf("call %d patched across unrelated epochs", i)
+// localizeStream runs Localize with a stream's options and reports whether
+// the call patched.
+func localizeStream(reports []Report, opts DetectOptions) bool {
+	Localize(reports, opts)
+	c := <-opts.stream
+	opts.stream <- c
+	return c.patched
+}
+
+// Two streams fed alternately, each its own sequence of related epochs,
+// both patch from their second call on: neither evicts the other.
+func TestStreamsDoNotEvictEachOther(t *testing.T) {
+	g := &carrySeq{rng: stats.NewRNG(11)}
+	a, b := g.epoch(600), g.epoch(600)
+	sa, sb := Streaming(DetectOptions{}), Streaming(DetectOptions{})
+	for call := range 10 {
+		if pa, pb := localizeStream(a, sa), localizeStream(b, sb); pa != (call > 0) || pb != (call > 0) {
+			t.Fatalf("call %d: stream a patched %v, stream b %v", call, pa, pb)
 		}
-		if c.keep {
-			recorded++
-		}
-		finishCall(c)
-	}
-	if recorded > 16 {
-		t.Fatalf("%d of 400 calls over unrelated epochs recorded for the next", recorded)
-	}
-	cur := a
-	for i := 0; ; i++ {
-		if i > maxBackoff+2 {
-			t.Fatalf("no patch within %d calls of related epochs", i)
-		}
-		if c.load(cur) {
-			break
-		}
-		finishCall(c)
-		cur = g.edit(cur, 0.002, 0.002, 0.002)
+		a, b = g.edit(a, 0.004, 0.004, 0.004), g.edit(b, 0.004, 0.004, 0.004)
 	}
 }
 
-// A call that finds the carry taken runs the same sequence on a local
-// carry: its outputs are the shared carry's, fresh or patched, and the
+// A stream patches up to one summation chunk of reports, 2,048, and builds
+// fresh past it, on the call with more and on the one after.
+func TestStreamCarriesOneChunk(t *testing.T) {
+	g := &carrySeq{rng: stats.NewRNG(13)}
+	full := g.epoch(2049)
+	opts := Streaming(DetectOptions{})
+	for _, step := range []struct {
+		n       int
+		patched bool
+	}{{2048, false}, {2048, true}, {2049, false}, {2048, false}, {2048, true}} {
+		if got := localizeStream(full[:step.n], opts); got != step.patched {
+			t.Fatalf("%d reports: patched = %v, want %v", step.n, got, step.patched)
+		}
+	}
+}
+
+// Calls without a stream build fresh on pooled carries that record
+// nothing: a hundred of them on unrelated reports between two calls of a
+// stream leave the stream patching, and leave no pooled carry holding a
+// call.
+func TestStatelessCallsLeaveStreamsAlone(t *testing.T) {
+	for range cap(localFree) {
+		localFree.get()
+	}
+	g := &carrySeq{rng: stats.NewRNG(17)}
+	cur := g.epoch(600)
+	opts := Streaming(DetectOptions{ThresholdFrac: 0.01})
+	localizeStream(cur, opts)
+	for range 100 {
+		Localize(g.epoch(600), DetectOptions{ThresholdFrac: 0.01})
+	}
+	if !localizeStream(g.edit(cur, 0.004, 0.004, 0.004), opts) {
+		t.Fatal("the stream built fresh after stateless calls")
+	}
+	local := localFree.get()
+	if !local.local || local.valid || len(local.flow) != 0 || local.ix.reports != nil {
+		t.Fatalf("stateless calls left a pooled carry that is not local (%v), recorded the call (valid %v, %d flows) or kept its reports",
+			local.local, local.valid, len(local.flow))
+	}
+	localFree.put(local)
+}
+
+// A call that finds its stream's carry taken runs the same sequence on a
+// local carry: its outputs are the stream's, fresh or patched, and the
 // local carry records nothing and keeps none of the call's reports.
 func TestLocalizeOnTakenCarry(t *testing.T) {
 	g := &carrySeq{rng: stats.NewRNG(43)}
 	cur := g.epoch(600)
-	opts := DetectOptions{ThresholdFrac: 0.01}
+	opts := Streaming(DetectOptions{ThresholdFrac: 0.01})
 	for call := range 4 {
 		ranking, detected, verdicts := Localize(cur, opts)
-		shared := <-carried
+		held := <-opts.stream
 		lranking, ldetected, lverdicts := Localize(cur, opts)
-		carried <- shared
+		opts.stream <- held
 		if !slices.Equal(lranking, ranking) || !slices.Equal(ldetected, detected) || !slices.Equal(lverdicts, verdicts) {
-			t.Fatalf("call %d: a local carry's outputs differ from the shared carry's", call)
+			t.Fatalf("call %d: a local carry's outputs differ from the stream's", call)
+		}
+		if held.patched != (call > 0) {
+			t.Fatalf("call %d: the stream patched = %v", call, held.patched)
 		}
 		local := localFree.get()
-		if !local.local || local.keep || local.valid || len(local.flow) != 0 || local.ix.reports != nil {
-			t.Fatalf("call %d: the local carry recorded the call (local %v, keep %v, valid %v, %d flows) or kept its reports",
-				call, local.local, local.keep, local.valid, len(local.flow))
+		if !local.local || local.valid || len(local.flow) != 0 || local.ix.reports != nil {
+			t.Fatalf("call %d: the local carry recorded the call (local %v, valid %v, %d flows) or kept its reports",
+				call, local.local, local.valid, len(local.flow))
 		}
 		localFree.put(local)
 		cur = g.edit(cur, 0.004, 0.004, 0.004)
 	}
-}
-
-// finishCall hands out a loaded call's ranking and verdicts, as Localize
-// does, so the carry records them.
-func finishCall(c *carry) {
-	c.ranking()
-	c.classify(nil)
-	c.ix.reports = nil
 }
