@@ -127,12 +127,28 @@ func TestAnalyzeConcurrentSequencesMatchDenseOracle(t *testing.T) {
 // oracle along a sequence of epochs decoded from raw bytes: fuzzReports'
 // reports, repeated to at least 64 with FlowIDs ascending and spaced, then
 // one edit per following byte — a report removed, given another report's
-// path, or added between two others. One edit in 64 reports is small
-// enough for the carried index to be patched, not rebuilt.
+// path, or added between two others; two neighbours swapped, which puts
+// the reports out of FlowID order; or two reports given other paths at
+// once, which for 64 to 79 reports is four changed reports, the most a
+// call patches. One edit in 64 reports is small enough for the carried
+// index to be patched, not rebuilt.
+//
+// The seeds after the first three: swaps among the other edits; 64
+// reports a link each, where links leave the epoch and one (link 8) comes
+// back; reports that share every link with unchanged ones; two paths at
+// once, at the fallback share.
 func FuzzAnalyzeSequenceMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 0, 2, 0, 2, 1, 0, 3, 0, 1, 1, 0})
 	f.Add([]byte{1, 3, 5, 0, 5, 0, 0xff, 0xff, 0, 7, 8, 9})
 	f.Add([]byte{6, 7, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 1, 1, 0, 1, 2, 0})
+	f.Add([]byte{8, 2, 1, 0, 2, 0, 3, 3, 0, 4, 0, 5, 0, 13, 18, 23})
+	oneLinkEach := []byte{0}
+	for l := range byte(64) {
+		oneLinkEach = append(oneLinkEach, 1, l, 0)
+	}
+	f.Add(oneLinkEach)
+	f.Add([]byte{10, 2, 5, 0, 6, 0, 2, 6, 0, 5, 0, 1, 5, 0})
+	f.Add([]byte{4, 2, 1, 0, 2, 0, 2, 3, 0, 4, 0, 9, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool, dopts := fuzzReports(data)
 		if len(pool) == 0 {
@@ -150,16 +166,23 @@ func FuzzAnalyzeSequenceMatchesOracle(f *testing.F) {
 		for k, b := range data[:min(len(data), 12)] {
 			next := slices.Clone(cur)
 			i := (int(b) * 7) % len(next)
-			switch b % 3 {
+			switch b % 5 {
 			case 0:
 				next = slices.Delete(next, i, i+1)
 			case 1:
 				next[i].Path = pool[(k+int(b))%len(pool)].Path
-			default:
+			case 2:
 				if i > 0 && next[i].FlowID-next[i-1].FlowID > 1 {
 					r := pool[k%len(pool)]
 					r.FlowID = next[i].FlowID - 1
 					next = slices.Insert(next, i, r)
+				}
+			case 3:
+				j := (i + 1) % len(next)
+				next[i], next[j] = next[j], next[i]
+			default:
+				for _, at := range []int{i, (i + len(next)/2) % len(next)} {
+					next[at].Path = pool[(at+1)%len(pool)].Path
 				}
 			}
 			requireMatchesOracle(t, next, opts)

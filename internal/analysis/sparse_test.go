@@ -243,9 +243,10 @@ func TestAnalyzeHostileLinkIDStaysSmall(t *testing.T) {
 // Each regime runs on a stream of its own, so nothing an earlier test left
 // changes what it measures: fresh builds (two epochs with no flow in
 // common, alternating) and patches (one epoch repeated). A call's count is
-// the median of the measured calls': the first patch sizes the carry's
-// second index, once, which is how this test sees that the repeated epoch
-// is patched.
+// the median of the measured calls', and a patch allocates no more than a
+// fresh build. That a repeated epoch patches is vote's to see: its tests
+// read the stream's patched flag, which this package cannot
+// (vote.TestPatchCostFollowsDelta).
 func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 	paper, opts := paperEpoch(t)
 	// Spread the ids order-preservingly over the datacenter fabric's range.
@@ -274,8 +275,8 @@ func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 		return out
 	}
 	// measure returns the median allocations and bytes of 21 calls after
-	// one warm-up call, and the first measured call's allocations.
-	measure := func(epochs ...[]vote.Report) (allocs, bytes, first float64) {
+	// one warm-up call.
+	measure := func(epochs ...[]vote.Report) (allocs, bytes float64) {
 		stream := analysis.Options{Detect: vote.Streaming(opts.Detect)}
 		analysis.Analyze(epochs[0], stream)
 		const runs = 21
@@ -287,11 +288,11 @@ func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			counts[i], sizes[i] = float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)
 		}
-		first = counts[0]
 		slices.Sort(counts[:])
 		slices.Sort(sizes[:])
-		return counts[runs/2], sizes[runs/2], first
+		return counts[runs/2], sizes[runs/2]
 	}
+	var freshAllocs, freshBytes float64
 	// Pinned at the measured counts: the Result, its ranking, B (grown by
 	// append) and verdicts, and the observed adjuster. A per-call copy of
 	// the tally (three allocations) or of any other array fails this.
@@ -299,23 +300,20 @@ func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 		name          string
 		paper, spread [][]vote.Report
 		allocs        float64
-		patched       bool
 	}{
-		{"fresh", [][]vote.Report{paper, other(paper)}, [][]vote.Report{spread, other(spread)}, 8, false},
-		{"patched", [][]vote.Report{paper}, [][]vote.Report{spread}, 8, true},
+		{"fresh", [][]vote.Report{paper, other(paper)}, [][]vote.Report{spread, other(spread)}, 8},
+		{"patched", [][]vote.Report{paper}, [][]vote.Report{spread}, 8},
 	} {
-		pa, pb, pf := measure(regime.paper...)
-		da, db, df := measure(regime.spread...)
-		t.Logf("%s: paper ids %.0f allocs, %.0f B per call; datacenter ids %.0f allocs, %.0f B per call; first calls %.0f and %.0f allocs",
-			regime.name, pa, pb, da, db, pf, df)
+		pa, pb := measure(regime.paper...)
+		da, db := measure(regime.spread...)
+		t.Logf("%s: paper ids %.0f allocs, %.0f B per call; datacenter ids %.0f allocs, %.0f B per call", regime.name, pa, pb, da, db)
 		if max(pa, da) > regime.allocs {
 			t.Errorf("%s: Analyze allocates %.0f / %.0f times per call in steady state, want <= %.0f", regime.name, pa, da, regime.allocs)
 		}
-		// The first patch fills the carry's second index (eight arrays)
-		// and its three report arrays; a stream that never patches would
-		// not.
-		if regime.patched && min(pf, df) < regime.allocs+11 {
-			t.Errorf("%s: the first measured call allocates %.0f / %.0f times: the repeated epoch was not patched", regime.name, pf, df)
+		if regime.name == "fresh" {
+			freshAllocs, freshBytes = max(pa, da), max(pb, db)
+		} else if max(pa, da) > freshAllocs || max(pb, db) > freshBytes {
+			t.Errorf("a patch allocates %.0f times and %.0f B per call, a fresh build %.0f and %.0f", max(pa, da), max(pb, db), freshAllocs, freshBytes)
 		}
 		if math.Abs(pb-db) > 0.1*pb {
 			t.Errorf("%s: bytes per call depend on the ids: %.0f on paper ids, %.0f on datacenter ids", regime.name, pb, db)

@@ -67,7 +67,7 @@ func (o *ObservedAdjuster) Begin(lmax topology.LinkID) {
 	if s < 0 {
 		return
 	}
-	on := ix.lrep[ix.lstart[s]:ix.lstart[s+1]]
+	on := ix.lrep[ix.lstart[s]:ix.lend[s]]
 	o.nmax = len(on)
 	prev := int32(-1)
 	for _, r := range on {
@@ -75,7 +75,7 @@ func (o *ObservedAdjuster) Begin(lmax topology.LinkID) {
 			continue // lmax repeats within r's path; r's entries count once
 		}
 		prev = r
-		for _, k := range ix.eslot[ix.estart[r]:ix.estart[r+1]] {
+		for _, k := range ix.eslot[ix.estart[r]:ix.eend[r]] {
 			if ix.shared[k] == 0 {
 				ix.touched = append(ix.touched, k)
 			}
@@ -131,7 +131,7 @@ type DetectOptions struct {
 // builds fresh and records nothing.
 func Streaming(opts DetectOptions) DetectOptions {
 	opts.stream = make(chan *carry, 1)
-	opts.stream <- &carry{ix: new(index), spare: new(index)}
+	opts.stream <- &carry{ix: new(index)}
 	return opts
 }
 
@@ -154,10 +154,11 @@ func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 	return findProblemLinks(t.links, t.votes, rs.rank(t.votes), nil, opts)
 }
 
-// findProblemLinks is Algorithm 1 over slot arrays: links ascending with
-// their votes, and the slots in ranking order. own is the index the slots
-// are, if any: an observed adjuster over it counts in these very slots, so
-// it needs no slot map.
+// findProblemLinks is Algorithm 1 over slot arrays: links with their votes,
+// and the slots in ranking order. own is the index the slots are, if any:
+// an observed adjuster over it counts in these very slots, so it needs no
+// slot map. Without an own the slots are in LinkID order; with one, its
+// byLink gives that order.
 func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, own *index, opts DetectOptions) []topology.LinkID {
 	if opts.ThresholdFrac <= 0 {
 		opts.ThresholdFrac = 0.01
@@ -178,8 +179,16 @@ func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, o
 	// positives; the initial total is the stable reading of line 6 of
 	// Algorithm 1. It is summed in LinkID order.
 	var total float64
-	for _, v := range votes {
-		total += v
+	var byLink []int32 // own's slots in LinkID order, when there is an own
+	if own == nil {
+		for _, v := range votes {
+			total += v
+		}
+	} else {
+		byLink = own.byLink
+		for _, s := range byLink {
+			total += votes[s]
+		}
 	}
 	cutoff := opts.ThresholdFrac * total
 	discount := func(s int, vmax, f float64) {
@@ -190,22 +199,22 @@ func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, o
 	obs, _ := adj.(*ObservedAdjuster)
 	var toTally []int32 // obs's slots → these; nil while they are the same
 	if obs != nil && obs.ix != own {
-		sc.toTally = obs.ix.slotsIn(links, sc.toTally)
+		sc.toTally = obs.ix.slotsIn(links, byLink, sc.toTally)
 		toTally = sc.toTally
 	}
 	var b []topology.LinkID
 	for {
-		// The argmax, equal votes going to the lower slot (LinkID). Votes
-		// only fall, so the walk down the original ranking ends at the first
+		// The argmax, equal votes going to the lower LinkID. Votes only
+		// fall, so the walk down the original ranking ends at the first
 		// slot that can neither reach the cutoff nor beat or tie the best
-		// so far: its original vote is lower, or as high with a higher slot
-		// (a ranking group is in ascending slot order).
+		// so far: its original vote is lower, or as high with a higher
+		// LinkID (a ranking group is in ascending LinkID order).
 		lmax, vmax := -1, 0.0
 		for _, s := range order {
-			if o := tally[s]; o < cutoff || o < vmax || o == vmax && int(s) > lmax {
+			if o := tally[s]; o < cutoff || o < vmax || o == vmax && (lmax < 0 || links[s] > links[lmax]) {
 				break
 			}
-			if v := votes[s]; !inB[s] && (v > vmax || v == vmax && v > 0 && int(s) < lmax) {
+			if v := votes[s]; !inB[s] && (v > vmax || v == vmax && v > 0 && links[s] < links[lmax]) {
 				lmax, vmax = int(s), v
 			}
 		}

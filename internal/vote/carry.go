@@ -1,8 +1,8 @@
 package vote
 
 import (
-	"cmp"
 	"slices"
+	"sort"
 
 	"vigil/internal/prof"
 	"vigil/internal/topology"
@@ -11,9 +11,11 @@ import (
 // carryMaxChanged bounds the share of changed reports a carried call
 // patches: when more than (old + new reports) / carryMaxChanged reports
 // were removed or added, the alignment gives up and the call takes the
-// fresh build. A patch costs about as much as the fresh build at a 3 %
-// share (DESIGN.md, "Analysis cost model").
+// fresh build (DESIGN.md, "Analysis cost model").
 const carryMaxChanged = 32
+
+// keyGap spaces the order keys of a freshly recorded call's reports.
+const keyGap = 1 << 32
 
 // The analysis stages as CPU-profile labels (prof.Phase).
 var (
@@ -25,52 +27,57 @@ var (
 )
 
 // carry is the analysis a stream (Streaming) keeps from one call to the
-// next: the index and ranking it built last, and the inputs of that index
-// some output reads — per report, its position, FlowID and path. One
-// producer's consecutive epochs mostly repeat each other's reports, so a
-// call aligns its reports against these and patches the index and ranking
-// where they changed, in place of a rebuild. The patch reproduces the fresh
-// build's arrays exactly (DESIGN.md, "Analysis cost model").
+// next. One producer's consecutive epochs mostly repeat each other's
+// reports, so a call aligns its reports against the recorded ones and
+// patches the recorded index where they changed, in place of a rebuild.
+// In a recorded index a link keeps its slot and a report its handle for as
+// long as it stays, whatever comes and goes around it: a patch edits the
+// rows and reports that changed where they lie, and the report order, the
+// ranking and the verdicts are the recorded ones' runs, copied whole, with
+// the changed entries spliced in. The outputs are a fresh build's, bit for
+// bit (DESIGN.md, "Analysis cost model").
 type carry struct {
-	ix, spare       *index  // the carried index; the next patch's output buffers
-	order, spareOrd []int32 // ix's slots in ranking order; the next patch's
-	rs              rankScratch
+	ix    *index
+	order []int32 // ix's slots in ranking order
+	rs    rankScratch
 
-	// ix's reports: report i is FlowID flow[i] with path
-	// path[pstart[i]:pstart[i+1]], NoLink placeholders and repeats
-	// included (a report's weight reads its path's length). The spares
-	// are the next patch's.
-	flow, spareFlow     []int64
-	pstart, sparePstart []int32
-	path, sparePath     []topology.LinkID
+	// The recorded reports by handle: FlowID, path path[pstart[h]:pend[h]]
+	// (NoLink placeholders and repeats included: a weight reads its path's
+	// length) and order key. byPos lists the handles in report order, their
+	// keys ascending. Handles and slots are only ever added, and lrep, eslot
+	// and path only appended to; arena is their size when last built fresh.
+	flow         []int64
+	pstart, pend []int32
+	path         []topology.LinkID
+	key          []uint64
+	byPos        []int32
+	arena        int
 
-	// The alignment: old report → new position (-1 when removed), the
-	// unchanged reports as runs, and the changed ones.
-	posmap         []int32
-	runs           []run
-	removed, added []int32 // old and new positions, ascending
-
-	// Patch scratch, per old slot: removed and added path entries, and
-	// where the slot went (-1 when it left, or when its vote changed and
-	// rerank places it anew).
-	gone, more, slotmap []int32
-	touched             []int32 // old slots with gone or more > 0
-	entering            []topology.LinkID
-	addKeys             []uint64 // per added path entry: link<<32 | new position
-	rebuilt, rebuiltOld []int32  // new slots whose rows were rebuilt; their old slots or -1
-	moved               []int32  // new slots whose vote is not the carried one
-
-	// The ranking rerank built for this call.
-	out []LinkVotes
-
-	// The last call's verdicts and B, and the classify scratch: per new
-	// slot, bit 1 for B and bit 2 for the carried B; per report, whether
-	// its carried verdict is stale.
+	// The recorded outputs: ranking (order is its slots), verdicts and B.
+	ranked   []LinkVotes
 	verdicts []Verdict
 	detected []topology.LinkID
-	inB      []uint8
-	stale    []bool
-	redo     []int32
+
+	// The alignment: unchanged reports as runs, the changed ones, and the
+	// added ones' keys.
+	runs           []run
+	removed, added []int32 // old and new positions, ascending
+	addKey         []uint64
+
+	// Patch scratch (entries: the added path entries, link<<32 | index in
+	// added), and the buffers the next splices write.
+	entries, rankKeys                   []uint64
+	touched, moved, enter, at, gone     []int32
+	stale                               []int32
+	left, ins, spareRanked              []LinkVotes
+	inB                                 []uint8
+	seen                                []bool
+	spareByLink, spareByPos, spareOrder []int32
+	spareVerdicts                       []Verdict
+
+	// work counts what the last patched call wrote outside bulk copies:
+	// entries, rows re-summed and verdicts recomputed.
+	work int
 
 	// patched: the last load patched. valid: the carry describes the last
 	// call whole, so the next may align against it. local: a pooled carry
@@ -123,21 +130,18 @@ func (c *carry) records() bool {
 }
 
 // load indexes and ranks reports into c.ix and c.order, patching the
-// carried index when few reports changed, and reports whether it patched.
+// recorded index when few reports changed, and reports whether it patched.
 // The reports must stay unmodified until c.ix.reports is cleared.
 func (c *carry) load(reports []Report) (patched bool) {
 	phaseAlign.Begin()
 	patched = c.align(reports)
-	c.patched, c.valid = patched, false
+	c.patched, c.valid, c.work = patched, false, 0
 	phaseAlign.End()
 	phaseIndex.Begin()
 	if patched {
 		c.patch(reports)
-	} else {
-		c.ix.build(reports)
-		if c.records() {
-			c.remember(reports)
-		}
+	} else if c.ix.build(reports); c.records() {
+		c.remember(reports)
 	}
 	phaseIndex.End()
 	phaseRank.Begin()
@@ -151,44 +155,41 @@ func (c *carry) load(reports []Report) (patched bool) {
 	return patched
 }
 
-// align matches reports against the carried ones with two pointers, in
-// FlowID order: a report is unchanged when the carried report it meets has
-// its FlowID and path, and removed or added otherwise. Whatever order the
-// reports come in, the unchanged ones keep their relative order on both
-// sides, which is all the patch needs; reports out of FlowID order only
-// match less. It reports false, and the call builds fresh, when nothing is
-// carried, the reports outgrow one summation chunk, or more than the
-// fallback share changed.
+// align matches reports against the recorded ones with two pointers, in
+// FlowID order: a report is unchanged when the recorded report it meets
+// has its FlowID and path, and removed or added otherwise. Whatever order
+// the reports come in, the unchanged ones keep their relative order on
+// both sides, which is all the patch needs; reports out of FlowID order
+// only match less. Each added report gets a key between its neighbours'.
+// It reports false, and the call builds fresh, when nothing is recorded,
+// the reports outgrow one summation chunk, more than the fallback share
+// changed, the keys run out of room, or the arenas quadrupled.
 func (c *carry) align(reports []Report) bool {
-	n0, n1 := len(c.flow), len(reports)
-	if !c.valid || n0 == 0 || n1 == 0 || n1 > maxCarried {
+	n0, n1 := len(c.byPos), len(reports)
+	if !c.valid || n0 == 0 || n1 == 0 || n1 > maxCarried || c.size() > 4*c.arena {
 		return false
 	}
 	limit := (n0 + n1) / carryMaxChanged
-	posmap := resize(c.posmap, n0)
-	c.posmap = posmap // kept when the alignment fails too, so it is sized once
 	runs, removed, added := c.runs[:0], c.removed[:0], c.added[:0]
 	i, j := 0, 0
 	for i < n0 && j < n1 && len(removed)+len(added) <= limit {
-		f, o := reports[j].FlowID, c.flow[i]
-		if o == f && slices.Equal(c.path[c.pstart[i]:c.pstart[i+1]], reports[j].Path) {
-			posmap[i] = int32(j)
-			if k := len(runs) - 1; k >= 0 && runs[k].old+runs[k].n == int32(i) && runs[k].new+runs[k].n == int32(j) {
-				runs[k].n++
-			} else {
-				runs = append(runs, run{int32(i), int32(j), 1})
+		i0, j0 := i, j
+		for ; i < n0 && j < n1; i, j = i+1, j+1 {
+			if h, r := c.byPos[i], &reports[j]; c.flow[h] != r.FlowID || !slices.Equal(c.path[c.pstart[h]:c.pend[h]], r.Path) {
+				break
 			}
-			i, j = i+1, j+1
+		}
+		if i > i0 {
+			runs = append(runs, run{int32(i0), int32(j0), int32(i - i0)})
 			continue
 		}
 		// An edited report (same FlowID, another path) goes and comes.
+		o, f := c.flow[c.byPos[i]], reports[j].FlowID
 		if o <= f {
-			posmap[i], removed = -1, append(removed, int32(i))
-			i++
+			removed, i = append(removed, int32(i)), i+1
 		}
 		if o >= f {
-			added = append(added, int32(j))
-			j++
+			added, j = append(added, int32(j)), j+1
 		}
 	}
 	c.runs, c.removed, c.added = runs, removed, added
@@ -196,294 +197,245 @@ func (c *carry) align(reports []Report) bool {
 		return false
 	}
 	for ; i < n0; i++ {
-		posmap[i], removed = -1, append(removed, int32(i))
+		removed = append(removed, int32(i))
 	}
 	for ; j < n1; j++ {
 		added = append(added, int32(j))
 	}
 	c.removed, c.added = removed, added
+	// Each added report takes the middle of the keys around it.
+	keys := resize(c.addKey, len(added))
+	c.addKey = keys
+	for a, r := 0, 0; a < len(added); a++ {
+		for r < len(runs) && runs[r].new < added[a] {
+			r++
+		}
+		lo, hi := uint64(0), uint64(0)
+		if a > 0 && added[a-1] == added[a]-1 {
+			lo = keys[a-1]
+		} else if r > 0 {
+			lo = c.key[c.byPos[runs[r-1].old+runs[r-1].n-1]]
+		}
+		if hi = lo + 2*keyGap; r < len(runs) {
+			hi = c.key[c.byPos[runs[r].old]]
+		}
+		if keys[a] = lo + (hi-lo)/2; keys[a] == lo || lo > 1<<62 {
+			return false
+		}
+	}
 	return true
 }
 
-// remember records reports as what the next call aligns against.
+// remember records the freshly built index and its reports for the next
+// call: slots and handles are the fresh build's, byLink and byPos the
+// identity.
 func (c *carry) remember(reports []Report) {
-	flow, pstart, path := resize(c.flow, len(reports)), resize(c.pstart, len(reports)+1), c.path[:0]
+	ix := c.ix
+	m, n := len(ix.links), len(reports)
+	ix.lstart, ix.estart = ix.lstart[:m], ix.estart[:n]
+	c.flow, c.key, c.byPos = resize(c.flow, n), resize(c.key, n), resize(c.byPos, n)
+	c.pstart, c.pend, c.path = resize(c.pstart, n), resize(c.pend, n), c.path[:0]
 	for i := range reports {
-		flow[i], pstart[i] = reports[i].FlowID, int32(len(path))
-		path = append(path, reports[i].Path...)
+		c.flow[i], c.key[i], c.byPos[i] = reports[i].FlowID, uint64(i+1)*keyGap, int32(i)
+		c.pstart[i] = int32(len(c.path))
+		c.path = append(c.path, reports[i].Path...)
+		c.pend[i] = int32(len(c.path))
 	}
-	pstart[len(reports)] = int32(len(path))
-	c.flow, c.pstart, c.path = flow, pstart, path
+	c.arena = c.size()
 }
 
-// patch builds the index of reports into c.spare from the carried index
-// and the alignment, and makes it the carried one. Unchanged reports keep
-// their relative order, so a run of them, and a run of untouched slots,
-// is copied with its positions and slots remapped; only the rows of
-// touched links — links on the path of a removed or an added report — are
-// rebuilt, and only their votes re-summed.
+// size is the length of the arrays a patch appends to.
+func (c *carry) size() int {
+	return len(c.ix.lrep) + len(c.ix.eslot) + len(c.ix.links) + len(c.path) + len(c.flow)
+}
+
+// patch edits the recorded index into the index of reports. A removed
+// report leaves its rows; an added one takes a new handle and joins its
+// rows, each row it joins written anew at the end of lrep with the added
+// reports merged in by key. A link new to the index takes a new slot. Only
+// the touched rows are re-summed.
 func (c *carry) patch(reports []Report) {
-	old, nx := c.ix, c.spare
-	m0 := len(old.links)
-	gone, more := c.gone, c.more // zero between calls
-	if len(gone) < m0 {
-		gone, more = make([]int32, m0), make([]int32, m0)
+	ix := c.ix
+	ix.reports = reports
+	(&ObservedAdjuster{ix: ix}).Begin(topology.NoLink) // clears the last call's adjuster scratch
+	if len(c.ranked) == 0 {
+		for _, s := range c.order {
+			c.ranked = append(c.ranked, LinkVotes{ix.links[s], ix.votes[s]})
+		}
+	}
+	old := c.byPos
+	byPos := resize(c.spareByPos, len(reports))
+	for _, rn := range c.runs {
+		copy(byPos[rn.new:rn.new+rn.n], old[rn.old:rn.old+rn.n])
 	}
 	touched := c.touched[:0]
-	e1, p1 := len(old.eslot), len(c.path) // the new entry and path lengths
-	for _, r := range c.removed {
-		e1 -= int(old.estart[r+1] - old.estart[r])
-		p1 -= int(c.pstart[r+1] - c.pstart[r])
-		for _, s := range old.eslot[old.estart[r]:old.estart[r+1]] {
-			if gone[s]+more[s] == 0 {
-				touched = append(touched, s)
-			}
-			gone[s]++
+	for _, i := range c.removed {
+		h := old[i]
+		for _, s := range ix.eslot[ix.estart[h]:ix.eend[h]] {
+			row := ix.lrep[ix.lstart[s]:ix.lend[s]]
+			k := slices.Index(row, h)
+			copy(row[k:], row[k+1:])
+			ix.lend[s]--
+			touched = append(touched, s)
+			c.work += len(row) - k
 		}
 	}
-	keys, entering := c.addKeys[:0], c.entering[:0]
-	for _, j := range c.added {
-		p1 += len(reports[j].Path)
-		for _, l := range reports[j].Path {
-			if l < 0 {
-				continue
-			}
-			keys = append(keys, uint64(l)<<32|uint64(j))
-			if s := old.slot(l); s < 0 {
-				entering = append(entering, l)
-			} else {
-				if gone[s]+more[s] == 0 {
-					touched = append(touched, int32(s))
-				}
-				more[s]++
+	keys := c.entries[:0]
+	for a, j := range c.added {
+		r, h, e := &reports[j], int32(len(c.flow)), len(keys)
+		byPos[j], c.flow, c.key = h, append(c.flow, r.FlowID), append(c.key, c.addKey[a])
+		c.pstart, c.path = append(c.pstart, int32(len(c.path))), append(c.path, r.Path...)
+		c.pend, ix.weight = append(c.pend, int32(len(c.path))), append(ix.weight, 1/float64(max(len(r.Path), 1)))
+		for _, l := range r.Path {
+			if l >= 0 {
+				keys = append(keys, uint64(l)<<32|uint64(a))
 			}
 		}
+		// Its slots are written below, ascending; eend counts them in.
+		ix.estart, ix.eend = append(ix.estart, int32(len(ix.eslot))), append(ix.eend, int32(len(ix.eslot)))
+		ix.eslot = append(ix.eslot, make([]int32, len(keys)-e)...)
+		c.work += len(r.Path)
 	}
-	e1 += len(keys)
 	slices.Sort(keys)
-	slices.Sort(touched)
-	slices.Sort(entering)
-	entering = slices.Compact(entering)
-	m1 := m0 + len(entering)
+	enter, enterAt := c.enter[:0], c.at[:0]
+	for k := 0; k < len(keys); {
+		l := topology.LinkID(keys[k] >> 32)
+		s := int32(ix.slot(l))
+		if s < 0 {
+			s, enter, enterAt = int32(len(ix.links)), append(enter, int32(len(ix.links))), append(enterAt, int32(ix.linkAt(l)))
+			ix.links, ix.votes = append(ix.links, l), append(ix.votes, 0)
+			ix.lstart, ix.lend, ix.shared = append(ix.lstart, 0), append(ix.lend, 0), append(ix.shared, 0)
+		}
+		row, lrep := ix.lrep[ix.lstart[s]:ix.lend[s]], ix.lrep
+		start := len(lrep)
+		for ; k < len(keys) && topology.LinkID(keys[k]>>32) == l; k++ {
+			h := byPos[c.added[uint32(keys[k])]]
+			for len(row) > 0 && c.key[row[0]] < c.key[h] {
+				lrep, row = append(lrep, row[0]), row[1:]
+			}
+			lrep = append(lrep, h)
+			ix.eslot[ix.eend[h]] = s
+			ix.eend[h]++
+		}
+		ix.lrep = append(lrep, row...)
+		ix.lstart[s], ix.lend[s] = int32(start), int32(len(ix.lrep))
+		touched = append(touched, s)
+		c.work += len(ix.lrep) - start
+	}
+
+	// The touched rows re-summed in report order, as the fresh build sums
+	// one chunk; those whose vote moved leave the ranking at their old
+	// vote, and so do emptied ones. An emptied slot stays, with no vote,
+	// for its link to come back to.
+	moved, left := c.moved[:0], c.left[:0]
 	for _, s := range touched {
-		if old.lstart[s+1]-old.lstart[s]-gone[s]+more[s] == 0 {
-			m1--
+		var v float64
+		for _, h := range ix.lrep[ix.lstart[s]:ix.lend[s]] {
+			v += ix.weight[h]
 		}
-	}
-
-	// The slots, ascending: runs of untouched old slots copied, touched
-	// ones merged, entering ones built from the added entries alone.
-	posmap, slotmap := c.posmap, resize(c.slotmap, m0)
-	links, votes := resize(nx.links, m1), resize(nx.votes, m1)
-	lstart, lrep := resize(nx.lstart, m1+1), resize(nx.lrep, e1)
-	rebuilt, rebuiltOld := c.rebuilt[:0], c.rebuiltOld[:0]
-	ns, w := 0, 0            // next new slot and entry
-	s, e, k, a := 0, 0, 0, 0 // next old slot, touched slot, entering link, added key
-	ins := m0 + 1            // where entering[k] goes among the old slots
-	if len(entering) > 0 {
-		ins, _ = slices.BinarySearch(old.links, entering[0])
-	}
-	for {
-		next := m0
-		if e < len(touched) {
-			next = int(touched[e])
-		}
-		if end := min(next, ins); s < end {
-			cnt := end - s
-			copy(links[ns:ns+cnt], old.links[s:end])
-			copy(votes[ns:ns+cnt], old.votes[s:end])
-			off := int32(w) - old.lstart[s]
-			dl, sm := lstart[ns:ns+cnt], slotmap[s:end]
-			for t, v := range old.lstart[s:end] {
-				dl[t], sm[t] = v+off, int32(ns+t)
-			}
-			src := old.lrep[old.lstart[s]:old.lstart[end]]
-			dst := lrep[w : w+len(src)]
-			for t, r := range src {
-				dst[t] = posmap[r]
-			}
-			ns, w, s = ns+cnt, w+len(src), end
-		}
-		switch {
-		case ins <= next:
-			l := entering[k]
-			if k++; k < len(entering) {
-				ins, _ = slices.BinarySearch(old.links[s:], entering[k])
-				ins += s
-			} else {
-				ins = m0 + 1
-			}
-			rebuilt, rebuiltOld = append(rebuilt, int32(ns)), append(rebuiltOld, -1)
-			links[ns], lstart[ns] = l, int32(w)
-			for ; a < len(keys) && topology.LinkID(keys[a]>>32) == l; a++ {
-				lrep[w], w = int32(uint32(keys[a])), w+1
-				keys[a] = keys[a]<<32 | uint64(ns)
-			}
-			ns++
-		case next < m0:
-			e, s = e+1, next+1
-			l, at := old.links[next], w
-			for _, r := range old.lrep[old.lstart[next]:old.lstart[next+1]] {
-				p := posmap[r]
-				if p < 0 {
-					continue
-				}
-				for ; a < len(keys) && topology.LinkID(keys[a]>>32) == l && int32(uint32(keys[a])) < p; a++ {
-					lrep[w], w = int32(uint32(keys[a])), w+1
-					keys[a] = keys[a]<<32 | uint64(ns)
-				}
-				lrep[w], w = p, w+1
-			}
-			for ; a < len(keys) && topology.LinkID(keys[a]>>32) == l; a++ {
-				lrep[w], w = int32(uint32(keys[a])), w+1
-				keys[a] = keys[a]<<32 | uint64(ns)
-			}
-			if w == at {
-				slotmap[next] = -1 // its last report went
-				continue
-			}
-			slotmap[next] = int32(ns)
-			rebuilt, rebuiltOld = append(rebuilt, int32(ns)), append(rebuiltOld, int32(next))
-			links[ns], lstart[ns] = l, int32(at)
-			ns++
-		default:
-			lstart[ns] = int32(w)
-			goto reports
-		}
-	}
-
-reports:
-	// The reports, in new order: runs of unchanged ones copied with their
-	// slots remapped; an added one's slots are its keys, each rewritten
-	// above to position<<32 | slot, so sorted they list every added
-	// report's slots, ascending, in report order.
-	slices.Sort(keys)
-	n := len(reports)
-	estart, weight, eslot := resize(nx.estart, n+1), resize(nx.weight, n), resize(nx.eslot, e1)
-	flow, pstart, path := resize(c.spareFlow, n), resize(c.sparePstart, n+1), resize(c.sparePath, p1)
-	w, a = 0, 0
-	pw, ri := 0, 0
-	for j := 0; j < n; {
-		if ri < len(c.runs) && int(c.runs[ri].new) == j {
-			rn := c.runs[ri]
-			ri++
-			i0, i1, j1 := int(rn.old), int(rn.old+rn.n), j+int(rn.n)
-			eoff, poff := int32(w)-old.estart[i0], int32(pw)-c.pstart[i0]
-			de, dp, op := estart[j:j1], pstart[j:j1], c.pstart[i0:i1]
-			for t, v := range old.estart[i0:i1] {
-				de[t], dp[t] = v+eoff, op[t]+poff
-			}
-			copy(weight[j:j1], old.weight[i0:i1])
-			copy(flow[j:j1], c.flow[i0:i1])
-			pw += copy(path[pw:], c.path[c.pstart[i0]:c.pstart[i1]])
-			src := old.eslot[old.estart[i0]:old.estart[i1]]
-			dst := eslot[w : w+len(src)]
-			for t, s := range src {
-				dst[t] = slotmap[s]
-			}
-			w, j = w+len(src), j1
+		was := ix.votes[s]
+		if v == was {
 			continue
 		}
-		r := &reports[j]
-		estart[j], pstart[j], flow[j] = int32(w), int32(pw), r.FlowID
-		pw += copy(path[pw:], r.Path)
-		if len(r.Path) > 0 {
-			weight[j] = 1.0 / float64(len(r.Path))
+		if was > 0 {
+			left = append(left, LinkVotes{ix.links[s], was})
 		}
-		for ; a < len(keys) && int(keys[a]>>32) == j; a++ {
-			eslot[w], w = int32(uint32(keys[a])), w+1
-		}
-		j++
-	}
-	estart[n], pstart[n] = int32(w), int32(pw)
-
-	// The votes of rebuilt rows, summed in report order as the fresh build
-	// sums one chunk, and the slots whose vote moved.
-	moved := c.moved[:0]
-	for q, ns := range rebuilt {
-		var v float64
-		for _, r := range lrep[lstart[ns]:lstart[ns+1]] {
-			v += weight[r]
-		}
-		votes[ns] = v
-		if so := rebuiltOld[q]; so < 0 || v != old.votes[so] {
-			moved = append(moved, ns)
-			if so >= 0 {
-				slotmap[so] = -1
-			}
+		if ix.votes[s] = v; v > 0 {
+			moved = append(moved, s)
 		}
 	}
-	for _, s := range touched {
-		gone[s], more[s] = 0, 0
+	if len(enter) > 0 {
+		ix.byLink, c.spareByLink = splice(c.spareByLink, ix.byLink, nil, enter, enterAt), ix.byLink
 	}
-
-	nx.reports = reports
-	nx.links, nx.votes, nx.lstart, nx.lrep = links, votes, lstart, lrep
-	nx.estart, nx.eslot, nx.weight = estart, eslot, weight
-	nx.shared = resize(nx.shared, len(links))
-	clear(nx.shared)
-	nx.touched = nx.touched[:0]
-	old.reports = nil
-	c.ix, c.spare = nx, old
-	c.flow, c.spareFlow = flow, c.flow
-	c.pstart, c.sparePstart = pstart, c.pstart
-	c.path, c.sparePath = path, c.path
-	c.gone, c.more, c.slotmap, c.touched = gone, more, slotmap, touched
-	c.entering, c.addKeys, c.rebuilt, c.rebuiltOld, c.moved = entering, keys, rebuilt, rebuiltOld, moved
+	c.work += len(touched) + len(enter)
+	c.byPos, c.spareByPos = byPos, old
+	c.entries, c.touched, c.moved, c.left, c.enter, c.at = keys, touched, moved, left, enter, enterAt
 }
 
-// rerank is the ranking of a patched index: the carried order with slots
-// remapped and those whose vote moved taken out, merged with the moved
-// slots in ranking order. The kept slots' votes and relative LinkID order
-// are unchanged, so they are still in ranking order among themselves; the
-// carried order, read through the carried index (c.spare once patched), is
-// sorted, so each moved slot's place in it is a binary search. The ranking
-// is built alongside the order, for ranking to hand out.
-func (c *carry) rerank() {
-	links, votes, moved, slotmap := c.ix.links, c.ix.votes, c.moved, c.slotmap
-	slices.SortFunc(moved, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(votes[b], votes[a]), cmp.Compare(a, b))
-	})
-	prev, old := c.order, c.spare
-	order, out := resize(c.spareOrd, len(votes)), make([]LinkVotes, len(votes))
-	w, i := 0, 0
-	copyKept := func(to int) {
-		for ; i < to; i++ {
-			if ns := slotmap[prev[i]]; ns >= 0 {
-				order[w], out[w], w = ns, LinkVotes{Link: links[ns], Votes: votes[ns]}, w+1
-			}
+// rankAt is the number of ranked's entries before x in ranking order.
+func rankAt(ranked []LinkVotes, x LinkVotes) int {
+	lo, hi := 0, len(ranked)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); ranked[mid].Votes > x.Votes || ranked[mid].Votes == x.Votes && ranked[mid].Link < x.Link {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	for _, ms := range moved {
-		lv := LinkVotes{Link: links[ms], Votes: votes[ms]}
-		at, _ := slices.BinarySearchFunc(prev[i:], lv, func(s int32, x LinkVotes) int {
-			return cmp.Or(cmp.Compare(x.Votes, old.votes[s]), cmp.Compare(old.links[s], x.Link))
-		})
-		copyKept(i + at)
-		order[w], out[w], w = ms, lv, w+1
+	return lo
+}
+
+// splice appends to dst[:0] src without the elements at positions gone
+// (ascending) and with ins[k] before src[at[k]] (at ascending), copying the
+// runs of src in between whole.
+func splice[T any](dst, src []T, gone []int32, ins []T, at []int32) []T {
+	dst = dst[:0]
+	i, g := 0, 0
+	for k := 0; k <= len(ins); k++ {
+		to := len(src)
+		if k < len(ins) {
+			to = int(at[k])
+		}
+		for ; g < len(gone) && int(gone[g]) < to; g++ {
+			dst, i = append(dst, src[i:gone[g]]...), int(gone[g])+1
+		}
+		dst, i = append(dst, src[i:to]...), to
+		if k < len(ins) {
+			dst = append(dst, ins[k])
+		}
 	}
-	copyKept(len(prev))
-	c.order, c.spareOrd, c.out = order[:w], prev, out[:w]
+	return dst
+}
+
+// rerank is the ranking of a patched index: the recorded ranking without
+// the slots whose vote moved or that left, found at their old vote, and
+// with the moved ones spliced in at their new vote. The rest keep their
+// votes and relative order, so the runs between are still in ranking
+// order, and are copied whole.
+func (c *carry) rerank() {
+	gone, keys := c.gone[:0], c.rankKeys[:0]
+	for _, lv := range c.left {
+		gone = append(gone, int32(rankAt(c.ranked, lv)))
+	}
+	ix := c.ix
+	for k, s := range c.moved {
+		keys = append(keys, uint64(rankAt(c.ranked, LinkVotes{ix.links[s], ix.votes[s]}))<<32|uint64(k))
+	}
+	slices.Sort(gone)
+	slices.Sort(keys)
+	ins, slots, at := c.ins[:0], c.enter[:0], c.at[:0]
+	for _, key := range keys {
+		s, p := c.moved[uint32(key)], int32(key>>32)
+		lv, k := LinkVotes{ix.links[s], ix.votes[s]}, len(ins) // moved slots with one place go in ranking order
+		for ; k > 0 && at[k-1] == p && (ins[k-1].Votes < lv.Votes || ins[k-1].Votes == lv.Votes && ins[k-1].Link > lv.Link); k-- {
+		}
+		ins, slots, at = slices.Insert(ins, k, lv), slices.Insert(slots, k, s), append(at, p)
+	}
+	if len(ins)+len(gone) > 0 {
+		c.ranked, c.spareRanked = splice(c.spareRanked, c.ranked, gone, ins, at), c.ranked
+		c.order, c.spareOrder = splice(c.spareOrder, c.order, gone, slots, at), c.order
+	}
+	c.gone, c.rankKeys, c.ins, c.enter, c.at = gone, keys, ins, slots, at
+	c.work += len(ins) + len(gone)
 }
 
 // ranking hands out the loaded ranking.
 func (c *carry) ranking() []LinkVotes {
-	out := c.out
-	if !c.patched {
-		out = linkVotes(c.ix.links, c.ix.votes, c.order)
+	if c.patched {
+		return append([]LinkVotes{}, c.ranked...)
 	}
-	c.out = nil
-	return out
+	c.ranked = c.ranked[:0] // the next patch lists it, if there is one
+	return linkVotes(c.ix.links, c.ix.votes, c.order)
 }
 
-// classify issues the verdicts of the loaded reports given B, and carries
-// them, with B, to the next call. A verdict reads only its report's slots —
-// their links, their votes and their membership in B — so after a patch an
-// unchanged report none of whose slots moved or changed membership keeps
-// its carried verdict, and only the rest are issued afresh, as
+// classify issues the verdicts of the loaded reports given B, and records
+// them, with B, for the next call. A verdict reads only its report's slots
+// — their links, their votes and their membership in B — so after a patch
+// an unchanged report none of whose slots moved or changed membership
+// keeps its recorded verdict, and only the rest are issued afresh, as
 // index.classify issues them.
 func (c *carry) classify(detected []topology.LinkID) []Verdict {
-	ix := c.ix
+	ix, reports := c.ix, c.ix.reports
 	if !c.patched {
 		out := ix.classify(ix.votes, detected)
 		if c.records() {
@@ -492,18 +444,25 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 		}
 		return out
 	}
-	n := len(ix.reports)
-	inB := resize(c.inB, len(ix.links))
+	inB, seen := resize(c.inB, len(ix.links)), resize(c.seen, len(c.key))
 	clear(inB)
+	clear(seen)
 	ix.markB(inB, detected, 1)
 	ix.markB(inB, c.detected, 2)
-	stale, redo := resize(c.stale, n), c.redo[:0]
-	clear(stale)
+	// The stale reports' positions: the added ones', then those of the
+	// reports on slots that moved or changed membership, each found by its
+	// key in byPos.
+	stale := append(c.stale[:0], c.added...)
+	for _, j := range c.added {
+		seen[c.byPos[j]] = true
+	}
 	mark := func(s int32) {
-		for _, r := range ix.lrep[ix.lstart[s]:ix.lstart[s+1]] {
-			if !stale[r] {
-				stale[r], redo = true, append(redo, r)
+		for _, h := range ix.lrep[ix.lstart[s]:ix.lend[s]] {
+			if seen[h] {
+				continue
 			}
+			j := sort.Search(len(c.byPos), func(j int) bool { return c.key[c.byPos[j]] >= c.key[h] })
+			seen[h], stale = true, append(stale, int32(j))
 		}
 	}
 	for _, s := range c.moved {
@@ -516,21 +475,18 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 			}
 		}
 	}
-	for _, j := range c.added {
-		if !stale[j] {
-			stale[j], redo = true, append(redo, j)
-		}
-	}
 
-	out := make([]Verdict, n)
+	verdicts := resize(c.spareVerdicts, len(reports))
 	for _, rn := range c.runs {
-		copy(out[rn.new:rn.new+rn.n], c.verdicts[rn.old:rn.old+rn.n])
+		copy(verdicts[rn.new:rn.new+rn.n], c.verdicts[rn.old:rn.old+rn.n])
 	}
-	for _, i := range redo {
-		out[i] = ix.verdict(i, ix.votes, inB)
+	for _, j := range stale {
+		verdicts[j] = ix.verdict(reports[j].FlowID, c.byPos[j], ix.votes, inB)
 	}
-	c.inB, c.stale, c.redo = inB, stale, redo
-	c.verdicts, c.detected = append(c.verdicts[:0], out...), append(c.detected[:0], detected...)
+	c.work += len(stale)
+	c.inB, c.seen, c.stale = inB, seen, stale
+	c.verdicts, c.spareVerdicts = verdicts, c.verdicts
+	c.detected = append(c.detected[:0], detected...)
 	c.valid = true
-	return out
+	return slices.Clone(verdicts)
 }

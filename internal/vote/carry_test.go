@@ -11,10 +11,17 @@ import (
 )
 
 // requireCarryMatchesFresh holds c's index and ranking, after c.load, to a
-// fresh build of the same reports: every array an output reads, the votes
-// bit for bit. Then it issues the verdicts both ways, for Algorithm 1's B
-// with one more link thrown in when flip is set, so that B's changes from
-// call to call are not all Algorithm 1's.
+// fresh build of the same reports. A recorded index numbers its slots and
+// reports by handle, so the two are compared through the carry's maps:
+// byLink's slots with reports must be the fresh build's links in order,
+// with their votes bit for bit, and no other slot may hold a vote; each
+// row, its handles read as report positions through byPos, must be the
+// fresh row; each report's slots, read as links, must be the fresh
+// report's; the ranking order, read as links, must be the fresh one;
+// byPos's keys must ascend. That is the fresh build up to renaming, which
+// is all an output reads. Then it issues the verdicts both ways, for
+// Algorithm 1's B with one more link thrown in when flip is set, so that
+// B's changes from call to call are not all Algorithm 1's.
 func requireCarryMatchesFresh(t *testing.T, c *carry, reports []Report, flip bool) {
 	t.Helper()
 	fresh := new(index)
@@ -22,25 +29,71 @@ func requireCarryMatchesFresh(t *testing.T, c *carry, reports []Report, flip boo
 	var rs rankScratch
 	order := rs.rank(fresh.votes)
 	ix := c.ix
-	same := func(name string, got, want []int32) {
-		t.Helper()
+	byLink, byPos := ix.byLink, c.byPos
+	if !c.records() { // not recorded: the reports are the fresh build's
+		byPos = make([]int32, len(reports))
+		for i := range byPos {
+			byPos[i] = int32(i)
+		}
+	}
+	pos := make(map[int32]int32, len(byPos)) // handle → position
+	for i, h := range byPos {
+		if i > 0 && c.records() && c.key[h] <= c.key[byPos[i-1]] {
+			t.Fatalf("report %d's key %d does not follow report %d's %d", i, c.key[h], i-1, c.key[byPos[i-1]])
+		}
+		pos[h] = int32(i)
+	}
+	if len(byPos) != len(reports) || len(pos) != len(reports) {
+		t.Fatalf("%d report handles (%d distinct) for %d reports", len(byPos), len(pos), len(reports))
+	}
+	live := make([]bool, len(ix.links))
+	k := 0
+	for _, s := range byLink {
+		if ix.lstart[s] == ix.lend[s] {
+			continue // a slot whose reports all went, kept for its link
+		}
+		if live[s] = true; k == len(fresh.links) {
+			t.Fatalf("more slots with reports than the fresh build's %d", len(fresh.links))
+		}
+		if ix.links[s] != fresh.links[k] {
+			t.Fatalf("link %d in LinkID order is %d, fresh build %d", k, ix.links[s], fresh.links[k])
+		}
+		if math.Float64bits(ix.votes[s]) != math.Float64bits(fresh.votes[k]) {
+			t.Fatalf("link %d: vote %v, fresh build %v", fresh.links[k], ix.votes[s], fresh.votes[k])
+		}
+		var row []int32
+		for _, h := range ix.lrep[ix.lstart[s]:ix.lend[s]] {
+			row = append(row, pos[h])
+		}
+		if want := fresh.lrep[fresh.lstart[k]:fresh.lstart[k+1]]; !slices.Equal(row, want) {
+			t.Fatalf("link %d's reports: %v, fresh build %v", fresh.links[k], row, want)
+		}
+		k++
+	}
+	if k != len(fresh.links) {
+		t.Fatalf("slots: %d links with reports, fresh build %d", k, len(fresh.links))
+	}
+	for s, ok := range live {
+		if !ok && ix.votes[s] != 0 {
+			t.Fatalf("slot %d has no reports but holds vote %v", s, ix.votes[s])
+		}
+	}
+	linksOf := func(x *index, slots []int32) []topology.LinkID {
+		out := []topology.LinkID{}
+		for _, s := range slots {
+			out = append(out, x.links[s])
+		}
+		return out
+	}
+	for i, h := range byPos {
+		got, want := linksOf(ix, ix.eslot[ix.estart[h]:ix.eend[h]]), linksOf(fresh, fresh.eslot[fresh.estart[i]:fresh.estart[i+1]])
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s differs from a fresh build:\n got %v\nwant %v", name, got[:min(len(got), 24)], want[:min(len(want), 24)])
+			t.Fatalf("report %d's links: %v, fresh build %v", i, got, want)
 		}
 	}
-	if !slices.Equal(ix.links, fresh.links) {
-		t.Fatalf("slots: %d links, fresh build %d", len(ix.links), len(fresh.links))
+	if got, want := linksOf(ix, c.order), linksOf(fresh, order); !slices.Equal(got, want) {
+		t.Fatalf("ranking order differs from a fresh build's:\n got %v\nwant %v", got[:min(len(got), 24)], want[:min(len(want), 24)])
 	}
-	for s := range fresh.votes {
-		if math.Float64bits(ix.votes[s]) != math.Float64bits(fresh.votes[s]) {
-			t.Fatalf("slot %d (link %d): vote %v, fresh build %v", s, ix.links[s], ix.votes[s], fresh.votes[s])
-		}
-	}
-	same("lstart", ix.lstart, fresh.lstart)
-	same("lrep", ix.lrep, fresh.lrep)
-	same("estart", ix.estart, fresh.estart)
-	same("eslot", ix.eslot, fresh.eslot)
-	same("ranking order", c.order, order)
 	if len(ix.shared) != len(ix.links) || slices.ContainsFunc(ix.shared, func(n int32) bool { return n != 0 }) || len(ix.touched) != 0 {
 		t.Fatal("the adjuster's scratch is not clean")
 	}
@@ -63,29 +116,32 @@ func requireCarryMatchesFresh(t *testing.T, c *carry, reports []Report, flip boo
 }
 
 // carrySeq makes report sequences: FlowIDs ascending with gaps, paths over
-// a few hundred links (and now and then a far one), and the edge cases the
-// index must keep: empty paths, NoLink placeholders, a link repeated within
-// a path.
+// a few hundred links (span, when set, widens that) and now and then a far
+// one, and the edge cases the index must keep: empty paths, NoLink
+// placeholders, a link repeated within a path.
 type carrySeq struct {
-	rng *stats.RNG
-	ids int64
+	rng  *stats.RNG
+	ids  int64
+	span int
 }
+
+func (g *carrySeq) link() topology.LinkID { return topology.LinkID(g.rng.Intn(max(g.span, 300))) }
 
 func (g *carrySeq) path() []topology.LinkID {
 	switch g.rng.Intn(24) {
 	case 0:
 		return nil
 	case 1:
-		return []topology.LinkID{topology.NoLink, topology.LinkID(g.rng.Intn(300))}
+		return []topology.LinkID{topology.NoLink, g.link()}
 	case 2:
-		l := topology.LinkID(g.rng.Intn(300))
-		return []topology.LinkID{l, topology.LinkID(g.rng.Intn(300)), l}
+		l := g.link()
+		return []topology.LinkID{l, g.link(), l}
 	case 3:
-		return []topology.LinkID{1<<30 + topology.LinkID(g.rng.Intn(3)), topology.LinkID(g.rng.Intn(300))}
+		return []topology.LinkID{1<<30 + topology.LinkID(g.rng.Intn(3)), g.link()}
 	}
 	p := make([]topology.LinkID, 2+g.rng.Intn(5))
 	for i := range p {
-		p[i] = topology.LinkID(g.rng.Intn(300))
+		p[i] = g.link()
 	}
 	return p
 }
@@ -137,7 +193,7 @@ func TestCarryMatchesFreshBuild(t *testing.T) {
 	for _, n := range []int{1, 40, 700, 2040, 2100} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			g := &carrySeq{rng: stats.NewRNG(uint64(n))}
-			c := &carry{ix: new(index), spare: new(index)}
+			c := &carry{ix: new(index)}
 			last := 0 // the reports of the call before
 			load := func(reports []Report, wantPatched bool, what string) {
 				t.Helper()
@@ -282,5 +338,75 @@ func TestLocalizeOnTakenCarry(t *testing.T) {
 		}
 		localFree.put(local)
 		cur = g.edit(cur, 0.004, 0.004, 0.004)
+	}
+}
+
+// A patched call's work follows the reports that changed, not the epoch.
+// On streams of 500 and 2,000 reports over 50,000 links, where a link
+// carries about one report, each call changes one report — its path
+// edited, the report removed, or one added — and may write (outside bulk
+// copies), re-sum and recompute at most 4× that report's path entries plus
+// the reports on its links, before and after. A patch that re-derived
+// every row would cost the epoch's thousands of entries. Every call
+// patches, the same epoch again included, and allocates no more than a
+// fresh build does.
+func TestPatchCostFollowsDelta(t *testing.T) {
+	for _, n := range []int{500, 2000} {
+		g := &carrySeq{rng: stats.NewRNG(uint64(n) + 5), span: 50000}
+		cur := g.epoch(n)
+		opts := Streaming(DetectOptions{ThresholdFrac: 0.01})
+		localizeStream(cur, opts)
+		onLinks := func(reports []Report, path []topology.LinkID) int {
+			k := len(path)
+			for _, r := range reports {
+				for _, l := range path {
+					if l >= 0 && slices.Contains(r.Path, l) {
+						k++
+					}
+				}
+			}
+			return k
+		}
+		worst := 0.0
+		for step := range 60 {
+			next := slices.Clone(cur)
+			i := g.rng.Intn(len(next))
+			var paths [][]topology.LinkID
+			switch step % 4 {
+			case 0:
+				paths = [][]topology.LinkID{next[i].Path}
+				next = slices.Delete(next, i, i+1)
+			case 1:
+				r := Report{FlowID: next[i].FlowID + 1, Path: g.path()}
+				if i+1 < len(next) && next[i+1].FlowID == r.FlowID {
+					continue
+				}
+				paths, next = [][]topology.LinkID{r.Path}, slices.Insert(next, i+1, r)
+			case 2:
+				paths = [][]topology.LinkID{next[i].Path, g.path()}
+				next[i].Path = paths[1]
+			}
+			if !localizeStream(next, opts) {
+				t.Fatalf("n=%d, call %d: one changed report did not patch", n, step)
+			}
+			budget := 1
+			for _, p := range paths {
+				budget += onLinks(cur, p) + onLinks(next, p)
+			}
+			c := <-opts.stream
+			opts.stream <- c
+			if c.work > 4*budget {
+				t.Fatalf("n=%d, call %d: the patch cost %d, over 4× the %d path entries and reports on the changed links", n, step, c.work, budget)
+			}
+			worst = max(worst, float64(c.work)/float64(budget))
+			cur = next
+		}
+		t.Logf("n=%d: worst cost %.2f× the changed path entries and reports on their links", n, worst)
+		// And a patch allocates no more than a fresh build.
+		patched := testing.AllocsPerRun(20, func() { Localize(cur, opts) })
+		fresh := testing.AllocsPerRun(20, func() { Localize(cur, DetectOptions{ThresholdFrac: 0.01}) })
+		if !localizeStream(cur, opts) || patched > fresh {
+			t.Fatalf("n=%d: a patch allocates %v times per call, a fresh build %v", n, patched, fresh)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package vote
 import (
 	"math/bits"
 	"runtime"
-	"slices"
 
 	"vigil/internal/topology"
 )
@@ -19,9 +18,10 @@ const sumChunkShift = 11
 // the reports touch are compacted to slots, ascending by LinkID, and the
 // path entries — one per non-negative link of a report's path — are kept
 // both ways: slot → reports through it, and report → slots on its path.
-// Slot order being LinkID order is what lets every consumer scan slots
-// ascending and get the lower-LinkID tie-break and the LinkID-order vote
-// total for free.
+// A stream's carry (carry.go) edits its index in place, and there slots
+// and reports are handles that keep their number while others come and
+// go, in no order: byLink lists the slots in LinkID order, which the vote
+// total and the tie-breaks follow.
 //
 // Every buffer is sized by the number of path entries or touched links and
 // is reused through indexFree; nothing is sized by the fabric or by the
@@ -32,13 +32,16 @@ type index struct {
 	// Per slot.
 	links  []topology.LinkID // the slot's link, ascending
 	votes  []float64         // the link's tally over these reports
-	lstart []int32           // slot s's reports are lrep[lstart[s]:lstart[s+1]]
-	lrep   []int32           // report indexes, ascending within a slot; a link
-	// repeated within one path lists its report once per occurrence
+	lstart []int32           // slot s's reports are lrep[lstart[s]:lend[s]]
+	lend   []int32
+	lrep   []int32 // report indexes in report order; a link repeated
+	// within one path lists its report once per occurrence
+	byLink []int32 // the slots in LinkID order
 
 	// Per report.
-	estart []int32 // report i's slots are eslot[estart[i]:estart[i+1]]
-	eslot  []int32 // ascending within a report, one per path entry
+	estart []int32 // report i's slots are eslot[estart[i]:eend[i]]
+	eend   []int32
+	eslot  []int32 // ascending by LinkID within a report, one per path entry
 
 	// Build scratch.
 	weight    []float64 // 1/len(Path) per report
@@ -157,6 +160,11 @@ func (ix *index) build(reports []Report) {
 		votes = append(votes, sum+part)
 	}
 	ix.links, ix.votes, ix.lstart = links, votes, append(lstart, int32(len(keys)))
+	ix.lend, ix.eend = append(ix.lend[:0], ix.lstart[1:]...), append(ix.eend[:0], ix.estart[1:]...)
+	ix.byLink = resize(ix.byLink, len(links))
+	for s := range ix.byLink {
+		ix.byLink[s] = int32(s)
+	}
 
 	ix.shared = resize(ix.shared, len(links))
 	clear(ix.shared)
@@ -203,23 +211,41 @@ func sortByLink(keys, tmp []uint64, maxLink topology.LinkID) (sorted, spare []ui
 
 // slot returns link l's slot, or -1 when no report touches l.
 func (ix *index) slot(l topology.LinkID) int {
-	if s, ok := slices.BinarySearch(ix.links, l); ok {
-		return s
+	if k := ix.linkAt(l); k < len(ix.byLink) && ix.links[ix.byLink[k]] == l {
+		return int(ix.byLink[k])
 	}
 	return -1
 }
 
-// slotsIn maps each of ix's slots to the position of its link in links
-// (ascending), or -1 when absent, writing into buf.
-func (ix *index) slotsIn(links []topology.LinkID, buf []int32) []int32 {
+// linkAt is the number of byLink's slots whose link is below l.
+func (ix *index) linkAt(l topology.LinkID) int {
+	lo, hi := 0, len(ix.byLink)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); ix.links[ix.byLink[mid]] < l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// slotsIn maps each of ix's slots, ascending by LinkID, to the slot of its
+// link among links — listed in LinkID order by byLink, or ascending when
+// byLink is nil — or -1 when absent, writing into buf.
+func (ix *index) slotsIn(links []topology.LinkID, byLink []int32, buf []int32) []int32 {
 	buf = resize(buf, len(ix.links))
+	n, at := len(links), func(j int) int32 { return int32(j) }
+	if byLink != nil {
+		n, at = len(byLink), func(j int) int32 { return byLink[j] }
+	}
 	j := 0
 	for s, l := range ix.links {
-		for j < len(links) && links[j] < l {
+		for j < n && links[at(j)] < l {
 			j++
 		}
-		if j < len(links) && links[j] == l {
-			buf[s] = int32(j)
+		if j < n && links[at(j)] == l {
+			buf[s] = at(j)
 		} else {
 			buf[s] = -1
 		}
@@ -229,7 +255,7 @@ func (ix *index) slotsIn(links []topology.LinkID, buf []int32) []int32 {
 
 // votesOf returns t's votes by the index's slots, zero where t has none.
 func (ix *index) votesOf(t *Tally) []float64 {
-	ix.toTally = ix.slotsIn(t.links, ix.toTally)
+	ix.toTally = ix.slotsIn(t.links, nil, ix.toTally)
 	votes := resize(ix.tvotes, len(ix.links))
 	for s, ts := range ix.toTally {
 		votes[s] = 0
@@ -250,7 +276,7 @@ func (ix *index) classify(votes []float64, detected []topology.LinkID) []Verdict
 	ix.inB = inB
 	out := make([]Verdict, len(ix.reports))
 	for i := range out {
-		out[i] = ix.verdict(int32(i), votes, inB)
+		out[i] = ix.verdict(ix.reports[i].FlowID, int32(i), votes, inB)
 	}
 	return out
 }
@@ -265,15 +291,15 @@ func (ix *index) markB(inB []uint8, b []topology.LinkID, bit uint8) {
 	}
 }
 
-// verdict is report i's verdict given votes by slot and B as bit 1 of inB:
-// the flow is blamed on the most-voted link of its path, and marked noise
-// when its path avoids B.
-func (ix *index) verdict(i int32, votes []float64, inB []uint8) Verdict {
-	v := Verdict{FlowID: ix.reports[i].FlowID, Link: topology.NoLink, Noise: true}
-	// A report's slots ascend, so the first of equally voted links is the
-	// one with the lower LinkID.
+// verdict is the verdict of flow, report i, given votes by slot and B as
+// bit 1 of inB: the flow is blamed on the most-voted link of its path, and
+// marked noise when its path avoids B.
+func (ix *index) verdict(flow int64, i int32, votes []float64, inB []uint8) Verdict {
+	v := Verdict{FlowID: flow, Link: topology.NoLink, Noise: true}
+	// A report's slots ascend by LinkID, so the first of equally voted
+	// links is the one with the lower LinkID.
 	bestV := 0.0
-	for _, s := range ix.eslot[ix.estart[i]:ix.estart[i+1]] {
+	for _, s := range ix.eslot[ix.estart[i]:ix.eend[i]] {
 		if votes[s] > bestV {
 			v.Link, bestV = ix.links[s], votes[s]
 		}

@@ -48,10 +48,17 @@ type Report struct {
 // sequence. Within one epoch this is a total order (identities are unique),
 // independent of arrival interleaving — the order settled epochs are
 // analyzed in, and the order batch engines emit in.
-func CanonicalLess(a, b Report) bool { return compareCanonical(a, b) < 0 }
+func CanonicalLess(a, b Report) bool { return compareCanonical(&a, &b) < 0 }
 
-func compareCanonical(a, b Report) int {
-	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Seq, b.Seq))
+// compareCanonical compares in place: a Report is 64 bytes.
+func compareCanonical(a, b *Report) int {
+	if a.Src != b.Src {
+		return cmp.Compare(a.Src, b.Src)
+	}
+	if a.Epoch != b.Epoch {
+		return cmp.Compare(a.Epoch, b.Epoch)
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // SortCanonical sorts reports into canonical identity order in place. It is
@@ -60,8 +67,8 @@ func compareCanonical(a, b Report) int {
 // order with dense sequences.
 func SortCanonical(reports []Report) {
 	for i := 1; i < len(reports); i++ {
-		if CanonicalLess(reports[i], reports[i-1]) {
-			slices.SortStableFunc(reports, compareCanonical)
+		if compareCanonical(&reports[i], &reports[i-1]) < 0 {
+			slices.SortStableFunc(reports, func(a, b Report) int { return compareCanonical(&a, &b) })
 			return
 		}
 	}
