@@ -56,8 +56,8 @@ func ExampleSimulation() {
 	//     7.17  tor-p0-0→t1-p0-17  <-- the broken link
 	//     0.92  host-p0-t0-16→tor-p0-0
 	//     0.75  host-p0-t0-2→tor-p0-0
-	//     0.75  t1-p0-17→tor-p0-2
 	//     0.75  host-p0-t0-12→tor-p0-0
+	//     0.75  t1-p0-17→tor-p0-2
 	//
 	// Algorithm 1 detections:
 	//   tor-p0-0→t1-p0-17

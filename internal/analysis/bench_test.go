@@ -101,8 +101,8 @@ func requireDisjoint(tb testing.TB, a, b []vote.Report) {
 }
 
 // BenchmarkAnalyze is the settle-time analysis ledger row: Analyze at paper
-// scale, at datacenter scale and on a 16k-report epoch (eight summation
-// chunks; the size at which a classify fan-out would have to pay), each
+// scale, at datacenter scale and on a 16k-report epoch (the size at which
+// a classify fan-out would have to pay), each
 // alternating between two seeds' epochs that share no report, so every
 // call builds afresh; over consecutive flow-dc-delta epochs, where each
 // call patches the index the call before left; and over two incremental

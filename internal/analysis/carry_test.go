@@ -102,7 +102,7 @@ func TestAnalyzeConcurrentSequencesMatchDenseOracle(t *testing.T) {
 	stream := func() analysis.Options {
 		return analysis.Options{Detect: vote.Streaming(vote.DetectOptions{ThresholdFrac: 0.01})}
 	}
-	for g, size := range []int{200, 300, 500, 2100} { // the last outgrows one summation chunk
+	for g, size := range []int{200, 300, 500, 2100} {
 		seq, opts := editSequence(t, topo, uint64(g+1), size, 24), stream()
 		t.Run(fmt.Sprintf("goroutine=%d", g), func(t *testing.T) {
 			t.Parallel()

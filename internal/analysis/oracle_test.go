@@ -4,81 +4,67 @@ import (
 	"sort"
 
 	"vigil/internal/analysis"
+	"vigil/internal/ecmp"
 	"vigil/internal/topology"
 	"vigil/internal/vote"
 )
 
 // This file is the reference the sparse pipeline is held to: the dense,
 // LinkID-indexed implementation that vote and analysis shipped before the
-// per-epoch index, kept as it was (fixed 2048-report chunks tallied apart
-// and merged in chunk order, Algorithm 1 rescanning every link and pulling
-// Fraction through maps). It is memory-hungry by design — every vector is
-// sized by the highest link id — so it only sees ids a topology hands out.
+// per-epoch index (Algorithm 1 rescanning every link and pulling Fraction
+// through maps). It is memory-hungry by design — every vector is sized by
+// the highest link id — so it only sees ids a topology hands out.
+//
+// It tallies as vote does, in whole units of 1/oracleUnits of a vote; it
+// summed floats in 2,048-report chunks before votes were exact, and
+// TestExactVotesAreTheFloatSumsRounded holds the two readings to each
+// other. A report whose path is empty or longer than ecmp.MaxPathLinks
+// votes nowhere and is noise.
 
-const oracleChunk = 2048
+const oracleUnits = 60
+
+// castsVotes reports whether r casts votes: its path is one an agent can
+// produce.
+func castsVotes(r vote.Report) bool { return len(r.Path) > 0 && len(r.Path) <= ecmp.MaxPathLinks }
 
 type denseTally struct {
-	votes []float64 // dense by LinkID
+	units []int64 // dense by LinkID
 	voted int
 	flows int
-	total float64
-}
-
-func (t *denseTally) grow(l topology.LinkID) {
-	if need := int(l) + 1; need > len(t.votes) {
-		t.votes = append(t.votes, make([]float64, need-len(t.votes))...)
-	}
 }
 
 func (t *denseTally) add(r vote.Report) {
 	t.flows++
-	h := len(r.Path)
-	if h == 0 {
+	if !castsVotes(r) {
 		return
 	}
-	v := 1.0 / float64(h)
+	u := oracleUnits / int64(len(r.Path))
 	for _, l := range r.Path {
 		if l < 0 {
 			continue
 		}
-		t.grow(l)
-		if t.votes[l] == 0 {
+		if need := int(l) + 1; need > len(t.units) {
+			t.units = append(t.units, make([]int64, need-len(t.units))...)
+		}
+		if t.units[l] == 0 {
 			t.voted++
 		}
-		t.votes[l] += v
+		t.units[l] += u
 	}
-	t.total += 1
-}
-
-func (t *denseTally) merge(o *denseTally) {
-	if n := len(o.votes); n > 0 {
-		t.grow(topology.LinkID(n - 1))
-	}
-	for l, v := range o.votes {
-		if v == 0 {
-			continue
-		}
-		if t.votes[l] == 0 {
-			t.voted++
-		}
-		t.votes[l] += v
-	}
-	t.flows += o.flows
-	t.total += o.total
 }
 
 func (t *denseTally) at(l topology.LinkID) float64 {
-	if l < 0 || int(l) >= len(t.votes) {
+	if l < 0 || int(l) >= len(t.units) {
 		return 0
 	}
-	return t.votes[l]
+	return float64(t.units[l]) / oracleUnits
 }
 
 func (t *denseTally) ranking() []vote.LinkVotes {
-	out := make([]vote.LinkVotes, 0, len(t.votes))
-	for l, v := range t.votes {
-		if v > 0 {
-			out = append(out, vote.LinkVotes{Link: topology.LinkID(l), Votes: v})
+	out := make([]vote.LinkVotes, 0, t.voted)
+	for l, u := range t.units {
+		if u > 0 {
+			out = append(out, vote.LinkVotes{Link: topology.LinkID(l), Votes: t.at(topology.LinkID(l))})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -113,6 +99,9 @@ type denseObserved struct {
 func newDenseObserved(reports []vote.Report) *denseObserved {
 	o := &denseObserved{byLink: make(map[topology.LinkID][]int32)}
 	for i, r := range reports {
+		if !castsVotes(r) {
+			continue
+		}
 		for _, l := range r.Path {
 			o.byLink[l] = append(o.byLink[l], int32(i))
 		}
@@ -147,12 +136,12 @@ func denseFindProblemLinks(t *denseTally, opts vote.DetectOptions) []topology.Li
 		opts.ThresholdFrac = 0.01
 	}
 	adj := opts.Adjuster
-	votes := append([]float64(nil), t.votes...)
-	var total float64
-	for _, v := range votes {
-		total += v
+	votes := make([]float64, len(t.units))
+	var total int64
+	for l, u := range t.units {
+		votes[l], total = t.at(topology.LinkID(l)), total+u
 	}
-	cutoff := opts.ThresholdFrac * total
+	cutoff := opts.ThresholdFrac * (float64(total) / oracleUnits)
 	inB := make([]bool, len(votes))
 	var b []topology.LinkID
 	for {
@@ -194,16 +183,12 @@ type denseResult struct {
 	verdicts []vote.Verdict
 }
 
-// denseAnalyze is the old analysis.Analyze, chunk for chunk. A nil adjuster
-// means the observed one, as there.
+// denseAnalyze is the old analysis.Analyze. A nil adjuster means the
+// observed one, as there.
 func denseAnalyze(reports []vote.Report, opts analysis.Options) denseResult {
 	t := &denseTally{}
-	for lo := 0; lo < len(reports); lo += oracleChunk {
-		part := &denseTally{}
-		for _, r := range reports[lo:min(lo+oracleChunk, len(reports))] {
-			part.add(r)
-		}
-		t.merge(part)
+	for _, r := range reports {
+		t.add(r)
 	}
 	if opts.Detect.Adjuster == nil {
 		opts.Detect.Adjuster = newDenseObserved(reports)
@@ -217,6 +202,10 @@ func denseAnalyze(reports []vote.Report, opts analysis.Options) denseResult {
 	verdicts := make([]vote.Verdict, len(reports))
 	for i, r := range reports {
 		v := vote.Verdict{FlowID: r.FlowID, Link: topology.NoLink, Noise: true}
+		if !castsVotes(r) {
+			verdicts[i] = v
+			continue
+		}
 		if blame, ok := t.blameOnPath(r.Path); ok {
 			v.Link = blame
 		}

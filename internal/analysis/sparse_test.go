@@ -94,11 +94,19 @@ func routedReports(t testing.TB, topo *topology.Topology, rng *stats.RNG, n int)
 	return reports
 }
 
-// The sparse pipeline must reproduce the dense one bit for bit: at the
-// report counts around the 2048-report summation chunk, on ids that span a
-// small and a datacenter fabric, under every adjuster kind and a threshold
-// low enough that B grows long.
-func TestAnalyzeMatchesDenseOracle(t *testing.T) {
+// oracleEpoch is one of the dense-oracle suite's epochs: n routed reports
+// on a fabric.
+type oracleEpoch struct {
+	fabric  string
+	topo    *topology.Topology
+	n       int
+	reports []vote.Report
+}
+
+// oracleEpochs are the suite's epochs: report counts on both sides of
+// 2,048, where float tallies were once summed in chunks, on ids that span
+// a small and (unless -short) a datacenter fabric.
+func oracleEpochs(t testing.TB) []oracleEpoch {
 	fabrics := []struct {
 		name string
 		cfg  topology.Config
@@ -106,6 +114,7 @@ func TestAnalyzeMatchesDenseOracle(t *testing.T) {
 		{"small", topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 4, T2: 2, HostsPerToR: 4}},
 		{"datacenter", topology.DatacenterSimConfig.Flatten()},
 	}
+	var out []oracleEpoch
 	for fi, fabric := range fabrics {
 		if fabric.name == "datacenter" && testing.Short() {
 			continue
@@ -114,6 +123,18 @@ func TestAnalyzeMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for ni, n := range []int{0, 1, 2047, 2048, 2049, 10_000} {
+			out = append(out, oracleEpoch{fabric.name, topo, n, routedReports(t, topo, stats.NewRNG(uint64(100*fi+ni+1)), n)})
+		}
+	}
+	return out
+}
+
+// The sparse pipeline must reproduce the dense one bit for bit on the
+// suite's epochs, under every adjuster kind and a threshold low enough
+// that B grows long.
+func TestAnalyzeMatchesDenseOracle(t *testing.T) {
+	for _, ep := range oracleEpochs(t) {
 		type adjuster struct {
 			name string
 			opts vote.DetectOptions
@@ -123,19 +144,73 @@ func TestAnalyzeMatchesDenseOracle(t *testing.T) {
 			{"observed-maxlinks", vote.DetectOptions{ThresholdFrac: 0.001}}, // named for the cap B once had
 			{"none", vote.DetectOptions{ThresholdFrac: 0.02, Adjuster: vote.NoAdjuster{}}},
 		}
-		if fabric.name == "small" {
+		if ep.fabric == "small" {
 			// One analytic Fraction costs O(ToRs²): out of reach on the
 			// datacenter fabric, for the oracle and the pipeline alike.
-			adjusters = append(adjusters, adjuster{"analytic", vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: topo}}})
+			adjusters = append(adjusters, adjuster{"analytic", vote.DetectOptions{ThresholdFrac: 0.01, Adjuster: &vote.AnalyticAdjuster{Topo: ep.topo}}})
 		}
-		for ni, n := range []int{0, 1, 2047, 2048, 2049, 10_000} {
-			reports := routedReports(t, topo, stats.NewRNG(uint64(100*fi+ni+1)), n)
-			for _, adj := range adjusters {
-				t.Run(fmt.Sprintf("%s/n=%d/%s", fabric.name, n, adj.name), func(t *testing.T) {
-					requireMatchesOracle(t, reports, analysis.Options{Detect: adj.opts})
-				})
+		for _, adj := range adjusters {
+			t.Run(fmt.Sprintf("%s/n=%d/%s", ep.fabric, ep.n, adj.name), func(t *testing.T) {
+				requireMatchesOracle(t, ep.reports, analysis.Options{Detect: adj.opts})
+			})
+		}
+	}
+}
+
+// floatVotes is the tally the oracle computed before votes were exact: 1/h
+// per path link summed as floats, in 2,048-report chunks merged in chunk
+// order, over the reports that still vote.
+func floatVotes(reports []vote.Report) map[topology.LinkID]float64 {
+	total := map[topology.LinkID]float64{}
+	for lo := 0; lo < len(reports); lo += 2048 {
+		chunk := map[topology.LinkID]float64{}
+		for _, r := range reports[lo:min(lo+2048, len(reports))] {
+			for _, l := range r.Path {
+				if l >= 0 && castsVotes(r) {
+					chunk[l] += 1 / float64(len(r.Path))
+				}
 			}
 		}
+		for l, v := range chunk {
+			total[l] += v
+		}
+	}
+	return total
+}
+
+// The oracle's switch from float sums to units changes the specification
+// by rounding alone: on the suite's epochs each exact vote is within as
+// many ulps of the old float sum as the link has path entries, and some
+// votes do move.
+func TestExactVotesAreTheFloatSumsRounded(t *testing.T) {
+	moved := 0
+	for _, ep := range oracleEpochs(t) {
+		exact, old := denseAnalyze(ep.reports, analysis.Options{}).tally, floatVotes(ep.reports)
+		entries := map[topology.LinkID]int64{}
+		for _, r := range ep.reports {
+			for _, l := range r.Path {
+				if l >= 0 && castsVotes(r) {
+					entries[l]++
+				}
+			}
+		}
+		if len(old) != exact.voted {
+			t.Fatalf("%s/n=%d: %d links voted as floats, %d in units", ep.fabric, ep.n, len(old), exact.voted)
+		}
+		for l, v := range old {
+			ulps := int64(math.Float64bits(exact.at(l))) - int64(math.Float64bits(v))
+			if ulps < -entries[l] || ulps > entries[l] {
+				t.Fatalf("%s/n=%d: link %d votes %v exactly, %v as floats: %d ulps apart over %d path entries",
+					ep.fabric, ep.n, l, exact.at(l), v, ulps, entries[l])
+			}
+			if ulps != 0 {
+				moved++
+			}
+		}
+	}
+	t.Logf("%d votes moved by rounding", moved)
+	if moved == 0 {
+		t.Fatal("no vote differs from its float sum: the comparison shows nothing")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"vigil/internal/ecmp"
 	"vigil/internal/metrics"
 	"vigil/internal/topology"
 	"vigil/internal/transport"
@@ -85,11 +86,14 @@ const maxAgentSeq = 1 << 20
 // maxAgentSeq — is dropped at settle rather than pinned in the free list.
 const keptWords = 16
 
-// malformed reports whether r's identity is one no agent can produce.
-// Sequences and epochs count up from zero and mark indexes a bitset by
-// sequence, so a negative or absurdly large one is dropped (and counted)
-// before it reaches any per-epoch state.
-func malformed(r vote.Report) bool { return r.Seq < 0 || r.Seq >= maxAgentSeq || r.Epoch < 0 }
+// malformed reports whether r's identity or path is one no agent can
+// produce. Sequences and epochs count up from zero and mark indexes a
+// bitset by sequence, so a negative or absurdly large one is dropped (and
+// counted) before it reaches any per-epoch state; so is a path longer than
+// any ECMP path, which the analysis would not count a vote of.
+func malformed(r vote.Report) bool {
+	return r.Seq < 0 || r.Seq >= maxAgentSeq || r.Epoch < 0 || len(r.Path) > ecmp.MaxPathLinks
+}
 
 // epochState is one open (not yet settled) epoch. Its agents live in a
 // slab, found by id through index; settled states are recycled whole.

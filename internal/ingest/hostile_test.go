@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"vigil/internal/ecmp"
 	"vigil/internal/engine"
 	"vigil/internal/metrics"
 	"vigil/internal/topology"
@@ -119,6 +120,26 @@ func TestSettleCoreHostileProbes(t *testing.T) {
 			t.Fatalf("settled %v, out-of-range counts %d, lost %d", done.settled, ctr.Discards[metrics.CountOutOfRange].Load(), ctr.Lost.Load())
 		}
 	})
+}
+
+// A report with a path longer than any ECMP path, which no agent can
+// produce and a wire peer can send, is malformed at the door: counted,
+// never admitted, and its sequence a hole its epoch settles as lost. A path
+// of ecmp.MaxPathLinks links is admitted.
+func TestSettleCoreRejectsOverlongPath(t *testing.T) {
+	ctr := &metrics.IngestCounters{}
+	c := newSettleCore(1, 0, 0, ctr, -1)
+	c.report(vote.Report{Src: 1, Seq: 0, Path: make([]topology.LinkID, ecmp.MaxPathLinks)}, 0, false)
+	c.report(vote.Report{Src: 1, Seq: 1, Path: make([]topology.LinkID, ecmp.MaxPathLinks+1)}, 0, false)
+	c.token(0, true, []transport.AgentCount{{Agent: 1, N: 2}})
+	done, ok := c.next()
+	if !ok || !done.settled || len(done.accepted) != 1 || done.accepted[0].Seq != 0 {
+		t.Fatalf("settled %v with %d reports, want the 6-link one", done.settled, len(done.accepted))
+	}
+	if m, lost := ctr.Discards[metrics.ReportMalformed].Load(), ctr.Lost.Load(); m != 1 || lost != 1 {
+		t.Fatalf("malformed %d, lost %d; want 1 and 1", m, lost)
+	}
+	checkConservation(t, ctr)
 }
 
 // Well-framed reports that each name a distinct far-future epoch used to
@@ -327,7 +348,8 @@ func hostileOp(b byte, mod int32, specials ...int32) int32 {
 // FuzzSettleCoreHostile drives the settle core with any stream of reports,
 // tokens and cycle completions over four agents and six epochs, so
 // identities collide all the time, with sequences and counts at and past
-// every bound, and now and then an epoch far in the future. Nothing may
+// every bound, paths up to 15 links, past ecmp.MaxPathLinks, and now and
+// then an epoch far in the future. Nothing may
 // panic, every report must be accounted for once, no more epochs may be
 // open than the six cycles reach, epochs must settle in ascending order,
 // epochs must be reported final once each, in order, and never more than
@@ -336,7 +358,8 @@ func hostileOp(b byte, mod int32, specials ...int32) int32 {
 func FuzzSettleCoreHostile(f *testing.F) {
 	// The first byte is the core's shape; then each op is a kind byte and
 	// its operands: report (agent, epoch, seq), token (cycle, count pairs),
-	// next. An epoch byte of 0xfc takes one more byte, b, for epoch 1000+b.
+	// next. A report's kind byte's high four bits are its path's link
+	// count. An epoch byte of 0xfc takes one more byte, b, for epoch 1000+b.
 	// testdata/fuzz/FuzzSettleCoreHostile holds the four probes of
 	// TestSettleCoreHostileProbes in this encoding, and the far-epoch one.
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -383,6 +406,7 @@ func FuzzSettleCoreHostile(f *testing.F) {
 			switch op := take(); op % 3 {
 			case 0:
 				r := vote.Report{
+					Path:  make([]topology.LinkID, op>>4),
 					Src:   topology.HostID(take() % 4),
 					Epoch: hostileOp(take(), 6, 1000, -1, math.MinInt32, math.MaxInt32),
 				}

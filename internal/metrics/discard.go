@@ -9,7 +9,7 @@ import "sync/atomic"
 type Discard uint8
 
 const (
-	ReportMalformed Discard = iota // a sequence or epoch no agent can produce
+	ReportMalformed Discard = iota // an identity or path no agent can produce: a bad sequence or epoch, or a path past ecmp.MaxPathLinks
 	ReportFarEpoch                 // an epoch no source can have reached: more than grace+2 past the newest settled one
 	ReportSettled                  // its epoch settled before it arrived, past the grace window
 	ReportExcess                   // at or past its agent's expected count

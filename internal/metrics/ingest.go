@@ -58,7 +58,7 @@ var ingestMetrics = []series[IngestCounters]{
 	{"vigil_ingest_duplicates_total", "Reports suppressed as duplicates of an already-seen identity.", false, func(c *IngestCounters) int64 { return c.Duplicates.Load() }},
 	{"vigil_ingest_late_total", "Reports accepted inside the grace window after their epoch closed.", false, func(c *IngestCounters) int64 { return c.Late.Load() }},
 	{"vigil_ingest_late_dropped_total", "Reports discarded because their epoch had already settled.", false, func(c *IngestCounters) int64 { return c.Discards[ReportSettled].Load() }},
-	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity (negative or out-of-range sequence, negative epoch) or for an epoch no source can have reached: more than grace+2 past the newest settled one.", false, func(c *IngestCounters) int64 {
+	{"vigil_ingest_rejected_total", "Reports discarded for a malformed identity or path (negative or out-of-range sequence, negative epoch, more links than any ECMP path) or for an epoch no source can have reached: more than grace+2 past the newest settled one.", false, func(c *IngestCounters) int64 {
 		return c.Discards[ReportMalformed].Load() + c.Discards[ReportFarEpoch].Load()
 	}},
 	{"vigil_ingest_excess_total", "Reports discarded because their sequence was at or past their agent's expected count.", false, func(c *IngestCounters) int64 { return c.Discards[ReportExcess].Load() }},

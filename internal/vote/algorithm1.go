@@ -151,15 +151,15 @@ var detectFree = newFreeList[detectScratch]()
 func FindProblemLinks(t *Tally, opts DetectOptions) []topology.LinkID {
 	rs := rankFree.get()
 	defer rankFree.put(rs)
-	return findProblemLinks(t.links, t.votes, rs.rank(t.votes), nil, opts)
+	return findProblemLinks(t.links, t.units, t.votes, rs.rank(t.units), nil, opts)
 }
 
-// findProblemLinks is Algorithm 1 over slot arrays: links with their votes,
-// and the slots in ranking order. own is the index the slots are, if any:
-// an observed adjuster over it counts in these very slots, so it needs no
-// slot map. Without an own the slots are in LinkID order; with one, its
-// byLink gives that order.
-func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, own *index, opts DetectOptions) []topology.LinkID {
+// findProblemLinks is Algorithm 1 over slot arrays: links with their
+// units and votes, and the slots in ranking order. own is the index the
+// slots are, if any: an observed adjuster over it counts in these very
+// slots, so it needs no slot map. Without an own the slots are in LinkID
+// order; with one, its byLink gives that order.
+func findProblemLinks(links []topology.LinkID, units []int64, tally []float64, order []int32, own *index, opts DetectOptions) []topology.LinkID {
 	if opts.ThresholdFrac <= 0 {
 		opts.ThresholdFrac = 0.01
 	}
@@ -177,20 +177,12 @@ func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, o
 	// to the running (adjusted) total instead lets the base collapse after
 	// each subtraction, so adjustment residuals cascade into false
 	// positives; the initial total is the stable reading of line 6 of
-	// Algorithm 1. It is summed in LinkID order.
-	var total float64
-	var byLink []int32 // own's slots in LinkID order, when there is an own
-	if own == nil {
-		for _, v := range votes {
-			total += v
-		}
-	} else {
-		byLink = own.byLink
-		for _, s := range byLink {
-			total += votes[s]
-		}
+	// Algorithm 1. It is exact, in units.
+	var total int64
+	for _, u := range units {
+		total += u
 	}
-	cutoff := opts.ThresholdFrac * total
+	cutoff := opts.ThresholdFrac * (float64(total) / voteUnits)
 	discount := func(s int, vmax, f float64) {
 		if votes[s] -= vmax * f; votes[s] < 0 {
 			votes[s] = 0
@@ -199,6 +191,10 @@ func findProblemLinks(links []topology.LinkID, tally []float64, order []int32, o
 	obs, _ := adj.(*ObservedAdjuster)
 	var toTally []int32 // obs's slots → these; nil while they are the same
 	if obs != nil && obs.ix != own {
+		var byLink []int32 // own's slots in LinkID order, when there is an own
+		if own != nil {
+			byLink = own.byLink
+		}
 		sc.toTally = obs.ix.slotsIn(links, byLink, sc.toTally)
 		toTally = sc.toTally
 	}
@@ -272,7 +268,7 @@ func Localize(reports []Report, opts DetectOptions) ([]LinkVotes, []topology.Lin
 		opts.Adjuster = &ObservedAdjuster{ix: ix}
 	}
 	phaseDetect.Begin()
-	detected := findProblemLinks(ix.links, ix.votes, c.order, ix, opts)
+	detected := findProblemLinks(ix.links, ix.units, ix.votes, c.order, ix, opts)
 	phaseDetect.End()
 	phaseClassify.Begin()
 	verdicts := c.classify(detected)

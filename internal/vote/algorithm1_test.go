@@ -16,11 +16,11 @@ func findProblemLinksOracle(t *Tally, opts DetectOptions) []topology.LinkID {
 	adj := opts.Adjuster
 	votes := slices.Clone(t.votes)
 	inB := make([]bool, len(votes))
-	var total float64
-	for _, v := range votes {
-		total += v
+	var total int64
+	for _, u := range t.units {
+		total += u
 	}
-	cutoff := opts.ThresholdFrac * total
+	cutoff := opts.ThresholdFrac * (float64(total) / voteUnits)
 	var b []topology.LinkID
 	for {
 		lmax, vmax := -1, 0.0
@@ -134,7 +134,7 @@ func TestFindProblemLinksMatchesArgmaxScan(t *testing.T) {
 // as the scan resolves them: here link 5's discounted vote ties link 2's
 // untouched one, and the lower link must win.
 func TestFindProblemLinksTieAcrossGroups(t *testing.T) {
-	tl := &Tally{links: []topology.LinkID{2, 5, 9}, votes: []float64{0.5, 1, 2}}
+	tl := tallyOf([]topology.LinkID{2, 5, 9}, []int64{voteUnits / 2, voteUnits, 2 * voteUnits})
 	// Blaming 9 (votes 2) discounts 5 by 2 × 1/4 = 0.5: 5 and 2 then tie.
 	adj := &fixedAdjuster{spill: map[topology.LinkID]map[topology.LinkID]float64{9: {5: 0.25}}}
 	opts := DetectOptions{ThresholdFrac: 0.01, Adjuster: adj}

@@ -2,7 +2,6 @@ package vote
 
 import (
 	"slices"
-	"sort"
 
 	"vigil/internal/prof"
 	"vigil/internal/topology"
@@ -13,9 +12,6 @@ import (
 // were removed or added, the alignment gives up and the call takes the
 // fresh build (DESIGN.md, "Analysis cost model").
 const carryMaxChanged = 32
-
-// keyGap spaces the order keys of a freshly recorded call's reports.
-const keyGap = 1 << 32
 
 // The analysis stages as CPU-profile labels (prof.Phase).
 var (
@@ -41,15 +37,14 @@ type carry struct {
 	order []int32 // ix's slots in ranking order
 	rs    rankScratch
 
-	// The recorded reports by handle: FlowID, path path[pstart[h]:pend[h]]
+	// The recorded reports by handle: FlowID and path path[pstart[h]:pend[h]]
 	// (NoLink placeholders and repeats included: a weight reads its path's
-	// length) and order key. byPos lists the handles in report order, their
-	// keys ascending. Handles and slots are only ever added, and lrep, eslot
-	// and path only appended to; arena is their size when last built fresh.
+	// length). byPos lists the handles in report order. Handles and slots
+	// are only ever added, and lrep, eslot and path only appended to; arena
+	// is their size when last built fresh.
 	flow         []int64
 	pstart, pend []int32
 	path         []topology.LinkID
-	key          []uint64
 	byPos        []int32
 	arena        int
 
@@ -58,25 +53,22 @@ type carry struct {
 	verdicts []Verdict
 	detected []topology.LinkID
 
-	// The alignment: unchanged reports as runs, the changed ones, and the
-	// added ones' keys.
+	// The alignment: unchanged reports as runs, and the changed ones.
 	runs           []run
 	removed, added []int32 // old and new positions, ascending
-	addKey         []uint64
 
 	// Patch scratch (entries: the added path entries, link<<32 | index in
 	// added), and the buffers the next splices write.
 	entries, rankKeys                   []uint64
 	touched, moved, enter, at, gone     []int32
-	stale                               []int32
 	left, ins, spareRanked              []LinkVotes
 	inB                                 []uint8
-	seen                                []bool
+	stale                               []bool
 	spareByLink, spareByPos, spareOrder []int32
 	spareVerdicts                       []Verdict
 
 	// work counts what the last patched call wrote outside bulk copies:
-	// entries, rows re-summed and verdicts recomputed.
+	// entries, rows touched and verdicts recomputed.
 	work int
 
 	// patched: the last load patched. valid: the carry describes the last
@@ -87,12 +79,6 @@ type carry struct {
 
 // run is n unchanged reports: old positions old.., new positions new...
 type run struct{ old, new, n int32 }
-
-// maxCarried bounds the reports a carry records: within one summation
-// chunk a row's vote is the plain sum of its reports' weights in report
-// order, which a patch keeps by re-summing touched rows alone, whatever the
-// positions shift by. A stream whose epochs outgrow one chunk builds fresh.
-const maxCarried = 1 << sumChunkShift
 
 // localFree keeps spent local carries.
 var localFree = newFreeList[carry]()
@@ -113,20 +99,20 @@ func takeCarry(stream chan *carry) *carry {
 }
 
 // release hands the carry back to its stream, or a local one to the free
-// list, holding no reference to this call's reports.
+// list, holding no reference to this call's reports. A stream's slot holds
+// its carry only while no call has it, so a slot that is full or nil here
+// is a bug, and panics rather than blocks.
 func (c *carry) release(stream chan *carry) {
 	c.ix.reports = nil
 	if c.local {
 		localFree.put(c)
-	} else {
-		stream <- c
+		return
 	}
-}
-
-// records reports whether the loaded call is recorded for the next: only a
-// stream's carry records, and only reports within one summation chunk.
-func (c *carry) records() bool {
-	return !c.local && len(c.ix.reports) <= maxCarried
+	select {
+	case stream <- c:
+	default:
+		panic("vote: a carry released to a stream slot that is full or nil")
+	}
 }
 
 // load indexes and ranks reports into c.ix and c.order, patching the
@@ -140,7 +126,7 @@ func (c *carry) load(reports []Report) (patched bool) {
 	phaseIndex.Begin()
 	if patched {
 		c.patch(reports)
-	} else if c.ix.build(reports); c.records() {
+	} else if c.ix.build(reports); !c.local {
 		c.remember(reports)
 	}
 	phaseIndex.End()
@@ -148,7 +134,7 @@ func (c *carry) load(reports []Report) (patched bool) {
 	if patched {
 		c.rerank()
 	} else {
-		order := c.rs.rank(c.ix.votes)
+		order := c.rs.rank(c.ix.units)
 		c.order, c.rs.order = order, c.order
 	}
 	phaseRank.End()
@@ -160,13 +146,12 @@ func (c *carry) load(reports []Report) (patched bool) {
 // has its FlowID and path, and removed or added otherwise. Whatever order
 // the reports come in, the unchanged ones keep their relative order on
 // both sides, which is all the patch needs; reports out of FlowID order
-// only match less. Each added report gets a key between its neighbours'.
-// It reports false, and the call builds fresh, when nothing is recorded,
-// the reports outgrow one summation chunk, more than the fallback share
-// changed, the keys run out of room, or the arenas quadrupled.
+// only match less. It reports false, and the call builds fresh, when
+// nothing is recorded, more than the fallback share changed, or the arenas
+// quadrupled.
 func (c *carry) align(reports []Report) bool {
 	n0, n1 := len(c.byPos), len(reports)
-	if !c.valid || n0 == 0 || n1 == 0 || n1 > maxCarried || c.size() > 4*c.arena {
+	if !c.valid || n0 == 0 || n1 == 0 || c.size() > 4*c.arena {
 		return false
 	}
 	limit := (n0 + n1) / carryMaxChanged
@@ -203,26 +188,6 @@ func (c *carry) align(reports []Report) bool {
 		added = append(added, int32(j))
 	}
 	c.removed, c.added = removed, added
-	// Each added report takes the middle of the keys around it.
-	keys := resize(c.addKey, len(added))
-	c.addKey = keys
-	for a, r := 0, 0; a < len(added); a++ {
-		for r < len(runs) && runs[r].new < added[a] {
-			r++
-		}
-		lo, hi := uint64(0), uint64(0)
-		if a > 0 && added[a-1] == added[a]-1 {
-			lo = keys[a-1]
-		} else if r > 0 {
-			lo = c.key[c.byPos[runs[r-1].old+runs[r-1].n-1]]
-		}
-		if hi = lo + 2*keyGap; r < len(runs) {
-			hi = c.key[c.byPos[runs[r].old]]
-		}
-		if keys[a] = lo + (hi-lo)/2; keys[a] == lo || lo > 1<<62 {
-			return false
-		}
-	}
 	return true
 }
 
@@ -233,10 +198,10 @@ func (c *carry) remember(reports []Report) {
 	ix := c.ix
 	m, n := len(ix.links), len(reports)
 	ix.lstart, ix.estart = ix.lstart[:m], ix.estart[:n]
-	c.flow, c.key, c.byPos = resize(c.flow, n), resize(c.key, n), resize(c.byPos, n)
+	c.flow, c.byPos = resize(c.flow, n), resize(c.byPos, n)
 	c.pstart, c.pend, c.path = resize(c.pstart, n), resize(c.pend, n), c.path[:0]
 	for i := range reports {
-		c.flow[i], c.key[i], c.byPos[i] = reports[i].FlowID, uint64(i+1)*keyGap, int32(i)
+		c.flow[i], c.byPos[i] = reports[i].FlowID, int32(i)
 		c.pstart[i] = int32(len(c.path))
 		c.path = append(c.path, reports[i].Path...)
 		c.pend[i] = int32(len(c.path))
@@ -250,10 +215,11 @@ func (c *carry) size() int {
 }
 
 // patch edits the recorded index into the index of reports. A removed
-// report leaves its rows; an added one takes a new handle and joins its
-// rows, each row it joins written anew at the end of lrep with the added
-// reports merged in by key. A link new to the index takes a new slot. Only
-// the touched rows are re-summed.
+// report leaves its rows, which keep the others' entries in order; an added
+// one takes a new handle and joins its rows, each row it joins written anew
+// at the end of lrep with the added entries after the rest. A link new to
+// the index takes a new slot. A row's units move by the changed reports'
+// units alone, and a touched row's vote is divided out afresh.
 func (c *carry) patch(reports []Report) {
 	ix := c.ix
 	ix.reports = reports
@@ -276,18 +242,20 @@ func (c *carry) patch(reports []Report) {
 			k := slices.Index(row, h)
 			copy(row[k:], row[k+1:])
 			ix.lend[s]--
+			ix.units[s] -= ix.weight[h]
 			touched = append(touched, s)
 			c.work += len(row) - k
 		}
 	}
 	keys := c.entries[:0]
 	for a, j := range c.added {
-		r, h, e := &reports[j], int32(len(c.flow)), len(keys)
-		byPos[j], c.flow, c.key = h, append(c.flow, r.FlowID), append(c.key, c.addKey[a])
+		r := &reports[j]
+		h, w, e := int32(len(c.flow)), unitsPer(r.Path), len(keys)
+		byPos[j], c.flow = h, append(c.flow, r.FlowID)
 		c.pstart, c.path = append(c.pstart, int32(len(c.path))), append(c.path, r.Path...)
-		c.pend, ix.weight = append(c.pend, int32(len(c.path))), append(ix.weight, 1/float64(max(len(r.Path), 1)))
+		c.pend, ix.weight = append(c.pend, int32(len(c.path))), append(ix.weight, w)
 		for _, l := range r.Path {
-			if l >= 0 {
+			if l >= 0 && w > 0 {
 				keys = append(keys, uint64(l)<<32|uint64(a))
 			}
 		}
@@ -296,6 +264,7 @@ func (c *carry) patch(reports []Report) {
 		ix.eslot = append(ix.eslot, make([]int32, len(keys)-e)...)
 		c.work += len(r.Path)
 	}
+	// Sorted, a report's entries on one link are next to each other.
 	slices.Sort(keys)
 	enter, enterAt := c.enter[:0], c.at[:0]
 	for k := 0; k < len(keys); {
@@ -303,37 +272,29 @@ func (c *carry) patch(reports []Report) {
 		s := int32(ix.slot(l))
 		if s < 0 {
 			s, enter, enterAt = int32(len(ix.links)), append(enter, int32(len(ix.links))), append(enterAt, int32(ix.linkAt(l)))
-			ix.links, ix.votes = append(ix.links, l), append(ix.votes, 0)
+			ix.links, ix.units, ix.votes = append(ix.links, l), append(ix.units, 0), append(ix.votes, 0)
 			ix.lstart, ix.lend, ix.shared = append(ix.lstart, 0), append(ix.lend, 0), append(ix.shared, 0)
 		}
-		row, lrep := ix.lrep[ix.lstart[s]:ix.lend[s]], ix.lrep
-		start := len(lrep)
+		start := len(ix.lrep)
+		ix.lrep = append(ix.lrep, ix.lrep[ix.lstart[s]:ix.lend[s]]...)
 		for ; k < len(keys) && topology.LinkID(keys[k]>>32) == l; k++ {
 			h := byPos[c.added[uint32(keys[k])]]
-			for len(row) > 0 && c.key[row[0]] < c.key[h] {
-				lrep, row = append(lrep, row[0]), row[1:]
-			}
-			lrep = append(lrep, h)
+			ix.lrep = append(ix.lrep, h)
+			ix.units[s] += ix.weight[h]
 			ix.eslot[ix.eend[h]] = s
 			ix.eend[h]++
 		}
-		ix.lrep = append(lrep, row...)
 		ix.lstart[s], ix.lend[s] = int32(start), int32(len(ix.lrep))
 		touched = append(touched, s)
 		c.work += len(ix.lrep) - start
 	}
 
-	// The touched rows re-summed in report order, as the fresh build sums
-	// one chunk; those whose vote moved leave the ranking at their old
+	// The touched rows whose vote moved leave the ranking at their old
 	// vote, and so do emptied ones. An emptied slot stays, with no vote,
 	// for its link to come back to.
 	moved, left := c.moved[:0], c.left[:0]
 	for _, s := range touched {
-		var v float64
-		for _, h := range ix.lrep[ix.lstart[s]:ix.lend[s]] {
-			v += ix.weight[h]
-		}
-		was := ix.votes[s]
+		v, was := voteOf(ix.units[s]), ix.votes[s]
 		if v == was {
 			continue
 		}
@@ -438,31 +399,25 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 	ix, reports := c.ix, c.ix.reports
 	if !c.patched {
 		out := ix.classify(ix.votes, detected)
-		if c.records() {
+		if !c.local {
 			c.verdicts, c.detected = append(c.verdicts[:0], out...), append(c.detected[:0], detected...)
 			c.valid = true
 		}
 		return out
 	}
-	inB, seen := resize(c.inB, len(ix.links)), resize(c.seen, len(c.key))
+	inB, stale := resize(c.inB, len(ix.links)), resize(c.stale, len(c.flow))
 	clear(inB)
-	clear(seen)
+	clear(stale)
 	ix.markB(inB, detected, 1)
 	ix.markB(inB, c.detected, 2)
-	// The stale reports' positions: the added ones', then those of the
-	// reports on slots that moved or changed membership, each found by its
-	// key in byPos.
-	stale := append(c.stale[:0], c.added...)
+	// The stale reports, by handle: the added ones, and those on slots
+	// that moved or changed membership.
 	for _, j := range c.added {
-		seen[c.byPos[j]] = true
+		stale[c.byPos[j]] = true
 	}
 	mark := func(s int32) {
 		for _, h := range ix.lrep[ix.lstart[s]:ix.lend[s]] {
-			if seen[h] {
-				continue
-			}
-			j := sort.Search(len(c.byPos), func(j int) bool { return c.key[c.byPos[j]] >= c.key[h] })
-			seen[h], stale = true, append(stale, int32(j))
+			stale[h] = true
 		}
 	}
 	for _, s := range c.moved {
@@ -480,11 +435,13 @@ func (c *carry) classify(detected []topology.LinkID) []Verdict {
 	for _, rn := range c.runs {
 		copy(verdicts[rn.new:rn.new+rn.n], c.verdicts[rn.old:rn.old+rn.n])
 	}
-	for _, j := range stale {
-		verdicts[j] = ix.verdict(reports[j].FlowID, c.byPos[j], ix.votes, inB)
+	for j, h := range c.byPos {
+		if stale[h] {
+			verdicts[j] = ix.verdict(reports[j].FlowID, h, ix.votes, inB)
+			c.work++
+		}
 	}
-	c.work += len(stale)
-	c.inB, c.seen, c.stale = inB, seen, stale
+	c.inB, c.stale = inB, stale
 	c.verdicts, c.spareVerdicts = verdicts, c.verdicts
 	c.detected = append(c.detected[:0], detected...)
 	c.valid = true

@@ -4,15 +4,29 @@ import (
 	"math/bits"
 	"runtime"
 
+	"vigil/internal/ecmp"
 	"vigil/internal/topology"
 )
 
-// sumChunkShift sets the summation granularity of a link's votes: they are
-// summed per run of 2048 (1<<sumChunkShift) consecutive reports and the
-// chunk sums folded in report order. The grouping depends only on report
-// positions, so the floating-point sums are a function of the canonical
-// report order alone.
-const sumChunkShift = 11
+// voteUnits is one report's vote in whole units: every path length up to
+// ecmp.MaxPathLinks divides it, so a report casts voteUnits/h units on each
+// of its h links and every tally is an exact integer. A link's vote is its
+// units over voteUnits, one correctly rounded division, so equal tallies
+// are equal votes whatever order the reports came in.
+const voteUnits = 60
+
+// voteOf is the vote of a tally of units.
+func voteOf(units int64) float64 { return float64(units) / voteUnits }
+
+// unitsPer is the units a report with path casts on each of its links, or
+// 0 when it casts none: an empty path (a traceroute that produced nothing)
+// or one longer than any ECMP path, which no agent can produce.
+func unitsPer(path []topology.LinkID) int64 {
+	if h := len(path); h > 0 && h <= ecmp.MaxPathLinks {
+		return voteUnits / int64(h)
+	}
+	return 0
+}
 
 // index is one epoch's reports laid out for settle-time analysis. The links
 // the reports touch are compacted to slots, ascending by LinkID, and the
@@ -20,8 +34,10 @@ const sumChunkShift = 11
 // both ways: slot → reports through it, and report → slots on its path.
 // A stream's carry (carry.go) edits its index in place, and there slots
 // and reports are handles that keep their number while others come and
-// go, in no order: byLink lists the slots in LinkID order, which the vote
-// total and the tie-breaks follow.
+// go, in no order: byLink lists the slots in LinkID order. A row lists its
+// reports in no particular order either, but a report repeated on a link
+// has its entries next to each other, which ObservedAdjuster.Begin relies
+// on to count the report once.
 //
 // Every buffer is sized by the number of path entries or touched links and
 // is reused through indexFree; nothing is sized by the fabric or by the
@@ -31,11 +47,12 @@ type index struct {
 
 	// Per slot.
 	links  []topology.LinkID // the slot's link, ascending
-	votes  []float64         // the link's tally over these reports
+	units  []int64           // the link's tally over these reports, in units
+	votes  []float64         // units / voteUnits, kept with them
 	lstart []int32           // slot s's reports are lrep[lstart[s]:lend[s]]
 	lend   []int32
-	lrep   []int32 // report indexes in report order; a link repeated
-	// within one path lists its report once per occurrence
+	lrep   []int32 // report indexes, ascending when built fresh; a link
+	// repeated within one path lists its report once per occurrence
 	byLink []int32 // the slots in LinkID order
 
 	// Per report.
@@ -44,7 +61,7 @@ type index struct {
 	eslot  []int32 // ascending by LinkID within a report, one per path entry
 
 	// Build scratch.
-	weight    []float64 // 1/len(Path) per report
+	weight    []int64 // unitsPer per report
 	cursor    []int32
 	keys, tmp []uint64 // link<<32 | report, the radix sort's two buffers
 
@@ -119,10 +136,9 @@ func (ix *index) build(reports []Report) {
 	for i := range reports {
 		ix.estart[i] = int32(len(keys))
 		path := reports[i].Path
-		if len(path) == 0 {
+		if ix.weight[i] = unitsPer(path); ix.weight[i] == 0 {
 			continue
 		}
-		ix.weight[i] = 1.0 / float64(len(path))
 		for _, l := range path {
 			if l >= 0 { // NoLink placeholders vote nowhere
 				keys = append(keys, uint64(l)<<32|uint64(i))
@@ -138,35 +154,32 @@ func (ix *index) build(reports []Report) {
 	ix.lrep = resize(ix.lrep, len(keys))
 	ix.cursor = resize(ix.cursor, n)
 	copy(ix.cursor, ix.estart)
-	links, votes, lstart := ix.links[:0], ix.votes[:0], ix.lstart[:0]
-	for k := 0; k < len(keys); {
+	// A slot per distinct link, at most one per key.
+	links, units, votes := resize(ix.links, len(keys)), resize(ix.units, len(keys)), resize(ix.votes, len(keys))
+	lstart := resize(ix.lstart, len(keys)+1)
+	m := 0
+	for k := 0; k < len(keys); m++ {
 		link := topology.LinkID(keys[k] >> 32)
-		slot := int32(len(links))
-		links, lstart = append(links, link), append(lstart, int32(k))
-		// The slot's keys are in report order (the sort is stable), which is
-		// both the summation order and lrep's.
-		var sum, part float64
-		chunk := uint32(keys[k]) >> sumChunkShift
+		links[m], lstart[m] = link, int32(k)
+		var sum int64
 		for ; k < len(keys) && topology.LinkID(keys[k]>>32) == link; k++ {
 			r := uint32(keys[k])
-			if c := r >> sumChunkShift; c != chunk {
-				sum, part, chunk = sum+part, 0, c
-			}
-			part += ix.weight[r]
+			sum += ix.weight[r]
 			ix.lrep[k] = int32(r)
-			ix.eslot[ix.cursor[r]] = slot
+			ix.eslot[ix.cursor[r]] = int32(m)
 			ix.cursor[r]++
 		}
-		votes = append(votes, sum+part)
+		units[m], votes[m] = sum, voteOf(sum)
 	}
-	ix.links, ix.votes, ix.lstart = links, votes, append(lstart, int32(len(keys)))
+	lstart[m] = int32(len(keys))
+	ix.links, ix.units, ix.votes, ix.lstart = links[:m], units[:m], votes[:m], lstart[:m+1]
 	ix.lend, ix.eend = append(ix.lend[:0], ix.lstart[1:]...), append(ix.eend[:0], ix.estart[1:]...)
-	ix.byLink = resize(ix.byLink, len(links))
+	ix.byLink = resize(ix.byLink, m)
 	for s := range ix.byLink {
 		ix.byLink[s] = int32(s)
 	}
 
-	ix.shared = resize(ix.shared, len(links))
+	ix.shared = resize(ix.shared, m)
 	clear(ix.shared)
 	ix.touched = ix.touched[:0]
 }

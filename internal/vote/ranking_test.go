@@ -12,51 +12,61 @@ import (
 )
 
 // rankingOracle is Ranking as it was before the radix sort: a comparison
-// sort on (votes descending, LinkID ascending).
+// sort on (units descending, LinkID ascending).
 func rankingOracle(t *Tally) []LinkVotes {
-	out := make([]LinkVotes, len(t.links))
-	for i, l := range t.links {
-		out[i] = LinkVotes{Link: l, Votes: t.votes[i]}
+	order := make([]int, len(t.links))
+	for i := range order {
+		order[i] = i
 	}
-	slices.SortFunc(out, func(a, b LinkVotes) int {
-		switch {
-		case a.Votes > b.Votes:
-			return -1
-		case a.Votes < b.Votes:
-			return 1
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(t.units[b], t.units[a]); c != 0 {
+			return c
 		}
-		return cmp.Compare(a.Link, b.Link)
+		return cmp.Compare(t.links[a], t.links[b])
 	})
+	out := make([]LinkVotes, len(order))
+	for k, i := range order {
+		out[k] = LinkVotes{Link: t.links[i], Votes: t.votes[i]}
+	}
 	return out
 }
 
-// syntheticTally is a tally over m links whose votes are drawn by draw, the
-// links ascending with random gaps.
-func syntheticTally(rng *stats.RNG, m int, draw func(i int) float64) *Tally {
-	t := &Tally{links: make([]topology.LinkID, m), votes: make([]float64, m)}
-	l := topology.LinkID(0)
-	for i := range t.links {
-		l += topology.LinkID(1 + rng.Intn(40))
-		t.links[i], t.votes[i] = l, draw(i)
+// tallyOf is the tally of links (ascending) with the given units.
+func tallyOf(links []topology.LinkID, units []int64) *Tally {
+	t := &Tally{links: links, units: units, votes: make([]float64, len(units))}
+	for i, u := range units {
+		t.votes[i] = float64(u) / voteUnits
 	}
 	return t
 }
 
-// epochVotes draws votes the way a datacenter epoch's tally holds them
+// syntheticTally is a tally over m links whose units are drawn by draw, the
+// links ascending with random gaps.
+func syntheticTally(rng *stats.RNG, m int, draw func(i int) int64) *Tally {
+	links, units := make([]topology.LinkID, m), make([]int64, m)
+	l := topology.LinkID(0)
+	for i := range links {
+		l += topology.LinkID(1 + rng.Intn(40))
+		links[i], units[i] = l, draw(i)
+	}
+	return tallyOf(links, units)
+}
+
+// epochVotes draws units the way a datacenter epoch's tally holds them
 // (measured on BenchmarkAnalyze/datacenter's epoch: 3,940 of 4,159 links at
 // exactly 1/6, 13 distinct values): most links carry one failed flow's 1/h,
 // mostly h = 6, a few the sum of several, and a handful are hot.
-func epochVotes(rng *stats.RNG) func(int) float64 {
-	hop := func() float64 {
+func epochVotes(rng *stats.RNG) func(int) int64 {
+	hop := func() int64 {
 		switch u := rng.Intn(20); {
 		case u == 0:
-			return 1.0 / 2
+			return voteUnits / 2
 		case u <= 2:
-			return 1.0 / 4
+			return voteUnits / 4
 		}
-		return 1.0 / 6
+		return voteUnits / 6
 	}
-	return func(i int) float64 {
+	return func(i int) int64 {
 		flows := 1
 		switch {
 		case i%1000 == 7:
@@ -64,7 +74,7 @@ func epochVotes(rng *stats.RNG) func(int) float64 {
 		case rng.Intn(16) == 0:
 			flows = 2 + rng.Intn(3)
 		}
-		var v float64
+		var v int64
 		for ; flows > 0; flows-- {
 			v += hop()
 		}
@@ -73,29 +83,24 @@ func epochVotes(rng *stats.RNG) func(int) float64 {
 }
 
 // Ranking must be the comparison sort's output exactly — every tie in
-// LinkID order — for every tally size and vote distribution, and must hand
-// out memory of its own.
+// LinkID order — for every tally size and distribution of units, and must
+// hand out memory of its own. The draws named for floats when tallies were
+// floats now draw units: "last-ulp" neighbouring counts around 3/4 of a
+// vote, "subnormal" the smallest counts, "huge" counts near the top of an
+// int64 and "any-finite" any positive count.
 func TestRankingMatchesComparisonSort(t *testing.T) {
 	rng := stats.NewRNG(23)
-	ulp := func(v float64, n int) float64 {
-		for ; n > 0; n-- {
-			v = math.Nextafter(v, 2)
-		}
-		return v
-	}
 	draws := []struct {
 		name string
-		draw func(int) float64
+		draw func(int) int64
 	}{
 		{"epoch", epochVotes(rng)},
-		{"all-equal", func(int) float64 { return 1.0 / 6 }},
-		{"tie-runs", func(i int) float64 { return float64(1+i/97%5) / 4 }},
-		{"last-ulp", func(int) float64 { return ulp(0.75, rng.Intn(3)) }},
-		{"subnormal", func(int) float64 { return math.Float64frombits(1 + uint64(rng.Intn(1<<20))) }},
-		{"huge", func(int) float64 { return math.MaxFloat64 / float64(1+rng.Intn(1<<20)) }},
-		{"any-finite", func(int) float64 {
-			return math.Float64frombits(1 + rng.Uint64()%(math.Float64bits(math.Inf(1))-1))
-		}},
+		{"all-equal", func(int) int64 { return voteUnits / 6 }},
+		{"tie-runs", func(i int) int64 { return int64(1+i/97%5) * voteUnits / 4 }},
+		{"last-ulp", func(int) int64 { return 3*voteUnits/4 + int64(rng.Intn(3)) }},
+		{"subnormal", func(int) int64 { return 1 + int64(rng.Intn(1<<20)) }},
+		{"huge", func(int) int64 { return math.MaxInt64 / int64(1+rng.Intn(1<<20)) }},
+		{"any-finite", func(int) int64 { return 1 + int64(rng.Uint64()%(math.MaxInt64-1)) }},
 		{"distinct", distinctVotes},
 	}
 	check := func(t *testing.T, tl *Tally) {
@@ -108,7 +113,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 		// The result is the caller's: scribbling over it must not reach the
 		// next ranking through pooled scratch.
 		for i := range got {
-			got[i] = LinkVotes{Link: -1, Votes: math.NaN()}
+			got[i] = LinkVotes{Link: -1, Votes: -1}
 		}
 		if again := tl.Ranking(); !slices.Equal(again, want) {
 			t.Fatalf("ranking of %d links changed after the caller wrote to an earlier result", len(tl.links))
@@ -126,7 +131,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 	// links.
 	for _, g := range []int{63, 64, 65, 128, 129, 4096} {
 		t.Run(fmt.Sprintf("groups=%d", g), func(t *testing.T) {
-			check(t, syntheticTally(rng, 3*g+7, func(i int) float64 { return float64(1+i*7919%g) / 8 }))
+			check(t, syntheticTally(rng, 3*g+7, func(i int) int64 { return int64(1 + i*7919%g) }))
 		})
 	}
 	// The group table is presized from the previous call's group count: a
@@ -142,7 +147,7 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			syntheticTally(rng, 200, distinctVotes),
 			syntheticTally(rng, 70000, epochVotes(rng)),
 		} {
-			if got, want := linkVotes(tl.links, tl.votes, rs.rank(tl.votes)), rankingOracle(tl); !slices.Equal(got, want) {
+			if got, want := linkVotes(tl.links, tl.votes, rs.rank(tl.units)), rankingOracle(tl); !slices.Equal(got, want) {
 				t.Fatalf("ranking of %d links differs from the comparison sort", len(tl.links))
 			}
 		}
@@ -164,22 +169,17 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 			split.AddAll(reports[n/2:])
 			check(t, whole)
 			check(t, split)
-			// Splitting moves a vote by reassociation at most.
-			if !slices.Equal(whole.links, split.links) {
-				t.Fatalf("split tally holds %d links, whole %d", len(split.links), len(whole.links))
-			}
-			for i, v := range whole.votes {
-				if math.Abs(v-split.votes[i]) > 1e-9 {
-					t.Fatalf("link %d: split votes %v, whole %v", whole.links[i], split.votes[i], v)
-				}
+			// Splitting tallies exactly as the whole.
+			if !slices.Equal(whole.links, split.links) || !slices.Equal(whole.units, split.units) || !slices.Equal(whole.votes, split.votes) {
+				t.Fatalf("split tally differs from the whole: %d links, whole %d", len(split.links), len(whole.links))
 			}
 		})
 	}
 }
 
-// distinctVotes gives every link a vote of its own: the ranking's worst
-// case, one group per link.
-func distinctVotes(i int) float64 { return 1 / float64(i+1) }
+// distinctVotes gives every link a vote of its own, falling as the slot
+// rises: the ranking's worst case, one group per link.
+func distinctVotes(i int) int64 { return 1 << 40 / int64(i+1) }
 
 func BenchmarkRanking(b *testing.B) {
 	for _, bc := range []struct {

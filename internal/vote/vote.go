@@ -16,7 +16,6 @@ package vote
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -85,43 +84,46 @@ type LinkVotes struct {
 // size follows the votes cast. A Tally is not safe for concurrent use.
 type Tally struct {
 	links []topology.LinkID // voted links, ascending
-	votes []float64         // votes[i] is links[i]'s tally, always > 0
+	units []int64           // units[i] is links[i]'s tally in units, always > 0
+	votes []float64         // units[i] / voteUnits
 }
 
 // NewTally returns an empty tally.
 func NewTally() *Tally { return &Tally{} }
 
 // AddAll casts each report's votes: 1/h per path link, h = len(Path).
-// Reports with empty paths (a traceroute that produced nothing) vote
-// nowhere, and neither do NoLink placeholders. A link's batch votes are
-// summed per 2048 reports (sumChunkShift) and the chunk sums folded in
-// report order, so splitting a batch can move a tally by reassociation at
-// the 1-ulp level.
+// Reports with empty paths (a traceroute that produced nothing) or paths
+// longer than ecmp.MaxPathLinks vote nowhere, and neither do NoLink
+// placeholders. Votes are counted in whole units, so a batch split any
+// way tallies exactly as the whole.
 func (t *Tally) AddAll(rs []Report) {
 	ix := newIndex(rs)
 	defer ix.release()
 	if len(t.links) == 0 {
-		t.links, t.votes = slices.Clone(ix.links), slices.Clone(ix.votes)
+		t.links, t.units, t.votes = slices.Clone(ix.links), slices.Clone(ix.units), slices.Clone(ix.votes)
 		return
 	}
 	// Two-way merge of the ascending link lists.
-	a, av, b, bv := t.links, t.votes, ix.links, ix.votes
+	a, au, b, bu := t.links, t.units, ix.links, ix.units
 	links := make([]topology.LinkID, 0, len(a)+len(b))
-	votes := make([]float64, 0, len(a)+len(b))
+	units := make([]int64, 0, len(a)+len(b))
 	for len(a) > 0 || len(b) > 0 {
 		switch {
 		case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
-			links, votes = append(links, a[0]), append(votes, av[0])
-			a, av = a[1:], av[1:]
+			links, units = append(links, a[0]), append(units, au[0])
+			a, au = a[1:], au[1:]
 		case len(a) == 0 || b[0] < a[0]:
-			links, votes = append(links, b[0]), append(votes, bv[0])
-			b, bv = b[1:], bv[1:]
+			links, units = append(links, b[0]), append(units, bu[0])
+			b, bu = b[1:], bu[1:]
 		default:
-			links, votes = append(links, a[0]), append(votes, av[0]+bv[0])
-			a, av, b, bv = a[1:], av[1:], b[1:], bv[1:]
+			links, units = append(links, a[0]), append(units, au[0]+bu[0])
+			a, au, b, bu = a[1:], au[1:], b[1:], bu[1:]
 		}
 	}
-	t.links, t.votes = links, votes
+	t.links, t.units, t.votes = links, units, make([]float64, len(units))
+	for i, u := range units {
+		t.votes[i] = voteOf(u)
+	}
 }
 
 // Ranking returns links sorted by descending votes; ties break toward the
@@ -129,7 +131,7 @@ func (t *Tally) AddAll(rs []Report) {
 func (t *Tally) Ranking() []LinkVotes {
 	rs := rankFree.get()
 	defer rankFree.put(rs)
-	return linkVotes(t.links, t.votes, rs.rank(t.votes))
+	return linkVotes(t.links, t.votes, rs.rank(t.units))
 }
 
 // linkVotes lists the slots of links and their votes in the given order.
@@ -144,7 +146,7 @@ func linkVotes(links []topology.LinkID, votes []float64, order []int32) []LinkVo
 // rankScratch is the ranking's working set, kept between calls.
 type rankScratch struct {
 	table       []int32  // open-addressed by key: group + 1, 0 when empty
-	keys        []uint64 // per group: ^Float64bits of its vote
+	keys        []uint64 // per group: its units, complemented
 	count       []int32  // per group: its slot count, then its next position
 	group       []int32  // per slot: its vote's group
 	sorted, tmp []uint64 // the keys ascending, and the sort's other buffer
@@ -157,18 +159,16 @@ var rankFree = newFreeList[rankScratch]()
 // size in groups before it doubles.
 const minRankTable = 128
 
-// rank returns the slots of votes in ranking order — descending vote, equal
-// votes in ascending slot — in memory rs owns until its next call.
+// rank returns the slots of units in ranking order — descending units,
+// equal units in ascending slot — in memory rs owns until its next call.
 //
 // An epoch's tally holds few distinct votes (DESIGN.md, "Analysis cost
-// model"), so the slots are grouped by vote in one pass over an
-// open-addressed table keyed by the complemented bits of the vote, the
-// distinct keys are radix-sorted — a vote is positive, so its IEEE-754 bit
-// pattern orders as the number does — and one stable scatter lays the slots
-// out group by group. Slots are visited in ascending order, so equal votes
-// stay in it.
-func (rs *rankScratch) rank(votes []float64) []int32 {
-	m := len(votes)
+// model"), so the slots are grouped by units in one pass over an
+// open-addressed table keyed by the complemented units, the distinct keys
+// are radix-sorted, and one stable scatter lays the slots out group by
+// group. Slots are visited in ascending order, so equal units stay in it.
+func (rs *rankScratch) rank(units []int64) []int32 {
+	m := len(units)
 	order := resize(rs.order, m)
 	rs.order = order
 	if m == 0 {
@@ -186,8 +186,8 @@ func (rs *rankScratch) rank(votes []float64) []int32 {
 	// Neighbouring slots often hold the same vote: the last group found is
 	// tried before the table.
 	lastK, lastG := uint64(0), int32(-1)
-	for s, v := range votes {
-		if k := ^math.Float64bits(v); lastG < 0 || k != lastK {
+	for s, u := range units {
+		if k := ^uint64(u); lastG < 0 || k != lastK {
 			h := probe(table, keys, k)
 			if table[h] != 0 {
 				lastG = table[h] - 1

@@ -2,9 +2,11 @@ package vote
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"vigil/internal/ecmp"
 	"vigil/internal/stats"
 	"vigil/internal/topology"
 )
@@ -135,12 +137,77 @@ func TestRankingOrderAndTies(t *testing.T) {
 	}
 }
 
+// A report with an empty path, or with one longer than any ECMP path
+// (which no agent can produce), votes nowhere and is noise with no link to
+// blame.
 func TestEmptyPathReportVotesNowhere(t *testing.T) {
-	tl := NewTally()
-	tl.AddAll([]Report{{FlowID: 1, Retx: 3}})
-	if len(tl.links) != 0 {
-		t.Fatalf("empty-path report voted on %d links", len(tl.links))
+	long := make([]topology.LinkID, ecmp.MaxPathLinks+1)
+	for i := range long {
+		long[i] = topology.LinkID(i)
 	}
+	for _, r := range []Report{{FlowID: 1, Retx: 3}, {FlowID: 2, Retx: 1, Path: long}} {
+		tl := NewTally()
+		tl.AddAll([]Report{r})
+		if len(tl.links) != 0 {
+			t.Fatalf("a report with %d path links voted on %d links", len(r.Path), len(tl.links))
+		}
+		ranking, detected, verdicts := Localize([]Report{r}, DetectOptions{ThresholdFrac: 0.01})
+		if want := (Verdict{FlowID: r.FlowID, Link: topology.NoLink, Noise: true}); len(ranking) != 0 || len(detected) != 0 || verdicts[0] != want {
+			t.Fatalf("a report with %d path links: ranking %v, detected %v, verdict %+v", len(r.Path), ranking, detected, verdicts[0])
+		}
+	}
+}
+
+// Every path length up to ecmp.MaxPathLinks divides voteUnits, so every
+// vote a report casts is a whole number of units.
+func TestVoteUnitsDivideEveryPathLength(t *testing.T) {
+	for h := 1; h <= ecmp.MaxPathLinks; h++ {
+		if voteUnits%h != 0 {
+			t.Fatalf("a %d-link path's vote is %d/%d units", h, voteUnits, h)
+		}
+	}
+}
+
+// Equal votes are equal however they were cast: link 3's 1/3 + 1/4 + 1/6,
+// which summed as floats in that order is 0.7499999999999999, ties link 8's
+// three quarters, and the lower LinkID ranks first and is blamed first. So
+// it does in a fresh call and in a stream's patched one, where link 3's
+// sixth arrives in the patch.
+func TestEqualVotesTieToLowerLink(t *testing.T) {
+	reports := []Report{
+		report(1, 1, 3, 100, 101),
+		report(2, 1, 3, 102, 103, 104),
+		report(3, 1, 3, 105, 106, 107, 108, 109),
+		report(4, 1, 8, 110, 111, 112),
+		report(5, 1, 8, 113, 114, 115),
+		report(6, 1, 8, 116, 117, 118),
+	}
+	for i := range 60 { // a sixth of a vote on each of 360 other links
+		l := topology.LinkID(1000 + 6*i)
+		reports = append(reports, report(int64(10+i), 1, l, l+1, l+2, l+3, l+4, l+5))
+	}
+	check := func(what string, ranking []LinkVotes, detected []topology.LinkID) {
+		t.Helper()
+		if len(ranking) < 2 || ranking[0] != (LinkVotes{3, 0.75}) || ranking[1] != (LinkVotes{8, 0.75}) {
+			t.Fatalf("%s: ranking starts %v, want links 3 and 8 at 0.75", what, ranking[:min(len(ranking), 2)])
+		}
+		if !slices.Equal(detected, []topology.LinkID{3, 8}) {
+			t.Fatalf("%s: detected %v, want [3 8]", what, detected)
+		}
+	}
+	ranking, detected, _ := Localize(reports, DetectOptions{ThresholdFrac: 0.01})
+	check("fresh", ranking, detected)
+	opts := Streaming(DetectOptions{ThresholdFrac: 0.01})
+	if localizeStream(slices.Delete(slices.Clone(reports), 2, 3), opts) {
+		t.Fatal("a stream's first call patched")
+	}
+	ranking, detected, _ = Localize(reports, opts)
+	c := <-opts.stream
+	opts.stream <- c
+	if !c.patched {
+		t.Fatal("adding one report to 65 did not patch")
+	}
+	check("patched", ranking, detected)
 }
 
 func TestFindProblemLinksSingleFailure(t *testing.T) {

@@ -227,8 +227,8 @@ type SimConfig struct {
 	// memory (every flow's packet count and path) and epoch-to-epoch
 	// statistical independence, which a frozen workload no longer has.
 	// Meant for topologies like DatacenterSimTopology where full epochs
-	// are millions of flows. Its analysis then patches each epoch of up to
-	// 2,048 reports from the last, with the outputs of a fresh build.
+	// are millions of flows. Its analysis then patches each epoch's
+	// reports from the last, with the outputs of a fresh build.
 	Incremental bool
 }
 
