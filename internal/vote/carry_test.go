@@ -272,6 +272,21 @@ func TestStreamsDoNotEvictEachOther(t *testing.T) {
 	}
 }
 
+// A stream carries across what was once its limit, one 2,048-report
+// summation chunk: the tally counts whole units, so every call after the
+// first patches, on either side of that bound and across it both ways,
+// so long as few enough reports change (carryMaxChanged).
+func TestStreamCarriesOneChunk(t *testing.T) {
+	g := &carrySeq{rng: stats.NewRNG(13)}
+	full := g.epoch(2176)
+	opts := Streaming(DetectOptions{})
+	for i, n := range []int{2048, 2048, 2049, 2048, 2176, 2048, 2048} {
+		if got := localizeStream(full[:n], opts); got != (i > 0) {
+			t.Fatalf("call %d, %d reports: patched = %v, want %v", i, n, got, i > 0)
+		}
+	}
+}
+
 // A stream's carry is in its slot only while no call has it: releasing it
 // twice panics, where a blocking send would hang.
 func TestReleaseTwicePanics(t *testing.T) {
