@@ -65,11 +65,6 @@ type Config struct {
 	SendPacket func(pkt *wire.Buffer)
 	// Sched provides virtual time for probe timeouts and rate limiting.
 	Sched *des.Scheduler
-	// EventKey is the origin key the agent's timer events carry (see
-	// des.Scheduler.PostKeyed); the embedding layer derives it from the
-	// host identity so simultaneous timeouts on different hosts order
-	// deterministically.
-	EventKey uint64
 	// Ct is the host traceroute budget in traceroutes/second (Theorem 1),
 	// also the token bucket's depth; it must be positive.
 	Ct float64
@@ -218,7 +213,7 @@ func (a *Agent) discover(flow ecmp.FiveTuple) {
 			a.cfg.SendPacket(pkt)
 		}
 	}
-	a.cfg.Sched.PostKeyedAfter(probeTimeout, a.cfg.EventKey, a, evFinish, 0, tr)
+	a.cfg.Sched.Post(a.cfg.Sched.Now()+probeTimeout, a, evFinish, 0, tr)
 }
 
 // getTrace produces zeroed trace state, recycling finished traces.

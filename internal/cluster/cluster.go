@@ -141,15 +141,6 @@ type flowDropSet struct {
 	n     int32
 }
 
-// Origin-key classes for the cluster's DES events (see
-// des.Scheduler.PostKeyed and the fabric's class 4 deliver keys): flow
-// starts and connection timers key on the owning host.
-const (
-	keyClassStart uint64 = 1 << 56
-	keyClassConn  uint64 = 2 << 56
-	keyClassPath  uint64 = 3 << 56
-)
-
 // HandleEvent opens a scheduled connection (the cluster's typed DES event;
 // its payload is the flow's record).
 func (cl *Cluster) HandleEvent(kind int32, _ int64, p any) {
@@ -430,7 +421,7 @@ func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.
 	rec.packets = packets
 	cl.nextFlowID++
 	cl.index(rec)
-	cl.Sched.PostKeyed(at, keyClassStart|uint64(src), cl, evStartFlow, 0, rec)
+	cl.Sched.Post(at, cl, evStartFlow, 0, rec)
 }
 
 // index appends a flow record to flows and its tuples to the indexes the

@@ -130,8 +130,8 @@ func runCutCase(t *testing.T, c cutCase, perHop bool) cutRun {
 				continue
 			}
 			l := op.link(topo)
-			// Key 0 sorts the change ahead of the tick's deliveries in both modes.
-			cl.Sched.PostKeyed(cl.Sched.Now()+op.at, 0, &cutOpEvent{cl: cl, l: l, do: op.do}, 0, 0, nil)
+			// Posted, not tied, the change sorts ahead of the tick's deliveries in both modes.
+			cl.Sched.Post(cl.Sched.Now()+op.at, &cutOpEvent{cl: cl, l: l, do: op.do}, 0, 0, nil)
 		}
 		cl.StartWorkload(w, c.spread)
 		fr := cl.Step(emit)

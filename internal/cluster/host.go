@@ -117,7 +117,6 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 			NewPacket:          cl.Net.NewPacket,
 			SendPacket:         func(pkt *wire.Buffer) { cl.Net.Send(id, pkt) },
 			Sched:              cl.Sched,
-			EventKey:           keyClassPath | uint64(id),
 			Ct:                 cl.cfg.Ct,
 			RTTThresholdMicros: cl.cfg.RTTThresholdMicros,
 			OnReport:           cl.report,
@@ -355,7 +354,7 @@ func (c *Conn) postTimer(at des.Time) {
 	c.pending = append(c.pending, 0)
 	copy(c.pending[1:], c.pending)
 	c.pending[0] = at
-	c.host.cl.Sched.PostKeyed(at, keyClassConn|uint64(c.host.id), c, connEvRTO, int64(c.incarnation), nil)
+	c.host.cl.Sched.Post(at, c, connEvRTO, int64(c.incarnation), nil)
 }
 
 // HandleEvent receives the connection's RTO timer events from the DES.

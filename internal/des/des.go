@@ -11,18 +11,14 @@
 // the closure the caller builds, with no further boxing inside the
 // scheduler.
 //
-// Events fire in (time, key, tie) order: keys impose a deterministic order
-// between simultaneous events from different origins, and simultaneous
-// events with the same key run in tie order — by default FIFO, the
-// scheduler's submission counter. The key is an origin identifier chosen by
-// the poster (a link, a host, a connection — see PostKeyed), so that
-// simultaneous events from different subsystems fire in one deterministic
-// order that does not hinge on which of them was posted first. A poster
-// whose same-key events have an order of their own supplies the tie itself
-// (PostKeyedTie): the fabric orders a link's simultaneous deliveries by the
-// packet's serial, so the order is a property of the packets and not of how
-// many scheduler events their upstream hops happened to take. Unkeyed
-// events (key 0) keep the historical (time, submission order) behaviour.
+// Events fire in (time, tie) order. The tie is the scheduler's submission
+// counter (At, Post), so simultaneous events run FIFO, unless the poster
+// supplies its own (PostTie): the fabric ties a delivery to the packet's
+// serial, so where a delivery falls among simultaneous ones is a property of
+// the packets and not of how many scheduler events their upstream hops
+// happened to take. At one time every submission-numbered event fires before
+// every poster-tied one: the scheduler sets a poster tie's top bit, and the
+// submission counter panics before it reaches that bit.
 package des
 
 // Time is virtual time in microseconds since the start of the run.
@@ -46,34 +42,35 @@ type Handler interface {
 	HandleEvent(kind int32, arg int64, p any)
 }
 
-// event is one queue entry. Closure events store the func() in p with a
-// nil Handler; typed events use h/kind/arg/p directly.
+// event is one queue entry, 64 bytes: one cache line. Closure events store
+// the func() in p with a nil Handler; typed events use h/kind/arg/p directly.
 type event struct {
 	at   Time
-	key  uint64 // origin key: orders simultaneous events across origins
-	seq  uint64 // tie-break among simultaneous same-key events: submission order unless the poster supplied one
+	tie  uint64 // orders simultaneous events: the submission counter, or a poster's tie with posterTie set
 	arg  int64
 	h    Handler
 	p    any
 	kind int32
 }
 
-// less orders events by (time, origin key, tie-break).
+// less orders events by (time, tie).
 func (e *event) less(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.key != o.key {
-		return e.key < o.key
-	}
-	return e.seq < o.seq
+	return e.at < o.at || (e.at == o.at && e.tie < o.tie)
 }
+
+// posterTie is the bit PostTie sets in a poster's tie, placing every
+// poster-tied event after every submission-numbered one at the same time.
+const posterTie uint64 = 1 << 63
+
+// PosterTie returns where an event posted with PostTie(…, tie, …) falls among
+// simultaneous events, in the terms Executing reports.
+func PosterTie(tie uint64) uint64 { return tie | posterTie }
 
 // Scheduler owns the virtual clock and the pending event queue.
 // The zero value is ready to use. Not safe for concurrent use: the
 // emulation is single-threaded by design.
 //
-// The queue is two structures popped in one total (time, key, seq) order:
+// The queue is two structures popped in one total (time, tie) order:
 // a FIFO fast lane for the monotone stream the packet fabric generates
 // (fixed link delays from a nondecreasing clock arrive already sorted,
 // so they enqueue and dequeue in O(1)), and a 4-ary min-heap for
@@ -90,9 +87,9 @@ type Scheduler struct {
 
 	// horizon is the deadline of the RunUntil in progress (see Horizon).
 	horizon Time
-	// curKey/curSeq are the (key, tie) of the event being executed.
-	curKey, curSeq uint64
-	executed       uint64
+	// curTie is the tie of the event being executed.
+	curTie   uint64
+	executed uint64
 }
 
 // nearWindow bounds how far ahead of the clock an event may open an empty
@@ -109,7 +106,7 @@ func (s *Scheduler) Now() Time { return s.now }
 // events around the components under it. Events in the past run "now": the
 // clock never moves backward.
 func (s *Scheduler) At(t Time, fn func()) {
-	s.push(t, 0, s.nextSeq(), nil, 0, 0, fn)
+	s.push(t, s.nextSeq(), nil, 0, 0, fn)
 }
 
 // Post schedules a typed event at absolute time t without allocating.
@@ -118,59 +115,47 @@ func (s *Scheduler) Post(t Time, h Handler, kind int32, arg int64, p any) {
 	if h == nil {
 		panic("des: Post with nil Handler")
 	}
-	s.push(t, 0, s.nextSeq(), h, kind, arg, p)
+	s.push(t, s.nextSeq(), h, kind, arg, p)
 }
 
-// PostKeyed schedules a typed event carrying an origin key. Simultaneous
-// events order by key before submission sequence, so two posters that
-// never observe each other's order (a link's deliveries vs a timer on
-// another host) still fire in a deterministic total order. By convention
-// the high byte is a per-subsystem class and the low bits an origin id (a
-// link, a host).
-func (s *Scheduler) PostKeyed(t Time, key uint64, h Handler, kind int32, arg int64, p any) {
+// PostTie is Post with the tie-break supplied by the poster in place of the
+// submission counter: simultaneous poster-tied events fire in ascending tie
+// order whatever order they were posted in, and after every simultaneous
+// submission-numbered event. The tie must leave the top bit clear.
+func (s *Scheduler) PostTie(t Time, tie uint64, h Handler, kind int32, arg int64, p any) {
 	if h == nil {
-		panic("des: PostKeyed with nil Handler")
+		panic("des: PostTie with nil Handler")
 	}
-	s.push(t, key, s.nextSeq(), h, kind, arg, p)
-}
-
-// PostKeyedTie is PostKeyed with the tie-break supplied by the poster in
-// place of the submission counter: simultaneous events under one key fire in
-// ascending tie order whatever order they were posted in. A key's events
-// must either all carry poster ties or none — the two numberings do not
-// compare.
-func (s *Scheduler) PostKeyedTie(t Time, key, tie uint64, h Handler, kind int32, arg int64, p any) {
-	if h == nil {
-		panic("des: PostKeyedTie with nil Handler")
+	if tie&posterTie != 0 {
+		panic("des: PostTie with a tie at or above 2^63")
 	}
-	s.push(t, key, tie, h, kind, arg, p)
+	s.push(t, PosterTie(tie), h, kind, arg, p)
 }
 
-// PostKeyedAfter schedules a keyed typed event d microseconds from now.
-func (s *Scheduler) PostKeyedAfter(d Time, key uint64, h Handler, kind int32, arg int64, p any) {
-	s.PostKeyed(s.now+d, key, h, kind, arg, p)
-}
-
-// nextSeq draws the default tie-break: the submission counter.
+// nextSeq draws the default tie-break: the submission counter. It stops
+// short of posterTie, so the same-time rule above never wraps.
 func (s *Scheduler) nextSeq() uint64 {
 	s.nextID++
+	if s.nextID == posterTie {
+		panic("des: submission counter reached 2^63")
+	}
 	return s.nextID
 }
 
-func (s *Scheduler) push(t Time, key, seq uint64, h Handler, kind int32, arg int64, p any) {
+func (s *Scheduler) push(t Time, tie uint64, h Handler, kind int32, arg int64, p any) {
 	if t < s.now {
 		t = s.now
 	}
-	e := event{at: t, key: key, seq: seq, arg: arg, h: h, p: p, kind: kind}
-	// Monotone fast lane: a near event no earlier — in (time, key, tie)
-	// order — than the lane's tail is already in sorted position. Far events
+	e := event{at: t, tie: tie, arg: arg, h: h, p: p, kind: kind}
+	// Monotone fast lane: a near event no earlier — in (time, tie) order —
+	// than the lane's tail is already in sorted position. Far events
 	// are excluded even when they would extend the tail — a 20ms timer at
 	// the tail would force every following 5µs delivery onto the heap until
 	// it fired.
 	if t-s.now <= nearWindow {
 		if n := len(s.fifo); n > s.fifoHead {
 			tail := &s.fifo[n-1]
-			if t > tail.at || (t == tail.at && (key > tail.key || (key == tail.key && seq >= tail.seq))) {
+			if t > tail.at || (t == tail.at && tie >= tail.tie) {
 				s.fifo = append(s.fifo, e)
 				return
 			}
@@ -233,7 +218,7 @@ func (s *Scheduler) popRoot() {
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return len(s.heap) + len(s.fifo) - s.fifoHead }
 
-// peek returns the next event in (time, key, seq) order without removing
+// peek returns the next event in (time, tie) order without removing
 // it, or nil when the queue is empty.
 func (s *Scheduler) peek() *event {
 	var next *event
@@ -264,7 +249,7 @@ func (s *Scheduler) Step() bool {
 	} else {
 		return false
 	}
-	s.now, s.curKey, s.curSeq = e.at, e.key, e.seq
+	s.now, s.curTie = e.at, e.tie
 	s.executed++
 	if e.h != nil {
 		e.h.HandleEvent(e.kind, e.arg, e.p)
@@ -297,7 +282,7 @@ func (s *Scheduler) popLane() {
 }
 
 // laneSlack is the dead prefix the FIFO lane tolerates before it compacts:
-// 72 KB of slots, so a lane holding a few dozen events slides once per
+// 64 KB of slots, so a lane holding a few dozen events slides once per
 // thousand pops, not once per few dozen.
 const laneSlack = 1024
 
@@ -305,12 +290,12 @@ const laneSlack = 1024
 // can see how many scheduler events a run cost.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Executing returns the origin key and tie-break of the event being
-// executed (of the last one run, between events). With Now it is the
-// event's position in the total order: a handler that defers work an
-// unexecuted event would have done — the fabric's cut-through flights —
+// Executing returns the tie of the event being executed (of the last one
+// run, between events); a poster's tie comes back as PosterTie(tie). With Now
+// it is the event's position in the total order: a handler that defers work
+// an unexecuted event would have done — the fabric's cut-through flights —
 // uses it to tell which of that work the order has already passed.
-func (s *Scheduler) Executing() (key, tie uint64) { return s.curKey, s.curSeq }
+func (s *Scheduler) Executing() uint64 { return s.curTie }
 
 // Horizon returns the time through which the scheduler is committed to run
 // without returning to its caller: the deadline of the RunUntil in progress,

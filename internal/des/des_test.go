@@ -169,36 +169,76 @@ func TestPastTimeClampTyped(t *testing.T) {
 }
 
 // TestOrderingMatchesReferenceModel is the property test for the two-lane
-// queue: a seeded mix of near deliveries, far timers, clamped past events
-// and closure events — the exact shapes the packet fabric schedules — must
-// run in the (time, submission order) sequence a single sorted queue
-// would produce, including run-until-idle from nested handlers.
+// queue: a seeded mix of near deliveries, far timers, clamped past events,
+// closure events and poster-tied deliveries — the exact shapes the packet
+// emulation schedules — must run in the sequence a single sorted queue
+// would pop. The model states the order on its own terms: by time, then,
+// at one time, submission-numbered events in submission order before
+// poster-tied ones in tie order.
 func TestOrderingMatchesReferenceModel(t *testing.T) {
 	type ref struct {
-		at  Time
-		seq int64
+		at    Time
+		tied  bool
+		order uint64 // submission number, or the poster's tie
+		id    int64
+	}
+	before := func(a, b ref) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.tied != b.tied {
+			return !a.tied
+		}
+		return a.order < b.order
 	}
 	for trial := uint64(0); trial < 20; trial++ {
 		rng := stats.NewRNG(trial + 1)
 		var s Scheduler
-		r := &recorder{s: &s}
-		var want []ref
-		seq := int64(0)
+		var pending []ref // the model's queue
+		ran := 0
+		// check pops the model's minimum and holds the event that ran to it.
+		check := func(id int64) {
+			if len(pending) == 0 {
+				t.Fatalf("trial %d: event %d ran, but the reference queue is empty", trial, id)
+			}
+			m := 0
+			for i := range pending {
+				if before(pending[i], pending[m]) {
+					m = i
+				}
+			}
+			if pending[m].id != id || pending[m].at != s.Now() {
+				t.Fatalf("trial %d: position %d ran event %d at %v, reference says %+v", trial, ran, id, s.Now(), pending[m])
+			}
+			pending = append(pending[:m], pending[m+1:]...)
+			ran++
+		}
+		h := HandlerFunc(func(_ int32, id int64, _ any) { check(id) })
+		id, submitted := int64(0), uint64(0)
 		post := func(at Time) {
 			if at < s.Now() {
 				at = s.Now() // the scheduler clamps; the model must too
 			}
-			seq++
-			want = append(want, ref{at: at, seq: seq})
-			if rng.Bool(0.3) {
-				id := seq
-				s.At(at, func() { r.got = append(r.got, id); r.time = append(r.time, s.Now()) })
-			} else {
-				s.Post(at, r, 1, seq, nil)
+			id++
+			switch x := rng.Intn(10); {
+			case x < 3:
+				// A poster's tie: random, distinct, anywhere below 2^63.
+				tie := rng.Uint64()>>24<<23 | uint64(id)
+				pending = append(pending, ref{at: at, tied: true, order: tie, id: id})
+				s.PostTie(at, tie, h, 1, id, nil)
+			case x < 5:
+				submitted++
+				pending = append(pending, ref{at: at, order: submitted, id: id})
+				id := id
+				s.At(at, func() { check(id) })
+			default:
+				submitted++
+				pending = append(pending, ref{at: at, order: submitted, id: id})
+				s.Post(at, h, 1, id, nil)
 			}
 		}
-		// Seed a burst, then let a fraction of events reschedule from
-		// inside handlers (nested posts, like hops scheduling hops).
+		// Seed a burst, stepping a random number of events between posts, so
+		// posts land behind, between and ahead of both lanes' heads.
 		for i := 0; i < 200; i++ {
 			switch rng.Intn(4) {
 			case 0:
@@ -214,26 +254,8 @@ func TestOrderingMatchesReferenceModel(t *testing.T) {
 			}
 		}
 		s.Drain(10000)
-		if len(r.got) != len(want) {
-			t.Fatalf("trial %d: ran %d of %d events", trial, len(r.got), len(want))
-		}
-		// The model's execution order: stable sort by (at, seq). Events
-		// executed before later ones were posted still compare correctly
-		// because seq increases with post order.
-		ordered := append([]ref(nil), want...)
-		for i := 1; i < len(ordered); i++ {
-			for j := i; j > 0 && (ordered[j].at < ordered[j-1].at ||
-				(ordered[j].at == ordered[j-1].at && ordered[j].seq < ordered[j-1].seq)); j-- {
-				ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-			}
-		}
-		for i, id := range r.got {
-			if ordered[i].seq != id {
-				t.Fatalf("trial %d: position %d ran event %d, reference says %d", trial, i, id, ordered[i].seq)
-			}
-			if r.time[i] != ordered[i].at {
-				t.Fatalf("trial %d: event %d ran at %v, reference says %v", trial, id, r.time[i], ordered[i].at)
-			}
+		if ran != int(id) || len(pending) != 0 {
+			t.Fatalf("trial %d: ran %d of %d events", trial, ran, id)
 		}
 	}
 }

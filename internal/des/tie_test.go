@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"vigil/internal/stats"
 )
 
 // A delivery stream that never idles — always one more event in the lane —
-// used to grow the FIFO lane by a 72-byte slot per event for the whole run,
+// used to grow the FIFO lane by a slot per event for the whole run,
 // because the lane only rewound when it drained empty. A million monotone
 // events with at most 64 live must leave it small.
 func TestFifoLaneBounded(t *testing.T) {
@@ -76,25 +77,73 @@ func TestFifoLaneCompactionKeepsOrder(t *testing.T) {
 	}
 }
 
-// Poster-supplied ties order simultaneous same-key events whatever order
-// they were posted in and whichever lane holds them, and leave other keys'
-// submission order alone.
-func TestPostKeyedTieOrders(t *testing.T) {
+// Poster-supplied ties order simultaneous poster-tied events whatever order
+// they were posted in and whichever lane holds them; simultaneous
+// submission-numbered events run first, in submission order.
+func TestPostTieOrders(t *testing.T) {
 	var s Scheduler
 	r := &recorder{s: &s}
-	const key = 7 << 56
-	ties := []uint64{50, 10, 40, 1 << 62, 20, 30}
+	ties := []uint64{50, 10, 40, 1<<63 - 1, 20, 0, 30}
 	for _, tie := range ties {
-		s.PostKeyedTie(5, key, tie, r, 1, int64(tie), nil)
+		s.PostTie(5, tie, r, 1, int64(tie), nil)
 	}
-	s.PostKeyed(5, key-1, r, 1, -1, nil) // a lower key runs first
-	s.PostKeyed(5, key+1, r, 1, -2, nil) // a higher key last
-	s.PostKeyed(5, key+1, r, 1, -3, nil)
-	s.PostKeyedTie(4, key, 99, r, 1, 99, nil) // an earlier time beats any tie
+	s.Post(5, r, 1, -1, nil) // posted after the ties, runs before them
+	s.Post(5, r, 1, -2, nil)
+	s.PostTie(4, 99, r, 1, 99, nil) // an earlier time beats any tie
 	s.Drain(100)
-	want := []int64{99, -1, 10, 20, 30, 40, 50, 1 << 62, -2, -3}
+	want := []int64{99, -1, -2, 0, 10, 20, 30, 40, 50, 1<<63 - 1}
 	if !slices.Equal(r.got, want) {
 		t.Fatalf("order %v, want %v", r.got, want)
+	}
+}
+
+// The same-time rule holds at the top of the submission counter: a
+// submission-numbered event runs before a simultaneous poster-tied one
+// whichever is posted first and whatever the tie, in either lane, up to the
+// counter's last number; the number after that panics rather than wrap.
+func TestSubmissionBeforePosterTieAtCounterTop(t *testing.T) {
+	for _, tiedFirst := range []bool{false, true} {
+		for _, at := range []Time{5, nearWindow + 5} { // lane, heap
+			var s Scheduler
+			r := &recorder{s: &s}
+			s.nextID = posterTie - 3
+			post := func() { s.Post(at, r, 1, int64(s.nextID+1), nil) }
+			if tiedFirst {
+				s.PostTie(at, 0, r, 1, -1, nil)
+				post()
+			} else {
+				post()
+				s.PostTie(at, 0, r, 1, -1, nil)
+			}
+			post()
+			s.PostTie(at, 1<<63-1, r, 1, -2, nil)
+			s.Drain(10)
+			want := []int64{int64(posterTie - 2), int64(posterTie - 1), -1, -2}
+			if !slices.Equal(r.got, want) {
+				t.Fatalf("tied first %v, at %d: order %v, want %v", tiedFirst, at, r.got, want)
+			}
+		}
+	}
+	var s Scheduler
+	s.nextID = posterTie - 1
+	mustPanic(t, "a submission number reaching 2^63", func() { s.At(0, func() {}) })
+	mustPanic(t, "a poster tie at 2^63", func() { s.PostTie(0, posterTie, HandlerFunc(func(int32, int64, any) {}), 1, 0, nil) })
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// The event record is one cache line.
+func TestEventRecordIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event record is %d bytes, want 64", n)
 	}
 }
 
@@ -107,33 +156,34 @@ func TestExecutingAndHorizon(t *testing.T) {
 	}
 	var seen []string
 	probe := HandlerFunc(func(kind int32, _ int64, _ any) {
-		key, tie := s.Executing()
-		seen = append(seen, stringOf(s.Now(), key, tie, s.Horizon()))
+		seen = append(seen, stringOf(s.Now(), s.Executing(), s.Horizon()))
 		if kind == 1 {
 			// A nested, shorter run narrows the horizon and restores it.
 			s.RunUntil(s.Now() + 1)
-			seen = append(seen, stringOf(s.Now(), 0, 0, s.Horizon()))
+			seen = append(seen, stringOf(s.Now(), s.Executing(), s.Horizon()))
 		}
 	})
-	s.PostKeyedTie(10, 3, 77, probe, 0, 0, nil)
-	s.PostKeyedTie(20, 4, 88, probe, 1, 0, nil)
+	s.PostTie(10, 77, probe, 0, 0, nil)
+	s.PostTie(20, 88, probe, 1, 0, nil)
+	s.Post(50, probe, 0, 0, nil) // the first submission number
 	s.RunUntil(100)
-	s.PostKeyedTie(150, 5, 99, probe, 0, 0, nil)
+	s.PostTie(150, 99, probe, 0, 0, nil)
 	s.Step() // outside RunUntil the horizon is the clock
 	want := []string{
-		stringOf(10, 3, 77, 100),
-		stringOf(20, 4, 88, 100),
-		stringOf(21, 0, 0, 100),
-		stringOf(150, 5, 99, 150),
+		stringOf(10, PosterTie(77), 100),
+		stringOf(20, PosterTie(88), 100),
+		stringOf(21, PosterTie(88), 100),
+		stringOf(50, 1, 100),
+		stringOf(150, PosterTie(99), 150),
 	}
 	if !slices.Equal(seen, want) {
 		t.Fatalf("saw %v, want %v", seen, want)
 	}
-	if s.Executed() != 3 {
-		t.Fatalf("executed %d events, want 3", s.Executed())
+	if s.Executed() != 4 {
+		t.Fatalf("executed %d events, want 4", s.Executed())
 	}
 }
 
-func stringOf(now Time, key, tie uint64, horizon Time) string {
-	return fmt.Sprintf("t=%d key=%d tie=%d horizon=%d", now, key, tie, horizon)
+func stringOf(now Time, tie uint64, horizon Time) string {
+	return fmt.Sprintf("t=%d tie=%#x horizon=%d", now, tie, horizon)
 }

@@ -3,12 +3,12 @@ package fabric
 // Cut-through: one scheduler event per packet flight instead of one per hop.
 //
 // A switch hop is a scheduler event for one reason only: so that whatever it
-// reads and writes happens at its place in the (time, key, tie) order. Most
+// reads and writes happens at its place in the (time, tie) order. Most
 // hops have nothing at stake there. Forwarding a well-formed packet with TTL
 // to spare onto a link that will not drop it reads state that only the
 // fabric's own mutators change (rates, delays, taps) and writes a
 // commutative count (LinkForwarded), the packet's own TTL byte, and one
-// delivery whose (time, key, tie) is a function of the packet, not of
+// delivery whose (time, tie) is a function of the packet, not of
 // when the hop ran. So send, once the packet has survived the link it is
 // entering, walks it on through the following switches inline (fly) for as
 // long as each hop is of that kind, and schedules ONE delivery at the first
@@ -193,8 +193,7 @@ func (n *Net) rematerialize(only topology.LinkID) {
 	if len(n.flights) == 0 {
 		return
 	}
-	now := int64(n.cfg.Sched.Now())
-	key, tie := n.cfg.Sched.Executing()
+	now, cur := int64(n.cfg.Sched.Now()), n.cfg.Sched.Executing()
 	keep := n.flights[:0]
 	for _, pkt := range n.flights {
 		f := &pkt.Flight
@@ -204,10 +203,9 @@ func (n *Net) rematerialize(only topology.LinkID) {
 			keep = append(keep, pkt)
 			continue
 		}
-		reached := 0
+		reached, tie := 0, des.PosterTie(f.Serial)
 		for reached < hops {
-			at, k := f.At[reached], deliverKey(topology.LinkID(f.Via[reached]))
-			if at > now || (at == now && (k > key || (k == key && f.Serial > tie))) {
+			if at := f.At[reached]; at > now || (at == now && tie > cur) {
 				break
 			}
 			reached++
@@ -226,7 +224,7 @@ func (n *Net) rematerialize(only topology.LinkID) {
 		np.Append(pkt.Bytes())
 		np.Flight.Tag, np.Flight.Serial = f.Tag, f.Serial
 		l := topology.LinkID(f.Via[reached])
-		n.cfg.Sched.PostKeyedTie(des.Time(f.At[reached]), deliverKey(l), f.Serial, n, evDeliver, int64(l), np)
+		n.cfg.Sched.PostTie(des.Time(f.At[reached]), f.Serial, n, evDeliver, int64(l), np)
 		f.Hops = -1
 		n.rematerialized++
 	}

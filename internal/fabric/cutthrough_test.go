@@ -264,12 +264,14 @@ func TestNothingFusesWithoutDeadline(t *testing.T) {
 // Simultaneous deliveries on a link fire in serial order, so one host's
 // packets arrive in the order it sent them — a window burst and a 30-probe
 // traceroute sent on one microsecond — wherever the origin's counter
-// stands: nothing masks it, so there is no value at which it wraps and a
-// later packet sorts first. A second origin's burst on the same links
-// interleaves as a block, never inside the first's.
+// stands: nothing masks it, so there is no value below the scheduler's 2^63
+// tie bound at which it wraps and a later packet sorts first. The last
+// counter brings the second origin's last packet to serial 2^63-1. A second
+// origin's burst on the same links interleaves as a block, never inside the
+// first's.
 func TestSerialOrdersBurst(t *testing.T) {
 	for _, perHop := range []bool{false, true} {
-		for _, ctr := range []uint64{0, 1<<32 - 5, 1<<40 - 5, 1<<41 - 5, 1<<63 - 5} {
+		for _, ctr := range []uint64{0, 1<<32 - 5, 1<<40 - 5, 1<<41 - 5, 1<<63 - 2<<serialOriginShift - 38} {
 			r := newRig(t, cutTopo, 9)
 			if perHop {
 				r.net.AddTap(func(TapEvent) {})

@@ -8,7 +8,7 @@
 //
 // The fabric runs on virtual time (package des). Determinism comes from the
 // explicit seeding, the per-link counter-derived drop draws and the
-// scheduler's (time, key, tie) ordering.
+// scheduler's (time, tie) ordering.
 //
 // A hop costs a scheduler event only where its place in the event order can
 // matter. On a fabric with no mirror tap, send carries a packet through
@@ -55,20 +55,6 @@ const Tmax = 100
 // evDeliver is the fabric's one typed event: a packet arriving at the far
 // end of a link (arg = link id, payload = the packet buffer).
 const evDeliver int32 = 1
-
-// keyClassDeliver is the high-byte class of deliver events' origin keys
-// (key = class | link id). Key classes are a repo-wide convention keeping
-// simultaneous events from different subsystems in one deterministic
-// order: 1 = cluster flow starts, 2 = connection timers, 3 = path
-// discovery timeouts, 4 = fabric deliveries.
-const keyClassDeliver uint64 = 4 << 56
-
-// deliverKey is the origin key of link l's deliver events. Simultaneous
-// deliveries on one link fire in the order of the packets' serials (see
-// nextSerial), not in the order their sends were executed: where a delivery
-// falls in the order is then a function of the packet alone, whichever of
-// its upstream hops were scheduler events.
-func deliverKey(l topology.LinkID) uint64 { return keyClassDeliver | uint64(l) }
 
 // Config assembles a fabric.
 type Config struct {
@@ -200,13 +186,15 @@ func New(cfg Config) (*Net, error) {
 // serialOriginShift places a packet's origin above its origin's send count
 // in the serial. Nothing masks the count: an origin that sent 2^40 packets
 // would run into the next origin's numbers — its own packets still in send
-// order — long after any run this emulation can make.
+// order — long after any run this emulation can make. A serial must stay
+// below 2^63 (des.PostTie panics at that bit rather than wrap), another
+// 2^22 times further out.
 const serialOriginShift = 40
 
 // nextSerial numbers the next packet node i originates (hosts first, then
 // switches). The serial is the packet's tie-break among simultaneous
-// deliveries on a link: packets of one origin arrive in the order they were
-// sent, packets of different origins in origin order.
+// deliveries (des.PostTie): packets of one origin arrive in the order they
+// were sent, packets of different origins in origin order.
 func (n *Net) nextSerial(i int) uint64 {
 	s := n.serial[i]
 	n.serial[i] = s + 1
@@ -336,7 +324,7 @@ func (n *Net) send(l topology.LinkID, pkt *wire.Buffer) {
 	if len(n.taps) == 0 {
 		l, at = n.fly(l, at, pkt)
 	}
-	n.cfg.Sched.PostKeyedTie(at, deliverKey(l), pkt.Flight.Serial, n, evDeliver, int64(l), pkt)
+	n.cfg.Sched.PostTie(at, pkt.Flight.Serial, n, evDeliver, int64(l), pkt)
 }
 
 // HandleEvent delivers a packet at the far end of its link (the fabric's

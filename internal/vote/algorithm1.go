@@ -248,7 +248,7 @@ func findProblemLinks(links []topology.LinkID, units []int64, tally []float64, o
 // epoch's reports: the ranking of the tally, Algorithm 1's set B, and a
 // verdict per report. The ranking is computed once; Algorithm 1 walks it.
 // Because the reports themselves are at hand, a nil opts.Adjuster means the
-// exact observed-path adjustment here, not the topology-based estimate that
+// exact observed-path adjustment here, not the no adjustment that
 // FindProblemLinks falls back to.
 //
 // With options from Streaming, the index and ranking are carried to the

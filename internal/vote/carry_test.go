@@ -187,7 +187,8 @@ func (g *carrySeq) edit(prev []Report, remove, change, add float64) []Report {
 // The carried index and ranking are a fresh build's, bit for bit, after
 // every call of every sequence: small edits (removed, added and edited
 // reports), the same reports twice, growth and shrinking a few reports a
-// call, disjoint epochs and epochs out of FlowID order. Small edits take
+// call (at n=2040 and 2100, around the 2,048 reports a carry held when
+// tallies were float sums), disjoint epochs and epochs out of FlowID order. Small edits take
 // the patch, at any size, unless the arena bound says otherwise; disjoint
 // epochs take the fresh build.
 func TestCarryMatchesFreshBuild(t *testing.T) {
@@ -272,11 +273,11 @@ func TestStreamsDoNotEvictEachOther(t *testing.T) {
 	}
 }
 
-// A stream carries across what was once its limit, one 2,048-report
-// summation chunk: the tally counts whole units, so every call after the
-// first patches, on either side of that bound and across it both ways,
-// so long as few enough reports change (carryMaxChanged).
-func TestStreamCarriesOneChunk(t *testing.T) {
+// A stream patches across what was once its limit, the 2,048 reports of
+// one float summation chunk, which exact votes removed: every call after
+// the first patches, on either side of that old bound and across it both
+// ways, so long as few enough reports change (carryMaxChanged).
+func TestStreamPatchesAcrossOldChunkBound(t *testing.T) {
 	g := &carrySeq{rng: stats.NewRNG(13)}
 	full := g.epoch(2176)
 	opts := Streaming(DetectOptions{})
