@@ -75,9 +75,6 @@ type Config struct {
 	RTTThresholdMicros int64
 	// OnReport receives the finished path report.
 	OnReport func(r vote.Report)
-	// FlowID supplies the stable flow identifier a report carries (for
-	// scoring against ground truth).
-	FlowID func(flow ecmp.FiveTuple) int64
 }
 
 // Agent is one host's agent.
@@ -127,9 +124,9 @@ type probeKey struct {
 type trace struct {
 	flow ecmp.FiveTuple // DIP-rewritten tuple actually probed
 	orig ecmp.FiveTuple // as seen by TCP (may carry the VIP)
-	// flowID is resolved at discovery time, while the triggering flow is
-	// certainly still registered — by the probe timeout the epoch may have
-	// rolled and recycled the registry.
+	// flowID is the stable flow identifier the report carries (for
+	// scoring against ground truth), as the stack handed it over when the
+	// trace was triggered.
 	flowID int64
 	hops   [maxTTL + 1]uint32
 	maxID  int
@@ -153,22 +150,23 @@ func (a *Agent) NewEpoch() {
 
 // OnRetransmit counts one retransmission of flow (as seen by TCP, possibly
 // VIP-bound) and traces its path if the flow has not been traced this
-// epoch.
-func (a *Agent) OnRetransmit(flow ecmp.FiveTuple) {
+// epoch; id is the flow identifier the report will carry.
+func (a *Agent) OnRetransmit(flow ecmp.FiveTuple, id int64) {
 	st := a.flows[flow]
 	st.retx++
 	traced := st.traced
 	st.traced = true
 	a.flows[flow] = st
 	if !traced {
-		a.discover(flow)
+		a.discover(flow, id)
 	}
 }
 
-// OnRTT takes a smoothed RTT sample of flow: one at or over
-// RTTThresholdMicros traces the flow's path if it has not been traced this
-// epoch, sharing the trigger with OnRetransmit.
-func (a *Agent) OnRTT(flow ecmp.FiveTuple, srttMicros int64) {
+// OnRTT takes a smoothed RTT sample of flow (identified by id, as in
+// OnRetransmit): one at or over RTTThresholdMicros traces the flow's path
+// if it has not been traced this epoch, sharing the trigger with
+// OnRetransmit.
+func (a *Agent) OnRTT(flow ecmp.FiveTuple, id int64, srttMicros int64) {
 	if a.cfg.RTTThresholdMicros <= 0 || srttMicros < a.cfg.RTTThresholdMicros {
 		return
 	}
@@ -178,12 +176,12 @@ func (a *Agent) OnRTT(flow ecmp.FiveTuple, srttMicros int64) {
 	}
 	st.traced = true
 	a.flows[flow] = st
-	a.discover(flow)
+	a.discover(flow, id)
 }
 
-// discover traces the path of flow. It silently skips when the Ct budget
-// is exhausted or the SLB query fails.
-func (a *Agent) discover(flow ecmp.FiveTuple) {
+// discover traces the path of flow, reporting it under id. It silently
+// skips when the Ct budget is exhausted or the SLB query fails.
+func (a *Agent) discover(flow ecmp.FiveTuple, id int64) {
 	if !a.allow() {
 		a.RateLimited++
 		return
@@ -204,7 +202,7 @@ func (a *Agent) discover(flow ecmp.FiveTuple) {
 	tr := a.getTrace()
 	tr.flow = probed
 	tr.orig = flow
-	tr.flowID = a.cfg.FlowID(flow)
+	tr.flowID = id
 	a.pending[probeKey{dst: probed.DstIP, srcPort: probed.SrcPort, dstPort: probed.DstPort}] = tr
 	for ttl := 1; ttl <= maxTTL; ttl++ {
 		for range probesPerTTL {

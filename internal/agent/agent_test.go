@@ -26,7 +26,7 @@ type rig struct {
 }
 
 // newRig builds host 0's agent; edit, when not nil, adjusts the config
-// first. A flow's id is its source port.
+// first.
 func newRig(t *testing.T, edit func(*Config)) *rig {
 	topo, err := topology.New(topology.TestClusterConfig)
 	if err != nil {
@@ -42,7 +42,6 @@ func newRig(t *testing.T, edit func(*Config)) *rig {
 		Sched:      r.sched,
 		Ct:         theory.CtBound(topo.Cfg, fabric.Tmax),
 		OnReport:   func(rep vote.Report) { r.reports = append(r.reports, rep) },
-		FlowID:     func(flow ecmp.FiveTuple) int64 { return int64(flow.SrcPort) },
 	}
 	if edit != nil {
 		edit(&cfg)
@@ -50,6 +49,11 @@ func newRig(t *testing.T, edit func(*Config)) *rig {
 	r.agent = New(cfg)
 	return r
 }
+
+// retransmit and rtt hand the agent one event of flow f, identified, as
+// every rig flow is, by its source port.
+func (r *rig) retransmit(f ecmp.FiveTuple)            { r.agent.OnRetransmit(f, int64(f.SrcPort)) }
+func (r *rig) rtt(f ecmp.FiveTuple, srttMicros int64) { r.agent.OnRTT(f, int64(f.SrcPort), srttMicros) }
 
 // flow is a TCP flow from host 0 to host dst.
 func (r *rig) flow(dst topology.HostID, srcPort uint16) ecmp.FiveTuple {
@@ -86,7 +90,7 @@ func (r *rig) reply(t *testing.T, flow ecmp.FiveTuple, ttl uint8, from topology.
 func TestProbeCrafting(t *testing.T) {
 	r := newRig(t, nil)
 	flow := r.flow(20, 44444)
-	r.agent.OnRetransmit(flow)
+	r.retransmit(flow)
 	if len(r.sent) != probesPerTTL*maxTTL {
 		t.Fatalf("sent %d probes, want %d", len(r.sent), probesPerTTL*maxTTL)
 	}
@@ -118,7 +122,7 @@ func TestProbeCrafting(t *testing.T) {
 // Every hop gets two probes, the redundancy that rides out a lost reply.
 func TestProbesPerTTLDefault(t *testing.T) {
 	r := newRig(t, nil)
-	r.agent.OnRetransmit(r.flow(10, 1))
+	r.retransmit(r.flow(10, 1))
 	if len(r.sent) != 2*maxTTL {
 		t.Fatalf("redundancy sent %d probes, want %d", len(r.sent), 2*maxTTL)
 	}
@@ -131,12 +135,12 @@ func TestTriggerOncePerFlowPerEpoch(t *testing.T) {
 	r := newRig(t, nil)
 	f1, f2 := r.flow(10, 1000), r.flow(10, 1001)
 	for range 5 {
-		r.agent.OnRetransmit(f1)
+		r.retransmit(f1)
 	}
 	if r.agent.Traces != 1 {
 		t.Fatalf("traced %d times for one flow in one epoch", r.agent.Traces)
 	}
-	r.agent.OnRetransmit(f2)
+	r.retransmit(f2)
 	if r.agent.Traces != 2 {
 		t.Fatalf("traces = %d, want 2: the second flow did not trigger", r.agent.Traces)
 	}
@@ -159,13 +163,13 @@ func TestTriggerOncePerFlowPerEpoch(t *testing.T) {
 func TestOncePerFlowPerEpoch(t *testing.T) {
 	r := newRig(t, nil)
 	f := r.flow(10, 1)
-	r.agent.OnRetransmit(f)
-	r.agent.OnRetransmit(f) // same epoch: suppressed
+	r.retransmit(f)
+	r.retransmit(f) // same epoch: suppressed
 	if len(r.sent) != probesPerTTL*maxTTL {
 		t.Fatalf("re-discovery in the same epoch sent probes: %d", len(r.sent))
 	}
 	r.agent.NewEpoch()
-	r.agent.OnRetransmit(f)
+	r.retransmit(f)
 	if len(r.sent) != 2*probesPerTTL*maxTTL {
 		t.Fatalf("discovery after epoch roll did not probe: %d", len(r.sent))
 	}
@@ -176,11 +180,11 @@ func TestOncePerFlowPerEpoch(t *testing.T) {
 func TestNewEpochReopensTrigger(t *testing.T) {
 	r := newRig(t, nil)
 	f := r.flow(10, 2000)
-	r.agent.OnRetransmit(f)
-	r.agent.OnRetransmit(f)
+	r.retransmit(f)
+	r.retransmit(f)
 	r.sched.Drain(10)
 	r.agent.NewEpoch()
-	r.agent.OnRetransmit(f)
+	r.retransmit(f)
 	r.sched.Drain(10)
 	if r.agent.Traces != 2 || len(r.reports) != 2 {
 		t.Fatalf("%d traces and %d reports across two epochs, want 2 and 2", r.agent.Traces, len(r.reports))
@@ -195,20 +199,20 @@ func TestNewEpochReopensTrigger(t *testing.T) {
 func TestRTTThresholdTriggering(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.RTTThresholdMicros = 1000 })
 	f := r.flow(10, 3000)
-	r.agent.OnRTT(f, 999)
+	r.rtt(f, 999)
 	if r.agent.Traces != 0 {
 		t.Fatal("sub-threshold RTT triggered discovery")
 	}
-	r.agent.OnRTT(f, 1000)
+	r.rtt(f, 1000)
 	if r.agent.Traces != 1 {
 		t.Fatal("an RTT at the threshold did not trigger discovery")
 	}
-	r.agent.OnRTT(f, 2000)
+	r.rtt(f, 2000)
 	if r.agent.Traces != 1 {
 		t.Fatalf("triggered %d times for one slow flow in one epoch", r.agent.Traces)
 	}
 	r.agent.NewEpoch()
-	r.agent.OnRTT(f, 1500)
+	r.rtt(f, 1500)
 	if r.agent.Traces != 2 {
 		t.Fatal("slow flow did not re-trigger after the epoch roll")
 	}
@@ -218,7 +222,7 @@ func TestRTTThresholdTriggering(t *testing.T) {
 // however slow, neither traces nor probes.
 func TestIgnoresNonRetransmitEvents(t *testing.T) {
 	r := newRig(t, nil)
-	r.agent.OnRTT(r.flow(10, 1), 1<<40)
+	r.rtt(r.flow(10, 1), 1<<40)
 	if r.agent.Traces != 0 || len(r.sent) != 0 {
 		t.Fatalf("RTT with no threshold set traced %d times and sent %d probes", r.agent.Traces, len(r.sent))
 	}
@@ -228,7 +232,7 @@ func TestIgnoresNonRetransmitEvents(t *testing.T) {
 // its report still carries one retransmission, the least a vote may weigh.
 func TestRetxUnknownFlow(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.RTTThresholdMicros = 1000 })
-	r.agent.OnRTT(r.flow(10, 9999), 1500)
+	r.rtt(r.flow(10, 9999), 1500)
 	r.sched.Drain(10)
 	if len(r.reports) != 1 || r.reports[0].Retx != 1 || r.reports[0].FlowID != 9999 {
 		t.Fatalf("reports = %+v, want one for flow 9999 with Retx 1", r.reports)
@@ -241,11 +245,11 @@ func TestRetxUnknownFlow(t *testing.T) {
 func TestRetxAndRTTShareTriggerBudget(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.RTTThresholdMicros = 1000 })
 	f, g := r.flow(10, 3001), r.flow(10, 3002)
-	r.agent.OnRetransmit(f)
-	r.agent.OnRTT(f, 5000)
-	r.agent.OnRTT(g, 5000)
-	r.agent.OnRetransmit(g)
-	r.agent.OnRetransmit(g)
+	r.retransmit(f)
+	r.rtt(f, 5000)
+	r.rtt(g, 5000)
+	r.retransmit(g)
+	r.retransmit(g)
 	if r.agent.Traces != 2 {
 		t.Fatalf("traced %d times, want 2", r.agent.Traces)
 	}
@@ -258,13 +262,13 @@ func TestRetxAndRTTShareTriggerBudget(t *testing.T) {
 func TestCtRateLimit(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.Ct = 2 })
 	for i := range 10 {
-		r.agent.OnRetransmit(r.flow(10, uint16(i+1)))
+		r.retransmit(r.flow(10, uint16(i+1)))
 	}
 	if r.agent.Traces != 2 || r.agent.RateLimited != 8 {
 		t.Fatalf("traces=%d limited=%d, want 2/8", r.agent.Traces, r.agent.RateLimited)
 	}
 	// A rate-limited flow used up its trigger for the epoch.
-	r.agent.OnRetransmit(r.flow(10, 3))
+	r.retransmit(r.flow(10, 3))
 	if r.agent.RateLimited != 8 {
 		t.Fatalf("a rate-limited flow retried in the same epoch: limited=%d", r.agent.RateLimited)
 	}
@@ -272,7 +276,7 @@ func TestCtRateLimit(t *testing.T) {
 	// timeouts up to the 2-second mark).
 	r.sched.At(2*des.Second, func() {})
 	r.sched.Drain(100)
-	r.agent.OnRetransmit(r.flow(10, 99))
+	r.retransmit(r.flow(10, 99))
 	if r.agent.Traces != 3 {
 		t.Fatalf("budget did not refill: traces=%d", r.agent.Traces)
 	}
@@ -292,7 +296,7 @@ func TestVIPResolvedThroughSLB(t *testing.T) {
 	}
 	bound := r.flow(0, 5000)
 	bound.DstIP = vip
-	r.agent.OnRetransmit(bound)
+	r.retransmit(bound)
 	var ip wire.IPv4
 	if _, err := wire.DecodeIPv4(r.sent[0], &ip); err != nil {
 		t.Fatal(err)
@@ -303,8 +307,8 @@ func TestVIPResolvedThroughSLB(t *testing.T) {
 
 	unknown := bound
 	unknown.SrcPort = 5001
-	r.agent.OnRetransmit(unknown)
-	r.agent.OnRetransmit(unknown)
+	r.retransmit(unknown)
+	r.retransmit(unknown)
 	if r.agent.SLBFailures != 1 || r.agent.Traces != 1 || len(r.sent) != probesPerTTL*maxTTL {
 		t.Fatalf("SLB failures %d, traces %d, %d probes; want 1, 1, %d", r.agent.SLBFailures, r.agent.Traces, len(r.sent), probesPerTTL*maxTTL)
 	}
@@ -319,7 +323,7 @@ func TestAssemblyFromReplies(t *testing.T) {
 	r := newRig(t, nil)
 	dst := topology.HostID(10)
 	flow := r.flow(dst, 7)
-	r.agent.OnRetransmit(flow)
+	r.retransmit(flow)
 
 	tor := r.topo.Hosts[0].ToR
 	t1 := r.topo.T1(0, 2)
@@ -360,7 +364,7 @@ func TestAssemblyFromReplies(t *testing.T) {
 func TestPartialOnMissingHop(t *testing.T) {
 	r := newRig(t, nil)
 	flow := r.flow(10, 8)
-	r.agent.OnRetransmit(flow)
+	r.retransmit(flow)
 	// Only the first hop answers (probes beyond died on a blackhole).
 	r.reply(t, flow, 1, r.topo.Hosts[0].ToR)
 	r.sched.Drain(10)

@@ -9,9 +9,10 @@
 // Epoch state is kept dense for the hot path: per-flow drop counts live in
 // a flow-indexed arena of small inline link/count sets (not nested maps),
 // the failure set (a schedule.Failures) caches its sorted snapshot, and
-// flow records, connections and tuple indexes are recycled once an epoch
-// closes, so steady-state epochs run allocation-free and long scenario
-// timelines stay bounded in memory.
+// flow records and connections are recycled once an epoch closes, so
+// steady-state epochs run allocation-free and long scenario timelines stay
+// bounded in memory. Every segment names its connection's life in its tag:
+// no packet-path state is keyed by a wire tuple.
 package cluster
 
 import (
@@ -50,8 +51,9 @@ type Config struct {
 	// flight.
 	RTO des.Time
 	// Test hook: MaxRetries is the number of consecutive RTOs that fail a
-	// connection (default 6), so that the tag test's connections live
-	// through many short RTOs and their stragglers reach recycled Conns.
+	// connection (default 6), so that the straggler test's connections
+	// live through many short RTOs and their stragglers reach reused
+	// Conns.
 	MaxRetries int
 	// RTTThresholdMicros, when positive, also triggers path discovery for
 	// flows whose smoothed RTT crosses the threshold — the §9.2 latency
@@ -80,34 +82,24 @@ type Cluster struct {
 	// the rate schedules — over the fabric's SetDropRate/ResetDropRate.
 	fails *schedule.Failures
 
-	flowIDs map[ecmp.FiveTuple]int64
-	flows   []*flowRecord
+	flows []*flowRecord
 	// closed is set when an epoch closes: its flow state recycles before
 	// the next epoch touches any (see recycle).
 	closed bool
 	// nextFlowID numbers flows across the whole run; it never resets, so
 	// recycled epochs still emit globally unique, deterministic IDs.
 	nextFlowID int64
-	// wireFlows indexes the forward wire tuple of every started connection
-	// to its slot in flows (latest flow wins a reused tuple, as in real
-	// TCP). The ground-truth tap matches against it, so reverse-direction
-	// ACKs and stray packets never enter the drop bookkeeping.
-	wireFlows map[ecmp.FiveTuple]int32
 
 	// recPool and connPool are the flow-record and connection free lists.
 	recPool  []*flowRecord
 	connPool []*Conn
 	// connTab holds every Conn object ever made, at its index: the table a
-	// packet's tag is resolved through. rxNext is the hosts' receiver state
-	// (see Host.rxSlot).
+	// segment's tag is resolved through (see Conn.tag).
 	connTab []*Conn
-	rxNext  []uint32
 
-	// dropIdx/dropArena are the dense per-flow drop ground truth: dropIdx
-	// parallels flows (slot → arena index, -1 when the flow lost nothing),
-	// grown lazily on first drop; the arena holds small inline link/count
-	// sets — no nested maps on the tap path.
-	dropIdx   []int32
+	// dropArena is the dense per-flow drop ground truth: a flow record
+	// that lost data holds its index there, and the arena holds small
+	// inline link/count sets — no nested maps on the tap path.
 	dropArena []flowDropSet
 	// epochDrops counts data-packet drops observed this epoch.
 	epochDrops int
@@ -133,8 +125,8 @@ type Cluster struct {
 
 // flowDropSet is one flow's per-link drop counts, an inline set sized for
 // the longest Clos path. It never overflows: the tap counts only forward
-// data drops of one wire tuple, and a tuple's data packets all take its one
-// ECMP path of at most ecmp.MaxPathLinks links.
+// data drops of one connection, and its data packets all take its wire
+// tuple's one ECMP path of at most ecmp.MaxPathLinks links.
 type flowDropSet struct {
 	links [ecmp.MaxPathLinks]topology.LinkID
 	cnts  [ecmp.MaxPathLinks]int32
@@ -146,23 +138,18 @@ type flowDropSet struct {
 func (cl *Cluster) HandleEvent(kind int32, _ int64, p any) {
 	_ = kind // evStartFlow is the only kind the cluster schedules
 	rec := p.(*flowRecord)
-	rec.conn = cl.Hosts[rec.src].openConn(cl.Hosts[rec.dst], rec.wireTuple, rec.appTuple, rec.packets)
+	rec.conn = cl.Hosts[rec.src].openConn(rec)
 }
 
-// countDrop records one dropped data packet against a flow slot in the
-// dense arena, growing the slot index lazily. The arena is truncated, not
-// freed, when flows recycle, so steady state reuses its capacity.
-func (cl *Cluster) countDrop(slot int32, l topology.LinkID) {
-	for int(slot) >= len(cl.dropIdx) {
-		cl.dropIdx = append(cl.dropIdx, -1)
-	}
-	di := cl.dropIdx[slot]
-	if di < 0 {
-		di = int32(len(cl.dropArena))
+// countDrop records one dropped data packet against a flow record in the
+// dense arena. The arena is truncated, not freed, when flows recycle, so
+// steady state reuses its capacity.
+func (cl *Cluster) countDrop(rec *flowRecord, l topology.LinkID) {
+	if rec.drops == 0 {
 		cl.dropArena = append(cl.dropArena, flowDropSet{})
-		cl.dropIdx[slot] = di
+		rec.drops = int32(len(cl.dropArena))
 	}
-	set := &cl.dropArena[di]
+	set := &cl.dropArena[rec.drops-1]
 	for i := int32(0); i < set.n; i++ {
 		if set.links[i] == l {
 			set.cnts[i]++
@@ -175,21 +162,34 @@ func (cl *Cluster) countDrop(slot int32, l topology.LinkID) {
 }
 
 // getConn produces a connection object from the pool. Pooled reuse bumps
-// the incarnation counter (so a previous life's timer events stay dead)
-// and keeps the table index, the sentAt ring and pending-timer capacity;
-// everything else resets.
+// the tag's incarnation (so a previous life's segments and timer events
+// stay dead) and keeps the table index, the sentAt ring and pending-timer
+// capacity; everything else, the receiver's state included, resets.
 func (cl *Cluster) getConn() *Conn {
 	if n := len(cl.connPool); n > 0 {
 		c := cl.connPool[n-1]
 		cl.connPool[n-1] = nil
 		cl.connPool = cl.connPool[:n-1]
-		idx, inc, ring, pend := c.index, c.incarnation, c.sentAt, c.pending[:0]
-		*c = Conn{index: idx, incarnation: inc + 1, sentAt: ring, pending: pend}
+		*c = Conn{tag: c.tag + 1<<32, sentAt: c.sentAt, pending: c.pending[:0]}
 		return c
 	}
-	c := &Conn{index: int32(len(cl.connTab))}
+	c := &Conn{tag: uint64(len(cl.connTab)) + 1}
 	cl.connTab = append(cl.connTab, c)
 	return c
+}
+
+// conn resolves a segment's tag to the Conn life it names, or nil when
+// that life is over (its Conn reused) or the tag names none (zero, for
+// probes and ICMP).
+func (cl *Cluster) conn(tag uint64) *Conn {
+	i := uint64(uint32(tag)) - 1
+	if i >= uint64(len(cl.connTab)) {
+		return nil
+	}
+	if c := cl.connTab[i]; c.tag == tag {
+		return c
+	}
+	return nil
 }
 
 func (cl *Cluster) putConn(c *Conn) { cl.connPool = append(cl.connPool, c) }
@@ -225,6 +225,8 @@ type flowRecord struct {
 	src, dst  topology.HostID
 	packets   int
 	conn      *Conn
+	// drops is the flow's dropArena index + 1, 0 while it lost nothing.
+	drops int32
 }
 
 // epochLength is the tally interval: an epoch runs 30 virtual seconds.
@@ -262,16 +264,14 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: bad noise range [%g,%g)", cfg.NoiseLo, cfg.NoiseHi)
 	}
 	cl := &Cluster{
-		cfg:       cfg,
-		Topo:      cfg.Topo,
-		Sched:     sched,
-		Router:    router,
-		Net:       net,
-		SLB:       slb.New(cfg.Topo, rng.Split()),
-		rng:       rng,
-		flowIDs:   make(map[ecmp.FiveTuple]int64),
-		wireFlows: make(map[ecmp.FiveTuple]int32),
-		agentSeq:  make([]int32, len(cfg.Topo.Hosts)),
+		cfg:      cfg,
+		Topo:     cfg.Topo,
+		Sched:    sched,
+		Router:   router,
+		Net:      net,
+		SLB:      slb.New(cfg.Topo, rng.Split()),
+		rng:      rng,
+		agentSeq: make([]int32, len(cfg.Topo.Hosts)),
 	}
 	if cfg.NoiseHi > 0 {
 		// Baseline noise rates come from a stream derived from the seed, not
@@ -346,31 +346,18 @@ func (cl *Cluster) report(r vote.Report) {
 	}
 }
 
-func (cl *Cluster) flowID(flow ecmp.FiveTuple) int64 {
-	if id, ok := cl.flowIDs[flow]; ok {
-		return id
-	}
-	return -1
-}
-
-// groundTruthTap harvests per-flow per-link drops of data packets. Probes
-// carry a non-zero IP ID and are excluded; ACKs and any other traffic not
-// matching a started connection's forward wire tuple fall through the
-// wireFlows lookup, so only forward-direction data drops count — the
-// paper's attribution semantics.
+// groundTruthTap harvests per-flow per-link drops of data packets: the
+// dropped packet's tag names a connection life, and the drop counts for
+// that life's flow record while its epoch holds it. Probes and ICMP carry
+// no tag, and ACKs (which echo their data's tag) travel from the life's
+// peer, so only forward-direction data drops count — the paper's
+// attribution semantics.
 func (cl *Cluster) groundTruthTap(ev fabric.TapEvent) {
-	if !ev.Dropped || ev.IP.Protocol != ecmp.ProtoTCP || ev.IP.ID != 0 {
+	c := cl.conn(ev.Tag)
+	if c == nil || c.rec == nil || ev.IP.Src != c.host.ip {
 		return
 	}
-	tuple := ecmp.FiveTuple{
-		SrcIP: ev.IP.Src, DstIP: ev.IP.Dst,
-		SrcPort: ev.SrcPort, DstPort: ev.DstPort, Proto: ecmp.ProtoTCP,
-	}
-	slot, ok := cl.wireFlows[tuple]
-	if !ok {
-		return
-	}
-	cl.countDrop(slot, ev.Egress)
+	cl.countDrop(c.rec, ev.Egress)
 	cl.epochDrops++
 }
 
@@ -420,16 +407,8 @@ func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.
 	rec.dst = dst
 	rec.packets = packets
 	cl.nextFlowID++
-	cl.index(rec)
-	cl.Sched.Post(at, cl, evStartFlow, 0, rec)
-}
-
-// index appends a flow record to flows and its tuples to the indexes the
-// agents and the ground-truth tap resolve them through.
-func (cl *Cluster) index(rec *flowRecord) {
-	cl.flowIDs[rec.appTuple] = rec.id
-	cl.wireFlows[rec.wireTuple] = int32(len(cl.flows))
 	cl.flows = append(cl.flows, rec)
+	cl.Sched.Post(at, cl, evStartFlow, 0, rec)
 }
 
 // StartWorkload schedules a whole epoch's traffic, spread uniformly over
@@ -499,8 +478,8 @@ func (cl *Cluster) closeEpoch() EpochFrame {
 		Truth:       make(map[int64]metrics.FlowTruth, 8),
 		Reports:     make([]vote.Report, len(cl.reports)),
 	}
-	for i, rec := range epochFlows {
-		tr, failed := cl.flowTruth(cl.epochFirstFlow+i, rec)
+	for _, rec := range epochFlows {
+		tr, failed := cl.flowTruth(rec)
 		if !failed {
 			continue
 		}
@@ -520,11 +499,11 @@ func (cl *Cluster) closeEpoch() EpochFrame {
 // recycle returns a closed epoch's flow state to the free lists, once,
 // before the next epoch touches any: at its first flow start or, if it
 // starts none, at its Step. Records whose start is still scheduled stay,
-// re-indexed at the head of flows (the epoch that started them has framed
-// them already). The tuple indexes and the drop arena reset, keeping
-// capacity; finished connections go to the pool, and those still in
-// flight are marked orphan and recycle themselves when they close, so from
-// here on their drops and flow IDs count for nothing.
+// at the head of flows (the epoch that started them has framed them
+// already). The drop arena resets, keeping capacity; every started
+// connection loses its record, so from here on its drops and flow ID count
+// for nothing. Finished connections go to the pool, and those still in
+// flight recycle themselves when they close.
 func (cl *Cluster) recycle() {
 	if !cl.closed {
 		return
@@ -532,24 +511,20 @@ func (cl *Cluster) recycle() {
 	cl.closed = false
 	old := cl.flows
 	cl.flows = cl.flows[:0]
-	clear(cl.flowIDs)
-	clear(cl.wireFlows)
 	for _, rec := range old {
 		c := rec.conn
-		switch {
-		case c == nil: // its start is still scheduled
-			cl.index(rec)
+		if c == nil { // its start is still scheduled
+			cl.flows = append(cl.flows, rec)
 			continue
-		case c.Done || c.Failed:
+		}
+		c.rec = nil
+		if c.Done || c.Failed {
 			cl.putConn(c)
-		default:
-			c.orphan = true
 		}
 		rec.conn = nil
 		cl.recPool = append(cl.recPool, rec)
 	}
 	clear(old[len(cl.flows):])
-	cl.dropIdx = cl.dropIdx[:0]
 	cl.dropArena = cl.dropArena[:0]
 	cl.epochFirstFlow = len(cl.flows)
 }
@@ -561,13 +536,13 @@ func (cl *Cluster) LastEpoch() EpochFrame { return cl.lastEpoch }
 // flowTruth derives one flow's ground truth from the tap-harvested drop
 // counts and the current failure set; failed is false when the flow lost no
 // data packets.
-func (cl *Cluster) flowTruth(slot int, rec *flowRecord) (tr metrics.FlowTruth, failed bool) {
+func (cl *Cluster) flowTruth(rec *flowRecord) (tr metrics.FlowTruth, failed bool) {
 	// A flow's ground truth is its max-count link, the lowest link id on
 	// ties.
 	best := topology.NoLink
 	bestN := int32(0)
-	if slot < len(cl.dropIdx) && cl.dropIdx[slot] >= 0 {
-		set := &cl.dropArena[cl.dropIdx[slot]]
+	if rec.drops > 0 {
+		set := &cl.dropArena[rec.drops-1]
 		for j := int32(0); j < set.n; j++ {
 			l, n := set.links[j], set.cnts[j]
 			if n > bestN || (n == bestN && best != topology.NoLink && l < best) {

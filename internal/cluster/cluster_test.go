@@ -745,7 +745,7 @@ func TestClusterEpochAllocs(t *testing.T) {
 		}
 	}
 	// Warm every pool: packet buffers, scheduler lanes, conns, records,
-	// tuple maps, the analysis inbox.
+	// the drop arena, the analysis inbox.
 	for i := 0; i < 2; i++ {
 		epoch()
 	}

@@ -17,14 +17,6 @@ type Host struct {
 	ip uint32
 
 	Agent *agent.Agent
-
-	conns map[ecmp.FiveTuple]*Conn // keyed by forward wire tuple
-	// rxSlot indexes the cluster's rxNext, the receiver's next expected seq
-	// per inbound wire tuple. A slot is opened when a Conn to this host
-	// opens (or a segment arrives on a tuple no Conn announced) and is never
-	// freed, so a tuple keeps its slot for the run: the Conn resolves it
-	// once, and its data segments find it through their tag.
-	rxSlot map[ecmp.FiveTuple]int32
 }
 
 // connEvRTO is the connection's one typed DES event: a retransmission
@@ -38,33 +30,37 @@ const connEvRTO int32 = 1
 // a storage connection that cannot make progress).
 type Conn struct {
 	host *Host
-	// index is the Conn's permanent place in the cluster's connTab. Its
-	// data segments carry index+1 as their Flight.Tag and the receiver's
-	// ACKs echo it, so either end finds its state without hashing the
-	// tuple — after checking that the tagged Conn still stands for the
-	// tuple, since a straggler may outlive the life it was sent in.
-	index int32
-	// indexed is set while host.conns[wireTuple] is this Conn: an ACK may
-	// use the tagged Conn instead of the lookup only then.
-	indexed bool
-	// peer is the destination host and rxSlot this direction's slot in its
-	// receiver state.
-	peer   *Host
-	rxSlot int32
-	// dataSeg and ackSeg are the prebuilt headers of the two directions:
-	// this Conn's data segments, and the peer's ACKs answering them.
+	// tag names this life of the Conn: its permanent connTab index + 1 in
+	// the low 32 bits, its incarnation above. Data segments carry it as
+	// their Flight.Tag and the receiver's ACKs echo it, so either end (and
+	// the ground-truth tap) finds the life's state without hashing a tuple,
+	// and a straggler from an earlier life finds none (see Cluster.conn).
+	// Timer events carry it too, so a previous life's timer is ignored
+	// without touching the live timer state.
+	tag uint64
+	// rec is the life's flow record, nil once its epoch has recycled it:
+	// the ground-truth tap credits its drops there and the agent reports
+	// its flow ID. An in-flight Conn whose record is gone returns itself to
+	// the pool when it closes.
+	rec *flowRecord
+	// peer is the destination host, the end that sends the ACKs.
+	peer topology.HostID
+	// dataSeg and ackSeg are the prebuilt headers of the two directions
+	// on the wire tuple (which addresses the physical DIP): this Conn's
+	// data segments, and the peer's ACKs answering them.
 	dataSeg, ackSeg wire.Segment
-	// wireTuple addresses the physical DIP; appTuple is what TCP (and so
-	// 007's agent) sees — the VIP for load-balanced connections.
-	wireTuple ecmp.FiveTuple
-	appTuple  ecmp.FiveTuple
+	// appTuple is what TCP (and so 007's agent) sees — the VIP for
+	// load-balanced connections.
+	appTuple ecmp.FiveTuple
 
 	total    uint32 // packets to deliver
 	nextSend uint32
 	acked    uint32
-	dupAcks  int
-	retries  int
-	rto      des.Time
+	// rxNext is the receiver's next expected seq on this life.
+	rxNext  uint32
+	dupAcks int
+	retries int
+	rto     des.Time
 	// The retransmission timer is lazy: armRTO records the live deadline
 	// and posts a DES event only when no pending timer event fires at or
 	// before it — an ACK-heavy connection keeps one queue entry instead of
@@ -77,10 +73,6 @@ type Conn struct {
 	// doubled by a timeout, then reset by an ACK).
 	rtoDeadline des.Time
 	pending     []des.Time
-	// incarnation distinguishes pooled reuses: timer events carry it, so a
-	// straggler event from a previous life of this object is ignored
-	// without touching the live timer state.
-	incarnation uint64
 
 	// sentAt rings first-transmission times for RTT sampling, indexed by
 	// seq & sentMask; noSample marks entries suppressed under Karn's rule
@@ -93,10 +85,6 @@ type Conn struct {
 	Retransmits int
 	Done        bool
 	Failed      bool
-	// orphan marks a connection whose flow record was already recycled
-	// while it was still in flight: it returns itself to the pool when it
-	// closes.
-	orphan bool
 }
 
 // noSample is the sentAt sentinel for Karn-suppressed slots (virtual time
@@ -105,11 +93,9 @@ const noSample des.Time = -1
 
 func newHost(cl *Cluster, id topology.HostID) *Host {
 	h := &Host{
-		cl:     cl,
-		id:     id,
-		ip:     cl.Topo.Hosts[id].IP,
-		conns:  make(map[ecmp.FiveTuple]*Conn),
-		rxSlot: make(map[ecmp.FiveTuple]int32),
+		cl: cl,
+		id: id,
+		ip: cl.Topo.Hosts[id].IP,
 		Agent: agent.New(agent.Config{
 			Topo:               cl.Topo,
 			Host:               id,
@@ -120,7 +106,6 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 			Ct:                 cl.cfg.Ct,
 			RTTThresholdMicros: cl.cfg.RTTThresholdMicros,
 			OnReport:           cl.report,
-			FlowID:             cl.flowID,
 		}),
 	}
 	cl.Net.OnHostPacket(id, h.receive)
@@ -128,10 +113,12 @@ func newHost(cl *Cluster, id topology.HostID) *Host {
 }
 
 // receive is the host's packet entry point: ICMP goes to the agent,
-// valid TCP to the stack, everything else (including 007's bad-checksum
-// probes) is dropped exactly as a real stack would drop it. data is
-// borrowed from the fabric's packet pool and must not be retained; tag is
-// the Flight.Tag the sender set.
+// valid TCP to the connection life its tag names, everything else
+// (including 007's bad-checksum probes) is dropped exactly as a real stack
+// would drop it. A segment of a life that is over — its Conn reused for
+// another — is dropped too, as a real stack drops a segment for a closed
+// connection. data is borrowed from the fabric's packet pool and must not
+// be retained; tag is the Flight.Tag the sender set.
 func (h *Host) receive(data []byte, tag uint64) {
 	var ip wire.IPv4
 	payload, err := wire.DecodeIPv4(data, &ip)
@@ -152,67 +139,30 @@ func (h *Host) receive(data []byte, tag uint64) {
 		if _, err := wire.DecodeTCP(payload, &tcp); err != nil {
 			return
 		}
-		tuple := ecmp.FiveTuple{
-			SrcIP: ip.Src, DstIP: ip.Dst,
-			SrcPort: tcp.SrcPort, DstPort: tcp.DstPort, Proto: ecmp.ProtoTCP,
-		}
-		var c *Conn
-		if tag-1 < uint64(len(h.cl.connTab)) {
-			c = h.cl.connTab[tag-1]
+		c := h.cl.conn(tag)
+		if c == nil {
+			return
 		}
 		if tcp.Flags&wire.FlagPSH != 0 {
-			h.receiveData(tuple, tcp.Seq, c, tag)
+			c.receiveData(tcp.Seq)
 		} else if tcp.Flags&wire.FlagACK != 0 {
-			rev := tuple.Reverse()
-			if c == nil || !c.indexed || c.host != h || c.wireTuple != rev {
-				c = h.conns[rev]
-			}
-			if c != nil {
-				c.onAck(tcp.Ack)
-			}
+			c.onAck(tcp.Ack)
 		}
 	}
 }
 
-// receiveData handles one data segment: advance the cumulative counter on
-// in-order arrival, and always acknowledge what is expected next (so gaps
-// produce duplicate ACKs at the sender). c is the Conn the segment's tag
-// names, if any; the ACK echoes the tag.
-func (h *Host) receiveData(tuple ecmp.FiveTuple, seq uint32, c *Conn, tag uint64) {
-	var slot int32
-	if c != nil && c.peer == h && c.wireTuple == tuple {
-		slot = c.rxSlot
-	} else {
-		c = nil
-		slot = h.rxSlotOf(tuple)
+// receiveData is the peer's side of one data segment: advance the
+// cumulative counter on in-order arrival, and always acknowledge what is
+// expected next (so gaps produce duplicate ACKs at the sender). The ACK
+// echoes the life's tag.
+func (c *Conn) receiveData(seq uint32) {
+	if seq == c.rxNext {
+		c.rxNext++
 	}
-	next := h.cl.rxNext[slot]
-	if seq == next {
-		next++
-		h.cl.rxNext[slot] = next
-	}
-	pkt := h.cl.Net.NewPacket()
-	pkt.Flight.Tag = tag
-	if c != nil {
-		c.ackSeg.SerializeTo(pkt, 0, next)
-	} else {
-		var ack wire.Segment
-		newSegment(&ack, tuple.Reverse(), wire.FlagACK)
-		ack.SerializeTo(pkt, 0, next)
-	}
-	h.cl.Net.Send(h.id, pkt)
-}
-
-// rxSlotOf returns the receiver slot of an inbound wire tuple, opening one
-// on first sight.
-func (h *Host) rxSlotOf(t ecmp.FiveTuple) int32 {
-	slot, ok := h.rxSlot[t]
-	if !ok {
-		slot = int32(len(h.cl.rxNext))
-		h.rxSlot[t] = slot
-		h.cl.rxNext = append(h.cl.rxNext, 0)
-	}
-	return slot
+	pkt := c.host.cl.Net.NewPacket()
+	pkt.Flight.Tag = c.tag
+	c.ackSeg.SerializeTo(pkt, 0, c.rxNext)
+	c.host.cl.Net.Send(c.peer, pkt)
 }
 
 // newSegment prebuilds the header of the segments the stack sends on the
@@ -223,27 +173,21 @@ func newSegment(s *wire.Segment, t ecmp.FiveTuple, flags uint8) {
 		wire.TCP{SrcPort: t.SrcPort, DstPort: t.DstPort, Flags: flags, Window: 64})
 }
 
-// openConn starts a connection sending total packets to the wire tuple on
-// the peer host. Connection objects come from the cluster's pool; each
-// reuse is a new incarnation, so stale timer events from a previous life
-// can never fire.
-func (h *Host) openConn(peer *Host, wireTuple, appTuple ecmp.FiveTuple, total int) *Conn {
+// openConn starts the connection of a flow record: rec.packets packets
+// from this host to rec.dst on rec.wireTuple. Connection objects come from
+// the cluster's pool; each reuse is a new incarnation, so segments and
+// timer events of a previous life can never reach this one.
+func (h *Host) openConn(rec *flowRecord) *Conn {
 	c := h.cl.getConn()
 	c.host = h
-	c.peer = peer
-	c.rxSlot = peer.rxSlotOf(wireTuple)
-	c.wireTuple = wireTuple
-	c.appTuple = appTuple
-	c.total = uint32(total)
+	c.rec = rec
+	c.peer = rec.dst
+	c.appTuple = rec.appTuple
+	c.total = uint32(rec.packets)
 	c.rto = h.cl.cfg.RTO
 	c.ensureRing(sendWindow)
-	newSegment(&c.dataSeg, wireTuple, wire.FlagPSH|wire.FlagACK)
-	newSegment(&c.ackSeg, wireTuple.Reverse(), wire.FlagACK)
-	if old := h.conns[wireTuple]; old != nil {
-		old.indexed = false // displaced: its ACKs now find c, as the lookup does
-	}
-	h.conns[wireTuple] = c
-	c.indexed = true
+	newSegment(&c.dataSeg, rec.wireTuple, wire.FlagPSH|wire.FlagACK)
+	newSegment(&c.ackSeg, rec.wireTuple.Reverse(), wire.FlagACK)
 	c.pump()
 	c.armRTO()
 	return c
@@ -268,7 +212,7 @@ func (c *Conn) ensureRing(window int) {
 // (which owns the packet from then on).
 func (c *Conn) sendData(seq uint32) {
 	pkt := c.host.cl.Net.NewPacket()
-	pkt.Flight.Tag = uint64(c.index) + 1
+	pkt.Flight.Tag = c.tag
 	c.dataSeg.SerializeTo(pkt, seq, 0)
 	c.host.cl.Net.Send(c.host.id, pkt)
 }
@@ -313,7 +257,7 @@ func (c *Conn) onAck(ackN uint32) {
 func (c *Conn) retransmit() {
 	c.Retransmits++
 	c.sentAt[c.acked&c.sentMask] = noSample // Karn: never RTT-sample a retransmission
-	c.host.Agent.OnRetransmit(c.appTuple)
+	c.host.Agent.OnRetransmit(c.appTuple, c.flowID())
 	c.sendData(c.acked)
 	c.armRTO()
 }
@@ -336,7 +280,7 @@ func (c *Conn) sampleRTT(ackN uint32) {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
 	if c.host.cl.cfg.RTTThresholdMicros > 0 {
-		c.host.Agent.OnRTT(c.appTuple, int64(c.srtt))
+		c.host.Agent.OnRTT(c.appTuple, c.flowID(), int64(c.srtt))
 	}
 }
 
@@ -354,13 +298,13 @@ func (c *Conn) postTimer(at des.Time) {
 	c.pending = append(c.pending, 0)
 	copy(c.pending[1:], c.pending)
 	c.pending[0] = at
-	c.host.cl.Sched.Post(at, c, connEvRTO, int64(c.incarnation), nil)
+	c.host.cl.Sched.Post(at, c, connEvRTO, int64(c.tag), nil)
 }
 
 // HandleEvent receives the connection's RTO timer events from the DES.
 func (c *Conn) HandleEvent(kind int32, arg int64, _ any) {
 	_ = kind // connEvRTO is the only kind a Conn schedules
-	if uint64(arg) != c.incarnation {
+	if uint64(arg) != c.tag {
 		return // a previous pooled life's timer
 	}
 	// This fire is pending's front: this incarnation's events fire in
@@ -393,16 +337,19 @@ func (c *Conn) onRTO() {
 	c.retransmit()
 }
 
+// flowID is the ID the agent reports the life's flow under: -1 once its
+// epoch has recycled the record.
+func (c *Conn) flowID() int64 {
+	if c.rec == nil {
+		return -1
+	}
+	return c.rec.id
+}
+
 func (c *Conn) close(failed bool) {
 	c.Done = !failed
 	c.Failed = failed
-	// The tuple's current Conn goes, whichever it is: c, or a Conn that
-	// displaced it.
-	if cur := c.host.conns[c.wireTuple]; cur != nil {
-		cur.indexed = false
-	}
-	delete(c.host.conns, c.wireTuple)
-	if c.orphan {
+	if c.rec == nil {
 		c.host.cl.putConn(c)
 	}
 }

@@ -76,6 +76,9 @@ type TapEvent struct {
 	SrcPort uint16
 	DstPort uint16
 	Seq     uint32
+	// Tag is the dropped packet's Flight.Tag as its sender set it (zero
+	// on forwarding events).
+	Tag uint64
 }
 
 // Tap observes forwarded and dropped packets.
@@ -314,7 +317,7 @@ func (n *Net) send(l topology.LinkID, pkt *wire.Buffer) {
 		n.dropCtr[l] = ctr + 1
 		if stats.DeriveUniform(n.dropSeed, uint64(l)<<40|ctr) < r {
 			n.LinkDropped[l]++
-			n.notifyDrop(l, pkt.Bytes())
+			n.notifyDrop(l, pkt)
 			n.pool.Put(pkt)
 			return
 		}
@@ -470,16 +473,16 @@ func (n *Net) notifyForward(sw topology.SwitchID, egress topology.LinkID, ip wir
 	}
 }
 
-func (n *Net) notifyDrop(l topology.LinkID, data []byte) {
+func (n *Net) notifyDrop(l topology.LinkID, pkt *wire.Buffer) {
 	if len(n.taps) == 0 && len(n.dropTaps) == 0 {
 		return
 	}
 	var ip wire.IPv4
-	payload, err := wire.DecodeIPv4(data, &ip)
+	payload, err := wire.DecodeIPv4(pkt.Bytes(), &ip)
 	if err != nil {
 		return
 	}
-	ev := TapEvent{Time: n.cfg.Sched.Now(), Switch: -1, Egress: l, Dropped: true, IP: ip}
+	ev := TapEvent{Time: n.cfg.Sched.Now(), Switch: -1, Egress: l, Dropped: true, IP: ip, Tag: pkt.Flight.Tag}
 	if from := n.topo.Links[l].From; from.Kind == topology.NodeSwitch {
 		ev.Switch = topology.SwitchID(from.ID)
 	}

@@ -181,18 +181,26 @@ func TestRankingMatchesComparisonSort(t *testing.T) {
 // rises: the ranking's worst case, one group per link.
 func distinctVotes(i int) int64 { return 1 << 40 / int64(i+1) }
 
+// BenchmarkRanking's distinct rows give every link its own vote: falling
+// with the slot, so the distinct keys reach the sort already in order, or
+// (-shuffled) in a random order of the links.
 func BenchmarkRanking(b *testing.B) {
 	for _, bc := range []struct {
-		name     string
-		m        int
-		distinct bool
-	}{{"30", 30, false}, {"1k", 1000, false}, {"4k", 4220, false}, {"64k", 1 << 16, false},
-		{"4k-distinct", 4220, true}, {"64k-distinct", 1 << 16, true}} {
+		name               string
+		m                  int
+		distinct, shuffled bool
+	}{{"30", 30, false, false}, {"1k", 1000, false, false}, {"4k", 4220, false, false}, {"64k", 1 << 16, false, false},
+		{"4k-distinct", 4220, true, false}, {"64k-distinct", 1 << 16, true, false},
+		{"4k-distinct-shuffled", 4220, true, true}, {"64k-distinct-shuffled", 1 << 16, true, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := stats.NewRNG(uint64(bc.m))
 			draw := epochVotes(rng)
 			if bc.distinct {
 				draw = distinctVotes
+			}
+			if bc.shuffled {
+				perm := rng.Perm(bc.m)
+				draw = func(i int) int64 { return distinctVotes(perm[i]) }
 			}
 			t := syntheticTally(rng, bc.m, draw)
 			b.ReportAllocs()

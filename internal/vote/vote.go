@@ -145,12 +145,12 @@ func linkVotes(links []topology.LinkID, votes []float64, order []int32) []LinkVo
 
 // rankScratch is the ranking's working set, kept between calls.
 type rankScratch struct {
-	table       []int32  // open-addressed by key: group + 1, 0 when empty
-	keys        []uint64 // per group: its units, complemented
-	count       []int32  // per group: its slot count, then its next position
-	group       []int32  // per slot: its vote's group
-	sorted, tmp []uint64 // the keys ascending, and the sort's other buffer
-	order       []int32  // slots in ranking order
+	table  []int32  // open-addressed by key: group + 1, 0 when empty
+	keys   []uint64 // per group: its units, complemented
+	count  []int32  // per group: its slot count, then its next position
+	group  []int32  // per slot: its vote's group
+	sorted []uint64 // the keys ascending
+	order  []int32  // slots in ranking order
 }
 
 var rankFree = newFreeList[rankScratch]()
@@ -165,7 +165,7 @@ const minRankTable = 128
 // An epoch's tally holds few distinct votes (DESIGN.md, "Analysis cost
 // model"), so the slots are grouped by units in one pass over an
 // open-addressed table keyed by the complemented units, the distinct keys
-// are radix-sorted, and one stable scatter lays the slots out group by
+// are sorted, and one stable scatter lays the slots out group by
 // group. Slots are visited in ascending order, so equal units stay in it.
 func (rs *rankScratch) rank(units []int64) []int32 {
 	m := len(units)
@@ -204,8 +204,9 @@ func (rs *rankScratch) rank(units []int64) []int32 {
 		group[s] = lastG
 		count[lastG]++
 	}
-	sorted, tmp := sortKeys(append(rs.sorted[:0], keys...), resize(rs.tmp, len(keys)))
-	rs.table, rs.keys, rs.group, rs.count, rs.sorted, rs.tmp = table, keys, group, count, sorted, tmp
+	sorted := append(rs.sorted[:0], keys...)
+	slices.Sort(sorted)
+	rs.table, rs.keys, rs.group, rs.count, rs.sorted = table, keys, group, count, sorted
 
 	// Each group's first position, then the slots scattered in slot order.
 	var at int32
@@ -218,40 +219,6 @@ func (rs *rankScratch) rank(units []int64) []int32 {
 		count[g]++
 	}
 	return order
-}
-
-// sortKeys sorts keys ascending with an LSD radix sort on byte digits, using
-// tmp (of the same length) as the other buffer; a byte that is the same in
-// every key costs no pass. It returns the sorted slice and the spare one.
-func sortKeys(keys, tmp []uint64) (sorted, spare []uint64) {
-	var hist [8][256]int32
-	for _, k := range keys {
-		hist[0][byte(k)]++
-		hist[1][byte(k>>8)]++
-		hist[2][byte(k>>16)]++
-		hist[3][byte(k>>24)]++
-		hist[4][byte(k>>32)]++
-		hist[5][byte(k>>40)]++
-		hist[6][byte(k>>48)]++
-		hist[7][byte(k>>56)]++
-	}
-	for d := range hist {
-		h, shift := &hist[d], 8*d
-		if int(h[byte(keys[0]>>shift)]) == len(keys) {
-			continue
-		}
-		var at int32
-		for b, c := range h {
-			h[b], at = at, at+c
-		}
-		for _, k := range keys {
-			b := byte(k >> shift)
-			tmp[h[b]] = k
-			h[b]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys, tmp
 }
 
 // probe returns key k's position in a power-of-two group table: where it

@@ -101,7 +101,8 @@ const MaxFlightHops = 6
 // the hops that delivery stands for. Links and times are the carrier's own
 // identifiers, stored raw so that wire stays a leaf package.
 type Flight struct {
-	// Tag is the sender's word: the carrier copies it and never reads it.
+	// Tag is the sender's word: the carrier copies it, to the receiver and
+	// to drop observers, and never interprets it.
 	Tag uint64
 	// Serial orders the packet among simultaneous deliveries on one link.
 	Serial uint64

@@ -119,8 +119,8 @@ func TestSurfaceReachable(t *testing.T) {
 // library user sets through one of the root package's type aliases.
 var surfaceFieldAllow = map[string]string{
 	"internal/cluster.Config.Ct":                       "a budget of 2/s makes the rate limit bind in the traceroute-budget test",
-	"internal/cluster.Config.MaxRetries":               "16 retries keep the tag test's connections alive through its 40µs RTOs, so stragglers reach recycled Conns",
-	"internal/cluster.Config.RTO":                      "an RTO below the round trip retransmits segments still in flight in the tag test",
+	"internal/cluster.Config.MaxRetries":               "16 retries keep the straggler test's connections alive through its 40µs RTOs, so stragglers reach reused Conns",
+	"internal/cluster.Config.RTO":                      "an RTO below the round trip retransmits segments still in flight in the straggler test",
 	"internal/ingest.AgentConfig.Transport":            "fast reconnects and polls for the networked ingest tests' agents",
 	"internal/schedule.ConstantRate.Rate":              "public through vigil.ConstantRate",
 	"internal/slb.SLB.QueryFailRate":                   "failed lookups in the SLB's query-failure test",
