@@ -194,14 +194,14 @@ func ExampleRegisterVIP() {
 	}
 	reboots, explained := 0, 0
 	fmt.Println("VM reboot events and 007's verdicts:")
-	for _, f := range em.Flows() {
-		if c := f.Conn(); c == nil || !c.Failed {
+	for _, c := range em.Flows() {
+		if !c.Failed {
 			continue
 		}
 		reboots++
-		src, _ := topo.LookupIP(f.WireTuple().SrcIP)
+		src, _ := topo.LookupIP(c.WireTuple.SrcIP)
 		host := topo.Hosts[src.ID].Name
-		if v, ok := byFlow[f.ID()]; ok && v.Link >= 0 {
+		if v, ok := byFlow[c.ID]; ok && v.Link >= 0 {
 			explained++
 			fmt.Printf("  VM on %-18s rebooted — cause: %s\n", host, vigil.LinkName(topo, v.Link))
 		} else {

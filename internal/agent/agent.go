@@ -274,9 +274,12 @@ func (a *Agent) HandleICMP(from uint32, ic *wire.ICMP) bool {
 
 // finish assembles the trace into a vote.Report and recycles the trace.
 // The report carries the flow's retransmissions so far this epoch — at
-// least one.
+// least one. A second trace of the tuple, started after an epoch roll,
+// may hold the pending entry by now: it stays.
 func (a *Agent) finish(tr *trace) {
-	delete(a.pending, probeKey{dst: tr.flow.DstIP, srcPort: tr.flow.SrcPort, dstPort: tr.flow.DstPort})
+	if k := (probeKey{dst: tr.flow.DstIP, srcPort: tr.flow.SrcPort, dstPort: tr.flow.DstPort}); a.pending[k] == tr {
+		delete(a.pending, k)
+	}
 	topo := a.cfg.Topo
 	r := vote.Report{
 		FlowID: tr.flowID,

@@ -194,6 +194,29 @@ func TestNewEpochReopensTrigger(t *testing.T) {
 	}
 }
 
+// A trace that times out removes only its own pending entry: a second
+// trace of the tuple, started after an epoch roll while the first still
+// waited, keeps matching its replies after the first one's timeout.
+func TestFinishKeepsLaterTracesEntry(t *testing.T) {
+	r := newRig(t, nil)
+	f := r.flow(10, 3000)
+	r.retransmit(f)
+	r.sched.RunUntil(10 * des.Millisecond)
+	r.agent.NewEpoch()
+	r.retransmit(f)
+	r.sched.RunUntil(25 * des.Millisecond) // the first trace's timeout fires at 20 ms
+	if len(r.reports) != 1 {
+		t.Fatalf("%d reports by 25 ms, want the first trace's", len(r.reports))
+	}
+	if !r.reply(t, f, 1, r.topo.Hosts[0].ToR) {
+		t.Fatal("the second trace's TTL-1 reply went unmatched after the first trace finished")
+	}
+	r.sched.Drain(10)
+	if len(r.reports) != 2 || len(r.reports[1].Path) != 1 || r.reports[1].Path[0] != r.topo.Hosts[0].Uplink {
+		t.Fatalf("reports %+v, want the second to hold the first hop", r.reports)
+	}
+}
+
 // The §9.2 latency extension: RTT samples at or over the threshold trigger
 // path discovery (once per flow per epoch) and samples under it do nothing.
 func TestRTTThresholdTriggering(t *testing.T) {

@@ -9,10 +9,10 @@
 // Epoch state is kept dense for the hot path: per-flow drop counts live in
 // a flow-indexed arena of small inline link/count sets (not nested maps),
 // the failure set (a schedule.Failures) caches its sorted snapshot, and
-// flow records and connections are recycled once an epoch closes, so
-// steady-state epochs run allocation-free and long scenario timelines stay
-// bounded in memory. Every segment names its connection's life in its tag:
-// no packet-path state is keyed by a wire tuple.
+// connections are recycled once an epoch closes, so steady-state epochs
+// run allocation-free and long scenario timelines stay bounded in memory.
+// Every segment names its connection's life in its tag: no packet-path
+// state is keyed by a wire tuple.
 package cluster
 
 import (
@@ -82,7 +82,7 @@ type Cluster struct {
 	// the rate schedules — over the fabric's SetDropRate/ResetDropRate.
 	fails *schedule.Failures
 
-	flows []*flowRecord
+	flows []*Conn
 	// closed is set when an epoch closes: its flow state recycles before
 	// the next epoch touches any (see recycle).
 	closed bool
@@ -90,14 +90,13 @@ type Cluster struct {
 	// recycled epochs still emit globally unique, deterministic IDs.
 	nextFlowID int64
 
-	// recPool and connPool are the flow-record and connection free lists.
-	recPool  []*flowRecord
+	// connPool is the connection free list.
 	connPool []*Conn
 	// connTab holds every Conn object ever made, at its index: the table a
 	// segment's tag is resolved through (see Conn.tag).
 	connTab []*Conn
 
-	// dropArena is the dense per-flow drop ground truth: a flow record
+	// dropArena is the dense per-flow drop ground truth: a connection life
 	// that lost data holds its index there, and the arena holds small
 	// inline link/count sets — no nested maps on the tap path.
 	dropArena []flowDropSet
@@ -134,22 +133,21 @@ type flowDropSet struct {
 }
 
 // HandleEvent opens a scheduled connection (the cluster's typed DES event;
-// its payload is the flow's record).
-func (cl *Cluster) HandleEvent(kind int32, _ int64, p any) {
+// its arg is the sending host, its payload the Conn).
+func (cl *Cluster) HandleEvent(kind int32, src int64, p any) {
 	_ = kind // evStartFlow is the only kind the cluster schedules
-	rec := p.(*flowRecord)
-	rec.conn = cl.Hosts[rec.src].openConn(rec)
+	cl.Hosts[src].open(p.(*Conn))
 }
 
-// countDrop records one dropped data packet against a flow record in the
-// dense arena. The arena is truncated, not freed, when flows recycle, so
-// steady state reuses its capacity.
-func (cl *Cluster) countDrop(rec *flowRecord, l topology.LinkID) {
-	if rec.drops == 0 {
+// countDrop records one dropped data packet against a connection life in
+// the dense arena. The arena is truncated, not freed, when flows recycle,
+// so steady state reuses its capacity.
+func (cl *Cluster) countDrop(c *Conn, l topology.LinkID) {
+	if c.drops == 0 {
 		cl.dropArena = append(cl.dropArena, flowDropSet{})
-		rec.drops = int32(len(cl.dropArena))
+		c.drops = int32(len(cl.dropArena))
 	}
-	set := &cl.dropArena[rec.drops-1]
+	set := &cl.dropArena[c.drops-1]
 	for i := int32(0); i < set.n; i++ {
 		if set.links[i] == l {
 			set.cnts[i]++
@@ -215,18 +213,6 @@ type EpochFrame struct {
 	// Reports holds the epoch's reports in canonical (agent, epoch, seq)
 	// order, in a slice of the caller's own.
 	Reports []vote.Report
-}
-
-// flowRecord tracks one started connection for ground-truth scoring.
-type flowRecord struct {
-	id        int64
-	appTuple  ecmp.FiveTuple
-	wireTuple ecmp.FiveTuple
-	src, dst  topology.HostID
-	packets   int
-	conn      *Conn
-	// drops is the flow's dropArena index + 1, 0 while it lost nothing.
-	drops int32
 }
 
 // epochLength is the tally interval: an epoch runs 30 virtual seconds.
@@ -348,67 +334,51 @@ func (cl *Cluster) report(r vote.Report) {
 
 // groundTruthTap harvests per-flow per-link drops of data packets: the
 // dropped packet's tag names a connection life, and the drop counts for
-// that life's flow record while its epoch holds it. Probes and ICMP carry
-// no tag, and ACKs (which echo their data's tag) travel from the life's
-// peer, so only forward-direction data drops count — the paper's
-// attribution semantics.
+// that life while its epoch holds it. Probes and ICMP carry no tag, and
+// ACKs (which echo their data's tag) travel from the life's peer, so only
+// forward-direction data drops count — the paper's attribution semantics.
 func (cl *Cluster) groundTruthTap(ev fabric.TapEvent) {
 	c := cl.conn(ev.Tag)
-	if c == nil || c.rec == nil || ev.IP.Src != c.host.ip {
+	if c == nil || c.ID < 0 || ev.IP.Src != c.host.ip {
 		return
 	}
-	cl.countDrop(c.rec, ev.Egress)
+	cl.countDrop(c, ev.Egress)
 	cl.epochDrops++
 }
 
 // StartFlow opens a direct (DIP-addressed) connection at time at.
 func (cl *Cluster) StartFlow(f traffic.Flow, at des.Time) {
-	cl.startConn(f.Src, f.Dst, f.Tuple, f.Tuple, f.Packets, at)
+	cl.startConn(f.Src, f.Tuple, f.Packets, at).peer = f.Dst
 }
 
 // StartVIPFlow opens a connection to a VIP service: the SLB assigns a DIP
-// (and the flow's packets carry it) while TCP — and therefore 007's
-// monitoring — sees the VIP.
+// when the connection opens (and the flow's packets carry it) while TCP —
+// and therefore 007's monitoring — sees the VIP.
 func (cl *Cluster) StartVIPFlow(src topology.HostID, vip uint32, vipPort uint16, packets int, at des.Time) error {
 	srcPort := uint16(cl.rng.IntRange(32768, 65535))
-	dip, err := cl.SLB.Connect(src, srcPort, vip, vipPort)
-	if err != nil {
-		return err
+	if !cl.SLB.IsVIP(vip) {
+		return fmt.Errorf("cluster: unknown VIP %s", topology.FormatIP(vip))
 	}
-	appTuple := ecmp.FiveTuple{
+	cl.startConn(src, ecmp.FiveTuple{
 		SrcIP: cl.Topo.Hosts[src].IP, DstIP: vip,
 		SrcPort: srcPort, DstPort: vipPort, Proto: ecmp.ProtoTCP,
-	}
-	wireTuple := appTuple
-	wireTuple.DstIP = cl.Topo.Hosts[dip].IP
-	cl.startConn(src, dip, wireTuple, appTuple, packets, at)
+	}, packets, at)
 	return nil
 }
 
-// getRecord produces a flow record, recycling one when available.
-func (cl *Cluster) getRecord() *flowRecord {
-	if n := len(cl.recPool); n > 0 {
-		rec := cl.recPool[n-1]
-		cl.recPool[n-1] = nil
-		cl.recPool = cl.recPool[:n-1]
-		*rec = flowRecord{}
-		return rec
-	}
-	return &flowRecord{}
-}
-
-func (cl *Cluster) startConn(src, dst topology.HostID, wireTuple, appTuple ecmp.FiveTuple, packets int, at des.Time) {
+// startConn schedules a connection life of packets packets from src on
+// tuple t (its app and, until a VIP flow opens, its wire tuple) to open at
+// time at, and returns its Conn.
+func (cl *Cluster) startConn(src topology.HostID, t ecmp.FiveTuple, packets int, at des.Time) *Conn {
 	cl.recycle()
-	rec := cl.getRecord()
-	rec.id = cl.nextFlowID
-	rec.appTuple = appTuple
-	rec.wireTuple = wireTuple
-	rec.src = src
-	rec.dst = dst
-	rec.packets = packets
+	c := cl.getConn()
+	c.ID = cl.nextFlowID
 	cl.nextFlowID++
-	cl.flows = append(cl.flows, rec)
-	cl.Sched.Post(at, cl, evStartFlow, 0, rec)
+	c.appTuple, c.WireTuple = t, t
+	c.total = uint32(packets)
+	cl.flows = append(cl.flows, c)
+	cl.Sched.Post(at, cl, evStartFlow, int64(src), c)
+	return c
 }
 
 // StartWorkload schedules a whole epoch's traffic, spread uniformly over
@@ -433,8 +403,8 @@ func (cl *Cluster) StartWorkload(w traffic.Workload, spread des.Time) {
 // in-flight traceroutes), roll the host agents' epochs and close the epoch
 // into its frame. emit, if non-nil, sees each report as a host agent makes
 // it, in the deterministic order of virtual time; the frame carries the
-// same reports in canonical order. Flows() and each flow's Conn() describe
-// the epoch just run until the next epoch's first flow start.
+// same reports in canonical order. Flows() describes the epoch just run
+// until the next epoch's first flow start.
 func (cl *Cluster) Step(emit func(vote.Report)) EpochFrame {
 	cl.recycle()
 	// Settle scripted link rates before any of the epoch's queued packets
@@ -450,6 +420,12 @@ func (cl *Cluster) Step(emit func(vote.Report)) EpochFrame {
 	cl.epochStart = cl.Sched.Now()
 	for _, h := range cl.Hosts {
 		h.Agent.NewEpoch()
+		h.held = h.held[:0]
+	}
+	for _, c := range cl.connTab { // open lives are live in the new epoch too
+		if c.host != nil && !c.Done && !c.Failed {
+			c.host.held = append(c.host.held, c.appTuple, c.WireTuple)
+		}
 	}
 	cl.lastEpoch = cl.closeEpoch()
 	return cl.lastEpoch
@@ -466,7 +442,7 @@ var paperAnalysis = analysis.Options{Detect: vote.DetectOptions{ThresholdFrac: 0
 
 // closeEpoch frames the closing epoch — its ground truth, while the failure
 // set is still the epoch's settled one, and its reports — and rolls the
-// per-epoch bookkeeping. The flow records stay in flows, readable, until
+// per-epoch bookkeeping. The connections stay in flows, readable, until
 // recycle.
 func (cl *Cluster) closeEpoch() EpochFrame {
 	epochFlows := cl.flows[cl.epochFirstFlow:]
@@ -478,13 +454,13 @@ func (cl *Cluster) closeEpoch() EpochFrame {
 		Truth:       make(map[int64]metrics.FlowTruth, 8),
 		Reports:     make([]vote.Report, len(cl.reports)),
 	}
-	for _, rec := range epochFlows {
-		tr, failed := cl.flowTruth(rec)
+	for _, c := range epochFlows {
+		tr, failed := cl.flowTruth(c)
 		if !failed {
 			continue
 		}
 		fr.FailedFlows++
-		fr.Truth[rec.id] = tr
+		fr.Truth[c.ID] = tr
 	}
 	copy(fr.Reports, cl.reports)
 	vote.SortCanonical(fr.Reports)
@@ -496,14 +472,14 @@ func (cl *Cluster) closeEpoch() EpochFrame {
 	return fr
 }
 
-// recycle returns a closed epoch's flow state to the free lists, once,
+// recycle returns a closed epoch's connections to the free list, once,
 // before the next epoch touches any: at its first flow start or, if it
-// starts none, at its Step. Records whose start is still scheduled stay,
-// at the head of flows (the epoch that started them has framed them
-// already). The drop arena resets, keeping capacity; every started
-// connection loses its record, so from here on its drops and flow ID count
-// for nothing. Finished connections go to the pool, and those still in
-// flight recycle themselves when they close.
+// starts none, at its Step. Connections whose start is still scheduled
+// stay, at the head of flows (the epoch that started them has framed them
+// already). The drop arena resets, keeping capacity; every opened
+// connection's flow ID becomes -1, so from here on its drops and flow ID
+// count for nothing. Finished connections go to the pool, and those still
+// in flight recycle themselves when they close.
 func (cl *Cluster) recycle() {
 	if !cl.closed {
 		return
@@ -511,20 +487,16 @@ func (cl *Cluster) recycle() {
 	cl.closed = false
 	old := cl.flows
 	cl.flows = cl.flows[:0]
-	for _, rec := range old {
-		c := rec.conn
-		if c == nil { // its start is still scheduled
-			cl.flows = append(cl.flows, rec)
+	for _, c := range old {
+		if c.host == nil { // its start is still scheduled
+			cl.flows = append(cl.flows, c)
 			continue
 		}
-		c.rec = nil
+		c.ID = -1
 		if c.Done || c.Failed {
 			cl.putConn(c)
 		}
-		rec.conn = nil
-		cl.recPool = append(cl.recPool, rec)
 	}
-	clear(old[len(cl.flows):])
 	cl.dropArena = cl.dropArena[:0]
 	cl.epochFirstFlow = len(cl.flows)
 }
@@ -536,13 +508,13 @@ func (cl *Cluster) LastEpoch() EpochFrame { return cl.lastEpoch }
 // flowTruth derives one flow's ground truth from the tap-harvested drop
 // counts and the current failure set; failed is false when the flow lost no
 // data packets.
-func (cl *Cluster) flowTruth(rec *flowRecord) (tr metrics.FlowTruth, failed bool) {
+func (cl *Cluster) flowTruth(c *Conn) (tr metrics.FlowTruth, failed bool) {
 	// A flow's ground truth is its max-count link, the lowest link id on
 	// ties.
 	best := topology.NoLink
 	bestN := int32(0)
-	if rec.drops > 0 {
-		set := &cl.dropArena[rec.drops-1]
+	if c.drops > 0 {
+		set := &cl.dropArena[c.drops-1]
 		for j := int32(0); j < set.n; j++ {
 			l, n := set.links[j], set.cnts[j]
 			if n > bestN || (n == bestN && best != topology.NoLink && l < best) {
@@ -554,7 +526,7 @@ func (cl *Cluster) flowTruth(rec *flowRecord) (tr metrics.FlowTruth, failed bool
 		return metrics.FlowTruth{}, false
 	}
 	tr = metrics.FlowTruth{Culprit: best}
-	if err := cl.Router.PathInto(rec.src, rec.dst, rec.wireTuple, &cl.pathBuf); err == nil {
+	if err := cl.Router.PathInto(c.host.id, c.peer, c.WireTuple, &cl.pathBuf); err == nil {
 		failed := cl.fails.Sorted()
 		for _, l := range cl.pathBuf.Links() {
 			if _, bad := slices.BinarySearch(failed, l); bad {
@@ -566,16 +538,7 @@ func (cl *Cluster) flowTruth(rec *flowRecord) (tr metrics.FlowTruth, failed bool
 	return tr, true
 }
 
-// Flows returns the records of the flows started in the epoch just run,
-// after any from the epoch before whose start was still scheduled when it
-// closed. They stay readable until the next epoch's first flow start.
-func (cl *Cluster) Flows() []*flowRecord { return cl.flows }
-
-// ID returns a flow record's identifier.
-func (f *flowRecord) ID() int64 { return f.id }
-
-// WireTuple returns the on-the-wire tuple (always DIP-addressed).
-func (f *flowRecord) WireTuple() ecmp.FiveTuple { return f.wireTuple }
-
-// Conn returns the underlying connection once started (nil before).
-func (f *flowRecord) Conn() *Conn { return f.conn }
+// Flows returns the connections started in the epoch just run, after any
+// from the epoch before whose start was still scheduled when it closed.
+// They stay readable until the next epoch's first flow start.
+func (cl *Cluster) Flows() []*Conn { return cl.flows }

@@ -42,8 +42,8 @@ func TestLosslessTransferCompletes(t *testing.T) {
 	}
 	cl.StartFlow(f, 0)
 	res := cl.RunEpoch()
-	conn := cl.Flows()[0].Conn()
-	if conn == nil || !conn.Done || conn.Failed {
+	conn := cl.Flows()[0]
+	if !conn.Done || conn.Failed {
 		t.Fatalf("transfer did not complete: %+v", conn)
 	}
 	if conn.Retransmits != 0 {
@@ -119,7 +119,7 @@ func TestTraceroutePathMatchesEverFlow(t *testing.T) {
 	for _, f := range w.GenerateInto(nil, rng, topo) {
 		cl.StartFlow(f, des.Time(rng.Intn(int(5*des.Second))))
 	}
-	reports := cl.Step(nil).Reports
+	reports := stepChecked(t, cl, nil).Reports
 	if len(reports) == 0 {
 		t.Fatal("no traceroute reports")
 	}
@@ -128,17 +128,17 @@ func TestTraceroutePathMatchesEverFlow(t *testing.T) {
 		if r.Partial {
 			continue
 		}
-		var rec *flowRecord
-		for _, fr := range cl.Flows() {
-			if fr.id == r.FlowID {
-				rec = fr
+		var conn *Conn
+		for _, c := range cl.Flows() {
+			if c.ID == r.FlowID {
+				conn = c
 				break
 			}
 		}
-		if rec == nil {
+		if conn == nil {
 			t.Fatalf("report for unknown flow %d", r.FlowID)
 		}
-		want, ok := ef.PathOf(rec.wireTuple)
+		want, ok := ef.PathOf(conn.WireTuple)
 		if !ok {
 			continue // flow's packets all died before the first mirror
 		}
@@ -218,7 +218,7 @@ func TestVIPFlowTracedViaSLB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reports := cl.Step(nil).Reports
+	reports := stepChecked(t, cl, nil).Reports
 	if len(reports) == 0 {
 		t.Fatal("no reports for VIP traffic")
 	}
@@ -328,8 +328,8 @@ func TestConnFailuresDiagnosed(t *testing.T) {
 	}
 	res := cl.RunEpoch()
 	failed := 0
-	for _, rec := range cl.flows {
-		if rec.conn != nil && rec.conn.Failed {
+	for _, c := range cl.flows {
+		if c.Failed {
 			failed++
 		}
 	}
@@ -400,8 +400,8 @@ func TestLatencyDiagnosis(t *testing.T) {
 			topo.LinkName(res.Ranking[0].Link), topo.LinkName(slow))
 	}
 	// And no retransmissions happened: this is purely latency signal.
-	for _, f := range cl.Flows() {
-		if c := f.Conn(); c != nil && c.Retransmits > 0 {
+	for _, c := range cl.Flows() {
+		if c.Retransmits > 0 {
 			t.Fatal("delay-only fault caused retransmissions")
 		}
 	}
@@ -630,8 +630,8 @@ func TestClusterNoiseBaseline(t *testing.T) {
 }
 
 // Flows recycle once an epoch has closed, before the next one touches flow
-// state. Until then Flows() and each record's Conn() describe the epoch
-// just run; the next epoch's first flow start recycles those records; an
+// state. Until then Flows() describes the epoch just run; the next epoch's
+// first flow start recycles those connections; an
 // epoch that starts nothing frames nothing; a flow scheduled past its
 // epoch's end is framed once, by the epoch that started it, and carried
 // into the next; and flow state never outgrows one epoch's flows plus
@@ -651,17 +651,17 @@ func TestFlowsRecycleOnceAnEpochCloses(t *testing.T) {
 	late := traffic.Flow{Src: src, Dst: dst, Packets: 20, Tuple: ecmp.FiveTuple{
 		SrcIP: topo.Hosts[src].IP, DstIP: topo.Hosts[dst].IP, SrcPort: 45000, DstPort: 443, Proto: ecmp.ProtoTCP,
 	}}
-	var carried []*flowRecord
+	var carried []*Conn
 	failed, lates := 0, 0
 	for e := 0; e < 50; e++ {
 		if e%10 == 9 {
 			// No flow starts: the closed epoch recycles at Step.
-			fr := cl.Step(nil)
+			fr := stepChecked(t, cl, nil)
 			if fr.Flows != 0 || fr.FailedFlows != 0 || len(fr.Truth) != 0 {
 				t.Fatalf("epoch %d started no flow but framed %d flows, %d failed, truth %v", e, fr.Flows, fr.FailedFlows, fr.Truth)
 			}
 			if got := cl.Flows(); !slices.Equal(got, carried) {
-				t.Fatalf("epoch %d: %d flow records after an epoch that started none, want the %d carried in", e, len(got), len(carried))
+				t.Fatalf("epoch %d: %d flows after an epoch that started none, want the %d carried in", e, len(got), len(carried))
 			}
 			carried = nil
 			continue
@@ -672,33 +672,33 @@ func TestFlowsRecycleOnceAnEpochCloses(t *testing.T) {
 		if !slices.Equal(flows[:len(carried)], carried) {
 			t.Fatalf("epoch %d: the flows carried in are not at the head of Flows()", e)
 		}
-		for _, rec := range flows[len(carried):] {
-			if e%10 != 0 && !slices.Contains(prev, rec) {
-				t.Fatalf("epoch %d: flow %d has a fresh record, not a recycled one", e, rec.ID())
+		for _, c := range flows[len(carried):] {
+			if e%10 != 0 && !slices.Contains(prev, c) {
+				t.Fatalf("epoch %d: flow %d has a fresh Conn, not a recycled one", e, c.ID)
 			}
-			if rec.Conn() != nil {
-				t.Fatalf("epoch %d: recycled record of flow %d kept a connection", e, rec.ID())
+			if c.host != nil {
+				t.Fatalf("epoch %d: recycled Conn of flow %d opened before its start", e, c.ID)
 			}
 		}
-		var lateRec *flowRecord
+		var lateConn *Conn
 		if e%7 == 3 {
 			cl.StartFlow(late, cl.epochStart+epochLength+5*des.Second)
-			lateRec = cl.Flows()[len(cl.Flows())-1]
+			lateConn = cl.Flows()[len(cl.Flows())-1]
 			lates++
 		}
-		fr := cl.Step(nil)
+		fr := stepChecked(t, cl, nil)
 		flows = cl.Flows()
 		if len(flows) != fr.Flows+len(carried) {
-			t.Fatalf("epoch %d: %d flow records, want the %d framed plus %d carried in", e, len(flows), fr.Flows, len(carried))
+			t.Fatalf("epoch %d: %d flows, want the %d framed plus %d carried in", e, len(flows), fr.Flows, len(carried))
 		}
-		for _, rec := range flows {
-			if c := rec.Conn(); (c == nil) != (rec == lateRec) {
-				t.Fatalf("epoch %d: flow %d connection %v after the epoch closed", e, rec.ID(), c)
+		for _, c := range flows {
+			if (c.host == nil) != (c == lateConn) {
+				t.Fatalf("epoch %d: flow %d opened %v after the epoch closed", e, c.ID, c.host != nil)
 			}
 		}
 		framed := map[int64]bool{}
-		for _, rec := range flows[len(carried):] {
-			framed[rec.ID()] = true
+		for _, c := range flows[len(carried):] {
+			framed[c.ID] = true
 		}
 		for id := range fr.Truth {
 			if !framed[id] {
@@ -707,8 +707,8 @@ func TestFlowsRecycleOnceAnEpochCloses(t *testing.T) {
 		}
 		failed += fr.FailedFlows
 		carried = nil
-		if lateRec != nil {
-			carried = []*flowRecord{lateRec}
+		if lateConn != nil {
+			carried = []*Conn{lateConn}
 		}
 	}
 	if failed == 0 || lates == 0 {
@@ -744,8 +744,8 @@ func TestClusterEpochAllocs(t *testing.T) {
 			t.Fatal("no result")
 		}
 	}
-	// Warm every pool: packet buffers, scheduler lanes, conns, records,
-	// the drop arena, the analysis inbox.
+	// Warm every pool: packet buffers, scheduler lanes, conns, the held
+	// tuples, the drop arena, the analysis inbox.
 	for i := 0; i < 2; i++ {
 		epoch()
 	}

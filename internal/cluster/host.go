@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"vigil/internal/agent"
 	"vigil/internal/des"
 	"vigil/internal/ecmp"
@@ -17,18 +19,24 @@ type Host struct {
 	ip uint32
 
 	Agent *agent.Agent
+	// held is the app and wire tuples of every life of this host live at
+	// some point of the agent's current epoch, those of lives since ended
+	// or reused included (see hold).
+	held []ecmp.FiveTuple
 }
 
 // connEvRTO is the connection's one typed DES event: a retransmission
 // timer firing (arg = the generation that armed it).
 const connEvRTO int32 = 1
 
-// Conn is one outgoing reliable connection. Loss recovery is a compact
+// Conn is one outgoing reliable connection, one life from the flow's
+// start (StartFlow, StartVIPFlow) to the pool. Loss recovery is a compact
 // cumulative-ACK scheme: three duplicate ACKs trigger fast retransmit, a
 // doubling RTO timer triggers timeout retransmit, and MaxRetries
 // consecutive RTOs fail the connection (the paper's "VM panic" scenario:
 // a storage connection that cannot make progress).
 type Conn struct {
+	// host is the sending host, nil until the life opens.
 	host *Host
 	// tag names this life of the Conn: its permanent connTab index + 1 in
 	// the low 32 bits, its incarnation above. Data segments carry it as
@@ -38,20 +46,26 @@ type Conn struct {
 	// Timer events carry it too, so a previous life's timer is ignored
 	// without touching the live timer state.
 	tag uint64
-	// rec is the life's flow record, nil once its epoch has recycled it:
-	// the ground-truth tap credits its drops there and the agent reports
-	// its flow ID. An in-flight Conn whose record is gone returns itself to
-	// the pool when it closes.
-	rec *flowRecord
-	// peer is the destination host, the end that sends the ACKs.
+	// ID is the flow identifier the life's reports carry, -1 once its
+	// epoch has recycled it: from then on its drops count for nothing, and
+	// if it is still in flight it returns itself to the pool when it
+	// closes.
+	ID int64
+	// drops is the life's dropArena index + 1, 0 while it lost nothing.
+	drops int32
+	// peer is the destination host, the end that sends the ACKs; a VIP
+	// flow's is the DIP the SLB assigns when it opens.
 	peer topology.HostID
 	// dataSeg and ackSeg are the prebuilt headers of the two directions
-	// on the wire tuple (which addresses the physical DIP): this Conn's
-	// data segments, and the peer's ACKs answering them.
+	// on the wire tuple: this Conn's data segments, and the peer's ACKs
+	// answering them.
 	dataSeg, ackSeg wire.Segment
 	// appTuple is what TCP (and so 007's agent) sees — the VIP for
-	// load-balanced connections.
-	appTuple ecmp.FiveTuple
+	// load-balanced connections. WireTuple is what the wire carries, always
+	// DIP-addressed. Both settle their source port when the life opens
+	// (see Host.hold).
+	appTuple  ecmp.FiveTuple
+	WireTuple ecmp.FiveTuple
 
 	total    uint32 // packets to deliver
 	nextSend uint32
@@ -173,24 +187,41 @@ func newSegment(s *wire.Segment, t ecmp.FiveTuple, flags uint8) {
 		wire.TCP{SrcPort: t.SrcPort, DstPort: t.DstPort, Flags: flags, Window: 64})
 }
 
-// openConn starts the connection of a flow record: rec.packets packets
-// from this host to rec.dst on rec.wireTuple. Connection objects come from
-// the cluster's pool; each reuse is a new incarnation, so segments and
-// timer events of a previous life can never reach this one.
-func (h *Host) openConn(rec *flowRecord) *Conn {
-	c := h.cl.getConn()
+// open starts a scheduled connection life from this host at its SYN time:
+// it settles the life's tuples and sends. Connection objects come from the
+// cluster's pool; each reuse is a new incarnation, so segments and timer
+// events of a previous life can never reach this one.
+func (h *Host) open(c *Conn) {
 	c.host = h
-	c.rec = rec
-	c.peer = rec.dst
-	c.appTuple = rec.appTuple
-	c.total = uint32(rec.packets)
+	h.hold(c)
 	c.rto = h.cl.cfg.RTO
 	c.ensureRing(sendWindow)
-	newSegment(&c.dataSeg, rec.wireTuple, wire.FlagPSH|wire.FlagACK)
-	newSegment(&c.ackSeg, rec.wireTuple.Reverse(), wire.FlagACK)
+	newSegment(&c.dataSeg, c.WireTuple, wire.FlagPSH|wire.FlagACK)
+	newSegment(&c.ackSeg, c.WireTuple.Reverse(), wire.FlagACK)
 	c.pump()
 	c.armRTO()
-	return c
+}
+
+// hold settles an opening life's source port and holds its tuples for the
+// agent's epoch (DESIGN.md, "The host stack"): while a life of this host
+// live in the epoch holds its app or wire tuple, it steps to the next port
+// of 32768–65535, wrapping. A VIP flow's DIP follows the port, and the SLB
+// records the final one. Each held life blocks one port, so the walk ends.
+func (h *Host) hold(c *Conn) {
+	lb := h.cl.SLB
+	for port := c.appTuple.SrcPort; ; port = max(port+1, 32768) {
+		c.appTuple.SrcPort, c.WireTuple.SrcPort = port, port
+		if dip, vip := lb.Pick(h.id, port, c.appTuple.DstIP, c.appTuple.DstPort); vip {
+			c.peer, c.WireTuple.DstIP = dip, h.cl.Topo.Hosts[dip].IP
+		}
+		if !slices.Contains(h.held, c.appTuple) && !slices.Contains(h.held, c.WireTuple) {
+			break
+		}
+	}
+	if c.WireTuple.DstIP != c.appTuple.DstIP { // Pick found the VIP: Connect cannot fail
+		_, _ = lb.Connect(h.id, c.appTuple.SrcPort, c.appTuple.DstIP, c.appTuple.DstPort)
+	}
+	h.held = append(h.held, c.appTuple, c.WireTuple)
 }
 
 // ensureRing sizes the sentAt ring to the smallest power of two that holds
@@ -257,7 +288,7 @@ func (c *Conn) onAck(ackN uint32) {
 func (c *Conn) retransmit() {
 	c.Retransmits++
 	c.sentAt[c.acked&c.sentMask] = noSample // Karn: never RTT-sample a retransmission
-	c.host.Agent.OnRetransmit(c.appTuple, c.flowID())
+	c.host.Agent.OnRetransmit(c.appTuple, c.ID)
 	c.sendData(c.acked)
 	c.armRTO()
 }
@@ -280,7 +311,7 @@ func (c *Conn) sampleRTT(ackN uint32) {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
 	if c.host.cl.cfg.RTTThresholdMicros > 0 {
-		c.host.Agent.OnRTT(c.appTuple, c.flowID(), int64(c.srtt))
+		c.host.Agent.OnRTT(c.appTuple, c.ID, int64(c.srtt))
 	}
 }
 
@@ -337,19 +368,10 @@ func (c *Conn) onRTO() {
 	c.retransmit()
 }
 
-// flowID is the ID the agent reports the life's flow under: -1 once its
-// epoch has recycled the record.
-func (c *Conn) flowID() int64 {
-	if c.rec == nil {
-		return -1
-	}
-	return c.rec.id
-}
-
 func (c *Conn) close(failed bool) {
 	c.Done = !failed
 	c.Failed = failed
-	if c.rec == nil {
+	if c.ID < 0 {
 		c.host.cl.putConn(c)
 	}
 }

@@ -43,7 +43,7 @@ func TestPacketPlaneReportSequencesDense(t *testing.T) {
 		for _, f := range w.GenerateInto(nil, rng.Split(), topo) {
 			cl.StartFlow(f, cl.Sched.Now()+des.Time(rng.Intn(int(10*des.Second))))
 		}
-		cl.Step(emit)
+		stepChecked(t, cl, emit)
 		if len(got) == 0 {
 			t.Fatalf("epoch %d: no reports — the fixture is not exercising anything", e)
 		}

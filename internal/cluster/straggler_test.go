@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"vigil/internal/des"
@@ -20,24 +21,40 @@ func pairFlow(topo *topology.Topology, src, dst topology.HostID, packets int) tr
 	}
 }
 
-// A second connection on a wire tuple, opened after the first finished,
-// starts from a fresh receiver: it sends and has acknowledged all of its
-// own packets, rather than inheriting the first one's next expected seq
-// and closing on an ACK for data it never sent.
+// Two flows of one host draw one wire tuple. The second, opened in the
+// same epoch after the first finished, moves to another port: the agent's
+// epoch still holds the first one's tuple. In the next epoch a third flow
+// on that tuple keeps it, on a reused Conn, and starts fresh: it sends and
+// has acknowledged all of its own packets, rather than inheriting an
+// earlier life's next expected seq and closing on an ACK for data it never
+// sent.
 func TestReusedTupleStartsFresh(t *testing.T) {
 	cl := testCluster(t, 1)
 	f := pairFlow(cl.Topo, cl.Topo.HostAt(0, 0, 0), cl.Topo.HostAt(0, 5, 1), 50)
+	done := func(name string, c *Conn) {
+		t.Helper()
+		if !c.Done || c.nextSend != 50 || c.acked != 50 {
+			t.Fatalf("%s flow: Done %v after sending %d and having %d acknowledged, want Done at 50 and 50", name, c.Done, c.nextSend, c.acked)
+		}
+	}
 	cl.StartFlow(f, 0)
 	cl.StartFlow(f, des.Second)
-	cl.Step(nil)
-	for i, rec := range cl.Flows() {
-		c := rec.Conn()
-		if c == nil {
-			t.Fatalf("flow %d on the shared tuple never started", i)
-		}
-		if !c.Done || c.nextSend != 50 || c.acked != 50 {
-			t.Fatalf("flow %d on the shared tuple: Done %v after sending %d and having %d acknowledged, want Done at 50 and 50", i, c.Done, c.nextSend, c.acked)
-		}
+	first, second := cl.Flows()[0], cl.Flows()[1]
+	stepChecked(t, cl, nil)
+	done("first", first)
+	done("second", second)
+	if first.appTuple.SrcPort != f.Tuple.SrcPort || second.appTuple.SrcPort == f.Tuple.SrcPort {
+		t.Fatalf("drawn port %d: the flows opened on %d and %d, want the first on it and the second moved off", f.Tuple.SrcPort, first.appTuple.SrcPort, second.appTuple.SrcPort)
+	}
+	cl.StartFlow(f, cl.epochStart)
+	third := cl.Flows()[0]
+	if third != first && third != second {
+		t.Fatal("the next epoch's flow did not reuse a Conn")
+	}
+	stepChecked(t, cl, nil)
+	done("third", third)
+	if third.appTuple.SrcPort != f.Tuple.SrcPort {
+		t.Fatalf("the next epoch's flow moved to port %d off a tuple no open life holds", third.appTuple.SrcPort)
 	}
 }
 
@@ -45,10 +62,10 @@ func TestReusedTupleStartsFresh(t *testing.T) {
 // still in flight, the lossy link fails connections by RTO, and the slow
 // one holds segments for longer than an epoch's grace period, so Conns
 // close and are reused with segments of their earlier lives still
-// arriving; two flows share one wire tuple, the second opened while the
-// first still sends. Every segment of a life that is over is dropped
-// without an answer, and no ACK acknowledges more than its connection has
-// sent.
+// arriving; two flows draw one wire tuple, and the second, opened while
+// the first still sends, moves to another port. Every segment of a life
+// that is over is dropped without an answer, and no ACK acknowledges more
+// than its connection has sent.
 func TestStragglersOfFinishedLivesDropped(t *testing.T) {
 	topo, err := topology.New(quadPodQuickTopo)
 	if err != nil {
@@ -104,14 +121,31 @@ func TestStragglersOfFinishedLivesDropped(t *testing.T) {
 	pair := pairFlow(topo, topo.HostAt(0, 0, 0), topo.HostAt(2, 1, 1), 60)
 	cl.StartFlow(pair, 0)
 	cl.StartFlow(pair, 30*des.Microsecond)
+	first, second := cl.Flows()[0], cl.Flows()[1]
 	w := traffic.Workload{
 		Pattern:        traffic.Uniform{},
 		ConnsPerHost:   traffic.IntRange{Lo: 6, Hi: 6},
 		PacketsPerFlow: traffic.IntRange{Lo: 40, Hi: 80},
 	}
-	for range 4 {
+	for e := range 4 {
 		cl.StartWorkload(w, 3*des.Second)
-		cl.Step(emit)
+		stepChecked(t, cl, emit)
+		if e == 0 && second.appTuple.SrcPort == first.appTuple.SrcPort {
+			t.Fatalf("the second flow opened on the live first one's port %d", first.appTuple.SrcPort)
+		}
+	}
+	// Every Conn is in the pool, among the flows, or a recycled life still
+	// open, which returns itself to the pool when it closes.
+	for _, c := range cl.connTab {
+		places := 0
+		for _, in := range []bool{slices.Contains(cl.connPool, c), slices.Contains(cl.flows, c), c.ID < 0 && !c.Done && !c.Failed} {
+			if in {
+				places++
+			}
+		}
+		if places != 1 {
+			t.Fatalf("Conn %#x (flow %d, Done %v, Failed %v) is in %d places, want 1", c.tag, c.ID, c.Done, c.Failed, places)
+		}
 	}
 	t.Logf("%d reports, %d ACKs checked; segments of finished lives: %d data, %d ACKs", reports, acks, overData, overAcks)
 	if reports == 0 || acks == 0 || overData == 0 {

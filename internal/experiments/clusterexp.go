@@ -284,7 +284,7 @@ func runProdEverflow(opts Options) (*Result, error) {
 		res := cl.RunEpoch()
 		tuples := make(map[int64]ecmp.FiveTuple, len(cl.Flows()))
 		for _, f := range cl.Flows() {
-			tuples[f.ID()] = f.WireTuple()
+			tuples[f.ID] = f.WireTuple
 		}
 		for i, r := range cl.LastEpoch().Reports {
 			if r.Partial || !slices.Contains(sampled, r.Src) {
@@ -386,12 +386,11 @@ func runProdReboots(opts Options) (*Result, error) {
 		for _, v := range res.Verdicts {
 			byFlow[v.FlowID] = v
 		}
-		for _, f := range cl.Flows() {
-			c := f.Conn()
-			if c == nil || !c.Failed {
+		for _, c := range cl.Flows() {
+			if !c.Failed {
 				continue
 			}
-			if v, ok := byFlow[f.ID()]; ok {
+			if v, ok := byFlow[c.ID]; ok {
 				reboots = append(reboots, reboot{epoch: e, cause: v.Link, noise: v.Noise})
 			}
 		}

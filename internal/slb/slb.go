@@ -75,16 +75,24 @@ func VIP(i int) uint32 { return 10<<24 | 255<<16 | uint32(i>>8)<<8 | uint32(i&0x
 // assignment. It returns the DIP host. This is the paper's
 // connection-establishment path.
 func (s *SLB) Connect(src topology.HostID, srcPort uint16, vip uint32, vipPort uint16) (topology.HostID, error) {
-	pool, ok := s.pools[vip]
+	dip, ok := s.Pick(src, srcPort, vip, vipPort)
 	if !ok {
 		return 0, fmt.Errorf("slb: unknown VIP %s", topology.FormatIP(vip))
 	}
-	key := FlowKey{SrcIP: s.topo.Hosts[src].IP, SrcPort: srcPort, VIP: vip, VIPPort: vipPort}
-	dip := pool[int(ecmp.Hash(ecmp.FiveTuple{
-		SrcIP: key.SrcIP, DstIP: vip, SrcPort: srcPort, DstPort: vipPort, Proto: ecmp.ProtoTCP,
-	}, 0x5b5b5b5b)%uint64(len(pool)))]
-	s.assignments[key] = dip
+	s.assignments[FlowKey{SrcIP: s.topo.Hosts[src].IP, SrcPort: srcPort, VIP: vip, VIPPort: vipPort}] = dip
 	return dip, nil
+}
+
+// Pick returns the DIP Connect would assign the flow, recording nothing;
+// ok is false when vip is not a registered VIP.
+func (s *SLB) Pick(src topology.HostID, srcPort uint16, vip uint32, vipPort uint16) (dip topology.HostID, ok bool) {
+	pool, ok := s.pools[vip]
+	if !ok {
+		return 0, false
+	}
+	return pool[int(ecmp.Hash(ecmp.FiveTuple{
+		SrcIP: s.topo.Hosts[src].IP, DstIP: vip, SrcPort: srcPort, DstPort: vipPort, Proto: ecmp.ProtoTCP,
+	}, 0x5b5b5b5b)%uint64(len(pool)))], true
 }
 
 // QuerySLB asks the load balancer for a flow's DIP — 007's preferred
