@@ -94,7 +94,7 @@ type Result struct {
 	ID     string
 	Title  string
 	Tables []*report.Table
-	// Notes records paper-vs-measured commentary for EXPERIMENTS.md.
+	// Notes records paper-vs-measured commentary, which vigil-lab prints.
 	Notes []string
 }
 

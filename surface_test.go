@@ -3,6 +3,7 @@ package vigil_test
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -274,6 +276,338 @@ func TestDesignInventoryMatchesPackages(t *testing.T) {
 			t.Errorf("DESIGN.md's package inventory lists %s, which is not a package", dir)
 		}
 	}
+}
+
+// perfNumber matches a performance figure: a number followed by a time
+// (ms, µs, ns), a rate (epochs/s, reports/s), a ratio (×), an allocation
+// count or an amount of memory. A workload parameter ("80 % of flows", "a
+// 30 s epoch") is none of these.
+var perfNumber = regexp.MustCompile(`\d(?:[\d,.]*\d)? ?(?:(?:ms|µs|ns|allocs|[KMG]i?B|kB)\b|epochs/s|reports/s|×)`)
+
+// benchCite matches the name of a recorded benchmark run.
+var benchCite = regexp.MustCompile(`BENCH_\d+(?:_parent)?\.json`)
+
+// designUncited names the DESIGN.md paragraphs, by their first words,
+// that state a performance number no BENCH_N.json row can back, each with
+// its reason. An entry that names no such paragraph fails the test.
+var designUncited = map[string]string{
+	"**Ground truth is derived.**":                   "the 300 kB and 1 kB are bounds the named netem tests assert on every run, not measurements",
+	"Memory is bounded in epochs":                    "the 128 KB is the bound TestReceiverStateBounded asserts on every run, not a measurement",
+	"A new file has two 4 KiB slots (254 sessions).": "the slot size is the checkpoint format's constant, not a measurement",
+}
+
+// TestDesignDocCitesBench fails on a DESIGN.md paragraph that states a
+// performance number (perfNumber) and names no BENCH_N.json, unless the
+// paragraph is on designUncited, and on any named BENCH_N.json that does
+// not exist or records no num_cpu: a time measured on an unknown number of
+// CPUs backs no claim.
+func TestDesignDocCitesBench(t *testing.T) {
+	if len(designUncited) > 5 {
+		t.Errorf("designUncited has %d entries; it may have 5", len(designUncited))
+	}
+	used := map[string]bool{}
+	for _, para := range designParagraphs(t) {
+		cited := false
+		for _, name := range benchCite.FindAllString(para, -1) {
+			if err := benchHasNumCPU(name); err != nil {
+				t.Errorf("DESIGN.md cites %s: %v", name, err)
+				continue
+			}
+			cited = true
+		}
+		num := perfNumber.FindString(para)
+		if cited || num == "" {
+			continue
+		}
+		if key := uncitedKey(para); key != "" {
+			used[key] = true
+			continue
+		}
+		first, _, _ := strings.Cut(para, "\n")
+		t.Errorf("DESIGN.md states %q and cites no BENCH_N.json with num_cpu, in the paragraph starting %q", num, first)
+	}
+	for key := range designUncited {
+		if !used[key] {
+			t.Errorf("designUncited entry %q names no paragraph that states an uncited performance number: remove it", key)
+		}
+	}
+}
+
+// uncitedKey returns the designUncited entry a paragraph starts with, or "".
+func uncitedKey(para string) string {
+	for key := range designUncited {
+		if strings.HasPrefix(para, key) {
+			return key
+		}
+	}
+	return ""
+}
+
+// benchHasNumCPU reports why a BENCH_N.json cannot back a claim: it is
+// missing, or it records no num_cpu.
+func benchHasNumCPU(name string) error {
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return err
+	}
+	var run struct {
+		NumCPU int `json:"num_cpu"`
+	}
+	if err := json.Unmarshal(data, &run); err != nil {
+		return err
+	}
+	if run.NumCPU <= 0 {
+		return fmt.Errorf("it records no num_cpu")
+	}
+	return nil
+}
+
+// designParagraphs splits DESIGN.md into paragraphs: runs of non-blank
+// lines, a fenced code block being one paragraph whatever it holds.
+func designParagraphs(t *testing.T) []string {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paras []string
+	var cur []string
+	fenced := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		if strings.TrimSpace(line) == "" && !fenced {
+			if len(cur) > 0 {
+				paras = append(paras, strings.Join(cur, "\n"))
+			}
+			cur = cur[:0]
+			continue
+		}
+		cur = append(cur, line)
+	}
+	if len(cur) > 0 {
+		paras = append(paras, strings.Join(cur, "\n"))
+	}
+	return paras
+}
+
+var (
+	// codeSpan matches a backquoted span of DESIGN.md.
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// qualified matches pkg.Name or pkg.Type.Member inside a code span.
+	qualified = regexp.MustCompile(`(^|[^\w/.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	// testFunc matches a code span that opens with a test, benchmark, fuzz
+	// target or example's name.
+	testFunc = regexp.MustCompile("^`((?:Test|Benchmark|Fuzz|Example)[A-Z_]\\w*)")
+	// mdFile matches the name of a Markdown file.
+	mdFile = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+	// designRef matches a Go comment's pointer into DESIGN.md and the
+	// quoted section titles that follow it.
+	designRef = regexp.MustCompile(`DESIGN\.md[ ,(]*((?:"[^"]+"(?:, *)?)+)`)
+)
+
+// fileExts are the extensions a backquoted file name ends in, so that
+// `core.go` is not read as package core's name go.
+var fileExts = []string{"go", "md", "json", "golden", "out", "sh", "mod"}
+
+// TestDesignDocNamesResolve fails when a name DESIGN.md gives does not
+// exist in the tree:
+//   - a backquoted pkg.Name or pkg.Type.Member, where pkg is a package of
+//     the module or of the standard library that the module imports, must
+//     resolve to a declaration, a method or a field (a declaration of the
+//     package's tests counts); a selector on anything else, a local such as
+//     ep.Failed, is not checked;
+//   - a backquoted test, benchmark, fuzz target or example must be declared
+//     by a test file of the module or of bench/;
+//   - a Markdown file that DESIGN.md or a non-test Go comment names must
+//     exist, beside the naming file or at the module root;
+//   - a section a Go comment quotes after "DESIGN.md" must be one of its
+//     headings or bold paragraph leads.
+func TestDesignDocNamesResolve(t *testing.T) {
+	s := loadSurface(t)
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[string][]*types.Package{} // by package name
+	var addPkg func(p *types.Package)
+	addPkg = func(p *types.Package) {
+		if slices.Contains(pkgs[p.Name()], p) {
+			return
+		}
+		pkgs[p.Name()] = append(pkgs[p.Name()], p)
+		for _, imp := range p.Imports() {
+			addPkg(imp)
+		}
+	}
+	for _, p := range s.pkgs {
+		if p.types.Name() != "main" {
+			addPkg(p.types)
+		}
+	}
+	tests, err := testDecls(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := designTitles(string(doc))
+	var problems []string
+	for _, para := range designParagraphs(t) {
+		if strings.HasPrefix(para, "```") {
+			continue
+		}
+		for _, span := range codeSpan.FindAllString(para, -1) {
+			if m := testFunc.FindStringSubmatch(span); m != nil && !tests.funcs[m[1]] {
+				problems = append(problems, "DESIGN.md names "+m[1]+", which no test file declares")
+			}
+			for _, m := range qualified.FindAllStringSubmatch(span, -1) {
+				name, path := m[2]+"."+m[3], pkgs[m[2]]
+				if m[4] != "" {
+					name += "." + m[4]
+				}
+				if len(path) == 0 || slices.Contains(fileExts, m[3]) {
+					continue
+				}
+				if !slices.ContainsFunc(path, func(p *types.Package) bool { return resolves(p, m[3], m[4], tests) }) {
+					problems = append(problems, "DESIGN.md names "+name+", which does not resolve to a declaration")
+				}
+			}
+		}
+	}
+	exists := func(dir, name string) bool {
+		for _, p := range []string{filepath.Join(dir, name), name} {
+			if _, err := os.Stat(p); err == nil {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range mdFile.FindAllString(string(doc), -1) {
+		if !exists(".", name) {
+			problems = append(problems, "DESIGN.md names "+name+", which does not exist")
+		}
+	}
+	for _, p := range s.pkgs {
+		for _, f := range p.files {
+			for _, cg := range f.Comments {
+				text := strings.Join(strings.Fields(cg.Text()), " ")
+				pos := s.fset.Position(cg.Pos()).String()
+				for _, name := range mdFile.FindAllString(text, -1) {
+					if !exists(p.dir, name) {
+						problems = append(problems, pos+" names "+name+", which does not exist")
+					}
+				}
+				for _, ref := range designRef.FindAllStringSubmatch(text, -1) {
+					for _, title := range strings.Split(ref[1], `"`) {
+						title = strings.Trim(title, ", ")
+						if title != "" && !titles[strings.ToLower(title)] {
+							problems = append(problems, pos+" points at DESIGN.md's \""+title+"\", which is no heading or bold paragraph lead of it")
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range slices.Compact(problems) {
+		t.Error(p)
+	}
+}
+
+// resolves reports whether Name, or Type.Member, is declared in package p:
+// in its source, or, for a package of the module, in its tests.
+func resolves(p *types.Package, name, member string, tests *testDeclSet) bool {
+	key := p.Path() + "." + name
+	obj := p.Scope().Lookup(name)
+	switch {
+	case member == "":
+		return obj != nil || tests.decls[key]
+	case tests.decls[key+"."+member]:
+		return true
+	case obj == nil:
+		return tests.decls[key] // a test's type: its members are not checked
+	}
+	found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p, member)
+	return found != nil
+}
+
+// testDeclSet is what the test files of the module and of bench/ declare.
+type testDeclSet struct {
+	funcs map[string]bool // test, benchmark, fuzz target and example names
+	decls map[string]bool // "<import path>.<Name>" and "<import path>.<Type>.<Method>"
+}
+
+// testDecls parses the _test.go files under root, bench/ included.
+func testDecls(root string) (*testDeclSet, error) {
+	set := &testDeclSet{funcs: map[string]bool{}, decls: map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != root && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		path := "vigil"
+		if dir := filepath.ToSlash(filepath.Dir(p)); dir != "." {
+			path += "/" + dir
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				if decl.Recv != nil {
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
+				} else {
+					set.funcs[name] = true
+				}
+				set.decls[path+"."+name] = true
+			case *ast.GenDecl:
+				for _, sp := range decl.Specs {
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						set.decls[path+"."+sp.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							set.decls[path+"."+n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return set, err
+}
+
+// designTitles returns DESIGN.md's headings and bold paragraph leads,
+// lower-cased and without a closing period.
+func designTitles(doc string) map[string]bool {
+	titles := map[string]bool{}
+	for _, line := range strings.Split(doc, "\n") {
+		if h, ok := strings.CutPrefix(strings.TrimLeft(line, "#"), " "); ok && strings.HasPrefix(line, "#") {
+			titles[strings.ToLower(h)] = true
+		}
+	}
+	for _, m := range regexp.MustCompile(`\*\*([^*]+)\*\*`).FindAllStringSubmatch(doc, -1) {
+		titles[strings.ToLower(strings.TrimSuffix(strings.Join(strings.Fields(m[1]), " "), "."))] = true
+	}
+	return titles
 }
 
 // surfacePkg is one type-checked package of the module or of bench/.

@@ -18,8 +18,8 @@
 //     ships its reports over loopback TCP (internal/transport).
 //   - Experiments: the per-figure/table runners behind cmd/vigil-lab.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// See DESIGN.md for the system inventory and its "Experiment index";
+// cmd/vigil-lab prints each experiment's paper-vs-measured notes.
 package vigil
 
 import (
