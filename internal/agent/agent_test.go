@@ -349,7 +349,7 @@ func TestAssemblyFromReplies(t *testing.T) {
 	r.retransmit(flow)
 
 	tor := r.topo.Hosts[0].ToR
-	t1 := r.topo.T1(0, 2)
+	t1 := topology.SwitchID(r.topo.Links[r.topo.Switches[tor].Uplinks[2]].To.ID)
 	dstToR := r.topo.Hosts[dst].ToR
 	for ttl, sw := range []topology.SwitchID{tor, t1, dstToR} {
 		if !r.reply(t, flow, uint8(ttl+1), sw) {

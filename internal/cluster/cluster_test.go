@@ -204,8 +204,8 @@ func TestVIPFlowTracedViaSLB(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail a T1→ToR link into a backend rack so VIP data paths cross it.
-	bad, ok := topo.LinkBetween(
-		topology.SwitchNode(topo.T1(0, 2)), topology.SwitchNode(topo.ToR(0, 5)))
+	t1 := topology.SwitchID(topo.Links[topo.Switches[topo.ToR(0, 5)].Uplinks[2]].To.ID)
+	bad, ok := topo.LinkBetween(topology.SwitchNode(t1), topology.SwitchNode(topo.ToR(0, 5)))
 	if !ok {
 		t.Fatal("no T1→ToR link")
 	}

@@ -14,8 +14,11 @@ import (
 // consecutive routes share no cache lines, as in a full epoch. The file uses
 // only PathInto's API, so it also runs against a commit with another walk.
 func BenchmarkPathInto(b *testing.B) {
-	r := buildRouter(b, topology.DatacenterSimConfig.Flatten(), 1)
-	topo := r.Topo
+	topo, err := topology.New(topology.DatacenterSimConfig.Flatten())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewRouter(topo, NewSeeds(topo, stats.NewRNG(1)))
 	rng := stats.NewRNG(2)
 	type flow struct {
 		src, dst topology.HostID

@@ -76,5 +76,5 @@ func NewSeeds(topo *topology.Topology, rng *stats.RNG) *Seeds {
 	return s
 }
 
-// Seed returns the seed of switch sw.
-func (s *Seeds) Seed(sw topology.SwitchID) uint64 { return s.bySwitch[sw] }
+// seed returns the seed of switch sw.
+func (s *Seeds) seed(sw topology.SwitchID) uint64 { return s.bySwitch[sw] }

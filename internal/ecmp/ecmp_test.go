@@ -40,12 +40,12 @@ func TestPathDeterminism(t *testing.T) {
 	r := buildRouter(t, topology.DefaultSimConfig, 1)
 	rng := stats.NewRNG(2)
 	for i := 0; i < 200; i++ {
-		src := topology.HostID(rng.Intn(len(r.Topo.Hosts)))
-		dst := topology.HostID(rng.Intn(len(r.Topo.Hosts)))
-		if r.Topo.Hosts[src].ToR == r.Topo.Hosts[dst].ToR {
+		src := topology.HostID(rng.Intn(len(r.topo.Hosts)))
+		dst := topology.HostID(rng.Intn(len(r.topo.Hosts)))
+		if r.topo.Hosts[src].ToR == r.topo.Hosts[dst].ToR {
 			continue
 		}
-		tuple := randomTuple(rng, r.Topo, src, dst)
+		tuple := randomTuple(rng, r.topo, src, dst)
 		p1, err := route(r, src, dst, tuple)
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func TestPathDeterminism(t *testing.T) {
 
 func TestPathStructure(t *testing.T) {
 	r := buildRouter(t, topology.DefaultSimConfig, 3)
-	topo := r.Topo
+	topo := r.topo
 	rng := stats.NewRNG(4)
 	for i := 0; i < 500; i++ {
 		src := topology.HostID(rng.Intn(len(topo.Hosts)))
@@ -161,7 +161,7 @@ func TestHashSensitivity(t *testing.T) {
 
 func TestECMPChoiceUniformity(t *testing.T) {
 	r := buildRouter(t, topology.DefaultSimConfig, 13)
-	topo := r.Topo
+	topo := r.topo
 	rng := stats.NewRNG(14)
 	src := topo.HostAt(0, 0, 0)
 	dst := topo.HostAt(1, 0, 0)
@@ -202,7 +202,7 @@ func TestReverseTuple(t *testing.T) {
 func TestCondProbMatchesMonteCarlo(t *testing.T) {
 	cfg := topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 3}
 	r := buildRouter(t, cfg, 21)
-	topo := r.Topo
+	topo := r.topo
 	rng := stats.NewRNG(22)
 
 	// Pick a few probe links of each class.

@@ -12,7 +12,7 @@ import (
 // hopWalk is PathInto's reference: NextHopLink at every switch, following
 // each chosen link's far end in topo.Links until the walk reaches a host.
 func hopWalk(r *Router, src, dst topology.HostID, t FiveTuple) ([]topology.LinkID, error) {
-	topo := r.Topo
+	topo := r.topo
 	links := []topology.LinkID{topo.Hosts[src].Uplink}
 	for cur := topo.Hosts[src].ToR; len(links) <= MaxPathLinks; {
 		l, err := r.NextHopLink(cur, t, dst)
@@ -46,7 +46,7 @@ func TestPathIntoMatchesHopWalk(t *testing.T) {
 		topology.TestClusterConfig, // one pod, no tier 2
 	} {
 		r := buildRouter(t, cfg, 7)
-		topo := r.Topo
+		topo := r.topo
 		rng := stats.NewRNG(11)
 		perToR := cfg.HostsPerToR
 		perPod := cfg.ToRsPerPod * perToR
@@ -92,7 +92,7 @@ func TestPathIntoMatchesHopWalk(t *testing.T) {
 // survives a reuse.
 func TestPathIntoMatchesPath(t *testing.T) {
 	r := buildRouter(t, topology.Config{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4}, 7)
-	topo := r.Topo
+	topo := r.topo
 	rng := stats.NewRNG(11)
 	var buf PathBuf
 	for i := 0; i < 2000; i++ {
@@ -133,7 +133,7 @@ func TestPathIntoErrors(t *testing.T) {
 // The hot path budget: resolving into a PathBuf must not allocate.
 func TestPathIntoDoesNotAllocate(t *testing.T) {
 	r := buildRouter(t, topology.DefaultSimConfig, 5)
-	topo := r.Topo
+	topo := r.topo
 	tuple := FiveTuple{
 		SrcIP: topo.Hosts[0].IP, DstIP: topo.Hosts[len(topo.Hosts)-1].IP,
 		SrcPort: 40000, DstPort: 443, Proto: ProtoTCP,

@@ -3,14 +3,14 @@
 //
 // The first epoch runs the full fused pipeline once, freezing the epoch
 // seed and with it the flow set, and builds the delta cache: every flow's
-// packet count and resolved path (a fixed-stride flow→path table the shard
-// workers fill in the same pass), the inverted link→flows index and the
-// sorted failed-outcome list. That is all a re-score reads: a path's first
-// link leaves the flow's source and its last link enters its destination.
-// Every later epoch re-scores only the flows whose paths touch links whose
-// rate or failure flag changed since the previous epoch — setRate records
-// dirty links as schedules, injections and clears land — and carries every
-// other flow's cached outcome forward.
+// packet count, destination and ECMP choices (which the shard workers
+// record in the same pass), the inverted link→flows index and the sorted
+// failed-outcome list. That is all a re-score reads: a flow's source
+// follows from its index, and ecmp.Router.Build lays its path out again
+// from its hosts and choices. Every later epoch re-scores only the flows
+// whose paths touch links whose rate or failure flag changed since the
+// previous epoch — setRate records dirty links as schedules, injections
+// and clears land — and carries every other flow's cached outcome forward.
 //
 // The skip is exact, not approximate: each flow draws its drops from its
 // private (epochSeed, flow index) stream, and with the seed frozen,
@@ -29,6 +29,11 @@ import (
 	"vigil/internal/topology"
 )
 
+// deltaArenaBlock sizes the delta re-score's arena blocks, in entries. The
+// arena is never reset, and blocks four times a full epoch's make a warm
+// delta epoch start a quarter as many (BenchmarkEpochDatacenterDelta).
+const deltaArenaBlock = 4 * arenaBlock
+
 // incState is the delta cache of an incremental simulation. It freezes the
 // epoch's inputs (seed, flows, paths) and carries the previous epoch's
 // outputs (failed outcomes, totals) forward so a delta epoch touches only
@@ -38,18 +43,16 @@ type incState struct {
 	valid     bool   // cache live: the next epoch may run the delta path
 	epochSeed uint64 // frozen seed shared by every incremental epoch
 
-	packets []uint16 // frozen per-flow packet counts, dense by flow index
-
-	// Flow → path, fixed stride: flow fi crosses
-	// pathLinks[fi*MaxPathLinks:][:pathLen[fi]]. The full epoch's shard
-	// workers write each flow's slots directly, and pathLinks is stable for
-	// the cache's lifetime, so delta outcomes alias it as their Path
-	// instead of copying.
-	pathLen   []uint8
-	pathLinks []topology.LinkID
+	// Per flow, dense by flow index: the frozen packet count, destination
+	// and ECMP choices. With the flow's source (sourceOf) they fix its path
+	// (path).
+	packets []uint16
+	dst     []topology.HostID
+	choices []ecmp.Choices
 
 	// Link → flows, CSR: link l is crossed by the ascending flow indexes
-	// linkFlows[linkOff[l]:linkOff[l+1]].
+	// linkFlows[linkOff[l]:linkOff[l+1]]. A host uplink's row is empty: its
+	// flows are its sources' contiguous flow-index ranges (gatherAffected).
 	linkOff   []int32
 	linkFlows []int32
 
@@ -71,20 +74,20 @@ type incState struct {
 	affected     []int32
 	affectedFlow bitset
 
-	// The delta re-score's own drop-stream RNG and outcome arena, and the
-	// re-scored flows' failed outcomes in flow-index order.
-	shard   epochShard
-	newFlat []FlowOutcome
+	// The delta re-score's drop-stream RNG and outcome arena. The arena
+	// also stores the paths of re-scored failed outcomes. It only appends,
+	// so no slot an earlier epoch's result holds is ever written again.
+	shard epochShard
 }
 
-// prepareBuild sizes the tables the full epoch's shard workers fill: the
-// packet counts and the fixed-stride flow→path table, each written over
-// the disjoint flow ranges [flowBase[si], flowBase[si+1]) of a worker's
-// sources.
+// prepareBuild sizes the per-flow tables the full epoch's shard workers
+// fill, each written over the disjoint flow ranges [flowBase[si],
+// flowBase[si+1]) of a worker's sources.
 func (inc *incState) prepareBuild(nflows int) {
 	inc.packets = resize(inc.packets, nflows)
-	inc.pathLen = resize(inc.pathLen, nflows)
-	inc.pathLinks = resize(inc.pathLinks, nflows*ecmp.MaxPathLinks)
+	inc.dst = resize(inc.dst, nflows)
+	inc.choices = resize(inc.choices, nflows)
+	inc.shard.arena.block = deltaArenaBlock
 }
 
 // resize returns s with length n, reusing its storage when it is large
@@ -106,9 +109,6 @@ func newBitset(b bitset, n int) bitset {
 	return b
 }
 
-// has reports whether i is present.
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
 // testAndSet adds i and reports whether it was already present.
 func (b bitset) testAndSet(i int) bool {
 	w, m := &b[i/64], uint64(1)<<(i%64)
@@ -120,41 +120,59 @@ func (b bitset) testAndSet(i int) bool {
 // unset removes i.
 func (b bitset) unset(i int) { b[i/64] &^= 1 << (i % 64) }
 
-// path returns flow fi's cached path, capped so no append can reach the
-// next flow's slots.
-func (inc *incState) path(fi int64) []topology.LinkID {
-	lo := int(fi) * ecmp.MaxPathLinks
-	hi := lo + int(inc.pathLen[fi])
-	return inc.pathLinks[lo:hi:hi]
+// sourceOf returns the source that generated flow fi: sources generate
+// their flows into contiguous index ranges, [flowBase[si], flowBase[si+1]).
+func (s *Sim) sourceOf(fi int64) topology.HostID {
+	si, _ := slices.BinarySearch(s.flowBase, int32(fi+1))
+	return s.sources()[si-1]
+}
+
+// path lays flow fi's cached path out into buf and returns it with the
+// flow's source.
+func (s *Sim) path(fi int64, buf *ecmp.PathBuf) (topology.HostID, []topology.LinkID) {
+	src := s.sourceOf(fi)
+	s.router.Build(src, s.inc.dst[fi], s.inc.choices[fi], buf)
+	return src, buf.Links()
 }
 
 // buildIncCache finalizes the delta cache from a just-completed full epoch
-// whose shard workers filled the flow→path table: transpose it into the
-// link→flows CSR and snapshot the epoch's outputs. The transpose is a
-// counting sort split over static flow ranges, one per Parallelism worker:
-// each worker counts the links of its range, one prefix pass over (link,
-// worker) places every worker's share of each row after the shares of the
-// workers before it, and each worker scatters its range. Rows therefore
-// hold their flow indexes in ascending order, exactly as a sequential
-// counting sort leaves them — gatherAffected's merge order relies on it.
+// whose shard workers recorded every flow: build the link→flows CSR from
+// the flows' paths and snapshot the epoch's outputs. The CSR is a counting
+// sort split over static source ranges, one per Parallelism worker: each
+// worker lays out its flows' paths and counts their links, one prefix pass
+// over (link, worker) places every worker's share of each row after the
+// shares of the workers before it, and each worker lays its paths out again
+// to scatter them. Rows therefore hold their flow indexes in ascending
+// order, exactly as a sequential counting sort leaves them. A layout is a
+// few multiplies (ecmp.Router.Build), so laying each path out twice costs
+// less than a table of the paths would cost to keep.
 func (s *Sim) buildIncCache(ep *Epoch) {
 	inc := &s.inc
 	nflows := len(inc.packets)
 	nlinks := len(s.topo.Links)
-	nw := max(min(par.Workers(s.cfg.Parallelism), nflows), 1)
-	span := func(w int) (int, int) { return w * nflows / nw, (w + 1) * nflows / nw }
+	nsrc := len(s.sources())
+	nw := max(min(par.Workers(s.cfg.Parallelism), nsrc), 1)
+	paths := func(w int, fn func(f int32, links []topology.LinkID)) {
+		srcs := s.sources()
+		var buf ecmp.PathBuf
+		for si := w * nsrc / nw; si < (w+1)*nsrc/nw; si++ {
+			for f := s.flowBase[si]; f < s.flowBase[si+1]; f++ {
+				s.router.Build(srcs[si], inc.dst[f], inc.choices[f], &buf)
+				fn(f, buf.Links()[1:]) // a host uplink's row stays empty
+			}
+		}
+	}
 
 	// cursor[w*nlinks+l] counts worker w's crossings of link l, then holds
 	// where the worker writes its next flow into row l.
 	cursor := make([]int32, nw*nlinks)
 	par.ForEach(nw, nw, func(w int) {
 		cnt := cursor[w*nlinks : (w+1)*nlinks]
-		lo, hi := span(w)
-		for f := lo; f < hi; f++ {
-			for _, l := range inc.path(int64(f)) {
+		paths(w, func(_ int32, links []topology.LinkID) {
+			for _, l := range links {
 				cnt[l]++
 			}
-		}
+		})
 	})
 	inc.linkOff = resize(inc.linkOff, nlinks+1)
 	off := int32(0)
@@ -169,13 +187,12 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 	inc.linkFlows = resize(inc.linkFlows, int(off))
 	par.ForEach(nw, nw, func(w int) {
 		next := cursor[w*nlinks : (w+1)*nlinks]
-		lo, hi := span(w)
-		for f := lo; f < hi; f++ {
-			for _, l := range inc.path(int64(f)) {
-				inc.linkFlows[next[l]] = int32(f)
+		paths(w, func(f int32, links []topology.LinkID) {
+			for _, l := range links {
+				inc.linkFlows[next[l]] = f
 				next[l]++
 			}
-		}
+		})
 	})
 
 	// Snapshot the epoch's outputs. The cached outcomes share Path and
@@ -193,20 +210,42 @@ func (s *Sim) buildIncCache(ep *Epoch) {
 
 // gatherAffected drains the dirty-link set into the sorted list of flow
 // indexes to re-score: the union of the dirty links' link→flows rows,
-// deduplicated through affectedFlow. Those bits stay set until the merge
-// has used them as the retirement membership test for cached outcomes.
+// deduplicated through affectedFlow. A dirty host uplink adds the flows
+// of every source that host is, which the CSR leaves out.
 func (s *Sim) gatherAffected() []int32 {
 	inc := &s.inc
 	aff := inc.affected[:0]
+	add := func(fi int32) {
+		if !inc.affectedFlow.testAndSet(int(fi)) {
+			aff = append(aff, fi)
+		}
+	}
+	srcs := s.sources()
 	for _, l := range inc.dirty {
 		inc.dirtyLink.unset(int(l))
 		for _, fi := range inc.linkFlows[inc.linkOff[l]:inc.linkOff[l+1]] {
-			if !inc.affectedFlow.testAndSet(int(fi)) {
-				aff = append(aff, fi)
+			add(fi)
+		}
+		if link := &s.topo.Links[l]; link.Class == topology.HostUp {
+			h := topology.HostID(link.From.ID)
+			lo, hi := 0, len(srcs)
+			if s.cfg.Workload.Hosts == nil {
+				lo, hi = int(h), int(h)+1 // every host is a source, in order
+			}
+			for si := lo; si < hi; si++ {
+				if srcs[si] != h {
+					continue
+				}
+				for fi := s.flowBase[si]; fi < s.flowBase[si+1]; fi++ {
+					add(fi)
+				}
 			}
 		}
 	}
 	inc.dirty = inc.dirty[:0]
+	for _, fi := range aff {
+		inc.affectedFlow.unset(int(fi))
+	}
 	slices.Sort(aff)
 	inc.affected = aff
 	return aff
@@ -214,12 +253,12 @@ func (s *Sim) gatherAffected() []int32 {
 
 // runEpochDelta is the incremental epoch: gather the flows affected by
 // dirty links, re-score just those on the caller's goroutine from their
-// stored paths and frozen draw streams, and three-way-merge the new
-// outcomes into the cached failed list — retire the affected flows' old
-// outcomes, keep every unaffected outcome, add the new ones. The merged
-// list stays in flow-index order, so once resolveBudget has run over the
-// epoch's copy of it, a delta epoch is bit-identical to re-scoring every
-// flow of the frozen workload against the current rates (see
+// cached paths and frozen draw streams, and merge the new outcomes into
+// the cached failed list — retire the affected flows' old outcomes, keep
+// every unaffected outcome, add the new ones. The merged list stays in
+// flow-index order, so once resolveBudget has run over the epoch's copy of
+// it, a delta epoch is bit-identical to re-scoring every flow of the
+// frozen workload against the current rates (see
 // TestIncrementalMatchesFullRescore).
 func (s *Sim) runEpochDelta() *Epoch {
 	inc := &s.inc
@@ -229,37 +268,27 @@ func (s *Sim) runEpochDelta() *Epoch {
 
 	// Inline, not fanned out: the few hundred flows crossing the changed
 	// links are too little work to pay for worker goroutines (DESIGN.md
-	// "Parallelism knobs").
-	news := inc.newFlat[:0]
-	for _, fi := range aff {
-		if out, failedFlow := s.rescoreFlow(&inc.shard, int64(fi)); failedFlow {
-			news = append(news, out)
-		}
-	}
-	inc.newFlat = news[:0]
-
-	// Merge: cached outcomes and new outcomes are both sorted by FlowID
-	// (the affected list is sorted), and an affected flow's cached outcome
-	// always retires, whether or not a new outcome replaces it.
+	// "Parallelism knobs"). Cached outcomes and the affected list are both
+	// sorted by flow index; an affected flow's cached outcome always
+	// retires, and lends its path to the flow's new outcome, if any.
 	old, merged := inc.failed, inc.spare[:0]
-	i, j := 0, 0
-	for i < len(old) || j < len(news) {
-		if i < len(old) && (j >= len(news) || old[i].FlowID <= news[j].FlowID) {
-			o := old[i]
+	i := 0
+	for _, fi := range aff {
+		for i < len(old) && old[i].FlowID < int64(fi) {
+			merged = append(merged, old[i])
 			i++
-			if inc.affectedFlow.has(int(o.FlowID)) {
-				continue
-			}
-			merged = append(merged, o)
-		} else {
-			merged = append(merged, news[j])
-			j++
+		}
+		var path []topology.LinkID
+		if i < len(old) && old[i].FlowID == int64(fi) {
+			path = old[i].Path
+			i++
+		}
+		if out, failedFlow := s.rescoreFlow(int64(fi), path); failedFlow {
+			merged = append(merged, out)
 		}
 	}
+	merged = append(merged, old[i:]...)
 	inc.failed, inc.spare = merged, old
-	for _, fi := range aff {
-		inc.affectedFlow.unset(int(fi))
-	}
 
 	ep := &Epoch{
 		FailedLinks:  s.fails.Sorted(),
@@ -274,19 +303,23 @@ func (s *Sim) runEpochDelta() *Epoch {
 	return ep
 }
 
-// rescoreFlow re-scores one frozen flow from its stored path against the
-// current link rates, drawing from the same private stream the full
-// pipeline would, and returns its outcome and whether it lost packets. The
-// outcome's Path aliases the stable flow→path table — no copy — and its
-// hosts are the path's ends, as ecmp.Router.PathInto lays a path out.
-func (s *Sim) rescoreFlow(sh *epochShard, fi int64) (FlowOutcome, bool) {
+// rescoreFlow re-scores one frozen flow against the current link rates,
+// laying its path out again from the cache and drawing from the same
+// private stream the full pipeline would, and returns its outcome and
+// whether it lost packets. A flow's path never changes, so the outcome
+// takes prev, the path of its retiring outcome, when it had one; otherwise
+// the path is copied into the cache's own arena. Either way no slot an
+// earlier epoch's result holds is written.
+func (s *Sim) rescoreFlow(fi int64, prev []topology.LinkID) (FlowOutcome, bool) {
 	inc := &s.inc
-	links := inc.path(fi)
-	out, dropped := s.scoreFlow(sh, inc.epochSeed, fi, links, int(inc.packets[fi]))
+	var buf ecmp.PathBuf
+	src, links := s.path(fi, &buf)
+	out, dropped := s.scoreFlow(&inc.shard, inc.epochSeed, fi, links, int(inc.packets[fi]))
 	if dropped {
-		out.Src = topology.HostID(s.topo.Links[links[0]].From.ID)
-		out.Dst = topology.HostID(s.topo.Links[links[len(links)-1]].To.ID)
-		out.Path = links
+		out.Src, out.Dst = src, inc.dst[fi]
+		if out.Path = prev; prev == nil {
+			out.Path = inc.shard.arena.copyPath(links)
+		}
 	}
 	return out, dropped
 }

@@ -4,10 +4,13 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"vigil/internal/ecmp"
+	"vigil/internal/par"
 	"vigil/internal/schedule"
+	"vigil/internal/stats"
 	"vigil/internal/topology"
 	"vigil/internal/traffic"
 )
@@ -102,12 +105,12 @@ func TestIncrementalBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// The cache build's parallel transpose leaves the link→flows CSR a
-// sequential counting sort over the flow→path table would: the same
-// offsets, the same rows, each row ascending. Three workloads at 1, 2, 3
-// and 7 workers: the full one, a few sources whose flows leave most links
-// uncrossed (empty rows between full ones), and fewer flows than workers
-// (empty worker ranges). <0.01 s.
+// The cache build's parallel counting sort leaves the link→flows CSR a
+// sequential counting sort over the flows' cached paths would: the same
+// offsets, the same rows, each row ascending, and no entry for a host
+// uplink. Three workloads at 1, 2, 3 and 7 workers: the full one, a few
+// sources whose flows leave most links uncrossed (empty rows between full
+// ones), and fewer flows than workers. <0.01 s.
 func TestLinkFlowsTransposeMatchesSequential(t *testing.T) {
 	few := func(hosts ...topology.HostID) func(*Config) {
 		return func(cfg *Config) {
@@ -128,9 +131,14 @@ func TestLinkFlowsTransposeMatchesSequential(t *testing.T) {
 			s.RunEpoch()
 			inc := &s.inc
 			nflows, nlinks := len(inc.packets), len(s.topo.Links)
+			var buf ecmp.PathBuf
+			path := func(f int) []topology.LinkID {
+				_, links := s.path(int64(f), &buf)
+				return links[1:]
+			}
 			off := make([]int32, nlinks+1)
 			for f := range nflows {
-				for _, l := range inc.path(int64(f)) {
+				for _, l := range path(f) {
 					off[l+1]++
 				}
 			}
@@ -144,7 +152,7 @@ func TestLinkFlowsTransposeMatchesSequential(t *testing.T) {
 			rows := make([]int32, off[nlinks])
 			next := slices.Clone(off)
 			for f := range nflows {
-				for _, l := range inc.path(int64(f)) {
+				for _, l := range path(f) {
 					rows[next[l]] = int32(f)
 					next[l]++
 				}
@@ -308,11 +316,12 @@ func TestDatacenterEpochShort(t *testing.T) {
 }
 
 // The delta cache keeps only what a re-score reads: per flow, a 2-byte
-// packet count, ecmp.MaxPathLinks path slots and a length byte, and the
-// flow's entries in the link→flows index. Every slice field of incState
-// counts, at its capacity, after a full epoch and a delta epoch on the §6
-// fabric. The bound is 2·MaxPathLinks·4+4 = 52 B per flow; a 32 B
-// traffic.Flow kept per flow breaks it. <0.1 s.
+// packet count, a 4-byte destination and three ECMP choice bytes, and the
+// flow's entries in the link→flows index but its host uplink's. Every
+// slice field of incState counts, at its capacity, after a full epoch and
+// a delta epoch on the §6 fabric, whose two pods keep most paths at four
+// links. It measures 25.6 B per flow; a fixed-stride path table back in
+// the cache (25 B more per flow) breaks the 27 B bound. <0.1 s.
 func TestDeltaCacheBytesPerFlow(t *testing.T) {
 	topo, err := topology.New(topology.DefaultSimConfig)
 	if err != nil {
@@ -337,8 +346,165 @@ func TestDeltaCacheBytesPerFlow(t *testing.T) {
 	nflows := len(s.inc.packets)
 	perFlow := float64(bytes) / float64(nflows)
 	t.Logf("delta cache: %d B over %d flows, %.1f B per flow", bytes, nflows, perFlow)
-	if limit := 2*ecmp.MaxPathLinks*4 + 4; perFlow > float64(limit) {
-		t.Fatalf("the delta cache keeps %.1f B per flow, want at most %d", perFlow, limit)
+	if limit := 27.0; perFlow > limit {
+		t.Fatalf("the delta cache keeps %.1f B per flow, want at most %.0f", perFlow, limit)
+	}
+}
+
+// Every flow's cached path, laid out again from its destination, its ECMP
+// choices and the source its index names, is the route PathInto resolves
+// for the flow as the workload generates it, on the datacenter reference
+// fabric: 2.07M flows, checked on two goroutines. ≈0.5 s on 2 CPUs, the
+// full epoch that fills the cache included.
+func TestCachedPathsMatchPathInto(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 2M-flow fabric is too slow under the race detector")
+	}
+	topo, err := topology.NewDatacenter(topology.DatacenterSimConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Topo: topo, NoiseHi: 1e-6, Seed: 1, Parallelism: 2, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunEpoch()
+	srcs := s.sources()
+	const workers = 2
+	checked := make([]int, workers)
+	par.ForEach(workers, workers, func(w int) {
+		var (
+			rng       stats.RNG
+			flows     []traffic.Flow
+			want, got ecmp.PathBuf
+		)
+		for si := w * len(srcs) / workers; si < (w+1)*len(srcs)/workers; si++ {
+			flows = s.cfg.Workload.AppendFlowsOf(flows[:0], &rng, s.inc.epochSeed, si, topo, srcs[si])
+			for j, f := range flows {
+				fi := int64(s.flowBase[si]) + int64(j)
+				if err := s.router.PathInto(f.Src, f.Dst, f.Tuple, &want); err != nil {
+					t.Error(err)
+					return
+				}
+				gotSrc, links := s.path(fi, &got)
+				if gotSrc != f.Src || s.inc.dst[fi] != f.Dst || !slices.Equal(links, want.Links()) {
+					t.Errorf("flow %d: cached %d→%d %v, PathInto %d→%d %v", fi, gotSrc, s.inc.dst[fi], links, f.Src, f.Dst, want.Links())
+					return
+				}
+				checked[w]++
+			}
+		}
+	})
+	if n := checked[0] + checked[1]; n != len(s.inc.packets) || n < 2_000_000 {
+		t.Fatalf("checked %d flows of %d", n, len(s.inc.packets))
+	}
+}
+
+// A path handed out in an epoch's result is never written again. Epoch 1
+// is a delta epoch; its Failed and Reports paths, kept across 200 more
+// delta epochs that inject, change and clear failures on links they cross,
+// still read what they read when it returned. Another goroutine reads them
+// all the while, so under -race a rewrite of a held slot fails the test
+// even with equal bytes. ≈0.1 s (≈1 s under -race).
+func TestHandedOutPathsStayPut(t *testing.T) {
+	s := incrementalSim(t, 29, 2)
+	topo := s.Topology()
+	links := []topology.LinkID{
+		topo.LinksOfClass(topology.L1Up)[2], topo.LinksOfClass(topology.L1Up)[9],
+		topo.LinksOfClass(topology.L2Down)[1], topo.Hosts[9].Uplink,
+	}
+	flip := func(e int) *Epoch {
+		for i, l := range links {
+			switch (e + i) % 3 {
+			case 0:
+				s.ClearFailure(l)
+			case 1:
+				s.InjectFailure(l, 0.02)
+			case 2:
+				s.InjectFailure(l, 0.05)
+			}
+		}
+		return s.RunEpoch()
+	}
+	flip(0) // the full epoch
+	ep := flip(1)
+	var held [][]topology.LinkID
+	for _, f := range ep.Failed {
+		held = append(held, f.Path)
+	}
+	for _, r := range ep.Reports {
+		held = append(held, r.Path)
+	}
+	want := make([][]topology.LinkID, len(held))
+	for i, p := range held {
+		want[i] = slices.Clone(p)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for sum := 0; ; {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, p := range held {
+				for _, l := range p {
+					sum += int(l)
+				}
+			}
+		}
+	}()
+	rescored := 0
+	for e := 2; e < 202; e++ {
+		for _, f := range flip(e).Failed {
+			if slices.ContainsFunc(f.Path, func(l topology.LinkID) bool { return slices.Contains(links, l) }) {
+				rescored++
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if len(ep.Failed) == 0 || rescored == 0 {
+		t.Fatalf("epoch 1 failed %d flows, later epochs %d over the flipped links", len(ep.Failed), rescored)
+	}
+	for i := range held {
+		if !slices.Equal(held[i], want[i]) {
+			t.Fatalf("path %d of epoch 1 reads %v after 200 delta epochs, was %v", i, held[i], want[i])
+		}
+	}
+}
+
+// A host uplink has no row in the link→flows index: a source's flows
+// are one contiguous flow-index range. A change on one still re-scores
+// every flow the host sources, whether every host is a source or
+// Workload.Hosts lists a few, the host twice. ≈0.02 s.
+func TestDirtyHostUplinkRescoresItsFlows(t *testing.T) {
+	const host = 9
+	for _, hosts := range [][]topology.HostID{nil, {host, 3, host, 50}} {
+		shape := func(cfg *Config) { cfg.Workload.Hosts = hosts }
+		delta, full := incrementalSim(t, 31, 2, shape), incrementalSim(t, 31, 2, shape)
+		up := delta.Topology().Hosts[host].Uplink
+		for e, rate := range []float64{0, 0.05, 0.02, 0, 0.05} {
+			for _, s := range []*Sim{delta, full} {
+				if rate == 0 {
+					s.ClearFailure(up)
+				} else {
+					s.InjectFailure(up, rate)
+				}
+			}
+			full.rescoreAll()
+			de, fe := delta.RunEpoch(), full.RunEpoch()
+			if !reflect.DeepEqual(de, fe) {
+				t.Fatalf("hosts %v, epoch %d: delta diverged from full rescore: failed %d/%d", hosts, e, len(de.Failed), len(fe.Failed))
+			}
+			crossed := slices.ContainsFunc(de.Failed, func(f FlowOutcome) bool { return f.Src == host && f.CrossedFailure })
+			if crossed != (rate > 0) {
+				t.Fatalf("hosts %v, epoch %d: rate %g, a flow of host %d crossed the failure: %v", hosts, e, rate, host, crossed)
+			}
+		}
 	}
 }
 

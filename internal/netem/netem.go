@@ -45,6 +45,7 @@
 package netem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -90,10 +91,11 @@ type Config struct {
 	// count), carrying the cached outcome of every untouched flow forward.
 	// Results are bit-identical to re-scoring all flows against the frozen
 	// draws (see rescoreAll and DESIGN.md "Scaling the flow plane"); the
-	// trade is cache memory — per flow, a 2-byte packet count,
-	// ecmp.MaxPathLinks path slots and a length byte, plus a link→flows
-	// index of Σ path length entries (≈100 MiB for the 2.07M flows of the
-	// datacenter reference fabric) — and epoch-to-epoch statistical
+	// trade is cache memory — per flow, a 2-byte packet count, a 4-byte
+	// destination and three ECMP choice bytes, plus a link→flows index
+	// with an entry per path link but the host uplink (57.6 MiB for the
+	// 2.07M flows of the datacenter reference fabric; its set-up leaves
+	// 69.4 MiB live, BENCH_64.json) — and epoch-to-epoch statistical
 	// independence, which a frozen workload no longer has.
 	Incremental bool
 }
@@ -143,6 +145,11 @@ func New(cfg Config) (*Sim, error) {
 	// counts are uint16, so no flow may send more than 65,535 packets.
 	if p := cfg.Workload.PacketsPerFlow; p.Lo < 0 || max(p.Lo, p.Hi) > math.MaxUint16 {
 		return nil, fmt.Errorf("netem: Workload.PacketsPerFlow [%d,%d] can yield a count outside 0..%d", p.Lo, p.Hi, math.MaxUint16)
+	}
+	// The delta cache keeps each flow's ECMP picks as bytes (ecmp.Choices),
+	// so no switch may choose among more than 256 ports.
+	if c := cfg.Topo.Cfg; cfg.Incremental && max(c.T1PerPod, c.T2) > math.MaxUint8+1 {
+		return nil, fmt.Errorf("netem: the delta cache keeps ECMP picks in a byte, but the topology has %d T1s per pod and %d T2s", c.T1PerPod, c.T2)
 	}
 	for _, h := range cfg.Workload.Hosts {
 		if h < 0 || int(h) >= len(cfg.Topo.Hosts) {
@@ -293,6 +300,7 @@ const arenaBlock = 512
 type outcomeArena struct {
 	links []topology.LinkID
 	drops []uint16
+	block int // entries per block; 0 means arenaBlock
 }
 
 // reset forgets the current blocks. The previous epoch's outcomes keep the
@@ -303,7 +311,7 @@ func (a *outcomeArena) reset() { a.links, a.drops = nil, nil }
 func (a *outcomeArena) copyPath(src []topology.LinkID) []topology.LinkID {
 	n := len(src)
 	if len(a.links)+n > cap(a.links) {
-		a.links = make([]topology.LinkID, 0, arenaBlock)
+		a.links = make([]topology.LinkID, 0, cmp.Or(a.block, arenaBlock))
 	}
 	dst := a.links[len(a.links) : len(a.links)+n : len(a.links)+n]
 	a.links = a.links[:len(a.links)+n]
@@ -315,7 +323,7 @@ func (a *outcomeArena) copyPath(src []topology.LinkID) []topology.LinkID {
 func (a *outcomeArena) copyDrops(src []uint16) []uint16 {
 	n := len(src)
 	if len(a.drops)+n > cap(a.drops) {
-		a.drops = make([]uint16, 0, arenaBlock)
+		a.drops = make([]uint16, 0, cmp.Or(a.block, arenaBlock))
 	}
 	dst := a.drops[len(a.drops) : len(a.drops)+n : len(a.drops)+n]
 	a.drops = a.drops[:len(a.drops)+n]
@@ -446,9 +454,9 @@ func (s *Sim) RunEpoch() *Epoch {
 // packet counts summed, per-chunk failed outcomes concatenated in chunk
 // order, which is flow order — and hand the merged list to resolveBudget.
 //
-// buildCache additionally records every flow's packet count and resolved
-// path into the incremental-delta cache's flow tables, which buildIncCache
-// then inverts (incremental.go).
+// buildCache additionally records every flow's packet count, destination
+// and ECMP choices into the incremental-delta cache, whose link→flows index
+// buildIncCache then builds (incremental.go).
 func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 	phaseCount.Begin()
 	srcs := s.sources()
@@ -480,7 +488,8 @@ func (s *Sim) runEpochFull(epochSeed uint64, buildCache bool) *Epoch {
 				out, failedFlow := s.simFlow(sh, epochSeed, fi, buf[j])
 				if buildCache {
 					s.inc.packets[fi] = uint16(buf[j].Packets)
-					s.inc.pathLen[fi] = uint8(copy(s.inc.pathLinks[fi*ecmp.MaxPathLinks:], sh.pathBuf.Links()))
+					s.inc.dst[fi] = buf[j].Dst
+					s.inc.choices[fi] = sh.pathBuf.Choices()
 				}
 				if failedFlow {
 					failed = append(failed, out)

@@ -94,6 +94,24 @@ func TestDropConservation(t *testing.T) {
 	}
 }
 
+// The delta cache keeps each ECMP pick in a byte, so New rejects an
+// incremental simulation whose switches choose among more than 256 ports
+// (topology.Config.Validate caps the counts at 255 already).
+func TestIncrementalPicksFitAByte(t *testing.T) {
+	topo, err := topology.New(topology.Config{Pods: 2, ToRsPerPod: 4, T1PerPod: 3, T2: 4, HostsPerToR: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Topo: topo, Incremental: true}); err != nil {
+		t.Fatal(err)
+	}
+	wide := *topo
+	wide.Cfg.T2 = 257
+	if _, err := New(Config{Topo: &wide, Incremental: true}); err == nil {
+		t.Fatal("a T2 tier of 257 switches accepted")
+	}
+}
+
 // Per-link drop counts are uint16, so New rejects any PacketsPerFlow range
 // that can exceed 65,535. Past it the counts wrap: on the §6 fabric,
 // 100,000-packet flows crossing four L1Up links at rate 0.9 read Drops

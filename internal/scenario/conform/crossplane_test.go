@@ -12,10 +12,14 @@ import (
 // hardest regimes hold in flow-level simulation and packet-level
 // emulation alike.
 //
-// The packet plane runs the flow plane's bounds verbatim: calibration
-// (6 seeds, full epochs) put its pooled points at precision 0.47/0.74,
-// recall 0.93/0.99 and accuracy 0.98/0.97 for intermittent-failure and
-// link-flap respectively — inside every flow bound's Wilson tolerance.
+// The packet plane runs the flow plane's bounds verbatim. For link-flap,
+// calibration (6 seeds, full epochs) put its pooled points at precision
+// 0.74, recall 0.99 and accuracy 0.97. For intermittent-failure they sit
+// under the flow bounds: Evaluate on this envelope at 40 seeds pools
+// recall 244/272 = 0.897 (Wilson high 0.935) and accuracy 1745/1834 =
+// 0.951 (high 0.963), precision 244/502 = 0.486. The 8-seed envelope
+// below passes only on the Wilson slack of its smaller pools (recall
+// 48/54, high 0.959; accuracy 339/357, high 0.972).
 // Two operating-point differences are genuine and documented here rather
 // than bound away:
 //

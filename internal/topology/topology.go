@@ -209,7 +209,12 @@ type Topology struct {
 	byClass [6][]LinkID
 }
 
-// New builds the topology for cfg.
+// New builds the topology for cfg. Its numbering is a contract, which
+// ecmp.Router lays routes out by: switches are numbered pod by pod, each
+// pod's ToRs then its T1s, and the T2s last; links come in pairs, the
+// uplink then its reverse, with host h's pair at 2h, then each ToR's pairs
+// with its pod's T1s (pod, ToR, T1 order), then each T1's pairs with the
+// T2s (pod, T1, T2 order).
 func New(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -330,12 +335,6 @@ func FormatIP(ip uint32) string {
 
 // ToR returns the i-th ToR switch of pod p.
 func (t *Topology) ToR(p, i int) SwitchID { return t.tors[p][i] }
-
-// T1 returns the j-th tier-1 switch of pod p.
-func (t *Topology) T1(p, j int) SwitchID { return t.t1s[p][j] }
-
-// T2 returns the l-th tier-2 switch.
-func (t *Topology) T2(l int) SwitchID { return t.t2s[l] }
 
 // HostAt returns the h-th host under the i-th ToR of pod p.
 func (t *Topology) HostAt(p, i, h int) HostID {

@@ -148,7 +148,7 @@ func TestLinkBetweenMatchesLinks(t *testing.T) {
 		for _, pair := range [][2]Node{
 			{HostNode(-1), tor},
 			{tor, HostNode(HostID(len(topo.Hosts)))},
-			{SwitchNode(SwitchID(len(topo.Switches))), SwitchNode(topo.T1(0, 0))},
+			{SwitchNode(SwitchID(len(topo.Switches))), SwitchNode(t1Of(topo, 0, 0))},
 			{HostNode(topo.HostAt(0, 1, 0)), tor},
 			{tor, HostNode(topo.HostAt(0, 1, 0))},
 		} {
@@ -157,17 +157,26 @@ func TestLinkBetweenMatchesLinks(t *testing.T) {
 			}
 		}
 		if cfg.Pods > 1 {
-			if got, ok := topo.LinkBetween(tor, SwitchNode(topo.T1(1, 0))); got != NoLink || ok {
+			if got, ok := topo.LinkBetween(tor, SwitchNode(t1Of(topo, 1, 0))); got != NoLink || ok {
 				t.Fatalf("%+v: ToR→T1 across pods = (%d, %v)", cfg, got, ok)
 			}
 		}
 	}
 }
 
-// TestClosPortOrder makes the port order topology.Switch documents a
-// checked contract: ecmp's PathInto names every next switch from it without
-// reading Links. Each port must leave its switch and reach the peer its
-// index names, and each named switch must carry its own tier, pod and index.
+// t1Of returns T1 j of pod p, which the pod's first ToR reaches by its
+// uplink j.
+func t1Of(topo *Topology, p, j int) SwitchID {
+	return SwitchID(topo.Links[topo.Switches[topo.ToR(p, 0)].Uplinks[j]].To.ID)
+}
+
+// TestClosPortOrder makes the port order topology.Switch documents and the
+// numbering New documents a checked contract: NextHopLink and LinkBetween
+// name every next switch from the port order, and ecmp's PathInto lays a
+// route out by the numbering without reading a table. Each switch and link
+// must carry the ID its position gives, each port must leave its switch
+// and reach the peer its index names, and each named switch must carry its
+// own tier, pod and index.
 func TestClosPortOrder(t *testing.T) {
 	for _, cfg := range []Config{
 		{Pods: 3, ToRsPerPod: 4, T1PerPod: 3, T2: 5, HostsPerToR: 2},
@@ -197,37 +206,60 @@ func TestClosPortOrder(t *testing.T) {
 				}
 			}
 		}
-		n1 := cfg.T1PerPod
-		t2s := make([]Node, cfg.T2)
+		pair := func(what string, up, down, want LinkID) {
+			if up != want || down != want+1 {
+				t.Fatalf("%+v: %s pair is links %d and %d, want %d and %d", cfg, what, up, down, want, want+1)
+			}
+		}
+		n0, n1, n2 := cfg.ToRsPerPod, cfg.T1PerPod, cfg.T2
+		nh := cfg.Hosts()
+		l1 := func(p, i, j int) LinkID { return LinkID(2*nh + 2*((p*n0+i)*n1+j)) }
+		l2 := func(p, j, l int) LinkID { return LinkID(2*nh + 2*cfg.Pods*n0*n1 + 2*((p*n1+j)*n2+l)) }
+		t2s := make([]Node, n2)
 		for l := range t2s {
-			t2s[l] = SwitchNode(topo.T2(l))
+			t2s[l] = SwitchNode(SwitchID(cfg.Pods*(n0+n1) + l))
 		}
 		t1s := make([]Node, cfg.Pods*n1) // t1s[s*n1+j] = T1(s, j)
 		for p := 0; p < cfg.Pods; p++ {
-			tors := make([]Node, cfg.ToRsPerPod)
+			tors := make([]Node, n0)
 			for i := range tors {
-				tors[i] = SwitchNode(topo.ToR(p, i))
+				tors[i] = SwitchNode(SwitchID(p*(n0+n1) + i))
 			}
 			for j := 0; j < n1; j++ {
-				t1s[p*n1+j] = SwitchNode(topo.T1(p, j))
-				sw := named(topo.T1(p, j), TierT1, p, j)
+				id := SwitchID(p*(n0+n1) + n0 + j)
+				t1s[p*n1+j] = SwitchNode(id)
+				sw := named(id, TierT1, p, j)
 				ports(sw, "Uplinks", sw.Uplinks, t2s)
 				ports(sw, "Downlinks", sw.Downlinks, tors)
+				for l := range t2s {
+					pair(sw.Name+"–T2", sw.Uplinks[l], topo.Switches[t2s[l].ID].Downlinks[p*n1+j], l2(p, j, l))
+				}
 			}
 			for i := range tors {
 				hosts := make([]Node, cfg.HostsPerToR)
 				for h := range hosts {
-					hosts[h] = HostNode(topo.HostAt(p, i, h))
+					id := topo.HostAt(p, i, h)
+					hosts[h] = HostNode(id)
+					pair(topo.Hosts[id].Name, topo.Hosts[id].Uplink, topo.Hosts[id].Downlink, LinkID(2*id))
 				}
 				sw := named(topo.ToR(p, i), TierToR, p, i)
+				if sw.ID != SwitchID(tors[i].ID) {
+					t.Fatalf("%+v: %s is switch %d, want %d", cfg, sw.Name, sw.ID, tors[i].ID)
+				}
 				ports(sw, "Uplinks", sw.Uplinks, t1s[p*n1:(p+1)*n1])
 				ports(sw, "Downlinks", sw.Downlinks, hosts)
+				for j := 0; j < n1; j++ {
+					pair(sw.Name+"–T1", sw.Uplinks[j], topo.Switches[t1s[p*n1+j].ID].Downlinks[i], l1(p, i, j))
+				}
 			}
 		}
 		for l := range t2s {
-			sw := named(topo.T2(l), TierT2, -1, l)
+			sw := named(SwitchID(t2s[l].ID), TierT2, -1, l)
 			ports(sw, "Uplinks", sw.Uplinks, nil)
 			ports(sw, "Downlinks", sw.Downlinks, t1s)
+		}
+		if len(topo.Switches) != cfg.Pods*(n0+n1)+n2 || len(topo.Links) != cfg.DirectedLinks() {
+			t.Fatalf("%+v: %d switches and %d links", cfg, len(topo.Switches), len(topo.Links))
 		}
 	}
 }

@@ -429,26 +429,12 @@ func TestDesignDocNamesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := map[string][]*types.Package{} // by package name
-	var addPkg func(p *types.Package)
-	addPkg = func(p *types.Package) {
-		if slices.Contains(pkgs[p.Name()], p) {
-			return
-		}
-		pkgs[p.Name()] = append(pkgs[p.Name()], p)
-		for _, imp := range p.Imports() {
-			addPkg(imp)
-		}
-	}
-	for _, p := range s.pkgs {
-		if p.types.Name() != "main" {
-			addPkg(p.types)
-		}
-	}
+	pkgs := packagesByName(s)
 	tests, err := testDecls(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := benchMetrics(t)
 	titles := designTitles(string(doc))
 	var problems []string
 	for _, para := range designParagraphs(t) {
@@ -456,21 +442,7 @@ func TestDesignDocNamesResolve(t *testing.T) {
 			continue
 		}
 		for _, span := range codeSpan.FindAllString(para, -1) {
-			if m := testFunc.FindStringSubmatch(span); m != nil && !tests.funcs[m[1]] {
-				problems = append(problems, "DESIGN.md names "+m[1]+", which no test file declares")
-			}
-			for _, m := range qualified.FindAllStringSubmatch(span, -1) {
-				name, path := m[2]+"."+m[3], pkgs[m[2]]
-				if m[4] != "" {
-					name += "." + m[4]
-				}
-				if len(path) == 0 || slices.Contains(fileExts, m[3]) {
-					continue
-				}
-				if !slices.ContainsFunc(path, func(p *types.Package) bool { return resolves(p, m[3], m[4], tests) }) {
-					problems = append(problems, "DESIGN.md names "+name+", which does not resolve to a declaration")
-				}
-			}
+			problems = append(problems, spanProblems(span, pkgs, tests, metrics)...)
 		}
 	}
 	exists := func(dir, name string) bool {
@@ -510,6 +482,100 @@ func TestDesignDocNamesResolve(t *testing.T) {
 	sort.Strings(problems)
 	for _, p := range slices.Compact(problems) {
 		t.Error(p)
+	}
+}
+
+// packagesByName indexes the module's packages, but main ones, and every
+// package they import, by package name.
+func packagesByName(s *surface) map[string][]*types.Package {
+	pkgs := map[string][]*types.Package{}
+	var addPkg func(p *types.Package)
+	addPkg = func(p *types.Package) {
+		if slices.Contains(pkgs[p.Name()], p) {
+			return
+		}
+		pkgs[p.Name()] = append(pkgs[p.Name()], p)
+		for _, imp := range p.Imports() {
+			addPkg(imp)
+		}
+	}
+	for _, p := range s.pkgs {
+		if p.types.Name() != "main" {
+			addPkg(p.types)
+		}
+	}
+	return pkgs
+}
+
+// benchMetrics returns the names of the metrics BENCHMARK.json declares,
+// end to end and per layer.
+func benchMetrics(t testing.TB) map[string]bool {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		names[m.Name] = true
+	}
+	return names
+}
+
+// spanProblems returns what is wrong with one backquoted span of
+// DESIGN.md: a test, benchmark, fuzz target or example that no test file
+// declares, or a pkg.Name or pkg.Type.Member that does not resolve. A span
+// that is a metric's name in BENCHMARK.json (analysis.analyze_ms_p50) is
+// a bench trace key, not a Go name.
+func spanProblems(span string, pkgs map[string][]*types.Package, tests *testDeclSet, metrics map[string]bool) []string {
+	if metrics[strings.Trim(span, "`")] {
+		return nil
+	}
+	var problems []string
+	if m := testFunc.FindStringSubmatch(span); m != nil && !tests.funcs[m[1]] {
+		problems = append(problems, "DESIGN.md names "+m[1]+", which no test file declares")
+	}
+	for _, m := range qualified.FindAllStringSubmatch(span, -1) {
+		name, path := m[2]+"."+m[3], pkgs[m[2]]
+		if m[4] != "" {
+			name += "." + m[4]
+		}
+		if len(path) == 0 || slices.Contains(fileExts, m[3]) {
+			continue
+		}
+		if !slices.ContainsFunc(path, func(p *types.Package) bool { return resolves(p, m[3], m[4], tests) }) {
+			problems = append(problems, "DESIGN.md names "+name+", which does not resolve to a declaration")
+		}
+	}
+	return problems
+}
+
+// A DESIGN.md span that names a bench metric is no Go name: the rule
+// passes analysis.analyze_ms_p50, a per-layer metric of BENCHMARK.json,
+// and still reports analysis.analyze_ms_p99, which no list declares, and
+// analysis.NoSuch.
+func TestDesignDocSpanMetricKeys(t *testing.T) {
+	s := loadSurface(t)
+	tests, err := testDecls(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, metrics := packagesByName(s), benchMetrics(t)
+	for span, reported := range map[string]bool{
+		"`analysis.analyze_ms_p50`": false,
+		"`analysis.Analyze`":        false,
+		"`analysis.analyze_ms_p99`": true,
+		"`analysis.NoSuch`":         true,
+	} {
+		if got := spanProblems(span, pkgs, tests, metrics); (len(got) > 0) != reported {
+			t.Errorf("%s: problems %q, want reported %v", span, got, reported)
+		}
 	}
 }
 
